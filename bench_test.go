@@ -586,8 +586,8 @@ func benchPlaceFleet(b *testing.B) *vmtherm.FleetController {
 
 // BenchmarkPlaceBatch measures the batch placement plane at 16,384 hosts.
 // The batch-N sub-benchmarks place N uniquely-named VMs per PlaceBatch call;
-// looped-placenow-1024 places the same 1024 VMs through sequential PlaceNow
-// calls — the pre-batch API shape, where every request pays its own
+// looped-placenow-1024 places the same 1024 VMs through sequential
+// single-VM PlaceBatch calls — the pre-batch API shape, where every request pays its own
 // candidate shortlist (up to 256 post-placement case builds + predictions)
 // instead of splitting one shared budget across the queue. The contract is
 // batch-1024 sustaining >= 5x the vms/s of the loop.
@@ -629,11 +629,11 @@ func BenchmarkPlaceBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, spec := range specs(n) {
-				dec, err := ctl.PlaceNow(spec)
+				decs, err := ctl.PlaceBatch([]vmtherm.VMSpec{spec})
 				if err != nil {
 					b.Fatal(err)
 				}
-				check(b, dec)
+				check(b, decs[0])
 			}
 		}
 		if d := b.Elapsed().Seconds(); d > 0 {

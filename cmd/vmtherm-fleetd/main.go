@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"vmtherm"
+	"vmtherm/internal/daemon"
 	"vmtherm/internal/predictserver"
 	"vmtherm/internal/scenario"
 )
@@ -59,44 +60,36 @@ func main() {
 	}
 }
 
+// loopFlags are the flags only fleetd has, on top of the fleet flags it
+// shares with predictd (daemon.Bind): the round budget, the simulated
+// tenant stream, the model it trains when none is given, and what it records
+// and grades.
+type loopFlags struct {
+	rounds, arrivals, migrations, hotseed, trainCases int
+	synthetic, pace                                   bool
+	record, scenario, scenarioOut                     string
+}
+
+// bindFlags declares fleetd's whole flag surface on fs. fleetd always runs a
+// fleet, simulated unless told otherwise, as fast as it can — hence its
+// defaults for the shared flags.
+func bindFlags(fs *flag.FlagSet) (*daemon.Flags, *loopFlags) {
+	o := new(loopFlags)
+	fs.IntVar(&o.rounds, "rounds", 40, "control rounds to run (0 = until interrupted or trace end)")
+	fs.IntVar(&o.arrivals, "arrivals", 2, "VM requests submitted per round (sim source)")
+	fs.IntVar(&o.migrations, "migrations", 1, "max migrations applied per round")
+	fs.IntVar(&o.hotseed, "hotseed", 0, "force-place this many heavy VMs on r0-h0 to provoke a hotspot (sim source)")
+	fs.IntVar(&o.trainCases, "train-cases", 24, "simulated experiments to train the fast model on (when neither -model nor -synthetic is given)")
+	fs.BoolVar(&o.synthetic, "synthetic", false, "skip the SVM; use a physics stand-in predictor")
+	fs.BoolVar(&o.pace, "pace", false, "pace rounds to wall-clock Δ_update (default when serving forever or scraping)")
+	fs.StringVar(&o.record, "record", "", "tee the live telemetry stream to a trace CSV replayable with -source trace")
+	fs.StringVar(&o.scenario, "scenario", "", "run a scripted thermal emergency: a built-in name (see docs/SCENARIOS.md) or a JSON spec file; sim source only, exits non-zero when the run fails its grade")
+	fs.StringVar(&o.scenarioOut, "scenario-out", "", "write the graded scenario report as JSON here (requires -scenario)")
+	return daemon.Bind(fs, daemon.Defaults{Source: "sim", Racks: 8, Hosts: 32}), o
+}
+
 func run() error {
-	var (
-		source      = flag.String("source", "sim", "telemetry source: sim | trace | scrape")
-		racks       = flag.Int("racks", 8, "number of racks (sim source)")
-		hosts       = flag.Int("hosts", 32, "hosts per rack (sim source)")
-		rounds      = flag.Int("rounds", 40, "control rounds to run (0 = until interrupted or trace end)")
-		seed        = flag.Int64("seed", 2016, "simulation seed")
-		threshold   = flag.Float64("threshold", 65, "hotspot threshold, °C")
-		update      = flag.Float64("update", 15, "Δ_update calibration interval, s")
-		gap         = flag.Float64("gap", 60, "Δ_gap prediction horizon, s")
-		arrivals    = flag.Int("arrivals", 2, "VM requests submitted per round (sim source)")
-		migrations  = flag.Int("migrations", 1, "max migrations applied per round")
-		hotseed     = flag.Int("hotseed", 0, "force-place this many heavy VMs on r0-h0 to provoke a hotspot (sim source)")
-		trainCases  = flag.Int("train-cases", 24, "simulated experiments to train the fast model on")
-		modelPath   = flag.String("model", "", "load a pretrained stable model instead of training")
-		synthetic   = flag.Bool("synthetic", false, "skip the SVM; use a physics stand-in predictor")
-		addr        = flag.String("addr", "", "optional listen address for /v1/fleet endpoints and /metrics")
-		pace        = flag.Bool("pace", false, "pace rounds to wall-clock Δ_update (default when serving forever or scraping)")
-		tracePath   = flag.String("trace", "", "trace CSV to replay (trace source)")
-		speed       = flag.Float64("speed", 0, "trace replay pacing multiplier (0 = as fast as possible)")
-		loop        = flag.Bool("loop", false, "loop the trace when it runs out")
-		scrapeURL   = flag.String("scrape-url", "", "Prometheus exposition endpoint (scrape source)")
-		scrapeTemp  = flag.String("scrape-temp", "", "temperature metric name (default vmtherm_host_temp_celsius)")
-		scrapeUtil  = flag.String("scrape-util", "", "utilization metric name (default vmtherm_host_util_ratio)")
-		scrapeMem   = flag.String("scrape-mem", "", "memory metric name (default vmtherm_host_mem_ratio)")
-		scrapeHost  = flag.String("scrape-host-label", "", "host label name (default host)")
-		ambient     = flag.Float64("ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
-		anchorCache = flag.Bool("anchor-cache", true, "memoize ψ_stable anchors per quantized (util, mem, ambient) bucket")
-		anchorQuant = flag.Float64("anchor-quant", 0, "anchor cache utilization bucket width (0 = default 0.01; mem buckets are 2×; bounded by ReanchorEpsC so cache error cannot trigger re-anchors)")
-		anchorFile  = flag.String("anchor-cache-file", "", "persist the anchor cache here on exit and warm from it on start (pair the file with the model that produced it)")
-		physWorkers = flag.Int("phys-workers", 0, "worker pool sharding the simulated physics tick per rack (0 = min(GOMAXPROCS, 8), 1 = serial; results are bit-identical either way)")
-		record      = flag.String("record", "", "tee the live telemetry stream to a trace CSV replayable with -source trace")
-		streaming   = flag.Bool("streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
-		scenarioArg = flag.String("scenario", "", "run a scripted thermal emergency: a built-in name (see docs/SCENARIOS.md) or a JSON spec file; sim source only, exits non-zero when the run fails its grade")
-		scenarioOut = flag.String("scenario-out", "", "write the graded scenario report as JSON here (requires -scenario)")
-		ckptFile    = flag.String("checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (trace/scrape sources)")
-		ckptEvery   = flag.Float64("checkpoint-every", 30, "seconds between periodic checkpoints (0 = final shutdown checkpoint only; requires -checkpoint-file)")
-	)
+	shared, own := bindFlags(flag.CommandLine)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -104,29 +97,22 @@ func run() error {
 	var model *vmtherm.StablePredictor
 	var predict vmtherm.BatchCasePredictor
 	switch {
-	case *synthetic:
+	case own.synthetic:
 		predict = vmtherm.FleetSyntheticPredictor(75)
 		log.Print("using synthetic physics predictor (no SVM)")
-	case *modelPath != "":
-		f, err := os.Open(*modelPath)
-		if err != nil {
+	case shared.Model != "":
+		var err error
+		if model, err = daemon.LoadModel(shared.Model); err != nil {
 			return err
 		}
-		model, err = vmtherm.LoadStable(f)
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("loading model: %w", err)
-		}
-		log.Printf("loaded stable model from %s", *modelPath)
+		log.Printf("loaded stable model from %s", shared.Model)
 	default:
-		log.Printf("training fast stable model on %d simulated experiments...", *trainCases)
-		cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), *seed, "fleet-train", *trainCases)
+		log.Printf("training fast stable model on %d simulated experiments...", own.trainCases)
+		cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), shared.Seed, "fleet-train", own.trainCases)
 		if err != nil {
 			return err
 		}
-		recs, err := vmtherm.BuildDataset(ctx, cases, vmtherm.DefaultBuildOptions(*seed))
+		recs, err := vmtherm.BuildDataset(ctx, cases, vmtherm.DefaultBuildOptions(shared.Seed))
 		if err != nil {
 			return err
 		}
@@ -139,143 +125,19 @@ func run() error {
 		predict = vmtherm.FleetStablePredictor(model, 1800)
 	}
 
-	cfg := vmtherm.DefaultFleetConfig()
-	cfg.Racks = *racks
-	cfg.HostsPerRack = *hosts
-	cfg.ThresholdC = *threshold
-	cfg.UpdateEveryS = *update
-	cfg.GapS = *gap
-	cfg.MaxMigrationsPerRound = *migrations
-	cfg.SourceAmbientC = *ambient
-	cfg.AnchorCacheDisabled = !*anchorCache
-	if *anchorQuant > 0 {
-		cfg.AnchorQuantUtil = *anchorQuant
-		cfg.AnchorQuantMem = 2 * *anchorQuant
+	cfg := shared.Config()
+	cfg.MaxMigrationsPerRound = own.migrations
+	ctl, err := shared.NewController(cfg, predict)
+	if err != nil {
+		return err
 	}
-	cfg.PhysWorkers = *physWorkers
-	cfg.StreamingIngest = *streaming
-	cfg.Seed = *seed
-
-	var ctl *vmtherm.FleetController
-	var trace *vmtherm.TraceSource
-	switch *source {
-	case "sim":
-		c, err := vmtherm.NewFleet(cfg, predict)
-		if err != nil {
-			return err
-		}
-		ctl = c
-		n := *racks * *hosts
-		log.Printf("fleet: %d racks × %d hosts = %d servers, Δ_update %.0fs, Δ_gap %.0fs, threshold %.1f°C",
-			*racks, *hosts, n, cfg.UpdateEveryS, cfg.GapS, cfg.ThresholdC)
-	case "trace":
-		if *tracePath == "" {
-			return errors.New("-source trace requires -trace <csv>")
-		}
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		readings, err := vmtherm.ReadTrace(f)
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("reading trace: %w", err)
-		}
-		src, err := vmtherm.NewTraceSource(readings, vmtherm.TraceOptions{Speed: *speed, Loop: *loop})
-		if err != nil {
-			return err
-		}
-		trace = src
-		ctl, err = vmtherm.NewFleetWithSource(cfg, src, predict)
-		if err != nil {
-			return err
-		}
-		log.Printf("replaying %d readings from %s (speed %.0gx, loop %v), Δ_update %.0fs, Δ_gap %.0fs",
-			len(readings), *tracePath, *speed, *loop, cfg.UpdateEveryS, cfg.GapS)
-	case "scrape":
-		if *scrapeURL == "" {
-			return errors.New("-source scrape requires -scrape-url <endpoint>")
-		}
-		src, err := vmtherm.NewScrapeSource(vmtherm.ScrapeConfig{
-			URL:        *scrapeURL,
-			TempMetric: *scrapeTemp,
-			UtilMetric: *scrapeUtil,
-			MemMetric:  *scrapeMem,
-			HostLabel:  *scrapeHost,
-		})
-		if err != nil {
-			return err
-		}
-		ctl, err = vmtherm.NewFleetWithSource(cfg, src, predict)
-		if err != nil {
-			return err
-		}
-		log.Printf("scraping %s every Δ_update %.0fs, Δ_gap %.0fs", *scrapeURL, cfg.UpdateEveryS, cfg.GapS)
-	default:
-		return fmt.Errorf("unknown -source %q (want sim, trace or scrape)", *source)
-	}
-
-	// -anchor-cache-file: warm the ψ_stable anchor cache from a previous
-	// run's save, so a restarted fleet skips the cold mass-re-anchor rounds
-	// entirely. A missing file is fine (first run); it is written on exit.
-	if *anchorFile != "" && !*anchorCache {
-		log.Printf("-anchor-cache-file ignored: anchor cache disabled (-anchor-cache=false)")
-		*anchorFile = ""
-	}
-	if *anchorFile != "" {
-		n, err := loadAnchorCache(ctl, *anchorFile)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			log.Printf("anchor cache file %s absent; will be written on exit", *anchorFile)
-		case err != nil:
-			return fmt.Errorf("loading anchor cache: %w", err)
-		default:
-			log.Printf("warmed anchor cache with %d entries from %s", n, *anchorFile)
-		}
-	}
-
-	// -checkpoint-file: restore the full serving state (engine sessions with
-	// their γ calibration, round counter, pending placements, hotspot index,
-	// anchor cache) from the newest valid generation, so a restarted control
-	// plane continues exactly where the previous process stopped. Restored
-	// after the anchor-cache warm so the checkpoint's (newer) cache wins.
-	var ckpt *vmtherm.CheckpointManager
-	if *ckptFile != "" {
-		if *source == "sim" {
-			return errors.New("-checkpoint-file requires -source trace or scrape (a simulated substrate is not captured)")
-		}
-		ckpt = vmtherm.NewCheckpointManager(*ckptFile, *ckptEvery)
-		st, err := ckpt.Restore()
-		switch {
-		case err != nil:
-			// Corrupt-only generations: visible (and counted) but not fatal —
-			// a daemon that refuses to start over a bad checkpoint trades one
-			// outage for another.
-			log.Printf("checkpoint restore failed: %v; starting cold", err)
-		case st == nil:
-			log.Printf("no checkpoint at %s.{1,2}; cold start", *ckptFile)
-		default:
-			if err := ctl.Restore(st); err != nil {
-				return fmt.Errorf("restoring checkpoint: %w", err)
-			}
-			log.Printf("restored %d sessions at round %d from checkpoint %s",
-				ctl.RestoredSessions(), st.Round, *ckptFile)
-		}
-	}
-
-	// ready feeds /readyz: false until the first round completes (cold or
-	// restored, the serving state is only trustworthy once a round has run),
-	// false again the moment the loop exits and the HTTP drain begins.
-	var ready atomic.Bool
 
 	// -record: tee every reading the source emits into a recorder, and write
 	// the capture as a replayable trace CSV when the loop ends — closing the
 	// capture→replay loop (-source trace) for operators.
 	var recorder *vmtherm.TelemetryRecorder
 	var recMu sync.Mutex
-	if *record != "" {
+	if own.record != "" {
 		recorder = &vmtherm.TelemetryRecorder{}
 		// The tee sees both the round loop's source emissions and concurrent
 		// HTTP ingest pushes (-addr); Recorder itself is not synchronized.
@@ -296,100 +158,36 @@ func run() error {
 			}
 			return recorder.Emit(r)
 		})
-		log.Printf("recording telemetry to %s (cap %d readings)", *record, maxRecorded)
+		log.Printf("recording telemetry to %s (cap %d readings)", own.record, maxRecorded)
 	}
-	finish := func(runErr error) error {
-		// The final checkpoint is the shutdown contract: the in-flight round
-		// has finished (runLoop returned) and HTTP has drained, so this write
-		// captures everything the next process needs to continue warm.
-		if ckpt != nil {
-			if st, err := ctl.Checkpoint(); err != nil {
-				ckpt.NoteFailure(err)
-				log.Printf("final checkpoint: %v", err)
-				if runErr == nil {
-					runErr = err
-				}
-			} else if err := ckpt.Save(st); err != nil {
-				log.Printf("final checkpoint: %v", err)
-				if runErr == nil {
-					runErr = err
-				}
-			} else {
-				log.Printf("final checkpoint written to %s (round %d, %d sessions)",
-					*ckptFile, st.Round, len(st.Engine.Sessions))
-			}
-		}
-		if *anchorFile != "" {
-			if err := saveAnchorCache(ctl, *anchorFile); err != nil {
-				log.Printf("saving anchor cache: %v", err)
-				if runErr == nil {
-					runErr = err
-				}
-			} else {
-				log.Printf("saved anchor cache to %s (warm-start with -anchor-cache-file %s)",
-					*anchorFile, *anchorFile)
-			}
-		}
-		if recorder == nil {
-			return runErr
-		}
-		// Detach the tee, then save under the same mutex the tee appends
-		// with: an ingest push that outlived the HTTP shutdown timeout must
-		// not race the sort/write.
-		ctl.TeeTelemetry(nil)
-		recMu.Lock()
-		defer recMu.Unlock()
-		if err := saveRecording(*record, recorder); err != nil {
-			log.Printf("recording: %v", err)
-			if runErr == nil {
-				runErr = err
-			}
-		} else {
-			log.Printf("recorded %d readings to %s (replay with -source trace -trace %s)",
-				len(recorder.Readings), *record, *record)
-		}
-		return runErr
-	}
-
-	if *scenarioArg != "" {
+	opts := loopOptions{rounds: own.rounds, addr: shared.Addr, model: model}
+	switch {
+	case own.scenario != "":
 		// A scripted thermal emergency: the scenario engine seeds its own
 		// baseline load and owns the timeline, so the usual arrival stream
 		// and hotseed are skipped — determinism is the whole point.
-		if *source != "sim" {
-			return fmt.Errorf("-scenario requires -source sim (got %q)", *source)
+		if shared.Source != "sim" {
+			return fmt.Errorf("-scenario requires -source sim (got %q)", shared.Source)
 		}
-		spec, err := scenario.Load(*scenarioArg)
+		spec, err := scenario.Load(own.scenario)
 		if err != nil {
 			return err
 		}
-		runner, err := scenario.New(spec, ctl)
-		if err != nil {
+		if opts.scenario, err = scenario.New(spec, ctl.Controller); err != nil {
 			return err
 		}
 		// The spec owns the round budget: a truncated timeline would grade a
 		// half-run emergency, so -rounds is ignored in scenario mode.
 		log.Printf("scenario %s: %s (%d rounds, onset round %d)",
 			spec.Name, spec.Description, spec.Rounds, spec.Onset())
-		return finish(runLoop(ctx, ctl, loopOptions{
-			rounds:      spec.Rounds,
-			pace:        *pace,
-			updateS:     cfg.UpdateEveryS,
-			addr:        *addr,
-			model:       model,
-			scenario:    runner,
-			scenarioOut: *scenarioOut,
-			ready:       &ready,
-		}))
-	}
-	if *scenarioOut != "" {
+		opts.rounds, opts.pace, opts.scenarioOut = spec.Rounds, own.pace, own.scenarioOut
+	case own.scenarioOut != "":
 		return errors.New("-scenario-out requires -scenario")
-	}
-
-	if *source == "sim" {
+	case shared.Source == "sim":
 		// An optional adversarial seed: pile heavy VMs onto one machine so
 		// the proactive loop (flag from prediction → propose → migrate) is
 		// visible.
-		for v := 0; v < *hotseed; v++ {
+		for v := 0; v < own.hotseed; v++ {
 			spec := vmtherm.FleetHeavyVMSpec(fmt.Sprintf("hotseed-%02d", v), 4, 8)
 			if err := ctl.PlaceAt("r0-h0", spec); err != nil {
 				return fmt.Errorf("hotseed: %w", err)
@@ -397,8 +195,8 @@ func run() error {
 		}
 		// Seed the fleet with an initial tenant population (~40% of
 		// capacity) placed thermally, then feed fresh arrivals every round.
-		n := *racks * *hosts
-		arrivalStream, err := arrivalSpecs(*seed, n*2)
+		n := cfg.Racks * cfg.HostsPerRack
+		arrivalStream, err := arrivalSpecs(shared.Seed, n*2)
 		if err != nil {
 			return err
 		}
@@ -410,69 +208,31 @@ func run() error {
 			}
 			next++
 		}
-		return finish(runLoop(ctx, ctl, loopOptions{
-			rounds:   *rounds,
-			pace:     *pace || (*rounds == 0 && *addr != ""),
-			updateS:  cfg.UpdateEveryS,
-			addr:     *addr,
-			model:    model,
-			arrivals: func(round int) { submitArrivals(ctl, arrivalStream, &next, *arrivals) },
-			ready:    &ready,
-		}))
+		opts.pace = own.pace || (own.rounds == 0 && shared.Addr != "")
+		opts.arrivals = func() { submitArrivals(ctl.Controller, arrivalStream, &next, own.arrivals) }
+	default:
+		opts.pace = own.pace || shared.Source == "scrape" || (ctl.Trace != nil && shared.Speed > 0)
 	}
-	paceInterval := 0.0
-	if *source == "scrape" || *pace {
-		paceInterval = cfg.UpdateEveryS
+	runErr := runLoop(ctx, ctl, opts)
+	// The shutdown contract: the in-flight round has finished (runLoop
+	// returned) and HTTP has drained, so the final checkpoint captures
+	// everything the next process needs to continue warm.
+	runErr = errors.Join(runErr, ctl.Close())
+	if recorder == nil {
+		return runErr
 	}
-	if trace != nil && trace.Speed() > 0 {
-		paceInterval = cfg.UpdateEveryS / trace.Speed()
+	// Detach the tee, then save under the same mutex the tee appends
+	// with: an ingest push that outlived the HTTP shutdown timeout must
+	// not race the sort/write.
+	ctl.TeeTelemetry(nil)
+	recMu.Lock()
+	defer recMu.Unlock()
+	if err := saveRecording(own.record, recorder); err != nil {
+		return errors.Join(runErr, fmt.Errorf("recording: %w", err))
 	}
-	return finish(runLoop(ctx, ctl, loopOptions{
-		rounds:     *rounds,
-		pace:       paceInterval > 0,
-		updateS:    cfg.UpdateEveryS,
-		paceS:      paceInterval,
-		addr:       *addr,
-		model:      model,
-		traceDone:  func() bool { return trace != nil && trace.Done() },
-		ready:      &ready,
-		ckpt:       ckpt,
-		ckptEveryS: *ckptEvery,
-	}))
-}
-
-// loadAnchorCache warms the controller's anchor cache from a file written
-// by saveAnchorCache.
-func loadAnchorCache(ctl *vmtherm.FleetController, path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := ctl.LoadAnchorCache(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	return n, err
-}
-
-// saveAnchorCache persists the controller's anchor cache for the next run,
-// writing to a temp file first so an interrupted save never truncates a
-// good cache.
-func saveAnchorCache(ctl *vmtherm.FleetController, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = ctl.SaveAnchorCache(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	log.Printf("recorded %d readings to %s (replay with -source trace -trace %s)",
+		len(recorder.Readings), own.record, own.record)
+	return runErr
 }
 
 // saveRecording writes a telemetry capture as a replayable trace CSV in
@@ -492,30 +252,18 @@ func saveRecording(path string, rec *vmtherm.TelemetryRecorder) error {
 
 // loopOptions parameterize the round loop shared by every source.
 type loopOptions struct {
-	rounds  int
-	pace    bool
-	updateS float64
-	// paceS is the wall-clock interval when pacing (0 = updateS).
-	paceS float64
+	rounds int
+	// pace holds each round to the controller's wall-clock pacing interval.
+	pace  bool
 	addr  string
 	model *vmtherm.StablePredictor
 	// arrivals, when set, submits the round's VM requests (sim source).
-	arrivals func(round int)
-	// traceDone, when set, reports replay exhaustion (trace source).
-	traceDone func() bool
+	arrivals func()
 	// scenario, when set, owns the round loop: each round applies the due
 	// faults before running, and the run ends with a graded report
 	// (written to scenarioOut when set; a failed grade fails the process).
 	scenario    *scenario.Runner
 	scenarioOut string
-	// ready gates /readyz: stored true after the first completed round,
-	// false when the loop exits — before the HTTP drain, so load balancers
-	// stop routing to a daemon that is about to stop serving.
-	ready *atomic.Bool
-	// ckpt, when set, checkpoints serving state every ckptEveryS seconds
-	// (0 = shutdown-only) and feeds GET /v1/fleet/checkpoint.
-	ckpt       *vmtherm.CheckpointManager
-	ckptEveryS float64
 }
 
 // submitArrivals feeds the round's VM requests, stopping early when the
@@ -530,21 +278,25 @@ func submitArrivals(ctl *vmtherm.FleetController, stream []vmtherm.VMSpec, next 
 }
 
 // runLoop serves the fleet API (optionally) and executes control rounds
-// until the round budget, the trace, or the context runs out.
-func runLoop(ctx context.Context, ctl *vmtherm.FleetController, opts loopOptions) error {
+// until the round budget, the trace, or the context runs out. Pacing and
+// the real-time accounting use the controller's resolved Δ_update, never
+// the raw -update flag (0 there means "the default").
+func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) error {
+	// ready gates /readyz: true after the first completed round (cold or
+	// restored, the serving state is only trustworthy once a round has run),
+	// false again when the loop exits — before the HTTP drain, so load
+	// balancers stop routing to a daemon that is about to stop serving.
+	var ready atomic.Bool
 	if opts.addr != "" {
 		if opts.model == nil {
 			return fmt.Errorf("-addr requires a stable model (drop -synthetic)")
 		}
-		sopts := []predictserver.Option{predictserver.WithFleet(ctl)}
+		sopts := []predictserver.Option{predictserver.WithFleet(ctl.Controller), predictserver.WithReadiness(ready.Load)}
 		if opts.scenario != nil {
 			sopts = append(sopts, predictserver.WithScenario(opts.scenario.Status))
 		}
-		if opts.ready != nil {
-			sopts = append(sopts, predictserver.WithReadiness(opts.ready.Load))
-		}
-		if opts.ckpt != nil {
-			sopts = append(sopts, predictserver.WithCheckpoint(opts.ckpt.Status))
+		if ctl.Ckpt != nil {
+			sopts = append(sopts, predictserver.WithCheckpoint(ctl.Ckpt.Status))
 		}
 		srv, err := predictserver.New(opts.model, sopts...)
 		if err != nil {
@@ -565,15 +317,11 @@ func runLoop(ctx context.Context, ctl *vmtherm.FleetController, opts loopOptions
 		log.Printf("serving fleet API and /metrics on %s", opts.addr)
 	}
 
-	paceS := opts.paceS
-	if paceS == 0 {
-		paceS = opts.updateS
-	}
+	updateS := ctl.Config().UpdateEveryS
 	if opts.pace {
-		log.Printf("pacing rounds to wall-clock %.3gs", paceS)
+		log.Printf("pacing rounds to wall-clock %.3gs", ctl.PaceS)
 	}
 	start := time.Now()
-	lastCkpt := time.Now()
 	var runErr error
 	var simSeconds float64
 	var totalHotspots, totalMoves, totalPlaced int
@@ -585,12 +333,12 @@ loop:
 			break loop
 		default:
 		}
-		if opts.traceDone != nil && opts.traceDone() {
+		if ctl.Trace != nil && ctl.Trace.Done() {
 			log.Print("trace exhausted")
 			break loop
 		}
 		if opts.arrivals != nil {
-			opts.arrivals(round)
+			opts.arrivals()
 		}
 		runRound := ctl.RunRound
 		if opts.scenario != nil {
@@ -600,18 +348,16 @@ loop:
 		if err != nil {
 			// Break instead of returning so the exit path below still runs:
 			// readiness flips off, the scenario report (if any) is written,
-			// and the caller's finish() gets its final checkpoint and flushes.
+			// and the caller still cuts its final checkpoint and flushes.
 			runErr = err
 			break loop
 		}
-		if opts.ready != nil {
-			opts.ready.Store(true)
-		}
-		simSeconds += opts.updateS
+		ready.Store(true)
+		simSeconds += updateS
 		totalHotspots += rep.Hotspots
 		totalMoves += rep.AppliedMoves
 		totalPlaced += rep.Placements
-		speedup := opts.updateS / rep.Latency.Seconds()
+		speedup := updateS / rep.Latency.Seconds()
 		line := fmt.Sprintf("round %3d t=%5.0fs | sessions %3d/%3d | telemetry %4d (drops %d, superseded %d) | stale %2d | anchors %3dh/%dm fan %d | hotspots %2d (max %.1f°C) | placed %d queued %d rejected %d | moves %d/%d | %6.1fms (ctl %.1fms) | %6.0f× realtime",
 			rep.Round, rep.SimTimeS, rep.SessionsLive, rep.Hosts,
 			rep.TelemetryDrained, rep.DroppedTotal, rep.SupersededTotal, rep.StaleHosts,
@@ -638,18 +384,11 @@ loop:
 			line += fmt.Sprintf(" | errs %d (last: %s)", n, rep.RecentErrors[n-1])
 		}
 		fmt.Println(line)
-		if opts.ckpt != nil && opts.ckptEveryS > 0 && time.Since(lastCkpt).Seconds() >= opts.ckptEveryS {
-			if st, err := ctl.Checkpoint(); err != nil {
-				opts.ckpt.NoteFailure(err)
-				log.Printf("checkpoint: %v", err)
-			} else if err := opts.ckpt.Save(st); err != nil {
-				log.Printf("checkpoint: %v", err)
-			} else {
-				lastCkpt = time.Now()
-			}
+		if _, err := ctl.Ckpt.SaveIfDue(ctl.Checkpoint, false); err != nil {
+			log.Printf("checkpoint: %v", err)
 		}
 		if opts.pace {
-			wait := time.Duration(paceS*float64(time.Second)) - rep.Latency
+			wait := time.Duration(ctl.PaceS*float64(time.Second)) - rep.Latency
 			if wait > 0 {
 				select {
 				case <-ctx.Done():
@@ -658,17 +397,15 @@ loop:
 			}
 		}
 	}
-	if opts.ready != nil {
-		// Not ready before the deferred HTTP drain: in-flight requests finish,
-		// new ones see 503 from the balancer's health checks.
-		opts.ready.Store(false)
-	}
+	// Not ready before the deferred HTTP drain: in-flight requests finish,
+	// new ones see 503 from the balancer's health checks.
+	ready.Store(false)
 	wall := time.Since(start)
 	log.Printf("processed %.0fs of fleet time in %v (%.0f× real time): %d hotspot-rounds, %d migrations, %d placements",
 		simSeconds, wall.Round(time.Millisecond), simSeconds/wall.Seconds(),
 		totalHotspots, totalMoves, totalPlaced)
 	if wall.Seconds() < simSeconds {
-		log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", opts.updateS)
+		log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", updateS)
 	} else if !opts.pace {
 		log.Printf("WARNING: control loop slower than real time at this fleet size")
 	}

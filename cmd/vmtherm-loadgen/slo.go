@@ -113,21 +113,18 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 		err    error
 	)
 	if *f.inprocess {
-		admission := fleet.AdmissionPolicy{
+		fc := fleet.DefaultConfig()
+		fc.Racks, fc.HostsPerRack = *f.racks, *f.hosts
+		fc.Admission = fleet.AdmissionPolicy{
 			HeadroomBudgetC:       *f.budget,
 			MaxPlacementsPerRound: *f.roundCap,
 		}
+		fc.PhysWorkers = *f.physWorkers
+		fc.StreamingIngest = *f.streaming
+		fc.Seed = seed
 		fmt.Printf("building in-process stack: %d×%d hosts, admission budget %.1f°C cap %d...\n",
-			*f.racks, *f.hosts, admission.HeadroomBudgetC, admission.MaxPlacementsPerRound)
-		stack, err = predictserver.NewLocalStack(ctx, predictserver.LocalStackConfig{
-			Racks:        *f.racks,
-			HostsPerRack: *f.hosts,
-			Admission:    admission,
-			PhysWorkers:  *f.physWorkers,
-			Workers:      *f.workers,
-			Streaming:    *f.streaming,
-			Seed:         seed,
-		})
+			fc.Racks, fc.HostsPerRack, fc.Admission.HeadroomBudgetC, fc.Admission.MaxPlacementsPerRound)
+		stack, err = predictserver.NewLocalStack(ctx, predictserver.LocalStackConfig{Fleet: fc, Workers: *f.workers})
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -43,7 +42,9 @@ import (
 	"syscall"
 	"time"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/daemon"
+	"vmtherm/internal/fleet"
 	"vmtherm/internal/predictserver"
 )
 
@@ -55,291 +56,124 @@ func main() {
 	}
 }
 
-// saveAnchorCache persists the controller's anchor cache, writing to a temp
-// file first so an interrupted save never truncates a good cache.
-func saveAnchorCache(ctl *vmtherm.FleetController, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = ctl.SaveAnchorCache(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+// bindFlags declares predictd's whole flag surface on fs: the shared fleet
+// flags and nothing of its own. predictd serves a model it is given, and
+// runs a fleet loop only with -source, in real time — hence its defaults.
+func bindFlags(fs *flag.FlagSet) *daemon.Flags {
+	return daemon.Bind(fs, daemon.Defaults{
+		Addr: ":8080", Model: "model.svm", Racks: 4, Hosts: 16, Speed: 1, Loop: true,
+	})
 }
 
 func run() error {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		modelPath   = flag.String("model", "model.svm", "trained stable model path")
-		source      = flag.String("source", "", "optional fleet telemetry source: sim | trace | scrape")
-		racks       = flag.Int("racks", 4, "number of racks (sim source)")
-		hosts       = flag.Int("hosts", 16, "hosts per rack (sim source)")
-		seed        = flag.Int64("seed", 2016, "simulation seed (sim source)")
-		threshold   = flag.Float64("threshold", 65, "hotspot threshold, °C")
-		update      = flag.Float64("update", 15, "Δ_update calibration interval, s")
-		gap         = flag.Float64("gap", 60, "Δ_gap prediction horizon, s")
-		tracePath   = flag.String("trace", "", "trace CSV to replay (trace source)")
-		speed       = flag.Float64("speed", 1, "trace replay pacing multiplier")
-		loop        = flag.Bool("loop", true, "loop the trace when it runs out")
-		scrapeURL   = flag.String("scrape-url", "", "Prometheus exposition endpoint (scrape source)")
-		scrapeTemp  = flag.String("scrape-temp", "", "temperature metric name (default vmtherm_host_temp_celsius)")
-		scrapeUtil  = flag.String("scrape-util", "", "utilization metric name (default vmtherm_host_util_ratio)")
-		scrapeMem   = flag.String("scrape-mem", "", "memory metric name (default vmtherm_host_mem_ratio)")
-		scrapeHost  = flag.String("scrape-host-label", "", "host label name (default host)")
-		ambient     = flag.Float64("ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
-		anchorCache = flag.Bool("anchor-cache", true, "memoize ψ_stable anchors per quantized (util, mem, ambient) bucket")
-		anchorQuant = flag.Float64("anchor-quant", 0, "anchor cache utilization bucket width (0 = default 0.01; mem buckets are 2×; bounded by ReanchorEpsC so cache error cannot trigger re-anchors)")
-		anchorFile  = flag.String("anchor-cache-file", "", "persist the anchor cache here on exit and warm from it on start (pair the file with -model)")
-		physWorkers = flag.Int("phys-workers", 0, "worker pool sharding the simulated physics tick per rack (0 = min(GOMAXPROCS, 8), 1 = serial; sim source)")
-		streaming   = flag.Bool("streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
-		ckptFile    = flag.String("checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (trace/scrape sources)")
-		ckptEvery   = flag.Float64("checkpoint-every", 30, "seconds between periodic checkpoints (0 = final shutdown checkpoint only; requires -checkpoint-file)")
-	)
+	flags := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	f, err := os.Open(*modelPath)
+	model, err := daemon.LoadModel(flags.Model)
 	if err != nil {
 		return err
 	}
-	model, err := vmtherm.LoadStable(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("loading model: %w", err)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	opts := []predictserver.Option{}
-	var ctl *vmtherm.FleetController
-	var paceS float64
-	if *source != "" {
-		cfg := vmtherm.DefaultFleetConfig()
-		cfg.Racks = *racks
-		cfg.HostsPerRack = *hosts
-		cfg.ThresholdC = *threshold
-		cfg.UpdateEveryS = *update
-		cfg.GapS = *gap
-		cfg.SourceAmbientC = *ambient
-		cfg.AnchorCacheDisabled = !*anchorCache
-		if *anchorQuant > 0 {
-			cfg.AnchorQuantUtil = *anchorQuant
-			cfg.AnchorQuantMem = 2 * *anchorQuant
-		}
-		cfg.PhysWorkers = *physWorkers
-		cfg.StreamingIngest = *streaming
-		cfg.Seed = *seed
-		predict := vmtherm.FleetStablePredictor(model, 1800)
-
-		switch *source {
-		case "sim":
-			ctl, err = vmtherm.NewFleet(cfg, predict)
-		case "trace":
-			if *tracePath == "" {
-				return errors.New("-source trace requires -trace <csv>")
-			}
-			var tf *os.File
-			if tf, err = os.Open(*tracePath); err != nil {
-				return err
-			}
-			var readings []vmtherm.FleetReading
-			readings, err = vmtherm.ReadTrace(tf)
-			if cerr := tf.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("reading trace: %w", err)
-			}
-			var src *vmtherm.TraceSource
-			if src, err = vmtherm.NewTraceSource(readings, vmtherm.TraceOptions{Speed: *speed, Loop: *loop}); err != nil {
-				return err
-			}
-			ctl, err = vmtherm.NewFleetWithSource(cfg, src, predict)
-		case "scrape":
-			if *scrapeURL == "" {
-				return errors.New("-source scrape requires -scrape-url <endpoint>")
-			}
-			var src *vmtherm.ScrapeSource
-			src, err = vmtherm.NewScrapeSource(vmtherm.ScrapeConfig{
-				URL:        *scrapeURL,
-				TempMetric: *scrapeTemp,
-				UtilMetric: *scrapeUtil,
-				MemMetric:  *scrapeMem,
-				HostLabel:  *scrapeHost,
-			})
-			if err != nil {
-				return err
-			}
-			ctl, err = vmtherm.NewFleetWithSource(cfg, src, predict)
-		default:
-			return fmt.Errorf("unknown -source %q (want sim, trace or scrape)", *source)
-		}
+	var ctl *daemon.Controller
+	if flags.Source != "" {
+		cfg := flags.Config()
+		ctl, err = flags.NewController(cfg, fleet.StableBatchPredictor(model, cfg.HorizonS))
 		if err != nil {
 			return err
 		}
-		// Pace from the controller's *resolved* config: a zero -update flag
-		// is defaulted inside the controller, and a zero ticker interval
-		// would panic the round loop.
-		paceS = ctl.Config().UpdateEveryS
-		if *source == "trace" && *speed > 0 {
-			paceS /= *speed
-		}
-		opts = append(opts, predictserver.WithFleet(ctl))
-		log.Printf("fleet control loop attached (source %s, Δ_update %.0fs paced to %.3gs)",
-			*source, ctl.Config().UpdateEveryS, paceS)
-
-		// -anchor-cache-file: warm the anchor cache from a previous run and
-		// persist it again on shutdown, so a restarted daemon skips the cold
-		// mass-re-anchor rounds against an unchanged population.
-		if *anchorFile != "" && !*anchorCache {
-			log.Printf("-anchor-cache-file ignored: anchor cache disabled (-anchor-cache=false)")
-			*anchorFile = ""
-		}
-		if *anchorFile != "" {
-			if f, ferr := os.Open(*anchorFile); ferr == nil {
-				n, lerr := ctl.LoadAnchorCache(f)
-				_ = f.Close()
-				if lerr != nil {
-					return fmt.Errorf("loading anchor cache: %w", lerr)
-				}
-				log.Printf("warmed anchor cache with %d entries from %s", n, *anchorFile)
-			} else if !errors.Is(ferr, os.ErrNotExist) {
-				return ferr
-			} else {
-				log.Printf("anchor cache file %s absent; will be written on exit", *anchorFile)
-			}
-			defer func() {
-				if err := saveAnchorCache(ctl, *anchorFile); err != nil {
-					log.Printf("saving anchor cache: %v", err)
-				} else {
-					log.Printf("saved anchor cache to %s", *anchorFile)
-				}
-			}()
-		}
+		log.Printf("fleet control loop attached, one round every %.3gs", ctl.PaceS)
+	} else if flags.CheckpointFile != "" {
+		return daemon.ErrCheckpointNeedsSource
 	}
+	return serve(ctx, &http.Server{Addr: flags.Addr, ReadHeaderTimeout: 5 * time.Second}, model, ctl)
+}
 
-	// -checkpoint-file: restore the full serving state from the newest valid
-	// generation before the round loop starts, so a restarted daemon resumes
-	// exactly where the previous process stopped. Restored after the
-	// anchor-cache warm so the checkpoint's (newer) cache wins.
-	var ckpt *vmtherm.CheckpointManager
-	if *ckptFile != "" {
-		if ctl == nil || *source == "sim" {
-			return errors.New("-checkpoint-file requires -source trace or scrape (a simulated substrate is not captured)")
-		}
-		ckpt = vmtherm.NewCheckpointManager(*ckptFile, *ckptEvery)
-		st, rerr := ckpt.Restore()
-		switch {
-		case rerr != nil:
-			log.Printf("checkpoint restore failed: %v; starting cold", rerr)
-		case st == nil:
-			log.Printf("no checkpoint at %s.{1,2}; cold start", *ckptFile)
-		default:
-			if err := ctl.Restore(st); err != nil {
-				return fmt.Errorf("restoring checkpoint: %w", err)
-			}
-			log.Printf("restored %d sessions at round %d from checkpoint %s",
-				ctl.RestoredSessions(), st.Round, *ckptFile)
-		}
-		opts = append(opts, predictserver.WithCheckpoint(ckpt.Status))
-	}
-
+// serve runs the HTTP surface — and, with a fleet attached, its background
+// control loop — until ctx is cancelled or the listener fails, then shuts
+// down in contract order: /readyz flips to 503 so balancers stop routing,
+// in-flight requests drain, the round loop finishes its in-flight round and
+// exits, and only then is the final checkpoint cut (ctl.Close) — so it lands
+// after the last ingest push and the last round that could still have
+// mutated serving state.
+func serve(ctx context.Context, httpSrv *http.Server, model *core.StablePredictor, ctl *daemon.Controller) error {
 	// ready feeds /readyz: with a fleet attached, false until the first round
 	// completes (restore alone is not proof the loop is serving), and false
 	// again during the shutdown drain. Without a fleet the model itself is
 	// the serving state, ready as soon as the listener is up.
 	var ready atomic.Bool
-	opts = append(opts, predictserver.WithReadiness(ready.Load))
-	if ctl == nil {
-		ready.Store(true)
+	ready.Store(ctl == nil)
+	opts := []predictserver.Option{predictserver.WithReadiness(ready.Load)}
+	if ctl != nil {
+		opts = append(opts, predictserver.WithFleet(ctl.Controller))
+		if ctl.Ckpt != nil {
+			opts = append(opts, predictserver.WithCheckpoint(ctl.Ckpt.Status))
+		}
 	}
-
 	srv, err := predictserver.New(model, opts...)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpSrv.Handler = srv.Handler()
 
-	// The background control loop: one round per paced interval, errors
-	// logged (live sources degrade; they must not kill the API server).
-	if ctl != nil {
-		go func() {
-			ticker := time.NewTicker(time.Duration(paceS * float64(time.Second)))
-			defer ticker.Stop()
-			lastCkpt := time.Now()
-			for {
-				rep, err := ctl.RunRound()
-				if err != nil {
-					log.Printf("fleet round: %v", err)
-				} else {
-					ready.Store(true)
-					if rep.SourceError != "" {
-						log.Printf("fleet round %d: source error: %s", rep.Round, rep.SourceError)
-					}
-					if ckpt != nil && *ckptEvery > 0 && time.Since(lastCkpt).Seconds() >= *ckptEvery {
-						if st, cerr := ctl.Checkpoint(); cerr != nil {
-							ckpt.NoteFailure(cerr)
-							log.Printf("checkpoint: %v", cerr)
-						} else if cerr := ckpt.Save(st); cerr != nil {
-							log.Printf("checkpoint: %v", cerr)
-						} else {
-							lastCkpt = time.Now()
-						}
-					}
-				}
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-				}
-			}
-		}()
-	}
-
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		if ctl != nil {
+			runRounds(ctx, ctl, &ready)
+		}
+	}()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s (model %s)", *addr, *modelPath)
+	log.Printf("serving on %s", httpSrv.Addr)
 
 	select {
-	case err := <-errCh:
-		return err
+	case err = <-errCh:
 	case <-ctx.Done():
 		log.Print("shutting down")
-		// Flip /readyz to 503 first so balancers stop routing, then drain
-		// in-flight requests, then cut the final checkpoint: it lands after
-		// the last ingest push that could still have mutated serving state.
 		ready.Store(false)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			return err
-		}
-		if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-		if ckpt != nil {
-			if st, err := ctl.Checkpoint(); err != nil {
-				ckpt.NoteFailure(err)
-				return fmt.Errorf("final checkpoint: %w", err)
-			} else if err := ckpt.Save(st); err != nil {
-				return fmt.Errorf("final checkpoint: %w", err)
+		shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancelShut()
+		if err = httpSrv.Shutdown(shutCtx); err == nil {
+			if err = <-errCh; errors.Is(err, http.ErrServerClosed) {
+				err = nil
 			}
-			log.Printf("final checkpoint written to %s", *ckptFile)
 		}
-		return nil
+	}
+	cancel()
+	<-loopDone
+	if ctl != nil {
+		err = errors.Join(err, ctl.Close())
+	}
+	return err
+}
+
+// runRounds is the background control loop: one round per pacing interval
+// until ctx is cancelled, errors logged (live sources degrade; they must not
+// kill the API server).
+func runRounds(ctx context.Context, ctl *daemon.Controller, ready *atomic.Bool) {
+	ticker := time.NewTicker(time.Duration(ctl.PaceS * float64(time.Second)))
+	defer ticker.Stop()
+	for {
+		rep, err := ctl.RunRound()
+		if err != nil {
+			log.Printf("fleet round: %v", err)
+		} else {
+			ready.Store(ctx.Err() == nil) // a round finishing during the drain must not reopen /readyz
+			if rep.SourceError != "" {
+				log.Printf("fleet round %d: source error: %s", rep.Round, rep.SourceError)
+			}
+			if _, err := ctl.Ckpt.SaveIfDue(ctl.Checkpoint, false); err != nil {
+				log.Printf("checkpoint: %v", err)
+			}
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-ticker.C:
+		}
 	}
 }

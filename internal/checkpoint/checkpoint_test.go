@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"vmtherm/internal/anchorcache"
 	"vmtherm/internal/core"
@@ -306,5 +307,52 @@ func TestManagerCountersAndStatus(t *testing.T) {
 	var nilMgr *Manager
 	if s := nilMgr.Status(); s.Enabled || s.Writes != 0 {
 		t.Fatalf("nil manager status = %+v", s)
+	}
+}
+
+// TestManagerSaveIfDue pins the one checkpoint step both daemons' round
+// loops call: nothing is captured before the interval elapses or with a
+// zero interval, force always writes, a failed capture is counted like a
+// failed write, and a nil manager never calls capture.
+func TestManagerSaveIfDue(t *testing.T) {
+	captures := 0
+	capture := func() (*State, error) {
+		captures++
+		return sampleState(t), nil
+	}
+
+	var disabled *Manager
+	if st, err := disabled.SaveIfDue(capture, true); st != nil || err != nil || captures != 0 {
+		t.Fatalf("nil manager: st=%v err=%v captures=%d, want a no-op", st, err, captures)
+	}
+
+	m := NewManager(filepath.Join(t.TempDir(), "ckpt"), 3600)
+	if st, err := m.SaveIfDue(capture, false); st != nil || err != nil || captures != 0 {
+		t.Fatalf("before the interval: st=%v err=%v captures=%d, want not due", st, err, captures)
+	}
+	if st, err := m.SaveIfDue(capture, true); st == nil || err != nil || captures != 1 {
+		t.Fatalf("forced: st=%v err=%v captures=%d, want one write", st, err, captures)
+	}
+	m.lastSave = m.lastSave.Add(-2 * time.Hour)
+	if st, err := m.SaveIfDue(capture, false); st == nil || err != nil || captures != 2 {
+		t.Fatalf("after the interval: st=%v err=%v captures=%d, want a write", st, err, captures)
+	}
+	if st, _ := m.SaveIfDue(capture, false); st != nil {
+		t.Fatal("a successful write did not restart the interval")
+	}
+
+	finalOnly := NewManager(filepath.Join(t.TempDir(), "ckpt"), 0)
+	finalOnly.lastSave = finalOnly.lastSave.Add(-time.Hour)
+	if st, _ := finalOnly.SaveIfDue(capture, false); st != nil {
+		t.Fatal("interval 0 wrote a periodic checkpoint; it means shutdown-only")
+	}
+
+	boom := errors.New("capture failed")
+	st, err := m.SaveIfDue(func() (*State, error) { return nil, boom }, true)
+	if st != nil || !errors.Is(err, boom) {
+		t.Fatalf("failed capture: st=%v err=%v", st, err)
+	}
+	if s := m.Status(); s.Failures != 1 || s.Writes != 2 || s.LastError != boom.Error() {
+		t.Fatalf("status after a failed capture = %+v, want 1 failure, 2 writes", s)
 	}
 }

@@ -37,8 +37,9 @@ type Manager struct {
 	store     *Store
 	intervalS float64
 
-	mu      sync.Mutex // serializes store access; guards lastErr
-	lastErr string
+	mu       sync.Mutex // serializes store access; guards lastErr, lastSave
+	lastErr  string
+	lastSave time.Time // last successful write (creation time before the first)
 
 	writes, bytesW, restores, failures atomic.Int64
 	lastWriteUnix                      atomic.Int64
@@ -47,7 +48,7 @@ type Manager struct {
 
 // NewManager roots a manager at the -checkpoint-file base path.
 func NewManager(path string, intervalS float64) *Manager {
-	return &Manager{store: NewStore(path), intervalS: intervalS}
+	return &Manager{store: NewStore(path), intervalS: intervalS, lastSave: time.Now()}
 }
 
 // Path returns the base path.
@@ -68,10 +69,47 @@ func (m *Manager) Save(st *State) error {
 	}
 	m.writes.Add(1)
 	m.bytesW.Add(n)
-	m.lastWriteUnix.Store(time.Now().Unix())
+	m.lastSave = time.Now()
+	m.lastWriteUnix.Store(m.lastSave.Unix())
 	m.lastSeq.Store(m.store.nextSeq - 1)
 	m.lastErr = ""
 	return nil
+}
+
+// SaveIfDue is the daemons' one checkpoint step: when a write is due it
+// captures the serving state (capture is Controller.Checkpoint), persists
+// it, and counts a failure of either half. A write is due when force is set
+// — the shutdown checkpoint, which ignores the cadence — or when the
+// periodic interval is non-zero and has elapsed since the last successful
+// write (since the manager's creation, before the first). It returns the
+// state it wrote, nil when nothing was due. Safe on a nil manager
+// (checkpointing disabled): capture is never called.
+func (m *Manager) SaveIfDue(capture func() (*State, error), force bool) (*State, error) {
+	if m == nil {
+		return nil, nil
+	}
+	if !force {
+		m.mu.Lock()
+		due := m.intervalS > 0 && time.Since(m.lastSave).Seconds() >= m.intervalS
+		m.mu.Unlock()
+		if !due {
+			return nil, nil
+		}
+	}
+	st, err := capture()
+	if err != nil {
+		// The controller failed to assemble its state: count it like a
+		// failed write, so the status surface shows checkpoints are stuck.
+		m.failures.Add(1)
+		m.mu.Lock()
+		m.lastErr = err.Error()
+		m.mu.Unlock()
+		return nil, err
+	}
+	if err := m.Save(st); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Restore loads the newest valid checkpoint. A cold start (no files)
@@ -92,18 +130,6 @@ func (m *Manager) Restore() (*State, error) {
 	m.restores.Add(1)
 	m.lastSeq.Store(seq)
 	return st, nil
-}
-
-// NoteFailure records a checkpoint-adjacent failure that happened outside
-// Save/Restore (e.g. the controller failed to assemble its state).
-func (m *Manager) NoteFailure(err error) {
-	if err == nil {
-		return
-	}
-	m.failures.Add(1)
-	m.mu.Lock()
-	m.lastErr = err.Error()
-	m.mu.Unlock()
 }
 
 // Status snapshots the counters. Safe on a nil manager (checkpointing

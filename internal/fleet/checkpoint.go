@@ -13,6 +13,7 @@ package fleet
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"vmtherm/internal/checkpoint"
@@ -51,25 +52,12 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	for _, r := range c.latest {
 		st.Latest = append(st.Latest, r)
 	}
-	slices.SortFunc(st.Latest, func(a, b telemetry.Reading) int {
-		if a.HostID < b.HostID {
-			return -1
-		}
-		if a.HostID > b.HostID {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(st.Latest, func(a, b telemetry.Reading) int { return strings.Compare(a.HostID, b.HostID) })
 
 	if len(c.pendingP) > 0 {
 		st.Proposals = make([]checkpoint.Proposal, len(c.pendingP))
 		for i, p := range c.pendingP {
-			st.Proposals[i] = checkpoint.Proposal{
-				VMID:       p.VMID,
-				FromHostID: p.FromHostID,
-				ToHostID:   p.ToHostID,
-				MarginC:    p.MarginC,
-			}
+			st.Proposals[i] = checkpoint.Proposal(p)
 		}
 	}
 
@@ -89,23 +77,10 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 		}
 		s.idx.mu.RLock()
 		for _, h := range s.idx.entries {
-			ss.Hotspots = append(ss.Hotspots, checkpoint.Hotspot{
-				HostID:         h.HostID,
-				PredictedTempC: h.PredictedTempC,
-				MarginC:        h.MarginC,
-				UncertaintyC:   h.UncertaintyC,
-			})
+			ss.Hotspots = append(ss.Hotspots, checkpoint.Hotspot(h))
 		}
 		s.idx.mu.RUnlock()
-		slices.SortFunc(ss.Hotspots, func(a, b checkpoint.Hotspot) int {
-			if a.HostID < b.HostID {
-				return -1
-			}
-			if a.HostID > b.HostID {
-				return 1
-			}
-			return 0
-		})
+		slices.SortFunc(ss.Hotspots, func(a, b checkpoint.Hotspot) int { return strings.Compare(a.HostID, b.HostID) })
 		st.Stream = ss
 	}
 
@@ -161,12 +136,7 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 
 	c.pendingP = c.pendingP[:0]
 	for _, p := range st.Proposals {
-		c.pendingP = append(c.pendingP, MigrationProposal{
-			VMID:       p.VMID,
-			FromHostID: p.FromHostID,
-			ToHostID:   p.ToHostID,
-			MarginC:    p.MarginC,
-		})
+		c.pendingP = append(c.pendingP, MigrationProposal(p))
 	}
 
 	c.pendMu.Lock()
@@ -203,12 +173,7 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 		s.idx.mu.Lock()
 		clear(s.idx.entries)
 		for _, h := range ss.Hotspots {
-			s.idx.entries[h.HostID] = Hotspot{
-				HostID:         h.HostID,
-				PredictedTempC: h.PredictedTempC,
-				MarginC:        h.MarginC,
-				UncertaintyC:   h.UncertaintyC,
-			}
+			s.idx.entries[h.HostID] = Hotspot(h)
 		}
 		s.idx.dirty = true
 		s.idx.mu.Unlock()

@@ -105,11 +105,9 @@ func (c *Controller) CRACStatus() (CRACStatus, error) {
 	}, nil
 }
 
-// SetSensorFault injects (or, with the zero fault, clears) a sensor fault
-// on one host: the host keeps running and heating, its physics untouched,
-// but its emitted readings are frozen, silenced, NaN, or biased. Simulated
-// fleets only.
-func (c *Controller) SetSensorFault(hostID string, f SensorFault) error {
+// withSimHost runs fn on one simulated host under the round lock — the
+// shared body of the per-host hooks. Simulated fleets only.
+func (c *Controller) withSimHost(hostID string, fn func(*simHost)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sim == nil {
@@ -119,8 +117,16 @@ func (c *Controller) SetSensorFault(hostID string, f SensorFault) error {
 	if !ok {
 		return fmt.Errorf("fleet: unknown host %q", hostID)
 	}
-	sh.fault = f
+	fn(sh)
 	return nil
+}
+
+// SetSensorFault injects (or, with the zero fault, clears) a sensor fault
+// on one host: the host keeps running and heating, its physics untouched,
+// but its emitted readings are frozen, silenced, NaN, or biased. Simulated
+// fleets only.
+func (c *Controller) SetSensorFault(hostID string, f SensorFault) error {
+	return c.withSimHost(hostID, func(sh *simHost) { sh.fault = f })
 }
 
 // SetTelemetryDark starts or ends a fleet-wide telemetry blackout: every
@@ -194,4 +200,19 @@ func (c *Controller) MeasuredDieTemps(dst map[string]float64) (map[string]float6
 		dst[c.sim.order[i]] = sh.server.DieTemp()
 	}
 	return dst, nil
+}
+
+// SetTelemetryMuted simulates a monitoring-agent outage on one host: while
+// muted the host keeps running (and heating) but emits no telemetry, so the
+// control plane must degrade it to stale. Simulated fleets only.
+func (c *Controller) SetTelemetryMuted(hostID string, muted bool) error {
+	return c.withSimHost(hostID, func(sh *simHost) { sh.muted = muted })
+}
+
+// MeasuredDieTemp reads a host's true (noise-free) die temperature — for
+// tests and evaluation only; the control loop itself only ever sees
+// telemetry. Simulated fleets only.
+func (c *Controller) MeasuredDieTemp(hostID string) (tempC float64, err error) {
+	err = c.withSimHost(hostID, func(sh *simHost) { tempC = sh.server.DieTemp() })
+	return tempC, err
 }

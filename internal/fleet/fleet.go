@@ -18,29 +18,30 @@
 // hotspot map instead of poisoning it (and are evicted entirely once dark
 // beyond the eviction horizon), and every round reports latency, staleness
 // and drop metrics so the degradation is observable.
+//
+// One round (Controller.RunRound, round.go) is this fixed sequence of stages,
+// each a method reading and writing one stack-allocated roundState:
+//
+//	advanceSource    Δ_update → source clock, source error (fatal for sim)
+//	drainIngest      pipeline → latest readings, host order, drained/discarded counts
+//	resolveAnchors   order, latest → ψ_stable per host, cache hits/misses, fan-out
+//	engineRound      clock, order, latest, anchors → predictions, session stats
+//	buildSnapshot    predictions, latest → next generation (hotspots, stale, maps), round++
+//	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
+//	migrate          generation → applied moves, fresh proposals (simulated fleets)
+//	publish          generation → published snapshot (immutable from here on)
+//	drainPlacements  pending queue, published map → placed/queued/rejected tally
+//	report           roundState → RoundReport
 package fleet
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"math"
-	"runtime"
-	"slices"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/engine"
-	"vmtherm/internal/telemetry"
-	"vmtherm/internal/thermal"
-	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
 
@@ -98,349 +99,6 @@ func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCa
 	}
 }
 
-// Config parameterizes the control plane. Zero values take defaults via
-// (Config).withDefaults; see DefaultConfig for the reference shape.
-type Config struct {
-	// Racks × HostsPerRack is the fleet size (simulated fleets only).
-	Racks, HostsPerRack int
-	// FanCount is the fan configuration assumed for every host (θ_fan).
-	FanCount int
-	// HostShape is the per-host capacity.
-	HostShape vmm.HostConfig
-	// Server is the thermal model template (FanCount/AmbientC are set per
-	// host from FanCount and the datacenter model).
-	Server thermal.ServerParams
-	// Sensor is the telemetry error model.
-	Sensor thermal.SensorParams
-	// CRAC is the room cooling configuration.
-	CRAC cluster.CRAC
-	// RackSpreadC is the total inlet temperature spread from the bottom to
-	// the top slot of a rack (top-of-rack slots ingest warmer air). Each
-	// slot's offset is RackSpreadC · slot/(HostsPerRack−1), so the spread is
-	// physical regardless of rack depth.
-	RackSpreadC float64
-	// ThresholdC is the hotspot threshold applied to predicted temperatures.
-	ThresholdC float64
-	// TickS is the simulation step; SampleS the telemetry sampling interval.
-	TickS, SampleS float64
-	// UpdateEveryS is Δ_update, the calibration (and round) interval.
-	UpdateEveryS float64
-	// GapS is Δ_gap, the prediction horizon the hotspot map looks ahead.
-	GapS float64
-	// Lambda is the calibration learning rate λ.
-	Lambda float64
-	// TBreakS and CurveDeltaS shape the Eq. (3) pre-defined curve.
-	TBreakS, CurveDeltaS float64
-	// HorizonS is the feature-encoding horizon for ψ_stable anchors.
-	HorizonS float64
-	// StaleAfterS is how old telemetry may get before a host is degraded
-	// (uncertainty widened, excluded from the hotspot map).
-	StaleAfterS float64
-	// EvictAfterS is how old telemetry may get before a host's session is
-	// evicted entirely (default 20 × StaleAfterS).
-	EvictAfterS float64
-	// ReanchorEpsC re-anchors a session when its predicted ψ_stable moves by
-	// more than this (deployment changed underneath it).
-	ReanchorEpsC float64
-	// UncertaintyBaseC and UncertaintyPerSC shape per-prediction uncertainty:
-	// base + perS · staleness.
-	UncertaintyBaseC, UncertaintyPerSC float64
-	// IngestBuffer bounds the telemetry pipeline. 0 auto-sizes to at least
-	// one full round of emissions — the simulated fleet's own sensor sweep
-	// volume, or MaxHosts × samples-per-round for source-driven fleets
-	// (minimum 4096 either way) — because a default smaller than the round
-	// volume would silently starve the hosts beyond it of telemetry
-	// forever.
-	IngestBuffer int
-	// MaxMigrationsPerRound bounds reconciliation work per round; 0 disables
-	// migration (a bounded set of hottest-first proposals is still derived
-	// each round for observability — see propose for the bound).
-	MaxMigrationsPerRound int
-	// Admission bounds what the placement plane accepts (headroom budget,
-	// queue depth, per-round placement cap); see AdmissionPolicy. The zero
-	// value preserves the legacy behaviour.
-	Admission AdmissionPolicy
-	// SourceAmbientC is δ_env assumed when synthesizing ψ_stable anchor
-	// cases for source-driven fleets (trace replay, scraping), where no
-	// datacenter model supplies per-slot inlet temperatures.
-	SourceAmbientC float64
-	// MaxHosts bounds the host population a source-driven controller will
-	// track: hosts discovered beyond the bound are discarded (and counted)
-	// so a misbehaving exporter cannot grow memory without limit. Simulated
-	// fleets are bounded by their own shape.
-	MaxHosts int
-	// AnchorCacheDisabled turns off ψ_stable anchor memoization: every round
-	// fans every tracked host through the batch predictor (the pre-cache
-	// behaviour). Leave enabled except for A/B measurement.
-	AnchorCacheDisabled bool
-	// AnchorCacheEntries bounds the anchor cache (default 65536 entries).
-	AnchorCacheEntries int
-	// AnchorQuantUtil, AnchorQuantMem and AnchorQuantAmbientC are the anchor
-	// cache's quantization bucket widths (defaults 0.01, 0.02, 0.25 °C).
-	// Cached-vs-exact anchor divergence is bounded by the model's input
-	// sensitivity times half a bucket; the defaults keep that bound under
-	// ReanchorEpsC/2 so cache error can never trigger a spurious re-anchor.
-	AnchorQuantUtil, AnchorQuantMem, AnchorQuantAmbientC float64
-	// AnchorWorkers bounds the worker pool that shards cache-miss anchor
-	// fan-outs (cold rounds, mass re-anchors) across cores (default
-	// min(GOMAXPROCS, 8); 1 forces sequential fan-out).
-	AnchorWorkers int
-	// StreamingIngest applies pushed readings on arrival — observe,
-	// calibrate, predict, and update an incremental hotspot index — instead
-	// of parking them in the pipeline until the next round. The pipeline and
-	// the batch round still run (and reconcile the index every round); see
-	// stream.go. Off by default: round-driven deployments pay nothing.
-	StreamingIngest bool
-	// PhysWorkers bounds the worker pool the simulated-physics tick shards
-	// racks across (default min(GOMAXPROCS, 8); 1 forces the serial tick).
-	// Results are bit-identical for every worker count: racks advance
-	// independently and each shard's reduction order is fixed. Simulated
-	// fleets only.
-	PhysWorkers int
-	// Seed drives all stochastic components.
-	Seed int64
-}
-
-// DefaultConfig is a 4-rack × 16-host fleet with the paper's dynamic
-// parameters (λ=0.8, Δ_update=15 s, Δ_gap=60 s, t_break=600 s).
-func DefaultConfig() Config {
-	return Config{
-		Racks:                 4,
-		HostsPerRack:          16,
-		FanCount:              4,
-		HostShape:             vmm.DefaultHostConfig(),
-		Server:                thermal.DefaultServerParams(),
-		Sensor:                thermal.DefaultSensorParams(),
-		CRAC:                  cluster.DefaultCRAC(),
-		RackSpreadC:           4.5,
-		ThresholdC:            65,
-		TickS:                 1,
-		SampleS:               5,
-		UpdateEveryS:          15,
-		GapS:                  60,
-		Lambda:                core.DefaultLambda,
-		TBreakS:               600,
-		CurveDeltaS:           core.DefaultCurveDelta,
-		HorizonS:              1800,
-		StaleAfterS:           45,
-		ReanchorEpsC:          1.0,
-		UncertaintyBaseC:      0.5,
-		UncertaintyPerSC:      0.05,
-		IngestBuffer:          0, // auto-sized per fleet shape; see the field doc
-		MaxMigrationsPerRound: 1,
-		Admission:             AdmissionPolicy{MaxQueueDepth: defaultQueueDepth},
-		SourceAmbientC:        22,
-		MaxHosts:              4096,
-		Seed:                  1,
-	}
-}
-
-// withDefaults fills zero-valued fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.HostShape == (vmm.HostConfig{}) {
-		c.HostShape = d.HostShape
-	}
-	if c.Server == (thermal.ServerParams{}) {
-		c.Server = d.Server
-	}
-	if c.Sensor == (thermal.SensorParams{}) {
-		c.Sensor = d.Sensor
-	}
-	if c.CRAC == (cluster.CRAC{}) {
-		c.CRAC = d.CRAC
-	}
-	if c.FanCount == 0 {
-		c.FanCount = d.FanCount
-	}
-	if c.ThresholdC == 0 {
-		c.ThresholdC = d.ThresholdC
-	}
-	if c.TickS == 0 {
-		c.TickS = d.TickS
-	}
-	if c.SampleS == 0 {
-		c.SampleS = d.SampleS
-	}
-	if c.UpdateEveryS == 0 {
-		c.UpdateEveryS = d.UpdateEveryS
-	}
-	if c.GapS == 0 {
-		c.GapS = d.GapS
-	}
-	if c.Lambda == 0 {
-		c.Lambda = d.Lambda
-	}
-	if c.TBreakS == 0 {
-		c.TBreakS = d.TBreakS
-	}
-	if c.CurveDeltaS == 0 {
-		c.CurveDeltaS = d.CurveDeltaS
-	}
-	if c.HorizonS == 0 {
-		c.HorizonS = d.HorizonS
-	}
-	if c.StaleAfterS == 0 {
-		c.StaleAfterS = 3 * c.UpdateEveryS
-	}
-	if c.EvictAfterS == 0 {
-		c.EvictAfterS = 20 * c.StaleAfterS
-	}
-	if c.ReanchorEpsC == 0 {
-		c.ReanchorEpsC = d.ReanchorEpsC
-	}
-	if c.UncertaintyBaseC == 0 {
-		c.UncertaintyBaseC = d.UncertaintyBaseC
-	}
-	if c.UncertaintyPerSC == 0 {
-		c.UncertaintyPerSC = d.UncertaintyPerSC
-	}
-	if c.IngestBuffer == 0 {
-		c.IngestBuffer = 4096
-	}
-	if c.RackSpreadC == 0 {
-		c.RackSpreadC = d.RackSpreadC
-	}
-	if c.SourceAmbientC == 0 {
-		c.SourceAmbientC = d.SourceAmbientC
-	}
-	if c.MaxHosts == 0 {
-		c.MaxHosts = d.MaxHosts
-	}
-	if c.AnchorCacheEntries == 0 {
-		c.AnchorCacheEntries = 65536
-	}
-	q := anchorcache.DefaultQuantizer()
-	if c.AnchorQuantUtil == 0 {
-		c.AnchorQuantUtil = q.UtilQuant
-	}
-	if c.AnchorQuantMem == 0 {
-		c.AnchorQuantMem = q.MemQuant
-	}
-	if c.AnchorQuantAmbientC == 0 {
-		c.AnchorQuantAmbientC = q.AmbientQuantC
-	}
-	if c.AnchorWorkers == 0 {
-		c.AnchorWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.PhysWorkers == 0 {
-		c.PhysWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.Admission.MaxQueueDepth == 0 {
-		c.Admission.MaxQueueDepth = defaultQueueDepth
-	}
-	return c
-}
-
-// defaultQueueDepth is the default pending-queue bound: deep enough that a
-// fleetd seeding pass (hosts/2 submissions at 16k hosts) never trips it.
-const defaultQueueDepth = 65536
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Racks < 1 || c.HostsPerRack < 1 {
-		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
-	}
-	if err := c.HostShape.Validate(); err != nil {
-		return err
-	}
-	if err := c.CRAC.Validate(); err != nil {
-		return err
-	}
-	if c.TickS <= 0 || c.SampleS <= 0 || c.UpdateEveryS <= 0 || c.GapS <= 0 {
-		return fmt.Errorf("fleet: intervals must be > 0 (tick %v, sample %v, update %v, gap %v)",
-			c.TickS, c.SampleS, c.UpdateEveryS, c.GapS)
-	}
-	if c.StaleAfterS <= 0 {
-		return fmt.Errorf("fleet: stale-after must be > 0, got %v", c.StaleAfterS)
-	}
-	if c.IngestBuffer < 1 {
-		return fmt.Errorf("fleet: ingest buffer %d < 1", c.IngestBuffer)
-	}
-	if c.MaxMigrationsPerRound < 0 {
-		return fmt.Errorf("fleet: negative migration bound %d", c.MaxMigrationsPerRound)
-	}
-	if c.Admission.HeadroomBudgetC < 0 || math.IsNaN(c.Admission.HeadroomBudgetC) {
-		return fmt.Errorf("fleet: headroom budget %v invalid", c.Admission.HeadroomBudgetC)
-	}
-	if c.Admission.MaxQueueDepth < -1 {
-		return fmt.Errorf("fleet: queue depth %d < -1", c.Admission.MaxQueueDepth)
-	}
-	if c.Admission.MaxPlacementsPerRound < 0 {
-		return fmt.Errorf("fleet: negative placement cap %d", c.Admission.MaxPlacementsPerRound)
-	}
-	if c.MaxHosts < 1 {
-		return fmt.Errorf("fleet: max hosts %d < 1", c.MaxHosts)
-	}
-	if c.AnchorCacheEntries < 2 {
-		return fmt.Errorf("fleet: anchor cache entries %d < 2", c.AnchorCacheEntries)
-	}
-	if c.AnchorQuantUtil < 0 || c.AnchorQuantMem < 0 || c.AnchorQuantAmbientC < 0 {
-		return fmt.Errorf("fleet: negative anchor quantization (%v, %v, %v)",
-			c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC)
-	}
-	if !c.AnchorCacheDisabled {
-		// The cache's correctness invariant is that quantization error can
-		// never push a session across the re-anchor threshold on its own: a
-		// cached value within ε of exact can differ from a stored one by at
-		// most 2ε, so ε must stay ≤ ReanchorEpsC/2 on BOTH cache paths.
-		// Source path: misses predict at the (util, mem) bucket center, so
-		// ε = sensitivity × half a configured bucket (the bound the property
-		// test pins across the grid). Sim path: misses predict the actual
-		// deployment snapshot under quarter-width load buckets (full-bucket
-		// first-member error = half the source ε) plus half an ambient
-		// bucket. Reject loud rather than oscillate silently: widening
-		// buckets requires widening ReanchorEpsC to match.
-		srcEps := c.AnchorQuantUtil/2*anchorUtilSensC + c.AnchorQuantMem/2*anchorMemSensC
-		simEps := srcEps/2 + c.AnchorQuantAmbientC/2*anchorAmbientSens
-		eps := max(srcEps, simEps)
-		if lim := c.ReanchorEpsC / 2; eps > lim+1e-9 {
-			return fmt.Errorf("fleet: anchor quantization epsilon %.3f°C (source %.3f, sim %.3f) exceeds "+
-				"ReanchorEpsC/2 = %.3f°C (buckets util %v, mem %v, ambient %v°C at nominal sensitivities "+
-				"%v/%v °C per unit, %v °C/°C); narrow the buckets or raise ReanchorEpsC",
-				eps, srcEps, simEps, lim, c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC,
-				anchorUtilSensC, anchorMemSensC, anchorAmbientSens)
-		}
-	}
-	if c.AnchorWorkers < 1 {
-		return fmt.Errorf("fleet: anchor workers %d < 1", c.AnchorWorkers)
-	}
-	if c.PhysWorkers < 1 {
-		return fmt.Errorf("fleet: phys workers %d < 1", c.PhysWorkers)
-	}
-	return nil
-}
-
-// Nominal worst-case ψ_stable sensitivities used to bound anchor-cache
-// quantization error in Validate: a full CPU-load swing is worth ~75 °C of
-// die temperature on the reference server (the synthetic predictor's
-// constant and the simulated substrate's full-load rise), memory activity a
-// few degrees, and ambient tracks roughly 1:1.
-const (
-	anchorUtilSensC   = 75.0
-	anchorMemSensC    = 12.0
-	anchorAmbientSens = 1.0
-)
-
-// engineConfig maps the fleet configuration onto the session engine's. The
-// engine round inherits the physics worker bound: the same cores that shard
-// the rack ticks shard the per-host session pass at >= 1024 hosts.
-func (c Config) engineConfig() engine.Config {
-	return engine.Config{
-		Lambda:           c.Lambda,
-		UpdateEveryS:     c.UpdateEveryS,
-		GapS:             c.GapS,
-		TBreakS:          c.TBreakS,
-		CurveDeltaS:      c.CurveDeltaS,
-		StaleAfterS:      c.StaleAfterS,
-		EvictAfterS:      c.EvictAfterS,
-		ReanchorEpsC:     c.ReanchorEpsC,
-		UncertaintyBaseC: c.UncertaintyBaseC,
-		UncertaintyPerSC: c.UncertaintyPerSC,
-		RoundWorkers:     c.PhysWorkers,
-	}
-}
-
 // Prediction is one host's Δ_gap-ahead temperature estimate, as produced by
 // the session engine.
 type Prediction = engine.Prediction
@@ -451,6 +109,17 @@ type Hotspot struct {
 	PredictedTempC float64 `json:"predicted_temp_c"`
 	MarginC        float64 `json:"margin_c"`
 	UncertaintyC   float64 `json:"uncertainty_c"`
+}
+
+// hotspotOf is the one place a prediction becomes a hotspot entry; callers
+// have already checked p is fresh and over thresholdC.
+func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
+	return Hotspot{
+		HostID:         p.HostID,
+		PredictedTempC: p.TempC,
+		MarginC:        p.TempC - thresholdC,
+		UncertaintyC:   p.UncertaintyC,
+	}
 }
 
 // Snapshot is the control plane's published view after a round: what the
@@ -551,1193 +220,4 @@ type RoundReport struct {
 	StreamCreated  int64 `json:",omitempty"`
 	StreamDeferred int64 `json:",omitempty"`
 	StreamHotDrift int   `json:",omitempty"`
-}
-
-// Controller runs the closed loop. Create with New (simulated fleet) or
-// NewWithSource (trace replay, live scraping); Submit/Ingest/Hotspots are
-// safe to call concurrently with RunRound.
-type Controller struct {
-	cfg     Config
-	predict BatchCasePredictor
-
-	mu  sync.Mutex // guards sim, src, eng rounds, latest, order, proposals
-	sim *fleetSim  // nil for source-driven controllers
-	src telemetry.Source
-	eng *engine.Engine
-	// latest holds the newest reading per host; order is the deterministic
-	// host iteration order (rack/slot for simulated fleets, sorted discovery
-	// order for source-driven ones). orderDirty marks membership changes
-	// (new host discovered, session evicted, host discarded) so stable
-	// rounds skip rebuilding and re-sorting order entirely.
-	latest     map[string]Reading
-	order      []string
-	orderDirty bool
-	pendingP   []MigrationProposal // proposals awaiting reconciliation
-
-	// cache memoizes ψ_stable per quantized anchor key (nil when disabled);
-	// lastFanout is the previous round's miss-batch size, readable without
-	// the round lock for the /metrics exposition.
-	cache      *anchorcache.Cache
-	lastFanout atomic.Int64
-
-	// Reusable round buffers: the engine round appends into predBuf, the
-	// anchor pass stages cache misses into caseBuf (one entry per distinct
-	// key), the host→case fan-in into anchorRefs, and the batch results land
-	// in anchorVals before filling anchorBuf and the cache.
-	predBuf    []engine.Prediction
-	caseBuf    []workload.Case
-	caseKeys   []anchorcache.Key
-	anchorRefs []anchorRef
-	anchorVals []float64
-	missByKey  map[anchorcache.Key]int
-	anchorBuf  map[string]float64
-	// Simulated-fleet anchor scratch (indexed like sim.byPos/order): the
-	// rack-sharded scan fills inlets and deployment-fingerprint keys, the
-	// serial cache pass records misses, and the sharded case build fills
-	// missCase before staging — so the per-round anchor work that walks VM
-	// and task state scales with cores instead of serializing.
-	simInlets []float64
-	simKeys   []anchorcache.Key
-	missIdx   []int
-	missKey   []anchorcache.Key
-	missAmb   []float64
-	missCase  []workload.Case
-	missErr   []error
-
-	// rankedHosts caches the coolest-first placement ranking for the round
-	// it was built in (rankedRound); placements within one round share it.
-	rankedHosts []string
-	rankedRound int
-
-	// plan is the per-round placement working set (see placePlan); the
-	// wave* slices and pend index scratch are PlaceBatch's reusable
-	// buffers, and planHot the plan rebuild's hotspot-set scratch.
-	plan      placePlan
-	planHot   map[string]bool
-	waveCases []workload.Case
-	waveEntry []int
-	waveVMs   []waveVM
-	waveVals  []float64
-	pendIdx   []int
-	pendNext  []int
-	// oneSpec is PlaceNow's single-element batch scratch (zeroed after use
-	// so a parked spec is not retained twice).
-	oneSpec [1]workload.VMSpec
-
-	pendMu  sync.Mutex
-	pending []workload.VMSpec
-
-	ingest *ingestPipeline
-	// emit is the sink every reading goes through — ingest.push, optionally
-	// wrapped by a TeeTelemetry observer. It is an atomic pointer because
-	// Ingest (the HTTP push path) runs concurrently with rounds and with
-	// TeeTelemetry swaps.
-	emit atomic.Pointer[func(Reading) bool]
-
-	// snaps owns the epoch-versioned snapshot generations (publication via
-	// atomic pointer swap; retired generations recycled in place).
-	snaps snapStore
-
-	// stream is the streaming-ingest machinery (nil unless
-	// Config.StreamingIngest); hotUpdatedNano is the wall-clock instant the
-	// served hotspot set last refreshed, for the staleness gauge.
-	stream         *streamState
-	hotUpdatedNano atomic.Int64
-
-	// recentErrs is the bounded ring of recent source/ingest failures
-	// surfaced in RoundReport.RecentErrors (guarded by mu; nil until the
-	// first failure, so clean fleets never pay for it); lastRejected is the
-	// previous round's rejection total, for the per-round delta note.
-	recentErrs   []string
-	lastRejected int64
-
-	round int
-}
-
-// recentErrRing bounds the recent-error ring: enough to span a multi-round
-// outage in the stats line without turning reports into logs.
-const recentErrRing = 8
-
-// noteError records one failure in the recent-error ring (caller holds mu).
-func (c *Controller) noteError(msg string) {
-	if len(c.recentErrs) >= recentErrRing {
-		copy(c.recentErrs, c.recentErrs[1:])
-		c.recentErrs = c.recentErrs[:recentErrRing-1]
-	}
-	c.recentErrs = append(c.recentErrs, msg)
-}
-
-// New builds a controller over a freshly assembled simulated fleet.
-func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
-	autoBuffer := cfg.IngestBuffer == 0
-	cfg = cfg.withDefaults()
-	if autoBuffer {
-		// The simulator emits one reading per host per sample interval; a
-		// default-sized buffer smaller than one round's emissions would
-		// silently starve the hosts beyond it of telemetry forever. Size the
-		// default to the fleet's own round volume (an explicit IngestBuffer
-		// is honored as given).
-		perRound := int(math.Ceil(cfg.UpdateEveryS/cfg.SampleS)) + 1
-		if need := cfg.Racks * cfg.HostsPerRack * perRound; need > cfg.IngestBuffer {
-			cfg.IngestBuffer = need
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	fs, err := newFleetSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c, err := newController(cfg, &simSource{fs: fs}, predict, cfg.Racks*cfg.HostsPerRack)
-	if err != nil {
-		return nil, err
-	}
-	c.sim = fs
-	c.order = fs.order
-	return c, nil
-}
-
-// NewWithSource builds a controller over an external telemetry source
-// (trace replay, Prometheus scraping): no simulated fleet exists, hosts are
-// discovered from the readings (bounded by MaxHosts), ψ_stable anchors are
-// synthesized from observed utilization through the same batch predictor,
-// and placement/migration — which need a substrate to act on — report
-// rejections instead of acting.
-func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor) (*Controller, error) {
-	autoBuffer := cfg.IngestBuffer == 0
-	cfg = cfg.withDefaults()
-	if autoBuffer {
-		// Source populations are discovered, so size the default for the
-		// worst case the MaxHosts bound admits: a full population sampled
-		// every SampleS must fit one round's readings, or the hosts beyond
-		// the buffer would be starved into staleness every round.
-		perRound := int(math.Ceil(cfg.UpdateEveryS/cfg.SampleS)) + 1
-		if need := cfg.MaxHosts * perRound; need > cfg.IngestBuffer {
-			cfg.IngestBuffer = need
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, errors.New("fleet: nil telemetry source")
-	}
-	return newController(cfg, src, predict, cfg.MaxHosts)
-}
-
-// anchorRef binds one host to the miss-batch case its anchor comes from.
-type anchorRef struct {
-	id      string
-	caseIdx int
-}
-
-// newController wires the shared state; callers attach sim/order as needed.
-// hostHint is the expected steady-state host population (the fleet shape,
-// or the MaxHosts bound for discovered populations): the per-round maps the
-// ingest drain fills are pre-sized from it so a cold start does not rehash
-// its way up to the full population on the first rounds.
-func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor, hostHint int) (*Controller, error) {
-	if predict == nil {
-		return nil, errors.New("fleet: nil predictor")
-	}
-	eng, err := engine.New(cfg.engineConfig())
-	if err != nil {
-		return nil, err
-	}
-	if hostHint < 0 {
-		hostHint = 0
-	}
-	c := &Controller{
-		cfg:       cfg,
-		predict:   predict,
-		src:       src,
-		eng:       eng,
-		latest:    make(map[string]Reading, hostHint),
-		missByKey: make(map[anchorcache.Key]int),
-		anchorBuf: make(map[string]float64, hostHint),
-		ingest:    newIngestPipeline(cfg.IngestBuffer, hostHint),
-	}
-	if cfg.StreamingIngest {
-		c.stream = newStreamState(c)
-	}
-	push := c.ingest.push
-	c.emit.Store(&push)
-	if !cfg.AnchorCacheDisabled {
-		cache, err := anchorcache.New(anchorcache.Config{
-			MaxEntries: cfg.AnchorCacheEntries,
-			Quant: anchorcache.Quantizer{
-				UtilQuant:     cfg.AnchorQuantUtil,
-				MemQuant:      cfg.AnchorQuantMem,
-				AmbientQuantC: cfg.AnchorQuantAmbientC,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.cache = cache
-	}
-	return c, nil
-}
-
-// Config returns the resolved configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
-// SourceName reports the telemetry source kind ("sim", "trace", "scrape").
-func (c *Controller) SourceName() string { return c.src.Name() }
-
-// Engine exposes the session engine (for observability surfaces).
-func (c *Controller) Engine() *engine.Engine { return c.eng }
-
-// Hosts returns every tracked host id in iteration order.
-func (c *Controller) Hosts() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, len(c.order))
-	copy(out, c.order)
-	return out
-}
-
-// Submit queues a VM request for thermal-aware placement next round. It
-// reports false when the admission queue is at its depth bound (or queueing
-// is disabled) and the request was refused.
-func (c *Controller) Submit(spec workload.VMSpec) bool {
-	depth := c.cfg.Admission.MaxQueueDepth
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	if depth < 0 || len(c.pending) >= depth {
-		return false
-	}
-	c.pending = append(c.pending, spec)
-	return true
-}
-
-// Ingest offers an externally produced telemetry reading to the pipeline
-// (the path a real monitoring agent would use). It reports false when the
-// bounded buffer is full and the reading was dropped. Pushed readings go
-// through the same emit sink as source-driven ones, so a TeeTelemetry
-// capture (fleetd -record) includes them.
-func (c *Controller) Ingest(r Reading) bool { return (*c.emit.Load())(r) }
-
-// IngestStats returns the cumulative ingest pipeline counters.
-func (c *Controller) IngestStats() (received, dropped, superseded int64) {
-	return c.ingest.stats()
-}
-
-// IngestRejected returns the cumulative per-reason counts of readings
-// refused for implausible temperatures (indexed by telemetry.RejectReason)
-// and their total. Safe to call concurrently with everything.
-func (c *Controller) IngestRejected() (byReason [telemetry.NumRejectReasons]int64, total int64) {
-	byReason = c.ingest.rejectedByReason()
-	for _, v := range byReason {
-		total += v
-	}
-	return byReason, total
-}
-
-// TeeTelemetry attaches an observer that sees every reading offered to the
-// ingest pipeline — source emissions and HTTP pushes alike. It is the
-// capture path behind `vmtherm-fleetd -record`, feeding a
-// telemetry.Recorder whose output replays through `-source trace`. The tee
-// sees readings before the bounded buffer, so a capture is complete even
-// when the pipeline drops. Pass nil to detach. The swap itself is safe at
-// any time; the tee must be safe for the caller's concurrency (a plain
-// Recorder wants the tee attached before rounds start and detached after
-// they stop).
-func (c *Controller) TeeTelemetry(tee func(Reading) bool) {
-	var emit func(Reading) bool
-	if tee == nil {
-		emit = c.ingest.push
-	} else {
-		emit = func(r Reading) bool {
-			tee(r)
-			return c.ingest.push(r)
-		}
-	}
-	c.emit.Store(&emit)
-}
-
-// AnchorCacheStats reports the anchor cache's cumulative counters, the last
-// round's miss-batch fan-out size, and whether the cache is enabled. Safe
-// to call concurrently with RunRound (the /metrics exposition does).
-func (c *Controller) AnchorCacheStats() (st anchorcache.Stats, lastFanout int, enabled bool) {
-	if c.cache == nil {
-		return anchorcache.Stats{}, int(c.lastFanout.Load()), false
-	}
-	return c.cache.Stats(), int(c.lastFanout.Load()), true
-}
-
-// InvalidateAnchorCache drops every memoized anchor and bumps the cache
-// epoch. Call it whenever the prediction model or the feature configuration
-// changes underneath the cached values (e.g. a model hot-swap): the next
-// round re-predicts every anchor.
-func (c *Controller) InvalidateAnchorCache() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cache != nil {
-		c.cache.Invalidate()
-	}
-}
-
-// ErrNoAnchorCache is returned by the cache persistence hooks when the
-// anchor cache is disabled.
-var ErrNoAnchorCache = errors.New("fleet: anchor cache disabled")
-
-// SaveAnchorCache serializes the anchor cache (fleetd -anchor-cache-file):
-// a restarted controller facing the same population warms instantly from
-// the file instead of re-predicting every anchor. Safe to call between or
-// concurrently with rounds. The file is only valid for the model that
-// produced the cached anchors — pair it with the model artifact.
-func (c *Controller) SaveAnchorCache(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cache == nil {
-		return ErrNoAnchorCache
-	}
-	return c.cache.Save(w)
-}
-
-// LoadAnchorCache restores a cache serialized by SaveAnchorCache, returning
-// the number of anchors restored. The saved quantizer must match the
-// controller's configuration exactly.
-func (c *Controller) LoadAnchorCache(r io.Reader) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cache == nil {
-		return 0, ErrNoAnchorCache
-	}
-	return c.cache.Load(r)
-}
-
-// PlaceNow synchronously places one VM with the thermal-aware policy against
-// the controller's current state and applies the decision. It is the
-// POST /v1/fleet/place path — a thin adapter over the batch engine, so
-// sequential single-VM calls within one round share the same placement plan
-// (ranking, hotspot flags, consumed headroom) a batch would.
-func (c *Controller) PlaceNow(spec workload.VMSpec) (PlacementDecision, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.oneSpec[0] = spec
-	decs, err := c.placeBatchLocked(c.oneSpec[:])
-	c.oneSpec[0] = workload.VMSpec{}
-	if err != nil {
-		return PlacementDecision{}, err
-	}
-	return decs[0], nil
-}
-
-// PlaceAt force-places a VM on a named host, bypassing the thermal policy —
-// the deterministic seeding path for tests and demos. Simulated fleets only.
-func (c *Controller) PlaceAt(hostID string, spec workload.VMSpec) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sim == nil {
-		return ErrNoSubstrate
-	}
-	return c.sim.place(hostID, spec)
-}
-
-// Run executes n rounds and returns their reports.
-func (c *Controller) Run(n int) ([]RoundReport, error) {
-	out := make([]RoundReport, 0, n)
-	for i := 0; i < n; i++ {
-		rep, err := c.RunRound()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
-// RunRound advances the telemetry source by Δ_update seconds and executes
-// one control round: drain telemetry → batch ψ_stable anchors → engine
-// round (calibrate / re-anchor / predict / degrade / evict) → hotspot map →
-// reconcile migrations → place queued VMs → publish snapshot.
-func (c *Controller) RunRound() (RoundReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	roundStart := time.Now()
-
-	// 1. Telemetry: the source runs for one calibration interval, streaming
-	// readings into the bounded pipeline as it goes. Simulator failures are
-	// bugs and abort; live sources (scrape) fail transiently, so the loop
-	// records the error and lets staleness degradation do its job.
-	var sourceErr string
-	if err := c.src.Advance(c.cfg.UpdateEveryS, *c.emit.Load()); err != nil {
-		if c.sim != nil {
-			return RoundReport{}, err
-		}
-		sourceErr = err.Error()
-		c.noteError(fmt.Sprintf("round %d: source: %s", c.round+1, sourceErr))
-	}
-	now := c.src.NowS()
-	ctrlStart := time.Now()
-
-	// 2. Ingest: drain the pipeline, newest reading per host wins. Readings
-	// for hosts a simulated fleet does not own are discarded, and discovered
-	// populations are bounded by MaxHosts, so a misbehaving producer cannot
-	// grow c.latest (or the published snapshot) without bound — the
-	// pipeline's memory bound must hold end to end. Membership work (the
-	// foreign-host sweep, the order rebuild + sort) runs only on rounds
-	// where a previously unseen host actually appeared or one was dropped.
-	drained, newHosts := c.ingest.drainInto(c.latest)
-	if newHosts {
-		c.orderDirty = true
-	}
-	if _, rej := c.IngestRejected(); rej > c.lastRejected {
-		c.noteError(fmt.Sprintf("round %d: ingest: rejected %d implausible readings", c.round+1, rej-c.lastRejected))
-		c.lastRejected = rej
-	}
-	var discarded int
-	if c.sim != nil {
-		if newHosts {
-			for id := range c.latest {
-				if _, ok := c.sim.hosts[id]; !ok {
-					delete(c.latest, id)
-				}
-			}
-		}
-	} else {
-		discarded = c.refreshDiscoveredHosts()
-	}
-
-	// 3. Anchors: resolve ψ_stable per tracked host — quantized-cache hits
-	// directly, misses through one (deduplicated, worker-sharded) batch
-	// prediction over current deployments (simulated fleets) or observed
-	// utilization (source-driven fleets).
-	anchors, anchorHits, anchorMisses, err := c.anchors()
-	if err != nil {
-		return RoundReport{}, err
-	}
-	fanout := len(c.caseBuf)
-	c.lastFanout.Store(int64(fanout))
-
-	// 4. Engine round: sessions calibrate, re-anchor, predict, degrade and
-	// evict in one pass over the reusable prediction buffer.
-	var st engine.RoundStats
-	c.predBuf, st = c.eng.Round(c.predBuf[:0], now, c.order, c.latest, anchors)
-	preds := c.predBuf
-	if st.Evicted > 0 {
-		// Evicted sessions left c.latest too: membership changed.
-		c.orderDirty = true
-	}
-
-	// 5. Hotspot map from *predicted* temperatures, built into the next
-	// snapshot generation: a recycled retired generation whose maps are
-	// rewritten in place (only changed entries), so the warm round's
-	// publication allocates nothing.
-	gen := c.snaps.writable(len(c.order))
-	snap := &gen.snap
-	c.round++
-	snap.Round = c.round
-	snap.SimTimeS = now
-	snap.GapS = c.cfg.GapS
-	snap.ThresholdC = c.cfg.ThresholdC
-	snap.StaleHosts = snap.StaleHosts[:0]
-	snap.Hotspots = snap.Hotspots[:0]
-	for i := range preds {
-		p := &preds[i]
-		if p.Stale {
-			snap.StaleHosts = append(snap.StaleHosts, p.HostID)
-			continue
-		}
-		if p.TempC > c.cfg.ThresholdC {
-			snap.Hotspots = append(snap.Hotspots, Hotspot{
-				HostID:         p.HostID,
-				PredictedTempC: p.TempC,
-				MarginC:        p.TempC - c.cfg.ThresholdC,
-				UncertaintyC:   p.UncertaintyC,
-			})
-		}
-	}
-	slices.Sort(snap.StaleHosts)
-	sortHotspots(snap.Hotspots)
-	if c.cfg.PhysWorkers > 1 && len(c.order) >= simParallelMinHosts {
-		// The three map rewrites touch disjoint maps and only read the
-		// prediction buffer / latest readings; at fleet scale they overlap.
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			rewriteFloats(snap.Predicted, preds, func(p *Prediction) float64 { return p.TempC })
-		}()
-		go func() {
-			defer wg.Done()
-			rewriteFloats(snap.Uncertainty, preds, func(p *Prediction) float64 { return p.UncertaintyC })
-		}()
-		rewriteLatest(snap.Latest, c.latest)
-		wg.Wait()
-	} else {
-		rewriteFloats(snap.Predicted, preds, func(p *Prediction) float64 { return p.TempC })
-		rewriteFloats(snap.Uncertainty, preds, func(p *Prediction) float64 { return p.UncertaintyC })
-		rewriteLatest(snap.Latest, c.latest)
-	}
-	predicted, hotspots := snap.Predicted, snap.Hotspots
-
-	// 5b. Streaming reconciliation: fold the authoritative recompute into
-	// the incremental hotspot index, counting every entry the streaming
-	// path had let drift. After this the index and the snapshot agree
-	// bit-for-bit (until the next push moves the index ahead again).
-	var sd streamDelta
-	if c.stream != nil {
-		sd = c.stream.roundDelta()
-		sd.drift = c.stream.idx.reconcile(snap.Hotspots, c.stream.reconSeen)
-	}
-
-	// 6. Reconciliation: apply last round's still-valid proposals, bounded
-	// per round, then derive fresh proposals from this round's map.
-	// Source-driven fleets have no substrate to act on; both passes no-op.
-	var applied int
-	var proposals []MigrationProposal
-	if c.sim != nil {
-		applied = c.reconcile(predicted)
-		proposals = c.propose(hotspots, predicted)
-		c.pendingP = proposals
-	}
-
-	// 7. Publish the generation BEFORE placing queued VMs: placement avoids
-	// predicted hotspots by consulting the published map, which must be this
-	// round's, not last round's. From here on the generation is immutable.
-	c.snaps.publish(gen)
-	c.hotUpdatedNano.Store(time.Now().UnixNano())
-
-	// 8. Placement of queued VM requests against the fresh hotspot map: one
-	// batch call amortizes the ranking, shortlist and anchor-case prediction
-	// across the whole drained queue. Requests the admission policy parks
-	// (headroom, per-round cap) re-enter c.pending for the next round.
-	c.pendMu.Lock()
-	queue := c.pending
-	c.pending = nil
-	c.pendMu.Unlock()
-	var placements, queued, rejections int
-	if len(queue) > 0 {
-		decs, err := c.placeBatchLocked(queue)
-		if err != nil {
-			return RoundReport{}, err
-		}
-		for i := range decs {
-			switch decs[i].Status {
-			case Placed:
-				placements++
-			case Queued:
-				queued++
-			default:
-				rejections++
-			}
-		}
-	}
-
-	_, droppedTotal, supersededTotal := c.ingest.stats()
-	var anchorEvicted int64
-	if c.cache != nil {
-		anchorEvicted = c.cache.Stats().Evicted
-	}
-	maxPred := math.Inf(-1)
-	for _, v := range predicted {
-		if v > maxPred {
-			maxPred = v
-		}
-	}
-	if math.IsInf(maxPred, -1) {
-		maxPred = 0
-	}
-	return RoundReport{
-		Round:              c.round,
-		SimTimeS:           now,
-		Latency:            time.Since(roundStart),
-		ControlLatency:     time.Since(ctrlStart),
-		Hosts:              len(c.order),
-		SessionsLive:       st.Live,
-		TelemetryDrained:   drained,
-		DroppedTotal:       droppedTotal,
-		SupersededTotal:    supersededTotal,
-		StaleHosts:         len(snap.StaleHosts),
-		MaxStalenessS:      st.MaxStalenessS,
-		AnchorFailures:     st.AnchorFailures,
-		AnchorHits:         anchorHits,
-		AnchorMisses:       anchorMisses,
-		AnchorFanout:       fanout,
-		AnchorEvictedTotal: anchorEvicted,
-		Reanchored:         st.Reanchored,
-		Evicted:            st.Evicted,
-		DiscardedHosts:     discarded,
-		SourceError:        sourceErr,
-		RecentErrors:       slices.Clone(c.recentErrs),
-		Hotspots:           len(hotspots),
-		MaxPredictedC:      maxPred,
-		Placements:         placements,
-		Queued:             queued,
-		Rejections:         rejections,
-		ProposedMoves:      len(proposals),
-		AppliedMoves:       applied,
-		StreamApplied:      sd.applied,
-		StreamCreated:      sd.created,
-		StreamDeferred:     sd.deferred,
-		StreamHotDrift:     sd.drift,
-	}, nil
-}
-
-// refreshDiscoveredHosts rebuilds the deterministic host order from the
-// observed population, enforcing the MaxHosts bound: lexicographically
-// excess hosts are forgotten (reading and session) and counted. On stable
-// rounds — no new host drained, no session evicted, population size
-// unchanged — the membership-dirty flag is clear and the O(n log n)
-// rebuild + sort is skipped entirely.
-func (c *Controller) refreshDiscoveredHosts() (discarded int) {
-	if !c.orderDirty && len(c.latest) == len(c.order) {
-		return 0
-	}
-	c.order = c.order[:0]
-	for id := range c.latest {
-		c.order = append(c.order, id)
-	}
-	slices.Sort(c.order)
-	if len(c.order) > c.cfg.MaxHosts {
-		for _, id := range c.order[c.cfg.MaxHosts:] {
-			delete(c.latest, id)
-			c.eng.Delete(id)
-			discarded++
-		}
-		c.order = c.order[:c.cfg.MaxHosts]
-	}
-	c.orderDirty = false
-	return discarded
-}
-
-// anchors batch-predicts ψ_stable for every tracked host into the reusable
-// anchor map. With the cache enabled, only quantized-key misses are staged
-// (deduplicated per key) and fanned through the batch predictor; a fully
-// warm round touches the predictor not at all and allocates nothing. It
-// returns the round's cache hit and miss counts (with the cache disabled,
-// every anchored host counts as a miss).
-func (c *Controller) anchors() (anchors map[string]float64, hits, misses int, err error) {
-	clear(c.anchorBuf)
-	c.caseBuf = c.caseBuf[:0]
-	c.caseKeys = c.caseKeys[:0]
-	c.anchorRefs = c.anchorRefs[:0]
-	clear(c.missByKey)
-	if c.sim != nil {
-		if err := c.simAnchorCases(&hits); err != nil {
-			return nil, 0, 0, err
-		}
-	} else {
-		c.sourceAnchorCases(&hits)
-	}
-	misses = len(c.anchorRefs)
-	if len(c.caseBuf) > 0 {
-		if cap(c.anchorVals) < len(c.caseBuf) {
-			c.anchorVals = make([]float64, len(c.caseBuf))
-		}
-		vals := c.anchorVals[:len(c.caseBuf)]
-		if err := c.predictMissBatch(c.caseBuf, vals); err != nil {
-			return nil, 0, 0, fmt.Errorf("fleet: stable anchors: %w", err)
-		}
-		if c.cache != nil {
-			for i, k := range c.caseKeys {
-				// Never memoize a degenerate prediction: a NaN anchor must
-				// stay a per-round failure, not a cached one.
-				if !math.IsNaN(vals[i]) {
-					c.cache.Put(k, vals[i])
-				}
-			}
-		}
-		for _, ref := range c.anchorRefs {
-			c.anchorBuf[ref.id] = vals[ref.caseIdx]
-		}
-	}
-	return c.anchorBuf, hits, misses, nil
-}
-
-// stageMiss registers a host whose anchor must be predicted this round,
-// staging its case into the miss batch. Key-based deduplication lives in
-// sourceAnchorCases (the only path where two hosts can share a key —
-// simulated fingerprints embed fleet-unique VM ids).
-func (c *Controller) stageMiss(id string, key anchorcache.Key, cse workload.Case) {
-	idx := len(c.caseBuf)
-	c.caseBuf = append(c.caseBuf, cse)
-	c.caseKeys = append(c.caseKeys, key)
-	c.anchorRefs = append(c.anchorRefs, anchorRef{id: id, caseIdx: idx})
-}
-
-// predictMissBatch evaluates the staged miss cases into out, sharding the
-// batch across the configured worker bound when it is large enough to
-// amortize the goroutines — cold rounds (first sight of a fleet, mass
-// re-anchor after migration waves) scale with cores instead of serializing
-// behind one kernel pass.
-func (c *Controller) predictMissBatch(cases []workload.Case, out []float64) error {
-	// Below this batch size per worker the goroutine overhead outweighs the
-	// kernel work.
-	const minShard = 16
-	workers := c.cfg.AnchorWorkers
-	if maxW := (len(cases) + minShard - 1) / minShard; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		vals, err := c.predict(cases)
-		if err != nil {
-			return err
-		}
-		if len(vals) != len(cases) {
-			return fmt.Errorf("fleet: %d anchors for %d cases", len(vals), len(cases))
-		}
-		copy(out, vals)
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	chunk := (len(cases) + workers - 1) / workers
-	for lo := 0; lo < len(cases); lo += chunk {
-		hi := min(lo+chunk, len(cases))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			vals, err := c.predict(cases[lo:hi])
-			if err == nil && len(vals) != hi-lo {
-				err = fmt.Errorf("fleet: %d anchors for %d cases", len(vals), hi-lo)
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			copy(out[lo:hi], vals)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// simAnchorCases resolves every occupied host's anchor — from the cache
-// when its deployment fingerprint (VM set + lifecycle states + quantized
-// util/mem/inlet) is already memoized, else by staging its current
-// deployment as a miss case. Idle hosts anchor at their inlet temperature
-// (an idle machine settles at ambient) without touching cache or model.
-//
-// The pass is phased so the per-host VM/task walks scale with cores at
-// fleet size: a rack-sharded scan derives inlets and fingerprint keys, the
-// serial cache pass consumes them (map access and hit accounting stay
-// single-threaded), a sharded build constructs the miss deployment cases,
-// and a final serial sweep stages them in host order. Values, staging
-// order and cache state are identical to the former single loop.
-func (c *Controller) simAnchorCases(hits *int) error {
-	var q anchorcache.Quantizer
-	if c.cache != nil {
-		// The sim path predicts a miss at the host's actual deployment
-		// snapshot (task fractions cannot be re-centered), so the cached
-		// value can diverge from another bucket member by up to a FULL
-		// bucket — unlike the source path, which predicts at the bucket
-		// center and is off by at most half. Quartering the load bucket
-		// widths caps the sim load error at half the source epsilon, which
-		// leaves room for the half-ambient-bucket share so the composed sim
-		// error stays within the ReanchorEpsC/2 bound Config.Validate
-		// enforces.
-		q = c.cache.Quant()
-		q.UtilQuant /= 4
-		q.MemQuant /= 4
-	}
-	if err := c.simAnchorScan(q); err != nil {
-		return err
-	}
-	c.missIdx = c.missIdx[:0]
-	c.missKey = c.missKey[:0]
-	c.missAmb = c.missAmb[:0]
-	for i, id := range c.order {
-		sh := c.sim.byPos[i]
-		inlet := c.simInlets[i]
-		if sh.host.NumVMs() == 0 {
-			c.anchorBuf[id] = inlet
-			continue
-		}
-		if c.cache == nil {
-			c.missIdx = append(c.missIdx, i)
-			c.missKey = append(c.missKey, 0)
-			c.missAmb = append(c.missAmb, inlet)
-			continue
-		}
-		key := c.simKeys[i]
-		if v, ok := c.cache.Get(key); ok {
-			c.anchorBuf[id] = v
-			*hits++
-			continue
-		}
-		// Predict at the inlet bucket's center so the cached value serves
-		// the whole bucket with at most half a bucket of ambient error.
-		_, ambCenter := q.Ambient(inlet)
-		c.missIdx = append(c.missIdx, i)
-		c.missKey = append(c.missKey, key)
-		c.missAmb = append(c.missAmb, ambCenter)
-	}
-	if err := c.buildMissCases(); err != nil {
-		return err
-	}
-	for mi, i := range c.missIdx {
-		c.stageMiss(c.order[i], c.missKey[mi], c.missCase[mi])
-	}
-	return nil
-}
-
-// simAnchorScan fills the per-host inlet and fingerprint scratch,
-// rack-sharded at scale (pure computation over rack-local state; every
-// worker writes disjoint indices).
-func (c *Controller) simAnchorScan(q anchorcache.Quantizer) error {
-	fs := c.sim
-	n := len(c.order)
-	if cap(c.simInlets) < n {
-		c.simInlets = make([]float64, n)
-		c.simKeys = make([]anchorcache.Key, n)
-	}
-	c.simInlets = c.simInlets[:n]
-	c.simKeys = c.simKeys[:n]
-	if c.cfg.PhysWorkers > 1 && n >= simParallelMinHosts {
-		return fs.forEachRackShard(func(ri int) error { return c.scanRackAnchors(ri, q) })
-	}
-	for ri := range fs.racks {
-		if err := c.scanRackAnchors(ri, q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanRackAnchors is one rack's share of simAnchorScan.
-func (c *Controller) scanRackAnchors(ri int, q anchorcache.Quantizer) error {
-	fs := c.sim
-	span := fs.rackSpan[ri]
-	for i := span[0]; i < span[1]; i++ {
-		sh := fs.byPos[i]
-		inlet, err := fs.inletAt(sh)
-		if err != nil {
-			return err
-		}
-		c.simInlets[i] = inlet
-		if c.cache != nil && sh.host.NumVMs() > 0 {
-			c.simKeys[i] = simAnchorKey(sh, q, inlet)
-		}
-	}
-	return nil
-}
-
-// simAnchorKey derives a host's deployment fingerprint: the cache key that
-// changes exactly when something the feature encoder can see changes.
-func simAnchorKey(sh *simHost, q anchorcache.Quantizer, inlet float64) anchorcache.Key {
-	ambBucket, _ := q.Ambient(inlet)
-	util, mem := sh.host.Loads()
-	bu, bm := q.UtilMemBuckets(util, mem)
-	h := anchorcache.NewHash()
-	for vi := 0; vi < sh.host.NumVMs(); vi++ {
-		vm := sh.host.VMAt(vi)
-		// The fingerprint must cover everything the feature encoder can
-		// see in the deployment snapshot: identity and lifecycle state,
-		// plus the per-VM load *distribution* (raw task-fraction sum and
-		// max, quantized) — dynamic profiles can redistribute load
-		// between tasks without moving total host utilization, and
-		// features like task_cpu_max follow the distribution.
-		cpuSum, cpuMax := vm.TaskCPUStats()
-		h = h.String(vm.ID()).Uint64(uint64(vm.State())).
-			Uint64(q.UtilBucket(cpuSum)).Uint64(q.UtilBucket(cpuMax))
-	}
-	return h.Uint64(ambBucket).Uint64(bu).Uint64(bm).Key()
-}
-
-// buildMissCases constructs the recorded misses' deployment cases into
-// missCase, sharded across the physics pool at scale: each build only reads
-// host/VM state and writes its own slot. The ambient is the value the
-// cache pass chose (bucket center with the cache on, the host's inlet
-// otherwise) — the former per-miss InletTemp recomputation was an O(rack)
-// utilization sweep per case, redundant with the per-tick inlet cache.
-func (c *Controller) buildMissCases() error {
-	n := len(c.missIdx)
-	if n == 0 {
-		return nil
-	}
-	if cap(c.missCase) < n {
-		c.missCase = make([]workload.Case, n)
-		c.missErr = make([]error, n)
-	}
-	c.missCase = c.missCase[:n]
-	c.missErr = c.missErr[:n]
-	build := func(lo, hi int) {
-		for mi := lo; mi < hi; mi++ {
-			sh := c.sim.byPos[c.missIdx[mi]]
-			cse, err := cluster.HostStateCase(sh.host, c.cfg.FanCount, c.missAmb[mi], nil)
-			c.missCase[mi], c.missErr[mi] = cse, err
-		}
-	}
-	// Below this many cases per worker the goroutine overhead dominates.
-	const minShard = 64
-	workers := c.cfg.PhysWorkers
-	if maxW := (n + minShard - 1) / minShard; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		build(0, n)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				build(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	for mi, err := range c.missErr {
-		if err != nil {
-			return fmt.Errorf("fleet: anchor case for %s: %w", c.order[c.missIdx[mi]], err)
-		}
-	}
-	return nil
-}
-
-// sourceAnchorCases synthesizes an anchor case per observed host from its
-// latest reading: the observed utilization and memory activity become an
-// equivalent single-VM deployment on the configured host shape, so real
-// (replayed or scraped) telemetry flows through the same trained model as
-// simulated fleets — the deployment loop Ilager et al. run against
-// monitored hosts. With the cache enabled, observations are quantized into
-// (util, memFrac) buckets first: bucket hits skip the predictor entirely
-// and bucket misses are predicted once at the bucket center.
-func (c *Controller) sourceAnchorCases(hits *int) {
-	var q anchorcache.Quantizer
-	if c.cache != nil {
-		q = c.cache.Quant()
-	}
-	for _, id := range c.order {
-		r, ok := c.latest[id]
-		if !ok {
-			continue
-		}
-		util := telemetry.Clamp01(r.Util)
-		mem := telemetry.Clamp01(r.MemFrac)
-		if c.cache == nil {
-			c.stageMiss(id, 0, utilizationCase(c.cfg, util, mem))
-			continue
-		}
-		key, qUtil, qMem := q.UtilMem(util, mem)
-		if v, ok := c.cache.Get(key); ok {
-			c.anchorBuf[id] = v
-			*hits++
-			continue
-		}
-		if prev, ok := c.missByKey[key]; ok {
-			// Another host already staged this bucket this round; share its
-			// prediction without rebuilding the case.
-			c.anchorRefs = append(c.anchorRefs, anchorRef{id: id, caseIdx: prev})
-			continue
-		}
-		c.missByKey[key] = len(c.caseBuf)
-		c.stageMiss(id, key, utilizationCase(c.cfg, qUtil, qMem))
-	}
-}
-
-// utilizationCase encodes an observed (util, memFrac) load as a workload
-// case on the configured host shape: one task per physical core, each at
-// the observed utilization fraction, with memFrac of installed memory
-// active. The deployment structure (VM count, vCPUs, task count) is fixed —
-// only the continuous load values vary — so every encoded feature is
-// continuous (Lipschitz) in the observation. That continuity is what lets
-// the anchor cache bound cached-vs-exact divergence by the quantization
-// bucket width: a structure that jumped at integer demand boundaries would
-// put a bucket's center and its members on different sides of a step.
-func utilizationCase(cfg Config, util, memFrac float64) workload.Case {
-	util = telemetry.Clamp01(util)
-	memFrac = telemetry.Clamp01(memFrac)
-	cores := cfg.HostShape.Cores
-	memGB := memFrac * cfg.HostShape.MemoryGB
-	if memGB < 1 {
-		memGB = 1
-	}
-	vm := workload.VMSpec{
-		ID:     "observed",
-		Config: vmm.VMConfig{VCPUs: cores, MemoryGB: memGB},
-	}
-	for i := 0; i < cores; i++ {
-		vm.Tasks = append(vm.Tasks, workload.TaskSpec{Task: vmm.Task{
-			ID:          "observed-t" + strconv.Itoa(i),
-			Class:       vmm.CPUBound,
-			CPUFraction: util,
-			MemGB:       memGB / float64(cores) / 2,
-		}})
-	}
-	return workload.Case{
-		Name:     "observed",
-		Host:     cfg.HostShape,
-		FanCount: cfg.FanCount,
-		AmbientC: cfg.SourceAmbientC,
-		VMs:      []workload.VMSpec{vm},
-	}
-}
-
-// reconcile applies pending migration proposals that are still valid — the
-// source must still be predicted hot — bounded by MaxMigrationsPerRound.
-func (c *Controller) reconcile(predicted map[string]float64) (applied int) {
-	for _, p := range c.pendingP {
-		if applied >= c.cfg.MaxMigrationsPerRound {
-			break
-		}
-		if predicted[p.FromHostID] <= c.cfg.ThresholdC {
-			continue // cooled off on its own; desired state already met
-		}
-		if err := c.sim.migrate(p.VMID, p.FromHostID, p.ToHostID); err != nil {
-			continue // VM gone or target filled up: drop the proposal
-		}
-		// Force a re-anchor next round: both hosts' deployments changed.
-		c.eng.Delete(p.FromHostID)
-		c.eng.Delete(p.ToHostID)
-		applied++
-	}
-	return applied
-}
-
-// propose derives migration proposals from the hotspot map: for each hotspot
-// (hottest first), move its largest VM to the coolest non-hot host that can
-// admit it. Proposals are bounded — 4× what reconcile can apply per round,
-// or 64 hottest-first in observe-only mode (MaxMigrationsPerRound = 0) —
-// because each proposal costs an O(hosts) target scan and the map is
-// recomputed fresh every round anyway: at datacenter scale an unbounded
-// pass over thousands of hotspots would be quadratic for proposals that
-// could never be acted on.
-func (c *Controller) propose(hotspots []Hotspot, predicted map[string]float64) []MigrationProposal {
-	maxProposals := 4 * c.cfg.MaxMigrationsPerRound
-	if c.cfg.MaxMigrationsPerRound == 0 {
-		maxProposals = 64
-	} else if maxProposals < 8 {
-		maxProposals = 8
-	}
-	var out []MigrationProposal
-	hot := make(map[string]bool, len(hotspots))
-	for _, h := range hotspots {
-		hot[h.HostID] = true
-	}
-	for _, h := range hotspots {
-		if len(out) >= maxProposals {
-			break
-		}
-		vm, err := c.sim.largestVM(h.HostID)
-		if err != nil {
-			continue // nothing running to move (e.g. hot purely from environment)
-		}
-		target := ""
-		best := math.Inf(1)
-		for _, id := range c.order {
-			if id == h.HostID || hot[id] {
-				continue
-			}
-			sh := c.sim.hosts[id]
-			if !canAdmitVM(sh.host, vm.Config()) {
-				continue
-			}
-			t, ok := predicted[id]
-			if !ok {
-				continue // stale or unobserved: never migrate blind
-			}
-			if t < best {
-				best, target = t, id
-			}
-		}
-		if target == "" {
-			continue
-		}
-		out = append(out, MigrationProposal{
-			VMID:       vm.ID(),
-			FromHostID: h.HostID,
-			ToHostID:   target,
-			MarginC:    h.MarginC,
-		})
-	}
-	return out
-}
-
-// rankedByPredicted returns every tracked host sorted coolest-first by the
-// published Δ_gap-ahead prediction (unpredicted hosts — stale telemetry —
-// last: never place blind when an observed host can admit; ties broken by
-// id). The ranking is cached per round: predictions only move when a round
-// publishes, so every placement within a round shares one O(n log n) sort.
-func (c *Controller) rankedByPredicted() []string {
-	if c.rankedRound == c.round && len(c.rankedHosts) == len(c.order) {
-		return c.rankedHosts
-	}
-	var predictedNow map[string]float64
-	if snap := c.publishedSnapshot(); snap != nil {
-		predictedNow = snap.Predicted
-	}
-	c.rankedHosts = append(c.rankedHosts[:0], c.order...)
-	rank := func(id string) float64 {
-		if v, ok := predictedNow[id]; ok {
-			return v
-		}
-		return math.Inf(1)
-	}
-	slices.SortFunc(c.rankedHosts, func(a, b string) int {
-		ra, rb := rank(a), rank(b)
-		if ra != rb {
-			if ra < rb {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a, b)
-	})
-	c.rankedRound = c.round
-	return c.rankedHosts
-}
-
-// canAdmitVM checks capacity without mutating the host.
-func canAdmitVM(h *vmm.Host, cfg vmm.VMConfig) bool {
-	hc := h.Config()
-	if h.PlacedVCPUs()+float64(cfg.VCPUs) > float64(hc.Cores)*hc.CPUOvercommit {
-		return false
-	}
-	return h.PlacedMemGB()+cfg.MemoryGB <= hc.MemoryGB
-}
-
-// ErrNoCapacity is the RejectNoCapacity reason when no host can admit a VM.
-var ErrNoCapacity = errors.New("fleet: no host with capacity")
-
-// ErrNoSubstrate is returned for placement/migration operations on a
-// source-driven controller: real telemetry can be observed and predicted,
-// but there is no simulated fleet to mutate.
-var ErrNoSubstrate = errors.New("fleet: source-driven controller has no placement substrate")
-
-// SetTelemetryMuted simulates a monitoring-agent outage on one host: while
-// muted the host keeps running (and heating) but emits no telemetry, so the
-// control plane must degrade it to stale. Simulated fleets only.
-func (c *Controller) SetTelemetryMuted(hostID string, muted bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sim == nil {
-		return ErrNoSubstrate
-	}
-	sh, ok := c.sim.hosts[hostID]
-	if !ok {
-		return fmt.Errorf("fleet: unknown host %q", hostID)
-	}
-	sh.muted = muted
-	return nil
-}
-
-// MeasuredDieTemp reads a host's true (noise-free) die temperature — for
-// tests and evaluation only; the control loop itself only ever sees
-// telemetry. Simulated fleets only.
-func (c *Controller) MeasuredDieTemp(hostID string) (float64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sim == nil {
-		return 0, ErrNoSubstrate
-	}
-	sh, ok := c.sim.hosts[hostID]
-	if !ok {
-		return 0, fmt.Errorf("fleet: unknown host %q", hostID)
-	}
-	return sh.server.DieTemp(), nil
 }

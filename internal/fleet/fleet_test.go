@@ -109,7 +109,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		}
 	}
 	// Thermal-aware placement must route a new VM away from the hotspot.
-	dec, err := c.PlaceNow(HeavyVMSpec("newcomer", 2, 4))
+	dec, err := placeOne(c, HeavyVMSpec("newcomer", 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		t.Fatalf("thermal-aware placement chose the hotspot %q", dec.HostID)
 	}
 	// A retried request with the same VM id must be rejected, not doubled.
-	dup, err := c.PlaceNow(HeavyVMSpec("newcomer", 2, 4))
+	dup, err := placeOne(c, HeavyVMSpec("newcomer", 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

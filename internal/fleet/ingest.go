@@ -41,9 +41,6 @@ type ingestPipeline struct {
 // the drain's supersede-tracking map from the expected host population, so
 // a cold start's first drains do not rehash the map up to fleet size.
 func newIngestPipeline(capacity, hostHint int) *ingestPipeline {
-	if hostHint < 0 {
-		hostHint = 0
-	}
 	return &ingestPipeline{
 		ch:        make(chan Reading, capacity),
 		drainSeen: make(map[string]bool, hostHint),

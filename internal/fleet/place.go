@@ -10,6 +10,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -127,7 +128,7 @@ type AdmissionPolicy struct {
 	// entirely, so admission-blocked requests are rejected, never parked.
 	MaxQueueDepth int
 	// MaxPlacementsPerRound caps how many VMs may be placed between two
-	// rounds (PlaceNow, PlaceBatch and the round drain combined); excess
+	// rounds (PlaceBatch and the round drain combined); excess
 	// requests queue for the next round. 0 means unbounded.
 	MaxPlacementsPerRound int
 }
@@ -144,6 +145,23 @@ type PlacementDecision struct {
 	// Code and Reason are set when Status == Rejected.
 	Code   RejectCode
 	Reason string
+}
+
+// TallyDecisions counts decisions by status — the one tally behind
+// RoundReport's placement counters, the vmtherm_place_*_total metrics and
+// the batch response totals.
+func TallyDecisions(decs []PlacementDecision) (placed, queued, rejected int) {
+	for i := range decs {
+		switch decs[i].Status {
+		case Placed:
+			placed++
+		case Queued:
+			queued++
+		default:
+			rejected++
+		}
+	}
+	return placed, queued, rejected
 }
 
 // Per-call candidate budget: one placement call builds and predicts at most
@@ -171,8 +189,8 @@ type planEntry struct {
 	claimed int
 }
 
-// placePlan is the per-round placement working set shared by every PlaceNow
-// / PlaceBatch call between two rounds: the coolest-first host ranking with
+// placePlan is the per-round placement working set shared by every
+// PlaceBatch call between two rounds: the coolest-first host ranking with
 // per-host effective temperatures and hotspot flags, kept current as
 // placements land so sequential single-VM calls amortize exactly like one
 // batch.
@@ -214,7 +232,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 		}
 	}
 	p.entries = p.entries[:0]
-	for _, id := range c.rankedByPredicted() {
+	for _, id := range c.order {
 		t, ok := predicted[id]
 		if !ok {
 			t = math.Inf(1)
@@ -226,6 +244,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 			hot:     hot[id],
 		})
 	}
+	sortPlanEntries(p.entries)
 	p.round, p.pop = c.round, len(c.order)
 	p.dirty, p.wave, p.placed = false, 0, 0
 	return p
@@ -476,13 +495,7 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 // caller's blocking code when queueing is disabled.
 func (c *Controller) parkOrReject(spec *workload.VMSpec, code RejectCode, reason string) PlacementDecision {
 	if c.cfg.Admission.MaxQueueDepth >= 0 {
-		c.pendMu.Lock()
-		room := len(c.pending) < c.cfg.Admission.MaxQueueDepth
-		if room {
-			c.pending = append(c.pending, *spec)
-		}
-		c.pendMu.Unlock()
-		if room {
+		if c.Submit(*spec) {
 			return PlacementDecision{VMID: spec.ID, Status: Queued}
 		}
 		return PlacementDecision{
@@ -492,3 +505,20 @@ func (c *Controller) parkOrReject(spec *workload.VMSpec, code RejectCode, reason
 	}
 	return PlacementDecision{VMID: spec.ID, Status: Rejected, Code: code, Reason: reason}
 }
+
+// canAdmitVM checks capacity without mutating the host.
+func canAdmitVM(h *vmm.Host, cfg vmm.VMConfig) bool {
+	hc := h.Config()
+	if h.PlacedVCPUs()+float64(cfg.VCPUs) > float64(hc.Cores)*hc.CPUOvercommit {
+		return false
+	}
+	return h.PlacedMemGB()+cfg.MemoryGB <= hc.MemoryGB
+}
+
+// ErrNoCapacity is the RejectNoCapacity reason when no host can admit a VM.
+var ErrNoCapacity = errors.New("fleet: no host with capacity")
+
+// ErrNoSubstrate is returned for placement/migration operations on a
+// source-driven controller: real telemetry can be observed and predicted,
+// but there is no simulated fleet to mutate.
+var ErrNoSubstrate = errors.New("fleet: source-driven controller has no placement substrate")

@@ -20,6 +20,16 @@ func tinyConfig() Config {
 	return cfg
 }
 
+// placeOne places a single VM through the batch engine — the shape
+// POST /v1/fleet/place uses.
+func placeOne(c *Controller, spec workload.VMSpec) (PlacementDecision, error) {
+	decs, err := c.PlaceBatch([]workload.VMSpec{spec})
+	if err != nil {
+		return PlacementDecision{}, err
+	}
+	return decs[0], nil
+}
+
 // TestBatchHeadroomExhaustionDeterministic: with a headroom budget and
 // queueing disabled, a batch of identical heavy VMs must split into a
 // placed prefix and a RejectNoHeadroom tail — the batch prices the headroom
@@ -44,12 +54,12 @@ func TestBatchHeadroomExhaustionDeterministic(t *testing.T) {
 		// Sequential single-VM calls share the batch's plan: the next
 		// request must see the headroom the batch consumed, not a fresh
 		// ranking that would re-admit it.
-		one, err := c.PlaceNow(HeavyVMSpec("vm-after", 4, 8))
+		one, err := placeOne(c, HeavyVMSpec("vm-after", 4, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if one.Status != Rejected || one.Code != RejectNoHeadroom {
-			t.Fatalf("PlaceNow after exhausted batch = %+v, want no-headroom", one)
+			t.Fatalf("single placement after exhausted batch = %+v, want no-headroom", one)
 		}
 		return decs
 	}
@@ -186,12 +196,12 @@ func TestSubmitQueueDepthBound(t *testing.T) {
 		t.Fatal("submit beyond depth bound accepted")
 	}
 	// A queued request rejected at the bound must carry the typed code too.
-	dec, err := c.PlaceNow(HeavyVMSpec("big-queue", 4096, 4096))
+	dec, err := placeOne(c, HeavyVMSpec("big-queue", 4096, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Status != Rejected || dec.Code != RejectInfeasible {
-		t.Fatalf("infeasible via PlaceNow = %+v", dec)
+		t.Fatalf("infeasible single placement = %+v", dec)
 	}
 
 	cfg = testConfig()

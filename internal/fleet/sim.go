@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"vmtherm/internal/cluster"
 	"vmtherm/internal/mathx"
@@ -150,10 +149,6 @@ type fleetSim struct {
 	// (indexed like byPos); emission consumes them serially in host order.
 	sampleVal, sampleUtil, sampleMem []float64
 	sampleOK                         []bool
-	// tickErrs collects per-rack tick failures from the sharded pass; the
-	// first error in rack order is reported, keeping failures deterministic
-	// regardless of worker interleaving.
-	tickErrs []error
 	// vmHost maps every placed VM id to its current host: vmm only enforces
 	// per-host uniqueness, but migration addresses VMs by id fleet-wide, so
 	// duplicates (e.g. a retried placement request) must be rejected here.
@@ -248,7 +243,6 @@ func newFleetSim(cfg Config) (*fleetSim, error) {
 	}
 	fs.tickUtil = make([]float64, len(fs.byPos))
 	fs.tickMem = make([]float64, len(fs.byPos))
-	fs.tickErrs = make([]error, len(racks))
 	fs.sampleVal = make([]float64, len(fs.byPos))
 	fs.sampleUtil = make([]float64, len(fs.byPos))
 	fs.sampleMem = make([]float64, len(fs.byPos))
@@ -363,7 +357,14 @@ func (fs *fleetSim) remove(vmID string) error {
 // results are bit-identical regardless of worker count or interleaving.
 func (fs *fleetSim) tick(dt float64) error {
 	t := fs.engine.Now()
-	if err := fs.forEachRackShard(func(ri int) error { return fs.tickRack(ri, t, dt) }); err != nil {
+	if err := fs.shardRacks(func(lo, hi int) error {
+		for ri := lo; ri < hi; ri++ {
+			if err := fs.tickRack(ri, t, dt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
 	// Inter-rack coupling runs serially *between* rack advances: it reads
@@ -420,51 +421,11 @@ func (fs *fleetSim) cracState() *cracDynamics {
 	return fs.crac
 }
 
-// forEachRackShard runs fn once per rack — serially with one physics
-// worker, sharded across a bounded goroutine pool otherwise. Racks are
-// assigned to workers in contiguous chunks and every error lands in its
-// rack's tickErrs slot, so the first error in rack order is reported
-// regardless of worker interleaving: the shard layer adds no
-// nondeterminism of its own.
-func (fs *fleetSim) forEachRackShard(fn func(ri int) error) error {
-	nr := len(fs.racks)
-	workers := fs.cfg.PhysWorkers
-	if workers > nr {
-		workers = nr
-	}
-	if workers <= 1 {
-		for ri := 0; ri < nr; ri++ {
-			if err := fn(ri); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := range fs.tickErrs {
-		fs.tickErrs[i] = nil
-	}
-	var wg sync.WaitGroup
-	chunk := (nr + workers - 1) / workers
-	for lo := 0; lo < nr; lo += chunk {
-		hi := min(lo+chunk, nr)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ri := lo; ri < hi; ri++ {
-				if err := fn(ri); err != nil {
-					fs.tickErrs[ri] = err
-					return
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for _, err := range fs.tickErrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// shardRacks runs fn over contiguous rack ranges [lo, hi) — one call
+// covering every rack with one physics worker, one goroutine per range
+// otherwise — reporting the first error in rack order (see shard).
+func (fs *fleetSim) shardRacks(fn func(lo, hi int) error) error {
+	return shard(len(fs.racks), fs.cfg.PhysWorkers, 1, fn)
 }
 
 // tickRack advances one rack through a full simulation step. Loads first,
@@ -538,9 +499,8 @@ func (fs *fleetSim) sample(emit func(telemetry.Reading) bool) {
 	if parallel {
 		// Sensor and load sweeps cannot fail (read errors become skipped
 		// samples), so the shard error path is unreachable here.
-		_ = fs.forEachRackShard(func(ri int) error {
-			span := fs.rackSpan[ri]
-			for i := span[0]; i < span[1]; i++ {
+		_ = fs.shardRacks(func(lo, hi int) error {
+			for i := fs.rackSpan[lo][0]; i < fs.rackSpan[hi-1][1]; i++ {
 				sh := fs.byPos[i]
 				if sh.muted {
 					continue // dead agent: no read, no rng draw

@@ -90,12 +90,7 @@ func (ix *hotIndex) upsert(p *Prediction, thresholdC float64) {
 	hot := !p.Stale && p.TempC > thresholdC
 	ix.mu.Lock()
 	if hot {
-		h := Hotspot{
-			HostID:         p.HostID,
-			PredictedTempC: p.TempC,
-			MarginC:        p.TempC - thresholdC,
-			UncertaintyC:   p.UncertaintyC,
-		}
+		h := hotspotOf(p, thresholdC)
 		if cur, ok := ix.entries[p.HostID]; !ok || cur != h {
 			ix.entries[p.HostID] = h
 			ix.dirty = true

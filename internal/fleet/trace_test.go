@@ -192,7 +192,7 @@ func TestSourceDrivenControllerRejectsSubstrateOps(t *testing.T) {
 	if _, err := ctl.MeasuredDieTemp("h0"); err != ErrNoSubstrate {
 		t.Fatalf("MeasuredDieTemp err = %v", err)
 	}
-	dec, err := ctl.PlaceNow(HeavyVMSpec("vm", 1, 1))
+	dec, err := placeOne(ctl, HeavyVMSpec("vm", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

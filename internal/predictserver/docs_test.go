@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"vmtherm/internal/fleet"
 )
 
 // apiDocPath locates docs/API.md from the package directory.
@@ -86,9 +88,9 @@ func TestAPIDocCoversAllMetrics(t *testing.T) {
 		documented[m[1]] = true
 	}
 
-	ls, err := NewLocalStack(context.Background(), LocalStackConfig{
-		Racks: 1, HostsPerRack: 2, TrainCases: 12, PrimeRounds: 2, Seed: 11,
-	})
+	fc := fleet.DefaultConfig()
+	fc.Racks, fc.HostsPerRack, fc.Seed = 1, 2, 11
+	ls, err := NewLocalStack(context.Background(), LocalStackConfig{Fleet: fc, TrainCases: 12, PrimeRounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,22 +200,14 @@ func placeResponse(dec fleet.PlacementDecision) FleetPlaceResponse {
 	}
 }
 
-// countPlace feeds the vmtherm_place_*_total counters.
-func (s *Server) countPlace(decs []fleet.PlacementDecision) {
-	var placed, queued, rejected int64
-	for i := range decs {
-		switch decs[i].Status {
-		case fleet.Placed:
-			placed++
-		case fleet.Queued:
-			queued++
-		default:
-			rejected++
-		}
-	}
-	s.metrics.placePlaced.Add(placed)
-	s.metrics.placeQueued.Add(queued)
-	s.metrics.placeRejected.Add(rejected)
+// countPlace feeds the vmtherm_place_*_total counters and returns the
+// tally it added.
+func (s *Server) countPlace(decs []fleet.PlacementDecision) (placed, queued, rejected int) {
+	placed, queued, rejected = fleet.TallyDecisions(decs)
+	s.metrics.placePlaced.Add(int64(placed))
+	s.metrics.placeQueued.Add(int64(queued))
+	s.metrics.placeRejected.Add(int64(rejected))
+	return placed, queued, rejected
 }
 
 // handleFleetPlace is the single-VM placement path — a thin adapter over
@@ -316,19 +308,11 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.countPlace(decs)
-	s.metrics.placeBatchSize.Store(int64(len(specs)))
 	resp := FleetPlaceBatchResponse{Results: make([]FleetPlaceResponse, len(decs))}
+	resp.Placed, resp.Queued, resp.Rejected = s.countPlace(decs)
+	s.metrics.placeBatchSize.Store(int64(len(specs)))
 	for i := range decs {
 		resp.Results[i] = placeResponse(decs[i])
-		switch decs[i].Status {
-		case fleet.Placed:
-			resp.Placed++
-		case fleet.Queued:
-			resp.Queued++
-		default:
-			resp.Rejected++
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -17,44 +17,35 @@ import (
 // exercise the real serving path without a separately launched daemon or
 // network flake. Zero values take the documented defaults.
 type LocalStackConfig struct {
-	// Racks × HostsPerRack is the simulated fleet shape (default 4 × 16).
-	Racks, HostsPerRack int
+	// Fleet configures the simulated control plane — shape, admission
+	// policy, workers, streaming ingest — exactly as fleet.New takes it; its
+	// Seed also drives training-case generation. The zero value is
+	// fleet.DefaultConfig() (4 × 16 hosts, seed 1).
+	Fleet fleet.Config
 	// TrainCases is how many simulated experiments train the fast stable
 	// model (default 24, the vmtherm-fleetd default).
 	TrainCases int
-	// Admission is the placement admission policy under test — part of
-	// the capacity knob matrix.
-	Admission fleet.AdmissionPolicy
-	// PhysWorkers shards the simulated physics per rack; Workers sizes the
-	// server's batch worker pool (0 = defaults).
-	PhysWorkers, Workers int
+	// Workers sizes the server's batch worker pool (0 = default).
+	Workers int
 	// PrimeRounds runs this many control rounds before the stack is
 	// handed out (default 3) so /v1/fleet/hotspots serves a populated
 	// snapshot and sessions are calibrated.
 	PrimeRounds int
-	// Streaming enables event-driven ingest (fleet.Config.StreamingIngest):
-	// pushed readings apply on arrival and /v1/fleet/ingest accepts
-	// predict: true.
-	Streaming bool
-	// Seed drives training-case generation and the simulated fleet.
-	Seed int64
 }
 
 func (c LocalStackConfig) withDefaults() LocalStackConfig {
-	if c.Racks == 0 {
-		c.Racks = 4
+	if c.Fleet == (fleet.Config{}) {
+		c.Fleet = fleet.DefaultConfig()
 	}
-	if c.HostsPerRack == 0 {
-		c.HostsPerRack = 16
+	if c.Fleet.HorizonS == 0 {
+		// The anchor predictor is built before fleet.New resolves defaults.
+		c.Fleet.HorizonS = fleet.DefaultConfig().HorizonS
 	}
 	if c.TrainCases == 0 {
 		c.TrainCases = 24
 	}
 	if c.PrimeRounds == 0 {
 		c.PrimeRounds = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -73,11 +64,12 @@ type LocalStack struct {
 func NewLocalStack(ctx context.Context, cfg LocalStackConfig) (*LocalStack, error) {
 	cfg = cfg.withDefaults()
 
-	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), cfg.Seed, "slo-train", cfg.TrainCases)
+	seed := cfg.Fleet.Seed
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), seed, "slo-train", cfg.TrainCases)
 	if err != nil {
 		return nil, fmt.Errorf("predictserver: generating training cases: %w", err)
 	}
-	recs, err := dataset.Build(ctx, cases, dataset.DefaultBuildOptions(cfg.Seed))
+	recs, err := dataset.Build(ctx, cases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return nil, fmt.Errorf("predictserver: building training dataset: %w", err)
 	}
@@ -86,14 +78,7 @@ func NewLocalStack(ctx context.Context, cfg LocalStackConfig) (*LocalStack, erro
 		return nil, fmt.Errorf("predictserver: training stable model: %w", err)
 	}
 
-	fcfg := fleet.DefaultConfig()
-	fcfg.Racks = cfg.Racks
-	fcfg.HostsPerRack = cfg.HostsPerRack
-	fcfg.Admission = cfg.Admission
-	fcfg.PhysWorkers = cfg.PhysWorkers
-	fcfg.StreamingIngest = cfg.Streaming
-	fcfg.Seed = cfg.Seed
-	ctl, err := fleet.New(fcfg, fleet.StableBatchPredictor(model, fcfg.HorizonS))
+	ctl, err := fleet.New(cfg.Fleet, fleet.StableBatchPredictor(model, cfg.Fleet.HorizonS))
 	if err != nil {
 		return nil, fmt.Errorf("predictserver: building fleet: %w", err)
 	}

@@ -59,11 +59,10 @@ func TestNewLocalStackServesAllEndpointFamilies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
 	}
-	ls, err := NewLocalStack(context.Background(), LocalStackConfig{
-		Racks: 1, HostsPerRack: 4, TrainCases: 12, PrimeRounds: 2,
-		Admission: fleet.AdmissionPolicy{MaxQueueDepth: 64},
-		Seed:      7,
-	})
+	fc := fleet.DefaultConfig()
+	fc.Racks, fc.HostsPerRack, fc.Seed = 1, 4, 7
+	fc.Admission = fleet.AdmissionPolicy{MaxQueueDepth: 64}
+	ls, err := NewLocalStack(context.Background(), LocalStackConfig{Fleet: fc, TrainCases: 12, PrimeRounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
