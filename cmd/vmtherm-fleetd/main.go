@@ -30,6 +30,7 @@
 //	vmtherm-fleetd -anchor-cache=false                    # A/B the anchor cache off
 //	vmtherm-fleetd -source trace -trace run.csv -synthetic -checkpoint-file /var/lib/vmtherm/ckpt
 //	                                                      # crash-safe: restart resumes warm
+//	vmtherm-fleetd -rounds 40 -checkpoint-file simckpt    # simulated fleet: anchor cache survives restarts
 package main
 
 import (

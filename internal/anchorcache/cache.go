@@ -293,7 +293,8 @@ type Entry struct {
 // DumpGenerations returns the young and old generations separately, each
 // sorted by key. Restoring both sides (RestoreGenerations) reproduces the
 // cache bit-for-bit — including future rotation and eviction timing, which
-// a flat Save/Load round-trip (everything reloaded young) would not.
+// reloading everything young would not. The cache has no file format of its
+// own: the dump travels inside a checkpoint (checkpoint.CacheState).
 // Requires external synchronization, like Get/Put.
 func (c *Cache) DumpGenerations() (cur, prev []Entry) {
 	cur = make([]Entry, 0, len(c.cur))

@@ -1,6 +1,8 @@
 package anchorcache
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -115,6 +117,56 @@ func TestPromotionRemovesOldGenerationCopy(t *testing.T) {
 	}
 	if c.Len() != before {
 		t.Fatalf("promotion changed entry count %d -> %d (dual residency)", before, c.Len())
+	}
+}
+
+// TestDumpRestoreGenerations pins the only way a cache leaves and re-enters
+// memory (inside a checkpoint): the generation split round-trips exactly, a
+// NaN anchor is never admitted, no key ends up resident twice, and a dump too
+// large for the receiving cache is refused whole rather than truncated.
+func TestDumpRestoreGenerations(t *testing.T) {
+	src, err := New(Config{MaxEntries: 8}) // generations of 4
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		src.Put(Key(i), float64(i)+0.5)
+	}
+	cur, prev := src.DumpGenerations()
+	if len(cur) == 0 || len(prev) == 0 {
+		t.Fatalf("dump %d/%d does not span both generations", len(cur), len(prev))
+	}
+
+	dst, err := New(Config{MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.Put(99, 1) // a restore replaces, it does not merge
+	if err := dst.RestoreGenerations(cur, prev); err != nil {
+		t.Fatal(err)
+	}
+	gotCur, gotPrev := dst.DumpGenerations()
+	if !slices.Equal(gotCur, cur) || !slices.Equal(gotPrev, prev) {
+		t.Fatalf("restored %v/%v, dumped %v/%v", gotCur, gotPrev, cur, prev)
+	}
+
+	// NaN values and a key offered in both generations.
+	dirtyCur := []Entry{{Key: 1, Value: 10}, {Key: 2, Value: math.NaN()}}
+	dirtyPrev := []Entry{{Key: 1, Value: 20}, {Key: 3, Value: math.NaN()}, {Key: 4, Value: 40}}
+	if err := dst.RestoreGenerations(dirtyCur, dirtyPrev); err != nil {
+		t.Fatal(err)
+	}
+	gotCur, gotPrev = dst.DumpGenerations()
+	if !slices.Equal(gotCur, []Entry{{Key: 1, Value: 10}}) || !slices.Equal(gotPrev, []Entry{{Key: 4, Value: 40}}) {
+		t.Fatalf("dirty restore admitted %v/%v", gotCur, gotPrev)
+	}
+
+	// Five entries do not fit a generation of four: refused, nothing changed.
+	if err := dst.RestoreGenerations(append(cur, prev...)[:5], nil); err == nil {
+		t.Fatal("over-budget restore accepted")
+	}
+	if again, _ := dst.DumpGenerations(); !slices.Equal(again, gotCur) || dst.Len() > 8 {
+		t.Fatalf("refused restore changed the cache: %v (len %d)", again, dst.Len())
 	}
 }
 

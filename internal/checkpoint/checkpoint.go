@@ -3,7 +3,9 @@
 // would otherwise burn: every engine session's γ calibration and staleness
 // clocks (Eqs. 4–6 take many Δ_update intervals to converge), the fleet
 // controller's round counter and pending placement queue, the live hotspot
-// index, and the anchor cache with its generation split intact.
+// index, and the anchor cache with its generation split intact. It is the
+// only format serving state reaches disk in: a simulated fleet, whose
+// substrate is not captured, checkpoints the anchor-cache section alone.
 //
 // The on-disk format is versioned, length-framed and CRC-protected; the
 // Store keeps two generations and writes each atomically (temp file + fsync
@@ -100,8 +102,12 @@ type StreamState struct {
 
 // CacheState is the anchor cache with its two-generation split preserved —
 // a flat reload would reset rotation/eviction timing and break the restored
-// twin's bit-identity with a never-restarted one.
+// twin's bit-identity with a never-restarted one. Quant is the bucket widths
+// the keys were derived with: keys address different buckets under different
+// widths, so a restore applies the section only to a cache with exactly
+// these (checkpoints older than the field decode it as zero and never match).
 type CacheState struct {
+	Quant anchorcache.Quantizer
 	Cur   []anchorcache.Entry
 	Prev  []anchorcache.Entry
 	Stats anchorcache.Stats

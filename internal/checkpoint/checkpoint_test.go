@@ -87,6 +87,7 @@ func sampleState(t *testing.T) *State {
 			Hotspots: []Hotspot{{HostID: "r0-h0", PredictedTempC: 73.5, MarginC: 3.5, UncertaintyC: 0.5}},
 		},
 		AnchorCache: &CacheState{
+			Quant: anchorcache.DefaultQuantizer(),
 			Cur:   []anchorcache.Entry{{Key: 7, Value: 55.5}, {Key: 9, Value: 61.25}},
 			Prev:  []anchorcache.Entry{{Key: 3, Value: 48}},
 			Stats: anchorcache.Stats{Hits: 120, Misses: 18, Evicted: 4, Invalidations: 1},
@@ -132,6 +133,39 @@ func TestEncodeIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("identical states encoded to different bytes")
+	}
+}
+
+// TestEncodeCacheDeterministic: the bytes a cache reaches disk as depend on
+// its contents and generation split only, never on insertion or map order —
+// two caches filled in opposite orders across a rotation encode identically,
+// with both generations populated.
+func TestEncodeCacheDeterministic(t *testing.T) {
+	encode := func(keys []anchorcache.Key) []byte {
+		t.Helper()
+		c, err := anchorcache.New(anchorcache.Config{MaxEntries: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			c.Put(k, float64(k)+0.5)
+		}
+		cur, prev := c.DumpGenerations()
+		if len(cur) == 0 || len(prev) == 0 {
+			t.Fatalf("generations %d/%d: the cache must span both", len(cur), len(prev))
+		}
+		var buf bytes.Buffer
+		st := &State{SourceName: "sim", AnchorCache: &CacheState{Quant: c.Quant(), Cur: cur, Prev: prev, Stats: c.Stats()}}
+		if _, err := Encode(&buf, 1, st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// Four keys fill the young generation; the fifth rotates it to old.
+	a := encode([]anchorcache.Key{1, 2, 3, 4, 11, 12, 13})
+	b := encode([]anchorcache.Key{4, 3, 2, 1, 13, 12, 11})
+	if !bytes.Equal(a, b) {
+		t.Fatal("the same cache contents encoded to different bytes")
 	}
 }
 
@@ -205,6 +239,38 @@ func TestStoreTwoGenerations(t *testing.T) {
 	for _, p := range gens {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("generation %s missing: %v", p, err)
+		}
+	}
+}
+
+// TestStoreLoadSweepsStaleTemps: a process killed between Save's CreateTemp
+// and Rename leaves <base>.tmp-* behind with nobody to remove it; the next
+// process's Load must, without touching the generations or anyone else's
+// files.
+func TestStoreLoadSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	base := filepath.Join(dir, "ckpt")
+	if _, err := NewStore(base).Save(sampleState(t)); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{base + ".tmp-1234567", base + ".tmp-abc"}
+	kept := []string{base + ".1", base + "2.tmp-1", filepath.Join(dir, "run.csv")}
+	for _, p := range append(stale, kept[1:]...) {
+		if err := os.WriteFile(p, []byte("half a checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, seq, err := NewStore(base).Load(); err != nil || seq != 1 {
+		t.Fatalf("Load: seq %d err %v", seq, err)
+	}
+	for _, p := range stale {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale temp %s survived Load (stat err %v)", p, err)
+		}
+	}
+	for _, p := range kept {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Load removed %s: %v", p, err)
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"vmtherm/internal/anchorcache"
 )
 
 // Regenerate the committed seed corpus with:
@@ -17,29 +19,41 @@ var writeCorpus = flag.Bool("write-corpus", false, "regenerate testdata/fuzz see
 // corpusSeeds are the byte inputs seeded both via f.Add and as committed
 // corpus files, so `go test` exercises them even without -fuzz.
 func corpusSeeds(t testing.TB) [][]byte {
-	small := &State{Round: 3, SourceName: "trace", SourceNowS: 45, Order: []string{"h0"}}
-	var valid bytes.Buffer
-	if _, err := Encode(&valid, 1, small); err != nil {
-		t.Fatal(err)
+	encode := func(seq uint64, st *State) []byte {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, seq, st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var empty bytes.Buffer
-	if _, err := Encode(&empty, 2, &State{}); err != nil {
-		t.Fatal(err)
-	}
-	forged := bytes.Clone(valid.Bytes())
+	valid := encode(1, &State{Round: 3, SourceName: "trace", SourceNowS: 45, Order: []string{"h0"}})
+	empty := encode(2, &State{})
+	// What a simulated fleet writes: the anchor-cache section and nothing else.
+	cacheOnly := encode(3, &State{SourceName: "sim", AnchorCache: &CacheState{
+		Quant: anchorcache.DefaultQuantizer(),
+		Cur:   []anchorcache.Entry{{Key: 7, Value: 55.5}},
+		Prev:  []anchorcache.Entry{{Key: 3, Value: 48}},
+	}})
+	fineQuant := encode(4, &State{Round: 3, SourceName: "trace", AnchorCache: &CacheState{
+		Quant: anchorcache.Quantizer{UtilQuant: 0.005, MemQuant: 0.01, AmbientQuantC: 0.5},
+		Cur:   []anchorcache.Entry{{Key: 9, Value: 61.25}},
+	}})
+	forged := bytes.Clone(valid)
 	for i := 20; i < 28; i++ { // payload-length field
 		forged[i] = 0xff
 	}
 	return [][]byte{
-		valid.Bytes(),
-		empty.Bytes(),
+		valid,
+		empty,
 		{},
 		[]byte("vmtckpt1"),                     // magic only
 		append([]byte("vmtckpt1"), 1, 0, 0, 0), // header, no body
-		valid.Bytes()[:valid.Len()-4],          // CRC chopped
-		valid.Bytes()[:valid.Len()/2],          // torn mid-frame
-		append(bytes.Clone(valid.Bytes()), 0xff, 0xff), // trailing garbage
+		valid[:len(valid)-4],                   // CRC chopped
+		valid[:len(valid)/2],                   // torn mid-frame
+		append(bytes.Clone(valid), 0xff, 0xff), // trailing garbage
 		forged,
+		cacheOnly,
+		fineQuant,
 	}
 }
 

@@ -54,9 +54,6 @@ func NewManager(path string, intervalS float64) *Manager {
 // Path returns the base path.
 func (m *Manager) Path() string { return m.store.Base() }
 
-// IntervalS returns the configured periodic cadence in seconds.
-func (m *Manager) IntervalS() float64 { return m.intervalS }
-
 // Save persists st as the next generation, updating the counters.
 func (m *Manager) Save(st *State) error {
 	m.mu.Lock()

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // ErrNoCheckpoint reports that neither generation file exists — a cold
@@ -28,6 +29,10 @@ type Store struct {
 	nextSeq uint64
 	slot    int // index into Generations() the next Save targets
 }
+
+// tempInfix follows the base name in the temp files Save writes through
+// (<base>.tmp-<random>); Load sweeps by the same name.
+const tempInfix = ".tmp-"
 
 // NewStore roots a store at base (the -checkpoint-file flag value).
 func NewStore(base string) *Store { return &Store{base: base} }
@@ -54,34 +59,27 @@ func readGen(path string) (*State, uint64, error) {
 // validation it returns the (ErrFormat-wrapping) decode error of the
 // highest-numbered generation — corruption is distinguishable from a cold
 // start so operators see it. Load also primes the write cursor, so the
-// next Save overwrites the stale generation, not the one just restored.
+// next Save overwrites the stale generation, not the one just restored, and
+// removes the temp files of writes a killed process never finished.
 func (s *Store) Load() (*State, uint64, error) {
+	s.sweepTemps()
 	var (
 		best     *State
 		bestSeq  uint64
 		bestSlot = -1
-		exists   bool
-		lastErr  error
+		lastErr  = ErrNoCheckpoint // until a file exists and fails to decode
 	)
 	for i, path := range s.Generations() {
 		st, seq, err := readGen(path)
-		if err != nil {
-			if !errors.Is(err, fs.ErrNotExist) {
-				exists = true
-				lastErr = fmt.Errorf("%s: %w", path, err)
-			}
-			continue
-		}
-		exists = true
-		if best == nil || seq > bestSeq {
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+		case err != nil:
+			lastErr = fmt.Errorf("%s: %w", path, err)
+		case best == nil || seq > bestSeq:
 			best, bestSeq, bestSlot = st, seq, i
 		}
 	}
 	if best == nil {
-		if !exists {
-			s.probed, s.nextSeq, s.slot = true, 1, 0
-			return nil, 0, ErrNoCheckpoint
-		}
 		s.probed, s.nextSeq, s.slot = true, 1, 0
 		return nil, 0, lastErr
 	}
@@ -89,6 +87,23 @@ func (s *Store) Load() (*State, uint64, error) {
 	s.nextSeq = bestSeq + 1
 	s.slot = 1 - bestSlot
 	return best, bestSeq, nil
+}
+
+// sweepTemps removes <base>.tmp-* siblings. A process killed between Save's
+// CreateTemp and Rename never runs its deferred Remove, and nothing else
+// would: each such kill would leak one checkpoint-sized file forever.
+// Best-effort; the generation files never match the prefix.
+func (s *Store) sweepTemps() {
+	dir, prefix := filepath.Dir(s.base), filepath.Base(s.base)+tempInfix
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), prefix) {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 // Save writes st as the next generation, returning the bytes written. The
@@ -104,7 +119,7 @@ func (s *Store) Save(st *State) (int64, error) {
 	}
 	target := s.Generations()[s.slot]
 	dir := filepath.Dir(target)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.base)+".tmp-*")
+	tmp, err := os.CreateTemp(dir, filepath.Base(s.base)+tempInfix+"*")
 	if err != nil {
 		return 0, err
 	}

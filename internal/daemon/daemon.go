@@ -1,9 +1,9 @@
 // Package daemon is the one assembly path vmtherm-fleetd and
 // vmtherm-predictd share: the fleet flags both expose (Bind), their mapping
 // onto fleet.Config, the sim/trace/scrape source switch, the
-// -anchor-cache-file warm/save, the -checkpoint-file restore and shutdown
-// write, and the model loader. The daemons differ only in the defaults they
-// hand Bind, in what they declare on top, and in their round loops.
+// -checkpoint-file restore and shutdown write, and the model loader. The
+// daemons differ only in the defaults they hand Bind, in what they declare
+// on top, and in their round loops.
 package daemon
 
 import (
@@ -43,7 +43,6 @@ type Flags struct {
 	AmbientC                  float64
 	AnchorCache               bool
 	AnchorQuant               float64
-	AnchorCacheFile           string
 	PhysWorkers               int
 	Streaming                 bool
 	CheckpointFile            string
@@ -74,10 +73,9 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
 	fs.BoolVar(&f.AnchorCache, "anchor-cache", true, "memoize ψ_stable anchors per quantized (util, mem, ambient) bucket")
 	fs.Float64Var(&f.AnchorQuant, "anchor-quant", 0, "anchor cache utilization bucket width (0 = default 0.01; mem buckets are 2×; bounded by ReanchorEpsC so cache error cannot trigger re-anchors)")
-	fs.StringVar(&f.AnchorCacheFile, "anchor-cache-file", "", "persist the anchor cache here on exit and warm from it on start (pair the file with the model that produced it)")
 	fs.IntVar(&f.PhysWorkers, "phys-workers", 0, "worker pool sharding the simulated physics tick per rack (0 = min(GOMAXPROCS, 8), 1 = serial; results are bit-identical either way)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
-	fs.StringVar(&f.CheckpointFile, "checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (trace/scrape sources)")
+	fs.StringVar(&f.CheckpointFile, "checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (a simulated fleet carries its anchor cache only; pair the files with the model that produced them)")
 	fs.Float64Var(&f.CheckpointEveryS, "checkpoint-every", 30, "seconds between periodic checkpoints (0 = final shutdown checkpoint only; requires -checkpoint-file)")
 	return f
 }
@@ -118,9 +116,9 @@ func LoadModel(path string) (*core.StablePredictor, error) {
 	return model, nil
 }
 
-// ErrCheckpointNeedsSource refuses -checkpoint-file where nothing it could
-// restore exists: without a fleet loop, or over a simulated substrate.
-var ErrCheckpointNeedsSource = errors.New("-checkpoint-file requires -source trace or scrape (a simulated substrate is not captured)")
+// ErrCheckpointNeedsSource refuses -checkpoint-file where there is no
+// controller to restore into: predictd serving a model without a fleet loop.
+var ErrCheckpointNeedsSource = errors.New("-checkpoint-file requires a fleet loop (-source sim, trace or scrape)")
 
 // Controller is an assembled control plane: the fleet controller over the
 // selected telemetry source, plus what both daemons' round loops need
@@ -137,14 +135,11 @@ type Controller struct {
 	// to real time: the controller's resolved Δ_update — never the raw
 	// -update flag, which may be 0 — divided by the replay speed for traces.
 	PaceS float64
-
-	anchorFile string
 }
 
 // NewController builds the controller the flags describe over cfg (normally
-// f.Config(), adjusted): it selects the source, warms the anchor cache from
-// -anchor-cache-file, then restores -checkpoint-file over it, so the
-// checkpoint's (newer) cache wins.
+// f.Config(), adjusted): it selects the source, then restores
+// -checkpoint-file into it.
 func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor) (*Controller, error) {
 	c := new(Controller)
 	var desc string
@@ -191,16 +186,6 @@ func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor
 	log.Printf("fleet: %s, Δ_update %.0fs, Δ_gap %.0fs, threshold %.1f°C",
 		desc, resolved.UpdateEveryS, resolved.GapS, resolved.ThresholdC)
 
-	switch {
-	case f.AnchorCacheFile == "":
-	case !f.AnchorCache:
-		log.Printf("-anchor-cache-file ignored: anchor cache disabled (-anchor-cache=false)")
-	default:
-		c.anchorFile = f.AnchorCacheFile
-		if err := c.warmAnchors(); err != nil {
-			return nil, err
-		}
-	}
 	if f.CheckpointFile != "" {
 		if err := c.restore(f); err != nil {
 			return nil, err
@@ -219,37 +204,13 @@ func readTrace(path string) ([]telemetry.Reading, error) {
 	return dataset.ReadTrace(f)
 }
 
-// warmAnchors loads the ψ_stable anchor cache a previous run saved, so a
-// restarted fleet skips the cold mass-re-anchor rounds entirely. A missing
-// file is fine (first run); Close writes it.
-func (c *Controller) warmAnchors() error {
-	path := c.anchorFile
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		log.Printf("anchor cache file %s absent; will be written on exit", path)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := c.LoadAnchorCache(f)
-	if err != nil {
-		return fmt.Errorf("loading anchor cache: %w", err)
-	}
-	log.Printf("warmed anchor cache with %d entries from %s", n, path)
-	return nil
-}
-
-// restore roots the checkpoint manager and restores the full serving state
-// (engine sessions with their γ calibration, round counter, pending
-// placements, hotspot index, anchor cache) from the newest valid
-// generation, so a restarted control plane continues exactly where the
-// previous process stopped.
+// restore roots the checkpoint manager and restores the serving state from
+// the newest valid generation: over trace/scrape all of it (engine sessions
+// with their γ calibration, round counter, pending placements, hotspot
+// index, anchor cache), so a restarted control plane continues exactly where
+// the previous process stopped; over a simulated fleet the anchor cache,
+// which is all a checkpoint carries there.
 func (c *Controller) restore(f *Flags) error {
-	if f.Source == "sim" {
-		return ErrCheckpointNeedsSource
-	}
 	c.Ckpt = checkpoint.NewManager(f.CheckpointFile, f.CheckpointEveryS)
 	st, err := c.Ckpt.Restore()
 	switch {
@@ -264,49 +225,32 @@ func (c *Controller) restore(f *Flags) error {
 		if err := c.Restore(st); err != nil {
 			return fmt.Errorf("restoring checkpoint: %w", err)
 		}
-		log.Printf("restored %d sessions at round %d from checkpoint %s",
-			c.RestoredSessions(), st.Round, f.CheckpointFile)
+		if st.SourceName == "sim" {
+			log.Printf("restored %d anchors from checkpoint %s (simulated fleet: sessions recalibrate)",
+				c.AnchorCacheLen(), f.CheckpointFile)
+		} else {
+			log.Printf("restored %d sessions at round %d from checkpoint %s",
+				c.RestoredSessions(), st.Round, f.CheckpointFile)
+		}
 	}
 	return nil
 }
 
 // Close is the shutdown half of the assembly. Call it once the round loop
 // has exited and HTTP has drained: the final checkpoint then captures
-// everything the next process needs to continue warm, and the anchor cache
-// is persisted after it. Both writes are attempted; failures are joined.
+// everything the next process needs to continue warm.
 func (c *Controller) Close() error {
 	st, err := c.Ckpt.SaveIfDue(c.Checkpoint, true)
 	if err != nil {
-		err = fmt.Errorf("final checkpoint: %w", err)
-	} else if st != nil {
+		return fmt.Errorf("final checkpoint: %w", err)
+	}
+	switch {
+	case st == nil:
+	case st.SourceName == "sim":
+		log.Printf("final checkpoint written to %s (simulated fleet: %d anchors)", c.Ckpt.Path(), c.AnchorCacheLen())
+	default:
 		log.Printf("final checkpoint written to %s (round %d, %d sessions)",
 			c.Ckpt.Path(), st.Round, len(st.Engine.Sessions))
 	}
-	if c.anchorFile == "" {
-		return err
-	}
-	if serr := c.saveAnchors(); serr != nil {
-		return errors.Join(err, fmt.Errorf("saving anchor cache: %w", serr))
-	}
-	log.Printf("saved anchor cache to %s (warm-start with -anchor-cache-file %s)", c.anchorFile, c.anchorFile)
-	return err
-}
-
-// saveAnchors persists the anchor cache for the next run, writing to a temp
-// file first so an interrupted save never truncates a good cache.
-func (c *Controller) saveAnchors() error {
-	tmp := c.anchorFile + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = c.SaveAnchorCache(f)
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, c.anchorFile)
+	return nil
 }

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"errors"
 	"flag"
 	"io"
 	"path/filepath"
@@ -57,15 +56,13 @@ func TestPaceComesFromResolvedConfig(t *testing.T) {
 }
 
 // TestRestartResumesWarm drives the whole assembly path twice over the same
-// files: the first process's Close leaves a final checkpoint and an anchor
-// cache file, and a second assembly with the same flags restores both — it
-// continues at the next round with every session live and nothing to
-// re-predict.
+// files: the first process's Close leaves a final checkpoint, and a second
+// assembly with the same flags restores it — it continues at the next round
+// with every session live and nothing to re-predict.
 func TestRestartResumesWarm(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-source", "trace", "-trace", traceFile, "-loop",
-		"-checkpoint-file", filepath.Join(dir, "ckpt"), "-checkpoint-every", "0",
-		"-anchor-cache-file", filepath.Join(dir, "anchors.bin")}
+		"-checkpoint-file", filepath.Join(dir, "ckpt"), "-checkpoint-every", "0"}
 
 	first, err := assemble(t, args...)
 	if err != nil {
@@ -98,27 +95,58 @@ func TestRestartResumesWarm(t *testing.T) {
 		t.Errorf("continued at round %d with %d sessions, want round %d with %d",
 			rep.Round, rep.SessionsLive, last.Round+1, last.SessionsLive)
 	}
+	if rep.AnchorHits == 0 || rep.AnchorMisses != 0 {
+		t.Errorf("first restored round: %d hits %d misses, want hits only", rep.AnchorHits, rep.AnchorMisses)
+	}
 	if st := second.Ckpt.Status(); st.Restores != 1 {
 		t.Errorf("checkpoint status = %+v, want one restore", st)
 	}
-
-	// The anchor file alone (no checkpoint) warms a cold controller's cache.
-	third, err := assemble(t, "-source", "trace", "-trace", traceFile,
-		"-anchor-cache-file", filepath.Join(dir, "anchors.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep, err = third.RunRound(); err != nil || rep.AnchorHits == 0 || rep.AnchorMisses != 0 {
-		t.Errorf("first round over the warmed cache: %d hits %d misses (err %v), want hits only",
-			rep.AnchorHits, rep.AnchorMisses, err)
-	}
 }
 
-// TestCheckpointRefusedOverSimulatedFleet: a simulated substrate is not
-// captured, so -checkpoint-file with -source sim must fail at assembly.
-func TestCheckpointRefusedOverSimulatedFleet(t *testing.T) {
-	_, err := assemble(t, "-checkpoint-file", filepath.Join(t.TempDir(), "ckpt"))
-	if !errors.Is(err, ErrCheckpointNeedsSource) {
-		t.Fatalf("err = %v, want ErrCheckpointNeedsSource", err)
+// TestSimRestartWarmsAnchorCache is the -source sim restart through the real
+// flags: a simulated substrate is not captured, so the checkpoint carries the
+// anchor cache alone — and the same seed replays the same deployments, so a
+// restarted run re-predicts nothing where the cold run missed.
+func TestSimRestartWarmsAnchorCache(t *testing.T) {
+	args := []string{"-checkpoint-file", filepath.Join(t.TempDir(), "ckpt"), "-checkpoint-every", "0"}
+	run := func() (misses, hits int, ctl *Controller) {
+		t.Helper()
+		ctl, err := assemble(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, host := range []string{"r0-h0", "r0-h3", "r1-h1"} {
+			if err := ctl.PlaceAt(host, fleet.HeavyVMSpec(host+"-vm", i+1, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reports, err := ctl.Run(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range reports {
+			misses += r.AnchorMisses
+			hits += r.AnchorHits
+		}
+		return misses, hits, ctl
+	}
+
+	misses, _, first := run()
+	if misses == 0 {
+		t.Fatal("cold simulated run had no anchor misses; the restart would prove nothing")
+	}
+	if first.Ckpt.Status().Restores != 0 {
+		t.Fatalf("cold start counted a restore: %+v", first.Ckpt.Status())
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	misses, hits, second := run()
+	if misses != 0 || hits == 0 {
+		t.Errorf("restarted simulated run: %d hits %d misses, want hits only", hits, misses)
+	}
+	if st := second.Ckpt.Status(); st.Restores != 1 {
+		t.Errorf("checkpoint status = %+v, want one restore", st)
 	}
 }

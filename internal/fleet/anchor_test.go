@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"vmtherm/internal/checkpoint"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/telemetry"
@@ -417,33 +418,29 @@ func TestAnchorQuantValidation(t *testing.T) {
 }
 
 // TestAnchorCachePersistenceWarmsRestart closes the restart loop: a fleet
-// saves its anchor cache, a fresh controller for the same population loads
-// it, and the restarted fleet's first round is already all cache hits —
-// zero batch-predictor fan-out instead of a cold mass re-anchor.
+// checkpoints, a fresh controller of the same configuration restores, and
+// the restarted fleet's first round is already all cache hits — zero
+// batch-predictor fan-out instead of a cold mass re-anchor.
 func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 	ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(16), gridAxis(4))
 	if _, _, misses, err := ctl.anchors(); err != nil || misses == 0 {
 		t.Fatalf("cold run: misses=%d err=%v", misses, err)
 	}
-	var buf bytes.Buffer
-	if err := ctl.SaveAnchorCache(&buf); err != nil {
+	st, err := ctl.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	restarted := gridController(t, DefaultConfig(), syntheticStable, gridAxis(16), gridAxis(4))
-	n, err := restarted.LoadAnchorCache(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := restarted.Restore(st); err != nil {
 		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no anchors restored")
 	}
 	anchors, hits, misses, err := restarted.anchors()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if misses != 0 {
-		t.Fatalf("restarted fleet's first round had %d misses, want 0 (hits %d)", misses, hits)
+	if misses != 0 || hits == 0 {
+		t.Fatalf("restarted fleet's first round had %d hits %d misses, want hits only", hits, misses)
 	}
 	// Restored anchors must equal the original fleet's, not just hit.
 	orig, _, _, err := ctl.anchors()
@@ -456,23 +453,35 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 		}
 	}
 
-	// A restart configured with different bucket widths must refuse the file.
+	// A restart configured with different bucket widths must not serve the
+	// saved keys: they address other buckets there.
 	mismatch := DefaultConfig()
 	mismatch.AnchorQuantUtil = 0.005
-	other := gridController(t, mismatch, syntheticStable, gridAxis(4), gridAxis(2))
-	if _, err := other.LoadAnchorCache(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("quantizer-mismatched cache file accepted")
+	other := gridController(t, mismatch, syntheticStable, gridAxis(16), gridAxis(4))
+	if err := other.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if n := other.AnchorCacheLen(); n != 0 {
+		t.Fatalf("quantizer-mismatched restore kept %d saved anchors", n)
+	}
+	if _, hits, _, err := other.anchors(); err != nil || hits != 0 {
+		t.Fatalf("quantizer-mismatched restore served %d saved anchors (err %v)", hits, err)
 	}
 
-	// With the cache disabled the hooks must fail loudly.
+	// With the cache disabled the checkpoint carries no cache section and
+	// still round-trips; a cache section offered to such a controller is
+	// ignored.
 	disabled := DefaultConfig()
 	disabled.AnchorCacheDisabled = true
 	off := gridController(t, disabled, syntheticStable, gridAxis(4), gridAxis(2))
-	if err := off.SaveAnchorCache(&bytes.Buffer{}); err != ErrNoAnchorCache {
-		t.Fatalf("SaveAnchorCache on disabled cache: %v", err)
+	offSt, err := off.Checkpoint()
+	if err != nil || offSt.AnchorCache != nil {
+		t.Fatalf("cache-disabled checkpoint: section %v, err %v", offSt.AnchorCache, err)
 	}
-	if _, err := off.LoadAnchorCache(bytes.NewReader(buf.Bytes())); err != ErrNoAnchorCache {
-		t.Fatalf("LoadAnchorCache on disabled cache: %v", err)
+	for _, state := range []*checkpoint.State{offSt, st} {
+		if err := gridController(t, disabled, syntheticStable, nil, nil).Restore(state); err != nil {
+			t.Fatalf("cache-disabled restore: %v", err)
+		}
 	}
 }
 

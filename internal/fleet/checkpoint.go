@@ -9,6 +9,11 @@ package fleet
 // constructed controller of the same configuration. A restored controller
 // continues bit-identically to a never-restarted twin: same RoundReports,
 // same recorded trace bytes (proved by TestCheckpointRestoreTwin).
+//
+// A simulated fleet's substrate (physics, placements, clocks) is not
+// captured, so neither are the sessions calibrated against it: over a
+// simulated fleet both halves carry the anchor cache only — what a restart
+// there can actually reuse — and everything else recalibrates.
 
 import (
 	"fmt"
@@ -21,8 +26,9 @@ import (
 )
 
 // Checkpoint captures the controller's full serving state at a round
-// boundary. Safe to call concurrently with Submit/Ingest (it takes the round
-// lock); call it between rounds, not from inside one.
+// boundary (the anchor cache only, over a simulated fleet). Safe to call
+// concurrently with Submit/Ingest (it takes the round lock); call it between
+// rounds, not from inside one.
 //
 // Readings sitting in the bounded ingest pipeline but not yet drained by a
 // round are NOT captured: a checkpoint is a round-boundary cut, and an
@@ -31,22 +37,32 @@ import (
 func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sim != nil {
-		return nil, fmt.Errorf("fleet: checkpointing a simulated fleet is not supported (the substrate is not captured); run source-driven")
-	}
-
 	st := &checkpoint.State{
 		SavedUnixNano: time.Now().UnixNano(),
-		Round:         c.round,
 		SourceName:    c.src.Name(),
-		SourceNowS:    c.src.NowS(),
-		Engine:        c.eng.Snapshot(),
-		Order:         slices.Clone(c.order),
-		OrderDirty:    c.orderDirty,
-		RecentErrors:  slices.Clone(c.recentErrs),
-		LastRejected:  c.lastRejected,
-		LastFanout:    c.lastFanout.Load(),
 	}
+	if c.cache != nil {
+		cur, prev := c.cache.DumpGenerations()
+		st.AnchorCache = &checkpoint.CacheState{
+			Quant: c.cache.Quant(),
+			Cur:   cur,
+			Prev:  prev,
+			Stats: c.cache.Stats(),
+			Epoch: c.cache.Epoch(),
+		}
+	}
+	if c.sim != nil {
+		return st, nil
+	}
+
+	st.Round = c.round
+	st.SourceNowS = c.src.NowS()
+	st.Engine = c.eng.Snapshot()
+	st.Order = slices.Clone(c.order)
+	st.OrderDirty = c.orderDirty
+	st.RecentErrors = slices.Clone(c.recentErrs)
+	st.LastRejected = c.lastRejected
+	st.LastFanout = c.lastFanout.Load()
 
 	st.Latest = make([]telemetry.Reading, 0, len(c.latest))
 	for _, r := range c.latest {
@@ -84,16 +100,6 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 		st.Stream = ss
 	}
 
-	if c.cache != nil {
-		cur, prev := c.cache.DumpGenerations()
-		st.AnchorCache = &checkpoint.CacheState{
-			Cur:   cur,
-			Prev:  prev,
-			Stats: c.cache.Stats(),
-			Epoch: c.cache.Epoch(),
-		}
-	}
-
 	return st, nil
 }
 
@@ -102,19 +108,20 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 // the checkpoint was taken under. The telemetry source's clock is
 // fast-forwarded to the checkpoint's clock with readings discarded — the
 // restored process resumes at the cut, and replayed arrivals before it would
-// double-observe. On error the controller must be discarded (state may be
-// partially applied).
+// double-observe. A simulated controller restores the anchor cache of a
+// checkpoint taken over a simulated fleet and nothing else. On error the
+// controller must be discarded (state may be partially applied).
 func (c *Controller) Restore(st *checkpoint.State) error {
 	if st == nil {
 		return fmt.Errorf("fleet: restore: nil checkpoint state")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sim != nil {
-		return fmt.Errorf("fleet: restore into a simulated fleet is not supported")
-	}
 	if got := c.src.Name(); got != st.SourceName {
 		return fmt.Errorf("fleet: restore: checkpoint was taken under source %q, controller runs %q", st.SourceName, got)
+	}
+	if c.sim != nil {
+		return c.restoreAnchorCache(st.AnchorCache)
 	}
 	if st.Round < 0 {
 		return fmt.Errorf("fleet: restore: negative round %d", st.Round)
@@ -186,11 +193,8 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 		c.stream.idx.mu.Unlock()
 	}
 
-	if cs := st.AnchorCache; cs != nil && c.cache != nil {
-		if err := c.cache.RestoreGenerations(cs.Cur, cs.Prev); err != nil {
-			return fmt.Errorf("fleet: restore: anchor cache: %w", err)
-		}
-		c.cache.RestoreStats(cs.Stats, cs.Epoch)
+	if err := c.restoreAnchorCache(st.AnchorCache); err != nil {
+		return err
 	}
 
 	// Fast-forward the fresh source's clock to the checkpoint's, discarding
@@ -204,6 +208,27 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 		}
 	}
 
+	return nil
+}
+
+// restoreAnchorCache applies a checkpoint's cache section (caller holds mu;
+// a nil section or a disabled cache is a no-op). Keys address different
+// buckets under different bucket widths, so a section recorded under another
+// quantizer — or under none: a checkpoint older than the field — is skipped
+// rather than served: the skip is noted in the recent-error ring and the
+// next round re-predicts.
+func (c *Controller) restoreAnchorCache(cs *checkpoint.CacheState) error {
+	if cs == nil || c.cache == nil {
+		return nil
+	}
+	if have := c.cache.Quant(); cs.Quant != have {
+		c.noteError(fmt.Sprintf("restore: anchor cache skipped: checkpoint bucket widths %+v, configured %+v", cs.Quant, have))
+		return nil
+	}
+	if err := c.cache.RestoreGenerations(cs.Cur, cs.Prev); err != nil {
+		return fmt.Errorf("fleet: restore: anchor cache: %w", err)
+	}
+	c.cache.RestoreStats(cs.Stats, cs.Epoch)
 	return nil
 }
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/checkpoint"
@@ -331,6 +334,159 @@ func TestCheckpointRestoreStreamingState(t *testing.T) {
 	}
 }
 
+// newSimTwin builds a small simulated fleet with load spread over a few
+// machines, so rounds anchor several distinct deployments.
+func newSimTwin(t *testing.T) *Controller {
+	t.Helper()
+	cfg := traceConfig()
+	cfg.Racks, cfg.HostsPerRack = 2, 4
+	ctl, err := New(cfg, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, host := range []string{"r0-h0", "r0-h2", "r1-h1", "r1-h3"} {
+		if err := ctl.PlaceAt(host, HeavyVMSpec("vm-"+host, i+1, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ctl
+}
+
+// TestCheckpointSimCarriesAnchorCache: a simulated substrate is not
+// captured, so over one Checkpoint/Restore carry the anchor cache and
+// nothing else — which is enough for a restarted run of the same seed to
+// re-predict nothing and serve the original's anchors. Sim and trace states
+// do not restore into each other.
+func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
+	const rounds = 6
+	ctl := newSimTwin(t)
+	reports, err := ctl.Run(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := 0
+	for _, r := range reports {
+		cold += r.AnchorMisses
+	}
+	if cold == 0 {
+		t.Fatal("cold simulated run had no anchor misses; the restore would prove nothing")
+	}
+	st, err := ctl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SourceName != "sim" || st.AnchorCache == nil || st.Round != 0 || len(st.Engine.Sessions) != 0 {
+		t.Fatalf("sim checkpoint = source %q, cache %v, round %d, %d sessions; want the cache section only",
+			st.SourceName, st.AnchorCache, st.Round, len(st.Engine.Sessions))
+	}
+
+	restarted := newSimTwin(t)
+	if err := restarted.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	reports, err = restarted.Run(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		if r.AnchorMisses != 0 {
+			t.Fatalf("restarted round %d had %d anchor misses, want 0", r.Round, r.AnchorMisses)
+		}
+	}
+	// Same seed, same rounds: both fleets now sit on the same deployments,
+	// and the restarted one must serve the original's anchors for them.
+	want, _, _, err := ctl.anchors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, hits, misses, err := restarted.anchors()
+	if err != nil || misses != 0 || hits == 0 {
+		t.Fatalf("restarted anchors: %d hits %d misses (err %v), want hits only", hits, misses, err)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("restarted anchors %v != original %v", got, want)
+	}
+
+	traceCtl, _ := newTwinController(t, loadTwinTrace(t))
+	if err := traceCtl.Restore(st); err == nil {
+		t.Fatal("a trace controller accepted a simulated fleet's checkpoint")
+	}
+	traceSt, err := traceCtl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newSimTwin(t).Restore(traceSt); err == nil {
+		t.Fatal("a simulated fleet accepted a trace checkpoint")
+	}
+}
+
+// TestCheckpointRestoreQuantizerMismatch: anchor keys address different
+// buckets under different bucket widths — bucket 25 is util 0.25 at width
+// 0.01 and util 0.125 at 0.005 — so a restart with a changed -anchor-quant
+// must drop the cache section (and say so) while everything else restores.
+func TestCheckpointRestoreQuantizerMismatch(t *testing.T) {
+	readings := loadTwinTrace(t)
+	ctl, _ := newTwinController(t, readings)
+	if _, err := ctl.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ctl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.AnchorCache.Cur) + len(st.AnchorCache.Prev); n == 0 || st.AnchorCache.Quant.UtilQuant != 0.01 {
+		t.Fatalf("checkpoint cache section: %d anchors at %+v", n, st.AnchorCache.Quant)
+	}
+
+	// restoreFiner restores state into a fresh controller with half-width
+	// utilization buckets and runs its first round.
+	restoreFiner := func(state *checkpoint.State) (*Controller, RoundReport) {
+		t.Helper()
+		src, err := telemetry.NewTraceSource(readings, telemetry.TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := traceConfig()
+		cfg.AnchorQuantUtil = 0.005
+		finer, err := NewWithSource(cfg, src, syntheticStable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := finer.Restore(state); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := finer.RestoredSessions(), ctl.RestoredSessions(); got != want || want == 0 {
+			t.Fatalf("restored %d sessions, want %d: the cache skip must not cost the sessions", got, want)
+		}
+		rep, err := finer.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return finer, rep
+	}
+
+	finer, rep := restoreFiner(st)
+	if rep.Round != st.Round+1 || rep.AnchorMisses == 0 || rep.AnchorHits != 0 {
+		t.Fatalf("first restored round %d: %d hits %d misses, want round %d re-predicting every anchor",
+			rep.Round, rep.AnchorHits, rep.AnchorMisses, st.Round+1)
+	}
+	if n := len(rep.RecentErrors); n == 0 || !strings.Contains(rep.RecentErrors[n-1], "anchor cache skipped") {
+		t.Fatalf("RecentErrors = %q, want the skipped cache section noted", rep.RecentErrors)
+	}
+	// The saved entries must have no influence at all: the cache after the
+	// first round equals that of a twin restored from the same state with
+	// the cache section cut out.
+	bare := *st
+	bare.AnchorCache = nil
+	control, _ := restoreFiner(&bare)
+	gotCur, gotPrev := finer.cache.DumpGenerations()
+	wantCur, wantPrev := control.cache.DumpGenerations()
+	if !slices.Equal(gotCur, wantCur) || !slices.Equal(gotPrev, wantPrev) {
+		t.Fatalf("anchors after a mismatched restore %v/%v differ from a cache-less restore %v/%v",
+			gotCur, gotPrev, wantCur, wantPrev)
+	}
+}
+
 // TestCheckpointGuards: the checkpoint/restore pair must refuse states it
 // cannot faithfully rebuild.
 func TestCheckpointGuards(t *testing.T) {
@@ -342,20 +498,6 @@ func TestCheckpointGuards(t *testing.T) {
 	st, err := ctl.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Simulated fleets are not checkpointable (the substrate isn't captured).
-	cfg := traceConfig()
-	cfg.Racks, cfg.HostsPerRack = 1, 2
-	simCtl, err := New(cfg, syntheticStable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := simCtl.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint on a simulated fleet did not error")
-	}
-	if err := simCtl.Restore(st); err == nil {
-		t.Fatal("Restore into a simulated fleet did not error")
 	}
 
 	// Source-kind mismatch must be rejected.

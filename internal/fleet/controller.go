@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -286,6 +285,18 @@ func (c *Controller) AnchorCacheStats() (st anchorcache.Stats, lastFanout int, e
 	return c.cache.Stats(), int(c.lastFanout.Load()), true
 }
 
+// AnchorCacheLen reports how many anchors the cache holds (0 when disabled)
+// — the daemons log it beside a checkpoint restore or write, since over a
+// simulated fleet the cache is all a checkpoint carries.
+func (c *Controller) AnchorCacheLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cache == nil {
+		return 0
+	}
+	return c.cache.Len()
+}
+
 // InvalidateAnchorCache drops every memoized anchor and bumps the cache
 // epoch. Call it whenever the prediction model or the feature configuration
 // changes underneath the cached values (e.g. a model hot-swap): the next
@@ -296,36 +307,6 @@ func (c *Controller) InvalidateAnchorCache() {
 	if c.cache != nil {
 		c.cache.Invalidate()
 	}
-}
-
-// ErrNoAnchorCache is returned by the cache persistence hooks when the
-// anchor cache is disabled.
-var ErrNoAnchorCache = errors.New("fleet: anchor cache disabled")
-
-// SaveAnchorCache serializes the anchor cache (fleetd -anchor-cache-file):
-// a restarted controller facing the same population warms instantly from
-// the file instead of re-predicting every anchor. Safe to call between or
-// concurrently with rounds. The file is only valid for the model that
-// produced the cached anchors — pair it with the model artifact.
-func (c *Controller) SaveAnchorCache(w io.Writer) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cache == nil {
-		return ErrNoAnchorCache
-	}
-	return c.cache.Save(w)
-}
-
-// LoadAnchorCache restores a cache serialized by SaveAnchorCache, returning
-// the number of anchors restored. The saved quantizer must match the
-// controller's configuration exactly.
-func (c *Controller) LoadAnchorCache(r io.Reader) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cache == nil {
-		return 0, ErrNoAnchorCache
-	}
-	return c.cache.Load(r)
 }
 
 // PlaceAt force-places a VM on a named host, bypassing the thermal policy —

@@ -1,3 +1,13 @@
+// Package telemetry is the data path into the predictor: the unified
+// Reading every producer emits, the Source interface the fleet controller
+// advances once per control round, and the two external sources behind
+// `-source trace|scrape` — deterministic replay of a recorded trace
+// (TraceSource, with the Recorder that captures one) and live scraping of a
+// Prometheus text exposition (ScrapeSource and its parser) — plus the
+// temperature plausibility gate (ClassifyTemp) ingest applies to readings
+// from outside the process. The simulated fleet implements Source inside
+// internal/fleet. The paper's pipeline "received data collected online and
+// output prediction values"; Source is where that data arrives.
 package telemetry
 
 import (
