@@ -16,7 +16,9 @@ package vmtherm_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 
@@ -974,4 +976,104 @@ func BenchmarkIngestPush(b *testing.B) {
 			}
 		})
 	}
+}
+
+// The HTTP rung of the layer ladder: what the two float-heavy routes pay to
+// turn bytes into values and back, below net/http and above the model. Each
+// benchmark runs the request message of one scheduling round (128 rows × 16
+// features) or one agent push (64 readings, predict) through the typed codec
+// ("typed") and through encoding/json ("json"), which the typed codec must
+// match byte for byte and value for value.
+
+// wireBenchMessages builds the two request messages with full-precision
+// values, the worst case for both codecs.
+func wireBenchMessages() (*predictserver.StableBatchRequest, *predictserver.FleetIngestRequest) {
+	g := rand.New(rand.NewSource(benchSeed))
+	stable := &predictserver.StableBatchRequest{Rows: make([][]float64, 128)}
+	for i := range stable.Rows {
+		stable.Rows[i] = make([]float64, 16)
+		for j := range stable.Rows[i] {
+			stable.Rows[i][j] = g.Float64() * 100
+		}
+	}
+	ingest := &predictserver.FleetIngestRequest{Readings: make([]predictserver.FleetReading, 64), Predict: true}
+	for i := range ingest.Readings {
+		ingest.Readings[i] = predictserver.FleetReading{
+			HostID: fmt.Sprintf("r%02d-h%03d", i/8, i), AtS: 15 * g.Float64(),
+			TempC: 40 + 40*g.Float64(), Util: g.Float64(), MemFrac: g.Float64(),
+		}
+	}
+	return stable, ingest
+}
+
+// benchWireParse times DecodeWire of msg's own encoding into fresh (reused
+// across iterations, as the server's pooled message is) against
+// json.Unmarshal into the same value.
+func benchWireParse(b *testing.B, msg, fresh predictserver.WireMessage) {
+	body, err := predictserver.EncodeWire(nil, msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("typed", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !fresh.ParseJSON(body) {
+				b.Fatal("typed parser stepped aside on its own encoding")
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := json.Unmarshal(body, fresh); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchWireAppend times AppendJSON into a reused buffer against json.Marshal.
+func benchWireAppend(b *testing.B, msg predictserver.WireMessage) {
+	buf, ok := msg.AppendJSON(nil)
+	if !ok {
+		b.Fatal("typed encoder stepped aside on a plain message")
+	}
+	b.Run("typed", func(b *testing.B) {
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, _ = msg.AppendJSON(buf[:0])
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(buf)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := json.Marshal(msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkWireStableBatchParse(b *testing.B) {
+	stable, _ := wireBenchMessages()
+	benchWireParse(b, stable, new(predictserver.StableBatchRequest))
+}
+
+func BenchmarkWireStableBatchAppend(b *testing.B) {
+	stable, _ := wireBenchMessages()
+	benchWireAppend(b, stable)
+}
+
+func BenchmarkWireIngestParse(b *testing.B) {
+	_, ingest := wireBenchMessages()
+	benchWireParse(b, ingest, new(predictserver.FleetIngestRequest))
+}
+
+func BenchmarkWireIngestAppend(b *testing.B) {
+	_, ingest := wireBenchMessages()
+	benchWireAppend(b, ingest)
 }

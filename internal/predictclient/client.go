@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"vmtherm/internal/fleet"
@@ -90,9 +91,9 @@ func (c *Client) PredictStable(ctx context.Context, features []float64) (float64
 // round instead of one HTTP round-trip per candidate host. Predictions come
 // back in row order.
 func (c *Client) PredictStableBatch(ctx context.Context, rows [][]float64) ([]float64, error) {
-	var out predictserver.StableBatchResponse
-	err := c.postJSON(ctx, "/v1/stable/batch",
-		predictserver.StableBatchRequest{Rows: rows}, &out)
+	out := predictserver.StableBatchResponse{StableTempsC: make([]float64, 0, len(rows))}
+	err := c.postWire(ctx, "/v1/stable/batch",
+		&predictserver.StableBatchRequest{Rows: rows}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -187,10 +188,7 @@ func (c *Client) FleetPlace(ctx context.Context, req predictserver.FleetPlaceReq
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
+	defer drainClose(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		var body struct {
 			Error      string `json:"error"`
@@ -236,13 +234,7 @@ func (c *Client) FleetPlaceBatch(ctx context.Context, vms []predictserver.FleetP
 // sampling interval. The response reports how many readings the buffer
 // accepted versus dropped (back-pressure, not an error).
 func (c *Client) FleetIngest(ctx context.Context, readings []predictserver.FleetReading) (*predictserver.FleetIngestResponse, error) {
-	var out predictserver.FleetIngestResponse
-	err := c.postJSON(ctx, "/v1/fleet/ingest",
-		predictserver.FleetIngestRequest{Readings: readings}, &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.fleetIngest(ctx, &predictserver.FleetIngestRequest{Readings: readings})
 }
 
 // FleetIngestPredict is the synchronous-predictive ingest call: the same
@@ -251,13 +243,18 @@ func (c *Client) FleetIngest(ctx context.Context, readings []predictserver.Fleet
 // round-trip. Requires a streaming-ingest server (predict against a
 // round-based server answers 409).
 func (c *Client) FleetIngestPredict(ctx context.Context, readings []predictserver.FleetReading) (*predictserver.FleetIngestResponse, error) {
-	var out predictserver.FleetIngestResponse
-	err := c.postJSON(ctx, "/v1/fleet/ingest",
-		predictserver.FleetIngestRequest{Readings: readings, Predict: true}, &out)
-	if err != nil {
+	return c.fleetIngest(ctx, &predictserver.FleetIngestRequest{Readings: readings, Predict: true})
+}
+
+func (c *Client) fleetIngest(ctx context.Context, req *predictserver.FleetIngestRequest) (*predictserver.FleetIngestResponse, error) {
+	out := new(predictserver.FleetIngestResponse)
+	if req.Predict {
+		out.Predictions = make([]predictserver.FleetIngestPrediction, 0, len(req.Readings))
+	}
+	if err := c.postWire(ctx, "/v1/fleet/ingest", req, out); err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Metrics fetches and parses the service's Prometheus exposition endpoint —
@@ -272,10 +269,7 @@ func (c *Client) Metrics(ctx context.Context) ([]telemetry.MetricPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, &APIError{StatusCode: resp.StatusCode, Message: resp.Status}
 	}
@@ -345,32 +339,94 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
+	req, err := c.newPost(ctx, path, raw)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	return c.do(req, out)
 }
 
-func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.http.Do(req)
+// postWire is postJSON for the two routes whose messages have typed codecs
+// (predictserver.WireMessage): the same request and response bytes, without
+// reflection. One pooled buffer serves both directions. The request is
+// encoded there and sent as an exact-size copy — a transport may still be
+// writing the body after Do returns, so the pooled bytes cannot be it — and
+// the response is read back into it; nothing decoded references the buffer.
+func (c *Client) postWire(ctx context.Context, path string, body, out predictserver.WireMessage) error {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBufBytes { // one huge exchange must not pin its buffer
+			bufPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	enc, err := predictserver.EncodeWire(buf.AvailableBuffer(), body)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		var apiErr struct {
-			Error string `json:"error"`
-		}
-		msg := resp.Status
-		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Error != "" {
-			msg = apiErr.Error
-		}
-		return &APIError{StatusCode: resp.StatusCode, Message: msg}
+	buf.Write(enc) // keeps the capacity when encoding outgrew the buffer
+	req, err := c.newPost(ctx, path, bytes.Clone(buf.Bytes()))
+	if err != nil {
+		return err
 	}
+	resp, err := c.send(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	return predictserver.DecodeWire(buf.Bytes(), out)
+}
+
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBufBytes = 1 << 20
+
+func (c *Client) newPost(ctx context.Context, path string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+func (c *Client) do(req *http.Request, out any) error {
+	resp, err := c.send(req)
+	if err != nil {
+		return err
+	}
+	defer drainClose(resp.Body)
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send issues req and returns the response when it is a 2xx, its body still
+// unread; any other status comes back as an *APIError.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		return resp, nil
+	}
+	defer drainClose(resp.Body)
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	msg := resp.Status
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err == nil && apiErr.Error != "" {
+		msg = apiErr.Error
+	}
+	return nil, &APIError{StatusCode: resp.StatusCode, Message: msg}
+}
+
+// drainClose reads a response body to its end so the connection can be
+// reused, then closes it.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	_ = body.Close()
 }

@@ -1,7 +1,6 @@
 package predictserver
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -219,8 +218,7 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FleetPlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, maxItemBodyBytes) {
 		return
 	}
 	if req.Count > 1 {
@@ -264,7 +262,7 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FleetPlaceBatchRequest
-	if !decodeBatch(w, r, &req) {
+	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
 		return
 	}
 	total := 0
@@ -329,8 +327,20 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
 		return
 	}
-	var req FleetIngestRequest
-	if !decodeBatch(w, r, &req) {
+	sc := wirePool.Get().(*wireScratch)
+	s.serveFleetIngest(w, r, sc)
+	sc.release()
+}
+
+// serveFleetIngest answers one ingest out of sc alone; of everything in it
+// the pipeline keeps only the readings' host_id strings.
+func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
+	if !sc.readBody(w, r) {
+		return
+	}
+	req := &sc.ingest
+	if err := DecodeWire(sc.body, req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Readings) > MaxBatchItems {
@@ -346,24 +356,20 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 	// Validate the whole batch before ingesting anything: a mid-batch
 	// rejection after partial ingest would make the agent retry readings
 	// the loop already consumed.
-	for _, rd := range req.Readings {
-		if rd.HostID == "" {
+	for i := range req.Readings {
+		if req.Readings[i].HostID == "" {
 			writeError(w, http.StatusUnprocessableEntity, errors.New("reading missing host_id"))
 			return
 		}
 	}
-	readings := make([]fleet.Reading, len(req.Readings))
-	for i, rd := range req.Readings {
-		readings[i] = fleet.Reading{
-			HostID:  rd.HostID,
-			AtS:     rd.AtS,
-			TempC:   rd.TempC,
-			Util:    rd.Util,
-			MemFrac: rd.MemFrac,
-		}
+	readings := sized(sc.readings, len(req.Readings))
+	for i := range req.Readings {
+		readings[i] = fleet.Reading(req.Readings[i])
 	}
-	results := make([]fleet.IngestResult, len(readings))
-	var resp FleetIngestResponse
+	results := sized(sc.results, len(readings))
+	sc.readings, sc.results = readings, results
+	resp := &sc.answer
+	*resp = FleetIngestResponse{Predictions: resp.Predictions[:0]}
 	resp.Accepted = s.fleet.IngestBatch(readings, req.Predict, results)
 	for i := range results {
 		if results[i].Outcome == fleet.IngestRejected {
@@ -372,7 +378,7 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Dropped = len(readings) - resp.Accepted - resp.Rejected
 	if req.Predict {
-		resp.Predictions = make([]FleetIngestPrediction, len(results))
+		resp.Predictions = sized(resp.Predictions, len(results))
 	}
 	for i := range results {
 		outcome := ""
@@ -400,7 +406,7 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.metrics.ingestItems.Add(int64(resp.Accepted))
-	writeJSON(w, http.StatusOK, resp)
+	sc.writeWire(w, resp)
 }
 
 // toSpec converts the wire request to a workload spec. A request with no

@@ -14,9 +14,11 @@
 package predictserver
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -37,24 +39,33 @@ const MaxBatchItems = 65536
 // maxBatchBodyBytes caps a batch request body before JSON decoding starts,
 // so the memory bound holds even against bodies that would decode into far
 // more than MaxBatchItems rows. 64 MiB comfortably fits MaxBatchItems
-// 16-feature rows in JSON.
-const maxBatchBodyBytes = 64 << 20
+// 16-feature rows in JSON. maxItemBodyBytes is the same cap for the
+// single-item routes, whose largest legitimate body is a few hundred bytes.
+const (
+	maxBatchBodyBytes = 64 << 20
+	maxItemBodyBytes  = 1 << 20
+)
 
-// decodeBatch decodes a size-limited batch request body into v, writing the
-// appropriate error response (413 for an oversized body, 400 otherwise) and
-// reporting false on failure.
-func decodeBatch(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+// decodeBody decodes a request body of at most limit bytes into v, writing
+// the appropriate error response (413 for an oversized body, 400 otherwise)
+// and reporting false on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-		} else {
-			writeError(w, http.StatusBadRequest, err)
-		}
+		writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or decoded.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+	} else {
+		writeError(w, http.StatusBadRequest, err)
+	}
 }
 
 // Server routes prediction requests to a trained model and manages dynamic
@@ -207,8 +218,7 @@ type StableResponse struct {
 
 func (s *Server) handleStable(w http.ResponseWriter, r *http.Request) {
 	var req StableRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, maxItemBodyBytes) {
 		return
 	}
 	v, err := s.model.PredictFeatures(req.Features)
@@ -224,6 +234,9 @@ func (s *Server) handleStable(w http.ResponseWriter, r *http.Request) {
 // once — one scheduling round's worth of candidate placements.
 type StableBatchRequest struct {
 	Rows [][]float64 `json:"rows"`
+	// flat backs Rows after ParseJSON: every number of the request in one
+	// slice, reused from call to call.
+	flat []float64
 }
 
 // StableBatchResponse carries one prediction per request row, in order.
@@ -232,8 +245,21 @@ type StableBatchResponse struct {
 }
 
 func (s *Server) handleStableBatch(w http.ResponseWriter, r *http.Request) {
-	var req StableBatchRequest
-	if !decodeBatch(w, r, &req) {
+	sc := wirePool.Get().(*wireScratch)
+	s.serveStableBatch(w, r, sc)
+	sc.release()
+}
+
+// serveStableBatch answers one batch out of sc alone: the body, the rows
+// parsed from it, the predictions and the encoded response all live there,
+// and nothing the model is handed outlives the call.
+func (s *Server) serveStableBatch(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
+	if !sc.readBody(w, r) {
+		return
+	}
+	req := &sc.stable
+	if err := DecodeWire(sc.body, req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Rows) > MaxBatchItems {
@@ -241,7 +267,8 @@ func (s *Server) handleStableBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d rows exceeds limit %d", len(req.Rows), MaxBatchItems))
 		return
 	}
-	out := make([]float64, len(req.Rows))
+	out := sized(sc.temps.StableTempsC, len(req.Rows))
+	sc.temps.StableTempsC = out
 	var (
 		errMu    sync.Mutex
 		firstErr error
@@ -269,7 +296,7 @@ func (s *Server) handleStableBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.stableItems.Add(int64(len(req.Rows)))
-	writeJSON(w, http.StatusOK, StableBatchResponse{StableTempsC: out})
+	sc.writeWire(w, &sc.temps)
 }
 
 // SessionRequest opens a dynamic prediction session. ψ_stable comes either
@@ -294,8 +321,7 @@ type SessionResponse struct {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, maxItemBodyBytes) {
 		return
 	}
 	var stable float64
@@ -344,8 +370,7 @@ type ObserveResponse struct {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req, maxItemBodyBytes) {
 		return
 	}
 	gamma, err := s.eng.Observe(r.PathValue("id"), req.T, req.TempC)
@@ -404,7 +429,7 @@ type ObserveBatchResponse struct {
 
 func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	var req ObserveBatchRequest
-	if !decodeBatch(w, r, &req) {
+	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
 		return
 	}
 	if len(req.Items) > MaxBatchItems {
@@ -454,7 +479,7 @@ type PredictBatchResponse struct {
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req PredictBatchRequest
-	if !decodeBatch(w, r, &req) {
+	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
 		return
 	}
 	if len(req.Items) > MaxBatchItems {
@@ -491,14 +516,110 @@ func (s *Server) SessionCount() int {
 	return s.eng.Len()
 }
 
+// writeJSON encodes v before the status line goes out, so a value
+// encoding/json refuses (a NaN or ±Inf float) answers 500 with an error
+// body rather than the chosen status and no body at all.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	sc := wirePool.Get().(*wireScratch)
+	buf := bytes.NewBuffer(sc.resp[:0])
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		log.Printf("predictserver: encoding response: %v", err)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(map[string]string{"error": err.Error()}) // a string map always encodes
+	}
+	sc.resp = buf.Bytes()
+	writeBody(w, status, sc.resp)
+	sc.release()
+}
+
+// writeBody sends one complete JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("predictserver: writing response: %v", err)
 	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// wireScratch is what one request of a typed-codec route needs, pooled
+// whole: the buffered body, both decoded requests with the slices their
+// parsers reuse, the values handed to and filled by the fleet, and the
+// encoded response. writeJSON borrows one for resp alone.
+type wireScratch struct {
+	body, resp []byte
+	stable     StableBatchRequest
+	temps      StableBatchResponse
+	ingest     FleetIngestRequest
+	readings   []fleet.Reading
+	results    []fleet.IngestResult
+	answer     FleetIngestResponse
+}
+
+var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
+
+// maxPooledScratchBytes is the largest body or response a scratch may carry
+// back into the pool: one oversized request must not pin its buffers for
+// every later one. Everything decoded is bounded by the body it came from
+// (at worst 16 bytes of readings per byte of "{},"), so the two byte buffers
+// bound the rest. 1 MiB holds a 2,500-row stable batch or an 8,000-reading
+// ingest.
+const maxPooledScratchBytes = 1 << 20
+
+// release returns sc to the pool unless a request grew it past
+// maxPooledScratchBytes.
+func (sc *wireScratch) release() {
+	if cap(sc.body) <= maxPooledScratchBytes && cap(sc.resp) <= maxPooledScratchBytes {
+		wirePool.Put(sc)
+	}
+}
+
+// readBody buffers the request body into sc.body, at most maxBatchBodyBytes
+// of it, writing the error response (413 oversized, 400 otherwise) and
+// reporting false on failure.
+func (sc *wireScratch) readBody(w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength > maxBatchBodyBytes {
+		writeBodyError(w, &http.MaxBytesError{Limit: maxBatchBodyBytes})
+		return false
+	}
+	body := http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)
+	buf := sc.body[:0]
+	if n := int(r.ContentLength); n >= cap(buf) {
+		buf = make([]byte, 0, n+1) // one spare byte: EOF shows without growing
+	}
+	for {
+		if len(buf) == cap(buf) {
+			// Doubling, so a body of undeclared length costs at most
+			// twice its size in copies.
+			buf = append(make([]byte, 0, 2*cap(buf)+512), buf...)
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			sc.body = buf
+			return true
+		}
+		if err != nil {
+			writeBodyError(w, err)
+			return false
+		}
+	}
+}
+
+// writeWire answers 200 with v and the newline json.Encoder ends a value
+// with — the bytes writeJSON would send, which is where a value the typed
+// encoder does not cover goes.
+func (sc *wireScratch) writeWire(w http.ResponseWriter, v WireMessage) {
+	out, ok := v.AppendJSON(sc.resp[:0])
+	if !ok {
+		writeJSON(w, http.StatusOK, v)
+		return
+	}
+	sc.resp = append(out, '\n')
+	writeBody(w, http.StatusOK, sc.resp)
 }

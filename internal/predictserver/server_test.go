@@ -24,7 +24,7 @@ var (
 	modelErr  error
 )
 
-func testModel(t *testing.T) (*core.StablePredictor, dataset.Record) {
+func testModel(t testing.TB) (*core.StablePredictor, dataset.Record) {
 	t.Helper()
 	modelOnce.Do(func() {
 		cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 17, "ps", 30)
