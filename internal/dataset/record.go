@@ -71,6 +71,71 @@ func Encode(c workload.Case, horizonS float64) ([]float64, error) {
 // without allocating — the building block for serving loops that encode
 // thousands of anchor cases per round into one reused flat feature matrix.
 func EncodeInto(c workload.Case, horizonS float64, dst []float64) error {
+	return encodeInto(c, horizonS, dst, nil)
+}
+
+// ProfileMemo remembers the profile means of the last profiled task list an
+// encode integrated, so a run of cases that share one list — a placement
+// wave appends the same candidate VM, Tasks slice header and all, to every
+// host of its window — pays workload.MeanOver once instead of once per case.
+// The key is the list's identity (first element, length) plus the horizon:
+// it is only sound while the keyed memory is not rewritten, so the owner
+// calls Reset before each batch of cases it does not control the lifetime
+// of. A hit replays the float MeanOver returned; nothing is approximated.
+// The zero value is ready; a ProfileMemo is not safe for concurrent use.
+type ProfileMemo struct {
+	first    *workload.TaskSpec
+	n        int
+	horizonS float64
+	means    []float64 // per task of the keyed list; unset where Profile is nil
+}
+
+// Reset forgets the remembered task list.
+func (m *ProfileMemo) Reset() { m.first = nil }
+
+// EncodeInto is dataset.EncodeInto through the memo: same checks, same
+// errors, bit-identical features.
+func (m *ProfileMemo) EncodeInto(c workload.Case, horizonS float64, dst []float64) error {
+	return encodeInto(c, horizonS, dst, m)
+}
+
+// mean returns the profile mean of tasks[k] (a profiled task), integrating
+// the whole list on a miss so its other profiled tasks hit.
+func (m *ProfileMemo) mean(tasks []workload.TaskSpec, k int, horizonS float64) (float64, error) {
+	if m.first == &tasks[0] && m.n == len(tasks) && m.horizonS == horizonS {
+		return m.means[k], nil
+	}
+	m.first = nil // a failed integration must not leave a half-filled hit
+	if cap(m.means) < len(tasks) {
+		m.means = make([]float64, len(tasks))
+	}
+	m.means = m.means[:len(tasks)]
+	for i := range tasks {
+		if tasks[i].Profile == nil {
+			continue
+		}
+		mean, err := profileMean(&tasks[i], horizonS)
+		if err != nil {
+			return 0, err
+		}
+		m.means[i] = mean
+	}
+	m.first, m.n, m.horizonS = &tasks[0], len(tasks), horizonS
+	return m.means[k], nil
+}
+
+// profileMean averages a profiled task's CPU demand over [0, horizonS] on
+// the 201-point grid the model was trained on.
+func profileMean(ts *workload.TaskSpec, horizonS float64) (float64, error) {
+	mean, err := workload.MeanOver(ts.Profile, 0, horizonS, horizonS/200)
+	if err != nil {
+		return 0, fmt.Errorf("dataset: task %s: %w", ts.Task.ID, err)
+	}
+	return mean, nil
+}
+
+// encodeInto is the one encoder body; memo may be nil.
+func encodeInto(c workload.Case, horizonS float64, dst []float64, memo *ProfileMemo) error {
 	if len(dst) != len(featureNames) {
 		return fmt.Errorf("dataset: encode dst length %d, want %d", len(dst), len(featureNames))
 	}
@@ -92,14 +157,19 @@ func EncodeInto(c workload.Case, horizonS float64, dst []float64) error {
 		vcpus += float64(spec.Config.VCPUs)
 		memAlloc += spec.Config.MemoryGB
 		var vmDemand, vmMem float64
-		for _, ts := range spec.Tasks {
+		for k := range spec.Tasks {
+			ts := &spec.Tasks[k]
 			mean := ts.Task.CPUFraction
 			if ts.Profile != nil {
-				m, err := workload.MeanOver(ts.Profile, 0, horizonS, horizonS/200)
-				if err != nil {
-					return fmt.Errorf("dataset: task %s: %w", ts.Task.ID, err)
+				var err error
+				if memo != nil {
+					mean, err = memo.mean(spec.Tasks, k, horizonS)
+				} else {
+					mean, err = profileMean(ts, horizonS)
 				}
-				mean = m
+				if err != nil {
+					return err
+				}
 			}
 			vmDemand += mean
 			vmMem += ts.Task.MemGB

@@ -2,14 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"maps"
 	"math"
 	"testing"
 
 	"vmtherm/internal/checkpoint"
-	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
@@ -138,18 +136,7 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 		if testing.Short() {
 			t.Skip("short mode: skipping SVM training")
 		}
-		cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 7, "aq", 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs, err := dataset.Build(context.Background(), cases, dataset.DefaultBuildOptions(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := core.TrainStable(context.Background(), recs, core.FastStableConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		model := tinyStableModel(t)
 		// A full-load swing is ~75 °C of CPU heat but only a few degrees of
 		// memory heat; hold the trained model to those sensitivities.
 		check(t, StableBatchPredictor(model, 1800), 75, 12)

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
@@ -252,7 +251,9 @@ func simAnchorKey(sh *simHost, q anchorcache.Quantizer, inlet float64) anchorcac
 // buildMissCases constructs the staged misses' deployment cases in place
 // (caseBuf[mi] belongs to host missIdx[mi]: the sim path is caseBuf's only
 // writer this round), sharded across the physics pool at scale: each build
-// only reads host/VM state and writes its own slot. The ambient is the value
+// only reads host/VM state and writes its own host's view and its own slot
+// (the case borrows the view: the round consumes caseBuf before the next
+// tick or mutation). The ambient is the value
 // the cache pass chose (bucket center with the cache on, the host's inlet
 // otherwise) — the former per-miss InletTemp recomputation was an O(rack)
 // utilization sweep per case, redundant with the per-tick inlet cache.
@@ -264,7 +265,7 @@ func (c *Controller) buildMissCases() error {
 	return shard(len(c.missIdx), c.cfg.PhysWorkers, minShard, func(lo, hi int) error {
 		for mi := lo; mi < hi; mi++ {
 			i := c.missIdx[mi]
-			cse, err := cluster.HostStateCase(c.sim.byPos[i].host, c.cfg.FanCount, c.missAmb[mi], nil)
+			cse, err := c.sim.hostCase(c.sim.byPos[i], c.missAmb[mi], nil, nil)
 			if err != nil {
 				return fmt.Errorf("fleet: anchor case for %s: %w", c.order[i], err)
 			}

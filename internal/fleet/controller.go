@@ -68,11 +68,13 @@ type Controller struct {
 
 	// plan is the per-round placement working set (see placePlan); the
 	// wave* slices and pend index scratch are PlaceBatch's reusable
-	// buffers, and planHot the plan rebuild's hotspot-set scratch.
+	// buffers (waveSpecs is the arena the wave's cases keep their VM lists
+	// in), and planHot the plan rebuild's hotspot-set scratch.
 	plan      placePlan
 	planHot   map[string]bool
 	waveCases []workload.Case
-	waveEntry []int
+	waveSpecs []workload.VMSpec
+	waveEntry []int32
 	waveVMs   []waveVM
 	waveVals  []float64
 	pendIdx   []int

@@ -50,15 +50,18 @@ import (
 // StablePredictor.PredictBatchInto through the SVM batch kernel); tests
 // inject synthetic physics instead. Implementations must be safe for
 // concurrent calls: the controller shards cold-round anchor fan-outs across
-// a worker pool.
+// a worker pool. The cases alias controller scratch (per-host deployment
+// views, the wave arena) and are valid only until the call returns.
 type BatchCasePredictor func(cases []workload.Case) ([]float64, error)
 
 // stableScratch is the per-call working memory StableBatchPredictor pools:
-// one flat feature matrix, its row headers, and the model scratch.
+// one flat feature matrix, its row headers, the model scratch, and the
+// encoder's profile memo (reset per call: it keys on the caller's memory).
 type stableScratch struct {
 	feat []float64
 	rows [][]float64
 	ps   core.PredictScratch
+	memo dataset.ProfileMemo
 }
 
 // StableBatchPredictor adapts a trained stable model into the batch shape
@@ -66,7 +69,8 @@ type stableScratch struct {
 // horizon for dynamic profiles (use the experiment duration, e.g. 1800).
 // Cases are encoded into a pooled flat feature matrix and evaluated through
 // the zero-alloc batch spine, so concurrent shards share nothing but the
-// (read-only) model.
+// (read-only) model. Consecutive cases that share a VM's task list — a
+// placement wave's candidate — integrate its profiles once per call.
 func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCasePredictor {
 	var pool sync.Pool
 	nf := dataset.NumFeatures()
@@ -76,6 +80,7 @@ func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCa
 			s = new(stableScratch)
 		}
 		defer pool.Put(s)
+		s.memo.Reset()
 		if cap(s.feat) < len(cases)*nf {
 			s.feat = make([]float64, len(cases)*nf)
 		}
@@ -86,7 +91,7 @@ func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCa
 		s.rows = s.rows[:len(cases)]
 		for i, c := range cases {
 			row := s.feat[i*nf : (i+1)*nf : (i+1)*nf]
-			if err := dataset.EncodeInto(c, horizonS, row); err != nil {
+			if err := s.memo.EncodeInto(c, horizonS, row); err != nil {
 				return nil, fmt.Errorf("fleet: encoding %s: %w", c.Name, err)
 			}
 			s.rows[i] = row

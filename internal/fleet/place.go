@@ -7,6 +7,27 @@
 // within the batch, and an explicit AdmissionPolicy (headroom budget, queue
 // depth, per-round cap) yields typed Placed / Queued / Rejected decisions
 // instead of error strings.
+//
+// A wave costs what changed, not what exists:
+//
+//   - a host's deployment reaches a Case through simHost.deployment, a view
+//     memoised per host and invalidated where — and only where — a
+//     deployment or a task's CPU fraction changes: fleetSim.place, migrate,
+//     remove, and tickRack's SetTaskCPU sweep. fleetSim.hostCase copies
+//     "view + candidate" into the wave's arena (Controller.waveSpecs, reset
+//     at the top of each wave, once the previous wave's cases are
+//     consumed); the anchor pass borrows the view through the same builder;
+//   - the candidate VM's profiles are integrated once per predictor call,
+//     not once per candidate host (dataset.ProfileMemo in
+//     StableBatchPredictor: a window's cases share the candidate's Tasks);
+//   - the plan's entries never move: they are ranked through a permutation
+//     that placePlan.rerank repairs after a wave by removing the moved
+//     entries and binary-inserting them. The only full sort is the plan's
+//     once-per-round build.
+//
+// All three reproduce, bit for bit, the decisions of rebuilding each input
+// from scratch; cluster.HostStateCase and a full sort are the oracles the
+// tests compare against.
 package fleet
 
 import (
@@ -182,11 +203,25 @@ type planEntry struct {
 	// prediction, replaced by the predicted post-placement ψ_stable once a
 	// placement lands on the host this round (+Inf = unpredicted).
 	effTemp float64
-	// hot marks predicted hotspots (avoided until no cool host admits).
-	hot bool
+	// hot marks predicted hotspots (avoided until no cool host admits);
+	// moved marks an entry listed in placePlan.moved.
+	hot, moved bool
 	// claimed is the wave number that last reserved this host; one VM per
 	// host per wave keeps every wave's predictions mutually consistent.
 	claimed int
+}
+
+// compare is the plan's total order: coolest first, ties by id, +Inf —
+// unpredicted hosts — last (never place blind when an observed host can
+// admit).
+func (a *planEntry) compare(b *planEntry) int {
+	if a.effTemp != b.effTemp {
+		if a.effTemp < b.effTemp {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.id, b.id)
 }
 
 // placePlan is the per-round placement working set shared by every
@@ -197,10 +232,13 @@ type planEntry struct {
 type placePlan struct {
 	round int // controller round the plan was built for
 	pop   int // population size at build (membership-change guard)
-	// entries is sorted by (effTemp, id); dirty marks a pending re-sort
-	// after placements moved effective temperatures.
+	// entries stays in build (host) order, so an entry's index is stable for
+	// the plan's life; rank is the permutation of entry indices sorted by
+	// planEntry.compare. moved lists the entries whose effTemp a wave changed
+	// and that rerank has yet to put back in place.
 	entries []planEntry
-	dirty   bool
+	rank    []int32
+	moved   []int32
 	// wave is the claim epoch (monotonic within the plan's round); placed
 	// counts placements applied this round for the admission cap.
 	wave   int
@@ -244,25 +282,41 @@ func (c *Controller) placePlanLocked() *placePlan {
 			hot:     hot[id],
 		})
 	}
-	sortPlanEntries(p.entries)
+	p.rank = p.rank[:0]
+	for i := range p.entries {
+		p.rank = append(p.rank, int32(i))
+	}
+	slices.SortFunc(p.rank, func(a, b int32) int { return p.entries[a].compare(&p.entries[b]) })
 	p.round, p.pop = c.round, len(c.order)
-	p.dirty, p.wave, p.placed = false, 0, 0
+	p.moved, p.wave, p.placed = p.moved[:0], 0, 0
 	return p
 }
 
-// sortPlanEntries restores the coolest-first invariant (ties by id, +Inf —
-// unpredicted hosts — last: never place blind when an observed host can
-// admit).
-func sortPlanEntries(entries []planEntry) {
-	slices.SortFunc(entries, func(a, b planEntry) int {
-		if a.effTemp != b.effTemp {
-			if a.effTemp < b.effTemp {
-				return -1
-			}
-			return 1
+// rerank restores the rank invariant after a wave moved up to one entry per
+// placed VM: every moved entry leaves the permutation first, then each is
+// binary-inserted at its new place. Remove-all-then-insert is load-bearing —
+// a search over a permutation that still holds another misplaced entry is a
+// search over an unsorted slice. The order is total (ids are unique), so
+// the result is the permutation a full sort would produce.
+func (p *placePlan) rerank() {
+	if len(p.moved) == 0 {
+		return
+	}
+	kept := p.rank[:0]
+	for _, ei := range p.rank {
+		if !p.entries[ei].moved {
+			kept = append(kept, ei)
 		}
-		return strings.Compare(a.id, b.id)
-	})
+	}
+	for _, ei := range p.moved {
+		e := &p.entries[ei]
+		e.moved = false
+		at, _ := slices.BinarySearchFunc(kept, e, func(r int32, e *planEntry) int {
+			return p.entries[r].compare(e)
+		})
+		kept = slices.Insert(kept, at, ei)
+	}
+	p.rank, p.moved = kept, p.moved[:0]
 }
 
 // shapeFeasible checks whether a VM shape could EVER fit the fleet's
@@ -291,7 +345,8 @@ func (c *Controller) PlaceBatch(specs []workload.VMSpec) ([]PlacementDecision, e
 }
 
 // waveVM is one staged request of the current wave: its spec index and its
-// candidate window [lo, hi) into waveEntry/waveVals.
+// candidate window [lo, hi) into waveEntry/waveVals (waveEntry holds plan
+// entry indices, which a rerank does not move).
 type waveVM struct {
 	spec   int
 	lo, hi int
@@ -328,11 +383,9 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 
 	for len(pending) > 0 {
 		plan.wave++
-		if plan.dirty {
-			sortPlanEntries(plan.entries)
-			plan.dirty = false
-		}
+		plan.rerank()
 		c.waveCases = c.waveCases[:0]
+		c.waveSpecs = c.waveSpecs[:0] // the previous wave's cases are consumed
 		c.waveEntry = c.waveEntry[:0]
 		c.waveVMs = c.waveVMs[:0]
 		next = next[:0]
@@ -375,17 +428,27 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 			}
 			lo := len(c.waveEntry)
 			sawClaimed := false
-			for ei := range plan.entries {
+			for _, ei := range plan.rank {
 				e := &plan.entries[ei]
+				if e.claimed == plan.wave {
+					// Only "some claimed host would have admitted" matters;
+					// once known, later claimed hosts skip the capacity walk.
+					sawClaimed = sawClaimed || canAdmitVM(e.sh.host, spec.Config)
+					continue
+				}
 				if !canAdmitVM(e.sh.host, spec.Config) {
 					continue
 				}
-				if e.claimed == plan.wave {
-					sawClaimed = true
-					continue
-				}
 				e.claimed = plan.wave
-				cse, err := c.sim.hostCaseAt(e.sh, spec)
+				// Priced from the per-tick rack inlet cache. In-round
+				// placements do shift rack recirculation slightly until the
+				// next tick; that drift is below sensor noise and
+				// deliberately ignored.
+				inlet, err := c.sim.inletAt(e.sh)
+				if err != nil {
+					return nil, err
+				}
+				cse, err := c.sim.hostCase(e.sh, inlet, spec, &c.waveSpecs)
 				if err != nil {
 					return nil, err
 				}
@@ -478,7 +541,8 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 			c.eng.Delete(e.id)
 			e.effTemp = bestVal
 			e.hot = bestVal > c.cfg.ThresholdC
-			plan.dirty = true
+			e.moved = true // once per wave: the host was claimed for this VM alone
+			plan.moved = append(plan.moved, c.waveEntry[best])
 			plan.placed++
 			decs[wv.spec] = PlacementDecision{
 				VMID: spec.ID, Status: Placed, HostID: e.id, PredictedStableC: bestVal,

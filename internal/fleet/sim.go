@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"vmtherm/internal/cluster"
 	"vmtherm/internal/mathx"
@@ -85,6 +87,55 @@ type simHost struct {
 	// physics: the sensor still reads (and draws noise) on schedule, the
 	// transform applies at the emission point only.
 	fault SensorFault
+	// view memoises the running/migrating VMs as VMSpecs in
+	// cluster.HostStateCase's order (see deployment); viewTasks backs their
+	// Tasks slices. viewOK is cleared wherever the deployment or a task's
+	// CPU fraction can change: place, migrate, remove and tickRack's
+	// SetTaskCPU sweep — the only four. caseName is "state:"+id.
+	view      []workload.VMSpec
+	viewTasks []workload.TaskSpec
+	viewOK    bool
+	caseName  string
+}
+
+// deployment returns the host's running and migrating VMs exactly as
+// cluster.HostStateCase lists them — VMs by id, tasks by id, current CPU
+// fractions, no profiles — rebuilt only after an invalidation. The slice
+// and everything it points to are the host's own scratch: callers read it
+// before the next mutation or tick and never write through it.
+func (sh *simHost) deployment() []workload.VMSpec {
+	if sh.viewOK {
+		return sh.view
+	}
+	h := sh.host
+	nTasks := 0
+	for i := 0; i < h.NumVMs(); i++ {
+		nTasks += h.VMAt(i).NumTasks()
+	}
+	// Sized up front: the VMSpecs below hold sub-slices of viewTasks.
+	sh.viewTasks = slices.Grow(sh.viewTasks[:0], nTasks)
+	sh.view = sh.view[:0]
+	for i := 0; i < h.NumVMs(); i++ {
+		vm := h.VMAt(i)
+		if st := vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
+			continue
+		}
+		spec := workload.VMSpec{ID: vm.ID(), Config: vm.Config()}
+		if n := vm.NumTasks(); n > 0 { // a task-less VM keeps Tasks nil, like HostStateCase
+			lo := len(sh.viewTasks)
+			for k := 0; k < n; k++ {
+				sh.viewTasks = append(sh.viewTasks, workload.TaskSpec{Task: vm.TaskAt(k)})
+			}
+			spec.Tasks = sh.viewTasks[lo:len(sh.viewTasks):len(sh.viewTasks)]
+			slices.SortFunc(spec.Tasks, func(a, b workload.TaskSpec) int {
+				return strings.Compare(a.Task.ID, b.Task.ID)
+			})
+		}
+		sh.view = append(sh.view, spec)
+	}
+	slices.SortFunc(sh.view, func(a, b workload.VMSpec) int { return strings.Compare(a.ID, b.ID) })
+	sh.viewOK = true
+	return sh.view
 }
 
 // cracDynamics is the inter-rack CRAC supply/return coupling loop, active
@@ -224,11 +275,12 @@ func newFleetSim(cfg Config) (*fleetSim, error) {
 			return nil, fmt.Errorf("fleet: sensor %s: %w", h.ID(), err)
 		}
 		sh := &simHost{
-			host:    h,
-			server:  srv,
-			sensor:  sensor,
-			pos:     pos,
-			rackIdx: rackIdx[pos.Rack],
+			host:     h,
+			server:   srv,
+			sensor:   sensor,
+			pos:      pos,
+			rackIdx:  rackIdx[pos.Rack],
+			caseName: "state:" + h.ID(),
 		}
 		fs.hosts[h.ID()] = sh
 		fs.order = append(fs.order, h.ID())
@@ -260,6 +312,7 @@ func (fs *fleetSim) place(hostID string, spec workload.VMSpec) error {
 	if cur, dup := fs.vmHost[spec.ID]; dup {
 		return fmt.Errorf("fleet: vm %q already placed on %q", spec.ID, cur)
 	}
+	sh.viewOK = false
 	vm, err := vmm.NewVM(spec.ID, spec.Config)
 	if err != nil {
 		return err
@@ -300,6 +353,7 @@ func (fs *fleetSim) migrate(vmID, fromID, toID string) error {
 	if err != nil {
 		return err
 	}
+	src.viewOK, dst.viewOK = false, false
 	if err := dst.host.Place(vm); err != nil {
 		return err
 	}
@@ -330,6 +384,7 @@ func (fs *fleetSim) remove(vmID string) error {
 		return errNoSuchVM
 	}
 	sh := fs.hosts[hostID]
+	sh.viewOK = false
 	if err := sh.host.Remove(vmID); err != nil {
 		return err
 	}
@@ -440,6 +495,9 @@ func (fs *fleetSim) tickRack(ri int, t, dt float64) error {
 	span := fs.rackSpan[ri]
 	for i := span[0]; i < span[1]; i++ {
 		sh := fs.byPos[i]
+		if len(sh.driven) > 0 {
+			sh.viewOK = false // the sweep rewrites task CPU fractions
+		}
 		for j := range sh.driven {
 			d := &sh.driven[j]
 			if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
@@ -598,19 +656,29 @@ func (fs *fleetSim) advance(dur float64, emit func(telemetry.Reading) bool) erro
 	return nil
 }
 
-// hostCaseAt builds the workload.Case describing a host's current
-// deployment (plus an optional candidate VM), priced from the per-tick rack
-// inlet cache: placement waves build hundreds of candidate cases per call,
-// and utilization cannot change between ticks, so the cached inlet is
-// identical to a fresh InletTemp sweep. In-round placements do shift rack
-// recirculation slightly until the next tick; that drift is below sensor
-// noise and deliberately ignored.
-func (fs *fleetSim) hostCaseAt(sh *simHost, candidate *workload.VMSpec) (workload.Case, error) {
-	inlet, err := fs.inletAt(sh)
-	if err != nil {
-		return workload.Case{}, err
+// hostCase is the package's one host → workload.Case builder: the host's
+// current deployment (see simHost.deployment) at ambientC, plus an optional
+// candidate VM. Without a candidate the case borrows the host's view; with
+// one, view and candidate are copied to the end of *arena, the caller's
+// scratch, which it resets once the cases built from it are consumed. The
+// result is reflect.DeepEqual to cluster.HostStateCase's.
+func (fs *fleetSim) hostCase(sh *simHost, ambientC float64, candidate *workload.VMSpec, arena *[]workload.VMSpec) (workload.Case, error) {
+	vms := sh.deployment()
+	if candidate != nil {
+		lo := len(*arena)
+		*arena = append(append(*arena, vms...), *candidate)
+		vms = (*arena)[lo:]
 	}
-	return cluster.HostStateCase(sh.host, fs.cfg.FanCount, inlet, candidate)
+	if len(vms) == 0 {
+		return workload.Case{}, errors.New("fleet: host state has no running VMs")
+	}
+	return workload.Case{
+		Name:     sh.caseName,
+		Host:     sh.host.Config(),
+		FanCount: fs.cfg.FanCount,
+		AmbientC: ambientC,
+		VMs:      vms[:len(vms):len(vms)],
+	}, nil
 }
 
 // inletAt returns a host's inlet temperature from the per-tick rack cache

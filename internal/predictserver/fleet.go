@@ -271,12 +271,14 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		if n < 1 {
 			n = 1
 		}
+		// Checked per item, against the room left: summing attacker-chosen
+		// counts first lets two of them wrap total past the limit check.
+		if n > MaxBatchItems-total {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("batch of placements exceeds limit %d at vms[%d] (count %d after %d)", MaxBatchItems, i, n, total))
+			return
+		}
 		total += n
-	}
-	if total > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d placements exceeds limit %d", total, MaxBatchItems))
-		return
 	}
 	specs := make([]workload.VMSpec, 0, total)
 	for i := range req.VMs {

@@ -3,6 +3,7 @@ package predictserver
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -214,6 +215,22 @@ func TestFleetPlaceBatchEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("missing-id batch: got %d, want 422", resp.StatusCode)
+	}
+
+	// Counts are limited as they accumulate: two that wrap an int sum to -2
+	// used to pass the limit check and panic in make.
+	resp = postJSON(t, ts.URL+"/v1/fleet/place/batch", FleetPlaceBatchRequest{
+		VMs: []FleetPlaceRequest{
+			{ID: "a", VCPUs: 1, MemoryGB: 1, Count: math.MaxInt},
+			{ID: "b", VCPUs: 1, MemoryGB: 1, Count: math.MaxInt},
+		},
+	})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		resp.Body.Close()
+		t.Fatalf("overflowing counts: got %d, want 413", resp.StatusCode)
+	}
+	if msg := decode[map[string]string](t, resp); !strings.Contains(msg["error"], "exceeds limit") {
+		t.Fatalf("overflowing counts: error body %v", msg)
 	}
 
 	// The decisions must surface in the exposition counters.

@@ -145,6 +145,8 @@ func FuzzPlaceBatchBody(f *testing.F) {
 		`{"vms":[{"id":"x","vcpus":1,"memory_gb":1}],"vms":[]}`,
 		`{"vms":null}`, `{"vms":[null]}`, `{"vms":[{"id":null}]}`, `{"VMS":[{"ID":"A"}]}`,
 		`{"vms":[{"id":"a"}]} trailing`, `{"vms":[{"id":"a"`, `[]`, `01`, `-0`, ``,
+		// Two counts that wrap an int sum to -2: must answer 413, not reach make.
+		`{"vms":[{"id":"a","count":9223372036854775807,"vcpus":1,"memory_gb":1},{"id":"b","count":9223372036854775807,"vcpus":1,"memory_gb":1}]}`,
 	} {
 		f.Add([]byte(seed))
 	}

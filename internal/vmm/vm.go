@@ -200,6 +200,11 @@ func (v *VM) Tasks() []Task {
 // NumTasks returns the deployed task count.
 func (v *VM) NumTasks() int { return len(v.tasks) }
 
+// TaskAt returns the i-th deployed task in deployment order (0 ≤ i <
+// NumTasks). Like Host.VMAt it allocates nothing — the iteration primitive
+// for callers that build their own ordered view of a deployment.
+func (v *VM) TaskAt(i int) Task { return v.tasks[i] }
+
 // CPUDemandVCPUs returns the VM's current CPU demand in vCPU units, capped
 // at the configured vCPU count (a VM cannot use more than it was given).
 func (v *VM) CPUDemandVCPUs() float64 {
