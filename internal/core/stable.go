@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -266,6 +267,9 @@ func LoadStable(r io.Reader) (*StablePredictor, error) {
 	if err != nil {
 		return nil, err
 	}
+	if scaler.Dim() != model.Dim {
+		return nil, fmt.Errorf("core: header scales %d features, model has %d", scaler.Dim(), model.Dim)
+	}
 	p := &StablePredictor{scaler: scaler, model: model}
 	// Grid metadata is informational; ignore absence.
 	if v, err := parseFloat(header, "grid_c"); err == nil {
@@ -298,9 +302,23 @@ func parseFloat(h map[string]string, key string) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: header missing %q", key)
 	}
-	v, err := strconv.ParseFloat(s, 64)
+	v, err := parseFinite(s)
 	if err != nil {
 		return 0, fmt.Errorf("core: header %q: %w", key, err)
+	}
+	return v, nil
+}
+
+// parseFinite parses one number of the header; like the model body
+// (svm.ReadModel) the header is untrusted, and a NaN or ±Inf bound would
+// scale every feature to NaN.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not finite", s)
 	}
 	return v, nil
 }
@@ -313,7 +331,7 @@ func parseFloats(h map[string]string, key string) ([]float64, error) {
 	fields := strings.Fields(s)
 	out := make([]float64, len(fields))
 	for i, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
+		v, err := parseFinite(f)
 		if err != nil {
 			return nil, fmt.Errorf("core: header %q field %d: %w", key, i, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -143,13 +144,31 @@ func TestStableSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// stableFile writes a two-feature, one-SV predictor file by hand so single
+// fields can be poisoned.
+func stableFile(lower, upper, mins, maxs, gammaLine, svLine string) string {
+	return "vmtherm_stable_model v1\nscale_lower " + lower + "\nscale_upper " + upper +
+		"\nmins " + mins + "\nmaxs " + maxs + "\nmodel:\n" +
+		"svm_type epsilon_svr\nkernel_type rbf\n" + gammaLine + "\ndim 2\ntotal_sv 1\nrho 0\nSV\n" + svLine + "\n"
+}
+
 func TestLoadStableRejectsGarbage(t *testing.T) {
+	if _, err := LoadStable(strings.NewReader(stableFile("-1", "1", "0 0", "1 1", "gamma 1", "1 1:1"))); err != nil {
+		t.Fatalf("the unpoisoned hand-written file does not load: %v", err)
+	}
 	cases := map[string]string{
 		"empty":       "",
 		"bad magic":   "not_a_model v9\n",
 		"no model":    "vmtherm_stable_model v1\nscale_lower -1\n",
 		"bad header":  "vmtherm_stable_model v1\nonlykey\nmodel:\n",
 		"missing key": "vmtherm_stable_model v1\nscale_lower -1\nmodel:\n",
+		"nan lower":   stableFile("NaN", "1", "0 0", "1 1", "gamma 1", "1 1:1"),
+		"inf upper":   stableFile("-1", "+Inf", "0 0", "1 1", "gamma 1", "1 1:1"),
+		"nan min":     stableFile("-1", "1", "0 NaN", "1 1", "gamma 1", "1 1:1"),
+		"inf max":     stableFile("-1", "1", "0 0", "1 Inf", "gamma 1", "1 1:1"),
+		"nan gamma":   stableFile("-1", "1", "0 0", "1 1", "gamma NaN", "1 1:1"),
+		"huge index":  stableFile("-1", "1", "0 0", "1 1", "gamma 1", "1 400000000:1"),
+		"dim differs": stableFile("-1", "1", "0 0 0", "1 1 1", "gamma 1", "1 1:1"),
 	}
 	for name, text := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -167,4 +186,42 @@ func TestTrainStableCancellation(t *testing.T) {
 	if _, err := TrainStable(ctx, records, DefaultStableConfig()); err == nil {
 		t.Error("cancelled context should fail")
 	}
+}
+
+// FuzzLoadStable feeds LoadStable arbitrary bytes: an error, or a predictor
+// that answers one finite row without panicking. Seeds: a trained
+// predictor's own Save output and hand-written files with one poisoned
+// field each.
+func FuzzLoadStable(f *testing.F) {
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 8, "core", 24)
+	if err != nil {
+		f.Fatal(err)
+	}
+	records, err := dataset.Build(context.Background(), cases, dataset.DefaultBuildOptions(8))
+	if err != nil {
+		f.Fatal(err)
+	}
+	pred, err := TrainStable(context.Background(), records, FastStableConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := pred.Save(&sb); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(sb.String()))
+	f.Add([]byte(stableFile("-1", "1", "0 0", "1 1", "gamma 1", "1 1:1")))
+	f.Add([]byte(stableFile("-1", "1", "0 NaN", "1 1", "gamma NaN", "NaN 1:Inf")))
+	f.Add([]byte(stableFile("-1", "1", "0 0", "1 1", "gamma 1", "1 400000000:1")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := LoadStable(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var s PredictScratch
+		row := make([]float64, p.scaler.Dim())
+		if err := p.PredictBatchInto([][]float64{row}, make([]float64, 1), &s); err != nil {
+			t.Fatalf("loaded predictor cannot predict: %v", err)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -10,9 +11,22 @@ import (
 // [][]float64 of support vectors (a pointer chase per SV), re-dispatches on
 // the kernel type per SV, and pays math.Exp per kernel value. The batch
 // entry points amortize all of that: the support vectors are flattened once
-// into a contiguous row-major matrix, squared distances are computed four
-// SVs at a time with independent accumulators (breaking the FP add
-// dependency chain), and the exponentials go through expNeg.
+// into a contiguous row-major matrix and each row is one pass over it.
+//
+// On amd64 with AVX2 and FMA (useAVX, detected by CPUID) that pass is a
+// single assembly routine, rbfBlocksAVX: squared distances for four
+// support vectors at a time, expNeg's table-driven exponential four lanes
+// at a time, the coefficient multiply and the ordered sum. It covers the
+// whole blocks of four support vectors; the last nsv%4 take the portable
+// path, which is also the only path on other hardware, under the noasm
+// build tag, and for a model whose gamma is not finite and positive:
+// sqDistsGeneric (four SVs per pass with independent accumulators) and
+// scalar expNeg. A row with any lane outside expNeg's fast range — NaN, or
+// gamma·distance above 708 — keeps the routine's distances and finishes on
+// scalar expNeg. The vector and scalar exponentials are the same
+// operations in the same order, so which one served a lane never shows in
+// the result; fused_test.go pins the routine to a pure-Go reference bit for
+// bit.
 //
 // PredictBatchInto is the allocation-free spine — flat row-major input,
 // caller-owned output and scratch — that steady-state serving loops (the
@@ -53,23 +67,48 @@ func (s *BatchScratch) grow(n int) []float64 {
 }
 
 // predictRowRBF evaluates one pre-scaled row against the flattened support
-// vectors using the caller's distance buffer.
-func (m *Model) predictRowRBF(flat, x, dists []float64) float64 {
-	sqDistsInto(flat, m.Dim, x, dists)
-	gamma := m.Kernel.Gamma
-	nsv := len(dists)
+// vectors using the caller's distance buffer. With fused set (see
+// fusedRBF) the leading whole blocks of four support vectors go through
+// rbfBlocksAVX in one call; everything it does not cover — the last nsv%4
+// support vectors, or the whole row without it — takes sqDistsGeneric and
+// scalar expNeg, summed in the same order.
+func (m *Model) predictRowRBF(flat, x, dists []float64, fused bool) float64 {
+	gamma, dim, nsv := m.Kernel.Gamma, m.Dim, len(dists)
+	// The kernel reads through bare pointers; these reslices are its
+	// bounds checks.
+	flat, x, coef := flat[:nsv*dim], x[:dim], m.Coef[:nsv]
 	var sum float64
-	k := 0
+	k, vec := 0, 0 // SVs already in sum; SVs whose distance the kernel wrote
+	if blocks := nsv / 4; fused && blocks > 0 {
+		vec = 4 * blocks
+		if s, ok := rbfBlocksAVX(&flat[0], &x[0], &coef[0], dim, blocks, gamma, &dists[0]); ok {
+			sum, k = s, vec
+		}
+		// !ok: some lane is outside expNeg's fast range; the distances
+		// are in place and the loops below finish the row lane by lane.
+	}
+	sqDistsGeneric(flat[vec*dim:], dim, x, dists[vec:])
+	// The conversions round each product before it is added, so a compiler
+	// that may fuse x*y+z sums the bits the unfused vector kernel does.
 	for ; k+4 <= nsv; k += 4 {
-		sum += m.Coef[k]*expNeg(gamma*dists[k]) +
-			m.Coef[k+1]*expNeg(gamma*dists[k+1]) +
-			m.Coef[k+2]*expNeg(gamma*dists[k+2]) +
-			m.Coef[k+3]*expNeg(gamma*dists[k+3])
+		sum += float64(coef[k]*expNeg(gamma*dists[k])) +
+			float64(coef[k+1]*expNeg(gamma*dists[k+1])) +
+			float64(coef[k+2]*expNeg(gamma*dists[k+2])) +
+			float64(coef[k+3]*expNeg(gamma*dists[k+3]))
 	}
 	for ; k < nsv; k++ {
-		sum += m.Coef[k] * expNeg(gamma*dists[k])
+		sum += float64(coef[k] * expNeg(gamma*dists[k]))
 	}
 	return sum - m.Rho
+}
+
+// fusedRBF reports whether rows of this model may take the AVX2 kernel: the
+// CPU has it, there is at least one feature to load, and gamma is finite
+// and positive, so gamma·distance is never negative and the kernel's range
+// check (NaN or > 708) is the only way out of expNeg's fast path.
+func (m *Model) fusedRBF() bool {
+	g := m.Kernel.Gamma
+	return useAVX && m.Dim > 0 && g > 0 && g <= math.MaxFloat64
 }
 
 // PredictBatchInto evaluates the model on len(out) rows stored row-major in
@@ -99,8 +138,9 @@ func (m *Model) PredictBatchInto(xs []float64, out []float64, scratch *BatchScra
 	}
 	flat := m.flatSVs()
 	dists := scratch.grow(len(m.SV))
+	fused := m.fusedRBF()
 	for i := 0; i < n; i++ {
-		out[i] = m.predictRowRBF(flat, xs[i*m.Dim:(i+1)*m.Dim], dists)
+		out[i] = m.predictRowRBF(flat, xs[i*m.Dim:(i+1)*m.Dim], dists, fused)
 	}
 	return nil
 }
@@ -133,16 +173,18 @@ func (m *Model) PredictBatch(xs [][]float64) ([]float64, error) {
 	flat := m.flatSVs()
 	var scratch BatchScratch
 	dists := scratch.grow(len(m.SV))
+	fused := m.fusedRBF()
 	for i, x := range xs {
-		out[i] = m.predictRowRBF(flat, x, dists)
+		out[i] = m.predictRowRBF(flat, x, dists, fused)
 	}
 	return out, nil
 }
 
 // sqDistsGeneric writes ||sv_k - x||^2 for every support-vector row of flat
 // (row-major, stride dim) into dists. Four rows are processed per pass with
-// independent accumulators so the FP adds pipeline instead of serializing;
-// amd64 replaces the hot block with an AVX2 kernel (dist_amd64.go).
+// independent accumulators so the FP adds pipeline instead of serializing.
+// Each square is rounded before it is added (the conversions), whatever the
+// compiler may fuse, so every build of this path produces the same bits.
 func sqDistsGeneric(flat []float64, dim int, x, dists []float64) {
 	n := len(dists)
 	xs := x[:dim:dim]
@@ -160,10 +202,10 @@ func sqDistsGeneric(flat []float64, dim int, x, dists []float64) {
 			t1 := sv1[j] - xv
 			t2 := sv2[j] - xv
 			t3 := sv3[j] - xv
-			d0 += t0 * t0
-			d1 += t1 * t1
-			d2 += t2 * t2
-			d3 += t3 * t3
+			d0 += float64(t0 * t0)
+			d1 += float64(t1 * t1)
+			d2 += float64(t2 * t2)
+			d3 += float64(t3 * t3)
 		}
 		dists[k] = d0
 		dists[k+1] = d1
@@ -175,7 +217,7 @@ func sqDistsGeneric(flat []float64, dim int, x, dists []float64) {
 		var d float64
 		for j := 0; j < dim; j++ {
 			t := sv[j] - xs[j]
-			d += t * t
+			d += float64(t * t)
 		}
 		dists[k] = d
 	}

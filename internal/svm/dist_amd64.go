@@ -6,12 +6,21 @@ package svm
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
+// rbfBlocksAVX evaluates Σ coef[k]·e^(-gamma·||sv_k - x||²) over the first
+// 4·blocks support vectors of flat (row-major, stride dim): the squared
+// distances go to dists[:4·blocks], then expNeg's arithmetic runs four
+// lanes at a time and the terms are summed in predictRowRBF's order. ok is
+// false when some gamma·distance is outside expNeg's fast range [0, 708]
+// (NaN included); sum is then meaningless but the distances are valid, and
+// the caller finishes the row with scalar expNeg. dim and blocks must be
+// positive and gamma finite and positive.
+//
 //go:noescape
-func sqdist4AVX(flat, x *float64, dim int, out *float64)
+func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool)
 
-// useAVX reports whether the vectorized distance kernel may run: the CPU
-// must support AVX2 and FMA, and the OS must save ymm state on context
-// switch (OSXSAVE + XCR0 bits 1-2).
+// useAVX reports whether the vectorized RBF kernel may run: the CPU must
+// support AVX2 and FMA, and the OS must save ymm state on context switch
+// (OSXSAVE + XCR0 bits 1-2).
 var useAVX = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -33,30 +42,11 @@ var useAVX = func() bool {
 	return b&(1<<5) != 0 // AVX2
 }()
 
-// sqDistsInto writes ||sv_k - x||^2 for every support-vector row of flat
-// (row-major, stride dim) into dists, using the AVX2 kernel for blocks of
-// four rows when available.
-func sqDistsInto(flat []float64, dim int, x, dists []float64) {
-	if !useAVX || dim < 4 {
-		sqDistsGeneric(flat, dim, x, dists)
-		return
+// expNegLanes holds expNeg's constants replicated across the four lanes of
+// a ymm register, in the order dist_amd64.s indexes them.
+var expNegLanes = func() (t [8][4]float64) {
+	for i, c := range [...]float64{expNegMax, expNegInvStep, expNegStep, 1.0 / 120, 1.0 / 24, 1.0 / 6, 0.5, 1} {
+		t[i] = [4]float64{c, c, c, c}
 	}
-	n := len(dists)
-	vecDim := dim &^ 3
-	k := 0
-	for ; k+4 <= n; k += 4 {
-		sqdist4AVX(&flat[k*dim], &x[0], dim, &dists[k])
-		for r := k; r < k+4 && vecDim < dim; r++ {
-			sv := flat[r*dim : (r+1)*dim : (r+1)*dim]
-			d := dists[r]
-			for j := vecDim; j < dim; j++ {
-				t := sv[j] - x[j]
-				d += t * t
-			}
-			dists[r] = d
-		}
-	}
-	if k < n {
-		sqDistsGeneric(flat[k*dim:], dim, x, dists[k:])
-	}
-}
+	return t
+}()

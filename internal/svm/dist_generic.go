@@ -2,10 +2,11 @@
 
 package svm
 
-// sqDistsInto writes ||sv_k - x||^2 for every support-vector row of flat
-// (row-major, stride dim) into dists. Non-amd64 platforms — and any build
-// with the noasm tag, which CI uses to exercise this path on every PR —
-// always take the portable blocked path.
-func sqDistsInto(flat []float64, dim int, x, dists []float64) {
-	sqDistsGeneric(flat, dim, x, dists)
+// Non-amd64 platforms — and any build with the noasm tag, which CI uses to
+// exercise this path on every PR — have no vector kernel: every row takes
+// sqDistsGeneric and scalar expNeg.
+const useAVX = false
+
+func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool) {
+	panic("svm: rbfBlocksAVX called without the AVX2 kernel")
 }

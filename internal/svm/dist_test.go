@@ -6,31 +6,38 @@ import (
 	"testing"
 )
 
-// TestSqDistsIntoMatchesGeneric cross-checks the arch-selected distance
-// kernel (AVX2 on capable amd64) against the portable implementation over
-// awkward shapes: dims that are not multiples of the vector width and SV
-// counts that are not multiples of the unroll factor.
-func TestSqDistsIntoMatchesGeneric(t *testing.T) {
+// TestFusedKernelMatchesGeneric cross-checks the AVX2 kernel against the
+// portable path over awkward shapes — dims that are not multiples of the
+// vector width, SV counts that are not multiples of the block — at the
+// tolerance the two summation orders allow: the distances it leaves in the
+// buffer against sqDistsGeneric, and the row value against the row value
+// without it. Bit-level agreement with the kernel's own arithmetic is
+// TestFusedKernelBitIdentity's job.
+func TestFusedKernelMatchesGeneric(t *testing.T) {
+	if !useAVX {
+		t.Skip("no AVX2 kernel in this build or on this CPU")
+	}
 	r := rand.New(rand.NewSource(41))
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 19, 32} {
 		for _, nsv := range []int{1, 2, 3, 4, 5, 8, 11, 17} {
-			flat := make([]float64, nsv*dim)
-			x := make([]float64, dim)
-			for i := range flat {
-				flat[i] = r.Float64()*200 - 100
-			}
-			for i := range x {
-				x[i] = r.Float64()*200 - 100
-			}
-			got := make([]float64, nsv)
+			m := syntheticRBF(r, nsv, dim, 1/float64(dim))
+			flat := m.flatSVs()
+			x := randomRows(r, 1, dim)
 			want := make([]float64, nsv)
-			sqDistsInto(flat, dim, x, got)
 			sqDistsGeneric(flat, dim, x, want)
-			for k := range got {
-				tol := 1e-12 * math.Max(1, want[k])
-				if math.Abs(got[k]-want[k]) > tol {
-					t.Errorf("dim=%d nsv=%d row %d: %v vs generic %v", dim, nsv, k, got[k], want[k])
+			if blocks := nsv / 4; blocks > 0 {
+				got := make([]float64, nsv)
+				rbfBlocksAVX(&flat[0], &x[0], &m.Coef[0], dim, blocks, m.Kernel.Gamma, &got[0])
+				for k := range got[:4*blocks] {
+					if math.Abs(got[k]-want[k]) > 1e-12*math.Max(1, want[k]) {
+						t.Errorf("dim=%d nsv=%d sv %d: distance %v vs generic %v", dim, nsv, k, got[k], want[k])
+					}
 				}
+			}
+			dists := make([]float64, nsv)
+			got, ref := m.predictRowRBF(flat, x, dists, true), m.predictRowRBF(flat, x, dists, false)
+			if math.Abs(got-ref) > 1e-12*math.Max(1, math.Abs(ref)) {
+				t.Errorf("dim=%d nsv=%d: row %v vs generic %v", dim, nsv, got, ref)
 			}
 		}
 	}

@@ -67,27 +67,30 @@ type Kernel struct {
 	Degree int     // polynomial degree
 }
 
-// Validate checks hyper-parameter sanity for the chosen kernel family.
+// Validate checks hyper-parameter sanity for the chosen kernel family. Gamma
+// must be positive and finite: NaN fails every comparison, so the test is
+// written as the condition that must hold.
 func (k Kernel) Validate() error {
+	gammaOK := k.Gamma > 0 && !math.IsInf(k.Gamma, 1)
 	switch k.Type {
 	case Linear:
 		return nil
 	case RBF:
-		if k.Gamma <= 0 {
-			return fmt.Errorf("svm: rbf gamma must be > 0, got %v", k.Gamma)
+		if !gammaOK {
+			return fmt.Errorf("svm: rbf gamma must be > 0 and finite, got %v", k.Gamma)
 		}
 		return nil
 	case Polynomial:
 		if k.Degree < 1 {
 			return fmt.Errorf("svm: polynomial degree must be >= 1, got %d", k.Degree)
 		}
-		if k.Gamma <= 0 {
-			return fmt.Errorf("svm: polynomial gamma must be > 0, got %v", k.Gamma)
+		if !gammaOK {
+			return fmt.Errorf("svm: polynomial gamma must be > 0 and finite, got %v", k.Gamma)
 		}
 		return nil
 	case Sigmoid:
-		if k.Gamma <= 0 {
-			return fmt.Errorf("svm: sigmoid gamma must be > 0, got %v", k.Gamma)
+		if !gammaOK {
+			return fmt.Errorf("svm: sigmoid gamma must be > 0 and finite, got %v", k.Gamma)
 		}
 		return nil
 	default:

@@ -15,6 +15,8 @@ func TestKernelValidate(t *testing.T) {
 		{"linear", Kernel{Type: Linear}, true},
 		{"rbf ok", Kernel{Type: RBF, Gamma: 0.5}, true},
 		{"rbf zero gamma", Kernel{Type: RBF}, false},
+		{"rbf nan gamma", Kernel{Type: RBF, Gamma: math.NaN()}, false},
+		{"rbf inf gamma", Kernel{Type: RBF, Gamma: math.Inf(1)}, false},
 		{"poly ok", Kernel{Type: Polynomial, Gamma: 1, Degree: 3}, true},
 		{"poly zero degree", Kernel{Type: Polynomial, Gamma: 1}, false},
 		{"poly zero gamma", Kernel{Type: Polynomial, Degree: 2}, false},

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -52,11 +52,35 @@ func WriteModel(w io.Writer, m *Model) error {
 	return bw.Flush()
 }
 
+// Ceilings on what a model file may make ReadModel allocate: the file comes
+// from outside the program (-model) and its dim header and feature indices
+// are sizes. They are errors, not knobs, set far above any model this
+// repository trains (ψ_stable is ~120 support vectors × 16 features).
+const (
+	maxModelDim    = 1 << 12 // features
+	maxModelValues = 1 << 22 // total_sv × dim: 32 MiB of float64
+)
+
+// parseFinite parses a number of a model file; NaN and ±Inf are rejected,
+// since a single one poisons every prediction.
+func parseFinite(s, what string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("svm: bad %s %q: %w", what, s, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("svm: %s %q is not finite", what, s)
+	}
+	return v, nil
+}
+
 // ReadModel parses a model previously written by WriteModel (or by LIBSVM's
-// svm-train for epsilon-SVR with dense features).
+// svm-train for epsilon-SVR with dense features). The file is not trusted:
+// every number must be finite, and dim, the largest feature index and
+// total_sv × dim are bounded before anything is allocated from them.
 func ReadModel(r io.Reader) (*Model, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // longest line; grows on demand
 	m := &Model{}
 	header := map[string]string{}
 	for sc.Scan() {
@@ -82,13 +106,13 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	m.Kernel.Type = kt
 	if g, ok := header["gamma"]; ok {
-		if m.Kernel.Gamma, err = strconv.ParseFloat(g, 64); err != nil {
-			return nil, fmt.Errorf("svm: bad gamma: %w", err)
+		if m.Kernel.Gamma, err = parseFinite(g, "gamma"); err != nil {
+			return nil, err
 		}
 	}
 	if c0, ok := header["coef0"]; ok {
-		if m.Kernel.Coef0, err = strconv.ParseFloat(c0, 64); err != nil {
-			return nil, fmt.Errorf("svm: bad coef0: %w", err)
+		if m.Kernel.Coef0, err = parseFinite(c0, "coef0"); err != nil {
+			return nil, err
 		}
 	}
 	if d, ok := header["degree"]; ok {
@@ -100,14 +124,16 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if !ok {
 		return nil, errors.New("svm: model missing rho")
 	}
-	if m.Rho, err = strconv.ParseFloat(rho, 64); err != nil {
-		return nil, fmt.Errorf("svm: bad rho: %w", err)
+	if m.Rho, err = parseFinite(rho, "rho"); err != nil {
+		return nil, err
 	}
 
+	// SV lines are kept sparse, as written, until the dimensionality is
+	// known and checked; their memory is bounded by the file's size.
 	type sparseSV struct {
 		coef float64
-		vals map[int]float64
-		max  int
+		idx  []int
+		vals []float64
 	}
 	var rows []sparseSV
 	maxIdx := 0
@@ -117,11 +143,10 @@ func ReadModel(r io.Reader) (*Model, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		coef, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("svm: bad SV coefficient %q: %w", fields[0], err)
+		row := sparseSV{idx: make([]int, 0, len(fields)-1), vals: make([]float64, 0, len(fields)-1)}
+		if row.coef, err = parseFinite(fields[0], "SV coefficient"); err != nil {
+			return nil, err
 		}
-		row := sparseSV{coef: coef, vals: map[int]float64{}}
 		for _, f := range fields[1:] {
 			kv := strings.SplitN(f, ":", 2)
 			if len(kv) != 2 {
@@ -131,17 +156,15 @@ func ReadModel(r io.Reader) (*Model, error) {
 			if err != nil || idx < 1 {
 				return nil, fmt.Errorf("svm: bad SV index %q", kv[0])
 			}
-			val, err := strconv.ParseFloat(kv[1], 64)
+			if idx > maxModelDim {
+				return nil, fmt.Errorf("svm: SV index %d above the %d-feature ceiling", idx, maxModelDim)
+			}
+			val, err := parseFinite(kv[1], "SV value")
 			if err != nil {
-				return nil, fmt.Errorf("svm: bad SV value %q: %w", kv[1], err)
+				return nil, err
 			}
-			row.vals[idx] = val
-			if idx > row.max {
-				row.max = idx
-			}
-		}
-		if row.max > maxIdx {
-			maxIdx = row.max
+			row.idx, row.vals = append(row.idx, idx), append(row.vals, val)
+			maxIdx = max(maxIdx, idx)
 		}
 		rows = append(rows, row)
 	}
@@ -163,23 +186,26 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if err != nil || d < maxIdx {
 			return nil, fmt.Errorf("svm: bad dim header %q (max SV index %d)", ds, maxIdx)
 		}
+		if d > maxModelDim {
+			return nil, fmt.Errorf("svm: dim %d above the %d-feature ceiling", d, maxModelDim)
+		}
 		m.Dim = d
 	}
-	for _, row := range rows {
-		dense := make([]float64, m.Dim)
-		idxs := make([]int, 0, len(row.vals))
-		for idx := range row.vals {
-			idxs = append(idxs, idx)
-		}
-		sort.Ints(idxs)
-		for _, idx := range idxs {
-			dense[idx-1] = row.vals[idx]
-		}
-		m.SV = append(m.SV, dense)
-		m.Coef = append(m.Coef, row.coef)
+	if len(rows)*m.Dim > maxModelValues {
+		return nil, fmt.Errorf("svm: %d support vectors × %d features above the %d-value ceiling", len(rows), m.Dim, maxModelValues)
 	}
 	if err := m.Kernel.Validate(); err != nil {
 		return nil, err
+	}
+	dense := make([]float64, len(rows)*m.Dim)
+	m.SV = make([][]float64, len(rows))
+	m.Coef = make([]float64, len(rows))
+	for i, row := range rows {
+		sv := dense[i*m.Dim : (i+1)*m.Dim : (i+1)*m.Dim]
+		for j, idx := range row.idx {
+			sv[idx-1] = row.vals[j] // a repeated index keeps its last value
+		}
+		m.SV[i], m.Coef[i] = sv, row.coef
 	}
 	return m, nil
 }

@@ -1,7 +1,10 @@
 package svm
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -328,6 +331,79 @@ func TestReadModelRejectsGarbage(t *testing.T) {
 			}
 		})
 	}
+}
+
+// untrustedModels are files ReadModel used to accept: numbers that poison
+// every prediction, and sizes it allocated from without looking.
+var untrustedModels = map[string]string{
+	"nan gamma":     "svm_type epsilon_svr\nkernel_type rbf\ngamma NaN\nrho 0\nSV\n0.5 1:1\n",
+	"inf rho":       "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho Inf\nSV\n0.5 1:1\n",
+	"nan coef":      "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\nNaN 1:1\n",
+	"inf sv value":  "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\n0.5 1:Inf\n",
+	"inf coef0":     "svm_type epsilon_svr\nkernel_type sigmoid\ngamma 1\ncoef0 -Inf\nrho 0\nSV\n0.5 1:1\n",
+	"huge index":    "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\n1 400000000:1\n",
+	"huge dim":      "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\ndim 400000000\nrho 0\nSV\n1 1:1\n",
+	"huge sv × dim": "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\ndim 4096\nrho 0\nSV\n" + strings.Repeat("1 1:1\n", maxModelValues/4096+1),
+}
+
+func TestReadModelDistrustsTheFile(t *testing.T) {
+	for name, text := range untrustedModels {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := ReadModel(strings.NewReader(text))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("loaded: dim %d, %d SVs, gamma %v, rho %v", m.Dim, m.NumSV(), m.Kernel.Gamma, m.Rho)
+			}
+			// A rejected file costs what parsing its own text costs; at
+			// the parent commit "huge index" cost 3.2 GB and loaded.
+			if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+				t.Errorf("rejecting the file allocated %d bytes", spent)
+			}
+		})
+	}
+	// The ceilings themselves are inside the accepted range.
+	atCeiling := "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\ndim 4096\nrho 0\nSV\n1 4096:1\n"
+	if m, err := ReadModel(strings.NewReader(atCeiling)); err != nil || m.Dim != maxModelDim {
+		t.Errorf("a %d-feature model was refused: %v", maxModelDim, err)
+	}
+}
+
+// FuzzReadModel feeds ReadModel arbitrary bytes: it must answer with an
+// error or with a model inside the ceilings that predicts one finite row
+// without panicking — the -model file is a trust boundary.
+func FuzzReadModel(f *testing.F) {
+	r := rand.New(rand.NewSource(1))
+	for _, m := range []*Model{
+		syntheticRBF(r, 9, 5, 0.25),
+		{Kernel: Kernel{Type: Polynomial, Gamma: 0.5, Coef0: 1, Degree: 3}, SV: [][]float64{{1, 0, 2}}, Coef: []float64{0.5}, Rho: 0.1, Dim: 3},
+		{Kernel: Kernel{Type: Linear}, Dim: 2},
+	} {
+		var buf bytes.Buffer
+		if err := WriteModel(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for name, text := range untrustedModels {
+		if name != "huge sv × dim" { // 6 KiB of repeated lines teaches the mutator nothing
+			f.Add([]byte(text))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadModel(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if m.Dim > maxModelDim || len(m.SV)*m.Dim > maxModelValues {
+			t.Fatalf("accepted %d support vectors × %d features", len(m.SV), m.Dim)
+		}
+		var s BatchScratch
+		if err := m.PredictBatchInto(make([]float64, m.Dim), make([]float64, 1), &s); err != nil {
+			t.Fatalf("accepted model cannot predict: %v", err)
+		}
+	})
 }
 
 func TestWriteModelNil(t *testing.T) {
