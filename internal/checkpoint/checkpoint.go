@@ -42,9 +42,8 @@ const formatVersion = 1
 
 var fileMagic = [8]byte{'v', 'm', 't', 'c', 'k', 'p', 't', '1'}
 
-// maxPayload bounds the length field so a forged header cannot balloon the
-// staging allocation; a real checkpoint of even a 100k-host fleet is far
-// smaller.
+// maxPayload bounds the length field; a real checkpoint of even a 100k-host
+// fleet is far smaller.
 const maxPayload = 1 << 30
 
 // ErrFormat reports an unreadable checkpoint: bad magic, unsupported
@@ -234,8 +233,14 @@ func Decode(r io.Reader) (*State, uint64, error) {
 	if length > maxPayload {
 		return nil, 0, fmt.Errorf("%w: implausible payload length %d", ErrFormat, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Grow the staging buffer with the bytes that are actually there: the
+	// length field is not trusted for the allocation, so a forged one costs
+	// what the file holds, not the gigabyte it may claim.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
+	if err == nil && uint64(len(payload)) < length {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("%w: truncated payload: %v", ErrFormat, err)
 	}
 	_, _ = sum.Write(payload)

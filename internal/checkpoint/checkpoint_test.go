@@ -2,11 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -198,6 +200,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Decode(bytes.NewReader(forged)); !errors.Is(err, ErrFormat) {
 		t.Errorf("forged length: err = %v, want ErrFormat", err)
+	}
+	// A forged length under the bound must cost what the file holds, not the
+	// gigabyte it claims.
+	binary.LittleEndian.PutUint64(forged[20:28], maxPayload-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(bytes.NewReader(forged))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFormat) {
+		t.Errorf("forged in-bound length: err = %v, want ErrFormat", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("forged in-bound length allocated %d bytes for a %d-byte file", grew, len(forged))
 	}
 }
 

@@ -86,9 +86,11 @@ func (c DynamicConfig) Validate() error {
 //	ψ(t + Δ_gap) = ψ*(t + Δ_gap) + γ
 //
 // Feed measurements through Observe; γ updates at most once per Δ_update.
+// The calibrator is held by value so a predictor is one allocation (none
+// when embedded) and Reset can re-anchor it in place.
 type DynamicPredictor struct {
 	curve      Curve
-	cal        *Calibrator
+	cal        Calibrator
 	cfg        DynamicConfig
 	lastUpdate float64
 	seeded     bool
@@ -96,17 +98,25 @@ type DynamicPredictor struct {
 
 // NewDynamicPredictor builds a predictor from a validated curve and config.
 func NewDynamicPredictor(curve Curve, cfg DynamicConfig) (*DynamicPredictor, error) {
-	if err := curve.Validate(); err != nil {
+	d := new(DynamicPredictor)
+	if err := d.Reset(curve, cfg); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// Reset re-anchors the predictor in place: afterwards it is indistinguishable
+// from NewDynamicPredictor(curve, cfg) — γ = 0, no updates, unseeded. Curve
+// and config are validated first; on error the predictor is left untouched.
+func (d *DynamicPredictor) Reset(curve Curve, cfg DynamicConfig) error {
+	if err := curve.Validate(); err != nil {
+		return err
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	cal, err := NewCalibrator(cfg.Lambda)
-	if err != nil {
-		return nil, err
-	}
-	return &DynamicPredictor{curve: curve, cal: cal, cfg: cfg}, nil
+	*d = DynamicPredictor{curve: curve, cal: Calibrator{lambda: cfg.Lambda}, cfg: cfg}
+	return nil
 }
 
 // Observe feeds a measurement φ(t). The calibration updates when at least

@@ -10,9 +10,23 @@
 // sessions live in a sharded, striped-lock map (per-shard RWMutex over the
 // id→session map, per-session mutex over the DynamicPredictor), so hundreds
 // of monitoring agents observe and predict fully in parallel while the
-// control loop runs batch rounds over the same sessions. Round appends into
-// a caller-owned buffer and allocates nothing on the hot path; allocation
-// happens only when a session is created or re-anchored.
+// control loop runs batch rounds over the same sessions.
+//
+// A round has two front-ends over one per-host body (roundHost). RoundSlots
+// is the slot-indexed one: the caller keeps each host's reading, anchor and
+// a cached session Handle in a []Slot parallel to its id list, so a warm
+// round hashes no string and takes no shard lock. Round is the keyed one —
+// maps of readings and anchors — for callers without a host table; it stages
+// the maps into engine-owned slots and runs the same body. Both append into
+// a caller-owned buffer and allocate only when a session is first created: a
+// re-anchor resets the existing session in place.
+//
+// A Handle is served only while its session is still the one registered
+// under the id. Every way out of the session map (Delete, eviction, Restore,
+// a first-sight create that replaces a racing one) marks the session removed
+// under the shard lock, and an empty or removed Handle falls back to the
+// keyed lookup — so a session deleted since is never served stale and one
+// created since (by the streaming path, say) is never missed.
 package engine
 
 import (
@@ -158,11 +172,13 @@ var ErrImplausibleReading = errors.New("engine: implausible temperature reading"
 
 // session is one host's dynamic prediction state: an Eq. (3) curve anchored
 // at (anchorAt, φ(anchorAt)) with the ψ_stable the batch model last
-// predicted for the host's deployment, the online calibrator, and the mutex
-// that serializes access to the (not concurrency-safe) predictor.
+// predicted for the host's deployment, the online calibrator (both inside
+// the by-value predictor, so a session is one allocation and re-anchors in
+// place), and the mutex that serializes access to the (not
+// concurrency-safe) predictor.
 type session struct {
 	mu       sync.Mutex
-	pred     *core.DynamicPredictor
+	pred     core.DynamicPredictor
 	stable   float64
 	anchorAt float64
 	// lastAtS is the engine-time instant of the newest telemetry observed
@@ -170,19 +186,27 @@ type session struct {
 	// streaming path reads it to compute staleness without a latest-reading
 	// map; guarded by mu like the predictor.
 	lastAtS float64
+	// removed is set, under the shard lock, the moment the session leaves
+	// the session map: the validity rule of every Handle that cached it.
+	removed atomic.Bool
 }
 
 // localT converts engine time to session-local curve time.
 func (s *session) localT(t float64) float64 { return t - s.anchorAt }
 
-// observe feeds one measurement and returns the resulting γ.
-func (s *session) observe(t, tempC float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// feed applies one measurement; the caller holds mu.
+func (s *session) feed(t, tempC float64) {
 	s.pred.Observe(s.localT(t), tempC)
 	if t > s.lastAtS {
 		s.lastAtS = t
 	}
+}
+
+// observe feeds one measurement and returns the resulting γ.
+func (s *session) observe(t, tempC float64) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.feed(t, tempC)
 	return s.pred.Gamma()
 }
 
@@ -209,9 +233,11 @@ type Engine struct {
 	mask   uint64
 	count  atomic.Int64
 	nextID atomic.Uint64
-	// scratch backs the sharded round's per-host slots; owned by the single
-	// in-flight Round call and reused across rounds.
+	// scratch holds the sharded round's per-host results, keyed the slots
+	// the keyed Round stages its maps into; both are owned by the single
+	// in-flight round and reused across rounds.
 	scratch []roundSlot
+	keyed   []Slot
 }
 
 // New builds an engine.
@@ -286,8 +312,8 @@ func (e *Engine) Create(id string, p SessionParams) error {
 	if id == "" {
 		return errors.New("engine: empty session id")
 	}
-	sess, err := e.build(p)
-	if err != nil {
+	sess := new(session)
+	if err := e.anchor(sess, p); err != nil {
 		return err
 	}
 	sh := e.shardFor(id)
@@ -302,8 +328,11 @@ func (e *Engine) Create(id string, p SessionParams) error {
 	return nil
 }
 
-// build constructs session state from params, applying engine defaults.
-func (e *Engine) build(p SessionParams) (*session, error) {
+// anchor (re)builds s from params, applying engine defaults: afterwards s is
+// bit-identical to a freshly created session (γ = 0, unseeded, last
+// telemetry at the anchor instant). Parameters are validated first; on error
+// s is untouched. The caller owns s or holds its mutex.
+func (e *Engine) anchor(s *session, p SessionParams) error {
 	cfg := core.DynamicConfig{Lambda: e.cfg.Lambda, UpdateEveryS: e.cfg.UpdateEveryS, GapS: e.cfg.GapS}
 	if p.Lambda != 0 {
 		cfg.Lambda = p.Lambda
@@ -322,15 +351,12 @@ func (e *Engine) build(p SessionParams) (*session, error) {
 	if delta == 0 {
 		delta = e.cfg.CurveDeltaS
 	}
-	curve, err := core.NewCurve(p.Phi0, p.StableC, tBreak, delta)
-	if err != nil {
-		return nil, err
+	curve := core.Curve{Phi0: p.Phi0, Stable: p.StableC, TBreakS: tBreak, DeltaS: delta}
+	if err := s.pred.Reset(curve, cfg); err != nil {
+		return err
 	}
-	pred, err := core.NewDynamicPredictor(curve, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &session{pred: pred, stable: p.StableC, anchorAt: p.AnchorAtS, lastAtS: p.AnchorAtS}, nil
+	s.stable, s.anchorAt, s.lastAtS = p.StableC, p.AnchorAtS, p.AnchorAtS
+	return nil
 }
 
 // Observe feeds one measurement φ(t) into a session and returns the current
@@ -373,8 +399,11 @@ func (e *Engine) Stable(id string) (float64, error) {
 func (e *Engine) Delete(id string) bool {
 	sh := e.shardFor(id)
 	sh.mu.Lock()
-	_, ok := sh.sessions[id]
-	delete(sh.sessions, id)
+	s, ok := sh.sessions[id]
+	if ok {
+		s.removed.Store(true)
+		delete(sh.sessions, id)
+	}
 	sh.mu.Unlock()
 	if ok {
 		e.count.Add(-1)
@@ -408,14 +437,59 @@ type RoundStats struct {
 	// the model produced an unusable ψ_stable anchor (graceful blindness
 	// must be visible, never silent).
 	AnchorFailures int
-	// Reanchored counts sessions rebuilt this round (first sight or anchor
+	// Reanchored counts sessions anchored this round (first sight or anchor
 	// drift beyond ReanchorEpsC).
 	Reanchored int
-	// Evicted counts sessions removed because their telemetry exceeded
-	// EvictAfterS.
-	Evicted int
+	// Forgotten counts hosts whose reading was dropped because their
+	// telemetry exceeded EvictAfterS; Evicted counts those of them that had
+	// a session to remove.
+	Forgotten, Evicted int
 	// MaxStalenessS is the oldest telemetry age seen this round.
 	MaxStalenessS float64
+}
+
+// Handle caches one id's session lookup between rounds for a caller that
+// keeps per-host slots. The zero Handle is valid: it resolves by key. See
+// the package comment for the validity rule.
+type Handle struct{ sess *session }
+
+// Slot is one host's share of a slot-indexed round: what the caller knows
+// about the host going in, and the engine's cached way back to its session.
+type Slot struct {
+	// Reading is the host's newest telemetry; Present says there is one.
+	// RoundSlots clears Present when it forgets a host dark beyond
+	// EvictAfterS.
+	Reading telemetry.Reading
+	Present bool
+	// Anchor is this round's batch-predicted ψ_stable for the host, NaN for
+	// none (an unusable anchor and no anchor at all are the same thing to a
+	// round: the host keeps its session if it has one).
+	Anchor float64
+	// Handle is the engine's; callers only carry it along with the slot.
+	Handle Handle
+}
+
+// resolve returns id's session through h, refreshing h by key when it is
+// empty or its session has left the map.
+func (e *Engine) resolve(h *Handle, id string) *session {
+	if s := h.sess; s != nil && !s.removed.Load() {
+		return s
+	}
+	h.sess, _ = e.get(id)
+	return h.sess
+}
+
+// HandleCurrent reports whether h obeys the validity rule for id: its
+// session is the one registered under id, or it is empty or marked removed
+// and therefore resolves by key.
+func (e *Engine) HandleCurrent(id string, h Handle) bool {
+	if h.sess == nil {
+		return true
+	}
+	if cur, _ := e.get(id); cur == h.sess {
+		return true
+	}
+	return h.sess.removed.Load()
 }
 
 // roundParallelMinHosts gates the sharded round: below this population the
@@ -425,12 +499,13 @@ const roundParallelMinHosts = 1024
 
 // roundHost runs one host's share of a round — staleness accounting,
 // (re-)anchoring, calibration, Δ_gap prediction — into pred. It reports
-// whether a prediction was produced and whether the host must be evicted
-// (the eviction itself, which mutates shared maps, is the caller's —
+// whether a prediction was produced and whether the host must be forgotten
+// (the eviction itself, which mutates shared state, is the caller's —
 // serial — responsibility). Safe for concurrent calls on distinct hosts:
-// sessions live behind striped locks and every counter lands in the
-// caller-owned st.
-func (e *Engine) roundHost(nowS float64, id string, r telemetry.Reading, anchors map[string]float64, st *RoundStats, pred *Prediction) (ok, evict bool) {
+// sessions live behind striped locks, the slot is the caller's own, and
+// every counter lands in the caller-owned st.
+func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction) (ok, evict bool) {
+	r := s.Reading
 	if r.AtS > nowS {
 		// Clock-skewed producer: a future-stamped reading would drive
 		// staleness (and uncertainty) negative and jump the calibration
@@ -449,38 +524,40 @@ func (e *Engine) roundHost(nowS float64, id string, r telemetry.Reading, anchors
 	}
 	stale := staleness > e.cfg.StaleAfterS
 
-	sh := e.shardFor(id)
-	sh.mu.RLock()
-	sess := sh.sessions[id]
-	sh.mu.RUnlock()
-	anchor, anchored := anchors[id]
-	// (Re-)anchor on first sight or when the deployment's predicted
-	// ψ_stable moved: the old curve no longer describes this host.
-	if anchored && (sess == nil || math.Abs(anchor-sess.stable) > e.cfg.ReanchorEpsC) {
-		// On failure (e.g. a NaN anchor from a degenerate model output)
-		// keep the previous session if there is one; a host left with no
-		// session at all is counted so the blindness is observable.
-		if ns, err := e.build(SessionParams{Phi0: r.TempC, StableC: anchor, AnchorAtS: r.AtS}); err == nil {
-			sh.mu.Lock()
-			if _, had := sh.sessions[id]; !had {
-				e.count.Add(1)
-			}
-			sh.sessions[id] = ns
-			sh.mu.Unlock()
-			sess = ns
+	anchored := !math.IsNaN(s.Anchor)
+	params := SessionParams{Phi0: r.TempC, StableC: s.Anchor, AnchorAtS: r.AtS}
+	sess := e.resolve(&s.Handle, id)
+	switch {
+	case sess != nil:
+		sess.mu.Lock()
+		// Re-anchor in place when the deployment's predicted ψ_stable moved:
+		// the old curve no longer describes this host. On failure (a
+		// degenerate reading) the session keeps serving its old curve and
+		// nothing counts.
+		if anchored && math.Abs(s.Anchor-sess.stable) > e.cfg.ReanchorEpsC && e.anchor(sess, params) == nil {
 			st.Reanchored++
+		}
+	case anchored:
+		// First sight: the one allocation a session ever costs.
+		if sess = e.adopt(id, params); sess != nil {
+			s.Handle.sess = sess
+			st.Reanchored++
+			sess.mu.Lock()
 		}
 	}
 	if sess == nil {
+		// No session and no usable anchor to build one from: counted, so
+		// the blindness is observable.
 		st.AnchorFailures++
 		return false, false
 	}
 	if !stale {
 		// Calibration: Eqs. (4)–(6) on the session's Δ_update schedule.
-		sess.observe(r.AtS, r.TempC)
+		sess.feed(r.AtS, r.TempC)
 	}
+	tempC := sess.pred.Predict(sess.localT(nowS))
+	sess.mu.Unlock()
 	st.Live++
-	tempC, _ := sess.predict(nowS)
 	*pred = Prediction{
 		HostID:       id,
 		TempC:        tempC,
@@ -491,71 +568,128 @@ func (e *Engine) roundHost(nowS float64, id string, r telemetry.Reading, anchors
 	return true, false
 }
 
-// Round executes one control round over a host population: for every id in
-// order that has a reading in latest, (re-)anchor the session against the
-// batch-predicted ψ_stable in anchors, calibrate on fresh telemetry, and
-// append a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older
-// than StaleAfterS are degraded (prediction marked stale, no calibration);
-// older than EvictAfterS, their session is evicted and their entry removed
-// from latest.
+// adopt builds a session from p and registers it under id, replacing (and
+// retiring) one a concurrent push created since the round looked: the
+// round's anchor comes from the authoritative batch model. It returns nil
+// when p does not describe a valid curve.
+func (e *Engine) adopt(id string, p SessionParams) *session {
+	ns := new(session)
+	if e.anchor(ns, p) != nil {
+		return nil
+	}
+	sh := e.shardFor(id)
+	sh.mu.Lock()
+	if old, had := sh.sessions[id]; had {
+		old.removed.Store(true)
+	} else {
+		e.count.Add(1)
+	}
+	sh.sessions[id] = ns
+	sh.mu.Unlock()
+	return ns
+}
+
+// forget evicts a host dark beyond EvictAfterS: its session (if any) and
+// its slot's reading.
+func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
+	if e.Delete(id) {
+		st.Evicted++
+	}
+	st.Forgotten++
+	s.Present, s.Handle = false, Handle{}
+}
+
+// RoundSlots executes one control round over a host population kept in
+// slots: for every slot with a reading, (re-)anchor the session against the
+// slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and append
+// a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older than
+// StaleAfterS are degraded (prediction marked stale, no calibration); older
+// than EvictAfterS, their session is evicted and their slot's reading
+// dropped. ids[i] names slots[i].
 //
 // dst is appended to and returned (pass dst[:0] to reuse a buffer); beyond
-// session (re)creation, Round does not allocate. Hosts absent from latest
-// are skipped — never observed means no session and no prediction.
+// first-sight session creation, RoundSlots does not allocate. Slots without
+// a reading are skipped — never observed means no session and no
+// prediction.
 //
 // With RoundWorkers > 1 and a population of at least 1024 hosts, the
-// per-host pass is sharded across a bounded worker pool: workers write
-// disjoint scratch slots and only read latest/anchors, evictions are
-// deferred to a serial sweep, and dst is filled in host order afterwards —
-// so results (predictions, their order, and the round stats) are identical
-// to the serial pass. Round itself must not be called concurrently with
-// another Round on the same engine; it remains safe against concurrent
-// Observe/Predict/Create/Delete traffic, exactly like the serial path.
-func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
+// per-host pass is sharded across a bounded worker pool: workers touch
+// disjoint slots, evictions are deferred to a serial sweep, and dst is
+// filled in slot order afterwards — so results (predictions, their order,
+// and the round stats) are identical to the serial pass. A round must not
+// overlap another round (either front-end) on the same engine; it is safe
+// against concurrent Observe/Predict/Create/Delete traffic.
+func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	workers := e.cfg.RoundWorkers
-	if len(order) < roundParallelMinHosts {
+	if len(slots) < roundParallelMinHosts {
 		workers = 1
 	}
 	// Keep every worker's chunk large enough to amortize its goroutine.
-	if maxW := (len(order) + 255) / 256; workers > maxW {
+	if maxW := (len(slots) + 255) / 256; workers > maxW {
 		workers = maxW
 	}
-	if workers <= 1 {
-		var st RoundStats
-		for _, id := range order {
-			r, seen := latest[id]
-			if !seen {
-				continue
-			}
-			var pred Prediction
-			ok, evict := e.roundHost(nowS, id, r, anchors, &st, &pred)
-			if evict {
-				if e.Delete(id) {
-					st.Evicted++
-				}
-				delete(latest, id)
-				continue
-			}
-			if ok {
-				dst = append(dst, pred)
-			}
-		}
-		return dst, st
+	if workers > 1 {
+		return e.roundSharded(workers, dst, nowS, ids, slots)
 	}
-	return e.roundSharded(workers, dst, nowS, order, latest, anchors)
+	var st RoundStats
+	for i := range slots {
+		s := &slots[i]
+		if !s.Present {
+			continue
+		}
+		var pred Prediction
+		ok, evict := e.roundHost(nowS, ids[i], s, &st, &pred)
+		if evict {
+			e.forget(ids[i], s, &st)
+		} else if ok {
+			dst = append(dst, pred)
+		}
+	}
+	return dst, st
 }
 
-// roundSlot is one host's scratch cell in the sharded round.
+// Round is RoundSlots for callers that keep readings and anchors in maps:
+// every id in order that has a reading in latest is a host of the round,
+// anchored by anchors[id] when present; a host forgotten for dark telemetry
+// is removed from latest. Hosts, results and stats are exactly RoundSlots'
+// — the maps are staged into engine-owned slots (with empty handles, so
+// every session resolves by key) and run through the same body.
+func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
+	if cap(e.keyed) < len(order) {
+		e.keyed = make([]Slot, len(order))
+	}
+	slots := e.keyed[:len(order)]
+	for i, id := range order {
+		s := Slot{Anchor: math.NaN()}
+		if s.Reading, s.Present = latest[id]; s.Present {
+			if a, ok := anchors[id]; ok {
+				s.Anchor = a
+			}
+		}
+		slots[i] = s
+	}
+	dst, st := e.RoundSlots(dst, nowS, order, slots)
+	if st.Forgotten > 0 {
+		for i, id := range order {
+			if !slots[i].Present {
+				delete(latest, id)
+			}
+		}
+	}
+	return dst, st
+}
+
+// roundSlot is one host's result cell in the sharded round.
 type roundSlot struct {
 	pred      Prediction
 	ok, evict bool
 }
 
-// roundSharded is the parallel Round body: chunked host ranges into
+// roundSharded is the parallel round body: chunked slot ranges into
 // per-index scratch, stats merged in chunk order, evictions and the
 // in-order dst fill applied serially.
-func (e *Engine) roundSharded(workers int, dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
-	n := len(order)
+func (e *Engine) roundSharded(workers int, dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
+	n := len(slots)
 	if cap(e.scratch) < n {
 		e.scratch = make([]roundSlot, n)
 	}
@@ -574,13 +708,10 @@ func (e *Engine) roundSharded(workers int, dst []Prediction, nowS float64, order
 			defer wg.Done()
 			st := &stats[w]
 			for i := lo; i < hi; i++ {
-				id := order[i]
-				r, seen := latest[id]
-				if !seen {
-					scratch[i].ok, scratch[i].evict = false, false
-					continue
+				res := &scratch[i]
+				if res.ok, res.evict = false, false; slots[i].Present {
+					res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred)
 				}
-				scratch[i].ok, scratch[i].evict = e.roundHost(nowS, id, r, anchors, st, &scratch[i].pred)
 			}
 		}(w, lo, hi)
 	}
@@ -594,15 +725,10 @@ func (e *Engine) roundSharded(workers int, dst []Prediction, nowS float64, order
 			st.MaxStalenessS = stats[i].MaxStalenessS
 		}
 	}
-	for i, id := range order {
+	for i := range scratch {
 		if scratch[i].evict {
-			if e.Delete(id) {
-				st.Evicted++
-			}
-			delete(latest, id)
-			continue
-		}
-		if scratch[i].ok {
+			e.forget(ids[i], &slots[i], &st)
+		} else if scratch[i].ok {
 			dst = append(dst, scratch[i].pred)
 		}
 	}

@@ -424,20 +424,23 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 
 // TestShardedRoundMatchesSerial: with RoundWorkers > 1 and a >= 1024-host
 // population, the sharded round must produce exactly the serial round's
-// predictions (same order), stats, surviving sessions and latest map —
-// across multiple rounds including staleness degradation and evictions.
+// predictions (same order), stats, surviving sessions and surviving readings
+// — across multiple rounds including staleness degradation and evictions —
+// and the slot-indexed front-end exactly the keyed one's, serial and sharded.
 func TestShardedRoundMatchesSerial(t *testing.T) {
 	const hosts = 2048
-	run := func(workers int) ([][]Prediction, []RoundStats, int, int) {
+	run := func(workers int, slotted bool) ([][]Prediction, []RoundStats, int, int) {
 		e := testEngine(t, func(c *Config) { c.RoundWorkers = workers })
 		order := make([]string, hosts)
 		latest := make(map[string]telemetry.Reading, hosts)
 		anchors := make(map[string]float64, hosts)
+		slots := make([]Slot, hosts)
 		for i := range order {
 			id := fmt.Sprintf("p%02d-h%04d", i/128, i%128)
 			order[i] = id
 			latest[id] = telemetry.Reading{HostID: id, AtS: 0, TempC: 25 + float64(i%30)}
 			anchors[id] = 40 + float64(i%40)
+			slots[i] = Slot{Reading: latest[id], Present: true, Anchor: anchors[id]}
 		}
 		var allPreds [][]Prediction
 		var allStats []RoundStats
@@ -452,34 +455,60 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 					r.AtS = now
 					r.TempC = 25 + float64((round+i)%30)
 					latest[id] = r
+					slots[i].Reading, slots[i].Present = r, true
 				}
 				if round == 4 && i%5 == 0 {
 					anchors[id] += 10
+					slots[i].Anchor = anchors[id]
 				}
 			}
-			preds, st := e.Round(nil, now, order, latest, anchors)
+			var preds []Prediction
+			var st RoundStats
+			if slotted {
+				preds, st = e.RoundSlots(nil, now, order, slots)
+			} else {
+				preds, st = e.Round(nil, now, order, latest, anchors)
+			}
 			allPreds = append(allPreds, preds)
 			allStats = append(allStats, st)
 		}
-		return allPreds, allStats, e.Len(), len(latest)
+		readings := len(latest)
+		if slotted {
+			readings = 0
+			for i := range slots {
+				if slots[i].Present {
+					readings++
+				}
+				if !e.HandleCurrent(order[i], slots[i].Handle) {
+					t.Errorf("host %s: slot handle is not the registered session", order[i])
+				}
+			}
+		}
+		return allPreds, allStats, e.Len(), readings
 	}
 
-	sp, ss, slen, slat := run(1)
-	pp, ps, plen, plat := run(8)
-	if slen != plen || slat != plat {
-		t.Fatalf("population diverged: sessions %d vs %d, latest %d vs %d", slen, plen, slat, plat)
-	}
-	for round := range sp {
-		if ss[round] != ps[round] {
-			t.Fatalf("round %d stats diverged: serial %+v, sharded %+v", round, ss[round], ps[round])
+	sp, ss, slen, slat := run(1, false)
+	for _, alt := range []struct {
+		name    string
+		workers int
+		slotted bool
+	}{{"keyed sharded", 8, false}, {"slots serial", 1, true}, {"slots sharded", 8, true}} {
+		pp, ps, plen, plat := run(alt.workers, alt.slotted)
+		if slen != plen || slat != plat {
+			t.Fatalf("%s: population diverged: sessions %d vs %d, readings %d vs %d", alt.name, slen, plen, slat, plat)
 		}
-		if len(sp[round]) != len(pp[round]) {
-			t.Fatalf("round %d produced %d vs %d predictions", round, len(sp[round]), len(pp[round]))
-		}
-		for i := range sp[round] {
-			if sp[round][i] != pp[round][i] {
-				t.Fatalf("round %d prediction %d diverged: %+v vs %+v",
-					round, i, sp[round][i], pp[round][i])
+		for round := range sp {
+			if ss[round] != ps[round] {
+				t.Fatalf("%s: round %d stats diverged: serial keyed %+v, got %+v", alt.name, round, ss[round], ps[round])
+			}
+			if len(sp[round]) != len(pp[round]) {
+				t.Fatalf("%s: round %d produced %d vs %d predictions", alt.name, round, len(sp[round]), len(pp[round]))
+			}
+			for i := range sp[round] {
+				if sp[round][i] != pp[round][i] {
+					t.Fatalf("%s: round %d prediction %d diverged: %+v vs %+v",
+						alt.name, round, i, sp[round][i], pp[round][i])
+				}
 			}
 		}
 	}

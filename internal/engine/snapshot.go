@@ -64,6 +64,9 @@ func (e *Engine) Restore(st State) error {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
+		for _, sess := range sh.sessions {
+			sess.removed.Store(true)
+		}
 		clear(sh.sessions)
 		sh.mu.Unlock()
 	}
@@ -77,7 +80,7 @@ func (e *Engine) Restore(st State) error {
 		if err != nil {
 			return fmt.Errorf("engine: restore session %q: %w", ss.ID, err)
 		}
-		sess := &session{pred: pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
+		sess := &session{pred: *pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
 		sh := e.shardFor(ss.ID)
 		sh.mu.Lock()
 		if _, dup := sh.sessions[ss.ID]; dup {

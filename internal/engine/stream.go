@@ -76,8 +76,8 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 			st.Deferred++
 			return nil
 		}
-		ns, err := e.build(SessionParams{Phi0: r.TempC, StableC: stableC, AnchorAtS: r.AtS})
-		if err != nil {
+		ns := new(session)
+		if e.anchor(ns, SessionParams{Phi0: r.TempC, StableC: stableC, AnchorAtS: r.AtS}) != nil {
 			st.Deferred++
 			return nil
 		}

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math"
 	"testing"
 
@@ -39,8 +38,7 @@ func gridController(t *testing.T, cfg Config, predict BatchCasePredictor, utils,
 	for i, u := range utils {
 		for j, m := range mems {
 			id := fmt.Sprintf("g%03d-%03d", i, j)
-			ctl.latest[id] = Reading{HostID: id, AtS: 0, TempC: 30, Util: u, MemFrac: m}
-			ctl.order = append(ctl.order, id)
+			seedReading(ctl, Reading{HostID: id, AtS: 0, TempC: 30, Util: u, MemFrac: m})
 		}
 	}
 	return ctl
@@ -71,11 +69,11 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 		exact := gridController(t, cfgExact, predict, utils, mems)
 		cached := gridController(t, DefaultConfig(), predict, utils, mems)
 
-		exactAnchors, _, _, err := exact.anchors()
+		exactAnchors, _, _, err := anchorsOf(exact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedAnchors, hits, misses, err := cached.anchors()
+		cachedAnchors, hits, misses, err := anchorsOf(cached)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +107,9 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 			len(utils), len(mems), maxDiff, eps, len(cached.caseBuf), len(utils)*len(mems))
 
 		// A second pass over identical telemetry must be all hits and
-		// bit-identical to the first cached pass. anchors() returns the
-		// controller's reusable map, so the first result must be copied
-		// before the second call repopulates it in place.
-		firstPass := maps.Clone(cachedAnchors)
-		again, hits2, misses2, err := cached.anchors()
+		// bit-identical to the first cached pass.
+		firstPass := cachedAnchors
+		again, hits2, misses2, err := anchorsOf(cached)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,16 +141,16 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 
 // TestWarmAnchorsZeroAlloc pins the warm-round contract: once every tracked
 // host's anchor is cached, the whole anchors() pass — key derivation, cache
-// hits, anchor map fill — allocates nothing, for both the source-driven and
+// hits, slot anchor fill — allocates nothing, for both the source-driven and
 // the simulated path.
 func TestWarmAnchorsZeroAlloc(t *testing.T) {
 	t.Run("source", func(t *testing.T) {
 		ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(16), gridAxis(4))
-		if _, _, _, err := ctl.anchors(); err != nil { // cold round fills the cache
+		if _, _, err := ctl.anchors(); err != nil { // cold round fills the cache
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, misses, err := ctl.anchors()
+			_, misses, err := ctl.anchors()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,11 +174,11 @@ func TestWarmAnchorsZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, _, err := ctl.anchors(); err != nil {
+		if _, _, err := ctl.anchors(); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			_, _, misses, err := ctl.anchors()
+			_, misses, err := ctl.anchors()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,14 +196,14 @@ func TestWarmAnchorsZeroAlloc(t *testing.T) {
 // must go back through the predictor.
 func TestInvalidateAnchorCacheForcesRepredict(t *testing.T) {
 	ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(8), gridAxis(2))
-	if _, _, _, err := ctl.anchors(); err != nil {
+	if _, _, err := ctl.anchors(); err != nil {
 		t.Fatal(err)
 	}
-	if _, hits, misses, _ := ctl.anchors(); misses != 0 || hits == 0 {
+	if hits, misses, _ := ctl.anchors(); misses != 0 || hits == 0 {
 		t.Fatalf("warm round: %d hits / %d misses", hits, misses)
 	}
 	ctl.InvalidateAnchorCache()
-	if _, hits, misses, _ := ctl.anchors(); hits != 0 || misses == 0 {
+	if hits, misses, _ := ctl.anchors(); hits != 0 || misses == 0 {
 		t.Fatalf("post-invalidate round: %d hits / %d misses, want all misses", hits, misses)
 	}
 	if st, _, enabled := ctl.AnchorCacheStats(); !enabled || st.Invalidations != 1 {
@@ -227,10 +223,9 @@ func TestAnchorCacheDedupesSharedBuckets(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		id := fmt.Sprintf("dup-%02d", i)
 		// All 32 hosts inside one (util, mem) bucket.
-		ctl.latest[id] = Reading{HostID: id, AtS: 0, TempC: 30, Util: 0.5021, MemFrac: 0.25}
-		ctl.order = append(ctl.order, id)
+		seedReading(ctl, Reading{HostID: id, AtS: 0, TempC: 30, Util: 0.5021, MemFrac: 0.25})
 	}
-	anchors, _, misses, err := ctl.anchors()
+	anchors, _, misses, err := anchorsOf(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +265,10 @@ func TestSimFingerprintTracksLoadDistribution(t *testing.T) {
 	if err := ctl.PlaceAt("r0-h0", spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, misses, err := ctl.anchors(); err != nil || misses != 1 {
+	if _, misses, err := ctl.anchors(); err != nil || misses != 1 {
 		t.Fatalf("cold anchors: misses=%d err=%v", misses, err)
 	}
-	if _, _, misses, _ := ctl.anchors(); misses != 0 {
+	if _, misses, _ := ctl.anchors(); misses != 0 {
 		t.Fatalf("unchanged deployment missed the cache (%d misses)", misses)
 	}
 	// Shift load between tasks, keeping the total (and host utilization)
@@ -288,7 +283,7 @@ func TestSimFingerprintTracksLoadDistribution(t *testing.T) {
 	if err := vm.SetTaskCPU("t1", 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, hits, misses, _ := ctl.anchors(); misses != 1 || hits != 0 {
+	if hits, misses, _ := ctl.anchors(); misses != 1 || hits != 0 {
 		t.Fatalf("redistributed load: %d hits / %d misses, want a fresh miss", hits, misses)
 	}
 }
@@ -410,7 +405,7 @@ func TestAnchorQuantValidation(t *testing.T) {
 // batch-predictor fan-out instead of a cold mass re-anchor.
 func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 	ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(16), gridAxis(4))
-	if _, _, misses, err := ctl.anchors(); err != nil || misses == 0 {
+	if _, misses, err := ctl.anchors(); err != nil || misses == 0 {
 		t.Fatalf("cold run: misses=%d err=%v", misses, err)
 	}
 	st, err := ctl.Checkpoint()
@@ -422,7 +417,7 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 	if err := restarted.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	anchors, hits, misses, err := restarted.anchors()
+	anchors, hits, misses, err := anchorsOf(restarted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +425,7 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 		t.Fatalf("restarted fleet's first round had %d hits %d misses, want hits only", hits, misses)
 	}
 	// Restored anchors must equal the original fleet's, not just hit.
-	orig, _, _, err := ctl.anchors()
+	orig, _, _, err := anchorsOf(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +446,7 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 	if n := other.AnchorCacheLen(); n != 0 {
 		t.Fatalf("quantizer-mismatched restore kept %d saved anchors", n)
 	}
-	if _, hits, _, err := other.anchors(); err != nil || hits != 0 {
+	if hits, _, err := other.anchors(); err != nil || hits != 0 {
 		t.Fatalf("quantizer-mismatched restore served %d saved anchors (err %v)", hits, err)
 	}
 
@@ -466,7 +461,8 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 		t.Fatalf("cache-disabled checkpoint: section %v, err %v", offSt.AnchorCache, err)
 	}
 	for _, state := range []*checkpoint.State{offSt, st} {
-		if err := gridController(t, disabled, syntheticStable, nil, nil).Restore(state); err != nil {
+		// Sized for the larger fleet: a restore refuses more hosts than MaxHosts.
+		if err := gridController(t, disabled, syntheticStable, gridAxis(16), gridAxis(4)).Restore(state); err != nil {
 			t.Fatalf("cache-disabled restore: %v", err)
 		}
 	}
@@ -525,6 +521,31 @@ func TestStableMembershipSkipsOrderRebuild(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order after discovery = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestMissScratchDropsLastRoundsCases: the miss buffers are reused across
+// rounds, and a case left beyond a truncated slice's length would pin the
+// arena arrays a mass-miss round outgrew (and a simulated host's deployment
+// view) for as long as the controller lives. The next anchor pass must clear
+// what the last one staged.
+func TestMissScratchDropsLastRoundsCases(t *testing.T) {
+	ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(32), gridAxis(4))
+	if _, misses, err := ctl.anchors(); err != nil || misses == 0 { // cold: every bucket staged
+		t.Fatalf("cold pass: misses=%d err=%v", misses, err)
+	}
+	if _, misses, err := ctl.anchors(); err != nil || misses != 0 { // warm: nothing staged
+		t.Fatalf("warm pass: misses=%d err=%v", misses, err)
+	}
+	for i, cse := range ctl.caseBuf[:cap(ctl.caseBuf)] {
+		if cse.VMs != nil {
+			t.Fatalf("caseBuf[%d] still holds the cold pass's case", i)
+		}
+	}
+	for i, vm := range ctl.obsVMs[:cap(ctl.obsVMs)] {
+		if vm.Tasks != nil {
+			t.Fatalf("obsVMs[%d] still holds the cold pass's task list", i)
 		}
 	}
 }

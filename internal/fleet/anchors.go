@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"vmtherm/internal/anchorcache"
@@ -12,27 +11,34 @@ import (
 	"vmtherm/internal/workload"
 )
 
-// anchorRef binds one host to the miss-batch case its anchor comes from.
+// anchorRef binds one host slot to the miss-batch case its anchor comes from.
 type anchorRef struct {
-	id      string
-	caseIdx int
+	slot, caseIdx int32
 }
 
-// anchors batch-predicts ψ_stable for every tracked host into the reusable
-// anchor map. With the cache enabled, only quantized-key misses are staged
-// (deduplicated per key) and fanned through the batch predictor; a fully
-// warm round touches the predictor not at all and allocates nothing. It
-// returns the round's cache hit and miss counts (with the cache disabled,
-// every anchored host counts as a miss).
-func (c *Controller) anchors() (anchors map[string]float64, hits, misses int, err error) {
-	clear(c.anchorBuf)
+// anchors batch-predicts ψ_stable for every tracked host into its slot's
+// Anchor (NaN where the host gets none this round). With the cache enabled,
+// only quantized-key misses are staged (deduplicated per key) and fanned
+// through the batch predictor; a fully warm round touches the predictor not
+// at all and allocates nothing. It returns the round's cache hit and miss
+// counts (with the cache disabled, every anchored host counts as a miss).
+func (c *Controller) anchors() (hits, misses int, err error) {
+	for i := range c.slots {
+		c.slots[i].Anchor = math.NaN()
+	}
+	// Cleared, not just truncated: last round's cases and VMs still point
+	// into the arrays the arena outgrew (and into host deployment views),
+	// and would keep every one of them alive from beyond the slices' length.
+	clear(c.caseBuf)
+	clear(c.obsVMs)
 	c.caseBuf = c.caseBuf[:0]
 	c.caseKeys = c.caseKeys[:0]
 	c.anchorRefs = c.anchorRefs[:0]
+	c.obsTasks, c.obsVMs = c.obsTasks[:0], c.obsVMs[:0]
 	clear(c.missByKey)
 	if c.sim != nil {
 		if err := c.simAnchorCases(&hits); err != nil {
-			return nil, 0, 0, err
+			return 0, 0, err
 		}
 	} else {
 		c.sourceAnchorCases(&hits)
@@ -44,7 +50,7 @@ func (c *Controller) anchors() (anchors map[string]float64, hits, misses int, er
 		}
 		vals := c.anchorVals[:len(c.caseBuf)]
 		if err := c.predictMissBatch(c.caseBuf, vals); err != nil {
-			return nil, 0, 0, fmt.Errorf("fleet: stable anchors: %w", err)
+			return 0, 0, fmt.Errorf("fleet: stable anchors: %w", err)
 		}
 		if c.cache != nil {
 			for i, k := range c.caseKeys {
@@ -56,21 +62,20 @@ func (c *Controller) anchors() (anchors map[string]float64, hits, misses int, er
 			}
 		}
 		for _, ref := range c.anchorRefs {
-			c.anchorBuf[ref.id] = vals[ref.caseIdx]
+			c.slots[ref.slot].Anchor = vals[ref.caseIdx]
 		}
 	}
-	return c.anchorBuf, hits, misses, nil
+	return hits, misses, nil
 }
 
 // stageMiss registers a host whose anchor must be predicted this round,
 // staging its case into the miss batch. Key-based deduplication lives in
 // sourceAnchorCases (the only path where two hosts can share a key —
 // simulated fingerprints embed fleet-unique VM ids).
-func (c *Controller) stageMiss(id string, key anchorcache.Key, cse workload.Case) {
-	idx := len(c.caseBuf)
+func (c *Controller) stageMiss(slot int, key anchorcache.Key, cse workload.Case) {
+	c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(slot), caseIdx: int32(len(c.caseBuf))})
 	c.caseBuf = append(c.caseBuf, cse)
 	c.caseKeys = append(c.caseKeys, key)
-	c.anchorRefs = append(c.anchorRefs, anchorRef{id: id, caseIdx: idx})
 }
 
 // shard runs fn over [0, n) split into contiguous chunks, one goroutine per
@@ -164,18 +169,17 @@ func (c *Controller) simAnchorCases(hits *int) error {
 	}
 	c.missIdx = c.missIdx[:0]
 	c.missAmb = c.missAmb[:0]
-	for i, id := range c.order {
-		sh := c.sim.byPos[i]
+	for i, sh := range c.sim.byPos {
 		inlet := c.simInlets[i]
 		if sh.host.NumVMs() == 0 {
-			c.anchorBuf[id] = inlet
+			c.slots[i].Anchor = inlet
 			continue
 		}
 		key, amb := anchorcache.Key(0), inlet
 		if c.cache != nil {
 			key = c.simKeys[i]
 			if v, ok := c.cache.Get(key); ok {
-				c.anchorBuf[id] = v
+				c.slots[i].Anchor = v
 				*hits++
 				continue
 			}
@@ -186,7 +190,7 @@ func (c *Controller) simAnchorCases(hits *int) error {
 		// Staged in host order with an empty case; buildMissCases fills it.
 		c.missIdx = append(c.missIdx, i)
 		c.missAmb = append(c.missAmb, amb)
-		c.stageMiss(id, key, workload.Case{})
+		c.stageMiss(i, key, workload.Case{})
 	}
 	return c.buildMissCases()
 }
@@ -288,31 +292,31 @@ func (c *Controller) sourceAnchorCases(hits *int) {
 	if c.cache != nil {
 		q = c.cache.Quant()
 	}
-	for _, id := range c.order {
-		r, ok := c.latest[id]
-		if !ok {
+	for i := range c.slots {
+		s := &c.slots[i]
+		if !s.Present {
 			continue
 		}
-		util := telemetry.Clamp01(r.Util)
-		mem := telemetry.Clamp01(r.MemFrac)
+		util := telemetry.Clamp01(s.Reading.Util)
+		mem := telemetry.Clamp01(s.Reading.MemFrac)
 		if c.cache == nil {
-			c.stageMiss(id, 0, utilizationCase(c.cfg, util, mem))
+			c.stageMiss(i, 0, c.utilizationCase(util, mem))
 			continue
 		}
 		key, qUtil, qMem := q.UtilMem(util, mem)
 		if v, ok := c.cache.Get(key); ok {
-			c.anchorBuf[id] = v
+			s.Anchor = v
 			*hits++
 			continue
 		}
 		if prev, ok := c.missByKey[key]; ok {
 			// Another host already staged this bucket this round; share its
 			// prediction without rebuilding the case.
-			c.anchorRefs = append(c.anchorRefs, anchorRef{id: id, caseIdx: prev})
+			c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(i), caseIdx: int32(prev)})
 			continue
 		}
 		c.missByKey[key] = len(c.caseBuf)
-		c.stageMiss(id, key, utilizationCase(c.cfg, qUtil, qMem))
+		c.stageMiss(i, key, c.utilizationCase(qUtil, qMem))
 	}
 }
 
@@ -325,31 +329,39 @@ func (c *Controller) sourceAnchorCases(hits *int) {
 // the anchor cache bound cached-vs-exact divergence by the quantization
 // bucket width: a structure that jumped at integer demand boundaries would
 // put a bucket's center and its members on different sides of a step.
-func utilizationCase(cfg Config, util, memFrac float64) workload.Case {
+//
+// The case's VM and tasks are carved from the round's arena: like every
+// miss case they are valid until the next anchors() call. When an arena
+// grows, cases carved earlier keep the old backing array — never written
+// again — so they stay intact.
+func (c *Controller) utilizationCase(util, memFrac float64) workload.Case {
 	util = telemetry.Clamp01(util)
 	memFrac = telemetry.Clamp01(memFrac)
-	cores := cfg.HostShape.Cores
-	memGB := memFrac * cfg.HostShape.MemoryGB
+	cores := c.cfg.HostShape.Cores
+	memGB := memFrac * c.cfg.HostShape.MemoryGB
 	if memGB < 1 {
 		memGB = 1
 	}
-	vm := workload.VMSpec{
-		ID:     "observed",
-		Config: vmm.VMConfig{VCPUs: cores, MemoryGB: memGB},
-	}
-	for i := 0; i < cores; i++ {
-		vm.Tasks = append(vm.Tasks, workload.TaskSpec{Task: vmm.Task{
-			ID:          "observed-t" + strconv.Itoa(i),
+	t0 := len(c.obsTasks)
+	for _, id := range c.obsTaskIDs {
+		c.obsTasks = append(c.obsTasks, workload.TaskSpec{Task: vmm.Task{
+			ID:          id,
 			Class:       vmm.CPUBound,
 			CPUFraction: util,
 			MemGB:       memGB / float64(cores) / 2,
 		}})
 	}
+	v0 := len(c.obsVMs)
+	c.obsVMs = append(c.obsVMs, workload.VMSpec{
+		ID:     "observed",
+		Config: vmm.VMConfig{VCPUs: cores, MemoryGB: memGB},
+		Tasks:  c.obsTasks[t0:len(c.obsTasks):len(c.obsTasks)],
+	})
 	return workload.Case{
 		Name:     "observed",
-		Host:     cfg.HostShape,
-		FanCount: cfg.FanCount,
-		AmbientC: cfg.SourceAmbientC,
-		VMs:      []workload.VMSpec{vm},
+		Host:     c.cfg.HostShape,
+		FanCount: c.cfg.FanCount,
+		AmbientC: c.cfg.SourceAmbientC,
+		VMs:      c.obsVMs[v0 : v0+1 : v0+1],
 	}
 }

@@ -64,9 +64,11 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	st.LastRejected = c.lastRejected
 	st.LastFanout = c.lastFanout.Load()
 
-	st.Latest = make([]telemetry.Reading, 0, len(c.latest))
-	for _, r := range c.latest {
-		st.Latest = append(st.Latest, r)
+	st.Latest = make([]telemetry.Reading, 0, len(c.slots))
+	for i := range c.slots {
+		if c.slots[i].Present {
+			st.Latest = append(st.Latest, c.slots[i].Reading)
+		}
 	}
 	slices.SortFunc(st.Latest, func(a, b telemetry.Reading) int { return strings.Compare(a.HostID, b.HostID) })
 
@@ -129,17 +131,29 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	if len(st.Engine.Sessions) > c.cfg.MaxHosts {
 		return fmt.Errorf("fleet: restore: checkpoint has %d sessions, MaxHosts is %d", len(st.Engine.Sessions), c.cfg.MaxHosts)
 	}
+	if err := c.checkHostState(st); err != nil {
+		return err
+	}
 
 	if err := c.eng.Restore(st.Engine); err != nil {
 		return fmt.Errorf("fleet: restore: %w", err)
 	}
 
-	clear(c.latest)
+	// Rebuild the host table: the checkpointed order, then each reading into
+	// its host's slot. A reading whose host the order lacks is kept at the
+	// tail, and a host the order names without a reading stays until the
+	// next round — both leave the membership dirty, so that round's drain
+	// re-sorts and re-bounds the table.
+	c.resetTable(st.Order)
+	c.orderDirty = st.OrderDirty || len(st.Latest) != len(st.Order)
 	for _, r := range st.Latest {
-		c.latest[r.HostID] = r
+		i, tracked := c.pos[r.HostID]
+		if !tracked {
+			i = c.addHost(r.HostID)
+			c.orderDirty = true
+		}
+		c.slots[i].Reading, c.slots[i].Present = r, true
 	}
-	c.order = append(c.order[:0], st.Order...)
-	c.orderDirty = st.OrderDirty
 
 	c.pendingP = c.pendingP[:0]
 	for _, p := range st.Proposals {
@@ -209,6 +223,34 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	}
 
 	return nil
+}
+
+// checkHostState vets a checkpoint's host order and newest readings before
+// anything is applied: a decoded file is outside input, and the host table
+// indexes by what it says. Checkpoint writes both lists sorted by host id
+// (the order of a source-driven fleet is sorted discovery order), so in both
+// the ids must be non-empty and strictly ascending — which also rules out a
+// duplicate host or two readings for one — and neither list may exceed the
+// MaxHosts population bound.
+func (c *Controller) checkHostState(st *checkpoint.State) error {
+	if len(st.Order) > c.cfg.MaxHosts || len(st.Latest) > c.cfg.MaxHosts {
+		return fmt.Errorf("fleet: restore: checkpoint has %d hosts and %d readings, MaxHosts is %d", len(st.Order), len(st.Latest), c.cfg.MaxHosts)
+	}
+	ascending := func(what string, n int, id func(int) string) error {
+		for i := 0; i < n; i++ {
+			if id(i) == "" {
+				return fmt.Errorf("fleet: restore: %s %d has an empty host id", what, i)
+			}
+			if i > 0 && id(i) <= id(i-1) {
+				return fmt.Errorf("fleet: restore: %s ids not strictly ascending at %d (%q after %q)", what, i, id(i), id(i-1))
+			}
+		}
+		return nil
+	}
+	if err := ascending("order entry", len(st.Order), func(i int) string { return st.Order[i] }); err != nil {
+		return err
+	}
+	return ascending("reading", len(st.Latest), func(i int) string { return st.Latest[i].HostID })
 }
 
 // restoreAnchorCache applies a checkpoint's cache section (caller holds mu;

@@ -395,11 +395,11 @@ func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
 	}
 	// Same seed, same rounds: both fleets now sit on the same deployments,
 	// and the restarted one must serve the original's anchors for them.
-	want, _, _, err := ctl.anchors()
+	want, _, _, err := anchorsOf(ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hits, misses, err := restarted.anchors()
+	got, hits, misses, err := anchorsOf(restarted)
 	if err != nil || misses != 0 || hits == 0 {
 		t.Fatalf("restarted anchors: %d hits %d misses (err %v), want hits only", hits, misses, err)
 	}

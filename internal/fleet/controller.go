@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -19,17 +20,25 @@ type Controller struct {
 	cfg     Config
 	predict BatchCasePredictor
 
-	mu  sync.Mutex // guards sim, src, eng rounds, latest, order, proposals
+	mu  sync.Mutex // guards sim, src, eng rounds, the host table, proposals
 	sim *fleetSim  // nil for source-driven controllers
 	src telemetry.Source
 	eng *engine.Engine
-	// latest holds the newest reading per host; order is the deterministic
-	// host iteration order (rack/slot for simulated fleets, sorted discovery
-	// order for source-driven ones). orderDirty marks membership changes
-	// (new host discovered, session evicted, host discarded) so stable
-	// rounds skip rebuilding and re-sorting order entirely.
-	latest     map[string]Reading
+	// The host table (hosttable.go). order is the deterministic host
+	// iteration order (rack/slot for simulated fleets, sorted discovery
+	// order for source-driven ones) and pos its inverse, id → slot index.
+	// slots and seen are parallel to order: slots[i] is what the engine
+	// round consumes for host i — its newest reading (Present when it has
+	// one), this round's ψ_stable anchor (NaN for none) and the cached
+	// session handle — and seen[i] the generation of the drain that last
+	// wrote the reading (seen[i] == drainGen: already written this drain).
+	// orderDirty marks membership changes (an empty slot filled, a host
+	// forgotten or discarded) so stable rounds skip the rebuild entirely.
 	order      []string
+	pos        map[string]int32
+	slots      []engine.Slot
+	seen       []uint64
+	drainGen   uint64
 	orderDirty bool
 	pendingP   []MigrationProposal // proposals awaiting reconciliation
 
@@ -41,15 +50,20 @@ type Controller struct {
 
 	// Reusable round buffers: the engine round appends into predBuf, the
 	// anchor pass stages cache misses into caseBuf (one entry per distinct
-	// key), the host→case fan-in into anchorRefs, and the batch results land
-	// in anchorVals before filling anchorBuf and the cache.
+	// key), the slot→case fan-in into anchorRefs, and the batch results land
+	// in anchorVals before filling the slots' anchors and the cache.
 	predBuf    []engine.Prediction
 	caseBuf    []workload.Case
 	caseKeys   []anchorcache.Key
 	anchorRefs []anchorRef
 	anchorVals []float64
 	missByKey  map[anchorcache.Key]int
-	anchorBuf  map[string]float64
+	// Source-driven miss cases are carved out of a per-round arena (reset
+	// at the top of anchors): obsTasks holds every staged case's tasks,
+	// obsVMs its one VM; obsTaskIDs are the per-core task names, built once.
+	obsTaskIDs []string
+	obsTasks   []workload.TaskSpec
+	obsVMs     []workload.VMSpec
 	// missCases/missOut are the batch predictMissBatch is evaluating;
 	// predictChunk is predictMissChunk bound once (like stream.anchor).
 	missCases    []workload.Case
@@ -138,7 +152,7 @@ func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
 		return nil, err
 	}
 	c.sim = fs
-	c.order = fs.order
+	c.resetTable(fs.order)
 	return c, nil
 }
 
@@ -161,9 +175,9 @@ func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor)
 
 // newController wires the shared state; callers attach sim/order as needed.
 // hostHint is the expected steady-state host population (the fleet shape,
-// or the MaxHosts bound for discovered populations): the per-round maps the
-// ingest drain fills are pre-sized from it so a cold start does not rehash
-// its way up to the full population on the first rounds.
+// or the MaxHosts bound for discovered populations): the host table's index
+// is pre-sized from it so a cold start does not rehash its way up to the
+// full population on the first rounds.
 func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor, hostHint int) (*Controller, error) {
 	if predict == nil {
 		return nil, errors.New("fleet: nil predictor")
@@ -177,10 +191,12 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 		predict:   predict,
 		src:       src,
 		eng:       eng,
-		latest:    make(map[string]Reading, hostHint),
+		pos:       make(map[string]int32, hostHint),
 		missByKey: make(map[anchorcache.Key]int),
-		anchorBuf: make(map[string]float64, hostHint),
-		ingest:    newIngestPipeline(cfg.IngestBuffer, hostHint),
+		ingest:    newIngestPipeline(cfg.IngestBuffer),
+	}
+	for i := 0; i < cfg.HostShape.Cores; i++ {
+		c.obsTaskIDs = append(c.obsTaskIDs, "observed-t"+strconv.Itoa(i))
 	}
 	if cfg.StreamingIngest {
 		c.stream = newStreamState(c)

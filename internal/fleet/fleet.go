@@ -20,13 +20,15 @@
 // and drop metrics so the degradation is observable.
 //
 // One round (Controller.RunRound, round.go) is this fixed sequence of stages,
-// each a method reading and writing one stack-allocated roundState:
+// each a method reading and writing one stack-allocated roundState. Per-host
+// state lives in the host table (hosttable.go): a host id is resolved to a
+// slot index once, in the drain, and every later stage indexes slots.
 //
 //	advanceSource    Δ_update → source clock, source error (fatal for sim)
-//	drainIngest      pipeline → latest readings, host order, drained/discarded counts
-//	resolveAnchors   order, latest → ψ_stable per host, cache hits/misses, fan-out
-//	engineRound      clock, order, latest, anchors → predictions, session stats
-//	buildSnapshot    predictions, latest → next generation (hotspots, stale, maps), round++
+//	drainIngest      pipeline → host table (newest reading per slot, membership), drained/discarded counts
+//	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
+//	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
+//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, maps), round++
 //	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
 //	migrate          generation → applied moves, fresh proposals (simulated fleets)
 //	publish          generation → published snapshot (immutable from here on)

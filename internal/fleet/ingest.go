@@ -18,7 +18,8 @@ type Reading = telemetry.Reading
 // controller drains everything buffered at the start of each round. The
 // bound is what keeps a misbehaving producer from growing memory without
 // limit; the drop and supersede counters are what make that degradation
-// visible.
+// visible. The drain itself (Controller.drain) writes straight into the host
+// table.
 type ingestPipeline struct {
 	ch         chan Reading
 	received   atomic.Int64
@@ -30,21 +31,11 @@ type ingestPipeline struct {
 	// refusal must be visible (vmtherm_ingest_rejected_total). Index 0
 	// (RejectNone) is unused.
 	rejected [telemetry.NumRejectReasons]atomic.Int64
-	// drainSeen marks hosts whose latest entry was written during the
-	// current drain, so supersessions within one round are counted. Owned by
-	// the draining goroutine (drains are serialized by the round lock) and
-	// reused across rounds — clearing a map allocates nothing.
-	drainSeen map[string]bool
 }
 
-// newIngestPipeline sizes the buffered channel to capacity and pre-sizes
-// the drain's supersede-tracking map from the expected host population, so
-// a cold start's first drains do not rehash the map up to fleet size.
-func newIngestPipeline(capacity, hostHint int) *ingestPipeline {
-	return &ingestPipeline{
-		ch:        make(chan Reading, capacity),
-		drainSeen: make(map[string]bool, hostHint),
-	}
+// newIngestPipeline sizes the buffered channel to capacity.
+func newIngestPipeline(capacity int) *ingestPipeline {
+	return &ingestPipeline{ch: make(chan Reading, capacity)}
 }
 
 // push offers a reading; it reports false when the reading was refused —
@@ -80,41 +71,6 @@ func (p *ingestPipeline) rejectedByReason() (out [telemetry.NumRejectReasons]int
 		out[i] = p.rejected[i].Load()
 	}
 	return out
-}
-
-// drainInto moves every buffered reading into latest, keeping only the
-// newest reading per host, and returns how many readings were consumed plus
-// whether any reading introduced a previously untracked host (the
-// membership-dirty signal that tells the controller its sorted host order
-// must be rebuilt). Consumed readings that never become a host's latest —
-// because a newer reading already drained, or an even newer one arrives
-// later in the same drain — are counted as superseded: the ingest-pressure
-// signal that says producers are sampling faster than the control loop
-// consumes.
-func (p *ingestPipeline) drainInto(latest map[string]Reading) (n int, newHosts bool) {
-	clear(p.drainSeen)
-	for {
-		select {
-		case r := <-p.ch:
-			n++
-			cur, known := latest[r.HostID]
-			if known && r.AtS < cur.AtS {
-				p.superseded.Add(1)
-				continue
-			}
-			if !known {
-				newHosts = true
-			}
-			if p.drainSeen[r.HostID] {
-				// The entry written earlier this drain never left the round.
-				p.superseded.Add(1)
-			}
-			p.drainSeen[r.HostID] = true
-			latest[r.HostID] = r
-		default:
-			return n, newHosts
-		}
-	}
 }
 
 // stats returns cumulative received/dropped/superseded counts.

@@ -21,7 +21,6 @@ type roundState struct {
 
 	drained, discarded int
 
-	anchors                          map[string]float64
 	anchorHits, anchorMisses, fanout int
 
 	preds  []Prediction
@@ -38,8 +37,8 @@ type roundState struct {
 // one control round as the fixed stage sequence below (one line per stage in
 // the package doc). advanceSource and resolveAnchors fail before the round
 // counter moves and before anything is published: the controller stays on
-// the previous round's snapshot, readings already drained stay in latest,
-// and the next RunRound starts clean. drainPlacements fails after the
+// the previous round's snapshot, readings already drained stay in the host
+// table, and the next RunRound starts clean. drainPlacements fails after the
 // publish: the round stands and the undecided requests are re-parked.
 func (c *Controller) RunRound() (RoundReport, error) {
 	c.mu.Lock()
@@ -84,59 +83,24 @@ func (c *Controller) advanceSource(rs *roundState) error {
 	return nil
 }
 
-// drainIngest drains the pipeline into latest, newest reading per host
-// wins. Readings for hosts a simulated fleet does not own are discarded, and
-// discovered populations are bounded by MaxHosts, so a misbehaving producer
-// cannot grow c.latest (or the published snapshot) without bound — the
-// pipeline's memory bound must hold end to end. Membership work (the
-// foreign-host sweep, the order rebuild + sort) runs only on rounds where a
-// previously unseen host actually appeared or one was dropped.
+// drainIngest drains the pipeline into the host table, newest reading per
+// host wins. Readings for hosts a simulated fleet does not own are
+// discarded, and discovered populations are bounded by MaxHosts, so a
+// misbehaving producer cannot grow the table (or the published snapshot)
+// without bound — the pipeline's memory bound must hold end to end.
+// Membership work (the foreign-host cut, the table rebuild + sort) runs only
+// on rounds where an unknown host actually appeared or one was dropped.
 func (c *Controller) drainIngest(rs *roundState) {
-	var newHosts bool
-	rs.drained, newHosts = c.ingest.drainInto(c.latest)
-	if newHosts {
-		c.orderDirty = true
-	}
+	rs.drained = c.drain()
 	if _, rej := c.IngestRejected(); rej > c.lastRejected {
 		c.noteError(fmt.Sprintf("round %d: ingest: rejected %d implausible readings", c.round+1, rej-c.lastRejected))
 		c.lastRejected = rej
 	}
 	if c.sim == nil {
 		rs.discarded = c.refreshDiscoveredHosts()
-	} else if newHosts {
-		for id := range c.latest {
-			if _, ok := c.sim.hosts[id]; !ok {
-				delete(c.latest, id)
-			}
-		}
+	} else if own := len(c.sim.order); len(c.order) > own {
+		c.dropForeignHosts(own)
 	}
-}
-
-// refreshDiscoveredHosts rebuilds the deterministic host order from the
-// observed population, enforcing the MaxHosts bound: lexicographically
-// excess hosts are forgotten (reading and session) and counted. On stable
-// rounds — no new host drained, no session evicted, population size
-// unchanged — the membership-dirty flag is clear and the O(n log n)
-// rebuild + sort is skipped entirely.
-func (c *Controller) refreshDiscoveredHosts() (discarded int) {
-	if !c.orderDirty && len(c.latest) == len(c.order) {
-		return 0
-	}
-	c.order = c.order[:0]
-	for id := range c.latest {
-		c.order = append(c.order, id)
-	}
-	slices.Sort(c.order)
-	if len(c.order) > c.cfg.MaxHosts {
-		for _, id := range c.order[c.cfg.MaxHosts:] {
-			delete(c.latest, id)
-			c.eng.Delete(id)
-			discarded++
-		}
-		c.order = c.order[:c.cfg.MaxHosts]
-	}
-	c.orderDirty = false
-	return discarded
 }
 
 // resolveAnchors resolves ψ_stable per tracked host — quantized-cache hits
@@ -144,7 +108,7 @@ func (c *Controller) refreshDiscoveredHosts() (discarded int) {
 // prediction over current deployments (simulated fleets) or observed
 // utilization (source-driven fleets); see anchors.
 func (c *Controller) resolveAnchors(rs *roundState) (err error) {
-	if rs.anchors, rs.anchorHits, rs.anchorMisses, err = c.anchors(); err != nil {
+	if rs.anchorHits, rs.anchorMisses, err = c.anchors(); err != nil {
 		return err
 	}
 	rs.fanout = len(c.caseBuf)
@@ -152,22 +116,22 @@ func (c *Controller) resolveAnchors(rs *roundState) (err error) {
 	return nil
 }
 
-// engineRound runs the session engine over the tracked hosts: sessions
+// engineRound runs the session engine over the host table: sessions
 // calibrate, re-anchor, predict, degrade and evict in one pass over the
 // reusable prediction buffer.
 func (c *Controller) engineRound(rs *roundState) {
-	c.predBuf, rs.engine = c.eng.Round(c.predBuf[:0], rs.now, c.order, c.latest, rs.anchors)
+	c.predBuf, rs.engine = c.eng.RoundSlots(c.predBuf[:0], rs.now, c.order, c.slots)
 	rs.preds = c.predBuf
-	if rs.engine.Evicted > 0 {
-		// Evicted sessions left c.latest too: membership changed.
+	if rs.engine.Forgotten > 0 {
+		// Forgotten hosts lost their reading: membership changed.
 		c.orderDirty = true
 	}
 }
 
 // buildSnapshot advances the round counter and builds the hotspot map from
 // *predicted* temperatures into the next snapshot generation: a recycled
-// retired generation whose maps are rewritten in place (only changed
-// entries), so the warm round's publication allocates nothing.
+// retired generation whose maps are rewritten in place, so the warm round's
+// publication allocates nothing.
 func (c *Controller) buildSnapshot(rs *roundState) {
 	rs.gen = c.snaps.writable(len(c.order))
 	snap := &rs.gen.snap
@@ -190,7 +154,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	sortHotspots(snap.Hotspots)
 
 	// The three map rewrites touch disjoint maps and only read the
-	// prediction buffer / latest readings; at fleet scale the first two run
+	// prediction buffer / the host table; at fleet scale the first two run
 	// on their own goroutines while this one does the third.
 	inline, preds := 0, rs.preds
 	if c.cfg.PhysWorkers > 1 && len(c.order) >= simParallelMinHosts {
@@ -218,7 +182,7 @@ func (c *Controller) rewriteSnapshotMap(k int, snap *Snapshot, preds []Predictio
 	case 1:
 		rewriteFloats(snap.Uncertainty, preds, func(p *Prediction) float64 { return p.UncertaintyC })
 	default:
-		rewriteLatest(snap.Latest, c.latest)
+		rewriteLatest(snap.Latest, c.order, c.slots)
 	}
 }
 
@@ -312,10 +276,11 @@ func (c *Controller) report(rs *roundState) RoundReport {
 	if c.cache != nil {
 		anchorEvicted = c.cache.Stats().Evicted
 	}
+	// The non-stale predictions are exactly snap.Predicted's values.
 	maxPred := math.Inf(-1)
-	for _, v := range snap.Predicted {
-		if v > maxPred {
-			maxPred = v
+	for i := range rs.preds {
+		if p := &rs.preds[i]; !p.Stale && p.TempC > maxPred {
+			maxPred = p.TempC
 		}
 	}
 	if math.IsInf(maxPred, -1) {

@@ -63,10 +63,11 @@ func TestStageErrorLeavesControllerConsistent(t *testing.T) {
 				s.Round, s.SimTimeS, before.Round, snapBefore.SimTimeS)
 		}
 	})
-	if got := len(ctl.latest); got != before.Hosts {
+	latest := tableReadings(ctl)
+	if got := len(latest); got != before.Hosts {
 		t.Errorf("drained readings lost: %d hosts in latest, want %d", got, before.Hosts)
 	}
-	for id, r := range ctl.latest {
+	for id, r := range latest {
 		if r.AtS <= snapBefore.Latest[id].AtS {
 			t.Errorf("host %s: the failed round's drained reading (t=%v) did not survive (published t=%v)",
 				id, r.AtS, snapBefore.Latest[id].AtS)

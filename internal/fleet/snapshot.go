@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+
+	"vmtherm/internal/engine"
 )
 
 // The snapshot publication path is epoch-versioned and copy-on-read: every
@@ -177,49 +179,40 @@ func sortHotspots(out []Hotspot) {
 }
 
 // rewriteFloats makes m hold exactly one val(p) entry per non-stale
-// prediction, rewriting only entries whose value changed. Lingering keys
-// (membership shrank or hosts went stale) force one clear-and-refill pass;
-// map buckets survive clear, so neither path allocates once the map has
-// capacity.
+// prediction, writing each entry once. Lingering keys (membership shrank or
+// hosts went stale since this generation was last written) show as a size
+// mismatch and force one clear-and-refill pass; map buckets survive clear,
+// so neither path allocates once the map has capacity.
 func rewriteFloats(m map[string]float64, preds []Prediction, val func(*Prediction) float64) {
-	n := 0
-	for i := range preds {
-		p := &preds[i]
-		if p.Stale {
-			continue
+	fill := func() (n int) {
+		for i := range preds {
+			if p := &preds[i]; !p.Stale {
+				m[p.HostID] = val(p)
+				n++
+			}
 		}
-		n++
-		v := val(p)
-		if cur, ok := m[p.HostID]; !ok || cur != v {
-			m[p.HostID] = v
-		}
+		return n
 	}
-	if len(m) == n {
-		return
-	}
-	clear(m)
-	for i := range preds {
-		p := &preds[i]
-		if !p.Stale {
-			m[p.HostID] = val(p)
-		}
+	if fill() != len(m) {
+		clear(m)
+		fill()
 	}
 }
 
-// rewriteLatest mirrors rewriteFloats for the latest-reading map.
-func rewriteLatest(m map[string]Reading, latest map[string]Reading) {
-	n := 0
-	for id, r := range latest {
-		n++
-		if cur, ok := m[id]; !ok || cur != r {
-			m[id] = r
+// rewriteLatest mirrors rewriteFloats for the latest-reading map, filled
+// from the host table's slots.
+func rewriteLatest(m map[string]Reading, order []string, slots []engine.Slot) {
+	fill := func() (n int) {
+		for i := range slots {
+			if s := &slots[i]; s.Present {
+				m[order[i]] = s.Reading
+				n++
+			}
 		}
+		return n
 	}
-	if len(m) == n {
-		return
-	}
-	clear(m)
-	for id, r := range latest {
-		m[id] = r
+	if fill() != len(m) {
+		clear(m)
+		fill()
 	}
 }

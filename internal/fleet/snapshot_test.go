@@ -256,3 +256,43 @@ func TestSnapshotMembershipShrink(t *testing.T) {
 		}
 	})
 }
+
+// TestColdRoundAllocCeiling bounds what a source-driven cold round may
+// allocate: right after InvalidateAnchorCache every host misses (its case is
+// carved from the round arena, not built from fresh strings and slices), and
+// the load swing moves every ψ_stable past ReanchorEpsC (each session
+// re-anchors in place, not by building a new one). What is left is a handful
+// of per-round allocations — the predictor's result slice, the miss-batch
+// bookkeeping — independent of the host count.
+func TestColdRoundAllocCeiling(t *testing.T) {
+	const hosts = 64
+	ctl, src, ids := snapController(t, hosts)
+	high := false
+	round := func() RoundReport {
+		high = !high
+		for i, id := range ids {
+			util := float64(i%32) / 100 // about 32 distinct buckets, two hosts each
+			if high {
+				util += 0.5
+			}
+			ctl.Ingest(Reading{HostID: id, AtS: src.now, TempC: 30 + float64(i%50), Util: util, MemFrac: 0.25})
+		}
+		ctl.InvalidateAnchorCache()
+		rep, err := ctl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	round() // sizes the arena and the miss buffers
+	if rep := round(); rep.AnchorMisses != hosts || rep.AnchorFanout < 24 || rep.Reanchored != hosts {
+		t.Fatalf("cold round: %d misses, fan-out %d, %d re-anchored; want %d / about 32 / %d",
+			rep.AnchorMisses, rep.AnchorFanout, rep.Reanchored, hosts, hosts)
+	}
+	const ceiling = 16 // measured 8; before the arena and the in-place re-anchor, 871
+	allocs := testing.AllocsPerRun(20, func() { round() })
+	t.Logf("cold source-driven round: %.1f allocs/op", allocs)
+	if allocs > ceiling {
+		t.Fatalf("cold source-driven round allocates %.1f/op, ceiling %d", allocs, ceiling)
+	}
+}
