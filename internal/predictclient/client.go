@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -310,6 +311,9 @@ func (s *Session) Observe(ctx context.Context, t, tempC float64) (float64, error
 
 // Predict returns ψ(t + Δ_gap) as of time t.
 func (s *Session) Predict(ctx context.Context, t float64) (float64, error) {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, fmt.Errorf("predictclient: predict at t = %v: not a finite time", t)
+	}
 	u := fmt.Sprintf("%s/v1/session/%s/predict?t=%s",
 		s.c.base, s.id, url.QueryEscape(strconv.FormatFloat(t, 'g', -1, 64)))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

@@ -148,6 +148,20 @@ func TestSessionFlowAgainstLocalPredictor(t *testing.T) {
 		}
 	}
 
+	// Every finite t reaches the server in its number grammar ('g' form:
+	// "1e+06", "1e-07"); a non-finite one is refused before a request exists.
+	for _, at := range []float64{1e6, 1e-7, -2.5, 1e21} {
+		if _, err := sess.Predict(ctx, at); err != nil {
+			t.Errorf("predict at t=%v: %v", at, err)
+		}
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var apiErr *APIError
+		if _, err := sess.Predict(ctx, at); err == nil || errors.As(err, &apiErr) {
+			t.Errorf("predict at t=%v: err = %v, want a client-side refusal", at, err)
+		}
+	}
+
 	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -389,9 +389,12 @@ type PredictResponse struct {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	t, err := strconv.ParseFloat(r.URL.Query().Get("t"), 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad t: %w", err))
+	// t is a JSON number, as it is in every request body: strconv's own
+	// grammar would let NaN, Inf, hex floats and digit separators through.
+	q := r.URL.Query().Get("t")
+	t, n, ok := parseNumber([]byte(q))
+	if !ok || n != len(q) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad t: %q is not a finite JSON number", q))
 		return
 	}
 	tempC, gamma, err := s.eng.Predict(r.PathValue("id"), t)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -274,18 +275,29 @@ func TestObservePredictUnknownSession(t *testing.T) {
 	}
 }
 
+// TestPredictBadTimestamp: ?t= is a finite JSON number or the request is the
+// client's error — never a 500 from encoding a NaN, never strconv's grammar.
 func TestPredictBadTimestamp(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	stable := 70.0
 	resp := postJSON(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: &stable})
 	sess := decode[SessionResponse](t, resp)
-	getResp, err := http.Get(fmt.Sprintf("%s/v1/session/%s/predict?t=abc", ts.URL, sess.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad t status = %d", getResp.StatusCode)
+	for _, c := range []struct {
+		t    string
+		want int
+	}{
+		{"abc", 400}, {"NaN", 400}, {"Inf", 400}, {"-inf", 400}, {"infinity", 400}, {"0x1p-2", 400}, {"1_0", 400},
+		{"1e400", 400}, {"", 400}, {"+1", 400}, {"1.", 400}, {"30 ", 400},
+		{"30", 200}, {"-0.5", 200}, {"1e+06", 200}, {"4.5E1", 200},
+	} {
+		getResp, err := http.Get(fmt.Sprintf("%s/v1/session/%s/predict?t=%s", ts.URL, sess.ID, url.QueryEscape(c.t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		getResp.Body.Close()
+		if getResp.StatusCode != c.want {
+			t.Errorf("t=%q: status %d, want %d", c.t, getResp.StatusCode, c.want)
+		}
 	}
 }
 

@@ -20,6 +20,11 @@ package predictserver
 // so for every input the result is what encoding/json gives; which path ran
 // is decided by the input alone. The server and predictclient both go
 // through them.
+//
+// Numbers are most of either body, and the codecs convert them themselves
+// (wirefloat.go: parseNumber, appendFloat). strconv is left with integers on
+// the way out and with the literals parseNumber's fast paths decline — one
+// ParseFloat call, there.
 
 import (
 	"bytes"
@@ -76,31 +81,14 @@ func (e *wireEncoder) raw(s string) { e.b = append(e.b, s...) }
 
 func (e *wireEncoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
 
-// float appends f as encoding/json's floatEncoder does: shortest
-// round-trip digits, 'f' form except below 1e-6 or from 1e21 up, where the
-// 'e' form loses a leading exponent zero. Integer-valued floats take
-// AppendInt, whose digits are the 'f' form's.
+// float appends a finite f (appendFloat: encoding/json's bytes); NaN and ±Inf
+// are encoding/json's to refuse.
 func (e *wireEncoder) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		e.bad = true
 		return
 	}
-	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
-		e.b = strconv.AppendInt(e.b, i, 10)
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json cleans it up.
-		if n := len(e.b); n >= 4 && e.b[n-4] == 'e' && (e.b[n-3] == '-' || e.b[n-3] == '+') && e.b[n-2] == '0' {
-			e.b[n-2] = e.b[n-1]
-			e.b = e.b[:n-1]
-		}
-	}
+	e.b = appendFloat(e.b, f)
 }
 
 // optInt and optFloat append an omitempty member: nothing for zero (either
@@ -228,70 +216,42 @@ func (p *wireParser) key() ([]byte, bool) {
 	return k, ok && p.next(':')
 }
 
-// digits consumes a run of ASCII digits and reports its length.
-func (p *wireParser) digits() int {
-	start := p.i
-	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
-		p.i++
-	}
-	return p.i - start
+// float consumes a JSON number (parseNumber: the grammar, and the value
+// strconv.ParseFloat gives); out-of-range literals ("1e999") are
+// encoding/json's error to report.
+func (p *wireParser) float() (float64, bool) {
+	p.ws()
+	f, n, ok := parseNumber(p.b[p.i:])
+	p.i += n
+	return f, ok
 }
 
-// integerPart consumes -?(0|[1-9][0-9]*), the JSON grammar strconv alone
-// would not enforce ("01", "+1", "0x1p-2" and "1_0" all parse there).
-func (p *wireParser) integerPart() bool {
-	if p.i < len(p.b) && p.b[p.i] == '-' {
+// integer consumes -?(0|[1-9][0-9]*) of at most 18 bytes — what the response
+// counters are; longer literals may overflow, and encoding/json refuses
+// fractions and exponents for an int field, which fail at the caller's next
+// token as "01" does.
+func (p *wireParser) integer() (int, bool) {
+	p.ws()
+	start, n := p.i, 0
+	neg := p.i < len(p.b) && p.b[p.i] == '-'
+	if neg {
 		p.i++
 	}
 	if p.i < len(p.b) && p.b[p.i] == '0' {
 		p.i++
-		return true
+		return 0, true
 	}
-	return p.digits() > 0
-}
-
-// float consumes a JSON number and converts it with strconv.ParseFloat, the
-// call encoding/json makes; out-of-range literals ("1e999") are its error to
-// report. What follows the literal is the caller's next token, so "01" and
-// "1.5x" fail there.
-func (p *wireParser) float() (float64, bool) {
-	p.ws()
-	start := p.i
-	if !p.integerPart() {
-		return 0, false
-	}
-	if p.i < len(p.b) && p.b[p.i] == '.' {
-		p.i++
-		if p.digits() == 0 {
+	digits := p.i
+	for ; p.i < len(p.b) && p.b[p.i]-'0' <= 9; p.i++ {
+		if p.i-start >= 18 {
 			return 0, false
 		}
+		n = n*10 + int(p.b[p.i]-'0')
 	}
-	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
-		p.i++
-		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
-			p.i++
-		}
-		if p.digits() == 0 {
-			return 0, false
-		}
+	if neg {
+		n = -n
 	}
-	// ParseFloat keeps no reference to its argument, so literals up to 32
-	// bytes (every shortest-form float64) convert without allocating.
-	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-	return f, err == nil
-}
-
-// integer consumes a JSON number that is a plain integer of at most 18
-// digits — what the response counters are; encoding/json refuses fractions
-// and exponents for an int field, and longer literals may overflow.
-func (p *wireParser) integer() (int, bool) {
-	p.ws()
-	start := p.i
-	if !p.integerPart() || p.i-start > 18 {
-		return 0, false
-	}
-	n, err := strconv.ParseInt(string(p.b[start:p.i]), 10, 64)
-	return int(n), err == nil
+	return n, p.i > digits
 }
 
 // boolean consumes true or false.
