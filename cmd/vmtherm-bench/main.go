@@ -1,6 +1,6 @@
 // vmtherm-bench regenerates the paper's figures and the repository's
-// ablations as human-readable tables (the same experiments the root
-// benchmarks time).
+// ablations as human-readable tables (the experiments internal/experiments'
+// tests gate).
 //
 // Usage:
 //
@@ -118,6 +118,15 @@ func ablations(ctx context.Context, seed int64) error {
 		return err
 	}
 	fmt.Print(fans.Render())
+	fmt.Println()
+
+	nCfg := aCfg
+	nCfg.TestCases = 12
+	noise, err := experiments.RunAblationSensorNoise(ctx, nCfg, []float64{0, 0.2, 0.4, 0.8, 1.6})
+	if err != nil {
+		return err
+	}
+	fmt.Print(noise.Render())
 	fmt.Println()
 
 	mig, err := experiments.RunMigrationStudy(ctx, bCfg, 900)

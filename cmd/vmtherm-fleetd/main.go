@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -278,16 +277,18 @@ func submitArrivals(ctl *vmtherm.FleetController, stream []vmtherm.VMSpec, next 
 	}
 }
 
-// runLoop serves the fleet API (optionally) and executes control rounds
-// until the round budget, the trace, or the context runs out. Pacing and
-// the real-time accounting use the controller's resolved Δ_update, never
-// the raw -update flag (0 there means "the default").
-func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) error {
+// runLoop serves the fleet API (optionally; an address that cannot be bound
+// fails here, before round 1) and executes control rounds until the round
+// budget, the trace, the context or the HTTP server runs out. Pacing and the
+// real-time accounting use the controller's resolved Δ_update, never the raw
+// -update flag (0 there means "the default").
+func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) (runErr error) {
 	// ready gates /readyz: true after the first completed round (cold or
 	// restored, the serving state is only trustworthy once a round has run),
 	// false again when the loop exits — before the HTTP drain, so load
 	// balancers stop routing to a daemon that is about to stop serving.
 	var ready atomic.Bool
+	var httpStopped <-chan struct{} // nil (never ready) when not serving
 	if opts.addr != "" {
 		if opts.model == nil {
 			return fmt.Errorf("-addr requires a stable model (drop -synthetic)")
@@ -304,18 +305,17 @@ func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) erro
 			return err
 		}
 		defer srv.Close()
-		httpSrv := &http.Server{Addr: opts.addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("http: %v", err)
+		httpSrv, err := daemon.Listen(opts.addr, srv.Handler())
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if err := httpSrv.Drain(); err != nil {
+				runErr = errors.Join(runErr, fmt.Errorf("http: %w", err))
 			}
 		}()
-		defer func() {
-			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = httpSrv.Shutdown(shutCtx)
-		}()
-		log.Printf("serving fleet API and /metrics on %s", opts.addr)
+		httpStopped = httpSrv.Done()
+		log.Printf("serving fleet API and /metrics on %s", httpSrv.Addr())
 	}
 
 	updateS := ctl.Config().UpdateEveryS
@@ -323,7 +323,6 @@ func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) erro
 		log.Printf("pacing rounds to wall-clock %.3gs", ctl.PaceS)
 	}
 	start := time.Now()
-	var runErr error
 	var simSeconds float64
 	var totalHotspots, totalMoves, totalPlaced int
 loop:
@@ -331,6 +330,9 @@ loop:
 		select {
 		case <-ctx.Done():
 			log.Print("interrupted")
+			break loop
+		case <-httpStopped:
+			log.Print("http server stopped")
 			break loop
 		default:
 		}

@@ -1,255 +1,45 @@
-// vmtherm-loadgen drives a running vmtherm-predictd with open-loop batch
-// traffic and reports sustained throughput and tail latency — the serving
-// metrics that matter when a thermal-aware scheduler consumes predictions
-// for hundreds of hosts per round.
+// vmtherm-loadgen profiles the serving capacity of a vmtherm-predictd (or
+// vmtherm-fleetd -addr) under a tail-latency SLO — the number a
+// thermal-aware scheduler that consumes predictions for hundreds of hosts
+// per round has to plan with.
 //
-// Like the vHive profiling loader, requests are issued in an open loop: a
-// dispatcher schedules request start times at the target rate regardless of
-// how fast responses come back, so server slowdowns surface as queueing
-// delay in the measured latencies instead of silently throttling the load.
-// A warm-up phase precedes the measured window.
+// Per endpoint it steps load up through warm-up/measure/cool-down phases
+// (internal/sloharness, after the vHive profiling loader) until the declared
+// SLO breaks, then bisects, and reports the max sustainable RPS. Requests
+// are dispatched against an absolute schedule, so a server falling behind
+// shows up as latency and achieved-throughput shortfall instead of silently
+// throttling the load. -inprocess profiles a self-contained server (trained
+// fast model + simulated fleet) — what CI runs; otherwise -addr is profiled.
+// Writes capacity.json (-out) and a CAPACITY.md report (-report).
 //
-// Modes:
-//
-//	stable   POST /v1/stable/batch with -batch feature rows per request
-//	dynamic  POST /v1/session/batch/predict over -batch pre-opened sessions
-//	place    placement storm: POST /v1/fleet/place/batch with -batch
-//	         unique VM requests per call (-batch 1 uses /v1/fleet/place);
-//	         requires predictd running with an attached fleet (-fleet)
-//	slo      SLO-driven capacity profile (internal/sloharness): step load
-//	         up per endpoint through warm-up/measure/cool-down phases
-//	         until the declared tail-latency SLO breaks, and report the
-//	         max sustainable RPS. -inprocess profiles a self-contained
-//	         server (trained fast model + simulated fleet) — what CI runs;
-//	         otherwise -addr is profiled. Writes capacity.json (-out) and
-//	         a CAPACITY.md report (-report).
+// Endpoints (-endpoints): stable, session, ingest, freshness, hotspots,
+// place. A fixed-rate run is a one-step profile: -slo-start R -slo-max R
+// -slo-measure D.
 //
 // Usage:
 //
 //	vmtherm-train -fast -out model.svm
 //	vmtherm-predictd -model model.svm -addr :8080 &
-//	vmtherm-loadgen -addr http://127.0.0.1:8080 -mode stable -batch 64 -rps 200 -duration 10s
+//	vmtherm-loadgen -addr http://127.0.0.1:8080 -endpoints stable,session -batch 64
 //	vmtherm-loadgen -mode slo -inprocess -endpoints stable,place -batch 16 -out capacity.json
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"math/rand"
-	"net/http"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"vmtherm"
-	"vmtherm/internal/predictclient"
-	"vmtherm/internal/predictserver"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vmtherm-loadgen: ")
-	if err := run(); err != nil {
+	fs := flag.NewFlagSet("vmtherm-loadgen", flag.ExitOnError)
+	f := bindFlags(fs)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse does not return an error
+	if err := run(f, os.Stdout); err != nil {
 		log.Fatal(err)
-	}
-}
-
-func run() error {
-	var (
-		addr     = flag.String("addr", "http://127.0.0.1:8080", "predictd base URL")
-		mode     = flag.String("mode", "stable", "workload: stable | dynamic | place | slo")
-		batch    = flag.Int("batch", 64, "predictions per request")
-		rps      = flag.Float64("rps", 200, "target requests per second (open loop)")
-		duration = flag.Duration("duration", 10*time.Second, "measured window")
-		warmup   = flag.Duration("warmup", 2*time.Second, "warm-up before measuring")
-		senders  = flag.Int("senders", 32, "concurrent sender goroutines")
-		seed     = flag.Int64("seed", 1, "feature-generation seed")
-	)
-	slo := registerSLOFlags()
-	flag.Parse()
-	if *batch <= 0 || *rps <= 0 || *senders <= 0 {
-		return fmt.Errorf("batch, rps and senders must be positive")
-	}
-	if *mode == "slo" {
-		return runSLO(slo, *addr, *batch, *senders, *seed)
-	}
-
-	client, err := predictclient.New(*addr,
-		predictclient.WithHTTPClient(&http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConns:        *senders * 2,
-				MaxIdleConnsPerHost: *senders * 2,
-			},
-		}))
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if err := client.Healthy(ctx); err != nil {
-		return fmt.Errorf("server not healthy: %w", err)
-	}
-
-	var fire func() error
-	switch *mode {
-	case "stable":
-		rows, err := syntheticRows(*seed, *batch)
-		if err != nil {
-			return err
-		}
-		fire = func() error {
-			_, err := client.PredictStableBatch(ctx, rows)
-			return err
-		}
-	case "dynamic":
-		items, cleanup, err := openSessions(ctx, client, *batch)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		var tick atomic.Int64
-		fire = func() error {
-			t := float64(tick.Add(1))
-			reqItems := make([]predictserver.PredictBatchItem, len(items))
-			for i, id := range items {
-				reqItems[i] = predictserver.PredictBatchItem{ID: id, T: t}
-			}
-			res, err := client.PredictBatch(ctx, reqItems)
-			if err != nil {
-				return err
-			}
-			for _, r := range res {
-				if r.Error != "" {
-					return fmt.Errorf("item error: %s", r.Error)
-				}
-			}
-			return nil
-		}
-	case "place":
-		// Salt the VM ids per run so back-to-back storms against one fleet
-		// don't collide as duplicate-id.
-		storm := &placeStorm{
-			client: client, ctx: ctx, batch: *batch,
-			prefix: fmt.Sprintf("storm-%x", time.Now().UnixNano()&0xffffff),
-		}
-		fire = storm.fire
-		defer storm.summarize(os.Stdout)
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
-
-	fmt.Printf("mode=%s batch=%d target=%.0f req/s (%.0f preds/s) warmup=%s window=%s\n",
-		*mode, *batch, *rps, *rps*float64(*batch), *warmup, *duration)
-
-	res := drive(fire, *rps, *warmup, *duration, *senders)
-	res.print(os.Stdout, *batch)
-	if res.errors > 0 {
-		return fmt.Errorf("%d request errors", res.errors)
-	}
-	return nil
-}
-
-// placeStorm generates a placement storm of uniquely-named small VMs and
-// tallies the typed decisions. Admission outcomes (rejected, queued) are
-// expected under storm load and counted as results, not request errors —
-// but a rejection arriving without a RejectCode is a protocol bug and fails
-// the run.
-type placeStorm struct {
-	client *predictclient.Client
-	ctx    context.Context
-	batch  int
-	prefix string
-
-	seq            atomic.Int64
-	placed, queued atomic.Int64
-	missingCode    atomic.Int64
-	rejMu          sync.Mutex
-	rejected       int64
-	rejByCode      map[string]int64
-}
-
-func (p *placeStorm) nextReq() predictserver.FleetPlaceRequest {
-	return predictserver.FleetPlaceRequest{
-		ID: fmt.Sprintf("%s-%08d", p.prefix, p.seq.Add(1)), VCPUs: 1, MemoryGB: 2,
-		Tasks: []predictserver.FleetTaskSpec{{CPUFraction: 0.5, MemGB: 0.5}},
-	}
-}
-
-func (p *placeStorm) countRejection(code string) {
-	if code == "" {
-		p.missingCode.Add(1)
-	}
-	p.rejMu.Lock()
-	p.rejected++
-	if p.rejByCode == nil {
-		p.rejByCode = make(map[string]int64)
-	}
-	p.rejByCode[code]++
-	p.rejMu.Unlock()
-}
-
-func (p *placeStorm) fire() error {
-	if p.batch == 1 {
-		dec, err := p.client.FleetPlace(p.ctx, p.nextReq())
-		if err != nil {
-			var placeErr *predictclient.PlaceError
-			if errors.As(err, &placeErr) {
-				p.countRejection(placeErr.Code.String())
-				return nil
-			}
-			return err
-		}
-		switch dec.Status {
-		case "placed":
-			p.placed.Add(1)
-		case "queued":
-			p.queued.Add(1)
-		default:
-			p.countRejection(dec.RejectCode)
-		}
-		return nil
-	}
-	vms := make([]predictserver.FleetPlaceRequest, p.batch)
-	for i := range vms {
-		vms[i] = p.nextReq()
-	}
-	resp, err := p.client.FleetPlaceBatch(p.ctx, vms)
-	if err != nil {
-		return err
-	}
-	for _, r := range resp.Results {
-		switch r.Status {
-		case "placed":
-			p.placed.Add(1)
-		case "queued":
-			p.queued.Add(1)
-		default:
-			p.countRejection(r.RejectCode)
-		}
-	}
-	return nil
-}
-
-func (p *placeStorm) summarize(w *os.File) {
-	p.rejMu.Lock()
-	defer p.rejMu.Unlock()
-	fmt.Fprintf(w, "placements: placed=%d queued=%d rejected=%d\n",
-		p.placed.Load(), p.queued.Load(), p.rejected)
-	codes := make([]string, 0, len(p.rejByCode))
-	for c := range p.rejByCode {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		fmt.Fprintf(w, "  reject_code %-12s %d\n", c, p.rejByCode[c])
-	}
-	if n := p.missingCode.Load(); n > 0 {
-		log.Fatalf("%d rejections arrived without a reject code (stringly-typed rejection)", n)
 	}
 }
 
@@ -269,138 +59,4 @@ func syntheticRows(seed int64, batch int) ([][]float64, error) {
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-// openSessions creates n dynamic sessions and returns their ids plus a
-// cleanup closing them.
-func openSessions(ctx context.Context, c *predictclient.Client, n int) ([]string, func(), error) {
-	r := rand.New(rand.NewSource(42))
-	ids := make([]string, n)
-	sessions := make([]*predictclient.Session, n)
-	for i := 0; i < n; i++ {
-		stable := 50 + r.Float64()*30
-		sess, err := c.OpenSession(ctx, predictserver.SessionRequest{
-			Phi0:        20 + r.Float64()*5,
-			StableTempC: &stable,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening session %d: %w", i, err)
-		}
-		ids[i] = sess.ID()
-		sessions[i] = sess
-	}
-	cleanup := func() {
-		for _, s := range sessions {
-			_ = s.Close(context.Background())
-		}
-	}
-	return ids, cleanup, nil
-}
-
-// result aggregates the measured window.
-type result struct {
-	issued  int
-	errors  int
-	elapsed time.Duration
-	lats    []time.Duration
-}
-
-// drive issues fire() calls open-loop at rate rps using a fixed sender pool.
-// Latency is measured from each request's scheduled start, so dispatch
-// queueing (the server falling behind the offered load) counts against it.
-func drive(fire func() error, rps float64, warmup, window time.Duration, senders int) *result {
-	type job struct {
-		scheduled time.Time
-		measured  bool
-	}
-	interval := time.Duration(float64(time.Second) / rps)
-	jobs := make(chan job, senders*4)
-
-	var (
-		mu  sync.Mutex
-		res = &result{}
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < senders; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				err := fire()
-				lat := time.Since(j.scheduled)
-				if !j.measured {
-					continue
-				}
-				mu.Lock()
-				if err != nil {
-					res.errors++
-				} else {
-					res.lats = append(res.lats, lat)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-	start := time.Now()
-	measureFrom := start.Add(warmup)
-	end := measureFrom.Add(window)
-	// Schedule against absolute ideal start times rather than a ticker: a
-	// ticker coalesces missed ticks, silently offering less than the target
-	// rate, and stamps jobs with delivery time instead of the time they
-	// should have started. With absolute times a stalled dispatcher catches
-	// up by issuing every overdue job immediately, and latency is always
-	// measured from the ideal schedule, so falling behind shows up as
-	// queueing delay — the defining property of an open loop.
-	for i := 0; ; i++ {
-		scheduled := start.Add(time.Duration(i) * interval)
-		if scheduled.After(end) {
-			break
-		}
-		if d := time.Until(scheduled); d > 0 {
-			time.Sleep(d)
-		}
-		measured := scheduled.After(measureFrom)
-		select {
-		case jobs <- job{scheduled: scheduled, measured: measured}:
-		default:
-			// Sender pool and queue saturated: the server is more than
-			// senders*4 requests behind the open-loop schedule. Count the
-			// drop as an error rather than blocking the dispatcher.
-			if measured {
-				mu.Lock()
-				res.errors++
-				mu.Unlock()
-			}
-		}
-		if measured {
-			res.issued++
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	res.elapsed = window
-	return res
-}
-
-func (r *result) print(w *os.File, batch int) {
-	secs := r.elapsed.Seconds()
-	achieved := float64(len(r.lats)) / secs
-	fmt.Fprintf(w, "issued %d requests, %d ok, %d errors in %.1fs\n",
-		r.issued, len(r.lats), r.errors, secs)
-	fmt.Fprintf(w, "throughput: %.1f req/s = %.0f predictions/s\n",
-		achieved, achieved*float64(batch))
-	if len(r.lats) == 0 {
-		return
-	}
-	sort.Slice(r.lats, func(i, j int) bool { return r.lats[i] < r.lats[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(r.lats)-1))
-		return r.lats[idx]
-	}
-	fmt.Fprintf(w, "latency: p50=%s p90=%s p99=%s max=%s\n",
-		pct(0.50).Round(time.Microsecond),
-		pct(0.90).Round(time.Microsecond),
-		pct(0.99).Round(time.Microsecond),
-		r.lats[len(r.lats)-1].Round(time.Microsecond))
 }

@@ -18,113 +18,98 @@ import (
 	"vmtherm/internal/sloharness"
 )
 
-// sloFlags is the `-mode slo` flag group: the SLO-driven capacity profiler
-// that steps load up per endpoint until the declared tail-latency SLO
-// breaks, and reports the max sustainable RPS (vHive-style
-// warm-up/measure/cool-down steps + bisection refinement).
+// sloFlags is the whole flag surface. The step-shape flags bind straight
+// onto the sloharness.Config every profile runs under, the in-process stack
+// knobs onto its fleet.Config: a flag becomes a field in one place.
 type sloFlags struct {
-	inprocess *bool
-	endpoints *string
-	quantile  *float64
-	limit     *time.Duration
-	startRPS  *float64
-	maxRPS    *float64
-	growth    *float64
-	refine    *int
-	warmup    *time.Duration
-	measure   *time.Duration
-	cooldown  *time.Duration
-	batches   *string
-	outJSON   *string
-	outMD     *string
-	baseline  *string
+	addr, mode, endpoints, batches string
+	outJSON, outMD, baseline       string
+	batch, workers, ingestHosts    int
+	seed                           int64
+	inprocess                      bool
 
-	// In-process stack knobs (the capacity matrix dimensions).
-	racks       *int
-	hosts       *int
-	budget      *float64
-	roundCap    *int
-	workers     *int
-	physWorkers *int
-	ingestHosts *int
-	streaming   *bool
-	arrivals    *string
+	step  sloharness.Config // SLO.Limit 0 = the endpoint's default
+	fleet fleet.Config      // the -inprocess fleet (the capacity matrix dimensions)
 
 	// Scenario-under-load: a scripted thermal emergency plays against the
 	// in-process fleet while the profiler drives serving load.
-	scenario    *string
-	scenarioOut *string
+	scenario, scenarioOut string
 }
 
-func registerSLOFlags() *sloFlags {
-	return &sloFlags{
-		inprocess: flag.Bool("inprocess", false, "profile an in-process server (trained fast model + simulated fleet) instead of -addr — what CI runs"),
-		endpoints: flag.String("endpoints", "stable,ingest,hotspots,place", "comma-separated serving endpoints to profile"),
-		quantile:  flag.Float64("slo-quantile", 0.99, "tail-latency quantile the SLO constrains"),
-		limit:     flag.Duration("slo-limit", 0, "tail-latency limit (0 = per-endpoint defaults: stable 5ms, ingest 10ms, hotspots 5ms, place 20ms)"),
-		startRPS:  flag.Float64("slo-start", 32, "first load step, requests/s"),
-		maxRPS:    flag.Float64("slo-max", 65536, "load-step ceiling, requests/s"),
-		growth:    flag.Float64("slo-growth", 2, "multiplicative step factor while the SLO holds"),
-		refine:    flag.Int("slo-refine", 3, "bisection steps tightening the knee bracket after the first violation"),
-		warmup:    flag.Duration("slo-warmup", 500*time.Millisecond, "per-step unmeasured warm-up"),
-		measure:   flag.Duration("slo-measure", 2*time.Second, "per-step measured window"),
-		cooldown:  flag.Duration("slo-cooldown", 250*time.Millisecond, "per-step cool-down (stragglers drain under load)"),
-		batches:   flag.String("slo-batches", "", "comma-separated request batch sizes to profile per endpoint (default: the -batch value)"),
-		outJSON:   flag.String("out", "", "write the machine-readable capacity report (capacity.json / BENCH_SLO.json) here"),
-		outMD:     flag.String("report", "", "write the human CAPACITY.md report here"),
-		baseline:  flag.String("slo-baseline", "", "committed capacity report to compare against; profiles >15% under their baseline entry print a REGRESSION line (exit stays 0: shared runners are noisy)"),
+func bindFlags(fs *flag.FlagSet) *sloFlags {
+	f := &sloFlags{fleet: fleet.DefaultConfig()}
+	fs.StringVar(&f.addr, "addr", "http://127.0.0.1:8080", "predictd base URL")
+	fs.StringVar(&f.mode, "mode", "slo", "slo: the SLO-driven capacity profile (the only mode)")
+	fs.IntVar(&f.batch, "batch", 64, "predictions per request")
+	fs.IntVar(&f.step.Senders, "senders", 32, "concurrent sender goroutines")
+	fs.Int64Var(&f.seed, "seed", 1, "feature-generation seed")
 
-		racks:       flag.Int("slo-racks", 4, "in-process fleet racks"),
-		hosts:       flag.Int("slo-hosts", 16, "in-process fleet hosts per rack"),
-		budget:      flag.Float64("admission-budget", 0, "in-process AdmissionPolicy.HeadroomBudgetC (0 = gate off)"),
-		roundCap:    flag.Int("admission-cap", 0, "in-process AdmissionPolicy.MaxPlacementsPerRound (0 = unbounded)"),
-		workers:     flag.Int("workers", 0, "in-process server batch worker pool (0 = GOMAXPROCS)"),
-		physWorkers: flag.Int("phys-workers", 0, "in-process fleet physics workers (0 = default)"),
-		ingestHosts: flag.Int("slo-ingest-hosts", 256, "distinct host ids the ingest profile cycles over when the fleet's own hosts are unknown (remote mode)"),
-		streaming:   flag.Bool("streaming", false, "enable streaming ingest on the in-process stack (required for the freshness endpoint; control rounds keep ticking in the background during ingest/freshness profiles)"),
-		arrivals:    flag.String("arrivals", "fixed", "dispatch schedule for every profiled step: fixed|poisson|uniform (poisson/uniform offer the same mean rate with realistic burstiness)"),
+	fs.BoolVar(&f.inprocess, "inprocess", false, "profile an in-process server (trained fast model + simulated fleet) instead of -addr — what CI runs")
+	fs.StringVar(&f.endpoints, "endpoints", "stable,ingest,hotspots,place", "comma-separated serving endpoints to profile: stable|session|ingest|freshness|hotspots|place")
+	fs.Float64Var(&f.step.SLO.Quantile, "slo-quantile", 0.99, "tail-latency quantile the SLO constrains")
+	fs.DurationVar(&f.step.SLO.Limit, "slo-limit", 0, "tail-latency limit (0 = per-endpoint defaults: stable, session, hotspots and freshness 5ms, ingest 10ms, place 20ms)")
+	fs.Float64Var(&f.step.StartRPS, "slo-start", 32, "first load step, requests/s")
+	fs.Float64Var(&f.step.MaxRPS, "slo-max", 65536, "load-step ceiling, requests/s")
+	fs.Float64Var(&f.step.Growth, "slo-growth", 2, "multiplicative step factor while the SLO holds")
+	fs.IntVar(&f.step.Refine, "slo-refine", 3, "bisection steps tightening the knee bracket after the first violation")
+	fs.DurationVar(&f.step.Warmup, "slo-warmup", 500*time.Millisecond, "per-step unmeasured warm-up")
+	fs.DurationVar(&f.step.Measure, "slo-measure", 2*time.Second, "per-step measured window")
+	fs.DurationVar(&f.step.Cooldown, "slo-cooldown", 250*time.Millisecond, "per-step cool-down (stragglers drain under load)")
+	fs.StringVar(&f.batches, "slo-batches", "", "comma-separated request batch sizes to profile per endpoint (default: the -batch value)")
+	fs.StringVar(&f.outJSON, "out", "", "write the machine-readable capacity report (capacity.json / BENCH_SLO.json) here")
+	fs.StringVar(&f.outMD, "report", "", "write the human CAPACITY.md report here")
+	fs.StringVar(&f.baseline, "slo-baseline", "", "committed capacity report to compare against; profiles >15% under their baseline entry print a REGRESSION line (exit stays 0: shared runners are noisy)")
 
-		scenario:    flag.String("scenario", "", "thermal-emergency scenario (builtin name or JSON file) to play against the in-process fleet while profiling — serving capacity under emergency (requires -inprocess)"),
-		scenarioOut: flag.String("scenario-out", "", "write the scenario's graded report JSON here (requires -scenario)"),
-	}
+	fs.IntVar(&f.fleet.Racks, "slo-racks", 4, "in-process fleet racks")
+	fs.IntVar(&f.fleet.HostsPerRack, "slo-hosts", 16, "in-process fleet hosts per rack")
+	fs.Float64Var(&f.fleet.Admission.HeadroomBudgetC, "admission-budget", 0, "in-process AdmissionPolicy.HeadroomBudgetC (0 = gate off)")
+	fs.IntVar(&f.fleet.Admission.MaxPlacementsPerRound, "admission-cap", 0, "in-process AdmissionPolicy.MaxPlacementsPerRound (0 = unbounded)")
+	fs.IntVar(&f.workers, "workers", 0, "in-process server batch worker pool (0 = GOMAXPROCS)")
+	fs.IntVar(&f.fleet.PhysWorkers, "phys-workers", 0, "in-process fleet physics workers (0 = default)")
+	fs.IntVar(&f.ingestHosts, "slo-ingest-hosts", 256, "distinct host ids the ingest profile cycles over when the fleet's own hosts are unknown (remote mode)")
+	fs.BoolVar(&f.fleet.StreamingIngest, "streaming", false, "enable streaming ingest on the in-process stack (required for the freshness endpoint; control rounds keep ticking in the background during ingest/freshness profiles)")
+	fs.StringVar(&f.step.Arrivals, "arrivals", "fixed", "dispatch schedule for every profiled step: fixed|poisson|uniform (poisson/uniform offer the same mean rate with realistic burstiness)")
+
+	fs.StringVar(&f.scenario, "scenario", "", "thermal-emergency scenario (builtin name or JSON file) to play against the in-process fleet while profiling — serving capacity under emergency (requires -inprocess)")
+	fs.StringVar(&f.scenarioOut, "scenario-out", "", "write the scenario's graded report JSON here (requires -scenario)")
+	return f
 }
 
-// defaultSLOLimits are the per-endpoint tail-latency defaults the ISSUE
-// declares: 5 ms for the prediction hot path, 20 ms for batch placement
-// (one ranking + shortlist + batched ψ_stable per request), 10 ms for
-// ingest (bounded-buffer admission), 5 ms for the snapshot read.
+// defaultSLOLimits are the per-endpoint tail-latency defaults: 5 ms for the
+// prediction hot paths, 20 ms for batch placement (one ranking + shortlist +
+// batched ψ_stable per request), 10 ms for ingest (bounded-buffer
+// admission), 5 ms for the snapshot read.
 var defaultSLOLimits = map[string]time.Duration{
 	"stable":    5 * time.Millisecond,
+	"session":   5 * time.Millisecond,
 	"ingest":    10 * time.Millisecond,
 	"hotspots":  5 * time.Millisecond,
 	"place":     20 * time.Millisecond,
 	"freshness": 5 * time.Millisecond,
 }
 
-// runSLO profiles every requested endpoint × batch combination and writes
-// the capacity report(s).
-func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error {
+// run profiles every requested endpoint × batch combination, narrating to
+// out, and writes the capacity report(s).
+func run(f *sloFlags, out io.Writer) error {
+	if f.batch <= 0 || f.step.Senders <= 0 {
+		return fmt.Errorf("batch and senders must be positive")
+	}
+	if f.mode != "slo" {
+		return fmt.Errorf("unknown -mode %q: slo is the only mode (a fixed-rate run is -slo-start R -slo-max R -slo-measure D)", f.mode)
+	}
 	ctx := context.Background()
-
 	var (
 		client *predictclient.Client
 		stack  *predictserver.LocalStack
 		host   string
 		err    error
 	)
-	if *f.inprocess {
-		fc := fleet.DefaultConfig()
-		fc.Racks, fc.HostsPerRack = *f.racks, *f.hosts
-		fc.Admission = fleet.AdmissionPolicy{
-			HeadroomBudgetC:       *f.budget,
-			MaxPlacementsPerRound: *f.roundCap,
-		}
-		fc.PhysWorkers = *f.physWorkers
-		fc.StreamingIngest = *f.streaming
-		fc.Seed = seed
-		fmt.Printf("building in-process stack: %d×%d hosts, admission budget %.1f°C cap %d...\n",
+	if f.inprocess {
+		fc := f.fleet
+		fc.Seed = f.seed
+		fmt.Fprintf(out, "building in-process stack: %d×%d hosts, admission budget %.1f°C cap %d...\n",
 			fc.Racks, fc.HostsPerRack, fc.Admission.HeadroomBudgetC, fc.Admission.MaxPlacementsPerRound)
-		stack, err = predictserver.NewLocalStack(ctx, predictserver.LocalStackConfig{Fleet: fc, Workers: *f.workers})
+		stack, err = predictserver.NewLocalStack(ctx, predictserver.LocalStackConfig{Fleet: fc, Workers: f.workers})
 		if err != nil {
 			return err
 		}
@@ -133,14 +118,14 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 		if err != nil {
 			return err
 		}
-		host = fmt.Sprintf("in-process (%d racks × %d hosts)", *f.racks, *f.hosts)
+		host = fmt.Sprintf("in-process (%d racks × %d hosts)", fc.Racks, fc.HostsPerRack)
 	} else {
-		client, err = predictclient.New(addr,
+		client, err = predictclient.New(f.addr,
 			predictclient.WithHTTPClient(&http.Client{
 				Timeout: 30 * time.Second,
 				Transport: &http.Transport{
-					MaxIdleConns:        senders * 2,
-					MaxIdleConnsPerHost: senders * 2,
+					MaxIdleConns:        f.step.Senders * 2,
+					MaxIdleConnsPerHost: f.step.Senders * 2,
 				},
 			}))
 		if err != nil {
@@ -149,15 +134,15 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 		if err := client.Healthy(ctx); err != nil {
 			return fmt.Errorf("server not healthy: %w", err)
 		}
-		host = addr
+		host = f.addr
 	}
 
 	var emergency *scenario.Runner
-	if *f.scenario != "" {
+	if f.scenario != "" {
 		if stack == nil {
 			return fmt.Errorf("-scenario needs -inprocess: the emergency is injected into the simulated fleet")
 		}
-		spec, err := scenario.Load(*f.scenario)
+		spec, err := scenario.Load(f.scenario)
 		if err != nil {
 			return err
 		}
@@ -165,16 +150,16 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scenario %s: %d-round emergency timeline plays under load\n", spec.Name, spec.Rounds)
-	} else if *f.scenarioOut != "" {
+		fmt.Fprintf(out, "scenario %s: %d-round emergency timeline plays under load\n", spec.Name, spec.Rounds)
+	} else if f.scenarioOut != "" {
 		return fmt.Errorf("-scenario-out requires -scenario")
 	}
 
-	batches, err := parseBatches(*f.batches, batch)
+	batches, err := parseBatches(f.batches, f.batch)
 	if err != nil {
 		return err
 	}
-	endpoints := strings.Split(*f.endpoints, ",")
+	endpoints := strings.Split(f.endpoints, ",")
 	report := sloharness.NewReport(host)
 
 	for _, ep := range endpoints {
@@ -184,31 +169,26 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 		}
 		limit, ok := defaultSLOLimits[ep]
 		if !ok {
-			return fmt.Errorf("unknown endpoint %q (want stable|ingest|hotspots|place|freshness)", ep)
+			return fmt.Errorf("unknown endpoint %q (want stable|session|ingest|freshness|hotspots|place)", ep)
 		}
-		if ep == "freshness" && *f.inprocess && !*f.streaming {
+		cfg := f.step
+		cfg.ArrivalSeed = f.seed
+		if cfg.SLO.Limit <= 0 {
+			cfg.SLO.Limit = limit
+		}
+		if ep == "freshness" && f.inprocess && !f.fleet.StreamingIngest {
 			return fmt.Errorf("the freshness endpoint needs -streaming on the in-process stack")
-		}
-		if *f.limit > 0 {
-			limit = *f.limit
 		}
 		epBatches := batches
 		if ep == "hotspots" { // GET endpoint: no batch dimension
 			epBatches = []int{1}
 		}
 		for _, b := range epBatches {
-			target, items, err := buildTarget(client, stack, ep, b, seed, f)
+			target, err := buildTarget(ctx, client, stack, ep, b, f)
 			if err != nil {
 				return err
 			}
-			cfg := sloharness.Config{
-				SLO:      sloharness.SLO{Quantile: *f.quantile, Limit: limit},
-				StartRPS: *f.startRPS, MaxRPS: *f.maxRPS, Growth: *f.growth, Refine: *f.refine,
-				Warmup: *f.warmup, Measure: *f.measure, Cooldown: *f.cooldown,
-				Senders:  senders,
-				Arrivals: *f.arrivals, ArrivalSeed: seed,
-			}
-			fmt.Printf("profiling %s batch=%d under %s...\n", target.Name(), b, cfg.SLO.Label())
+			fmt.Fprintf(out, "profiling %s batch=%d under %s...\n", target.Name(), b, cfg.SLO.Label())
 			// Streaming push profiles run with the control loop ticking in
 			// the background — the production shape, where rounds keep
 			// draining the bounded pipeline and reconciling the live
@@ -218,7 +198,7 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 			// every profile: the emergency timeline must advance while the
 			// measured load runs, or there is no "under load" in the grade.
 			var stopDrain func() error
-			if stack != nil && (emergency != nil || (*f.streaming && (ep == "ingest" || ep == "freshness"))) {
+			if stack != nil && (emergency != nil || (f.fleet.StreamingIngest && (ep == "ingest" || ep == "freshness"))) {
 				stopDrain = drainRounds(stack, emergency, 25*time.Millisecond)
 			}
 			profile, err := sloharness.Run(ctx, cfg, target)
@@ -227,14 +207,24 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 					err = derr
 				}
 			}
+			switch t := target.(type) {
+			case *sloharness.SessionTarget:
+				t.Close(ctx)
+			case *sloharness.PlaceTarget:
+				// Rejections are served decisions, not errors: a small fleet
+				// fills within the first steps, and the tally says how much
+				// of the knee priced placements that landed.
+				fmt.Fprintf(out, "  decisions: placed %d queued %d rejected %d\n",
+					t.Placed.Load(), t.Queued.Load(), t.Rejected.Load())
+			}
 			if err != nil {
 				return err
 			}
 			profile.Knobs = profileKnobs(f, ep, b)
-			profile.ItemsPerRequest = items
-			profile.MaxSustainableItemsPerSec = profile.MaxSustainableRPS * float64(items)
+			profile.ItemsPerRequest = b
+			profile.MaxSustainableItemsPerSec = profile.MaxSustainableRPS * float64(b)
 			report.Profiles = append(report.Profiles, profile)
-			fmt.Printf("  max sustainable: %.0f req/s (%.0f items/s) across %d steps\n",
+			fmt.Fprintf(out, "  max sustainable: %.0f req/s (%.0f items/s) across %d steps\n",
 				profile.MaxSustainableRPS, profile.MaxSustainableItemsPerSec, len(profile.Steps))
 			if stack != nil {
 				// Drain queued placements and refresh the snapshot between
@@ -255,84 +245,82 @@ func runSLO(f *sloFlags, addr string, batch int, senders int, seed int64) error 
 			}
 		}
 		grade := emergency.Report()
-		fmt.Printf("scenario %s under load: flagged r%d, crossed r%d (lead %d), contained %v in %d rounds, %d/%d migrations, fp rate %.2f\n",
+		fmt.Fprintf(out, "scenario %s under load: flagged r%d, crossed r%d (lead %d), contained %v in %d rounds, %d/%d migrations, fp rate %.2f\n",
 			grade.Name, grade.FirstFlagRound, grade.MeasuredCrossRound, grade.PredictedLeadRounds,
 			grade.Contained, grade.ContainmentRounds, grade.MigrationsApplied, grade.MigrationBudget,
 			grade.FalsePositiveRate)
-		if *f.scenarioOut != "" {
-			if err := os.WriteFile(*f.scenarioOut, grade.JSON(), 0o644); err != nil {
+		if f.scenarioOut != "" {
+			if err := os.WriteFile(f.scenarioOut, grade.JSON(), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", *f.scenarioOut)
+			fmt.Fprintf(out, "wrote %s\n", f.scenarioOut)
 		}
 		if !grade.Passed {
 			return fmt.Errorf("scenario %s FAILED its grade under load: %v", grade.Name, grade.Failures)
 		}
 	}
 
-	if *f.baseline != "" {
-		if err := compareBaseline(*f.baseline, report); err != nil {
+	if f.baseline != "" {
+		if err := compareBaseline(out, f.baseline, report); err != nil {
 			return err
 		}
 	}
-	if *f.outJSON != "" {
-		if err := writeReportFile(*f.outJSON, report.WriteJSON); err != nil {
+	if f.outJSON != "" {
+		if err := writeReportFile(f.outJSON, report.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *f.outJSON)
+		fmt.Fprintf(out, "wrote %s\n", f.outJSON)
 	}
-	if *f.outMD != "" {
-		if err := writeReportFile(*f.outMD, report.WriteMarkdown); err != nil {
+	if f.outMD != "" {
+		if err := writeReportFile(f.outMD, report.WriteMarkdown); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *f.outMD)
+		fmt.Fprintf(out, "wrote %s\n", f.outMD)
 	}
-	fmt.Println()
-	return report.WriteMarkdown(os.Stdout)
+	fmt.Fprintln(out)
+	return report.WriteMarkdown(out)
 }
 
 // buildTarget assembles the harness target for one endpoint × batch cell.
-func buildTarget(client *predictclient.Client, stack *predictserver.LocalStack, ep string, batch int, seed int64, f *sloFlags) (sloharness.Target, int, error) {
+func buildTarget(ctx context.Context, client *predictclient.Client, stack *predictserver.LocalStack, ep string, batch int, f *sloFlags) (sloharness.Target, error) {
+	// ingestHosts are the ids the push profiles cycle over: the in-process
+	// fleet's own, or -slo-ingest-hosts synthetic ones against a remote.
+	ingestHosts := func() []string {
+		if stack != nil {
+			if hosts := stack.Fleet.Hosts(); len(hosts) > 0 {
+				return hosts
+			}
+		}
+		hosts := make([]string, f.ingestHosts)
+		for i := range hosts {
+			hosts[i] = fmt.Sprintf("slo-h-%04d", i)
+		}
+		return hosts
+	}
 	switch ep {
 	case "stable":
-		rows, err := syntheticRows(seed, batch)
+		rows, err := syntheticRows(f.seed, batch)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return &sloharness.StableTarget{Client: client, Rows: rows}, batch, nil
+		return &sloharness.StableTarget{Client: client, Rows: rows}, nil
+	case "session":
+		return sloharness.OpenSessions(ctx, client, batch)
 	case "ingest":
-		var hosts []string
-		if stack != nil {
-			hosts = stack.Fleet.Hosts()
-		}
-		if len(hosts) == 0 {
-			hosts = make([]string, *f.ingestHosts)
-			for i := range hosts {
-				hosts[i] = fmt.Sprintf("slo-h-%04d", i)
-			}
-		}
-		return &sloharness.IngestTarget{Client: client, Hosts: hosts, Batch: batch}, batch, nil
+		return &sloharness.IngestTarget{Client: client, Hosts: ingestHosts(), Batch: batch}, nil
 	case "freshness":
-		var hosts []string
-		if stack != nil {
-			hosts = stack.Fleet.Hosts()
-		}
-		if len(hosts) == 0 {
-			hosts = make([]string, *f.ingestHosts)
-			for i := range hosts {
-				hosts[i] = fmt.Sprintf("slo-h-%04d", i)
-			}
-		}
-		return &sloharness.FreshnessTarget{Client: client, Hosts: hosts, Batch: batch}, batch, nil
+		return &sloharness.FreshnessTarget{Client: client, Hosts: ingestHosts(), Batch: batch}, nil
 	case "hotspots":
-		return &sloharness.HotspotsTarget{Client: client}, 1, nil
+		return &sloharness.HotspotsTarget{Client: client}, nil
 	case "place":
+		// Salt the VM ids per run so back-to-back profiles against one fleet
+		// don't collide as duplicate-id.
 		return &sloharness.PlaceTarget{
 			Client: client, Batch: batch,
 			Prefix: fmt.Sprintf("slo-%x", time.Now().UnixNano()&0xffffff),
-		}, batch, nil
+		}, nil
 	default:
-		return nil, 0, fmt.Errorf("unknown endpoint %q", ep)
+		return nil, fmt.Errorf("unknown endpoint %q", ep)
 	}
 }
 
@@ -340,31 +328,31 @@ func buildTarget(client *predictclient.Client, stack *predictserver.LocalStack, 
 // key the regression gate matches baseline entries on.
 func profileKnobs(f *sloFlags, ep string, batch int) map[string]string {
 	knobs := map[string]string{"batch": strconv.Itoa(batch)}
-	if !*f.inprocess {
+	if !f.inprocess {
 		return knobs
 	}
-	knobs["racks"] = strconv.Itoa(*f.racks)
-	knobs["hosts"] = strconv.Itoa(*f.hosts)
+	knobs["racks"] = strconv.Itoa(f.fleet.Racks)
+	knobs["hosts"] = strconv.Itoa(f.fleet.HostsPerRack)
 	if ep == "place" {
-		knobs["admission_budget_c"] = strconv.FormatFloat(*f.budget, 'g', -1, 64)
-		knobs["admission_round_cap"] = strconv.Itoa(*f.roundCap)
+		knobs["admission_budget_c"] = strconv.FormatFloat(f.fleet.Admission.HeadroomBudgetC, 'g', -1, 64)
+		knobs["admission_round_cap"] = strconv.Itoa(f.fleet.Admission.MaxPlacementsPerRound)
 	}
-	if *f.workers > 0 {
-		knobs["workers"] = strconv.Itoa(*f.workers)
+	if f.workers > 0 {
+		knobs["workers"] = strconv.Itoa(f.workers)
 	}
-	if *f.physWorkers > 0 {
-		knobs["phys_workers"] = strconv.Itoa(*f.physWorkers)
+	if f.fleet.PhysWorkers > 0 {
+		knobs["phys_workers"] = strconv.Itoa(f.fleet.PhysWorkers)
 	}
-	if *f.streaming {
+	if f.fleet.StreamingIngest {
 		knobs["streaming"] = "1"
 	}
-	if *f.arrivals != "" && *f.arrivals != sloharness.ArrivalsFixed {
-		knobs["arrivals"] = *f.arrivals
+	if f.step.Arrivals != "" && f.step.Arrivals != sloharness.ArrivalsFixed {
+		knobs["arrivals"] = f.step.Arrivals
 	}
-	if *f.scenario != "" {
+	if f.scenario != "" {
 		// A distinct baseline key: capacity measured while an emergency
 		// plays is not comparable to clean-fleet capacity.
-		knobs["scenario"] = *f.scenario
+		knobs["scenario"] = f.scenario
 	}
 	return knobs
 }
@@ -439,7 +427,7 @@ const regressionTolerance = 0.15
 // by (endpoint, knobs) and prints REGRESSION lines for capacity drops
 // beyond the tolerance. CI greps the output; the run itself stays
 // successful because shared runners are too noisy for a hard gate.
-func compareBaseline(path string, fresh *sloharness.Report) error {
+func compareBaseline(out io.Writer, path string, fresh *sloharness.Report) error {
 	file, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
@@ -453,16 +441,16 @@ func compareBaseline(path string, fresh *sloharness.Report) error {
 		bp := base.Capacity(p.Endpoint, p.Knobs)
 		switch {
 		case bp == nil:
-			fmt.Printf("baseline %s has no entry for %s %v — skipping comparison\n", path, p.Endpoint, p.Knobs)
+			fmt.Fprintf(out, "baseline %s has no entry for %s %v — skipping comparison\n", path, p.Endpoint, p.Knobs)
 		case bp.MaxSustainableRPS <= 0:
 			// A zero baseline means the endpoint never sustained any load
 			// when the baseline was committed; nothing to regress from.
 		case p.MaxSustainableRPS < (1-regressionTolerance)*bp.MaxSustainableRPS:
-			fmt.Printf("REGRESSION %s: measured %.0f req/s vs baseline %.0f req/s (-%.0f%%)\n",
+			fmt.Fprintf(out, "REGRESSION %s: measured %.0f req/s vs baseline %.0f req/s (-%.0f%%)\n",
 				p.Endpoint, p.MaxSustainableRPS, bp.MaxSustainableRPS,
 				100*(1-p.MaxSustainableRPS/bp.MaxSustainableRPS))
 		default:
-			fmt.Printf("capacity ok %s: measured %.0f req/s vs baseline %.0f req/s\n",
+			fmt.Fprintf(out, "capacity ok %s: measured %.0f req/s vs baseline %.0f req/s\n",
 				p.Endpoint, p.MaxSustainableRPS, bp.MaxSustainableRPS)
 		}
 	}

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -86,17 +85,18 @@ func run() error {
 	} else if flags.CheckpointFile != "" {
 		return daemon.ErrCheckpointNeedsSource
 	}
-	return serve(ctx, &http.Server{Addr: flags.Addr, ReadHeaderTimeout: 5 * time.Second}, model, ctl)
+	return serve(ctx, flags.Addr, model, ctl)
 }
 
-// serve runs the HTTP surface — and, with a fleet attached, its background
-// control loop — until ctx is cancelled or the listener fails, then shuts
-// down in contract order: /readyz flips to 503 so balancers stop routing,
-// in-flight requests drain, the round loop finishes its in-flight round and
-// exits, and only then is the final checkpoint cut (ctl.Close) — so it lands
-// after the last ingest push and the last round that could still have
-// mutated serving state.
-func serve(ctx context.Context, httpSrv *http.Server, model *core.StablePredictor, ctl *daemon.Controller) error {
+// serve binds addr (failing before any round runs if it cannot), then runs
+// the HTTP surface — and, with a fleet attached, its background control loop
+// — until ctx is cancelled or the listener fails, then shuts down in
+// contract order: /readyz flips to 503 so balancers stop routing, in-flight
+// requests drain, the round loop finishes its in-flight round and exits, and
+// only then is the final checkpoint cut (ctl.Close) — so it lands after the
+// last ingest push and the last round that could still have mutated serving
+// state.
+func serve(ctx context.Context, addr string, model *core.StablePredictor, ctl *daemon.Controller) error {
 	// ready feeds /readyz: with a fleet attached, false until the first round
 	// completes (restore alone is not proof the loop is serving), and false
 	// again during the shutdown drain. Without a fleet the model itself is
@@ -115,7 +115,11 @@ func serve(ctx context.Context, httpSrv *http.Server, model *core.StablePredicto
 		return err
 	}
 	defer srv.Close()
-	httpSrv.Handler = srv.Handler()
+	httpSrv, err := daemon.Listen(addr, srv.Handler())
+	if err != nil {
+		return err
+	}
+	log.Printf("serving on %s", httpSrv.Addr())
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -126,23 +130,14 @@ func serve(ctx context.Context, httpSrv *http.Server, model *core.StablePredicto
 			runRounds(ctx, ctl, &ready)
 		}
 	}()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("serving on %s", httpSrv.Addr)
 
 	select {
-	case err = <-errCh:
+	case <-httpSrv.Done():
 	case <-ctx.Done():
 		log.Print("shutting down")
-		ready.Store(false)
-		shutCtx, cancelShut := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancelShut()
-		if err = httpSrv.Shutdown(shutCtx); err == nil {
-			if err = <-errCh; errors.Is(err, http.ErrServerClosed) {
-				err = nil
-			}
-		}
 	}
+	ready.Store(false)
+	err = httpSrv.Drain()
 	cancel()
 	<-loopDone
 	if ctl != nil {

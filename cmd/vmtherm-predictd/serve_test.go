@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"io"
-	"net/http"
 	"path/filepath"
 	"testing"
 	"time"
@@ -52,7 +51,7 @@ func TestFinalCheckpointFollowsLastRound(t *testing.T) {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		served := make(chan error, 1)
-		go func() { served <- serve(ctx, &http.Server{Addr: "127.0.0.1:0"}, model, ctl) }()
+		go func() { served <- serve(ctx, "127.0.0.1:0", model, ctl) }()
 		for deadline := time.Now().Add(10 * time.Second); round() < 5; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("the round loop never reached round 5")

@@ -75,16 +75,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		snap := ctl.Hotspots()
+		var predicted float64
+		ctl.ViewSnapshot(func(s *vmtherm.FleetSnapshot) { predicted = s.Predicted["r0-h0"] })
 		mark := ""
-		if len(snap.Hotspots) > 0 && !flagged {
+		if rep.Hotspots > 0 && !flagged {
 			flagged = true
 			mark = fmt.Sprintf("  ← flagged from prediction (measured only %.1f °C)", die)
 		} else if rep.AppliedMoves > 0 {
 			mark = "  ← migrated load away"
 		}
 		fmt.Printf("round %2d t=%4.0fs  measured %.1f °C  predicted(+%.0fs) %.1f °C  hotspots %d  moves %d%s\n",
-			rep.Round, rep.SimTimeS, die, cfg.GapS, snap.Predicted["r0-h0"], rep.Hotspots, rep.AppliedMoves, mark)
+			rep.Round, rep.SimTimeS, die, cfg.GapS, predicted, rep.Hotspots, rep.AppliedMoves, mark)
 	}
 	fmt.Println("\nthe loop acts on predicted temperature: flagged rounds before the measured crossing, then drained by migration.")
 	return nil

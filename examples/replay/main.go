@@ -56,12 +56,13 @@ func run() error {
 		if _, err := live.RunRound(); err != nil {
 			return err
 		}
-		snap := live.Hotspots()
-		for _, id := range live.Hosts() {
-			if rd, ok := snap.Latest[id]; ok {
-				readings = append(readings, rd)
+		live.ViewSnapshot(func(s *vmtherm.FleetSnapshot) {
+			for _, id := range live.Hosts() {
+				if rd, ok := s.Latest[id]; ok {
+					readings = append(readings, rd)
+				}
 			}
-		}
+		})
 	}
 	fmt.Printf("recorded %d readings over %d live rounds\n", len(readings), rounds)
 

@@ -26,8 +26,8 @@ type Curve struct {
 	DeltaS float64
 }
 
-// DefaultCurveDelta is the δ used across experiments (ablated in
-// BenchmarkAblationCurveDelta).
+// DefaultCurveDelta is the δ used across experiments (ablated by
+// experiments.RunAblationCurveDelta).
 const DefaultCurveDelta = 30.0
 
 // NewCurve builds a validated Eq. (3) curve.

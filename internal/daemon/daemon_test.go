@@ -3,7 +3,9 @@ package daemon
 import (
 	"flag"
 	"io"
+	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/fleet"
@@ -148,5 +150,45 @@ func TestSimRestartWarmsAnchorCache(t *testing.T) {
 	}
 	if st := second.Ckpt.Status(); st.Restores != 1 {
 		t.Errorf("checkpoint status = %+v, want one restore", st)
+	}
+}
+
+// TestListenServesThenDrains walks the daemons' one HTTP path: Listen binds
+// before it returns (a second Listen on the same port is refused there, not
+// from a goroutine), the handler answers, and Drain comes back only after
+// the serving goroutine has exited — cleanly, so it reports nothing.
+func TestListenServesThenDrains(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "ok")
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := Listen(srv.Addr(), http.NotFoundHandler()); err == nil {
+		_ = second.Drain()
+		t.Fatalf("a second Listen on %s succeeded", srv.Addr())
+	} else if !strings.Contains(err.Error(), "address already in use") {
+		t.Fatalf("occupied port: %v, want a bind error", err)
+	}
+	resp, err := http.Get("http://" + srv.Addr() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "ok" {
+		t.Fatalf("served %q", body)
+	}
+	select {
+	case <-srv.Done():
+		t.Fatal("Done closed while serving")
+	default:
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("clean drain reported %v", err)
+	}
+	<-srv.Done()
+	if _, err := http.Get("http://" + srv.Addr() + "/"); err == nil {
+		t.Fatal("the port still answers after Drain")
 	}
 }

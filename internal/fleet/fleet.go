@@ -133,9 +133,10 @@ func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
 // fleet API serves and what schedulers consume.
 //
 // Snapshots are published as immutable, epoch-versioned generations:
-// Hotspots and ViewSnapshot hand out the generation's maps and slices
-// WITHOUT copying, so every field — including map contents — is strictly
-// read-only for consumers. Mutating a returned map is a data race.
+// ViewSnapshot lends the generation's maps and slices WITHOUT copying, for
+// the duration of its callback, so every field — including map contents —
+// is strictly read-only for consumers. Mutating a borrowed map is a data
+// race.
 type Snapshot struct {
 	Round      int
 	SimTimeS   float64
@@ -145,8 +146,6 @@ type Snapshot struct {
 	Hotspots []Hotspot
 	// Predicted maps host → Δ_gap-ahead temperature (stale hosts excluded).
 	Predicted map[string]float64
-	// Uncertainty maps host → prediction uncertainty (stale hosts excluded).
-	Uncertainty map[string]float64
 	// Latest maps host → newest telemetry reading behind the round.
 	Latest map[string]Reading
 	// StaleHosts lists hosts degraded for stale telemetry, sorted.

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -11,6 +13,19 @@ import (
 // proportional rise; the dynamic calibration γ reconciles its deliberate
 // imperfection with the measured trajectory, exactly as with a real model.
 var syntheticStable = SyntheticStablePredictor(75)
+
+// snapshotOf copies the published snapshot out of its ViewSnapshot borrow,
+// for tests that inspect one after the call (and after later rounds).
+func snapshotOf(c *Controller) (out Snapshot) {
+	c.ViewSnapshot(func(s *Snapshot) {
+		out = *s
+		out.Hotspots = slices.Clone(s.Hotspots)
+		out.StaleHosts = slices.Clone(s.StaleHosts)
+		out.Predicted = maps.Clone(s.Predicted)
+		out.Latest = maps.Clone(s.Latest)
+	})
+	return out
+}
 
 func testConfig() Config {
 	cfg := DefaultConfig()
@@ -62,7 +77,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		if crossedRound == 0 && die > cfg.ThresholdC {
 			crossedRound = round
 		}
-		snap := c.Hotspots()
+		snap := snapshotOf(c)
 		if flaggedRound == 0 {
 			for _, h := range snap.Hotspots {
 				if h.HostID == hot {
@@ -102,7 +117,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		flaggedRound, measuredAtFlag, crossedRound)
 
 	// The cool hosts must never appear in the map.
-	snap := c.Hotspots()
+	snap := snapshotOf(c)
 	for _, h := range snap.Hotspots {
 		if h.HostID != "r0-h0" {
 			t.Errorf("unexpected hotspot %q", h.HostID)
@@ -171,7 +186,7 @@ func TestDeterministicRounds(t *testing.T) {
 		if _, err := c.Run(12); err != nil {
 			t.Fatal(err)
 		}
-		return c.Hotspots()
+		return snapshotOf(c)
 	}
 	a, b := run(), run()
 	if len(a.Hotspots) != len(b.Hotspots) {
@@ -217,7 +232,7 @@ func TestStaleTelemetryDegradesGracefully(t *testing.T) {
 	if last.MaxStalenessS <= cfg.StaleAfterS {
 		t.Fatalf("max staleness %v not beyond stale-after %v", last.MaxStalenessS, cfg.StaleAfterS)
 	}
-	snap := c.Hotspots()
+	snap := snapshotOf(c)
 	foundStale := false
 	for _, id := range snap.StaleHosts {
 		if id == "r0-h0" {
@@ -274,7 +289,7 @@ func TestConcurrentIngestDuringRounds(t *testing.T) {
 					TempC:  40 + float64(i%20),
 					Util:   0.5,
 				})
-				_ = c.Hotspots()
+				c.ViewSnapshot(func(*Snapshot) {})
 				if i%17 == 0 {
 					c.Submit(HeavyVMSpec(fmt.Sprintf("g%d-v%d", g, i), 1, 2))
 				}

@@ -261,9 +261,6 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						if got := slices.Sorted(maps.Keys(s.Predicted)); !slices.Equal(got, fresh) {
 							t.Fatalf("round %d: predicted hosts %v, model %v", round, got, fresh)
 						}
-						if got := slices.Sorted(maps.Keys(s.Uncertainty)); !slices.Equal(got, fresh) {
-							t.Fatalf("round %d: uncertainty hosts %v, model %v", round, got, fresh)
-						}
 						if !slices.Equal(s.StaleHosts, stale) && len(s.StaleHosts)+len(stale) > 0 {
 							t.Fatalf("round %d: stale hosts %v, model %v", round, s.StaleHosts, stale)
 						}

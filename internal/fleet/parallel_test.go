@@ -61,7 +61,7 @@ func physRun(t *testing.T, workers, rounds int) ([]RoundReport, []byte, Snapshot
 	if err := dataset.WriteTrace(&buf, rec.Readings); err != nil {
 		t.Fatal(err)
 	}
-	return reports, buf.Bytes(), c.Hotspots()
+	return reports, buf.Bytes(), snapshotOf(c)
 }
 
 // TestParallelPhysicsValueIdentical is the tentpole determinism contract:

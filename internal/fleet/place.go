@@ -262,7 +262,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 	}
 	// Writer-side borrow of the published snapshot: the caller holds c.mu,
 	// which excludes generation recycling, and published generations are
-	// immutable — no escape or copy needed.
+	// immutable — no copy needed.
 	if snap := c.publishedSnapshot(); snap != nil {
 		predicted = snap.Predicted
 		for _, h := range snap.Hotspots {

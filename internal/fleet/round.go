@@ -153,37 +153,22 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	slices.Sort(snap.StaleHosts)
 	sortHotspots(snap.Hotspots)
 
-	// The three map rewrites touch disjoint maps and only read the
-	// prediction buffer / the host table; at fleet scale the first two run
-	// on their own goroutines while this one does the third.
-	inline, preds := 0, rs.preds
+	// The two map rewrites touch disjoint maps and only read the prediction
+	// buffer / the host table; at fleet scale Predicted is rewritten on its
+	// own goroutine while this one does Latest.
+	preds := rs.preds
 	if c.cfg.PhysWorkers > 1 && len(c.order) >= simParallelMinHosts {
 		var wg sync.WaitGroup
 		defer wg.Wait()
-		for ; inline < 2; inline++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				c.rewriteSnapshotMap(k, snap, preds)
-			}(inline)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rewritePredicted(snap.Predicted, preds)
+		}()
+	} else {
+		rewritePredicted(snap.Predicted, preds)
 	}
-	for k := inline; k < 3; k++ {
-		c.rewriteSnapshotMap(k, snap, preds)
-	}
-}
-
-// rewriteSnapshotMap brings one of the generation's three host maps up to
-// date with this round: 0 Predicted, 1 Uncertainty, 2 Latest.
-func (c *Controller) rewriteSnapshotMap(k int, snap *Snapshot, preds []Prediction) {
-	switch k {
-	case 0:
-		rewriteFloats(snap.Predicted, preds, func(p *Prediction) float64 { return p.TempC })
-	case 1:
-		rewriteFloats(snap.Uncertainty, preds, func(p *Prediction) float64 { return p.UncertaintyC })
-	default:
-		rewriteLatest(snap.Latest, c.order, c.slots)
-	}
+	rewriteLatest(snap.Latest, c.order, c.slots)
 }
 
 // reconcileStream folds the authoritative recompute into the incremental

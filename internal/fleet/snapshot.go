@@ -14,36 +14,26 @@ import (
 // without copying anything; the writer recycles a retired generation's maps
 // and slices in place — rewriting only what changed — once no reader can
 // still observe it. That turns the per-round snapshot clone (formerly the
-// warm round's dominant garbage: three O(hosts) maps plus two slices) into
-// zero allocations in steady state.
+// warm round's dominant garbage: O(hosts) maps plus two slices) into zero
+// allocations in steady state.
 //
 // Safety protocol (all sync/atomic, hence sequentially consistent):
 //
 //   - The writer mutates only generations obtained from writable(), which
 //     never returns the published generation and skips any retired
-//     generation with readers in flight (readers > 0) or one that was ever
-//     handed out unscoped (escaped).
-//   - A scoped reader (ViewSnapshot) loads the published pointer,
-//     increments the generation's reader count, and re-validates that the
-//     pointer is still published before touching the data; on failure it
-//     decrements and retries. If the writer observed readers == 0 after
-//     retiring a generation, any concurrent increment must re-validate
-//     after that observation — and the swap that retired the generation
-//     precedes the observation, so the re-validation sees a different
-//     published pointer and the reader backs off without reading.
-//   - An unscoped borrow (Hotspots) marks the generation escaped with the
-//     same load → mark → re-validate dance. An escaped generation is
-//     immutable forever: the writer drops it instead of recycling, paying
-//     one fresh generation on the next round. Scoped reads are therefore
-//     the hot-path API; unscoped borrows are safe at the cost the old
-//     deep-clone used to pay on every single read.
+//     generation with readers in flight (readers > 0).
+//   - A reader (ViewSnapshot, the one read path) loads the published
+//     pointer, increments the generation's reader count, and re-validates
+//     that the pointer is still published before touching the data; on
+//     failure it decrements and retries. If the writer observed
+//     readers == 0 after retiring a generation, any concurrent increment
+//     must re-validate after that observation — and the swap that retired
+//     the generation precedes the observation, so the re-validation sees a
+//     different published pointer and the reader backs off without reading.
 type snapGen struct {
 	snap Snapshot
-	// readers counts in-flight scoped borrows (ViewSnapshot).
+	// readers counts in-flight borrows (ViewSnapshot).
 	readers atomic.Int64
-	// escaped marks generations handed out unscoped (Hotspots): their maps
-	// now live in caller hands indefinitely and must never be rewritten.
-	escaped atomic.Bool
 }
 
 // snapStore owns the generation ring: the published generation (readable by
@@ -53,36 +43,27 @@ type snapStore struct {
 	published atomic.Pointer[snapGen]
 	spare     []*snapGen
 	// fresh counts generations allocated because no spare was recyclable
-	// (first rounds, escaped borrows, or a reader pinning every spare) —
-	// the observability hook for the zero-alloc steady-state contract.
+	// (first rounds, or a reader pinning every spare) — the observability
+	// hook for the zero-alloc steady-state contract.
 	fresh atomic.Int64
 }
 
 // writable returns a generation the writer may mutate, recycling a retired
-// spare when possible and allocating (counted) otherwise. Escaped spares
-// are dropped on sight — they can never be recycled.
+// spare when possible and allocating (counted) otherwise.
 func (s *snapStore) writable(hosts int) *snapGen {
-	for i := 0; i < len(s.spare); {
-		g := s.spare[i]
-		if g.escaped.Load() {
-			s.spare[i] = s.spare[len(s.spare)-1]
-			s.spare[len(s.spare)-1] = nil
-			s.spare = s.spare[:len(s.spare)-1]
-			continue
-		}
+	for i, g := range s.spare {
 		if g.readers.Load() == 0 {
-			s.spare[i] = s.spare[len(s.spare)-1]
-			s.spare[len(s.spare)-1] = nil
-			s.spare = s.spare[:len(s.spare)-1]
+			last := len(s.spare) - 1
+			s.spare[i] = s.spare[last]
+			s.spare[last] = nil
+			s.spare = s.spare[:last]
 			return g
 		}
-		i++
 	}
 	s.fresh.Add(1)
 	return &snapGen{snap: Snapshot{
-		Predicted:   make(map[string]float64, hosts),
-		Uncertainty: make(map[string]float64, hosts),
-		Latest:      make(map[string]Reading, hosts),
+		Predicted: make(map[string]float64, hosts),
+		Latest:    make(map[string]Reading, hosts),
 	}}
 }
 
@@ -94,30 +75,11 @@ func (s *snapStore) publish(g *snapGen) {
 	}
 }
 
-// Hotspots returns the latest published snapshot WITHOUT copying: the
-// returned maps and slices are shared, immutable state — callers must treat
-// every field as read-only. The borrow is permanent (the generation is
-// retired from reuse), so per-round pollers that only need a bounded look
-// should prefer ViewSnapshot, which recycles.
-func (c *Controller) Hotspots() Snapshot {
-	for {
-		g := c.snaps.published.Load()
-		if g == nil {
-			return Snapshot{}
-		}
-		g.escaped.Store(true)
-		if c.snaps.published.Load() == g {
-			return g.snap
-		}
-	}
-}
-
 // ViewSnapshot runs read against the latest published snapshot without
-// copying it. The *Snapshot (including its maps and slices) is valid only
-// for the duration of the call and must be treated as read-only: retaining
-// or mutating any part of it is a data race with later rounds. This is the
-// zero-allocation read path the HTTP handlers use; for an unbounded borrow
-// use Hotspots.
+// copying it — the one way to read one. The *Snapshot (including its maps
+// and slices) is valid only for the duration of the call and must be treated
+// as read-only: retaining or mutating any part of it is a data race with
+// later rounds; copy out what has to outlive the call.
 func (c *Controller) ViewSnapshot(read func(*Snapshot)) {
 	g := c.snaps.acquire()
 	if g == nil {
@@ -130,8 +92,8 @@ func (c *Controller) ViewSnapshot(read func(*Snapshot)) {
 	read(&g.snap)
 }
 
-// acquire pins the published generation for a scoped read (readers
-// incremented, pointer re-validated); the caller must decrement.
+// acquire pins the published generation for a read (readers incremented,
+// pointer re-validated); the caller must decrement.
 func (s *snapStore) acquire() *snapGen {
 	for {
 		g := s.published.Load()
@@ -148,8 +110,8 @@ func (s *snapStore) acquire() *snapGen {
 
 // SnapshotGenerations reports how many snapshot generations were freshly
 // allocated (rather than recycled) since the controller was built. A warm
-// fleet whose readers all use ViewSnapshot plateaus at 2; every unscoped
-// Hotspots borrow adds at most one per round.
+// fleet plateaus at 2, plus one for each reader a round found still inside
+// its ViewSnapshot callback.
 func (c *Controller) SnapshotGenerations() int64 { return c.snaps.fresh.Load() }
 
 // publishedSnapshot is the writer-side borrow: callers must hold c.mu, which
@@ -178,16 +140,16 @@ func sortHotspots(out []Hotspot) {
 	})
 }
 
-// rewriteFloats makes m hold exactly one val(p) entry per non-stale
+// rewritePredicted makes m hold exactly one temperature per non-stale
 // prediction, writing each entry once. Lingering keys (membership shrank or
 // hosts went stale since this generation was last written) show as a size
 // mismatch and force one clear-and-refill pass; map buckets survive clear,
 // so neither path allocates once the map has capacity.
-func rewriteFloats(m map[string]float64, preds []Prediction, val func(*Prediction) float64) {
+func rewritePredicted(m map[string]float64, preds []Prediction) {
 	fill := func() (n int) {
 		for i := range preds {
 			if p := &preds[i]; !p.Stale {
-				m[p.HostID] = val(p)
+				m[p.HostID] = p.TempC
 				n++
 			}
 		}
@@ -199,7 +161,7 @@ func rewriteFloats(m map[string]float64, preds []Prediction, val func(*Predictio
 	}
 }
 
-// rewriteLatest mirrors rewriteFloats for the latest-reading map, filled
+// rewriteLatest mirrors rewritePredicted for the latest-reading map, filled
 // from the host table's slots.
 func rewriteLatest(m map[string]Reading, order []string, slots []engine.Slot) {
 	fill := func() (n int) {

@@ -2,20 +2,23 @@ package fleet
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"testing"
 )
 
 // snapController builds a source-driven controller tracking n hosts whose
-// temperatures straddle the hotspot threshold, with one round already run
-// (population discovered, anchors cached, snapshot published).
-func snapController(t *testing.T, n int) (*Controller, *gridSource, []string) {
+// temperatures straddle the hotspot threshold, with two rounds already run
+// (population discovered, anchors cached, snapshot published). tweak adjusts
+// the configuration before the controller is built.
+func snapController(t *testing.T, n int, tweak ...func(*Config)) (*Controller, *gridSource, []string) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MaxHosts = n
 	cfg.ThresholdC = 70
+	for _, f := range tweak {
+		f(&cfg)
+	}
 	src := &gridSource{}
 	ctl, err := NewWithSource(cfg, src, syntheticStable)
 	if err != nil {
@@ -25,25 +28,11 @@ func snapController(t *testing.T, n int) (*Controller, *gridSource, []string) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("sn-%03d", i)
 	}
-	feed := func() {
-		now := src.now
-		for i, id := range ids {
-			ctl.Ingest(Reading{
-				HostID:  id,
-				AtS:     now,
-				TempC:   30 + float64(i%50),
-				Util:    float64(i%101) / 100, // up to util 1.0 → predicted 22+75 > 70
-				MemFrac: 0.25,
-			})
+	for round := 0; round < 2; round++ {
+		feedRound(ctl, src, ids)
+		if _, err := ctl.RunRound(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	feed()
-	if _, err := ctl.RunRound(); err != nil {
-		t.Fatal(err)
-	}
-	feed()
-	if _, err := ctl.RunRound(); err != nil {
-		t.Fatal(err)
 	}
 	return ctl, src, ids
 }
@@ -57,7 +46,7 @@ func feedRound(ctl *Controller, src *gridSource, ids []string) {
 			HostID:  id,
 			AtS:     now,
 			TempC:   30 + float64(i%50),
-			Util:    float64(i%101) / 100,
+			Util:    float64(i%101) / 100, // up to util 1.0 → predicted 22+75 > 70
 			MemFrac: 0.25,
 		})
 	}
@@ -85,69 +74,60 @@ func TestWarmRoundZeroAlloc(t *testing.T) {
 		t.Fatalf("warm round + snapshot view allocates %.1f/op, want 0", allocs)
 	}
 	if fresh := ctl.SnapshotGenerations(); fresh > 2 {
-		t.Fatalf("%d fresh snapshot generations for scoped-read-only rounds, want <= 2", fresh)
+		t.Fatalf("%d fresh snapshot generations over warm rounds, want <= 2", fresh)
 	}
 }
 
-// TestHotspotsReadZeroAlloc: the unscoped borrow itself is allocation-free
-// (it hands out the published generation, it does not clone it).
-func TestHotspotsReadZeroAlloc(t *testing.T) {
-	ctl, _, _ := snapController(t, 32)
-	var sink Snapshot
-	allocs := testing.AllocsPerRun(100, func() {
-		sink = ctl.Hotspots()
-	})
-	if allocs != 0 {
-		t.Fatalf("Hotspots() allocates %.1f/op, want 0", allocs)
-	}
-	if len(sink.Predicted) != 32 {
-		t.Fatalf("borrowed snapshot has %d predictions, want 32", len(sink.Predicted))
-	}
-}
-
-// TestBorrowedSnapshotImmutable: a snapshot borrowed via Hotspots must never
-// change, no matter how many rounds run afterwards — the escaped generation
-// is retired, not recycled.
-func TestBorrowedSnapshotImmutable(t *testing.T) {
-	ctl, src, ids := snapController(t, 48)
-	borrowed := ctl.Hotspots()
-	round := borrowed.Round
-	predicted := maps.Clone(borrowed.Predicted)
-	uncertainty := maps.Clone(borrowed.Uncertainty)
-	latest := maps.Clone(borrowed.Latest)
-	hotspots := slices.Clone(borrowed.Hotspots)
-
-	for i := 0; i < 6; i++ {
-		feedRound(ctl, src, ids)
-		if _, err := ctl.RunRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cur := ctl.Hotspots(); cur.Round == round {
-		t.Fatal("rounds did not advance the published snapshot")
-	}
-	if borrowed.Round != round {
-		t.Fatalf("borrowed snapshot round mutated: %d -> %d", round, borrowed.Round)
-	}
-	if !maps.Equal(borrowed.Predicted, predicted) {
-		t.Fatal("borrowed Predicted map mutated by later rounds")
-	}
-	if !maps.Equal(borrowed.Uncertainty, uncertainty) {
-		t.Fatal("borrowed Uncertainty map mutated by later rounds")
-	}
-	if !maps.Equal(borrowed.Latest, latest) {
-		t.Fatal("borrowed Latest map mutated by later rounds")
-	}
-	if !slices.Equal(borrowed.Hotspots, hotspots) {
-		t.Fatal("borrowed Hotspots slice mutated by later rounds")
+// TestWarmIngestBatchZeroAlloc pins the push path's side of the same
+// contract: a warm IngestBatch allocates nothing, whether it only buffers
+// for the next round (streaming off), also applies every reading on arrival
+// (streamed), or returns the Δ_gap-ahead prediction per reading as well
+// (predict). engine.ObserveBatch alone is pinned in internal/engine; this is
+// the call behind POST /v1/fleet/ingest.
+func TestWarmIngestBatchZeroAlloc(t *testing.T) {
+	const hosts, runs = 64, 100
+	for _, tc := range []struct {
+		name               string
+		streaming, predict bool
+		want               IngestOutcome
+	}{
+		{"buffered", false, false, IngestBuffered},
+		{"streamed", true, false, IngestStreamed},
+		{"predict", true, true, IngestStreamed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctl, src, ids := snapController(t, hosts, func(cfg *Config) {
+				cfg.StreamingIngest = tc.streaming
+				// Room for every push of the run: no round in between, no drop.
+				cfg.IngestBuffer = hosts * (runs + 2)
+			})
+			readings := make([]Reading, hosts)
+			results := make([]IngestResult, hosts)
+			at := src.now
+			allocs := testing.AllocsPerRun(runs, func() {
+				at += 5 // one sampling interval: every third push calibrates
+				for i, id := range ids {
+					readings[i] = Reading{HostID: id, AtS: at, TempC: 30 + float64(i%50), Util: float64(i%101) / 100, MemFrac: 0.25}
+				}
+				if n := ctl.IngestBatch(readings, tc.predict, results); n != hosts || results[0].Outcome != tc.want {
+					t.Fatalf("accepted %d/%d readings, first outcome %v, want %v", n, hosts, results[0].Outcome, tc.want)
+				}
+				if tc.predict && results[hosts-1].Pred.HostID != ids[hosts-1] {
+					t.Fatalf("no prediction came back for %s: %+v", ids[hosts-1], results[hosts-1])
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm IngestBatch (%s) allocates %.1f/op, want 0", tc.name, allocs)
+			}
+		})
 	}
 }
 
 // TestSnapshotConcurrentReadersDuringRounds is the -race proof for the
-// copy-on-read publication: scoped views, unscoped borrows and metrics-style
-// full iterations run concurrently with control rounds, and every observed
-// snapshot must be internally consistent (hotspots present in the predicted
-// map, round numbers monotone per reader).
+// copy-on-read publication: views and metrics-style full iterations run
+// concurrently with control rounds, and every observed snapshot must be
+// internally consistent (hotspots present in the predicted map, round
+// numbers monotone per reader).
 func TestSnapshotConcurrentReadersDuringRounds(t *testing.T) {
 	ctl, src, ids := snapController(t, 32)
 	stop := make(chan struct{})
@@ -189,26 +169,6 @@ func TestSnapshotConcurrentReadersDuringRounds(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := ctl.Hotspots()
-			for _, h := range snap.Hotspots {
-				if v, ok := snap.Predicted[h.HostID]; !ok || v != h.PredictedTempC {
-					select {
-					case fail <- fmt.Sprintf("borrowed hotspot %s inconsistent", h.HostID):
-					default:
-					}
-				}
-			}
-		}
-	}()
 	for round := 0; round < 12; round++ {
 		feedRound(ctl, src, ids)
 		if _, err := ctl.RunRound(); err != nil {

@@ -270,7 +270,7 @@ func (c *Client) Metrics(ctx context.Context) ([]telemetry.MetricPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer drainClose(resp.Body)
+	defer telemetry.CloseExposition(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, &APIError{StatusCode: resp.StatusCode, Message: resp.Status}
 	}

@@ -31,12 +31,15 @@ func fleetTestServer(t *testing.T) *Client {
 			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 40 && len(ctl.Hotspots().Hotspots) == 0; round++ {
-		if _, err := ctl.RunRound(); err != nil {
+	hot := false
+	for round := 0; round < 40 && !hot; round++ {
+		rep, err := ctl.RunRound()
+		if err != nil {
 			t.Fatal(err)
 		}
+		hot = rep.Hotspots > 0
 	}
-	if len(ctl.Hotspots().Hotspots) == 0 {
+	if !hot {
 		t.Fatal("fleet never produced a hotspot")
 	}
 
@@ -226,7 +229,8 @@ func TestFleetIngestPredictRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	// Past the calibration schedule so the arrival calibrates first.
-	at := ctl.Hotspots().SimTimeS + cfg.UpdateEveryS + 1
+	var at float64
+	ctl.ViewSnapshot(func(s *fleet.Snapshot) { at = s.SimTimeS + cfg.UpdateEveryS + 1 })
 	resp, err := client.FleetIngestPredict(ctx, []predictserver.FleetReading{
 		{HostID: "r0-h1", AtS: at, TempC: 55, Util: 0.6, MemFrac: 0.3},
 	})

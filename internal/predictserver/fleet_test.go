@@ -3,14 +3,29 @@ package predictserver
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"vmtherm/internal/fleet"
 )
+
+// snapshotOf copies the published snapshot out of its ViewSnapshot borrow,
+// for tests that inspect one after the call.
+func snapshotOf(ctl *fleet.Controller) (out fleet.Snapshot) {
+	ctl.ViewSnapshot(func(s *fleet.Snapshot) {
+		out = *s
+		out.Hotspots = slices.Clone(s.Hotspots)
+		out.StaleHosts = slices.Clone(s.StaleHosts)
+		out.Predicted = maps.Clone(s.Predicted)
+		out.Latest = maps.Clone(s.Latest)
+	})
+	return out
+}
 
 // hotFleet builds a 1-rack/4-host controller with one overloaded machine
 // and runs it until the hotspot map is non-empty.
@@ -32,10 +47,11 @@ func hotFleet(t *testing.T) *fleet.Controller {
 		}
 	}
 	for round := 0; round < 40; round++ {
-		if _, err := ctl.RunRound(); err != nil {
+		rep, err := ctl.RunRound()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ctl.Hotspots().Hotspots) > 0 {
+		if rep.Hotspots > 0 {
 			return ctl
 		}
 	}

@@ -68,7 +68,7 @@ func TestNewLocalStackServesAllEndpointFamilies(t *testing.T) {
 	}
 	t.Cleanup(ls.Close)
 
-	snap := ls.Fleet.Hotspots()
+	snap := snapshotOf(ls.Fleet)
 	if snap.Round < 2 {
 		t.Fatalf("priming ran %d rounds, want ≥ 2", snap.Round)
 	}
@@ -78,7 +78,7 @@ func TestNewLocalStackServesAllEndpointFamilies(t *testing.T) {
 	if err := ls.RunRounds(1); err != nil {
 		t.Fatal(err)
 	}
-	if ls.Fleet.Hotspots().Round != snap.Round+1 {
+	if snapshotOf(ls.Fleet).Round != snap.Round+1 {
 		t.Fatal("RunRounds did not advance the control plane")
 	}
 	// The server must answer a stable prediction from the trained model.

@@ -108,7 +108,7 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 		t.Fatalf("scrape round errored: %s", rep.SourceError)
 	}
 
-	snapA, snapB := ctlA.Hotspots(), ctlB.Hotspots()
+	snapA, snapB := snapshotOf(ctlA), snapshotOf(ctlB)
 	if len(snapB.Latest) != len(snapA.Latest) {
 		t.Fatalf("scraped %d hosts, exporter has %d", len(snapB.Latest), len(snapA.Latest))
 	}

@@ -33,10 +33,11 @@ func streamingFleet(t *testing.T) (*fleet.Controller, fleet.Config) {
 		}
 	}
 	for round := 0; round < 40; round++ {
-		if _, err := ctl.RunRound(); err != nil {
+		rep, err := ctl.RunRound()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ctl.Hotspots().Hotspots) > 0 {
+		if rep.Hotspots > 0 {
 			return ctl, cfg
 		}
 	}
@@ -95,7 +96,7 @@ func TestFleetIngestPredictEndpoint(t *testing.T) {
 	// calibrates before predicting; an unknown host on a simulated fleet is
 	// deferred to the next round (its anchors are not in the warm cache's
 	// namespace).
-	at := ctl.Hotspots().SimTimeS + cfg.UpdateEveryS + 5
+	at := snapshotOf(ctl).SimTimeS + cfg.UpdateEveryS + 5
 	resp := postJSON(t, ts.URL+"/v1/fleet/ingest", FleetIngestRequest{
 		Predict: true,
 		Readings: []FleetReading{

@@ -699,7 +699,7 @@ func TestWireScratchNotRetained(t *testing.T) {
 	if _, err := ctl.RunRound(); err != nil {
 		t.Fatal(err)
 	}
-	latest := ctl.Hotspots().Latest
+	latest := snapshotOf(ctl).Latest
 	for w := range sent {
 		for _, rd := range sent[w] {
 			if got, ok := latest[rd.HostID]; !ok || got != fleet.Reading(rd) {

@@ -10,13 +10,14 @@ import (
 	"vmtherm/internal/predictserver"
 )
 
-// The four serving endpoints the harness profiles. Target names double as
-// the endpoint column of capacity reports, so they are the route paths.
+// The serving endpoints the harness profiles. Target names double as the
+// endpoint column of capacity reports, so they are the route paths.
 const (
-	EndpointStableBatch = "/v1/stable/batch"
-	EndpointIngest      = "/v1/fleet/ingest"
-	EndpointHotspots    = "/v1/fleet/hotspots"
-	EndpointPlaceBatch  = "/v1/fleet/place/batch"
+	EndpointStableBatch  = "/v1/stable/batch"
+	EndpointSessionBatch = "/v1/session/batch/predict"
+	EndpointIngest       = "/v1/fleet/ingest"
+	EndpointHotspots     = "/v1/fleet/hotspots"
+	EndpointPlaceBatch   = "/v1/fleet/place/batch"
 	// EndpointFreshness is the synchronous-predictive ingest profile: the
 	// same route as EndpointIngest with predict: true, where the measured
 	// request latency IS the arrival→prediction-visible delay.
@@ -39,6 +40,70 @@ func (t *StableTarget) Fire(ctx context.Context) error {
 	return err
 }
 
+// SessionTarget profiles POST /v1/session/batch/predict: each request asks
+// every one of its pre-opened dynamic sessions for ψ(t + Δ_gap) at an
+// advancing t — a fleet round's prediction poll, served per session. Build
+// it with OpenSessions; Close drops the sessions again.
+type SessionTarget struct {
+	client   *predictclient.Client
+	sessions []*predictclient.Session
+
+	tick atomic.Int64
+}
+
+// OpenSessions opens n dynamic sessions on the server behind client, spread
+// over start and stable temperatures, and returns the target that polls them.
+func OpenSessions(ctx context.Context, client *predictclient.Client, n int) (*SessionTarget, error) {
+	t := &SessionTarget{client: client}
+	for i := 0; i < n; i++ {
+		stable := 50 + float64(i%30)
+		sess, err := client.OpenSession(ctx, predictserver.SessionRequest{
+			Phi0: 20 + float64(i%5), StableTempC: &stable,
+		})
+		if err != nil {
+			t.Close(ctx)
+			return nil, fmt.Errorf("sloharness: opening session %d: %w", i, err)
+		}
+		t.sessions = append(t.sessions, sess)
+	}
+	return t, nil
+}
+
+// Close deletes the target's sessions; a session the server has already
+// lost is not worth failing a finished profile for.
+func (t *SessionTarget) Close(ctx context.Context) {
+	for _, s := range t.sessions {
+		_ = s.Close(ctx)
+	}
+	t.sessions = nil
+}
+
+// Name implements Target.
+func (t *SessionTarget) Name() string { return EndpointSessionBatch }
+
+// Fire implements Target. A per-item error is a failed request: the batch
+// came back 200 but a session did not predict.
+func (t *SessionTarget) Fire(ctx context.Context) error {
+	at := float64(t.tick.Add(1))
+	items := make([]predictserver.PredictBatchItem, len(t.sessions))
+	for i, s := range t.sessions {
+		items[i] = predictserver.PredictBatchItem{ID: s.ID(), T: at}
+	}
+	results, err := t.client.PredictBatch(ctx, items)
+	if err != nil {
+		return err
+	}
+	if len(results) != len(items) {
+		return fmt.Errorf("sloharness: %d results for %d sessions", len(results), len(items))
+	}
+	for i, r := range results {
+		if r.Error != "" {
+			return fmt.Errorf("sloharness: session %s: %s", items[i].ID, r.Error)
+		}
+	}
+	return nil
+}
+
 // IngestTarget profiles POST /v1/fleet/ingest: each request pushes Batch
 // readings cycling over Hosts with monotonically advancing timestamps, the
 // traffic shape of a fleet of monitoring agents. Readings refused at the
@@ -59,26 +124,35 @@ func (t *IngestTarget) Name() string { return EndpointIngest }
 
 // Fire implements Target.
 func (t *IngestTarget) Fire(ctx context.Context) error {
-	if len(t.Hosts) == 0 || t.Batch <= 0 {
-		return errors.New("sloharness: ingest target needs hosts and a positive batch")
+	readings, err := nextReadings(&t.seq, t.Hosts, t.Batch, t.SampleS)
+	if err != nil {
+		return err
 	}
-	sampleS := t.SampleS
+	_, err = t.Client.FleetIngest(ctx, readings)
+	return err
+}
+
+// nextReadings builds the next batch of the push profiles' traffic: readings
+// cycling over hosts, timestamps advancing sampleS (default 5 s) per sweep.
+func nextReadings(seq *atomic.Int64, hosts []string, batch int, sampleS float64) ([]predictserver.FleetReading, error) {
+	if len(hosts) == 0 || batch <= 0 {
+		return nil, errors.New("sloharness: a push target needs hosts and a positive batch")
+	}
 	if sampleS == 0 {
 		sampleS = 5
 	}
-	readings := make([]predictserver.FleetReading, t.Batch)
+	readings := make([]predictserver.FleetReading, batch)
 	for i := range readings {
-		n := t.seq.Add(1)
+		n := seq.Add(1)
 		readings[i] = predictserver.FleetReading{
-			HostID:  t.Hosts[int(n)%len(t.Hosts)],
-			AtS:     float64(n) * sampleS / float64(len(t.Hosts)),
+			HostID:  hosts[int(n)%len(hosts)],
+			AtS:     float64(n) * sampleS / float64(len(hosts)),
 			TempC:   45 + float64(n%20),
 			Util:    0.3 + float64(n%7)*0.1,
 			MemFrac: 0.4,
 		}
 	}
-	_, err := t.Client.FleetIngest(ctx, readings)
-	return err
+	return readings, nil
 }
 
 // FreshnessTarget profiles the streaming freshness SLO: each request is a
@@ -104,23 +178,9 @@ func (t *FreshnessTarget) Name() string { return EndpointFreshness }
 
 // Fire implements Target.
 func (t *FreshnessTarget) Fire(ctx context.Context) error {
-	if len(t.Hosts) == 0 || t.Batch <= 0 {
-		return errors.New("sloharness: freshness target needs hosts and a positive batch")
-	}
-	sampleS := t.SampleS
-	if sampleS == 0 {
-		sampleS = 5
-	}
-	readings := make([]predictserver.FleetReading, t.Batch)
-	for i := range readings {
-		n := t.seq.Add(1)
-		readings[i] = predictserver.FleetReading{
-			HostID:  t.Hosts[int(n)%len(t.Hosts)],
-			AtS:     float64(n) * sampleS / float64(len(t.Hosts)),
-			TempC:   45 + float64(n%20),
-			Util:    0.3 + float64(n%7)*0.1,
-			MemFrac: 0.4,
-		}
+	readings, err := nextReadings(&t.seq, t.Hosts, t.Batch, t.SampleS)
+	if err != nil {
+		return err
 	}
 	resp, err := t.Client.FleetIngestPredict(ctx, readings)
 	if err != nil {
@@ -153,7 +213,7 @@ func (t *HotspotsTarget) Fire(ctx context.Context) error {
 // single-VM endpoint. Typed admission outcomes (queued, rejected) are
 // served decisions and count as successes — under storm load the fleet
 // running out of capacity is expected; only transport or protocol failures
-// are errors.
+// are errors, and a rejection that carries no reject_code is one of those.
 type PlaceTarget struct {
 	Client *predictclient.Client
 	Batch  int
@@ -176,15 +236,20 @@ func (t *PlaceTarget) next() predictserver.FleetPlaceRequest {
 	}
 }
 
-func (t *PlaceTarget) count(status string) {
+// count tallies one served decision.
+func (t *PlaceTarget) count(status, rejectCode string) error {
 	switch status {
 	case "placed":
 		t.Placed.Add(1)
 	case "queued":
 		t.Queued.Add(1)
 	default:
+		if rejectCode == "" {
+			return fmt.Errorf("sloharness: %s placement decision without a reject_code", status)
+		}
 		t.Rejected.Add(1)
 	}
+	return nil
 }
 
 // Fire implements Target.
@@ -194,13 +259,11 @@ func (t *PlaceTarget) Fire(ctx context.Context) error {
 		if err != nil {
 			var placeErr *predictclient.PlaceError
 			if errors.As(err, &placeErr) {
-				t.Rejected.Add(1)
-				return nil
+				return t.count("rejected", placeErr.Code.String())
 			}
 			return err
 		}
-		t.count(dec.Status)
-		return nil
+		return t.count(dec.Status, dec.RejectCode)
 	}
 	vms := make([]predictserver.FleetPlaceRequest, t.Batch)
 	for i := range vms {
@@ -211,7 +274,9 @@ func (t *PlaceTarget) Fire(ctx context.Context) error {
 		return err
 	}
 	for _, r := range resp.Results {
-		t.count(r.Status)
+		if err := t.count(r.Status, r.RejectCode); err != nil {
+			return err
+		}
 	}
 	return nil
 }

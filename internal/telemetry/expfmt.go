@@ -27,12 +27,18 @@ type MetricPoint struct {
 // Label returns a label value ("" when absent).
 func (p MetricPoint) Label(key string) string { return p.Labels[key] }
 
+// maxExpositionBytes caps one exposition body — bytes another machine
+// chooses — at the figure the HTTP server allows a batch request body.
+const maxExpositionBytes = 64 << 20
+
 // ParseExposition parses Prometheus text exposition format into points.
 // Comment and blank lines are skipped; a malformed sample line is an error
-// (a half-parsed scrape must not silently feed the control loop).
+// (a half-parsed scrape must not silently feed the control loop), and so is
+// a body longer than 64 MiB, which is never parsed as far as it fits.
 func ParseExposition(r io.Reader) ([]MetricPoint, error) {
+	body := &io.LimitedReader{R: r, N: maxExpositionBytes + 1}
 	var points []MetricPoint
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
@@ -41,14 +47,29 @@ func ParseExposition(r io.Reader) ([]MetricPoint, error) {
 		}
 		p, err := parseSample(text)
 		if err != nil {
+			if body.N <= 0 {
+				break // the line the cap cut short: report the cap, not its syntax
+			}
 			return nil, fmt.Errorf("telemetry: exposition line %d: %w", line, err)
 		}
 		points = append(points, p)
+	}
+	if body.N <= 0 {
+		return nil, fmt.Errorf("telemetry: exposition exceeds the %d-byte limit", maxExpositionBytes)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: reading exposition: %w", err)
 	}
 	return points, nil
+}
+
+// CloseExposition finishes with the response body ParseExposition read from:
+// it drains what is left so the connection can be reused — like the parse, no
+// further than a body may be long; a peer that keeps sending loses the
+// connection, not the caller's round — and closes it.
+func CloseExposition(body io.ReadCloser) {
+	_, _ = io.CopyN(io.Discard, body, maxExpositionBytes)
+	_ = body.Close()
 }
 
 // parseSample parses one `name[{labels}] value [timestamp]` line.

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -178,10 +177,7 @@ func (s *ScrapeSource) scrapeOnce() ([]MetricPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: scrape %s: %w", s.cfg.URL, err)
 	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-	}()
+	defer CloseExposition(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("telemetry: scrape %s: %s", s.cfg.URL, resp.Status)
 	}

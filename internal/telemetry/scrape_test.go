@@ -1,10 +1,12 @@
 package telemetry
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -212,4 +214,86 @@ func TestScrapeSourceValidation(t *testing.T) {
 	if _, err := NewScrapeSource(ScrapeConfig{URL: "://bad"}); err == nil {
 		t.Error("unparsable url accepted")
 	}
+}
+
+// endlessExporter answers every scrape with status and then comment lines —
+// valid exposition that parses to nothing — until the scraper hangs up, and
+// counts the bytes it managed to send.
+func endlessExporter(t *testing.T, status int) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	pad := bytes.Repeat([]byte("# "+strings.Repeat("x", 61)+"\n"), 1024) // 64 KiB
+	var sent atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(status)
+		for r.Context().Err() == nil {
+			n, err := w.Write(pad)
+			sent.Add(int64(n))
+			if err != nil {
+				return
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &sent
+}
+
+// TestScrapeBodyIsBounded: the exporter is another machine. A body past
+// maxExpositionBytes is an error naming the limit — never the points that
+// fit — and neither the parse nor the drain that follows it (on a non-200
+// too) reads on until the exporter stops or the client times out.
+func TestScrapeBodyIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		want   string
+	}{
+		{http.StatusOK, "exceeds the 67108864-byte limit"},
+		{http.StatusInternalServerError, "500 Internal Server Error"},
+	} {
+		ts, sent := endlessExporter(t, tc.status)
+		src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, MaxRetries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = src.Advance(15, func(Reading) bool {
+			t.Errorf("status %d: a reading was emitted from an oversized body", tc.status)
+			return true
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("status %d: Advance = %v, want an error containing %q", tc.status, err, tc.want)
+		}
+		// Parse and drain each stop at the cap; the rest is socket buffering.
+		if got := sent.Load(); got > 2*maxExpositionBytes+(8<<20) {
+			t.Fatalf("status %d: read on for %d bytes of an endless body", tc.status, got)
+		}
+	}
+}
+
+// FuzzParseExposition: scraped text is the one input that arrives from other
+// machines. Whatever the bytes, the parser returns an error or points —
+// never both, never a panic — every point is named, and there is at most one
+// per line.
+func FuzzParseExposition(f *testing.F) {
+	f.Add([]byte("# TYPE t gauge\nt{host=\"r0-h0\"} 55.25\nt{host=\"r0-h1\"} 48 1712000000000\n\nbare 42\n"))
+	f.Add([]byte(`weird{a="x,y",b="q\"uote\\n"} 1e3`))
+	f.Add([]byte("m{k=\"" + strings.Repeat("v", 1<<20+1) + "\"} 1\n")) // a line past the scanner's 1 MiB token
+	f.Add([]byte(`m{k="dangling\`))                                    // dangling escape
+	f.Add([]byte(`m{unterminated="v" 1`))                              // unterminated label set
+	f.Add([]byte("m{k=\"v\",} NaN -1\n{} 1\nm 0x1p-2\n"))
+	f.Fuzz(func(t *testing.T, text []byte) {
+		points, err := ParseExposition(bytes.NewReader(text))
+		if err != nil {
+			if points != nil {
+				t.Fatalf("error %v alongside %d points", err, len(points))
+			}
+			return
+		}
+		if lines := bytes.Count(text, []byte("\n")) + 1; len(points) > lines {
+			t.Fatalf("%d points from %d lines", len(points), lines)
+		}
+		for _, p := range points {
+			if p.Name == "" {
+				t.Fatalf("unnamed point %+v", p)
+			}
+		}
+	})
 }
