@@ -42,14 +42,17 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"vmtherm"
+	"vmtherm/internal/core"
 	"vmtherm/internal/daemon"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/fleet"
 	"vmtherm/internal/predictserver"
 	"vmtherm/internal/scenario"
+	"vmtherm/internal/telemetry"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -94,11 +97,11 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var model *vmtherm.StablePredictor
-	var predict vmtherm.BatchCasePredictor
+	var model *core.StablePredictor
+	var predict fleet.BatchCasePredictor
 	switch {
 	case own.synthetic:
-		predict = vmtherm.FleetSyntheticPredictor(75)
+		predict = fleet.SyntheticStablePredictor(75)
 		log.Print("using synthetic physics predictor (no SVM)")
 	case shared.Model != "":
 		var err error
@@ -108,21 +111,13 @@ func run() error {
 		log.Printf("loaded stable model from %s", shared.Model)
 	default:
 		log.Printf("training fast stable model on %d simulated experiments...", own.trainCases)
-		cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), shared.Seed, "fleet-train", own.trainCases)
-		if err != nil {
-			return err
-		}
-		recs, err := vmtherm.BuildDataset(ctx, cases, vmtherm.DefaultBuildOptions(shared.Seed))
-		if err != nil {
-			return err
-		}
-		model, err = vmtherm.TrainStable(ctx, recs, vmtherm.FastStableConfig())
-		if err != nil {
+		var err error
+		if model, err = daemon.TrainFast(ctx, shared.Seed, own.trainCases); err != nil {
 			return err
 		}
 	}
 	if predict == nil {
-		predict = vmtherm.FleetStablePredictor(model, 1800)
+		predict = fleet.StableBatchPredictor(model, 1800)
 	}
 
 	cfg := shared.Config()
@@ -135,10 +130,10 @@ func run() error {
 	// -record: tee every reading the source emits into a recorder, and write
 	// the capture as a replayable trace CSV when the loop ends — closing the
 	// capture→replay loop (-source trace) for operators.
-	var recorder *vmtherm.TelemetryRecorder
+	var recorder *telemetry.Recorder
 	var recMu sync.Mutex
 	if own.record != "" {
-		recorder = &vmtherm.TelemetryRecorder{}
+		recorder = &telemetry.Recorder{}
 		// The tee sees both the round loop's source emissions and concurrent
 		// HTTP ingest pushes (-addr); Recorder itself is not synchronized.
 		// The capture is in-memory until exit, so it is bounded: past the
@@ -146,7 +141,7 @@ func run() error {
 		// rather than growing a daemon's RAM without limit.
 		const maxRecorded = 2 << 20
 		warned := false
-		ctl.TeeTelemetry(func(r vmtherm.FleetReading) bool {
+		ctl.TeeTelemetry(func(r fleet.Reading) bool {
 			recMu.Lock()
 			defer recMu.Unlock()
 			if len(recorder.Readings) >= maxRecorded {
@@ -160,7 +155,10 @@ func run() error {
 		})
 		log.Printf("recording telemetry to %s (cap %d readings)", own.record, maxRecorded)
 	}
-	opts := loopOptions{rounds: own.rounds, addr: shared.Addr, model: model}
+
+	loop := daemon.Loop{Rounds: own.rounds, StopOnError: true}
+	var drill *scenario.Runner
+	var serverOpts []predictserver.Option
 	switch {
 	case own.scenario != "":
 		// A scripted thermal emergency: the scenario engine seeds its own
@@ -173,14 +171,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if opts.scenario, err = scenario.New(spec, ctl.Controller); err != nil {
+		if drill, err = scenario.New(spec, ctl.Controller); err != nil {
 			return err
 		}
 		// The spec owns the round budget: a truncated timeline would grade a
 		// half-run emergency, so -rounds is ignored in scenario mode.
 		log.Printf("scenario %s: %s (%d rounds, onset round %d)",
 			spec.Name, spec.Description, spec.Rounds, spec.Onset())
-		opts.rounds, opts.pace, opts.scenarioOut = spec.Rounds, own.pace, own.scenarioOut
+		loop.Step, loop.Rounds, loop.Pace = drill.Step, spec.Rounds, own.pace
+		serverOpts = append(serverOpts, predictserver.WithScenario(drill.Status))
 	case own.scenarioOut != "":
 		return errors.New("-scenario-out requires -scenario")
 	case shared.Source == "sim":
@@ -188,7 +187,7 @@ func run() error {
 		// the proactive loop (flag from prediction → propose → migrate) is
 		// visible.
 		for v := 0; v < own.hotseed; v++ {
-			spec := vmtherm.FleetHeavyVMSpec(fmt.Sprintf("hotseed-%02d", v), 4, 8)
+			spec := fleet.HeavyVMSpec(fmt.Sprintf("hotseed-%02d", v), 4, 8)
 			if err := ctl.PlaceAt("r0-h0", spec); err != nil {
 				return fmt.Errorf("hotseed: %w", err)
 			}
@@ -208,16 +207,62 @@ func run() error {
 			}
 			next++
 		}
-		opts.pace = own.pace || (own.rounds == 0 && shared.Addr != "")
-		opts.arrivals = func() { submitArrivals(ctl.Controller, arrivalStream, &next, own.arrivals) }
+		loop.Pace = own.pace || (own.rounds == 0 && shared.Addr != "")
+		// The round's VM requests, stopping early when the admission queue
+		// refuses one (the refused VM retries next round).
+		loop.Before = func() {
+			for a := 0; a < own.arrivals && next < len(arrivalStream) && ctl.Submit(arrivalStream[next]); a++ {
+				next++
+			}
+		}
 	default:
-		opts.pace = own.pace || shared.Source == "scrape" || (ctl.Trace != nil && shared.Speed > 0)
+		loop.Pace = own.pace || shared.Source == "scrape" || (ctl.Trace != nil && shared.Speed > 0)
 	}
-	runErr := runLoop(ctx, ctl, opts)
-	// The shutdown contract: the in-flight round has finished (runLoop
-	// returned) and HTTP has drained, so the final checkpoint captures
-	// everything the next process needs to continue warm.
-	runErr = errors.Join(runErr, ctl.Close())
+
+	// An address that cannot be bound fails here, before round 1.
+	rt, err := daemon.Start(shared.Addr, model, ctl, serverOpts...)
+	if err != nil {
+		return err
+	}
+	if shared.Addr != "" {
+		log.Printf("serving fleet API and /metrics on %s", rt.Addr())
+	}
+	if loop.Pace {
+		log.Printf("pacing rounds to wall-clock %.3gs", ctl.PaceS)
+	}
+	// The real-time accounting uses the controller's resolved Δ_update, never
+	// the raw -update flag (0 there means "the default").
+	updateS := ctl.Config().UpdateEveryS
+	start := time.Now()
+	var simSeconds float64
+	var totalHotspots, totalMoves, totalPlaced int
+	loop.After = func(rep fleet.RoundReport) {
+		simSeconds += updateS
+		totalHotspots += rep.Hotspots
+		totalMoves += rep.AppliedMoves
+		totalPlaced += rep.Placements
+		fmt.Println(roundLine(rep, updateS, ctl.StreamingEnabled(), drill))
+	}
+	runErr := rt.Loop(ctx, loop)
+	if ctx.Err() != nil {
+		log.Print("interrupted")
+	}
+	wall := time.Since(start)
+	log.Printf("processed %.0fs of fleet time in %v (%.0f× real time): %d hotspot-rounds, %d migrations, %d placements",
+		simSeconds, wall.Round(time.Millisecond), simSeconds/wall.Seconds(),
+		totalHotspots, totalMoves, totalPlaced)
+	if wall.Seconds() < simSeconds {
+		log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", updateS)
+	} else if !loop.Pace {
+		log.Printf("WARNING: control loop slower than real time at this fleet size")
+	}
+	if drill != nil {
+		runErr = gradeScenario(drill, own.scenarioOut, runErr)
+	}
+	// The shutdown contract (daemon.Runtime.Shutdown): /readyz flips to 503,
+	// HTTP drains, the loop has exited, and only then is the final checkpoint
+	// cut — a round that errored out above still gets all of it.
+	runErr = errors.Join(runErr, rt.Shutdown())
 	if recorder == nil {
 		return runErr
 	}
@@ -237,220 +282,89 @@ func run() error {
 
 // saveRecording writes a telemetry capture as a replayable trace CSV in
 // canonical (time, host) order.
-func saveRecording(path string, rec *vmtherm.TelemetryRecorder) error {
-	vmtherm.SortReadings(rec.Readings)
+func saveRecording(path string, rec *telemetry.Recorder) error {
+	telemetry.SortReadings(rec.Readings)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = vmtherm.WriteTrace(f, rec.Readings)
+	err = dataset.WriteTrace(f, rec.Readings)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// loopOptions parameterize the round loop shared by every source.
-type loopOptions struct {
-	rounds int
-	// pace holds each round to the controller's wall-clock pacing interval.
-	pace  bool
-	addr  string
-	model *vmtherm.StablePredictor
-	// arrivals, when set, submits the round's VM requests (sim source).
-	arrivals func()
-	// scenario, when set, owns the round loop: each round applies the due
-	// faults before running, and the run ends with a graded report
-	// (written to scenarioOut when set; a failed grade fails the process).
-	scenario    *scenario.Runner
-	scenarioOut string
+// roundLine is the one stdout line per completed round.
+func roundLine(rep fleet.RoundReport, updateS float64, streaming bool, drill *scenario.Runner) string {
+	speedup := updateS / rep.Latency.Seconds()
+	line := fmt.Sprintf("round %3d t=%5.0fs | sessions %3d/%3d | telemetry %4d (drops %d, superseded %d) | stale %2d | anchors %3dh/%dm fan %d | hotspots %2d (max %.1f°C) | placed %d queued %d rejected %d | moves %d/%d | %6.1fms (ctl %.1fms) | %6.0f× realtime",
+		rep.Round, rep.SimTimeS, rep.SessionsLive, rep.Hosts,
+		rep.TelemetryDrained, rep.DroppedTotal, rep.SupersededTotal, rep.StaleHosts,
+		rep.AnchorHits, rep.AnchorMisses, rep.AnchorFanout,
+		rep.Hotspots, rep.MaxPredictedC, rep.Placements, rep.Queued, rep.Rejections,
+		rep.AppliedMoves, rep.ProposedMoves,
+		float64(rep.Latency.Microseconds())/1000,
+		float64(rep.ControlLatency.Microseconds())/1000, speedup)
+	if streaming {
+		line += fmt.Sprintf(" | stream %d (+%d inline, %d deferred) drift %d",
+			rep.StreamApplied, rep.StreamCreated, rep.StreamDeferred, rep.StreamHotDrift)
+	}
+	if drill != nil {
+		st := drill.Status()
+		line += fmt.Sprintf(" | scn %s %d/%d faults %d", st.Name, st.Round, st.TotalRounds, st.FaultsActive)
+		if st.Contained {
+			line += " contained"
+		}
+	}
+	if rep.SourceError != "" {
+		line += " | SOURCE ERROR: " + rep.SourceError
+	}
+	if n := len(rep.RecentErrors); n > 0 {
+		line += fmt.Sprintf(" | errs %d (last: %s)", n, rep.RecentErrors[n-1])
+	}
+	return line
 }
 
-// submitArrivals feeds the round's VM requests, stopping early when the
-// admission queue refuses one (the refused VM retries next round).
-func submitArrivals(ctl *vmtherm.FleetController, stream []vmtherm.VMSpec, next *int, n int) {
-	for a := 0; a < n && *next < len(stream); a++ {
-		if !ctl.Submit(stream[*next]) {
-			return
-		}
-		*next++
-	}
-}
-
-// runLoop serves the fleet API (optionally; an address that cannot be bound
-// fails here, before round 1) and executes control rounds until the round
-// budget, the trace, the context or the HTTP server runs out. Pacing and the
-// real-time accounting use the controller's resolved Δ_update, never the raw
-// -update flag (0 there means "the default").
-func runLoop(ctx context.Context, ctl *daemon.Controller, opts loopOptions) (runErr error) {
-	// ready gates /readyz: true after the first completed round (cold or
-	// restored, the serving state is only trustworthy once a round has run),
-	// false again when the loop exits — before the HTTP drain, so load
-	// balancers stop routing to a daemon that is about to stop serving.
-	var ready atomic.Bool
-	var httpStopped <-chan struct{} // nil (never ready) when not serving
-	if opts.addr != "" {
-		if opts.model == nil {
-			return fmt.Errorf("-addr requires a stable model (drop -synthetic)")
-		}
-		sopts := []predictserver.Option{predictserver.WithFleet(ctl.Controller), predictserver.WithReadiness(ready.Load)}
-		if opts.scenario != nil {
-			sopts = append(sopts, predictserver.WithScenario(opts.scenario.Status))
-		}
-		if ctl.Ckpt != nil {
-			sopts = append(sopts, predictserver.WithCheckpoint(ctl.Ckpt.Status))
-		}
-		srv, err := predictserver.New(opts.model, sopts...)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		httpSrv, err := daemon.Listen(opts.addr, srv.Handler())
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := httpSrv.Drain(); err != nil {
-				runErr = errors.Join(runErr, fmt.Errorf("http: %w", err))
+// gradeScenario writes and logs the drill's graded report and folds the
+// grade into the run's error. The report is written even when a round
+// errored out: a half-run emergency's partial grade is still evidence, and
+// losing it on the failure path is exactly when operators need it most.
+func gradeScenario(drill *scenario.Runner, out string, runErr error) error {
+	grade := drill.Report()
+	if out != "" {
+		if err := os.WriteFile(out, grade.JSON(), 0o644); err != nil {
+			log.Printf("writing scenario report: %v", err)
+			if runErr == nil {
+				runErr = fmt.Errorf("writing scenario report: %w", err)
 			}
-		}()
-		httpStopped = httpSrv.Done()
-		log.Printf("serving fleet API and /metrics on %s", httpSrv.Addr())
-	}
-
-	updateS := ctl.Config().UpdateEveryS
-	if opts.pace {
-		log.Printf("pacing rounds to wall-clock %.3gs", ctl.PaceS)
-	}
-	start := time.Now()
-	var simSeconds float64
-	var totalHotspots, totalMoves, totalPlaced int
-loop:
-	for round := 1; opts.rounds == 0 || round <= opts.rounds; round++ {
-		select {
-		case <-ctx.Done():
-			log.Print("interrupted")
-			break loop
-		case <-httpStopped:
-			log.Print("http server stopped")
-			break loop
-		default:
-		}
-		if ctl.Trace != nil && ctl.Trace.Done() {
-			log.Print("trace exhausted")
-			break loop
-		}
-		if opts.arrivals != nil {
-			opts.arrivals()
-		}
-		runRound := ctl.RunRound
-		if opts.scenario != nil {
-			runRound = opts.scenario.Step
-		}
-		rep, err := runRound()
-		if err != nil {
-			// Break instead of returning so the exit path below still runs:
-			// readiness flips off, the scenario report (if any) is written,
-			// and the caller still cuts its final checkpoint and flushes.
-			runErr = err
-			break loop
-		}
-		ready.Store(true)
-		simSeconds += updateS
-		totalHotspots += rep.Hotspots
-		totalMoves += rep.AppliedMoves
-		totalPlaced += rep.Placements
-		speedup := updateS / rep.Latency.Seconds()
-		line := fmt.Sprintf("round %3d t=%5.0fs | sessions %3d/%3d | telemetry %4d (drops %d, superseded %d) | stale %2d | anchors %3dh/%dm fan %d | hotspots %2d (max %.1f°C) | placed %d queued %d rejected %d | moves %d/%d | %6.1fms (ctl %.1fms) | %6.0f× realtime",
-			rep.Round, rep.SimTimeS, rep.SessionsLive, rep.Hosts,
-			rep.TelemetryDrained, rep.DroppedTotal, rep.SupersededTotal, rep.StaleHosts,
-			rep.AnchorHits, rep.AnchorMisses, rep.AnchorFanout,
-			rep.Hotspots, rep.MaxPredictedC, rep.Placements, rep.Queued, rep.Rejections,
-			rep.AppliedMoves, rep.ProposedMoves,
-			float64(rep.Latency.Microseconds())/1000,
-			float64(rep.ControlLatency.Microseconds())/1000, speedup)
-		if ctl.StreamingEnabled() {
-			line += fmt.Sprintf(" | stream %d (+%d inline, %d deferred) drift %d",
-				rep.StreamApplied, rep.StreamCreated, rep.StreamDeferred, rep.StreamHotDrift)
-		}
-		if opts.scenario != nil {
-			st := opts.scenario.Status()
-			line += fmt.Sprintf(" | scn %s %d/%d faults %d", st.Name, st.Round, st.TotalRounds, st.FaultsActive)
-			if st.Contained {
-				line += " contained"
-			}
-		}
-		if rep.SourceError != "" {
-			line += " | SOURCE ERROR: " + rep.SourceError
-		}
-		if n := len(rep.RecentErrors); n > 0 {
-			line += fmt.Sprintf(" | errs %d (last: %s)", n, rep.RecentErrors[n-1])
-		}
-		fmt.Println(line)
-		if _, err := ctl.Ckpt.SaveIfDue(ctl.Checkpoint, false); err != nil {
-			log.Printf("checkpoint: %v", err)
-		}
-		if opts.pace {
-			wait := time.Duration(ctl.PaceS*float64(time.Second)) - rep.Latency
-			if wait > 0 {
-				select {
-				case <-ctx.Done():
-				case <-time.After(wait):
-				}
-			}
+		} else {
+			log.Printf("scenario report written to %s", out)
 		}
 	}
-	// Not ready before the deferred HTTP drain: in-flight requests finish,
-	// new ones see 503 from the balancer's health checks.
-	ready.Store(false)
-	wall := time.Since(start)
-	log.Printf("processed %.0fs of fleet time in %v (%.0f× real time): %d hotspot-rounds, %d migrations, %d placements",
-		simSeconds, wall.Round(time.Millisecond), simSeconds/wall.Seconds(),
-		totalHotspots, totalMoves, totalPlaced)
-	if wall.Seconds() < simSeconds {
-		log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", updateS)
-	} else if !opts.pace {
-		log.Printf("WARNING: control loop slower than real time at this fleet size")
+	log.Printf("scenario %s: flagged r%d, crossed r%d (lead %d), contained %v in %d rounds, %d/%d migrations, %d rejected readings, fp rate %.2f",
+		grade.Name, grade.FirstFlagRound, grade.MeasuredCrossRound, grade.PredictedLeadRounds,
+		grade.Contained, grade.ContainmentRounds, grade.MigrationsApplied, grade.MigrationBudget,
+		grade.ReadingsRejected, grade.FalsePositiveRate)
+	if runErr != nil {
+		return runErr
 	}
-	if opts.scenario != nil {
-		// The report is written even when a round errored out above: a
-		// half-run emergency's partial grade is still evidence, and losing
-		// it on the failure path is exactly when operators need it most.
-		grade := opts.scenario.Report()
-		if opts.scenarioOut != "" {
-			if err := os.WriteFile(opts.scenarioOut, grade.JSON(), 0o644); err != nil {
-				log.Printf("writing scenario report: %v", err)
-				if runErr == nil {
-					runErr = fmt.Errorf("writing scenario report: %w", err)
-				}
-			} else {
-				log.Printf("scenario report written to %s", opts.scenarioOut)
-			}
-		}
-		log.Printf("scenario %s: flagged r%d, crossed r%d (lead %d), contained %v in %d rounds, %d/%d migrations, %d rejected readings, fp rate %.2f",
-			grade.Name, grade.FirstFlagRound, grade.MeasuredCrossRound, grade.PredictedLeadRounds,
-			grade.Contained, grade.ContainmentRounds, grade.MigrationsApplied, grade.MigrationBudget,
-			grade.ReadingsRejected, grade.FalsePositiveRate)
-		if runErr != nil {
-			return runErr
-		}
-		if !grade.Passed {
-			return fmt.Errorf("scenario %s FAILED its grade: %v", grade.Name, grade.Failures)
-		}
-		log.Printf("scenario %s PASSED", grade.Name)
+	if !grade.Passed {
+		return fmt.Errorf("scenario %s FAILED its grade: %v", grade.Name, grade.Failures)
 	}
-	return runErr
+	log.Printf("scenario %s PASSED", grade.Name)
+	return nil
 }
 
 // arrivalSpecs generates a deterministic stream of VM requests, using one
 // oversized generated case as a convenient spec factory.
-func arrivalSpecs(seed int64, count int) ([]vmtherm.VMSpec, error) {
-	opts := vmtherm.DefaultGenOptions()
+func arrivalSpecs(seed int64, count int) ([]workload.VMSpec, error) {
+	opts := workload.DefaultGenOptions()
 	opts.VMCountMin, opts.VMCountMax = count, count
 	opts.Host.Cores = 1 << 20
 	opts.Host.MemoryGB = 1 << 24
 	opts.Dynamic = true
-	c, err := vmtherm.GenerateCase(opts, seed, "fleet-arrivals")
+	c, err := workload.GenerateCase(opts, seed, "fleet-arrivals")
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,9 @@ import (
 	"strings"
 	"time"
 
+	"vmtherm/internal/daemon"
 	"vmtherm/internal/fleet"
 	"vmtherm/internal/predictclient"
-	"vmtherm/internal/predictserver"
 	"vmtherm/internal/scenario"
 	"vmtherm/internal/sloharness"
 )
@@ -88,6 +88,15 @@ var defaultSLOLimits = map[string]time.Duration{
 	"freshness": 5 * time.Millisecond,
 }
 
+// The in-process daemon: trained on as many experiments as fleetd's default,
+// primed so /v1/fleet/hotspots serves a populated snapshot and sessions are
+// calibrated, and — when rounds run beside a profile — one every 25 ms.
+const (
+	inprocessTrainCases  = 24
+	inprocessPrimeRounds = 3
+	inprocessRoundEvery  = 25 * time.Millisecond
+)
+
 // run profiles every requested endpoint × batch combination, narrating to
 // out, and writes the capacity report(s).
 func run(f *sloFlags, out io.Writer) error {
@@ -100,21 +109,29 @@ func run(f *sloFlags, out io.Writer) error {
 	ctx := context.Background()
 	var (
 		client *predictclient.Client
-		stack  *predictserver.LocalStack
+		stack  *daemon.Runtime // the in-process daemon; nil against -addr
 		host   string
 		err    error
 	)
+	// rounds is how the in-process control plane moves: every round goes
+	// through the daemons' one loop.
+	rounds := daemon.Loop{StopOnError: true}
 	if f.inprocess {
 		fc := f.fleet
 		fc.Seed = f.seed
 		fmt.Fprintf(out, "building in-process stack: %d×%d hosts, admission budget %.1f°C cap %d...\n",
 			fc.Racks, fc.HostsPerRack, fc.Admission.HeadroomBudgetC, fc.Admission.MaxPlacementsPerRound)
-		stack, err = predictserver.NewLocalStack(ctx, predictserver.LocalStackConfig{Fleet: fc, Workers: f.workers})
+		stack, err = daemon.StartInProcess(ctx, fc, inprocessTrainCases, f.workers)
 		if err != nil {
 			return err
 		}
-		defer stack.Close()
-		client, err = predictclient.NewLocal(stack.Server.Handler())
+		// No listener and no checkpoint: Shutdown has nothing that can fail.
+		defer func() { _ = stack.Shutdown() }()
+		stack.Ctl.PaceS = inprocessRoundEvery.Seconds()
+		if err := stack.Loop(ctx, advance(rounds, inprocessPrimeRounds)); err != nil {
+			return fmt.Errorf("priming: %w", err)
+		}
+		client, err = predictclient.NewLocal(stack.Handler())
 		if err != nil {
 			return err
 		}
@@ -146,9 +163,17 @@ func run(f *sloFlags, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		emergency, err = scenario.New(spec, stack.Fleet)
+		emergency, err = scenario.New(spec, stack.Ctl.Controller)
 		if err != nil {
 			return err
+		}
+		// Rounds go through the scenario runner while its timeline has rounds
+		// left (so grading sees them), plain rounds after.
+		rounds.Step = func() (fleet.RoundReport, error) {
+			if emergency.Done() {
+				return stack.Ctl.RunRound()
+			}
+			return emergency.Step()
 		}
 		fmt.Fprintf(out, "scenario %s: %d-round emergency timeline plays under load\n", spec.Name, spec.Rounds)
 	} else if f.scenarioOut != "" {
@@ -199,7 +224,7 @@ func run(f *sloFlags, out io.Writer) error {
 			// measured load runs, or there is no "under load" in the grade.
 			var stopDrain func() error
 			if stack != nil && (emergency != nil || (f.fleet.StreamingIngest && (ep == "ingest" || ep == "freshness"))) {
-				stopDrain = drainRounds(stack, emergency, 25*time.Millisecond)
+				stopDrain = background(ctx, stack, rounds)
 			}
 			profile, err := sloharness.Run(ctx, cfg, target)
 			if stopDrain != nil {
@@ -229,7 +254,7 @@ func run(f *sloFlags, out io.Writer) error {
 			if stack != nil {
 				// Drain queued placements and refresh the snapshot between
 				// profiles so one endpoint's leftovers don't skew the next.
-				if err := advanceRounds(stack, emergency, 2); err != nil {
+				if err := stack.Loop(ctx, advance(rounds, 2)); err != nil {
 					return err
 				}
 			}
@@ -239,8 +264,8 @@ func run(f *sloFlags, out io.Writer) error {
 	if emergency != nil {
 		// Run out whatever the load phases didn't cover — a half-played
 		// timeline would grade a half-run emergency.
-		for !emergency.Done() {
-			if _, err := emergency.Step(); err != nil {
+		if left := emergency.Spec().Rounds - emergency.Status().Round; left > 0 {
+			if err := stack.Loop(ctx, advance(rounds, left)); err != nil {
 				return err
 			}
 		}
@@ -282,12 +307,12 @@ func run(f *sloFlags, out io.Writer) error {
 }
 
 // buildTarget assembles the harness target for one endpoint × batch cell.
-func buildTarget(ctx context.Context, client *predictclient.Client, stack *predictserver.LocalStack, ep string, batch int, f *sloFlags) (sloharness.Target, error) {
+func buildTarget(ctx context.Context, client *predictclient.Client, stack *daemon.Runtime, ep string, batch int, f *sloFlags) (sloharness.Target, error) {
 	// ingestHosts are the ids the push profiles cycle over: the in-process
 	// fleet's own, or -slo-ingest-hosts synthetic ones against a remote.
 	ingestHosts := func() []string {
 		if stack != nil {
-			if hosts := stack.Fleet.Hosts(); len(hosts) > 0 {
+			if hosts := stack.Ctl.Hosts(); len(hosts) > 0 {
 				return hosts
 			}
 		}
@@ -357,48 +382,23 @@ func profileKnobs(f *sloFlags, ep string, batch int) map[string]string {
 	return knobs
 }
 
-// advanceRounds moves the control plane n rounds forward — through the
-// scenario runner while its timeline has rounds left (so grading sees
-// them), plain rounds after.
-func advanceRounds(stack *predictserver.LocalStack, emergency *scenario.Runner, n int) error {
-	for i := 0; i < n; i++ {
-		if emergency != nil && !emergency.Done() {
-			if _, err := emergency.Step(); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := stack.RunRounds(1); err != nil {
-			return err
-		}
-	}
-	return nil
+// advance is l bounded to n rounds, back to back.
+func advance(l daemon.Loop, n int) daemon.Loop {
+	l.Rounds = n
+	return l
 }
 
-// drainRounds runs control rounds on a background ticker until the
-// returned stop function is called; stop reports the first round error.
-func drainRounds(stack *predictserver.LocalStack, emergency *scenario.Runner, every time.Duration) (stop func() error) {
-	done := make(chan struct{})
-	errCh := make(chan error, 1)
-	go func() {
-		defer close(errCh)
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				if err := advanceRounds(stack, emergency, 1); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}
-	}()
+// background runs l's rounds at the in-process pace on a goroutine of its
+// own until the returned stop function is called; stop waits for the loop
+// and reports the round error that ended it early, if one did.
+func background(ctx context.Context, stack *daemon.Runtime, l daemon.Loop) (stop func() error) {
+	ctx, cancel := context.WithCancel(ctx)
+	l.Pace = true
+	done := make(chan error, 1)
+	go func() { done <- stack.Loop(ctx, l) }()
 	return func() error {
-		close(done)
-		return <-errCh
+		cancel()
+		return <-done
 	}
 }
 

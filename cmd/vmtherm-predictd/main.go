@@ -32,19 +32,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
-	"time"
 
-	"vmtherm/internal/core"
 	"vmtherm/internal/daemon"
 	"vmtherm/internal/fleet"
-	"vmtherm/internal/predictserver"
 )
 
 func main() {
@@ -85,90 +80,27 @@ func run() error {
 	} else if flags.CheckpointFile != "" {
 		return daemon.ErrCheckpointNeedsSource
 	}
-	return serve(ctx, flags.Addr, model, ctl)
-}
-
-// serve binds addr (failing before any round runs if it cannot), then runs
-// the HTTP surface — and, with a fleet attached, its background control loop
-// — until ctx is cancelled or the listener fails, then shuts down in
-// contract order: /readyz flips to 503 so balancers stop routing, in-flight
-// requests drain, the round loop finishes its in-flight round and exits, and
-// only then is the final checkpoint cut (ctl.Close) — so it lands after the
-// last ingest push and the last round that could still have mutated serving
-// state.
-func serve(ctx context.Context, addr string, model *core.StablePredictor, ctl *daemon.Controller) error {
-	// ready feeds /readyz: with a fleet attached, false until the first round
-	// completes (restore alone is not proof the loop is serving), and false
-	// again during the shutdown drain. Without a fleet the model itself is
-	// the serving state, ready as soon as the listener is up.
-	var ready atomic.Bool
-	ready.Store(ctl == nil)
-	opts := []predictserver.Option{predictserver.WithReadiness(ready.Load)}
+	rt, err := daemon.Start(flags.Addr, model, ctl)
+	if err != nil {
+		return err
+	}
+	log.Printf("serving on %s", rt.Addr())
 	if ctl != nil {
-		opts = append(opts, predictserver.WithFleet(ctl.Controller))
-		if ctl.Ckpt != nil {
-			opts = append(opts, predictserver.WithCheckpoint(ctl.Ckpt.Status))
-		}
+		// The background control loop: one round per pacing interval, round
+		// errors logged (live sources degrade; they must not kill the API
+		// server). Shutdown waits for it.
+		go func() {
+			_ = rt.Loop(ctx, daemon.Loop{Pace: true, After: func(rep fleet.RoundReport) {
+				if rep.SourceError != "" {
+					log.Printf("fleet round %d: source error: %s", rep.Round, rep.SourceError)
+				}
+			}})
+		}()
 	}
-	srv, err := predictserver.New(model, opts...)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	httpSrv, err := daemon.Listen(addr, srv.Handler())
-	if err != nil {
-		return err
-	}
-	log.Printf("serving on %s", httpSrv.Addr())
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	loopDone := make(chan struct{})
-	go func() {
-		defer close(loopDone)
-		if ctl != nil {
-			runRounds(ctx, ctl, &ready)
-		}
-	}()
-
 	select {
-	case <-httpSrv.Done():
+	case <-rt.Done():
 	case <-ctx.Done():
 		log.Print("shutting down")
 	}
-	ready.Store(false)
-	err = httpSrv.Drain()
-	cancel()
-	<-loopDone
-	if ctl != nil {
-		err = errors.Join(err, ctl.Close())
-	}
-	return err
-}
-
-// runRounds is the background control loop: one round per pacing interval
-// until ctx is cancelled, errors logged (live sources degrade; they must not
-// kill the API server).
-func runRounds(ctx context.Context, ctl *daemon.Controller, ready *atomic.Bool) {
-	ticker := time.NewTicker(time.Duration(ctl.PaceS * float64(time.Second)))
-	defer ticker.Stop()
-	for {
-		rep, err := ctl.RunRound()
-		if err != nil {
-			log.Printf("fleet round: %v", err)
-		} else {
-			ready.Store(ctx.Err() == nil) // a round finishing during the drain must not reopen /readyz
-			if rep.SourceError != "" {
-				log.Printf("fleet round %d: source error: %s", rep.Round, rep.SourceError)
-			}
-			if _, err := ctl.Ckpt.SaveIfDue(ctl.Checkpoint, false); err != nil {
-				log.Printf("checkpoint: %v", err)
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-	}
+	return rt.Shutdown()
 }

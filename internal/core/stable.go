@@ -114,13 +114,13 @@ func (p *StablePredictor) CVMSE() float64 { return p.cvMSE }
 // NumSV returns the support-vector count of the trained model.
 func (p *StablePredictor) NumSV() int { return p.model.NumSV() }
 
-// PredictFeatures predicts ψ_stable from a raw (unscaled) feature vector.
+// PredictFeatures predicts ψ_stable from a raw (unscaled) feature vector:
+// PredictBatchInto over one row, so the figure an experiment scores is the
+// figure the batch endpoints serve, bit for bit.
 func (p *StablePredictor) PredictFeatures(features []float64) (float64, error) {
-	scaled, err := p.scaler.Transform(features)
-	if err != nil {
-		return 0, err
-	}
-	return p.model.Predict(scaled)
+	var out [1]float64
+	err := p.PredictBatchInto([][]float64{features}, out[:], new(PredictScratch))
+	return out[0], err
 }
 
 // PredictScratch holds the reusable working memory of PredictBatchInto: the
@@ -167,9 +167,9 @@ func (p *StablePredictor) PredictBatchInto(features [][]float64, out []float64, 
 // layer should use: rows are scaled through one reused scratch buffer and
 // evaluated through the SVM batch kernel (flattened support vectors, blocked
 // distance pass, fast exponential), which is substantially faster than
-// looping PredictFeatures. Results match PredictFeatures to ~1e-12. Loops
-// that predict every round should hold a PredictScratch and call
-// PredictBatchInto instead.
+// looping PredictFeatures and returns the same bits. Loops that predict
+// every round should hold a PredictScratch and call PredictBatchInto
+// instead.
 func (p *StablePredictor) PredictBatch(features [][]float64) ([]float64, error) {
 	if len(features) == 0 {
 		return nil, nil

@@ -44,6 +44,9 @@ func testBatchModel(t *testing.T) (*StablePredictor, []dataset.Record) {
 	return batchPred, batchRecs
 }
 
+// TestPredictBatchMatchesSingle: there is one ψ_stable evaluator, so over
+// every training row PredictFeatures(x), PredictBatch([x])[0] and row i of
+// the whole batch carry the same bits.
 func TestPredictBatchMatchesSingle(t *testing.T) {
 	p, recs := testBatchModel(t)
 	rows := make([][]float64, len(recs))
@@ -62,8 +65,12 @@ func TestPredictBatchMatchesSingle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Errorf("row %d: batch %v vs single %v", i, got[i], want)
+		one, err := p.PredictBatch([][]float64{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want) != math.Float64bits(got[i]) || math.Float64bits(want) != math.Float64bits(one[0]) {
+			t.Errorf("row %d: single %v, batch of one %v, batch row %v differ in their bits", i, want, one[0], got[i])
 		}
 	}
 }

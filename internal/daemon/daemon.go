@@ -1,9 +1,12 @@
-// Package daemon is the one assembly path vmtherm-fleetd and
-// vmtherm-predictd share: the fleet flags both expose (Bind), their mapping
-// onto fleet.Config, the sim/trace/scrape source switch, the
-// -checkpoint-file restore and shutdown write, and the model loader. The
-// daemons differ only in the defaults they hand Bind, in what they declare
-// on top, and in their round loops.
+// Package daemon is the one runtime vmtherm-fleetd, vmtherm-predictd and
+// vmtherm-loadgen's in-process stack share, from flags to final checkpoint:
+// the fleet flags both daemons expose (Bind), their mapping onto
+// fleet.Config, the sim/trace/scrape source switch and the -checkpoint-file
+// restore (NewController), the model loader and the fast-model trainer, the
+// server assembly and listener (Start), the round loop with its pacing,
+// /readyz gate and periodic checkpoints (Loop), and the shutdown order
+// (Shutdown). The binaries differ only in the defaults they hand Bind, in
+// what they declare on top, and in the hooks they hang on the loop.
 package daemon
 
 import (
@@ -129,7 +132,7 @@ type Controller struct {
 	// loop bounded by the trace polls its Done.
 	Trace *telemetry.TraceSource
 	// Ckpt owns -checkpoint-file (nil without the flag; its methods are
-	// nil-safe). Round loops call Ckpt.SaveIfDue(c.Checkpoint, false).
+	// nil-safe). Runtime.Loop calls Ckpt.SaveIfDue(c.Checkpoint, false).
 	Ckpt *checkpoint.Manager
 	// PaceS is the wall-clock seconds one round should take when it is paced
 	// to real time: the controller's resolved Δ_update — never the raw
@@ -236,9 +239,9 @@ func (c *Controller) restore(f *Flags) error {
 	return nil
 }
 
-// Close is the shutdown half of the assembly. Call it once the round loop
-// has exited and HTTP has drained: the final checkpoint then captures
-// everything the next process needs to continue warm.
+// Close is the shutdown half of the assembly; Runtime.Shutdown calls it once
+// HTTP has drained and the round loop has exited: the final checkpoint then
+// captures everything the next process needs to continue warm.
 func (c *Controller) Close() error {
 	st, err := c.Ckpt.SaveIfDue(c.Checkpoint, true)
 	if err != nil {

@@ -236,7 +236,7 @@ func crossValidate(ctx context.Context, x [][]float64, y []float64, folds []int,
 		if err != nil {
 			return 0, fmt.Errorf("mlgrid: fold %d: %w", f, err)
 		}
-		pred, err := m.PredictAll(valX)
+		pred, err := m.PredictBatch(valX)
 		if err != nil {
 			return 0, err
 		}

@@ -96,7 +96,7 @@ func TestSearchFindsGoodPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	probeX, probeY := quadData(40, 1000)
-	pred, err := m.PredictAll(probeX)
+	pred, err := m.PredictBatch(probeX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package predictserver
+package predictserver_test
 
 import (
 	"bufio"
@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"vmtherm/internal/daemon"
 	"vmtherm/internal/fleet"
+	"vmtherm/internal/predictserver"
 )
 
 // apiDocPath locates docs/API.md from the package directory.
@@ -56,7 +58,7 @@ func TestAPIDocCoversAllRoutes(t *testing.T) {
 	}
 
 	served := map[string]bool{}
-	for _, p := range (&Server{}).RoutePatterns() {
+	for _, p := range (&predictserver.Server{}).RoutePatterns() {
 		served[p] = true
 	}
 	if len(served) == 0 {
@@ -90,15 +92,18 @@ func TestAPIDocCoversAllMetrics(t *testing.T) {
 
 	fc := fleet.DefaultConfig()
 	fc.Racks, fc.HostsPerRack, fc.Seed = 1, 2, 11
-	ls, err := NewLocalStack(context.Background(), LocalStackConfig{Fleet: fc, TrainCases: 12, PrimeRounds: 2})
+	rt, err := daemon.StartInProcess(context.Background(), fc, 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ls.Close)
+	t.Cleanup(func() { _ = rt.Shutdown() })
+	if err := rt.Loop(context.Background(), daemon.Loop{Rounds: 2, StopOnError: true}); err != nil {
+		t.Fatal(err)
+	}
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rw := httptest.NewRecorder()
-	ls.Server.Handler().ServeHTTP(rw, req)
+	rt.Handler().ServeHTTP(rw, req)
 	if rw.Code != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", rw.Code)
 	}

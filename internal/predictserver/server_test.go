@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -514,5 +515,76 @@ func TestConcurrentSessions(t *testing.T) {
 	wg.Wait()
 	if srv.SessionCount() != 8 {
 		t.Errorf("session count = %d, want 8", srv.SessionCount())
+	}
+}
+
+func TestRoutePatternsMatchServedHandler(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	patterns := srv.RoutePatterns()
+	if len(patterns) == 0 {
+		t.Fatal("no route patterns")
+	}
+	seen := map[string]bool{}
+	for _, p := range patterns {
+		if seen[p] {
+			t.Fatalf("duplicate route pattern %q", p)
+		}
+		seen[p] = true
+		method, path, ok := strings.Cut(p, " ")
+		if !ok || !strings.HasPrefix(path, "/") {
+			t.Fatalf("pattern %q is not \"METHOD /path\"", p)
+		}
+		switch method {
+		case "GET", "POST", "DELETE":
+		default:
+			t.Fatalf("pattern %q has unexpected method", p)
+		}
+	}
+	// The served mux must know every listed pattern: probing with the
+	// wrong method must answer 405 (pattern exists), never 404.
+	for _, p := range patterns {
+		method, path, _ := strings.Cut(p, " ")
+		probe := "POST"
+		if method == "POST" {
+			probe = "DELETE"
+		}
+		path = strings.NewReplacer("{id}", "probe").Replace(path)
+		req, err := http.NewRequest(probe, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == 404 {
+			t.Fatalf("route %q listed but not served (404 on %s %s)", p, probe, path)
+		}
+	}
+}
+
+// TestStableRoutesAnswerTheSameBytes: POST /v1/predict/stable and a one-row
+// POST /v1/stable/batch evaluate the same kernel, so for the same features
+// the number on the wire is the same bytes.
+func TestStableRoutesAnswerTheSameBytes(t *testing.T) {
+	_, ts, rec := newTestServer(t)
+	body := func(resp *http.Response) string {
+		t.Helper()
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, read error %v: %s", resp.StatusCode, err, buf.String())
+		}
+		return strings.TrimSpace(buf.String())
+	}
+	single := body(postJSON(t, ts.URL+"/v1/predict/stable", StableRequest{Features: rec.Features}))
+	batch := body(postJSON(t, ts.URL+"/v1/stable/batch", StableBatchRequest{Rows: [][]float64{rec.Features}}))
+	number, ok := strings.CutPrefix(single, `{"stable_temp_c":`)
+	if number, ok = strings.CutSuffix(number, "}"); !ok {
+		t.Fatalf("single response %q", single)
+	}
+	if want := `{"stable_temps_c":[` + number + `]}`; batch != want {
+		t.Errorf("one-row batch answered %s, the single route %s", batch, single)
 	}
 }

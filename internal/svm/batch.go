@@ -6,12 +6,11 @@ import (
 	"sync"
 )
 
-// Batch prediction. A fleet-scale prediction service evaluates hundreds of
-// rows per request, so the per-row path matters: Model.Predict walks a
-// [][]float64 of support vectors (a pointer chase per SV), re-dispatches on
-// the kernel type per SV, and pays math.Exp per kernel value. The batch
-// entry points amortize all of that: the support vectors are flattened once
-// into a contiguous row-major matrix and each row is one pass over it.
+// Prediction. Every entry point — Predict, PredictBatch, the serving loops —
+// evaluates through PredictBatchInto, so there is one ψ_stable kernel and a
+// row reads the same bits whichever route it took. For RBF the support
+// vectors are flattened once into a contiguous row-major matrix and each row
+// is one pass over it; Kernel.Eval serves the solver and the other kernels.
 //
 // On amd64 with AVX2 and FMA (useAVX, detected by CPUID) that pass is a
 // single assembly routine, rbfBlocksAVX: squared distances for four
@@ -31,12 +30,12 @@ import (
 // PredictBatchInto is the allocation-free spine — flat row-major input,
 // caller-owned output and scratch — that steady-state serving loops (the
 // fleet anchor fan-out, the prediction service's batch endpoints) pump every
-// round without generating garbage. PredictBatch is the convenience wrapper
-// that still allocates its result.
+// round without generating garbage. Predict and PredictBatch are the
+// convenience wrappers that allocate their scratch and result.
 
 // flatSVs returns the support vectors as one contiguous row-major matrix,
 // building and caching it on first use. Callers must not mutate SV after
-// prediction has started (the single-row path makes the same assumption).
+// prediction has started.
 func (m *Model) flatSVs() []float64 {
 	m.flatOnce.Do(func() {
 		flat := make([]float64, len(m.SV)*m.Dim)
@@ -127,12 +126,13 @@ func (m *Model) PredictBatchInto(xs []float64, out []float64, scratch *BatchScra
 	if m.Kernel.Type != RBF {
 		// Non-RBF kernels are dot-product shaped and not exp-bound; the
 		// generic path is already close to memory-bandwidth-bound.
-		for i := 0; i < n; i++ {
-			v, err := m.Predict(xs[i*m.Dim : (i+1)*m.Dim])
-			if err != nil {
-				return fmt.Errorf("svm: batch row %d: %w", i, err)
+		for i := range out {
+			x := xs[i*m.Dim : (i+1)*m.Dim]
+			var sum float64
+			for k, sv := range m.SV {
+				sum += m.Coef[k] * m.Kernel.Eval(sv, x)
 			}
-			out[i] = v
+			out[i] = sum - m.Rho
 		}
 		return nil
 	}
@@ -146,38 +146,19 @@ func (m *Model) PredictBatchInto(xs []float64, out []float64, scratch *BatchScra
 }
 
 // PredictBatch evaluates the model on every row of xs, returning one
-// prediction per row. Results match Predict to ~1e-12 relative (the batch
-// path uses a table-driven exponential); use it whenever more than a
-// handful of rows are evaluated together. Serving loops that run batches
-// every round should use PredictBatchInto with a reused scratch instead.
+// prediction per row: the rows flattened into PredictBatchInto. Serving
+// loops that run batches every round should call PredictBatchInto with a
+// reused scratch instead.
 func (m *Model) PredictBatch(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out, nil
-	}
+	flat := make([]float64, 0, len(xs)*m.Dim)
 	for i, x := range xs {
 		if len(x) != m.Dim {
 			return nil, fmt.Errorf("svm: batch row %d has %d features, model wants %d", i, len(x), m.Dim)
 		}
+		flat = append(flat, x...)
 	}
-	if m.Kernel.Type != RBF {
-		for i, x := range xs {
-			v, err := m.Predict(x)
-			if err != nil {
-				return nil, fmt.Errorf("svm: batch row %d: %w", i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	flat := m.flatSVs()
-	var scratch BatchScratch
-	dists := scratch.grow(len(m.SV))
-	fused := m.fusedRBF()
-	for i, x := range xs {
-		out[i] = m.predictRowRBF(flat, x, dists, fused)
-	}
-	return out, nil
+	out := make([]float64, len(xs))
+	return out, m.PredictBatchInto(flat, out, new(BatchScratch))
 }
 
 // sqDistsGeneric writes ||sv_k - x||^2 for every support-vector row of flat

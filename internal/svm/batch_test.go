@@ -59,19 +59,36 @@ func trainTinyModel(t *testing.T, n int) (*Model, [][]float64) {
 	return m, x
 }
 
+// evalReference is f(x) = Σ Coef·K(SV, x) − Rho through Kernel.Eval
+// (math.Exp for RBF): the textbook evaluation the batch kernel's
+// table-driven exponential is held to.
+func evalReference(m *Model, x []float64) float64 {
+	var sum float64
+	for i, sv := range m.SV {
+		sum += m.Coef[i] * m.Kernel.Eval(sv, x)
+	}
+	return sum - m.Rho
+}
+
+// TestPredictBatchMatchesPredict: Predict is one row of the batch kernel, so
+// the two entry points agree bit for bit, and both stay within 1e-9 of the
+// Kernel.Eval reference.
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	m, x := trainTinyModel(t, 60)
 	got, err := m.PredictBatch(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.PredictAll(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("row %d: batch %v vs single %v", i, got[i], want[i])
+	for i, row := range x {
+		single, err := m.Predict(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(single) != math.Float64bits(got[i]) {
+			t.Errorf("row %d: batch %v vs single %v differ in their bits", i, got[i], single)
+		}
+		if want := evalReference(m, row); math.Abs(got[i]-want) > 1e-9 {
+			t.Errorf("row %d: batch %v vs reference %v", i, got[i], want)
 		}
 	}
 }
@@ -96,12 +113,8 @@ func TestPredictBatchOddSVCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, row := range x[:8] {
-			want, err := sub.Predict(row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got[i]-want) > 1e-9 {
-				t.Errorf("nsv=%d row %d: batch %v vs single %v", nsv, i, got[i], want)
+			if want := evalReference(sub, row); math.Abs(got[i]-want) > 1e-9 {
+				t.Errorf("nsv=%d row %d: batch %v vs reference %v", nsv, i, got[i], want)
 			}
 		}
 	}

@@ -137,29 +137,16 @@ func Train(x [][]float64, z []float64, params TrainParams) (*Model, error) {
 	return m, nil
 }
 
-// Predict evaluates the model on one feature vector.
+// Predict evaluates the model on one feature vector: one row through
+// PredictBatchInto, so a single prediction and a batch of one are the same
+// bits whichever entry point served them.
 func (m *Model) Predict(x []float64) (float64, error) {
 	if len(x) != m.Dim {
 		return 0, fmt.Errorf("svm: predict with %d features, model wants %d", len(x), m.Dim)
 	}
-	var sum float64
-	for i, sv := range m.SV {
-		sum += m.Coef[i] * m.Kernel.Eval(sv, x)
-	}
-	return sum - m.Rho, nil
-}
-
-// PredictAll evaluates the model on a matrix of feature vectors.
-func (m *Model) PredictAll(xs [][]float64) ([]float64, error) {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		v, err := m.Predict(x)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	var out [1]float64
+	err := m.PredictBatchInto(x, out[:], new(BatchScratch))
+	return out[0], err
 }
 
 // NumSV returns the support vector count.

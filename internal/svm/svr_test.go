@@ -217,8 +217,8 @@ func TestPredictDimensionMismatch(t *testing.T) {
 	if _, err := m.Predict([]float64{1}); err == nil {
 		t.Error("wrong-dim predict should fail")
 	}
-	if _, err := m.PredictAll([][]float64{{1, 2}, {1}}); err == nil {
-		t.Error("ragged PredictAll should fail")
+	if _, err := m.PredictBatch([][]float64{{1, 2}, {1}}); err == nil {
+		t.Error("ragged PredictBatch should fail")
 	}
 }
 

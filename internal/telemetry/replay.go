@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // TraceSource replays a recorded telemetry trace deterministically: each
@@ -23,6 +24,14 @@ type TraceSource struct {
 	cycleS float64 // accumulated loop offset
 	nowS   float64
 }
+
+// minLoopPeriodS is the shortest cycle a looping trace may have. Advance
+// replays the whole trace dt/period times per call, under the controller's
+// round lock, so a cycle of nanoseconds (two readings 1e-9 s apart) never
+// finishes one Δ_update; a cycle of at least a second replays a trace at
+// most Δ_update times per round — work linear in the file the operator
+// supplied. One second is also the cycle a single-tick trace is given.
+const minLoopPeriodS = 1
 
 // TraceOptions tune replay.
 type TraceOptions struct {
@@ -50,6 +59,11 @@ func NewTraceSource(readings []Reading, opts TraceOptions) (*TraceSource, error)
 		if err := ValidateReading(r); err != nil {
 			return nil, fmt.Errorf("telemetry: trace reading %d: %w", i, err)
 		}
+		// NaN fails every comparison: it would pass the ordering check here
+		// and never pass Advance's window check, so a looping replay spins.
+		if math.IsNaN(r.AtS) || math.IsInf(r.AtS, 0) {
+			return nil, fmt.Errorf("telemetry: trace reading %d has timestamp %v", i, r.AtS)
+		}
 		if i > 0 && r.AtS < readings[i-1].AtS {
 			return nil, fmt.Errorf("telemetry: trace not time-ordered at reading %d (%v after %v)",
 				i, r.AtS, readings[i-1].AtS)
@@ -71,7 +85,11 @@ func NewTraceSource(readings []Reading, opts TraceOptions) (*TraceSource, error)
 		period += span / float64(ticks-1)
 	}
 	if period <= 0 {
-		period = 1
+		period = minLoopPeriodS
+	}
+	if opts.Loop && period < minLoopPeriodS {
+		return nil, fmt.Errorf("telemetry: looping trace has a period of %gs (minimum %gs): it would replay %.3g times per second of trace time",
+			period, float64(minLoopPeriodS), 1/period)
 	}
 	return &TraceSource{
 		readings: readings,

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +30,40 @@ func TestTraceSourceValidation(t *testing.T) {
 	}
 	if _, err := NewTraceSource(testTrace(), TraceOptions{Speed: -1}); err == nil {
 		t.Error("negative speed accepted")
+	}
+	if _, err := NewTraceSource([]Reading{{HostID: "a", AtS: math.NaN()}}, TraceOptions{}); err == nil {
+		t.Error("NaN timestamp accepted")
+	}
+}
+
+// TestLoopingTraceNeedsARealPeriod: Advance replays a looping trace
+// dt/period times per call under the round lock, so two readings 1e-9 s apart
+// (predictd's default is -loop) used to hold round 1 — and the daemon, which
+// checks for SIGTERM between rounds — forever; at 1e-300 s the cycle offset
+// did not even advance. Such a trace is refused at construction, by period;
+// unlooped it replays once and returns.
+func TestLoopingTraceNeedsARealPeriod(t *testing.T) {
+	for _, gap := range []float64{1e-9, 1e-300} {
+		trace := []Reading{{HostID: "a", AtS: 0, TempC: 40}, {HostID: "b", AtS: gap, TempC: 41}}
+		_, err := NewTraceSource(trace, TraceOptions{Loop: true})
+		if err == nil || !strings.Contains(err.Error(), "period") {
+			t.Errorf("looping trace spanning %gs: %v, want an error naming its period", gap, err)
+		}
+		src, err := NewTraceSource(trace, TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if err := src.Advance(15, func(Reading) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 || !src.Done() {
+			t.Errorf("unlooped trace spanning %gs: %d readings, done %v", gap, n, src.Done())
+		}
+	}
+	// A single-tick trace keeps its one-second cycle.
+	if _, err := NewTraceSource([]Reading{{HostID: "a", AtS: 7}}, TraceOptions{Loop: true}); err != nil {
+		t.Errorf("single-tick looping trace: %v", err)
 	}
 }
 
