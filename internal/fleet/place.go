@@ -319,12 +319,15 @@ func (p *placePlan) rerank() {
 	p.rank, p.moved = kept, p.moved[:0]
 }
 
-// shapeFeasible checks whether a VM shape could EVER fit the fleet's
+// ShapeError reports whether a VM shape could EVER fit the fleet's
 // (homogeneous) host shape — the static half of admission, independent of
-// current load.
-func shapeFeasible(shape vmm.HostConfig, cfg vmm.VMConfig) bool {
-	return float64(cfg.VCPUs) <= float64(shape.Cores)*shape.CPUOvercommit &&
-		cfg.MemoryGB <= shape.MemoryGB
+// current load: nil when it could, otherwise the RejectInfeasible reason.
+func ShapeError(shape vmm.HostConfig, cfg vmm.VMConfig) error {
+	if float64(cfg.VCPUs) <= float64(shape.Cores)*shape.CPUOvercommit && cfg.MemoryGB <= shape.MemoryGB {
+		return nil
+	}
+	return fmt.Errorf("fleet: shape %dvCPU/%.0fGB can never fit host shape %dvCPU(×%.2g)/%.0fGB",
+		cfg.VCPUs, cfg.MemoryGB, shape.Cores, shape.CPUOvercommit, shape.MemoryGB)
 }
 
 // PlaceBatch synchronously runs the thermal-aware placement policy for a
@@ -397,12 +400,9 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 		// the applied placements.
 		for _, si := range pending {
 			spec := &specs[si]
-			if !shapeFeasible(c.cfg.HostShape, spec.Config) {
+			if err := ShapeError(c.cfg.HostShape, spec.Config); err != nil {
 				decs[si] = PlacementDecision{
-					VMID: spec.ID, Status: Rejected, Code: RejectInfeasible,
-					Reason: fmt.Sprintf("fleet: shape %dvCPU/%.0fGB can never fit host shape %dvCPU(×%.2g)/%.0fGB",
-						spec.Config.VCPUs, spec.Config.MemoryGB,
-						c.cfg.HostShape.Cores, c.cfg.HostShape.CPUOvercommit, c.cfg.HostShape.MemoryGB),
+					VMID: spec.ID, Status: Rejected, Code: RejectInfeasible, Reason: err.Error(),
 				}
 				continue
 			}

@@ -221,13 +221,12 @@ func (c *Client) FleetPlace(ctx context.Context, req predictserver.FleetPlaceReq
 // requested VM in request order (Count-expanded replicas in suffix order);
 // per-item rejections are data, not errors.
 func (c *Client) FleetPlaceBatch(ctx context.Context, vms []predictserver.FleetPlaceRequest) (*predictserver.FleetPlaceBatchResponse, error) {
-	var out predictserver.FleetPlaceBatchResponse
-	err := c.postJSON(ctx, "/v1/fleet/place/batch",
-		predictserver.FleetPlaceBatchRequest{VMs: vms}, &out)
+	out := &predictserver.FleetPlaceBatchResponse{Results: make([]predictserver.FleetPlaceResponse, 0, len(vms))}
+	err := c.postWire(ctx, "/v1/fleet/place/batch", &predictserver.FleetPlaceBatchRequest{VMs: vms}, out)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	return out, nil
 }
 
 // FleetIngest pushes a batch of telemetry readings into the control plane's
@@ -350,7 +349,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 	return c.do(req, out)
 }
 
-// postWire is postJSON for the two routes whose messages have typed codecs
+// postWire is postJSON for the three routes whose messages have typed codecs
 // (predictserver.WireMessage): the same request and response bytes, without
 // reflection. One pooled buffer serves both directions. The request is
 // encoded there and sent as an exact-size copy — a transport may still be

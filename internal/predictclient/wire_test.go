@@ -63,10 +63,24 @@ func TestWireRequestBytesUnchanged(t *testing.T) {
 	if _, err := c.FleetIngestPredict(ctx, readings[:1]); err != nil {
 		t.Fatal(err)
 	}
+	vms := []predictserver.FleetPlaceRequest{
+		{ID: "vm-1", VCPUs: 2, MemoryGB: 4, Tasks: []predictserver.FleetTaskSpec{{CPUFraction: 0.55, MemGB: 0.5}, {CPUFraction: 1e-7}}},
+		{ID: "storm", VCPUs: 1, MemoryGB: 2, Count: 3, Tasks: []predictserver.FleetTaskSpec{}},
+		{ID: "vm \"q\" <&>", VCPUs: -1, MemoryGB: -0.0},
+		{ID: "hôte", VCPUs: 2_000_000_000, MemoryGB: 61.80000000000001},
+	}
+	if _, err := c.FleetPlaceBatch(ctx, vms); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FleetPlaceBatch(ctx, vms[:2]); err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range []any{
 		predictserver.StableBatchRequest{Rows: rows},
 		predictserver.FleetIngestRequest{Readings: readings},
 		predictserver.FleetIngestRequest{Readings: readings[:1], Predict: true},
+		predictserver.FleetPlaceBatchRequest{VMs: vms},
+		predictserver.FleetPlaceBatchRequest{VMs: vms[:2]},
 	} {
 		raw, err := json.Marshal(want)
 		if err != nil {
@@ -80,7 +94,7 @@ func TestWireRequestBytesUnchanged(t *testing.T) {
 		}
 	}
 	// A value no encoder takes is the caller's error, not a request.
-	if _, err := c.PredictStableBatch(ctx, [][]float64{{math.NaN()}}); err == nil || len(srv.bodies) != 3 {
+	if _, err := c.PredictStableBatch(ctx, [][]float64{{math.NaN()}}); err == nil || len(srv.bodies) != 5 {
 		t.Fatalf("NaN feature: err %v after %d requests, want an error and no request", err, len(srv.bodies))
 	}
 }
@@ -126,6 +140,27 @@ func TestWireResponsesAnyConformantJSON(t *testing.T) {
 		got, err := c.FleetIngestPredict(ctx, make([]predictserver.FleetReading, 2))
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("reply %q:\n got  %+v (%v)\n want %+v", reply, got, err, want)
+		}
+	}
+
+	wantPlaced := &predictserver.FleetPlaceBatchResponse{
+		Placed: 1, Rejected: 1,
+		Results: []predictserver.FleetPlaceResponse{
+			{VMID: "a", Status: "placed", HostID: "r0-h1", PredictedStableC: 61.8},
+			{VMID: "b", Status: "rejected", RejectCode: "infeasible", Reason: "shape 4096vCPU can never fit 16vCPU(×1.5)"},
+		},
+	}
+	for _, reply := range []string{
+		`{"results":[{"vm_id":"a","status":"placed","host_id":"r0-h1","predicted_stable_c":61.8},{"vm_id":"b","status":"rejected","reject_code":"infeasible","reason":"shape 4096vCPU can never fit 16vCPU(×1.5)"}],"placed":1,"queued":0,"rejected":1}` + "\n",
+		`{ "rejected" : 1, "placed" : 1, "results" : [ {"status":"placed","predicted_stable_c":6.18e1,"vm_id":"a","host_id":"r0-h1"}, {"vm_id":"b","status":"rejected","reject_code":"infeasible","reason":"shape 4096vCPU can never fit 16vCPU(\u00d71.5)","host_id":""} ], "round":9 }`,
+	} {
+		c, err := NewLocal(&scriptedServer{status: http.StatusOK, reply: reply})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.FleetPlaceBatch(ctx, make([]predictserver.FleetPlaceRequest, 2))
+		if err != nil || !reflect.DeepEqual(got, wantPlaced) {
+			t.Errorf("reply %q:\n got  %+v (%v)\n want %+v", reply, got, err, wantPlaced)
 		}
 	}
 

@@ -69,7 +69,8 @@ type FleetPlaceResponse struct {
 // validated, then the whole queue is placed in one admission-controlled
 // batch decision.
 type FleetPlaceBatchRequest struct {
-	VMs []FleetPlaceRequest `json:"vms"`
+	VMs   []FleetPlaceRequest `json:"vms"`
+	tasks []FleetTaskSpec     // backs every VMs[i].Tasks after ParseJSON
 }
 
 // FleetPlaceBatchResponse returns one decision per requested VM, in request
@@ -226,7 +227,7 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("count %d on the single-VM endpoint; use /v1/fleet/place/batch", req.Count))
 		return
 	}
-	spec, err := req.toSpec()
+	spec, err := req.toSpec(s.fleet.Config().HostShape)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -261,8 +262,21 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
 		return
 	}
-	var req FleetPlaceBatchRequest
-	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
+	sc := wirePool.Get().(*wireScratch)
+	s.serveFleetPlaceBatch(w, r, sc)
+	sc.release()
+}
+
+// serveFleetPlaceBatch answers one placement storm out of sc — all but the
+// specs, which the fleet keeps: a queued one whole, a placed VM's id and
+// task profiles.
+func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
+	if !sc.readBody(w, r) {
+		return
+	}
+	req := &sc.place
+	if err := DecodeWire(sc.body, req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	total := 0
@@ -280,6 +294,7 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		total += n
 	}
+	shape := s.fleet.Config().HostShape
 	specs := make([]workload.VMSpec, 0, total)
 	for i := range req.VMs {
 		item := req.VMs[i]
@@ -295,7 +310,7 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 			if item.Count > 1 {
 				item.ID = fmt.Sprintf("%s-%03d", req.VMs[i].ID, k)
 			}
-			spec, err := item.toSpec()
+			spec, err := item.toSpec(shape)
 			if err != nil {
 				writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("vms[%d]: %w", i, err))
 				return
@@ -308,13 +323,14 @@ func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := FleetPlaceBatchResponse{Results: make([]FleetPlaceResponse, len(decs))}
+	resp := &sc.placed
+	*resp = FleetPlaceBatchResponse{Results: sized(resp.Results, len(decs))}
 	resp.Placed, resp.Queued, resp.Rejected = s.countPlace(decs)
 	s.metrics.placeBatchSize.Store(int64(len(specs)))
 	for i := range decs {
 		resp.Results[i] = placeResponse(decs[i])
 	}
-	writeJSON(w, http.StatusOK, resp)
+	sc.writeWire(w, resp)
 }
 
 // handleFleetIngest is the push path for real monitoring agents: readings
@@ -413,8 +429,9 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 
 // toSpec converts the wire request to a workload spec. A request with no
 // tasks gets one full-vCPU CPU-bound task per vCPU (a conservatively hot
-// assumption for an unknown tenant).
-func (r FleetPlaceRequest) toSpec() (workload.VMSpec, error) {
+// assumption for an unknown tenant) if a host of shape could hold it at
+// all: PlaceBatch refuses other shapes unread, whatever vcpus they ask for.
+func (r FleetPlaceRequest) toSpec(shape vmm.HostConfig) (workload.VMSpec, error) {
 	if r.ID == "" {
 		return workload.VMSpec{}, errors.New("placement request missing id")
 	}
@@ -424,7 +441,7 @@ func (r FleetPlaceRequest) toSpec() (workload.VMSpec, error) {
 	}
 	spec := workload.VMSpec{ID: r.ID, Config: cfg}
 	tasks := r.Tasks
-	if len(tasks) == 0 {
+	if len(tasks) == 0 && fleet.ShapeError(shape, cfg) == nil {
 		for i := 0; i < r.VCPUs; i++ {
 			tasks = append(tasks, FleetTaskSpec{CPUFraction: 1, MemGB: r.MemoryGB / float64(r.VCPUs) / 2})
 		}

@@ -1,15 +1,19 @@
 package predictserver
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"vmtherm/internal/fleet"
 )
@@ -268,5 +272,86 @@ func TestFleetPlaceBatchEndpoint(t *testing.T) {
 		if !strings.Contains(exposition, want) {
 			t.Fatalf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestPlaceInfeasibleShapeIsCheap: a VM shape no host can hold is refused
+// before the default task list — one task per vCPU — is built for it. A
+// 50-byte body with vcpus 4e6 used to take a second and 1.67 GB before its
+// rejection, and vcpus 2e9 to run the daemon out of memory; both routes now
+// answer exactly what they answer at vcpus 1000, at once, and a count of
+// 65,536 costs what its 65,536 decisions do.
+func TestPlaceInfeasibleShapeIsCheap(t *testing.T) {
+	m, _ := testModel(t)
+	cfg := fleet.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 1, 4
+	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(m, WithFleet(ctl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	post := func(path, body string) (rec *httptest.ResponseRecorder, took time.Duration, alloc uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		took = time.Since(start)
+		runtime.ReadMemStats(&after)
+		return rec, took, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, route := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/fleet/place/batch", `{"vms":[{"id":"a","vcpus":%d,"memory_gb":1}]}`, http.StatusOK},
+		{"/v1/fleet/place", `{"id":"a","vcpus":%d,"memory_gb":1}`, http.StatusUnprocessableEntity},
+	} {
+		ref, _, _ := post(route.path, fmt.Sprintf(route.body, 1000))
+		if ref.Code != route.status || !strings.Contains(ref.Body.String(), "infeasible") {
+			t.Fatalf("%s at vcpus 1000: %d %s", route.path, ref.Code, ref.Body)
+		}
+		// The reason's "×" goes out as encoding/json writes it, typed or not.
+		var out FleetPlaceBatchResponse
+		if err := json.Unmarshal(ref.Body.Bytes(), &out); route.status == http.StatusOK &&
+			(err != nil || !strings.Contains(ref.Body.String(), "(×1.5)") || ref.Body.String() != string(mustMarshal(t, &out))+"\n") {
+			t.Errorf("%s at vcpus 1000: %s (%v)", route.path, ref.Body, err)
+		}
+		for _, vcpus := range []int{4_000_000, 2_000_000_000} {
+			rec, took, alloc := post(route.path, fmt.Sprintf(route.body, vcpus))
+			if got := strings.ReplaceAll(rec.Body.String(), strconv.Itoa(vcpus), "1000"); rec.Code != ref.Code || got != ref.Body.String() {
+				t.Errorf("%s at vcpus %d: %d %s\n at vcpus 1000: %d %s", route.path, vcpus, rec.Code, rec.Body, ref.Code, ref.Body)
+			}
+			if took > 10*time.Millisecond || alloc > 1<<20 {
+				t.Errorf("%s at vcpus %d: %v and %d KB", route.path, vcpus, took, alloc>>10)
+			}
+		}
+	}
+
+	rec, took, alloc := post("/v1/fleet/place/batch", `{"vms":[{"id":"a","count":65536,"vcpus":2000000000,"memory_gb":1}]}`)
+	var out FleetPlaceBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("count 65536: %d (%v)", rec.Code, err)
+	}
+	if len(out.Results) != MaxBatchItems || out.Rejected != MaxBatchItems {
+		t.Fatalf("count 65536: %d results, %d rejected", len(out.Results), out.Rejected)
+	}
+	for _, d := range out.Results {
+		if d.RejectCode != "infeasible" {
+			t.Fatalf("count 65536: decision %+v", d)
+		}
+	}
+	// What the storm allocates is what its decisions hold — specs, reasons,
+	// wire results, the encode buffer as it grows: about ten bytes per byte
+	// of the 9.6 MB response, where each replica used to cost 416 bytes per
+	// requested vCPU.
+	t.Logf("count 65536: %v, %d KB allocated for a %d KB response", took, alloc>>10, rec.Body.Len()>>10)
+	if alloc > 16*uint64(rec.Body.Len()) {
+		t.Errorf("count 65536: %d KB allocated for a %d KB response", alloc>>10, rec.Body.Len()>>10)
 	}
 }

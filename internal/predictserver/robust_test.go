@@ -129,10 +129,9 @@ func TestEncodeFailureAnswers500(t *testing.T) {
 	}
 }
 
-// FuzzPlaceBatchBody: POST /v1/fleet/place/batch stays on encoding/json, so
-// there is no second decoder to compare with; whatever the bytes, the route
-// must answer a well-formed JSON body with a status it documents, and never
-// panic.
+// FuzzPlaceBatchBody: whatever the bytes, POST /v1/fleet/place/batch
+// decodes them to exactly what a json.Decoder does, answers a well-formed
+// JSON body with a status it documents, and never panics.
 func FuzzPlaceBatchBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"vms":[{"id":"a","vcpus":1,"memory_gb":2,"tasks":[{"cpu_fraction":0.3,"mem_gb":0.5}]}]}`,
@@ -150,6 +149,11 @@ func FuzzPlaceBatchBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, s := range placeBodySeeds {
+		f.Add([]byte(s.body))
+	}
+	fx := wireFixtures()
+	f.Add(mustMarshal(f, &fx.place))
 	cfg := fleet.DefaultConfig()
 	cfg.Racks, cfg.HostsPerRack = 1, 4
 	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
@@ -164,6 +168,7 @@ func FuzzPlaceBatchBody(f *testing.F) {
 	f.Cleanup(srv.Close)
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		diffPlaceRequest(t, body)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/place/batch", bytes.NewReader(body)))
 		switch rec.Code {

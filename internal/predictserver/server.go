@@ -551,7 +551,7 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // wireScratch is what one request of a typed-codec route needs, pooled
-// whole: the buffered body, both decoded requests with the slices their
+// whole: the buffered body, the decoded requests with the slices their
 // parsers reuse, the values handed to and filled by the fleet, and the
 // encoded response. writeJSON borrows one for resp alone.
 type wireScratch struct {
@@ -562,16 +562,19 @@ type wireScratch struct {
 	readings   []fleet.Reading
 	results    []fleet.IngestResult
 	answer     FleetIngestResponse
+	place      FleetPlaceBatchRequest
+	placed     FleetPlaceBatchResponse
 }
 
 var wirePool = sync.Pool{New: func() any { return new(wireScratch) }}
 
 // maxPooledScratchBytes is the largest body or response a scratch may carry
 // back into the pool: one oversized request must not pin its buffers for
-// every later one. Everything decoded is bounded by the body it came from
-// (at worst 16 bytes of readings per byte of "{},"), so the two byte buffers
-// bound the rest. 1 MiB holds a 2,500-row stable batch or an 8,000-reading
-// ingest.
+// every later one. What is decoded is bounded by its body (at worst 16 bytes
+// of readings per byte of "{},"), the decisions a count multiplies by the
+// response (3 bytes per byte of `{"vm_id":"","status":"placed"},`), so the
+// two byte buffers bound the rest. 1 MiB holds a 2,500-row stable batch or an
+// 8,000-reading ingest.
 const maxPooledScratchBytes = 1 << 20
 
 // release returns sc to the pool unless a request grew it past

@@ -1,10 +1,10 @@
 package predictserver
 
-// Typed wire codecs for the two float-heavy batch routes, POST
-// /v1/stable/batch and POST /v1/fleet/ingest. A profile of either route puts
-// three quarters of a request in reflection-driven encoding/json and 15 %
-// in the model, so their four messages get hand-written encoders and
-// parsers for the SAME bytes:
+// Typed wire codecs for the three batch routes a scheduler or agent calls
+// every round: POST /v1/stable/batch, /v1/fleet/ingest and
+// /v1/fleet/place/batch. Reflection-driven encoding/json was three quarters
+// of a scoring or ingest request and a quarter of a 16-VM placement, so
+// their six messages get hand-written encoders and parsers for the SAME bytes:
 //
 //   - AppendJSON emits byte for byte what json.Marshal emits (field order,
 //     omitempty, the float 'f'/'e' switch and exponent clean-up, "-0",
@@ -21,7 +21,7 @@ package predictserver
 // is decided by the input alone. The server and predictclient both go
 // through them.
 //
-// Numbers are most of either body, and the codecs convert them themselves
+// Numbers are most of every body, and the codecs convert them themselves
 // (wirefloat.go: parseNumber, appendFloat). strconv is left with integers on
 // the way out and with the literals parseNumber's fast paths decline — one
 // ParseFloat call, there.
@@ -107,7 +107,25 @@ func (e *wireEncoder) optFloat(key string, f float64) {
 	}
 }
 
-// floats appends a JSON array of floats, "null" for a nil slice.
+// list appends a JSON array of n elements, each written by elem(i) — or
+// "null" when null is set, as encoding/json writes a nil slice.
+func (e *wireEncoder) list(n int, null bool, elem func(i int)) {
+	if null {
+		e.raw("null")
+		return
+	}
+	e.b = append(e.b, '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		elem(i)
+	}
+	e.b = append(e.b, ']')
+}
+
+// floats is list over fs without a call per number: arrays of floats are
+// most of every body.
 func (e *wireEncoder) floats(fs []float64) {
 	if fs == nil {
 		e.raw("null")
@@ -123,20 +141,38 @@ func (e *wireEncoder) floats(fs []float64) {
 	e.b = append(e.b, ']')
 }
 
-// str appends s quoted. Anything encoding/json would escape (quotes,
-// backslash, control bytes, the HTML set <>&) and all non-ASCII (U+2028/9,
-// invalid UTF-8) is left to it.
+// str appends s quoted. Anything encoding/json would escape or rewrite
+// (quotes, backslash, control bytes, the HTML set <>&, U+2028/9, invalid
+// UTF-8) is left to it; other non-ASCII text it writes as is, and so does str.
 func (e *wireEncoder) str(s string) {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				e.bad = true
+				return
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || r == '\u2028' || r == '\u2029' {
 			e.bad = true
 			return
 		}
+		i += n
 	}
 	e.b = append(e.b, '"')
 	e.b = append(e.b, s...)
 	e.b = append(e.b, '"')
+}
+
+// optStr appends an omitempty string member: nothing for "".
+func (e *wireEncoder) optStr(key, s string) {
+	if s != "" {
+		e.raw(key)
+		e.str(s)
+	}
 }
 
 // done returns the encoded bytes, or dst unchanged once bad latched.
@@ -227,7 +263,8 @@ func (p *wireParser) float() (float64, bool) {
 }
 
 // integer consumes -?(0|[1-9][0-9]*) of at most 18 bytes — what the response
-// counters are; longer literals may overflow, and encoding/json refuses
+// counters and a placement's vcpus and count are; longer literals may
+// overflow, and encoding/json refuses
 // fractions and exponents for an int field, which fail at the caller's next
 // token as "01" does.
 func (p *wireParser) integer() (int, bool) {
@@ -349,18 +386,7 @@ func sized[T any](s []T, n int) []T {
 func (r *StableBatchRequest) AppendJSON(dst []byte) ([]byte, bool) {
 	e := wireEncoder{b: dst}
 	e.raw(`{"rows":`)
-	if r.Rows == nil {
-		e.raw("null")
-	} else {
-		e.b = append(e.b, '[')
-		for i, row := range r.Rows {
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.floats(row)
-		}
-		e.b = append(e.b, ']')
-	}
+	e.list(len(r.Rows), r.Rows == nil, func(i int) { e.floats(r.Rows[i]) })
 	e.b = append(e.b, '}')
 	return e.done(dst)
 }
@@ -429,27 +455,18 @@ func (r *StableBatchResponse) ParseJSON(body []byte) bool {
 func (r *FleetIngestRequest) AppendJSON(dst []byte) ([]byte, bool) {
 	e := wireEncoder{b: dst}
 	e.raw(`{"readings":`)
-	if r.Readings == nil {
-		e.raw("null")
-	} else {
-		e.b = append(e.b, '[')
-		for i := range r.Readings {
-			rd := &r.Readings[i]
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
-			e.raw(`{"host_id":`)
-			e.str(rd.HostID)
-			e.raw(`,"at_s":`)
-			e.float(rd.AtS)
-			e.raw(`,"temp_c":`)
-			e.float(rd.TempC)
-			e.optFloat(`,"util":`, rd.Util)
-			e.optFloat(`,"mem_frac":`, rd.MemFrac)
-			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
-	}
+	e.list(len(r.Readings), r.Readings == nil, func(i int) {
+		rd := &r.Readings[i]
+		e.raw(`{"host_id":`)
+		e.str(rd.HostID)
+		e.raw(`,"at_s":`)
+		e.float(rd.AtS)
+		e.raw(`,"temp_c":`)
+		e.float(rd.TempC)
+		e.optFloat(`,"util":`, rd.Util)
+		e.optFloat(`,"mem_frac":`, rd.MemFrac)
+		e.b = append(e.b, '}')
+	})
 	if r.Predict {
 		e.raw(`,"predict":true`)
 	}
@@ -518,12 +535,9 @@ func (r *FleetIngestResponse) AppendJSON(dst []byte) ([]byte, bool) {
 	e.optInt(`,"streamed":`, r.Streamed)
 	e.optInt(`,"deferred":`, r.Deferred)
 	if len(r.Predictions) > 0 {
-		e.raw(`,"predictions":[`)
-		for i := range r.Predictions {
+		e.raw(`,"predictions":`)
+		e.list(len(r.Predictions), false, func(i int) {
 			pr := &r.Predictions[i]
-			if i > 0 {
-				e.b = append(e.b, ',')
-			}
 			e.raw(`{"host_id":`)
 			e.str(pr.HostID)
 			e.raw(`,"outcome":`)
@@ -531,8 +545,7 @@ func (r *FleetIngestResponse) AppendJSON(dst []byte) ([]byte, bool) {
 			e.optFloat(`,"predicted_temp_c":`, pr.PredictedTempC)
 			e.optFloat(`,"uncertainty_c":`, pr.UncertaintyC)
 			e.b = append(e.b, '}')
-		}
-		e.b = append(e.b, ']')
+		})
 	}
 	e.b = append(e.b, '}')
 	return e.done(dst)
@@ -573,14 +586,18 @@ func (r *FleetIngestResponse) ParseJSON(body []byte) bool {
 	return ok
 }
 
-// ingestOutcomes are the outcome strings the server sends; the response
-// parser hands these out instead of allocating one per prediction.
-var ingestOutcomes = [...]string{"streamed", "deferred", "dropped", "buffered", "rejected"}
+// ingestOutcomes and placeWords are the enumerated strings the server sends;
+// the response parsers hand these out instead of allocating one per item.
+var (
+	ingestOutcomes = [...]string{"streamed", "deferred", "dropped", "buffered", "rejected"}
+	placeWords     = [...]string{"placed", "queued", "rejected", "infeasible", "no-capacity",
+		"no-headroom", "queue-full", "no-substrate", "duplicate-id"}
+)
 
-func internOutcome(b []byte) string {
-	for _, known := range ingestOutcomes {
-		if string(b) == known {
-			return known
+func intern(b []byte, known []string) string {
+	for _, k := range known {
+		if string(b) == k {
+			return k
 		}
 	}
 	return string(b)
@@ -596,12 +613,200 @@ func (pr *FleetIngestPrediction) parse(p *wireParser) bool {
 			return ok && seen.first(1)
 		case "outcome":
 			out, ok := p.str()
-			pr.Outcome = internOutcome(out)
+			pr.Outcome = intern(out, ingestOutcomes[:])
 			return ok && seen.first(2)
 		case "predicted_temp_c":
 			return p.floatField(&pr.PredictedTempC, &seen, 4)
 		case "uncertainty_c":
 			return p.floatField(&pr.UncertaintyC, &seen, 8)
+		}
+		return false
+	})
+}
+
+// AppendJSON implements WireMessage.
+func (r *FleetPlaceBatchRequest) AppendJSON(dst []byte) ([]byte, bool) {
+	e := wireEncoder{b: dst}
+	e.raw(`{"vms":`)
+	e.list(len(r.VMs), r.VMs == nil, func(i int) {
+		vm := &r.VMs[i]
+		e.raw(`{"id":`)
+		e.str(vm.ID)
+		e.raw(`,"vcpus":`)
+		e.int(vm.VCPUs)
+		e.raw(`,"memory_gb":`)
+		e.float(vm.MemoryGB)
+		if len(vm.Tasks) > 0 {
+			e.raw(`,"tasks":`)
+			e.list(len(vm.Tasks), false, func(j int) {
+				e.raw(`{"cpu_fraction":`)
+				e.float(vm.Tasks[j].CPUFraction)
+				e.raw(`,"mem_gb":`)
+				e.float(vm.Tasks[j].MemGB)
+				e.b = append(e.b, '}')
+			})
+		}
+		e.optInt(`,"count":`, vm.Count)
+		e.b = append(e.b, '}')
+	})
+	e.b = append(e.b, '}')
+	return e.done(dst)
+}
+
+// ParseJSON implements WireMessage. Every task lands in one flat slice the
+// request keeps across calls; each VM's Tasks is a view of it. The ids are
+// the allocations: a placed or queued VM keeps its id.
+func (r *FleetPlaceBatchRequest) ParseJSON(body []byte) bool {
+	var vms []FleetPlaceRequest
+	tasks := sized(r.tasks, 0)
+	p := wireParser{b: body}
+	ok := p.object(func(k []byte) bool {
+		if string(k) != "vms" || vms != nil {
+			return false
+		}
+		vms = sized(r.VMs, 0)
+		return p.array(func() bool {
+			var vm FleetPlaceRequest
+			ok := vm.parse(&p, &tasks)
+			vms = append(vms, vm)
+			return ok
+		})
+	}) && p.end()
+	if !ok {
+		*r = FleetPlaceBatchRequest{}
+		return false
+	}
+	// tasks may have moved while it grew; only the lengths are good.
+	off := 0
+	for i := range vms {
+		if vms[i].Tasks != nil {
+			n := len(vms[i].Tasks)
+			vms[i].Tasks = tasks[off : off+n : off+n]
+			off += n
+		}
+	}
+	r.VMs, r.tasks = vms, tasks
+	return true
+}
+
+// parse reads one VM, appending its tasks to *tasks. Tasks stays nil when
+// the key is absent, as encoding/json leaves it.
+func (vm *FleetPlaceRequest) parse(p *wireParser, tasks *[]FleetTaskSpec) bool {
+	var seen seenKeys
+	return p.object(func(k []byte) bool {
+		switch string(k) {
+		case "id":
+			id, ok := p.str()
+			vm.ID = string(id)
+			return ok && seen.first(1)
+		case "vcpus":
+			return p.intField(&vm.VCPUs, &seen, 2)
+		case "memory_gb":
+			return p.floatField(&vm.MemoryGB, &seen, 4)
+		case "count":
+			return p.intField(&vm.Count, &seen, 8)
+		case "tasks":
+			start := len(*tasks)
+			ok := seen.first(16) && p.array(func() bool {
+				var ts FleetTaskSpec
+				var seen seenKeys
+				ok := p.object(func(k []byte) bool {
+					switch string(k) {
+					case "cpu_fraction":
+						return p.floatField(&ts.CPUFraction, &seen, 1)
+					case "mem_gb":
+						return p.floatField(&ts.MemGB, &seen, 2)
+					}
+					return false
+				})
+				*tasks = append(*tasks, ts)
+				return ok
+			})
+			vm.Tasks = (*tasks)[start:]
+			return ok
+		}
+		return false
+	})
+}
+
+// AppendJSON implements WireMessage.
+func (r *FleetPlaceBatchResponse) AppendJSON(dst []byte) ([]byte, bool) {
+	e := wireEncoder{b: dst}
+	e.raw(`{"results":`)
+	e.list(len(r.Results), r.Results == nil, func(i int) {
+		d := &r.Results[i]
+		e.raw(`{"vm_id":`)
+		e.str(d.VMID)
+		e.raw(`,"status":`)
+		e.str(d.Status)
+		e.optStr(`,"host_id":`, d.HostID)
+		e.optFloat(`,"predicted_stable_c":`, d.PredictedStableC)
+		e.optStr(`,"reject_code":`, d.RejectCode)
+		e.optStr(`,"reason":`, d.Reason)
+		e.b = append(e.b, '}')
+	})
+	e.raw(`,"placed":`)
+	e.int(r.Placed)
+	e.raw(`,"queued":`)
+	e.int(r.Queued)
+	e.raw(`,"rejected":`)
+	e.int(r.Rejected)
+	e.b = append(e.b, '}')
+	return e.done(dst)
+}
+
+// ParseJSON implements WireMessage.
+func (r *FleetPlaceBatchResponse) ParseJSON(body []byte) bool {
+	var resp FleetPlaceBatchResponse
+	var seen seenKeys
+	p := wireParser{b: body}
+	ok := p.object(func(k []byte) bool {
+		switch string(k) {
+		case "results":
+			resp.Results = sized(r.Results, 0)
+			return seen.first(1) && p.array(func() bool {
+				var d FleetPlaceResponse
+				ok := d.parse(&p)
+				resp.Results = append(resp.Results, d)
+				return ok
+			})
+		case "placed":
+			return p.intField(&resp.Placed, &seen, 2)
+		case "queued":
+			return p.intField(&resp.Queued, &seen, 4)
+		case "rejected":
+			return p.intField(&resp.Rejected, &seen, 8)
+		}
+		return false
+	}) && p.end()
+	if !ok {
+		resp = FleetPlaceBatchResponse{}
+	}
+	*r = resp
+	return ok
+}
+
+func (d *FleetPlaceResponse) parse(p *wireParser) bool {
+	var seen seenKeys
+	text := func(dst *string, known []string, bit seenKeys) bool {
+		s, ok := p.str()
+		*dst = intern(s, known)
+		return ok && seen.first(bit)
+	}
+	return p.object(func(k []byte) bool {
+		switch string(k) {
+		case "vm_id":
+			return text(&d.VMID, nil, 1)
+		case "status":
+			return text(&d.Status, placeWords[:], 2)
+		case "host_id":
+			return text(&d.HostID, nil, 4)
+		case "predicted_stable_c":
+			return p.floatField(&d.PredictedStableC, &seen, 8)
+		case "reject_code":
+			return text(&d.RejectCode, placeWords[:], 16)
+		case "reason":
+			return text(&d.Reason, nil, 32)
 		}
 		return false
 	})

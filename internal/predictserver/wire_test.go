@@ -8,10 +8,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"unicode/utf8"
 
 	"vmtherm/internal/fleet"
 )
@@ -77,6 +77,40 @@ func sameIngestResponse(a, b *FleetIngestResponse) bool {
 	return true
 }
 
+func samePlaceRequest(a, b *FleetPlaceBatchRequest) bool {
+	if (a.VMs == nil) != (b.VMs == nil) || len(a.VMs) != len(b.VMs) {
+		return false
+	}
+	for i := range a.VMs {
+		x, y := &a.VMs[i], &b.VMs[i]
+		if x.ID != y.ID || x.VCPUs != y.VCPUs || !sameFloat(x.MemoryGB, y.MemoryGB) || x.Count != y.Count ||
+			(x.Tasks == nil) != (y.Tasks == nil) || len(x.Tasks) != len(y.Tasks) {
+			return false
+		}
+		for j := range x.Tasks {
+			if !sameFloat(x.Tasks[j].CPUFraction, y.Tasks[j].CPUFraction) || !sameFloat(x.Tasks[j].MemGB, y.Tasks[j].MemGB) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func samePlaceResponse(a, b *FleetPlaceBatchResponse) bool {
+	if a.Placed != b.Placed || a.Queued != b.Queued || a.Rejected != b.Rejected ||
+		(a.Results == nil) != (b.Results == nil) || len(a.Results) != len(b.Results) {
+		return false
+	}
+	for i := range a.Results {
+		x, y := a.Results[i], b.Results[i]
+		if x.VMID != y.VMID || x.Status != y.Status || x.HostID != y.HostID || !sameFloat(x.PredictedStableC, y.PredictedStableC) ||
+			x.RejectCode != y.RejectCode || x.Reason != y.Reason {
+			return false
+		}
+	}
+	return true
+}
+
 // The differential checks decode into a message that lives across calls, as
 // the server's pooled one does, so state a previous body left behind counts.
 var (
@@ -84,6 +118,8 @@ var (
 	diffTemps      StableBatchResponse
 	diffIngest     FleetIngestRequest
 	diffIngestResp FleetIngestResponse
+	diffPlace      FleetPlaceBatchRequest
+	diffPlaced     FleetPlaceBatchResponse
 )
 
 // diffDecode checks DecodeWire(body, got) against a json.Decoder into a
@@ -112,17 +148,25 @@ func diffIngestRequest(t *testing.T, body []byte) {
 	diffDecode(t, body, &diffIngest, &want, func() bool { return sameIngestRequest(&diffIngest, &want) })
 }
 
+func diffPlaceRequest(t *testing.T, body []byte) {
+	t.Helper()
+	var want FleetPlaceBatchRequest
+	diffDecode(t, body, &diffPlace, &want, func() bool { return samePlaceRequest(&diffPlace, &want) })
+}
+
 func diffResponses(t *testing.T, body []byte) {
 	t.Helper()
 	var wantTemps StableBatchResponse
 	diffDecode(t, body, &diffTemps, &wantTemps, func() bool { return sameFloats(diffTemps.StableTempsC, wantTemps.StableTempsC) })
 	var wantResp FleetIngestResponse
 	diffDecode(t, body, &diffIngestResp, &wantResp, func() bool { return sameIngestResponse(&diffIngestResp, &wantResp) })
+	var wantPlaced FleetPlaceBatchResponse
+	diffDecode(t, body, &diffPlaced, &wantPlaced, func() bool { return samePlaceResponse(&diffPlaced, &wantPlaced) })
 }
 
-// stableBodySeeds and ingestBodySeeds are the fuzz corpora and the table of
-// TestWireParsersClaim: claimed says whether the typed parser, not the
-// fallback, is expected to take the body.
+// stableBodySeeds, ingestBodySeeds and placeBodySeeds are the fuzz corpora
+// and the table of TestWireParsersClaim: claimed says whether the typed
+// parser, not the fallback, is expected to take the body.
 var stableBodySeeds = []struct {
 	body    string
 	claimed bool
@@ -211,6 +255,50 @@ var ingestBodySeeds = []struct {
 	{``, false},
 }
 
+var placeBodySeeds = []struct {
+	body    string
+	claimed bool
+}{
+	{`{"vms":[{"id":"vm-00000001","vcpus":2,"memory_gb":4,"tasks":[{"cpu_fraction":0.5503730869531263,"mem_gb":0.5},{"cpu_fraction":0.3,"mem_gb":0.5}]}]}`, true},
+	{`{"vms":[{"count":3,"tasks":[],"memory_gb":1e0,"vcpus":-0,"id":"b"},{}]}`, true},
+	{" {\t\"vms\" :\r\n[ { \"id\" : \"a b\" , \"tasks\" : [ { } , { \"mem_gb\" : -0 } ] } ]\n}\n ", true},
+	{`{"vms":[]}`, true},
+	{`{}`, true},
+	{`{"vms":[{"id":"hôte-é","vcpus":1,"memory_gb":1}]}`, true},
+	{`{"vms":[{"id":"","count":2,"vcpus":1,"memory_gb":1}]}`, true},
+	{`{"vms":[{"id":"a","vcpus":2000000000,"memory_gb":1}]}`, true},
+	{`{"vms":null}`, false},
+	{`{"vms":[null]}`, false},
+	{`{"vms":[{"id":null}]}`, false},
+	{`{"vms":[{"id":"a","tasks":null}]}`, false},
+	{`{"vms":[{"tasks":[null]}]}`, false},
+	{`{"vms":[{"tasks":[{"cpu_fraction":null}]}]}`, false},
+	{`{"vms":[],"vms":[{"id":"a"}]}`, false},
+	{`{"vms":[{"id":"a","id":"b"}]}`, false},
+	{`{"vms":[{"tasks":[],"tasks":[{"mem_gb":1}]}]}`, false},
+	{`{"vms":[{"tasks":[{"mem_gb":1,"mem_gb":2}]}]}`, false},
+	{`{"vms":[{"count":1,"count":2}]}`, false},
+	{`{"vms":[{"id":"esc\"aped"}]}`, false},
+	{`{"vms":[{"id":"uni\u0041"}]}`, false},
+	{"{\"vms\":[{\"id\":\"bad\xffutf8\"}]}", false},
+	{`{"VMS":[{"ID":"A"}]}`, false},
+	{`{"vms":[{"Id":"a"}]}`, false},
+	{`{"vms":[{"id":"a","rack":1}]}`, false},
+	{`{"vms":[{"vcpus":1.0}]}`, false},
+	{`{"vms":[{"vcpus":1e3}]}`, false},
+	{`{"vms":[{"vcpus":01}]}`, false},
+	{`{"vms":[{"vcpus":"1"}]}`, false},
+	{`{"vms":[{"count":9223372036854775807}]}`, false},
+	{`{"vms":[{"count":9223372036854775808}]}`, false},
+	{`{"vms":[{"memory_gb":1e999}]}`, false},
+	{`{"vms":[{"tasks":[{"cpu_fraction":"0.5"}]}]}`, false},
+	{`{"vms":[{"id":"a"},]}`, false},
+	{`{"vms":[]} x`, false},
+	{`{"vms":[{"id":"a"`, false},
+	{`[]`, false},
+	{``, false},
+}
+
 var responseBodySeeds = []string{
 	`{"stable_temps_c":[61.8,-0,1e21,1e-7]}`,
 	` { "stable_temps_c" : [ ] } `,
@@ -231,6 +319,19 @@ var responseBodySeeds = []string{
 	`{"predictions":[{"host_id":"a\n"}]}`,
 	`{"predictions":[{"host_id":"a","outcome":"streamed","outcome":"dropped"}]}`,
 	`{"predictions":null}`,
+	`{"results":[{"vm_id":"vm-1","status":"placed","host_id":"r0-h1","predicted_stable_c":61.8}],"placed":1,"queued":0,"rejected":0}`,
+	`{"results":[{"vm_id":"a","status":"placed","host_id":"h","predicted_stable_c":0},{"vm_id":"b","status":"placed","predicted_stable_c":-0}],"placed":2,"queued":0,"rejected":0}`,
+	`{"results":null,"placed":0,"queued":0,"rejected":0}`,
+	`{"rejected":0,"queued":0,"placed":0,"results":[]}`,
+	`{"results":[{"vm_id":"giant","status":"rejected","reject_code":"infeasible","reason":"fleet: shape 4096vCPU/4096GB can never fit host shape 16vCPU(×1.5)/64GB"}],"placed":0,"queued":0,"rejected":1}`,
+	`{"results":[{"vm_id":"dup","status":"rejected","reject_code":"duplicate-id","reason":"fleet: vm \"dup\" already placed on \"r0-h0\""}],"rejected":1}`,
+	`{"results":[{"vm_id":"q","status":"queued"},{"status":"migrated","vm_id":"m"}],"queued":1}`,
+	`{"results":[],"results":[{"vm_id":"a"}]}`,
+	`{"placed":1,"placed":2}`,
+	`{"results":[{"vm_id":"a","status":"placed","status":"queued"}]}`,
+	`{"results":[{"vm_id":null,"status":"queued"}]}`,
+	`{"results":[null]}`,
+	`{"results":[{"vm_id":"a","predicted_stable_c":"61.8"}]}`,
 	`{"error":"no fleet control plane attached"}`,
 	`{"accepted":1} x`,
 	`{"accepted":1`,
@@ -258,6 +359,15 @@ func TestWireParsersClaim(t *testing.T) {
 			t.Errorf("ingest body %q: refused but left %+v behind", s.body, req)
 		}
 		diffIngestRequest(t, []byte(s.body))
+	}
+	for _, s := range placeBodySeeds {
+		var req FleetPlaceBatchRequest
+		if got := req.ParseJSON([]byte(s.body)); got != s.claimed {
+			t.Errorf("place body %q: claimed = %v, want %v", s.body, got, s.claimed)
+		} else if !got && (req.VMs != nil || req.tasks != nil) {
+			t.Errorf("place body %q: refused but left %+v behind", s.body, req)
+		}
+		diffPlaceRequest(t, []byte(s.body))
 	}
 	for _, body := range responseBodySeeds {
 		diffResponses(t, []byte(body))
@@ -321,7 +431,7 @@ func (g wireGen) float() float64 {
 }
 
 var idAlphabet = []string{
-	"r", "0", "-", "h", "_", ".", " ", "~", "\x7f", "é", "温", "\u2028", "\u2029", "\ufffd",
+	"r", "0", "-", "h", "_", ".", " ", "~", "\x7f", "é", "温", "×", "\u2028", "\u2029", "\ufffd",
 	"<", ">", "&", `"`, `\`, "/", "\n", "\t", "\x00", "\x1f", "\xff", "\xc3", "\xed\xa0\x80",
 }
 
@@ -347,9 +457,9 @@ func (g wireGen) floats() []float64 {
 	return fs
 }
 
-// message draws one of the four wire messages.
+// message draws one of the six wire messages.
 func (g wireGen) message() WireMessage {
-	switch g.Intn(4) {
+	switch g.Intn(6) {
 	case 0:
 		if g.Intn(8) == 0 {
 			return &StableBatchRequest{}
@@ -373,6 +483,38 @@ func (g wireGen) message() WireMessage {
 			}
 		}
 		return req
+	case 4:
+		req := &FleetPlaceBatchRequest{}
+		if g.Intn(8) > 0 {
+			req.VMs = make([]FleetPlaceRequest, g.Intn(4))
+		}
+		for i := range req.VMs {
+			vm := FleetPlaceRequest{ID: g.id(), VCPUs: g.Intn(5) - g.Intn(2)*g.Intn(1<<40), MemoryGB: g.float(), Count: g.Intn(3) * g.Intn(70000)}
+			if g.Intn(3) > 0 { // nil, empty or populated
+				vm.Tasks = make([]FleetTaskSpec, g.Intn(3))
+				for j := range vm.Tasks {
+					vm.Tasks[j] = FleetTaskSpec{CPUFraction: g.float(), MemGB: g.float()}
+				}
+			}
+			req.VMs[i] = vm
+		}
+		return req
+	case 5:
+		resp := &FleetPlaceBatchResponse{Placed: g.Intn(70000), Queued: -g.Intn(3), Rejected: g.Intn(1 << 40)}
+		if g.Intn(8) > 0 {
+			resp.Results = make([]FleetPlaceResponse, g.Intn(4))
+		}
+		for i := range resp.Results {
+			d := FleetPlaceResponse{VMID: g.id(), Status: placeWords[g.Intn(3)]}
+			switch g.Intn(3) {
+			case 0:
+				d.HostID, d.PredictedStableC = g.id(), g.float()
+			case 1:
+				d.RejectCode, d.Reason = placeWords[3+g.Intn(len(placeWords)-3)], g.id()
+			}
+			resp.Results[i] = d
+		}
+		return resp
 	default:
 		resp := &FleetIngestResponse{Accepted: g.Intn(3) * g.Intn(70000), Dropped: g.Intn(3)}
 		if g.Intn(2) == 0 {
@@ -413,9 +555,10 @@ func TestWireEncodersMatchEncodingJSON(t *testing.T) {
 			t.Fatalf("%+v:\n typed %s\n json  %s (err %v)", msg, out[len(prefix):], want, wantErr)
 		case !ok && len(out) != len(prefix):
 			t.Fatalf("%+v: refused but appended %q", msg, out[len(prefix):])
-		case !ok && wantErr == nil && !bytes.ContainsRune(want, '\\') && !bytes.ContainsFunc(want, func(r rune) bool { return r >= utf8.RuneSelf }):
+		case !ok && wantErr == nil && !bytes.ContainsRune(want, '\\'):
 			// Refusals must have a reason: an unencodable float (Marshal
-			// fails), or a string that json escaped or that is not ASCII.
+			// fails), or a string that json escaped — non-ASCII text such
+			// as the "×" of an infeasible placement's reason is not one.
 			t.Fatalf("%+v: refused a message json encodes plainly as %s", msg, want)
 		}
 		if ok {
@@ -434,6 +577,8 @@ func TestWireEncodersMatchEncodingJSON(t *testing.T) {
 			diffStableRequest(t, got)
 		case *FleetIngestRequest:
 			diffIngestRequest(t, got)
+		case *FleetPlaceBatchRequest:
+			diffPlaceRequest(t, got)
 		default:
 			diffResponses(t, got)
 		}
@@ -465,10 +610,21 @@ func TestWireFloatForms(t *testing.T) {
 	}
 }
 
-// wireFixtures builds the messages of one scheduling round and one agent
-// push: a 128×16 stable batch and a 64-reading predictive ingest, with
-// full-precision floats, and their replies.
-func wireFixtures() (StableBatchRequest, StableBatchResponse, FleetIngestRequest, FleetIngestResponse) {
+// wireFixture holds the messages of one scheduling round, one agent push
+// and one placement storm, with full-precision floats, and their replies.
+type wireFixture struct {
+	stable StableBatchRequest
+	temps  StableBatchResponse
+	ingest FleetIngestRequest
+	answer FleetIngestResponse
+	place  FleetPlaceBatchRequest
+	placed FleetPlaceBatchResponse
+}
+
+// wireFixtures builds a 128×16 stable batch, a 64-reading predictive ingest
+// and a 16-VM placement drawn the way bench/e2e's sched_place draws one (1–2
+// vCPUs, one task per vCPU), every VM placed.
+func wireFixtures() wireFixture {
 	g := rand.New(rand.NewSource(7))
 	stable := StableBatchRequest{Rows: make([][]float64, 128)}
 	temps := StableBatchResponse{StableTempsC: make([]float64, 128)}
@@ -486,7 +642,18 @@ func wireFixtures() (StableBatchRequest, StableBatchResponse, FleetIngestRequest
 		ingest.Readings[i] = FleetReading{HostID: id, AtS: 15 * g.Float64(), TempC: 40 + g.Float64()*40, Util: g.Float64(), MemFrac: g.Float64()}
 		answer.Predictions[i] = FleetIngestPrediction{HostID: id, Outcome: "streamed", PredictedTempC: 40 + g.Float64()*40, UncertaintyC: g.Float64()}
 	}
-	return stable, temps, ingest, answer
+	place := FleetPlaceBatchRequest{VMs: make([]FleetPlaceRequest, 16)}
+	placed := FleetPlaceBatchResponse{Results: make([]FleetPlaceResponse, 16), Placed: 16}
+	for i := range place.VMs {
+		vm := FleetPlaceRequest{ID: fmt.Sprintf("vm-%08d", 4096+i), VCPUs: 1 + g.Intn(2)}
+		vm.MemoryGB = float64(2 * vm.VCPUs)
+		for k := 0; k < vm.VCPUs; k++ {
+			vm.Tasks = append(vm.Tasks, FleetTaskSpec{CPUFraction: 0.3 + 0.5*g.Float64(), MemGB: 0.5})
+		}
+		place.VMs[i] = vm
+		placed.Results[i] = FleetPlaceResponse{VMID: vm.ID, Status: "placed", HostID: fmt.Sprintf("r%d-h%d", i%16, 4*i%32), PredictedStableC: 40 + g.Float64()*30}
+	}
+	return wireFixture{stable, temps, ingest, answer, place, placed}
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -502,17 +669,23 @@ func mustMarshal(t testing.TB, v any) []byte {
 // pins the round: parsing a 128×16 stable batch and encoding its reply, and
 // encoding and parsing on the client's side of both routes, allocate
 // nothing; parsing a 64-reading ingest allocates the 64 host_id strings the
-// pipeline keeps, and parsing its reply the 64 the caller keeps.
+// pipeline keeps, and parsing its reply the 64 the caller keeps. A 16-VM
+// placement is the same: its ids on the server, the ids and host ids on the
+// client; statuses are interned.
 func TestWireCodecZeroAlloc(t *testing.T) {
-	stable, temps, ingest, answer := wireFixtures()
+	fx := wireFixtures()
+	stable, temps, ingest, answer, place, placed := fx.stable, fx.temps, fx.ingest, fx.answer, fx.place, fx.placed
 	stableBody, tempsBody := mustMarshal(t, &stable), mustMarshal(t, &temps)
 	ingestBody, answerBody := mustMarshal(t, &ingest), mustMarshal(t, &answer)
+	placeBody, placedBody := mustMarshal(t, &place), mustMarshal(t, &placed)
 
 	var (
 		gotStable StableBatchRequest
 		gotTemps  StableBatchResponse
 		gotIngest FleetIngestRequest
 		gotAnswer FleetIngestResponse
+		gotPlace  FleetPlaceBatchRequest
+		gotPlaced FleetPlaceBatchResponse
 		buf       = make([]byte, 0, 1<<16)
 	)
 	for _, c := range []struct {
@@ -538,6 +711,13 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 		}},
 		{"ingest request parse", 64, func() bool { return gotIngest.ParseJSON(ingestBody) }},
 		{"ingest response parse", 64, func() bool { return gotAnswer.ParseJSON(answerBody) }},
+		{"place request append + response append", 0, func() bool {
+			_, ok := place.AppendJSON(buf[:0])
+			_, ok2 := placed.AppendJSON(buf[:0])
+			return ok && ok2
+		}},
+		{"place request parse", 16, func() bool { return gotPlace.ParseJSON(placeBody) }},
+		{"place response parse", 32, func() bool { return gotPlaced.ParseJSON(placedBody) }},
 	} {
 		if !c.run() { // warm: grows the reused slices once
 			t.Fatalf("%s: typed codec stepped aside on a canonical message", c.name)
@@ -547,7 +727,8 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 		}
 	}
 	if !sameStableRequest(&gotStable, &stable) || !sameFloats(gotTemps.StableTempsC, temps.StableTempsC) ||
-		!sameIngestRequest(&gotIngest, &ingest) || !sameIngestResponse(&gotAnswer, &answer) {
+		!sameIngestRequest(&gotIngest, &ingest) || !sameIngestResponse(&gotAnswer, &answer) ||
+		!samePlaceRequest(&gotPlace, &place) || !samePlaceResponse(&gotPlaced, &placed) {
 		t.Fatal("warm parses no longer round-trip the fixtures")
 	}
 }
@@ -581,6 +762,16 @@ func (sc *wireScratch) poison() {
 	}
 	for i := range sc.answer.Predictions {
 		sc.answer.Predictions[i] = FleetIngestPrediction{HostID: "poison", Outcome: "poison", PredictedTempC: nan}
+	}
+	for i := range sc.place.VMs {
+		sc.place.VMs[i] = FleetPlaceRequest{ID: "poison", VCPUs: -1, MemoryGB: nan, Count: -1}
+	}
+	tasks := sc.place.tasks[:cap(sc.place.tasks)]
+	for i := range tasks {
+		tasks[i] = FleetTaskSpec{CPUFraction: nan, MemGB: nan}
+	}
+	for i := range sc.placed.Results {
+		sc.placed.Results[i] = FleetPlaceResponse{VMID: "poison", Status: "poison", HostID: "poison", PredictedStableC: nan}
 	}
 }
 
@@ -714,14 +905,109 @@ func TestWireScratchNotRetained(t *testing.T) {
 	}
 }
 
+// TestPlaceScratchNotRetained: what PlaceBatch keeps past the call — a
+// queued request whole, a placed VM's id and task profiles — is not built
+// from the pooled scratch. One fleet is served out of a single scratch that
+// is poisoned after every storm, its twin out of a fresh scratch each time.
+// With a per-round cap parking part of every storm on the pending queue,
+// the two answer the same bytes, their rounds drain the same queue to the
+// same effect, the measured temperatures the placed VMs' tasks drive stay
+// bit-identical, and every VM either placed is removable by its own id.
+func TestPlaceScratchNotRetained(t *testing.T) {
+	m, _ := testModel(t)
+	newFleet := func() (*Server, *fleet.Controller) {
+		cfg := fleet.DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack = 1, 4
+		cfg.Seed = 26
+		cfg.Admission.MaxPlacementsPerRound = 3
+		ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(m, WithFleet(ctl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv, ctl
+	}
+	srv, ctl := newFleet()
+	twin, twinCtl := newFleet()
+
+	sc := new(wireScratch)
+	var ids []string
+	queued, drained, placed := 0, 0, 0
+	for r := 0; r < 6; r++ {
+		var req FleetPlaceBatchRequest
+		for k := 0; k < 4; k++ {
+			vm := FleetPlaceRequest{ID: fmt.Sprintf("s%d-vm%d", r, k), VCPUs: 1 + k%2, MemoryGB: 2}
+			for j := 0; k < 3 && j < vm.VCPUs; j++ { // vm3 takes the default tasks
+				vm.Tasks = append(vm.Tasks, FleetTaskSpec{CPUFraction: 0.25 + 0.1*float64(k+j), MemGB: 0.5})
+			}
+			if k == 0 {
+				vm.Count = 2
+				ids = append(ids, vm.ID+"-000", vm.ID+"-001")
+			} else {
+				ids = append(ids, vm.ID)
+			}
+			req.VMs = append(req.VMs, vm)
+		}
+		body := mustMarshal(t, &req)
+		got := serve(srv.serveFleetPlaceBatch, body, sc)
+		sc.poison()
+		want := serve(twin.serveFleetPlaceBatch, body, new(wireScratch))
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Fatalf("storm %d: %d %s\n twin: %d %s", r, got.Code, got.Body, want.Code, want.Body)
+		}
+		var out FleetPlaceBatchResponse
+		if err := json.Unmarshal(got.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		queued, placed = queued+out.Queued, placed+out.Placed
+
+		rep, err := ctl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twinRep, err := twinCtl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep.Latency, rep.ControlLatency, twinRep.Latency, twinRep.ControlLatency = 0, 0, 0, 0
+		if !reflect.DeepEqual(rep, twinRep) {
+			t.Fatalf("round after storm %d:\n %+v\n twin %+v", r, rep, twinRep)
+		}
+		drained += rep.Placements
+		if a, b := snapshotOf(ctl), snapshotOf(twinCtl); !reflect.DeepEqual(a.Latest, b.Latest) || !reflect.DeepEqual(a.Predicted, b.Predicted) {
+			t.Fatalf("round after storm %d: the fleets measure or predict differently", r)
+		}
+	}
+	if queued == 0 || drained == 0 || cap(sc.place.VMs) == 0 {
+		t.Fatalf("queued %d, drained %d, scratch capacity %d: the test did not exercise the queue", queued, drained, cap(sc.place.VMs))
+	}
+	removed := 0
+	for _, id := range ids {
+		err, twinErr := ctl.RemoveVM(id), twinCtl.RemoveVM(id)
+		if (err == nil) != (twinErr == nil) {
+			t.Fatalf("remove %s: %v, twin %v", id, err, twinErr)
+		}
+		if err == nil {
+			removed++
+		}
+	}
+	if removed != placed+drained {
+		t.Fatalf("removed %d VMs by id, %d were placed and %d drained", removed, placed, drained)
+	}
+}
+
 // FuzzStableBatchBody: whatever the bytes, POST /v1/stable/batch decodes
 // them to exactly what a json.Decoder does.
 func FuzzStableBatchBody(f *testing.F) {
 	for _, s := range stableBodySeeds {
 		f.Add([]byte(s.body))
 	}
-	stable, _, _, _ := wireFixtures()
-	f.Add(mustMarshal(f, &stable))
+	fx := wireFixtures()
+	f.Add(mustMarshal(f, &fx.stable))
 	f.Fuzz(func(t *testing.T, body []byte) { diffStableRequest(t, body) })
 }
 
@@ -730,19 +1016,76 @@ func FuzzIngestBody(f *testing.F) {
 	for _, s := range ingestBodySeeds {
 		f.Add([]byte(s.body))
 	}
-	_, _, ingest, _ := wireFixtures()
-	f.Add(mustMarshal(f, &ingest))
+	fx := wireFixtures()
+	f.Add(mustMarshal(f, &fx.ingest))
 	f.Fuzz(func(t *testing.T, body []byte) { diffIngestRequest(t, body) })
 }
 
-// FuzzWireResponseBody holds the client's side to the same oracle: both
+// FuzzWireResponseBody holds the client's side to the same oracle: all three
 // response parsers see every body.
 func FuzzWireResponseBody(f *testing.F) {
 	for _, body := range responseBodySeeds {
 		f.Add([]byte(body))
 	}
-	_, temps, _, answer := wireFixtures()
-	f.Add(mustMarshal(f, &temps))
-	f.Add(mustMarshal(f, &answer))
+	fx := wireFixtures()
+	f.Add(mustMarshal(f, &fx.temps))
+	f.Add(mustMarshal(f, &fx.answer))
+	f.Add(mustMarshal(f, &fx.placed))
 	f.Fuzz(func(t *testing.T, body []byte) { diffResponses(t, body) })
+}
+
+// BenchmarkPlaceBatchWire is one 16-VM placement exchange as sched_place
+// makes it — the client encodes the request, the server parses it and
+// encodes the decisions, the client parses them — through the typed codecs
+// and through encoding/json.
+func BenchmarkPlaceBatchWire(b *testing.B) {
+	fx := wireFixtures()
+	for _, c := range []struct {
+		name string
+		run  func(req, resp []byte, place *FleetPlaceBatchRequest, placed *FleetPlaceBatchResponse) ([]byte, []byte)
+	}{
+		{"typed", func(req, resp []byte, place *FleetPlaceBatchRequest, placed *FleetPlaceBatchResponse) ([]byte, []byte) {
+			req, _ = EncodeWire(req[:0], &fx.place)
+			if err := DecodeWire(req, place); err != nil {
+				b.Fatal(err)
+			}
+			resp, _ = EncodeWire(resp[:0], &fx.placed)
+			*placed = FleetPlaceBatchResponse{Results: make([]FleetPlaceResponse, 0, 16)}
+			if err := DecodeWire(resp, placed); err != nil {
+				b.Fatal(err)
+			}
+			return req, resp
+		}},
+		{"encoding-json", func(req, resp []byte, place *FleetPlaceBatchRequest, placed *FleetPlaceBatchResponse) ([]byte, []byte) {
+			req, _ = json.Marshal(&fx.place)
+			*place = FleetPlaceBatchRequest{}
+			if err := json.NewDecoder(bytes.NewReader(req)).Decode(place); err != nil {
+				b.Fatal(err)
+			}
+			buf := bytes.NewBuffer(resp[:0])
+			if err := json.NewEncoder(buf).Encode(&fx.placed); err != nil {
+				b.Fatal(err)
+			}
+			*placed = FleetPlaceBatchResponse{}
+			if err := json.NewDecoder(buf).Decode(placed); err != nil {
+				b.Fatal(err)
+			}
+			return req, buf.Bytes()
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var (
+				req, resp []byte
+				place     FleetPlaceBatchRequest
+				placed    FleetPlaceBatchResponse
+			)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req, resp = c.run(req, resp, &place, &placed)
+			}
+			if !samePlaceRequest(&place, &fx.place) || !samePlaceResponse(&placed, &fx.placed) {
+				b.Fatal("the exchange does not round-trip the fixture")
+			}
+		})
+	}
 }

@@ -255,25 +255,31 @@ func FuzzWireFloat(f *testing.F) {
 }
 
 // TestWireBodiesTakeFastPath: the fast path is the path. Over a scoring
-// request, an ingest push and their replies holding full-precision doubles,
-// as bench/e2e's sched_stable and stream_fresh4k send them, every literal is
-// converted by Clinger or Eisel–Lemire; none reaches strconv.
+// request, an ingest push, a placement storm and their replies holding
+// full-precision doubles, as bench/e2e's sched_stable, stream_fresh4k and
+// sched_place send them, every literal is converted by Clinger or
+// Eisel–Lemire; none reaches strconv.
 func TestWireBodiesTakeFastPath(t *testing.T) {
-	stable, temps, ingest, answer := wireFixtures()
+	fx := wireFixtures()
 	// stream_fresh4k's arrival times, random-walk loads and noisy
 	// temperatures, beside the fixtures' uniform draws.
 	g := rand.New(rand.NewSource(22))
 	util, temp := 0.2, 45.0
-	for i := range ingest.Readings {
+	for i := range fx.ingest.Readings {
 		util += (g.Float64() - 0.5) * 0.06
 		temp += 0.15*(40+60*util-temp) + g.NormFloat64()*0.3
-		rd := &ingest.Readings[i]
+		rd := &fx.ingest.Readings[i]
 		rd.AtS, rd.TempC, rd.Util = (3+float64(i+1)/4096)*15, temp, util
 	}
 	for _, m := range []struct {
-		name string
-		msg  WireMessage
-	}{{"stable request", &stable}, {"stable response", &temps}, {"ingest request", &ingest}, {"ingest response", &answer}} {
+		name     string
+		msg      WireMessage
+		literals int
+	}{
+		{"stable request", &fx.stable, 128}, {"stable response", &fx.temps, 128},
+		{"ingest request", &fx.ingest, 128}, {"ingest response", &fx.answer, 128},
+		{"place request", &fx.place, 64}, {"place response", &fx.placed, 16},
+	} {
 		body := mustMarshal(t, m.msg)
 		literals, inString := 0, false
 		for i := 0; i < len(body); {
@@ -294,7 +300,7 @@ func TestWireBodiesTakeFastPath(t *testing.T) {
 			}
 			i++
 		}
-		if literals < 128 {
+		if literals < m.literals {
 			t.Errorf("%s: scanned only %d literals", m.name, literals)
 		}
 	}

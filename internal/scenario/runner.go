@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"vmtherm/internal/fleet"
+	"vmtherm/internal/vmm"
 )
 
 // Runner binds a Spec to a simulated fleet controller and drives the
@@ -81,7 +82,7 @@ func New(spec Spec, ctrl *fleet.Controller) (*Runner, error) {
 		for _, host := range ctrl.Hosts() {
 			for k := 0; k < b.VMsPerHost; k++ {
 				id := fmt.Sprintf("base-%s-%d", host, k)
-				if err := ctrl.PlaceAt(host, fleet.HeavyVMSpec(id, vcpus, mem)); err != nil {
+				if err := placeHeavy(ctrl, host, id, vcpus, mem); err != nil {
 					return nil, fmt.Errorf("scenario %s: baseline %s: %w", spec.Name, id, err)
 				}
 			}
@@ -214,7 +215,7 @@ func (r *Runner) surge(e Event) error {
 	for _, h := range hosts {
 		for k := 0; k < count; k++ {
 			id := fmt.Sprintf("surge-r%d-%s-%d", e.Rack, h, k)
-			if err := r.ctrl.PlaceAt(h, fleet.HeavyVMSpec(id, vcpus, 2)); err != nil {
+			if err := placeHeavy(r.ctrl, h, id, vcpus, 2); err != nil {
 				return fmt.Errorf("placing %s: %w", id, err)
 			}
 			placed = append(placed, id)
@@ -224,6 +225,16 @@ func (r *Runner) surge(e Event) error {
 	r.surgeVMs[e.Rack] = append(r.surgeVMs[e.Rack], placed...)
 	r.mu.Unlock()
 	return nil
+}
+
+// placeHeavy force-places a fleet.HeavyVMSpec. That builds one task per
+// vCPU, and a spec may ask for 2e9 of them: a shape no host could hold is
+// refused before it is built, not by PlaceAt after.
+func placeHeavy(ctrl *fleet.Controller, host, id string, vcpus int, memGB float64) error {
+	if err := fleet.ShapeError(ctrl.Config().HostShape, vmm.VMConfig{VCPUs: vcpus, MemoryGB: memGB}); err != nil {
+		return err
+	}
+	return ctrl.PlaceAt(host, fleet.HeavyVMSpec(id, vcpus, memGB))
 }
 
 // surgeEnd removes whatever a prior surge placed on the rack. VMs the

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"vmtherm/internal/fleet"
 )
@@ -237,4 +240,74 @@ func TestScenarioDeterministic(t *testing.T) {
 	if string(a.JSON()) != string(b.JSON()) {
 		t.Fatalf("reports differ:\n%s\nvs\n%s", a.JSON(), b.JSON())
 	}
+}
+
+// runBounded binds spec to a fresh 1×4 fleet and runs at most three steps.
+// Whatever the spec, that errors or returns.
+func runBounded(t *testing.T, spec Spec) error {
+	r, err := New(spec, testFleet(t, func(c *fleet.Config) { c.Racks, c.HostsPerRack = 1, 4 }))
+	if err != nil {
+		return err
+	}
+	for i := 0; i < 3 && !r.Done(); i++ {
+		if _, err := r.Step(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestImpossibleHeavyVMFailsFast: a load surge or baseline asking for more
+// vCPUs than a host has fails before fleet.HeavyVMSpec builds a task per
+// vCPU. At 2e9 vCPUs that used to take the process down.
+func TestImpossibleHeavyVMFailsFast(t *testing.T) {
+	for _, spec := range []Spec{
+		{Name: "surge", Rounds: 3, Events: []Event{{Round: 1, Fault: FaultLoadSurge, Value: 2e9}}},
+		{Name: "baseline", Rounds: 3, Baseline: Baseline{VMsPerHost: 1, VCPUs: 2_000_000_000, MemGB: 1}},
+	} {
+		start := time.Now()
+		err := runBounded(t, spec)
+		if took := time.Since(start); err == nil || !strings.Contains(err.Error(), "can never fit") || took > 100*time.Millisecond {
+			t.Errorf("%s: %v after %v, want a shape error within 100ms", spec.Name, err, took)
+		}
+	}
+}
+
+// FuzzScenarioSpec: whatever the bytes, FromJSON either refuses them or
+// yields a spec that, bound to a 1×4 fleet, runs three steps to an error or
+// a result — no panic, no spin, no allocation its numbers scale.
+func FuzzScenarioSpec(f *testing.F) {
+	for _, name := range BuiltinNames() {
+		spec, _ := Builtin(name)
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, seed := range []string{
+		`{"name":"surge","rounds":3,"events":[{"round":1,"fault":"load-surge","value":2e9}]}`,
+		`{"name":"surge","rounds":3,"events":[{"round":1,"fault":"load-surge","value":6,"count":1000000000}]}`,
+		`{"name":"base","rounds":3,"baseline":{"vms_per_host":1000000000,"vcpus":1,"mem_gb":1e-300}}`,
+		`{"name":"base","rounds":3,"baseline":{"vms_per_host":1,"vcpus":2000000000}}`,
+		`{"name":"crac","rounds":3,"events":[{"round":1,"fault":"crac-setpoint","value":1e308},{"round":2,"fault":"crac-capacity","value":-1e308}]}`,
+		`{"name":"sensor","rounds":3,"events":[{"round":1,"fault":"sensor","host":"r0-h0","mode":"stuck","value":-1e308}]}`,
+		`{"name":"end","rounds":3,"events":[{"round":1,"fault":"load-surge-end","rack":7}]}`,
+		`{"name":"x","rounds":1000000000000,"events":[]}`, `{"name":""}`, `{}`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := FromJSON(data)
+		if err != nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = runBounded(t, spec)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("spec %s: %d MiB for three steps on four hosts", data, grew>>20)
+		}
+	})
 }
