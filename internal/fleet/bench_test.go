@@ -7,10 +7,11 @@ import (
 	"vmtherm/internal/workload"
 )
 
-// The two fleet benchmarks bench/e2e does not cover: its runs are pinned to
+// The fleet benchmarks bench/e2e does not cover: its runs are pinned to
 // GOMAXPROCS 1 (bench/e2e/README.md names BenchmarkFleetRound4k/sharded as
-// the multi-core guard), and its sched_place workload sends 16-VM requests
-// to a 1,024-host fleet, not one batch of 1,024 to 16,384 hosts.
+// the multi-core guard), its sched_place workload sends 16-VM requests to a
+// 1,024-host fleet, not one batch of 1,024 to 16,384 hosts, and its round
+// workloads time the drain only as part of the whole round.
 
 // benchSeed keeps benchmark runs reproducible.
 const benchSeed = 2016
@@ -84,6 +85,45 @@ func BenchmarkFleetRound4k(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkIngestDrain measures the way a reading takes into the host table:
+// one 4,096-host sweep in table order, as a source's round emits it, pushed
+// through the emit sink and drained into the slots. Warm, it allocates
+// nothing.
+func BenchmarkIngestDrain(b *testing.B) {
+	const hosts = 4096
+	ctl, err := NewWithSource(DefaultConfig(), &gridSource{}, syntheticStable)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := make([]Reading, hosts)
+	ids := make([]string, hosts)
+	for i := range sweep {
+		ids[i] = fmt.Sprintf("h%04d", i)
+		sweep[i] = Reading{HostID: ids[i], TempC: 40 + float64(i%30), Util: 0.5}
+	}
+	ctl.mu.Lock()
+	ctl.resetTable(ids)
+	ctl.mu.Unlock()
+	emit := *ctl.emit.Load()
+	round := func(at float64) {
+		for j := range sweep {
+			sweep[j].AtS = at
+			emit(sweep[j])
+		}
+		ctl.mu.Lock()
+		ctl.drain(at)
+		ctl.mu.Unlock()
+	}
+	round(-2) // both buffers grow to a sweep once
+	round(-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(float64(i))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts), "ns/reading")
 }
 
 // benchPlaceFleet assembles the 16,384-host placement benchmark fleet on

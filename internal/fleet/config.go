@@ -60,12 +60,14 @@ type Config struct {
 	// UncertaintyBaseC and UncertaintyPerSC shape per-prediction uncertainty:
 	// base + perS · staleness.
 	UncertaintyBaseC, UncertaintyPerSC float64
-	// IngestBuffer bounds the telemetry pipeline. 0 auto-sizes to at least
-	// one full round of emissions — the simulated fleet's own sensor sweep
-	// volume, or MaxHosts × samples-per-round for source-driven fleets
-	// (minimum 4096 either way) — because a default smaller than the round
-	// volume would silently starve the hosts beyond it of telemetry
-	// forever.
+	// IngestBuffer bounds the telemetry pipeline: at most this many readings
+	// wait for the next round, and at most twice this many are held in
+	// memory (one buffer filling while the round drains the other). 0
+	// auto-sizes to at least one full round of emissions — the simulated
+	// fleet's own sensor sweep volume, or MaxHosts × samples-per-round for
+	// source-driven fleets (minimum 4096 either way) — because a default
+	// smaller than the round volume would silently starve the hosts beyond
+	// it of telemetry forever.
 	IngestBuffer int
 	// MaxMigrationsPerRound bounds reconciliation work per round; 0 disables
 	// migration (a bounded set of hottest-first proposals is still derived

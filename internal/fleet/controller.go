@@ -97,7 +97,8 @@ type Controller struct {
 	pendMu  sync.Mutex
 	pending []workload.VMSpec
 
-	ingest *ingestPipeline
+	ingest  *ingestPipeline
+	drained []Reading // the last drain's slice, the pipeline's next buffer; guarded by mu
 	// emit is the sink every reading goes through — ingest.push, optionally
 	// wrapped by a TeeTelemetry observer. It is an atomic pointer because
 	// Ingest (the HTTP push path) runs concurrently with rounds and with

@@ -9,13 +9,14 @@ import (
 
 // The host table is the controller's one place for per-host round state. A
 // host id is resolved to a slot index once, when its reading is drained
-// (c.pos — the only string lookup on the round path); everything after
-// indexes slices parallel to c.order: c.slots (newest reading, this round's
-// ψ_stable anchor, the engine's cached session handle) and c.seen (the
-// drain's stamp). Membership changes — a host discovered, forgotten, trimmed
-// at MaxHosts, or a restore — rebuild the table and carry surviving slots
-// over; rounds with stable membership never touch pos beyond the drain's
-// reads. All of it is guarded by c.mu.
+// (the slot after the previous reading's, else c.pos — the only string
+// lookups on the round path); everything after indexes slices parallel to
+// c.order: c.slots (newest reading, this round's ψ_stable anchor, the
+// engine's cached session handle) and c.seen (the drain's stamp).
+// Membership changes — a host discovered, forgotten, trimmed at MaxHosts,
+// or a restore — rebuild the table and carry surviving slots over; rounds
+// with stable membership never touch pos beyond the drain's reads. All of it
+// is guarded by c.mu.
 
 // resetTable makes the table hold exactly the hosts of order, in that
 // order, each without a reading. order's ids must be distinct.
@@ -42,42 +43,52 @@ func (c *Controller) addHost(id string) int32 {
 	return i
 }
 
-// drain moves every buffered reading into its host's slot, keeping only the
-// newest reading per host, and returns how many readings were consumed. A
-// reading that fills an empty slot (a host never seen, or forgotten) marks
-// the membership dirty. Consumed readings that never become a host's newest
-// — because a newer reading already drained, or an even newer one arrives
-// later in the same drain — are counted as superseded: the ingest-pressure
-// signal that says producers are sampling faster than the control loop
-// consumes.
-func (c *Controller) drain() (n int) {
+// drain takes every buffered reading, in arrival order, into its host's
+// slot, keeps only the newest reading per host, returns how many readings it
+// consumed, and keeps the taken slice as the pipeline's next buffer. Sources
+// emit in table order, so a reading first tries the slot after its
+// predecessor's and looks up pos only on a miss. A reading stamped after now
+// is stored at now, as the engine round clamps it, so a clock-skewed
+// producer cannot outrank the genuine readings that follow. A reading that
+// fills an empty slot (a host never seen, or forgotten) marks the membership
+// dirty. Consumed readings that never become a host's newest are counted as
+// superseded: the ingest-pressure signal that says producers are sampling
+// faster than the control loop consumes.
+func (c *Controller) drain(now float64) int {
 	c.drainGen++
-	for {
-		select {
-		case r := <-c.ingest.ch:
-			n++
-			i, tracked := c.pos[r.HostID]
-			if !tracked {
-				i = c.addHost(r.HostID)
-			}
-			s := &c.slots[i]
-			if s.Present && r.AtS < s.Reading.AtS {
-				c.ingest.superseded.Add(1)
-				continue
-			}
-			if !s.Present {
-				c.orderDirty = true
-			}
-			if c.seen[i] == c.drainGen {
-				// The reading written earlier this drain never left the round.
-				c.ingest.superseded.Add(1)
-			}
-			c.seen[i] = c.drainGen
-			s.Reading, s.Present = r, true
-		default:
-			return n
+	batch := c.ingest.take(c.drained)
+	var superseded int64
+	next := 0
+	for k := range batch {
+		r := &batch[k]
+		var i int32
+		if next < len(c.order) && c.order[next] == r.HostID {
+			i = int32(next)
+		} else if j, tracked := c.pos[r.HostID]; tracked {
+			i = j
+		} else {
+			i = c.addHost(r.HostID)
 		}
+		next = int(i) + 1
+		r.AtS = min(r.AtS, now)
+		s := &c.slots[i]
+		if s.Present && r.AtS < s.Reading.AtS {
+			superseded++
+			continue
+		}
+		if !s.Present {
+			c.orderDirty = true
+		}
+		if c.seen[i] == c.drainGen {
+			// The reading written earlier this drain never left the round.
+			superseded++
+		}
+		c.seen[i] = c.drainGen
+		s.Reading, s.Present = *r, true
 	}
+	c.ingest.superseded.Add(superseded)
+	c.drained = batch
+	return len(batch)
 }
 
 // dropForeignHosts cuts the table back to the simulated fleet's own n

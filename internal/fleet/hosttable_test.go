@@ -213,6 +213,15 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						if err := f.ctl.SetTelemetryMuted(id, rng.Intn(2) == 0); err != nil {
 							t.Fatal(err)
 						}
+					case f.clock != nil && rng.Intn(3) == 0:
+						// A sweep in table order, as sources emit: the drain's
+						// slot hint takes each reading, and a skipped host sends
+						// the next one through pos.
+						for _, id := range f.ctl.Hosts() {
+							if rng.Intn(4) > 0 {
+								f.ctl.Ingest(Reading{HostID: id, AtS: now + float64(rng.Intn(40)-25), TempC: 30 + 40*rng.Float64(), Util: rng.Float64()})
+							}
+						}
 					}
 					for n := rng.Intn(24); n > 0; n-- {
 						f.ctl.Ingest(Reading{
@@ -272,6 +281,129 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFutureStampedReadingIsClamped: one reading stamped far ahead of the
+// source clock used to keep its stamp in the host table, so every genuine
+// reading after it counted as superseded, the host never went stale, and the
+// round predicted from the poisoned temperature for as long as it ran. The
+// drain stores it at the round's clock instead: the next genuine reading
+// replaces it, and a host that falls silent goes stale on schedule.
+func TestFutureStampedReadingIsClamped(t *testing.T) {
+	clock := &gridSource{}
+	cfg := DefaultConfig()
+	c, err := NewWithSource(cfg, clock, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Ingest(Reading{HostID: "h", AtS: 1e12, TempC: 99, Util: 0.5})
+	if _, err := c.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotOf(c).Latest["h"]; got.AtS != clock.now {
+		t.Fatalf("future-stamped reading stored at %v, want the round's clock %v", got.AtS, clock.now)
+	}
+	for round := 0; round < 6; round++ {
+		c.Ingest(Reading{HostID: "h", AtS: clock.now, TempC: 40, Util: 0.5})
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := snapshotOf(c)
+	if _, _, superseded := c.IngestStats(); superseded != 0 {
+		t.Fatalf("%d genuine readings superseded by the future-stamped one", superseded)
+	}
+	if got := snap.Latest["h"]; got.TempC != 40 || got.AtS != clock.now-cfg.UpdateEveryS {
+		t.Fatalf("latest reading %+v, want the last genuine one (40 °C at %v)", got, clock.now-cfg.UpdateEveryS)
+	}
+	if p := snap.Predicted["h"]; p > 60 {
+		t.Fatalf("predicted %.1f °C after six 40 °C readings: still from the 99 °C one", p)
+	}
+	// Silent from here on: the host goes stale once StaleAfterS has passed.
+	silentAt := clock.now - cfg.UpdateEveryS
+	for len(snapshotOf(c).StaleHosts) == 0 {
+		if clock.now-silentAt > cfg.StaleAfterS+cfg.UpdateEveryS {
+			t.Fatalf("host still fresh %v s after its last reading (StaleAfterS %v)", clock.now-silentAt, cfg.StaleAfterS)
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestPipelineCeiling is the -race proof for the swap buffer: while
+// producers push and rounds drain, no more than IngestBuffer readings ever
+// wait, every offered reading is counted exactly once — received, dropped or
+// rejected — and every received one is drained by exactly one round.
+func TestIngestPipelineCeiling(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxHosts, cfg.IngestBuffer = 16, 64
+	c, err := NewWithSource(cfg, &gridSource{}, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffered := func() int {
+		c.ingest.mu.Lock()
+		defer c.ingest.mu.Unlock()
+		return len(c.ingest.buf)
+	}
+	const producers, perProducer = 4, 3000
+	var offered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < producers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				temp := 40 + float64(i%20)
+				if i%50 == 0 {
+					temp = math.NaN() // rejected at the door
+				}
+				c.Ingest(Reading{HostID: fmt.Sprintf("h%02d", (g*7+i)%cfg.MaxHosts), AtS: float64(i), TempC: temp, Util: 0.5})
+				offered.Add(1)
+				if n := buffered(); n > cfg.IngestBuffer {
+					t.Errorf("%d readings buffered, IngestBuffer is %d", n, cfg.IngestBuffer)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	drained, rounds := 0, 0
+	round := func() {
+		rep, err := c.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained += rep.TelemetryDrained
+		rounds++
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			round()
+			runtime.Gosched()
+		}
+	}
+	round() // whatever the producers left behind
+	if n := buffered(); n != 0 {
+		t.Fatalf("%d readings still buffered after the last round", n)
+	}
+	received, dropped, _ := c.IngestStats()
+	_, rejected := c.IngestRejected()
+	if received+dropped+rejected != offered.Load() {
+		t.Fatalf("%d received + %d dropped + %d rejected, %d offered", received, dropped, rejected, offered.Load())
+	}
+	if int64(drained) != received {
+		t.Fatalf("rounds drained %d readings, the pipeline received %d", drained, received)
+	}
+	if received == 0 || dropped == 0 || rejected == 0 || rounds < 2 {
+		t.Fatalf("scenario too tame: %d received, %d dropped, %d rejected over %d rounds", received, dropped, rejected, rounds)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"vmtherm/internal/telemetry"
@@ -13,15 +14,17 @@ import (
 type Reading = telemetry.Reading
 
 // ingestPipeline is the bounded buffer between telemetry producers and the
-// control loop. Producers push without blocking — when the buffer is full
-// the reading is dropped and counted, never stalling an agent — and the
-// controller drains everything buffered at the start of each round. The
-// bound is what keeps a misbehaving producer from growing memory without
-// limit; the drop and supersede counters are what make that degradation
-// visible. The drain itself (Controller.drain) writes straight into the host
-// table.
+// control loop, filled in arrival order. Producers push without blocking — a
+// reading offered to a full buffer is dropped and counted, never stalling an
+// agent — and each round's drain swaps in the slice the previous one
+// emptied. The bound keeps a misbehaving producer from growing memory
+// without limit (at most 2 × capacity readings exist: one slice filling, one
+// draining); the drop and supersede counters make that degradation visible.
 type ingestPipeline struct {
-	ch         chan Reading
+	mu       sync.Mutex
+	buf      []Reading // guarded by mu; len(buf) ≤ capacity
+	capacity int
+
 	received   atomic.Int64
 	dropped    atomic.Int64
 	superseded atomic.Int64
@@ -33,9 +36,9 @@ type ingestPipeline struct {
 	rejected [telemetry.NumRejectReasons]atomic.Int64
 }
 
-// newIngestPipeline sizes the buffered channel to capacity.
+// newIngestPipeline bounds the buffer at capacity readings; it grows by append.
 func newIngestPipeline(capacity int) *ingestPipeline {
-	return &ingestPipeline{ch: make(chan Reading, capacity)}
+	return &ingestPipeline{capacity: capacity}
 }
 
 // push offers a reading; it reports false when the reading was refused —
@@ -48,14 +51,25 @@ func (p *ingestPipeline) push(r Reading) bool {
 		p.rejected[reason].Add(1)
 		return false
 	}
-	select {
-	case p.ch <- r:
-		p.received.Add(1)
-		return true
-	default:
+	p.mu.Lock()
+	if len(p.buf) == p.capacity {
+		p.mu.Unlock()
 		p.dropped.Add(1)
 		return false
 	}
+	p.buf = append(p.buf, r)
+	p.mu.Unlock()
+	p.received.Add(1)
+	return true
+}
+
+// take returns the buffered readings, in arrival order, and makes spare (the
+// slice the previous take returned, now consumed) the buffer to fill next.
+func (p *ingestPipeline) take(spare []Reading) []Reading {
+	p.mu.Lock()
+	spare, p.buf = p.buf, spare[:0]
+	p.mu.Unlock()
+	return spare
 }
 
 // countRejected records a rejection decided by a caller that classified

@@ -91,7 +91,7 @@ func (c *Controller) advanceSource(rs *roundState) error {
 // Membership work (the foreign-host cut, the table rebuild + sort) runs only
 // on rounds where an unknown host actually appeared or one was dropped.
 func (c *Controller) drainIngest(rs *roundState) {
-	rs.drained = c.drain()
+	rs.drained = c.drain(rs.now)
 	if _, rej := c.IngestRejected(); rej > c.lastRejected {
 		c.noteError(fmt.Sprintf("round %d: ingest: rejected %d implausible readings", c.round+1, rej-c.lastRejected))
 		c.lastRejected = rej

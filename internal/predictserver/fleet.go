@@ -375,8 +375,12 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 	// rejection after partial ingest would make the agent retry readings
 	// the loop already consumed.
 	for i := range req.Readings {
-		if req.Readings[i].HostID == "" {
+		switch n := len(req.Readings[i].HostID); {
+		case n == 0:
 			writeError(w, http.StatusUnprocessableEntity, errors.New("reading missing host_id"))
+			return
+		case n > MaxHostIDBytes:
+			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("reading host_id of %d bytes exceeds %d", n, MaxHostIDBytes))
 			return
 		}
 	}

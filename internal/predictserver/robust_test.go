@@ -95,6 +95,48 @@ func TestOversizedBodies(t *testing.T) {
 	}
 }
 
+// TestIngestHostIDBound: the ingest pipeline bounds how many readings it
+// holds, not their bytes, so a host_id past MaxHostIDBytes refuses the whole
+// batch with 422 before any of it is ingested; one at the bound is taken.
+func TestIngestHostIDBound(t *testing.T) {
+	cfg := fleet.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 1, 2
+	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := testModel(t)
+	srv, err := New(m, WithFleet(ctl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	post := func(ids ...string) *httptest.ResponseRecorder {
+		var req FleetIngestRequest
+		for _, id := range ids {
+			req.Readings = append(req.Readings, FleetReading{HostID: id, AtS: 1, TempC: 44})
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/ingest", bytes.NewReader(mustMarshal(t, &req))))
+		return rec
+	}
+
+	rec := post("r0-h0", strings.Repeat("é", MaxHostIDBytes/2+1))
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "exceeds 253") {
+		t.Fatalf("over-long host_id: %d %q, want 422 naming the bound", rec.Code, rec.Body)
+	}
+	if received, dropped, _ := ctl.IngestStats(); received+dropped != 0 {
+		t.Fatalf("a refused batch reached the pipeline: %d received, %d dropped", received, dropped)
+	}
+	if rec := post("r0-h0", strings.Repeat("h", MaxHostIDBytes)); rec.Code != http.StatusOK {
+		t.Fatalf("host_id at the bound: %d %q, want 200", rec.Code, rec.Body)
+	}
+	if received, _, _ := ctl.IngestStats(); received != 2 {
+		t.Fatalf("pipeline received %d readings, want 2", received)
+	}
+}
+
 // TestEncodeFailureAnswers500: a response encoding/json refuses (a NaN
 // prediction) used to go out as the handler's 200 with no body at all, which
 // clients report as EOF. It must be a 500 with the usual error body, from

@@ -36,6 +36,11 @@ import (
 // round larger than this should be split into several requests.
 const MaxBatchItems = 65536
 
+// MaxHostIDBytes caps the host_id of a pushed reading at the longest DNS
+// name. The ingest pipeline bounds how many readings it holds, and the host
+// table how many hosts; this bounds what each of them can cost.
+const MaxHostIDBytes = 253
+
 // maxBatchBodyBytes caps a batch request body before JSON decoding starts,
 // so the memory bound holds even against bodies that would decode into far
 // more than MaxBatchItems rows. 64 MiB comfortably fits MaxBatchItems

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1011,14 +1012,42 @@ func FuzzStableBatchBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { diffStableRequest(t, body) })
 }
 
-// FuzzIngestBody is FuzzStableBatchBody for POST /v1/fleet/ingest.
+// FuzzIngestBody is FuzzStableBatchBody for POST /v1/fleet/ingest, and holds
+// the handler to its host_id bound: a body that decodes to at most
+// MaxBatchItems readings, one of them with a host_id longer than
+// MaxHostIDBytes, is answered 422 whatever else it holds.
 func FuzzIngestBody(f *testing.F) {
 	for _, s := range ingestBodySeeds {
 		f.Add([]byte(s.body))
 	}
 	fx := wireFixtures()
 	f.Add(mustMarshal(f, &fx.ingest))
-	f.Fuzz(func(t *testing.T, body []byte) { diffIngestRequest(t, body) })
+	long := strings.Repeat("h", MaxHostIDBytes+1)
+	f.Add([]byte(`{"readings":[{"host_id":"r0-h0","at_s":1,"temp_c":44},{"host_id":"` + long + `","at_s":1,"temp_c":44}],"predict":true}`))
+	cfg := fleet.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack, cfg.StreamingIngest = 1, 4, true
+	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, _ := testModel(f)
+	srv, err := New(m, WithFleet(ctl))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		diffIngestRequest(t, body)
+		var req FleetIngestRequest
+		overLong := DecodeWire(body, &req) == nil && len(req.Readings) <= MaxBatchItems &&
+			slices.ContainsFunc(req.Readings, func(r FleetReading) bool { return len(r.HostID) > MaxHostIDBytes })
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/ingest", bytes.NewReader(body)))
+		if overLong && rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("body %q: over-long host_id answered %d %q, want 422", body, rec.Code, rec.Body)
+		}
+	})
 }
 
 // FuzzWireResponseBody holds the client's side to the same oracle: all three
