@@ -29,7 +29,8 @@ import (
 	"log"
 	"os"
 
-	"vmtherm"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -46,13 +47,13 @@ func main() {
 // syntheticRows builds batch-many plausible Eq. (2) feature rows by encoding
 // generated workload cases through the real dataset pipeline.
 func syntheticRows(seed int64, batch int) ([][]float64, error) {
-	cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), seed, "lg", batch)
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), seed, "lg", batch)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([][]float64, len(cases))
 	for i, c := range cases {
-		row, err := vmtherm.EncodeCase(c, 1800)
+		row, err := dataset.Encode(c, 1800)
 		if err != nil {
 			return nil, err
 		}

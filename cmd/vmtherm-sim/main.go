@@ -14,7 +14,9 @@ import (
 	"os"
 	"strconv"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/testbed"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -38,21 +40,21 @@ func run() error {
 	)
 	flag.Parse()
 
-	opts := vmtherm.DefaultGenOptions()
+	opts := workload.DefaultGenOptions()
 	opts.VMCountMin, opts.VMCountMax = *vms, *vms
 	opts.FanChoices = []int{*fans}
 	opts.AmbientMinC, opts.AmbientMaxC = *ambient, *ambient
 	opts.Dynamic = *dynamic
 
-	c, err := vmtherm.GenerateCase(opts, *seed, "sim")
+	c, err := workload.GenerateCase(opts, *seed, "sim")
 	if err != nil {
 		return err
 	}
-	rig, err := vmtherm.NewRig(c, vmtherm.RigOptions{Seed: *seed})
+	rig, err := testbed.New(c, testbed.Options{Seed: *seed})
 	if err != nil {
 		return err
 	}
-	runCfg := vmtherm.DefaultRunConfig()
+	runCfg := testbed.DefaultRunConfig()
 	runCfg.DurationS = *duration
 	runCfg.SampleS = *sample
 	res, err := rig.Run(runCfg)
@@ -98,12 +100,12 @@ func run() error {
 		return err
 	}
 
-	stable, err := res.StableTemp(vmtherm.TBreakSeconds)
+	stable, err := res.StableTemp(core.DefaultTBreakS)
 	if err != nil {
 		return err
 	}
 	log.Printf("case %s: %d VMs, %d fans, ambient %.1f°C", c.Name, len(c.VMs), c.FanCount, c.AmbientC)
-	log.Printf("psi_stable (Eq. 1, t_break=%.0fs) = %.2f°C", vmtherm.TBreakSeconds, stable)
+	log.Printf("psi_stable (Eq. 1, t_break=%.0fs) = %.2f°C", core.DefaultTBreakS, stable)
 	fmt.Fprintln(os.Stderr)
 	return nil
 }

@@ -17,11 +17,12 @@ import (
 	"os/signal"
 	"syscall"
 
-	"vmtherm"
+	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/mlgrid"
 	"vmtherm/internal/svm"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -49,12 +50,12 @@ func run() error {
 	defer stop()
 
 	log.Printf("generating %d randomized cases (seed %d)", *cases, *seed)
-	cs, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), *seed, "train", *cases)
+	cs, err := workload.GenerateCases(workload.DefaultGenOptions(), *seed, "train", *cases)
 	if err != nil {
 		return err
 	}
 	log.Printf("simulating %d experiments (1800 s each, t_break 600 s)", len(cs))
-	records, err := vmtherm.BuildDataset(ctx, cs, vmtherm.DefaultBuildOptions(*seed))
+	records, err := dataset.Build(ctx, cs, dataset.DefaultBuildOptions(*seed))
 	if err != nil {
 		return err
 	}
@@ -76,13 +77,13 @@ func run() error {
 		log.Printf("LIBSVM dataset written to %s", *libsvm)
 	}
 
-	train, test, err := vmtherm.SplitDataset(records, *testFrac, *seed)
+	train, test, err := dataset.Split(records, *testFrac, *seed)
 	if err != nil {
 		return err
 	}
-	cfg := vmtherm.DefaultStableConfig()
+	cfg := core.DefaultStableConfig()
 	if *fast {
-		cfg = vmtherm.FastStableConfig()
+		cfg = core.FastStableConfig()
 	}
 	if *refine {
 		// Two-stage search: replace the grid with a refined one before the
@@ -111,7 +112,7 @@ func run() error {
 	}
 	nPoints := len(cfg.Grid.Cs) * len(cfg.Grid.Gammas) * len(cfg.Grid.Epsilons)
 	log.Printf("grid search: %d points × %d-fold CV on %d records", nPoints, cfg.Grid.Folds, len(train))
-	model, err := vmtherm.TrainStable(ctx, train, cfg)
+	model, err := core.TrainStable(ctx, train, cfg)
 	if err != nil {
 		return err
 	}

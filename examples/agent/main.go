@@ -17,11 +17,12 @@ import (
 	"net/http"
 	"time"
 
-	"vmtherm"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/predictclient"
 	"vmtherm/internal/predictserver"
+	"vmtherm/internal/testbed"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -36,18 +37,18 @@ func run() error {
 	const seed = 37
 
 	// Train a model whose corpus covers both healthy and degraded cooling.
-	gen := vmtherm.DefaultGenOptions()
+	gen := workload.DefaultGenOptions()
 	gen.FanChoices = []int{1, 2, 4, 6}
-	trainCases, err := vmtherm.GenerateCases(gen, seed, "train", 80)
+	trainCases, err := workload.GenerateCases(gen, seed, "train", 80)
 	if err != nil {
 		return err
 	}
 	fmt.Println("training stable model on 80 simulated experiments...")
-	records, err := vmtherm.BuildDataset(ctx, trainCases, vmtherm.DefaultBuildOptions(seed))
+	records, err := dataset.Build(ctx, trainCases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return err
 	}
-	model, err := vmtherm.TrainStable(ctx, records, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, records, core.FastStableConfig())
 	if err != nil {
 		return err
 	}
@@ -78,14 +79,14 @@ func run() error {
 	fmt.Printf("predictd serving on %s\n\n", ln.Addr())
 
 	// The monitored server: 6 VMs, 4 fans.
-	caseGen := vmtherm.DefaultGenOptions()
+	caseGen := workload.DefaultGenOptions()
 	caseGen.VMCountMin, caseGen.VMCountMax = 6, 6
 	caseGen.FanChoices = []int{4}
-	study, err := vmtherm.GenerateCase(caseGen, seed, "monitored")
+	study, err := workload.GenerateCase(caseGen, seed, "monitored")
 	if err != nil {
 		return err
 	}
-	rig, err := vmtherm.NewRig(study, vmtherm.RigOptions{Seed: seed})
+	rig, err := testbed.New(study, testbed.Options{Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -123,10 +124,10 @@ func run() error {
 	// anchor only once the thermals have had time to settle toward it.
 	const epochS = 60.0
 	reanchored := false
-	judgeAfter := vmtherm.TBreakSeconds
+	judgeAfter := core.DefaultTBreakS
 	fmt.Printf("\n%8s %10s %12s %10s %7s\n", "t(s)", "measured", "pred(t+60)", "winMSE", "drift")
 	for epoch := 1; epoch <= 30; epoch++ {
-		if _, err := rig.Run(vmtherm.RunConfig{DurationS: epochS, TickS: 1, SampleS: 5}); err != nil {
+		if _, err := rig.Run(testbed.RunConfig{DurationS: epochS, TickS: 1, SampleS: 5}); err != nil {
 			return err
 		}
 		now := rig.Engine().Now()
@@ -175,7 +176,7 @@ func run() error {
 			}
 			drift.Reset()
 			reanchored = true
-			judgeAfter = now + vmtherm.TBreakSeconds/2
+			judgeAfter = now + core.DefaultTBreakS/2
 			fmt.Printf("%8.0f re-anchored: new session %s, ψ_stable(2 fans) = %.2f °C\n",
 				now, session.ID(), session.StableTempC)
 		}

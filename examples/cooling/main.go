@@ -13,8 +13,10 @@ import (
 	"fmt"
 	"log"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/dataset"
 	"vmtherm/internal/energy"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -30,24 +32,24 @@ func run() error {
 	const refSupply = 16.0 // conservative baseline setpoint, °C
 
 	// Train the predictor.
-	gen := vmtherm.DefaultGenOptions()
+	gen := workload.DefaultGenOptions()
 	gen.AmbientMinC, gen.AmbientMaxC = 14, 30
-	trainCases, err := vmtherm.GenerateCases(gen, seed, "train", 80)
+	trainCases, err := workload.GenerateCases(gen, seed, "train", 80)
 	if err != nil {
 		return err
 	}
 	fmt.Println("training stable model on 80 simulated experiments...")
-	records, err := vmtherm.BuildDataset(ctx, trainCases, vmtherm.DefaultBuildOptions(seed))
+	records, err := dataset.Build(ctx, trainCases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return err
 	}
-	model, err := vmtherm.TrainStable(ctx, records, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, records, core.FastStableConfig())
 	if err != nil {
 		return err
 	}
 
 	// A small fleet of 6 servers with moderate, heterogeneous load.
-	fleetGen := vmtherm.DefaultGenOptions()
+	fleetGen := workload.DefaultGenOptions()
 	fleetGen.VMCountMin, fleetGen.VMCountMax = 4, 9
 	fleetGen.FanChoices = []int{4}
 	fleetGen.AmbientMinC, fleetGen.AmbientMaxC = refSupply+2, refSupply+2
@@ -56,7 +58,7 @@ func run() error {
 	heats := map[string]float64{}
 	fmt.Printf("\n%-10s %5s %10s %10s\n", "server", "VMs", "pred°C", "heat W")
 	for i := 0; i < 6; i++ {
-		c, err := vmtherm.GenerateCase(fleetGen, seed+int64(i), fmt.Sprintf("srv%d", i))
+		c, err := workload.GenerateCase(fleetGen, seed+int64(i), fmt.Sprintf("srv%d", i))
 		if err != nil {
 			return err
 		}

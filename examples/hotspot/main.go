@@ -12,7 +12,11 @@ import (
 	"fmt"
 	"log"
 
-	"vmtherm"
+	"vmtherm/internal/cluster"
+	"vmtherm/internal/core"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/vmm"
+	"vmtherm/internal/workload"
 )
 
 const (
@@ -36,16 +40,16 @@ func run() error {
 	const seed = 11
 
 	// Train the temperature model once.
-	trainCases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), seed, "train", 60)
+	trainCases, err := workload.GenerateCases(workload.DefaultGenOptions(), seed, "train", 60)
 	if err != nil {
 		return err
 	}
 	fmt.Println("training stable model on 60 simulated experiments...")
-	records, err := vmtherm.BuildDataset(ctx, trainCases, vmtherm.DefaultBuildOptions(seed))
+	records, err := dataset.Build(ctx, trainCases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return err
 	}
-	model, err := vmtherm.TrainStable(ctx, records, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, records, core.FastStableConfig())
 	if err != nil {
 		return err
 	}
@@ -56,12 +60,12 @@ func run() error {
 		return err
 	}
 
-	policies := []vmtherm.Placer{
-		vmtherm.FirstFit{},
-		vmtherm.CoolestInlet{},
-		vmtherm.PredictedTemp{
+	policies := []cluster.Placer{
+		cluster.FirstFit{},
+		cluster.CoolestInlet{},
+		cluster.PredictedTemp{
 			FanCount: fanCount,
-			Predict:  vmtherm.PlacementPredictor(model, horizonS),
+			Predict:  func(c workload.Case) (float64, error) { return model.PredictCase(c, horizonS) },
 		},
 	}
 
@@ -81,13 +85,13 @@ func run() error {
 }
 
 // arrivalSequence builds a deterministic stream of VM requests.
-func arrivalSequence(seed int64) ([]vmtherm.VMSpec, error) {
-	opts := vmtherm.DefaultGenOptions()
+func arrivalSequence(seed int64) ([]workload.VMSpec, error) {
+	opts := workload.DefaultGenOptions()
 	opts.VMCountMin, opts.VMCountMax = vmCount, vmCount
 	// One giant case is just a convenient generator for VM specs.
 	opts.Host.Cores = 1024
 	opts.Host.MemoryGB = 8192
-	c, err := vmtherm.GenerateCase(opts, seed, "arrivals")
+	c, err := workload.GenerateCase(opts, seed, "arrivals")
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +100,7 @@ func arrivalSequence(seed int64) ([]vmtherm.VMSpec, error) {
 
 // evaluatePolicy runs the placement sequence under one policy and scores
 // the resulting thermal layout with the trained model.
-func evaluatePolicy(p vmtherm.Placer, arrivals []vmtherm.VMSpec, model *vmtherm.StablePredictor) (hotspots int, maxT, meanT float64, rejected int, err error) {
+func evaluatePolicy(p cluster.Placer, arrivals []workload.VMSpec, model *core.StablePredictor) (hotspots int, maxT, meanT float64, rejected int, err error) {
 	dc, err := buildDatacenter(p.Name())
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -107,7 +111,7 @@ func evaluatePolicy(p vmtherm.Placer, arrivals []vmtherm.VMSpec, model *vmtherm.
 			rejected++
 			continue
 		}
-		vm, err := vmtherm.NewVM(spec.ID+"@"+p.Name(), spec.Config)
+		vm, err := vmm.NewVM(spec.ID+"@"+p.Name(), spec.Config)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -137,7 +141,7 @@ func evaluatePolicy(p vmtherm.Placer, arrivals []vmtherm.VMSpec, model *vmtherm.
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		state, err := vmtherm.HostStateCase(host, fanCount, inlet, nil)
+		state, err := cluster.HostStateCase(host, fanCount, inlet, nil)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -155,28 +159,28 @@ func evaluatePolicy(p vmtherm.Placer, arrivals []vmtherm.VMSpec, model *vmtherm.
 	if n > 0 {
 		meanT = sum / float64(n)
 	}
-	return len(vmtherm.DetectHotspots(temps, hotThreshold)), maxT, meanT, rejected, nil
+	return len(cluster.DetectHotspots(temps, hotThreshold)), maxT, meanT, rejected, nil
 }
 
 // buildDatacenter assembles 3 racks × 4 hosts with top-of-rack slots warmer.
-func buildDatacenter(tag string) (*vmtherm.Datacenter, error) {
-	var rs []*vmtherm.Rack
+func buildDatacenter(tag string) (*cluster.Datacenter, error) {
+	var rs []*cluster.Rack
 	for r := 0; r < racks; r++ {
-		hosts := make([]*vmtherm.Host, hostsPerRack)
+		hosts := make([]*vmm.Host, hostsPerRack)
 		offsets := make([]float64, hostsPerRack)
 		for s := 0; s < hostsPerRack; s++ {
-			h, err := vmtherm.NewHost(fmt.Sprintf("%s-r%d-h%d", tag, r, s), vmtherm.DefaultHostConfig())
+			h, err := vmm.NewHost(fmt.Sprintf("%s-r%d-h%d", tag, r, s), vmm.DefaultHostConfig())
 			if err != nil {
 				return nil, err
 			}
 			hosts[s] = h
 			offsets[s] = float64(s) * 1.5
 		}
-		rack, err := vmtherm.NewRack(fmt.Sprintf("%s-r%d", tag, r), hosts, offsets)
+		rack, err := cluster.NewRack(fmt.Sprintf("%s-r%d", tag, r), hosts, offsets)
 		if err != nil {
 			return nil, err
 		}
 		rs = append(rs, rack)
 	}
-	return vmtherm.NewDatacenter(vmtherm.DefaultCRAC(), rs)
+	return cluster.NewDatacenter(cluster.DefaultCRAC(), rs)
 }

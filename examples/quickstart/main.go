@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -25,7 +27,7 @@ func run() error {
 
 	// 1. Generate randomized experiment cases: 2–12 VMs per host, mixed
 	//    task classes, 2–6 fans, 18–28 °C ambient.
-	cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), 42, "quick", 60)
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 42, "quick", 60)
 	if err != nil {
 		return err
 	}
@@ -33,18 +35,18 @@ func run() error {
 	// 2. Run each case on the simulated testbed for 1800 s and extract one
 	//    Eq. (2) record per case (input features → measured ψ_stable).
 	fmt.Println("simulating 60 experiments (1800 s each, in virtual time)...")
-	records, err := vmtherm.BuildDataset(ctx, cases, vmtherm.DefaultBuildOptions(42))
+	records, err := dataset.Build(ctx, cases, dataset.DefaultBuildOptions(42))
 	if err != nil {
 		return err
 	}
 
 	// 3. Hold out a few cases, train the SVM pipeline with grid search.
-	train, test, err := vmtherm.SplitDataset(records, 0.1, 42)
+	train, test, err := dataset.Split(records, 0.1, 42)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("training on %d records (grid search + cross-validation)...\n", len(train))
-	model, err := vmtherm.TrainStable(ctx, train, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, train, core.FastStableConfig())
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,10 @@ import (
 	"log"
 	"math"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/testbed"
+	"vmtherm/internal/workload"
 )
 
 func main() {
@@ -28,27 +31,27 @@ func run() error {
 	const seed = 23
 
 	// Train on a corpus that covers the what-if ranges.
-	gen := vmtherm.DefaultGenOptions()
+	gen := workload.DefaultGenOptions()
 	gen.FanChoices = []int{1, 2, 3, 4, 5, 6}
 	gen.AmbientMinC, gen.AmbientMaxC = 16, 32
-	trainCases, err := vmtherm.GenerateCases(gen, seed, "train", 90)
+	trainCases, err := workload.GenerateCases(gen, seed, "train", 90)
 	if err != nil {
 		return err
 	}
 	fmt.Println("training stable model on 90 simulated experiments...")
-	records, err := vmtherm.BuildDataset(ctx, trainCases, vmtherm.DefaultBuildOptions(seed))
+	records, err := dataset.Build(ctx, trainCases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return err
 	}
-	model, err := vmtherm.TrainStable(ctx, records, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, records, core.FastStableConfig())
 	if err != nil {
 		return err
 	}
 
 	// The deployment under study: a busy 8-VM server.
-	opts := vmtherm.DefaultGenOptions()
+	opts := workload.DefaultGenOptions()
 	opts.VMCountMin, opts.VMCountMax = 8, 8
-	study, err := vmtherm.GenerateCase(opts, seed, "deployment")
+	study, err := workload.GenerateCase(opts, seed, "deployment")
 	if err != nil {
 		return err
 	}
@@ -91,15 +94,15 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rig, err := vmtherm.NewRig(scenario, vmtherm.RigOptions{Seed: seed})
+		rig, err := testbed.New(scenario, testbed.Options{Seed: seed})
 		if err != nil {
 			return err
 		}
-		res, err := rig.Run(vmtherm.DefaultRunConfig())
+		res, err := rig.Run(testbed.DefaultRunConfig())
 		if err != nil {
 			return err
 		}
-		measured, err := res.StableTemp(vmtherm.TBreakSeconds)
+		measured, err := res.StableTemp(core.DefaultTBreakS)
 		if err != nil {
 			return err
 		}

@@ -30,6 +30,10 @@ type Curve struct {
 // experiments.RunAblationCurveDelta).
 const DefaultCurveDelta = 30.0
 
+// DefaultTBreakS is the paper's break-in time t_break (Eq. 1): the
+// experiment protocol reads ψ_stable from the trace after it.
+const DefaultTBreakS = 600.0
+
 // NewCurve builds a validated Eq. (3) curve.
 func NewCurve(phi0, stable, tBreakS, deltaS float64) (Curve, error) {
 	c := Curve{Phi0: phi0, Stable: stable, TBreakS: tBreakS, DeltaS: deltaS}

@@ -28,6 +28,20 @@ func assemble(t *testing.T, args ...string) (*Controller, error) {
 	return f.NewController(f.Config(), synthetic)
 }
 
+// runRounds runs n rounds on the assembled controller and returns their
+// reports.
+func runRounds(c *Controller, n int) ([]fleet.RoundReport, error) {
+	out := make([]fleet.RoundReport, 0, n)
+	for i := 0; i < n; i++ {
+		rep, err := c.RunRound()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rep)
+	}
+	return out, nil
+}
+
 // TestPaceComesFromResolvedConfig: `-update 0` means "the default Δ_update"
 // — the controller resolves it to 15 s — so the pacing interval handed to
 // the daemons must be 15 s too. fleetd used to pace from the raw flag:
@@ -70,7 +84,7 @@ func TestRestartResumesWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := first.Run(6)
+	reports, err := runRounds(first, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +136,7 @@ func TestSimRestartWarmsAnchorCache(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		reports, err := ctl.Run(6)
+		reports, err := runRounds(ctl, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

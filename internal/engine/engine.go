@@ -85,7 +85,7 @@ func DefaultConfig() Config {
 		Lambda:           core.DefaultLambda,
 		UpdateEveryS:     15,
 		GapS:             60,
-		TBreakS:          600,
+		TBreakS:          core.DefaultTBreakS,
 		CurveDeltaS:      core.DefaultCurveDelta,
 		StaleAfterS:      45,
 		EvictAfterS:      900,

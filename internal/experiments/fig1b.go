@@ -48,7 +48,7 @@ func DefaultFig1bConfig(seed int64) Fig1bConfig {
 		Build:       dataset.DefaultBuildOptions(seed),
 		Stable:      core.FastStableConfig(),
 		Dynamic:     core.DefaultDynamicConfig(),
-		TBreakS:     600,
+		TBreakS:     core.DefaultTBreakS,
 		CurveDeltaS: core.DefaultCurveDelta,
 	}
 }

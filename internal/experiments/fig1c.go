@@ -51,7 +51,7 @@ func DefaultFig1cConfig(seed int64) Fig1cConfig {
 		Build:       dataset.DefaultBuildOptions(seed),
 		Stable:      core.FastStableConfig(),
 		Lambda:      core.DefaultLambda,
-		TBreakS:     600,
+		TBreakS:     core.DefaultTBreakS,
 		CurveDeltaS: core.DefaultCurveDelta,
 	}
 }

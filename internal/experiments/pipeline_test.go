@@ -1,32 +1,36 @@
-package vmtherm_test
+package experiments
 
 import (
 	"context"
 	"strings"
 	"testing"
 
-	"vmtherm"
+	"vmtherm/internal/core"
+	"vmtherm/internal/dataset"
+	"vmtherm/internal/testbed"
+	"vmtherm/internal/workload"
 )
 
-// TestEndToEndPublicAPI walks the full facade: generate cases, simulate,
-// train, predict stable, run a rig, and replay dynamic prediction — the
-// exact flow the README documents.
-func TestEndToEndPublicAPI(t *testing.T) {
+// TestPaperPipelineEndToEnd walks the paper's pipeline through the packages
+// that own each step: generate cases, simulate, train, predict stable, run a
+// rig, and replay dynamic prediction — the flow the README's quickstart
+// documents.
+func TestPaperPipelineEndToEnd(t *testing.T) {
 	ctx := context.Background()
 
-	cases, err := vmtherm.GenerateCases(vmtherm.DefaultGenOptions(), 1, "e2e", 40)
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 1, "e2e", 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, err := vmtherm.BuildDataset(ctx, cases, vmtherm.DefaultBuildOptions(1))
+	records, err := dataset.Build(ctx, cases, dataset.DefaultBuildOptions(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test, err := vmtherm.SplitDataset(records, 0.2, 1)
+	train, test, err := dataset.Split(records, 0.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := vmtherm.TrainStable(ctx, train, vmtherm.FastStableConfig())
+	model, err := core.TrainStable(ctx, train, core.FastStableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +50,12 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		t.Errorf("worst-case squared error %v implausible for a trained model", worst)
 	}
 
-	// Save/Load round trip through the facade alias.
+	// Save/Load round trip.
 	var sb strings.Builder
 	if err := model.Save(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := vmtherm.LoadStable(strings.NewReader(sb.String()))
+	back, err := core.LoadStable(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +72,15 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 
 	// Dynamic prediction on a fresh rig.
-	rig, err := vmtherm.NewRig(cases[0], vmtherm.RigOptions{Seed: 7})
+	rig, err := testbed.New(cases[0], testbed.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := rig.Run(vmtherm.DefaultRunConfig())
+	run, err := rig.Run(testbed.DefaultRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	phi0, _, err := vmtherm.ProfileTrace(run.SensorTemps, vmtherm.TBreakSeconds)
+	phi0, _, err := core.ProfileTrace(run.SensorTemps, core.DefaultTBreakS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +88,11 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err := vmtherm.NewCurve(phi0, stable, vmtherm.TBreakSeconds, vmtherm.DefaultCurveDelta)
+	curve, err := core.NewCurve(phi0, stable, core.DefaultTBreakS, core.DefaultCurveDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := vmtherm.Replay(run.SensorTemps, curve, vmtherm.DefaultDynamicConfig())
+	rr, err := core.Replay(run.SensorTemps, curve, core.DefaultDynamicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 	}
 
 	// Online predictor matches the replay mechanics.
-	pred, err := vmtherm.NewDynamicPredictor(curve, vmtherm.DefaultDynamicConfig())
+	pred, err := core.NewDynamicPredictor(curve, core.DefaultDynamicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

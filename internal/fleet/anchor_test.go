@@ -307,7 +307,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	var rec telemetry.Recorder
 	ctl.TeeTelemetry(rec.Emit)
 	const rounds = 8
-	if _, err := ctl.Run(rounds); err != nil {
+	if _, err := runRounds(ctl, rounds); err != nil {
 		t.Fatal(err)
 	}
 	ctl.TeeTelemetry(nil)
@@ -337,7 +337,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := replay.Run(rounds)
+	reports, err := runRounds(replay, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestTeeSeesHTTPPushedReadings: a -record capture must include readings
-// arriving through the HTTP push path (Controller.Ingest), not only source
-// emissions — both funnel through the same emit sink.
+// arriving through the HTTP push path (IngestBatch's emit sink, which
+// ingest calls), not only source emissions — both funnel through it.
 func TestTeeSeesHTTPPushedReadings(t *testing.T) {
 	ctl, err := NewWithSource(DefaultConfig(), &gridSource{}, syntheticStable)
 	if err != nil {
@@ -362,14 +362,14 @@ func TestTeeSeesHTTPPushedReadings(t *testing.T) {
 	}
 	var rec telemetry.Recorder
 	ctl.TeeTelemetry(rec.Emit)
-	if !ctl.Ingest(Reading{HostID: "push-1", AtS: 1, TempC: 30}) {
+	if !ingest(ctl, Reading{HostID: "push-1", AtS: 1, TempC: 30}) {
 		t.Fatal("push rejected")
 	}
 	if len(rec.Readings) != 1 || rec.Readings[0].HostID != "push-1" {
 		t.Fatalf("tee captured %+v, want the pushed reading", rec.Readings)
 	}
 	ctl.TeeTelemetry(nil)
-	if !ctl.Ingest(Reading{HostID: "push-2", AtS: 2, TempC: 30}) {
+	if !ingest(ctl, Reading{HostID: "push-2", AtS: 2, TempC: 30}) {
 		t.Fatal("push after detach rejected")
 	}
 	if len(rec.Readings) != 1 {
@@ -480,7 +480,7 @@ func TestStableMembershipSkipsOrderRebuild(t *testing.T) {
 	}
 	feed := func(ids ...string) {
 		for _, id := range ids {
-			ctl.Ingest(Reading{HostID: id, AtS: ctl.src.NowS() + 1, TempC: 30, Util: 0.5})
+			ingest(ctl, Reading{HostID: id, AtS: ctl.src.NowS() + 1, TempC: 30, Util: 0.5})
 		}
 	}
 	feed("h-b", "h-a")

@@ -23,7 +23,7 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedHotHost(t, c)
-	warm, err := c.Run(3)
+	warm, err := runRounds(c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestIngestBatchRejectsImplausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(1); err != nil {
+	if _, err := runRounds(c, 1); err != nil {
 		t.Fatal(err)
 	}
 	readings := []Reading{

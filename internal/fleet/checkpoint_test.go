@@ -87,7 +87,7 @@ func TestCheckpointRestoreTwin(t *testing.T) {
 
 	// Twin A: never restarted.
 	ctlA, recA := newTwinController(t, readings)
-	reportsA, err := ctlA.Run(rounds)
+	reportsA, err := runRounds(ctlA, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCheckpointRestoreTwin(t *testing.T) {
 	// Twin B: run to the cut, checkpoint through the real file store, drop.
 	mgr := checkpoint.NewManager(filepath.Join(t.TempDir(), "ckpt"), 0)
 	ctlB, _ := newTwinController(t, readings)
-	if _, err := ctlB.Run(cut); err != nil {
+	if _, err := runRounds(ctlB, cut); err != nil {
 		t.Fatal(err)
 	}
 	stB, err := ctlB.Checkpoint()
@@ -129,7 +129,7 @@ func TestCheckpointRestoreTwin(t *testing.T) {
 		t.Fatalf("restored %d sessions, want %d (cold sessions after restore)", got, liveAtCut)
 	}
 
-	reportsB2, err := ctlB2.Run(rounds - cut)
+	reportsB2, err := runRounds(ctlB2, rounds-cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCheckpointRestoreAfterKillMidWrite(t *testing.T) {
 	readings := loadTwinTrace(t)
 
 	ctlA, _ := newTwinController(t, readings)
-	reportsA, err := ctlA.Run(rounds)
+	reportsA, err := runRounds(ctlA, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCheckpointRestoreAfterKillMidWrite(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "ckpt")
 	mgr := checkpoint.NewManager(base, 0)
 	ctlB, _ := newTwinController(t, readings)
-	if _, err := ctlB.Run(firstCut); err != nil {
+	if _, err := runRounds(ctlB, firstCut); err != nil {
 		t.Fatal(err)
 	}
 	st1, err := ctlB.Checkpoint()
@@ -200,7 +200,7 @@ func TestCheckpointRestoreAfterKillMidWrite(t *testing.T) {
 	if err := mgr.Save(st1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctlB.Run(secondCut - firstCut); err != nil {
+	if _, err := runRounds(ctlB, secondCut-firstCut); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := ctlB.Checkpoint()
@@ -242,7 +242,7 @@ func TestCheckpointRestoreAfterKillMidWrite(t *testing.T) {
 		t.Fatalf("restored %d sessions, want %d — sessions went cold across the crash", got, liveAtFirstCut)
 	}
 
-	reportsB2, err := ctlB2.Run(rounds - firstCut)
+	reportsB2, err := runRounds(ctlB2, rounds-firstCut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func newSimTwin(t *testing.T) *Controller {
 func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
 	const rounds = 6
 	ctl := newSimTwin(t)
-	reports, err := ctl.Run(rounds)
+	reports, err := runRounds(ctl, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
 	if err := restarted.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	reports, err = restarted.Run(rounds)
+	reports, err = runRounds(restarted, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
 func TestCheckpointRestoreQuantizerMismatch(t *testing.T) {
 	readings := loadTwinTrace(t)
 	ctl, _ := newTwinController(t, readings)
-	if _, err := ctl.Run(5); err != nil {
+	if _, err := runRounds(ctl, 5); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ctl.Checkpoint()
@@ -492,7 +492,7 @@ func TestCheckpointRestoreQuantizerMismatch(t *testing.T) {
 func TestCheckpointGuards(t *testing.T) {
 	readings := loadTwinTrace(t)
 	ctl, _ := newTwinController(t, readings)
-	if _, err := ctl.Run(2); err != nil {
+	if _, err := runRounds(ctl, 2); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ctl.Checkpoint()

@@ -136,7 +136,7 @@ func DefaultConfig() Config {
 		UpdateEveryS:          15,
 		GapS:                  60,
 		Lambda:                core.DefaultLambda,
-		TBreakS:               600,
+		TBreakS:               core.DefaultTBreakS,
 		CurveDeltaS:           core.DefaultCurveDelta,
 		HorizonS:              1800,
 		StaleAfterS:           45,

@@ -249,13 +249,6 @@ func (c *Controller) Submit(spec workload.VMSpec) bool {
 	return true
 }
 
-// Ingest offers an externally produced telemetry reading to the pipeline
-// (the path a real monitoring agent would use). It reports false when the
-// bounded buffer is full and the reading was dropped. Pushed readings go
-// through the same emit sink as source-driven ones, so a TeeTelemetry
-// capture (fleetd -record) includes them.
-func (c *Controller) Ingest(r Reading) bool { return (*c.emit.Load())(r) }
-
 // IngestStats returns the cumulative ingest pipeline counters.
 func (c *Controller) IngestStats() (received, dropped, superseded int64) {
 	return c.ingest.stats()
@@ -337,17 +330,4 @@ func (c *Controller) PlaceAt(hostID string, spec workload.VMSpec) error {
 		return ErrNoSubstrate
 	}
 	return c.sim.place(hostID, spec)
-}
-
-// Run executes n rounds and returns their reports.
-func (c *Controller) Run(n int) ([]RoundReport, error) {
-	out := make([]RoundReport, 0, n)
-	for i := 0; i < n; i++ {
-		rep, err := c.RunRound()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

@@ -7,11 +7,11 @@ import (
 
 // This file is the controller's fault-injection surface: the hooks a
 // thermal-emergency scenario (internal/scenario) scripts against a
-// simulated fleet. Every hook follows the SetTelemetryMuted contract —
-// it takes the round lock, requires a simulated substrate
-// (ErrNoSubstrate otherwise), and mutates only simulator state, so the
-// control plane under test never sees anything but its normal inputs:
-// telemetry that lies, cooling that fails, load that surges.
+// simulated fleet. Every hook follows one contract — it takes the round
+// lock, requires a simulated substrate (ErrNoSubstrate otherwise), and
+// mutates only simulator state, so the control plane under test never
+// sees anything but its normal inputs: telemetry that lies, cooling that
+// fails, load that surges.
 
 // CRACStatus reports the cooling plant's state. Until a scenario touches
 // the plant the coupling loop is inactive (Active false) and the supply
@@ -200,19 +200,4 @@ func (c *Controller) MeasuredDieTemps(dst map[string]float64) (map[string]float6
 		dst[c.sim.order[i]] = sh.server.DieTemp()
 	}
 	return dst, nil
-}
-
-// SetTelemetryMuted simulates a monitoring-agent outage on one host: while
-// muted the host keeps running (and heating) but emits no telemetry, so the
-// control plane must degrade it to stale. Simulated fleets only.
-func (c *Controller) SetTelemetryMuted(hostID string, muted bool) error {
-	return c.withSimHost(hostID, func(sh *simHost) { sh.muted = muted })
-}
-
-// MeasuredDieTemp reads a host's true (noise-free) die temperature — for
-// tests and evaluation only; the control loop itself only ever sees
-// telemetry. Simulated fleets only.
-func (c *Controller) MeasuredDieTemp(hostID string) (tempC float64, err error) {
-	err = c.withSimHost(hostID, func(sh *simHost) { tempC = sh.server.DieTemp() })
-	return tempC, err
 }

@@ -33,7 +33,7 @@ func TestSensorFaultModesCorruptOnlyEmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []*Controller{healthy, faulted} {
-		if _, err := c.Run(2); err != nil {
+		if _, err := runRounds(c, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestSensorFaultModesCorruptOnlyEmission(t *testing.T) {
 		t.Error("faulting an unknown host must error")
 	}
 	for _, c := range []*Controller{healthy, faulted} {
-		if _, err := c.Run(2); err != nil {
+		if _, err := runRounds(c, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestSensorFaultModesCorruptOnlyEmission(t *testing.T) {
 		}
 	}
 	for _, c := range []*Controller{healthy, faulted} {
-		if _, err := c.Run(2); err != nil {
+		if _, err := runRounds(c, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 		t.Fatal("CRAC coupling active before any fault touched it")
 	}
 	setpoint := st.SetpointC
-	if _, err := c.Run(2); err != nil {
+	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ = c.CRACStatus(); st.Active {
@@ -133,7 +133,7 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 	if err := c.SetCRACSetpointDelta(10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(20); err != nil {
+	if _, err := runRounds(c, 20); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = c.CRACStatus()
@@ -147,7 +147,7 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 	if err := c.SetCRACSetpointDelta(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(40); err != nil {
+	if _, err := runRounds(c, 40); err != nil {
 		t.Fatal(err)
 	}
 	st, _ = c.CRACStatus()
@@ -166,14 +166,14 @@ func TestCRACFailureRunaway(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedHotHost(t, c)
-	if _, err := c.Run(2); err != nil {
+	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetCRACCoolingCapacity(0); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := c.CRACStatus()
-	if _, err := c.Run(10); err != nil {
+	if _, err := runRounds(c, 10); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := c.CRACStatus()
@@ -196,7 +196,7 @@ func TestRemoveVMFreesTheHost(t *testing.T) {
 	if err := c.PlaceAt("r1-h2", HeavyVMSpec("surge-vm", 8, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(2); err != nil {
+	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
 	loaded, _ := latestOf(c, "r1-h2")
@@ -206,7 +206,7 @@ func TestRemoveVMFreesTheHost(t *testing.T) {
 	if err := c.RemoveVM("surge-vm"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(2); err != nil {
+	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
 	freed, _ := latestOf(c, "r1-h2")

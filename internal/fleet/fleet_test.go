@@ -27,6 +27,37 @@ func snapshotOf(c *Controller) (out Snapshot) {
 	return out
 }
 
+// runRounds runs n rounds and returns their reports (the ones that
+// completed, on error).
+func runRounds(c *Controller, n int) ([]RoundReport, error) {
+	out := make([]RoundReport, 0, n)
+	for i := 0; i < n; i++ {
+		rep, err := c.RunRound()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rep)
+	}
+	return out, nil
+}
+
+// ingest offers one reading through the controller's emit sink, the path
+// a source's readings and an HTTP push take; false means it was dropped.
+func ingest(c *Controller, r Reading) bool { return (*c.emit.Load())(r) }
+
+// setTelemetryMuted silences one simulated host's sensor sweep: the host
+// keeps running and heating, so the control plane must degrade it to stale.
+func setTelemetryMuted(c *Controller, hostID string, muted bool) error {
+	return c.withSimHost(hostID, func(sh *simHost) { sh.muted = muted })
+}
+
+// measuredDieTemp reads one simulated host's true (noise-free) die
+// temperature, the oracle the control loop never sees.
+func measuredDieTemp(c *Controller, hostID string) (tempC float64, err error) {
+	err = c.withSimHost(hostID, func(sh *simHost) { tempC = sh.server.DieTemp() })
+	return tempC, err
+}
+
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Racks = 2
@@ -70,7 +101,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		die, err := c.MeasuredDieTemp(hot)
+		die, err := measuredDieTemp(c, hot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +214,7 @@ func TestDeterministicRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		seedHotHost(t, c)
-		if _, err := c.Run(12); err != nil {
+		if _, err := runRounds(c, 12); err != nil {
 			t.Fatal(err)
 		}
 		return snapshotOf(c)
@@ -213,15 +244,15 @@ func TestStaleTelemetryDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedHotHost(t, c)
-	if _, err := c.Run(3); err != nil {
+	if _, err := runRounds(c, 3); err != nil {
 		t.Fatal(err)
 	}
 	// The hot host's monitoring agent dies; its machine keeps heating.
-	if err := c.SetTelemetryMuted("r0-h0", true); err != nil {
+	if err := setTelemetryMuted(c, "r0-h0", true); err != nil {
 		t.Fatal(err)
 	}
 	// StaleAfterS is 45 s = 3 rounds; run enough rounds to cross it.
-	rounds, err := c.Run(5)
+	rounds, err := runRounds(c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +314,7 @@ func TestConcurrentIngestDuringRounds(t *testing.T) {
 					return
 				default:
 				}
-				c.Ingest(Reading{
+				ingest(c, Reading{
 					HostID: fmt.Sprintf("r0-h%d", i%4),
 					AtS:    float64(i),
 					TempC:  40 + float64(i%20),

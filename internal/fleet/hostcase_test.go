@@ -255,7 +255,7 @@ func TestWarmPlaceBatchAllocCeiling(t *testing.T) {
 			}
 		}
 	}
-	if _, err := c.Run(2); err != nil {
+	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
 	const runs = 20

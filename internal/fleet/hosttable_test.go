@@ -210,7 +210,7 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						restores++
 					case f.clock == nil && rng.Intn(4) == 0:
 						id := f.ctl.Hosts()[rng.Intn(len(m.own))]
-						if err := f.ctl.SetTelemetryMuted(id, rng.Intn(2) == 0); err != nil {
+						if err := setTelemetryMuted(f.ctl, id, rng.Intn(2) == 0); err != nil {
 							t.Fatal(err)
 						}
 					case f.clock != nil && rng.Intn(3) == 0:
@@ -219,12 +219,12 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						// the next one through pos.
 						for _, id := range f.ctl.Hosts() {
 							if rng.Intn(4) > 0 {
-								f.ctl.Ingest(Reading{HostID: id, AtS: now + float64(rng.Intn(40)-25), TempC: 30 + 40*rng.Float64(), Util: rng.Float64()})
+								ingest(f.ctl, Reading{HostID: id, AtS: now + float64(rng.Intn(40)-25), TempC: 30 + 40*rng.Float64(), Util: rng.Float64()})
 							}
 						}
 					}
 					for n := rng.Intn(24); n > 0; n-- {
-						f.ctl.Ingest(Reading{
+						ingest(f.ctl, Reading{
 							HostID: f.ids[rng.Intn(len(f.ids))],
 							AtS:    now + float64(rng.Intn(40)-25), // behind, at and ahead of the clock
 							TempC:  30 + 40*rng.Float64(),
@@ -297,7 +297,7 @@ func TestFutureStampedReadingIsClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Ingest(Reading{HostID: "h", AtS: 1e12, TempC: 99, Util: 0.5})
+	ingest(c, Reading{HostID: "h", AtS: 1e12, TempC: 99, Util: 0.5})
 	if _, err := c.RunRound(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestFutureStampedReadingIsClamped(t *testing.T) {
 		t.Fatalf("future-stamped reading stored at %v, want the round's clock %v", got.AtS, clock.now)
 	}
 	for round := 0; round < 6; round++ {
-		c.Ingest(Reading{HostID: "h", AtS: clock.now, TempC: 40, Util: 0.5})
+		ingest(c, Reading{HostID: "h", AtS: clock.now, TempC: 40, Util: 0.5})
 		if _, err := c.RunRound(); err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestIngestPipelineCeiling(t *testing.T) {
 				if i%50 == 0 {
 					temp = math.NaN() // rejected at the door
 				}
-				c.Ingest(Reading{HostID: fmt.Sprintf("h%02d", (g*7+i)%cfg.MaxHosts), AtS: float64(i), TempC: temp, Util: 0.5})
+				ingest(c, Reading{HostID: fmt.Sprintf("h%02d", (g*7+i)%cfg.MaxHosts), AtS: float64(i), TempC: temp, Util: 0.5})
 				offered.Add(1)
 				if n := buffered(); n > cfg.IngestBuffer {
 					t.Errorf("%d readings buffered, IngestBuffer is %d", n, cfg.IngestBuffer)

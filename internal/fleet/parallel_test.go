@@ -47,7 +47,7 @@ func physRun(t *testing.T, workers, rounds int) ([]RoundReport, []byte, Snapshot
 	}
 	var rec telemetry.Recorder
 	c.TeeTelemetry(rec.Emit)
-	reports, err := c.Run(rounds)
+	reports, err := runRounds(c, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func goodCheckpoint(t testing.TB) *checkpoint.State {
 	ctl := restoreTarget(t)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 5; i++ {
-			ctl.Ingest(Reading{HostID: fmt.Sprintf("rs-%d", i), AtS: ctl.src.NowS(), TempC: 40 + float64(i), Util: 0.1 * float64(i)})
+			ingest(ctl, Reading{HostID: fmt.Sprintf("rs-%d", i), AtS: ctl.src.NowS(), TempC: 40 + float64(i), Util: 0.1 * float64(i)})
 		}
 		if _, err := ctl.RunRound(); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func restoreThenRound(t *testing.T, st *checkpoint.State) error {
 	if err := ctl.Restore(st); err != nil {
 		return err
 	}
-	ctl.Ingest(Reading{HostID: "rs-1", AtS: ctl.src.NowS(), TempC: 41, Util: 0.1})
+	ingest(ctl, Reading{HostID: "rs-1", AtS: ctl.src.NowS(), TempC: 41, Util: 0.1})
 	rep, err := ctl.RunRound()
 	if err != nil {
 		t.Fatalf("round after an accepted restore: %v", err)

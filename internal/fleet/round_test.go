@@ -43,7 +43,7 @@ func TestStageErrorLeavesControllerConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ctl.Run(3)
+	warm, err := runRounds(ctl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFailedDrainReparksQueue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Run(2); err != nil {
+			if _, err := runRounds(c, 2); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < queued; i++ {

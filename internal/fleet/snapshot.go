@@ -108,12 +108,6 @@ func (s *snapStore) acquire() *snapGen {
 	}
 }
 
-// SnapshotGenerations reports how many snapshot generations were freshly
-// allocated (rather than recycled) since the controller was built. A warm
-// fleet plateaus at 2, plus one for each reader a round found still inside
-// its ViewSnapshot callback.
-func (c *Controller) SnapshotGenerations() int64 { return c.snaps.fresh.Load() }
-
 // publishedSnapshot is the writer-side borrow: callers must hold c.mu, which
 // excludes the only code (writable) that could recycle a retired generation
 // — the published one is immutable to everybody.

@@ -42,7 +42,7 @@ func snapController(t *testing.T, n int, tweak ...func(*Config)) (*Controller, *
 func feedRound(ctl *Controller, src *gridSource, ids []string) {
 	now := src.now
 	for i, id := range ids {
-		ctl.Ingest(Reading{
+		ingest(ctl, Reading{
 			HostID:  id,
 			AtS:     now,
 			TempC:   30 + float64(i%50),
@@ -73,7 +73,7 @@ func TestWarmRoundZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm round + snapshot view allocates %.1f/op, want 0", allocs)
 	}
-	if fresh := ctl.SnapshotGenerations(); fresh > 2 {
+	if fresh := ctl.snaps.fresh.Load(); fresh > 2 {
 		t.Fatalf("%d fresh snapshot generations over warm rounds, want <= 2", fresh)
 	}
 }
@@ -196,7 +196,7 @@ func TestSnapshotMembershipShrink(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		now := src.now
 		for j, id := range ids[4:] {
-			ctl.Ingest(Reading{HostID: id, AtS: now, TempC: 35 + float64(j), Util: 0.4, MemFrac: 0.2})
+			ingest(ctl, Reading{HostID: id, AtS: now, TempC: 35 + float64(j), Util: 0.4, MemFrac: 0.2})
 		}
 		if _, err := ctl.RunRound(); err != nil {
 			t.Fatal(err)
@@ -235,7 +235,7 @@ func TestColdRoundAllocCeiling(t *testing.T) {
 			if high {
 				util += 0.5
 			}
-			ctl.Ingest(Reading{HostID: id, AtS: src.now, TempC: 30 + float64(i%50), Util: util, MemFrac: 0.25})
+			ingest(ctl, Reading{HostID: id, AtS: src.now, TempC: 30 + float64(i%50), Util: util, MemFrac: 0.25})
 		}
 		ctl.InvalidateAnchorCache()
 		rep, err := ctl.RunRound()

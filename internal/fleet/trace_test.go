@@ -76,7 +76,7 @@ func replayReports(t *testing.T, readings []telemetry.Reading, rounds int) []Rou
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := ctl.Run(rounds)
+	reports, err := runRounds(ctl, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestSourceDrivenControllerRejectsSubstrateOps(t *testing.T) {
 	if err := ctl.PlaceAt("h0", HeavyVMSpec("vm", 1, 1)); err != ErrNoSubstrate {
 		t.Fatalf("PlaceAt err = %v", err)
 	}
-	if err := ctl.SetTelemetryMuted("h0", true); err != ErrNoSubstrate {
-		t.Fatalf("SetTelemetryMuted err = %v", err)
+	if err := setTelemetryMuted(ctl, "h0", true); err != ErrNoSubstrate {
+		t.Fatalf("setTelemetryMuted err = %v", err)
 	}
-	if _, err := ctl.MeasuredDieTemp("h0"); err != ErrNoSubstrate {
-		t.Fatalf("MeasuredDieTemp err = %v", err)
+	if _, err := measuredDieTemp(ctl, "h0"); err != ErrNoSubstrate {
+		t.Fatalf("measuredDieTemp err = %v", err)
 	}
 	dec, err := placeOne(ctl, HeavyVMSpec("vm", 1, 1))
 	if err != nil {
