@@ -277,10 +277,10 @@ func TestSimFingerprintTracksLoadDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.SetTaskCPU("t0", 0.9); err != nil {
+	if err := vm.SetTaskCPU(0, 0.9); err != nil { // t0
 		t.Fatal(err)
 	}
-	if err := vm.SetTaskCPU("t1", 0.1); err != nil {
+	if err := vm.SetTaskCPU(1, 0.1); err != nil { // t1
 		t.Fatal(err)
 	}
 	if hits, misses, _ := ctl.anchors(); misses != 1 || hits != 0 {

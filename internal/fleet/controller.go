@@ -41,6 +41,7 @@ type Controller struct {
 	drainGen   uint64
 	orderDirty bool
 	pendingP   []MigrationProposal // proposals awaiting reconciliation
+	propTgts   []proposeTarget     // propose's per-round target list (scratch)
 
 	// cache memoizes ψ_stable per quantized anchor key (nil when disabled);
 	// lastFanout is the previous round's miss-batch size, readable without

@@ -25,26 +25,42 @@ func (c *Controller) reconcile(predicted map[string]float64) (applied int) {
 	return applied
 }
 
-// propose derives migration proposals from the hotspot map: for each hotspot
-// (hottest first), move its largest VM to the coolest non-hot host that can
-// admit it. Proposals are bounded — 4× what reconcile can apply per round,
-// or 64 hottest-first in observe-only mode (MaxMigrationsPerRound = 0) —
-// because each proposal costs an O(hosts) target scan and the map is
-// recomputed fresh every round anyway: at datacenter scale an unbounded
-// pass over thousands of hotspots would be quadratic for proposals that
-// could never be acted on.
-func (c *Controller) propose(hotspots []Hotspot, predicted map[string]float64) []MigrationProposal {
+// proposeTarget is one host a hotspot's VM may move to this round.
+type proposeTarget struct {
+	tempC float64
+	sh    *simHost
+	id    string
+}
+
+// propose derives migration proposals from the round's hotspots (hottest
+// first) and predictions (host order): move each hotspot's largest VM to the
+// coolest host that is neither hot nor stale nor unobserved — never migrate
+// blind — and can admit it, the first in host order on a tie. Those targets
+// are the fresh predictions at or below the threshold, listed once per round
+// with their hosts resolved, so each proposal is one scan of a flat slice.
+// Proposals are bounded — 4× what reconcile can apply per round, or 64
+// hottest-first in observe-only mode (MaxMigrationsPerRound = 0) — because
+// each costs an O(hosts) target scan and the list is recomputed fresh every
+// round anyway: at datacenter scale an unbounded pass over thousands of
+// hotspots would be quadratic for proposals that could never be acted on.
+func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []MigrationProposal {
 	maxProposals := 4 * c.cfg.MaxMigrationsPerRound
 	if c.cfg.MaxMigrationsPerRound == 0 {
 		maxProposals = 64
 	} else if maxProposals < 8 {
 		maxProposals = 8
 	}
-	var out []MigrationProposal
-	hot := make(map[string]bool, len(hotspots))
-	for _, h := range hotspots {
-		hot[h.HostID] = true
+	if len(hotspots) == 0 {
+		return nil
 	}
+	targets := c.propTgts[:0]
+	for i := range preds {
+		if p := &preds[i]; !p.Stale && p.TempC <= c.cfg.ThresholdC {
+			targets = append(targets, proposeTarget{tempC: p.TempC, sh: c.sim.hosts[p.HostID], id: p.HostID})
+		}
+	}
+	c.propTgts = targets
+	var out []MigrationProposal
 	for _, h := range hotspots {
 		if len(out) >= maxProposals {
 			break
@@ -53,31 +69,21 @@ func (c *Controller) propose(hotspots []Hotspot, predicted map[string]float64) [
 		if err != nil {
 			continue // nothing running to move (e.g. hot purely from environment)
 		}
-		target := ""
+		shape := vm.Config()
+		var target *proposeTarget
 		best := math.Inf(1)
-		for _, id := range c.order {
-			if id == h.HostID || hot[id] {
-				continue
-			}
-			sh := c.sim.hosts[id]
-			if !canAdmitVM(sh.host, vm.Config()) {
-				continue
-			}
-			t, ok := predicted[id]
-			if !ok {
-				continue // stale or unobserved: never migrate blind
-			}
-			if t < best {
-				best, target = t, id
+		for i := range targets {
+			if tg := &targets[i]; tg.tempC < best && canAdmitVM(tg.sh.host, shape) {
+				best, target = tg.tempC, tg
 			}
 		}
-		if target == "" {
+		if target == nil {
 			continue
 		}
 		out = append(out, MigrationProposal{
 			VMID:       vm.ID(),
 			FromHostID: h.HostID,
-			ToHostID:   target,
+			ToHostID:   target.id,
 			MarginC:    h.MarginC,
 		})
 	}

@@ -17,6 +17,14 @@ import (
 // telemetry capture as trace-CSV bytes, and the final published snapshot.
 func physRun(t *testing.T, workers, rounds int) ([]RoundReport, []byte, Snapshot) {
 	t.Helper()
+	reports, trace, c := physRunOn(t, workers, rounds)
+	return reports, trace, snapshotOf(c)
+}
+
+// physRunOn is physRun returning the controller it ran instead of its final
+// snapshot, for tests that read the substrate afterwards.
+func physRunOn(t *testing.T, workers, rounds int) ([]RoundReport, []byte, *Controller) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.Racks, cfg.HostsPerRack = 3, 5
 	cfg.PhysWorkers = workers
@@ -61,7 +69,7 @@ func physRun(t *testing.T, workers, rounds int) ([]RoundReport, []byte, Snapshot
 	if err := dataset.WriteTrace(&buf, rec.Readings); err != nil {
 		t.Fatal(err)
 	}
-	return reports, buf.Bytes(), snapshotOf(c)
+	return reports, buf.Bytes(), c
 }
 
 // TestParallelPhysicsValueIdentical is the tentpole determinism contract:

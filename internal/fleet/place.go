@@ -13,7 +13,8 @@
 //   - a host's deployment reaches a Case through simHost.deployment, a view
 //     memoised per host and invalidated where — and only where — a
 //     deployment or a task's CPU fraction changes: fleetSim.place, migrate,
-//     remove, and tickRack's SetTaskCPU sweep. fleetSim.hostCase copies
+//     remove, and tickRack's sweep over the driven tasks (SetTaskCPU by
+//     task index). fleetSim.hostCase copies
 //     "view + candidate" into the wave's arena (Controller.waveSpecs, reset
 //     at the top of each wave, once the previous wave's cases are
 //     consumed); the anchor pass borrows the view through the same builder;

@@ -189,7 +189,7 @@ func (c *Controller) migrate(rs *roundState) {
 	if c.sim != nil {
 		snap := &rs.gen.snap
 		rs.applied = c.reconcile(snap.Predicted)
-		c.pendingP = c.propose(snap.Hotspots, snap.Predicted)
+		c.pendingP = c.propose(snap.Hotspots, rs.preds)
 		rs.proposed = len(c.pendingP)
 	}
 }

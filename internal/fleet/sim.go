@@ -37,11 +37,13 @@ func (s *simSource) Advance(dtS float64, emit func(telemetry.Reading) bool) erro
 
 // drivenTask binds one task of a placed VM to the load profile that drives
 // it — a flat, contiguous record the tick loop scans instead of walking
-// nested vm→task profile maps.
+// nested vm→task profile maps. task is the task's deployment-order index in
+// vm (the spec's task position, fixed at place), so a tick sets the fraction
+// without looking the task up by name.
 type drivenTask struct {
-	vm     *vmm.VM
-	taskID string
-	prof   workload.Profile
+	vm   *vmm.VM
+	task int
+	prof workload.Profile
 }
 
 // SensorFaultMode enumerates the ways a simulated temperature sensor can
@@ -90,8 +92,9 @@ type simHost struct {
 	// view memoises the running/migrating VMs as VMSpecs in
 	// cluster.HostStateCase's order (see deployment); viewTasks backs their
 	// Tasks slices. viewOK is cleared wherever the deployment or a task's
-	// CPU fraction can change: place, migrate, remove and tickRack's
-	// SetTaskCPU sweep — the only four. caseName is "state:"+id.
+	// CPU fraction can change: place, migrate, remove and tickRack's sweep
+	// over driven (SetTaskCPU by task index) — the only four. caseName is
+	// "state:"+id.
 	view      []workload.VMSpec
 	viewTasks []workload.TaskSpec
 	viewOK    bool
@@ -329,9 +332,9 @@ func (fs *fleetSim) place(hostID string, spec workload.VMSpec) error {
 		_ = sh.host.Remove(vm.ID())
 		return err
 	}
-	for _, ts := range spec.Tasks {
+	for i, ts := range spec.Tasks {
 		if ts.Profile != nil {
-			sh.driven = append(sh.driven, drivenTask{vm: vm, taskID: ts.Task.ID, prof: ts.Profile})
+			sh.driven = append(sh.driven, drivenTask{vm: vm, task: i, prof: ts.Profile})
 		}
 	}
 	fs.vmHost[spec.ID] = hostID
@@ -503,7 +506,7 @@ func (fs *fleetSim) tickRack(ri int, t, dt float64) error {
 			if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
 				continue
 			}
-			if err := d.vm.SetTaskCPU(d.taskID, d.prof.At(t)); err != nil {
+			if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
 				return err
 			}
 		}

@@ -279,7 +279,7 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	total := 0
+	total, tasks := 0, 0
 	for i := range req.VMs {
 		n := req.VMs[i].Count
 		if n < 1 {
@@ -293,6 +293,16 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 			return
 		}
 		total += n
+		// Every replica copies the item's explicit tasks, so a short body
+		// of {} tasks times a count would build millions of task specs.
+		// The default one task per vCPU is bounded by the host shape.
+		t := len(req.VMs[i].Tasks)
+		if t > 0 && n > (MaxBatchItems-tasks)/t {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("batch of placements exceeds %d explicit tasks at vms[%d] (%d tasks × count %d after %d)", MaxBatchItems, i, t, n, tasks))
+			return
+		}
+		tasks += t * n
 	}
 	shape := s.fleet.Config().HostShape
 	specs := make([]workload.VMSpec, 0, total)

@@ -137,6 +137,73 @@ func TestIngestHostIDBound(t *testing.T) {
 	}
 }
 
+// explicitTasksBody is a one-item placement batch of count replicas, each
+// carrying tasks explicit {} tasks.
+func explicitTasksBody(count, tasks int) string {
+	return `{"vms":[{"id":"t","count":` + strconv.Itoa(count) + `,"vcpus":1,"memory_gb":1,"tasks":[` +
+		strings.TrimSuffix(strings.Repeat("{},", tasks), ",") + `]}]}`
+}
+
+// placeCopiesExceedLimit is the batch route's size rule, summed in floats
+// that cannot wrap: more than MaxBatchItems replicas, or more than
+// MaxBatchItems explicit task copies (each item's tasks × its count).
+func placeCopiesExceedLimit(req *FleetPlaceBatchRequest) bool {
+	var replicas, tasks float64
+	for _, vm := range req.VMs {
+		n := float64(max(vm.Count, 1))
+		replicas += n
+		tasks += n * float64(len(vm.Tasks))
+	}
+	return replicas > MaxBatchItems || tasks > MaxBatchItems
+}
+
+// TestPlaceBatchExplicitTasksBounded: every replica of a batch item copies
+// its explicit tasks, so a 60 KB body of 20,000 {} tasks at count 200 used
+// to build 4,000,000 task specs and allocate 1.25 GB before placing
+// anything. Explicit tasks × count, summed over the batch, is held to
+// MaxBatchItems like the replica count: past it the batch answers 413 for
+// the cost of reading the body; at it the batch is placed.
+func TestPlaceBatchExplicitTasksBounded(t *testing.T) {
+	cfg := fleet.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 1, 4
+	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := testModel(t)
+	srv, err := New(m, WithFleet(ctl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	post := func(body string) (*httptest.ResponseRecorder, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/place/batch", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+
+	body := explicitTasksBody(200, 20000)
+	rec, alloc := post(body)
+	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "explicit tasks") {
+		t.Fatalf("%d-byte body of 200 × 20,000 tasks: %d %q, want 413", len(body), rec.Code, rec.Body)
+	}
+	if alloc > 4<<20 {
+		t.Errorf("%d-byte body of 200 × 20,000 tasks allocated %d KB", len(body), alloc>>10)
+	}
+	// Summed over items: 2 × 32,768 fills the limit, one more task passes it.
+	over := strings.Replace(explicitTasksBody(2, 32768), `]}]}`, `]},{"id":"u","vcpus":1,"memory_gb":1,"tasks":[{}]}]}`, 1)
+	if rec, _ := post(over); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("65,537 explicit task copies over two items: %d %q, want 413", rec.Code, rec.Body)
+	}
+	if rec, _ := post(explicitTasksBody(2, 32768)); rec.Code != http.StatusOK {
+		t.Fatalf("65,536 explicit task copies: %d %q, want 200", rec.Code, rec.Body)
+	}
+}
+
 // TestEncodeFailureAnswers500: a response encoding/json refuses (a NaN
 // prediction) used to go out as the handler's 200 with no body at all, which
 // clients report as EOF. It must be a 500 with the usual error body, from
@@ -188,6 +255,8 @@ func FuzzPlaceBatchBody(f *testing.F) {
 		`{"vms":[{"id":"a"}]} trailing`, `{"vms":[{"id":"a"`, `[]`, `01`, `-0`, ``,
 		// Two counts that wrap an int sum to -2: must answer 413, not reach make.
 		`{"vms":[{"id":"a","count":9223372036854775807,"vcpus":1,"memory_gb":1},{"id":"b","count":9223372036854775807,"vcpus":1,"memory_gb":1}]}`,
+		// 3 × 21,846 explicit task copies, two past the limit: 413.
+		explicitTasksBody(3, 21846),
 	} {
 		f.Add([]byte(seed))
 	}
@@ -211,8 +280,13 @@ func FuzzPlaceBatchBody(f *testing.F) {
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		diffPlaceRequest(t, body)
+		var req FleetPlaceBatchRequest
+		oversize := DecodeWire(body, &req) == nil && placeCopiesExceedLimit(&req)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/place/batch", bytes.NewReader(body)))
+		if oversize && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body %q: %d, want 413 for more than %d replicas or explicit task copies", body, rec.Code, MaxBatchItems)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 			var resp FleetPlaceBatchResponse

@@ -68,16 +68,24 @@ func (r *Result) StableTemp(tBreakS float64) (float64, error) {
 // Rig is one assembled experiment: an observed host and its thermal model,
 // the VMs of a workload case, and the profiles that drive their tasks.
 type Rig struct {
-	cse      workload.Case
-	engine   *sim.Engine
-	host     *vmm.Host
-	server   *thermal.Server
-	sensor   *thermal.Sensor
-	vms      map[string]*vmm.VM
-	profiles map[string]map[string]workload.Profile // vm id → task id → profile
+	cse    workload.Case
+	engine *sim.Engine
+	host   *vmm.Host
+	server *thermal.Server
+	sensor *thermal.Sensor
+	vms    map[string]*vmm.VM
+	driven []drivenTask // every profiled task, in registration order
 	// asyncErr captures the first failure raised inside a scheduled
 	// scenario event; Run surfaces it.
 	asyncErr error
+}
+
+// drivenTask binds one task of a tracked VM, by its deployment-order index
+// (vmm.VM.TaskIndex, resolved at registration), to the profile that drives it.
+type drivenTask struct {
+	vm   *vmm.VM
+	task int
+	prof workload.Profile
 }
 
 // Options configures rig construction beyond the workload case.
@@ -121,13 +129,12 @@ func New(c workload.Case, opts Options) (*Rig, error) {
 	}
 
 	r := &Rig{
-		cse:      c,
-		engine:   sim.NewEngine(),
-		host:     host,
-		server:   srv,
-		sensor:   sensor,
-		vms:      make(map[string]*vmm.VM, len(c.VMs)),
-		profiles: make(map[string]map[string]workload.Profile, len(c.VMs)),
+		cse:    c,
+		engine: sim.NewEngine(),
+		host:   host,
+		server: srv,
+		sensor: sensor,
+		vms:    make(map[string]*vmm.VM, len(c.VMs)),
 	}
 	for _, spec := range c.VMs {
 		vm, err := vmm.NewVM(spec.ID, spec.Config)
@@ -146,19 +153,30 @@ func New(c workload.Case, opts Options) (*Rig, error) {
 			return nil, err
 		}
 		r.vms[spec.ID] = vm
-		r.registerProfiles(spec)
+		if err := r.registerProfiles(vm, spec.Tasks); err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }
 
-func (r *Rig) registerProfiles(spec workload.VMSpec) {
-	m := make(map[string]workload.Profile, len(spec.Tasks))
-	for _, ts := range spec.Tasks {
-		if ts.Profile != nil {
-			m[ts.Task.ID] = ts.Profile
+// registerProfiles appends vm's profiled tasks to the tick's driven list,
+// each by its index in vm. A task vm does not hold is an error here rather
+// than at the first tick.
+func (r *Rig) registerProfiles(vm *vmm.VM, tasks []workload.TaskSpec) error {
+	n := len(r.driven)
+	for _, ts := range tasks {
+		if ts.Profile == nil {
+			continue
 		}
+		i, err := vm.TaskIndex(ts.Task.ID)
+		if err != nil {
+			r.driven = r.driven[:n]
+			return fmt.Errorf("testbed: %w", err)
+		}
+		r.driven = append(r.driven, drivenTask{vm: vm, task: i, prof: ts.Profile})
 	}
-	r.profiles[spec.ID] = m
+	return nil
 }
 
 // Case returns the workload case this rig was built from.
@@ -192,14 +210,10 @@ func (r *Rig) Track(vm *vmm.VM, tasks []workload.TaskSpec) error {
 	if _, ok := r.vms[vm.ID()]; ok {
 		return fmt.Errorf("testbed: vm %q already tracked", vm.ID())
 	}
-	r.vms[vm.ID()] = vm
-	m := make(map[string]workload.Profile, len(tasks))
-	for _, ts := range tasks {
-		if ts.Profile != nil {
-			m[ts.Task.ID] = ts.Profile
-		}
+	if err := r.registerProfiles(vm, tasks); err != nil {
+		return err
 	}
-	r.profiles[vm.ID()] = m
+	r.vms[vm.ID()] = vm
 	return nil
 }
 
@@ -266,15 +280,12 @@ func (r *Rig) Run(cfg RunConfig) (*Result, error) {
 // tick applies load profiles and advances thermals by dt.
 func (r *Rig) tick(e *sim.Engine, dt float64) error {
 	t := e.Now()
-	for vmID, profs := range r.profiles {
-		vm := r.vms[vmID]
-		if vm.State() != vmm.VMRunning && vm.State() != vmm.VMMigrating {
+	for _, d := range r.driven {
+		if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
 			continue
 		}
-		for taskID, p := range profs {
-			if err := vm.SetTaskCPU(taskID, p.At(t)); err != nil {
-				return err
-			}
+		if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
+			return err
 		}
 	}
 	r.server.SetLoad(r.host.Utilization(), r.host.MemActiveFrac())

@@ -48,6 +48,11 @@ type FanBank struct {
 	baseG float64
 	// perFanG is the added conductance of one healthy fan at full speed.
 	perFanG float64
+	// g caches Conductance() while gOK: every server asks for it every tick
+	// and its airflow changes only through SetSpeed and the state setters,
+	// which clear gOK.
+	g   float64
+	gOK bool
 }
 
 // NewFanBank creates count fans, all healthy at full speed.
@@ -85,6 +90,7 @@ func (b *FanBank) SetSpeed(i int, speed float64) error {
 		return fmt.Errorf("thermal: speed %v outside [0,1]", speed)
 	}
 	b.fans[i].speed = speed
+	b.gOK = false
 	return nil
 }
 
@@ -102,6 +108,7 @@ func (b *FanBank) setState(i int, s FanState) error {
 		return fmt.Errorf("thermal: no fan %d", i)
 	}
 	b.fans[i].state = s
+	b.gOK = false
 	return nil
 }
 
@@ -127,7 +134,10 @@ func (b *FanBank) Airflow() float64 {
 // by the current airflow. Airflow has diminishing returns (~square root),
 // matching fan-law heat transfer behaviour.
 func (b *FanBank) Conductance() float64 {
-	return b.baseG + b.perFanG*math.Sqrt(b.Airflow())
+	if !b.gOK {
+		b.g, b.gOK = b.baseG+b.perFanG*math.Sqrt(b.Airflow()), true
+	}
+	return b.g
 }
 
 // Healthy returns the number of fans in the OK state.

@@ -1,0 +1,124 @@
+package thermal
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// fanOp applies one seeded fan command — SetSpeed (in or out of range),
+// Fail, Degrade or Repair, sometimes on a fan that does not exist — to every
+// bank given, the same command to each.
+func fanOp(rng *rand.Rand, banks ...*FanBank) {
+	i := rng.IntN(banks[0].Count() + 1) // Count() itself is refused
+	if rng.IntN(8) == 0 {
+		i = -1
+	}
+	op, speed := rng.IntN(4), []float64{0, 0.25, 0.5, 1, rng.Float64(), 1.5, -0.1}[rng.IntN(7)]
+	for _, b := range banks {
+		switch op {
+		case 0:
+			_ = b.SetSpeed(i, speed)
+		case 1:
+			_ = b.Fail(i)
+		case 2:
+			_ = b.Degrade(i)
+		case 3:
+			_ = b.Repair(i)
+		}
+	}
+}
+
+// TestConductanceMemoMatchesFormula: after every fan command, accepted or
+// refused, the cached Conductance equals the formula over the bank's current
+// airflow bit for bit.
+func TestConductanceMemoMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 30))
+	for trial := 0; trial < 50; trial++ {
+		b, err := NewFanBank(rng.IntN(9), 0.5+rng.Float64(), 3*rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 200; step++ {
+			if step > 0 {
+				fanOp(rng, b)
+			}
+			want := b.baseG + b.perFanG*math.Sqrt(b.Airflow())
+			for k := 0; k < 2; k++ { // the miss and the hit
+				if got := b.Conductance(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d step %d: Conductance %v, formula %v (airflow %v)", trial, step, got, want, b.Airflow())
+				}
+			}
+		}
+	}
+}
+
+// refAdvance is Server.Advance without either memo: the fan conductance from
+// its formula and the heat from PowerModel.Power, math.Pow every tick.
+func refAdvance(s *Server, dt float64) error {
+	if err := s.net.SetConductance(s.caseEdge, s.fans.baseG+s.fans.perFanG*math.Sqrt(s.fans.Airflow())); err != nil {
+		return err
+	}
+	u := s.EffectiveUtil()
+	s.throttled = u < s.util
+	return s.net.StepOne(dt, s.die, s.params.Power.Power(u, s.memFrac, s.net.Temp(s.die)))
+}
+
+// TestPowerMemoMatchesPower: a server driven through a seeded sequence of
+// loads (repeated, changed, 0, -0, 1, clamped, fractional), ambient changes,
+// fan faults and advances — hot enough that throttling engages and releases —
+// stays bit-identical, every step, to a twin whose heat comes from
+// PowerModel.Power on every tick.
+func TestPowerMemoMatchesPower(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 30))
+	throttled := 0
+	for trial := 0; trial < 20; trial++ {
+		p := DefaultServerParams()
+		p.FanCount = 1 + rng.IntN(4)
+		p.ThrottleTempC = 55 + 20*rng.Float64()
+		p.Power.UtilExponent = []float64{1, 1.25, 1.4, 0.8}[rng.IntN(4)]
+		s, err := NewServer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewServer(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		util, mem := 0.0, 0.0
+		for step := 0; step < 2000; step++ {
+			switch rng.IntN(10) {
+			case 0, 1, 2: // new load
+				util = []float64{0, math.Copysign(0, -1), 1, 1.7, -0.2, rng.Float64(), rng.Float64()}[rng.IntN(7)]
+				mem = rng.Float64()
+			case 3:
+				amb := 15 + 25*rng.Float64()
+				s.SetAmbient(amb)
+				ref.SetAmbient(amb)
+			case 4:
+				fanOp(rng, s.Fans(), ref.Fans())
+			}
+			s.SetLoad(util, mem) // re-set every step: repeats are the memo's hits
+			ref.SetLoad(util, mem)
+			dt := []float64{1, 1, 1, 0.5, 5}[rng.IntN(5)]
+			if err := s.Advance(dt); err != nil {
+				t.Fatal(err)
+			}
+			if err := refAdvance(ref, dt); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(s.DieTemp()) != math.Float64bits(ref.DieTemp()) ||
+				math.Float64bits(s.CaseTemp()) != math.Float64bits(ref.CaseTemp()) ||
+				s.Throttled() != ref.Throttled() {
+				t.Fatalf("trial %d step %d (util %v): die %v case %v throttled %v, reference die %v case %v throttled %v",
+					trial, step, util, s.DieTemp(), s.CaseTemp(), s.Throttled(), ref.DieTemp(), ref.CaseTemp(), ref.Throttled())
+			}
+			if s.Throttled() {
+				throttled++
+			}
+		}
+	}
+	if throttled == 0 {
+		t.Fatal("no step throttled: the sequence never reached the throttled branch")
+	}
+}

@@ -58,9 +58,22 @@ func (p PowerModel) Validate() error {
 // activity fraction (0..1) and current die temperature. Inputs outside [0,1]
 // are clamped.
 func (p PowerModel) Power(util, memFrac, dieTempC float64) float64 {
-	util = clamp01(util)
+	return p.powerFromCurve(p.utilCurve(util), memFrac, dieTempC)
+}
+
+// utilCurve is the utilization→power curve point clamp01(util)^UtilExponent,
+// Power's one math.Pow. It is a pure function of util's bits, which is what
+// lets Server memoise it across ticks.
+func (p PowerModel) utilCurve(util float64) float64 {
+	return math.Pow(clamp01(util), p.UtilExponent)
+}
+
+// powerFromCurve is the rest of Power, given the curve point utilCurve
+// returned. Power and Server's memoised path both run exactly these
+// operations.
+func (p PowerModel) powerFromCurve(curve, memFrac, dieTempC float64) float64 {
 	memFrac = clamp01(memFrac)
-	w := p.IdleW + (p.MaxW-p.IdleW)*math.Pow(util, p.UtilExponent) + p.MemMaxW*memFrac
+	w := p.IdleW + (p.MaxW-p.IdleW)*curve + p.MemMaxW*memFrac
 	if p.LeakWPerK > 0 && dieTempC > p.LeakRefC {
 		w += p.LeakWPerK * (dieTempC - p.LeakRefC)
 	}

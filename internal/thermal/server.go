@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 )
 
 // ServerParams configures a server's thermal assembly: a two-node RC network
@@ -84,6 +85,13 @@ type Server struct {
 	util      float64 // commanded CPU utilization 0..1
 	memFrac   float64 // memory activity 0..1
 	throttled bool
+
+	// curveBits and curve memoise utilCurve across ticks: the bits of the
+	// last effective utilization Advance saw and its curve point. Equal
+	// bits in give equal bits out, so a host whose utilization holds from
+	// one tick to the next skips math.Pow without changing a result.
+	curveBits uint64
+	curve     float64
 }
 
 // NewServer builds a server thermal assembly from params. All nodes start
@@ -124,6 +132,8 @@ func NewServer(params ServerParams) (*Server, error) {
 		ambient:  amb,
 		caseEdge: caseEdge,
 		fans:     fans,
+		// The memo starts at util +0 (Float64bits(0) == 0).
+		curve: params.Power.utilCurve(0),
 	}, nil
 }
 
@@ -177,7 +187,10 @@ func (s *Server) Advance(dt float64) error {
 	}
 	u := s.EffectiveUtil()
 	s.throttled = u < s.util
-	heat := s.params.Power.Power(u, s.memFrac, s.net.Temp(s.die))
+	if b := math.Float64bits(u); b != s.curveBits {
+		s.curveBits, s.curve = b, s.params.Power.utilCurve(u)
+	}
+	heat := s.params.Power.powerFromCurve(s.curve, s.memFrac, s.net.Temp(s.die))
 	return s.net.StepOne(dt, s.die, heat)
 }
 

@@ -175,17 +175,29 @@ func (v *VM) RemoveTask(id string) error {
 	return nil
 }
 
-// SetTaskCPU updates a task's current CPU demand fraction; the workload
-// generator calls this to realize dynamic load profiles.
-func (v *VM) SetTaskCPU(id string, fraction float64) error {
+// TaskIndex returns the deployment-order index of task id (the i of TaskAt
+// and SetTaskCPU). An index stays valid until RemoveTask shifts the tasks
+// behind it.
+func (v *VM) TaskIndex(id string) (int, error) {
 	idx, ok := v.taskIdx[id]
 	if !ok {
-		return fmt.Errorf("vmm: no task %q in vm %q", id, v.id)
+		return 0, fmt.Errorf("vmm: no task %q in vm %q", id, v.id)
+	}
+	return idx, nil
+}
+
+// SetTaskCPU updates the current CPU demand fraction of the i-th deployed
+// task (deployment order, see TaskIndex); the workload generator calls this
+// every tick to realize dynamic load profiles, so callers resolve the index
+// once when they register the task.
+func (v *VM) SetTaskCPU(i int, fraction float64) error {
+	if i < 0 || i >= len(v.tasks) {
+		return fmt.Errorf("vmm: no task %d in vm %q (%d tasks)", i, v.id, len(v.tasks))
 	}
 	if fraction < 0 || fraction > 1 {
 		return fmt.Errorf("vmm: cpu fraction %v outside [0,1]", fraction)
 	}
-	v.tasks[idx].CPUFraction = fraction
+	v.tasks[i].CPUFraction = fraction
 	return nil
 }
 

@@ -162,20 +162,49 @@ func TestMemUsedCappedByAllocation(t *testing.T) {
 
 func TestSetTaskCPU(t *testing.T) {
 	vm := mustVM(t, "v1", 2, 4)
-	if err := vm.AddTask(Task{ID: "t", Class: Bursty, CPUFraction: 0.2}); err != nil {
+	for _, id := range []string{"t", "u", "w"} {
+		if err := vm.AddTask(Task{ID: id, Class: Bursty, CPUFraction: 0.2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for want, id := range []string{"t", "u", "w"} {
+		if i, err := vm.TaskIndex(id); err != nil || i != want {
+			t.Fatalf("TaskIndex(%q) = %d, %v; want %d", id, i, err, want)
+		}
+	}
+	if _, err := vm.TaskIndex("missing"); err == nil {
+		t.Error("unknown task id should fail")
+	}
+	u, _ := vm.TaskIndex("u")
+	if err := vm.SetTaskCPU(u, 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if err := vm.SetTaskCPU("t", 0.7); err != nil {
-		t.Fatal(err)
+	if got := vm.TaskAt(u); got.ID != "u" || got.CPUFraction != 0.7 {
+		t.Errorf("task %d after SetTaskCPU = %+v, want u at 0.7", u, got)
 	}
-	if got := vm.CPUDemandVCPUs(); math.Abs(got-0.7) > 1e-12 {
+	if got := vm.CPUDemandVCPUs(); math.Abs(got-1.1) > 1e-12 {
 		t.Errorf("demand after SetTaskCPU = %v", got)
 	}
-	if err := vm.SetTaskCPU("missing", 0.5); err == nil {
-		t.Error("unknown task should fail")
+	for _, i := range []int{-1, 3} {
+		if err := vm.SetTaskCPU(i, 0.5); err == nil {
+			t.Errorf("task index %d of 3 should fail", i)
+		}
 	}
-	if err := vm.SetTaskCPU("t", 1.5); err == nil {
+	if err := vm.SetTaskCPU(u, 1.5); err == nil {
 		t.Error("out-of-range fraction should fail")
+	}
+	if err := vm.SetTaskCPU(u, -0.1); err == nil {
+		t.Error("negative fraction should fail")
+	}
+	if got := vm.TaskAt(u).CPUFraction; got != 0.7 {
+		t.Errorf("a rejected fraction changed the task: %v", got)
+	}
+	// RemoveTask shifts the tasks behind it: TaskIndex follows.
+	if err := vm.RemoveTask("t"); err != nil {
+		t.Fatal(err)
+	}
+	if i, err := vm.TaskIndex("w"); err != nil || i != 1 {
+		t.Errorf("TaskIndex(w) after removing t = %d, %v; want 1", i, err)
 	}
 }
 
