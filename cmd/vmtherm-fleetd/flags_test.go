@@ -98,3 +98,22 @@ func compareFlags(t *testing.T, source string, want, got map[string]string) {
 		}
 	}
 }
+
+// TestNonFiniteFlagFailsBeforeFirstRound: a NaN or infinite interval or
+// threshold is refused by the fleet configuration before the first round.
+// A NaN -update used to schedule simulator ticks forever (out of memory in
+// round 1), and a NaN -threshold or -gap ran blind and exited 0.
+func TestNonFiniteFlagFailsBeforeFirstRound(t *testing.T) {
+	for _, c := range []struct{ flag, value, field string }{
+		{"-update", "NaN", "update interval"},
+		{"-update", "+Inf", "update interval"},
+		{"-threshold", "NaN", "threshold"},
+		{"-gap", "NaN", "gap"},
+		{"-gap", "-Inf", "gap"},
+	} {
+		err := run([]string{"-synthetic", "-racks", "1", "-hosts", "4", "-rounds", "2", c.flag, c.value})
+		if err == nil || !strings.Contains(err.Error(), c.field+" must be finite") {
+			t.Errorf("%s %s: run returned %v, want the %s refused", c.flag, c.value, err, c.field)
+		}
+	}
+}

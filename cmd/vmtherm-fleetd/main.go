@@ -58,7 +58,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vmtherm-fleetd: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -91,9 +91,12 @@ func bindFlags(fs *flag.FlagSet) (*daemon.Flags, *loopFlags) {
 	return daemon.Bind(fs, daemon.Defaults{Source: "sim", Racks: 8, Hosts: 32}), o
 }
 
-func run() error {
-	shared, own := bindFlags(flag.CommandLine)
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("vmtherm-fleetd", flag.ExitOnError)
+	shared, own := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -16,13 +16,19 @@
 //
 // The cache is bounded (two-generation rotation, oldest generation dropped
 // wholesale) and carries an epoch: Invalidate discards every entry when the
-// model or its configuration changes underneath the keys.
+// model or its configuration changes underneath the keys. Each generation is
+// an open-addressed table sized by the largest population it has held: a
+// rotation clears the dropped generation's table and reuses it as the young
+// one, so a cache whose tables have reached the working set allocates
+// nothing, and a lookup searches at most ~2.7 slots per entry its generation
+// has ever held rather than a table pre-sized for MaxEntries.
 package anchorcache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -187,8 +193,8 @@ func (c Config) Validate() error {
 type Cache struct {
 	quant Quantizer
 	half  int // per-generation entry budget
-	cur   map[Key]float64
-	prev  map[Key]float64
+	cur   table
+	prev  table
 
 	hits, misses, evicted, invalidations atomic.Int64
 	epoch                                atomic.Int64
@@ -203,12 +209,11 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	half := cfg.MaxEntries / 2
 	return &Cache{
 		quant: cfg.Quant,
-		half:  half,
-		cur:   make(map[Key]float64, half),
-		prev:  map[Key]float64{},
+		half:  cfg.MaxEntries / 2,
+		cur:   newTable(),
+		prev:  newTable(),
 	}, nil
 }
 
@@ -218,11 +223,11 @@ func (c *Cache) Quant() Quantizer { return c.quant }
 // Get looks a key up, counting a hit or a miss. Entries found in the old
 // generation are promoted so rotation keeps the live working set.
 func (c *Cache) Get(k Key) (float64, bool) {
-	if v, ok := c.cur[k]; ok {
+	if v, ok := c.cur.get(k); ok {
 		c.hits.Add(1)
 		return v, true
 	}
-	if v, ok := c.prev[k]; ok {
+	if v, ok := c.prev.get(k); ok {
 		c.promote(k, v)
 		c.hits.Add(1)
 		return v, true
@@ -239,21 +244,21 @@ func (c *Cache) Put(k Key, v float64) {
 // promote writes into the young generation, rotating when it is full. The
 // old-generation copy of the key is removed so no key is ever resident in
 // both generations — which keeps Len and the eviction counter exact (a
-// rotation drops precisely len(prev) live entries).
+// rotation drops precisely prev.n live entries). A rotation clears the
+// dropped generation's table and reuses it as the young one, so once both
+// tables have grown to the working set a rotation allocates nothing.
 func (c *Cache) promote(k Key, v float64) {
-	if len(c.cur) >= c.half {
-		if _, ok := c.cur[k]; !ok {
-			drop := len(c.prev)
-			if _, inPrev := c.prev[k]; inPrev {
-				drop-- // k is about to be re-inserted, not dropped
-			}
-			c.evicted.Add(int64(drop))
-			c.prev = c.cur
-			c.cur = make(map[Key]float64, c.half)
+	if c.cur.n >= c.half && !c.cur.has(k) {
+		drop := c.prev.n
+		if c.prev.has(k) {
+			drop-- // k is about to be re-inserted, not dropped
 		}
+		c.evicted.Add(int64(drop))
+		c.cur, c.prev = c.prev, c.cur
+		c.cur.reset()
 	}
-	c.cur[k] = v
-	delete(c.prev, k)
+	c.cur.put(k, v)
+	c.prev.remove(k)
 }
 
 // Invalidate drops every entry and bumps the epoch — required whenever the
@@ -262,14 +267,14 @@ func (c *Cache) promote(k Key, v float64) {
 // Evicted measures capacity pressure only, so an operator sizing MaxEntries
 // from the eviction rate is not misled by epoch bumps.
 func (c *Cache) Invalidate() {
-	clear(c.cur)
-	clear(c.prev)
+	c.cur.reset()
+	c.prev.reset()
 	c.invalidations.Add(1)
 	c.epoch.Add(1)
 }
 
 // Len reports the current entry count across both generations.
-func (c *Cache) Len() int { return len(c.cur) + len(c.prev) }
+func (c *Cache) Len() int { return c.cur.n + c.prev.n }
 
 // Epoch reports how many invalidations the cache has seen.
 func (c *Cache) Epoch() int64 { return c.epoch.Load() }
@@ -297,17 +302,7 @@ type Entry struct {
 // own: the dump travels inside a checkpoint (checkpoint.CacheState).
 // Requires external synchronization, like Get/Put.
 func (c *Cache) DumpGenerations() (cur, prev []Entry) {
-	cur = make([]Entry, 0, len(c.cur))
-	for k, v := range c.cur {
-		cur = append(cur, Entry{Key: k, Value: v})
-	}
-	prev = make([]Entry, 0, len(c.prev))
-	for k, v := range c.prev {
-		prev = append(prev, Entry{Key: k, Value: v})
-	}
-	sortEntries(cur)
-	sortEntries(prev)
-	return cur, prev
+	return c.cur.entries(), c.prev.entries()
 }
 
 // RestoreGenerations replaces the cache contents with the dumped
@@ -318,22 +313,19 @@ func (c *Cache) RestoreGenerations(cur, prev []Entry) error {
 		return fmt.Errorf("anchorcache: restore of %d+%d entries exceeds per-generation budget %d",
 			len(cur), len(prev), c.half)
 	}
-	clear(c.cur)
-	c.prev = make(map[Key]float64, c.half)
+	c.cur.reset()
+	c.prev.reset()
 	for _, e := range cur {
 		if math.IsNaN(e.Value) {
 			continue
 		}
-		c.cur[e.Key] = e.Value
+		c.cur.put(e.Key, e.Value)
 	}
 	for _, e := range prev {
-		if math.IsNaN(e.Value) {
-			continue
-		}
-		if _, dup := c.cur[e.Key]; dup {
+		if math.IsNaN(e.Value) || c.cur.has(e.Key) {
 			continue // no key may be resident in both generations
 		}
-		c.prev[e.Key] = e.Value
+		c.prev.put(e.Key, e.Value)
 	}
 	return nil
 }
@@ -350,6 +342,135 @@ func (c *Cache) RestoreStats(st Stats, epoch int64) {
 	c.epoch.Store(epoch)
 }
 
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
+// table is one generation: an open-addressed table of Entry slots probed
+// linearly from a multiplicative spread of the key. An empty slot holds Key
+// 0, so the zero key itself lives beside the slots. The slot count is a
+// power of two that doubles at ¾ load and never shrinks: a table is sized
+// by the largest population it has held.
+type table struct {
+	slots   []Entry
+	shift   uint // 64 − log2(len(slots))
+	n       int  // live entries, the zero key included
+	hasZero bool
+	zero    float64
+}
+
+// minSlots is a new table's slot count.
+const minSlots = 8
+
+func newTable() table {
+	return table{slots: make([]Entry, minSlots), shift: 64 - 3}
+}
+
+// home is the first slot probed for k. Keys are FNV-1a hashes already; the
+// Fibonacci multiplier spreads their bits into the top ones the shift keeps.
+func (t *table) home(k Key) int {
+	return int((uint64(k) * 0x9e3779b97f4a7c15) >> t.shift)
+}
+
+// find returns k's slot, or the empty slot that ends its probe run.
+func (t *table) find(k Key) int {
+	mask := len(t.slots) - 1
+	i := t.home(k)
+	for t.slots[i].Key != k && t.slots[i].Key != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (t *table) get(k Key) (float64, bool) {
+	if k == 0 {
+		return t.zero, t.hasZero
+	}
+	s := &t.slots[t.find(k)]
+	return s.Value, s.Key == k
+}
+
+func (t *table) has(k Key) bool {
+	_, ok := t.get(k)
+	return ok
+}
+
+// put inserts or overwrites k.
+func (t *table) put(k Key, v float64) {
+	if k == 0 {
+		if !t.hasZero {
+			t.hasZero = true
+			t.n++
+		}
+		t.zero = v
+		return
+	}
+	i := t.find(k)
+	if t.slots[i].Key == k {
+		t.slots[i].Value = v
+		return
+	}
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+		i = t.find(k)
+	}
+	t.slots[i] = Entry{Key: k, Value: v}
+	t.n++
+}
+
+// grow doubles the slot count and re-inserts every entry.
+func (t *table) grow() {
+	old := t.slots
+	t.slots = make([]Entry, 2*len(old))
+	t.shift--
+	for _, e := range old {
+		if e.Key != 0 {
+			t.slots[t.find(e.Key)] = e
+		}
+	}
+}
+
+// remove deletes k by backward shift: each later entry of the probe run
+// that may legally sit in the hole moves into it, so no run is ever broken
+// and no tombstone is ever left.
+func (t *table) remove(k Key) {
+	if k == 0 {
+		if t.hasZero {
+			t.hasZero, t.zero = false, 0
+			t.n--
+		}
+		return
+	}
+	i := t.find(k)
+	if t.slots[i].Key != k {
+		return
+	}
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].Key != 0; j = (j + 1) & mask {
+		// The entry at j may fill hole i unless its home lies cyclically
+		// after i, in (i, j]: it must stay reachable from its home.
+		if (j-t.home(t.slots[j].Key))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = Entry{}
+	t.n--
+}
+
+// reset empties the table, keeping its slots.
+func (t *table) reset() {
+	clear(t.slots)
+	t.n, t.hasZero, t.zero = 0, false, 0
+}
+
+// entries returns the live entries sorted by key.
+func (t *table) entries() []Entry {
+	out := make([]Entry, 0, t.n)
+	if t.hasZero {
+		out = append(out, Entry{Value: t.zero})
+	}
+	for _, e := range t.slots {
+		if e.Key != 0 {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
+	return out
 }

@@ -1,7 +1,10 @@
 package anchorcache
 
 import (
+	"cmp"
+	"errors"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -214,4 +217,257 @@ func TestWarmHitPathDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm hit path allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// mapCache is the map-based Cache the open-addressed generations replaced,
+// kept as the oracle TestCacheMatchesMapOracle replays operations against.
+type mapCache struct {
+	half      int
+	cur, prev map[Key]float64
+	st        Stats
+	epoch     int64
+}
+
+func newMapCache(maxEntries int) *mapCache {
+	return &mapCache{half: maxEntries / 2, cur: map[Key]float64{}, prev: map[Key]float64{}}
+}
+
+func (c *mapCache) Get(k Key) (float64, bool) {
+	if v, ok := c.cur[k]; ok {
+		c.st.Hits++
+		return v, true
+	}
+	if v, ok := c.prev[k]; ok {
+		c.promote(k, v)
+		c.st.Hits++
+		return v, true
+	}
+	c.st.Misses++
+	return 0, false
+}
+
+func (c *mapCache) Put(k Key, v float64) { c.promote(k, v) }
+
+func (c *mapCache) promote(k Key, v float64) {
+	if len(c.cur) >= c.half {
+		if _, ok := c.cur[k]; !ok {
+			drop := len(c.prev)
+			if _, inPrev := c.prev[k]; inPrev {
+				drop--
+			}
+			c.st.Evicted += int64(drop)
+			c.prev = c.cur
+			c.cur = map[Key]float64{}
+		}
+	}
+	c.cur[k] = v
+	delete(c.prev, k)
+}
+
+func (c *mapCache) Invalidate() {
+	clear(c.cur)
+	clear(c.prev)
+	c.st.Invalidations++
+	c.epoch++
+}
+
+func (c *mapCache) Len() int { return len(c.cur) + len(c.prev) }
+
+func (c *mapCache) DumpGenerations() (cur, prev []Entry) {
+	dump := func(m map[Key]float64) []Entry {
+		out := make([]Entry, 0, len(m))
+		for k, v := range m {
+			out = append(out, Entry{Key: k, Value: v})
+		}
+		slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) })
+		return out
+	}
+	return dump(c.cur), dump(c.prev)
+}
+
+func (c *mapCache) RestoreGenerations(cur, prev []Entry) error {
+	if len(cur) > c.half || len(prev) > c.half {
+		return errors.New("over budget")
+	}
+	c.cur, c.prev = map[Key]float64{}, map[Key]float64{}
+	for _, e := range cur {
+		if !math.IsNaN(e.Value) {
+			c.cur[e.Key] = e.Value
+		}
+	}
+	for _, e := range prev {
+		if _, dup := c.cur[e.Key]; !dup && !math.IsNaN(e.Value) {
+			c.prev[e.Key] = e.Value
+		}
+	}
+	return nil
+}
+
+// oracleKeys is the key pool the oracle replay draws from: Key(0), which
+// the tables keep beside their slots; runs of keys built to share one home
+// slot in a table of any size (the multiplier is odd, so it has an inverse
+// mod 2⁶⁴), one of them homed on the last slot so its run wraps to slot 0;
+// and unrelated random keys.
+func oracleKeys(rng *rand.Rand) []Key {
+	mul := uint64(0x9e3779b97f4a7c15)
+	inv := mul // Newton's iteration doubles the correct low bits each step
+	for i := 0; i < 6; i++ {
+		inv *= 2 - mul*inv
+	}
+	keys := []Key{0}
+	for _, top := range []uint64{0x1234 << 48, 0xffff << 48, 0x8000 << 48} {
+		for i := uint64(1); i <= 12; i++ {
+			keys = append(keys, Key((top|i)*inv))
+		}
+	}
+	for i := 0; i < 40; i++ {
+		keys = append(keys, Key(rng.Uint64()))
+	}
+	return keys
+}
+
+// TestCacheMatchesMapOracle replays seeded random Get/Put/Invalidate/
+// DumpGenerations/RestoreGenerations sequences on the cache and on the map
+// oracle, and requires every result, Len, Stats, Epoch and the full dumped
+// state to agree after each operation. Small budgets rotate often; the key
+// pool forces long shared probe runs, so promotions delete from inside them.
+func TestCacheMatchesMapOracle(t *testing.T) {
+	wide := table{shift: 64 - 16}
+	if ks := oracleKeys(rand.New(rand.NewSource(1))); wide.home(ks[1]) != wide.home(ks[12]) || wide.home(ks[13]) != 1<<16-1 {
+		t.Fatal("the built key runs do not share a home slot")
+	}
+	for _, maxEntries := range []int{2, 3, 17, 64} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(maxEntries)))
+			keys := oracleKeys(rng)
+			c, err := New(Config{MaxEntries: maxEntries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := newMapCache(maxEntries)
+			key := func() Key { return keys[rng.Intn(len(keys))] }
+			for op := 0; op < 4000; op++ {
+				what := ""
+				switch r := rng.Intn(100); {
+				case r < 45:
+					k := key()
+					v, ok := c.Get(k)
+					mv, mok := m.Get(k)
+					if v != mv || ok != mok {
+						t.Fatalf("max %d seed %d op %d: Get(%#x) = %v, %v; oracle %v, %v", maxEntries, seed, op, k, v, ok, mv, mok)
+					}
+					what = "Get"
+				case r < 90:
+					k, v := key(), rng.NormFloat64()*20+50
+					c.Put(k, v)
+					m.Put(k, v)
+					what = "Put"
+				case r < 92:
+					c.Invalidate()
+					m.Invalidate()
+					what = "Invalidate"
+				default:
+					cur, prev := m.DumpGenerations()
+					if rng.Intn(2) == 0 {
+						// Perturb the dump: a NaN, a key in both generations,
+						// a duplicate, or one entry over the budget.
+						e := Entry{Key: key(), Value: 1}
+						switch rng.Intn(4) {
+						case 0:
+							e.Value = math.NaN()
+							cur = append(cur, e)
+						case 1:
+							cur, prev = append(cur, e), append(prev, Entry{Key: e.Key, Value: 2})
+						case 2:
+							prev = append(prev, e, Entry{Key: e.Key, Value: 3})
+						default:
+							for len(cur) <= maxEntries/2 {
+								cur = append(cur, Entry{Key: key(), Value: 4})
+							}
+						}
+					}
+					err, merr := c.RestoreGenerations(cur, prev), m.RestoreGenerations(cur, prev)
+					if (err == nil) != (merr == nil) {
+						t.Fatalf("max %d seed %d op %d: RestoreGenerations error %v, oracle %v", maxEntries, seed, op, err, merr)
+					}
+					what = "RestoreGenerations"
+				}
+				if c.Len() != m.Len() || c.Stats() != m.st || c.Epoch() != m.epoch {
+					t.Fatalf("max %d seed %d op %d (%s): len/stats/epoch %d %+v %d; oracle %d %+v %d",
+						maxEntries, seed, op, what, c.Len(), c.Stats(), c.Epoch(), m.Len(), m.st, m.epoch)
+				}
+				cur, prev := c.DumpGenerations()
+				mcur, mprev := m.DumpGenerations()
+				if !slices.Equal(cur, mcur) || !slices.Equal(prev, mprev) {
+					t.Fatalf("max %d seed %d op %d (%s): generations %v / %v; oracle %v / %v", maxEntries, seed, op, what, cur, prev, mcur, mprev)
+				}
+			}
+		}
+	}
+}
+
+// TestWarmRotationDoesNotAllocate pins the recycling: once both generations'
+// tables have held a full generation, Puts across a rotation allocate
+// nothing.
+func TestWarmRotationDoesNotAllocate(t *testing.T) {
+	const maxEntries = 256
+	c, err := New(Config{MaxEntries: maxEntries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint64(0)
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			next++
+			c.Put(NewHash().Uint64(next).Key(), float64(next))
+		}
+	}
+	put(3 * maxEntries) // both tables grown to a full generation
+	before := c.Stats().Evicted
+	allocs := testing.AllocsPerRun(20, func() { put(maxEntries / 2) })
+	if c.Stats().Evicted == before {
+		t.Fatal("no rotation during the measured Puts")
+	}
+	if allocs != 0 {
+		t.Fatalf("warm Puts across rotations allocate %.1f per run, want 0", allocs)
+	}
+}
+
+// BenchmarkCache measures the two operations a control round pays per host:
+// Get over a 5,000-key working set at the default budget (the population a
+// 4,096-host source-driven fleet keeps live), and Put across rotations at a
+// budget the inserts overflow every 512 keys.
+func BenchmarkCache(b *testing.B) {
+	b.Run("Get5000", func(b *testing.B) {
+		c, err := New(Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := make([]Key, 5000)
+		for i := range keys {
+			keys[i] = NewHash().Uint64(uint64(i)).Key()
+			c.Put(keys[i], float64(i))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(keys[i%len(keys)]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("PutRotating", func(b *testing.B) {
+		c, err := New(Config{MaxEntries: 1024})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 4096; i++ {
+			c.Put(NewHash().Uint64(uint64(i)).Key(), 1)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Put(NewHash().Uint64(uint64(i+4096)).Key(), 1)
+		}
+	})
 }

@@ -56,12 +56,21 @@ func (c Curve) Validate() error {
 
 // Value evaluates ψ*(t). Times before 0 clamp to φ(0).
 func (c Curve) Value(t float64) float64 {
+	return c.valueOver(t, c.logSpan())
+}
+
+// logSpan is Eq. (3)'s denominator ln(1 + t_break/δ), a constant of the
+// curve: DynamicPredictor computes it once per re-anchor.
+func (c Curve) logSpan() float64 { return math.Log1p(c.TBreakS / c.DeltaS) }
+
+// valueOver evaluates ψ*(t) given the curve's logSpan.
+func (c Curve) valueOver(t, logSpan float64) float64 {
 	if t <= 0 {
 		return c.Phi0
 	}
 	if t >= c.TBreakS {
 		return c.Stable
 	}
-	frac := math.Log1p(t/c.DeltaS) / math.Log1p(c.TBreakS/c.DeltaS)
+	frac := math.Log1p(t/c.DeltaS) / logSpan
 	return c.Phi0 + (c.Stable-c.Phi0)*frac
 }

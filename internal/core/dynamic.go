@@ -66,16 +66,17 @@ func DefaultDynamicConfig() DynamicConfig {
 	return DynamicConfig{Lambda: DefaultLambda, UpdateEveryS: 15, GapS: 60}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The comparisons are negated so a NaN,
+// which fails every comparison, fails them too.
 func (c DynamicConfig) Validate() error {
-	if c.Lambda < 0 || c.Lambda > 1 {
+	if !(c.Lambda >= 0 && c.Lambda <= 1) {
 		return fmt.Errorf("core: lambda %v outside [0,1]", c.Lambda)
 	}
-	if c.UpdateEveryS <= 0 {
-		return fmt.Errorf("core: update interval must be > 0, got %v", c.UpdateEveryS)
+	if !(c.UpdateEveryS > 0) || math.IsInf(c.UpdateEveryS, 1) {
+		return fmt.Errorf("core: update interval must be finite and > 0, got %v", c.UpdateEveryS)
 	}
-	if c.GapS <= 0 {
-		return fmt.Errorf("core: prediction gap must be > 0, got %v", c.GapS)
+	if !(c.GapS > 0) || math.IsInf(c.GapS, 1) {
+		return fmt.Errorf("core: prediction gap must be finite and > 0, got %v", c.GapS)
 	}
 	return nil
 }
@@ -90,6 +91,7 @@ func (c DynamicConfig) Validate() error {
 // when embedded) and Reset can re-anchor it in place.
 type DynamicPredictor struct {
 	curve      Curve
+	logSpan    float64 // curve.logSpan(), fixed at re-anchor
 	cal        Calibrator
 	cfg        DynamicConfig
 	lastUpdate float64
@@ -115,7 +117,7 @@ func (d *DynamicPredictor) Reset(curve Curve, cfg DynamicConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	*d = DynamicPredictor{curve: curve, cal: Calibrator{lambda: cfg.Lambda}, cfg: cfg}
+	*d = DynamicPredictor{curve: curve, logSpan: curve.logSpan(), cal: Calibrator{lambda: cfg.Lambda}, cfg: cfg}
 	return nil
 }
 
@@ -126,7 +128,7 @@ func (d *DynamicPredictor) Observe(t, measured float64) {
 	if d.seeded && t-d.lastUpdate < d.cfg.UpdateEveryS {
 		return
 	}
-	d.cal.Update(measured, d.curve.Value(t))
+	d.cal.Update(measured, d.curve.valueOver(t, d.logSpan))
 	d.lastUpdate = t
 	d.seeded = true
 }
@@ -138,7 +140,7 @@ func (d *DynamicPredictor) Predict(now float64) float64 {
 
 // PredictAt returns ψ(target) = ψ*(target) + γ for an arbitrary target time.
 func (d *DynamicPredictor) PredictAt(target float64) float64 {
-	return d.curve.Value(target) + d.cal.Gamma()
+	return d.curve.valueOver(target, d.logSpan) + d.cal.Gamma()
 }
 
 // Gamma exposes the current calibration (for instrumentation).

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"vmtherm/internal/testbed"
@@ -89,6 +91,18 @@ func TestDynamicConfigValidate(t *testing.T) {
 		{"lambda over 1", func(c *DynamicConfig) { c.Lambda = 1.2 }, false},
 		{"zero update", func(c *DynamicConfig) { c.UpdateEveryS = 0 }, false},
 		{"zero gap", func(c *DynamicConfig) { c.GapS = 0 }, false},
+	}
+	// NaN fails every comparison, so range checks alone let it through.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tests = append(tests, []struct {
+			name   string
+			mutate func(*DynamicConfig)
+			ok     bool
+		}{
+			{fmt.Sprint("lambda ", v), func(c *DynamicConfig) { c.Lambda = v }, false},
+			{fmt.Sprint("update ", v), func(c *DynamicConfig) { c.UpdateEveryS = v }, false},
+			{fmt.Sprint("gap ", v), func(c *DynamicConfig) { c.GapS = v }, false},
+		}...)
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -394,5 +408,66 @@ func TestEstimateTBreakOnSimulatedRig(t *testing.T) {
 	}
 	if got > 600 {
 		t.Errorf("simulated server settles at %v s, should be within the paper's 600 s", got)
+	}
+}
+
+// TestPredictorLogSpanMatchesCurveValue pins the re-anchor-time log term:
+// Observe and PredictAt, on a fresh and on a restored predictor, give the
+// same bits as Curve.Value and as the two-logarithm expression it replaced,
+// over seeded random curves and times before 0, past t_break and between.
+func TestPredictorLogSpanMatchesCurveValue(t *testing.T) {
+	replaced := func(c Curve, t float64) float64 {
+		if t <= 0 {
+			return c.Phi0
+		}
+		if t >= c.TBreakS {
+			return c.Stable
+		}
+		frac := math.Log1p(t/c.DeltaS) / math.Log1p(c.TBreakS/c.DeltaS)
+		return c.Phi0 + (c.Stable-c.Phi0)*frac
+	}
+	rng := rand.New(rand.NewSource(2016))
+	cfg := DynamicConfig{Lambda: 0.8, UpdateEveryS: 1e-9, GapS: 60}
+	for i := 0; i < 500; i++ {
+		curve, err := NewCurve(15+rng.Float64()*30, 30+rng.Float64()*60, 1+rng.Float64()*1200, 0.1+rng.Float64()*200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDynamicPredictor(curve, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := Calibrator{lambda: cfg.Lambda}
+		at := 0.0
+		for j := 0; j < 40; j++ {
+			if j == 20 {
+				if d, err = RestorePredictor(d.State()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var target float64
+			switch j % 4 {
+			case 0:
+				target = -rng.Float64() * 100
+			case 1:
+				target = curve.TBreakS * (1 + rng.Float64())
+			default:
+				target = rng.Float64() * curve.TBreakS
+			}
+			want := replaced(curve, target)
+			if v := curve.Value(target); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("curve %+v: Value(%v) = %v, replaced expression %v", curve, target, v, want)
+			}
+			if got := d.PredictAt(target); math.Float64bits(got) != math.Float64bits(want+ref.Gamma()) {
+				t.Fatalf("curve %+v: PredictAt(%v) = %v, want %v", curve, target, got, want+ref.Gamma())
+			}
+			at += rng.Float64() * curve.TBreakS / 10
+			measured := replaced(curve, at) + rng.NormFloat64()
+			d.Observe(at, measured)
+			ref.Update(measured, replaced(curve, at))
+			if math.Float64bits(d.Gamma()) != math.Float64bits(ref.Gamma()) {
+				t.Fatalf("curve %+v: γ after Observe(%v) = %v, want %v", curve, at, d.Gamma(), ref.Gamma())
+			}
+		}
 	}
 }

@@ -137,6 +137,22 @@ func (c Config) withDefaults() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	// NaN fails every comparison below, so it would pass each of them; no
+	// field gives an infinity a meaning either.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"lambda", c.Lambda}, {"update interval", c.UpdateEveryS}, {"gap", c.GapS},
+		{"t_break", c.TBreakS}, {"curve delta", c.CurveDeltaS},
+		{"stale-after", c.StaleAfterS}, {"evict-after", c.EvictAfterS},
+		{"re-anchor epsilon", c.ReanchorEpsC},
+		{"uncertainty base", c.UncertaintyBaseC}, {"uncertainty per second", c.UncertaintyPerSC},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.Lambda < 0 || c.Lambda > 1 {
 		return fmt.Errorf("engine: lambda %v outside [0,1]", c.Lambda)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -555,5 +556,29 @@ func TestShardedRoundSmallPopulationStaysSerial(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("small-population round with RoundWorkers=8 allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestConfigRejectsNonFiniteFloats sets every float field of Config to NaN,
+// +Inf and −Inf in turn: Validate must refuse each one (NaN fails every
+// comparison, so range checks alone let it through).
+func TestConfigRejectsNonFiniteFloats(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	n := 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		n++
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := DefaultConfig()
+			reflect.ValueOf(&c).Elem().Field(i).SetFloat(v)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", typ.Field(i).Name, v)
+			}
+		}
+	}
+	if n < 10 {
+		t.Fatalf("found %d float fields", n)
 	}
 }

@@ -353,8 +353,8 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestTeeSeesHTTPPushedReadings: a -record capture must include readings
-// arriving through the HTTP push path (IngestBatch's emit sink, which
-// ingest calls), not only source emissions — both funnel through it.
+// arriving through the HTTP push path (which ingest takes), not only source
+// emissions — both paths call the one attached tee.
 func TestTeeSeesHTTPPushedReadings(t *testing.T) {
 	ctl, err := NewWithSource(DefaultConfig(), &gridSource{}, syntheticStable)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
 
@@ -87,10 +88,57 @@ func BenchmarkFleetRound4k(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetRoundTrace4k measures one warm control round of a 4,096-host
+// source-driven fleet — replay, chunked push, drain, cached anchors, engine
+// round, publish — on a looping trace of 16 rounds, so after the first loop
+// every anchor is a cache hit. It runs serial, as bench/e2e's one P does
+// (the sharded engine round spawns its workers each round); warm, it
+// allocates nothing.
+func BenchmarkFleetRoundTrace4k(b *testing.B) {
+	const hosts, rounds = 4096, 16
+	cfg := DefaultConfig()
+	cfg.MaxHosts = hosts
+	cfg.Seed = benchSeed
+	cfg.PhysWorkers, cfg.AnchorWorkers = 1, 1
+	readings := make([]Reading, 0, hosts*rounds)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < hosts; i++ {
+			readings = append(readings, Reading{
+				HostID:  fmt.Sprintf("t%04d", i),
+				AtS:     float64(r) * cfg.UpdateEveryS,
+				TempC:   45 + float64((i*7+r)%30),
+				Util:    0.2 + 0.6*float64((i*13+r)%97)/97,
+				MemFrac: 0.3 + 0.4*float64(i%11)/11,
+			})
+		}
+	}
+	src, err := telemetry.NewTraceSource(readings, telemetry.TraceOptions{Loop: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl, err := NewWithSource(cfg, src, syntheticStable)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 0; r < 2*rounds; r++ {
+		if _, err := ctl.RunRound(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctl.RunRound(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts), "ns/host")
+}
+
 // BenchmarkIngestDrain measures the way a reading takes into the host table:
-// one 4,096-host sweep in table order, as a source's round emits it, pushed
-// through the emit sink and drained into the slots. Warm, it allocates
-// nothing.
+// one 4,096-host sweep in table order, as a source's round emits it, staged
+// through the source emitter, pushed a chunk at a time and drained into the
+// slots. Warm, it allocates nothing.
 func BenchmarkIngestDrain(b *testing.B) {
 	const hosts = 4096
 	ctl, err := NewWithSource(DefaultConfig(), &gridSource{}, syntheticStable)
@@ -106,13 +154,13 @@ func BenchmarkIngestDrain(b *testing.B) {
 	ctl.mu.Lock()
 	ctl.resetTable(ids)
 	ctl.mu.Unlock()
-	emit := *ctl.emit.Load()
 	round := func(at float64) {
+		ctl.mu.Lock()
 		for j := range sweep {
 			sweep[j].AtS = at
-			emit(sweep[j])
+			ctl.stage(sweep[j])
 		}
-		ctl.mu.Lock()
+		ctl.flushStaged()
 		ctl.drain(at)
 		ctl.mu.Unlock()
 	}

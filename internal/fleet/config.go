@@ -61,8 +61,9 @@ type Config struct {
 	// base + perS · staleness.
 	UncertaintyBaseC, UncertaintyPerSC float64
 	// IngestBuffer bounds the telemetry pipeline: at most this many readings
-	// wait for the next round, and at most twice this many are held in
-	// memory (one buffer filling while the round drains the other). 0
+	// wait for the next round, and at most twice this many plus one
+	// 512-reading chunk of a source advance are held in memory (one buffer
+	// filling while the round drains the other). 0
 	// auto-sizes to at least one full round of emissions — the simulated
 	// fleet's own sensor sweep volume, or MaxHosts × samples-per-round for
 	// source-driven fleets (minimum 4096 either way) — because a default
@@ -280,6 +281,27 @@ const defaultQueueDepth = 65536
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
+	// NaN fails every comparison below, so it would pass each of them (a NaN
+	// update interval schedules simulator ticks forever); no field gives an
+	// infinity a meaning either.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"rack spread", c.RackSpreadC}, {"threshold", c.ThresholdC},
+		{"tick", c.TickS}, {"sample interval", c.SampleS}, {"update interval", c.UpdateEveryS},
+		{"gap", c.GapS}, {"lambda", c.Lambda}, {"t_break", c.TBreakS}, {"curve delta", c.CurveDeltaS},
+		{"horizon", c.HorizonS}, {"stale-after", c.StaleAfterS}, {"evict-after", c.EvictAfterS},
+		{"re-anchor epsilon", c.ReanchorEpsC},
+		{"uncertainty base", c.UncertaintyBaseC}, {"uncertainty per second", c.UncertaintyPerSC},
+		{"headroom budget", c.Admission.HeadroomBudgetC}, {"source ambient", c.SourceAmbientC},
+		{"anchor util bucket", c.AnchorQuantUtil}, {"anchor mem bucket", c.AnchorQuantMem},
+		{"anchor ambient bucket", c.AnchorQuantAmbientC},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fleet: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.Racks < 1 || c.HostsPerRack < 1 {
 		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
 	}
@@ -302,7 +324,7 @@ func (c Config) Validate() error {
 	if c.MaxMigrationsPerRound < 0 {
 		return fmt.Errorf("fleet: negative migration bound %d", c.MaxMigrationsPerRound)
 	}
-	if c.Admission.HeadroomBudgetC < 0 || math.IsNaN(c.Admission.HeadroomBudgetC) {
+	if c.Admission.HeadroomBudgetC < 0 {
 		return fmt.Errorf("fleet: headroom budget %v invalid", c.Admission.HeadroomBudgetC)
 	}
 	if c.Admission.MaxQueueDepth < -1 {

@@ -100,11 +100,15 @@ type Controller struct {
 
 	ingest  *ingestPipeline
 	drained []Reading // the last drain's slice, the pipeline's next buffer; guarded by mu
-	// emit is the sink every reading goes through — ingest.push, optionally
-	// wrapped by a TeeTelemetry observer. It is an atomic pointer because
-	// Ingest (the HTTP push path) runs concurrently with rounds and with
-	// TeeTelemetry swaps.
-	emit atomic.Pointer[func(Reading) bool]
+	// tee is the TeeTelemetry observer, nil when detached. It is an atomic
+	// pointer because IngestBatch (the HTTP push path) runs concurrently
+	// with rounds and with TeeTelemetry swaps.
+	tee atomic.Pointer[func(Reading) bool]
+	// stage is the emitter advanceSource hands the source (stageReading,
+	// bound once so a round allocates nothing); staged holds what it
+	// accepted until flushStaged pushes it (guarded by mu).
+	stage  func(Reading) bool
+	staged []Reading
 
 	// snaps owns the epoch-versioned snapshot generations (publication via
 	// atomic pointer swap; retired generations recycled in place).
@@ -204,8 +208,8 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 		c.stream = newStreamState(c)
 	}
 	c.predictChunk = c.predictMissChunk
-	push := c.ingest.push
-	c.emit.Store(&push)
+	c.stage = c.stageReading
+	c.staged = make([]Reading, 0, pushChunk)
 	if !cfg.AnchorCacheDisabled {
 		cache, err := anchorcache.New(anchorcache.Config{
 			MaxEntries: cfg.AnchorCacheEntries,
@@ -276,16 +280,11 @@ func (c *Controller) IngestRejected() (byReason [telemetry.NumRejectReasons]int6
 // Recorder wants the tee attached before rounds start and detached after
 // they stop).
 func (c *Controller) TeeTelemetry(tee func(Reading) bool) {
-	var emit func(Reading) bool
 	if tee == nil {
-		emit = c.ingest.push
-	} else {
-		emit = func(r Reading) bool {
-			tee(r)
-			return c.ingest.push(r)
-		}
+		c.tee.Store(nil)
+		return
 	}
-	c.emit.Store(&emit)
+	c.tee.Store(&tee)
 }
 
 // AnchorCacheStats reports the anchor cache's cumulative counters, the last

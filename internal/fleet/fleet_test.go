@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"vmtherm/internal/telemetry"
 )
 
 // syntheticStable maps a host case to ambient plus a utilization-
@@ -41,9 +43,18 @@ func runRounds(c *Controller, n int) ([]RoundReport, error) {
 	return out, nil
 }
 
-// ingest offers one reading through the controller's emit sink, the path
-// a source's readings and an HTTP push take; false means it was dropped.
-func ingest(c *Controller, r Reading) bool { return (*c.emit.Load())(r) }
+// ingest offers one reading to the tee, if attached, and then to the
+// pipeline, one lock per reading; false means it was rejected or dropped.
+func ingest(c *Controller, r Reading) bool {
+	if tee := c.tee.Load(); tee != nil {
+		(*tee)(r)
+	}
+	if reason := telemetry.ClassifyTemp(r.TempC); reason != telemetry.RejectNone {
+		c.ingest.countRejected(reason)
+		return false
+	}
+	return c.ingest.pushBatch([]Reading{r}) == 1
+}
 
 // setTelemetryMuted silences one simulated host's sensor sweep: the host
 // keeps running and heating, so the control plane must degrade it to stale.

@@ -17,9 +17,12 @@ type Reading = telemetry.Reading
 // control loop, filled in arrival order. Producers push without blocking — a
 // reading offered to a full buffer is dropped and counted, never stalling an
 // agent — and each round's drain swaps in the slice the previous one
-// emptied. The bound keeps a misbehaving producer from growing memory
-// without limit (at most 2 × capacity readings exist: one slice filling, one
-// draining); the drop and supersede counters make that degradation visible.
+// emptied. A round's source advance stages its readings and pushes them
+// pushChunk at a time (pushBatch), one lock per chunk instead of one per
+// reading. The bound keeps a misbehaving producer from growing memory
+// without limit: at most 2 × capacity + pushChunk readings exist — the
+// buffer filling, the spare the last drain emptied, and one staged chunk;
+// the drop and supersede counters make that degradation visible.
 type ingestPipeline struct {
 	mu       sync.Mutex
 	buf      []Reading // guarded by mu; len(buf) ≤ capacity
@@ -36,31 +39,35 @@ type ingestPipeline struct {
 	rejected [telemetry.NumRejectReasons]atomic.Int64
 }
 
+// pushChunk is how many staged source readings pushBatch moves into the
+// buffer under one lock.
+const pushChunk = 512
+
 // newIngestPipeline bounds the buffer at capacity readings; it grows by append.
 func newIngestPipeline(capacity int) *ingestPipeline {
 	return &ingestPipeline{capacity: capacity}
 }
 
-// push offers a reading; it reports false when the reading was refused —
-// rejected for an implausible temperature (counted per reason) or dropped
-// because the buffer is full (counted as a drop). Validation lives here,
-// at the single choke point every producer path (simulator sweep, trace
-// replay, scrape, HTTP push) flows through.
-func (p *ingestPipeline) push(r Reading) bool {
-	if reason := telemetry.ClassifyTemp(r.TempC); reason != telemetry.RejectNone {
-		p.rejected[reason].Add(1)
-		return false
+// pushBatch offers readings already classified plausible, in order, under
+// one lock: as many as the buffer has room for are appended and counted
+// received, the rest are dropped and counted. It returns how many were
+// accepted. The HTTP push path offers one reading at a time
+// (readings[i:i+1]); a source advance offers a staged chunk.
+func (p *ingestPipeline) pushBatch(rs []Reading) (accepted int) {
+	if len(rs) == 0 {
+		return 0
 	}
 	p.mu.Lock()
-	if len(p.buf) == p.capacity {
-		p.mu.Unlock()
-		p.dropped.Add(1)
-		return false
-	}
-	p.buf = append(p.buf, r)
+	n := min(len(rs), p.capacity-len(p.buf))
+	p.buf = append(p.buf, rs[:n]...)
 	p.mu.Unlock()
-	p.received.Add(1)
-	return true
+	if n > 0 {
+		p.received.Add(int64(n))
+	}
+	if n < len(rs) {
+		p.dropped.Add(int64(len(rs) - n))
+	}
+	return n
 }
 
 // take returns the buffered readings, in arrival order, and makes spare (the
@@ -73,8 +80,7 @@ func (p *ingestPipeline) take(spare []Reading) []Reading {
 }
 
 // countRejected records a rejection decided by a caller that classified
-// the reading itself (the streaming batch path, which needs the typed
-// outcome before push would see the reading).
+// the reading before offering it (both push paths do).
 func (p *ingestPipeline) countRejected(reason telemetry.RejectReason) {
 	p.rejected[reason].Add(1)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vmtherm/internal/engine"
+	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
 
@@ -67,12 +68,15 @@ func (c *Controller) RunRound() (RoundReport, error) {
 }
 
 // advanceSource runs the source for one calibration interval, streaming
-// readings into the bounded pipeline as it goes, and records the source
-// clock. Simulator failures are bugs and abort; live sources (scrape) fail
-// transiently, so the loop records the error and lets staleness degradation
-// do its job.
+// readings into the bounded pipeline a chunk at a time as it goes, and
+// records the source clock. Simulator failures are bugs and abort; live
+// sources (scrape) fail transiently, so the loop records the error and lets
+// staleness degradation do its job. Either way the readings staged before
+// the failure reach the pipeline.
 func (c *Controller) advanceSource(rs *roundState) error {
-	if err := c.src.Advance(c.cfg.UpdateEveryS, *c.emit.Load()); err != nil {
+	err := c.src.Advance(c.cfg.UpdateEveryS, c.stage)
+	c.flushStaged()
+	if err != nil {
 		if c.sim != nil {
 			return err
 		}
@@ -81,6 +85,33 @@ func (c *Controller) advanceSource(rs *roundState) error {
 	}
 	rs.now = c.src.NowS()
 	return nil
+}
+
+// stageReading is the source's emitter: the tee, if attached, sees the
+// reading in emission order; an implausible temperature is counted as
+// rejected at once and refused; anything else is staged, and every
+// pushChunk staged readings go to the pipeline together. Whether a staged
+// reading is dropped is decided when its chunk is pushed, so true means
+// only that the reading passed the door.
+func (c *Controller) stageReading(r Reading) bool {
+	if tee := c.tee.Load(); tee != nil {
+		(*tee)(r)
+	}
+	if reason := telemetry.ClassifyTemp(r.TempC); reason != telemetry.RejectNone {
+		c.ingest.countRejected(reason)
+		return false
+	}
+	c.staged = append(c.staged, r)
+	if len(c.staged) == pushChunk {
+		c.flushStaged()
+	}
+	return true
+}
+
+// flushStaged pushes the staged readings into the pipeline.
+func (c *Controller) flushStaged() {
+	c.ingest.pushBatch(c.staged)
+	c.staged = c.staged[:0]
 }
 
 // drainIngest drains the pipeline into the host table, newest reading per

@@ -260,19 +260,22 @@ func (c *Controller) StreamHotspotsInto(dst []Hotspot) []Hotspot {
 // pipeline — streaming moves freshness, not authority. A dropped reading
 // is NOT applied: backpressure must mean the same thing on both paths.
 func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []IngestResult) (accepted int) {
-	emit := *c.emit.Load()
+	tee := c.tee.Load()
 	st := c.stream
 	var es engine.StreamStats
 	var touched bool
 	for i := range readings {
 		if reason := telemetry.ClassifyTemp(readings[i].TempC); reason != telemetry.RejectNone {
-			// Classified here (not in push) so the caller gets the typed
-			// outcome; counted directly so the reading is tallied once.
+			// Classified here so the caller gets the typed outcome;
+			// pushBatch takes only plausible readings.
 			c.ingest.countRejected(reason)
 			results[i] = IngestResult{Outcome: IngestRejected}
 			continue
 		}
-		if !emit(readings[i]) {
+		if tee != nil {
+			(*tee)(readings[i])
+		}
+		if c.ingest.pushBatch(readings[i:i+1]) == 0 {
 			results[i] = IngestResult{Outcome: IngestDropped}
 			continue
 		}

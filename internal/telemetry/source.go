@@ -57,9 +57,13 @@ type Source interface {
 	NowS() float64
 	// Advance moves the source forward by dtS seconds of source time,
 	// calling emit for every reading produced in that window. emit reports
-	// false when the reading was dropped (e.g. a full ingest buffer); the
-	// source must keep going — drop accounting is the consumer's job.
-	// Real-time sources (scrape) follow their own clock and may ignore dtS.
+	// false when the consumer refused the reading at the door (e.g. an
+	// implausible temperature); a consumer may stage what it accepts and
+	// decide drops (e.g. a full ingest buffer) when it pushes the staged
+	// readings on, so true does not promise the reading is kept. Either way
+	// the source must keep going — refusal and drop accounting are the
+	// consumer's job. Real-time sources (scrape) follow their own clock and
+	// may ignore dtS.
 	Advance(dtS float64, emit func(Reading) bool) error
 }
 
