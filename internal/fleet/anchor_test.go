@@ -273,7 +273,7 @@ func TestSimFingerprintTracksLoadDistribution(t *testing.T) {
 	}
 	// Shift load between tasks, keeping the total (and host utilization)
 	// identical: 0.5+0.5 → 0.9+0.1.
-	vm, err := ctl.sim.hosts["r0-h0"].host.VM("dist")
+	vm, err := ctl.sub.Host(0).VM("dist") // r0-h0 is slot 0
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"vmtherm/internal/anchorcache"
+	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
@@ -36,7 +36,7 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 	c.anchorRefs = c.anchorRefs[:0]
 	c.obsTasks, c.obsVMs = c.obsTasks[:0], c.obsVMs[:0]
 	clear(c.missByKey)
-	if c.sim != nil {
+	if c.sub != nil {
 		if err := c.simAnchorCases(&hits); err != nil {
 			return 0, 0, err
 		}
@@ -78,39 +78,6 @@ func (c *Controller) stageMiss(slot int, key anchorcache.Key, cse workload.Case)
 	c.caseKeys = append(c.caseKeys, key)
 }
 
-// shard runs fn over [0, n) split into contiguous chunks, one goroutine per
-// chunk, using at most workers goroutines and never fewer than minPer
-// indices each (below that the goroutine overhead outweighs the work). With
-// one worker fn(0, n) runs on the caller's goroutine. Every chunk runs to
-// its own first error and the error of the lowest-indexed failing chunk is
-// returned — first in index order, not first to finish — so the fan-out
-// adds no nondeterminism of its own.
-func shard(n, workers, minPer int, fn func(lo, hi int) error) error {
-	if maxW := (n + minPer - 1) / minPer; workers > maxW {
-		workers = maxW
-	}
-	if workers <= 1 {
-		return fn(0, n)
-	}
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, (n+chunk-1)/chunk)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i*chunk, min((i+1)*chunk, n))
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // predictMissBatch evaluates the staged miss cases into out, sharding the
 // batch across the configured worker bound when it is large enough to
 // amortize the goroutines — cold rounds (first sight of a fleet, mass
@@ -120,7 +87,7 @@ func shard(n, workers, minPer int, fn func(lo, hi int) error) error {
 func (c *Controller) predictMissBatch(cases []workload.Case, out []float64) error {
 	const minShard = 16
 	c.missCases, c.missOut = cases, out
-	return shard(len(cases), c.cfg.AnchorWorkers, minShard, c.predictChunk)
+	return shard.Run(len(cases), c.cfg.AnchorWorkers, minShard, c.predictChunk)
 }
 
 // predictMissChunk is predictMissBatch's share for cases [lo, hi).
@@ -164,20 +131,20 @@ func (c *Controller) simAnchorCases(hits *int) error {
 		q.UtilQuant /= 4
 		q.MemQuant /= 4
 	}
-	if err := c.simAnchorScan(q); err != nil {
+	inlets, keys, err := c.sub.ScanAnchors(q, c.cache != nil)
+	if err != nil {
 		return err
 	}
 	c.missIdx = c.missIdx[:0]
 	c.missAmb = c.missAmb[:0]
-	for i, sh := range c.sim.byPos {
-		inlet := c.simInlets[i]
-		if sh.host.NumVMs() == 0 {
+	for i, inlet := range inlets {
+		if c.sub.Host(i).NumVMs() == 0 {
 			c.slots[i].Anchor = inlet
 			continue
 		}
 		key, amb := anchorcache.Key(0), inlet
 		if c.cache != nil {
-			key = c.simKeys[i]
+			key = keys[i]
 			if v, ok := c.cache.Get(key); ok {
 				c.slots[i].Anchor = v
 				*hits++
@@ -195,63 +162,6 @@ func (c *Controller) simAnchorCases(hits *int) error {
 	return c.buildMissCases()
 }
 
-// simAnchorScan fills the per-host inlet and fingerprint scratch,
-// rack-sharded at scale (pure computation over rack-local state; every
-// worker writes disjoint indices).
-func (c *Controller) simAnchorScan(q anchorcache.Quantizer) error {
-	fs := c.sim
-	n := len(c.order)
-	if cap(c.simInlets) < n {
-		c.simInlets = make([]float64, n)
-		c.simKeys = make([]anchorcache.Key, n)
-	}
-	c.simInlets = c.simInlets[:n]
-	c.simKeys = c.simKeys[:n]
-	if c.cfg.PhysWorkers > 1 && n >= simParallelMinHosts {
-		return fs.shardRacks(func(lo, hi int) error { return c.scanRackAnchors(lo, hi, q) })
-	}
-	return c.scanRackAnchors(0, len(fs.racks), q)
-}
-
-// scanRackAnchors is racks [lo, hi)'s share of simAnchorScan.
-func (c *Controller) scanRackAnchors(lo, hi int, q anchorcache.Quantizer) error {
-	fs := c.sim
-	for i := fs.rackSpan[lo][0]; i < fs.rackSpan[hi-1][1]; i++ {
-		sh := fs.byPos[i]
-		inlet, err := fs.inletAt(sh)
-		if err != nil {
-			return err
-		}
-		c.simInlets[i] = inlet
-		if c.cache != nil && sh.host.NumVMs() > 0 {
-			c.simKeys[i] = simAnchorKey(sh, q, inlet)
-		}
-	}
-	return nil
-}
-
-// simAnchorKey derives a host's deployment fingerprint: the cache key that
-// changes exactly when something the feature encoder can see changes.
-func simAnchorKey(sh *simHost, q anchorcache.Quantizer, inlet float64) anchorcache.Key {
-	ambBucket, _ := q.Ambient(inlet)
-	util, mem := sh.host.Loads()
-	bu, bm := q.UtilMemBuckets(util, mem)
-	h := anchorcache.NewHash()
-	for vi := 0; vi < sh.host.NumVMs(); vi++ {
-		vm := sh.host.VMAt(vi)
-		// The fingerprint must cover everything the feature encoder can
-		// see in the deployment snapshot: identity and lifecycle state,
-		// plus the per-VM load *distribution* (raw task-fraction sum and
-		// max, quantized) — dynamic profiles can redistribute load
-		// between tasks without moving total host utilization, and
-		// features like task_cpu_max follow the distribution.
-		cpuSum, cpuMax := vm.TaskCPUStats()
-		h = h.String(vm.ID()).Uint64(uint64(vm.State())).
-			Uint64(q.UtilBucket(cpuSum)).Uint64(q.UtilBucket(cpuMax))
-	}
-	return h.Uint64(ambBucket).Uint64(bu).Uint64(bm).Key()
-}
-
 // buildMissCases constructs the staged misses' deployment cases in place
 // (caseBuf[mi] belongs to host missIdx[mi]: the sim path is caseBuf's only
 // writer this round), sharded across the physics pool at scale: each build
@@ -266,10 +176,10 @@ func (c *Controller) buildMissCases() error {
 		return nil
 	}
 	const minShard = 64
-	return shard(len(c.missIdx), c.cfg.PhysWorkers, minShard, func(lo, hi int) error {
+	return shard.Run(len(c.missIdx), c.cfg.PhysWorkers, minShard, func(lo, hi int) error {
 		for mi := lo; mi < hi; mi++ {
 			i := c.missIdx[mi]
-			cse, err := c.sim.hostCase(c.sim.byPos[i], c.missAmb[mi], nil, nil)
+			cse, err := c.sub.HostCase(i, c.missAmb[mi], nil, nil)
 			if err != nil {
 				return fmt.Errorf("fleet: anchor case for %s: %w", c.order[i], err)
 			}

@@ -63,7 +63,7 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 
 	// Lights out. StaleAfterS is 3 rounds; 6 dark rounds put every host
 	// well past it.
-	if err := c.SetTelemetryDark(true); err != nil {
+	if err := setTelemetryDark(c, true); err != nil {
 		t.Fatal(err)
 	}
 	var lastDark RoundReport
@@ -82,7 +82,7 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 
 	// Sweep resumes; every stale host must clear within a few rounds (one
 	// sweep refreshes all hosts, plus slack for the staleness horizon).
-	if err := c.SetTelemetryDark(false); err != nil {
+	if err := setTelemetryDark(c, false); err != nil {
 		t.Fatal(err)
 	}
 	cleared := 0

@@ -10,9 +10,9 @@ package fleet
 // continues bit-identically to a never-restarted twin: same RoundReports,
 // same recorded trace bytes (proved by TestCheckpointRestoreTwin).
 //
-// A simulated fleet's substrate (physics, placements, clocks) is not
-// captured, so neither are the sessions calibrated against it: over a
-// simulated fleet both halves carry the anchor cache only — what a restart
+// The simulated substrate (internal/substrate: physics, placements, clocks)
+// is not captured, so neither are the sessions calibrated against it: over
+// a substrate both halves carry the anchor cache only — what a restart
 // there can actually reuse — and everything else recalibrates.
 
 import (
@@ -26,9 +26,9 @@ import (
 )
 
 // Checkpoint captures the controller's full serving state at a round
-// boundary (the anchor cache only, over a simulated fleet). Safe to call
-// concurrently with Submit/Ingest (it takes the round lock); call it between
-// rounds, not from inside one.
+// boundary (the anchor cache only, over a substrate; see the file comment).
+// Safe to call concurrently with Submit/Ingest (it takes the round lock);
+// call it between rounds, not from inside one.
 //
 // Readings sitting in the bounded ingest pipeline but not yet drained by a
 // round are NOT captured: a checkpoint is a round-boundary cut, and an
@@ -51,7 +51,7 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 			Epoch: c.cache.Epoch(),
 		}
 	}
-	if c.sim != nil {
+	if c.sub != nil {
 		return st, nil
 	}
 
@@ -122,7 +122,7 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	if got := c.src.Name(); got != st.SourceName {
 		return fmt.Errorf("fleet: restore: checkpoint was taken under source %q, controller runs %q", st.SourceName, got)
 	}
-	if c.sim != nil {
+	if c.sub != nil {
 		return c.restoreAnchorCache(st.AnchorCache)
 	}
 	if st.Round < 0 {

@@ -6,38 +6,25 @@ import (
 	"runtime"
 
 	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/core"
 	"vmtherm/internal/engine"
-	"vmtherm/internal/thermal"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 )
 
 // Config parameterizes the control plane. Zero values take defaults via
 // (Config).withDefaults; see DefaultConfig for the reference shape.
 type Config struct {
-	// Racks × HostsPerRack is the fleet size (simulated fleets only).
-	Racks, HostsPerRack int
+	// Config is the simulated substrate: fleet shape, thermal and sensor
+	// models, CRAC, tick and sample intervals, seed (simulated fleets only;
+	// the sample interval also sizes a source-driven fleet's ingest buffer).
+	substrate.Config
 	// FanCount is the fan configuration assumed for every host (θ_fan).
 	FanCount int
 	// HostShape is the per-host capacity.
 	HostShape vmm.HostConfig
-	// Server is the thermal model template (FanCount/AmbientC are set per
-	// host from FanCount and the datacenter model).
-	Server thermal.ServerParams
-	// Sensor is the telemetry error model.
-	Sensor thermal.SensorParams
-	// CRAC is the room cooling configuration.
-	CRAC cluster.CRAC
-	// RackSpreadC is the total inlet temperature spread from the bottom to
-	// the top slot of a rack (top-of-rack slots ingest warmer air). Each
-	// slot's offset is RackSpreadC · slot/(HostsPerRack−1), so the spread is
-	// physical regardless of rack depth.
-	RackSpreadC float64
 	// ThresholdC is the hotspot threshold applied to predicted temperatures.
 	ThresholdC float64
-	// TickS is the simulation step; SampleS the telemetry sampling interval.
-	TickS, SampleS float64
 	// UpdateEveryS is Δ_update, the calibration (and round) interval.
 	UpdateEveryS float64
 	// GapS is Δ_gap, the prediction horizon the hotspot map looks ahead.
@@ -112,28 +99,20 @@ type Config struct {
 	// PhysWorkers bounds the worker pool the simulated-physics tick shards
 	// racks across (default min(GOMAXPROCS, 8); 1 forces the serial tick).
 	// Results are bit-identical for every worker count: racks advance
-	// independently and each shard's reduction order is fixed. Simulated
-	// fleets only.
+	// independently and each shard's reduction order is fixed. The same
+	// bound shards the engine round and the anchor case builds, so
+	// source-driven fleets read it too.
 	PhysWorkers int
-	// Seed drives all stochastic components.
-	Seed int64
 }
 
 // DefaultConfig is a 4-rack × 16-host fleet with the paper's dynamic
 // parameters (λ=0.8, Δ_update=15 s, Δ_gap=60 s, t_break=600 s).
 func DefaultConfig() Config {
 	return Config{
-		Racks:                 4,
-		HostsPerRack:          16,
+		Config:                substrate.DefaultConfig(),
 		FanCount:              4,
 		HostShape:             vmm.DefaultHostConfig(),
-		Server:                thermal.DefaultServerParams(),
-		Sensor:                thermal.DefaultSensorParams(),
-		CRAC:                  cluster.DefaultCRAC(),
-		RackSpreadC:           4.5,
 		ThresholdC:            65,
-		TickS:                 1,
-		SampleS:               5,
 		UpdateEveryS:          15,
 		GapS:                  60,
 		Lambda:                core.DefaultLambda,
@@ -149,105 +128,53 @@ func DefaultConfig() Config {
 		Admission:             AdmissionPolicy{MaxQueueDepth: defaultQueueDepth},
 		SourceAmbientC:        22,
 		MaxHosts:              4096,
-		Seed:                  1,
 	}
 }
 
 // withDefaults fills zero-valued fields from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.HostShape == (vmm.HostConfig{}) {
-		c.HostShape = d.HostShape
-	}
-	if c.Server == (thermal.ServerParams{}) {
-		c.Server = d.Server
-	}
-	if c.Sensor == (thermal.SensorParams{}) {
-		c.Sensor = d.Sensor
-	}
-	if c.CRAC == (cluster.CRAC{}) {
-		c.CRAC = d.CRAC
-	}
-	if c.FanCount == 0 {
-		c.FanCount = d.FanCount
-	}
-	if c.ThresholdC == 0 {
-		c.ThresholdC = d.ThresholdC
-	}
-	if c.TickS == 0 {
-		c.TickS = d.TickS
-	}
-	if c.SampleS == 0 {
-		c.SampleS = d.SampleS
-	}
-	if c.UpdateEveryS == 0 {
-		c.UpdateEveryS = d.UpdateEveryS
-	}
-	if c.GapS == 0 {
-		c.GapS = d.GapS
-	}
-	if c.Lambda == 0 {
-		c.Lambda = d.Lambda
-	}
-	if c.TBreakS == 0 {
-		c.TBreakS = d.TBreakS
-	}
-	if c.CurveDeltaS == 0 {
-		c.CurveDeltaS = d.CurveDeltaS
-	}
-	if c.HorizonS == 0 {
-		c.HorizonS = d.HorizonS
-	}
-	if c.StaleAfterS == 0 {
-		c.StaleAfterS = 3 * c.UpdateEveryS
-	}
-	if c.EvictAfterS == 0 {
-		c.EvictAfterS = 20 * c.StaleAfterS
-	}
-	if c.ReanchorEpsC == 0 {
-		c.ReanchorEpsC = d.ReanchorEpsC
-	}
-	if c.UncertaintyBaseC == 0 {
-		c.UncertaintyBaseC = d.UncertaintyBaseC
-	}
-	if c.UncertaintyPerSC == 0 {
-		c.UncertaintyPerSC = d.UncertaintyPerSC
-	}
-	if c.IngestBuffer == 0 {
-		c.IngestBuffer = 4096
-	}
-	if c.RackSpreadC == 0 {
-		c.RackSpreadC = d.RackSpreadC
-	}
-	if c.SourceAmbientC == 0 {
-		c.SourceAmbientC = d.SourceAmbientC
-	}
-	if c.MaxHosts == 0 {
-		c.MaxHosts = d.MaxHosts
-	}
-	if c.AnchorCacheEntries == 0 {
-		c.AnchorCacheEntries = 65536
-	}
 	q := anchorcache.DefaultQuantizer()
-	if c.AnchorQuantUtil == 0 {
-		c.AnchorQuantUtil = q.UtilQuant
-	}
-	if c.AnchorQuantMem == 0 {
-		c.AnchorQuantMem = q.MemQuant
-	}
-	if c.AnchorQuantAmbientC == 0 {
-		c.AnchorQuantAmbientC = q.AmbientQuantC
-	}
-	if c.AnchorWorkers == 0 {
-		c.AnchorWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.PhysWorkers == 0 {
-		c.PhysWorkers = min(runtime.GOMAXPROCS(0), 8)
-	}
-	if c.Admission.MaxQueueDepth == 0 {
-		c.Admission.MaxQueueDepth = defaultQueueDepth
-	}
+	workers := min(runtime.GOMAXPROCS(0), 8)
+	orDefault(&c.Server, d.Server)
+	orDefault(&c.Sensor, d.Sensor)
+	orDefault(&c.CRAC, d.CRAC)
+	orDefault(&c.RackSpreadC, d.RackSpreadC)
+	orDefault(&c.TickS, d.TickS)
+	orDefault(&c.SampleS, d.SampleS)
+	orDefault(&c.HostShape, d.HostShape)
+	orDefault(&c.FanCount, d.FanCount)
+	orDefault(&c.ThresholdC, d.ThresholdC)
+	orDefault(&c.UpdateEveryS, d.UpdateEveryS)
+	orDefault(&c.GapS, d.GapS)
+	orDefault(&c.Lambda, d.Lambda)
+	orDefault(&c.TBreakS, d.TBreakS)
+	orDefault(&c.CurveDeltaS, d.CurveDeltaS)
+	orDefault(&c.HorizonS, d.HorizonS)
+	orDefault(&c.StaleAfterS, 3*c.UpdateEveryS)
+	orDefault(&c.EvictAfterS, 20*c.StaleAfterS)
+	orDefault(&c.ReanchorEpsC, d.ReanchorEpsC)
+	orDefault(&c.UncertaintyBaseC, d.UncertaintyBaseC)
+	orDefault(&c.UncertaintyPerSC, d.UncertaintyPerSC)
+	orDefault(&c.IngestBuffer, 4096)
+	orDefault(&c.SourceAmbientC, d.SourceAmbientC)
+	orDefault(&c.MaxHosts, d.MaxHosts)
+	orDefault(&c.AnchorCacheEntries, 65536)
+	orDefault(&c.AnchorQuantUtil, q.UtilQuant)
+	orDefault(&c.AnchorQuantMem, q.MemQuant)
+	orDefault(&c.AnchorQuantAmbientC, q.AmbientQuantC)
+	orDefault(&c.AnchorWorkers, workers)
+	orDefault(&c.PhysWorkers, workers)
+	orDefault(&c.Admission.MaxQueueDepth, defaultQueueDepth)
 	return c
+}
+
+// orDefault sets *v to def when *v is its type's zero value.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
+	}
 }
 
 // resolve fills defaults, auto-sizes an unset IngestBuffer and validates,
@@ -288,8 +215,7 @@ func (c Config) Validate() error {
 		name string
 		v    float64
 	}{
-		{"rack spread", c.RackSpreadC}, {"threshold", c.ThresholdC},
-		{"tick", c.TickS}, {"sample interval", c.SampleS}, {"update interval", c.UpdateEveryS},
+		{"threshold", c.ThresholdC}, {"update interval", c.UpdateEveryS},
 		{"gap", c.GapS}, {"lambda", c.Lambda}, {"t_break", c.TBreakS}, {"curve delta", c.CurveDeltaS},
 		{"horizon", c.HorizonS}, {"stale-after", c.StaleAfterS}, {"evict-after", c.EvictAfterS},
 		{"re-anchor epsilon", c.ReanchorEpsC},
@@ -302,18 +228,14 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fleet: %s must be finite, got %v", f.name, f.v)
 		}
 	}
-	if c.Racks < 1 || c.HostsPerRack < 1 {
-		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
+	if err := c.Config.Validate(); err != nil {
+		return err
 	}
 	if err := c.HostShape.Validate(); err != nil {
 		return err
 	}
-	if err := c.CRAC.Validate(); err != nil {
-		return err
-	}
-	if c.TickS <= 0 || c.SampleS <= 0 || c.UpdateEveryS <= 0 || c.GapS <= 0 {
-		return fmt.Errorf("fleet: intervals must be > 0 (tick %v, sample %v, update %v, gap %v)",
-			c.TickS, c.SampleS, c.UpdateEveryS, c.GapS)
+	if c.UpdateEveryS <= 0 || c.GapS <= 0 {
+		return fmt.Errorf("fleet: update interval %v and gap %v must be > 0", c.UpdateEveryS, c.GapS)
 	}
 	if c.StaleAfterS <= 0 {
 		return fmt.Errorf("fleet: stale-after must be > 0, got %v", c.StaleAfterS)

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestConfigRejectsNonFiniteFloats sets every float field of Config — and
-// the admission policy's headroom budget — to NaN, +Inf and −Inf in turn:
+// TestConfigRejectsNonFiniteFloats sets every float field of Config —
+// those of the embedded substrate.Config included — and the admission
+// policy's headroom budget to NaN, +Inf and −Inf in turn:
 // Validate must refuse each one. NaN fails every comparison, so range
 // checks alone let it through (a NaN update interval never ends a simulator
 // advance; a NaN anchor bucket puts every load into one bucket).
@@ -19,17 +20,24 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 	fields := map[string]func(*Config) *float64{
 		"Admission.HeadroomBudgetC": func(c *Config) *float64 { return &c.Admission.HeadroomBudgetC },
 	}
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		if typ.Field(i).Type.Kind() == reflect.Float64 {
-			i := i
-			fields[typ.Field(i).Name] = func(c *Config) *float64 {
-				return reflect.ValueOf(c).Elem().Field(i).Addr().Interface().(*float64)
+	// VisibleFields walks into embedded structs, so the substrate's floats
+	// (rack spread, tick, sample interval) are covered under their promoted
+	// names.
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(base)) {
+		if f.Type.Kind() == reflect.Float64 {
+			index := f.Index
+			fields[f.Name] = func(c *Config) *float64 {
+				return reflect.ValueOf(c).Elem().FieldByIndex(index).Addr().Interface().(*float64)
 			}
 		}
 	}
 	if len(fields) < 20 {
 		t.Fatalf("found %d float fields", len(fields))
+	}
+	for _, name := range []string{"RackSpreadC", "TickS", "SampleS"} {
+		if fields[name] == nil {
+			t.Fatalf("the walk missed the substrate's %s", name)
+		}
 	}
 	for name, field := range fields {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"strconv"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"vmtherm/internal/anchorcache"
 	"vmtherm/internal/engine"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
@@ -20,13 +22,14 @@ type Controller struct {
 	cfg     Config
 	predict BatchCasePredictor
 
-	mu  sync.Mutex // guards sim, src, eng rounds, the host table, proposals
-	sim *fleetSim  // nil for source-driven controllers
+	mu  sync.Mutex       // guards sub, src, eng rounds, the host table, proposals
+	sub *substrate.Fleet // the simulated fleet; nil for source-driven controllers
 	src telemetry.Source
 	eng *engine.Engine
 	// The host table (hosttable.go). order is the deterministic host
-	// iteration order (rack/slot for simulated fleets, sorted discovery
-	// order for source-driven ones) and pos its inverse, id → slot index.
+	// iteration order (the substrate's slot order for simulated fleets,
+	// sorted discovery order for source-driven ones) and pos its inverse,
+	// id → slot index.
 	// slots and seen are parallel to order: slots[i] is what the engine
 	// round consumes for host i — its newest reading (Present when it has
 	// one), this round's ψ_stable anchor (NaN for none) and the cached
@@ -70,16 +73,12 @@ type Controller struct {
 	missCases    []workload.Case
 	missOut      []float64
 	predictChunk func(lo, hi int) error
-	// Simulated-fleet anchor scratch (indexed like sim.byPos/order): the
-	// rack-sharded scan fills inlets and deployment-fingerprint keys, the
-	// serial cache pass stages misses (host index and case ambient), and
-	// the sharded case build fills their staged cases — so the per-round
-	// anchor work that walks VM and task state scales with cores instead of
-	// serializing.
-	simInlets []float64
-	simKeys   []anchorcache.Key
-	missIdx   []int
-	missAmb   []float64
+	// Simulated-fleet anchor scratch: the serial cache pass stages misses
+	// (slot and case ambient) and the sharded case build fills their staged
+	// cases, so the per-round anchor work that walks VM and task state
+	// scales with cores instead of serializing.
+	missIdx []int
+	missAmb []float64
 
 	// plan is the per-round placement working set (see placePlan); the
 	// wave* slices and pend index scratch are PlaceBatch's reusable
@@ -149,16 +148,16 @@ func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs, err := newFleetSim(cfg)
+	sub, err := substrate.New(cfg.Config, cfg.HostShape, cfg.FanCount, cfg.PhysWorkers)
 	if err != nil {
 		return nil, err
 	}
-	c, err := newController(cfg, &simSource{fs: fs}, predict, hosts)
+	c, err := newController(cfg, sub, predict, hosts)
 	if err != nil {
 		return nil, err
 	}
-	c.sim = fs
-	c.resetTable(fs.order)
+	c.sub = sub
+	c.resetTable(sub.IDs())
 	return c, nil
 }
 
@@ -179,7 +178,7 @@ func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor)
 	return newController(cfg, src, predict, hosts)
 }
 
-// newController wires the shared state; callers attach sim/order as needed.
+// newController wires the shared state; callers attach sub/order as needed.
 // hostHint is the expected steady-state host population (the fleet shape,
 // or the MaxHosts bound for discovered populations): the host table's index
 // is pre-sized from it so a cold start does not rehash its way up to the
@@ -324,10 +323,39 @@ func (c *Controller) InvalidateAnchorCache() {
 // PlaceAt force-places a VM on a named host, bypassing the thermal policy —
 // the deterministic seeding path for tests and demos. Simulated fleets only.
 func (c *Controller) PlaceAt(hostID string, spec workload.VMSpec) error {
+	return c.WithSubstrate(func(sub *substrate.Fleet) error {
+		i, ok := sub.Slot(hostID)
+		if !ok {
+			return fmt.Errorf("fleet: unknown host %q", hostID)
+		}
+		return sub.Place(i, spec)
+	})
+}
+
+// RemoveVM evicts a VM from the simulated fleet — the inverse of PlaceAt,
+// used by scenarios to end a scripted load surge. The host's session is
+// deleted so the next round re-anchors it against the shrunken
+// deployment. Simulated fleets only.
+func (c *Controller) RemoveVM(vmID string) error {
+	return c.WithSubstrate(func(sub *substrate.Fleet) error {
+		i, err := sub.Remove(vmID)
+		if err == nil {
+			c.eng.Delete(c.order[i])
+		}
+		return err
+	})
+}
+
+// WithSubstrate lends the simulated fleet to fn under the round lock — the
+// one door to its fault hooks and oracles (internal/scenario scripts
+// emergencies through it) — and returns fn's error, or ErrNoSubstrate on a
+// source-driven controller. fn must not keep the fleet past its return or
+// call back into the controller.
+func (c *Controller) WithSubstrate(fn func(*substrate.Fleet) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sim == nil {
+	if c.sub == nil {
 		return ErrNoSubstrate
 	}
-	return c.sim.place(hostID, spec)
+	return fn(c.sub)
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"testing"
 
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 )
 
@@ -12,6 +13,20 @@ func latestOf(c *Controller, host string) (r Reading, ok bool) {
 		r, ok = s.Latest[host]
 	})
 	return r, ok
+}
+
+// setSensorFault injects (or clears) one host's sensor fault.
+func setSensorFault(c *Controller, host string, f substrate.SensorFault) error {
+	return c.WithSubstrate(func(sub *substrate.Fleet) error { return sub.SetSensorFault(host, f) })
+}
+
+// cracStatus reads the cooling plant's state.
+func cracStatus(t *testing.T, c *Controller) (st substrate.CRACStatus) {
+	t.Helper()
+	if err := c.WithSubstrate(func(sub *substrate.Fleet) error { st = sub.CRACStatus(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestSensorFaultModesCorruptOnlyEmission drives all four sensor fault
@@ -40,18 +55,18 @@ func TestSensorFaultModesCorruptOnlyEmission(t *testing.T) {
 	preDrop, _ := latestOf(faulted, "r0-h2")
 	preNaN, _ := latestOf(faulted, "r0-h3")
 
-	faults := map[string]SensorFault{
-		"r0-h1": {Mode: SensorStuck, ValueC: 45},
-		"r0-h2": {Mode: SensorDropped},
-		"r0-h3": {Mode: SensorNaN},
-		"r0-h4": {Mode: SensorBiased, ValueC: 30},
+	faults := map[string]substrate.SensorFault{
+		"r0-h1": {Mode: substrate.SensorStuck, ValueC: 45},
+		"r0-h2": {Mode: substrate.SensorDropped},
+		"r0-h3": {Mode: substrate.SensorNaN},
+		"r0-h4": {Mode: substrate.SensorBiased, ValueC: 30},
 	}
 	for host, f := range faults {
-		if err := faulted.SetSensorFault(host, f); err != nil {
+		if err := setSensorFault(faulted, host, f); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := faulted.SetSensorFault("no-such-host", SensorFault{}); err == nil {
+	if err := setSensorFault(faulted, "no-such-host", substrate.SensorFault{}); err == nil {
 		t.Error("faulting an unknown host must error")
 	}
 	for _, c := range []*Controller{healthy, faulted} {
@@ -84,7 +99,7 @@ func TestSensorFaultModesCorruptOnlyEmission(t *testing.T) {
 
 	// Clear everything; both fleets must converge to identical telemetry.
 	for host := range faults {
-		if err := faulted.SetSensorFault(host, SensorFault{}); err != nil {
+		if err := setSensorFault(faulted, host, substrate.SensorFault{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,10 +130,7 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.CRACStatus()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := cracStatus(t, c)
 	if st.Active {
 		t.Fatal("CRAC coupling active before any fault touched it")
 	}
@@ -126,17 +138,17 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ = c.CRACStatus(); st.Active {
+	if st = cracStatus(t, c); st.Active {
 		t.Fatal("plain rounds activated the CRAC coupling")
 	}
 
-	if err := c.SetCRACSetpointDelta(10); err != nil {
+	if err := c.WithSubstrate(func(sub *substrate.Fleet) error { return sub.SetCRACSetpointDelta(10) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runRounds(c, 20); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = c.CRACStatus()
+	st = cracStatus(t, c)
 	if !st.Active {
 		t.Fatal("setpoint excursion did not activate the coupling loop")
 	}
@@ -144,13 +156,13 @@ func TestCRACCouplingLazyActivation(t *testing.T) {
 		t.Fatalf("supply %.2f did not chase the excursed setpoint %.2f", st.SupplyC, setpoint+10)
 	}
 
-	if err := c.SetCRACSetpointDelta(0); err != nil {
+	if err := c.WithSubstrate(func(sub *substrate.Fleet) error { return sub.SetCRACSetpointDelta(0) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runRounds(c, 40); err != nil {
 		t.Fatal(err)
 	}
-	st, _ = c.CRACStatus()
+	st = cracStatus(t, c)
 	if st.SupplyC > setpoint+1.5 {
 		t.Fatalf("supply %.2f did not relax back toward setpoint %.2f", st.SupplyC, setpoint)
 	}
@@ -169,14 +181,14 @@ func TestCRACFailureRunaway(t *testing.T) {
 	if _, err := runRounds(c, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetCRACCoolingCapacity(0); err != nil {
+	if err := c.WithSubstrate(func(sub *substrate.Fleet) error { return sub.SetCRACCoolingCapacity(0) }); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := c.CRACStatus()
+	before := cracStatus(t, c)
 	if _, err := runRounds(c, 10); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := c.CRACStatus()
+	after := cracStatus(t, c)
 	if !after.Active || after.CapacityFrac != 0 {
 		t.Fatalf("CRAC status %+v, want active with zero capacity", after)
 	}

@@ -9,9 +9,13 @@
 // acting on where temperature is *going* rather than where it is.
 //
 // Telemetry is pluggable (telemetry.Source): the same closed loop runs
-// against the built-in fleet simulator, a deterministic trace replay of
-// recorded experiments, or a live Prometheus-exposition scraper — swap the
-// source, keep the engine.
+// against the simulated datacenter (internal/substrate), a deterministic
+// trace replay of recorded experiments, or a live Prometheus-exposition
+// scraper — swap the source, keep the engine. Only the simulated fleet is
+// also a substrate to act on: the controller holds it as one
+// *substrate.Fleet (nil for the other sources), addresses its hosts by
+// slot — the host table's order — and lends it to fault scripts under the
+// round lock (Controller.WithSubstrate).
 //
 // The controller degrades gracefully: hosts whose telemetry has gone stale
 // have their prediction uncertainty widened and are excluded from the
@@ -24,13 +28,13 @@
 // state lives in the host table (hosttable.go): a host id is resolved to a
 // slot index once, in the drain, and every later stage indexes slots.
 //
-//	advanceSource    Δ_update → source clock, source error (fatal for sim)
+//	advanceSource    Δ_update → source clock, source error (fatal for the substrate)
 //	drainIngest      pipeline → host table (newest reading per slot, membership), drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
 //	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
 //	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, maps), round++
 //	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
-//	migrate          generation → applied moves, fresh proposals (simulated fleets)
+//	migrate          generation → applied moves, fresh proposals (substrate fleets)
 //	publish          generation → published snapshot (immutable from here on)
 //	drainPlacements  pending queue, published map → placed/queued/rejected tally
 //	report           roundState → RoundReport

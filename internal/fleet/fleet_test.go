@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 )
 
@@ -56,16 +57,33 @@ func ingest(c *Controller, r Reading) bool {
 	return c.ingest.pushBatch([]Reading{r}) == 1
 }
 
-// setTelemetryMuted silences one simulated host's sensor sweep: the host
-// keeps running and heating, so the control plane must degrade it to stale.
+// setTelemetryMuted silences one simulated host's telemetry with a dropped
+// sensor: the host keeps running and heating, so the control plane must
+// degrade it to stale.
 func setTelemetryMuted(c *Controller, hostID string, muted bool) error {
-	return c.withSimHost(hostID, func(sh *simHost) { sh.muted = muted })
+	var f substrate.SensorFault
+	if muted {
+		f.Mode = substrate.SensorDropped
+	}
+	return setSensorFault(c, hostID, f)
+}
+
+// setTelemetryDark starts or ends a fleet-wide telemetry blackout.
+func setTelemetryDark(c *Controller, dark bool) error {
+	return c.WithSubstrate(func(sub *substrate.Fleet) error { sub.SetTelemetryDark(dark); return nil })
 }
 
 // measuredDieTemp reads one simulated host's true (noise-free) die
 // temperature, the oracle the control loop never sees.
 func measuredDieTemp(c *Controller, hostID string) (tempC float64, err error) {
-	err = c.withSimHost(hostID, func(sh *simHost) { tempC = sh.server.DieTemp() })
+	err = c.WithSubstrate(func(sub *substrate.Fleet) error {
+		i, ok := sub.Slot(hostID)
+		if !ok {
+			return fmt.Errorf("no host %q", hostID)
+		}
+		tempC, _ = sub.Temps(i)
+		return nil
+	})
 	return tempC, err
 }
 

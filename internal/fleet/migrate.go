@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+
+	"vmtherm/internal/vmm"
 )
 
 // reconcile applies pending migration proposals that are still valid — the
@@ -14,7 +16,7 @@ func (c *Controller) reconcile(predicted map[string]float64) (applied int) {
 		if predicted[p.FromHostID] <= c.cfg.ThresholdC {
 			continue // cooled off on its own; desired state already met
 		}
-		if err := c.sim.migrate(p.VMID, p.FromHostID, p.ToHostID); err != nil {
+		if err := c.sub.Migrate(p.VMID, int(c.pos[p.FromHostID]), int(c.pos[p.ToHostID])); err != nil {
 			continue // VM gone or target filled up: drop the proposal
 		}
 		// Force a re-anchor next round: both hosts' deployments changed.
@@ -28,7 +30,7 @@ func (c *Controller) reconcile(predicted map[string]float64) (applied int) {
 // proposeTarget is one host a hotspot's VM may move to this round.
 type proposeTarget struct {
 	tempC float64
-	sh    *simHost
+	host  *vmm.Host
 	id    string
 }
 
@@ -56,7 +58,7 @@ func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []Migration
 	targets := c.propTgts[:0]
 	for i := range preds {
 		if p := &preds[i]; !p.Stale && p.TempC <= c.cfg.ThresholdC {
-			targets = append(targets, proposeTarget{tempC: p.TempC, sh: c.sim.hosts[p.HostID], id: p.HostID})
+			targets = append(targets, proposeTarget{tempC: p.TempC, host: c.sub.Host(int(c.pos[p.HostID])), id: p.HostID})
 		}
 	}
 	c.propTgts = targets
@@ -65,7 +67,7 @@ func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []Migration
 		if len(out) >= maxProposals {
 			break
 		}
-		vm, err := c.sim.largestVM(h.HostID)
+		vm, err := c.sub.LargestVM(int(c.pos[h.HostID]))
 		if err != nil {
 			continue // nothing running to move (e.g. hot purely from environment)
 		}
@@ -73,7 +75,7 @@ func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []Migration
 		var target *proposeTarget
 		best := math.Inf(1)
 		for i := range targets {
-			if tg := &targets[i]; tg.tempC < best && canAdmitVM(tg.sh.host, shape) {
+			if tg := &targets[i]; tg.tempC < best && canAdmitVM(tg.host, shape) {
 				best, target = tg.tempC, tg
 			}
 		}

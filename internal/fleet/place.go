@@ -10,14 +10,13 @@
 //
 // A wave costs what changed, not what exists:
 //
-//   - a host's deployment reaches a Case through simHost.deployment, a view
-//     memoised per host and invalidated where — and only where — a
-//     deployment or a task's CPU fraction changes: fleetSim.place, migrate,
-//     remove, and tickRack's sweep over the driven tasks (SetTaskCPU by
-//     task index). fleetSim.hostCase copies
-//     "view + candidate" into the wave's arena (Controller.waveSpecs, reset
-//     at the top of each wave, once the previous wave's cases are
-//     consumed); the anchor pass borrows the view through the same builder;
+//   - a host's deployment reaches a Case through the substrate's per-host
+//     view, memoised and invalidated where — and only where — a deployment
+//     or a task's CPU fraction changes (substrate.Fleet.HostCase says
+//     where). HostCase copies "view + candidate" into the wave's arena
+//     (Controller.waveSpecs, reset at the top of each wave, once the
+//     previous wave's cases are consumed); the anchor pass borrows the view
+//     through the same builder;
 //   - the candidate VM's profiles are integrated once per predictor call,
 //     not once per candidate host (dataset.ProfileMemo in
 //     StableBatchPredictor: a window's cases share the candidate's Tasks);
@@ -196,10 +195,11 @@ const (
 	minPlacementWindow     = 2
 )
 
-// planEntry is one host of the round's placement plan.
+// planEntry is one host of the round's placement plan; its index in
+// placePlan.entries is the host's slot.
 type planEntry struct {
-	id string
-	sh *simHost
+	id   string
+	host *vmm.Host
 	// effTemp orders candidates coolest-first: the published Δ_gap-ahead
 	// prediction, replaced by the predicted post-placement ψ_stable once a
 	// placement lands on the host this round (+Inf = unpredicted).
@@ -248,7 +248,7 @@ type placePlan struct {
 
 // placePlanLocked returns the current round's plan, rebuilding it when the
 // round advanced or the population changed. Callers hold c.mu and have
-// checked c.sim != nil.
+// checked c.sub != nil.
 func (c *Controller) placePlanLocked() *placePlan {
 	p := &c.plan
 	if p.round == c.round && p.pop == len(c.order) {
@@ -271,14 +271,14 @@ func (c *Controller) placePlanLocked() *placePlan {
 		}
 	}
 	p.entries = p.entries[:0]
-	for _, id := range c.order {
+	for i, id := range c.order {
 		t, ok := predicted[id]
 		if !ok {
 			t = math.Inf(1)
 		}
 		p.entries = append(p.entries, planEntry{
 			id:      id,
-			sh:      c.sim.hosts[id],
+			host:    c.sub.Host(i),
 			effTemp: t,
 			hot:     hot[id],
 		})
@@ -358,7 +358,7 @@ type waveVM struct {
 
 func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecision, error) {
 	decs := make([]PlacementDecision, len(specs))
-	if c.sim == nil {
+	if c.sub == nil {
 		for i := range specs {
 			decs[i] = PlacementDecision{
 				VMID:   specs[i].ID,
@@ -413,10 +413,10 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				}
 				continue
 			}
-			if cur, dup := c.sim.vmHost[spec.ID]; dup {
+			if cur, dup := c.sub.Owner(spec.ID); dup {
 				decs[si] = PlacementDecision{
 					VMID: spec.ID, Status: Rejected, Code: RejectDuplicateID,
-					Reason: fmt.Sprintf("fleet: vm %q already placed on %q", spec.ID, cur),
+					Reason: fmt.Sprintf("fleet: vm %q already placed on %q", spec.ID, c.order[cur]),
 				}
 				continue
 			}
@@ -434,10 +434,10 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				if e.claimed == plan.wave {
 					// Only "some claimed host would have admitted" matters;
 					// once known, later claimed hosts skip the capacity walk.
-					sawClaimed = sawClaimed || canAdmitVM(e.sh.host, spec.Config)
+					sawClaimed = sawClaimed || canAdmitVM(e.host, spec.Config)
 					continue
 				}
-				if !canAdmitVM(e.sh.host, spec.Config) {
+				if !canAdmitVM(e.host, spec.Config) {
 					continue
 				}
 				e.claimed = plan.wave
@@ -445,11 +445,11 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				// placements do shift rack recirculation slightly until the
 				// next tick; that drift is below sensor noise and
 				// deliberately ignored.
-				inlet, err := c.sim.inletAt(e.sh)
+				inlet, err := c.sub.Inlet(int(ei))
 				if err != nil {
 					return nil, err
 				}
-				cse, err := c.sim.hostCase(e.sh, inlet, spec, &c.waveSpecs)
+				cse, err := c.sub.HostCase(int(ei), inlet, spec, &c.waveSpecs)
 				if err != nil {
 					return nil, err
 				}
@@ -525,9 +525,9 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				continue
 			}
 			e := &plan.entries[c.waveEntry[best]]
-			if err := c.sim.place(e.id, *spec); err != nil {
+			if err := c.sub.Place(int(c.waveEntry[best]), *spec); err != nil {
 				code := RejectInfeasible
-				if _, dup := c.sim.vmHost[spec.ID]; dup {
+				if _, dup := c.sub.Owner(spec.ID); dup {
 					code = RejectDuplicateID // in-batch duplicate landed first
 				}
 				decs[wv.spec] = PlacementDecision{
@@ -583,7 +583,7 @@ func canAdmitVM(h *vmm.Host, cfg vmm.VMConfig) bool {
 // ErrNoCapacity is the RejectNoCapacity reason when no host can admit a VM.
 var ErrNoCapacity = errors.New("fleet: no host with capacity")
 
-// ErrNoSubstrate is returned for placement/migration operations on a
-// source-driven controller: real telemetry can be observed and predicted,
-// but there is no simulated fleet to mutate.
+// ErrNoSubstrate is returned for placement, migration and fault
+// operations on a source-driven controller: real telemetry can be observed
+// and predicted, but there is no simulated fleet to mutate.
 var ErrNoSubstrate = errors.New("fleet: source-driven controller has no placement substrate")

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"vmtherm/internal/mathx"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
@@ -49,9 +50,11 @@ func streamSpec(rng *mathx.RNG, id string) workload.VMSpec {
 
 // liveVMIDs lists the fleet's placed VMs, sorted.
 func liveVMIDs(c *Controller) []string {
-	live := make([]string, 0, len(c.sim.vmHost))
-	for id := range c.sim.vmHost {
-		live = append(live, id)
+	var live []string
+	for i := range c.sub.IDs() {
+		for _, vm := range c.sub.Host(i).VMs() {
+			live = append(live, vm.ID())
+		}
 	}
 	slices.Sort(live)
 	return live
@@ -90,7 +93,8 @@ func runPlaceStream(t *testing.T, v streamVariant, check func(c *Controller, aft
 		// the round (drain and migrations included) stands in for them.
 		where := fnv.New64a()
 		for _, id := range liveVMIDs(c) {
-			fmt.Fprintf(where, "%s@%s,", id, c.sim.vmHost[id])
+			i, _ := c.sub.Owner(id)
+			fmt.Fprintf(where, "%s@%s,", id, c.order[i])
 		}
 		fmt.Fprintf(&out, "%s round %d placed %d queued %d rejected %d hotspots %d moves %d vms %016x\n",
 			v.name, rep.Round, rep.Placements, rep.Queued, rep.Rejections, rep.Hotspots, rep.AppliedMoves, where.Sum64())
@@ -128,7 +132,7 @@ func runPlaceStream(t *testing.T, v streamVariant, check func(c *Controller, aft
 			// A queued duplicate may have been retired already; any other
 			// failure would be a fleet-side bug worth a line in the stream.
 			id := live[rng.Intn(len(live))]
-			if err := c.RemoveVM(id); err != nil && err != errNoSuchVM {
+			if err := c.RemoveVM(id); err != nil && err != substrate.ErrNoSuchVM {
 				t.Fatal(err)
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // mapPropose is propose as it was when every candidate cost three string-map
-// lookups: a per-round hot set, sim.hosts and the snapshot's Predicted map,
+// lookups: a per-round hot set, the host map and the snapshot's Predicted map,
 // with the capacity check before the temperature compare. It is the oracle
 // the target-list scan must reproduce exactly.
 func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64) []MigrationProposal {
@@ -28,18 +28,17 @@ func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64)
 		if len(out) >= maxProposals {
 			break
 		}
-		vm, err := c.sim.largestVM(h.HostID)
+		vm, err := c.sub.LargestVM(int(c.pos[h.HostID]))
 		if err != nil {
 			continue // nothing running to move (e.g. hot purely from environment)
 		}
 		target := ""
 		best := math.Inf(1)
-		for _, id := range c.order {
+		for i, id := range c.order {
 			if id == h.HostID || hot[id] {
 				continue
 			}
-			sh := c.sim.hosts[id]
-			if !canAdmitVM(sh.host, vm.Config()) {
+			if !canAdmitVM(c.sub.Host(i), vm.Config()) {
 				continue
 			}
 			t, ok := predicted[id]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vmtherm/internal/engine"
+	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
@@ -77,7 +78,7 @@ func (c *Controller) advanceSource(rs *roundState) error {
 	err := c.src.Advance(c.cfg.UpdateEveryS, c.stage)
 	c.flushStaged()
 	if err != nil {
-		if c.sim != nil {
+		if c.sub != nil {
 			return err
 		}
 		rs.sourceErr = err.Error()
@@ -127,9 +128,9 @@ func (c *Controller) drainIngest(rs *roundState) {
 		c.noteError(fmt.Sprintf("round %d: ingest: rejected %d implausible readings", c.round+1, rej-c.lastRejected))
 		c.lastRejected = rej
 	}
-	if c.sim == nil {
+	if c.sub == nil {
 		rs.discarded = c.refreshDiscoveredHosts()
-	} else if own := len(c.sim.order); len(c.order) > own {
+	} else if own := len(c.sub.IDs()); len(c.order) > own {
 		c.dropForeignHosts(own)
 	}
 }
@@ -188,7 +189,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	// buffer / the host table; at fleet scale Predicted is rewritten on its
 	// own goroutine while this one does Latest.
 	preds := rs.preds
-	if c.cfg.PhysWorkers > 1 && len(c.order) >= simParallelMinHosts {
+	if c.cfg.PhysWorkers > 1 && len(c.order) >= shard.MinHosts {
 		var wg sync.WaitGroup
 		defer wg.Wait()
 		wg.Add(1)
@@ -217,7 +218,7 @@ func (c *Controller) reconcileStream(rs *roundState) {
 // then derives fresh proposals from this round's map. Source-driven fleets
 // have no substrate to act on; both passes no-op.
 func (c *Controller) migrate(rs *roundState) {
-	if c.sim != nil {
+	if c.sub != nil {
 		snap := &rs.gen.snap
 		rs.applied = c.reconcile(snap.Predicted)
 		c.pendingP = c.propose(snap.Hotspots, rs.preds)
@@ -268,7 +269,7 @@ func (c *Controller) repark(queue []workload.VMSpec) {
 	keep := queue[:0]
 	for i := range queue {
 		id := queue[i].ID
-		if _, placed := c.sim.vmHost[id]; !placed && !requeued[id] {
+		if _, placed := c.sub.Owner(id); !placed && !requeued[id] {
 			requeued[id] = true
 			keep = append(keep, queue[i])
 		}

@@ -144,8 +144,8 @@ func TestFailedDrainReparksQueue(t *testing.T) {
 			if _, err := c.RunRound(); !errors.Is(err, errInjected) {
 				t.Fatalf("RunRound error = %v, want the injected failure", err)
 			}
-			if len(c.sim.vmHost) != tc.landed {
-				t.Fatalf("failed drain left %v placed, want %d VMs", c.sim.vmHost, tc.landed)
+			if live := liveVMIDs(c); len(live) != tc.landed {
+				t.Fatalf("failed drain left %v placed, want %d VMs", live, tc.landed)
 			}
 			rep, err := c.RunRound()
 			if err != nil {
@@ -160,8 +160,8 @@ func TestFailedDrainReparksQueue(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(c.sim.vmHost) != queued {
-				t.Fatalf("placed %v, want each of the %d queued VMs exactly once", c.sim.vmHost, queued)
+			if live := liveVMIDs(c); len(live) != queued {
+				t.Fatalf("placed %v, want each of the %d queued VMs exactly once", live, queued)
 			}
 			if rep, err = c.RunRound(); err != nil || rep.Placements+rep.Queued+rep.Rejections != 0 {
 				t.Fatalf("a re-parked request was queued twice: next round %+v, err %v", rep, err)

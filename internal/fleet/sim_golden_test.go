@@ -18,9 +18,10 @@ import (
 // in host order: what the physics computed before the sensor quantized it.
 func thermalBits(c *Controller) []byte {
 	var b []byte
-	for _, sh := range c.sim.byPos {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sh.server.DieTemp()))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(sh.server.CaseTemp()))
+	for i := range c.sub.IDs() {
+		die, cse := c.sub.Temps(i)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(die))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cse))
 	}
 	return b
 }

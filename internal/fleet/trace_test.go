@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vmtherm/internal/dataset"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 )
 
@@ -43,19 +44,19 @@ func recordTrace(t *testing.T, rounds int) []telemetry.Reading {
 	cfg.Racks = 2
 	cfg.HostsPerRack = 4
 	cfg = cfg.withDefaults()
-	fs, err := newFleetSim(cfg)
+	sub, err := substrate.New(cfg.Config, cfg.HostShape, cfg.FanCount, cfg.PhysWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 6; v++ {
 		spec := HeavyVMSpec("hot-"+string(rune('0'+v)), 4, 8)
-		if err := fs.place("r0-h0", spec); err != nil {
+		if err := sub.Place(0, spec); err != nil { // r0-h0
 			t.Fatal(err)
 		}
 	}
 	var rec telemetry.Recorder
 	for r := 0; r < rounds; r++ {
-		if err := fs.advance(cfg.UpdateEveryS, rec.Emit); err != nil {
+		if err := sub.Advance(cfg.UpdateEveryS, rec.Emit); err != nil {
 			t.Fatal(err)
 		}
 	}

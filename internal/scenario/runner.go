@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"vmtherm/internal/fleet"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 )
 
@@ -18,10 +19,7 @@ type Runner struct {
 	ctrl   *fleet.Controller
 	events []Event // sorted by round
 	next   int     // first unapplied event
-
-	// scratch reused across rounds so grading stays off the round's
-	// allocation budget.
-	die     map[string]float64
+	// baseRej is the ingest rejection total before round 1.
 	baseRej int64
 
 	mu sync.Mutex
@@ -41,37 +39,36 @@ type Runner struct {
 	rejected           int64
 	flagged            map[string]bool
 	crossed            map[string]bool
-	// fault state mirrors (for FaultsActive).
-	capacityFrac float64
-	setpointD    float64
-	recircMult   float64
-	dark         bool
-	sensorFaults map[string]bool
-	surgeVMs     map[int][]string
-	done         bool
+	// surgeVMs lists, per surged rack, the VMs its surge placed.
+	surgeVMs map[int][]string
+	done     bool
 }
 
-// New validates the spec, seeds the baseline load, and returns a runner
-// ready for Step. The controller must be a simulated fleet (the fault
-// hooks script its substrate); source-driven fleets return
-// fleet.ErrNoSubstrate on the first fault instead.
+// New validates the spec, checks every event's host and rack against the
+// fleet, seeds the baseline load, and returns a runner ready for Step. The
+// controller must be a simulated fleet (the faults script its substrate);
+// a source-driven one is refused with fleet.ErrNoSubstrate.
 func New(spec Spec, ctrl *fleet.Controller) (*Runner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	r := &Runner{
-		spec:         spec,
-		ctrl:         ctrl,
-		events:       spec.sortedEvents(),
-		capacityFrac: 1,
-		recircMult:   1,
-		flagged:      make(map[string]bool),
-		crossed:      make(map[string]bool),
-		sensorFaults: make(map[string]bool),
-		surgeVMs:     make(map[int][]string),
+		spec:     spec,
+		ctrl:     ctrl,
+		events:   spec.sortedEvents(),
+		flagged:  make(map[string]bool),
+		crossed:  make(map[string]bool),
+		surgeVMs: make(map[int][]string),
 	}
 	_, r.baseRej = ctrl.IngestRejected()
-	if b := spec.Baseline; b.VMsPerHost > 0 {
+	err := ctrl.WithSubstrate(func(sub *substrate.Fleet) error {
+		if err := spec.fits(sub); err != nil {
+			return err
+		}
+		b := spec.Baseline
+		if b.VMsPerHost <= 0 {
+			return nil
+		}
 		vcpus, mem := b.VCPUs, b.MemGB
 		if vcpus <= 0 {
 			vcpus = 4
@@ -79,14 +76,18 @@ func New(spec Spec, ctrl *fleet.Controller) (*Runner, error) {
 		if mem <= 0 {
 			mem = 4
 		}
-		for _, host := range ctrl.Hosts() {
+		for i, host := range sub.IDs() {
 			for k := 0; k < b.VMsPerHost; k++ {
 				id := fmt.Sprintf("base-%s-%d", host, k)
-				if err := placeHeavy(ctrl, host, id, vcpus, mem); err != nil {
-					return nil, fmt.Errorf("scenario %s: baseline %s: %w", spec.Name, id, err)
+				if err := placeHeavy(sub, i, id, vcpus, mem); err != nil {
+					return fmt.Errorf("baseline %s: %w", id, err)
 				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
 	return r, nil
 }
@@ -134,75 +135,52 @@ func (r *Runner) Run() (Report, error) {
 	return r.Report(), nil
 }
 
-// apply fires one event through the controller's fault hooks and mirrors
-// the resulting fault state for Status.
+// apply fires one event on the substrate the controller lends; a surge and
+// its end also keep the list of VMs the surge placed.
 func (r *Runner) apply(e Event) error {
 	var err error
 	switch e.Fault {
-	case FaultCRACCapacity:
-		err = r.ctrl.SetCRACCoolingCapacity(e.Value)
-	case FaultCRACSetpoint:
-		err = r.ctrl.SetCRACSetpointDelta(e.Value)
-	case FaultCRACRecirc:
-		err = r.ctrl.SetCRACRecircMultiplier(e.Value)
-	case FaultBlackout:
-		err = r.ctrl.SetTelemetryDark(e.Value != 0)
-	case FaultSensor:
-		err = r.ctrl.SetSensorFault(e.Host, sensorFault(e))
 	case FaultLoadSurge:
 		err = r.surge(e)
 	case FaultLoadSurgeEnd:
 		err = r.surgeEnd(e.Rack)
 	default:
-		err = fmt.Errorf("unknown fault %q", e.Fault)
+		err = r.ctrl.WithSubstrate(func(sub *substrate.Fleet) error { return inject(sub, e) })
 	}
 	if err != nil {
 		return fmt.Errorf("scenario %s: round %d %s: %w", r.spec.Name, e.Round, e.Fault, err)
 	}
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch e.Fault {
-	case FaultCRACCapacity:
-		r.capacityFrac = min(max(e.Value, 0), 1)
-	case FaultCRACSetpoint:
-		r.setpointD = e.Value
-	case FaultCRACRecirc:
-		r.recircMult = e.Value
-	case FaultBlackout:
-		r.dark = e.Value != 0
-	case FaultSensor:
-		if e.Mode == "" {
-			delete(r.sensorFaults, e.Host)
-		} else {
-			r.sensorFaults[e.Host] = true
-		}
-	}
 	return nil
 }
 
-// sensorFault maps an event's mode string to the simulator's fault.
-func sensorFault(e Event) fleet.SensorFault {
-	switch e.Mode {
-	case "stuck":
-		return fleet.SensorFault{Mode: fleet.SensorStuck, ValueC: e.Value}
-	case "dropped":
-		return fleet.SensorFault{Mode: fleet.SensorDropped}
-	case "nan":
-		return fleet.SensorFault{Mode: fleet.SensorNaN}
-	case "bias":
-		return fleet.SensorFault{Mode: fleet.SensorBiased, ValueC: e.Value}
-	default:
-		return fleet.SensorFault{}
+// inject applies one non-surge fault to the substrate.
+func inject(sub *substrate.Fleet, e Event) error {
+	switch e.Fault {
+	case FaultCRACCapacity:
+		return sub.SetCRACCoolingCapacity(e.Value)
+	case FaultCRACSetpoint:
+		return sub.SetCRACSetpointDelta(e.Value)
+	case FaultCRACRecirc:
+		return sub.SetCRACRecircMultiplier(e.Value)
+	case FaultBlackout:
+		sub.SetTelemetryDark(e.Value != 0)
+		return nil
+	case FaultSensor:
+		return sub.SetSensorFault(e.Host, substrate.SensorFault{Mode: sensorModes[e.Mode], ValueC: e.Value})
 	}
+	return fmt.Errorf("unknown fault %q", e.Fault)
+}
+
+// sensorModes maps an event's mode string to the simulator's fault mode —
+// the modes Validate accepts, besides "", which clears a fault (the map's
+// zero value, SensorHealthy).
+var sensorModes = map[string]substrate.SensorFaultMode{
+	"stuck": substrate.SensorStuck, "dropped": substrate.SensorDropped,
+	"nan": substrate.SensorNaN, "bias": substrate.SensorBiased,
 }
 
 // surge places the correlated load burst on every host of the rack.
 func (r *Runner) surge(e Event) error {
-	hosts, err := r.ctrl.RackHostIDs(e.Rack)
-	if err != nil {
-		return err
-	}
 	count := e.Count
 	if count <= 0 {
 		count = 1
@@ -212,14 +190,24 @@ func (r *Runner) surge(e Event) error {
 		vcpus = 4
 	}
 	var placed []string
-	for _, h := range hosts {
-		for k := 0; k < count; k++ {
-			id := fmt.Sprintf("surge-r%d-%s-%d", e.Rack, h, k)
-			if err := placeHeavy(r.ctrl, h, id, vcpus, 2); err != nil {
-				return fmt.Errorf("placing %s: %w", id, err)
-			}
-			placed = append(placed, id)
+	err := r.ctrl.WithSubstrate(func(sub *substrate.Fleet) error {
+		lo, hi, err := sub.RackSlots(e.Rack)
+		if err != nil {
+			return err
 		}
+		for i := lo; i < hi; i++ {
+			for k := 0; k < count; k++ {
+				id := fmt.Sprintf("surge-r%d-%s-%d", e.Rack, sub.IDs()[i], k)
+				if err := placeHeavy(sub, i, id, vcpus, 2); err != nil {
+					return fmt.Errorf("placing %s: %w", id, err)
+				}
+				placed = append(placed, id)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	r.mu.Lock()
 	r.surgeVMs[e.Rack] = append(r.surgeVMs[e.Rack], placed...)
@@ -227,14 +215,14 @@ func (r *Runner) surge(e Event) error {
 	return nil
 }
 
-// placeHeavy force-places a fleet.HeavyVMSpec. That builds one task per
-// vCPU, and a spec may ask for 2e9 of them: a shape no host could hold is
-// refused before it is built, not by PlaceAt after.
-func placeHeavy(ctrl *fleet.Controller, host, id string, vcpus int, memGB float64) error {
-	if err := fleet.ShapeError(ctrl.Config().HostShape, vmm.VMConfig{VCPUs: vcpus, MemoryGB: memGB}); err != nil {
+// placeHeavy force-places a fleet.HeavyVMSpec on slot i. That builds one
+// task per vCPU, and a spec may ask for 2e9 of them: a shape no host could
+// hold is refused before it is built, not by Place after.
+func placeHeavy(sub *substrate.Fleet, i int, id string, vcpus int, memGB float64) error {
+	if err := fleet.ShapeError(sub.Host(i).Config(), vmm.VMConfig{VCPUs: vcpus, MemoryGB: memGB}); err != nil {
 		return err
 	}
-	return ctrl.PlaceAt(host, fleet.HeavyVMSpec(id, vcpus, memGB))
+	return sub.Place(i, fleet.HeavyVMSpec(id, vcpus, memGB))
 }
 
 // surgeEnd removes whatever a prior surge placed on the rack. VMs the
@@ -257,12 +245,6 @@ func (r *Runner) surgeEnd(rack int) error {
 // temperatures come from the simulator's noise-free oracle — the grading
 // ground truth the control plane itself never sees.
 func (r *Runner) grade(round int, rep *fleet.RoundReport) {
-	var err error
-	r.die, err = r.ctrl.MeasuredDieTemps(r.die)
-	if err != nil {
-		r.die = nil // source-driven fleet: grade on control-plane signals only
-	}
-
 	onset := r.spec.Onset()
 	var hotIDs []string
 	threshold := 0.0
@@ -291,17 +273,22 @@ func (r *Runner) grade(round int, rep *fleet.RoundReport) {
 			r.peakHotspots = len(hotIDs)
 		}
 	}
-	for id, t := range r.die {
-		if t > r.peakMeasuredC {
-			r.peakMeasuredC = t
-		}
-		if threshold > 0 && t > threshold {
-			r.crossed[id] = true
-			if r.measuredCrossRound == 0 && (onset == 0 || round >= onset) {
-				r.measuredCrossRound = round
+	// New refused a fleet without a substrate, so the lend cannot fail.
+	_ = r.ctrl.WithSubstrate(func(sub *substrate.Fleet) error {
+		for i, id := range sub.IDs() {
+			t, _ := sub.Temps(i)
+			if t > r.peakMeasuredC {
+				r.peakMeasuredC = t
+			}
+			if threshold > 0 && t > threshold {
+				r.crossed[id] = true
+				if r.measuredCrossRound == 0 && (onset == 0 || round >= onset) {
+					r.measuredCrossRound = round
+				}
 			}
 		}
-	}
+		return nil
+	})
 	if rep.StaleHosts > r.maxStaleHosts {
 		r.maxStaleHosts = rep.StaleHosts
 	}
@@ -334,31 +321,23 @@ type Status struct {
 	StaleHosts   int `json:"stale_hosts"`
 	// Contained reports that a past emergency's hotspot set has returned
 	// to empty (trivially false before any hotspot appears).
-	Contained bool             `json:"contained"`
-	Rejected  int64            `json:"readings_rejected"`
-	CRAC      fleet.CRACStatus `json:"crac"`
+	Contained bool                 `json:"contained"`
+	Rejected  int64                `json:"readings_rejected"`
+	CRAC      substrate.CRACStatus `json:"crac"`
 }
 
-// Status snapshots the run's live state. Safe for concurrent use with
-// Step.
+// Status snapshots the run's live state: fault count and CRAC state as the
+// substrate holds them, plus the surges this runner placed. Safe for
+// concurrent use with Step.
 func (r *Runner) Status() Status {
-	crac, _ := r.ctrl.CRACStatus()
+	var faults int
+	var crac substrate.CRACStatus
+	_ = r.ctrl.WithSubstrate(func(sub *substrate.Fleet) error {
+		faults, crac = sub.ActiveFaults(), sub.CRACStatus()
+		return nil
+	})
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	faults := 0
-	if r.capacityFrac < 1 {
-		faults++
-	}
-	if r.setpointD != 0 {
-		faults++
-	}
-	if r.recircMult != 1 {
-		faults++
-	}
-	if r.dark {
-		faults++
-	}
-	faults += len(r.sensorFaults) + len(r.surgeVMs)
 	return Status{
 		Name:         r.spec.Name,
 		Active:       !r.done,
@@ -366,7 +345,7 @@ func (r *Runner) Status() Status {
 		Round:        r.round,
 		TotalRounds:  r.spec.Rounds,
 		OnsetRound:   r.spec.Onset(),
-		FaultsActive: faults,
+		FaultsActive: faults + len(r.surgeVMs),
 		Hotspots:     r.curHotspots,
 		StaleHosts:   r.curStale,
 		Contained:    r.lastHotRound > 0 && r.curHotspots == 0,

@@ -6,8 +6,10 @@
 // excursions, recirculation (containment-breach) spikes, correlated
 // rack-wide load surges, per-host sensor faults, fleet-wide telemetry
 // blackouts — each pinned to a control round. A Runner binds a Spec to a
-// simulated *fleet.Controller, applies each round's due events through the
-// controller's fault-injection hooks, runs the round, and accumulates the
+// simulated *fleet.Controller, refuses events naming a host or rack the
+// fleet does not have, applies each round's due events to the simulated
+// substrate the controller lends it (Controller.WithSubstrate), runs the
+// round, and accumulates the
 // grading signals the paper's prediction exists to create: did the
 // predicted hotspot flag precede the measured threshold crossing, how many
 // rounds from fault onset until the last hotspot cleared, how many
@@ -26,6 +28,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"vmtherm/internal/substrate"
 )
 
 // FaultKind names one injectable fault class.
@@ -155,13 +159,30 @@ func (s *Spec) Validate() error {
 			if e.Host == "" {
 				return fmt.Errorf("scenario %s: event %d sensor fault needs a host", s.Name, i)
 			}
-			switch e.Mode {
-			case "", "stuck", "dropped", "nan", "bias":
-			default:
+			if _, ok := sensorModes[e.Mode]; !ok && e.Mode != "" {
 				return fmt.Errorf("scenario %s: event %d unknown sensor mode %q", s.Name, i, e.Mode)
 			}
 		default:
 			return fmt.Errorf("scenario %s: event %d unknown fault %q", s.Name, i, e.Fault)
+		}
+	}
+	return nil
+}
+
+// fits checks every event's host and rack against the fleet — what
+// Validate cannot see — so a spec written for a larger fleet is refused
+// before round 1 instead of aborting mid-emergency.
+func (s *Spec) fits(sub *substrate.Fleet) error {
+	for i, e := range s.Events {
+		switch e.Fault {
+		case FaultSensor:
+			if _, ok := sub.Slot(e.Host); !ok {
+				return fmt.Errorf("event %d: fleet has no host %q", i, e.Host)
+			}
+		case FaultLoadSurge, FaultLoadSurgeEnd:
+			if _, _, err := sub.RackSlots(e.Rack); err != nil {
+				return fmt.Errorf("event %d: %w", i, err)
+			}
 		}
 	}
 	return nil

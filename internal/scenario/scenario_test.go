@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"vmtherm/internal/fleet"
+	"vmtherm/internal/substrate"
+	"vmtherm/internal/telemetry"
 )
 
 // testFleet builds a small simulated fleet with the synthetic stable
@@ -310,4 +313,134 @@ func FuzzScenarioSpec(f *testing.F) {
 			t.Fatalf("spec %s: %d MiB for three steps on four hosts", data, grew>>20)
 		}
 	})
+}
+
+// TestNewRefusesEventsOutsideTheFleet: Spec.Validate cannot see the fleet,
+// so New checks every event's host and rack against the substrate and
+// refuses a spec written for a larger fleet before round 1 — these specs
+// used to bind, then abort at the event's round mid-emergency. A
+// source-driven controller, which has no substrate to script, is refused
+// too.
+func TestNewRefusesEventsOutsideTheFleet(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ev   Event
+		want string // "" = accepted
+	}{
+		{"sensor on a rack the fleet lacks", Event{Round: 3, Fault: FaultSensor, Host: "r9-h0", Mode: "stuck", Value: 40}, `no host "r9-h0"`},
+		{"sensor past the rack depth", Event{Round: 3, Fault: FaultSensor, Host: "r0-h8", Mode: "nan"}, `no host "r0-h8"`},
+		{"clearing a sensor the fleet lacks", Event{Round: 3, Fault: FaultSensor, Host: "h0"}, `no host "h0"`},
+		{"surge on a rack the fleet lacks", Event{Round: 3, Fault: FaultLoadSurge, Rack: 7}, "no rack 7"},
+		{"surge end one rack past the last", Event{Round: 3, Fault: FaultLoadSurgeEnd, Rack: 2}, "no rack 2"},
+		{"sensor on the last host", Event{Round: 3, Fault: FaultSensor, Host: "r1-h7", Mode: "bias", Value: 3}, ""},
+		{"surge on the last rack", Event{Round: 3, Fault: FaultLoadSurge, Rack: 1, Value: 2}, ""},
+	} {
+		spec := Spec{Name: "shape", Rounds: 4, Events: []Event{c.ev}}
+		_, err := New(spec, testFleet(t, nil)) // 2 racks × 8 hosts
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: New returned %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+
+	src, err := telemetry.NewTraceSource([]telemetry.Reading{{HostID: "h0", TempC: 30}}, telemetry.TraceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := fleet.NewWithSource(fleet.DefaultConfig(), src, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := Builtin("crac-failure")
+	if _, err := New(spec, ctl); !errors.Is(err, fleet.ErrNoSubstrate) {
+		t.Fatalf("a source-driven fleet was bound: %v", err)
+	}
+}
+
+// TestStatusMatchesFormerMirrors: Status reads its fault count and CRAC
+// state from the substrate. testdata/status_mirrors.json holds, for every
+// builtin on the 2 × 8 test fleet, what Status reported after each round
+// when the runner still kept its own copy of the fault state (recorded once
+// from that runner); the substrate must report the same, round for round.
+func TestStatusMatchesFormerMirrors(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "status_mirrors.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string][]struct {
+		FaultsActive int                  `json:"faults_active"`
+		CRAC         substrate.CRACStatus `json:"crac"`
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(BuiltinNames()) {
+		t.Fatalf("fixture covers %d scenarios, there are %d builtins", len(want), len(BuiltinNames()))
+	}
+	for _, name := range BuiltinNames() {
+		t.Run(name, func(t *testing.T) {
+			spec, _ := Builtin(name)
+			rounds := want[name]
+			if len(rounds) != spec.Rounds {
+				t.Fatalf("fixture has %d rounds, the spec %d", len(rounds), spec.Rounds)
+			}
+			r, err := New(spec, testFleet(t, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulted := 0
+			for i, w := range rounds {
+				if _, err := r.Step(); err != nil {
+					t.Fatal(err)
+				}
+				st := r.Status()
+				if st.FaultsActive != w.FaultsActive || st.CRAC != w.CRAC {
+					t.Fatalf("round %d: faults %d, CRAC %+v; recorded faults %d, CRAC %+v",
+						i+1, st.FaultsActive, st.CRAC, w.FaultsActive, w.CRAC)
+				}
+				if w.FaultsActive > 0 {
+					faulted++
+				}
+			}
+			if faulted == 0 {
+				t.Fatal("no round had a fault active: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestStatusDuringSteps polls Status and Report from another goroutine
+// while Step drives a timeline: Status borrows the substrate under the
+// controller's round lock and grade takes it under the runner's, so under
+// -race this pins that neither races a round nor deadlocks against it.
+func TestStatusDuringSteps(t *testing.T) {
+	spec, _ := Builtin("sensor-chaos")
+	r, err := New(spec, testFleet(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		for n := 1; ; n++ {
+			if st := r.Status(); st.FaultsActive < 0 || st.Round > spec.Rounds {
+				t.Errorf("status mid-run = %+v", st)
+			}
+			_ = r.Report()
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+		}
+	}()
+	_, err = r.Run()
+	close(stop)
+	t.Logf("%d status polls during the run", <-polled)
+	if err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,0 +1,73 @@
+package substrate
+
+import (
+	"fmt"
+	"math"
+
+	"vmtherm/internal/cluster"
+	"vmtherm/internal/thermal"
+)
+
+// Config is the simulated fleet's shape and physics. Start from
+// DefaultConfig; the fleet control plane's Config fills zero-valued physics
+// fields from it, but not the shape or the seed.
+type Config struct {
+	// Racks × HostsPerRack is the fleet size.
+	Racks, HostsPerRack int
+	// Server is the thermal model template (FanCount/AmbientC are set per
+	// host from the fan count and the datacenter model).
+	Server thermal.ServerParams
+	// Sensor is the telemetry error model.
+	Sensor thermal.SensorParams
+	// CRAC is the room cooling configuration.
+	CRAC cluster.CRAC
+	// RackSpreadC is the total inlet temperature spread from the bottom to
+	// the top slot of a rack (top-of-rack slots ingest warmer air). Each
+	// slot's offset is RackSpreadC · slot/(HostsPerRack−1), so the spread is
+	// physical regardless of rack depth.
+	RackSpreadC float64
+	// TickS is the simulation step; SampleS the telemetry sampling interval.
+	TickS, SampleS float64
+	// Seed drives all stochastic components.
+	Seed int64
+}
+
+// DefaultConfig is a 4-rack × 16-host fleet of the reference server under
+// an 18 °C CRAC, ticking every second and sampling every 5 s.
+func DefaultConfig() Config {
+	return Config{
+		Racks:        4,
+		HostsPerRack: 16,
+		Server:       thermal.DefaultServerParams(),
+		Sensor:       thermal.DefaultSensorParams(),
+		CRAC:         cluster.DefaultCRAC(),
+		RackSpreadC:  4.5,
+		TickS:        1,
+		SampleS:      5,
+		Seed:         1,
+	}
+}
+
+// Validate checks the configuration. NaN fails every comparison, so it
+// would pass the range checks (a NaN tick schedules ticks forever); no
+// field gives an infinity a meaning either.
+func (c Config) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"rack spread", c.RackSpreadC}, {"tick", c.TickS}, {"sample interval", c.SampleS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fleet: %s must be finite, got %v", f.name, f.v)
+		}
+	}
+	if c.Racks < 1 || c.HostsPerRack < 1 {
+		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
+	}
+	if err := c.CRAC.Validate(); err != nil {
+		return err
+	}
+	if c.TickS <= 0 || c.SampleS <= 0 {
+		return fmt.Errorf("fleet: tick %v and sample interval %v must be > 0", c.TickS, c.SampleS)
+	}
+	return nil
+}

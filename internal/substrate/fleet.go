@@ -1,0 +1,658 @@
+// Package substrate is the simulated datacenter the fleet control plane
+// closes its loop against — the stand-in for the paper's physical testbed:
+// racks of hosts (capacity accounting, heat, a noisy sensor, the load
+// profiles driving their tenants) under one CRAC on a shared discrete-event
+// clock. A *Fleet is a telemetry.Source: advancing it runs the physics and
+// the sensor sweep emits readings, so the controller consumes it through
+// the same seam as trace replay and live scraping.
+//
+// The package also owns what only a simulated fleet has: the fault hooks a
+// thermal-emergency scenario scripts (fault.go) and the deployment
+// fingerprints the controller's anchor cache keys on (ScanAnchors).
+//
+// Hosts are addressed by slot: their index in rack/slot order, the order of
+// IDs. A Fleet is not safe for concurrent use; the controller makes every
+// call under its round lock. Errors keep the "fleet:" prefix the control
+// plane's placement decisions and reports have always carried.
+package substrate
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+
+	"vmtherm/internal/anchorcache"
+	"vmtherm/internal/cluster"
+	"vmtherm/internal/mathx"
+	"vmtherm/internal/shard"
+	"vmtherm/internal/sim"
+	"vmtherm/internal/telemetry"
+	"vmtherm/internal/thermal"
+	"vmtherm/internal/vmm"
+	"vmtherm/internal/workload"
+)
+
+// drivenTask binds one task of a placed VM to the load profile that drives
+// it — a flat, contiguous record the tick loop scans instead of walking
+// nested vm→task profile maps. task is the task's deployment-order index in
+// vm (the spec's task position, fixed at place), so a tick sets the fraction
+// without looking the task up by name.
+type drivenTask struct {
+	vm   *vmm.VM
+	task int
+	prof workload.Profile
+}
+
+// simHost is one simulated machine of the fleet: capacity accounting
+// (vmm.Host), heat (thermal.Server), a noisy sensor, and the load profiles
+// driving its VMs' tasks over time.
+type simHost struct {
+	host    *vmm.Host
+	server  *thermal.Server
+	sensor  *thermal.Sensor
+	pos     cluster.HostPosition
+	rackIdx int // index into Fleet.racks / rackInlets
+	driven  []drivenTask
+	// fault corrupts this host's emitted readings without touching its
+	// physics: the sensor still reads (and draws noise) on schedule, the
+	// transform applies at the emission point only.
+	fault SensorFault
+	// view memoises the running/migrating VMs as VMSpecs in
+	// cluster.HostStateCase's order (see deployment); viewTasks backs their
+	// Tasks slices. viewOK is cleared wherever the deployment or a task's
+	// CPU fraction can change: Place, Migrate, Remove and tickRack's sweep
+	// over driven (SetTaskCPU by task index) — the only four. caseName is
+	// "state:"+id.
+	view      []workload.VMSpec
+	viewTasks []workload.TaskSpec
+	viewOK    bool
+	caseName  string
+}
+
+// deployment returns the host's running and migrating VMs exactly as
+// cluster.HostStateCase lists them — VMs by id, tasks by id, current CPU
+// fractions, no profiles — rebuilt only after an invalidation. The slice
+// and everything it points to are the host's own scratch: callers read it
+// before the next mutation or tick and never write through it.
+func (sh *simHost) deployment() []workload.VMSpec {
+	if sh.viewOK {
+		return sh.view
+	}
+	h := sh.host
+	nTasks := 0
+	for i := 0; i < h.NumVMs(); i++ {
+		nTasks += h.VMAt(i).NumTasks()
+	}
+	// Sized up front: the VMSpecs below hold sub-slices of viewTasks.
+	sh.viewTasks = slices.Grow(sh.viewTasks[:0], nTasks)
+	sh.view = sh.view[:0]
+	for i := 0; i < h.NumVMs(); i++ {
+		vm := h.VMAt(i)
+		if st := vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
+			continue
+		}
+		spec := workload.VMSpec{ID: vm.ID(), Config: vm.Config()}
+		if n := vm.NumTasks(); n > 0 { // a task-less VM keeps Tasks nil, like HostStateCase
+			lo := len(sh.viewTasks)
+			for k := 0; k < n; k++ {
+				sh.viewTasks = append(sh.viewTasks, workload.TaskSpec{Task: vm.TaskAt(k)})
+			}
+			spec.Tasks = sh.viewTasks[lo:len(sh.viewTasks):len(sh.viewTasks)]
+			slices.SortFunc(spec.Tasks, func(a, b workload.TaskSpec) int {
+				return strings.Compare(a.Task.ID, b.Task.ID)
+			})
+		}
+		sh.view = append(sh.view, spec)
+	}
+	slices.SortFunc(sh.view, func(a, b workload.VMSpec) int { return strings.Compare(a.ID, b.ID) })
+	sh.viewOK = true
+	return sh.view
+}
+
+// takeDriven moves vmID's driven-task records to dst, or drops them when
+// dst is nil; the others keep their order, and the vacated tail is cleared
+// so sh no longer holds the VM.
+func (sh *simHost) takeDriven(vmID string, dst *simHost) {
+	kept := sh.driven[:0]
+	for _, d := range sh.driven {
+		if d.vm.ID() != vmID {
+			kept = append(kept, d)
+		} else if dst != nil {
+			dst.driven = append(dst.driven, d)
+		}
+	}
+	clear(sh.driven[len(kept):])
+	sh.driven = kept
+}
+
+// Fleet is the simulated datacenter: racks of simHosts under one CRAC on a
+// shared discrete-event engine.
+type Fleet struct {
+	cfg      Config
+	fanCount int
+	workers  int // physics worker bound (1 = serial tick)
+	engine   *sim.Engine
+	dc       *cluster.Datacenter
+	order    []string       // host ids by slot (rack/slot order)
+	hosts    []*simHost     // hosts by slot, for map-free tick/sample sweeps
+	slotOf   map[string]int // host id → slot
+	racks    []*cluster.Rack
+	// rackSpan[ri] is rack ri's contiguous [start, end) slot range: the
+	// shard boundary of the parallel tick (every mutation a tick performs
+	// is confined to one rack's span).
+	rackSpan [][2]int
+	// rackInlets caches each rack's per-slot inlet temperatures for the
+	// current tick: rack mean utilization is O(hosts) to derive, so
+	// recomputing it per host per tick would make ticks O(hosts²).
+	rackInlets [][]float64
+	// tickUtil/tickMem hold each host's load for the current tick (by slot):
+	// one Loads sweep per host feeds both the rack inlet model and the
+	// thermal integration instead of three separate VM-list walks.
+	tickUtil, tickMem []float64
+	// sample* are the sensor-sweep scratch for the rack-sharded read phase
+	// (by slot); emission consumes them serially in slot order.
+	sampleVal, sampleUtil, sampleMem []float64
+	sampleOK                         []bool
+	// scanInlets and scanKeys are ScanAnchors' results (by slot).
+	scanInlets []float64
+	scanKeys   []anchorcache.Key
+	// vmHost maps every placed VM id to its current slot: vmm only enforces
+	// per-host uniqueness, but migration addresses VMs by id fleet-wide, so
+	// duplicates (e.g. a retried placement request) must be rejected here.
+	vmHost map[string]int
+	// crac is the supply/return coupling state; nil until a scenario first
+	// touches the cooling plant, so unscripted runs never enter the
+	// coupling step and stay bit-identical to the pre-scenario physics.
+	crac *cracDynamics
+	// dark is a fleet-wide telemetry blackout: every host keeps running and
+	// heating, but the sensor sweep emits nothing (and performs no reads or
+	// rng draws while dark).
+	dark bool
+}
+
+// New assembles cfg.Racks × cfg.HostsPerRack machines of the given shape
+// and fan count, all idle and at ambient temperature. workers bounds the
+// goroutines the tick, the sensor sweep and ScanAnchors shard racks across
+// (1 runs them serially); results are bit-identical for every value. cfg
+// must be valid (Config.Validate).
+func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error) {
+	f := &Fleet{
+		cfg:      cfg,
+		fanCount: fanCount,
+		workers:  workers,
+		engine:   sim.NewEngine(),
+		slotOf:   make(map[string]int, cfg.Racks*cfg.HostsPerRack),
+		vmHost:   make(map[string]int),
+	}
+	var racks []*cluster.Rack
+	for r := 0; r < cfg.Racks; r++ {
+		hosts := make([]*vmm.Host, cfg.HostsPerRack)
+		offsets := make([]float64, cfg.HostsPerRack)
+		for s := 0; s < cfg.HostsPerRack; s++ {
+			id := fmt.Sprintf("r%d-h%d", r, s)
+			h, err := vmm.NewHost(id, shape)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: host %s: %w", id, err)
+			}
+			hosts[s] = h
+			if cfg.HostsPerRack > 1 {
+				offsets[s] = cfg.RackSpreadC * float64(s) / float64(cfg.HostsPerRack-1)
+			}
+		}
+		rack, err := cluster.NewRack(fmt.Sprintf("r%d", r), hosts, offsets)
+		if err != nil {
+			return nil, err
+		}
+		racks = append(racks, rack)
+	}
+	dc, err := cluster.NewDatacenter(cfg.CRAC, racks)
+	if err != nil {
+		return nil, err
+	}
+	f.dc = dc
+	f.racks = racks
+	f.rackInlets = make([][]float64, len(racks))
+	f.rackSpan = make([][2]int, len(racks))
+	for ri, rack := range racks {
+		f.rackSpan[ri][0] = len(f.hosts)
+		for slot, h := range rack.Hosts() {
+			inlet, err := dc.InletTemp(rack, slot)
+			if err != nil {
+				return nil, err
+			}
+			sp := cfg.Server
+			sp.FanCount = fanCount
+			sp.AmbientC = inlet
+			srv, err := thermal.NewServer(sp)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: thermal %s: %w", h.ID(), err)
+			}
+			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp,
+				mathx.SplitStable(cfg.Seed, "fleet-sensor:"+h.ID()))
+			if err != nil {
+				return nil, fmt.Errorf("fleet: sensor %s: %w", h.ID(), err)
+			}
+			f.slotOf[h.ID()] = len(f.hosts)
+			f.order = append(f.order, h.ID())
+			f.hosts = append(f.hosts, &simHost{
+				host:     h,
+				server:   srv,
+				sensor:   sensor,
+				pos:      cluster.HostPosition{Rack: rack, Slot: slot},
+				rackIdx:  ri,
+				caseName: "state:" + h.ID(),
+			})
+		}
+		f.rackSpan[ri][1] = len(f.hosts)
+	}
+	n := len(f.hosts)
+	f.tickUtil, f.tickMem = make([]float64, n), make([]float64, n)
+	f.sampleVal, f.sampleUtil, f.sampleMem = make([]float64, n), make([]float64, n), make([]float64, n)
+	f.sampleOK = make([]bool, n)
+	f.scanInlets, f.scanKeys = make([]float64, n), make([]anchorcache.Key, n)
+	return f, nil
+}
+
+// Name identifies the source kind.
+func (f *Fleet) Name() string { return "sim" }
+
+// NowS reports the simulation clock.
+func (f *Fleet) NowS() float64 { return f.engine.Now() }
+
+// IDs lists the host ids by slot. The slice is the fleet's own: read it,
+// never write it.
+func (f *Fleet) IDs() []string { return f.order }
+
+// Slot resolves a host id to its slot.
+func (f *Fleet) Slot(hostID string) (int, bool) {
+	i, ok := f.slotOf[hostID]
+	return i, ok
+}
+
+// Host is the capacity accounting of the host in slot i.
+func (f *Fleet) Host(i int) *vmm.Host { return f.hosts[i].host }
+
+// Owner returns the slot of the host a VM is placed on.
+func (f *Fleet) Owner(vmID string) (int, bool) {
+	i, ok := f.vmHost[vmID]
+	return i, ok
+}
+
+// Temps reads slot i's true (noise-free) die and case temperatures — the
+// grading oracle for scenario runs; the control loop only sees telemetry.
+func (f *Fleet) Temps(i int) (dieC, caseC float64) {
+	return f.hosts[i].server.DieTemp(), f.hosts[i].server.CaseTemp()
+}
+
+// Place admits a VM onto the host in slot i, starts it, and registers its
+// task profiles so the tick loop drives them.
+func (f *Fleet) Place(i int, spec workload.VMSpec) error {
+	if cur, dup := f.vmHost[spec.ID]; dup {
+		return fmt.Errorf("fleet: vm %q already placed on %q", spec.ID, f.order[cur])
+	}
+	sh := f.hosts[i]
+	sh.viewOK = false
+	vm, err := vmm.NewVM(spec.ID, spec.Config)
+	if err != nil {
+		return err
+	}
+	for _, ts := range spec.Tasks {
+		if err := vm.AddTask(ts.Task); err != nil {
+			return err
+		}
+	}
+	if err := sh.host.Place(vm); err != nil {
+		return err
+	}
+	if err := vm.Start(f.engine.Now()); err != nil {
+		_ = sh.host.Remove(vm.ID())
+		return err
+	}
+	for k, ts := range spec.Tasks {
+		if ts.Profile != nil {
+			sh.driven = append(sh.driven, drivenTask{vm: vm, task: k, prof: ts.Profile})
+		}
+	}
+	f.vmHost[spec.ID] = i
+	return nil
+}
+
+// Migrate moves a VM between the hosts in slots from and to
+// instantaneously (the controller models migration cost in its proposal
+// policy, not in the mechanics).
+func (f *Fleet) Migrate(vmID string, from, to int) error {
+	src, dst := f.hosts[from], f.hosts[to]
+	vm, err := src.host.VM(vmID)
+	if err != nil {
+		return err
+	}
+	src.viewOK, dst.viewOK = false, false
+	if err := dst.host.Place(vm); err != nil {
+		return err
+	}
+	if err := src.host.Remove(vmID); err != nil {
+		_ = dst.host.Remove(vmID)
+		return err
+	}
+	src.takeDriven(vmID, dst)
+	f.vmHost[vmID] = to
+	return nil
+}
+
+// ErrNoSuchVM is the error for a VM id no host carries.
+var ErrNoSuchVM = errors.New("fleet: vm not found")
+
+// Remove evicts a VM from the fleet entirely — the inverse of Place, used
+// by scenarios to end a scripted load surge — and returns the slot it left.
+// The VM's driven-task records are dropped so the tick loop stops driving
+// it.
+func (f *Fleet) Remove(vmID string) (int, error) {
+	i, ok := f.vmHost[vmID]
+	if !ok {
+		return 0, ErrNoSuchVM
+	}
+	sh := f.hosts[i]
+	sh.viewOK = false
+	if err := sh.host.Remove(vmID); err != nil {
+		return 0, err
+	}
+	sh.takeDriven(vmID, nil)
+	delete(f.vmHost, vmID)
+	return i, nil
+}
+
+// LargestVM returns the running VM with the highest current CPU demand on
+// slot i, the natural candidate to move off a hotspot.
+func (f *Fleet) LargestVM(i int) (*vmm.VM, error) {
+	var best *vmm.VM
+	for _, vm := range f.hosts[i].host.VMs() { // sorted by ID: deterministic ties
+		if vm.State() != vmm.VMRunning {
+			continue
+		}
+		if best == nil || vm.CPUDemandVCPUs() > best.CPUDemandVCPUs() {
+			best = vm
+		}
+	}
+	if best == nil {
+		return nil, ErrNoSuchVM
+	}
+	return best, nil
+}
+
+// tick drives one simulation step: task loads from profiles, rack inlet
+// temperatures (recirculation couples hosts through rack utilization), and
+// thermal integration. The work partitions cleanly by rack — a rack's
+// inlets depend only on its own hosts' utilization, and each server's heat
+// only on its own rack's inlet — so racks advance independently: serially
+// with one worker, sharded across a bounded worker pool otherwise. Both
+// paths run the identical per-rack code in a fixed reduction order, so
+// results are bit-identical regardless of worker count or interleaving.
+func (f *Fleet) tick(dt float64) error {
+	t := f.engine.Now()
+	if err := f.shardRacks(func(lo, hi int) error {
+		for ri := lo; ri < hi; ri++ {
+			if err := f.tickRack(ri, t, dt); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Inter-rack coupling runs serially *between* rack advances: it reads
+	// the load sweep every shard just published and writes the CRAC state
+	// the next tick's shards will all read, so the shard pass itself never
+	// crosses a rack boundary. A nil receiver — every run that never
+	// scripted a CRAC fault — returns immediately, keeping the unscripted
+	// tick byte-identical to the pre-coupling physics.
+	f.coupleCRAC(dt)
+	return nil
+}
+
+// shardRacks runs fn over contiguous rack ranges [lo, hi) — one call
+// covering every rack with one physics worker, one goroutine per range
+// otherwise — reporting the first error in rack order.
+func (f *Fleet) shardRacks(fn func(lo, hi int) error) error {
+	return shard.Run(len(f.racks), f.workers, 1, fn)
+}
+
+// tickRack advances one rack through a full simulation step. Loads first,
+// then inlets, then thermal integration: recirculation sees this tick's
+// utilization. Each host's (util, mem) is derived in ONE walk over its VM
+// list, right after its tasks are driven, and reused for both the
+// rack-mean inlet model and SetLoad.
+func (f *Fleet) tickRack(ri int, t, dt float64) error {
+	span := f.rackSpan[ri]
+	var utilSum float64
+	for i := span[0]; i < span[1]; i++ {
+		sh := f.hosts[i]
+		if len(sh.driven) > 0 {
+			sh.viewOK = false // the sweep rewrites task CPU fractions
+		}
+		for j := range sh.driven {
+			d := &sh.driven[j]
+			if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
+				continue
+			}
+			if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
+				return err
+			}
+		}
+		u, m := sh.host.Loads()
+		f.tickUtil[i], f.tickMem[i] = u, m
+		utilSum += u
+	}
+	mean := utilSum / float64(span[1]-span[0])
+	inlets, err := f.dc.RackInletTempsAt(f.racks[ri], mean, f.rackInlets[ri][:0])
+	if err != nil {
+		return err
+	}
+	f.rackInlets[ri] = inlets
+	for i := span[0]; i < span[1]; i++ {
+		sh := f.hosts[i]
+		sh.server.SetAmbient(inlets[sh.pos.Slot])
+		sh.server.SetLoad(f.tickUtil[i], f.tickMem[i])
+		if err := sh.server.Advance(dt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parallel reports whether the auxiliary sweeps (sensor sampling, anchor
+// fingerprint scans) shard; see shard.MinHosts. The tick itself is always
+// sharded (its per-rack work is orders of magnitude heavier).
+func (f *Fleet) parallel() bool { return f.workers > 1 && len(f.hosts) >= shard.MinHosts }
+
+// sample reads every host's sensor once and emits the readings, exactly as
+// a fleet of monitoring agents would. The sensor reads and load sweeps fill
+// per-host scratch first — rack-sharded at scale (each host owns its sensor
+// rng, so draws are independent); emission stays serial and in slot order,
+// so the reading stream — and therefore ingest accounting, tee captures and
+// recorded traces — is byte-identical to the serial sweep.
+func (f *Fleet) sample(emit func(telemetry.Reading) bool) {
+	if f.dark {
+		// Fleet-wide telemetry blackout: the hosts run on and keep heating,
+		// but the whole sweep — reads, rng draws, emission — goes dark.
+		return
+	}
+	if f.parallel() {
+		// Sensor and load sweeps cannot fail (read errors become skipped
+		// samples), so the shard error path is unreachable here.
+		_ = f.shardRacks(func(lo, hi int) error { f.readSensors(lo, hi); return nil })
+	} else {
+		f.readSensors(0, len(f.racks))
+	}
+	t := f.engine.Now()
+	for i := range f.hosts {
+		if !f.sampleOK[i] {
+			continue // transient sensor failure: the sample is simply lost
+		}
+		v, fault := f.sampleVal[i], f.hosts[i].fault
+		// Injected sensor faults corrupt the *emitted* value only: the read
+		// (and its rng draw) already happened on the healthy schedule, so
+		// clearing a fault restores the exact healthy reading stream.
+		switch fault.Mode {
+		case SensorDropped:
+			continue
+		case SensorStuck:
+			v = fault.ValueC
+		case SensorNaN:
+			v = math.NaN()
+		case SensorBiased:
+			v += fault.ValueC
+		}
+		emit(telemetry.Reading{
+			HostID:  f.order[i],
+			AtS:     t,
+			TempC:   v,
+			Util:    f.sampleUtil[i],
+			MemFrac: f.sampleMem[i],
+		})
+	}
+}
+
+// readSensors reads racks [lo, hi)'s sensors and loads into the sample
+// scratch.
+func (f *Fleet) readSensors(lo, hi int) {
+	for i := f.rackSpan[lo][0]; i < f.rackSpan[hi-1][1]; i++ {
+		sh := f.hosts[i]
+		v, err := sh.sensor.Read()
+		f.sampleOK[i], f.sampleVal[i] = err == nil, v
+		f.sampleUtil[i], f.sampleMem[i] = sh.host.Loads()
+	}
+}
+
+// Advance runs the simulation forward by dur seconds, ticking thermals
+// every TickS and sampling telemetry every SampleS. Events are scheduled
+// explicitly (not via Every, whose immediate first fire would double-tick
+// at round boundaries); ticks are scheduled before samples so a coincident
+// sample observes the post-advance temperature.
+func (f *Fleet) Advance(dur float64, emit func(telemetry.Reading) bool) error {
+	start := f.engine.Now()
+	horizon := start + dur
+	var tickErr error
+	tick := func(e *sim.Engine) {
+		if tickErr == nil {
+			if err := f.tick(f.cfg.TickS); err != nil {
+				tickErr = err
+				e.Stop()
+			}
+		}
+	}
+	for _, ev := range [...]struct {
+		everyS float64
+		name   string
+		fn     sim.Handler
+	}{{f.cfg.TickS, "fleet-tick", tick}, {f.cfg.SampleS, "fleet-sample", func(*sim.Engine) { f.sample(emit) }}} {
+		for k := 1; ; k++ {
+			at := start + float64(k)*ev.everyS
+			if at > horizon+1e-9 {
+				break
+			}
+			if err := f.engine.Schedule(at, ev.name, ev.fn); err != nil {
+				return err
+			}
+		}
+	}
+	if _, err := f.engine.RunUntil(horizon); err != nil {
+		return err
+	}
+	if tickErr != nil {
+		return fmt.Errorf("fleet: tick: %w", tickErr)
+	}
+	return nil
+}
+
+// HostCase is the one host → workload.Case builder: slot i's current
+// deployment (see simHost.deployment) at ambientC, plus an optional
+// candidate VM. Without a candidate the case borrows the host's view; with
+// one, view and candidate are copied to the end of *arena, the caller's
+// scratch, which it resets once the cases built from it are consumed. The
+// result is reflect.DeepEqual to cluster.HostStateCase's. Calls for
+// distinct slots may run concurrently.
+func (f *Fleet) HostCase(i int, ambientC float64, candidate *workload.VMSpec, arena *[]workload.VMSpec) (workload.Case, error) {
+	sh := f.hosts[i]
+	vms := sh.deployment()
+	if candidate != nil {
+		lo := len(*arena)
+		*arena = append(append(*arena, vms...), *candidate)
+		vms = (*arena)[lo:]
+	}
+	if len(vms) == 0 {
+		return workload.Case{}, errors.New("fleet: host state has no running VMs")
+	}
+	return workload.Case{
+		Name:     sh.caseName,
+		Host:     sh.host.Config(),
+		FanCount: f.fanCount,
+		AmbientC: ambientC,
+		VMs:      vms[:len(vms):len(vms)],
+	}, nil
+}
+
+// Inlet returns slot i's inlet temperature from the per-tick rack cache
+// when populated — utilization cannot change between the last tick and the
+// controller's anchor pass, so the cached value is identical to a fresh
+// InletTemp and skips the O(rack) mean-utilization sweep per host. Before
+// any tick has run it computes directly.
+func (f *Fleet) Inlet(i int) (float64, error) {
+	sh := f.hosts[i]
+	if inlets := f.rackInlets[sh.rackIdx]; sh.pos.Slot < len(inlets) {
+		return inlets[sh.pos.Slot], nil
+	}
+	return f.dc.InletTemp(sh.pos.Rack, sh.pos.Slot)
+}
+
+// ScanAnchors returns every slot's inlet temperature and, when keyed, the
+// deployment fingerprint of every occupied host under q, rack-sharded at
+// scale (pure computation over rack-local state; every worker writes
+// disjoint slots). Both slices are the fleet's scratch, valid until the
+// next scan; an idle host's key is left as it was.
+func (f *Fleet) ScanAnchors(q anchorcache.Quantizer, keyed bool) (inlets []float64, keys []anchorcache.Key, err error) {
+	if f.parallel() {
+		err = f.shardRacks(func(lo, hi int) error { return f.scanRacks(lo, hi, q, keyed) })
+	} else {
+		err = f.scanRacks(0, len(f.racks), q, keyed)
+	}
+	return f.scanInlets, f.scanKeys, err
+}
+
+// scanRacks is racks [lo, hi)'s share of ScanAnchors.
+func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) error {
+	for i := f.rackSpan[lo][0]; i < f.rackSpan[hi-1][1]; i++ {
+		inlet, err := f.Inlet(i)
+		if err != nil {
+			return err
+		}
+		f.scanInlets[i] = inlet
+		if keyed && f.hosts[i].host.NumVMs() > 0 {
+			f.scanKeys[i] = anchorKey(f.hosts[i].host, q, inlet)
+		}
+	}
+	return nil
+}
+
+// anchorKey derives a host's deployment fingerprint: the cache key that
+// changes exactly when something the feature encoder can see changes.
+func anchorKey(h *vmm.Host, q anchorcache.Quantizer, inlet float64) anchorcache.Key {
+	ambBucket, _ := q.Ambient(inlet)
+	util, mem := h.Loads()
+	bu, bm := q.UtilMemBuckets(util, mem)
+	hash := anchorcache.NewHash()
+	for vi := 0; vi < h.NumVMs(); vi++ {
+		vm := h.VMAt(vi)
+		// The fingerprint must cover everything the feature encoder can
+		// see in the deployment snapshot: identity and lifecycle state,
+		// plus the per-VM load *distribution* (raw task-fraction sum and
+		// max, quantized) — dynamic profiles can redistribute load
+		// between tasks without moving total host utilization, and
+		// features like task_cpu_max follow the distribution.
+		cpuSum, cpuMax := vm.TaskCPUStats()
+		hash = hash.String(vm.ID()).Uint64(uint64(vm.State())).
+			Uint64(q.UtilBucket(cpuSum)).Uint64(q.UtilBucket(cpuMax))
+	}
+	return hash.Uint64(ambBucket).Uint64(bu).Uint64(bm).Key()
+}

@@ -1,0 +1,195 @@
+package substrate
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"vmtherm/internal/anchorcache"
+	"vmtherm/internal/cluster"
+	"vmtherm/internal/mathx"
+	"vmtherm/internal/telemetry"
+	"vmtherm/internal/vmm"
+	"vmtherm/internal/workload"
+)
+
+// testFleet is a 2 × 4 fleet of default hosts with four fans, ticking on
+// one worker.
+func testFleet(t *testing.T) *Fleet {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack, cfg.Seed = 2, 4, 7
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, vmm.DefaultHostConfig(), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// sineSpec draws a VM whose tasks follow sines, so every tick rewrites
+// their CPU fractions; task ids descend while deployment order ascends, so
+// the view must sort them.
+func sineSpec(rng *mathx.RNG, id string) workload.VMSpec {
+	vcpus := rng.IntBetween(1, 3)
+	spec := workload.VMSpec{ID: id, Config: vmm.VMConfig{VCPUs: vcpus, MemoryGB: float64(2 * vcpus)}}
+	for k := vcpus - 1; k >= 0; k-- {
+		base := rng.Uniform(0.3, 0.7)
+		spec.Tasks = append(spec.Tasks, workload.TaskSpec{
+			Task:    vmm.Task{ID: fmt.Sprintf("%s-t%d", id, k), Class: vmm.CPUBound, CPUFraction: base, MemGB: 0.5},
+			Profile: workload.Sine{Base: base, Amplitude: 0.25, Period: rng.Uniform(40, 400)},
+		})
+	}
+	return spec
+}
+
+// TestHostCaseViewMatchesHostStateCase is the differential test of the
+// memoised deployment views behind HostCase: over a seeded sequence of
+// Place, Migrate, Remove and Advance, every host's case — with and without
+// a candidate VM — is reflect.DeepEqual to a fresh cluster.HostStateCase,
+// and some views are still valid when compared, so the memo is exercised
+// and not merely rebuilt at every call. After every op the round's
+// read-only calls run as well — ScanAnchors and LargestVM on every slot —
+// and must leave every valid view valid.
+func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
+	f := testFleet(t)
+	rng := mathx.SplitStable(2016, "substrate-view")
+	var live []string
+	counts := map[string]int{}
+	reused := 0
+	for step := 0; step < 400; step++ {
+		op := []string{"place", "place", "migrate", "remove", "advance"}[rng.Intn(5)]
+		switch op {
+		case "place":
+			spec := sineSpec(rng, fmt.Sprintf("vm-%03d", step))
+			if f.Place(rng.Intn(len(f.IDs())), spec) != nil {
+				op = "refused"
+				break
+			}
+			live = append(live, spec.ID)
+		case "migrate":
+			if len(live) == 0 {
+				continue
+			}
+			id := live[rng.Intn(len(live))]
+			from, _ := f.Owner(id)
+			if f.Migrate(id, from, rng.Intn(len(f.IDs()))) != nil {
+				op = "refused"
+			}
+		case "remove":
+			if len(live) == 0 {
+				continue
+			}
+			k := rng.Intn(len(live))
+			if _, err := f.Remove(live[k]); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:k], live[k+1:]...)
+		case "advance":
+			if err := f.Advance(15, func(telemetry.Reading) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts[op]++
+		valid := make([]bool, len(f.hosts))
+		for i, sh := range f.hosts {
+			valid[i] = sh.viewOK
+		}
+		if _, _, err := f.ScanAnchors(anchorcache.DefaultQuantizer(), true); err != nil {
+			t.Fatal(err)
+		}
+		for i := range f.IDs() {
+			if _, err := f.LargestVM(i); err != nil && !errors.Is(err, ErrNoSuchVM) {
+				t.Fatal(err)
+			}
+		}
+		for i, sh := range f.hosts {
+			if valid[i] && !sh.viewOK {
+				t.Fatalf("step %d (%s): ScanAnchors or LargestVM invalidated %s's view", step, op, f.IDs()[i])
+			}
+			if sh.viewOK {
+				reused++
+			}
+		}
+		cand := sineSpec(rng, "candidate")
+		var arena []workload.VMSpec
+		for i := range f.IDs() {
+			inlet, err := f.Inlet(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []*workload.VMSpec{nil, &cand} {
+				want, wantErr := cluster.HostStateCase(f.Host(i), 4, inlet, c)
+				got, err := f.HostCase(i, inlet, c, &arena)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("step %d (%s) host %s: error %v, HostStateCase %v", step, op, f.IDs()[i], err, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (%s): case for %s diverged:\n got %+v\nwant %+v", step, op, f.IDs()[i], got, want)
+				}
+			}
+		}
+	}
+	t.Logf("ops %v, %d views still valid at a comparison", counts, reused)
+	for _, op := range []string{"place", "migrate", "remove", "advance"} {
+		if counts[op] == 0 {
+			t.Fatalf("the sequence never ran %s", op)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no view was valid at any comparison: the memo path was never exercised")
+	}
+}
+
+// TestActiveFaults pins what ActiveFaults counts: each degraded CRAC
+// dimension, a blackout and each faulted sensor, and nothing once every
+// fault is cleared.
+func TestActiveFaults(t *testing.T) {
+	f := testFleet(t)
+	steps := []struct {
+		name string
+		do   func() error
+		want int
+	}{
+		{"healthy", func() error { return nil }, 0},
+		{"capacity", func() error { return f.SetCRACCoolingCapacity(0.5) }, 1},
+		{"setpoint", func() error { return f.SetCRACSetpointDelta(4) }, 2},
+		{"recirc", func() error { return f.SetCRACRecircMultiplier(2) }, 3},
+		{"dark", func() error { f.SetTelemetryDark(true); return nil }, 4},
+		{"sensors", func() error {
+			if err := f.SetSensorFault("r0-h1", SensorFault{Mode: SensorStuck, ValueC: 40}); err != nil {
+				return err
+			}
+			return f.SetSensorFault("r1-h3", SensorFault{Mode: SensorNaN})
+		}, 6},
+		{"cleared", func() error {
+			f.SetTelemetryDark(false)
+			for _, err := range []error{
+				f.SetCRACCoolingCapacity(1), f.SetCRACSetpointDelta(0), f.SetCRACRecircMultiplier(1),
+				f.SetSensorFault("r0-h1", SensorFault{}), f.SetSensorFault("r1-h3", SensorFault{}),
+			} {
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 0},
+	}
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if got := f.ActiveFaults(); got != s.want {
+			t.Fatalf("%s: ActiveFaults = %d, want %d", s.name, got, s.want)
+		}
+	}
+	if err := f.SetSensorFault("r9-h0", SensorFault{}); err == nil {
+		t.Fatal("a sensor fault on a host the fleet lacks was accepted")
+	}
+	if _, _, err := f.RackSlots(2); err == nil {
+		t.Fatal("rack 2 of a 2-rack fleet was accepted")
+	}
+}
