@@ -110,6 +110,17 @@ func (m *Model) fusedRBF() bool {
 	return useAVX && m.Dim > 0 && g > 0 && g <= math.MaxFloat64
 }
 
+// RBFKernelName names the RBF prediction kernel this process runs:
+// "avx2-fused" or "generic". The two agree to the last few bits, not bit for
+// bit, so a score computed from predictions (a cross-validated MSE) is
+// reproducible only on the same kernel.
+func RBFKernelName() string {
+	if useAVX {
+		return "avx2-fused"
+	}
+	return "generic"
+}
+
 // PredictBatchInto evaluates the model on len(out) rows stored row-major in
 // xs (len(xs) must be len(out)·Dim) and writes one prediction per row into
 // out. Rows must already be in the model's feature space (scaled). With a
