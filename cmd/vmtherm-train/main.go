@@ -28,33 +28,38 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vmtherm-train: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run parses args (exiting on a bad flag, as flag.Parse does), trains and
+// writes the model, logging progress to logw.
+func run(args []string, logw io.Writer) error {
+	fs := flag.NewFlagSet("vmtherm-train", flag.ExitOnError)
+	fs.SetOutput(logw)
 	var (
-		cases    = flag.Int("cases", 160, "number of simulated training experiments")
-		testFrac = flag.Float64("test-frac", 0.15, "held-out fraction for the final report")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		out      = flag.String("out", "model.svm", "model output path")
-		data     = flag.String("data", "", "optional dataset CSV output path")
-		libsvm   = flag.String("libsvm", "", "optional LIBSVM-format dataset output path")
-		fast     = flag.Bool("fast", false, "use the reduced grid (quick runs)")
-		refine   = flag.Bool("refine", false, "two-stage coarse→fine grid search (easy.py style)")
+		cases    = fs.Int("cases", 160, "number of simulated training experiments")
+		testFrac = fs.Float64("test-frac", 0.15, "held-out fraction for the final report")
+		seed     = fs.Int64("seed", 1, "deterministic seed")
+		out      = fs.String("out", "model.svm", "model output path")
+		data     = fs.String("data", "", "optional dataset CSV output path")
+		libsvm   = fs.String("libsvm", "", "optional LIBSVM-format dataset output path")
+		fast     = fs.Bool("fast", false, "use the reduced grid (quick runs)")
+		refine   = fs.Bool("refine", false, "two-stage coarse→fine grid search (easy.py style)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
+	logger := log.New(logw, "vmtherm-train: ", 0)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	log.Printf("generating %d randomized cases (seed %d)", *cases, *seed)
+	logger.Printf("generating %d randomized cases (seed %d)", *cases, *seed)
 	cs, err := workload.GenerateCases(workload.DefaultGenOptions(), *seed, "train", *cases)
 	if err != nil {
 		return err
 	}
-	log.Printf("simulating %d experiments (1800 s each, t_break 600 s)", len(cs))
+	logger.Printf("simulating %d experiments (1800 s each, t_break 600 s)", len(cs))
 	records, err := dataset.Build(ctx, cs, dataset.DefaultBuildOptions(*seed))
 	if err != nil {
 		return err
@@ -66,7 +71,7 @@ func run() error {
 		}); err != nil {
 			return err
 		}
-		log.Printf("dataset CSV written to %s", *data)
+		logger.Printf("dataset CSV written to %s", *data)
 	}
 	if *libsvm != "" {
 		if err := writeFile(*libsvm, func(w io.Writer) error {
@@ -74,7 +79,7 @@ func run() error {
 		}); err != nil {
 			return err
 		}
-		log.Printf("LIBSVM dataset written to %s", *libsvm)
+		logger.Printf("LIBSVM dataset written to %s", *libsvm)
 	}
 
 	train, test, err := dataset.Split(records, *testFrac, *seed)
@@ -104,19 +109,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		log.Printf("refined winner: C=%g gamma=%g eps=%g (cv MSE %.3f)",
+		logger.Printf("refined winner: C=%g gamma=%g eps=%g (cv MSE %.3f)",
 			best.Point.C, best.Point.Gamma, best.Point.Epsilon, best.MSE)
 		cfg.Grid.Cs = []float64{best.Point.C}
 		cfg.Grid.Gammas = []float64{best.Point.Gamma}
 		cfg.Grid.Epsilons = []float64{best.Point.Epsilon}
 	}
 	nPoints := len(cfg.Grid.Cs) * len(cfg.Grid.Gammas) * len(cfg.Grid.Epsilons)
-	log.Printf("grid search: %d points × %d-fold CV on %d records", nPoints, cfg.Grid.Folds, len(train))
+	logger.Printf("grid search: %d points × %d-fold CV on %d records", nPoints, cfg.Grid.Folds, len(train))
 	model, err := core.TrainStable(ctx, train, cfg)
 	if err != nil {
 		return err
 	}
-	log.Printf("best point: C=%g gamma=%g eps=%g (cv MSE %.3f, %d SVs)",
+	logger.Printf("best point: C=%g gamma=%g eps=%g (cv MSE %.3f, %d SVs)",
 		model.Best().C, model.Best().Gamma, model.Best().Epsilon, model.CVMSE(), model.NumSV())
 
 	if len(test) > 0 {
@@ -133,13 +138,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		log.Printf("held-out MSE on %d records: %.3f (paper band: ≤1.10)", len(test), mse)
+		logger.Printf("held-out MSE on %d records: %.3f (paper band: ≤1.10)", len(test), mse)
 	}
 
 	if err := writeFile(*out, model.Save); err != nil {
 		return err
 	}
-	log.Printf("model written to %s", *out)
+	logger.Printf("model written to %s", *out)
 	return nil
 }
 

@@ -1,10 +1,12 @@
 // Package svm implements ε-Support-Vector-Regression compatible with the
 // LIBSVM 3.x formulation the paper trains on (Wu et al. use LIBSVM 3.17 with
 // the RBF kernel). Training solves the dual problem with Sequential Minimal
-// Optimization using maximal-violating-pair working-set selection, the same
-// strategy as LIBSVM's Solver; prediction, the ε-tube, the C box constraint
-// and the ρ offset all follow the LIBSVM conventions so hyper-parameters and
-// model files transfer mentally one-to-one.
+// Optimization. Its working-set selection is LIBSVM's second-order rule
+// (WSS2, Fan, Chen & Lin 2005), which every trainer in this repository
+// selects through mlgrid; the zero-value TrainParams.Selection is the
+// first-order maximal violating pair. Prediction, the ε-tube, the C box
+// constraint and the ρ offset all follow the LIBSVM conventions so
+// hyper-parameters and model files transfer mentally one-to-one.
 //
 // The package is self-contained (stdlib only), deterministic, and validated
 // in its tests against analytically solvable regression problems and the

@@ -13,6 +13,11 @@ import (
 // p_t = ε − z_t) and a_t for t ≥ l the "down" multipliers (y_t = −1,
 // p_t = ε + z_t), where z is the regression target. Q̄_ts = y_t·y_s·K(t%l, s%l).
 // The final coefficient of sample i is β_i = a_i − a_{i+l}.
+//
+// The hot loops walk the two halves separately, so y_t is a constant sign
+// in each loop: −y_t·G_t is −G_t on the up half and G_t on the down half.
+// Folding a sign into a product is exact, so the split changes no bit, and
+// each scan visits t in increasing order, so ties go to the first index.
 type solver struct {
 	l     int // number of training samples
 	n     int // 2l variables
@@ -22,15 +27,13 @@ type solver struct {
 	maxIt int
 	rule  SelectionRule
 
-	x [][]float64
 	z []float64
-	k Kernel
 
 	alpha []float64
 	grad  []float64 // G_t = (Q̄a)_t + p_t
 
 	cache *rowCache
-	diag  []float64 // Q̄_tt (always +K(i,i))
+	diag  []float64 // K(k, k) per sample: Q̄_tt for t = k and t = k+l
 }
 
 // tau is LIBSVM's lower bound for the second-order coefficient.
@@ -55,17 +58,18 @@ func newSolver(x [][]float64, z []float64, k Kernel, c, eps, tol float64, maxIt 
 	s := &solver{
 		l: l, n: 2 * l,
 		c: c, eps: eps, tol: tol, maxIt: maxIt,
-		rule: rule,
-		x:    x, z: z, k: k,
+		rule:  rule,
+		z:     z,
 		alpha: make([]float64, 2*l),
 		grad:  make([]float64, 2*l),
 		cache: newRowCache(l, k, x),
-		diag:  make([]float64, 2*l),
+		diag:  make([]float64, l),
 	}
 	for t := 0; t < s.n; t++ {
 		s.grad[t] = s.p(t) // alpha starts at zero, so G = p
-		i := t % l
-		s.diag[t] = s.cache.row(i)[i]
+	}
+	for i, xi := range x {
+		s.diag[i] = k.Eval(xi, xi) // the bits row(i)[i] would hold
 	}
 	return s
 }
@@ -86,107 +90,124 @@ func (s *solver) p(t int) float64 {
 	return s.eps + s.z[t-s.l]
 }
 
-// q returns Q̄_ts without materializing the doubled matrix.
-func (s *solver) q(t, u int) float64 {
-	v := s.cache.row(t % s.l)[u%s.l]
-	return s.y(t) * s.y(u) * v
+// violators is the first-order scan: i = argmax_{t ∈ I_up} −y_t·G_t and
+// j = argmin_{t ∈ I_low} −y_t·G_t, with gmax and gmin the two values.
+type violators struct {
+	gmax, gmin float64
+	i, j       int
 }
 
-// selectWorkingSet returns the next pair (i, j) to optimize, or ok=false
-// when the KKT conditions hold within tol.
-func (s *solver) selectWorkingSet() (i, j int, ok bool) {
-	// i: argmax_{t in I_up} -y_t G_t ; j per the configured rule.
-	gmax := math.Inf(-1)
-	gmin := math.Inf(1)
-	i, j = -1, -1
-	for t := 0; t < s.n; t++ {
-		yg := -s.y(t) * s.grad[t]
-		if s.inUp(t) && yg > gmax {
-			gmax = yg
-			i = t
-		}
-		if s.inLow(t) && yg < gmin {
-			gmin = yg
-			j = t
-		}
-	}
-	if i < 0 || j < 0 || gmax-gmin < s.tol {
-		return 0, 0, false
-	}
-	if s.rule == MaxViolatingPair {
-		return i, j, true
-	}
-
-	// WSS2: keep i, choose j in I_low maximizing the second-order gain
-	//   b² / a,  b = gmax + y_j G_j > 0,  a = Q_ii + Q_jj − 2 y_i y_j Q_ij.
-	ri := s.cache.row(i % s.l)
-	qi := s.diag[i]
-	yi := s.y(i)
-	bestGain := math.Inf(-1)
-	bestJ := -1
-	for t := 0; t < s.n; t++ {
-		if !s.inLow(t) {
-			continue
-		}
-		b := gmax + s.y(t)*s.grad[t]
-		if b <= 0 {
-			continue
-		}
-		a := qi + s.diag[t] - 2*yi*s.y(t)*ri[t%s.l]
-		if a <= 0 {
-			a = tau
-		}
-		if gain := b * b / a; gain > bestGain {
-			bestGain = gain
-			bestJ = t
-		}
-	}
-	if bestJ < 0 {
-		// No admissible second-order choice; fall back to the first-order j.
-		return i, j, true
-	}
-	return i, bestJ, true
+func noViolators() violators {
+	return violators{gmax: math.Inf(-1), gmin: math.Inf(1), i: -1, j: -1}
 }
 
-func (s *solver) inUp(t int) bool {
-	if s.y(t) > 0 {
-		return s.alpha[t] < s.c
+// up folds the up-half variable k (y = +1, so −y·G = −g) with multiplier a
+// into the scan: it is in I_up while a < C and in I_low while a > 0.
+func (v *violators) up(k int, g, a, c float64) {
+	if a < c && -g > v.gmax {
+		v.gmax, v.i = -g, k
 	}
-	return s.alpha[t] > 0
+	if a > 0 && -g < v.gmin {
+		v.gmin, v.j = -g, k
+	}
 }
 
-func (s *solver) inLow(t int) bool {
-	if s.y(t) > 0 {
-		return s.alpha[t] > 0
+// down folds the down-half variable t (y = −1, so −y·G = g) into the scan:
+// it is in I_up while a > 0 and in I_low while a < C.
+func (v *violators) down(t int, g, a, c float64) {
+	if a > 0 && g > v.gmax {
+		v.gmax, v.i = g, t
 	}
-	return s.alpha[t] < s.c
+	if a < c && g < v.gmin {
+		v.gmin, v.j = g, t
+	}
+}
+
+// scan runs the first-order scan over the current gradient.
+func (s *solver) scan() violators {
+	v := noViolators()
+	l := s.l
+	up, down := s.alpha[:l], s.alpha[l:]
+	for k, g := range s.grad[:l] {
+		v.up(k, g, up[k], s.c)
+	}
+	for k, g := range s.grad[l:] {
+		v.down(l+k, g, down[k], s.c)
+	}
+	return v
+}
+
+// secondOrder is WSS2's choice of j for the fixed i of v: the t in I_low
+// maximizing b²/a, b = gmax + y_t·G_t > 0, a = Q̄_ii + Q̄_tt − 2·y_i·y_t·K_it.
+// It falls back to the first-order j when no t has b > 0.
+func (s *solver) secondOrder(v violators) int {
+	l := s.l
+	ri := s.cache.row(v.i % l)
+	qi := s.diag[v.i%l]
+	s2 := 2.0 // 2·y_i
+	if v.i >= l {
+		s2 = -2
+	}
+	best, bestJ := math.Inf(-1), v.j
+	up, down := s.alpha[:l], s.alpha[l:]
+	for k, g := range s.grad[:l] { // y_t = +1: in I_low while a > 0
+		if b := v.gmax + g; up[k] > 0 && b > 0 {
+			if gain := wss2Gain(b, qi+s.diag[k]-s2*ri[k]); gain > best {
+				best, bestJ = gain, k
+			}
+		}
+	}
+	for k, g := range s.grad[l:] { // y_t = −1: in I_low while a < C
+		if b := v.gmax - g; down[k] < s.c && b > 0 {
+			if gain := wss2Gain(b, qi+s.diag[k]+s2*ri[k]); gain > best {
+				best, bestJ = gain, l+k
+			}
+		}
+	}
+	return bestJ
+}
+
+// wss2Gain is the guaranteed objective decrease b²/a, with a floored at tau.
+func wss2Gain(b, a float64) float64 {
+	if a <= 0 {
+		a = tau
+	}
+	return b * b / a
 }
 
 // solve runs SMO to convergence. It returns the per-sample coefficients
 // β_i = a_i − a_{i+l}, the offset rho, and the iteration count.
 func (s *solver) solve() (beta []float64, rho float64, iters int, err error) {
+	v := s.scan()
 	for iters = 0; iters < s.maxIt; iters++ {
-		i, j, ok := s.selectWorkingSet()
-		if !ok {
+		if v.i < 0 || v.j < 0 || v.gmax-v.gmin < s.tol {
 			return s.finish(iters)
 		}
-		s.update(i, j)
+		j := v.j
+		if s.rule == SecondOrder {
+			j = s.secondOrder(v)
+		}
+		v = s.update(v, v.i, j)
 	}
 	return nil, 0, iters, errors.New("svm: SMO iteration limit reached without convergence")
 }
 
-// update optimizes the pair (i, j) analytically and refreshes the gradient.
-func (s *solver) update(i, j int) {
-	qi := s.q(i, i)
-	qj := s.q(j, j)
-	qij := s.q(i, j)
+// update optimizes the pair (i, j) analytically, refreshes the gradient
+// and returns the next first-order scan, made in the same pass. A step
+// that moves neither multiplier changes nothing, so prev still holds.
+func (s *solver) update(prev violators, i, j int) violators {
+	l := s.l
+	ri := s.cache.row(i % l)
+	rj := s.cache.row(j % l)
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
 
-	if s.y(i) != s.y(j) {
-		quad := qi + qj + 2*qij
-		if quad <= 0 {
-			quad = tau
-		}
+	// LIBSVM's Q̄_ii + Q̄_jj − 2·Q̄_ij for a same-sign pair and + 2·Q̄_ij for
+	// an opposite-sign one; with Q̄_ij = y_i·y_j·K_ij both are this.
+	quad := s.diag[i%l] + s.diag[j%l] - 2*ri[j%l]
+	if quad <= 0 {
+		quad = tau
+	}
+	if (i < l) != (j < l) {
 		delta := (-s.grad[i] - s.grad[j]) / quad
 		diff := s.alpha[i] - s.alpha[j]
 		s.alpha[i] += delta
@@ -214,10 +235,6 @@ func (s *solver) update(i, j int) {
 			}
 		}
 	} else {
-		quad := qi + qj - 2*qij
-		if quad <= 0 {
-			quad = tau
-		}
 		delta := (s.grad[i] - s.grad[j]) / quad
 		sum := s.alpha[i] + s.alpha[j]
 		s.alpha[i] -= delta
@@ -249,17 +266,24 @@ func (s *solver) update(i, j int) {
 	dAi := s.alpha[i] - oldAi
 	dAj := s.alpha[j] - oldAj
 	if dAi == 0 && dAj == 0 {
-		return
+		return prev
 	}
-	// G_t += Q̄_ti ΔA_i + Q̄_tj ΔA_j, computed from the two cached base rows.
-	ri := s.cache.row(i % s.l)
-	rj := s.cache.row(j % s.l)
-	yi, yj := s.y(i), s.y(j)
-	for t := 0; t < s.n; t++ {
-		yt := s.y(t)
-		s.grad[t] += yt * yi * ri[t%s.l] * dAi
-		s.grad[t] += yt * yj * rj[t%s.l] * dAj
+	// G_t += Q̄_ti·ΔA_i + Q̄_tj·ΔA_j = ±(K_ti·y_i·ΔA_i + K_tj·y_j·ΔA_j), the
+	// two products rounded on their own (explicit conversions: no fused
+	// multiply-add) and added in that order.
+	ci, cj := s.y(i)*dAi, s.y(j)*dAj
+	v := noViolators()
+	up, down := s.alpha[:l], s.alpha[l:]
+	gu, gd := s.grad[:l], s.grad[l:]
+	for k := range gu {
+		gu[k] = float64(gu[k]+float64(ri[k]*ci)) + float64(rj[k]*cj)
+		v.up(k, gu[k], up[k], s.c)
 	}
+	for k := range gd {
+		gd[k] = float64(gd[k]-float64(ri[k]*ci)) - float64(rj[k]*cj)
+		v.down(l+k, gd[k], down[k], s.c)
+	}
+	return v
 }
 
 // finish computes β and rho from the converged state.
@@ -302,15 +326,16 @@ func (s *solver) finish(iters int) (beta []float64, rho float64, its int, err er
 	return beta, rho, iters, nil
 }
 
-// rowCache caches kernel matrix rows K(i, ·) over the l base samples with a
-// simple FIFO eviction policy; for the dataset sizes in this repository most
-// runs fit entirely in cache.
+// rowCache holds kernel rows K(i, ·) over the l base samples in a slice
+// indexed by sample, nil until first asked for. At most maxRows rows stay
+// resident, the oldest computed dropped first (FIFO); the cap bites only
+// past l = 4096, so the dataset sizes in this repository compute each row
+// once. A dropped row is recomputed on demand to the same bits.
 type rowCache struct {
-	l       int
 	k       Kernel
 	x       [][]float64
-	rows    map[int][]float64
-	order   []int
+	rows    [][]float64
+	order   []int // resident rows, oldest first
 	maxRows int
 }
 
@@ -323,26 +348,21 @@ func newRowCache(l int, k Kernel, x [][]float64) *rowCache {
 			maxRows = 2
 		}
 	}
-	return &rowCache{
-		l: l, k: k, x: x,
-		rows:    make(map[int][]float64, maxRows),
-		maxRows: maxRows,
-	}
+	return &rowCache{k: k, x: x, rows: make([][]float64, l), maxRows: maxRows}
 }
 
 func (c *rowCache) row(i int) []float64 {
-	if r, ok := c.rows[i]; ok {
+	if r := c.rows[i]; r != nil {
 		return r
 	}
-	r := make([]float64, c.l)
+	r := make([]float64, len(c.x))
 	xi := c.x[i]
-	for j := 0; j < c.l; j++ {
-		r[j] = c.k.Eval(xi, c.x[j])
+	for j, xj := range c.x {
+		r[j] = c.k.Eval(xi, xj)
 	}
 	if len(c.order) >= c.maxRows {
-		oldest := c.order[0]
+		c.rows[c.order[0]] = nil
 		c.order = c.order[1:]
-		delete(c.rows, oldest)
 	}
 	c.rows[i] = r
 	c.order = append(c.order, i)

@@ -103,3 +103,47 @@ func TestValidateRejectsUnknownSelection(t *testing.T) {
 		t.Error("unknown selection rule should fail validation")
 	}
 }
+
+// TestRowCacheEvictionMatchesResident runs the FIFO eviction path, which
+// real training reaches only past l = 4096 samples: with room for three
+// kernel rows, rows are dropped and recomputed throughout, and the solution
+// — every β_i, rho and the iteration count — must equal the bits of a run
+// that keeps every row.
+func TestRowCacheEvictionMatchesResident(t *testing.T) {
+	x, y := wss2Data(80, 37)
+	k := Kernel{Type: RBF, Gamma: 0.7}
+	for _, rule := range []SelectionRule{MaxViolatingPair, SecondOrder} {
+		resident := newSolver(x, y, k, 10, 0.05, 1e-3, 1_000_000, rule)
+		wantBeta, wantRho, wantIters, err := resident.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		evicting := newSolver(x, y, k, 10, 0.05, 1e-3, 1_000_000, rule)
+		evicting.cache.maxRows = 3
+		beta, rho, iters, err := evicting.solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if used, kept := computedRows(resident.cache), computedRows(evicting.cache); used <= 3 || kept > 3 {
+			t.Fatalf("rule %d: %d rows used, %d kept: eviction never ran", rule, used, kept)
+		}
+		if iters != wantIters || math.Float64bits(rho) != math.Float64bits(wantRho) {
+			t.Errorf("rule %d: iters %d rho %v, want %d %v", rule, iters, rho, wantIters, wantRho)
+		}
+		for i := range beta {
+			if math.Float64bits(beta[i]) != math.Float64bits(wantBeta[i]) {
+				t.Fatalf("rule %d: beta[%d] = %v, want %v", rule, i, beta[i], wantBeta[i])
+			}
+		}
+	}
+}
+
+func computedRows(c *rowCache) int {
+	n := 0
+	for _, r := range c.rows {
+		if r != nil {
+			n++
+		}
+	}
+	return n
+}
