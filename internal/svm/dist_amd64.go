@@ -18,9 +18,24 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool)
 
-// useAVX reports whether the vectorized RBF kernel may run: the CPU must
-// support AVX2 and FMA, and the OS must save ymm state on context switch
-// (OSXSAVE + XCR0 bits 1-2).
+// wss2AVX runs wss2Scalar over k < n, n a positive multiple of 4, from no
+// picks, and leaves the up half's lanes in out[0] and the down half's in
+// out[1]. gu and gd point at the two halves of the gradient, au and ad at
+// those of alpha.
+//
+//go:noescape
+func wss2AVX(gu, gd, au, ad, diag, ri *float64, n int, gmax, qi, s2, c float64, out *[2]lanes)
+
+// stepAVX runs stepScalar over k < n, n a positive multiple of 4, from
+// empty scans, and leaves the lanes of the up half's gmax and gmin in
+// out[0] and out[1] and the down half's in out[2] and out[3].
+//
+//go:noescape
+func stepAVX(gu, gd, au, ad, ri, rj *float64, n int, ci, cj, c float64, out *[4]lanes)
+
+// useAVX reports whether the AVX2 kernels, RBF and SMO, may run: the CPU
+// must support AVX2 and FMA, and the OS must save ymm state on context
+// switch (OSXSAVE + XCR0 bits 1-2).
 var useAVX = func() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {

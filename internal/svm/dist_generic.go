@@ -4,9 +4,18 @@ package svm
 
 // Non-amd64 platforms — and any build with the noasm tag, which CI uses to
 // exercise this path on every PR — have no vector kernel: every row takes
-// sqDistsGeneric and scalar expNeg.
+// sqDistsGeneric and scalar expNeg, and SMO runs its scalar fused passes
+// over every variable.
 const useAVX = false
 
 func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool) {
 	panic("svm: rbfBlocksAVX called without the AVX2 kernel")
+}
+
+func wss2AVX(gu, gd, au, ad, diag, ri *float64, n int, gmax, qi, s2, c float64, out *[2]lanes) {
+	panic("svm: wss2AVX called without the AVX2 kernel")
+}
+
+func stepAVX(gu, gd, au, ad, ri, rj *float64, n int, ci, cj, c float64, out *[4]lanes) {
+	panic("svm: stepAVX called without the AVX2 kernel")
 }

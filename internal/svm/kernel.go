@@ -8,6 +8,15 @@
 // constraint and the ρ offset all follow the LIBSVM conventions so
 // hyper-parameters and model files transfer mentally one-to-one.
 //
+// An SMO iteration makes two passes over the dual variables, WSS2's scan
+// for j and the gradient update fused with the next first-order scan. Each
+// is one loop over the l samples that handles a sample's two variables
+// (α_k and α*_k in LIBSVM's doubled problem) together, and on amd64 with
+// AVX2 it runs four samples at a time. Every pick goes to the first index
+// among equal values, as a scalar scan in index order would give it, and
+// WSS2's gain b²/a stays a true division: the model is the same to the bit
+// on every build.
+//
 // The package is self-contained (stdlib only), deterministic, and validated
 // in its tests against analytically solvable regression problems and the
 // KKT optimality conditions.

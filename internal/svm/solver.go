@@ -14,10 +14,24 @@ import (
 // p_t = ε + z_t), where z is the regression target. Q̄_ts = y_t·y_s·K(t%l, s%l).
 // The final coefficient of sample i is β_i = a_i − a_{i+l}.
 //
-// The hot loops walk the two halves separately, so y_t is a constant sign
-// in each loop: −y_t·G_t is −G_t on the up half and G_t on the down half.
-// Folding a sign into a product is exact, so the split changes no bit, and
-// each scan visits t in increasing order, so ties go to the first index.
+// An iteration makes two O(l) passes: WSS2's scan for j (wss2) and the
+// gradient update fused with the next first-order scan (step). Each walks
+// k < l once and handles the up variable k and the down variable l+k
+// together: they share K(i,k), K(j,k) and K(k,k), and step computes the
+// products a = K(i,k)·c_i and b = K(j,k)·c_j once for G_k = (G_k + a) + b
+// and G_{l+k} = (G_{l+k} − a) − b. y_t is a constant sign in each half, so
+// −y_t·G_t is −G_k on the up half and G_{l+k} on the down half; folding a
+// sign in is exact. Every argmax and argmin keeps one pick per half and
+// visits k in increasing order with strict compares, so it holds the first
+// occurrence; merging the halves, the up pick wins ties, as its index is
+// the lower. The picks are those of one scan over t = 0 … 2l−1.
+//
+// Where useAVX holds, both passes run four k at a time in AVX2
+// (smo_amd64.s) and the scalar loop takes the last l mod 4; under noasm it
+// takes them all. The kernels give the scalar loop's bits: a pick per lane
+// reduced to the lowest index among equal values, no FMA, and b²/a by a
+// true division — a reciprocal, or comparing b² against best·a, rounds
+// differently and would change which j wins.
 type solver struct {
 	l     int // number of training samples
 	n     int // 2l variables
@@ -112,29 +126,91 @@ func (v *violators) up(k int, g, a, c float64) {
 	}
 }
 
-// down folds the down-half variable t (y = −1, so −y·G = g) into the scan:
-// it is in I_up while a > 0 and in I_low while a < C.
-func (v *violators) down(t int, g, a, c float64) {
+// down folds the down-half variable l+k (y = −1, so −y·G = g) into the
+// scan under index k: it is in I_up while a > 0 and in I_low while a < C.
+func (v *violators) down(k int, g, a, c float64) {
 	if a > 0 && g > v.gmax {
-		v.gmax, v.i = g, t
+		v.gmax, v.i = g, k
 	}
 	if a < c && g < v.gmin {
-		v.gmin, v.j = g, t
+		v.gmin, v.j = g, k
 	}
+}
+
+// merge joins the up-half scan u and the down-half scan d, both indexed by
+// k < l, into the scan over all 2l variables: d's indices move up by l, and
+// on equal values u wins, because its index is the lower.
+func merge(u, d violators, l int) violators {
+	if d.gmax > u.gmax {
+		u.gmax, u.i = d.gmax, l+d.i
+	}
+	if d.gmin < u.gmin {
+		u.gmin, u.j = d.gmin, l+d.j
+	}
+	return u
 }
 
 // scan runs the first-order scan over the current gradient.
 func (s *solver) scan() violators {
-	v := noViolators()
+	u, d := noViolators(), noViolators()
 	l := s.l
-	up, down := s.alpha[:l], s.alpha[l:]
-	for k, g := range s.grad[:l] {
-		v.up(k, g, up[k], s.c)
+	for k := range l {
+		u.up(k, s.grad[k], s.alpha[k], s.c)
+		d.down(k, s.grad[l+k], s.alpha[l+k], s.c)
 	}
-	for k, g := range s.grad[l:] {
-		v.down(l+k, g, down[k], s.c)
+	return merge(u, d, l)
+}
+
+// pick is a running argmax or argmin: the extreme value seen and the index
+// of its first occurrence, -1 before any.
+type pick struct {
+	v float64
+	k int
+}
+
+// max folds the value v at index k into the argmax p.
+func (p *pick) max(v float64, k int) {
+	if v > p.v {
+		p.v, p.k = v, k
 	}
-	return v
+}
+
+// lanes is what a vector pass leaves of one pick: lane L has seen the
+// k ≡ L (mod 4) in increasing order, with strict compares.
+type lanes struct {
+	v [4]float64
+	k [4]int
+}
+
+// max reduces the lanes to the pick the scalar loop would have made: the
+// largest value and, between equal values, the lowest index. No lane holds
+// NaN, which never wins a strict compare.
+func (t *lanes) max() pick {
+	p := pick{t.v[0], t.k[0]}
+	for L := 1; L < 4; L++ {
+		if t.v[L] > p.v || t.v[L] == p.v && t.k[L] < p.k {
+			p = pick{t.v[L], t.k[L]}
+		}
+	}
+	return p
+}
+
+// min is max for the smallest value.
+func (t *lanes) min() pick {
+	p := pick{t.v[0], t.k[0]}
+	for L := 1; L < 4; L++ {
+		if t.v[L] < p.v || t.v[L] == p.v && t.k[L] < p.k {
+			p = pick{t.v[L], t.k[L]}
+		}
+	}
+	return p
+}
+
+// wss2Pass is what WSS2's scan for j needs of the chosen i: its kernel row,
+// Q̄_ii, 2·y_i and the violation gmax.
+type wss2Pass struct {
+	ri           []float64
+	qi, s2, gmax float64
 }
 
 // secondOrder is WSS2's choice of j for the fixed i of v: the t in I_low
@@ -142,29 +218,51 @@ func (s *solver) scan() violators {
 // It falls back to the first-order j when no t has b > 0.
 func (s *solver) secondOrder(v violators) int {
 	l := s.l
-	ri := s.cache.row(v.i % l)
-	qi := s.diag[v.i%l]
-	s2 := 2.0 // 2·y_i
+	p := wss2Pass{ri: s.cache.row(v.i % l), qi: s.diag[v.i%l], s2: 2, gmax: v.gmax}
 	if v.i >= l {
-		s2 = -2
+		p.s2 = -2
 	}
-	best, bestJ := math.Inf(-1), v.j
-	up, down := s.alpha[:l], s.alpha[l:]
-	for k, g := range s.grad[:l] { // y_t = +1: in I_low while a > 0
-		if b := v.gmax + g; up[k] > 0 && b > 0 {
-			if gain := wss2Gain(b, qi+s.diag[k]-s2*ri[k]); gain > best {
-				best, bestJ = gain, k
-			}
+	up, dn := s.wss2(p)
+	switch {
+	case dn.v > up.v: // the up pick wins ties: its index is the lower
+		return l + dn.k
+	case up.k >= 0:
+		return up.k
+	}
+	return v.j
+}
+
+// wss2 scans the up and down halves for WSS2's j in one pass over k < l,
+// four k at a time in AVX2 where it runs.
+func (s *solver) wss2(p wss2Pass) (up, dn pick) {
+	up, dn = pick{math.Inf(-1), -1}, pick{math.Inf(-1), -1}
+	k := 0
+	if n := s.l &^ 3; useAVX && n > 0 {
+		l := s.l
+		var out [2]lanes
+		wss2AVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &s.diag[0], &p.ri[0], n, p.gmax, p.qi, p.s2, s.c, &out)
+		up, dn, k = out[0].max(), out[1].max(), n
+	}
+	return s.wss2Scalar(p, k, up, dn)
+}
+
+// wss2Scalar folds k = from, …, l−1 into the picks up and dn. The up
+// variable k is in I_low while a > 0, the down variable l+k while a < C.
+func (s *solver) wss2Scalar(p wss2Pass, from int, up, dn pick) (pick, pick) {
+	l, c := s.l, s.c
+	gu, gd := s.grad[:l], s.grad[l:][:l]
+	au, ad := s.alpha[:l], s.alpha[l:][:l]
+	ri, diag := p.ri[:l], s.diag[:l]
+	for k := from; k < l; k++ {
+		q, m := p.qi+diag[k], p.s2*ri[k]
+		if b := p.gmax + gu[k]; au[k] > 0 && b > 0 {
+			up.max(wss2Gain(b, q-m), k)
+		}
+		if b := p.gmax - gd[k]; ad[k] < c && b > 0 {
+			dn.max(wss2Gain(b, q+m), k)
 		}
 	}
-	for k, g := range s.grad[l:] { // y_t = −1: in I_low while a < C
-		if b := v.gmax - g; down[k] < s.c && b > 0 {
-			if gain := wss2Gain(b, qi+s.diag[k]+s2*ri[k]); gain > best {
-				best, bestJ = gain, l+k
-			}
-		}
-	}
-	return bestJ
+	return up, dn
 }
 
 // wss2Gain is the guaranteed objective decrease b²/a, with a floored at tau.
@@ -268,22 +366,51 @@ func (s *solver) update(prev violators, i, j int) violators {
 	if dAi == 0 && dAj == 0 {
 		return prev
 	}
-	// G_t += Q̄_ti·ΔA_i + Q̄_tj·ΔA_j = ±(K_ti·y_i·ΔA_i + K_tj·y_j·ΔA_j), the
-	// two products rounded on their own (explicit conversions: no fused
-	// multiply-add) and added in that order.
-	ci, cj := s.y(i)*dAi, s.y(j)*dAj
-	v := noViolators()
-	up, down := s.alpha[:l], s.alpha[l:]
-	gu, gd := s.grad[:l], s.grad[l:]
-	for k := range gu {
-		gu[k] = float64(gu[k]+float64(ri[k]*ci)) + float64(rj[k]*cj)
-		v.up(k, gu[k], up[k], s.c)
+	// G_t += Q̄_ti·ΔA_i + Q̄_tj·ΔA_j = ±(K_ti·y_i·ΔA_i + K_tj·y_j·ΔA_j).
+	return s.step(ri, rj, s.y(i)*dAi, s.y(j)*dAj)
+}
+
+// step adds ci·K(k, i) + cj·K(k, j) to the up gradient G_k and subtracts it
+// from the down gradient G_{l+k}, and returns the first-order scan of the
+// result, in one pass over k < l, four k at a time in AVX2 where it runs.
+func (s *solver) step(ri, rj []float64, ci, cj float64) violators {
+	u, d := noViolators(), noViolators()
+	k := 0
+	if n := s.l &^ 3; useAVX && n > 0 {
+		l := s.l
+		var out [4]lanes
+		stepAVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &ri[0], &rj[0], n, ci, cj, s.c, &out)
+		u = lanesViolators(&out[0], &out[1])
+		d = lanesViolators(&out[2], &out[3])
+		k = n
 	}
-	for k := range gd {
-		gd[k] = float64(gd[k]-float64(ri[k]*ci)) - float64(rj[k]*cj)
-		v.down(l+k, gd[k], down[k], s.c)
+	u, d = s.stepScalar(ri, rj, ci, cj, k, u, d)
+	return merge(u, d, s.l)
+}
+
+// lanesViolators reduces a vector pass's gmax and gmin lanes.
+func lanesViolators(hi, lo *lanes) violators {
+	i, j := hi.max(), lo.min()
+	return violators{gmax: i.v, i: i.k, gmin: j.v, j: j.k}
+}
+
+// stepScalar is step's pass for k = from, …, l−1, continuing the up- and
+// down-half scans u and d. The two products are rounded on their own
+// (explicit conversions: no fused multiply-add), computed once for both
+// halves, and added in the order G + a + b.
+func (s *solver) stepScalar(ri, rj []float64, ci, cj float64, from int, u, d violators) (violators, violators) {
+	l, c := s.l, s.c
+	gu, gd := s.grad[:l], s.grad[l:][:l]
+	au, ad := s.alpha[:l], s.alpha[l:][:l]
+	ri, rj = ri[:l], rj[:l]
+	for k := from; k < l; k++ {
+		a, b := float64(ri[k]*ci), float64(rj[k]*cj)
+		g, h := float64(gu[k]+a)+b, float64(gd[k]-a)-b
+		gu[k], gd[k] = g, h
+		u.up(k, g, au[k], c)
+		d.down(k, h, ad[k], c)
 	}
-	return v
+	return u, d
 }
 
 // finish computes β and rho from the converged state.

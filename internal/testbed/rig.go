@@ -252,8 +252,9 @@ func (r *Rig) Run(cfg RunConfig) (*Result, error) {
 			res.SensorTemps.MustAppend(t, v)
 		}
 		res.TrueTemps.MustAppend(t, r.server.DieTemp())
-		res.Utilization.MustAppend(t, r.host.Utilization())
-		res.MemActive.MustAppend(t, r.host.MemActiveFrac())
+		util, mem := r.host.Loads()
+		res.Utilization.MustAppend(t, util)
+		res.MemActive.MustAppend(t, mem)
 	})
 	if err != nil {
 		return nil, err
@@ -288,6 +289,6 @@ func (r *Rig) tick(e *sim.Engine, dt float64) error {
 			return err
 		}
 	}
-	r.server.SetLoad(r.host.Utilization(), r.host.MemActiveFrac())
+	r.server.SetLoad(r.host.Loads())
 	return r.server.Advance(dt)
 }

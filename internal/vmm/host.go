@@ -3,7 +3,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -213,7 +212,7 @@ func (h *Host) Utilization() float64 {
 			// pending and stopped VMs consume no CPU
 		}
 	}
-	return math.Min(demand/float64(h.config.Cores), 1)
+	return min(demand/float64(h.config.Cores), 1)
 }
 
 // Loads returns Utilization and MemActiveFrac from one walk over the placed
@@ -238,8 +237,8 @@ func (h *Host) Loads() (util, memFrac float64) {
 			// pending and stopped VMs consume no CPU or active memory
 		}
 	}
-	return math.Min(demand/float64(h.config.Cores), 1),
-		math.Min(used/h.config.MemoryGB, 1)
+	return min(demand/float64(h.config.Cores), 1),
+		min(used/h.config.MemoryGB, 1)
 }
 
 // MemActiveFrac returns the fraction of host memory actively used by
@@ -254,5 +253,5 @@ func (h *Host) MemActiveFrac() float64 {
 			used += vm.MemUsedGB()
 		}
 	}
-	return math.Min(used/h.config.MemoryGB, 1)
+	return min(used/h.config.MemoryGB, 1)
 }

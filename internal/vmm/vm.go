@@ -3,7 +3,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -224,7 +223,7 @@ func (v *VM) CPUDemandVCPUs() float64 {
 	for i := range v.tasks {
 		sum += v.tasks[i].CPUFraction
 	}
-	return math.Min(sum, float64(v.config.VCPUs))
+	return min(sum, float64(v.config.VCPUs))
 }
 
 // TaskCPUStats returns the raw (uncapped) sum and maximum of the VM's task
@@ -250,7 +249,7 @@ func (v *VM) MemUsedGB() float64 {
 	for i := range v.tasks {
 		sum += v.tasks[i].MemGB
 	}
-	return math.Min(sum, v.config.MemoryGB)
+	return min(sum, v.config.MemoryGB)
 }
 
 // ClassMix returns the fraction of tasks per class (zero map for no tasks).
