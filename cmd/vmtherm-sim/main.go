@@ -10,6 +10,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -22,23 +23,27 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vmtherm-sim: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run parses args (exiting on a bad flag, as flag.Parse does), runs the
+// experiment and writes the CSV to w, or to the -out file when one is
+// named. The case and its ψ_stable are logged.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("vmtherm-sim", flag.ExitOnError)
 	var (
-		vms      = flag.Int("vms", 6, "number of VMs on the host (2-12 in the paper)")
-		fans     = flag.Int("fans", 4, "healthy fan count")
-		ambient  = flag.Float64("ambient", 22, "rack inlet temperature, °C")
-		duration = flag.Float64("duration", 1800, "experiment length, seconds")
-		sample   = flag.Float64("sample", 5, "sensor sampling interval, seconds")
-		seed     = flag.Int64("seed", 1, "deterministic seed")
-		dynamic  = flag.Bool("dynamic", false, "use time-varying task load profiles")
-		out      = flag.String("out", "", "output CSV path (default stdout)")
+		vms      = fs.Int("vms", 6, "number of VMs on the host (2-12 in the paper)")
+		fans     = fs.Int("fans", 4, "healthy fan count")
+		ambient  = fs.Float64("ambient", 22, "rack inlet temperature, °C")
+		duration = fs.Float64("duration", 1800, "experiment length, seconds")
+		sample   = fs.Float64("sample", 5, "sensor sampling interval, seconds")
+		seed     = fs.Int64("seed", 1, "deterministic seed")
+		dynamic  = fs.Bool("dynamic", false, "use time-varying task load profiles")
+		out      = fs.String("out", "", "output CSV path (default stdout)")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: Parse does not return an error
 
 	opts := workload.DefaultGenOptions()
 	opts.VMCountMin, opts.VMCountMax = *vms, *vms
@@ -62,7 +67,6 @@ func run() error {
 		return err
 	}
 
-	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {

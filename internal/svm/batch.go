@@ -13,19 +13,28 @@ import (
 // is one pass over it; Kernel.Eval serves the solver and the other kernels.
 //
 // On amd64 with AVX2 and FMA (useAVX, detected by CPUID) that pass is a
-// single assembly routine, rbfBlocksAVX: squared distances for four
-// support vectors at a time, expNeg's table-driven exponential four lanes
-// at a time, the coefficient multiply and the ordered sum. It covers the
-// whole blocks of four support vectors; the last nsv%4 take the portable
-// path, which is also the only path on other hardware, under the noasm
-// build tag, and for a model whose gamma is not finite and positive:
-// sqDistsGeneric (four SVs per pass with independent accumulators) and
-// scalar expNeg. A row with any lane outside expNeg's fast range — NaN, or
-// gamma·distance above 708 — keeps the routine's distances and finishes on
-// scalar expNeg. The vector and scalar exponentials are the same
-// operations in the same order, so which one served a lane never shows in
-// the result; fused_test.go pins the routine to a pure-Go reference bit for
-// bit.
+// single assembly routine: squared distances for a block of support
+// vectors, expNeg's table-driven exponential across the block, the
+// coefficient multiply and the ordered sum. Where the CPU also has AVX512F
+// and AVX512DQ (useAVX512) the routine is rbfBlocksAVX512, eight support
+// vectors per vector op over a lane-major copy of the matrix (per block of
+// eight support vectors, one row of eight values per feature, so each lane
+// accumulates one support vector and needs no horizontal reduction).
+// Otherwise it is rbfBlocksAVX, four per op over the row-major matrix. The
+// two are one arithmetic at two widths — the same per-lane distance order,
+// (a0+a2)+(a1+a3) over feature residues mod 4, the same exponential, and
+// the terms added four at a time, blocks in order — so they return the same
+// bits, and RBFKernelName does not tell them apart. The 4-lane routine stays
+// for AVX2-only CPUs. Either covers the whole blocks of four support
+// vectors; the last nsv%4 take the portable path, which is also the only
+// path on other hardware, under the noasm build tag, and for a model whose
+// gamma is not finite and positive: sqDistsGeneric (four SVs per pass with
+// independent accumulators) and scalar expNeg. A row with any lane outside
+// expNeg's fast range — NaN, or gamma·distance above 708 — keeps the
+// routine's distances and finishes on scalar expNeg. The vector and scalar
+// exponentials are the same operations in the same order, so which one
+// served a lane never shows in the result; fused_test.go pins both widths to
+// a pure-Go reference bit for bit.
 //
 // PredictBatchInto is the allocation-free spine — flat row-major input,
 // caller-owned output and scratch — that steady-state serving loops (the
@@ -33,18 +42,29 @@ import (
 // round without generating garbage. Predict and PredictBatch are the
 // convenience wrappers that allocate their scratch and result.
 
-// flatSVs returns the support vectors as one contiguous row-major matrix,
-// building and caching it on first use. Callers must not mutate SV after
-// prediction has started.
-func (m *Model) flatSVs() []float64 {
+// flatSVs returns the support vectors as one contiguous row-major matrix
+// and, where rbfBlocksAVX512 may serve the model, lane-major: per block of
+// eight support vectors, Dim rows of eight values, the last block padded
+// with zeros (nil otherwise). Both are built and cached on first use.
+// Callers must not mutate SV after prediction has started.
+func (m *Model) flatSVs() (flat, lanes []float64) {
 	m.flatOnce.Do(func() {
-		flat := make([]float64, len(m.SV)*m.Dim)
+		dim := m.Dim
+		m.flatSV = make([]float64, len(m.SV)*dim)
 		for i, sv := range m.SV {
-			copy(flat[i*m.Dim:(i+1)*m.Dim], sv)
+			copy(m.flatSV[i*dim:(i+1)*dim], sv)
 		}
-		m.flatSV = flat
+		if useAVX512 && m.fusedRBF() {
+			m.laneSV = make([]float64, (len(m.SV)+7)&^7*dim)
+			for i, sv := range m.SV {
+				block := m.laneSV[i&^7*dim:]
+				for j, v := range sv {
+					block[8*j+i&7] = v
+				}
+			}
+		}
 	})
-	return m.flatSV
+	return m.flatSV, m.laneSV
 }
 
 // BatchScratch holds the reusable working memory of PredictBatchInto. The
@@ -66,21 +86,30 @@ func (s *BatchScratch) grow(n int) []float64 {
 }
 
 // predictRowRBF evaluates one pre-scaled row against the flattened support
-// vectors using the caller's distance buffer. With fused set (see
-// fusedRBF) the leading whole blocks of four support vectors go through
-// rbfBlocksAVX in one call; everything it does not cover — the last nsv%4
-// support vectors, or the whole row without it — takes sqDistsGeneric and
-// scalar expNeg, summed in the same order.
-func (m *Model) predictRowRBF(flat, x, dists []float64, fused bool) float64 {
+// vectors (flatSVs) using the caller's distance buffer. With fused set (see
+// fusedRBF) the leading whole blocks of four support vectors go through one
+// call of rbfBlocksAVX512 where the lane-major matrix exists, of
+// rbfBlocksAVX otherwise; everything the call does not cover — the last
+// nsv%4 support vectors, or the whole row without it — takes sqDistsGeneric
+// and scalar expNeg, summed in the same order.
+func (m *Model) predictRowRBF(flat, lanes, x, dists []float64, fused bool) float64 {
 	gamma, dim, nsv := m.Kernel.Gamma, m.Dim, len(dists)
-	// The kernel reads through bare pointers; these reslices are its
+	// The kernels read through bare pointers; these reslices are their
 	// bounds checks.
 	flat, x, coef := flat[:nsv*dim], x[:dim], m.Coef[:nsv]
 	var sum float64
 	k, vec := 0, 0 // SVs already in sum; SVs whose distance the kernel wrote
 	if blocks := nsv / 4; fused && blocks > 0 {
 		vec = 4 * blocks
-		if s, ok := rbfBlocksAVX(&flat[0], &x[0], &coef[0], dim, blocks, gamma, &dists[0]); ok {
+		var s float64
+		var ok bool
+		if lanes != nil {
+			lanes = lanes[:(vec+7)&^7*dim]
+			s, ok = rbfBlocksAVX512(&lanes[0], &x[0], &coef[0], dim, blocks, gamma, &dists[0])
+		} else {
+			s, ok = rbfBlocksAVX(&flat[0], &x[0], &coef[0], dim, blocks, gamma, &dists[0])
+		}
+		if ok {
 			sum, k = s, vec
 		}
 		// !ok: some lane is outside expNeg's fast range; the distances
@@ -110,10 +139,12 @@ func (m *Model) fusedRBF() bool {
 	return useAVX && m.Dim > 0 && g > 0 && g <= math.MaxFloat64
 }
 
-// RBFKernelName names the RBF prediction kernel this process runs:
-// "avx2-fused" or "generic". The two agree to the last few bits, not bit for
-// bit, so a score computed from predictions (a cross-validated MSE) is
-// reproducible only on the same kernel.
+// RBFKernelName names the RBF prediction arithmetic this process runs:
+// "avx2-fused" or "generic". The first names both vector routines, which
+// return the same bits at eight lanes and at four. The two arithmetics
+// agree to the last few bits, not bit for bit, so a score computed from
+// predictions (a cross-validated MSE) is reproducible only on the same
+// kernel.
 func RBFKernelName() string {
 	if useAVX {
 		return "avx2-fused"
@@ -147,11 +178,11 @@ func (m *Model) PredictBatchInto(xs []float64, out []float64, scratch *BatchScra
 		}
 		return nil
 	}
-	flat := m.flatSVs()
+	flat, lanes := m.flatSVs()
 	dists := scratch.grow(len(m.SV))
 	fused := m.fusedRBF()
 	for i := 0; i < n; i++ {
-		out[i] = m.predictRowRBF(flat, xs[i*m.Dim:(i+1)*m.Dim], dists, fused)
+		out[i] = m.predictRowRBF(flat, lanes, xs[i*m.Dim:(i+1)*m.Dim], dists, fused)
 	}
 	return nil
 }
@@ -215,8 +246,9 @@ func sqDistsGeneric(flat []float64, dim int, x, dists []float64) {
 	}
 }
 
-// batchCache holds the lazily built flattened support-vector matrix.
+// batchCache holds the lazily built flattened support-vector matrices.
 type batchCache struct {
 	flatOnce sync.Once
 	flatSV   []float64
+	laneSV   []float64
 }

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,25 +34,37 @@ func randomRows(r *rand.Rand, n, dim int) []float64 {
 
 // BenchmarkKernelRow prices one RBF kernel row at the served shape: a
 // 256-row batch (one 16-VM placement request) through PredictBatchInto on
-// a warm scratch, reported per row.
+// a warm scratch, reported per row, once per vector width the CPU has
+// (lanes=8, lanes=4) or on the portable path (generic).
 func BenchmarkKernelRow(b *testing.B) {
 	const nsv, dim, rows = 117, 16, 256
-	r := rand.New(rand.NewSource(2017))
-	m := syntheticRBF(r, nsv, dim, 0.25)
-	xs := randomRows(r, rows, dim)
-	out := make([]float64, rows)
-	var s BatchScratch
-	if err := m.PredictBatchInto(xs, out, &s); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	run := func(b *testing.B) {
+		r := rand.New(rand.NewSource(2017))
+		m := syntheticRBF(r, nsv, dim, 0.25)
+		xs := randomRows(r, rows, dim)
+		out := make([]float64, rows)
+		var s BatchScratch
 		if err := m.PredictBatchInto(xs, out, &s); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.PredictBatchInto(xs, out, &s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	if len(kernelWidths()) == 0 {
+		b.Run("generic", run)
+	}
+	for _, lanes := range kernelWidths() {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			defer useWidth(lanes)()
+			run(b)
+		})
+	}
 }
 
 // BenchmarkTrain prices one cross-validation fold of the grid's slowest

@@ -18,6 +18,20 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool)
 
+// rbfBlocksAVX512 is rbfBlocksAVX eight support vectors per vector op, with
+// the same contract and the same bits. It reads the lane-major matrix
+// (flatSVs: per block of eight support vectors, dim rows of eight values),
+// so lane i of a block accumulates support vector i's distance in
+// rbfBlocksAVX's order; it writes the 4·blocks distances in support-vector
+// order and nothing past them, and adds each block's two halves of four
+// terms, low half first, as rbfBlocksAVX adds two consecutive blocks. When
+// blocks is odd the last 8-block holds four of them: its other lanes are
+// masked out of the store, the range check and the sum. rbfBlocksAVX stays
+// beside it for CPUs with AVX2 but not AVX-512.
+//
+//go:noescape
+func rbfBlocksAVX512(lanes, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool)
+
 // wss2AVX runs wss2Scalar over k < n, n a positive multiple of 4, from no
 // picks, and leaves the up half's lanes in out[0] and the down half's in
 // out[1]. gu and gd point at the two halves of the gradient, au and ad at
@@ -55,6 +69,25 @@ var useAVX = func() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0 // AVX2
+}()
+
+// useAVX512 reports whether the 8-lane RBF routine may run: useAVX holds,
+// the CPU supports AVX512F and AVX512DQ, and the OS saves the opmask and
+// zmm state (XCR0 bits 5-7 beside 1-2). Tests clear it to force the 4-lane
+// routine on models flattened afterwards.
+var useAVX512 = func() bool {
+	if !useAVX {
+		return false
+	}
+	if eax, _ := xgetbv(); eax&0xE6 != 0xE6 {
+		return false
+	}
+	const (
+		avx512fBit  = 1 << 16
+		avx512dqBit = 1 << 17
+	)
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512fBit != 0 && b&avx512dqBit != 0
 }()
 
 // expNegLanes holds expNeg's constants replicated across the four lanes of

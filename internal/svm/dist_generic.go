@@ -8,8 +8,15 @@ package svm
 // over every variable.
 const useAVX = false
 
+// useAVX512 is a variable only so that tests may clear it on every build.
+var useAVX512 = false
+
 func rbfBlocksAVX(flat, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool) {
 	panic("svm: rbfBlocksAVX called without the AVX2 kernel")
+}
+
+func rbfBlocksAVX512(lanes, x, coef *float64, dim, blocks int, gamma float64, dists *float64) (sum float64, ok bool) {
+	panic("svm: rbfBlocksAVX512 called without the AVX-512 kernel")
 }
 
 func wss2AVX(gu, gd, au, ad, diag, ri *float64, n int, gmax, qi, s2, c float64, out *[2]lanes) {

@@ -21,7 +21,7 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 19, 32} {
 		for _, nsv := range []int{1, 2, 3, 4, 5, 8, 11, 17} {
 			m := syntheticRBF(r, nsv, dim, 1/float64(dim))
-			flat := m.flatSVs()
+			flat, lanes := m.flatSVs()
 			x := randomRows(r, 1, dim)
 			want := make([]float64, nsv)
 			sqDistsGeneric(flat, dim, x, want)
@@ -35,7 +35,7 @@ func TestFusedKernelMatchesGeneric(t *testing.T) {
 				}
 			}
 			dists := make([]float64, nsv)
-			got, ref := m.predictRowRBF(flat, x, dists, true), m.predictRowRBF(flat, x, dists, false)
+			got, ref := m.predictRowRBF(flat, lanes, x, dists, true), m.predictRowRBF(flat, lanes, x, dists, false)
 			if math.Abs(got-ref) > 1e-12*math.Max(1, math.Abs(ref)) {
 				t.Errorf("dim=%d nsv=%d: row %v vs generic %v", dim, nsv, got, ref)
 			}

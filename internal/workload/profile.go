@@ -92,11 +92,31 @@ func (b Bursty) At(t float64) float64 {
 	if b.Period <= 0 {
 		return clamp01(b.Low)
 	}
-	pos := math.Mod(t, b.Period) / b.Period
+	pos := modPeriod(t, b.Period) / b.Period
 	if pos < clamp01(b.DutyCycle) {
 		return clamp01(b.High)
 	}
 	return clamp01(b.Low)
+}
+
+// modPeriod returns math.Mod(t, p) for p > 0, bit for bit, without
+// math.Mod's loop over the exponent difference where the quotient is
+// small. For finite t > 0 and finite p with
+// t < p·2^52, q = Trunc(t/p) is the whole quotient or one above it (t/p
+// rounds, but never below an integer it exceeds), so t − q·p lies in
+// [−p, p) and is representable: the fused multiply-add computes it without
+// rounding, and adding p to a negative remainder is exact too.
+// Everything else, −0 included, is left to math.Mod.
+func modPeriod(t, p float64) float64 {
+	if !(t > 0 && p <= math.MaxFloat64 && t < p*(1<<52)) {
+		return math.Mod(t, p)
+	}
+	q := math.Trunc(t / p)
+	r := math.FMA(-q, p, t)
+	if r < 0 { // q was one above the quotient
+		r += p
+	}
+	return r
 }
 
 // TracePoint is one sample of a recorded load trace.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,4 +229,66 @@ func TestTraceFromCSVDrivesTask(t *testing.T) {
 	if mean <= 0.3 || mean >= 1 {
 		t.Errorf("trace mean = %v", mean)
 	}
+}
+
+// checkModPeriod fails unless modPeriod(t, p) has math.Mod's bits (any NaN
+// standing for every NaN).
+func checkModPeriod(t *testing.T, tv, p float64) {
+	t.Helper()
+	got, want := modPeriod(tv, p), math.Mod(tv, p)
+	if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Fatalf("modPeriod(%v, %v) = %v (%#x), math.Mod gives %v (%#x)",
+			tv, p, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestModPeriodMatchesMathMod is a differential against math.Mod over the
+// simulator's periods and clock, exact and near multiples of the period,
+// random bit patterns, and the edges of the fast path's domain.
+func TestModPeriodMatchesMathMod(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	for i := 0; i < 50000; i++ {
+		p := 60 + 240*r.Float64() // scenario.go's Bursty periods
+		tv := 3600 * r.Float64()
+		checkModPeriod(t, tv, p)
+		k := float64(r.Intn(1 << 20))
+		for _, near := range []float64{k * p, math.Nextafter(k*p, 0), math.Nextafter(k*p, math.Inf(1))} {
+			checkModPeriod(t, near, p)
+		}
+		checkModPeriod(t, math.Float64frombits(r.Uint64()), math.Float64frombits(r.Uint64()))
+		checkModPeriod(t, math.Abs(math.Float64frombits(r.Uint64())), math.Abs(math.Float64frombits(r.Uint64())))
+	}
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, 1, 3, 0.1, 1 << 52, 1 << 53, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), -1, 2.5}
+	for _, p := range edges {
+		for _, tv := range edges {
+			checkModPeriod(t, tv, p)
+			checkModPeriod(t, tv*p, p)
+			checkModPeriod(t, math.Nextafter(p*(1<<52), 0), p)
+			checkModPeriod(t, p*(1<<52), p)
+		}
+	}
+}
+
+// FuzzModPeriod mutates the two operands' bits against math.Mod.
+func FuzzModPeriod(f *testing.F) {
+	f.Add(1800.0, 159.23117317987786)
+	f.Add(5.0, 0.1)
+	f.Add(math.Nextafter(3*0.1, 1), 0.1)
+	f.Add(4503599627370495.0, 1.0)
+	f.Add(1e300, 1e-300)
+	f.Fuzz(func(t *testing.T, tv, p float64) {
+		checkModPeriod(t, tv, p)
+	})
+}
+
+// BenchmarkBurstyAt prices one square-wave sample at the simulator's shape:
+// a period of a few minutes, a clock of half an hour.
+func BenchmarkBurstyAt(b *testing.B) {
+	p := Bursty{Low: 0.1, High: 0.8, Period: 159.23117317987786, DutyCycle: 0.4}
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += p.At(float64(i%1800) + 0.5)
+	}
+	_ = sink
 }
