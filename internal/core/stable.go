@@ -85,22 +85,9 @@ func TrainStable(ctx context.Context, records []dataset.Record, cfg StableConfig
 		return nil, err
 	}
 
-	best, _, err := mlgrid.Search(ctx, xs, y, cfg.Grid)
+	best, model, err := mlgrid.Fit(ctx, xs, y, cfg.Grid)
 	if err != nil {
 		return nil, fmt.Errorf("core: grid search: %w", err)
-	}
-
-	kernel := cfg.Grid.Kernel
-	kernel.Gamma = best.Point.Gamma
-	model, err := svm.Train(xs, y, svm.TrainParams{
-		Kernel:    kernel,
-		C:         best.Point.C,
-		Epsilon:   best.Point.Epsilon,
-		MaxIter:   cfg.Grid.MaxIter,
-		Selection: cfg.Grid.Selection,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: final training: %w", err)
 	}
 	return &StablePredictor{scaler: scaler, model: model, best: best.Point, cvMSE: best.MSE}, nil
 }

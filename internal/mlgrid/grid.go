@@ -2,7 +2,9 @@
 // "Parameters for model training are selected using easygrid, a tool for grid
 // parameter search, with 10-fold validation." It exhaustively scores a
 // (C, γ, ε) grid by k-fold cross-validated MSE, evaluating grid points on a
-// bounded worker pool with deterministic fold assignment.
+// bounded worker pool with deterministic fold assignment. Every fold, C and
+// ε at one γ — and, through Fit, the final model — train from one
+// svm.Gram, so the kernel is evaluated once per pair of samples per γ.
 package mlgrid
 
 import (
@@ -80,6 +82,23 @@ func (c Config) Validate() error {
 	if len(c.Cs) == 0 || len(c.Gammas) == 0 || len(c.Epsilons) == 0 {
 		return errors.New("mlgrid: empty grid axis")
 	}
+	// Written as the conditions that must hold, so NaN fails them.
+	finite := func(v float64) bool { return v <= math.MaxFloat64 }
+	for _, v := range c.Cs {
+		if !(v > 0 && finite(v)) {
+			return fmt.Errorf("mlgrid: C %v must be > 0 and finite", v)
+		}
+	}
+	for _, v := range c.Gammas {
+		if !(v > 0 && finite(v)) {
+			return fmt.Errorf("mlgrid: gamma %v must be > 0 and finite", v)
+		}
+	}
+	for _, v := range c.Epsilons {
+		if !(v >= 0 && finite(v)) {
+			return fmt.Errorf("mlgrid: epsilon %v must be >= 0 and finite", v)
+		}
+	}
 	if c.Folds < 2 {
 		return fmt.Errorf("mlgrid: folds must be >= 2, got %d", c.Folds)
 	}
@@ -93,18 +112,63 @@ func (c Config) Validate() error {
 // results sorted by MSE ascending (failed points last), plus the best point.
 // It honours ctx cancellation.
 func Search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best Result, all []Result, err error) {
-	if err := cfg.Validate(); err != nil {
+	best, all, _, err = search(ctx, x, y, cfg)
+	return best, all, err
+}
+
+// Fit is Search followed by the final fit: the best point trained on all
+// of x and y, from the Gram matrix its cross-validation used where one was
+// kept.
+func Fit(ctx context.Context, x [][]float64, y []float64, cfg Config) (best Result, m *svm.Model, err error) {
+	best, _, grams, err := search(ctx, x, y, cfg)
+	if err != nil {
 		return Result{}, nil, err
 	}
+	p := cfg.params(best.Point)
+	if grams == nil {
+		m, err = svm.Train(x, y, p)
+	} else if g, gerr := grams.get(best.Point.Gamma); gerr != nil {
+		err = gerr
+	} else {
+		m, err = svm.TrainGram(g, nil, y, p)
+	}
+	if err != nil {
+		return Result{}, nil, fmt.Errorf("mlgrid: final fit: %w", err)
+	}
+	return best, m, nil
+}
+
+// params are the training parameters of grid point p.
+func (c Config) params(p Point) svm.TrainParams {
+	kernel := c.Kernel
+	kernel.Gamma = p.Gamma
+	return svm.TrainParams{
+		Kernel:    kernel,
+		C:         p.C,
+		Epsilon:   p.Epsilon,
+		MaxIter:   c.MaxIter,
+		Selection: c.Selection,
+	}
+}
+
+// search is Search, and also returns the Gram matrices it trained from
+// (nil when x is too large for one).
+func search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best Result, all []Result, grams *gramSet, err error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, nil, nil, err
+	}
 	if len(x) != len(y) {
-		return Result{}, nil, fmt.Errorf("mlgrid: %d rows vs %d targets", len(x), len(y))
+		return Result{}, nil, nil, fmt.Errorf("mlgrid: %d rows vs %d targets", len(x), len(y))
 	}
 	if len(x) < cfg.Folds {
-		return Result{}, nil, fmt.Errorf("mlgrid: %d samples cannot fill %d folds", len(x), cfg.Folds)
+		return Result{}, nil, nil, fmt.Errorf("mlgrid: %d samples cannot fill %d folds", len(x), cfg.Folds)
 	}
 
 	folds := assignFolds(len(x), cfg.Folds, cfg.Seed)
 
+	// results keep the C-major order, which breaks ties in the sort below;
+	// the jobs go out γ-major, so each γ's Gram matrix is built once and,
+	// when not all fit in memory together, dropped after its last point.
 	var points []Point
 	for _, c := range cfg.Cs {
 		for _, g := range cfg.Gammas {
@@ -113,6 +177,16 @@ func Search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best R
 			}
 		}
 	}
+	nG, nE := len(cfg.Gammas), len(cfg.Epsilons)
+	var order []int
+	for g := range nG {
+		for c := range cfg.Cs {
+			for e := range nE {
+				order = append(order, (c*nG+g)*nE+e)
+			}
+		}
+	}
+	grams = newGramSet(x, cfg, points)
 
 	workers := cfg.Workers
 	if workers == 0 {
@@ -131,14 +205,14 @@ func Search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best R
 			defer wg.Done()
 			for idx := range jobs {
 				p := points[idx]
-				mse, err := crossValidate(ctx, x, y, folds, cfg, p)
+				mse, err := crossValidate(ctx, x, y, folds, cfg, p, grams)
 				results[idx] = Result{Point: p, MSE: mse, Err: err}
 			}
 		}()
 	}
 	// Feed jobs; stop early on cancellation.
 feed:
-	for i := range points {
+	for _, i := range order {
 		select {
 		case <-ctx.Done():
 			break feed
@@ -148,7 +222,7 @@ feed:
 	close(jobs)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return Result{}, nil, fmt.Errorf("mlgrid: search cancelled: %w", err)
+		return Result{}, nil, nil, fmt.Errorf("mlgrid: search cancelled: %w", err)
 	}
 
 	sort.SliceStable(results, func(i, j int) bool {
@@ -159,9 +233,83 @@ feed:
 		return ri.MSE < rj.MSE
 	})
 	if results[0].Err != nil {
-		return Result{}, results, fmt.Errorf("mlgrid: every grid point failed; first: %w", results[0].Err)
+		return Result{}, results, nil, fmt.Errorf("mlgrid: every grid point failed; first: %w", results[0].Err)
 	}
-	return results[0], results, nil
+	return results[0], results, grams, nil
+}
+
+// gramSet holds one Gram matrix per γ of a search over x, built by the
+// first worker that needs it. When every γ's matrix fits under
+// svm.MaxGramValues together they are all kept, for Fit's final training;
+// otherwise each is dropped once its last grid point is scored, and Fit
+// builds the winner's again.
+type gramSet struct {
+	x      [][]float64
+	kernel svm.Kernel // γ set per matrix
+	keep   bool
+	mu     sync.Mutex
+	byGam  map[float64]*gramEntry
+}
+
+type gramEntry struct {
+	once    sync.Once
+	g       *svm.Gram
+	err     error
+	pending int // grid points at this γ not yet scored
+}
+
+// newGramSet returns the Gram matrices of the points' γs over x, or nil
+// when one matrix over x would exceed svm.MaxGramValues.
+func newGramSet(x [][]float64, cfg Config, points []Point) *gramSet {
+	n := len(x)
+	if n == 0 || n > svm.MaxGramValues/n {
+		return nil
+	}
+	s := &gramSet{x: x, kernel: cfg.Kernel, byGam: make(map[float64]*gramEntry)}
+	for _, p := range points {
+		e := s.byGam[p.Gamma]
+		if e == nil {
+			e = new(gramEntry)
+			s.byGam[p.Gamma] = e
+		}
+		e.pending++
+	}
+	s.keep = len(s.byGam) <= svm.MaxGramValues/(n*n)
+	return s
+}
+
+// entry returns γ's entry, making a fresh one for a γ already dropped.
+func (s *gramSet) entry(gamma float64) *gramEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.byGam[gamma]
+	if e == nil || e.pending == 0 && !s.keep {
+		e = new(gramEntry)
+		s.byGam[gamma] = e
+	}
+	return e
+}
+
+// get returns the Gram matrix at γ, building it on first use.
+func (s *gramSet) get(gamma float64) (*svm.Gram, error) {
+	e := s.entry(gamma)
+	e.once.Do(func() {
+		k := s.kernel
+		k.Gamma = gamma
+		e.g, e.err = svm.NewGram(s.x, k)
+	})
+	return e.g, e.err
+}
+
+// done records that one grid point at γ is scored, and drops γ's matrix
+// after the last one unless the set keeps them all.
+func (s *gramSet) done(gamma float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.byGam[gamma]
+	if e.pending--; e.pending == 0 && !s.keep {
+		e.g = nil
+	}
 }
 
 // SearchRefined runs a coarse search followed by a fine search on a denser
@@ -202,37 +350,50 @@ func refineAxis(coarse []float64, winner float64) []float64 {
 	return []float64{winner / step, winner / half, winner, winner * half, winner * step}
 }
 
-// crossValidate returns the mean validation MSE of point p across folds.
-func crossValidate(ctx context.Context, x [][]float64, y []float64, folds []int, cfg Config, p Point) (float64, error) {
+// crossValidate returns the mean validation MSE of point p across folds,
+// each fold trained from γ's Gram matrix when grams has one.
+func crossValidate(ctx context.Context, x [][]float64, y []float64, folds []int, cfg Config, p Point, grams *gramSet) (float64, error) {
+	var g *svm.Gram
+	if grams != nil {
+		defer grams.done(p.Gamma)
+		var err error
+		if g, err = grams.get(p.Gamma); err != nil {
+			return 0, err
+		}
+	}
+	params := cfg.params(p)
 	k := cfg.Folds
 	var total float64
 	for f := 0; f < k; f++ {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		var trainX, valX [][]float64
+		var trainIdx []int
+		var valX [][]float64
 		var trainY, valY []float64
 		for i := range x {
 			if folds[i] == f {
 				valX = append(valX, x[i])
 				valY = append(valY, y[i])
 			} else {
-				trainX = append(trainX, x[i])
+				trainIdx = append(trainIdx, i)
 				trainY = append(trainY, y[i])
 			}
 		}
 		if len(valX) == 0 {
 			return 0, fmt.Errorf("mlgrid: fold %d empty", f)
 		}
-		kernel := cfg.Kernel
-		kernel.Gamma = p.Gamma
-		m, err := svm.Train(trainX, trainY, svm.TrainParams{
-			Kernel:    kernel,
-			C:         p.C,
-			Epsilon:   p.Epsilon,
-			MaxIter:   cfg.MaxIter,
-			Selection: cfg.Selection,
-		})
+		var m *svm.Model
+		var err error
+		if g != nil {
+			m, err = svm.TrainGram(g, trainIdx, trainY, params)
+		} else {
+			trainX := make([][]float64, len(trainIdx))
+			for t, i := range trainIdx {
+				trainX[t] = x[i]
+			}
+			m, err = svm.Train(trainX, trainY, params)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("mlgrid: fold %d: %w", f, err)
 		}

@@ -47,6 +47,15 @@ func TestConfigValidate(t *testing.T) {
 		{"no epsilons", func(c *Config) { c.Epsilons = nil }, false},
 		{"one fold", func(c *Config) { c.Folds = 1 }, false},
 		{"negative workers", func(c *Config) { c.Workers = -1 }, false},
+		{"zero epsilon", func(c *Config) { c.Epsilons = []float64{0, 0.1} }, true},
+		{"NaN C", func(c *Config) { c.Cs = []float64{1, math.NaN()} }, false},
+		{"zero C", func(c *Config) { c.Cs = []float64{0} }, false},
+		{"infinite C", func(c *Config) { c.Cs = []float64{math.Inf(1)} }, false},
+		{"NaN gamma", func(c *Config) { c.Gammas = []float64{math.NaN()} }, false},
+		{"negative gamma", func(c *Config) { c.Gammas = []float64{0.1, -1} }, false},
+		{"NaN epsilon", func(c *Config) { c.Epsilons = []float64{math.NaN()} }, false},
+		{"negative epsilon", func(c *Config) { c.Epsilons = []float64{-0.1} }, false},
+		{"infinite epsilon", func(c *Config) { c.Epsilons = []float64{math.Inf(1)} }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -164,6 +173,13 @@ func TestSearchInputValidation(t *testing.T) {
 	if _, _, err := Search(context.Background(), x, y, bad); err == nil {
 		t.Error("invalid config should fail")
 	}
+	// An ε = NaN point used to come back as the best, with MSE NaN and a
+	// nil error.
+	bad = cfg
+	bad.Epsilons = []float64{math.NaN()}
+	if best, _, err := Search(context.Background(), x, y, bad); err == nil {
+		t.Errorf("ε = NaN searched, best %+v", best)
+	}
 }
 
 func TestSearchCancellation(t *testing.T) {
@@ -259,5 +275,89 @@ func TestRefineAxisGeometric(t *testing.T) {
 	single := refineAxis([]float64{3}, 3)
 	if len(single) != 5 {
 		t.Errorf("single-coarse axis = %v", single)
+	}
+}
+
+// TestFitMatchesSearchThenTrain: Fit's best point is Search's, and its
+// model, trained from the winning γ's Gram matrix, is svm.Train's on the
+// same rows to the bit.
+func TestFitMatchesSearchThenTrain(t *testing.T) {
+	x, y := quadData(60, 13)
+	cfg := smallConfig()
+	best, m, err := Fit(context.Background(), x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Search(context.Background(), x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Point != want.Point || math.Float64bits(best.MSE) != math.Float64bits(want.MSE) {
+		t.Fatalf("Fit's best %+v, Search's %+v", best, want)
+	}
+	wm, err := svm.Train(x, y, cfg.params(want.Point))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Iters != wm.Iters || math.Float64bits(m.Rho) != math.Float64bits(wm.Rho) || len(m.Coef) != len(wm.Coef) {
+		t.Fatalf("Fit's model: iters %d rho %v %d SVs; Train's: %d %v %d", m.Iters, m.Rho, len(m.Coef), wm.Iters, wm.Rho, len(wm.Coef))
+	}
+	for i := range m.Coef {
+		if math.Float64bits(m.Coef[i]) != math.Float64bits(wm.Coef[i]) {
+			t.Fatalf("coef %d: %v, Train's %v", i, m.Coef[i], wm.Coef[i])
+		}
+	}
+}
+
+// TestGramSetDropsAfterLastPoint runs the path a search takes when its
+// Gram matrices do not all fit under svm.MaxGramValues together: a γ's
+// matrix is built once for all its points, dropped after the last, and
+// built again (to the same values) when the final fit asks for it.
+func TestGramSetDropsAfterLastPoint(t *testing.T) {
+	x, _ := quadData(20, 17)
+	cfg := smallConfig()
+	points := []Point{{C: 1, Gamma: 0.1}, {C: 10, Gamma: 0.1}, {C: 1, Gamma: 1}}
+	s := newGramSet(x, cfg, points)
+	if !s.keep {
+		t.Fatal("two 20×20 matrices should be kept")
+	}
+	s.keep = false
+	g1, err := s.get(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g2, _ := s.get(0.1); g2 != g1 {
+		t.Fatal("second point at γ 0.1 built its own matrix")
+	}
+	s.done(0.1)
+	if s.byGam[0.1].g == nil {
+		t.Fatal("matrix dropped with a point still pending")
+	}
+	s.done(0.1)
+	if s.byGam[0.1].g != nil {
+		t.Fatal("matrix kept after its last point")
+	}
+	g3, err := s.get(0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g3 == g1 {
+		t.Fatal("the final fit got the dropped matrix")
+	}
+	p := svm.TrainParams{Kernel: svm.Kernel{Type: svm.RBF, Gamma: 0.1}, C: 1, Epsilon: 0.1}
+	y := make([]float64, len(x))
+	for i := range y {
+		y[i] = x[i][0]
+	}
+	m1, err := svm.TrainGram(g1, nil, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m3, err := svm.TrainGram(g3, nil, y, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m1.Iters != m3.Iters || math.Float64bits(m1.Rho) != math.Float64bits(m3.Rho) {
+		t.Error("the rebuilt matrix trains another model")
 	}
 }

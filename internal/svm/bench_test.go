@@ -73,7 +73,9 @@ func BenchmarkKernelRow(b *testing.B) {
 // every trainer uses. The rows are synthetic, in svm-scale's [-1, 1] with
 // temperature-like targets, so the fold's shape is real but its iteration
 // count is not. iters/op is fixed by the data; ns/iter is what one SMO
-// iteration costs.
+// iteration costs, the Gram matrix's evaluation included. It runs once per
+// width the CPU's SMO passes have (lanes=8, lanes=4), or on the portable
+// scalar loop (generic).
 func BenchmarkTrain(b *testing.B) {
 	const l, dim = 128, 16
 	r := rand.New(rand.NewSource(2016))
@@ -88,14 +90,29 @@ func BenchmarkTrain(b *testing.B) {
 		z[i] = 55 + 8*math.Sin(s) + 2*x[i][0] + 0.5*r.NormFloat64()
 	}
 	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.01}, C: 256, Epsilon: 0.1, Selection: SecondOrder}
-	var iters int
-	for i := 0; i < b.N; i++ {
-		m, err := Train(x, z, p)
-		if err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B) {
+		var iters int
+		for i := 0; i < b.N; i++ {
+			m, err := Train(x, z, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters = m.Iters
 		}
-		iters = m.Iters
+		b.ReportMetric(float64(iters), "iters/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "ns/iter")
 	}
-	b.ReportMetric(float64(iters), "iters/op")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters), "ns/iter")
+	for _, lanes := range passWidths() {
+		name := fmt.Sprintf("lanes=%d", lanes)
+		if lanes == 0 {
+			if len(passWidths()) > 1 {
+				continue
+			}
+			name = "generic"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer usePassWidth(lanes)()
+			run(b)
+		})
+	}
 }

@@ -98,3 +98,20 @@ var expNegLanes = func() (t [8][4]float64) {
 	}
 	return t
 }()
+
+// wss2AVX512 is the filter of WSS2's scan for j over k < n, n a positive
+// multiple of 8: it writes to est[:2n] a lower-precision gain estimate per
+// variable and appends to surv[:n] the up variables k, and to surv[n:2n]
+// the down variables l+k (as k), that the exact picks must visit: those
+// whose estimate is within a factor 1 − 2^-10 of their half's largest, or
+// cannot be trusted. Both lists are in increasing order.
+//
+//go:noescape
+func wss2AVX512(gu, gd, au, ad, diag, ri, est *float64, n int, gmax, qi, s2, c float64, surv *int) (nUp, nDn int)
+
+// stepAVX512 runs stepScalar over k < n, n a positive multiple of 8, from
+// empty scans, and leaves the up half's scan in out[0] and the down half's
+// in out[1].
+//
+//go:noescape
+func stepAVX512(gu, gd, au, ad, ri, rj *float64, n int, ci, cj, c float64, out *[2]violators)

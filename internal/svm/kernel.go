@@ -11,11 +11,21 @@
 // An SMO iteration makes two passes over the dual variables, WSS2's scan
 // for j and the gradient update fused with the next first-order scan. Each
 // is one loop over the l samples that handles a sample's two variables
-// (α_k and α*_k in LIBSVM's doubled problem) together, and on amd64 with
-// AVX2 it runs four samples at a time. Every pick goes to the first index
-// among equal values, as a scalar scan in index order would give it, and
-// WSS2's gain b²/a stays a true division: the model is the same to the bit
-// on every build.
+// (α_k and α*_k in LIBSVM's doubled problem) together, and on amd64 it runs
+// four samples at a time with AVX2, eight with AVX-512. Every pick goes to
+// the first index among equal values, as a scalar scan in index order would
+// give it, and WSS2's gain b²/a stays a true division: the model is the
+// same to the bit on every build. At eight lanes WSS2's scan first
+// estimates every gain as b²·VRCP14PD(a), within 2^-14, and divides only
+// for the survivors: a lane whose estimate could not be trusted, or is
+// within a factor 1 − 2^-10 of its half's largest. A lane holding the true
+// maximum has an estimate at least (1 − 2^-14) of its gain, and the largest
+// estimate is at most (1 + 2^-14) of that gain, so it always survives; the
+// proof in full is at the solver type.
+//
+// Kernel values come from a Gram matrix: Train evaluates the kernel once
+// per pair of samples up to 4096 samples, and NewGram and TrainGram let a
+// grid search train every fold, C and ε at one γ from one matrix.
 //
 // The package is self-contained (stdlib only), deterministic, and validated
 // in its tests against analytically solvable regression problems and the
@@ -80,9 +90,13 @@ type Kernel struct {
 
 // Validate checks hyper-parameter sanity for the chosen kernel family. Gamma
 // must be positive and finite: NaN fails every comparison, so the test is
-// written as the condition that must hold.
+// written as the condition that must hold. Coef0 must be finite for every
+// family, so a NaN never reaches a model.
 func (k Kernel) Validate() error {
 	gammaOK := k.Gamma > 0 && !math.IsInf(k.Gamma, 1)
+	if math.IsNaN(k.Coef0) || math.IsInf(k.Coef0, 0) {
+		return fmt.Errorf("svm: coef0 must be finite, got %v", k.Coef0)
+	}
 	switch k.Type {
 	case Linear:
 		return nil
@@ -109,9 +123,16 @@ func (k Kernel) Validate() error {
 	}
 }
 
+// evalHook, when set, sees every Eval call. Only tests set it, to count
+// kernel evaluations.
+var evalHook func(k Kernel, x, z []float64)
+
 // Eval computes k(x, z). Vectors must have equal length; this is enforced by
 // the training and prediction entry points rather than re-checked per call.
 func (k Kernel) Eval(x, z []float64) float64 {
+	if evalHook != nil {
+		evalHook(k, x, z)
+	}
 	switch k.Type {
 	case Linear:
 		return dot(x, z)

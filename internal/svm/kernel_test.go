@@ -23,6 +23,9 @@ func TestKernelValidate(t *testing.T) {
 		{"sigmoid ok", Kernel{Type: Sigmoid, Gamma: 0.1}, true},
 		{"sigmoid zero gamma", Kernel{Type: Sigmoid}, false},
 		{"unknown", Kernel{Type: KernelType(99)}, false},
+		{"poly NaN coef0", Kernel{Type: Polynomial, Gamma: 1, Degree: 2, Coef0: math.NaN()}, false},
+		{"sigmoid inf coef0", Kernel{Type: Sigmoid, Gamma: 0.1, Coef0: math.Inf(-1)}, false},
+		{"rbf NaN coef0", Kernel{Type: RBF, Gamma: 0.5, Coef0: math.NaN()}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -8,6 +8,20 @@
 // lane holds the first occurrence of its extreme; the Go side reduces the
 // lanes to the lowest index among equal values. Only used when useAVX
 // (dist_amd64.go) holds; stepScalar and wss2Scalar are the portable path.
+//
+// Where useAVX512 holds, the 8-lane routines below run instead.
+// stepAVX512 is stepAVX with opmask picks, its lanes reduced here: the
+// extreme value, the lowest index among the lanes equal to it, and the
+// value read from that lane. wss2AVX512 has no division. Pass 1 stores
+// each candidate's estimate b²·VRCP14PD(a), or NaN where VRCP14PD(a) or the
+// estimate leaves [2^-512, 2^512), and keeps each half's largest trusted
+// estimate M. Pass 2 lists the survivors, NaN or >= M·(1 − 2^-10), for the
+// Go side's exact gains. Survival is guaranteed for every lane with the
+// largest exact gain: within the range VRCP14PD errs by less than 2^-14,
+// so that lane's estimate is at least (1 − 2^-14)(1 − 2^-53) of its
+// quotient and M at most (1 + 2^-14)(1 + 2^-52)(1 + 2^-53) of it, and
+// (1 − 2^-10) leaves eight times the margin needed (the proof in full is
+// at the solver type in solver.go).
 
 //go:build amd64 && !noasm
 
@@ -203,5 +217,276 @@ step_loop:
 	VMOVDQU Y5, 160(DX)
 	VMOVUPD Y6, 192(DX)
 	VMOVDQU Y7, 224(DX)
+	VZEROUPPER
+	RET
+
+// The 8-lane passes (useAVX512). Scalars broadcast from smo8Const<>: the
+// lane indices 0..7 at 0, then 2^-512, the bits 62-63 mask, NaN, −Inf,
+// +Inf, 1 − 2^-10, the sign bit and the largest int64.
+DATA smo8Const<>+0(SB)/8, $0
+DATA smo8Const<>+8(SB)/8, $1
+DATA smo8Const<>+16(SB)/8, $2
+DATA smo8Const<>+24(SB)/8, $3
+DATA smo8Const<>+32(SB)/8, $4
+DATA smo8Const<>+40(SB)/8, $5
+DATA smo8Const<>+48(SB)/8, $6
+DATA smo8Const<>+56(SB)/8, $7
+DATA smo8Const<>+64(SB)/8, $0x1ff0000000000000
+DATA smo8Const<>+72(SB)/8, $0xc000000000000000
+DATA smo8Const<>+80(SB)/8, $0x7ff8000000000000
+DATA smo8Const<>+88(SB)/8, $0xfff0000000000000
+DATA smo8Const<>+96(SB)/8, $0x7ff0000000000000
+DATA smo8Const<>+104(SB)/8, $0x3feff80000000000
+DATA smo8Const<>+112(SB)/8, $0x8000000000000000
+DATA smo8Const<>+120(SB)/8, $0x7fffffffffffffff
+GLOBL smo8Const<>(SB), RODATA|NOPTR, $128
+
+// REDUCE stores the pick held by the lanes of V (values) and I (indices):
+// the extreme value by OP (VMAXPD or VMINPD) and, among lanes equal to it,
+// the lowest index, with the value read from that lane, so a −0 that wins
+// stays −0. Z29 holds the largest int64 in every lane. Clobbers Z27, Z28,
+// Z30, Z31, K1 and K2.
+#define REDUCE(OP, V, I, vout, kout) \
+	VSHUFF64X2 $0x4E, V, V, Z27; \
+	OP         Z27, V, Z27; \
+	VSHUFF64X2 $0xB1, Z27, Z27, Z28; \
+	OP         Z28, Z27, Z27; \
+	VPERMILPD  $0x55, Z27, Z28; \
+	OP         Z28, Z27, Z27; \
+	VCMPPD     $0x00, Z27, V, K1; \
+	VMOVDQA64  Z29, Z30; \
+	VMOVDQA64  I, K1, Z30; \
+	VSHUFI64X2 $0x4E, Z30, Z30, Z31; \
+	VPMINSQ    Z31, Z30, Z30; \
+	VSHUFI64X2 $0xB1, Z30, Z30, Z31; \
+	VPMINSQ    Z31, Z30, Z30; \
+	VPSHUFD    $0x4E, Z30, Z31; \
+	VPMINSQ    Z31, Z30, Z30; \
+	VPCMPEQQ   Z30, I, K1, K2; \
+	VCOMPRESSPD V, K2, Z31; \
+	VMOVSD     X31, vout; \
+	VMOVQ      X30, kout
+
+// A8 leaves in Z4 and Z5 the up and the down variable's a at k = AX,
+// (Q̄_ii + K_kk) ∓ s2·K_ik, not floored at tau.
+#define A8 \
+	VADDPD  (R10)(AX*8), Z17, Z9; \
+	VMULPD  (R11)(AX*8), Z18, Z10; \
+	VSUBPD  Z10, Z9, Z4; \
+	VADDPD  Z10, Z9, Z5
+// BUP leaves the up variables' b² at k = AX in Z6 and sets K3 to the
+// candidates: alpha > 0 and b = gmax + G_k > 0. BDN does the down
+// variables: alpha < C and b = gmax − G_{l+k} > 0.
+#define BUP \
+	VADDPD  (SI)(AX*8), Z16, Z6; \
+	VCMPPD  $0x1E, Z21, Z6, K3; \
+	VCMPPD  $0x11, (R8)(AX*8), Z21, K3, K3; \
+	VMULPD  Z6, Z6, Z6
+#define BDN \
+	VMOVUPD (DI)(AX*8), Z6; \
+	VSUBPD  Z6, Z16, Z6; \
+	VCMPPD  $0x1E, Z21, Z6, K3; \
+	VCMPPD  $0x1E, (R9)(AX*8), Z19, K3, K3; \
+	VMULPD  Z6, Z6, Z6
+
+// EST stores at dst the estimates of the lanes with unfloored a (A) and b²
+// (Z6) and folds them into the running maximum M. A candidate (K3) gets
+// e = b²·r, r = VRCP14PD(a), when both r and e lie in [2^-512, 2^512) —
+// as bits minus those of 2^-512, both below 2^62, so bits 62 and 63 of
+// their OR are clear — and NaN otherwise; a <= 0 makes r <= 0 or ±Inf, so
+// such a lane is NaN. A lane that is no candidate gets +0. NaN never moves
+// M: VMAXPD returns its second source when either is NaN.
+#define EST(A, dst, M) \
+	VRCP14PD A, Z7; \
+	VMULPD.Z Z7, Z6, K3, Z8; \
+	VPSUBQ   Z22, Z8, Z9; \
+	VPSUBQ   Z22, Z7, Z10; \
+	VPORQ    Z10, Z9, Z9; \
+	VPTESTMQ Z23, Z9, K3, K4; \
+	VMOVAPD  Z24, K4, Z8; \
+	VMOVUPD  Z8, dst; \
+	VMAXPD   M, Z8, M
+
+// BCASTMAX sets every lane of V to the largest lane of V. Clobbers Z27.
+#define BCASTMAX(V) \
+	VSHUFF64X2 $0x4E, V, V, Z27; \
+	VMAXPD     Z27, V, V; \
+	VSHUFF64X2 $0xB1, V, V, Z27; \
+	VMAXPD     Z27, V, V; \
+	VPERMILPD  $0x55, V, Z27; \
+	VMAXPD     Z27, V, V
+
+// THRESH turns the broadcast maximum V into its half's survivor threshold,
+// V·(1 − 2^-10), or +Inf when the half has no trusted candidate (V is +0
+// or −Inf, below 2^-512), so that only the NaN lanes survive.
+#define THRESH(V) \
+	VCMPPD  $0x11, Z22, V, K1; \
+	VMULPD  Z26, V, V; \
+	VMOVAPD Z15, K1, V
+
+// func wss2AVX512(gu, gd, au, ad, diag, ri, est *float64, n int, gmax, qi, s2, c float64, surv *int) (nUp, nDn int)
+//
+// Pass 1 writes the estimates of the up variables to est[:n] and of the
+// down variables to est[n:2n] and keeps each half's maximum. Pass 2 visits
+// the 8-blocks where some lane of either half survives — its estimate is
+// NaN or not below the threshold, NGT_UQ — and appends the survivors' k to
+// surv[:n] (up) and surv[n:2n] (down) in increasing order. Z0/Z1: the
+// maxima, then the thresholds. Z16..Z19: gmax, qi, s2, C; Z21..Z25: 0,
+// 2^-512, the bits 62-63 mask, NaN, −Inf; Z26 = 1 − 2^-10, Z15 = +Inf.
+TEXT ·wss2AVX512(SB), NOSPLIT, $0-120
+	MOVQ gu+0(FP), SI
+	MOVQ gd+8(FP), DI
+	MOVQ au+16(FP), R8
+	MOVQ ad+24(FP), R9
+	MOVQ diag+32(FP), R10
+	MOVQ ri+40(FP), R11
+	MOVQ est+48(FP), R12
+	MOVQ n+56(FP), CX
+	LEAQ (R12)(CX*8), R13
+	VBROADCASTSD gmax+64(FP), Z16
+	VBROADCASTSD qi+72(FP), Z17
+	VBROADCASTSD s2+80(FP), Z18
+	VBROADCASTSD c+88(FP), Z19
+	VPXORQ       Z21, Z21, Z21
+	VPBROADCASTQ smo8Const<>+64(SB), Z22
+	VPBROADCASTQ smo8Const<>+72(SB), Z23
+	VBROADCASTSD smo8Const<>+80(SB), Z24
+	VBROADCASTSD smo8Const<>+88(SB), Z25
+	VBROADCASTSD smo8Const<>+96(SB), Z15
+	VBROADCASTSD smo8Const<>+104(SB), Z26
+	VMOVAPD Z25, Z0
+	VMOVAPD Z25, Z1
+	XORQ AX, AX
+
+wss2_est:
+	A8
+	BUP
+	EST(Z4, (R12)(AX*8), Z0)
+	BDN
+	EST(Z5, (R13)(AX*8), Z1)
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  wss2_est
+
+	BCASTMAX(Z0)
+	BCASTMAX(Z1)
+	THRESH(Z0)
+	THRESH(Z1)
+	MOVQ surv+96(FP), BX
+	LEAQ (BX)(CX*8), DX
+	XORQ AX, AX
+
+wss2_filter:
+	VCMPPD   $0x1A, (R12)(AX*8), Z0, K5
+	VCMPPD   $0x1A, (R13)(AX*8), Z1, K6
+	KORTESTB K5, K6
+	JZ       wss2_next
+	VPBROADCASTQ AX, Z14
+	VPADDQ   smo8Const<>+0(SB), Z14, Z14
+	VPCOMPRESSQ Z14, K5, (BX)
+	KMOVB    K5, R14
+	POPCNTL  R14, R14
+	LEAQ     (BX)(R14*8), BX
+	VPCOMPRESSQ Z14, K6, (DX)
+	KMOVB    K6, R14
+	POPCNTL  R14, R14
+	LEAQ     (DX)(R14*8), DX
+wss2_next:
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  wss2_filter
+
+	MOVQ surv+96(FP), R14
+	SUBQ R14, BX
+	SHRQ $3, BX
+	MOVQ BX, nUp+104(FP)
+	LEAQ (R14)(CX*8), R14
+	SUBQ R14, DX
+	SHRQ $3, DX
+	MOVQ DX, nDn+112(FP)
+	VZEROUPPER
+	RET
+
+// func stepAVX512(gu, gd, au, ad, ri, rj *float64, n int, ci, cj, c float64, out *[2]violators)
+//
+// stepAVX's pass eight k at a time, each pick moved under an opmask, and
+// the lanes reduced here. Z0/Z1: the up half's gmax pick, Z2/Z3 its gmin
+// pick, Z4..Z7 the down half's; Z8: k per lane; Z15: zero; Z20..Z23: ci,
+// cj, C and the sign bit; Z24: 8 per lane.
+TEXT ·stepAVX512(SB), NOSPLIT, $0-88
+	MOVQ gu+0(FP), SI
+	MOVQ gd+8(FP), DI
+	MOVQ au+16(FP), R8
+	MOVQ ad+24(FP), R9
+	MOVQ ri+32(FP), R10
+	MOVQ rj+40(FP), R11
+	MOVQ n+48(FP), CX
+	VBROADCASTSD ci+56(FP), Z20
+	VBROADCASTSD cj+64(FP), Z21
+	VBROADCASTSD c+72(FP), Z22
+	VBROADCASTSD smo8Const<>+112(SB), Z23
+	MOVQ $8, AX
+	VPBROADCASTQ AX, Z24
+	VPBROADCASTQ smo8Const<>+120(SB), Z29
+	VBROADCASTSD smo8Const<>+88(SB), Z0
+	VMOVAPD Z0, Z4
+	VBROADCASTSD smo8Const<>+96(SB), Z2
+	VMOVAPD Z2, Z6
+	VPTERNLOGQ $0xFF, Z1, Z1, Z1
+	VMOVDQA64 Z1, Z3
+	VMOVDQA64 Z1, Z5
+	VMOVDQA64 Z1, Z7
+	VMOVDQU64 smo8Const<>+0(SB), Z8
+	VPXORQ Z15, Z15, Z15
+	XORQ AX, AX
+
+step8_loop:
+	// a = K_ik·ci and b = K_jk·cj, each rounded; G_k = (G_k + a) + b and
+	// G_{l+k} = (G_{l+k} − a) − b.
+	VMULPD  (R10)(AX*8), Z20, Z9
+	VMULPD  (R11)(AX*8), Z21, Z10
+	VADDPD  (SI)(AX*8), Z9, Z11
+	VADDPD  Z10, Z11, Z11
+	VMOVUPD Z11, (SI)(AX*8)
+	VMOVUPD (DI)(AX*8), Z12
+	VSUBPD  Z9, Z12, Z12
+	VSUBPD  Z10, Z12, Z12
+	VMOVUPD Z12, (DI)(AX*8)
+	VPXORQ  Z23, Z11, Z11 // −G_k
+	VMOVUPD (R8)(AX*8), Z13
+	VMOVUPD (R9)(AX*8), Z14
+
+	// Up variable: in I_up while alpha < C, in I_low while alpha > 0.
+	VCMPPD    $0x11, Z22, Z13, K1
+	VCMPPD    $0x1E, Z0, Z11, K1, K1
+	VMOVAPD   Z11, K1, Z0
+	VMOVDQA64 Z8, K1, Z1
+	VCMPPD    $0x1E, Z15, Z13, K2
+	VCMPPD    $0x11, Z2, Z11, K2, K2
+	VMOVAPD   Z11, K2, Z2
+	VMOVDQA64 Z8, K2, Z3
+
+	// Down variable: in I_up while alpha > 0, in I_low while alpha < C.
+	VCMPPD    $0x1E, Z15, Z14, K3
+	VCMPPD    $0x1E, Z4, Z12, K3, K3
+	VMOVAPD   Z12, K3, Z4
+	VMOVDQA64 Z8, K3, Z5
+	VCMPPD    $0x11, Z22, Z14, K4
+	VCMPPD    $0x11, Z6, Z12, K4, K4
+	VMOVAPD   Z12, K4, Z6
+	VMOVDQA64 Z8, K4, Z7
+
+	VPADDQ Z24, Z8, Z8
+	ADDQ $8, AX
+	CMPQ AX, CX
+	JLT  step8_loop
+
+	// violators: gmax at 0, gmin at 8, i at 16, j at 24; the down half's
+	// 32 bytes on.
+	MOVQ out+80(FP), DX
+	REDUCE(VMAXPD, Z0, Z1, 0(DX), 16(DX))
+	REDUCE(VMINPD, Z2, Z3, 8(DX), 24(DX))
+	REDUCE(VMAXPD, Z4, Z5, 32(DX), 48(DX))
+	REDUCE(VMINPD, Z6, Z7, 40(DX), 56(DX))
 	VZEROUPPER
 	RET

@@ -42,34 +42,64 @@ func passSolver(data []byte) (s *solver, ri, rj []float64, ci, cj float64, p wss
 	return s, ri, rj, ci, cj, p
 }
 
-// checkPass runs both passes of an SMO iteration as the solver does —
-// four lanes at a time where the AVX2 kernels run — and as the scalar loop
-// alone, and requires the same bits: every gradient, both WSS2 picks, and
-// the next scan's i, j, gmax and gmin. It returns the solver's scan.
+// passWidths are the widths the SMO passes can run at on this build and
+// CPU: 8 (AVX-512), 4 (AVX2) and 0, the scalar loop alone.
+func passWidths() []int {
+	switch {
+	case useAVX512:
+		return []int{8, 4, 0}
+	case useAVX:
+		return []int{4, 0}
+	}
+	return []int{0}
+}
+
+// usePassWidth makes the SMO passes run at the given width of passWidths
+// until restore is called.
+func usePassWidth(lanes int) (restore func()) {
+	was512, wasAVX := useAVX512, useAVX
+	useAVX512, useAVX = lanes == 8, lanes >= 4
+	return func() { useAVX512, useAVX = was512, wasAVX }
+}
+
+// checkPass runs both passes of an SMO iteration as the solver does at
+// every width of passWidths, each from the same state, and as the scalar
+// loop alone, and requires the same bits: every gradient, both WSS2 picks,
+// and the next scan's i, j, gmax and gmin. It leaves s as a step leaves it
+// and returns the scan.
 func checkPass(t *testing.T, s *solver, ri, rj []float64, ci, cj float64, p wss2Pass) violators {
 	t.Helper()
 	none := pick{math.Inf(-1), -1}
-	up, dn := s.wss2(p)
 	wantUp, wantDn := s.wss2Scalar(p, 0, none, none)
-	if !samePick(up, wantUp) || !samePick(dn, wantDn) {
-		t.Errorf("wss2 picks up %v down %v, scalar %v %v", up, dn, wantUp, wantDn)
-	}
-
 	ref := *s
 	ref.grad = slices.Clone(s.grad)
-	got := s.step(ri, rj, ci, cj)
 	u, d := ref.stepScalar(ri, rj, ci, cj, 0, noViolators(), noViolators())
 	want := merge(u, d, ref.l)
-	for t2, g := range s.grad {
-		if math.Float64bits(g) != math.Float64bits(ref.grad[t2]) {
-			t.Fatalf("G[%d] = %v (%#x), scalar %v (%#x)", t2, g, math.Float64bits(g), ref.grad[t2], math.Float64bits(ref.grad[t2]))
-		}
+
+	var got violators
+	for _, lanes := range passWidths() {
+		func() {
+			defer usePassWidth(lanes)()
+			w := *s
+			w.grad = slices.Clone(s.grad)
+			up, dn := w.wss2(p)
+			if !samePick(up, wantUp) || !samePick(dn, wantDn) {
+				t.Errorf("%d lanes: wss2 picks up %v down %v, scalar %v %v", lanes, up, dn, wantUp, wantDn)
+			}
+			got = w.step(ri, rj, ci, cj)
+			for t2, g := range w.grad {
+				if math.Float64bits(g) != math.Float64bits(ref.grad[t2]) {
+					t.Fatalf("%d lanes: G[%d] = %v (%#x), scalar %v (%#x)", lanes, t2, g, math.Float64bits(g), ref.grad[t2], math.Float64bits(ref.grad[t2]))
+				}
+			}
+			if got.i != want.i || got.j != want.j ||
+				math.Float64bits(got.gmax) != math.Float64bits(want.gmax) ||
+				math.Float64bits(got.gmin) != math.Float64bits(want.gmin) {
+				t.Errorf("%d lanes: scan %+v, scalar %+v", lanes, got, want)
+			}
+		}()
 	}
-	if got.i != want.i || got.j != want.j ||
-		math.Float64bits(got.gmax) != math.Float64bits(want.gmax) ||
-		math.Float64bits(got.gmin) != math.Float64bits(want.gmin) {
-		t.Errorf("scan %+v, scalar %+v", got, want)
-	}
+	copy(s.grad, ref.grad)
 	return got
 }
 
@@ -77,9 +107,9 @@ func samePick(a, b pick) bool {
 	return a.k == b.k && math.Float64bits(a.v) == math.Float64bits(b.v)
 }
 
-// FuzzSMOPass checks the vector passes against the scalar loop on drawn
-// solver states; under noasm, or without AVX2, both sides are the scalar
-// loop and the target only exercises it.
+// FuzzSMOPass checks the vector passes, at every width the CPU has,
+// against the scalar loop on drawn solver states; under noasm, or without
+// AVX2, both sides are the scalar loop and the target only exercises it.
 func FuzzSMOPass(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 2, 0, 2, 0, 2})
@@ -144,5 +174,33 @@ func TestSMOPassTies(t *testing.T) {
 				t.Errorf("scan %+v, want i %d j %d gmax %v gmin %v", v, tc.i, tc.j, tc.gmax, tc.gmin)
 			}
 		})
+	}
+}
+
+// TestSMOPassSignedZeroLanes: at every width, a half's gmax scan sees +0
+// and −0 in different lanes of a full 8-block, equal as values, so the
+// lowest index wins and its own zero is the one reported. The update adds
+// zeros that keep the signs: −0 on the up half, +0 on the down half.
+func TestSMOPassSignedZeroLanes(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, down := range []bool{false, true} {
+		for _, z := range []float64{0, negZero} {
+			const l = 16
+			s := &solver{l: l, n: 2 * l, c: 4, alpha: make([]float64, 2*l), grad: make([]float64, 2*l), diag: make([]float64, l)}
+			for k := range l {
+				s.alpha[k], s.alpha[l+k] = 1.5, 1.5
+				s.grad[k], s.grad[l+k] = 1, -1 // −G = −1 up, G = −1 down
+			}
+			at, c, want := 2, negZero, -z
+			if down {
+				at, c, want = l+3, 0, z
+			}
+			s.grad[at], s.grad[at+7] = z, math.Copysign(0, -z)
+			zero := make([]float64, l)
+			v := checkPass(t, s, zero, zero, c, c, wss2Pass{ri: zero, qi: 1, s2: 2})
+			if v.i != at || math.Float64bits(v.gmax) != math.Float64bits(want) {
+				t.Errorf("G = %v at %d: gmax %v at %d, want %v", z, at, v.gmax, v.i, want)
+			}
+		}
 	}
 }

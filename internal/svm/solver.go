@@ -32,6 +32,37 @@ import (
 // reduced to the lowest index among equal values, no FMA, and b²/a by a
 // true division — a reciprocal, or comparing b² against best·a, rounds
 // differently and would change which j wins.
+//
+// Where useAVX512 also holds, both run eight k at a time and the scalar
+// loop takes the last l mod 8. stepAVX512 is stepAVX's arithmetic with
+// opmask picks, and reduces its lanes in registers: the extreme value,
+// then the lowest index among the lanes equal to it, with the value read
+// from that lane, so a −0 that wins stays −0. wss2AVX512 divides by
+// nothing. Its first pass writes, for each candidate (the variables
+// wss2Scalar would consider), the estimate e = b²·r with r = VRCP14PD(a),
+// a unfloored, into the solver's est buffer, and keeps each half's
+// maximum M over the trusted estimates: those where r and e both lie in
+// [2^-512, 2^512). Any other candidate's estimate is NaN, which covers
+// a <= 0, subnormal or huge a, and b² that overflows or underflows. Its
+// second pass lists the survivors, in increasing k: the NaN lanes and the
+// lanes with e >= T = fl(M·(1 − 2^-10)) (T = +Inf for a half with no
+// trusted candidate). Only they get the exact gain, in wss2Scalar's
+// arithmetic (wss2Up, wss2Down), folded in index order with strict
+// compares.
+//
+// The survivors hold every lane the scalar loop could pick. Let Q = b²/a
+// exactly and g = fl(Q), the scalar gain, and let w be any lane with the
+// largest g, g*. If w is untrusted it survives. Otherwise r = (1/a)(1+δ)
+// with |δ| < 2^-14 (VRCP14PD's bound for a normal a and 1/a, which the
+// range ensures) and e = b²·r rounded, normal, so
+// Q(1−2^-14)(1−2^-53) <= e <= Q(1+2^-14)(1+2^-53), and Q is normal. Let z
+// be the trusted lane with the largest Q. Rounding is monotone, so
+// g_z >= g_w = g*, so g_z = g*: Q_z and Q_w round to the same normal
+// number and Q_z <= Q_w(1+2^-52). Then
+// T <= Q_w(1+2^-52)(1+2^-14)(1+2^-53)(1−2^-10)(1+2^-53)
+// < Q_w(1−2^-14)(1−2^-53) <= e_w. The margin 2^-10 is eight times the
+// 2^-13 the proof needs. Lanes that survive without holding g* only lose
+// to it.
 type solver struct {
 	l     int // number of training samples
 	n     int // 2l variables
@@ -48,6 +79,8 @@ type solver struct {
 
 	cache *rowCache
 	diag  []float64 // K(k, k) per sample: Q̄_tt for t = k and t = k+l
+	est   []float64 // wss2AVX512's gain estimates, up half then down half
+	surv  []int     // and the variables that survive its filter
 }
 
 // tau is LIBSVM's lower bound for the second-order coefficient.
@@ -67,8 +100,16 @@ const (
 	SecondOrder
 )
 
+// newSolver sets up SMO over the samples x, evaluating kernel rows as the
+// solver asks for them.
 func newSolver(x [][]float64, z []float64, k Kernel, c, eps, tol float64, maxIt int, rule SelectionRule) *solver {
-	l := len(x)
+	return cacheSolver(newRowCache(len(x), k, x), z, c, eps, tol, maxIt, rule)
+}
+
+// cacheSolver sets up SMO over the samples whose kernel rows cache serves,
+// with targets z.
+func cacheSolver(cache *rowCache, z []float64, c, eps, tol float64, maxIt int, rule SelectionRule) *solver {
+	l := len(z)
 	s := &solver{
 		l: l, n: 2 * l,
 		c: c, eps: eps, tol: tol, maxIt: maxIt,
@@ -76,16 +117,24 @@ func newSolver(x [][]float64, z []float64, k Kernel, c, eps, tol float64, maxIt 
 		z:     z,
 		alpha: make([]float64, 2*l),
 		grad:  make([]float64, 2*l),
-		cache: newRowCache(l, k, x),
+		cache: cache,
 		diag:  make([]float64, l),
 	}
 	for t := 0; t < s.n; t++ {
 		s.grad[t] = s.p(t) // alpha starts at zero, so G = p
 	}
-	for i, xi := range x {
-		s.diag[i] = k.Eval(xi, xi) // the bits row(i)[i] would hold
+	for i := range s.diag {
+		s.diag[i] = cache.self(i) // the bits row(i)[i] would hold
 	}
 	return s
+}
+
+// sample returns the sample of variable t, t mod l without a division.
+func (s *solver) sample(t int) int {
+	if t >= s.l {
+		return t - s.l
+	}
+	return t
 }
 
 // y returns the constraint sign of variable t.
@@ -217,8 +266,8 @@ type wss2Pass struct {
 // maximizing b²/a, b = gmax + y_t·G_t > 0, a = Q̄_ii + Q̄_tt − 2·y_i·y_t·K_it.
 // It falls back to the first-order j when no t has b > 0.
 func (s *solver) secondOrder(v violators) int {
-	l := s.l
-	p := wss2Pass{ri: s.cache.row(v.i % l), qi: s.diag[v.i%l], s2: 2, gmax: v.gmax}
+	l, i := s.l, s.sample(v.i)
+	p := wss2Pass{ri: s.cache.row(i), qi: s.diag[i], s2: 2, gmax: v.gmax}
 	if v.i >= l {
 		p.s2 = -2
 	}
@@ -233,28 +282,45 @@ func (s *solver) secondOrder(v violators) int {
 }
 
 // wss2 scans the up and down halves for WSS2's j in one pass over k < l,
-// four k at a time in AVX2 where it runs.
+// eight k at a time in AVX-512 or four in AVX2 where they run. At eight,
+// wss2AVX512 filters the variables and only its survivors get an exact
+// gain; the scalar loop takes the last l mod 8.
 func (s *solver) wss2(p wss2Pass) (up, dn pick) {
 	up, dn = pick{math.Inf(-1), -1}, pick{math.Inf(-1), -1}
-	k := 0
-	if n := s.l &^ 3; useAVX && n > 0 {
-		l := s.l
+	l, k := s.l, 0
+	switch {
+	case useAVX512 && l >= 8:
+		k = l &^ 7
+		if len(s.est) < 2*k {
+			s.est, s.surv = make([]float64, 2*k), make([]int, 2*k)
+		}
+		nu, nd := wss2AVX512(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &s.diag[0], &p.ri[0], &s.est[0], k, p.gmax, p.qi, p.s2, s.c, &s.surv[0])
+		for _, t := range s.surv[:nu] {
+			s.wss2Up(&p, t, &up)
+		}
+		for _, t := range s.surv[k : k+nd] {
+			s.wss2Down(&p, t, &dn)
+		}
+	case useAVX && l >= 4:
+		k = l &^ 3
 		var out [2]lanes
-		wss2AVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &s.diag[0], &p.ri[0], n, p.gmax, p.qi, p.s2, s.c, &out)
-		up, dn, k = out[0].max(), out[1].max(), n
+		wss2AVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &s.diag[0], &p.ri[0], k, p.gmax, p.qi, p.s2, s.c, &out)
+		up, dn = out[0].max(), out[1].max()
 	}
 	return s.wss2Scalar(p, k, up, dn)
 }
 
 // wss2Scalar folds k = from, …, l−1 into the picks up and dn. The up
 // variable k is in I_low while a > 0, the down variable l+k while a < C.
+// s2·K_ik is rounded on its own (an explicit conversion), so no build fuses
+// it into the add.
 func (s *solver) wss2Scalar(p wss2Pass, from int, up, dn pick) (pick, pick) {
 	l, c := s.l, s.c
 	gu, gd := s.grad[:l], s.grad[l:][:l]
 	au, ad := s.alpha[:l], s.alpha[l:][:l]
 	ri, diag := p.ri[:l], s.diag[:l]
 	for k := from; k < l; k++ {
-		q, m := p.qi+diag[k], p.s2*ri[k]
+		q, m := p.qi+diag[k], float64(p.s2*ri[k])
 		if b := p.gmax + gu[k]; au[k] > 0 && b > 0 {
 			up.max(wss2Gain(b, q-m), k)
 		}
@@ -263,6 +329,20 @@ func (s *solver) wss2Scalar(p wss2Pass, from int, up, dn pick) (pick, pick) {
 		}
 	}
 	return up, dn
+}
+
+// wss2Up is wss2Scalar's step for the up variable k alone, and wss2Down
+// for the down variable l+k: the exact gains of wss2AVX512's survivors.
+func (s *solver) wss2Up(p *wss2Pass, k int, up *pick) {
+	if b := p.gmax + s.grad[k]; s.alpha[k] > 0 && b > 0 {
+		up.max(wss2Gain(b, p.qi+s.diag[k]-float64(p.s2*p.ri[k])), k)
+	}
+}
+
+func (s *solver) wss2Down(p *wss2Pass, k int, dn *pick) {
+	if b := p.gmax - s.grad[s.l+k]; s.alpha[s.l+k] < s.c && b > 0 {
+		dn.max(wss2Gain(b, p.qi+s.diag[k]+float64(p.s2*p.ri[k])), k)
+	}
 }
 
 // wss2Gain is the guaranteed objective decrease b²/a, with a floored at tau.
@@ -294,14 +374,14 @@ func (s *solver) solve() (beta []float64, rho float64, iters int, err error) {
 // and returns the next first-order scan, made in the same pass. A step
 // that moves neither multiplier changes nothing, so prev still holds.
 func (s *solver) update(prev violators, i, j int) violators {
-	l := s.l
-	ri := s.cache.row(i % l)
-	rj := s.cache.row(j % l)
+	l, si, sj := s.l, s.sample(i), s.sample(j)
+	ri := s.cache.row(si)
+	rj := s.cache.row(sj)
 	oldAi, oldAj := s.alpha[i], s.alpha[j]
 
 	// LIBSVM's Q̄_ii + Q̄_jj − 2·Q̄_ij for a same-sign pair and + 2·Q̄_ij for
 	// an opposite-sign one; with Q̄_ij = y_i·y_j·K_ij both are this.
-	quad := s.diag[i%l] + s.diag[j%l] - 2*ri[j%l]
+	quad := s.diag[si] + s.diag[sj] - 2*ri[sj]
 	if quad <= 0 {
 		quad = tau
 	}
@@ -372,17 +452,23 @@ func (s *solver) update(prev violators, i, j int) violators {
 
 // step adds ci·K(k, i) + cj·K(k, j) to the up gradient G_k and subtracts it
 // from the down gradient G_{l+k}, and returns the first-order scan of the
-// result, in one pass over k < l, four k at a time in AVX2 where it runs.
+// result, in one pass over k < l, eight k at a time in AVX-512 or four in
+// AVX2 where they run.
 func (s *solver) step(ri, rj []float64, ci, cj float64) violators {
 	u, d := noViolators(), noViolators()
-	k := 0
-	if n := s.l &^ 3; useAVX && n > 0 {
-		l := s.l
+	l, k := s.l, 0
+	switch {
+	case useAVX512 && l >= 8:
+		k = l &^ 7
+		var out [2]violators
+		stepAVX512(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &ri[0], &rj[0], k, ci, cj, s.c, &out)
+		u, d = out[0], out[1]
+	case useAVX && l >= 4:
+		k = l &^ 3
 		var out [4]lanes
-		stepAVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &ri[0], &rj[0], n, ci, cj, s.c, &out)
+		stepAVX(&s.grad[0], &s.grad[l], &s.alpha[0], &s.alpha[l], &ri[0], &rj[0], k, ci, cj, s.c, &out)
 		u = lanesViolators(&out[0], &out[1])
 		d = lanesViolators(&out[2], &out[3])
-		k = n
 	}
 	u, d = s.stepScalar(ri, rj, ci, cj, k, u, d)
 	return merge(u, d, s.l)
@@ -453,14 +539,20 @@ func (s *solver) finish(iters int) (beta []float64, rho float64, its int, err er
 	return beta, rho, iters, nil
 }
 
-// rowCache holds kernel rows K(i, ·) over the l base samples in a slice
-// indexed by sample, nil until first asked for. At most maxRows rows stay
-// resident, the oldest computed dropped first (FIFO); the cap bites only
-// past l = 4096, so the dataset sizes in this repository compute each row
-// once. A dropped row is recomputed on demand to the same bits.
+// rowCache holds kernel rows K(i, ·) over the l samples of a solver in a
+// slice indexed by sample, nil until first asked for. At most maxRows rows
+// stay resident, the oldest computed dropped first (FIFO); the cap bites
+// only past l = 4096, so the dataset sizes in this repository compute each
+// row once. A dropped row is recomputed on demand to the same bits.
+//
+// With a Gram matrix, sample i is the matrix's idx[i] and a missing row is
+// gathered from it, or with idx nil is the matrix's own row, uncopied;
+// without one, a missing row is evaluated.
 type rowCache struct {
 	k       Kernel
 	x       [][]float64
+	gram    *Gram
+	idx     []int
 	rows    [][]float64
 	order   []int // resident rows, oldest first
 	maxRows int
@@ -468,24 +560,49 @@ type rowCache struct {
 
 func newRowCache(l int, k Kernel, x [][]float64) *rowCache {
 	maxRows := l
-	const maxCachedValues = 16 << 20 // ~128 MB of float64s
-	if l > 0 && l*l > maxCachedValues {
-		maxRows = maxCachedValues / l
-		if maxRows < 2 {
-			maxRows = 2
-		}
+	if l > 0 && l*l > MaxGramValues {
+		maxRows = max(MaxGramValues/l, 2)
 	}
 	return &rowCache{k: k, x: x, rows: make([][]float64, l), maxRows: maxRows}
+}
+
+// features returns the feature row of sample i.
+func (c *rowCache) features(i int) []float64 {
+	if c.idx != nil {
+		i = c.idx[i]
+	}
+	return c.x[i]
+}
+
+// self returns K(i, i).
+func (c *rowCache) self(i int) float64 {
+	if c.gram == nil {
+		return c.k.Eval(c.x[i], c.x[i])
+	}
+	if c.idx != nil {
+		i = c.idx[i]
+	}
+	return c.gram.m[i*c.gram.n+i]
 }
 
 func (c *rowCache) row(i int) []float64 {
 	if r := c.rows[i]; r != nil {
 		return r
 	}
-	r := make([]float64, len(c.x))
-	xi := c.x[i]
-	for j, xj := range c.x {
-		r[j] = c.k.Eval(xi, xj)
+	if c.gram != nil && c.idx == nil {
+		return c.gram.row(i)
+	}
+	r := make([]float64, len(c.rows))
+	if c.gram != nil {
+		gi := c.gram.row(c.idx[i])
+		for j, s := range c.idx {
+			r[j] = gi[s]
+		}
+	} else {
+		xi := c.x[i]
+		for j, xj := range c.x {
+			r[j] = c.k.Eval(xi, xj)
+		}
 	}
 	if len(c.order) >= c.maxRows {
 		c.rows[c.order[0]] = nil

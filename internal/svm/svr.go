@@ -44,14 +44,15 @@ func (p TrainParams) Validate() error {
 	if err := p.Kernel.Validate(); err != nil {
 		return err
 	}
-	if p.C <= 0 {
-		return fmt.Errorf("svm: C must be > 0, got %v", p.C)
+	// Written as the conditions that must hold, so NaN fails them.
+	if !(p.C > 0 && p.C <= math.MaxFloat64) {
+		return fmt.Errorf("svm: C must be > 0 and finite, got %v", p.C)
 	}
-	if p.Epsilon < 0 {
-		return fmt.Errorf("svm: epsilon must be >= 0, got %v", p.Epsilon)
+	if !(p.Epsilon >= 0 && p.Epsilon <= math.MaxFloat64) {
+		return fmt.Errorf("svm: epsilon must be >= 0 and finite, got %v", p.Epsilon)
 	}
-	if p.Tol < 0 {
-		return fmt.Errorf("svm: tol must be >= 0, got %v", p.Tol)
+	if !(p.Tol >= 0 && p.Tol <= math.MaxFloat64) {
+		return fmt.Errorf("svm: tol must be >= 0 and finite, got %v", p.Tol)
 	}
 	if p.MaxIter < 0 {
 		return fmt.Errorf("svm: maxIter must be >= 0, got %d", p.MaxIter)
@@ -79,37 +80,57 @@ type Model struct {
 	batchCache // flattened-SV matrix for PredictBatch, built lazily
 }
 
-// Train fits an ε-SVR on features x and targets z.
+// Train fits an ε-SVR on features x and targets z. Up to 4096 samples
+// (MaxGramValues kernel values) it evaluates the whole Gram matrix first,
+// each pair once; past that, kernel rows are evaluated as the solver asks
+// for them and at most MaxGramValues values stay resident.
 func Train(x [][]float64, z []float64, params TrainParams) (*Model, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if len(x) == 0 {
-		return nil, errors.New("svm: no training data")
+	if err := checkSamples(x); err != nil {
+		return nil, err
 	}
 	if len(x) != len(z) {
 		return nil, fmt.Errorf("svm: %d feature rows vs %d targets", len(x), len(z))
 	}
+	if l := len(x); l > MaxGramValues/l {
+		return fit(newRowCache(l, params.Kernel, x), z, params)
+	}
+	return fit(buildGram(x, params.Kernel).cache(nil), z, params)
+}
+
+// checkSamples requires at least one feature row, all of one positive
+// length and finite.
+func checkSamples(x [][]float64) error {
+	if len(x) == 0 {
+		return errors.New("svm: no training data")
+	}
 	dim := len(x[0])
 	if dim == 0 {
-		return nil, errors.New("svm: zero-dimensional features")
+		return errors.New("svm: zero-dimensional features")
 	}
 	for i, row := range x {
 		if len(row) != dim {
-			return nil, fmt.Errorf("svm: row %d has %d features, want %d", i, len(row), dim)
+			return fmt.Errorf("svm: row %d has %d features, want %d", i, len(row), dim)
 		}
 		for j, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("svm: row %d feature %d is %v", i, j, v)
+				return fmt.Errorf("svm: row %d feature %d is %v", i, j, v)
 			}
 		}
 	}
+	return nil
+}
+
+// fit runs SMO on targets z over the samples whose kernel rows cache
+// serves, and keeps the samples with a non-zero coefficient.
+func fit(cache *rowCache, z []float64, params TrainParams) (*Model, error) {
 	for i, v := range z {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("svm: target %d is %v", i, v)
 		}
 	}
-
 	tol := params.Tol
 	if tol == 0 {
 		tol = 1e-3
@@ -119,17 +140,18 @@ func Train(x [][]float64, z []float64, params TrainParams) (*Model, error) {
 		maxIter = 10_000_000
 	}
 
-	s := newSolver(x, z, params.Kernel, params.C, params.Epsilon, tol, maxIter, params.Selection)
+	s := cacheSolver(cache, z, params.C, params.Epsilon, tol, maxIter, params.Selection)
 	beta, rho, iters, err := s.solve()
 	if err != nil {
 		return nil, err
 	}
 
+	dim := len(cache.features(0))
 	m := &Model{Kernel: params.Kernel, Rho: rho, Dim: dim, Iters: iters}
 	for i, b := range beta {
 		if b != 0 {
 			sv := make([]float64, dim)
-			copy(sv, x[i])
+			copy(sv, cache.features(i))
 			m.SV = append(m.SV, sv)
 			m.Coef = append(m.Coef, b)
 		}
