@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"vmtherm/internal/workload"
 )
@@ -104,5 +106,28 @@ func TestBadOutPathIsAnError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing", "trace.csv")
 	if err := run([]string{"-duration", "900", "-out", path}, new(bytes.Buffer)); err == nil {
 		t.Error("no error for an -out path in a missing directory")
+	}
+}
+
+// TestNonFiniteRunFlagsAreRefused: a NaN or infinite -duration or -sample is
+// an error naming the flag (main exits 1), returned at once — -duration NaN
+// used to run forever and -sample NaN to fail with "empty series".
+func TestNonFiniteRunFlagsAreRefused(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"duration", "NaN"},
+		{"duration", "+Inf"},
+		{"sample", "NaN"},
+		{"sample", "+Inf"},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- run([]string{"-" + c.flag, c.value}, new(bytes.Buffer)) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.flag) {
+				t.Errorf("-%s %s: run returned %v, want an error naming %s", c.flag, c.value, err, c.flag)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-%s %s: run still going after 10 s", c.flag, c.value)
+		}
 	}
 }

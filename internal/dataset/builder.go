@@ -37,7 +37,7 @@ func (o BuildOptions) Validate() error {
 	if err := o.Run.Validate(); err != nil {
 		return err
 	}
-	if o.TBreakS <= 0 || o.TBreakS >= o.Run.DurationS {
+	if !(o.TBreakS > 0 && o.TBreakS < o.Run.DurationS) {
 		return fmt.Errorf("dataset: t_break %v must fall inside the run duration %v",
 			o.TBreakS, o.Run.DurationS)
 	}

@@ -171,15 +171,22 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(context.Background(), nil, DefaultBuildOptions(1)); err == nil {
 		t.Error("no cases should fail")
 	}
-	bad := DefaultBuildOptions(1)
-	bad.TBreakS = bad.Run.DurationS + 1
-	if _, err := Build(context.Background(), testCases(t, 1), bad); err == nil {
-		t.Error("t_break beyond duration should fail")
-	}
-	neg := DefaultBuildOptions(1)
-	neg.Workers = -1
-	if _, err := Build(context.Background(), testCases(t, 1), neg); err == nil {
-		t.Error("negative workers should fail")
+	for _, c := range []struct {
+		name   string
+		mutate func(*BuildOptions)
+		field  string
+	}{
+		{"t_break beyond duration", func(o *BuildOptions) { o.TBreakS = o.Run.DurationS + 1 }, "t_break"},
+		{"zero t_break", func(o *BuildOptions) { o.TBreakS = 0 }, "t_break"},
+		{"NaN t_break", func(o *BuildOptions) { o.TBreakS = math.NaN() }, "t_break"},
+		{"NaN duration", func(o *BuildOptions) { o.Run.DurationS = math.NaN() }, "duration"},
+		{"negative workers", func(o *BuildOptions) { o.Workers = -1 }, "workers"},
+	} {
+		opts := DefaultBuildOptions(1)
+		c.mutate(&opts)
+		if _, err := Build(context.Background(), testCases(t, 1), opts); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Build = %v, want the %s refused", c.name, err, c.field)
+		}
 	}
 }
 

@@ -4,10 +4,15 @@
 // internal/vmm) runs entirely on this engine, which is what lets the whole
 // evaluation execute in milliseconds of wall time and reproduce exactly
 // across runs.
+//
+// The queue is a binary min-heap of event values ordered by (time,
+// insertion sequence), so events at the same instant fire in the order
+// they were scheduled. Events live in the heap's slice, not behind
+// pointers: once the slice has grown to a run's peak depth, scheduling and
+// firing allocate nothing, and neither does an Every tick.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -18,39 +23,26 @@ import (
 type Handler func(e *Engine)
 
 type event struct {
-	at   float64
-	seq  uint64 // insertion order; breaks ties deterministically
-	name string
-	fn   Handler
+	at  float64
+	seq uint64 // insertion order; breaks ties deterministically
+	fn  Handler
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// before is the queue's order: earlier time first, then earlier insertion.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now     float64
-	queue   eventQueue
+	queue   []event // binary min-heap under event.before
 	nextSeq uint64
 	stopped bool
+	// fault is the first failure an Every re-arm hit inside the run loop;
+	// RunUntil stops and returns it.
+	fault error
 }
 
 // NewEngine returns an engine with the clock at 0.
@@ -69,9 +61,57 @@ func (e *Engine) Schedule(at float64, name string, fn Handler) error {
 	if at < e.now {
 		return fmt.Errorf("sim: schedule %q at %v before now %v", name, at, e.now)
 	}
-	heap.Push(&e.queue, &event{at: at, seq: e.nextSeq, name: name, fn: fn})
+	e.queue = append(e.queue, event{at: at, seq: e.nextSeq, fn: fn})
 	e.nextSeq++
+	e.up(len(e.queue) - 1)
 	return nil
+}
+
+// up restores the heap order from slot i towards the root.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the handler reference
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // ScheduleAfter enqueues fn to run delay seconds from now.
@@ -84,10 +124,12 @@ func (e *Engine) ScheduleAfter(delay float64, name string, fn Handler) error {
 
 // Every schedules fn to run now and then at a fixed period until the engine
 // stops or until fn's registration is cancelled via the returned stop
-// function.
+// function. The period must advance the clock to a finite time; if a later
+// re-arm no longer does (the clock has outgrown the period's precision, or
+// overflows), the run loop stops and RunUntil returns that error.
 func (e *Engine) Every(period float64, name string, fn Handler) (stop func(), err error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("sim: non-positive period %v for %q", period, name)
+	if _, err := advance(e.now, period, name); err != nil {
+		return nil, err
 	}
 	cancelled := false
 	var tick Handler
@@ -96,9 +138,13 @@ func (e *Engine) Every(period float64, name string, fn Handler) (stop func(), er
 			return
 		}
 		fn(en)
-		// Re-arm; scheduling from a handler cannot fail because the target
-		// time is strictly in the future.
-		_ = en.Schedule(en.now+period, name, tick)
+		next, err := advance(en.now, period, name)
+		if err == nil {
+			err = en.Schedule(next, name, tick)
+		}
+		if err != nil {
+			en.halt(err)
+		}
 	}
 	if err := e.Schedule(e.now, name, tick); err != nil {
 		return nil, err
@@ -106,31 +152,54 @@ func (e *Engine) Every(period float64, name string, fn Handler) (stop func(), er
 	return func() { cancelled = true }, nil
 }
 
+// advance returns now+period, or an error naming the period when that is
+// not a finite time after now: NaN, ±Inf, non-positive periods, and periods
+// below the clock's precision at now.
+func advance(now, period float64, name string) (float64, error) {
+	next := now + period
+	if !(next > now) || math.IsInf(next, 1) {
+		return 0, fmt.Errorf("sim: period %v for %q does not advance the clock from %v", period, name, now)
+	}
+	return next, nil
+}
+
+// halt records the first fault and stops the run loop.
+func (e *Engine) halt(err error) {
+	if e.fault == nil {
+		e.fault = err
+	}
+	e.stopped = true
+}
+
 // Stop halts the run loop after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// ErrDeadlineRequired is returned by Run when the horizon is not positive.
-var ErrDeadlineRequired = errors.New("sim: RunUntil horizon must be > start time")
+// ErrDeadlineRequired is returned by Run when the horizon is not a finite
+// time after the clock.
+var ErrDeadlineRequired = errors.New("sim: RunUntil horizon must be finite and > start time")
 
 // RunUntil executes events in timestamp order until the queue is empty, the
 // engine is stopped, or the next event would fire after horizon. The clock
 // is left at min(horizon, time of last executed event). It returns the
-// number of events executed.
+// number of events executed, and the fault of an Every whose re-arm failed.
 func (e *Engine) RunUntil(horizon float64) (int, error) {
-	if horizon <= e.now {
+	if !(horizon > e.now) || math.IsInf(horizon, 1) {
 		return 0, ErrDeadlineRequired
 	}
 	e.stopped = false
 	count := 0
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.at > horizon {
+		if e.queue[0].at > horizon {
 			break
 		}
-		heap.Pop(&e.queue)
+		next := e.pop()
 		e.now = next.at
 		next.fn(e)
 		count++
+	}
+	if err := e.fault; err != nil {
+		e.fault = nil
+		return count, err
 	}
 	if e.now < horizon {
 		e.now = horizon

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -149,9 +150,67 @@ func TestEveryPeriodicAndCancel(t *testing.T) {
 }
 
 func TestEveryInvalidPeriod(t *testing.T) {
+	late := NewEngine()
+	if _, err := late.RunUntil(1 << 60); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		e      *Engine
+		period float64
+	}{
+		{"zero", NewEngine(), 0},
+		{"negative", NewEngine(), -1},
+		{"NaN", NewEngine(), nan()},
+		{"+Inf", NewEngine(), inf()},
+		{"-Inf", NewEngine(), -inf()},
+		{"below the clock's ulp", late, 1},
+	} {
+		if _, err := c.e.Every(c.period, "bad", func(*Engine) {}); err == nil || !strings.Contains(err.Error(), "period") {
+			t.Errorf("%s: Every(%v) at %v = %v, want the period refused", c.name, c.period, c.e.Now(), err)
+		}
+		if c.e.Pending() != 0 {
+			t.Errorf("%s: a refused Every left %d events queued", c.name, c.e.Pending())
+		}
+	}
+}
+
+// TestEveryStopsWhenThePeriodStopsAdvancing: a period that advanced the
+// clock when registered but no longer does (the clock outgrew its
+// precision) stops the run with an error instead of re-firing at the same
+// instant forever.
+func TestEveryStopsWhenThePeriodStopsAdvancing(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.Every(0, "bad", func(*Engine) {}); err == nil {
-		t.Fatal("zero period should fail")
+	const edge = 1 << 53 // above it, now+1 rounds back to now
+	if _, err := e.RunUntil(edge - 4); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	if _, err := e.Every(1, "tick", func(*Engine) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	n, err := e.RunUntil(edge + 100)
+	if err == nil || !strings.Contains(err.Error(), "does not advance") {
+		t.Fatalf("RunUntil = %d, %v; want the stalled period reported", n, err)
+	}
+	if n != 5 || fired != 5 {
+		t.Errorf("ran %d events, %d ticks; want 5 (edge-4 … edge)", n, fired)
+	}
+	// The fault is reported once; the engine runs on without the tick.
+	if _, err := e.RunUntil(edge + 200); err != nil {
+		t.Errorf("second RunUntil = %v", err)
+	}
+}
+
+func TestRunUntilRejectsNonFiniteHorizon(t *testing.T) {
+	for _, h := range []float64{nan(), inf(), -inf()} {
+		e := NewEngine()
+		if _, err := e.Every(1, "tick", func(*Engine) {}); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := e.RunUntil(h); !errors.Is(err, ErrDeadlineRequired) || n != 0 {
+			t.Errorf("RunUntil(%v) = %d, %v; want ErrDeadlineRequired", h, n, err)
+		}
 	}
 }
 

@@ -38,7 +38,10 @@ import (
 // it — a flat, contiguous record the tick loop scans instead of walking
 // nested vm→task profile maps. task is the task's deployment-order index in
 // vm (the spec's task position, fixed at place), so a tick sets the fraction
-// without looking the task up by name.
+// without looking the task up by name. A workload.Constant is retired once
+// tickRack has applied it — on the first tick its VM runs or migrates —
+// since it would only set the same level again; the VM carries the level
+// wherever it migrates.
 type drivenTask struct {
 	vm   *vmm.VM
 	task int
@@ -63,8 +66,8 @@ type simHost struct {
 	// cluster.HostStateCase's order (see deployment); viewTasks backs their
 	// Tasks slices. viewOK is cleared wherever the deployment or a task's
 	// CPU fraction can change: Place, Migrate, Remove and tickRack's sweep
-	// over driven (SetTaskCPU by task index) — the only four. caseName is
-	// "state:"+id.
+	// over driven (SetTaskCPU by task index) when a driver ran — the only
+	// four. caseName is "state:"+id.
 	view      []workload.VMSpec
 	viewTasks []workload.TaskSpec
 	viewOK    bool
@@ -422,24 +425,30 @@ func (f *Fleet) shardRacks(fn func(lo, hi int) error) error {
 // then inlets, then thermal integration: recirculation sees this tick's
 // utilization. Each host's (util, mem) is derived in ONE walk over its VM
 // list, right after its tasks are driven, and reused for both the
-// rack-mean inlet model and SetLoad.
+// rack-mean inlet model and SetLoad. A constant profile the sweep applied
+// leaves driven (see drivenTask).
 func (f *Fleet) tickRack(ri int, t, dt float64) error {
 	span := f.rackSpan[ri]
 	var utilSum float64
 	for i := span[0]; i < span[1]; i++ {
 		sh := f.hosts[i]
-		if len(sh.driven) > 0 {
-			sh.viewOK = false // the sweep rewrites task CPU fractions
-		}
-		for j := range sh.driven {
-			d := &sh.driven[j]
-			if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
-				continue
+		kept := 0
+		for j, d := range sh.driven {
+			if st := d.vm.State(); st == vmm.VMRunning || st == vmm.VMMigrating {
+				sh.viewOK = false // the driver rewrites a task CPU fraction
+				if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
+					sh.driven = append(sh.driven[:kept], sh.driven[j:]...)
+					return err
+				}
+				if _, ok := d.prof.(workload.Constant); ok {
+					continue
+				}
 			}
-			if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
-				return err
-			}
+			sh.driven[kept] = d
+			kept++
 		}
+		clear(sh.driven[kept:])
+		sh.driven = sh.driven[:kept]
 		u, m := sh.host.Loads()
 		f.tickUtil[i], f.tickMem[i] = u, m
 		utilSum += u

@@ -147,6 +147,69 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 // TestActiveFaults pins what ActiveFaults counts: each degraded CRAC
 // dimension, a blackout and each faulted sensor, and nothing once every
 // fault is cleared.
+// TestConstantDriversRetire: the first tick applies a constant profile —
+// invalidating the host's view, since the task's fraction changed — and
+// retires it; later ticks leave the fraction and the view alone, and the
+// view still equals a fresh HostStateCase.
+func TestConstantDriversRetire(t *testing.T) {
+	f := testFleet(t)
+	spec := workload.VMSpec{ID: "const", Config: vmm.VMConfig{VCPUs: 2, MemoryGB: 4}, Tasks: []workload.TaskSpec{
+		{Task: vmm.Task{ID: "c", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Constant{Level: 0.9}},
+		{Task: vmm.Task{ID: "s", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Sine{Base: 0.5, Amplitude: 0.2, Period: 40}},
+	}}
+	if err := f.Place(3, spec); err != nil {
+		t.Fatal(err)
+	}
+	sh := f.hosts[3]
+	var arena []workload.VMSpec
+	check := func(step string, wantFrac float64, wantDriven int) {
+		t.Helper()
+		inlet, err := f.Inlet(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.HostCase(3, inlet, nil, &arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cluster.HostStateCase(f.Host(3), 4, inlet, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: case diverged:\n got %+v\nwant %+v", step, got, want)
+		}
+		if frac := got.VMs[0].Tasks[0].Task.CPUFraction; frac != wantFrac || len(sh.driven) != wantDriven {
+			t.Fatalf("%s: constant task at %v with %d drivers, want %v and %d", step, frac, len(sh.driven), wantFrac, wantDriven)
+		}
+	}
+	emit := func(telemetry.Reading) bool { return true }
+	check("placed", 0.5, 2)
+	if err := f.Advance(5, emit); err != nil {
+		t.Fatal(err)
+	}
+	check("first advance", 0.9, 1)
+	if _, err := f.Remove("const"); err != nil {
+		t.Fatal(err)
+	}
+	spec.ID, spec.Tasks = "const2", spec.Tasks[:1]
+	if err := f.Place(3, spec); err != nil {
+		t.Fatal(err)
+	}
+	check("constant alone", 0.5, 1)
+	if err := f.Advance(5, emit); err != nil {
+		t.Fatal(err)
+	}
+	check("applied", 0.9, 0)
+	if err := f.Advance(5, emit); err != nil {
+		t.Fatal(err)
+	}
+	if !sh.viewOK {
+		t.Error("a tick with no live driver invalidated the view")
+	}
+	check("retired", 0.9, 0)
+}
+
 func TestActiveFaults(t *testing.T) {
 	f := testFleet(t)
 	steps := []struct {

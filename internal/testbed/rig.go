@@ -8,6 +8,7 @@ package testbed
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/sim"
@@ -32,16 +33,17 @@ func DefaultRunConfig() RunConfig {
 	return RunConfig{DurationS: 1800, TickS: 1, SampleS: 5}
 }
 
-// Validate checks run parameters.
+// Validate checks run parameters: a finite positive duration, and tick and
+// sample intervals in (0, duration] — NaN and ±Inf fail every test.
 func (c RunConfig) Validate() error {
-	if c.DurationS <= 0 {
-		return fmt.Errorf("testbed: duration must be > 0, got %v", c.DurationS)
+	if !(c.DurationS > 0) || math.IsInf(c.DurationS, 1) {
+		return fmt.Errorf("testbed: duration must be finite and > 0, got %v", c.DurationS)
 	}
-	if c.TickS <= 0 || c.TickS > c.DurationS {
+	if !(c.TickS > 0 && c.TickS <= c.DurationS) {
 		return fmt.Errorf("testbed: tick %v invalid for duration %v", c.TickS, c.DurationS)
 	}
-	if c.SampleS <= 0 || c.SampleS > c.DurationS {
-		return fmt.Errorf("testbed: sample interval %v invalid", c.SampleS)
+	if !(c.SampleS > 0 && c.SampleS <= c.DurationS) {
+		return fmt.Errorf("testbed: sample interval %v invalid for duration %v", c.SampleS, c.DurationS)
 	}
 	return nil
 }
@@ -74,7 +76,7 @@ type Rig struct {
 	server *thermal.Server
 	sensor *thermal.Sensor
 	vms    map[string]*vmm.VM
-	driven []drivenTask // every profiled task, in registration order
+	driven []drivenTask // every live profiled task, in registration order
 	// asyncErr captures the first failure raised inside a scheduled
 	// scenario event; Run surfaces it.
 	asyncErr error
@@ -82,6 +84,8 @@ type Rig struct {
 
 // drivenTask binds one task of a tracked VM, by its deployment-order index
 // (vmm.VM.TaskIndex, resolved at registration), to the profile that drives it.
+// A workload.Constant is retired once the tick has applied it — on the first
+// tick its VM runs or migrates — since it would only set the same level again.
 type drivenTask struct {
 	vm   *vmm.VM
 	task int
@@ -224,11 +228,14 @@ func (r *Rig) Run(cfg RunConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// One sample at the start and one per SampleS after it; the bound only
+	// keeps an absurd ratio from reserving memory up front.
+	n := int(1 + math.Min(cfg.DurationS/cfg.SampleS, 1<<16))
 	res := &Result{
-		SensorTemps: timeseries.New(),
-		TrueTemps:   timeseries.New(),
-		Utilization: timeseries.New(),
-		MemActive:   timeseries.New(),
+		SensorTemps: timeseries.NewSized(n),
+		TrueTemps:   timeseries.NewSized(n),
+		Utilization: timeseries.NewSized(n),
+		MemActive:   timeseries.NewSized(n),
 	}
 	start := r.engine.Now()
 
@@ -278,17 +285,26 @@ func (r *Rig) Run(cfg RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// tick applies load profiles and advances thermals by dt.
+// tick applies load profiles and advances thermals by dt. A constant
+// profile it applied leaves driven (see drivenTask).
 func (r *Rig) tick(e *sim.Engine, dt float64) error {
 	t := e.Now()
-	for _, d := range r.driven {
-		if st := d.vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
-			continue
+	kept := 0
+	for j, d := range r.driven {
+		if st := d.vm.State(); st == vmm.VMRunning || st == vmm.VMMigrating {
+			if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
+				r.driven = append(r.driven[:kept], r.driven[j:]...)
+				return err
+			}
+			if _, ok := d.prof.(workload.Constant); ok {
+				continue
+			}
 		}
-		if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
-			return err
-		}
+		r.driven[kept] = d
+		kept++
 	}
+	clear(r.driven[kept:])
+	r.driven = r.driven[:kept]
 	r.server.SetLoad(r.host.Loads())
 	return r.server.Advance(dt)
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/sim"
@@ -26,21 +27,27 @@ func TestRunConfigValidate(t *testing.T) {
 	tests := []struct {
 		name   string
 		mutate func(*RunConfig)
-		ok     bool
+		field  string // named by the error; "" when valid
 	}{
-		{"default", func(*RunConfig) {}, true},
-		{"zero duration", func(c *RunConfig) { c.DurationS = 0 }, false},
-		{"zero tick", func(c *RunConfig) { c.TickS = 0 }, false},
-		{"tick beyond duration", func(c *RunConfig) { c.TickS = c.DurationS + 1 }, false},
-		{"zero sample", func(c *RunConfig) { c.SampleS = 0 }, false},
+		{"default", func(*RunConfig) {}, ""},
+		{"zero duration", func(c *RunConfig) { c.DurationS = 0 }, "duration"},
+		{"NaN duration", func(c *RunConfig) { c.DurationS = math.NaN() }, "duration"},
+		{"+Inf duration", func(c *RunConfig) { c.DurationS = math.Inf(1) }, "duration"},
+		{"zero tick", func(c *RunConfig) { c.TickS = 0 }, "tick"},
+		{"NaN tick", func(c *RunConfig) { c.TickS = math.NaN() }, "tick"},
+		{"-Inf tick", func(c *RunConfig) { c.TickS = math.Inf(-1) }, "tick"},
+		{"tick beyond duration", func(c *RunConfig) { c.TickS = c.DurationS + 1 }, "tick"},
+		{"zero sample", func(c *RunConfig) { c.SampleS = 0 }, "sample"},
+		{"NaN sample", func(c *RunConfig) { c.SampleS = math.NaN() }, "sample"},
+		{"+Inf sample", func(c *RunConfig) { c.SampleS = math.Inf(1) }, "sample"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			c := DefaultRunConfig()
 			tt.mutate(&c)
 			err := c.Validate()
-			if (err == nil) != tt.ok {
-				t.Errorf("Validate = %v, ok %v", err, tt.ok)
+			if (err == nil) != (tt.field == "") || err != nil && !strings.Contains(err.Error(), tt.field) {
+				t.Errorf("Validate = %v, want the %q field refused", err, tt.field)
 			}
 		})
 	}
@@ -308,6 +315,51 @@ func TestTrackExternalVM(t *testing.T) {
 	got := ext.Tasks()[0].CPUFraction
 	if got != 0.9 {
 		t.Errorf("tracked vm task fraction = %v, want 0.9", got)
+	}
+}
+
+// TestConstantProfilesRetireOnceApplied: a constant profile stays driven
+// while its VM is pending and leaves the tick's list on the first tick that
+// applies it; a time-varying one stays.
+func TestConstantProfilesRetireOnceApplied(t *testing.T) {
+	rig, err := New(smallCase(t), Options{Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := vmm.NewVM("external", vmm.VMConfig{VCPUs: 2, MemoryGB: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []workload.TaskSpec{
+		{Task: vmm.Task{ID: "x", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Constant{Level: 0.9}},
+		{Task: vmm.Task{ID: "y", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Sine{Base: 0.5, Amplitude: 0.2, Period: 30}},
+	}
+	for _, ts := range specs {
+		if err := ext.AddTask(ts.Task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rig.Track(ext, specs); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.Host().Place(ext); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.Run(RunConfig{DurationS: 10, TickS: 1, SampleS: 5}); err != nil {
+		t.Fatal(err)
+	}
+	// The case's own constants ran and retired; the pending VM's did not.
+	if len(rig.driven) != 2 || rig.driven[0].vm != ext || ext.TaskAt(0).CPUFraction != 0.5 {
+		t.Fatalf("after a pending run: %d driven, x at %v; want ext's 2 and 0.5", len(rig.driven), ext.TaskAt(0).CPUFraction)
+	}
+	if err := ext.Start(rig.Engine().Now()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.Run(RunConfig{DurationS: 10, TickS: 1, SampleS: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rig.driven) != 1 || rig.driven[0].task != 1 || ext.TaskAt(0).CPUFraction != 0.9 {
+		t.Errorf("after it ran: %d driven, x at %v; want the sine alone and 0.9", len(rig.driven), ext.TaskAt(0).CPUFraction)
 	}
 }
 

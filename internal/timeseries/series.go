@@ -40,6 +40,10 @@ type Series struct {
 // New returns an unbounded Series.
 func New() *Series { return &Series{} }
 
+// NewSized returns an unbounded Series with room for n samples before its
+// first reallocation.
+func NewSized(n int) *Series { return &Series{pts: make([]Point, 0, n)} }
+
 // NewBounded returns a Series retaining at most maxPoints samples.
 // It panics if maxPoints < 0.
 func NewBounded(maxPoints int) *Series {

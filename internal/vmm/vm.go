@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -69,6 +70,12 @@ type Transition struct {
 // of fleet simulation (per-tick demand updates and utilization sums) scan a
 // handful of contiguous structs instead of paying randomized map iteration
 // per call, and iteration order is deterministic.
+//
+// The VM keeps its tasks' CPU and memory sums: AddTask, RemoveTask and
+// SetTaskCPU (only when the fraction's bits change) re-add every task in
+// deployment order, so CPUDemandVCPUs and MemUsedGB return the bits a
+// fresh loop would without walking the tasks. The getters only read, so
+// concurrent readers need no more than they did before.
 type VM struct {
 	id      string
 	config  VMConfig
@@ -76,6 +83,8 @@ type VM struct {
 	tasks   []Task
 	taskIdx map[string]int // task id → index into tasks
 	log     []Transition
+	cpuSum  float64 // Σ CPUFraction over tasks, uncapped; see resum
+	memSum  float64 // Σ MemGB over tasks, uncapped
 }
 
 // NewVM creates a VM in the pending state.
@@ -157,6 +166,7 @@ func (v *VM) AddTask(t Task) error {
 	}
 	v.taskIdx[t.ID] = len(v.tasks)
 	v.tasks = append(v.tasks, t)
+	v.resum()
 	return nil
 }
 
@@ -171,7 +181,19 @@ func (v *VM) RemoveTask(id string) error {
 	for i := idx; i < len(v.tasks); i++ {
 		v.taskIdx[v.tasks[i].ID] = i
 	}
+	v.resum()
 	return nil
+}
+
+// resum recomputes the kept CPU and memory sums over the tasks in
+// deployment order, the order every reader has always summed in.
+func (v *VM) resum() {
+	var cpu, mem float64
+	for i := range v.tasks {
+		cpu += v.tasks[i].CPUFraction
+		mem += v.tasks[i].MemGB
+	}
+	v.cpuSum, v.memSum = cpu, mem
 }
 
 // TaskIndex returns the deployment-order index of task id (the i of TaskAt
@@ -196,7 +218,10 @@ func (v *VM) SetTaskCPU(i int, fraction float64) error {
 	if fraction < 0 || fraction > 1 {
 		return fmt.Errorf("vmm: cpu fraction %v outside [0,1]", fraction)
 	}
-	v.tasks[i].CPUFraction = fraction
+	if math.Float64bits(v.tasks[i].CPUFraction) != math.Float64bits(fraction) {
+		v.tasks[i].CPUFraction = fraction
+		v.resum()
+	}
 	return nil
 }
 
@@ -219,11 +244,7 @@ func (v *VM) TaskAt(i int) Task { return v.tasks[i] }
 // CPUDemandVCPUs returns the VM's current CPU demand in vCPU units, capped
 // at the configured vCPU count (a VM cannot use more than it was given).
 func (v *VM) CPUDemandVCPUs() float64 {
-	var sum float64
-	for i := range v.tasks {
-		sum += v.tasks[i].CPUFraction
-	}
-	return min(sum, float64(v.config.VCPUs))
+	return min(v.cpuSum, float64(v.config.VCPUs))
 }
 
 // TaskCPUStats returns the raw (uncapped) sum and maximum of the VM's task
@@ -245,11 +266,7 @@ func (v *VM) TaskCPUStats() (sum, maxFraction float64) {
 
 // MemUsedGB returns active memory, capped at the allocation.
 func (v *VM) MemUsedGB() float64 {
-	var sum float64
-	for i := range v.tasks {
-		sum += v.tasks[i].MemGB
-	}
-	return min(sum, v.config.MemoryGB)
+	return min(v.memSum, v.config.MemoryGB)
 }
 
 // ClassMix returns the fraction of tasks per class (zero map for no tasks).
