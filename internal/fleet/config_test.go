@@ -3,7 +3,10 @@ package fleet
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"vmtherm/internal/thermal"
 )
 
 // TestConfigRejectsNonFiniteFloats sets every float field of Config —
@@ -46,6 +49,28 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 			if err := c.Validate(); err == nil {
 				t.Errorf("%s = %v accepted", name, v)
 			}
+		}
+	}
+}
+
+// TestNewNamesBadPhysicsField: a non-finite field of the server or sensor
+// template fails New before a 4,096-host fleet is built, and the error
+// names the field.
+func TestNewNamesBadPhysicsField(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"ServerParams.CaseCapacitance", func(c *Config) { c.Server.CaseCapacitance = math.NaN() }},
+		{"PowerModel.LeakRefC", func(c *Config) { c.Server.Power.LeakRefC = math.Inf(1) }},
+		{"SensorParams.QuantizationC", func(c *Config) { c.Sensor.QuantizationC = math.NaN() }},
+	} {
+		cfg := DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack = 64, 64
+		cfg.Server, cfg.Sensor = thermal.DefaultServerParams(), thermal.DefaultSensorParams()
+		tc.mutate(&cfg)
+		if _, err := New(cfg, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: New = %v, want an error naming it", tc.field, err)
 		}
 	}
 }

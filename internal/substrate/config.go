@@ -48,9 +48,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration. NaN fails every comparison, so it
-// would pass the range checks (a NaN tick schedules ticks forever); no
-// field gives an infinity a meaning either.
+// Validate checks the configuration, the server and sensor templates
+// included. NaN fails every comparison, so it would pass the range checks
+// (a NaN tick schedules ticks forever); no field gives an infinity a
+// meaning either.
 func (c Config) Validate() error {
 	for _, f := range [...]struct {
 		name string
@@ -65,6 +66,14 @@ func (c Config) Validate() error {
 	}
 	if err := c.CRAC.Validate(); err != nil {
 		return err
+	}
+	// Checked once here, so a bad template is named before New builds a
+	// server and a sensor per host from it.
+	if err := c.Server.Validate(); err != nil {
+		return fmt.Errorf("fleet: server: %w", err)
+	}
+	if err := c.Sensor.Validate(); err != nil {
+		return fmt.Errorf("fleet: sensor: %w", err)
 	}
 	if c.TickS <= 0 || c.SampleS <= 0 {
 		return fmt.Errorf("fleet: tick %v and sample interval %v must be > 0", c.TickS, c.SampleS)

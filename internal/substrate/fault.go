@@ -77,10 +77,11 @@ func (f *Fleet) coupleCRAC(dt float64) {
 		return
 	}
 	var sum float64
-	for _, u := range f.tickUtil {
+	for _, sh := range f.hosts { // the tick just summed every host's load
+		u, _ := sh.loads()
 		sum += u
 	}
-	mean := sum / float64(len(f.tickUtil))
+	mean := sum / float64(len(f.hosts))
 	returnC := cd.SupplyC + cracExhaustRiseC*mean
 	target := returnC - cd.CapacityFrac*cracMaxCoolDeltaC
 	if sp := cd.SetpointC + cd.SetpointDeltaC; target < sp {

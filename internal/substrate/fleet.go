@@ -64,14 +64,29 @@ type simHost struct {
 	fault SensorFault
 	// view memoises the running/migrating VMs as VMSpecs in
 	// cluster.HostStateCase's order (see deployment); viewTasks backs their
-	// Tasks slices. viewOK is cleared wherever the deployment or a task's
-	// CPU fraction can change: Place, Migrate, Remove and tickRack's sweep
-	// over driven (SetTaskCPU by task index) when a driver ran — the only
-	// four. caseName is "state:"+id.
+	// Tasks slices. util and mem memoise host.Loads() (see loads). Both
+	// memos hold until invalidate. caseName is "state:"+id.
 	view      []workload.VMSpec
 	viewTasks []workload.TaskSpec
 	viewOK    bool
+	util, mem float64
+	loadsOK   bool
 	caseName  string
+}
+
+// invalidate drops the memos a change to the deployment or to a task's CPU
+// fraction makes stale. Place, Migrate, Remove and tickRack's sweep over
+// driven (SetTaskCPU by task index) when a driver ran are its only four
+// callers: a new way to mutate a host must call it too.
+func (sh *simHost) invalidate() { sh.viewOK, sh.loadsOK = false, false }
+
+// loads returns host.Loads(), summed again only after an invalidation.
+func (sh *simHost) loads() (util, mem float64) {
+	if !sh.loadsOK {
+		sh.util, sh.mem = sh.host.Loads()
+		sh.loadsOK = true
+	}
+	return sh.util, sh.mem
 }
 
 // deployment returns the host's running and migrating VMs exactly as
@@ -150,10 +165,6 @@ type Fleet struct {
 	// current tick: rack mean utilization is O(hosts) to derive, so
 	// recomputing it per host per tick would make ticks O(hosts²).
 	rackInlets [][]float64
-	// tickUtil/tickMem hold each host's load for the current tick (by slot):
-	// one Loads sweep per host feeds both the rack inlet model and the
-	// thermal integration instead of three separate VM-list walks.
-	tickUtil, tickMem []float64
 	// sample* are the sensor-sweep scratch for the rack-sharded read phase
 	// (by slot); emission consumes them serially in slot order.
 	sampleVal, sampleUtil, sampleMem []float64
@@ -251,7 +262,6 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 		f.rackSpan[ri][1] = len(f.hosts)
 	}
 	n := len(f.hosts)
-	f.tickUtil, f.tickMem = make([]float64, n), make([]float64, n)
 	f.sampleVal, f.sampleUtil, f.sampleMem = make([]float64, n), make([]float64, n), make([]float64, n)
 	f.sampleOK = make([]bool, n)
 	f.scanInlets, f.scanKeys = make([]float64, n), make([]anchorcache.Key, n)
@@ -296,7 +306,7 @@ func (f *Fleet) Place(i int, spec workload.VMSpec) error {
 		return fmt.Errorf("fleet: vm %q already placed on %q", spec.ID, f.order[cur])
 	}
 	sh := f.hosts[i]
-	sh.viewOK = false
+	sh.invalidate()
 	vm, err := vmm.NewVM(spec.ID, spec.Config)
 	if err != nil {
 		return err
@@ -331,7 +341,8 @@ func (f *Fleet) Migrate(vmID string, from, to int) error {
 	if err != nil {
 		return err
 	}
-	src.viewOK, dst.viewOK = false, false
+	src.invalidate()
+	dst.invalidate()
 	if err := dst.host.Place(vm); err != nil {
 		return err
 	}
@@ -357,7 +368,7 @@ func (f *Fleet) Remove(vmID string) (int, error) {
 		return 0, ErrNoSuchVM
 	}
 	sh := f.hosts[i]
-	sh.viewOK = false
+	sh.invalidate()
 	if err := sh.host.Remove(vmID); err != nil {
 		return 0, err
 	}
@@ -423,10 +434,10 @@ func (f *Fleet) shardRacks(fn func(lo, hi int) error) error {
 
 // tickRack advances one rack through a full simulation step. Loads first,
 // then inlets, then thermal integration: recirculation sees this tick's
-// utilization. Each host's (util, mem) is derived in ONE walk over its VM
-// list, right after its tasks are driven, and reused for both the
-// rack-mean inlet model and SetLoad. A constant profile the sweep applied
-// leaves driven (see drivenTask).
+// utilization. A host's (util, mem) is summed over its VM list only when a
+// driver ran or its deployment changed since the last sum (simHost.loads),
+// and feeds both the rack-mean inlet model and SetLoad. A constant profile
+// the sweep applied leaves driven (see drivenTask).
 func (f *Fleet) tickRack(ri int, t, dt float64) error {
 	span := f.rackSpan[ri]
 	var utilSum float64
@@ -435,7 +446,7 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 		kept := 0
 		for j, d := range sh.driven {
 			if st := d.vm.State(); st == vmm.VMRunning || st == vmm.VMMigrating {
-				sh.viewOK = false // the driver rewrites a task CPU fraction
+				sh.invalidate() // the driver rewrites a task CPU fraction
 				if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
 					sh.driven = append(sh.driven[:kept], sh.driven[j:]...)
 					return err
@@ -449,8 +460,7 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 		}
 		clear(sh.driven[kept:])
 		sh.driven = sh.driven[:kept]
-		u, m := sh.host.Loads()
-		f.tickUtil[i], f.tickMem[i] = u, m
+		u, _ := sh.loads()
 		utilSum += u
 	}
 	mean := utilSum / float64(span[1]-span[0])
@@ -462,7 +472,7 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 	for i := span[0]; i < span[1]; i++ {
 		sh := f.hosts[i]
 		sh.server.SetAmbient(inlets[sh.pos.Slot])
-		sh.server.SetLoad(f.tickUtil[i], f.tickMem[i])
+		sh.server.SetLoad(sh.loads())
 		if err := sh.server.Advance(dt); err != nil {
 			return err
 		}
@@ -530,7 +540,7 @@ func (f *Fleet) readSensors(lo, hi int) {
 		sh := f.hosts[i]
 		v, err := sh.sensor.Read()
 		f.sampleOK[i], f.sampleVal[i] = err == nil, v
-		f.sampleUtil[i], f.sampleMem[i] = sh.host.Loads()
+		f.sampleUtil[i], f.sampleMem[i] = sh.loads()
 	}
 }
 
@@ -638,7 +648,7 @@ func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) error
 		}
 		f.scanInlets[i] = inlet
 		if keyed && f.hosts[i].host.NumVMs() > 0 {
-			f.scanKeys[i] = anchorKey(f.hosts[i].host, q, inlet)
+			f.scanKeys[i] = anchorKey(f.hosts[i], q, inlet)
 		}
 	}
 	return nil
@@ -646,9 +656,10 @@ func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) error
 
 // anchorKey derives a host's deployment fingerprint: the cache key that
 // changes exactly when something the feature encoder can see changes.
-func anchorKey(h *vmm.Host, q anchorcache.Quantizer, inlet float64) anchorcache.Key {
+func anchorKey(sh *simHost, q anchorcache.Quantizer, inlet float64) anchorcache.Key {
 	ambBucket, _ := q.Ambient(inlet)
-	util, mem := h.Loads()
+	util, mem := sh.loads()
+	h := sh.host
 	bu, bm := q.UtilMemBuckets(util, mem)
 	hash := anchorcache.NewHash()
 	for vi := 0; vi < h.NumVMs(); vi++ {

@@ -3,7 +3,9 @@ package substrate
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/anchorcache"
@@ -144,9 +146,172 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 	}
 }
 
-// TestActiveFaults pins what ActiveFaults counts: each degraded CRAC
-// dimension, a blackout and each faulted sensor, and nothing once every
-// fault is cleared.
+// drivenSpec draws a VM whose tasks follow a Constant, a Sine or a Bursty
+// profile each.
+func drivenSpec(rng *mathx.RNG, id string) workload.VMSpec {
+	spec := sineSpec(rng, id)
+	for k := range spec.Tasks {
+		switch rng.Intn(3) {
+		case 0:
+			spec.Tasks[k].Profile = workload.Constant{Level: rng.Uniform(0.1, 0.9)}
+		case 1:
+			spec.Tasks[k].Profile = workload.Bursty{Low: 0.1, High: rng.Uniform(0.5, 1), Period: rng.Uniform(20, 90), DutyCycle: 0.3}
+		}
+	}
+	return spec
+}
+
+// TestTickLoadsMatchHostLoads is the differential test of the load memo
+// the tick, the sensor sweep and ScanAnchors read: over seeded sequences
+// of Place, Migrate, Remove and Advance with Constant, Sine and Bursty
+// drivers, every memo still valid after an operation equals a fresh
+// Host.Loads bit for bit, and so does every host's after ScanAnchors — on
+// one physics worker, and on four over a fleet large enough for the sensor
+// sweep and the scan to shard too. Some memos must be valid when checked,
+// so the memo is exercised and not merely rebuilt.
+func TestTickLoadsMatchHostLoads(t *testing.T) {
+	for _, tc := range []struct{ racks, perRack, workers, stride int }{{2, 4, 1, 1}, {8, 128, 4, 64}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Racks, cfg.HostsPerRack, cfg.Seed = tc.racks, tc.perRack, 11
+			f, err := New(cfg, vmm.DefaultHostConfig(), 4, tc.workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := mathx.SplitStable(2017, "substrate-loads")
+			slot := func() int { return tc.stride * rng.Intn(len(f.IDs())/tc.stride) }
+			check := func(step int, op string, all bool) (valid int) {
+				t.Helper()
+				for i, sh := range f.hosts {
+					if !all && !sh.loadsOK {
+						continue
+					}
+					if sh.loadsOK && sh.host.NumVMs() > 0 {
+						valid++
+					}
+					gu, gm := sh.loads()
+					wu, wm := sh.host.Loads()
+					if math.Float64bits(gu) != math.Float64bits(wu) || math.Float64bits(gm) != math.Float64bits(wm) {
+						t.Fatalf("step %d (%s): %s's memo (%v, %v), Host.Loads (%v, %v)", step, op, f.IDs()[i], gu, gm, wu, wm)
+					}
+				}
+				return valid
+			}
+			var live []string
+			counts := map[string]int{}
+			reused := 0
+			for step := 0; step < 300; step++ {
+				op := []string{"place", "place", "migrate", "remove", "advance"}[rng.Intn(5)]
+				switch op {
+				case "place":
+					spec := drivenSpec(rng, fmt.Sprintf("vm-%03d", step))
+					if f.Place(slot(), spec) != nil {
+						op = "refused"
+						break
+					}
+					live = append(live, spec.ID)
+				case "migrate":
+					if len(live) == 0 {
+						continue
+					}
+					id := live[rng.Intn(len(live))]
+					from, _ := f.Owner(id)
+					if f.Migrate(id, from, slot()) != nil {
+						op = "refused"
+					}
+				case "remove":
+					if len(live) == 0 {
+						continue
+					}
+					k := rng.Intn(len(live))
+					if _, err := f.Remove(live[k]); err != nil {
+						t.Fatal(err)
+					}
+					live = append(live[:k], live[k+1:]...)
+				case "advance":
+					if err := f.Advance(15, func(telemetry.Reading) bool { return true }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				counts[op]++
+				reused += check(step, op, false)
+				if _, _, err := f.ScanAnchors(anchorcache.DefaultQuantizer(), true); err != nil {
+					t.Fatal(err)
+				}
+				check(step, op+"+scan", true)
+			}
+			t.Logf("ops %v, %d occupied hosts' memos valid at a check", counts, reused)
+			for _, op := range []string{"place", "migrate", "remove", "advance"} {
+				if counts[op] == 0 {
+					t.Fatalf("the sequence never ran %s", op)
+				}
+			}
+			if reused == 0 {
+				t.Fatal("no occupied host's memo was valid at a check: the memo path was never exercised")
+			}
+		})
+	}
+}
+
+// TestConfigValidateNamesPhysicsField: a non-finite or out-of-range field
+// of the server or sensor template fails Config.Validate, and the error
+// names it.
+func TestConfigValidateNamesPhysicsField(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"ServerParams.DieCapacitance", func(c *Config) { c.Server.DieCapacitance = math.NaN() }},
+		{"ServerParams.PerFanG", func(c *Config) { c.Server.PerFanG = math.Inf(1) }},
+		{"PowerModel.IdleW", func(c *Config) { c.Server.Power.IdleW = math.NaN() }},
+		{"PowerModel.UtilExponent", func(c *Config) { c.Server.Power.UtilExponent = math.Inf(-1) }},
+		{"SensorParams.NoiseStdC", func(c *Config) { c.Sensor.NoiseStdC = math.NaN() }},
+		{"SensorParams.BiasC", func(c *Config) { c.Sensor.BiasC = math.Inf(-1) }},
+		{"capacitances", func(c *Config) { c.Server.CaseCapacitance = -1 }},
+		{"fail probability", func(c *Config) { c.Sensor.FailProb = 1 }},
+	} {
+		c := DefaultConfig()
+		tc.mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", tc.field, err)
+		}
+	}
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSubstrateAdvance times the physics rung alone: round_sim4k's
+// 32×128 layout with a Sine-driven VM on every second host, advanced one
+// 15 s Δ_update per op on one worker. ns/host-tick is an op over its
+// 4,096 hosts × 15 ticks.
+func BenchmarkSubstrateAdvance(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 32, 128
+	f, err := New(cfg, vmm.DefaultHostConfig(), 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.SplitStable(2017, "substrate-bench")
+	for i := 0; i < len(f.IDs()); i += 2 {
+		if err := f.Place(i, sineSpec(rng, fmt.Sprintf("vm-%04d", i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	emit := func(telemetry.Reading) bool { return true }
+	if err := f.Advance(15, emit); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if err := f.Advance(15, emit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*15*len(f.IDs())), "ns/host-tick")
+}
+
 // TestConstantDriversRetire: the first tick applies a constant profile —
 // invalidating the host's view, since the task's fraction changed — and
 // retires it; later ticks leave the fraction and the view alone, and the
@@ -210,6 +375,9 @@ func TestConstantDriversRetire(t *testing.T) {
 	check("retired", 0.9, 0)
 }
 
+// TestActiveFaults pins what ActiveFaults counts: each degraded CRAC
+// dimension, a blackout and each faulted sensor, and nothing once every
+// fault is cleared.
 func TestActiveFaults(t *testing.T) {
 	f := testFleet(t)
 	steps := []struct {

@@ -39,8 +39,8 @@ type Fan struct {
 }
 
 // FanBank is the server's set of case fans. Its aggregate airflow modulates
-// the case→ambient conductance of the thermal network; the paper's θ_fan
-// feature is derived from it.
+// the case→ambient conductance of the server's thermal circuit; the paper's
+// θ_fan feature is derived from it.
 type FanBank struct {
 	fans []Fan
 	// baseG is the case→ambient conductance with zero airflow (natural

@@ -56,12 +56,9 @@ func TestConductanceMemoMatchesFormula(t *testing.T) {
 // refAdvance is Server.Advance without either memo: the fan conductance from
 // its formula and the heat from PowerModel.Power, math.Pow every tick.
 func refAdvance(s *Server, dt float64) error {
-	if err := s.net.SetConductance(s.caseEdge, s.fans.baseG+s.fans.perFanG*math.Sqrt(s.fans.Airflow())); err != nil {
-		return err
-	}
 	u := s.EffectiveUtil()
 	s.throttled = u < s.util
-	return s.net.StepOne(dt, s.die, s.params.Power.Power(u, s.memFrac, s.net.Temp(s.die)))
+	return s.step(dt, s.fans.baseG+s.fans.perFanG*math.Sqrt(s.fans.Airflow()), s.params.Power.Power(u, s.memFrac, s.dieC))
 }
 
 // TestPowerMemoMatchesPower: a server driven through a seeded sequence of

@@ -37,8 +37,15 @@ func DefaultPowerModel() PowerModel {
 	}
 }
 
-// Validate reports whether the model parameters are physically sensible.
+// Validate reports whether the model parameters are finite and physically
+// sensible.
 func (p PowerModel) Validate() error {
+	if err := finite("PowerModel", []field{
+		{"IdleW", p.IdleW}, {"MaxW", p.MaxW}, {"MemMaxW", p.MemMaxW},
+		{"LeakWPerK", p.LeakWPerK}, {"LeakRefC", p.LeakRefC}, {"UtilExponent", p.UtilExponent},
+	}); err != nil {
+		return err
+	}
 	if p.IdleW < 0 || p.MaxW <= 0 || p.MaxW < p.IdleW {
 		return fmt.Errorf("thermal: power bounds invalid (idle %v, max %v)", p.IdleW, p.MaxW)
 	}

@@ -27,8 +27,14 @@ func DefaultSensorParams() SensorParams {
 	return SensorParams{NoiseStdC: 0.4, QuantizationC: 0.25}
 }
 
-// Validate checks the error-model parameters.
+// Validate checks the error-model parameters are finite and in range.
 func (p SensorParams) Validate() error {
+	if err := finite("SensorParams", []field{
+		{"NoiseStdC", p.NoiseStdC}, {"QuantizationC", p.QuantizationC},
+		{"BiasC", p.BiasC}, {"FailProb", p.FailProb},
+	}); err != nil {
+		return err
+	}
 	if p.NoiseStdC < 0 {
 		return fmt.Errorf("thermal: negative sensor noise %v", p.NoiseStdC)
 	}

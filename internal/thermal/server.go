@@ -1,3 +1,24 @@
+// Package thermal simulates server thermals with a lumped resistor–capacitor
+// (RC) circuit. It stands in for the physical testbed of Wu et al. (ICDCS
+// 2016): a CPU die heated by a utilization-driven power model, cooled through
+// a heatsink/case node by a bank of fans into rack ambient air, observed by a
+// noisy quantized temperature sensor.
+//
+// Each Server is one two-node circuit, die ↔ case ↔ ambient: the die and
+// the case hold heat (capacitances C_die, C_case), the ambient is a fixed
+// boundary temperature, and two conductances join them — die→case fixed,
+// case→ambient set by the fan bank's airflow. Advance integrates it with
+// explicit Euler. The sub-step is a quarter of the faster node's time
+// constant, min(C_die/G_dc, C_case/(G_dc+G_ca))/4 but at least 1 ms, and
+// a dt is cut into ceil(dt/sub) equal sub-steps, so the scheme is stable
+// for any dt. The sub-step changes only when the fan conductance does.
+//
+// The RC abstraction is the same one the thermal-management literature uses
+// as ground truth (the paper's references [4] and [5] are both built on it),
+// so the phenomena the predictors must learn — first-order saturation
+// transients, steady states shaped by load, fan count and ambient — are
+// faithfully present. Predictors only ever see sensor readings, never the
+// circuit state, so the learning problem matches the paper's.
 package thermal
 
 import (
@@ -5,7 +26,7 @@ import (
 	"math"
 )
 
-// ServerParams configures a server's thermal assembly: a two-node RC network
+// ServerParams configures a server's thermal assembly: a two-node RC circuit
 // (CPU die + case/heatsink) cooled by a fan bank into ambient air.
 type ServerParams struct {
 	// Power is the heat generation model.
@@ -48,8 +69,16 @@ func DefaultServerParams() ServerParams {
 	}
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. NaN fails every comparison, so each
+// float field is first checked to be finite.
 func (p ServerParams) Validate() error {
+	if err := finite("ServerParams", []field{
+		{"DieCapacitance", p.DieCapacitance}, {"CaseCapacitance", p.CaseCapacitance},
+		{"DieToCaseG", p.DieToCaseG}, {"BaseCaseG", p.BaseCaseG}, {"PerFanG", p.PerFanG},
+		{"AmbientC", p.AmbientC}, {"ThrottleTempC", p.ThrottleTempC},
+	}); err != nil {
+		return err
+	}
 	if err := p.Power.Validate(); err != nil {
 		return err
 	}
@@ -70,17 +99,36 @@ func (p ServerParams) Validate() error {
 	return nil
 }
 
+// field is one named float parameter for finite.
+type field struct {
+	name string
+	v    float64
+}
+
+// finite returns an error naming the first of kind's fields that is NaN or
+// ±Inf.
+func finite(kind string, fields []field) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("thermal: %s.%s must be finite, got %v", kind, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Server is the thermal state of one physical machine. Drive it by setting
 // Load and calling Advance; read the die temperature with DieTemp or through
 // a Sensor.
 type Server struct {
-	params   ServerParams
-	net      *Network
-	die      int
-	caseN    int
-	ambient  int
-	caseEdge int // edge whose conductance tracks the fan bank
-	fans     *FanBank
+	params ServerParams
+	fans   *FanBank
+
+	// The circuit: node temperatures (°C), the die→case conductance and the
+	// case→ambient one the fan bank set last (W/K), and sub, the stable
+	// Euler sub-step for those conductances (s).
+	dieC, caseC, ambientC float64
+	dieCaseG, caseAmbG    float64
+	sub                   float64
 
 	util      float64 // commanded CPU utilization 0..1
 	memFrac   float64 // memory activity 0..1
@@ -100,41 +148,30 @@ func NewServer(params ServerParams) (*Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	net := NewNetwork()
-	die, err := net.AddNode("die", params.DieCapacitance, params.AmbientC)
-	if err != nil {
-		return nil, err
-	}
-	caseN, err := net.AddNode("case", params.CaseCapacitance, params.AmbientC)
-	if err != nil {
-		return nil, err
-	}
-	amb, err := net.AddBoundary("ambient", params.AmbientC)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := net.Connect(die, caseN, params.DieToCaseG); err != nil {
-		return nil, err
-	}
 	fans, err := NewFanBank(params.FanCount, params.BaseCaseG, params.PerFanG)
 	if err != nil {
 		return nil, err
 	}
-	caseEdge, err := net.Connect(caseN, amb, fans.Conductance())
-	if err != nil {
-		return nil, err
-	}
-	return &Server{
+	s := &Server{
 		params:   params,
-		net:      net,
-		die:      die,
-		caseN:    caseN,
-		ambient:  amb,
-		caseEdge: caseEdge,
 		fans:     fans,
+		dieC:     params.AmbientC,
+		caseC:    params.AmbientC,
+		ambientC: params.AmbientC,
+		dieCaseG: params.DieToCaseG,
 		// The memo starts at util +0 (Float64bits(0) == 0).
 		curve: params.Power.utilCurve(0),
-	}, nil
+	}
+	s.setCaseG(fans.Conductance())
+	return s, nil
+}
+
+// setCaseG sets the case→ambient conductance and the stable sub-step for
+// it: a quarter of the smaller node time constant C/ΣG, at least 1 ms.
+func (s *Server) setCaseG(g float64) {
+	tauDie := s.params.DieCapacitance / s.dieCaseG
+	tauCase := s.params.CaseCapacitance / (s.dieCaseG + g)
+	s.caseAmbG, s.sub = g, math.Max(min(tauDie, tauCase)/4, 1e-3)
 }
 
 // SetLoad sets the commanded CPU utilization and memory activity fractions.
@@ -148,13 +185,10 @@ func (s *Server) SetLoad(util, memFrac float64) {
 func (s *Server) Load() (util, memFrac float64) { return s.util, s.memFrac }
 
 // SetAmbient changes the rack inlet air temperature (°C).
-func (s *Server) SetAmbient(tempC float64) {
-	// ambient is always a valid boundary node by construction.
-	_ = s.net.SetBoundaryTemp(s.ambient, tempC)
-}
+func (s *Server) SetAmbient(tempC float64) { s.ambientC = tempC }
 
 // Ambient returns the current inlet air temperature.
-func (s *Server) Ambient() float64 { return s.net.Temp(s.ambient) }
+func (s *Server) Ambient() float64 { return s.ambientC }
 
 // Fans exposes the fan bank for speed control and failure injection.
 func (s *Server) Fans() *FanBank { return s.fans }
@@ -167,8 +201,7 @@ func (s *Server) Throttled() bool { return s.throttled }
 func (s *Server) EffectiveUtil() float64 {
 	u := s.util
 	if s.params.ThrottleTempC > 0 {
-		die := s.net.Temp(s.die)
-		if over := die - s.params.ThrottleTempC; over > 0 {
+		if over := s.dieC - s.params.ThrottleTempC; over > 0 {
 			// Each degree over the limit sheds 10% of the commanded load.
 			limit := clamp01(1 - 0.1*over)
 			if limit < u {
@@ -180,47 +213,69 @@ func (s *Server) EffectiveUtil() float64 {
 }
 
 // Advance integrates the thermal state forward by dt seconds under the
-// current load, fan and ambient conditions.
+// current load, fan and ambient conditions. dt must be finite and > 0, and
+// cut into no more sub-steps than an int counts.
 func (s *Server) Advance(dt float64) error {
-	if err := s.net.SetConductance(s.caseEdge, s.fans.Conductance()); err != nil {
-		return err
-	}
 	u := s.EffectiveUtil()
 	s.throttled = u < s.util
 	if b := math.Float64bits(u); b != s.curveBits {
 		s.curveBits, s.curve = b, s.params.Power.utilCurve(u)
 	}
-	heat := s.params.Power.powerFromCurve(s.curve, s.memFrac, s.net.Temp(s.die))
-	return s.net.StepOne(dt, s.die, heat)
+	return s.step(dt, s.fans.Conductance(), s.params.Power.powerFromCurve(s.curve, s.memFrac, s.dieC))
+}
+
+// step integrates the circuit by dt seconds with case→ambient conductance
+// g and heat watts entering at the die, held for the whole dt. Every
+// product that feeds a sum is rounded by an explicit conversion, so a
+// compiler that fuses multiply-adds gives the same bits.
+func (s *Server) step(dt, g, heat float64) error {
+	if !(dt > 0) || math.IsInf(dt, 1) {
+		return fmt.Errorf("thermal: dt must be finite and > 0, got %v", dt)
+	}
+	if g != s.caseAmbG {
+		s.setCaseG(g)
+	}
+	n := math.Ceil(dt / s.sub)
+	if n >= math.MaxInt {
+		return fmt.Errorf("thermal: dt %v needs %v sub-steps of %v s, more than an int counts", dt, n, s.sub)
+	}
+	steps := max(int(n), 1)
+	h := dt / float64(steps)
+	die, cs, amb := s.dieC, s.caseC, s.ambientC
+	gdc, cDie, cCase := s.dieCaseG, s.params.DieCapacitance, s.params.CaseCapacitance
+	for k := 0; k < steps; k++ {
+		q0 := float64(gdc * (die - cs)) // W die → case
+		q1 := float64(g * (cs - amb))   // W case → ambient
+		fDie := 0 - q0 + heat
+		fCase := 0 + q0 - q1
+		die += float64(h*fDie) / cDie
+		cs += float64(h*fCase) / cCase
+	}
+	s.dieC, s.caseC = die, cs
+	return nil
 }
 
 // DieTemp returns the true (noise-free) CPU die temperature, °C.
-func (s *Server) DieTemp() float64 { return s.net.Temp(s.die) }
+func (s *Server) DieTemp() float64 { return s.dieC }
 
 // CaseTemp returns the true heatsink/case temperature, °C.
-func (s *Server) CaseTemp() float64 { return s.net.Temp(s.caseN) }
+func (s *Server) CaseTemp() float64 { return s.caseC }
 
 // SteadyStateDieTemp solves the asymptotic die temperature for a constant
-// utilization/memory load under current fan and ambient conditions. Leakage
-// feedback is resolved by fixed-point iteration.
-func (s *Server) SteadyStateDieTemp(util, memFrac float64) (float64, error) {
-	if err := s.net.SetConductance(s.caseEdge, s.fans.Conductance()); err != nil {
-		return 0, err
-	}
-	die := s.net.Temp(s.die)
+// utilization/memory load under current fan and ambient conditions: the
+// whole heat crosses both conductances in series, and leakage feedback is
+// resolved by fixed-point iteration from the current die temperature.
+func (s *Server) SteadyStateDieTemp(util, memFrac float64) float64 {
+	r := 1/s.fans.Conductance() + 1/s.dieCaseG // K/W, die to ambient
+	die := s.dieC
 	for i := 0; i < 200; i++ {
-		heat := s.params.Power.Power(util, memFrac, die)
-		temps, err := s.net.SteadyState(map[int]float64{s.die: heat})
-		if err != nil {
-			return 0, err
-		}
-		next := temps[s.die]
+		next := s.ambientC + s.params.Power.Power(util, memFrac, die)*r
 		if diff := next - die; diff < 1e-9 && diff > -1e-9 {
-			return next, nil
+			return next
 		}
 		die = next
 	}
-	return die, nil
+	return die
 }
 
 // Params returns a copy of the construction parameters.

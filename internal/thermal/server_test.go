@@ -111,11 +111,7 @@ func TestMoreFansRunCooler(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetLoad(0.8, 0.4)
-		st, err := s.SteadyStateDieTemp(0.8, 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		temps[fans] = st
+		temps[fans] = s.SteadyStateDieTemp(0.8, 0.4)
 	}
 	if !(temps[2] > temps[4] && temps[4] > temps[8]) {
 		t.Errorf("steady temps not decreasing in fan count: %v", temps)
@@ -124,15 +120,9 @@ func TestMoreFansRunCooler(t *testing.T) {
 
 func TestHotterAmbientRaisesTemp(t *testing.T) {
 	s := newTestServer(t)
-	cool, err := s.SteadyStateDieTemp(0.5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cool := s.SteadyStateDieTemp(0.5, 0.2)
 	s.SetAmbient(32)
-	warm, err := s.SteadyStateDieTemp(0.5, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm := s.SteadyStateDieTemp(0.5, 0.2)
 	// 10 °C ambient rise lifts the die by ~10 °C (slightly more with leakage).
 	if diff := warm - cool; diff < 9 || diff > 13 {
 		t.Errorf("ambient +10 °C moved die by %v °C, want ≈10", diff)
@@ -144,20 +134,14 @@ func TestHotterAmbientRaisesTemp(t *testing.T) {
 
 func TestFanFailureHeatsServer(t *testing.T) {
 	s := newTestServer(t)
-	before, err := s.SteadyStateDieTemp(0.8, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := s.SteadyStateDieTemp(0.8, 0.3)
 	if err := s.Fans().Fail(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Fans().Fail(1); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.SteadyStateDieTemp(0.8, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := s.SteadyStateDieTemp(0.8, 0.3)
 	if after <= before+2 {
 		t.Errorf("losing 2 of 4 fans should heat the die: %v -> %v", before, after)
 	}
@@ -165,10 +149,7 @@ func TestFanFailureHeatsServer(t *testing.T) {
 
 func TestTransientApproachesSteadyState(t *testing.T) {
 	s := newTestServer(t)
-	want, err := s.SteadyStateDieTemp(0.6, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := s.SteadyStateDieTemp(0.6, 0.2)
 	s.SetLoad(0.6, 0.2)
 	for i := 0; i < 3600; i++ {
 		if err := s.Advance(1); err != nil {
@@ -222,10 +203,7 @@ func TestHigherLoadHigherSteadyTemp(t *testing.T) {
 	s := newTestServer(t)
 	prev := -1000.0
 	for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		st, err := s.SteadyStateDieTemp(u, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := s.SteadyStateDieTemp(u, 0)
 		if st <= prev {
 			t.Errorf("steady temp not increasing at u=%v: %v <= %v", u, st, prev)
 		}
