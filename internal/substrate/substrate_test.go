@@ -1,6 +1,8 @@
 package substrate
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -422,5 +424,92 @@ func TestActiveFaults(t *testing.T) {
 	}
 	if _, _, err := f.RackSlots(2); err == nil {
 		t.Fatal("rack 2 of a 2-rack fleet was accepted")
+	}
+}
+
+// slackEvents counts the ticks and samples that calls Advance(dur) from
+// clock 0 schedule inside the 1e-9 s past each horizon: they fire at the
+// start of the next call, not in the one that scheduled them.
+func slackEvents(tickS, sampleS, dur float64, calls int) (ticks, samples int) {
+	start := 0.0
+	for c := 0; c < calls; c++ {
+		horizon := start + dur
+		for i, every := range [...]float64{tickS, sampleS} {
+			for k := 1; start+float64(k)*every <= horizon+1e-9; k++ {
+				if start+float64(k)*every > horizon {
+					if i == 0 {
+						ticks++
+					} else {
+						samples++
+					}
+				}
+			}
+		}
+		start = horizon
+	}
+	return ticks, samples
+}
+
+// TestAdvanceEventOrderGolden pins the order in which Advance interleaves
+// ticks and samples, bit for bit, at settings where that order is not
+// obvious: non-integer periods whose multiples drift off the horizon, a
+// tick and a sample landing on one instant (the tick fires first), and
+// events landing inside the 1e-9 s past a horizon, which fire first in the
+// next call. The digest covers every emitted reading and every host's die
+// and case temperature after every call.
+func TestAdvanceEventOrderGolden(t *testing.T) {
+	h := sha256.New()
+	var b []byte
+	for _, run := range []struct {
+		tickS, sampleS, dur  float64
+		calls                int
+		slackTicks, slackSmp int
+	}{
+		{0.1, 0.3, 0.7, 10, 2, 0},
+		{0.1, 0.14, 0.7, 10, 2, 2},
+		{0.25, 0.5, 1.25, 4, 0, 0},
+	} {
+		if ticks, samples := slackEvents(run.tickS, run.sampleS, run.dur, run.calls); ticks != run.slackTicks || samples != run.slackSmp {
+			t.Fatalf("%+v: %d ticks and %d samples in the slack, want %d and %d", run, ticks, samples, run.slackTicks, run.slackSmp)
+		}
+		cfg := DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack, cfg.Seed = 2, 4, 11
+		cfg.TickS, cfg.SampleS = run.tickS, run.sampleS
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := New(cfg, vmm.DefaultHostConfig(), 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := mathx.SplitStable(11, "event-order")
+		for i := range f.IDs() {
+			if err := f.Place(i, sineSpec(rng, fmt.Sprintf("vm-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		emit := func(r telemetry.Reading) bool {
+			b = append(b[:0], r.HostID...)
+			for _, v := range [...]float64{r.AtS, r.TempC, r.Util, r.MemFrac} {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+			h.Write(b)
+			return true
+		}
+		for c := 0; c < run.calls; c++ {
+			if err := f.Advance(run.dur, emit); err != nil {
+				t.Fatal(err)
+			}
+			b = binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(f.NowS()))
+			for i := range f.IDs() {
+				die, cse := f.Temps(i)
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(die))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(cse))
+			}
+			h.Write(b)
+		}
+	}
+	if got, want := fmt.Sprintf("%x", h.Sum(nil)), "91b00e4b6bd54dcb12b46cbea704cbbbd8843254f8344bd97b9c43ea4c224bab"; got != want {
+		t.Errorf("event order digest %s, want %s", got, want)
 	}
 }
