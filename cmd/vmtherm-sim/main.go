@@ -1,5 +1,6 @@
-// vmtherm-sim runs one simulated thermal experiment and emits the
-// temperature/utilization trace as CSV.
+// vmtherm-sim runs one simulated thermal experiment — one workload case on
+// a one-host simulated fleet — and emits the temperature/utilization trace
+// as CSV.
 //
 // Usage:
 //
@@ -12,11 +13,12 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 
 	"vmtherm/internal/core"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/workload"
 )
 
@@ -51,18 +53,22 @@ func run(args []string, w io.Writer) error {
 	opts.AmbientMinC, opts.AmbientMaxC = *ambient, *ambient
 	opts.Dynamic = *dynamic
 
+	// ψ_stable averages the readings from t_break on, so a shorter run has
+	// nothing to average.
+	if !(*duration >= core.DefaultTBreakS) || math.IsInf(*duration, 1) {
+		return fmt.Errorf("-duration %v: want a finite length of at least t_break, %v s", *duration, core.DefaultTBreakS)
+	}
 	c, err := workload.GenerateCase(opts, *seed, "sim")
 	if err != nil {
 		return err
 	}
-	rig, err := testbed.New(c, testbed.Options{Seed: *seed})
+	cfg := substrate.DefaultConfig()
+	cfg.SampleS, cfg.Seed = *sample, *seed
+	res, err := substrate.RunCase(c, cfg, *duration)
 	if err != nil {
 		return err
 	}
-	runCfg := testbed.DefaultRunConfig()
-	runCfg.DurationS = *duration
-	runCfg.SampleS = *sample
-	res, err := rig.Run(runCfg)
+	stable, err := res.StableTemp(core.DefaultTBreakS)
 	if err != nil {
 		return err
 	}
@@ -104,10 +110,6 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	stable, err := res.StableTemp(core.DefaultTBreakS)
-	if err != nil {
-		return err
-	}
 	log.Printf("case %s: %d VMs, %d fans, ambient %.1f°C", c.Name, len(c.VMs), c.FanCount, c.AmbientC)
 	log.Printf("psi_stable (Eq. 1, t_break=%.0fs) = %.2f°C", core.DefaultTBreakS, stable)
 	fmt.Fprintln(os.Stderr)

@@ -109,13 +109,17 @@ func TestBadOutPathIsAnError(t *testing.T) {
 	}
 }
 
-// TestNonFiniteRunFlagsAreRefused: a NaN or infinite -duration or -sample is
-// an error naming the flag (main exits 1), returned at once — -duration NaN
-// used to run forever and -sample NaN to fail with "empty series".
+// TestNonFiniteRunFlagsAreRefused: a NaN or infinite -duration or -sample,
+// or a -duration shorter than t_break, is an error naming the flag (main
+// exits 1), returned at once — -duration NaN used to run forever, -sample
+// NaN to fail with "empty series", and -duration 300 to write the whole CSV
+// before failing with it.
 func TestNonFiniteRunFlagsAreRefused(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"duration", "NaN"},
 		{"duration", "+Inf"},
+		{"duration", "300"},
+		{"duration", "599"},
 		{"sample", "NaN"},
 		{"sample", "+Inf"},
 	} {
@@ -128,6 +132,25 @@ func TestNonFiniteRunFlagsAreRefused(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("-%s %s: run still going after 10 s", c.flag, c.value)
+		}
+	}
+}
+
+// TestAmbientOutsideCRACRangeRuns: an inlet outside a CRAC's plausible
+// supply range is still a valid single-server experiment; the die starts at
+// the ambient.
+func TestAmbientOutsideCRACRangeRuns(t *testing.T) {
+	for _, ambient := range []string{"40", "3"} {
+		var out bytes.Buffer
+		if err := run([]string{"-ambient", ambient, "-duration", "900"}, &out); err != nil {
+			t.Fatalf("-ambient %s: %v", ambient, err)
+		}
+		rows, err := csv.NewReader(&out).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1+181 || rows[1][0] != "0.0" || rows[1][2] != ambient+".000" {
+			t.Errorf("-ambient %s: %d rows, first %v", ambient, len(rows), rows[1])
 		}
 	}
 }

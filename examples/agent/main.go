@@ -21,7 +21,8 @@ import (
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/predictclient"
 	"vmtherm/internal/predictserver"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
+	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
 
@@ -86,14 +87,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rig, err := testbed.New(study, testbed.Options{Seed: seed})
+	cfg := substrate.DefaultConfig()
+	cfg.Seed = seed
+	host, err := substrate.OneHost(study, cfg)
 	if err != nil {
 		return err
 	}
-	// Two fans fail at t=900 s.
-	if err := rig.ScheduleFanFailures(900, 2); err != nil {
-		return err
-	}
+	discard := func(telemetry.Reading) bool { return true }
 
 	// Open the dynamic session anchored at the healthy-configuration
 	// forecast.
@@ -120,18 +120,24 @@ func run() error {
 		return err
 	}
 
-	// Agent loop: 60-virtual-second epochs. After (re-)anchoring, judge the
-	// anchor only once the thermals have had time to settle toward it.
-	const epochS = 60.0
+	// Agent loop: 60-virtual-second epochs; two fans fail at t=900 s. After
+	// (re-)anchoring, judge the anchor only once the thermals have had time
+	// to settle toward it.
+	const epochS, failAtS = 60.0, 900.0
 	reanchored := false
 	judgeAfter := core.DefaultTBreakS
 	fmt.Printf("\n%8s %10s %12s %10s %7s\n", "t(s)", "measured", "pred(t+60)", "winMSE", "drift")
 	for epoch := 1; epoch <= 30; epoch++ {
-		if _, err := rig.Run(testbed.RunConfig{DurationS: epochS, TickS: 1, SampleS: 5}); err != nil {
+		if err := host.Advance(epochS, discard); err != nil {
 			return err
 		}
-		now := rig.Engine().Now()
-		measured := rig.Server().DieTemp()
+		now := host.NowS()
+		if now == failAtS {
+			if err := host.FailFans(0, 2); err != nil {
+				return err
+			}
+		}
+		measured, _ := host.Temps(0)
 
 		if _, err := session.Observe(ctx, now, measured); err != nil {
 			return err

@@ -32,8 +32,8 @@ func run() error {
 		return err
 	}
 
-	// 2. Run each case on the simulated testbed for 1800 s and extract one
-	//    Eq. (2) record per case (input features → measured ψ_stable).
+	// 2. Run each case on a one-host simulated fleet for 1800 s and extract
+	//    one Eq. (2) record per case (input features → measured ψ_stable).
 	fmt.Println("simulating 60 experiments (1800 s each, in virtual time)...")
 	records, err := dataset.Build(ctx, cases, dataset.DefaultBuildOptions(42))
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/workload"
 )
 
@@ -94,11 +94,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		rig, err := testbed.New(scenario, testbed.Options{Seed: seed})
-		if err != nil {
-			return err
-		}
-		res, err := rig.Run(testbed.DefaultRunConfig())
+		cfg := substrate.DefaultConfig()
+		cfg.Seed = seed
+		res, err := substrate.RunCase(scenario, cfg, 1800)
 		if err != nil {
 			return err
 		}

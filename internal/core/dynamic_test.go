@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/timeseries"
 	"vmtherm/internal/workload"
 )
@@ -301,11 +301,9 @@ func TestReplayOnSimulatedRig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig, err := testbed.New(c, testbed.Options{Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rig.Run(testbed.DefaultRunConfig())
+	cfg := substrate.DefaultConfig()
+	cfg.Seed = 31
+	res, err := substrate.RunCase(c, cfg, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,11 +391,9 @@ func TestEstimateTBreakOnSimulatedRig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig, err := testbed.New(c, testbed.Options{Seed: 51})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rig.Run(testbed.DefaultRunConfig())
+	cfg := substrate.DefaultConfig()
+	cfg.Seed = 51
+	res, err := substrate.RunCase(c, cfg, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}

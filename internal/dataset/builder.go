@@ -3,43 +3,43 @@ package dataset
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
+	"vmtherm/internal/thermal"
 	"vmtherm/internal/workload"
 )
 
 // BuildOptions configures dataset generation from simulated experiments.
 type BuildOptions struct {
-	// Run configures each experiment execution (defaults to the paper's
-	// 1800 s at 1 s ticks).
-	Run testbed.RunConfig
+	// DurationS is the experiment length t_exp (the paper runs 1800 s).
+	DurationS float64
 	// TBreakS is the Eq. (1) break-in time; ψ_stable averages after it.
 	TBreakS float64
-	// Rig passes through sensor/thermal overrides and seeding.
-	Rig testbed.Options
+	// Sensor overrides the sensor error model. Zero value selects defaults.
+	Sensor thermal.SensorParams
+	// Seed drives every case's sensor noise, with the case's name.
+	Seed int64
 	// Workers bounds parallel case execution; 0 selects GOMAXPROCS.
 	Workers int
 }
 
 // DefaultBuildOptions mirrors the paper's experiment protocol.
 func DefaultBuildOptions(seed int64) BuildOptions {
-	return BuildOptions{
-		Run:     testbed.DefaultRunConfig(),
-		TBreakS: 600,
-		Rig:     testbed.Options{Seed: seed},
-	}
+	return BuildOptions{DurationS: 1800, TBreakS: 600, Seed: seed}
 }
 
-// Validate checks the options.
+// Validate checks the options: a finite duration and a t_break inside it —
+// NaN and ±Inf fail every test.
 func (o BuildOptions) Validate() error {
-	if err := o.Run.Validate(); err != nil {
-		return err
+	if !(o.DurationS > 0) || math.IsInf(o.DurationS, 1) {
+		return fmt.Errorf("dataset: duration must be finite and > 0, got %v", o.DurationS)
 	}
-	if !(o.TBreakS > 0 && o.TBreakS < o.Run.DurationS) {
+	if !(o.TBreakS > 0 && o.TBreakS < o.DurationS) {
 		return fmt.Errorf("dataset: t_break %v must fall inside the run duration %v",
-			o.TBreakS, o.Run.DurationS)
+			o.TBreakS, o.DurationS)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("dataset: negative workers %d", o.Workers)
@@ -47,10 +47,10 @@ func (o BuildOptions) Validate() error {
 	return nil
 }
 
-// Build runs every case on its own simulated rig and emits one Eq. (2)
-// record per case, in case order. Execution is parallel across cases but
-// bit-for-bit deterministic: each case's rig derives its randomness from
-// (opts.Rig.Seed, case name), not from scheduling.
+// Build runs every case on its own one-host fleet (substrate.RunCase) and
+// emits one Eq. (2) record per case, in case order. Execution is parallel
+// across cases but bit-for-bit deterministic: each case derives its
+// randomness from (opts.Seed, case name), not from scheduling.
 func Build(ctx context.Context, cases []workload.Case, opts BuildOptions) ([]Record, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -102,19 +102,20 @@ feed:
 }
 
 func buildOne(c workload.Case, opts BuildOptions) (Record, error) {
-	rig, err := testbed.New(c, opts.Rig)
+	cfg := substrate.DefaultConfig()
+	if opts.Sensor != (thermal.SensorParams{}) {
+		cfg.Sensor = opts.Sensor
+	}
+	cfg.Seed = opts.Seed
+	tr, err := substrate.RunCase(c, cfg, opts.DurationS)
 	if err != nil {
 		return Record{}, err
 	}
-	res, err := rig.Run(opts.Run)
+	stable, err := tr.StableTemp(opts.TBreakS)
 	if err != nil {
 		return Record{}, err
 	}
-	stable, err := res.StableTemp(opts.TBreakS)
-	if err != nil {
-		return Record{}, err
-	}
-	features, err := Encode(c, opts.Run.DurationS)
+	features, err := Encode(c, opts.DurationS)
 	if err != nil {
 		return Record{}, err
 	}

@@ -10,7 +10,7 @@ import (
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/mathx"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/thermal"
 	"vmtherm/internal/workload"
 )
@@ -36,7 +36,7 @@ func (r *SweepResult) Render() string {
 
 // dynamicTraces simulates n dynamic cases and returns their sensor traces
 // with per-case Eq. (3) anchors from a trained stable model.
-func dynamicTraces(ctx context.Context, cfg Fig1bConfig, n int) ([]*testbed.Result, []core.Curve, error) {
+func dynamicTraces(ctx context.Context, cfg Fig1bConfig, n int) ([]*substrate.Trace, []core.Curve, error) {
 	trainGen := cfg.Gen
 	trainGen.Dynamic = false
 	trainCases, err := workload.GenerateCases(trainGen, cfg.Seed, "train", cfg.TrainCases)
@@ -59,17 +59,13 @@ func dynamicTraces(ctx context.Context, cfg Fig1bConfig, n int) ([]*testbed.Resu
 	if err != nil {
 		return nil, nil, err
 	}
-	traces := make([]*testbed.Result, n)
+	traces := make([]*substrate.Trace, n)
 	curves := make([]core.Curve, n)
 	for i, c := range evalCases {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		rig, err := testbed.New(c, testbed.Options{Seed: cfg.Seed + 200 + int64(i)})
-		if err != nil {
-			return nil, nil, err
-		}
-		run, err := rig.Run(cfg.Build.Run)
+		run, err := runCase(c, cfg.Seed+200+int64(i), cfg.Build.DurationS)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -77,7 +73,7 @@ func dynamicTraces(ctx context.Context, cfg Fig1bConfig, n int) ([]*testbed.Resu
 		if err != nil {
 			return nil, nil, err
 		}
-		stable, err := pred.PredictCase(c, cfg.Build.Run.DurationS)
+		stable, err := pred.PredictCase(c, cfg.Build.DurationS)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -262,7 +258,7 @@ func RunAblationSensorNoise(ctx context.Context, cfg Fig1aConfig, sigmas []float
 			return nil, fmt.Errorf("experiments: negative sigma %v", sigma)
 		}
 		build := cfg.Build
-		build.Rig.Sensor = thermal.SensorParams{NoiseStdC: sigma, QuantizationC: 0.25}
+		build.Sensor = thermal.SensorParams{NoiseStdC: sigma, QuantizationC: 0.25}
 		trainCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed, "train", cfg.TrainCases)
 		if err != nil {
 			return nil, err

@@ -8,7 +8,7 @@ import (
 	"vmtherm/internal/baseline"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/workload"
 )
 
@@ -109,11 +109,7 @@ func RunFig1b(ctx context.Context, cfg Fig1bConfig) (*Fig1bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rig, err := testbed.New(study, testbed.Options{Seed: cfg.Seed + 2})
-	if err != nil {
-		return nil, err
-	}
-	run, err := rig.Run(cfg.Build.Run)
+	run, err := runCase(study, cfg.Seed+2, cfg.Build.DurationS)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +118,7 @@ func RunFig1b(ctx context.Context, cfg Fig1bConfig) (*Fig1bResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	predictedStable, err := pred.PredictCase(study, cfg.Build.Run.DurationS)
+	predictedStable, err := pred.PredictCase(study, cfg.Build.DurationS)
 	if err != nil {
 		return nil, err
 	}
@@ -169,6 +165,14 @@ func RunFig1b(ctx context.Context, cfg Fig1bConfig) (*Fig1bResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// runCase simulates c for durS seconds on a one-host fleet whose sensor
+// draws from seed.
+func runCase(c workload.Case, seed int64, durS float64) (*substrate.Trace, error) {
+	cfg := substrate.DefaultConfig()
+	cfg.Seed = seed
+	return substrate.RunCase(c, cfg, durS)
 }
 
 // Render prints the case-study summary and a downsampled series table.

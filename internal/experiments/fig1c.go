@@ -8,7 +8,7 @@ import (
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/mathx"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/workload"
 )
 
@@ -108,16 +108,12 @@ func RunFig1c(ctx context.Context, cfg Fig1cConfig) (*Fig1cResult, error) {
 		return nil, err
 	}
 	curves := make([]core.Curve, len(evalCases))
-	traces := make([]*testbed.Result, len(evalCases))
+	traces := make([]*substrate.Trace, len(evalCases))
 	for i, c := range evalCases {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rig, err := testbed.New(c, testbed.Options{Seed: cfg.Seed + 100 + int64(i)})
-		if err != nil {
-			return nil, err
-		}
-		run, err := rig.Run(cfg.Build.Run)
+		run, err := runCase(c, cfg.Seed+100+int64(i), cfg.Build.DurationS)
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +121,7 @@ func RunFig1c(ctx context.Context, cfg Fig1cConfig) (*Fig1cResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		stable, err := pred.PredictCase(c, cfg.Build.Run.DurationS)
+		stable, err := pred.PredictCase(c, cfg.Build.DurationS)
 		if err != nil {
 			return nil, err
 		}

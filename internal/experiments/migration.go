@@ -3,11 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
-	"vmtherm/internal/testbed"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
@@ -34,7 +35,7 @@ type MigrationStudyResult struct {
 // VM live-migrates onto the observed server mid-run, and scores dynamic
 // prediction through the transition.
 func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64) (*MigrationStudyResult, error) {
-	if migrateAtS <= 0 || migrateAtS >= cfg.Build.Run.DurationS {
+	if migrateAtS <= 0 || migrateAtS >= cfg.Build.DurationS {
 		return nil, fmt.Errorf("experiments: migration time %v outside the run", migrateAtS)
 	}
 	trainGen := cfg.Gen
@@ -61,11 +62,6 @@ func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64)
 	if err != nil {
 		return nil, err
 	}
-	rig, err := testbed.New(study, testbed.Options{Seed: cfg.Seed + 7})
-	if err != nil {
-		return nil, err
-	}
-
 	newcomer := workload.VMSpec{
 		ID:     "migstudy-incoming",
 		Config: vmm.VMConfig{VCPUs: 4, MemoryGB: 8},
@@ -80,11 +76,47 @@ func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64)
 			},
 		},
 	}
-	if err := rig.ScheduleMigrationIn(migrateAtS, newcomer, vmm.DefaultMigrationSpec()); err != nil {
+	// The newcomer's pre-copy runs on a source outside the observed server;
+	// its load lands here at the first tick at or after the copy completes.
+	plan, err := vmm.PlanMigration(newcomer.Config.MemoryGB, vmm.DefaultMigrationSpec())
+	if err != nil {
 		return nil, err
 	}
-	run, err := rig.Run(cfg.Build.Run)
+	sc := substrate.DefaultConfig()
+	sc.Seed = cfg.Seed + 7
+	landS := math.Ceil((migrateAtS+plan.TotalSeconds())/sc.TickS) * sc.TickS
+	// Advance counts its samples from its own start, so the run pauses at
+	// the last reading before the landing and takes the first one after it
+	// by hand: the trace keeps its SampleS grid.
+	nextS := math.Ceil(landS/sc.SampleS) * sc.SampleS
+	lastS := nextS - sc.SampleS
+	if nextS >= cfg.Build.DurationS {
+		return nil, fmt.Errorf("experiments: migration at %v lands at %v, at the end of the run", migrateAtS, landS)
+	}
+	host, err := substrate.OneHost(study, sc)
 	if err != nil {
+		return nil, err
+	}
+	run := substrate.NewTrace(host, int(cfg.Build.DurationS/sc.SampleS)+1)
+	host.Sample(run.Emit)
+	if lastS > 0 {
+		if err := host.Advance(lastS, run.Emit); err != nil {
+			return nil, err
+		}
+	}
+	if err := host.Advance(landS-lastS, run.Emit); err != nil {
+		return nil, err
+	}
+	if err := host.Place(0, newcomer); err != nil {
+		return nil, err
+	}
+	if nextS > landS {
+		if err := host.Advance(nextS-landS, run.Emit); err != nil {
+			return nil, err
+		}
+		host.Sample(run.Emit)
+	}
+	if err := host.Advance(cfg.Build.DurationS-nextS, run.Emit); err != nil {
 		return nil, err
 	}
 
@@ -94,7 +126,7 @@ func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64)
 	}
 	postCase := study
 	postCase.VMs = append(append([]workload.VMSpec{}, study.VMs...), newcomer)
-	predictedStable, err := pred.PredictCase(postCase, cfg.Build.Run.DurationS)
+	predictedStable, err := pred.PredictCase(postCase, cfg.Build.DurationS)
 	if err != nil {
 		return nil, err
 	}

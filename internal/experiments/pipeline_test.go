@@ -7,13 +7,12 @@ import (
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
-	"vmtherm/internal/testbed"
 	"vmtherm/internal/workload"
 )
 
 // TestPaperPipelineEndToEnd walks the paper's pipeline through the packages
 // that own each step: generate cases, simulate, train, predict stable, run a
-// rig, and replay dynamic prediction — the flow the README's quickstart
+// one-host fleet, and replay dynamic prediction — the flow the README's quickstart
 // documents.
 func TestPaperPipelineEndToEnd(t *testing.T) {
 	ctx := context.Background()
@@ -71,12 +70,8 @@ func TestPaperPipelineEndToEnd(t *testing.T) {
 		t.Error("loaded model predicts differently")
 	}
 
-	// Dynamic prediction on a fresh rig.
-	rig, err := testbed.New(cases[0], testbed.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := rig.Run(testbed.DefaultRunConfig())
+	// Dynamic prediction on a fresh one-host fleet.
+	run, err := runCase(cases[0], 7, 1800)
 	if err != nil {
 		t.Fatal(err)
 	}

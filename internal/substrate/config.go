@@ -49,10 +49,21 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the configuration, the server and sensor templates
-// included. NaN fails every comparison, so it would pass the range checks
-// (a NaN tick schedules ticks forever); no field gives an infinity a
-// meaning either.
+// included.
 func (c Config) Validate() error {
+	if c.Racks < 1 || c.HostsPerRack < 1 {
+		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
+	}
+	if err := c.CRAC.Validate(); err != nil {
+		return err
+	}
+	return c.validatePhysics()
+}
+
+// validatePhysics checks every field but the shape and the CRAC. NaN fails
+// every comparison, so it would pass the range checks (a NaN tick schedules
+// ticks forever); no field gives an infinity a meaning either.
+func (c Config) validatePhysics() error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
@@ -60,12 +71,6 @@ func (c Config) Validate() error {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("fleet: %s must be finite, got %v", f.name, f.v)
 		}
-	}
-	if c.Racks < 1 || c.HostsPerRack < 1 {
-		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
-	}
-	if err := c.CRAC.Validate(); err != nil {
-		return err
 	}
 	// Checked once here, so a bad template is named before New builds a
 	// server and a sensor per host from it.

@@ -186,6 +186,21 @@ func (f *Fleet) SetSensorFault(hostID string, fault SensorFault) error {
 	return nil
 }
 
+// FailFans fails n of slot i's fans, lowest index first: a cooling fault
+// inside one server, which no repair undoes.
+func (f *Fleet) FailFans(i, n int) error {
+	fans := f.hosts[i].server.Fans()
+	if n < 1 || n > fans.Count() {
+		return fmt.Errorf("fleet: cannot fail %d of %d fans", n, fans.Count())
+	}
+	for k := 0; k < n; k++ {
+		if err := fans.Fail(k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ActiveFaults counts the fault conditions injected now: a degraded CRAC,
 // an excursed setpoint, a recirculation breach, a blackout, and each
 // faulted sensor.

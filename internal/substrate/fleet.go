@@ -1,14 +1,16 @@
 // Package substrate is the simulated datacenter the fleet control plane
 // closes its loop against — the stand-in for the paper's physical testbed:
 // racks of hosts (capacity accounting, heat, a noisy sensor, the load
-// profiles driving their tenants) under one CRAC on a shared discrete-event
-// clock. A *Fleet is a telemetry.Source: advancing it runs the physics and
-// the sensor sweep emits readings, so the controller consumes it through
-// the same seam as trace replay and live scraping.
+// profiles driving their tenants) under one CRAC on one clock. A *Fleet is
+// a telemetry.Source: advancing it runs the physics and the sensor sweep
+// emits readings, so the controller consumes it through the same seam as
+// trace replay and live scraping.
 //
 // The package also owns what only a simulated fleet has: the fault hooks a
 // thermal-emergency scenario scripts (fault.go) and the deployment
-// fingerprints the controller's anchor cache keys on (ScanAnchors).
+// fingerprints the controller's anchor cache keys on (ScanAnchors). A
+// single-server experiment is a one-host fleet (onehost.go): the Eq. (1)
+// training records and the fleet's rounds run on the same simulator.
 //
 // Hosts are addressed by slot: their index in rack/slot order, the order of
 // IDs. A Fleet is not safe for concurrent use; the controller makes every
@@ -17,6 +19,7 @@
 package substrate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -27,7 +30,6 @@ import (
 	"vmtherm/internal/cluster"
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/shard"
-	"vmtherm/internal/sim"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/thermal"
 	"vmtherm/internal/vmm"
@@ -145,18 +147,24 @@ func (sh *simHost) takeDriven(vmID string, dst *simHost) {
 	sh.driven = kept
 }
 
-// Fleet is the simulated datacenter: racks of simHosts under one CRAC on a
-// shared discrete-event engine.
+// Fleet is the simulated datacenter: racks of simHosts under one CRAC on
+// one clock.
 type Fleet struct {
 	cfg      Config
 	fanCount int
 	workers  int // physics worker bound (1 = serial tick)
-	engine   *sim.Engine
-	dc       *cluster.Datacenter
-	order    []string       // host ids by slot (rack/slot order)
-	hosts    []*simHost     // hosts by slot, for map-free tick/sample sweeps
-	slotOf   map[string]int // host id → slot
-	racks    []*cluster.Rack
+	// now is the simulation clock; carry holds the events an Advance
+	// scheduled just past its horizon (see Advance).
+	now   float64
+	carry []event
+	// tickFn is tickRacks bound once in New, so handing it to shard.Run
+	// allocates nothing per tick.
+	tickFn func(lo, hi int) error
+	dc     *cluster.Datacenter
+	order  []string       // host ids by slot (rack/slot order)
+	hosts  []*simHost     // hosts by slot, for map-free tick/sample sweeps
+	slotOf map[string]int // host id → slot
+	racks  []*cluster.Rack
 	// rackSpan[ri] is rack ri's contiguous [start, end) slot range: the
 	// shard boundary of the parallel tick (every mutation a tick performs
 	// is confined to one rack's span).
@@ -190,22 +198,34 @@ type Fleet struct {
 // and fan count, all idle and at ambient temperature. workers bounds the
 // goroutines the tick, the sensor sweep and ScanAnchors shard racks across
 // (1 runs them serially); results are bit-identical for every value. cfg
-// must be valid (Config.Validate).
+// must be valid (Config.Validate). Rack r's slot s is host "r<r>-h<s>", and
+// its sensor draws from the stream "fleet-sensor:" + that id.
 func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error) {
+	return newFleet(cfg, shape, fanCount, workers, func(r, s int) (string, string) {
+		id := fmt.Sprintf("r%d-h%d", r, s)
+		return id, "fleet-sensor:" + id
+	})
+}
+
+// newFleet is New with the naming left to the caller: name returns rack r's
+// slot s's host id and the name of its sensor's RNG stream.
+func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func(r, s int) (id, stream string)) (*Fleet, error) {
 	f := &Fleet{
 		cfg:      cfg,
 		fanCount: fanCount,
 		workers:  workers,
-		engine:   sim.NewEngine(),
 		slotOf:   make(map[string]int, cfg.Racks*cfg.HostsPerRack),
 		vmHost:   make(map[string]int),
 	}
+	f.tickFn = f.tickRacks
+	streams := make([]string, 0, cfg.Racks*cfg.HostsPerRack) // by slot
 	var racks []*cluster.Rack
 	for r := 0; r < cfg.Racks; r++ {
 		hosts := make([]*vmm.Host, cfg.HostsPerRack)
 		offsets := make([]float64, cfg.HostsPerRack)
 		for s := 0; s < cfg.HostsPerRack; s++ {
-			id := fmt.Sprintf("r%d-h%d", r, s)
+			id, stream := name(r, s)
+			streams = append(streams, stream)
 			h, err := vmm.NewHost(id, shape)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: host %s: %w", id, err)
@@ -221,10 +241,14 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 		}
 		racks = append(racks, rack)
 	}
-	dc, err := cluster.NewDatacenter(cfg.CRAC, racks)
+	// The datacenter holds its CRAC to a plant's plausible supply range. A
+	// fleet's caller validated cfg against it already; a one-host fleet's
+	// supply is its case's ambient, which may be any finite temperature.
+	dc, err := cluster.NewDatacenter(cluster.DefaultCRAC(), racks)
 	if err != nil {
 		return nil, err
 	}
+	dc.SetCRAC(cfg.CRAC)
 	f.dc = dc
 	f.racks = racks
 	f.rackInlets = make([][]float64, len(racks))
@@ -244,7 +268,7 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 				return nil, fmt.Errorf("fleet: thermal %s: %w", h.ID(), err)
 			}
 			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp,
-				mathx.SplitStable(cfg.Seed, "fleet-sensor:"+h.ID()))
+				mathx.SplitStable(cfg.Seed, streams[len(f.hosts)]))
 			if err != nil {
 				return nil, fmt.Errorf("fleet: sensor %s: %w", h.ID(), err)
 			}
@@ -262,9 +286,10 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 		f.rackSpan[ri][1] = len(f.hosts)
 	}
 	n := len(f.hosts)
-	f.sampleVal, f.sampleUtil, f.sampleMem = make([]float64, n), make([]float64, n), make([]float64, n)
+	buf := make([]float64, 4*n)
+	f.sampleVal, f.sampleUtil, f.sampleMem, f.scanInlets = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
 	f.sampleOK = make([]bool, n)
-	f.scanInlets, f.scanKeys = make([]float64, n), make([]anchorcache.Key, n)
+	f.scanKeys = make([]anchorcache.Key, n)
 	return f, nil
 }
 
@@ -272,7 +297,7 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 func (f *Fleet) Name() string { return "sim" }
 
 // NowS reports the simulation clock.
-func (f *Fleet) NowS() float64 { return f.engine.Now() }
+func (f *Fleet) NowS() float64 { return f.now }
 
 // IDs lists the host ids by slot. The slice is the fleet's own: read it,
 // never write it.
@@ -319,7 +344,7 @@ func (f *Fleet) Place(i int, spec workload.VMSpec) error {
 	if err := sh.host.Place(vm); err != nil {
 		return err
 	}
-	if err := vm.Start(f.engine.Now()); err != nil {
+	if err := vm.Start(f.now); err != nil {
 		_ = sh.host.Remove(vm.ID())
 		return err
 	}
@@ -403,16 +428,9 @@ func (f *Fleet) LargestVM(i int) (*vmm.VM, error) {
 // with one worker, sharded across a bounded worker pool otherwise. Both
 // paths run the identical per-rack code in a fixed reduction order, so
 // results are bit-identical regardless of worker count or interleaving.
-func (f *Fleet) tick(dt float64) error {
-	t := f.engine.Now()
-	if err := f.shardRacks(func(lo, hi int) error {
-		for ri := lo; ri < hi; ri++ {
-			if err := f.tickRack(ri, t, dt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+// The step is TickS long and its profiles are read at the clock.
+func (f *Fleet) tick() error {
+	if err := f.shardRacks(f.tickFn); err != nil {
 		return err
 	}
 	// Inter-rack coupling runs serially *between* rack advances: it reads
@@ -421,7 +439,17 @@ func (f *Fleet) tick(dt float64) error {
 	// crosses a rack boundary. A nil receiver — every run that never
 	// scripted a CRAC fault — returns immediately, keeping the unscripted
 	// tick byte-identical to the pre-coupling physics.
-	f.coupleCRAC(dt)
+	f.coupleCRAC(f.cfg.TickS)
+	return nil
+}
+
+// tickRacks is racks [lo, hi)'s share of a tick.
+func (f *Fleet) tickRacks(lo, hi int) error {
+	for ri := lo; ri < hi; ri++ {
+		if err := f.tickRack(ri, f.now, f.cfg.TickS); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -485,13 +513,13 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 // sharded (its per-rack work is orders of magnitude heavier).
 func (f *Fleet) parallel() bool { return f.workers > 1 && len(f.hosts) >= shard.MinHosts }
 
-// sample reads every host's sensor once and emits the readings, exactly as
+// Sample reads every host's sensor once and emits the readings, exactly as
 // a fleet of monitoring agents would. The sensor reads and load sweeps fill
 // per-host scratch first — rack-sharded at scale (each host owns its sensor
 // rng, so draws are independent); emission stays serial and in slot order,
 // so the reading stream — and therefore ingest accounting, tee captures and
 // recorded traces — is byte-identical to the serial sweep.
-func (f *Fleet) sample(emit func(telemetry.Reading) bool) {
+func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 	if f.dark {
 		// Fleet-wide telemetry blackout: the hosts run on and keep heating,
 		// but the whole sweep — reads, rng draws, emission — goes dark.
@@ -504,7 +532,7 @@ func (f *Fleet) sample(emit func(telemetry.Reading) bool) {
 	} else {
 		f.readSensors(0, len(f.racks))
 	}
-	t := f.engine.Now()
+	t := f.now
 	for i := range f.hosts {
 		if !f.sampleOK[i] {
 			continue // transient sensor failure: the sample is simply lost
@@ -544,44 +572,74 @@ func (f *Fleet) readSensors(lo, hi int) {
 	}
 }
 
-// Advance runs the simulation forward by dur seconds, ticking thermals
-// every TickS and sampling telemetry every SampleS. Events are scheduled
-// explicitly (not via Every, whose immediate first fire would double-tick
-// at round boundaries); ticks are scheduled before samples so a coincident
-// sample observes the post-advance temperature.
+// event is one tick or sensor sweep of an Advance, at its clock time.
+type event struct {
+	at     float64
+	sample bool
+}
+
+// advanceSlackS is how far past its horizon an Advance still schedules an
+// event: a period multiple that rounding lands a hair beyond the horizon
+// (7 × 0.1 s is 0.7000000000000001 s) is carried to the next call instead of
+// being lost.
+const advanceSlackS = 1e-9
+
+// Advance runs the simulation forward by dur seconds: a tick every TickS
+// and a sensor sweep every SampleS, both counted from the clock at the
+// call. The two sequences fire merged in time order, a tick before a sample
+// at the same instant, so a coincident sample observes the post-tick
+// temperature. Nothing fires at the call's own start, so consecutive calls
+// never tick twice at their boundary; a fresh fleet's reading at its start
+// is Sample's. An event landing within advanceSlackS past the horizon is
+// carried: it fires at its own time at the start of the next call, before
+// that call's events, emitting to that call's emit. The clock ends at
+// start+dur; after a tick error it stays at the failed tick.
 func (f *Fleet) Advance(dur float64, emit func(telemetry.Reading) bool) error {
-	start := f.engine.Now()
+	start := f.now
 	horizon := start + dur
-	var tickErr error
-	tick := func(e *sim.Engine) {
-		if tickErr == nil {
-			if err := f.tick(f.cfg.TickS); err != nil {
-				tickErr = err
-				e.Stop()
-			}
+	if !(horizon > start) || math.IsInf(horizon, 1) {
+		return fmt.Errorf("fleet: advance duration %v s from %v s does not reach a finite later time", dur, start)
+	}
+	tickS, sampleS := f.cfg.TickS, f.cfg.SampleS
+	c, tk, sk := 0, 1, 1 // next carried event, next tick and sample multiples
+	for {
+		next := event{at: start + float64(tk)*tickS}
+		if at := start + float64(sk)*sampleS; at < next.at {
+			next = event{at: at, sample: true}
+		}
+		carried := c < len(f.carry) && f.carry[c].at <= next.at
+		if carried {
+			next = f.carry[c]
+		}
+		if next.at > horizon {
+			break
+		}
+		switch {
+		case carried:
+			c++
+		case next.sample:
+			sk++
+		default:
+			tk++
+		}
+		f.now = next.at
+		if next.sample {
+			f.Sample(emit)
+		} else if err := f.tick(); err != nil {
+			return fmt.Errorf("fleet: tick: %w", err)
 		}
 	}
-	for _, ev := range [...]struct {
-		everyS float64
-		name   string
-		fn     sim.Handler
-	}{{f.cfg.TickS, "fleet-tick", tick}, {f.cfg.SampleS, "fleet-sample", func(*sim.Engine) { f.sample(emit) }}} {
-		for k := 1; ; k++ {
-			at := start + float64(k)*ev.everyS
-			if at > horizon+1e-9 {
-				break
-			}
-			if err := f.engine.Schedule(at, ev.name, ev.fn); err != nil {
-				return err
-			}
-		}
+	f.carry = f.carry[:copy(f.carry, f.carry[c:])]
+	for ; start+float64(tk)*tickS <= horizon+advanceSlackS; tk++ {
+		f.carry = append(f.carry, event{at: start + float64(tk)*tickS})
 	}
-	if _, err := f.engine.RunUntil(horizon); err != nil {
-		return err
+	for ; start+float64(sk)*sampleS <= horizon+advanceSlackS; sk++ {
+		f.carry = append(f.carry, event{at: start + float64(sk)*sampleS, sample: true})
 	}
-	if tickErr != nil {
-		return fmt.Errorf("fleet: tick: %w", tickErr)
-	}
+	// By time; on a tie, events carried earlier first, then ticks, then
+	// samples — the order they were appended in.
+	slices.SortStableFunc(f.carry, func(a, b event) int { return cmp.Compare(a.at, b.at) })
+	f.now = horizon
 	return nil
 }
 

@@ -1,11 +1,6 @@
 package vmm
 
-import (
-	"errors"
-	"fmt"
-
-	"vmtherm/internal/sim"
-)
+import "fmt"
 
 // MigrationSpec parameterizes live pre-copy migration.
 type MigrationSpec struct {
@@ -91,64 +86,3 @@ func PlanMigration(memGB float64, spec MigrationSpec) (MigrationPlan, error) {
 	plan.TransferredGB += remaining
 	return plan, nil
 }
-
-// Migrator executes live migrations on the simulation engine, moving VMs
-// between hosts with correct lifecycle transitions and capacity admission.
-type Migrator struct {
-	spec MigrationSpec
-}
-
-// NewMigrator returns a migrator with the given link characteristics.
-func NewMigrator(spec MigrationSpec) (*Migrator, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &Migrator{spec: spec}, nil
-}
-
-// ErrMigrationRejected is returned when the destination cannot admit the VM.
-var ErrMigrationRejected = errors.New("vmm: destination rejected migration")
-
-// Migrate starts a live migration of vm from src to dst on engine e. The VM
-// enters Migrating immediately (its load stays on src with CPU overhead);
-// when pre-copy and stop-and-copy complete, the VM lands Running on dst.
-// onDone, if non-nil, is invoked at completion with the executed plan.
-//
-// Destination capacity is reserved up front (real clouds admission-check
-// before moving bytes); failure leaves the VM running on src.
-func (m *Migrator) Migrate(e *sim.Engine, vm *VM, src, dst *Host, onDone func(MigrationPlan)) error {
-	if vm == nil || src == nil || dst == nil || e == nil {
-		return errors.New("vmm: nil argument to Migrate")
-	}
-	if src.ID() == dst.ID() {
-		return fmt.Errorf("vmm: migration src and dst are both %q", src.ID())
-	}
-	if _, err := src.VM(vm.ID()); err != nil {
-		return fmt.Errorf("vmm: vm %q not on source: %w", vm.ID(), err)
-	}
-	plan, err := PlanMigration(vm.Config().MemoryGB, m.spec)
-	if err != nil {
-		return err
-	}
-	// Reserve destination capacity before starting.
-	if err := dst.PlaceIncoming(vm); err != nil {
-		return fmt.Errorf("%w: %v", ErrMigrationRejected, err)
-	}
-	if err := vm.BeginMigration(e.Now()); err != nil {
-		// Roll back the reservation; the VM was not in a migratable state.
-		_ = dst.Remove(vm.ID())
-		return err
-	}
-	return e.ScheduleAfter(plan.TotalSeconds(), "migration:"+vm.ID(), func(en *sim.Engine) {
-		// The source copy disappears and the VM resumes on dst.
-		_ = src.Remove(vm.ID())
-		_ = dst.ConfirmIncoming(vm.ID())
-		_ = vm.CompleteMigration(en.Now())
-		if onDone != nil {
-			onDone(plan)
-		}
-	})
-}
-
-// Spec returns the migrator's link spec.
-func (m *Migrator) Spec() MigrationSpec { return m.spec }

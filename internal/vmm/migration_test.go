@@ -1,11 +1,8 @@
 package vmm
 
 import (
-	"errors"
 	"math"
 	"testing"
-
-	"vmtherm/internal/sim"
 )
 
 func TestMigrationSpecValidate(t *testing.T) {
@@ -109,153 +106,5 @@ func TestHigherDirtyRateLongerMigration(t *testing.T) {
 	if p1.TotalSeconds() <= p2.TotalSeconds() {
 		t.Errorf("dirty 0.9 total %v should exceed dirty 0.05 total %v",
 			p1.TotalSeconds(), p2.TotalSeconds())
-	}
-}
-
-func TestMigrateEndToEnd(t *testing.T) {
-	e := sim.NewEngine()
-	src := mustHost(t, "src")
-	dst := mustHost(t, "dst")
-	vm := mustVM(t, "v1", 4, 8)
-	if err := vm.AddTask(Task{ID: "t", Class: CPUBound, CPUFraction: 0.8, MemGB: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Place(vm); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	mig, err := NewMigrator(DefaultMigrationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done MigrationPlan
-	completed := false
-	if err := mig.Migrate(e, vm, src, dst, func(p MigrationPlan) {
-		done = p
-		completed = true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if vm.State() != VMMigrating {
-		t.Fatalf("state during migration = %v", vm.State())
-	}
-	// Source still carries (overheaded) load; dst reserved but idle.
-	if src.Utilization() == 0 {
-		t.Error("source lost load during pre-copy")
-	}
-	if dst.Utilization() != 0 {
-		t.Error("destination has load during pre-copy")
-	}
-	if _, err := e.RunUntil(3600); err != nil {
-		t.Fatal(err)
-	}
-	if !completed {
-		t.Fatal("migration never completed")
-	}
-	if done.TotalSeconds() <= 0 {
-		t.Error("plan has no duration")
-	}
-	if vm.State() != VMRunning {
-		t.Errorf("state after migration = %v", vm.State())
-	}
-	if src.NumVMs() != 0 {
-		t.Error("vm still on source")
-	}
-	if dst.NumVMs() != 1 {
-		t.Error("vm not on destination")
-	}
-	if dst.Utilization() == 0 {
-		t.Error("destination idle after completed migration")
-	}
-}
-
-func TestMigrateRejectedWhenDstFull(t *testing.T) {
-	e := sim.NewEngine()
-	src := mustHost(t, "src")
-	dst := mustHost(t, "dst")
-	// Fill destination memory.
-	filler := mustVM(t, "filler", 4, 64)
-	if err := dst.Place(filler); err != nil {
-		t.Fatal(err)
-	}
-	vm := mustVM(t, "v1", 4, 8)
-	if err := src.Place(vm); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	mig, err := NewMigrator(DefaultMigrationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = mig.Migrate(e, vm, src, dst, nil)
-	if !errors.Is(err, ErrMigrationRejected) {
-		t.Fatalf("err = %v, want ErrMigrationRejected", err)
-	}
-	// VM unaffected on source.
-	if vm.State() != VMRunning {
-		t.Errorf("state after rejection = %v", vm.State())
-	}
-	if src.NumVMs() != 1 || dst.NumVMs() != 1 {
-		t.Error("placement changed despite rejection")
-	}
-}
-
-func TestMigrateInvalidArguments(t *testing.T) {
-	e := sim.NewEngine()
-	src := mustHost(t, "src")
-	dst := mustHost(t, "dst")
-	vm := mustVM(t, "v1", 1, 1)
-	mig, err := NewMigrator(DefaultMigrationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mig.Migrate(nil, vm, src, dst, nil); err == nil {
-		t.Error("nil engine should fail")
-	}
-	if err := mig.Migrate(e, nil, src, dst, nil); err == nil {
-		t.Error("nil vm should fail")
-	}
-	if err := mig.Migrate(e, vm, src, src, nil); err == nil {
-		t.Error("same src/dst should fail")
-	}
-	if err := mig.Migrate(e, vm, src, dst, nil); err == nil {
-		t.Error("vm not on src should fail")
-	}
-}
-
-func TestMigratePendingVMRollsBack(t *testing.T) {
-	e := sim.NewEngine()
-	src := mustHost(t, "src")
-	dst := mustHost(t, "dst")
-	vm := mustVM(t, "v1", 1, 1) // still pending: not migratable
-	if err := src.Place(vm); err != nil {
-		t.Fatal(err)
-	}
-	mig, err := NewMigrator(DefaultMigrationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mig.Migrate(e, vm, src, dst, nil); !errors.Is(err, ErrInvalidTransition) {
-		t.Fatalf("err = %v, want ErrInvalidTransition", err)
-	}
-	if dst.NumVMs() != 0 {
-		t.Error("reservation not rolled back after failed transition")
-	}
-}
-
-func TestNewMigratorValidation(t *testing.T) {
-	if _, err := NewMigrator(MigrationSpec{}); err == nil {
-		t.Error("invalid spec should fail")
-	}
-	m, err := NewMigrator(DefaultMigrationSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Spec().BandwidthGBps != DefaultMigrationSpec().BandwidthGBps {
-		t.Error("Spec() lost configuration")
 	}
 }
