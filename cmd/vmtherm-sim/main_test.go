@@ -17,12 +17,12 @@ import (
 // TestDynamicCSVGolden pins the -dynamic trace, byte for byte, at two
 // seeds. Each case runs Bursty tasks on periods that are not whole
 // seconds, so the square wave's remainder is pinned with the rest of the
-// simulation; the digests were recorded while Bursty.At still called
-// math.Mod.
+// simulation. The digests were recorded on the one-host fleet; the rig
+// before it read its profiles one tick earlier.
 func TestDynamicCSVGolden(t *testing.T) {
 	golden := map[int64]string{
-		1: "14e76a4cc51c91d83798158dff50bdc11539f01ab3b93d516ed6d62323cb18c2",
-		2: "8d4baf951addd545f09dda503f135e3527158804c87bd6b13bbaac4dd9d2ab00",
+		1: "06604a98764d983e42ffd92a98759aa9c073f2d420c36659ff45abdaf6642ebf",
+		2: "59915dc63dba3aabb9bbd86bf2b3ae6e7187ebe7a044c3d90de618b4413fe3a6",
 	}
 	for seed, want := range golden {
 		var out bytes.Buffer
