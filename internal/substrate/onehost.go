@@ -39,7 +39,7 @@ func OneHost(c workload.Case, cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := 0
+	n := 0 // an upper bound on the drivers: one allocation for them all
 	for _, vm := range c.VMs {
 		n += len(vm.Tasks)
 	}
@@ -95,8 +95,12 @@ func (tr *Trace) StableTemp(tBreakS float64) (float64, error) {
 }
 
 // RunCase runs c for durS seconds on a fresh one-host fleet (OneHost) and
-// returns its trace: a reading at the start, then Advance(durS).
+// returns its trace: a reading at the start, then Advance(durS). A run
+// shorter than one tick is refused: its host would never heat.
 func RunCase(c workload.Case, cfg Config, durS float64) (*Trace, error) {
+	if durS > 0 && cfg.TickS > durS {
+		return nil, fmt.Errorf("fleet: tick %v s longer than the run duration %v s", cfg.TickS, durS)
+	}
 	f, err := OneHost(c, cfg)
 	if err != nil {
 		return nil, err

@@ -78,6 +78,7 @@ func TestRunCaseValidate(t *testing.T) {
 		{"zero tick", func(c *Config, _ *float64) { c.TickS = 0 }, "tick"},
 		{"NaN tick", func(c *Config, _ *float64) { c.TickS = math.NaN() }, "tick"},
 		{"-Inf tick", func(c *Config, _ *float64) { c.TickS = math.Inf(-1) }, "tick"},
+		{"tick beyond duration", func(c *Config, d *float64) { c.TickS = *d + 1 }, "tick"},
 		{"zero sample", func(c *Config, _ *float64) { c.SampleS = 0 }, "sample"},
 		{"NaN sample", func(c *Config, _ *float64) { c.SampleS = math.NaN() }, "sample"},
 		{"+Inf sample", func(c *Config, _ *float64) { c.SampleS = math.Inf(1) }, "sample"},
@@ -114,6 +115,50 @@ func TestOneHostTakesAnyFiniteAmbient(t *testing.T) {
 	c.AmbientC = math.NaN()
 	if _, err := OneHost(c, DefaultConfig()); err == nil {
 		t.Error("NaN ambient accepted")
+	}
+}
+
+// TestOneHostPlacesCaseVMs: every VM of the case runs on the host from
+// the start, and only those.
+func TestOneHostPlacesCaseVMs(t *testing.T) {
+	c := smallCase(t)
+	f, err := OneHost(c, seeded(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Host(0).VM("nope"); err == nil {
+		t.Error("unknown vm found")
+	}
+	for _, spec := range c.VMs {
+		vm, err := f.Host(0).VM(spec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot, ok := f.Owner(spec.ID); !ok || slot != 0 || vm.State() != vmm.VMRunning {
+			t.Errorf("case vm %s: slot %d (%v), state %v", spec.ID, slot, ok, vm.State())
+		}
+	}
+	if f.Host(0).NumVMs() != len(c.VMs) || f.IDs()[0] != "host:"+c.Name {
+		t.Errorf("host %s carries %d VMs, want host:%s with %d", f.IDs()[0], f.Host(0).NumVMs(), c.Name, len(c.VMs))
+	}
+}
+
+// TestOneHostServerOverride: the configuration's server template applies
+// to the case's host (its fan count and inlet still come from the case).
+func TestOneHostServerOverride(t *testing.T) {
+	c := smallCase(t)
+	hot := seeded(12)
+	hot.Server.Power.MaxW = 300 // hotter silicon
+	hotStable, err := runCase(t, c, hot, 1800).StableTemp(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdStable, err := runCase(t, c, seeded(12), 1800).StableTemp(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hotStable <= stdStable {
+		t.Errorf("override had no effect: hot %v vs std %v", hotStable, stdStable)
 	}
 }
 
@@ -400,7 +445,7 @@ func (p clockProfile) At(t float64) float64 {
 
 // TestAdvanceEventLog spells out Advance's order: ticks and samples merged
 // by time, the tick first on a tie, nothing at a call's start, and a tick
-// rounding lands just past a horizon fired first in the next call.
+// that rounding lands just past a horizon fires first in the next call.
 func TestAdvanceEventLog(t *testing.T) {
 	var log []string
 	c := workload.Case{Name: "log", Host: vmm.DefaultHostConfig(), FanCount: 4, AmbientC: 22, VMs: []workload.VMSpec{{
