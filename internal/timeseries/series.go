@@ -4,8 +4,8 @@
 // smoothing.
 //
 // Timestamps are simulation seconds (float64) rather than time.Time: the
-// discrete-event simulator runs on a virtual clock, and the paper's equations
-// are all expressed in seconds since experiment start.
+// simulator runs on a virtual clock, and the paper's equations are all
+// expressed in seconds since experiment start.
 package timeseries
 
 import (
