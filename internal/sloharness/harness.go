@@ -232,8 +232,18 @@ func Run(ctx context.Context, cfg Config, target Target) (*Profile, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	return search(cfg, target.Name(), func(rps float64, refining bool) (StepResult, error) {
+		return runStep(ctx, cfg, target, rps, refining)
+	})
+}
+
+// search is Run's step controller over a validated cfg: it chooses each
+// step's rate, has step offer and score it, and records the profile of
+// endpoint. It reads no clock, so the ramp and bisection can be driven
+// by scored steps that were never run against the wall.
+func search(cfg Config, endpoint string, step func(rps float64, refining bool) (StepResult, error)) (*Profile, error) {
 	p := &Profile{
-		Endpoint:        target.Name(),
+		Endpoint:        endpoint,
 		SLOLabel:        cfg.SLO.Label(),
 		Quantile:        cfg.SLO.Quantile,
 		LimitMs:         float64(cfg.SLO.Limit) / float64(time.Millisecond),
@@ -242,7 +252,7 @@ func Run(ctx context.Context, cfg Config, target Target) (*Profile, error) {
 
 	var lastGood, firstBad float64
 	for rps := cfg.StartRPS; rps <= cfg.MaxRPS; rps *= cfg.Growth {
-		res, err := runStep(ctx, cfg, target, rps, false)
+		res, err := step(rps, false)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +267,7 @@ func Run(ctx context.Context, cfg Config, target Target) (*Profile, error) {
 		lo, hi := lastGood, firstBad
 		for i := 0; i < cfg.Refine; i++ {
 			mid := (lo + hi) / 2
-			res, err := runStep(ctx, cfg, target, mid, true)
+			res, err := step(mid, true)
 			if err != nil {
 				return nil, err
 			}

@@ -20,18 +20,43 @@ type kneeTarget struct {
 func (k *kneeTarget) Name() string        { return "synthetic-knee" }
 func (k *kneeTarget) SetRate(rps float64) { k.rate.Store(math.Float64bits(rps)) }
 
-func (k *kneeTarget) Fire(context.Context) error {
-	d := k.fast
+// latency is the service time at the rate last set.
+func (k *kneeTarget) latency() time.Duration {
 	if math.Float64frombits(k.rate.Load()) > k.kneeRPS {
-		d = k.slow
+		return k.slow
 	}
-	time.Sleep(d)
+	return k.fast
+}
+
+func (k *kneeTarget) Fire(context.Context) error {
+	time.Sleep(k.latency())
 	return nil
+}
+
+// modelStep scores a step as runStep would if every request took exactly
+// k's latency at the step's rate: rps·Measure requests in the window, all
+// finished in it unless Senders callers at that latency cannot keep up.
+func (k *kneeTarget) modelStep(cfg Config) func(rps float64, refining bool) (StepResult, error) {
+	return func(rps float64, refining bool) (StepResult, error) {
+		k.SetRate(rps)
+		lat := k.latency()
+		n := int(rps * cfg.Measure.Seconds())
+		done := min(n, int(float64(cfg.Senders)*cfg.Measure.Seconds()/lat.Seconds()))
+		hist := NewHistogram(cfg.HistWidth, cfg.HistBuckets)
+		for i := 0; i < n; i++ {
+			hist.Record(lat)
+		}
+		return scoreStep(cfg, rps, refining, hist, 0, done), nil
+	}
 }
 
 // TestStepControllerFindsKnee: with a knee at 500 RPS, a 64→2048 geometric
 // ramp brackets it at [256, 512] and three bisection steps tighten the
 // bracket to 32 RPS — the harness must converge to within that final step.
+// The controller runs on modelled steps, since a scheduling stall of a few
+// milliseconds on a busy machine can push one 100 µs request past the
+// 10 ms limit and fail a step below the knee; a wall-clock run from above
+// the knee, where stalls can only add latency, checks the live path.
 func TestStepControllerFindsKnee(t *testing.T) {
 	target := &kneeTarget{kneeRPS: 500, fast: 100 * time.Microsecond, slow: 50 * time.Millisecond}
 	cfg := Config{
@@ -43,8 +68,11 @@ func TestStepControllerFindsKnee(t *testing.T) {
 		// window; loosen the throughput gate so discretization noise cannot
 		// mask the latency knee this test is about.
 		MinAchievedFrac: 0.75,
+	}.withDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
 	}
-	p, err := Run(context.Background(), cfg, target)
+	p, err := search(cfg, target.Name(), target.modelStep(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +103,17 @@ func TestStepControllerFindsKnee(t *testing.T) {
 	}
 	if p.Endpoint != "synthetic-knee" || p.SLOLabel == "" {
 		t.Fatalf("profile metadata not populated: %+v", p)
+	}
+
+	cfg.StartRPS = 512
+	if p, err = Run(context.Background(), cfg, target); err != nil {
+		t.Fatal(err)
+	}
+	if p.MaxSustainableRPS != 0 || len(p.Steps) != 1 || p.Steps[0].Violation != "latency" {
+		t.Fatalf("live run from 512 RPS: capacity %.0f, steps %+v; want 0 and one latency violation", p.MaxSustainableRPS, p.Steps)
+	}
+	if p.Endpoint != "synthetic-knee" || p.SLOLabel == "" {
+		t.Fatalf("live profile metadata not populated: %+v", p)
 	}
 }
 

@@ -418,14 +418,84 @@ func TestPlaceOverCapacityLeavesHostRunning(t *testing.T) {
 	}
 }
 
-// TestAdvanceRejectsBadDuration: Advance needs a finite, positive duration.
-func TestAdvanceRejectsBadDuration(t *testing.T) {
+// TestOneHostConstantProfilesRetireOnceApplied: on a one-host fleet a
+// constant profile stays driven while its VM is not running and leaves the
+// tick's list on the first tick that applies it; a time-varying one stays.
+func TestOneHostConstantProfilesRetireOnceApplied(t *testing.T) {
+	c := smallCase(t)
+	f, err := OneHost(c, seeded(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := f.hosts[0]
+	profiled := 0
+	for _, vm := range c.VMs {
+		for _, ts := range vm.Tasks {
+			if _, ok := ts.Profile.(workload.Constant); !ok {
+				t.Fatalf("task %s of the constant-load case follows %T", ts.Task.ID, ts.Profile)
+			}
+			profiled++
+		}
+	}
+	if profiled == 0 || len(sh.driven) != profiled {
+		t.Fatalf("placed case drives %d tasks, want its %d constant ones", len(sh.driven), profiled)
+	}
+	emit := func(telemetry.Reading) bool { return true }
+	if err := f.Advance(10, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.driven) != 0 {
+		t.Fatalf("after a run %d case drivers remain, want the constants retired", len(sh.driven))
+	}
+
+	spec := func(id string) workload.VMSpec {
+		return workload.VMSpec{ID: id, Config: vmm.VMConfig{VCPUs: 2, MemoryGB: 4}, Tasks: []workload.TaskSpec{
+			{Task: vmm.Task{ID: id + "-x", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Constant{Level: 0.9}},
+			{Task: vmm.Task{ID: id + "-y", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 1}, Profile: workload.Sine{Base: 0.5, Amplitude: 0.2, Period: 30}},
+		}}
+	}
+	if err := f.Place(0, spec("held")); err != nil {
+		t.Fatal(err)
+	}
+	held, err := f.Host(0).VM("held")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := held.Stop(f.NowS()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Advance(10, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.driven) != 2 || sh.driven[0].vm != held || held.TaskAt(0).CPUFraction != 0.5 {
+		t.Fatalf("after a run with held stopped: %d driven, x at %v; want held's 2 and 0.5", len(sh.driven), held.TaskAt(0).CPUFraction)
+	}
+
+	if err := f.Place(0, spec("ext")); err != nil {
+		t.Fatal(err)
+	}
+	ext, err := f.Host(0).VM("ext")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Advance(10, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.driven) != 3 || sh.driven[2].vm != ext || sh.driven[2].task != 1 || ext.TaskAt(0).CPUFraction != 0.9 {
+		t.Errorf("after ext ran: %d driven, x at %v; want held's 2, ext's sine and 0.9", len(sh.driven), ext.TaskAt(0).CPUFraction)
+	}
+}
+
+// advanceRefuses checks that Advance refuses each duration with an error
+// naming it, and leaves the clock at zero.
+func advanceRefuses(t *testing.T, durs ...float64) {
+	t.Helper()
 	f, err := OneHost(smallCase(t), seeded(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	discard := func(telemetry.Reading) bool { return true }
-	for _, dur := range []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, dur := range durs {
 		if err := f.Advance(dur, discard); err == nil || !strings.Contains(err.Error(), "duration") {
 			t.Errorf("Advance(%v) = %v, want an error naming the duration", dur, err)
 		}
@@ -433,6 +503,16 @@ func TestAdvanceRejectsBadDuration(t *testing.T) {
 	if f.NowS() != 0 {
 		t.Errorf("refused advances moved the clock to %v", f.NowS())
 	}
+}
+
+// TestAdvanceRejectsNonFiniteDuration: Advance needs a finite duration.
+func TestAdvanceRejectsNonFiniteDuration(t *testing.T) {
+	advanceRefuses(t, math.NaN(), math.Inf(1), math.Inf(-1))
+}
+
+// TestAdvanceRequiresPositiveDuration: Advance needs a duration past now.
+func TestAdvanceRequiresPositiveDuration(t *testing.T) {
+	advanceRefuses(t, 0, -5)
 }
 
 // clockProfile logs every tick that drives it.
@@ -443,25 +523,32 @@ func (p clockProfile) At(t float64) float64 {
 	return 0.5
 }
 
-// TestAdvanceEventLog spells out Advance's order: ticks and samples merged
-// by time, the tick first on a tie, nothing at a call's start, and a tick
-// that rounding lands just past a horizon fires first in the next call.
-func TestAdvanceEventLog(t *testing.T) {
-	var log []string
+// logFleet is a one-host fleet whose one task logs each tick into log, and
+// an emit that logs each sample there.
+func logFleet(t *testing.T, log *[]string, tickS, sampleS float64) (*Fleet, func(telemetry.Reading) bool) {
+	t.Helper()
 	c := workload.Case{Name: "log", Host: vmm.DefaultHostConfig(), FanCount: 4, AmbientC: 22, VMs: []workload.VMSpec{{
 		ID: "vm", Config: vmm.VMConfig{VCPUs: 1, MemoryGB: 1},
-		Tasks: []workload.TaskSpec{{Task: vmm.Task{ID: "t", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 0.5}, Profile: clockProfile{&log}}},
+		Tasks: []workload.TaskSpec{{Task: vmm.Task{ID: "t", Class: vmm.CPUBound, CPUFraction: 0.5, MemGB: 0.5}, Profile: clockProfile{log}}},
 	}}}
-	emit := func(r telemetry.Reading) bool {
-		log = append(log, fmt.Sprint("sample ", r.AtS))
-		return true
-	}
 	cfg := seeded(1)
-	cfg.TickS, cfg.SampleS = 0.25, 0.5
+	cfg.TickS, cfg.SampleS = tickS, sampleS
 	f, err := OneHost(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f, func(r telemetry.Reading) bool {
+		*log = append(*log, fmt.Sprint("sample ", r.AtS))
+		return true
+	}
+}
+
+// TestAdvanceOrdersEventsByTime spells out Advance's order: ticks and
+// samples merged by time, nothing at a call's start, and a second call
+// going on where the first stopped.
+func TestAdvanceOrdersEventsByTime(t *testing.T) {
+	var log []string
+	f, emit := logFleet(t, &log, 0.25, 0.5)
 	for i := 0; i < 2; i++ {
 		if err := f.Advance(1.25, emit); err != nil {
 			t.Fatal(err)
@@ -472,12 +559,34 @@ func TestAdvanceEventLog(t *testing.T) {
 	if got := strings.Join(log, "|"); got != want {
 		t.Errorf("event log\n got %s\nwant %s", got, want)
 	}
+}
 
-	log = nil
-	cfg.TickS, cfg.SampleS = 0.1, 1
-	if f, err = OneHost(c, cfg); err != nil {
+// TestAdvanceFiresTickBeforeSampleOnTie: when a tick and a sample fall at
+// the same instant the tick fires first, so every reading sees the load
+// its own instant's tick set.
+func TestAdvanceFiresTickBeforeSampleOnTie(t *testing.T) {
+	var log []string
+	f, emit := logFleet(t, &log, 1, 1)
+	if err := f.Advance(5, emit); err != nil {
 		t.Fatal(err)
 	}
+	if len(log) != 10 {
+		t.Fatalf("event log %v, want 5 ticks and 5 samples", log)
+	}
+	for i := 0; i < len(log); i += 2 {
+		at := fmt.Sprint(i/2 + 1)
+		if log[i] != "tick "+at || log[i+1] != "sample "+at {
+			t.Errorf("events %d, %d = %q, %q; want the tick at %s before the sample", i, i+1, log[i], log[i+1], at)
+		}
+	}
+}
+
+// TestAdvanceHorizonStopsBeforeLaterEvents: events past an Advance horizon
+// wait for the next call, and a tick that rounding lands just past a
+// horizon fires first in the next call.
+func TestAdvanceHorizonStopsBeforeLaterEvents(t *testing.T) {
+	var log []string
+	f, emit := logFleet(t, &log, 0.1, 1)
 	tick, seven := 0.1, 7.0
 	carried := fmt.Sprint("tick ", seven*tick) // rounds past 0.7
 	for i, wantTicks := range []int{6, 8} {
@@ -488,6 +597,9 @@ func TestAdvanceEventLog(t *testing.T) {
 		if len(log) != wantTicks || slices.Contains(log, carried) != (i == 1) || i == 1 && log[0] != carried {
 			t.Errorf("call %d: %v; want %d ticks, %s only first in the second", i, log, wantTicks, carried)
 		}
+	}
+	if f.NowS() != 1.4 {
+		t.Errorf("clock = %v after two 0.7 s advances, want 1.4", f.NowS())
 	}
 }
 
