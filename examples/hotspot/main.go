@@ -1,8 +1,8 @@
 // Hotspot: thermal-aware VM placement at datacenter scale — the paper's
 // motivating use case ("minimizing temperature distribution disparity ...
 // to reduce the probability of hotspot occurrence"). Thirty VMs are placed
-// into 3 racks × 4 hosts by three policies; per-host stable temperatures
-// are then predicted and hotspots counted.
+// into a simulated fleet of 3 racks × 4 hosts by three policies; per-host
+// stable temperatures are then predicted and hotspots counted.
 //
 // Run with: go run ./examples/hotspot
 package main
@@ -10,11 +10,14 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"math"
+	"os"
 
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
@@ -30,12 +33,19 @@ const (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// policy names a placement rule: pick returns the slot of f that takes
+// spec, or -1 when no host can admit it.
+type policy struct {
+	name string
+	pick func(f *substrate.Fleet, spec *workload.VMSpec) (int, error)
+}
+
+func run(w io.Writer) error {
 	ctx := context.Background()
 	const seed = 11
 
@@ -44,7 +54,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("training stable model on 60 simulated experiments...")
+	fmt.Fprintln(w, "training stable model on 60 simulated experiments...")
 	records, err := dataset.Build(ctx, trainCases, dataset.DefaultBuildOptions(seed))
 	if err != nil {
 		return err
@@ -60,28 +70,76 @@ func run() error {
 		return err
 	}
 
-	policies := []cluster.Placer{
-		cluster.FirstFit{},
-		cluster.CoolestInlet{},
-		cluster.PredictedTemp{
-			FanCount: fanCount,
-			Predict:  func(c workload.Case) (float64, error) { return model.PredictCase(c, horizonS) },
-		},
+	policies := []policy{
+		{"first-fit", firstFit},
+		{"coolest-inlet", coolestInlet},
+		{"predicted-temp", predictedTemp(model)},
 	}
 
-	fmt.Printf("\nplacing %d VMs into %d racks × %d hosts, hotspot threshold %.0f °C\n\n",
+	fmt.Fprintf(w, "\nplacing %d VMs into %d racks × %d hosts, hotspot threshold %.0f °C\n\n",
 		vmCount, racks, hostsPerRack, hotThreshold)
-	fmt.Printf("%-16s %9s %10s %10s %9s\n", "policy", "hotspots", "max°C", "mean°C", "rejected")
+	fmt.Fprintf(w, "%-16s %9s %10s %10s %9s\n", "policy", "hotspots", "max°C", "mean°C", "rejected")
 
 	for _, p := range policies {
 		hotspots, maxT, meanT, rejected, err := evaluatePolicy(p, arrivals, model)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-16s %9d %10.2f %10.2f %9d\n", p.Name(), hotspots, maxT, meanT, rejected)
+		fmt.Fprintf(w, "%-16s %9d %10.2f %10.2f %9d\n", p.name, hotspots, maxT, meanT, rejected)
 	}
-	fmt.Println("\nprediction-driven placement spreads heat: fewer hotspots and a lower peak.")
+	fmt.Fprintln(w, "\nprediction-driven placement spreads heat: fewer hotspots and a lower peak.")
 	return nil
+}
+
+// firstFit takes the first host (rack/slot order) with capacity — the
+// thermally-blind baseline.
+func firstFit(f *substrate.Fleet, spec *workload.VMSpec) (int, error) {
+	for i := range f.IDs() {
+		if f.Host(i).CanAdmit(spec.Config) {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
+// coolestInlet takes the admitting host with the lowest inlet temperature —
+// thermal-aware but blind to what the VM itself will do.
+func coolestInlet(f *substrate.Fleet, spec *workload.VMSpec) (int, error) {
+	best, bestInlet := -1, math.Inf(1)
+	for i := range f.IDs() {
+		if inlet := f.Inlet(i); f.Host(i).CanAdmit(spec.Config) && inlet < bestInlet {
+			best, bestInlet = i, inlet
+		}
+	}
+	return best, nil
+}
+
+// predictedTemp takes the admitting host whose *predicted post-placement*
+// stable temperature is lowest — the paper's proactive thermal management
+// use case.
+func predictedTemp(model *core.StablePredictor) func(*substrate.Fleet, *workload.VMSpec) (int, error) {
+	return func(f *substrate.Fleet, spec *workload.VMSpec) (int, error) {
+		best, bestTemp := -1, math.Inf(1)
+		var arena []workload.VMSpec
+		for i := range f.IDs() {
+			if !f.Host(i).CanAdmit(spec.Config) {
+				continue
+			}
+			state, err := f.HostCase(i, f.Inlet(i), spec, &arena)
+			if err != nil {
+				return -1, err
+			}
+			predicted, err := model.PredictCase(state, horizonS)
+			if err != nil {
+				return -1, fmt.Errorf("predicting for %s: %w", f.IDs()[i], err)
+			}
+			arena = arena[:0]
+			if predicted < bestTemp {
+				best, bestTemp = i, predicted
+			}
+		}
+		return best, nil
+	}
 }
 
 // arrivalSequence builds a deterministic stream of VM requests.
@@ -98,50 +156,38 @@ func arrivalSequence(seed int64) ([]workload.VMSpec, error) {
 	return c.VMs, nil
 }
 
-// evaluatePolicy runs the placement sequence under one policy and scores
-// the resulting thermal layout with the trained model.
-func evaluatePolicy(p cluster.Placer, arrivals []workload.VMSpec, model *core.StablePredictor) (hotspots int, maxT, meanT float64, rejected int, err error) {
-	dc, err := buildDatacenter(p.Name())
+// evaluatePolicy runs the placement sequence under one policy on a fresh
+// fleet and scores the resulting thermal layout with the trained model.
+func evaluatePolicy(p policy, arrivals []workload.VMSpec, model *core.StablePredictor) (hotspots int, maxT, meanT float64, rejected int, err error) {
+	// 3 racks × 4 hosts, top-of-rack slots warmer: 0, 1.5, 3 and 4.5 °C.
+	cfg := substrate.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack, cfg.RackSpreadC = racks, hostsPerRack, 4.5
+	f, err := substrate.New(cfg, vmm.DefaultHostConfig(), fanCount, 1)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	for _, spec := range arrivals {
-		host, err := p.Choose(dc, spec)
+		i, err := p.pick(f, &spec)
 		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		if i < 0 {
 			rejected++
 			continue
 		}
-		vm, err := vmm.NewVM(spec.ID+"@"+p.Name(), spec.Config)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		for _, ts := range spec.Tasks {
-			if err := vm.AddTask(ts.Task); err != nil {
-				return 0, 0, 0, 0, err
-			}
-		}
-		if err := host.Place(vm); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		if err := vm.Start(0); err != nil {
+		if err := f.Place(i, spec); err != nil {
 			return 0, 0, 0, 0, err
 		}
 	}
 
 	// Predict per-host stable temperatures for the final layout.
-	temps := map[string]float64{}
 	var sum float64
 	var n int
-	for _, pos := range dc.AllHosts() {
-		host := pos.Rack.Hosts()[pos.Slot]
-		if host.NumVMs() == 0 {
+	for i := range f.IDs() {
+		if f.Host(i).NumVMs() == 0 {
 			continue
 		}
-		inlet, err := dc.InletTemp(pos.Rack, pos.Slot)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		state, err := cluster.HostStateCase(host, fanCount, inlet, nil)
+		state, err := f.HostCase(i, f.Inlet(i), nil, nil)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -149,7 +195,9 @@ func evaluatePolicy(p cluster.Placer, arrivals []workload.VMSpec, model *core.St
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		temps[host.ID()] = t
+		if t > hotThreshold {
+			hotspots++
+		}
 		sum += t
 		n++
 		if t > maxT {
@@ -159,28 +207,5 @@ func evaluatePolicy(p cluster.Placer, arrivals []workload.VMSpec, model *core.St
 	if n > 0 {
 		meanT = sum / float64(n)
 	}
-	return len(cluster.DetectHotspots(temps, hotThreshold)), maxT, meanT, rejected, nil
-}
-
-// buildDatacenter assembles 3 racks × 4 hosts with top-of-rack slots warmer.
-func buildDatacenter(tag string) (*cluster.Datacenter, error) {
-	var rs []*cluster.Rack
-	for r := 0; r < racks; r++ {
-		hosts := make([]*vmm.Host, hostsPerRack)
-		offsets := make([]float64, hostsPerRack)
-		for s := 0; s < hostsPerRack; s++ {
-			h, err := vmm.NewHost(fmt.Sprintf("%s-r%d-h%d", tag, r, s), vmm.DefaultHostConfig())
-			if err != nil {
-				return nil, err
-			}
-			hosts[s] = h
-			offsets[s] = float64(s) * 1.5
-		}
-		rack, err := cluster.NewRack(fmt.Sprintf("%s-r%d", tag, r), hosts, offsets)
-		if err != nil {
-			return nil, err
-		}
-		rs = append(rs, rack)
-	}
-	return cluster.NewDatacenter(cluster.DefaultCRAC(), rs)
+	return hotspots, maxT, meanT, rejected, nil
 }

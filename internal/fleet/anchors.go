@@ -104,7 +104,7 @@ func (c *Controller) predictMissChunk(lo, hi int) error {
 }
 
 // simAnchorCases resolves every occupied host's anchor — from the cache
-// when its deployment fingerprint (VM set + lifecycle states + quantized
+// when its deployment fingerprint (VM set + per-VM task load + quantized
 // util/mem/inlet) is already memoized, else by staging its current
 // deployment as a miss case. Idle hosts anchor at their inlet temperature
 // (an idle machine settles at ambient) without touching cache or model.
@@ -131,10 +131,7 @@ func (c *Controller) simAnchorCases(hits *int) error {
 		q.UtilQuant /= 4
 		q.MemQuant /= 4
 	}
-	inlets, keys, err := c.sub.ScanAnchors(q, c.cache != nil)
-	if err != nil {
-		return err
-	}
+	inlets, keys := c.sub.ScanAnchors(q, c.cache != nil)
 	c.missIdx = c.missIdx[:0]
 	c.missAmb = c.missAmb[:0]
 	for i, inlet := range inlets {

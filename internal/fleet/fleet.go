@@ -4,7 +4,7 @@
 // (internal/engine) — per-host dynamic prediction sessions calibrated every
 // Δ_update as in Eqs. 3–8, with batch ψ_stable anchors fanned through the
 // SVM batch kernel — and each round rolls the Δ_gap-ahead predicted
-// temperatures into a rack/DC hotspot map (cluster.DetectHotspots), driving
+// temperatures into a hotspot list ordered by margin (sortHotspots), driving
 // thermal-aware placement and migration proposals for incoming VM requests:
 // acting on where temperature is *going* rather than where it is.
 //

@@ -9,10 +9,10 @@ import (
 	"strings"
 	"testing"
 
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/mathx"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
@@ -37,7 +37,7 @@ func dynamicSpec(rng *mathx.RNG, id string) workload.VMSpec {
 // one host → Case builder: over a seeded sequence of PlaceBatch, RemoveVM,
 // migration-producing rounds and plain rounds — cache on and off — every
 // Case the predictor receives, placement windows and anchor misses alike,
-// is reflect.DeepEqual to a fresh cluster.HostStateCase of the same host at
+// is reflect.DeepEqual to a fresh substrate.HostStateCase of the same host at
 // the same instant. A view that outlived any change of the deployment — a
 // placement, a migration, a removal, a tick — fails it; the sequence
 // includes two PlaceBatch calls in one round with a RemoveVM between them.
@@ -60,10 +60,7 @@ func TestHostCaseMatchesHostStateCase(t *testing.T) {
 					if !ok {
 						t.Fatalf("case %q names no host", got.Name)
 					}
-					inlet, err := c.sub.Inlet(i)
-					if err != nil {
-						t.Fatal(err)
-					}
+					inlet := c.sub.Inlet(i)
 					// The last VM is a candidate iff it is not deployed yet.
 					var cand *workload.VMSpec
 					last := got.VMs[len(got.VMs)-1].ID
@@ -80,7 +77,7 @@ func TestHostCaseMatchesHostStateCase(t *testing.T) {
 							_, inlet = c.cache.Quant().Ambient(inlet)
 						}
 					}
-					want, err := cluster.HostStateCase(c.sub.Host(i), c.cfg.FanCount, inlet, cand)
+					want, err := substrate.HostStateCase(c.sub.Host(i), c.cfg.FanCount, inlet, cand)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -75,7 +75,7 @@ func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []Migration
 		var target *proposeTarget
 		best := math.Inf(1)
 		for i := range targets {
-			if tg := &targets[i]; tg.tempC < best && canAdmitVM(tg.host, shape) {
+			if tg := &targets[i]; tg.tempC < best && tg.host.CanAdmit(shape) {
 				best, target = tg.tempC, tg
 			}
 		}

@@ -26,7 +26,7 @@
 //     once-per-round build.
 //
 // All three reproduce, bit for bit, the decisions of rebuilding each input
-// from scratch; cluster.HostStateCase and a full sort are the oracles the
+// from scratch; substrate.HostStateCase and a full sort are the oracles the
 // tests compare against.
 package fleet
 
@@ -434,10 +434,10 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				if e.claimed == plan.wave {
 					// Only "some claimed host would have admitted" matters;
 					// once known, later claimed hosts skip the capacity walk.
-					sawClaimed = sawClaimed || canAdmitVM(e.host, spec.Config)
+					sawClaimed = sawClaimed || e.host.CanAdmit(spec.Config)
 					continue
 				}
-				if !canAdmitVM(e.host, spec.Config) {
+				if !e.host.CanAdmit(spec.Config) {
 					continue
 				}
 				e.claimed = plan.wave
@@ -445,11 +445,7 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				// placements do shift rack recirculation slightly until the
 				// next tick; that drift is below sensor noise and
 				// deliberately ignored.
-				inlet, err := c.sub.Inlet(int(ei))
-				if err != nil {
-					return nil, err
-				}
-				cse, err := c.sub.HostCase(int(ei), inlet, spec, &c.waveSpecs)
+				cse, err := c.sub.HostCase(int(ei), c.sub.Inlet(int(ei)), spec, &c.waveSpecs)
 				if err != nil {
 					return nil, err
 				}
@@ -569,15 +565,6 @@ func (c *Controller) parkOrReject(spec *workload.VMSpec, code RejectCode, reason
 		}
 	}
 	return PlacementDecision{VMID: spec.ID, Status: Rejected, Code: code, Reason: reason}
-}
-
-// canAdmitVM checks capacity without mutating the host.
-func canAdmitVM(h *vmm.Host, cfg vmm.VMConfig) bool {
-	hc := h.Config()
-	if h.PlacedVCPUs()+float64(cfg.VCPUs) > float64(hc.Cores)*hc.CPUOvercommit {
-		return false
-	}
-	return h.PlacedMemGB()+cfg.MemoryGB <= hc.MemoryGB
 }
 
 // ErrNoCapacity is the RejectNoCapacity reason when no host can admit a VM.

@@ -38,7 +38,7 @@ func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64)
 			if id == h.HostID || hot[id] {
 				continue
 			}
-			if !canAdmitVM(c.sub.Host(i), vm.Config()) {
+			if !c.sub.Host(i).CanAdmit(vm.Config()) {
 				continue
 			}
 			t, ok := predicted[id]

@@ -119,8 +119,8 @@ func (c *Controller) publishedSnapshot() *Snapshot {
 }
 
 // sortHotspots orders the round's hotspots by descending margin, ties
-// broken by host id — the published determinism contract (matching
-// cluster.SortHotspots) — without allocating. Host ids are unique, so the
+// broken by host id — the published determinism contract — without
+// allocating. Host ids are unique, so the
 // comparator is a total order and any sort yields the same result.
 func sortHotspots(out []Hotspot) {
 	slices.SortFunc(out, func(a, b Hotspot) int {

@@ -4,9 +4,40 @@ import (
 	"fmt"
 	"math"
 
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/thermal"
 )
+
+// CRAC models the room cooling unit: it supplies air at SupplyC, and each
+// rack's inlet warms with rack utilization through recirculation. Slot s of
+// a rack whose hosts run at mean utilization u breathes
+// SupplyC + RecircPerUtil·u plus the slot's offset (see Config.RackSpreadC).
+// That is each server's δ_env.
+type CRAC struct {
+	// SupplyC is the supply-air setpoint, °C.
+	SupplyC float64
+	// RecircPerUtil is the inlet temperature rise at 100% rack utilization
+	// caused by exhaust recirculation, °C.
+	RecircPerUtil float64
+}
+
+// DefaultCRAC returns a typical raised-floor configuration.
+func DefaultCRAC() CRAC {
+	return CRAC{SupplyC: 18, RecircPerUtil: 6}
+}
+
+// Validate bounds the configured envelope; the comparisons are written so
+// NaN fails them. Emergency dynamics (a failed CRAC whose supply runs away
+// past 35 °C) live outside it by definition; the coupling loop that drives
+// them owns their plausibility.
+func (c CRAC) Validate() error {
+	if !(c.SupplyC >= 5 && c.SupplyC <= 35) {
+		return fmt.Errorf("fleet: supply temperature %v implausible", c.SupplyC)
+	}
+	if !(c.RecircPerUtil >= 0) || math.IsInf(c.RecircPerUtil, 1) {
+		return fmt.Errorf("fleet: recirculation %v must be finite and >= 0", c.RecircPerUtil)
+	}
+	return nil
+}
 
 // Config is the simulated fleet's shape and physics. Start from
 // DefaultConfig; the fleet control plane's Config fills zero-valued physics
@@ -20,7 +51,7 @@ type Config struct {
 	// Sensor is the telemetry error model.
 	Sensor thermal.SensorParams
 	// CRAC is the room cooling configuration.
-	CRAC cluster.CRAC
+	CRAC CRAC
 	// RackSpreadC is the total inlet temperature spread from the bottom to
 	// the top slot of a rack (top-of-rack slots ingest warmer air). Each
 	// slot's offset is RackSpreadC · slot/(HostsPerRack−1), so the spread is
@@ -40,7 +71,7 @@ func DefaultConfig() Config {
 		HostsPerRack: 16,
 		Server:       thermal.DefaultServerParams(),
 		Sensor:       thermal.DefaultSensorParams(),
-		CRAC:         cluster.DefaultCRAC(),
+		CRAC:         DefaultCRAC(),
 		RackSpreadC:  4.5,
 		TickS:        1,
 		SampleS:      5,

@@ -3,8 +3,6 @@ package substrate
 import (
 	"fmt"
 	"math"
-
-	"vmtherm/internal/cluster"
 )
 
 // This file is the fleet's fault-injection surface: the hooks a
@@ -88,10 +86,7 @@ func (f *Fleet) coupleCRAC(dt float64) {
 		target = sp
 	}
 	cd.SupplyC += (dt / cracTauS) * (target - cd.SupplyC)
-	f.dc.SetCRAC(cluster.CRAC{
-		SupplyC:       cd.SupplyC,
-		RecircPerUtil: cd.baseRecirc * cd.RecircMult,
-	})
+	f.cool = CRAC{SupplyC: cd.SupplyC, RecircPerUtil: cd.baseRecirc * cd.RecircMult}
 }
 
 // cracState lazily activates the coupling loop, seeded from the configured
@@ -99,7 +94,7 @@ func (f *Fleet) coupleCRAC(dt float64) {
 // becomes dynamic.
 func (f *Fleet) cracState() *cracDynamics {
 	if f.crac == nil {
-		c := f.dc.CRAC()
+		c := f.cool
 		f.crac = &cracDynamics{
 			CRACStatus: CRACStatus{Active: true, SupplyC: c.SupplyC, SetpointC: c.SupplyC, CapacityFrac: 1, RecircMult: 1},
 			baseRecirc: c.RecircPerUtil,
@@ -131,7 +126,7 @@ func (f *Fleet) CRACStatus() CRACStatus {
 	if f.crac != nil {
 		return f.crac.CRACStatus
 	}
-	cc := f.dc.CRAC()
+	cc := f.cool
 	return CRACStatus{SupplyC: cc.SupplyC, SetpointC: cc.SupplyC, CapacityFrac: 1, RecircMult: 1}
 }
 

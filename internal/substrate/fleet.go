@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
@@ -54,20 +53,18 @@ type drivenTask struct {
 // (vmm.Host), heat (thermal.Server), a noisy sensor, and the load profiles
 // driving its VMs' tasks over time.
 type simHost struct {
-	host    *vmm.Host
-	server  *thermal.Server
-	sensor  *thermal.Sensor
-	pos     cluster.HostPosition
-	rackIdx int // index into Fleet.racks / rackInlets
-	driven  []drivenTask
+	host   *vmm.Host
+	server *thermal.Server
+	sensor *thermal.Sensor
+	driven []drivenTask
 	// fault corrupts this host's emitted readings without touching its
 	// physics: the sensor still reads (and draws noise) on schedule, the
 	// transform applies at the emission point only.
 	fault SensorFault
-	// view memoises the running/migrating VMs as VMSpecs in
-	// cluster.HostStateCase's order (see deployment); viewTasks backs their
-	// Tasks slices. util and mem memoise host.Loads() (see loads). Both
-	// memos hold until invalidate. caseName is "state:"+id.
+	// view memoises the placed VMs as VMSpecs in HostStateCase's order
+	// (see deployment); viewTasks backs their Tasks slices. util and mem
+	// memoise host.Loads() (see loads). Both memos hold until invalidate.
+	// caseName is "state:"+id.
 	view      []workload.VMSpec
 	viewTasks []workload.TaskSpec
 	viewOK    bool
@@ -91,11 +88,11 @@ func (sh *simHost) loads() (util, mem float64) {
 	return sh.util, sh.mem
 }
 
-// deployment returns the host's running and migrating VMs exactly as
-// cluster.HostStateCase lists them — VMs by id, tasks by id, current CPU
-// fractions, no profiles — rebuilt only after an invalidation. The slice
-// and everything it points to are the host's own scratch: callers read it
-// before the next mutation or tick and never write through it.
+// deployment returns the host's VMs exactly as HostStateCase lists them —
+// VMs by id, tasks by id, current CPU fractions, no profiles — rebuilt only
+// after an invalidation. The slice and everything it points to are the
+// host's own scratch: callers read it before the next mutation or tick and
+// never write through it.
 func (sh *simHost) deployment() []workload.VMSpec {
 	if sh.viewOK {
 		return sh.view
@@ -110,9 +107,6 @@ func (sh *simHost) deployment() []workload.VMSpec {
 	sh.view = sh.view[:0]
 	for i := 0; i < h.NumVMs(); i++ {
 		vm := h.VMAt(i)
-		if st := vm.State(); st != vmm.VMRunning && st != vmm.VMMigrating {
-			continue
-		}
 		spec := workload.VMSpec{ID: vm.ID(), Config: vm.Config()}
 		if n := vm.NumTasks(); n > 0 { // a task-less VM keeps Tasks nil, like HostStateCase
 			lo := len(sh.viewTasks)
@@ -160,11 +154,15 @@ type Fleet struct {
 	// tickFn is tickRacks bound once in New, so handing it to shard.Run
 	// allocates nothing per tick.
 	tickFn func(lo, hi int) error
-	dc     *cluster.Datacenter
 	order  []string       // host ids by slot (rack/slot order)
 	hosts  []*simHost     // hosts by slot, for map-free tick/sample sweeps
 	slotOf map[string]int // host id → slot
-	racks  []*cluster.Rack
+	// cool is the CRAC the inlets read: cfg.CRAC until coupleCRAC first
+	// runs, the coupling loop's state after.
+	cool CRAC
+	// offsets[s] is slot s's inlet offset, the same in every rack: the
+	// spread RackSpreadC·s/(HostsPerRack−1).
+	offsets []float64
 	// rackSpan[ri] is rack ri's contiguous [start, end) slot range: the
 	// shard boundary of the parallel tick (every mutation a tick performs
 	// is confined to one rack's span).
@@ -211,79 +209,46 @@ func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error
 // slot s's host id and the name of its sensor's RNG stream.
 func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func(r, s int) (id, stream string)) (*Fleet, error) {
 	f := &Fleet{
-		cfg:      cfg,
-		fanCount: fanCount,
-		workers:  workers,
-		slotOf:   make(map[string]int, cfg.Racks*cfg.HostsPerRack),
-		vmHost:   make(map[string]int),
+		cfg:        cfg,
+		fanCount:   fanCount,
+		workers:    workers,
+		slotOf:     make(map[string]int, cfg.Racks*cfg.HostsPerRack),
+		vmHost:     make(map[string]int),
+		cool:       cfg.CRAC,
+		offsets:    make([]float64, cfg.HostsPerRack),
+		rackSpan:   make([][2]int, cfg.Racks),
+		rackInlets: make([][]float64, cfg.Racks),
 	}
 	f.tickFn = f.tickRacks
-	streams := make([]string, 0, cfg.Racks*cfg.HostsPerRack) // by slot
-	var racks []*cluster.Rack
-	for r := 0; r < cfg.Racks; r++ {
-		hosts := make([]*vmm.Host, cfg.HostsPerRack)
-		offsets := make([]float64, cfg.HostsPerRack)
-		for s := 0; s < cfg.HostsPerRack; s++ {
+	if cfg.HostsPerRack > 1 {
+		for s := range f.offsets {
+			f.offsets[s] = cfg.RackSpreadC * float64(s) / float64(cfg.HostsPerRack-1)
+		}
+	}
+	for r := range f.rackSpan {
+		f.rackSpan[r][0] = len(f.hosts)
+		for s, off := range f.offsets {
 			id, stream := name(r, s)
-			streams = append(streams, stream)
 			h, err := vmm.NewHost(id, shape)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: host %s: %w", id, err)
 			}
-			hosts[s] = h
-			if cfg.HostsPerRack > 1 {
-				offsets[s] = cfg.RackSpreadC * float64(s) / float64(cfg.HostsPerRack-1)
-			}
-		}
-		rack, err := cluster.NewRack(fmt.Sprintf("r%d", r), hosts, offsets)
-		if err != nil {
-			return nil, err
-		}
-		racks = append(racks, rack)
-	}
-	// The datacenter holds its CRAC to a plant's plausible supply range. A
-	// fleet's caller validated cfg against it already; a one-host fleet's
-	// supply is its case's ambient, which may be any finite temperature.
-	dc, err := cluster.NewDatacenter(cluster.DefaultCRAC(), racks)
-	if err != nil {
-		return nil, err
-	}
-	dc.SetCRAC(cfg.CRAC)
-	f.dc = dc
-	f.racks = racks
-	f.rackInlets = make([][]float64, len(racks))
-	f.rackSpan = make([][2]int, len(racks))
-	for ri, rack := range racks {
-		f.rackSpan[ri][0] = len(f.hosts)
-		for slot, h := range rack.Hosts() {
-			inlet, err := dc.InletTemp(rack, slot)
-			if err != nil {
-				return nil, err
-			}
 			sp := cfg.Server
 			sp.FanCount = fanCount
-			sp.AmbientC = inlet
+			sp.AmbientC = cfg.CRAC.SupplyC + off // an idle rack's inlet
 			srv, err := thermal.NewServer(sp)
 			if err != nil {
-				return nil, fmt.Errorf("fleet: thermal %s: %w", h.ID(), err)
+				return nil, fmt.Errorf("fleet: thermal %s: %w", id, err)
 			}
-			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp,
-				mathx.SplitStable(cfg.Seed, streams[len(f.hosts)]))
+			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp, mathx.SplitStable(cfg.Seed, stream))
 			if err != nil {
-				return nil, fmt.Errorf("fleet: sensor %s: %w", h.ID(), err)
+				return nil, fmt.Errorf("fleet: sensor %s: %w", id, err)
 			}
-			f.slotOf[h.ID()] = len(f.hosts)
-			f.order = append(f.order, h.ID())
-			f.hosts = append(f.hosts, &simHost{
-				host:     h,
-				server:   srv,
-				sensor:   sensor,
-				pos:      cluster.HostPosition{Rack: rack, Slot: slot},
-				rackIdx:  ri,
-				caseName: "state:" + h.ID(),
-			})
+			f.slotOf[id] = len(f.hosts)
+			f.order = append(f.order, id)
+			f.hosts = append(f.hosts, &simHost{host: h, server: srv, sensor: sensor, caseName: "state:" + id})
 		}
-		f.rackSpan[ri][1] = len(f.hosts)
+		f.rackSpan[r][1] = len(f.hosts)
 	}
 	n := len(f.hosts)
 	buf := make([]float64, 4*n)
@@ -324,8 +289,8 @@ func (f *Fleet) Temps(i int) (dieC, caseC float64) {
 	return f.hosts[i].server.DieTemp(), f.hosts[i].server.CaseTemp()
 }
 
-// Place admits a VM onto the host in slot i, starts it, and registers its
-// task profiles so the tick loop drives them.
+// Place admits a VM onto the host in slot i, where it runs from now on, and
+// registers its task profiles so the tick loop drives them.
 func (f *Fleet) Place(i int, spec workload.VMSpec) error {
 	if cur, dup := f.vmHost[spec.ID]; dup {
 		return fmt.Errorf("fleet: vm %q already placed on %q", spec.ID, f.order[cur])
@@ -342,10 +307,6 @@ func (f *Fleet) Place(i int, spec workload.VMSpec) error {
 		}
 	}
 	if err := sh.host.Place(vm); err != nil {
-		return err
-	}
-	if err := vm.Start(f.now); err != nil {
-		_ = sh.host.Remove(vm.ID())
 		return err
 	}
 	for k, ts := range spec.Tasks {
@@ -402,16 +363,18 @@ func (f *Fleet) Remove(vmID string) (int, error) {
 	return i, nil
 }
 
-// LargestVM returns the running VM with the highest current CPU demand on
-// slot i, the natural candidate to move off a hotspot.
+// LargestVM returns the VM with the highest current CPU demand on slot i,
+// the natural candidate to move off a hotspot; of equal demands the lowest
+// id wins, so the pick does not depend on placement order.
 func (f *Fleet) LargestVM(i int) (*vmm.VM, error) {
+	h := f.hosts[i].host
 	var best *vmm.VM
-	for _, vm := range f.hosts[i].host.VMs() { // sorted by ID: deterministic ties
-		if vm.State() != vmm.VMRunning {
-			continue
-		}
-		if best == nil || vm.CPUDemandVCPUs() > best.CPUDemandVCPUs() {
-			best = vm
+	var bestDemand float64
+	for k := 0; k < h.NumVMs(); k++ {
+		vm := h.VMAt(k)
+		d := vm.CPUDemandVCPUs()
+		if best == nil || d > bestDemand || (d == bestDemand && vm.ID() < best.ID()) {
+			best, bestDemand = vm, d
 		}
 	}
 	if best == nil {
@@ -457,7 +420,7 @@ func (f *Fleet) tickRacks(lo, hi int) error {
 // covering every rack with one physics worker, one goroutine per range
 // otherwise — reporting the first error in rack order.
 func (f *Fleet) shardRacks(fn func(lo, hi int) error) error {
-	return shard.Run(len(f.racks), f.workers, 1, fn)
+	return shard.Run(len(f.rackSpan), f.workers, 1, fn)
 }
 
 // tickRack advances one rack through a full simulation step. Loads first,
@@ -473,15 +436,13 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 		sh := f.hosts[i]
 		kept := 0
 		for j, d := range sh.driven {
-			if st := d.vm.State(); st == vmm.VMRunning || st == vmm.VMMigrating {
-				sh.invalidate() // the driver rewrites a task CPU fraction
-				if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
-					sh.driven = append(sh.driven[:kept], sh.driven[j:]...)
-					return err
-				}
-				if _, ok := d.prof.(workload.Constant); ok {
-					continue
-				}
+			sh.invalidate() // the driver rewrites a task CPU fraction
+			if err := d.vm.SetTaskCPU(d.task, d.prof.At(t)); err != nil {
+				sh.driven = append(sh.driven[:kept], sh.driven[j:]...)
+				return err
+			}
+			if _, ok := d.prof.(workload.Constant); ok {
+				continue
 			}
 			sh.driven[kept] = d
 			kept++
@@ -491,15 +452,15 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 		u, _ := sh.loads()
 		utilSum += u
 	}
-	mean := utilSum / float64(span[1]-span[0])
-	inlets, err := f.dc.RackInletTempsAt(f.racks[ri], mean, f.rackInlets[ri][:0])
-	if err != nil {
-		return err
+	base := f.rackBase(utilSum / float64(span[1]-span[0]))
+	inlets := f.rackInlets[ri][:0]
+	for _, off := range f.offsets {
+		inlets = append(inlets, base+off)
 	}
 	f.rackInlets[ri] = inlets
 	for i := span[0]; i < span[1]; i++ {
 		sh := f.hosts[i]
-		sh.server.SetAmbient(inlets[sh.pos.Slot])
+		sh.server.SetAmbient(inlets[i-span[0]])
 		sh.server.SetLoad(sh.loads())
 		if err := sh.server.Advance(dt); err != nil {
 			return err
@@ -530,7 +491,7 @@ func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 		// samples), so the shard error path is unreachable here.
 		_ = f.shardRacks(func(lo, hi int) error { f.readSensors(lo, hi); return nil })
 	} else {
-		f.readSensors(0, len(f.racks))
+		f.readSensors(0, len(f.rackSpan))
 	}
 	t := f.now
 	for i := range f.hosts {
@@ -648,8 +609,8 @@ func (f *Fleet) Advance(dur float64, emit func(telemetry.Reading) bool) error {
 // candidate VM. Without a candidate the case borrows the host's view; with
 // one, view and candidate are copied to the end of *arena, the caller's
 // scratch, which it resets once the cases built from it are consumed. The
-// result is reflect.DeepEqual to cluster.HostStateCase's. Calls for
-// distinct slots may run concurrently.
+// result is reflect.DeepEqual to HostStateCase's. Calls for distinct slots
+// may run concurrently.
 func (f *Fleet) HostCase(i int, ambientC float64, candidate *workload.VMSpec, arena *[]workload.VMSpec) (workload.Case, error) {
 	sh := f.hosts[i]
 	vms := sh.deployment()
@@ -670,17 +631,53 @@ func (f *Fleet) HostCase(i int, ambientC float64, candidate *workload.VMSpec, ar
 	}, nil
 }
 
-// Inlet returns slot i's inlet temperature from the per-tick rack cache
-// when populated — utilization cannot change between the last tick and the
-// controller's anchor pass, so the cached value is identical to a fresh
-// InletTemp and skips the O(rack) mean-utilization sweep per host. Before
-// any tick has run it computes directly.
-func (f *Fleet) Inlet(i int) (float64, error) {
-	sh := f.hosts[i]
-	if inlets := f.rackInlets[sh.rackIdx]; sh.pos.Slot < len(inlets) {
-		return inlets[sh.pos.Slot], nil
+// HostStateCase is the reference HostCase reproduces from its memoised
+// views, rebuilt on every call: h's current deployment — every placed VM by
+// id, its tasks by id at their current CPU fractions, no profiles — at
+// ambientC, plus an optional candidate. Tests compare HostCase against it.
+func HostStateCase(h *vmm.Host, fanCount int, ambientC float64, candidate *workload.VMSpec) (workload.Case, error) {
+	if h == nil {
+		return workload.Case{}, errors.New("fleet: nil host")
 	}
-	return f.dc.InletTemp(sh.pos.Rack, sh.pos.Slot)
+	c := workload.Case{Name: "state:" + h.ID(), Host: h.Config(), FanCount: fanCount, AmbientC: ambientC}
+	for _, vm := range h.VMs() {
+		spec := workload.VMSpec{ID: vm.ID(), Config: vm.Config()}
+		for _, task := range vm.Tasks() {
+			spec.Tasks = append(spec.Tasks, workload.TaskSpec{Task: task})
+		}
+		c.VMs = append(c.VMs, spec)
+	}
+	if candidate != nil {
+		c.VMs = append(c.VMs, *candidate)
+	}
+	if len(c.VMs) == 0 {
+		return workload.Case{}, errors.New("fleet: host state has no running VMs")
+	}
+	return c, nil
+}
+
+// rackBase is the inlet of a zero-offset slot in a rack at mean
+// utilization meanUtil; slot s adds offsets[s] to it.
+func (f *Fleet) rackBase(meanUtil float64) float64 {
+	return f.cool.SupplyC + f.cool.RecircPerUtil*meanUtil
+}
+
+// Inlet returns slot i's inlet temperature. After a tick it is the tick's
+// value, cached per rack: loads change only at a tick or a deployment
+// change, and an in-round placement is priced at the last tick's inlets.
+// Before the first tick it is the tick's formula over the current loads.
+func (f *Fleet) Inlet(i int) float64 {
+	ri, s := i/f.cfg.HostsPerRack, i%f.cfg.HostsPerRack
+	if inlets := f.rackInlets[ri]; s < len(inlets) {
+		return inlets[s]
+	}
+	span := f.rackSpan[ri]
+	var utilSum float64
+	for k := span[0]; k < span[1]; k++ {
+		u, _ := f.hosts[k].loads()
+		utilSum += u
+	}
+	return f.rackBase(utilSum/float64(span[1]-span[0])) + f.offsets[s]
 }
 
 // ScanAnchors returns every slot's inlet temperature and, when keyed, the
@@ -688,28 +685,25 @@ func (f *Fleet) Inlet(i int) (float64, error) {
 // scale (pure computation over rack-local state; every worker writes
 // disjoint slots). Both slices are the fleet's scratch, valid until the
 // next scan; an idle host's key is left as it was.
-func (f *Fleet) ScanAnchors(q anchorcache.Quantizer, keyed bool) (inlets []float64, keys []anchorcache.Key, err error) {
+func (f *Fleet) ScanAnchors(q anchorcache.Quantizer, keyed bool) (inlets []float64, keys []anchorcache.Key) {
 	if f.parallel() {
-		err = f.shardRacks(func(lo, hi int) error { return f.scanRacks(lo, hi, q, keyed) })
+		// The scan cannot fail, so the shard error path is unreachable.
+		_ = f.shardRacks(func(lo, hi int) error { f.scanRacks(lo, hi, q, keyed); return nil })
 	} else {
-		err = f.scanRacks(0, len(f.racks), q, keyed)
+		f.scanRacks(0, len(f.rackSpan), q, keyed)
 	}
-	return f.scanInlets, f.scanKeys, err
+	return f.scanInlets, f.scanKeys
 }
 
 // scanRacks is racks [lo, hi)'s share of ScanAnchors.
-func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) error {
+func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) {
 	for i := f.rackSpan[lo][0]; i < f.rackSpan[hi-1][1]; i++ {
-		inlet, err := f.Inlet(i)
-		if err != nil {
-			return err
-		}
+		inlet := f.Inlet(i)
 		f.scanInlets[i] = inlet
 		if keyed && f.hosts[i].host.NumVMs() > 0 {
 			f.scanKeys[i] = anchorKey(f.hosts[i], q, inlet)
 		}
 	}
-	return nil
 }
 
 // anchorKey derives a host's deployment fingerprint: the cache key that
@@ -723,13 +717,15 @@ func anchorKey(sh *simHost, q anchorcache.Quantizer, inlet float64) anchorcache.
 	for vi := 0; vi < h.NumVMs(); vi++ {
 		vm := h.VMAt(vi)
 		// The fingerprint must cover everything the feature encoder can
-		// see in the deployment snapshot: identity and lifecycle state,
-		// plus the per-VM load *distribution* (raw task-fraction sum and
-		// max, quantized) — dynamic profiles can redistribute load
-		// between tasks without moving total host utilization, and
-		// features like task_cpu_max follow the distribution.
+		// see in the deployment snapshot: identity, plus the per-VM load
+		// *distribution* (raw task-fraction sum and max, quantized) —
+		// dynamic profiles can redistribute load between tasks without
+		// moving total host utilization, and features like task_cpu_max
+		// follow the distribution. The 2 is the running state's code,
+		// which keys folded while VMs had a lifecycle: keeping it lets a
+		// checkpoint cut before then restore with a warm anchor cache.
 		cpuSum, cpuMax := vm.TaskCPUStats()
-		hash = hash.String(vm.ID()).Uint64(uint64(vm.State())).
+		hash = hash.String(vm.ID()).Uint64(2).
 			Uint64(q.UtilBucket(cpuSum)).Uint64(q.UtilBucket(cpuMax))
 	}
 	return hash.Uint64(ambBucket).Uint64(bu).Uint64(bm).Key()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/timeseries"
 	"vmtherm/internal/workload"
@@ -17,8 +16,8 @@ import (
 
 // OneHost builds the fleet a single-server experiment runs on: one host of
 // c's shape and fan count, its inlet held at c.AmbientC (a constant CRAC
-// supply with no recirculation and no rack spread), c's VMs placed and
-// started at the clock's zero. The host is "host:"+c.Name and its sensor
+// supply with no recirculation and no rack spread), c's VMs placed at the
+// clock's zero. The host is "host:"+c.Name and its sensor
 // draws from the stream "sensor:"+c.Name, so a case's readings depend on
 // cfg.Seed and c.Name alone. cfg supplies the server and sensor templates,
 // the tick, the sample interval and the seed; the case supplies the rest.
@@ -29,7 +28,7 @@ func OneHost(c workload.Case, cfg Config) (*Fleet, error) {
 		return nil, errors.New("fleet: case has no VMs")
 	}
 	cfg.Racks, cfg.HostsPerRack, cfg.RackSpreadC = 1, 1, 0
-	cfg.CRAC = cluster.CRAC{SupplyC: c.AmbientC}
+	cfg.CRAC = CRAC{SupplyC: c.AmbientC}
 	if err := cfg.validatePhysics(); err != nil {
 		return nil, err
 	}

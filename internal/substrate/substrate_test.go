@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/cluster"
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
@@ -53,7 +52,7 @@ func sineSpec(rng *mathx.RNG, id string) workload.VMSpec {
 // TestHostCaseViewMatchesHostStateCase is the differential test of the
 // memoised deployment views behind HostCase: over a seeded sequence of
 // Place, Migrate, Remove and Advance, every host's case — with and without
-// a candidate VM — is reflect.DeepEqual to a fresh cluster.HostStateCase,
+// a candidate VM — is reflect.DeepEqual to a fresh HostStateCase,
 // and some views are still valid when compared, so the memo is exercised
 // and not merely rebuilt at every call. After every op the round's
 // read-only calls run as well — ScanAnchors and LargestVM on every slot —
@@ -102,9 +101,7 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 		for i, sh := range f.hosts {
 			valid[i] = sh.viewOK
 		}
-		if _, _, err := f.ScanAnchors(anchorcache.DefaultQuantizer(), true); err != nil {
-			t.Fatal(err)
-		}
+		f.ScanAnchors(anchorcache.DefaultQuantizer(), true)
 		for i := range f.IDs() {
 			if _, err := f.LargestVM(i); err != nil && !errors.Is(err, ErrNoSuchVM) {
 				t.Fatal(err)
@@ -121,12 +118,9 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 		cand := sineSpec(rng, "candidate")
 		var arena []workload.VMSpec
 		for i := range f.IDs() {
-			inlet, err := f.Inlet(i)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inlet := f.Inlet(i)
 			for _, c := range []*workload.VMSpec{nil, &cand} {
-				want, wantErr := cluster.HostStateCase(f.Host(i), 4, inlet, c)
+				want, wantErr := HostStateCase(f.Host(i), 4, inlet, c)
 				got, err := f.HostCase(i, inlet, c, &arena)
 				if (err != nil) != (wantErr != nil) {
 					t.Fatalf("step %d (%s) host %s: error %v, HostStateCase %v", step, op, f.IDs()[i], err, wantErr)
@@ -237,9 +231,7 @@ func TestTickLoadsMatchHostLoads(t *testing.T) {
 				}
 				counts[op]++
 				reused += check(step, op, false)
-				if _, _, err := f.ScanAnchors(anchorcache.DefaultQuantizer(), true); err != nil {
-					t.Fatal(err)
-				}
+				f.ScanAnchors(anchorcache.DefaultQuantizer(), true)
 				check(step, op+"+scan", true)
 			}
 			t.Logf("ops %v, %d occupied hosts' memos valid at a check", counts, reused)
@@ -331,15 +323,12 @@ func TestConstantDriversRetire(t *testing.T) {
 	var arena []workload.VMSpec
 	check := func(step string, wantFrac float64, wantDriven int) {
 		t.Helper()
-		inlet, err := f.Inlet(3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inlet := f.Inlet(3)
 		got, err := f.HostCase(3, inlet, nil, &arena)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cluster.HostStateCase(f.Host(3), 4, inlet, nil)
+		want, err := HostStateCase(f.Host(3), 4, inlet, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

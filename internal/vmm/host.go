@@ -50,10 +50,6 @@ func (c HostConfig) CPUCapacityGHz() float64 {
 // ErrCapacity is returned when a placement would exceed host capacity.
 var ErrCapacity = errors.New("vmm: placement exceeds host capacity")
 
-// MigrationCPUOverhead is the extra CPU demand fraction a migrating VM adds
-// on its source host (dirty-page tracking and transfer threads).
-const MigrationCPUOverhead = 0.10
-
 // Host is one physical server hosting VMs.
 //
 // Placed VMs are kept both in a lookup map and an insertion-ordered slice:
@@ -65,9 +61,6 @@ type Host struct {
 	config HostConfig
 	vms    map[string]*VM
 	list   []*VM // placement order; parallel to vms
-	// incoming marks VMs whose capacity is reserved here while they still
-	// execute on a migration source; they hold capacity but burn no CPU.
-	incoming map[string]bool
 }
 
 // NewHost creates an empty host.
@@ -78,12 +71,7 @@ func NewHost(id string, config HostConfig) (*Host, error) {
 	if err := config.Validate(); err != nil {
 		return nil, err
 	}
-	return &Host{
-		id:       id,
-		config:   config,
-		vms:      make(map[string]*VM),
-		incoming: make(map[string]bool),
-	}, nil
+	return &Host{id: id, config: config, vms: make(map[string]*VM)}, nil
 }
 
 // ID returns the host identifier.
@@ -92,9 +80,17 @@ func (h *Host) ID() string { return h.id }
 // Config returns the host capacity configuration.
 func (h *Host) Config() HostConfig { return h.config }
 
-// Place admits a VM onto the host, enforcing vCPU-overcommit and memory
-// capacity. The VM keeps its lifecycle state; placement is orthogonal to
-// running.
+// CanAdmit reports whether a VM of shape cfg fits the host's vCPU budget
+// (cores × overcommit) and its memory beside the VMs already placed. It is
+// the one capacity rule: Place enforces it, and placement policies rank only
+// the hosts it admits.
+func (h *Host) CanAdmit(cfg VMConfig) bool {
+	return h.PlacedVCPUs()+float64(cfg.VCPUs) <= float64(h.config.Cores)*h.config.CPUOvercommit &&
+		h.PlacedMemGB()+cfg.MemoryGB <= h.config.MemoryGB
+}
+
+// Place admits a VM onto the host if CanAdmit allows its shape. A placed VM
+// runs: its tasks count toward Loads from now on.
 func (h *Host) Place(vm *VM) error {
 	if vm == nil {
 		return errors.New("vmm: nil vm")
@@ -102,47 +98,21 @@ func (h *Host) Place(vm *VM) error {
 	if _, ok := h.vms[vm.ID()]; ok {
 		return fmt.Errorf("vmm: vm %q already on host %q", vm.ID(), h.id)
 	}
-	vcpus := float64(vm.Config().VCPUs)
-	mem := vm.Config().MemoryGB
-	if h.PlacedVCPUs()+vcpus > float64(h.config.Cores)*h.config.CPUOvercommit {
-		return fmt.Errorf("%w: %v vCPUs over limit on %q", ErrCapacity, vcpus, h.id)
-	}
-	if h.PlacedMemGB()+mem > h.config.MemoryGB {
-		return fmt.Errorf("%w: %v GB over limit on %q", ErrCapacity, mem, h.id)
+	if cfg := vm.Config(); !h.CanAdmit(cfg) {
+		return fmt.Errorf("%w: vm %q (%d vCPUs, %v GB) does not fit on %q", ErrCapacity, vm.ID(), cfg.VCPUs, cfg.MemoryGB, h.id)
 	}
 	h.vms[vm.ID()] = vm
 	h.list = append(h.list, vm)
 	return nil
 }
 
-// PlaceIncoming reserves capacity for a VM migrating in: it holds vCPU and
-// memory budget but contributes no load until ConfirmIncoming.
-func (h *Host) PlaceIncoming(vm *VM) error {
-	if err := h.Place(vm); err != nil {
-		return err
-	}
-	h.incoming[vm.ID()] = true
-	return nil
-}
-
-// ConfirmIncoming completes an inbound migration: the VM starts counting
-// toward utilization on this host.
-func (h *Host) ConfirmIncoming(vmID string) error {
-	if !h.incoming[vmID] {
-		return fmt.Errorf("vmm: vm %q has no inbound reservation on %q", vmID, h.id)
-	}
-	delete(h.incoming, vmID)
-	return nil
-}
-
 // Remove evicts a VM from the host (it keeps running elsewhere or stops; the
-// caller decides). Inbound reservations are released too.
+// caller decides).
 func (h *Host) Remove(vmID string) error {
 	if _, ok := h.vms[vmID]; !ok {
 		return fmt.Errorf("vmm: no vm %q on host %q", vmID, h.id)
 	}
 	delete(h.vms, vmID)
-	delete(h.incoming, vmID)
 	for i, vm := range h.list {
 		if vm.ID() == vmID {
 			h.list = append(h.list[:i], h.list[i+1:]...)
@@ -195,63 +165,16 @@ func (h *Host) PlacedMemGB() float64 {
 	return sum
 }
 
-// Utilization returns current physical CPU utilization in [0, 1]: the sum of
-// running VMs' demands (plus migration overhead) over physical cores.
-func (h *Host) Utilization() float64 {
-	var demand float64
-	for _, vm := range h.list {
-		if len(h.incoming) > 0 && h.incoming[vm.ID()] {
-			continue // reserved only; executing on the migration source
-		}
-		switch vm.State() {
-		case VMRunning:
-			demand += vm.CPUDemandVCPUs()
-		case VMMigrating:
-			demand += vm.CPUDemandVCPUs() * (1 + MigrationCPUOverhead)
-		default:
-			// pending and stopped VMs consume no CPU
-		}
-	}
-	return min(demand/float64(h.config.Cores), 1)
-}
-
-// Loads returns Utilization and MemActiveFrac from one walk over the placed
-// VMs. The fleet tick loop reads both per host per simulation step; the
-// combined sweep halves that cost at datacenter scale. The accumulation
-// order matches the individual methods exactly, so the results are
-// bit-identical to calling them separately.
+// Loads returns the host's CPU utilization and active-memory fraction, both
+// in [0, 1], from one walk over the placed VMs in placement order: their CPU
+// demand over the physical cores, and their active memory over installed
+// RAM.
 func (h *Host) Loads() (util, memFrac float64) {
 	var demand, used float64
 	for _, vm := range h.list {
-		if len(h.incoming) > 0 && h.incoming[vm.ID()] {
-			continue // reserved only; executing on the migration source
-		}
-		switch vm.State() {
-		case VMRunning:
-			demand += vm.CPUDemandVCPUs()
-			used += vm.MemUsedGB()
-		case VMMigrating:
-			demand += vm.CPUDemandVCPUs() * (1 + MigrationCPUOverhead)
-			used += vm.MemUsedGB()
-		default:
-			// pending and stopped VMs consume no CPU or active memory
-		}
+		demand += vm.CPUDemandVCPUs()
+		used += vm.MemUsedGB()
 	}
 	return min(demand/float64(h.config.Cores), 1),
 		min(used/h.config.MemoryGB, 1)
-}
-
-// MemActiveFrac returns the fraction of host memory actively used by
-// running or migrating VMs, in [0, 1].
-func (h *Host) MemActiveFrac() float64 {
-	var used float64
-	for _, vm := range h.list {
-		if len(h.incoming) > 0 && h.incoming[vm.ID()] {
-			continue
-		}
-		if st := vm.State(); st == VMRunning || st == VMMigrating {
-			used += vm.MemUsedGB()
-		}
-	}
-	return min(used/h.config.MemoryGB, 1)
 }

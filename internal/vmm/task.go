@@ -1,7 +1,7 @@
 // Package vmm models the virtualization substrate the paper's predictor
 // observes through the Virtual Machine Manager: heterogeneous tasks deployed
-// in VMs, VM lifecycle (provision → run → migrate → stop), host capacity
-// accounting, and live migration with pre-copy rounds.
+// in VMs, host capacity accounting and load sums, and the duration of a
+// live migration's pre-copy rounds.
 //
 // The paper's central argument is that task-temperature and RC baselines
 // assume one homogeneous task per server, while clouds run many VMs with

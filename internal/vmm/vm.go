@@ -7,36 +7,6 @@ import (
 	"sort"
 )
 
-// VMState is a VM lifecycle state.
-type VMState int
-
-// VM lifecycle states.
-const (
-	VMPending VMState = iota + 1
-	VMRunning
-	VMMigrating
-	VMStopped
-)
-
-// String implements fmt.Stringer.
-func (s VMState) String() string {
-	switch s {
-	case VMPending:
-		return "pending"
-	case VMRunning:
-		return "running"
-	case VMMigrating:
-		return "migrating"
-	case VMStopped:
-		return "stopped"
-	default:
-		return fmt.Sprintf("VMState(%d)", int(s))
-	}
-}
-
-// ErrInvalidTransition is returned for illegal lifecycle transitions.
-var ErrInvalidTransition = errors.New("vmm: invalid state transition")
-
 // VMConfig is the user-requested shape of a VM.
 type VMConfig struct {
 	// VCPUs is the virtual CPU count.
@@ -56,38 +26,29 @@ func (c VMConfig) Validate() error {
 	return nil
 }
 
-// Transition is one audit-log entry of a VM lifecycle change.
-type Transition struct {
-	At   float64 // simulation time, seconds
-	From VMState
-	To   VMState
-}
-
-// VM is a virtual machine instance: a config, a set of deployed tasks, and a
-// lifecycle state with an audit trail.
+// VM is a virtual machine instance: a config and a set of deployed tasks.
+// A VM placed on a host runs there.
 //
-// Tasks live in an insertion-ordered slice with a side index: the hot loops
-// of fleet simulation (per-tick demand updates and utilization sums) scan a
-// handful of contiguous structs instead of paying randomized map iteration
-// per call, and iteration order is deterministic.
+// Tasks live in an insertion-ordered slice with a side set of their ids:
+// the hot loops of fleet simulation (per-tick demand updates and
+// utilization sums) scan a handful of contiguous structs instead of paying
+// randomized map iteration per call, and iteration order is deterministic.
 //
-// The VM keeps its tasks' CPU and memory sums: AddTask, RemoveTask and
-// SetTaskCPU (only when the fraction's bits change) re-add every task in
+// The VM keeps its tasks' CPU and memory sums: AddTask and SetTaskCPU
+// (only when the fraction's bits change) re-add every task in
 // deployment order, so CPUDemandVCPUs and MemUsedGB return the bits a
 // fresh loop would without walking the tasks. The getters only read, so
 // concurrent readers need no more than they did before.
 type VM struct {
 	id      string
 	config  VMConfig
-	state   VMState
 	tasks   []Task
-	taskIdx map[string]int // task id → index into tasks
-	log     []Transition
-	cpuSum  float64 // Σ CPUFraction over tasks, uncapped; see resum
-	memSum  float64 // Σ MemGB over tasks, uncapped
+	taskIDs map[string]struct{} // ids in tasks, for AddTask's duplicate check
+	cpuSum  float64             // Σ CPUFraction over tasks, uncapped; see resum
+	memSum  float64             // Σ MemGB over tasks, uncapped
 }
 
-// NewVM creates a VM in the pending state.
+// NewVM creates a VM with no tasks.
 func NewVM(id string, config VMConfig) (*VM, error) {
 	if id == "" {
 		return nil, errors.New("vmm: vm missing id")
@@ -95,12 +56,7 @@ func NewVM(id string, config VMConfig) (*VM, error) {
 	if err := config.Validate(); err != nil {
 		return nil, err
 	}
-	return &VM{
-		id:      id,
-		config:  config,
-		state:   VMPending,
-		taskIdx: make(map[string]int),
-	}, nil
+	return &VM{id: id, config: config, taskIDs: make(map[string]struct{})}, nil
 }
 
 // ID returns the VM identifier.
@@ -109,78 +65,16 @@ func (v *VM) ID() string { return v.id }
 // Config returns the VM's configuration.
 func (v *VM) Config() VMConfig { return v.config }
 
-// State returns the current lifecycle state.
-func (v *VM) State() VMState { return v.state }
-
-// Log returns a copy of the transition audit trail.
-func (v *VM) Log() []Transition {
-	out := make([]Transition, len(v.log))
-	copy(out, v.log)
-	return out
-}
-
-// transition enforces the lifecycle FSM.
-func (v *VM) transition(now float64, to VMState, allowedFrom ...VMState) error {
-	for _, from := range allowedFrom {
-		if v.state == from {
-			v.log = append(v.log, Transition{At: now, From: v.state, To: to})
-			v.state = to
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s -> %s", ErrInvalidTransition, v.state, to)
-}
-
-// Start moves Pending → Running.
-func (v *VM) Start(now float64) error {
-	return v.transition(now, VMRunning, VMPending)
-}
-
-// BeginMigration moves Running → Migrating.
-func (v *VM) BeginMigration(now float64) error {
-	return v.transition(now, VMMigrating, VMRunning)
-}
-
-// CompleteMigration moves Migrating → Running.
-func (v *VM) CompleteMigration(now float64) error {
-	return v.transition(now, VMRunning, VMMigrating)
-}
-
-// AbortMigration moves Migrating → Running (stays on source).
-func (v *VM) AbortMigration(now float64) error {
-	return v.transition(now, VMRunning, VMMigrating)
-}
-
-// Stop moves Pending or Running → Stopped.
-func (v *VM) Stop(now float64) error {
-	return v.transition(now, VMStopped, VMPending, VMRunning)
-}
-
 // AddTask deploys a task into the VM. Task IDs must be unique per VM.
 func (v *VM) AddTask(t Task) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	if _, ok := v.taskIdx[t.ID]; ok {
+	if _, ok := v.taskIDs[t.ID]; ok {
 		return fmt.Errorf("vmm: duplicate task %q in vm %q", t.ID, v.id)
 	}
-	v.taskIdx[t.ID] = len(v.tasks)
+	v.taskIDs[t.ID] = struct{}{}
 	v.tasks = append(v.tasks, t)
-	v.resum()
-	return nil
-}
-
-// RemoveTask undeploys a task.
-func (v *VM) RemoveTask(id string) error {
-	idx, ok := v.taskIdx[id]
-	if !ok {
-		return fmt.Errorf("vmm: no task %q in vm %q", id, v.id)
-	}
-	v.tasks = append(v.tasks[:idx], v.tasks[idx+1:]...)
-	delete(v.taskIdx, id)
-	for i := idx; i < len(v.tasks); i++ {
-		v.taskIdx[v.tasks[i].ID] = i
-	}
 	v.resum()
 	return nil
 }
@@ -196,19 +90,8 @@ func (v *VM) resum() {
 	v.cpuSum, v.memSum = cpu, mem
 }
 
-// TaskIndex returns the deployment-order index of task id (the i of TaskAt
-// and SetTaskCPU). An index stays valid until RemoveTask shifts the tasks
-// behind it.
-func (v *VM) TaskIndex(id string) (int, error) {
-	idx, ok := v.taskIdx[id]
-	if !ok {
-		return 0, fmt.Errorf("vmm: no task %q in vm %q", id, v.id)
-	}
-	return idx, nil
-}
-
 // SetTaskCPU updates the current CPU demand fraction of the i-th deployed
-// task (deployment order, see TaskIndex); the workload generator calls this
+// task (deployment order, see TaskAt); the workload generator calls this
 // every tick to realize dynamic load profiles, so callers resolve the index
 // once when they register the task.
 func (v *VM) SetTaskCPU(i int, fraction float64) error {
@@ -267,19 +150,4 @@ func (v *VM) TaskCPUStats() (sum, maxFraction float64) {
 // MemUsedGB returns active memory, capped at the allocation.
 func (v *VM) MemUsedGB() float64 {
 	return min(v.memSum, v.config.MemoryGB)
-}
-
-// ClassMix returns the fraction of tasks per class (zero map for no tasks).
-func (v *VM) ClassMix() map[TaskClass]float64 {
-	mix := make(map[TaskClass]float64, 4)
-	if len(v.tasks) == 0 {
-		return mix
-	}
-	for i := range v.tasks {
-		mix[v.tasks[i].Class]++
-	}
-	for c := range mix {
-		mix[c] /= float64(len(v.tasks))
-	}
-	return mix
 }
