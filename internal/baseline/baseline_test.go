@@ -163,7 +163,7 @@ func TestDynamicMethodString(t *testing.T) {
 
 func warmupTrace(t *testing.T) *timeseries.Series {
 	t.Helper()
-	s := timeseries.New()
+	s := &timeseries.Series{}
 	for tt := 0.0; tt <= 1200; tt += 5 {
 		s.MustAppend(tt, 70-(70-22)*math.Exp(-tt/150))
 	}
@@ -205,7 +205,7 @@ func TestReplayDynamicErrors(t *testing.T) {
 	if _, _, err := ReplayDynamic(nil, LastValue, 60); err == nil {
 		t.Error("nil trace should fail")
 	}
-	if _, _, err := ReplayDynamic(timeseries.New(), LastValue, 60); err == nil {
+	if _, _, err := ReplayDynamic(&timeseries.Series{}, LastValue, 60); err == nil {
 		t.Error("empty trace should fail")
 	}
 	trace := warmupTrace(t)
@@ -215,7 +215,7 @@ func TestReplayDynamicErrors(t *testing.T) {
 	if _, _, err := ReplayDynamic(trace, DynamicMethod(42), 60); err == nil {
 		t.Error("unknown method should fail")
 	}
-	short := timeseries.New()
+	short := &timeseries.Series{}
 	short.MustAppend(0, 20)
 	if _, _, err := ReplayDynamic(short, LastValue, 60); err == nil {
 		t.Error("short trace should fail")

@@ -54,11 +54,8 @@ func init() {
 	// The pending placement queue carries workload.Profile interface values;
 	// gob needs every concrete implementation registered.
 	gob.Register(workload.Constant{})
-	gob.Register(workload.Step{})
-	gob.Register(workload.Ramp{})
 	gob.Register(workload.Sine{})
 	gob.Register(workload.Bursty{})
-	gob.Register(&workload.Trace{})
 }
 
 // Proposal mirrors the controller's pending migration proposal (a checkpoint

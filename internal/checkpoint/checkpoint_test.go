@@ -25,10 +25,6 @@ import (
 // non-trivial counters.
 func sampleState(t *testing.T) *State {
 	t.Helper()
-	trace, err := workload.NewTrace([]workload.TracePoint{{T: 0, V: 0.2}, {T: 60, V: 0.9}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return &State{
 		SavedUnixNano: 1754600000_000000000,
 		Round:         17,
@@ -68,12 +64,9 @@ func sampleState(t *testing.T) *State {
 				Config: vmm.VMConfig{VCPUs: 4, MemoryGB: 8},
 				Tasks: []workload.TaskSpec{
 					{Task: vmm.Task{ID: "t0", Class: vmm.CPUBound, CPUFraction: 0.9}, Profile: workload.Constant{Level: 0.9}},
-					{Task: vmm.Task{ID: "t1", Class: vmm.MemBound, CPUFraction: 0.5}, Profile: workload.Step{Before: 0.2, After: 0.8, SwitchAt: 30}},
-					{Task: vmm.Task{ID: "t2", Class: vmm.CPUBound, CPUFraction: 0.5}, Profile: workload.Ramp{From: 0.1, To: 0.9, Start: 0, Duration: 120}},
-					{Task: vmm.Task{ID: "t3", Class: vmm.CPUBound, CPUFraction: 0.5}, Profile: workload.Sine{Base: 0.5, Amplitude: 0.3, Period: 300}},
-					{Task: vmm.Task{ID: "t4", Class: vmm.CPUBound, CPUFraction: 0.5}, Profile: workload.Bursty{Low: 0.1, High: 0.9, Period: 60, DutyCycle: 0.25}},
-					{Task: vmm.Task{ID: "t5", Class: vmm.CPUBound, CPUFraction: 0.5}, Profile: trace},
-					{Task: vmm.Task{ID: "t6", Class: vmm.IOBound, CPUFraction: 0.1}}, // nil profile
+					{Task: vmm.Task{ID: "t1", Class: vmm.MemBound, CPUFraction: 0.5}, Profile: workload.Sine{Base: 0.5, Amplitude: 0.3, Period: 300}},
+					{Task: vmm.Task{ID: "t2", Class: vmm.CPUBound, CPUFraction: 0.5}, Profile: workload.Bursty{Low: 0.1, High: 0.9, Period: 60, DutyCycle: 0.25}},
+					{Task: vmm.Task{ID: "t3", Class: vmm.IOBound, CPUFraction: 0.1}}, // nil profile
 				},
 			},
 		},
@@ -118,10 +111,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, st) {
 		t.Fatalf("round trip diverged:\ngot:  %+v\nwant: %+v", got, st)
 	}
-	// The trace profile must still evaluate (not just structurally match).
-	p := got.PendingVMs[0].Tasks[5].Profile
-	if v := p.At(30); math.Abs(v-0.55) > 1e-12 {
-		t.Fatalf("restored trace profile At(30) = %v, want 0.55", v)
+	// The sine profile must still evaluate (not just structurally match).
+	p := got.PendingVMs[0].Tasks[1].Profile
+	if v := p.At(75); math.Abs(v-0.8) > 1e-12 {
+		t.Fatalf("restored sine profile At(75) = %v, want 0.8", v)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 //	ψ*(t) = ψ_stable                                                     t > t_break
 //
 // δ shapes the warm-up rate (small δ = steeper initial rise). The camera-
-// ready equation is typographically damaged; this reconstruction satisfies
-// all constraints stated in the prose — see DESIGN.md §1.
+// ready equation is typographically damaged; this reconstruction meets the
+// constraints the prose states: ψ*(0) = φ(0), ψ*(t_break) = ψ_stable, the
+// curve is monotone between them, and it changes fastest at the start
+// ("first variation, then stability").
 type Curve struct {
 	// Phi0 is the measured temperature at experiment start, φ(0).
 	Phi0 float64

@@ -19,7 +19,6 @@ type DriftDetector struct {
 	residuals []float64 // ring buffer of squared errors
 	next      int
 	filled    bool
-	total     int
 }
 
 // NewDriftDetector creates a detector: drift is declared when the MSE over
@@ -49,7 +48,6 @@ func (d *DriftDetector) Observe(predicted, actual float64) bool {
 	if d.next == 0 {
 		d.filled = true
 	}
-	d.total++
 	return d.Drifted()
 }
 
@@ -78,9 +76,6 @@ func (d *DriftDetector) WindowMSE() float64 {
 	return sum / float64(n)
 }
 
-// Observations returns how many pairs have been observed in total.
-func (d *DriftDetector) Observations() int { return d.total }
-
 // Reset clears the window (call after retraining).
 func (d *DriftDetector) Reset() {
 	for i := range d.residuals {
@@ -88,5 +83,4 @@ func (d *DriftDetector) Reset() {
 	}
 	d.next = 0
 	d.filled = false
-	d.total = 0
 }

@@ -25,14 +25,6 @@ type Calibrator struct {
 // DefaultLambda is the paper's learning rate.
 const DefaultLambda = 0.8
 
-// NewCalibrator returns a calibrator with learning rate lambda in [0, 1].
-func NewCalibrator(lambda float64) (*Calibrator, error) {
-	if lambda < 0 || lambda > 1 {
-		return nil, fmt.Errorf("core: lambda %v outside [0,1]", lambda)
-	}
-	return &Calibrator{lambda: lambda}, nil
-}
-
 // Update applies Eqs. (5)–(6) for a measurement and the corresponding
 // pre-defined curve value, returning the new γ.
 func (c *Calibrator) Update(measured, curveValue float64) float64 {
@@ -44,12 +36,6 @@ func (c *Calibrator) Update(measured, curveValue float64) float64 {
 
 // Gamma returns the current calibration.
 func (c *Calibrator) Gamma() float64 { return c.gamma }
-
-// Updates returns how many calibration updates have been applied.
-func (c *Calibrator) Updates() int { return c.updates }
-
-// Reset clears the calibration back to γ = 0.
-func (c *Calibrator) Reset() { c.gamma = 0; c.updates = 0 }
 
 // DynamicConfig parameterizes online dynamic prediction (Eq. 8).
 type DynamicConfig struct {
@@ -145,9 +131,6 @@ func (d *DynamicPredictor) PredictAt(target float64) float64 {
 
 // Gamma exposes the current calibration (for instrumentation).
 func (d *DynamicPredictor) Gamma() float64 { return d.cal.Gamma() }
-
-// Config returns the predictor's configuration.
-func (d *DynamicPredictor) Config() DynamicConfig { return d.cfg }
 
 // PredictorState is the complete serializable state of a DynamicPredictor —
 // everything needed to rebuild one that behaves bit-identically: the curve

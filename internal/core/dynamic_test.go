@@ -11,24 +11,10 @@ import (
 	"vmtherm/internal/workload"
 )
 
-func TestNewCalibratorValidation(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.1} {
-		if _, err := NewCalibrator(bad); err == nil {
-			t.Errorf("lambda %v should fail", bad)
-		}
-	}
-	if _, err := NewCalibrator(0); err != nil {
-		t.Error("lambda 0 (no calibration) must be allowed")
-	}
-}
-
 func TestCalibratorPaperExample(t *testing.T) {
 	// Paper Eqs. (5)–(6): γ starts at 0; at t=15 the measurement differs
 	// from ψ*(15) by dif, and γ becomes λ·dif.
-	cal, err := NewCalibrator(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := &Calibrator{lambda: 0.8}
 	if cal.Gamma() != 0 {
 		t.Fatal("γ must start at 0")
 	}
@@ -43,20 +29,13 @@ func TestCalibratorPaperExample(t *testing.T) {
 	if math.Abs(got-2.72) > 1e-12 {
 		t.Errorf("γ after second update = %v, want 2.72", got)
 	}
-	if cal.Updates() != 2 {
-		t.Errorf("updates = %d", cal.Updates())
-	}
-	cal.Reset()
-	if cal.Gamma() != 0 || cal.Updates() != 0 {
-		t.Error("Reset incomplete")
+	if cal.updates != 2 {
+		t.Errorf("updates = %d", cal.updates)
 	}
 }
 
 func TestCalibratorZeroLambdaNeverMoves(t *testing.T) {
-	cal, err := NewCalibrator(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := &Calibrator{lambda: 0}
 	for i := 0; i < 10; i++ {
 		cal.Update(100, 0)
 	}
@@ -67,10 +46,7 @@ func TestCalibratorZeroLambdaNeverMoves(t *testing.T) {
 
 func TestCalibratorConvergesToConstantOffset(t *testing.T) {
 	// With a constant measurement offset, γ must converge to that offset.
-	cal, err := NewCalibrator(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cal := &Calibrator{lambda: 0.8}
 	const offset = 5.0
 	for i := 0; i < 30; i++ {
 		cal.Update(60+offset, 60)
@@ -179,7 +155,7 @@ func TestNewDynamicPredictorValidation(t *testing.T) {
 // which deliberately differs from the log curve.
 func syntheticTrace(t *testing.T, phi0, stable, tau float64, duration, step float64) *timeseries.Series {
 	t.Helper()
-	s := timeseries.New()
+	s := &timeseries.Series{}
 	for tt := 0.0; tt <= duration; tt += step {
 		v := stable + (phi0-stable)*math.Exp(-tt/tau)
 		s.MustAppend(tt, v)
@@ -219,7 +195,7 @@ func TestReplayPerfectCurveIsNearPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := timeseries.New()
+	s := &timeseries.Series{}
 	for tt := 0.0; tt <= 1200; tt += 5 {
 		s.MustAppend(tt, curve.Value(tt))
 	}
@@ -237,10 +213,10 @@ func TestReplayErrors(t *testing.T) {
 	if _, err := Replay(nil, curve, DefaultDynamicConfig()); err == nil {
 		t.Error("nil trace should fail")
 	}
-	if _, err := Replay(timeseries.New(), curve, DefaultDynamicConfig()); err == nil {
+	if _, err := Replay(&timeseries.Series{}, curve, DefaultDynamicConfig()); err == nil {
 		t.Error("empty trace should fail")
 	}
-	short := timeseries.New()
+	short := &timeseries.Series{}
 	short.MustAppend(0, 20)
 	short.MustAppend(5, 21)
 	if _, err := Replay(short, curve, DefaultDynamicConfig()); err == nil {
@@ -281,10 +257,10 @@ func TestProfileTrace(t *testing.T) {
 	if _, _, err := ProfileTrace(nil, 600); err == nil {
 		t.Error("nil trace should fail")
 	}
-	if _, _, err := ProfileTrace(timeseries.New(), 600); err == nil {
+	if _, _, err := ProfileTrace(&timeseries.Series{}, 600); err == nil {
 		t.Error("empty trace should fail")
 	}
-	short := timeseries.New()
+	short := &timeseries.Series{}
 	short.MustAppend(0, 20)
 	if _, _, err := ProfileTrace(short, 600); err == nil {
 		t.Error("trace ending before t_break should fail")
@@ -347,7 +323,7 @@ func TestEstimateTBreak(t *testing.T) {
 }
 
 func TestEstimateTBreakAlreadyStable(t *testing.T) {
-	s := timeseries.New()
+	s := &timeseries.Series{}
 	for tt := 0.0; tt <= 600; tt += 5 {
 		s.MustAppend(tt, 50)
 	}
@@ -361,7 +337,7 @@ func TestEstimateTBreakAlreadyStable(t *testing.T) {
 }
 
 func TestEstimateTBreakNeverSettles(t *testing.T) {
-	s := timeseries.New()
+	s := &timeseries.Series{}
 	for tt := 0.0; tt <= 600; tt += 5 {
 		s.MustAppend(tt, tt) // unbounded ramp
 	}

@@ -2,7 +2,10 @@ package dataset
 
 import (
 	"context"
+	"encoding/csv"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -258,20 +261,25 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&sb, recs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(strings.NewReader(sb.String()))
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(recs) {
-		t.Fatalf("round trip count %d vs %d", len(back), len(recs))
+	want := append(append([]string{"case"}, FeatureNames()...), "stable_temp_c")
+	if !slices.Equal(rows[0], want) {
+		t.Fatalf("header %v, want %v", rows[0], want)
 	}
-	for i := range recs {
-		if back[i].CaseName != recs[i].CaseName || back[i].StableTemp != recs[i].StableTemp {
-			t.Fatalf("record %d differs", i)
+	if len(rows) != len(recs)+1 {
+		t.Fatalf("%d rows for %d records", len(rows)-1, len(recs))
+	}
+	for i, rec := range recs {
+		row := rows[i+1]
+		if row[0] != rec.CaseName {
+			t.Fatalf("record %d case %q, want %q", i, row[0], rec.CaseName)
 		}
-		for j := range recs[i].Features {
-			if back[i].Features[j] != recs[i].Features[j] {
-				t.Fatalf("record %d feature %d differs", i, j)
+		for j, v := range append(slices.Clone(rec.Features), rec.StableTemp) {
+			if got, err := strconv.ParseFloat(row[j+1], 64); err != nil || got != v {
+				t.Fatalf("record %d column %d = %q, want %v", i, j+1, row[j+1], v)
 			}
 		}
 	}
@@ -283,22 +291,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 	if err := WriteCSV(&strings.Builder{}, []Record{{Features: []float64{1}}}); err == nil {
 		t.Error("short feature vector should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("bogus,header\n")); err == nil {
-		t.Error("bad header should fail")
-	}
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty file should fail")
-	}
-	// Correct header but no rows.
-	var sb strings.Builder
-	recs := []Record{{CaseName: "x", Features: make([]float64, NumFeatures()), StableTemp: 1}}
-	if err := WriteCSV(&sb, recs); err != nil {
-		t.Fatal(err)
-	}
-	headerOnly := strings.SplitAfterN(sb.String(), "\n", 2)[0]
-	if _, err := ReadCSV(strings.NewReader(headerOnly)); err == nil {
-		t.Error("header-only file should fail")
 	}
 }
 

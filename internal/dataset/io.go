@@ -38,52 +38,6 @@ func WriteCSV(w io.Writer, records []Record) error {
 	return cw.Error()
 }
 
-// ReadCSV parses records written by WriteCSV, validating the header.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	want := append(append([]string{"case"}, featureNames...), "stable_temp_c")
-	if len(header) != len(want) {
-		return nil, fmt.Errorf("dataset: header has %d columns, want %d", len(header), len(want))
-	}
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("dataset: header column %d is %q, want %q", i, header[i], want[i])
-		}
-	}
-	var records []Record
-	for line := 2; ; line++ {
-		row, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		rec := Record{CaseName: row[0], Features: make([]float64, len(featureNames))}
-		for i := range featureNames {
-			v, err := strconv.ParseFloat(row[i+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d feature %s: %w", line, featureNames[i], err)
-			}
-			rec.Features[i] = v
-		}
-		t, err := strconv.ParseFloat(row[len(row)-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d target: %w", line, err)
-		}
-		rec.StableTemp = t
-		records = append(records, rec)
-	}
-	if len(records) == 0 {
-		return nil, errors.New("dataset: file contains no records")
-	}
-	return records, nil
-}
-
 // WriteLIBSVM serializes records in LIBSVM's sparse training-file format
 // ("<target> 1:<f1> 2:<f2> ..."), usable directly with svm-train for
 // cross-checking against the reference implementation.

@@ -2,8 +2,7 @@
 // record {input, output} with input = {θ_cpu, θ_memory, θ_fan, ξ_VM, δ_env}
 // and output = ψ_stable. The paper leaves the encoding of ξ_VM ("VM
 // configurations and deployed tasks") unspecified; we aggregate it into
-// twelve numeric features documented on FeatureNames, and record that choice
-// in DESIGN.md §6.
+// twelve numeric features, listed and documented on FeatureNames.
 package dataset
 
 import (

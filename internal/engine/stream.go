@@ -3,8 +3,8 @@
 // readings, then sweep — ObserveBatch applies pushed readings to their
 // sessions the moment they arrive (per-shard locking, calibration on the
 // session's own Δ_update schedule, inline warm-anchor session creation),
-// and PredictOne/PredictFresh answer a Δ_gap-ahead query from current
-// session state without waiting for the next round.
+// and PredictFresh answers the Δ_gap-ahead query a reading implies from
+// current session state without waiting for the next round.
 //
 // The two paths compose: the calibrator in core.DynamicPredictor is
 // idempotent per timestamp (an observe within Δ_update of the last one is
@@ -40,13 +40,6 @@ type StreamStats struct {
 	// it, so the engine is the last line of defense even when an upstream
 	// pipeline already filters.
 	Rejected int
-}
-
-func (s *StreamStats) add(o StreamStats) {
-	s.Applied += o.Applied
-	s.Created += o.Created
-	s.Deferred += o.Deferred
-	s.Rejected += o.Rejected
 }
 
 // observeOne applies a single pushed reading: look the session up, create
@@ -102,7 +95,7 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 // ObserveBatch applies a batch of pushed readings to their sessions on
 // arrival. Hosts without a session are created inline when anchor resolves
 // a warm ψ_stable, otherwise counted as deferred for the next batch round.
-// Safe for concurrent use with Round, PredictOne, and itself; the warm
+// Safe for concurrent use with Round, PredictFresh, and itself; the warm
 // path (all sessions exist) performs zero allocations.
 func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup) StreamStats {
 	var st StreamStats
@@ -110,35 +103,6 @@ func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup)
 		e.observeOne(readings[i], anchor, &st)
 	}
 	return st
-}
-
-// PredictOne answers a Δ_gap-ahead prediction for one host from current
-// session state, without waiting for the next round. Staleness is measured
-// against the newest telemetry the session has observed (from either the
-// streaming or the batch path), so uncertainty widens exactly as Round
-// would report it. Allocation-free.
-func (e *Engine) PredictOne(id string, nowS float64) (Prediction, error) {
-	var p Prediction
-	s, ok := e.get(id)
-	if !ok {
-		return p, ErrNoSession
-	}
-	s.mu.Lock()
-	tempC := s.pred.Predict(s.localT(nowS))
-	lastAt := s.lastAtS
-	s.mu.Unlock()
-	staleness := nowS - lastAt
-	if staleness < 0 {
-		staleness = 0
-	}
-	p = Prediction{
-		HostID:       id,
-		TempC:        tempC,
-		UncertaintyC: e.cfg.UncertaintyBaseC + e.cfg.UncertaintyPerSC*staleness,
-		StalenessS:   staleness,
-		Stale:        staleness > e.cfg.StaleAfterS,
-	}
-	return p, nil
 }
 
 // PredictFresh is the synchronous-predictive ingest primitive: apply one

@@ -33,14 +33,10 @@ func TestObserveBatchAppliesAndCreates(t *testing.T) {
 		t.Fatalf("sessions = %d, want 2", e.Len())
 	}
 	// The created session is live and predictable without any round.
-	p, err := e.PredictOne("warm", 0)
-	if err != nil {
+	if _, _, err := e.Predict("warm", 0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Stale || p.StalenessS != 0 || p.UncertaintyC != e.Config().UncertaintyBaseC {
-		t.Fatalf("fresh streamed host degraded: %+v", p)
-	}
-	if _, err := e.PredictOne("cold", 0); !errors.Is(err, ErrNoSession) {
+	if _, _, err := e.Predict("cold", 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("deferred host grew a session: %v", err)
 	}
 	// No lookup at all defers too.
@@ -66,7 +62,7 @@ func TestStreamObserveMatchesBatchObserve(t *testing.T) {
 	if _, err := eb.Observe("h0", 0, 26); err != nil {
 		t.Fatal(err)
 	}
-	ps, err := es.PredictOne("h0", 0)
+	ts, _, err := es.Predict("h0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +70,8 @@ func TestStreamObserveMatchesBatchObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.TempC != tb {
-		t.Fatalf("streamed prediction %v != observed prediction %v", ps.TempC, tb)
+	if ts != tb {
+		t.Fatalf("streamed prediction %v != observed prediction %v", ts, tb)
 	}
 
 	// Round re-presents the same newest reading: γ must not move again.
@@ -85,31 +81,6 @@ func TestStreamObserveMatchesBatchObserve(t *testing.T) {
 	g2, _ := es.Observe("h0", 0, 26)
 	if g1 != g2 {
 		t.Fatalf("round re-calibrated an already-streamed reading: γ %v → %v", g1, g2)
-	}
-}
-
-// TestPredictOneStaleness: PredictOne's staleness tracks the newest
-// observed telemetry and widens uncertainty exactly like a round would.
-func TestPredictOneStaleness(t *testing.T) {
-	e := testEngine(t, func(c *Config) { c.StaleAfterS = 45 })
-	if err := e.Create("h0", SessionParams{Phi0: 20, StableC: 60}); err != nil {
-		t.Fatal(err)
-	}
-	e.ObserveBatch([]telemetry.Reading{{HostID: "h0", AtS: 10, TempC: 25}}, nil)
-	p, err := e.PredictOne("h0", 110)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.StalenessS != 100 || !p.Stale {
-		t.Fatalf("staleness %v stale %v, want 100/true", p.StalenessS, p.Stale)
-	}
-	wantU := e.Config().UncertaintyBaseC + e.Config().UncertaintyPerSC*100
-	if math.Abs(p.UncertaintyC-wantU) > 1e-9 {
-		t.Fatalf("uncertainty %v, want %v", p.UncertaintyC, wantU)
-	}
-	// A query timestamped before the newest telemetry clamps to zero.
-	if p, _ := e.PredictOne("h0", 5); p.StalenessS != 0 || p.Stale {
-		t.Fatalf("negative staleness leaked: %+v", p)
 	}
 }
 
@@ -132,12 +103,12 @@ func TestPredictFreshReturnsPrediction(t *testing.T) {
 	// It must agree with an observe-then-predict pair on a twin engine.
 	e2 := testEngine(t, nil)
 	e2.ObserveBatch([]telemetry.Reading{{HostID: "h0", AtS: 0, TempC: 25}}, warm)
-	q, err := e2.PredictOne("h0", 0)
+	q, _, err := e2.Predict("h0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.TempC != q.TempC {
-		t.Fatalf("PredictFresh %v != ObserveBatch+PredictOne %v", p.TempC, q.TempC)
+	if p.TempC != q {
+		t.Fatalf("PredictFresh %v != ObserveBatch+Predict %v", p.TempC, q)
 	}
 	// A cold host defers and produces nothing.
 	cold := func(telemetry.Reading) (float64, bool) { return 0, false }
@@ -179,7 +150,7 @@ func TestStreamObserveZeroAllocWarm(t *testing.T) {
 			if !e.PredictFresh(readings[i], nil, &st, &p) {
 				t.Fatal("warm PredictFresh failed")
 			}
-			if _, err := e.PredictOne(readings[i].HostID, now); err != nil {
+			if _, _, err := e.Predict(readings[i].HostID, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +165,7 @@ func TestStreamObserveZeroAllocWarm(t *testing.T) {
 }
 
 // TestStreamConcurrentWithRound hammers the composition under -race:
-// ObserveBatch, PredictOne and PredictFresh run concurrently with batch
+// ObserveBatch, Predict and PredictFresh run concurrently with batch
 // rounds over overlapping hosts, plus create/delete churn on a disjoint
 // stripe. Correctness here is no data race, no lost sessions, and every
 // prediction finite.
@@ -266,11 +237,11 @@ func TestStreamConcurrentWithRound(t *testing.T) {
 					t.Errorf("non-finite prediction %+v", p)
 					return
 				}
-				if q, err := e.PredictOne(batch[1].HostID, now); err != nil {
+				if q, _, err := e.Predict(batch[1].HostID, now); err != nil {
 					t.Error(err)
 					return
-				} else if math.IsNaN(q.TempC) {
-					t.Errorf("NaN prediction for %s", q.HostID)
+				} else if math.IsNaN(q) {
+					t.Errorf("NaN prediction for %s", batch[1].HostID)
 					return
 				}
 				// Churn a worker-private host through create/stream/delete.

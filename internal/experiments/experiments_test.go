@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -21,32 +22,40 @@ func fastFig1b(seed int64) Fig1bConfig {
 	return cfg
 }
 
+// TestFig1aReproducesPaperBand gates the paper's Fig. 1(a) claim, average
+// stable MSE within 1.10, at the default 160 training cases with 100 test
+// cases, on each of five seeds: one seed can pass a looser gate by luck.
 func TestFig1aReproducesPaperBand(t *testing.T) {
-	res, err := RunFig1a(context.Background(), fastFig1a(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cases) != 8 {
-		t.Fatalf("cases = %d", len(res.Cases))
-	}
-	// Paper: average MSE within 1.10 on the full experiment; the scaled-down
-	// training set earns a looser but still-tight bound.
-	if res.MSE > 2.0 {
-		t.Errorf("Fig1a MSE = %v, want < 2.0", res.MSE)
-	}
-	for _, c := range res.Cases {
-		if c.VMs < 1 || c.VMs > 12 {
-			t.Errorf("case %s has %d VMs, outside 2-12 shape", c.Name, c.VMs)
-		}
-		if c.Actual < 18 || c.Actual > 110 {
-			t.Errorf("case %s actual %v implausible", c.Name, c.Actual)
-		}
-	}
-	text := res.Render()
-	for _, want := range []string{"Fig 1(a)", "average MSE", "grid:"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("render missing %q", want)
-		}
+	for seed := int64(2016); seed <= 2020; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			cfg := DefaultFig1aConfig(seed)
+			cfg.TestCases = 100
+			res, err := RunFig1a(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Cases) != 100 {
+				t.Fatalf("cases = %d", len(res.Cases))
+			}
+			t.Logf("MSE %.3f over %d test cases", res.MSE, len(res.Cases))
+			if res.MSE > 1.10 {
+				t.Errorf("Fig1a MSE = %v, want ≤ 1.10", res.MSE)
+			}
+			for _, c := range res.Cases {
+				if c.VMs < 1 || c.VMs > 12 {
+					t.Errorf("case %s has %d VMs, outside 2-12 shape", c.Name, c.VMs)
+				}
+				if c.Actual < 18 || c.Actual > 110 {
+					t.Errorf("case %s actual %v implausible", c.Name, c.Actual)
+				}
+			}
+			text := res.Render()
+			for _, want := range []string{"Fig 1(a)", "average MSE", "grid:"} {
+				if !strings.Contains(text, want) {
+					t.Errorf("render missing %q", want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package experiments regenerates the paper's evaluation: Fig. 1(a) stable
 // prediction over 20 randomized cases, Fig. 1(b) the calibrated-vs-
 // uncalibrated dynamic case study, Fig. 1(c) the Δ_gap × Δ_update accuracy
-// sweep — plus the ablations DESIGN.md calls out (λ, curve δ, baselines,
-// fan count). Each experiment returns a typed result with a Render method
-// that prints the same rows/series the paper reports.
+// sweep — plus ablations of λ, the curve's δ, the baselines, sensor noise
+// and the fan count. Each experiment returns a typed result with a Render
+// method that prints the same rows/series the paper reports.
 package experiments
 
 import (

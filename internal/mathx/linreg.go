@@ -2,39 +2,6 @@ package mathx
 
 import "errors"
 
-// LinearFit holds an ordinary-least-squares fit y = Intercept + Slope*x.
-type LinearFit struct {
-	Intercept float64
-	Slope     float64
-}
-
-// FitLinear performs ordinary least squares on the paired samples (xs, ys).
-// It requires at least two distinct x values.
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, ErrLengthMismatch
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, errors.New("mathx: need at least 2 points for linear fit")
-	}
-	mx := MustMean(xs)
-	my := MustMean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("mathx: degenerate x values for linear fit")
-	}
-	slope := sxy / sxx
-	return LinearFit{Intercept: my - slope*mx, Slope: slope}, nil
-}
-
-// At evaluates the fit at x.
-func (f LinearFit) At(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // MultiLinearFit holds a multivariate least-squares fit
 // y = Coef[0] + Coef[1]*x1 + ... + Coef[d]*xd.
 type MultiLinearFit struct {

@@ -5,54 +5,6 @@ import (
 	"testing"
 )
 
-func TestFitLinearExact(t *testing.T) {
-	// y = 3 + 2x, exactly.
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 + 2*x
-	}
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !AlmostEqual(fit.Intercept, 3, 1e-9) || !AlmostEqual(fit.Slope, 2, 1e-9) {
-		t.Errorf("fit = %+v, want intercept 3 slope 2", fit)
-	}
-	if !AlmostEqual(fit.At(10), 23, 1e-9) {
-		t.Errorf("At(10) = %v, want 23", fit.At(10))
-	}
-}
-
-func TestFitLinearNoisy(t *testing.T) {
-	g := NewRNG(1)
-	var xs, ys []float64
-	for i := 0; i < 500; i++ {
-		x := g.Uniform(0, 10)
-		xs = append(xs, x)
-		ys = append(ys, 5-1.5*x+g.Normal(0, 0.1))
-	}
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Intercept-5) > 0.1 || math.Abs(fit.Slope+1.5) > 0.05 {
-		t.Errorf("noisy fit = %+v, want ~(5, -1.5)", fit)
-	}
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("expected error for single point")
-	}
-	if _, err := FitLinear([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-	if _, err := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("expected error for constant x")
-	}
-}
-
 func TestFitMultiLinearExact(t *testing.T) {
 	// y = 1 + 2a - 3b
 	features := [][]float64{
@@ -68,11 +20,11 @@ func TestFitMultiLinearExact(t *testing.T) {
 	}
 	want := []float64{1, 2, -3}
 	for i, c := range want {
-		if !AlmostEqual(fit.Coef[i], c, 1e-8) {
+		if !almostEqual(fit.Coef[i], c, 1e-8) {
 			t.Errorf("Coef[%d] = %v, want %v", i, fit.Coef[i], c)
 		}
 	}
-	if got := fit.At([]float64{5, 5}); !AlmostEqual(got, 1+10-15, 1e-8) {
+	if got := fit.At([]float64{5, 5}); !almostEqual(got, 1+10-15, 1e-8) {
 		t.Errorf("At = %v", got)
 	}
 }
@@ -109,7 +61,7 @@ func TestSolveGaussianKnownSystem(t *testing.T) {
 	}
 	want := []float64{2, 3, -1}
 	for i := range want {
-		if !AlmostEqual(x[i], want[i], 1e-9) {
+		if !almostEqual(x[i], want[i], 1e-9) {
 			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
 		}
 	}

@@ -1,6 +1,6 @@
-// Package mathx provides deterministic randomness plumbing and the summary
-// statistics used throughout vmtherm: error metrics (MSE, MAE, RMSE, R²),
-// online moments, percentiles, and small least-squares fits.
+// Package mathx provides deterministic randomness plumbing and the few
+// statistics vmtherm computes: the error metrics MSE and MAE, a running
+// mean, and the least-squares fits behind the regression baselines.
 //
 // Every stochastic component in the repository draws from an explicit *RNG
 // seeded by the caller; there is no package-level random state. This keeps
@@ -16,7 +16,7 @@ import (
 // distributions used by the simulator and workload generators.
 //
 // RNG is not safe for concurrent use; derive independent children with
-// Split for use across goroutines.
+// SplitStable for use across goroutines.
 type RNG struct {
 	r *rand.Rand
 }
@@ -24,18 +24,6 @@ type RNG struct {
 // NewRNG returns a deterministic RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
-
-// Split derives an independent child RNG from the parent seed and a label.
-// Children with distinct labels produce uncorrelated streams, and the same
-// (seed, label) pair always produces the same stream. The parent's own
-// sequence is not consumed.
-func (g *RNG) Split(label string) *RNG {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(label))
-	// Mix the label hash with a value drawn from a throwaway source seeded by
-	// the parent state; using Int63 on the parent would consume its sequence.
-	return NewRNG(int64(h.Sum64()) ^ g.r.Int63())
 }
 
 // SplitStable derives a child RNG from only the label, independent of how
@@ -46,9 +34,6 @@ func SplitStable(seed int64, label string) *RNG {
 	_, _ = h.Write([]byte(label))
 	return NewRNG(seed ^ int64(h.Sum64()))
 }
-
-// Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Uniform returns a uniform value in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
@@ -76,34 +61,5 @@ func (g *RNG) IntBetween(lo, hi int) int {
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
-// Exp returns an exponentially distributed sample with the given mean.
-func (g *RNG) Exp(mean float64) float64 { return g.r.ExpFloat64() * mean }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Choice returns a uniformly chosen index weighted by weights. Weights must
-// be non-negative and not all zero.
-func (g *RNG) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("mathx: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		panic("mathx: all weights zero")
-	}
-	x := g.r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -3,7 +3,6 @@ package mathx
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by statistics that are undefined on empty input.
@@ -29,34 +28,6 @@ func Mean(xs []float64) (float64, error) {
 	return Sum(xs) / float64(len(xs)), nil
 }
 
-// MustMean is Mean for callers that have already validated non-emptiness.
-// It panics on empty input.
-func MustMean(xs []float64) float64 {
-	m, err := Mean(xs)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Variance returns the unbiased sample variance of xs.
-// It returns 0 for slices of length < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := MustMean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MSE returns the mean squared error between predicted and actual values.
 func MSE(pred, actual []float64) (float64, error) {
 	if len(pred) != len(actual) {
@@ -73,15 +44,6 @@ func MSE(pred, actual []float64) (float64, error) {
 	return ss / float64(len(pred)), nil
 }
 
-// RMSE returns the root mean squared error between predicted and actual.
-func RMSE(pred, actual []float64) (float64, error) {
-	mse, err := MSE(pred, actual)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(mse), nil
-}
-
 // MAE returns the mean absolute error between predicted and actual.
 func MAE(pred, actual []float64) (float64, error) {
 	if len(pred) != len(actual) {
@@ -96,86 +58,3 @@ func MAE(pred, actual []float64) (float64, error) {
 	}
 	return s / float64(len(pred)), nil
 }
-
-// R2 returns the coefficient of determination of pred against actual.
-// A perfect predictor scores 1; predicting the mean scores 0. If actual has
-// zero variance, R2 returns an error because the score is undefined.
-func R2(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, ErrLengthMismatch
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	m := MustMean(actual)
-	var ssRes, ssTot float64
-	for i := range actual {
-		r := actual[i] - pred[i]
-		d := actual[i] - m
-		ssRes += r * r
-		ssTot += d * d
-	}
-	if ssTot == 0 {
-		return 0, errors.New("mathx: R2 undefined for constant actuals")
-	}
-	return 1 - ssRes/ssTot, nil
-}
-
-// MinMax returns the minimum and maximum of xs, or an error if xs is empty.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("mathx: percentile out of range")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// AlmostEqual reports whether a and b differ by at most tol.
-func AlmostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -1,63 +1,17 @@
 package mathx
 
-import "math"
-
-// Welford accumulates mean and variance in a single numerically-stable pass.
+// Welford keeps a running mean in a single numerically-stable pass.
 // The zero value is ready to use.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
-// Add incorporates x into the running statistics.
+// Add incorporates x into the running mean.
 func (w *Welford) Add(x float64) {
 	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
-
-// AddAll incorporates every value of xs.
-func (w *Welford) AddAll(xs []float64) {
-	for _, x := range xs {
-		w.Add(x)
-	}
-}
-
-// N returns the number of samples seen.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean, or 0 before any samples.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// samples.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another accumulator into w (parallel Welford merge).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
-}
-
-// Reset clears the accumulator back to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }

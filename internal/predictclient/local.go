@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 )
 
 // NewLocal creates a client whose requests are served by handler directly,
@@ -18,41 +17,6 @@ func NewLocal(handler http.Handler, opts ...Option) (*Client, error) {
 	}
 	local := &http.Client{Transport: localTransport{h: handler}}
 	return New("http://in-process", append([]Option{WithHTTPClient(local)}, opts...)...)
-}
-
-// WithTimingHook observes every request the client issues: method, URL
-// path, wall-clock duration, and the transport error (nil on any HTTP
-// response, including non-2xx). The hook wraps the transport, so it sees
-// exactly what left the client — the per-endpoint timing tap the capacity
-// harness and dashboards build on. It must be safe for concurrent calls.
-func WithTimingHook(hook func(method, path string, d time.Duration, err error)) Option {
-	return func(c *Client) {
-		if hook == nil {
-			return
-		}
-		base := c.http.Transport
-		if base == nil {
-			base = http.DefaultTransport
-		}
-		// Copy the http.Client so a shared/injected client is not mutated.
-		hooked := *c.http
-		hooked.Transport = timingTransport{base: base, hook: hook}
-		c.http = &hooked
-	}
-}
-
-// timingTransport times each round trip and forwards to the hook.
-type timingTransport struct {
-	base http.RoundTripper
-	hook func(method, path string, d time.Duration, err error)
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t timingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	start := time.Now()
-	resp, err := t.base.RoundTrip(req)
-	t.hook(req.Method, req.URL.Path, time.Since(start), err)
-	return resp, err
 }
 
 // localTransport serves round trips by calling the handler synchronously.

@@ -3,9 +3,7 @@ package predictclient
 import (
 	"context"
 	"net/http"
-	"sync"
 	"testing"
-	"time"
 )
 
 // localHandler is a stand-in service: /healthz answers ok, anything else 404.
@@ -40,53 +38,5 @@ func TestNewLocalServesHandlerInProcess(t *testing.T) {
 func TestNewLocalRejectsNilHandler(t *testing.T) {
 	if _, err := NewLocal(nil); err == nil {
 		t.Fatal("nil handler accepted")
-	}
-}
-
-func TestTimingHookObservesRequests(t *testing.T) {
-	type obs struct {
-		method, path string
-		d            time.Duration
-		err          error
-	}
-	var (
-		mu   sync.Mutex
-		seen []obs
-	)
-	c, err := NewLocal(localHandler(), WithTimingHook(func(method, path string, d time.Duration, err error) {
-		mu.Lock()
-		seen = append(seen, obs{method, path, d, err})
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Healthy(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(seen))
-	}
-	got := seen[0]
-	if got.method != http.MethodGet || got.path != "/healthz" || got.err != nil {
-		t.Fatalf("hook observed %+v, want GET /healthz with nil error", got)
-	}
-	if got.d < 0 {
-		t.Fatalf("negative duration %v", got.d)
-	}
-}
-
-func TestTimingHookDoesNotMutateInjectedClient(t *testing.T) {
-	shared := &http.Client{Timeout: 3 * time.Second}
-	_, err := New("http://127.0.0.1:1",
-		WithHTTPClient(shared),
-		WithTimingHook(func(string, string, time.Duration, error) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.Transport != nil {
-		t.Fatal("WithTimingHook mutated the injected http.Client's transport")
 	}
 }

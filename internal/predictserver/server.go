@@ -519,11 +519,6 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
-// SessionCount reports active dynamic sessions (for observability).
-func (s *Server) SessionCount() int {
-	return s.eng.Len()
-}
-
 // writeJSON encodes v before the status line goes out, so a value
 // encoding/json refuses (a NaN or ±Inf float) answers 500 with an error
 // body rather than the chosen status and no body at all.

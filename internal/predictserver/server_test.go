@@ -156,8 +156,8 @@ func TestDynamicSessionLifecycle(t *testing.T) {
 	if sess.ID == "" || sess.StableTempC <= 22 {
 		t.Fatalf("session = %+v", sess)
 	}
-	if srv.SessionCount() != 1 {
-		t.Errorf("session count = %d", srv.SessionCount())
+	if srv.eng.Len() != 1 {
+		t.Errorf("session count = %d", srv.eng.Len())
 	}
 
 	// Observe a measurement 2° above the curve start: γ moves λ·dif.
@@ -201,8 +201,8 @@ func TestDynamicSessionLifecycle(t *testing.T) {
 	if delResp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", delResp.StatusCode)
 	}
-	if srv.SessionCount() != 0 {
-		t.Errorf("session count after delete = %d", srv.SessionCount())
+	if srv.eng.Len() != 0 {
+		t.Errorf("session count after delete = %d", srv.eng.Len())
 	}
 	getResp2, err := http.Get(fmt.Sprintf("%s/v1/session/%s/predict?t=0", ts.URL, sess.ID))
 	if err != nil {
@@ -513,8 +513,8 @@ func TestConcurrentSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if srv.SessionCount() != 8 {
-		t.Errorf("session count = %d, want 8", srv.SessionCount())
+	if srv.eng.Len() != 8 {
+		t.Errorf("session count = %d, want 8", srv.eng.Len())
 	}
 }
 

@@ -125,16 +125,6 @@ func (r *Runner) Step() (fleet.RoundReport, error) {
 	return rep, nil
 }
 
-// Run drives the whole timeline and returns the final graded report.
-func (r *Runner) Run() (Report, error) {
-	for i := 0; i < r.spec.Rounds; i++ {
-		if _, err := r.Step(); err != nil {
-			return Report{}, err
-		}
-	}
-	return r.Report(), nil
-}
-
 // apply fires one event on the substrate the controller lends; a surge and
 // its end also keep the list of VMs the surge placed.
 func (r *Runner) apply(e Event) error {

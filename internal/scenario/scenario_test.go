@@ -33,6 +33,16 @@ func testFleet(t *testing.T, mutate func(*fleet.Config)) *fleet.Controller {
 	return c
 }
 
+// runTimeline drives the whole timeline and returns the final graded report.
+func runTimeline(r *Runner) (Report, error) {
+	for i := 0; i < r.spec.Rounds; i++ {
+		if _, err := r.Step(); err != nil {
+			return Report{}, err
+		}
+	}
+	return r.Report(), nil
+}
+
 func runBuiltin(t *testing.T, name string, mutate func(*fleet.Config)) Report {
 	t.Helper()
 	spec, ok := Builtin(name)
@@ -43,7 +53,7 @@ func runBuiltin(t *testing.T, name string, mutate func(*fleet.Config)) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run()
+	rep, err := runTimeline(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +243,7 @@ func TestScenarioDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := r.Run()
+		rep, err := runTimeline(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +447,7 @@ func TestStatusDuringSteps(t *testing.T) {
 			}
 		}
 	}()
-	_, err = r.Run()
+	_, err = runTimeline(r)
 	close(stop)
 	t.Logf("%d status polls during the run", <-polled)
 	if err != nil {

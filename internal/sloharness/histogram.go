@@ -80,14 +80,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Max reports the largest recorded sample exactly.
 func (h *Histogram) Max() time.Duration { return h.max }
 
-// Reset zeroes the histogram for reuse without reallocating.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
-	h.count, h.overflow, h.max = 0, 0, 0
-}
-
 // Quantile returns the latency at quantile p ∈ [0, 1] as the upper edge of
 // the bucket holding the sample at 0-based rank ⌊p·(n−1)⌋ — the same rank a
 // sorted-slice oracle indexes, so the answer exceeds the oracle's by less

@@ -100,12 +100,6 @@ const (
 	SecondOrder
 )
 
-// newSolver sets up SMO over the samples x, evaluating kernel rows as the
-// solver asks for them.
-func newSolver(x [][]float64, z []float64, k Kernel, c, eps, tol float64, maxIt int, rule SelectionRule) *solver {
-	return cacheSolver(newRowCache(len(x), k, x), z, c, eps, tol, maxIt, rule)
-}
-
 // cacheSolver sets up SMO over the samples whose kernel rows cache serves,
 // with targets z.
 func cacheSolver(cache *rowCache, z []float64, c, eps, tol float64, maxIt int, rule SelectionRule) *solver {

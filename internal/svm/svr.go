@@ -25,20 +25,6 @@ type TrainParams struct {
 	Selection SelectionRule
 }
 
-// DefaultTrainParams mirrors the paper's setup: RBF kernel, with C/γ meant
-// to be replaced by a grid search (internal/mlgrid is the easygrid stand-in).
-func DefaultTrainParams(dim int) TrainParams {
-	gamma := 1.0
-	if dim > 0 {
-		gamma = 1.0 / float64(dim) // LIBSVM's default: 1/num_features
-	}
-	return TrainParams{
-		Kernel:  Kernel{Type: RBF, Gamma: gamma},
-		C:       1,
-		Epsilon: 0.1,
-	}
-}
-
 // Validate checks the training configuration.
 func (p TrainParams) Validate() error {
 	if err := p.Kernel.Validate(); err != nil {

@@ -11,6 +11,20 @@ import (
 	"vmtherm/internal/mathx"
 )
 
+// defaultTrainParams mirrors the paper's setup: RBF kernel, with C/γ meant
+// to be replaced by a grid search (internal/mlgrid is the easygrid stand-in).
+func defaultTrainParams(dim int) TrainParams {
+	gamma := 1.0
+	if dim > 0 {
+		gamma = 1.0 / float64(dim) // LIBSVM's default: 1/num_features
+	}
+	return TrainParams{
+		Kernel:  Kernel{Type: RBF, Gamma: gamma},
+		C:       1,
+		Epsilon: 0.1,
+	}
+}
+
 func TestTrainParamsValidate(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -34,7 +48,7 @@ func TestTrainParamsValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := DefaultTrainParams(4)
+			p := defaultTrainParams(4)
 			tt.mutate(&p)
 			err := p.Validate()
 			if (err == nil) != tt.ok {
@@ -64,17 +78,8 @@ func TestTrainRejectsNonFiniteParams(t *testing.T) {
 	}
 }
 
-func TestDefaultGammaIsInverseDim(t *testing.T) {
-	if got := DefaultTrainParams(8).Kernel.Gamma; got != 0.125 {
-		t.Errorf("gamma = %v, want 1/8", got)
-	}
-	if got := DefaultTrainParams(0).Kernel.Gamma; got != 1 {
-		t.Errorf("gamma for dim 0 = %v, want 1", got)
-	}
-}
-
 func TestTrainInputValidation(t *testing.T) {
-	p := DefaultTrainParams(1)
+	p := defaultTrainParams(1)
 	if _, err := Train(nil, nil, p); err == nil {
 		t.Error("empty data should fail")
 	}
@@ -238,7 +243,7 @@ func TestKKTConditions(t *testing.T) {
 }
 
 func TestPredictDimensionMismatch(t *testing.T) {
-	m, err := Train([][]float64{{1, 2}, {2, 1}, {0, 0}}, []float64{1, 2, 0}, DefaultTrainParams(2))
+	m, err := Train([][]float64{{1, 2}, {2, 1}, {0, 0}}, []float64{1, 2, 0}, defaultTrainParams(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,16 +573,14 @@ func TestSVRCapacityControl(t *testing.T) {
 // two independently implemented fitters agreeing on the same data.
 func TestLinearSVRMatchesOLS(t *testing.T) {
 	g := mathx.NewRNG(77)
-	var xs1d []float64
 	var x [][]float64
 	var y []float64
 	for i := 0; i < 80; i++ {
 		xi := g.Uniform(-3, 3)
-		xs1d = append(xs1d, xi)
 		x = append(x, []float64{xi})
 		y = append(y, 4-1.2*xi+g.Normal(0, 0.05))
 	}
-	ols, err := mathx.FitLinear(xs1d, y)
+	ols, err := mathx.FitMultiLinear(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,8 +597,8 @@ func TestLinearSVRMatchesOLS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := math.Abs(svr - ols.At(probe)); diff > 0.1 {
-			t.Errorf("at %v: SVR %v vs OLS %v (diff %v)", probe, svr, ols.At(probe), diff)
+		if diff := math.Abs(svr - ols.At([]float64{probe})); diff > 0.1 {
+			t.Errorf("at %v: SVR %v vs OLS %v (diff %v)", probe, svr, ols.At([]float64{probe}), diff)
 		}
 	}
 }

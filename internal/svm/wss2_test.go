@@ -8,6 +8,12 @@ import (
 	"vmtherm/internal/mathx"
 )
 
+// newSolver sets up SMO over the samples x, evaluating kernel rows as the
+// solver asks for them.
+func newSolver(x [][]float64, z []float64, k Kernel, c, eps, tol float64, maxIt int, rule SelectionRule) *solver {
+	return cacheSolver(newRowCache(len(x), k, x), z, c, eps, tol, maxIt, rule)
+}
+
 // wss2Data builds a moderately hard regression problem.
 func wss2Data(n int, seed int64) ([][]float64, []float64) {
 	g := mathx.NewRNG(seed)
@@ -98,7 +104,7 @@ func TestSecondOrderKKT(t *testing.T) {
 }
 
 func TestValidateRejectsUnknownSelection(t *testing.T) {
-	p := DefaultTrainParams(2)
+	p := defaultTrainParams(2)
 	p.Selection = SelectionRule(9)
 	if err := p.Validate(); err == nil {
 		t.Error("unknown selection rule should fail validation")

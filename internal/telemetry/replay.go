@@ -17,7 +17,6 @@ type TraceSource struct {
 	readings []Reading
 	baseS    float64 // first reading's timestamp; trace time is re-zeroed to it
 	periodS  float64 // one full trace cycle when looping
-	speed    float64
 	loop     bool
 
 	idx    int
@@ -95,7 +94,6 @@ func NewTraceSource(readings []Reading, opts TraceOptions) (*TraceSource, error)
 		readings: readings,
 		baseS:    base,
 		periodS:  period,
-		speed:    opts.Speed,
 		loop:     opts.Loop,
 	}, nil
 }
@@ -105,9 +103,6 @@ func (s *TraceSource) Name() string { return "trace" }
 
 // NowS reports the trace clock.
 func (s *TraceSource) NowS() float64 { return s.nowS }
-
-// Speed reports the recommended pacing multiplier (0 = unpaced).
-func (s *TraceSource) Speed() float64 { return s.speed }
 
 // Done reports whether a non-looping trace has been fully replayed.
 func (s *TraceSource) Done() bool { return !s.loop && s.idx >= len(s.readings) }

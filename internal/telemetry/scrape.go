@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,32 +26,6 @@ type ScrapeSource struct {
 	cfg   ScrapeConfig
 	epoch time.Time
 	nowS  float64
-	stats scrapeCounters
-}
-
-// ScrapeStats is one endpoint's cumulative scrape accounting: how often it
-// was reached, how often attempts failed, how many re-attempts (and
-// backoff sleeps) the retry policy spent, and how many Advances in a row
-// have ended in failure — the per-endpoint health signal a federated
-// scraper will shed load on.
-type ScrapeStats struct {
-	// Scrapes counts successful scrapes (Advances that emitted readings).
-	Scrapes int64
-	// Errors counts failed attempts, including retried ones.
-	Errors int64
-	// Retries counts re-attempts after a failed attempt.
-	Retries int64
-	// Backoffs counts the backoff sleeps taken between attempts.
-	Backoffs int64
-	// ConsecutiveErrors counts Advances that have failed in a row (every
-	// attempt exhausted); reset to zero by the next successful scrape.
-	ConsecutiveErrors int64
-}
-
-// scrapeCounters is the atomic backing store for ScrapeStats, readable
-// concurrently with an in-flight Advance (stats lines, /metrics).
-type scrapeCounters struct {
-	scrapes, errors, retries, backoffs, consecutive atomic.Int64
 }
 
 // ScrapeConfig parameterizes a scraper.
@@ -147,18 +120,6 @@ func (s *ScrapeSource) Name() string { return "scrape" }
 // NowS reports seconds since the scraper's epoch, as of the last Advance.
 func (s *ScrapeSource) NowS() float64 { return s.nowS }
 
-// Stats returns the endpoint's cumulative scrape accounting. Safe to call
-// concurrently with an in-flight Advance.
-func (s *ScrapeSource) Stats() ScrapeStats {
-	return ScrapeStats{
-		Scrapes:           s.stats.scrapes.Load(),
-		Errors:            s.stats.errors.Load(),
-		Retries:           s.stats.retries.Load(),
-		Backoffs:          s.stats.backoffs.Load(),
-		ConsecutiveErrors: s.stats.consecutive.Load(),
-	}
-}
-
 // backoffFor computes the k-th retry's sleep: capped exponential with
 // ±25% jitter, so a fleet of scrapers re-attempting a shared exporter
 // does not re-synchronize into bursts.
@@ -188,9 +149,8 @@ func (s *ScrapeSource) scrapeOnce() ([]MetricPoint, error) {
 // jittered exponential backoff — and emits a reading per host that exposes
 // the temperature metric. The scraper follows wall time, so dtS is ignored
 // (pacing belongs to the driver); the source clock still advances even when
-// the scrape fails, so staleness keeps accruing for silent hosts. Every
-// attempt and backoff lands in Stats; an Advance whose attempts all fail
-// bumps ConsecutiveErrors and returns the last error.
+// the scrape fails, so staleness keeps accruing for silent hosts. An
+// Advance whose attempts all fail returns the last error.
 func (s *ScrapeSource) Advance(_ float64, emit func(Reading) bool) error {
 	now := s.cfg.Clock()
 	atS := now.Sub(s.epoch).Seconds()
@@ -203,17 +163,11 @@ func (s *ScrapeSource) Advance(_ float64, emit func(Reading) bool) error {
 		if err == nil {
 			break
 		}
-		s.stats.errors.Add(1)
 		if attempt >= s.cfg.MaxRetries {
-			s.stats.consecutive.Add(1)
 			return err
 		}
-		s.stats.retries.Add(1)
-		s.stats.backoffs.Add(1)
 		s.cfg.Sleep(s.backoffFor(attempt))
 	}
-	s.stats.scrapes.Add(1)
-	s.stats.consecutive.Store(0)
 
 	// Fold the three metric families into per-host readings. Map iteration
 	// order does not matter: the consumer keys by host id.

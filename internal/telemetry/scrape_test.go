@@ -143,12 +143,11 @@ func TestScrapeSourceFailureAdvancesClock(t *testing.T) {
 
 // TestScrapeSourceRetriesFlakyExporter: an exporter that fails twice then
 // recovers is absorbed by the retry policy — one Advance, readings
-// delivered, retries and backoffs accounted, no consecutive-error streak.
+// delivered, three requests and two backoff sleeps.
 func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
-	calls := 0
+	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		calls++
-		if calls <= 2 {
+		if calls.Add(1) <= 2 {
 			http.Error(w, "flap", http.StatusServiceUnavailable)
 			return
 		}
@@ -174,9 +173,8 @@ func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
 	if emitted != 1 {
 		t.Fatalf("emitted %d readings, want 1", emitted)
 	}
-	st := src.Stats()
-	if st.Scrapes != 1 || st.Errors != 2 || st.Retries != 2 || st.Backoffs != 2 || st.ConsecutiveErrors != 0 {
-		t.Fatalf("stats after flaky recovery = %+v", st)
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("exporter saw %d requests, want 3 (2 flaps + 1 success)", n)
 	}
 	if len(slept) != 2 {
 		t.Fatalf("slept %d times, want 2", len(slept))
@@ -190,20 +188,16 @@ func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
 		}
 	}
 
-	// Kill the exporter: every attempt fails, the error surfaces, and the
-	// consecutive-error streak accrues per Advance.
+	// Kill the exporter: every attempt fails, the error surfaces, and each
+	// Advance spends its three retries.
 	ts.Close()
 	for i := 0; i < 2; i++ {
 		if err := src.Advance(15, func(Reading) bool { return true }); err == nil {
 			t.Fatal("dead exporter did not error")
 		}
 	}
-	st = src.Stats()
-	if st.ConsecutiveErrors != 2 {
-		t.Fatalf("consecutive errors = %d, want 2", st.ConsecutiveErrors)
-	}
-	if st.Errors != 2+2*4 {
-		t.Fatalf("errors = %d, want %d (2 flaps + 2 dead Advances × 4 attempts)", st.Errors, 2+2*4)
+	if len(slept) != 2+2*3 {
+		t.Fatalf("slept %d times, want %d (2 flaps + 2 dead Advances × 3 retries)", len(slept), 2+2*3)
 	}
 }
 

@@ -19,8 +19,8 @@ func TestNewFanBankValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Count() != 4 || b.Healthy() != 4 {
-		t.Errorf("Count=%d Healthy=%d, want 4/4", b.Count(), b.Healthy())
+	if b.Count() != 4 || b.Airflow() != 4 {
+		t.Errorf("Count=%d Airflow=%v, want 4 healthy fans", b.Count(), b.Airflow())
 	}
 }
 
@@ -36,47 +36,15 @@ func TestAirflowStates(t *testing.T) {
 	if err := b.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Degrade(1); err != nil {
+	// 0 (failed) + 1 + 1 + 1 = 3
+	if got := b.Airflow(); got != 3 {
+		t.Errorf("Airflow = %v, want 3", got)
+	}
+	if err := b.Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	// 0 (failed) + 0.5 (degraded) + 1 + 1 = 2.5
-	if got := b.Airflow(); got != 2.5 {
-		t.Errorf("Airflow = %v, want 2.5", got)
-	}
-	if b.Healthy() != 2 {
-		t.Errorf("Healthy = %d, want 2", b.Healthy())
-	}
-	if err := b.Repair(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Airflow(); got != 3.5 {
-		t.Errorf("Airflow after repair = %v, want 3.5", got)
-	}
-	st, err := b.State(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != FanDegraded {
-		t.Errorf("State(1) = %v, want degraded", st)
-	}
-}
-
-func TestSetSpeed(t *testing.T) {
-	b, _ := NewFanBank(2, 1, 2)
-	if err := b.SetSpeed(0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Airflow(); got != 1.5 {
-		t.Errorf("Airflow = %v, want 1.5", got)
-	}
-	if err := b.SetSpeed(0, 1.5); err == nil {
-		t.Error("speed > 1 should fail")
-	}
-	if err := b.SetSpeed(0, -0.1); err == nil {
-		t.Error("speed < 0 should fail")
-	}
-	if err := b.SetSpeed(9, 1); err == nil {
-		t.Error("unknown fan should fail")
+	if got := b.Airflow(); got != 3 {
+		t.Errorf("Airflow after failing a failed fan = %v, want 3", got)
 	}
 }
 
@@ -85,14 +53,8 @@ func TestOutOfRangeFanOps(t *testing.T) {
 	if err := b.Fail(5); err == nil {
 		t.Error("Fail out of range should error")
 	}
-	if err := b.Degrade(-1); err == nil {
-		t.Error("Degrade out of range should error")
-	}
-	if err := b.Repair(2); err == nil {
-		t.Error("Repair out of range should error")
-	}
-	if _, err := b.State(7); err == nil {
-		t.Error("State out of range should error")
+	if err := b.Fail(-1); err == nil {
+		t.Error("Fail(-1) should error")
 	}
 }
 
@@ -113,22 +75,5 @@ func TestConductanceZeroFans(t *testing.T) {
 	b, _ := NewFanBank(0, 0.9, 2)
 	if got := b.Conductance(); got != 0.9 {
 		t.Errorf("natural convection only = %v, want 0.9", got)
-	}
-}
-
-func TestFanStateString(t *testing.T) {
-	tests := []struct {
-		s    FanState
-		want string
-	}{
-		{FanOK, "ok"},
-		{FanDegraded, "degraded"},
-		{FanFailed, "failed"},
-		{FanState(42), "FanState(42)"},
-	}
-	for _, tt := range tests {
-		if got := tt.s.String(); got != tt.want {
-			t.Errorf("String(%d) = %q, want %q", int(tt.s), got, tt.want)
-		}
 	}
 }

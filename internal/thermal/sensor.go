@@ -56,8 +56,6 @@ type Sensor struct {
 	params SensorParams
 	source func() float64
 	rng    *mathx.RNG
-	reads  int
-	fails  int
 }
 
 // NewSensor wraps source with the given error model. rng must not be shared
@@ -77,9 +75,7 @@ func NewSensor(params SensorParams, source func() float64, rng *mathx.RNG) (*Sen
 
 // Read returns one observation. It may fail transiently per FailProb.
 func (s *Sensor) Read() (float64, error) {
-	s.reads++
 	if s.params.FailProb > 0 && s.rng.Bool(s.params.FailProb) {
-		s.fails++
 		return 0, ErrSensorRead
 	}
 	v := s.source() + s.params.BiasC
@@ -91,19 +87,3 @@ func (s *Sensor) Read() (float64, error) {
 	}
 	return v, nil
 }
-
-// ReadRetry reads with up to attempts retries on transient failure.
-func (s *Sensor) ReadRetry(attempts int) (float64, error) {
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		v, err := s.Read()
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-	}
-	return 0, fmt.Errorf("thermal: %d read attempts exhausted: %w", attempts, lastErr)
-}
-
-// Stats returns total reads and transient failures, for telemetry tests.
-func (s *Sensor) Stats() (reads, fails int) { return s.reads, s.fails }

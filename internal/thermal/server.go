@@ -130,9 +130,8 @@ type Server struct {
 	dieCaseG, caseAmbG    float64
 	sub                   float64
 
-	util      float64 // commanded CPU utilization 0..1
-	memFrac   float64 // memory activity 0..1
-	throttled bool
+	util    float64 // commanded CPU utilization 0..1
+	memFrac float64 // memory activity 0..1
 
 	// curveBits and curve memoise utilCurve across ticks: the bits of the
 	// last effective utilization Advance saw and its curve point. Equal
@@ -181,21 +180,11 @@ func (s *Server) SetLoad(util, memFrac float64) {
 	s.memFrac = clamp01(memFrac)
 }
 
-// Load returns the commanded utilization and memory activity.
-func (s *Server) Load() (util, memFrac float64) { return s.util, s.memFrac }
-
 // SetAmbient changes the rack inlet air temperature (°C).
 func (s *Server) SetAmbient(tempC float64) { s.ambientC = tempC }
 
-// Ambient returns the current inlet air temperature.
-func (s *Server) Ambient() float64 { return s.ambientC }
-
-// Fans exposes the fan bank for speed control and failure injection.
+// Fans exposes the fan bank for failure injection.
 func (s *Server) Fans() *FanBank { return s.fans }
-
-// Throttled reports whether thermal throttling engaged during the last
-// Advance call.
-func (s *Server) Throttled() bool { return s.throttled }
 
 // EffectiveUtil returns the utilization after any thermal throttling.
 func (s *Server) EffectiveUtil() float64 {
@@ -217,7 +206,6 @@ func (s *Server) EffectiveUtil() float64 {
 // cut into no more sub-steps than an int counts.
 func (s *Server) Advance(dt float64) error {
 	u := s.EffectiveUtil()
-	s.throttled = u < s.util
 	if b := math.Float64bits(u); b != s.curveBits {
 		s.curveBits, s.curve = b, s.params.Power.utilCurve(u)
 	}
@@ -277,6 +265,3 @@ func (s *Server) SteadyStateDieTemp(util, memFrac float64) float64 {
 	}
 	return die
 }
-
-// Params returns a copy of the construction parameters.
-func (s *Server) Params() ServerParams { return s.params }

@@ -40,9 +40,9 @@ func TestServerParamsValidate(t *testing.T) {
 
 func TestColdServerStartsAtAmbient(t *testing.T) {
 	s := newTestServer(t)
-	if s.DieTemp() != s.Params().AmbientC || s.CaseTemp() != s.Params().AmbientC {
+	if s.DieTemp() != s.params.AmbientC || s.CaseTemp() != s.params.AmbientC {
 		t.Errorf("cold server die %v case %v, want ambient %v",
-			s.DieTemp(), s.CaseTemp(), s.Params().AmbientC)
+			s.DieTemp(), s.CaseTemp(), s.params.AmbientC)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestFullLoadHotButBelowThrottleWith4Fans(t *testing.T) {
 	if s.DieTemp() < 75 || s.DieTemp() > 96 {
 		t.Errorf("full-load die temp = %v °C, want 75–96 with 4 fans", s.DieTemp())
 	}
-	if s.Throttled() {
+	if s.EffectiveUtil() < 1 {
 		t.Error("4-fan full load should not throttle")
 	}
 }
@@ -127,9 +127,6 @@ func TestHotterAmbientRaisesTemp(t *testing.T) {
 	if diff := warm - cool; diff < 9 || diff > 13 {
 		t.Errorf("ambient +10 °C moved die by %v °C, want ≈10", diff)
 	}
-	if s.Ambient() != 32 {
-		t.Errorf("Ambient() = %v, want 32", s.Ambient())
-	}
 }
 
 func TestFanFailureHeatsServer(t *testing.T) {
@@ -173,10 +170,10 @@ func TestThrottleEngagesWithMinimalCooling(t *testing.T) {
 	s.SetLoad(1, 1)
 	throttled := false
 	for i := 0; i < 3600; i++ {
+		throttled = throttled || s.EffectiveUtil() < 1
 		if err := s.Advance(1); err != nil {
 			t.Fatal(err)
 		}
-		throttled = throttled || s.Throttled()
 	}
 	if !throttled {
 		t.Error("single-fan full-load server never throttled")
@@ -193,9 +190,8 @@ func TestThrottleEngagesWithMinimalCooling(t *testing.T) {
 func TestLoadClamping(t *testing.T) {
 	s := newTestServer(t)
 	s.SetLoad(1.7, -0.4)
-	u, m := s.Load()
-	if u != 1 || m != 0 {
-		t.Errorf("Load() = (%v, %v), want clamped (1, 0)", u, m)
+	if s.util != 1 || s.memFrac != 0 {
+		t.Errorf("load = (%v, %v), want clamped (1, 0)", s.util, s.memFrac)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 func mustSeries(t *testing.T, pts ...Point) *Series {
 	t.Helper()
-	s := New()
+	s := &Series{}
 	for _, p := range pts {
 		if err := s.Append(p.T, p.V); err != nil {
 			t.Fatal(err)
@@ -19,7 +19,7 @@ func mustSeries(t *testing.T, pts ...Point) *Series {
 }
 
 func TestAppendMonotonic(t *testing.T) {
-	s := New()
+	s := &Series{}
 	if err := s.Append(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -37,38 +37,8 @@ func TestAppendMonotonic(t *testing.T) {
 	}
 }
 
-func TestBoundedEviction(t *testing.T) {
-	s := NewBounded(3)
-	for i := 0; i < 5; i++ {
-		s.MustAppend(float64(i), float64(i*10))
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	if s.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", s.Dropped())
-	}
-	first, _ := s.First()
-	if first.T != 2 {
-		t.Errorf("oldest retained T = %v, want 2", first.T)
-	}
-	last, _ := s.Last()
-	if last.T != 4 || last.V != 40 {
-		t.Errorf("Last = %+v", last)
-	}
-}
-
-func TestNewBoundedPanicsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBounded(-1)
-}
-
 func TestEmptyQueries(t *testing.T) {
-	s := New()
+	s := &Series{}
 	if _, err := s.Last(); !errors.Is(err, ErrEmptySeries) {
 		t.Error("Last on empty should fail")
 	}
@@ -80,17 +50,6 @@ func TestEmptyQueries(t *testing.T) {
 	}
 	if _, err := s.MeanAfter(0); !errors.Is(err, ErrEmptySeries) {
 		t.Error("MeanAfter on empty should fail")
-	}
-}
-
-func TestWindowHalfOpen(t *testing.T) {
-	s := mustSeries(t, Point{0, 0}, Point{1, 1}, Point{2, 2}, Point{3, 3})
-	w := s.Window(1, 3)
-	if len(w) != 2 || w[0].T != 1 || w[1].T != 2 {
-		t.Errorf("Window(1,3) = %v", w)
-	}
-	if len(s.Window(10, 20)) != 0 {
-		t.Error("out-of-range window should be empty")
 	}
 }
 
@@ -128,98 +87,12 @@ func TestValueAtInterpolation(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := mustSeries(t, Point{0, 0}, Point{10, 10})
-	pts, err := s.Resample(0, 10, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 5 {
-		t.Fatalf("len = %d, want 5", len(pts))
-	}
-	for _, p := range pts {
-		if math.Abs(p.V-p.T) > 1e-9 {
-			t.Errorf("resampled (%v, %v) should lie on identity", p.T, p.V)
-		}
-	}
-}
-
-func TestResampleErrors(t *testing.T) {
-	s := mustSeries(t, Point{0, 0})
-	if _, err := s.Resample(0, 1, 0); err == nil {
-		t.Error("zero step should fail")
-	}
-	if _, err := s.Resample(1, 0, 1); err == nil {
-		t.Error("inverted range should fail")
-	}
-	if _, err := New().Resample(0, 1, 1); err == nil {
-		t.Error("empty series should fail")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	s := mustSeries(t, Point{0, 10}, Point{1, 20}, Point{2, 20})
-	sm, err := s.EWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{10, 15, 17.5}
-	for i, w := range want {
-		if got := sm.At(i).V; math.Abs(got-w) > 1e-12 {
-			t.Errorf("EWMA[%d] = %v, want %v", i, got, w)
-		}
-	}
-	if _, err := s.EWMA(0); err == nil {
-		t.Error("alpha=0 should fail")
-	}
-	if _, err := s.EWMA(1.5); err == nil {
-		t.Error("alpha>1 should fail")
-	}
-}
-
-func TestStableDetector(t *testing.T) {
-	s := New()
-	// Rising phase: not stable.
-	for i := 0; i <= 20; i++ {
-		s.MustAppend(float64(i), float64(i))
-	}
-	if s.Stable(10, 0.5) {
-		t.Error("rising series reported stable")
-	}
-	// Plateau phase: stable.
-	for i := 21; i <= 60; i++ {
-		s.MustAppend(float64(i), 20+0.1*math.Sin(float64(i)))
-	}
-	if !s.Stable(10, 0.5) {
-		t.Error("plateau not reported stable")
-	}
-	if New().Stable(10, 1) {
-		t.Error("empty series cannot be stable")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	s := mustSeries(t, Point{0, 1}, Point{1, 2})
-	c := s.Clone()
-	c.MustAppend(2, 3)
-	if s.Len() != 2 {
-		t.Error("clone mutation affected original")
-	}
-	if c.Len() != 3 {
-		t.Error("clone append failed")
-	}
-}
-
-func TestPointsValuesTimesAreCopies(t *testing.T) {
+func TestPointsIsACopy(t *testing.T) {
 	s := mustSeries(t, Point{0, 1}, Point{1, 2})
 	pts := s.Points()
-	pts[0].V = 99
-	vals := s.Values()
-	vals[0] = 99
-	ts := s.Times()
-	ts[0] = 99
+	pts[0] = Point{99, 99}
 	if s.At(0).V != 1 || s.At(0).T != 0 {
-		t.Error("accessor returned aliased storage")
+		t.Error("Points returned aliased storage")
 	}
 }
 
@@ -230,7 +103,7 @@ func TestValueAtBoundedProperty(t *testing.T) {
 		if len(raw) < 2 || math.IsNaN(tq) || math.IsInf(tq, 0) {
 			return true
 		}
-		s := New()
+		s := &Series{}
 		for i, v := range raw {
 			// Skip magnitudes where b-a itself overflows; that is float
 			// arithmetic saturation, not an interpolation defect.

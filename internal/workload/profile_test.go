@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,42 +16,6 @@ func TestConstantClamped(t *testing.T) {
 	}
 	if (Constant{Level: 0.42}).At(999) != 0.42 {
 		t.Error("constant changed value")
-	}
-}
-
-func TestStep(t *testing.T) {
-	s := Step{Before: 0.2, After: 0.8, SwitchAt: 100}
-	if s.At(99.9) != 0.2 {
-		t.Error("before switch wrong")
-	}
-	if s.At(100) != 0.8 {
-		t.Error("at switch should take After")
-	}
-	if s.At(500) != 0.8 {
-		t.Error("after switch wrong")
-	}
-}
-
-func TestRamp(t *testing.T) {
-	r := Ramp{From: 0.2, To: 0.6, Start: 10, Duration: 20}
-	if r.At(5) != 0.2 {
-		t.Error("before ramp")
-	}
-	if got := r.At(20); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("mid ramp = %v, want 0.4", got)
-	}
-	if r.At(30) != 0.6 || r.At(100) != 0.6 {
-		t.Error("after ramp")
-	}
-}
-
-func TestRampZeroDuration(t *testing.T) {
-	r := Ramp{From: 0.1, To: 0.9, Start: 10, Duration: 0}
-	if r.At(9) != 0.1 {
-		t.Error("before instant ramp")
-	}
-	if r.At(11) != 0.9 {
-		t.Error("after instant ramp")
 	}
 }
 
@@ -96,34 +59,6 @@ func TestBurstyZeroPeriod(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	tr, err := NewTrace([]TracePoint{{0, 0}, {10, 1}, {20, 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.At(-5) != 0 {
-		t.Error("clamp before start")
-	}
-	if got := tr.At(5); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("interp = %v, want 0.5", got)
-	}
-	if got := tr.At(15); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("interp = %v, want 0.75", got)
-	}
-	if tr.At(100) != 0.5 {
-		t.Error("clamp after end")
-	}
-}
-
-func TestNewTraceValidation(t *testing.T) {
-	if _, err := NewTrace(nil); err == nil {
-		t.Error("empty trace should fail")
-	}
-	if _, err := NewTrace([]TracePoint{{0, 1}, {0, 2}}); err == nil {
-		t.Error("non-increasing trace should fail")
-	}
-}
-
 func TestMeanOver(t *testing.T) {
 	m, err := MeanOver(Constant{Level: 0.3}, 0, 100, 1)
 	if err != nil {
@@ -152,8 +87,6 @@ func TestProfilesBoundedProperty(t *testing.T) {
 		t = math.Abs(t)
 		profiles := []Profile{
 			Constant{Level: base},
-			Step{Before: base, After: amp, SwitchAt: period},
-			Ramp{From: base, To: amp, Start: 0, Duration: math.Abs(period)},
 			Sine{Base: base, Amplitude: amp, Period: period},
 			Bursty{Low: base, High: amp, Period: period, DutyCycle: 0.5},
 		}
@@ -167,67 +100,6 @@ func TestProfilesBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTraceFromCSV(t *testing.T) {
-	csvText := "t_s,demand\n0,0.2\n60,0.8\n120,0.5\n"
-	tr, err := TraceFromCSV(strings.NewReader(csvText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.At(0) != 0.2 || tr.At(120) != 0.5 {
-		t.Errorf("endpoints = %v, %v", tr.At(0), tr.At(120))
-	}
-	if got := tr.At(30); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("interpolated = %v, want 0.5", got)
-	}
-}
-
-func TestTraceFromCSVNoHeader(t *testing.T) {
-	tr, err := TraceFromCSV(strings.NewReader("0,0.1\n10,0.9\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.At(10) != 0.9 {
-		t.Errorf("At(10) = %v", tr.At(10))
-	}
-}
-
-func TestTraceFromCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"header only":    "t,v\n",
-		"bad value":      "0,abc\n",
-		"bad mid time":   "0,0.5\nxyz,0.6\n",
-		"wrong columns":  "0,0.5,9\n",
-		"non-increasing": "0,0.5\n0,0.6\n",
-	}
-	for name, text := range cases {
-		t.Run(name, func(t *testing.T) {
-			if _, err := TraceFromCSV(strings.NewReader(text)); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
-func TestTraceFromCSVDrivesTask(t *testing.T) {
-	// End to end: a recorded trace becomes a task profile on a rig-ready
-	// spec (values clamp into [0,1] like every profile).
-	tr, err := TraceFromCSV(strings.NewReader("0,0.3\n900,1.5\n1800,0.1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.At(900) != 1 {
-		t.Errorf("over-unity trace should clamp: %v", tr.At(900))
-	}
-	mean, err := MeanOver(tr, 0, 1800, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean <= 0.3 || mean >= 1 {
-		t.Errorf("trace mean = %v", mean)
 	}
 }
 
