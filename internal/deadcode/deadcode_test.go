@@ -35,13 +35,13 @@ import (
 // path under internal/.
 var allowed = map[string]string{
 	"core.Curve.Value":                   "test oracle: the predictors' log-space curve is checked against it",
-	"engine.Engine.HandleCurrent":        "test oracle: the batched round is checked against the one-session rule",
+	"engine.Engine.HandleCurrent":        "test oracle: the slot tests check every cached handle against the validity rule with it",
 	"substrate.HostStateCase":            "test oracle for Fleet.HostCase",
 	"svm.Model.Predict":                  "test oracle: the batch and fused kernels are checked against the one-row predict",
 	"thermal.Server.SteadyStateDieTemp":  "test oracle: the closed-form steady state the stepped circuit must reach",
 	"svm.RBFKernelName":                  "the golden tests pick their line by the kernel's name",
 	"predictserver.Server.RoutePatterns": "the docs drift tests list the served routes with it",
-	"core.EstimateTBreak":                "ROADMAP item 16(a) gives it a caller: fitting Eq. (3)'s t_break",
+	"core.EstimateTBreak":                "deduces t_break from a trace, as the paper does; fitting Eq. (3)'s shape will call it",
 	"predictclient.Client.PredictStable": "README promises a typed client for every route: /v1/predict/stable",
 	"predictclient.Client.ObserveBatch":  "README promises a typed client for every route: /v1/session/batch/observe",
 	"predictclient.Client.Metrics":       "README promises a typed client for every route: /metrics",
