@@ -11,8 +11,8 @@
 // The quantization step is the correctness contract: a cached anchor is the
 // model's exact prediction for the bucket's center, so cached-vs-exact
 // divergence is bounded by the model's sensitivity times half a bucket
-// width. Bucket widths default well under the fleet's re-anchor threshold
-// (ReanchorEpsC), so cache error can never trigger a spurious re-anchor.
+// width. Bucket widths default well under the engine's re-anchor threshold
+// (engine.ReanchorEpsC), so cache error can never trigger a spurious re-anchor.
 //
 // The cache is bounded (two-generation rotation, oldest generation dropped
 // wholesale) and carries an epoch: Invalidate discards every entry when the
@@ -82,7 +82,7 @@ func (h Hash) Key() Key { return Key(h) }
 type Quantizer struct {
 	// UtilQuant is the CPU-utilization bucket width (default 0.01: 1% of
 	// host capacity — ψ_stable moves tens of °C across the full range, so a
-	// bucket bounds cache error well under typical ReanchorEpsC values).
+	// bucket bounds cache error well under engine.ReanchorEpsC, 1 °C).
 	UtilQuant float64
 	// MemQuant is the memory-activity bucket width (default 0.02; ψ_stable
 	// is far less sensitive to memory than to CPU).

@@ -71,6 +71,36 @@ func TestPaceComesFromResolvedConfig(t *testing.T) {
 	}
 }
 
+// TestMeaninglessFlagValuesRefused: each of these used to start a daemon
+// quietly doing something else — no periodic checkpoints, the default
+// anchor bucket, an unchecked replay speed. NewController refuses them with
+// an error naming the flag; 0 keeps its documented meaning.
+func TestMeaninglessFlagValuesRefused(t *testing.T) {
+	trace := []string{"-source", "trace", "-trace", traceFile}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-checkpoint-every", []string{"-checkpoint-every", "-5"}},
+		{"-checkpoint-every", []string{"-checkpoint-every", "NaN"}},
+		{"-checkpoint-every", []string{"-checkpoint-every", "+Inf"}},
+		{"-anchor-quant", []string{"-anchor-quant", "-1"}},
+		{"-anchor-quant", []string{"-anchor-quant", "NaN"}},
+		{"-speed", append([]string{"-speed", "NaN"}, trace...)},
+		{"-speed", append([]string{"-speed", "-2"}, trace...)},
+		{"", []string{"-checkpoint-every", "0", "-anchor-quant", "0"}},
+		{"", append([]string{"-speed", "0"}, trace...)},
+	} {
+		_, err := assemble(t, tc.args...)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.flag != "" && (err == nil || !strings.Contains(err.Error(), tc.flag)):
+			t.Errorf("%v: err = %v, want one naming %s", tc.args, err, tc.flag)
+		}
+	}
+}
+
 // TestRestartResumesWarm drives the whole assembly path twice over the same
 // files: the first process's Close leaves a final checkpoint, and a second
 // assembly with the same flags restores it — it continues at the next round

@@ -1,8 +1,10 @@
-// Package deadcode holds one test: every function and method declared under
-// internal/ must have a caller in a non-test Go file of the module, or an
-// entry in the allowlist below that says why it stays.
+// Package deadcode holds two tests. Every function and method declared
+// under internal/ must have a caller in a non-test Go file of the module, and
+// every exported field of the configuration structs listed in configs must
+// be written by a non-test file outside its own package — or have an entry
+// in an allowlist below that says why it stays.
 //
-// The test type-checks every package of the module from its non-test files,
+// The tests type-check every package of the module from its non-test files,
 // once with the default build tags and once with -tags noasm, so a helper
 // that only one kernel calls still counts as used. A reference from cmd/,
 // examples/ or bench/e2e counts; a function's own body does not. Methods
@@ -27,6 +29,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,6 +45,7 @@ var allowed = map[string]string{
 	"svm.RBFKernelName":                  "the golden tests pick their line by the kernel's name",
 	"predictserver.Server.RoutePatterns": "the docs drift tests list the served routes with it",
 	"core.EstimateTBreak":                "deduces t_break from a trace, as the paper does; fitting Eq. (3)'s shape will call it",
+	"mathx.RNG.Bool":                     "the place-stream golden and the host-case tests draw their event mix with it",
 	"predictclient.Client.PredictStable": "README promises a typed client for every route: /v1/predict/stable",
 	"predictclient.Client.ObserveBatch":  "README promises a typed client for every route: /v1/session/batch/observe",
 	"predictclient.Client.Metrics":       "README promises a typed client for every route: /metrics",
@@ -51,27 +55,67 @@ var allowed = map[string]string{
 // through interfaces declared nowhere a type checker can see.
 var errorConventions = map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
 
+// configs are the configuration structs whose exported fields must each
+// have a setter outside their package, as "pkg.Type" under internal/.
+var configs = []string{"fleet.Config", "engine.Config", "thermal.SensorParams", "svm.TrainParams"}
+
+// allowedFields names each field of configs that no non-test file outside
+// its package writes but that stays, with the reason. Keys are
+// "pkg.Type.Field".
+var allowedFields = map[string]string{
+	"fleet.Config.HorizonS":            "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorCacheEntries":  "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorQuantAmbientC": "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.FanCount":            "whether the fleet's fan count becomes a flag or a constant is still open",
+	"fleet.Config.HostShape":           "whether the fleet's host shape becomes a flag or a constant is still open",
+}
+
+var (
+	loadOnce sync.Once
+	loaded   struct {
+		root   string
+		passes []*pass
+	}
+)
+
+// loadModule type-checks the module once per test binary under each set of
+// build tags and returns the module root and the passes.
+func loadModule(t *testing.T) (string, []*pass) {
+	loadOnce.Do(func() {
+		root, modPath := moduleRoot(t)
+		dirs := packageDirs(t, root)
+
+		// Standard-library packages do not depend on the tags below, so one
+		// importer (and its cache) serves both passes. Without cgo it reads
+		// the pure-Go files of net and friends instead of running the cgo
+		// tool.
+		build.Default.CgoEnabled = false
+		std := importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+		var passes []*pass
+		for _, tags := range [][]string{nil, {"noasm"}} {
+			p := &pass{
+				t: t, root: root, modPath: modPath, tags: tags, std: std,
+				fset: token.NewFileSet(), pkgs: map[string]*checked{},
+			}
+			for _, dir := range dirs {
+				p.load(dir)
+			}
+			passes = append(passes, p)
+		}
+		loaded.root, loaded.passes = root, passes
+	})
+	if loaded.passes == nil {
+		t.Fatal("the module did not type-check; see the first test that loaded it")
+	}
+	return loaded.root, loaded.passes
+}
+
 func TestNoFunctionOnlyTestsCall(t *testing.T) {
-	root, modPath := moduleRoot(t)
-	dirs := packageDirs(t, root)
-
-	// Standard-library packages do not depend on the tags below, so one
-	// importer (and its cache) serves both passes. Without cgo it reads the
-	// pure-Go files of net and friends instead of running the cgo tool.
-	build.Default.CgoEnabled = false
-	std := importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
-
+	root, passes := loadModule(t)
 	decls := map[string]token.Position{}
 	used := map[string]token.Position{}
 	skipped := map[string]bool{}
-	for _, tags := range [][]string{nil, {"noasm"}} {
-		p := &pass{
-			t: t, root: root, modPath: modPath, tags: tags, std: std,
-			fset: token.NewFileSet(), pkgs: map[string]*checked{},
-		}
-		for _, dir := range dirs {
-			p.load(dir)
-		}
+	for _, p := range passes {
 		p.collect(decls, used, skipped)
 	}
 
@@ -101,6 +145,138 @@ func TestNoFunctionOnlyTestsCall(t *testing.T) {
 	for key := range allowed {
 		if _, ok := decls[key]; !ok || skipped[key] {
 			t.Errorf("%s: %s is allowlisted but not declared under internal/, or an interface reaches it; drop its entry", allowLine(t, root, key), key)
+		}
+	}
+}
+
+// TestConfigFieldsHaveSetters fails on any exported field of configs that
+// no non-test file outside the field's package writes: a knob nobody can
+// turn is a constant. Writing means a composite-literal key, an assignment
+// or increment to the field or to a field inside it, or taking its address
+// (flag binding).
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	root, passes := loadModule(t)
+	declared := map[string]token.Position{}
+	set := map[string]token.Position{}
+	for _, p := range passes {
+		p.collectSetters(declared, set)
+	}
+	if len(declared) == 0 {
+		t.Fatal("no configuration fields found")
+	}
+	var unset []string
+	for key, pos := range declared {
+		_, isSet := set[key]
+		reason, listed := allowedFields[key]
+		switch {
+		case !isSet && !listed:
+			unset = append(unset, fmt.Sprintf("%s: %s has no setter outside its package", rel(root, pos), key))
+		case isSet && listed:
+			t.Errorf("%s: %s is allowlisted but %s sets it; drop its entry", allowLine(t, root, key), key, rel(root, set[key]))
+		case listed && reason == "":
+			t.Errorf("%s: %s is allowlisted without a reason", allowLine(t, root, key), key)
+		}
+	}
+	slices.Sort(unset)
+	for _, msg := range unset {
+		t.Error(msg)
+	}
+	if len(unset) > 0 {
+		t.Errorf("%d configuration fields have no setter outside their package: make them constants, or allowlist them with a reason", len(unset))
+	}
+	for key := range allowedFields {
+		if _, ok := declared[key]; !ok {
+			t.Errorf("%s: %s is allowlisted but not an exported field of %v; drop its entry", allowLine(t, root, key), key, configs)
+		}
+	}
+}
+
+// collectSetters adds this pass's exported fields of configs, keyed
+// "pkg.Type.Field", and the position of a write to each from a file outside
+// the field's package.
+func (p *pass) collectSetters(declared, set map[string]token.Position) {
+	fields := map[*types.Var]string{}
+	for _, name := range configs {
+		pkg, typ, _ := strings.Cut(name, ".")
+		c := p.pkgs[p.modPath+"/internal/"+pkg]
+		if c == nil {
+			p.t.Fatalf("%s: package not loaded", name)
+		}
+		tn, ok := c.pkg.Scope().Lookup(typ).(*types.TypeName)
+		if !ok {
+			p.t.Fatalf("%s: no such type", name)
+		}
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				key := name + "." + f.Name()
+				fields[f] = key
+				if _, seen := declared[key]; !seen {
+					declared[key] = p.fset.Position(f.Pos())
+				}
+			}
+		}
+	}
+	for _, c := range p.order {
+		write := func(f *types.Var, at token.Pos) {
+			if key, ok := fields[f]; ok && f.Pkg() != c.pkg {
+				if _, seen := set[key]; !seen {
+					set[key] = p.fset.Position(at)
+				}
+			}
+		}
+		// lhs records every field an assignment to e writes: the selected
+		// field and, walking out through x.f, x[i], *x and (x), each field
+		// it sits inside, promoted ones included.
+		lhs := func(e ast.Expr) {
+			for e != nil {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if sel := c.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+						t := sel.Recv()
+						for _, i := range sel.Index() {
+							if ptr, ok := t.Underlying().(*types.Pointer); ok {
+								t = ptr.Elem()
+							}
+							f := t.Underlying().(*types.Struct).Field(i)
+							write(f, x.Sel.Pos())
+							t = f.Type()
+						}
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					e = nil
+				}
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						lhs(n.X)
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if f, ok := c.info.Uses[id].(*types.Var); ok && f.IsField() {
+							write(f, id.Pos())
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 }
@@ -161,9 +337,10 @@ func (p *pass) load(dir string) *checked {
 		p.t.Fatalf("%s: %v", relDir, err)
 	}
 	c := &checked{info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -351,7 +528,8 @@ func packageDirs(t *testing.T, root string) []string {
 	return dirs
 }
 
-// allowLine is the file:line of key's allowlist entry in this file.
+// allowLine is the file:line of key's entry in one of this file's
+// allowlists.
 func allowLine(t *testing.T, root, key string) string {
 	name, err := filepath.Abs("deadcode_test.go")
 	if err != nil {

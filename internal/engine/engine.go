@@ -38,138 +38,72 @@ import (
 	"sync/atomic"
 
 	"vmtherm/internal/core"
+	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
+)
+
+// The session policy every engine runs around core's calibration rate and
+// curve shape (which SessionParams may override per session): when a host
+// goes stale, when it is forgotten, when its session re-anchors, and how
+// wide its prediction's uncertainty is.
+const (
+	// staleAfterS is how old a host's telemetry may get before the host is
+	// degraded: its prediction is marked stale (callers exclude it from
+	// hotspot maps) and calibration stops until fresh telemetry arrives.
+	staleAfterS = 45.0
+	// evictAfterS is how old a host's telemetry may get before its session
+	// is evicted entirely (and its last reading forgotten): a host dark this
+	// long is gone, not merely degraded.
+	evictAfterS = 900.0
+	// ReanchorEpsC re-anchors a session when its predicted ψ_stable moves by
+	// more than this (the deployment changed underneath it).
+	ReanchorEpsC = 1.0
+	// uncertaintyBaseC and uncertaintyPerSC shape per-prediction
+	// uncertainty: base + perS · staleness.
+	uncertaintyBaseC = 0.5
+	uncertaintyPerSC = 0.05
 )
 
 // Config parameterizes the session lifecycle. Zero values take defaults via
 // withDefaults; see DefaultConfig for the reference shape (the paper's
 // running-example parameters).
 type Config struct {
-	// Lambda is the calibration learning rate λ (paper: 0.8).
-	Lambda float64
 	// UpdateEveryS is Δ_update, the calibration interval.
 	UpdateEveryS float64
 	// GapS is Δ_gap, the prediction horizon.
 	GapS float64
-	// TBreakS and CurveDeltaS shape the Eq. (3) pre-defined curve.
-	TBreakS, CurveDeltaS float64
-	// StaleAfterS is how old a host's telemetry may get before the host is
-	// degraded: its prediction is marked stale (callers exclude it from
-	// hotspot maps) and calibration stops until fresh telemetry arrives.
-	StaleAfterS float64
-	// EvictAfterS is how old a host's telemetry may get before its session
-	// is evicted entirely (and its last reading forgotten): a host dark this
-	// long is gone, not merely degraded. 0 disables eviction.
-	EvictAfterS float64
-	// ReanchorEpsC re-anchors a session when its predicted ψ_stable moves by
-	// more than this (the deployment changed underneath it).
-	ReanchorEpsC float64
-	// UncertaintyBaseC and UncertaintyPerSC shape per-prediction uncertainty:
-	// base + perS · staleness.
-	UncertaintyBaseC, UncertaintyPerSC float64
-	// Shards is the stripe count of the session map; it is rounded up to a
-	// power of two so the hash reduces with a mask (default 32).
-	Shards int
 	// RoundWorkers bounds the worker pool Round shards its per-host pass
-	// across at fleet scale (>= 1024 hosts). Default 1 keeps rounds serial
-	// and unconditionally allocation-free; any value produces identical
-	// results (per-host work is independent, evictions and output order are
-	// serialized).
+	// across at fleet scale (>= shard.MinHosts hosts). Default 1 keeps
+	// rounds serial and unconditionally allocation-free; any value produces
+	// identical results (per-host work is independent, evictions and output
+	// order are serialized).
 	RoundWorkers int
 }
 
-// DefaultConfig uses the paper's dynamic parameters (λ=0.8, Δ_update=15 s,
-// Δ_gap=60 s, t_break=600 s) with the fleet staleness policy.
+// DefaultConfig uses the paper's dynamic intervals (Δ_update=15 s,
+// Δ_gap=60 s).
 func DefaultConfig() Config {
-	return Config{
-		Lambda:           core.DefaultLambda,
-		UpdateEveryS:     15,
-		GapS:             60,
-		TBreakS:          core.DefaultTBreakS,
-		CurveDeltaS:      core.DefaultCurveDelta,
-		StaleAfterS:      45,
-		EvictAfterS:      900,
-		ReanchorEpsC:     1.0,
-		UncertaintyBaseC: 0.5,
-		UncertaintyPerSC: 0.05,
-		Shards:           32,
-	}
+	return Config{UpdateEveryS: 15, GapS: 60}
 }
 
 // withDefaults fills zero-valued fields from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Lambda == 0 {
-		c.Lambda = d.Lambda
-	}
 	if c.UpdateEveryS == 0 {
 		c.UpdateEveryS = d.UpdateEveryS
 	}
 	if c.GapS == 0 {
 		c.GapS = d.GapS
 	}
-	if c.TBreakS == 0 {
-		c.TBreakS = d.TBreakS
-	}
-	if c.CurveDeltaS == 0 {
-		c.CurveDeltaS = d.CurveDeltaS
-	}
-	if c.StaleAfterS == 0 {
-		c.StaleAfterS = 3 * c.UpdateEveryS
-	}
-	if c.EvictAfterS == 0 {
-		c.EvictAfterS = 20 * c.StaleAfterS
-	}
-	if c.ReanchorEpsC == 0 {
-		c.ReanchorEpsC = d.ReanchorEpsC
-	}
-	if c.UncertaintyBaseC == 0 {
-		c.UncertaintyBaseC = d.UncertaintyBaseC
-	}
-	if c.UncertaintyPerSC == 0 {
-		c.UncertaintyPerSC = d.UncertaintyPerSC
-	}
-	if c.Shards == 0 {
-		c.Shards = d.Shards
-	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	// NaN fails every comparison below, so it would pass each of them; no
-	// field gives an infinity a meaning either.
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"lambda", c.Lambda}, {"update interval", c.UpdateEveryS}, {"gap", c.GapS},
-		{"t_break", c.TBreakS}, {"curve delta", c.CurveDeltaS},
-		{"stale-after", c.StaleAfterS}, {"evict-after", c.EvictAfterS},
-		{"re-anchor epsilon", c.ReanchorEpsC},
-		{"uncertainty base", c.UncertaintyBaseC}, {"uncertainty per second", c.UncertaintyPerSC},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("engine: %s must be finite, got %v", f.name, f.v)
-		}
-	}
-	if c.Lambda < 0 || c.Lambda > 1 {
-		return fmt.Errorf("engine: lambda %v outside [0,1]", c.Lambda)
-	}
-	if c.UpdateEveryS <= 0 || c.GapS <= 0 {
-		return fmt.Errorf("engine: intervals must be > 0 (update %v, gap %v)", c.UpdateEveryS, c.GapS)
-	}
-	if c.StaleAfterS <= 0 {
-		return fmt.Errorf("engine: stale-after must be > 0, got %v", c.StaleAfterS)
-	}
-	if c.EvictAfterS < 0 {
-		return fmt.Errorf("engine: evict-after must be >= 0, got %v", c.EvictAfterS)
-	}
-	if c.EvictAfterS > 0 && c.EvictAfterS <= c.StaleAfterS {
-		return fmt.Errorf("engine: evict-after %v must exceed stale-after %v", c.EvictAfterS, c.StaleAfterS)
-	}
-	if c.Shards < 1 {
-		return fmt.Errorf("engine: shards %d < 1", c.Shards)
+	// Written as the conditions that must hold, so NaN fails them; no
+	// interval gives an infinity a meaning either.
+	if !(c.UpdateEveryS > 0 && c.UpdateEveryS <= math.MaxFloat64) || !(c.GapS > 0 && c.GapS <= math.MaxFloat64) {
+		return fmt.Errorf("engine: intervals must be > 0 and finite (update %v, gap %v)", c.UpdateEveryS, c.GapS)
 	}
 	if c.RoundWorkers < 0 {
 		return fmt.Errorf("engine: round workers %d < 0", c.RoundWorkers)
@@ -233,7 +167,11 @@ func (s *session) predict(t float64) (tempC, gamma float64) {
 	return s.pred.Predict(s.localT(t)), s.pred.Gamma()
 }
 
-type shard struct {
+// shardCount is the stripe count of the session map, a power of two so the
+// hash reduces with a mask.
+const shardCount = 32
+
+type stripe struct {
 	mu       sync.RWMutex
 	sessions map[string]*session
 }
@@ -245,8 +183,7 @@ type shard struct {
 // Delete traffic.
 type Engine struct {
 	cfg    Config
-	shards []shard
-	mask   uint64
+	shards [shardCount]stripe
 	count  atomic.Int64
 	nextID atomic.Uint64
 	// scratch holds the sharded round's per-host results, keyed the slots
@@ -262,12 +199,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := 1
-	for n < cfg.Shards {
-		n <<= 1
-	}
-	cfg.Shards = n
-	e := &Engine{cfg: cfg, shards: make([]shard, n), mask: uint64(n - 1)}
+	e := &Engine{cfg: cfg}
 	for i := range e.shards {
 		e.shards[i].sessions = make(map[string]*session)
 	}
@@ -278,7 +210,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // shardFor hashes a session id onto its stripe (FNV-1a).
-func (e *Engine) shardFor(id string) *shard {
+func (e *Engine) shardFor(id string) *stripe {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -288,7 +220,7 @@ func (e *Engine) shardFor(id string) *shard {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return &e.shards[h&e.mask]
+	return &e.shards[h&(shardCount-1)]
 }
 
 // get looks a session up by id.
@@ -349,7 +281,7 @@ func (e *Engine) Create(id string, p SessionParams) error {
 // telemetry at the anchor instant). Parameters are validated first; on error
 // s is untouched. The caller owns s or holds its mutex.
 func (e *Engine) anchor(s *session, p SessionParams) error {
-	cfg := core.DynamicConfig{Lambda: e.cfg.Lambda, UpdateEveryS: e.cfg.UpdateEveryS, GapS: e.cfg.GapS}
+	cfg := core.DynamicConfig{Lambda: core.DefaultLambda, UpdateEveryS: e.cfg.UpdateEveryS, GapS: e.cfg.GapS}
 	if p.Lambda != 0 {
 		cfg.Lambda = p.Lambda
 	}
@@ -361,11 +293,11 @@ func (e *Engine) anchor(s *session, p SessionParams) error {
 	}
 	tBreak := p.TBreakS
 	if tBreak == 0 {
-		tBreak = e.cfg.TBreakS
+		tBreak = core.DefaultTBreakS
 	}
 	delta := p.CurveDeltaS
 	if delta == 0 {
-		delta = e.cfg.CurveDeltaS
+		delta = core.DefaultCurveDelta
 	}
 	curve := core.Curve{Phi0: p.Phi0, Stable: p.StableC, TBreakS: tBreak, DeltaS: delta}
 	if err := s.pred.Reset(curve, cfg); err != nil {
@@ -457,7 +389,7 @@ type RoundStats struct {
 	// drift beyond ReanchorEpsC).
 	Reanchored int
 	// Forgotten counts hosts whose reading was dropped because their
-	// telemetry exceeded EvictAfterS; Evicted counts those of them that had
+	// telemetry exceeded evictAfterS; Evicted counts those of them that had
 	// a session to remove.
 	Forgotten, Evicted int
 	// MaxStalenessS is the oldest telemetry age seen this round.
@@ -474,7 +406,7 @@ type Handle struct{ sess *session }
 type Slot struct {
 	// Reading is the host's newest telemetry; Present says there is one.
 	// RoundSlots clears Present when it forgets a host dark beyond
-	// EvictAfterS.
+	// evictAfterS.
 	Reading telemetry.Reading
 	Present bool
 	// Anchor is this round's batch-predicted ψ_stable for the host, NaN for
@@ -508,11 +440,6 @@ func (e *Engine) HandleCurrent(id string, h Handle) bool {
 	return h.sess.removed.Load()
 }
 
-// roundParallelMinHosts gates the sharded round: below this population the
-// per-host work cannot amortize the goroutine fan-out, and the serial
-// path's zero-allocation contract holds unconditionally.
-const roundParallelMinHosts = 1024
-
 // roundHost runs one host's share of a round — staleness accounting,
 // (re-)anchoring, calibration, Δ_gap prediction — into pred. It reports
 // whether a prediction was produced and whether the host must be forgotten
@@ -532,13 +459,13 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	if staleness > st.MaxStalenessS {
 		st.MaxStalenessS = staleness
 	}
-	if e.cfg.EvictAfterS > 0 && staleness > e.cfg.EvictAfterS {
+	if staleness > evictAfterS {
 		// Dark beyond the eviction horizon: the host is gone, not merely
 		// degraded. Forget the session and the fossil reading so the
 		// population shrinks instead of accumulating ghosts.
 		return false, true
 	}
-	stale := staleness > e.cfg.StaleAfterS
+	stale := staleness > staleAfterS
 
 	anchored := !math.IsNaN(s.Anchor)
 	params := SessionParams{Phi0: r.TempC, StableC: s.Anchor, AnchorAtS: r.AtS}
@@ -550,7 +477,7 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// the old curve no longer describes this host. On failure (a
 		// degenerate reading) the session keeps serving its old curve and
 		// nothing counts.
-		if anchored && math.Abs(s.Anchor-sess.stable) > e.cfg.ReanchorEpsC && e.anchor(sess, params) == nil {
+		if anchored && math.Abs(s.Anchor-sess.stable) > ReanchorEpsC && e.anchor(sess, params) == nil {
 			st.Reanchored++
 		}
 	case anchored:
@@ -577,7 +504,7 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	*pred = Prediction{
 		HostID:       id,
 		TempC:        tempC,
-		UncertaintyC: e.cfg.UncertaintyBaseC + e.cfg.UncertaintyPerSC*staleness,
+		UncertaintyC: uncertaintyBaseC + uncertaintyPerSC*staleness,
 		StalenessS:   staleness,
 		Stale:        stale,
 	}
@@ -605,7 +532,7 @@ func (e *Engine) adopt(id string, p SessionParams) *session {
 	return ns
 }
 
-// forget evicts a host dark beyond EvictAfterS: its session (if any) and
+// forget evicts a host dark beyond evictAfterS: its session (if any) and
 // its slot's reading.
 func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 	if e.Delete(id) {
@@ -619,8 +546,8 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // slots: for every slot with a reading, (re-)anchor the session against the
 // slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and append
 // a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older than
-// StaleAfterS are degraded (prediction marked stale, no calibration); older
-// than EvictAfterS, their session is evicted and their slot's reading
+// staleAfterS are degraded (prediction marked stale, no calibration); older
+// than evictAfterS, their session is evicted and their slot's reading
 // dropped. ids[i] names slots[i].
 //
 // dst is appended to and returned (pass dst[:0] to reuse a buffer); beyond
@@ -628,7 +555,7 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // a reading are skipped — never observed means no session and no
 // prediction.
 //
-// With RoundWorkers > 1 and a population of at least 1024 hosts, the
+// With RoundWorkers > 1 and a population of at least shard.MinHosts, the
 // per-host pass is sharded across a bounded worker pool: workers touch
 // disjoint slots, evictions are deferred to a serial sweep, and dst is
 // filled in slot order afterwards — so results (predictions, their order,
@@ -636,16 +563,8 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // overlap another round (either front-end) on the same engine; it is safe
 // against concurrent Observe/Predict/Create/Delete traffic.
 func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
-	workers := e.cfg.RoundWorkers
-	if len(slots) < roundParallelMinHosts {
-		workers = 1
-	}
-	// Keep every worker's chunk large enough to amortize its goroutine.
-	if maxW := (len(slots) + 255) / 256; workers > maxW {
-		workers = maxW
-	}
-	if workers > 1 {
-		return e.roundSharded(workers, dst, nowS, ids, slots)
+	if e.cfg.RoundWorkers > 1 && len(slots) >= shard.MinHosts {
+		return e.roundSharded(dst, nowS, ids, slots)
 	}
 	var st RoundStats
 	for i := range slots {
@@ -701,37 +620,29 @@ type roundSlot struct {
 	ok, evict bool
 }
 
-// roundSharded is the parallel round body: chunked slot ranges into
-// per-index scratch, stats merged in chunk order, evictions and the
-// in-order dst fill applied serially.
-func (e *Engine) roundSharded(workers int, dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
+// roundSharded is the parallel round body: shard.Run chunks the slot range
+// into per-index scratch (at least 256 hosts a chunk, so each amortizes its
+// goroutine), stats are merged in chunk order, and evictions and the
+// in-order dst fill are applied serially.
+func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
+	const minPerChunk = 256
 	n := len(slots)
 	if cap(e.scratch) < n {
 		e.scratch = make([]roundSlot, n)
 	}
 	scratch := e.scratch[:n]
-	stats := make([]RoundStats, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			st := &stats[w]
-			for i := lo; i < hi; i++ {
-				res := &scratch[i]
-				if res.ok, res.evict = false, false; slots[i].Present {
-					res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred)
-				}
+	count, size := shard.Chunks(n, e.cfg.RoundWorkers, minPerChunk)
+	stats := make([]RoundStats, count)
+	_ = shard.Run(n, e.cfg.RoundWorkers, minPerChunk, func(lo, hi int) error {
+		st := &stats[lo/size]
+		for i := lo; i < hi; i++ {
+			res := &scratch[i]
+			if res.ok, res.evict = false, false; slots[i].Present {
+				res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred)
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	var st RoundStats
 	for i := range stats {
 		st.Live += stats[i].Live

@@ -120,7 +120,7 @@ func (e *Engine) PredictFresh(r telemetry.Reading, anchor AnchorLookup, st *Stre
 	*pred = Prediction{
 		HostID:       r.HostID,
 		TempC:        tempC,
-		UncertaintyC: e.cfg.UncertaintyBaseC,
+		UncertaintyC: uncertaintyBaseC,
 	}
 	return true
 }

@@ -8,6 +8,7 @@ import (
 
 	"vmtherm/internal/checkpoint"
 	"vmtherm/internal/dataset"
+	"vmtherm/internal/engine"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
@@ -85,7 +86,7 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 		}
 
 		eps := cached.cfg.AnchorQuantUtil/2*utilSensC + cached.cfg.AnchorQuantMem/2*memSensC
-		if lim := cached.cfg.ReanchorEpsC / 2; eps > lim {
+		if lim := engine.ReanchorEpsC / 2; eps > lim {
 			t.Fatalf("configured quantization epsilon %.3f exceeds ReanchorEpsC/2 = %.3f", eps, lim)
 		}
 		var maxDiff float64
@@ -386,13 +387,7 @@ func TestAnchorQuantValidation(t *testing.T) {
 	if _, err := NewWithSource(cfg, &gridSource{}, syntheticStable); err == nil {
 		t.Fatal("oversized anchor quantization accepted")
 	}
-	// The same widths are fine once ReanchorEpsC grows to absorb them.
-	cfg.ReanchorEpsC = 4.5
-	if _, err := NewWithSource(cfg, &gridSource{}, syntheticStable); err != nil {
-		t.Fatalf("widened ReanchorEpsC still rejected: %v", err)
-	}
 	// Disabling the cache lifts the constraint entirely.
-	cfg.ReanchorEpsC = 0
 	cfg.AnchorCacheDisabled = true
 	if _, err := NewWithSource(cfg, &gridSource{}, syntheticStable); err != nil {
 		t.Fatalf("cache-disabled config rejected: %v", err)

@@ -125,7 +125,7 @@ func (c *Controller) simAnchorCases(hits *int) error {
 		// center and is off by at most half. Quartering the load bucket
 		// widths caps the sim load error at half the source epsilon, which
 		// leaves room for the half-ambient-bucket share so the composed sim
-		// error stays within the ReanchorEpsC/2 bound Config.Validate
+		// error stays within the engine.ReanchorEpsC/2 bound Config.Validate
 		// enforces.
 		q = c.cache.Quant()
 		q.UtilQuant /= 4

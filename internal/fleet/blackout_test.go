@@ -61,7 +61,7 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 		}
 	}()
 
-	// Lights out. StaleAfterS is 3 rounds; 6 dark rounds put every host
+	// Lights out. staleAfterS is 3 rounds; 6 dark rounds put every host
 	// well past it.
 	if err := setTelemetryDark(c, true); err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 	if lastDark.StaleHosts == 0 {
 		t.Fatal("blackout did not widen staleness")
 	}
-	if lastDark.MaxStalenessS <= cfg.StaleAfterS {
-		t.Fatalf("max staleness %v not beyond stale-after %v", lastDark.MaxStalenessS, cfg.StaleAfterS)
+	if lastDark.MaxStalenessS <= staleAfterS {
+		t.Fatalf("max staleness %v not beyond stale-after %v", lastDark.MaxStalenessS, staleAfterS)
 	}
 
 	// Sweep resumes; every stale host must clear within a few rounds (one

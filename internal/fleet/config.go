@@ -6,7 +6,6 @@ import (
 	"runtime"
 
 	"vmtherm/internal/anchorcache"
-	"vmtherm/internal/core"
 	"vmtherm/internal/engine"
 	"vmtherm/internal/substrate"
 	"vmtherm/internal/vmm"
@@ -29,34 +28,8 @@ type Config struct {
 	UpdateEveryS float64
 	// GapS is Δ_gap, the prediction horizon the hotspot map looks ahead.
 	GapS float64
-	// Lambda is the calibration learning rate λ.
-	Lambda float64
-	// TBreakS and CurveDeltaS shape the Eq. (3) pre-defined curve.
-	TBreakS, CurveDeltaS float64
 	// HorizonS is the feature-encoding horizon for ψ_stable anchors.
 	HorizonS float64
-	// StaleAfterS is how old telemetry may get before a host is degraded
-	// (uncertainty widened, excluded from the hotspot map).
-	StaleAfterS float64
-	// EvictAfterS is how old telemetry may get before a host's session is
-	// evicted entirely (default 20 × StaleAfterS).
-	EvictAfterS float64
-	// ReanchorEpsC re-anchors a session when its predicted ψ_stable moves by
-	// more than this (deployment changed underneath it).
-	ReanchorEpsC float64
-	// UncertaintyBaseC and UncertaintyPerSC shape per-prediction uncertainty:
-	// base + perS · staleness.
-	UncertaintyBaseC, UncertaintyPerSC float64
-	// IngestBuffer bounds the telemetry pipeline: at most this many readings
-	// wait for the next round, and at most twice this many plus one
-	// 512-reading chunk of a source advance are held in memory (one buffer
-	// filling while the round drains the other). 0
-	// auto-sizes to at least one full round of emissions — the simulated
-	// fleet's own sensor sweep volume, or MaxHosts × samples-per-round for
-	// source-driven fleets (minimum 4096 either way) — because a default
-	// smaller than the round volume would silently starve the hosts beyond
-	// it of telemetry forever.
-	IngestBuffer int
 	// MaxMigrationsPerRound bounds reconciliation work per round; 0 disables
 	// migration (a bounded set of hottest-first proposals is still derived
 	// each round for observability — see propose for the bound).
@@ -84,7 +57,8 @@ type Config struct {
 	// cache's quantization bucket widths (defaults 0.01, 0.02, 0.25 °C).
 	// Cached-vs-exact anchor divergence is bounded by the model's input
 	// sensitivity times half a bucket; the defaults keep that bound under
-	// ReanchorEpsC/2 so cache error can never trigger a spurious re-anchor.
+	// engine.ReanchorEpsC/2 so cache error can never trigger a spurious
+	// re-anchor.
 	AnchorQuantUtil, AnchorQuantMem, AnchorQuantAmbientC float64
 	// AnchorWorkers bounds the worker pool that shards cache-miss anchor
 	// fan-outs (cold rounds, mass re-anchors) across cores (default
@@ -115,15 +89,7 @@ func DefaultConfig() Config {
 		ThresholdC:            65,
 		UpdateEveryS:          15,
 		GapS:                  60,
-		Lambda:                core.DefaultLambda,
-		TBreakS:               core.DefaultTBreakS,
-		CurveDeltaS:           core.DefaultCurveDelta,
 		HorizonS:              1800,
-		StaleAfterS:           45,
-		ReanchorEpsC:          1.0,
-		UncertaintyBaseC:      0.5,
-		UncertaintyPerSC:      0.05,
-		IngestBuffer:          0, // auto-sized per fleet shape; see the field doc
 		MaxMigrationsPerRound: 1,
 		Admission:             AdmissionPolicy{MaxQueueDepth: defaultQueueDepth},
 		SourceAmbientC:        22,
@@ -147,16 +113,7 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.ThresholdC, d.ThresholdC)
 	orDefault(&c.UpdateEveryS, d.UpdateEveryS)
 	orDefault(&c.GapS, d.GapS)
-	orDefault(&c.Lambda, d.Lambda)
-	orDefault(&c.TBreakS, d.TBreakS)
-	orDefault(&c.CurveDeltaS, d.CurveDeltaS)
 	orDefault(&c.HorizonS, d.HorizonS)
-	orDefault(&c.StaleAfterS, 3*c.UpdateEveryS)
-	orDefault(&c.EvictAfterS, 20*c.StaleAfterS)
-	orDefault(&c.ReanchorEpsC, d.ReanchorEpsC)
-	orDefault(&c.UncertaintyBaseC, d.UncertaintyBaseC)
-	orDefault(&c.UncertaintyPerSC, d.UncertaintyPerSC)
-	orDefault(&c.IngestBuffer, 4096)
 	orDefault(&c.SourceAmbientC, d.SourceAmbientC)
 	orDefault(&c.MaxHosts, d.MaxHosts)
 	orDefault(&c.AnchorCacheEntries, 65536)
@@ -177,29 +134,27 @@ func orDefault[T comparable](v *T, def T) {
 	}
 }
 
-// resolve fills defaults, auto-sizes an unset IngestBuffer and validates,
-// returning the resolved configuration with the host population it was
-// sized for: the fleet shape for simulated fleets, the MaxHosts bound for
-// discovered ones.
+// resolve fills defaults and validates, returning the resolved
+// configuration with the host population it is sized for: the fleet shape
+// for simulated fleets, the MaxHosts bound for discovered ones.
 func (c Config) resolve(simulated bool) (Config, int, error) {
-	autoBuffer := c.IngestBuffer == 0
 	c = c.withDefaults()
 	hosts := c.MaxHosts
 	if simulated {
 		hosts = c.Racks * c.HostsPerRack
 	}
-	if autoBuffer {
-		// Every host emits one reading per sample interval, so a default
-		// buffer smaller than one round's emissions from the full population
-		// would silently starve the hosts beyond it of telemetry forever
-		// (discovered populations are sized for the worst case MaxHosts
-		// admits). An explicit IngestBuffer is honored as given.
-		perRound := int(math.Ceil(c.UpdateEveryS/c.SampleS)) + 1
-		if need := hosts * perRound; need > c.IngestBuffer {
-			c.IngestBuffer = need
-		}
-	}
 	return c, hosts, c.Validate()
+}
+
+// ingestCapacity bounds the telemetry pipeline of a fleet of hosts: at
+// least one full round of emissions (minimum 4096). Every host emits one
+// reading per sample interval, so a buffer smaller than one round's
+// emissions from the full population would silently starve the hosts beyond
+// it of telemetry forever (discovered populations are sized for the worst
+// case MaxHosts admits).
+func (c Config) ingestCapacity(hosts int) int {
+	perRound := int(math.Ceil(c.UpdateEveryS/c.SampleS)) + 1
+	return max(4096, hosts*perRound)
 }
 
 // defaultQueueDepth is the default pending-queue bound: deep enough that a
@@ -216,10 +171,7 @@ func (c Config) Validate() error {
 		v    float64
 	}{
 		{"threshold", c.ThresholdC}, {"update interval", c.UpdateEveryS},
-		{"gap", c.GapS}, {"lambda", c.Lambda}, {"t_break", c.TBreakS}, {"curve delta", c.CurveDeltaS},
-		{"horizon", c.HorizonS}, {"stale-after", c.StaleAfterS}, {"evict-after", c.EvictAfterS},
-		{"re-anchor epsilon", c.ReanchorEpsC},
-		{"uncertainty base", c.UncertaintyBaseC}, {"uncertainty per second", c.UncertaintyPerSC},
+		{"gap", c.GapS}, {"horizon", c.HorizonS},
 		{"headroom budget", c.Admission.HeadroomBudgetC}, {"source ambient", c.SourceAmbientC},
 		{"anchor util bucket", c.AnchorQuantUtil}, {"anchor mem bucket", c.AnchorQuantMem},
 		{"anchor ambient bucket", c.AnchorQuantAmbientC},
@@ -236,12 +188,6 @@ func (c Config) Validate() error {
 	}
 	if c.UpdateEveryS <= 0 || c.GapS <= 0 {
 		return fmt.Errorf("fleet: update interval %v and gap %v must be > 0", c.UpdateEveryS, c.GapS)
-	}
-	if c.StaleAfterS <= 0 {
-		return fmt.Errorf("fleet: stale-after must be > 0, got %v", c.StaleAfterS)
-	}
-	if c.IngestBuffer < 1 {
-		return fmt.Errorf("fleet: ingest buffer %d < 1", c.IngestBuffer)
 	}
 	if c.MaxMigrationsPerRound < 0 {
 		return fmt.Errorf("fleet: negative migration bound %d", c.MaxMigrationsPerRound)
@@ -269,21 +215,20 @@ func (c Config) Validate() error {
 		// The cache's correctness invariant is that quantization error can
 		// never push a session across the re-anchor threshold on its own: a
 		// cached value within ε of exact can differ from a stored one by at
-		// most 2ε, so ε must stay ≤ ReanchorEpsC/2 on BOTH cache paths.
+		// most 2ε, so ε must stay ≤ engine.ReanchorEpsC/2 on BOTH cache paths.
 		// Source path: misses predict at the (util, mem) bucket center, so
 		// ε = sensitivity × half a configured bucket (the bound the property
 		// test pins across the grid). Sim path: misses predict the actual
 		// deployment snapshot under quarter-width load buckets (full-bucket
 		// first-member error = half the source ε) plus half an ambient
-		// bucket. Reject loud rather than oscillate silently: widening
-		// buckets requires widening ReanchorEpsC to match.
+		// bucket. Reject loud rather than oscillate silently.
 		srcEps := c.AnchorQuantUtil/2*anchorUtilSensC + c.AnchorQuantMem/2*anchorMemSensC
 		simEps := srcEps/2 + c.AnchorQuantAmbientC/2*anchorAmbientSens
 		eps := max(srcEps, simEps)
-		if lim := c.ReanchorEpsC / 2; eps > lim+1e-9 {
+		if lim := engine.ReanchorEpsC / 2; eps > lim+1e-9 {
 			return fmt.Errorf("fleet: anchor quantization epsilon %.3f°C (source %.3f, sim %.3f) exceeds "+
-				"ReanchorEpsC/2 = %.3f°C (buckets util %v, mem %v, ambient %v°C at nominal sensitivities "+
-				"%v/%v °C per unit, %v °C/°C); narrow the buckets or raise ReanchorEpsC",
+				"half the re-anchor threshold, %.3f°C (buckets util %v, mem %v, ambient %v°C at nominal "+
+				"sensitivities %v/%v °C per unit, %v °C/°C); narrow the buckets",
 				eps, srcEps, simEps, lim, c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC,
 				anchorUtilSensC, anchorMemSensC, anchorAmbientSens)
 		}
@@ -312,17 +257,5 @@ const (
 // engine round inherits the physics worker bound: the same cores that shard
 // the rack ticks shard the per-host session pass at >= 1024 hosts.
 func (c Config) engineConfig() engine.Config {
-	return engine.Config{
-		Lambda:           c.Lambda,
-		UpdateEveryS:     c.UpdateEveryS,
-		GapS:             c.GapS,
-		TBreakS:          c.TBreakS,
-		CurveDeltaS:      c.CurveDeltaS,
-		StaleAfterS:      c.StaleAfterS,
-		EvictAfterS:      c.EvictAfterS,
-		ReanchorEpsC:     c.ReanchorEpsC,
-		UncertaintyBaseC: c.UncertaintyBaseC,
-		UncertaintyPerSC: c.UncertaintyPerSC,
-		RoundWorkers:     c.PhysWorkers,
-	}
+	return engine.Config{UpdateEveryS: c.UpdateEveryS, GapS: c.GapS, RoundWorkers: c.PhysWorkers}
 }

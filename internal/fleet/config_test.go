@@ -34,7 +34,7 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 			}
 		}
 	}
-	if len(fields) < 20 {
+	if len(fields) < 12 {
 		t.Fatalf("found %d float fields", len(fields))
 	}
 	for _, name := range []string{"RackSpreadC", "TickS", "SampleS"} {

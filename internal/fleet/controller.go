@@ -182,7 +182,7 @@ func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor)
 // hostHint is the expected steady-state host population (the fleet shape,
 // or the MaxHosts bound for discovered populations): the host table's index
 // is pre-sized from it so a cold start does not rehash its way up to the
-// full population on the first rounds.
+// full population on the first rounds, and it sizes the ingest pipeline.
 func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor, hostHint int) (*Controller, error) {
 	if predict == nil {
 		return nil, errors.New("fleet: nil predictor")
@@ -198,7 +198,7 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 		eng:       eng,
 		pos:       make(map[string]int32, hostHint),
 		missByKey: make(map[anchorcache.Key]int),
-		ingest:    newIngestPipeline(cfg.IngestBuffer),
+		ingest:    newIngestPipeline(cfg.ingestCapacity(hostHint)),
 	}
 	for i := 0; i < cfg.HostShape.Cores; i++ {
 		c.obsTaskIDs = append(c.obsTaskIDs, "observed-t"+strconv.Itoa(i))

@@ -44,6 +44,14 @@ func runRounds(c *Controller, n int) ([]RoundReport, error) {
 	return out, nil
 }
 
+// withIngestBuffer gives c a fresh telemetry pipeline bounded at capacity
+// readings, in place of the one sized for a full round of its fleet: small
+// enough that a few producers make drops happen, or large enough to hold
+// many rounds of pushes.
+func withIngestBuffer(c *Controller, capacity int) {
+	c.ingest = newIngestPipeline(capacity)
+}
+
 // ingest offers one reading to the tee, if attached, and then to the
 // pipeline, one lock per reading; false means it was rejected or dropped.
 func ingest(c *Controller, r Reading) bool {
@@ -86,6 +94,10 @@ func measuredDieTemp(c *Controller, hostID string) (tempC float64, err error) {
 	})
 	return tempC, err
 }
+
+// staleAfterS and evictAfterS are the engine's session policy: telemetry
+// older than these degrades a host, then forgets it.
+const staleAfterS, evictAfterS = 45.0, 900.0
 
 func testConfig() Config {
 	cfg := DefaultConfig()
@@ -280,7 +292,7 @@ func TestStaleTelemetryDegradesGracefully(t *testing.T) {
 	if err := setTelemetryMuted(c, "r0-h0", true); err != nil {
 		t.Fatal(err)
 	}
-	// StaleAfterS is 45 s = 3 rounds; run enough rounds to cross it.
+	// staleAfterS is 45 s = 3 rounds; run enough rounds to cross it.
 	rounds, err := runRounds(c, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +301,8 @@ func TestStaleTelemetryDegradesGracefully(t *testing.T) {
 	if last.StaleHosts == 0 {
 		t.Fatal("round report shows no stale hosts")
 	}
-	if last.MaxStalenessS <= cfg.StaleAfterS {
-		t.Fatalf("max staleness %v not beyond stale-after %v", last.MaxStalenessS, cfg.StaleAfterS)
+	if last.MaxStalenessS <= staleAfterS {
+		t.Fatalf("max staleness %v not beyond stale-after %v", last.MaxStalenessS, staleAfterS)
 	}
 	snap := snapshotOf(c)
 	foundStale := false
@@ -321,11 +333,11 @@ func TestConcurrentIngestDuringRounds(t *testing.T) {
 	cfg.HostsPerRack = 4
 	cfg.ThresholdC = 70
 	cfg.Seed = 3
-	cfg.IngestBuffer = 64 // small enough that drops actually happen
 	c, err := New(cfg, syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withIngestBuffer(c, 64) // small enough that drops actually happen
 	if err := c.PlaceAt("r0-h0", HeavyVMSpec("w", 4, 8)); err != nil {
 		t.Fatal(err)
 	}

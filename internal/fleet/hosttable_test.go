@@ -136,7 +136,7 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 	}
 	sourceCfg := func() Config {
 		cfg := DefaultConfig()
-		cfg.MaxHosts, cfg.IngestBuffer = 8, 512
+		cfg.MaxHosts = 8
 		return cfg
 	}
 	newSource := func(t *testing.T) fixture {
@@ -153,8 +153,7 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 	}
 	newSim := func(t *testing.T) fixture {
 		cfg := testConfig()
-		cfg.Racks, cfg.HostsPerRack, cfg.IngestBuffer = 2, 4, 512
-		cfg.StaleAfterS, cfg.EvictAfterS = 20, 40 // a muted host is evicted within three rounds
+		cfg.Racks, cfg.HostsPerRack = 2, 4
 		ctl, err := New(cfg, syntheticStable)
 		if err != nil {
 			t.Fatal(err)
@@ -185,12 +184,22 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 				f.ctl.TeeTelemetry(tee)
 				now := 0.0
 
+				// The simulated fleet's clock moves a round at a time, so its
+				// long outage is a blackout of rounds past evictAfterS during
+				// which only foreign ids are pushed.
+				outage := int(evictAfterS/cfg.UpdateEveryS) + 1
 				for round := 1; round <= 120; round++ {
 					offered = offered[:0]
+					dark := f.clock == nil && round > 30 && round <= 30+outage
+					if f.clock == nil {
+						if err := setTelemetryDark(f.ctl, dark); err != nil {
+							t.Fatal(err)
+						}
+					}
 					switch {
 					case f.clock != nil && rng.Intn(12) == 0:
 						// A long outage: whoever is not fed this round goes dark.
-						f.clock.now += cfg.EvictAfterS
+						f.clock.now += evictAfterS
 						now = f.clock.now
 					case f.clock != nil && rng.Intn(10) == 0:
 						st, err := f.ctl.Checkpoint()
@@ -224,8 +233,12 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						}
 					}
 					for n := rng.Intn(24); n > 0; n-- {
+						id := f.ids[rng.Intn(len(f.ids))]
+						if dark && m.own[id] {
+							continue
+						}
 						ingest(f.ctl, Reading{
-							HostID: f.ids[rng.Intn(len(f.ids))],
+							HostID: id,
 							AtS:    now + float64(rng.Intn(40)-25), // behind, at and ahead of the clock
 							TempC:  30 + 40*rng.Float64(),
 							Util:   rng.Float64(),
@@ -237,7 +250,7 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					now = rep.SimTimeS
-					drained, discarded := m.round(offered, now, cfg.EvictAfterS)
+					drained, discarded := m.round(offered, now, evictAfterS)
 					discards += discarded
 					evictions += rep.Evicted
 
@@ -255,7 +268,7 @@ func TestHostTableMatchesMapModel(t *testing.T) {
 					checkTable(t, c)
 					var fresh, stale []string
 					for id, r := range m.latest {
-						if now-min(r.AtS, now) > cfg.StaleAfterS {
+						if now-min(r.AtS, now) > staleAfterS {
 							stale = append(stale, id)
 						} else {
 							fresh = append(fresh, id)
@@ -320,11 +333,11 @@ func TestFutureStampedReadingIsClamped(t *testing.T) {
 	if p := snap.Predicted["h"]; p > 60 {
 		t.Fatalf("predicted %.1f °C after six 40 °C readings: still from the 99 °C one", p)
 	}
-	// Silent from here on: the host goes stale once StaleAfterS has passed.
+	// Silent from here on: the host goes stale once staleAfterS has passed.
 	silentAt := clock.now - cfg.UpdateEveryS
 	for len(snapshotOf(c).StaleHosts) == 0 {
-		if clock.now-silentAt > cfg.StaleAfterS+cfg.UpdateEveryS {
-			t.Fatalf("host still fresh %v s after its last reading (StaleAfterS %v)", clock.now-silentAt, cfg.StaleAfterS)
+		if clock.now-silentAt > staleAfterS+cfg.UpdateEveryS {
+			t.Fatalf("host still fresh %v s after its last reading (staleAfterS %v)", clock.now-silentAt, staleAfterS)
 		}
 		if _, err := c.RunRound(); err != nil {
 			t.Fatal(err)
@@ -333,16 +346,19 @@ func TestFutureStampedReadingIsClamped(t *testing.T) {
 }
 
 // TestIngestPipelineCeiling is the -race proof for the swap buffer: while
-// producers push and rounds drain, no more than IngestBuffer readings ever
-// wait, every offered reading is counted exactly once — received, dropped or
-// rejected — and every received one is drained by exactly one round.
+// producers push and rounds drain, no more than the buffer's capacity of
+// readings ever wait, every offered reading is counted exactly once —
+// received, dropped or rejected — and every received one is drained by
+// exactly one round.
 func TestIngestPipelineCeiling(t *testing.T) {
+	const capacity = 64
 	cfg := DefaultConfig()
-	cfg.MaxHosts, cfg.IngestBuffer = 16, 64
+	cfg.MaxHosts = 16
 	c, err := NewWithSource(cfg, &gridSource{}, syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withIngestBuffer(c, capacity)
 	buffered := func() int {
 		c.ingest.mu.Lock()
 		defer c.ingest.mu.Unlock()
@@ -362,8 +378,8 @@ func TestIngestPipelineCeiling(t *testing.T) {
 				}
 				ingest(c, Reading{HostID: fmt.Sprintf("h%02d", (g*7+i)%cfg.MaxHosts), AtS: float64(i), TempC: temp, Util: 0.5})
 				offered.Add(1)
-				if n := buffered(); n > cfg.IngestBuffer {
-					t.Errorf("%d readings buffered, IngestBuffer is %d", n, cfg.IngestBuffer)
+				if n := buffered(); n > capacity {
+					t.Errorf("%d readings buffered, capacity is %d", n, capacity)
 					return
 				}
 			}

@@ -55,7 +55,7 @@ func (s *burstSource) Advance(dtS float64, emit func(telemetry.Reading) bool) er
 // the tee must have seen the same readings in the same order.
 func TestChunkedSourcePushMatchesPerReading(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.MaxHosts, cfg.IngestBuffer = 256, 1500
+	cfg.MaxHosts = 256
 	sizes := []int{0, 7, pushChunk - 1, pushChunk, pushChunk + 1, 1300, 2*pushChunk + 3, 4000}
 	build := func() (*Controller, *telemetry.Recorder) {
 		rng := rand.New(rand.NewSource(31))
@@ -65,6 +65,7 @@ func TestChunkedSourcePushMatchesPerReading(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		withIngestBuffer(c, 1500)
 		rec := &telemetry.Recorder{}
 		c.TeeTelemetry(rec.Emit)
 		return c, rec
@@ -116,16 +117,18 @@ func sameReading(a, b Reading) bool {
 }
 
 // TestChunkedPushMemoryBound: a source that emits several buffers' worth of
-// readings in one Advance never has more than IngestBuffer + pushChunk of
-// them in the pipeline — the buffer plus one staged chunk.
+// readings in one Advance never has more than the buffer's capacity +
+// pushChunk of them in the pipeline — the buffer plus one staged chunk.
 func TestChunkedPushMemoryBound(t *testing.T) {
+	const capacity = 1000
 	cfg := DefaultConfig()
-	cfg.MaxHosts, cfg.IngestBuffer = 256, 1000
+	cfg.MaxHosts = 256
 	src := &burstSource{rng: rand.New(rand.NewSource(7)), n: func() int { return 5000 }}
 	c, err := NewWithSource(cfg, src, syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withIngestBuffer(c, capacity)
 	peak := 0
 	src.during = func() {
 		c.ingest.mu.Lock()
@@ -138,11 +141,11 @@ func TestChunkedPushMemoryBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if peak > cfg.IngestBuffer+pushChunk {
-		t.Fatalf("%d readings held in the pipeline, bound %d + %d", peak, cfg.IngestBuffer, pushChunk)
+	if peak > capacity+pushChunk {
+		t.Fatalf("%d readings held in the pipeline, bound %d + %d", peak, capacity, pushChunk)
 	}
-	if peak < cfg.IngestBuffer {
-		t.Fatalf("peak %d never filled the buffer of %d", peak, cfg.IngestBuffer)
+	if peak < capacity {
+		t.Fatalf("peak %d never filled the buffer of %d", peak, capacity)
 	}
 	if _, dropped, _ := c.IngestStats(); dropped == 0 {
 		t.Fatal("no drops from bursts of five buffers")

@@ -96,11 +96,9 @@ func TestWarmIngestBatchZeroAlloc(t *testing.T) {
 		{"predict", true, true, IngestStreamed},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctl, src, ids := snapController(t, hosts, func(cfg *Config) {
-				cfg.StreamingIngest = tc.streaming
-				// Room for every push of the run: no round in between, no drop.
-				cfg.IngestBuffer = hosts * (runs + 2)
-			})
+			ctl, src, ids := snapController(t, hosts, func(cfg *Config) { cfg.StreamingIngest = tc.streaming })
+			// Room for every push of the run: no round in between, no drop.
+			withIngestBuffer(ctl, hosts*(runs+2))
 			readings := make([]Reading, hosts)
 			results := make([]IngestResult, hosts)
 			at := src.now
@@ -191,7 +189,7 @@ func TestSnapshotConcurrentReadersDuringRounds(t *testing.T) {
 // ago — the clear-and-refill fallback of the in-place rewrite.
 func TestSnapshotMembershipShrink(t *testing.T) {
 	ctl, src, ids := snapController(t, 16)
-	// Starve the first 4 hosts: after StaleAfterS (3 rounds) they must be
+	// Starve the first 4 hosts: after staleAfterS (3 rounds) they must be
 	// degraded out of the predicted map in whatever generation is current.
 	for i := 0; i < 6; i++ {
 		now := src.now
@@ -220,7 +218,7 @@ func TestSnapshotMembershipShrink(t *testing.T) {
 // TestColdRoundAllocCeiling bounds what a source-driven cold round may
 // allocate: right after InvalidateAnchorCache every host misses (its case is
 // carved from the round arena, not built from fresh strings and slices), and
-// the load swing moves every ψ_stable past ReanchorEpsC (each session
+// the load swing moves every ψ_stable past engine.ReanchorEpsC (each session
 // re-anchors in place, not by building a new one). What is left is a handful
 // of per-round allocations — the predictor's result slice, the miss-batch
 // bookkeeping — independent of the host count.

@@ -371,9 +371,7 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Readings) > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d readings exceeds limit %d", len(req.Readings), MaxBatchItems))
+	if overBatchLimit(w, len(req.Readings), "readings") {
 		return
 	}
 	if req.Predict && !s.fleet.StreamingEnabled() {

@@ -267,17 +267,13 @@ func (s *Server) serveStableBatch(w http.ResponseWriter, r *http.Request, sc *wi
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Rows) > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d rows exceeds limit %d", len(req.Rows), MaxBatchItems))
+	if overBatchLimit(w, len(req.Rows), "rows") {
 		return
 	}
 	out := sized(sc.temps.StableTempsC, len(req.Rows))
 	sc.temps.StableTempsC = out
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
+	var errMu sync.Mutex
+	var firstErr error
 	s.pool.dispatch(len(req.Rows), func(lo, hi int) {
 		scratch, _ := s.scratch.Get().(*core.PredictScratch)
 		if scratch == nil {
@@ -379,12 +375,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gamma, err := s.eng.Observe(r.PathValue("id"), req.T, req.TempC)
-	if err != nil {
+	switch {
+	case errors.Is(err, engine.ErrImplausibleReading):
+		writeError(w, http.StatusUnprocessableEntity, err)
+	case err != nil:
 		writeError(w, http.StatusNotFound, errors.New("unknown session"))
-		return
+	default:
+		s.metrics.observeItems.Add(1)
+		writeJSON(w, http.StatusOK, ObserveResponse{Gamma: gamma})
 	}
-	s.metrics.observeItems.Add(1)
-	writeJSON(w, http.StatusOK, ObserveResponse{Gamma: gamma})
 }
 
 // PredictResponse answers a dynamic prediction query.
@@ -424,7 +423,7 @@ type ObserveBatchRequest struct {
 }
 
 // ObserveBatchResult is the per-item outcome; Error is set (and Gamma
-// meaningless) when the item's session does not exist.
+// meaningless) when the session does not exist or the reading is implausible.
 type ObserveBatchResult struct {
 	Gamma float64 `json:"gamma"`
 	Error string  `json:"error,omitempty"`
@@ -437,12 +436,7 @@ type ObserveBatchResponse struct {
 
 func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	var req ObserveBatchRequest
-	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
-		return
-	}
-	if len(req.Items) > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d items exceeds limit %d", len(req.Items), MaxBatchItems))
+	if !decodeBody(w, r, &req, maxBatchBodyBytes) || overBatchLimit(w, len(req.Items), "items") {
 		return
 	}
 	results := make([]ObserveBatchResult, len(req.Items))
@@ -450,11 +444,14 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		for i := lo; i < hi; i++ {
 			item := req.Items[i]
 			gamma, err := s.eng.Observe(item.ID, item.T, item.TempC)
-			if err != nil {
+			switch {
+			case errors.Is(err, engine.ErrImplausibleReading):
+				results[i].Error = "implausible reading"
+			case err != nil:
 				results[i].Error = "unknown session"
-				continue
+			default:
+				results[i].Gamma = gamma
 			}
-			results[i].Gamma = gamma
 		}
 	})
 	s.metrics.observeItems.Add(int64(len(req.Items)))
@@ -487,12 +484,7 @@ type PredictBatchResponse struct {
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var req PredictBatchRequest
-	if !decodeBody(w, r, &req, maxBatchBodyBytes) {
-		return
-	}
-	if len(req.Items) > MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d items exceeds limit %d", len(req.Items), MaxBatchItems))
+	if !decodeBody(w, r, &req, maxBatchBodyBytes) || overBatchLimit(w, len(req.Items), "items") {
 		return
 	}
 	results := make([]PredictBatchResult, len(req.Items))
@@ -544,6 +536,15 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	if _, err := w.Write(body); err != nil {
 		log.Printf("predictserver: writing response: %v", err)
 	}
+}
+
+// overBatchLimit answers 413 when a batch holds more than MaxBatchItems
+// items (named by kind) and reports whether it did.
+func overBatchLimit(w http.ResponseWriter, n int, kind string) bool {
+	if n > MaxBatchItems {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("batch of %d %s exceeds limit %d", n, kind, MaxBatchItems))
+	}
+	return n > MaxBatchItems
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
+	"vmtherm/internal/engine"
 	"vmtherm/internal/workload"
 )
 
@@ -273,6 +275,49 @@ func TestObservePredictUnknownSession(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusNotFound {
 		t.Errorf("predict unknown status = %d", getResp.StatusCode)
+	}
+}
+
+// TestObserveImplausibleReading: a live session refuses a 500 °C reading
+// with 422 and the engine's reason; it used to answer 404 unknown session.
+// The session keeps its calibration.
+func TestObserveImplausibleReading(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	stable := 70.0
+	sess := decode[SessionResponse](t, postJSON(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: &stable}))
+	resp := postJSON(t, ts.URL+"/v1/session/"+sess.ID+"/observe", ObserveRequest{T: 0, TempC: 500})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), engine.ErrImplausibleReading.Error()) {
+		t.Fatalf("observe 500 °C: status %d body %s, want 422 with %q", resp.StatusCode, body, engine.ErrImplausibleReading)
+	}
+	ok := decode[ObserveResponse](t, postJSON(t, ts.URL+"/v1/session/"+sess.ID+"/observe", ObserveRequest{T: 0, TempC: 24}))
+	if want := 0.8 * 4; math.Abs(ok.Gamma-want) > 1e-9 {
+		t.Fatalf("gamma after the refused reading = %v, want %v", ok.Gamma, want)
+	}
+}
+
+// TestBatchObserveImplausibleReading: in a batch, a live session's 500 °C
+// reading is labelled "implausible reading", not "unknown session".
+func TestBatchObserveImplausibleReading(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	stable := 70.0
+	sess := decode[SessionResponse](t, postJSON(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: &stable}))
+	obs := decode[ObserveBatchResponse](t, postJSON(t, ts.URL+"/v1/session/batch/observe", ObserveBatchRequest{Items: []ObserveBatchItem{
+		{ID: sess.ID, T: 0, TempC: 500},
+		{ID: "ghost", T: 0, TempC: 30},
+		{ID: sess.ID, T: 0, TempC: 24},
+	}}))
+	if len(obs.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(obs.Results))
+	}
+	for i, want := range []string{"implausible reading", "unknown session", ""} {
+		if got := obs.Results[i].Error; got != want {
+			t.Errorf("item %d error %q, want %q", i, got, want)
+		}
 	}
 }
 

@@ -174,7 +174,6 @@ type Fleet struct {
 	// sample* are the sensor-sweep scratch for the rack-sharded read phase
 	// (by slot); emission consumes them serially in slot order.
 	sampleVal, sampleUtil, sampleMem []float64
-	sampleOK                         []bool
 	// scanInlets and scanKeys are ScanAnchors' results (by slot).
 	scanInlets []float64
 	scanKeys   []anchorcache.Key
@@ -253,7 +252,6 @@ func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func
 	n := len(f.hosts)
 	buf := make([]float64, 4*n)
 	f.sampleVal, f.sampleUtil, f.sampleMem, f.scanInlets = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
-	f.sampleOK = make([]bool, n)
 	f.scanKeys = make([]anchorcache.Key, n)
 	return f, nil
 }
@@ -487,17 +485,14 @@ func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 		return
 	}
 	if f.parallel() {
-		// Sensor and load sweeps cannot fail (read errors become skipped
-		// samples), so the shard error path is unreachable here.
+		// Sensor and load sweeps cannot fail, so the shard error path is
+		// unreachable here.
 		_ = f.shardRacks(func(lo, hi int) error { f.readSensors(lo, hi); return nil })
 	} else {
 		f.readSensors(0, len(f.rackSpan))
 	}
 	t := f.now
 	for i := range f.hosts {
-		if !f.sampleOK[i] {
-			continue // transient sensor failure: the sample is simply lost
-		}
 		v, fault := f.sampleVal[i], f.hosts[i].fault
 		// Injected sensor faults corrupt the *emitted* value only: the read
 		// (and its rng draw) already happened on the healthy schedule, so
@@ -527,8 +522,7 @@ func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 func (f *Fleet) readSensors(lo, hi int) {
 	for i := f.rackSpan[lo][0]; i < f.rackSpan[hi-1][1]; i++ {
 		sh := f.hosts[i]
-		v, err := sh.sensor.Read()
-		f.sampleOK[i], f.sampleVal[i] = err == nil, v
+		f.sampleVal[i] = sh.sensor.Read()
 		f.sampleUtil[i], f.sampleMem[i] = sh.loads()
 	}
 }

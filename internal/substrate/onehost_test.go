@@ -331,30 +331,6 @@ func TestFailFansValidation(t *testing.T) {
 	}
 }
 
-// TestTraceFlakySensorStillProducesStableTemp: transient sensor failures
-// drop readings (like a real collector) but must not corrupt the
-// experiment or Eq. (1).
-func TestTraceFlakySensorStillProducesStableTemp(t *testing.T) {
-	cfg := seeded(60)
-	cfg.Sensor.FailProb = 0.3
-	tr := runCase(t, smallCase(t), cfg, 1800)
-	const all = 1 + 1800/5
-	if n := tr.SensorTemps.Len(); n >= all || n < all/2 || tr.TrueTemps.Len() != n {
-		t.Errorf("%d sensor and %d true points of %d reads; want about 70%% of them, one each", n, tr.TrueTemps.Len(), all)
-	}
-	stable, err := tr.StableTemp(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueStable, err := tr.TrueTemps.MeanAfter(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(stable-trueStable) > 1 {
-		t.Errorf("flaky-sensor stable %v far from true %v", stable, trueStable)
-	}
-}
-
 // TestPlaceMidRunHeatsServer: a hot VM placed on the host mid-run (a
 // migration landing) raises its settled temperature and runs there.
 func TestPlaceMidRunHeatsServer(t *testing.T) {

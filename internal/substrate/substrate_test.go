@@ -260,9 +260,9 @@ func TestConfigValidateNamesPhysicsField(t *testing.T) {
 		{"PowerModel.IdleW", func(c *Config) { c.Server.Power.IdleW = math.NaN() }},
 		{"PowerModel.UtilExponent", func(c *Config) { c.Server.Power.UtilExponent = math.Inf(-1) }},
 		{"SensorParams.NoiseStdC", func(c *Config) { c.Sensor.NoiseStdC = math.NaN() }},
-		{"SensorParams.BiasC", func(c *Config) { c.Sensor.BiasC = math.Inf(-1) }},
+		{"SensorParams.QuantizationC", func(c *Config) { c.Sensor.QuantizationC = math.Inf(-1) }},
 		{"capacitances", func(c *Config) { c.Server.CaseCapacitance = -1 }},
-		{"fail probability", func(c *Config) { c.Sensor.FailProb = 1 }},
+		{"negative quantization", func(c *Config) { c.Sensor.QuantizationC = -1 }},
 	} {
 		c := DefaultConfig()
 		tc.mutate(&c)

@@ -6,6 +6,9 @@ import (
 	"math"
 )
 
+// kktTol is the KKT stopping tolerance, LIBSVM's default (-e 0.001).
+const kktTol = 1e-3
+
 // TrainParams configures ε-SVR training; fields mirror LIBSVM's command-line
 // options.
 type TrainParams struct {
@@ -15,8 +18,6 @@ type TrainParams struct {
 	C float64
 	// Epsilon is the ε-tube half-width of the loss (-p).
 	Epsilon float64
-	// Tol is the KKT stopping tolerance (-e). Zero selects LIBSVM's 1e-3.
-	Tol float64
 	// MaxIter bounds SMO iterations. Zero selects a generous default.
 	MaxIter int
 	// Selection picks the working-set rule; the zero value is
@@ -36,9 +37,6 @@ func (p TrainParams) Validate() error {
 	}
 	if !(p.Epsilon >= 0 && p.Epsilon <= math.MaxFloat64) {
 		return fmt.Errorf("svm: epsilon must be >= 0 and finite, got %v", p.Epsilon)
-	}
-	if !(p.Tol >= 0 && p.Tol <= math.MaxFloat64) {
-		return fmt.Errorf("svm: tol must be >= 0 and finite, got %v", p.Tol)
 	}
 	if p.MaxIter < 0 {
 		return fmt.Errorf("svm: maxIter must be >= 0, got %d", p.MaxIter)
@@ -117,16 +115,12 @@ func fit(cache *rowCache, z []float64, params TrainParams) (*Model, error) {
 			return nil, fmt.Errorf("svm: target %d is %v", i, v)
 		}
 	}
-	tol := params.Tol
-	if tol == 0 {
-		tol = 1e-3
-	}
 	maxIter := params.MaxIter
 	if maxIter == 0 {
 		maxIter = 10_000_000
 	}
 
-	s := cacheSolver(cache, z, params.C, params.Epsilon, tol, maxIter, params.Selection)
+	s := cacheSolver(cache, z, params.C, params.Epsilon, kktTol, maxIter, params.Selection)
 	beta, rho, iters, err := s.solve()
 	if err != nil {
 		return nil, err

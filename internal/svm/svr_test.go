@@ -35,15 +35,12 @@ func TestTrainParamsValidate(t *testing.T) {
 		{"bad kernel", func(p *TrainParams) { p.Kernel.Gamma = -1 }, false},
 		{"zero C", func(p *TrainParams) { p.C = 0 }, false},
 		{"negative epsilon", func(p *TrainParams) { p.Epsilon = -0.1 }, false},
-		{"negative tol", func(p *TrainParams) { p.Tol = -1 }, false},
 		{"negative maxIter", func(p *TrainParams) { p.MaxIter = -1 }, false},
 		{"zero epsilon", func(p *TrainParams) { p.Epsilon = 0 }, true},
 		{"NaN C", func(p *TrainParams) { p.C = math.NaN() }, false},
 		{"infinite C", func(p *TrainParams) { p.C = math.Inf(1) }, false},
 		{"NaN epsilon", func(p *TrainParams) { p.Epsilon = math.NaN() }, false},
 		{"infinite epsilon", func(p *TrainParams) { p.Epsilon = math.Inf(1) }, false},
-		{"NaN tol", func(p *TrainParams) { p.Tol = math.NaN() }, false},
-		{"infinite tol", func(p *TrainParams) { p.Tol = math.Inf(1) }, false},
 		{"NaN coef0", func(p *TrainParams) { p.Kernel.Coef0 = math.NaN() }, false},
 	}
 	for _, tt := range tests {
@@ -59,15 +56,14 @@ func TestTrainParamsValidate(t *testing.T) {
 }
 
 // TestTrainRejectsNonFiniteParams: each of these used to train — C = NaN
-// silently, ε or Coef0 = NaN into a model that predicts NaN, Tol = NaN for
-// ten million iterations before failing. Train must refuse them up front.
+// silently, ε or Coef0 = NaN into a model that predicts NaN. Train must
+// refuse them up front.
 func TestTrainRejectsNonFiniteParams(t *testing.T) {
 	x, y := wss2Data(20, 40)
 	nan := math.NaN()
 	for name, mutate := range map[string]func(*TrainParams){
 		"C":     func(p *TrainParams) { p.C = nan },
 		"eps":   func(p *TrainParams) { p.Epsilon = nan },
-		"tol":   func(p *TrainParams) { p.Tol = nan },
 		"coef0": func(p *TrainParams) { p.Kernel = Kernel{Type: Sigmoid, Gamma: 0.5, Coef0: nan} },
 	} {
 		p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.5}, C: 1, Epsilon: 0.1, MaxIter: 1000}

@@ -51,8 +51,8 @@ func NewTraceSource(readings []Reading, opts TraceOptions) (*TraceSource, error)
 	if len(readings) == 0 {
 		return nil, errors.New("telemetry: empty trace")
 	}
-	if opts.Speed < 0 {
-		return nil, fmt.Errorf("telemetry: negative replay speed %v", opts.Speed)
+	if !(opts.Speed >= 0 && opts.Speed <= math.MaxFloat64) {
+		return nil, fmt.Errorf("telemetry: replay speed %v must be >= 0 and finite", opts.Speed)
 	}
 	for i, r := range readings {
 		if err := ValidateReading(r); err != nil {

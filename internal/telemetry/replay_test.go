@@ -31,6 +31,9 @@ func TestTraceSourceValidation(t *testing.T) {
 	if _, err := NewTraceSource(testTrace(), TraceOptions{Speed: -1}); err == nil {
 		t.Error("negative speed accepted")
 	}
+	if _, err := NewTraceSource(testTrace(), TraceOptions{Speed: math.NaN()}); err == nil {
+		t.Error("NaN speed accepted")
+	}
 	if _, err := NewTraceSource([]Reading{{HostID: "a", AtS: math.NaN()}}, TraceOptions{}); err == nil {
 		t.Error("NaN timestamp accepted")
 	}

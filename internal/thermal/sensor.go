@@ -15,11 +15,6 @@ type SensorParams struct {
 	// QuantizationC rounds readings to this granularity (0 disables), e.g.
 	// 0.5 for a half-degree DTS.
 	QuantizationC float64
-	// BiasC is a constant calibration offset.
-	BiasC float64
-	// FailProb is the chance any single read returns ErrSensorRead,
-	// modelling flaky management-controller queries. 0 disables.
-	FailProb float64
 }
 
 // DefaultSensorParams matches a commodity on-die digital thermal sensor.
@@ -31,7 +26,6 @@ func DefaultSensorParams() SensorParams {
 func (p SensorParams) Validate() error {
 	if err := finite("SensorParams", []field{
 		{"NoiseStdC", p.NoiseStdC}, {"QuantizationC", p.QuantizationC},
-		{"BiasC", p.BiasC}, {"FailProb", p.FailProb},
 	}); err != nil {
 		return err
 	}
@@ -41,14 +35,8 @@ func (p SensorParams) Validate() error {
 	if p.QuantizationC < 0 {
 		return fmt.Errorf("thermal: negative quantization %v", p.QuantizationC)
 	}
-	if p.FailProb < 0 || p.FailProb >= 1 {
-		return fmt.Errorf("thermal: fail probability %v outside [0,1)", p.FailProb)
-	}
 	return nil
 }
-
-// ErrSensorRead indicates a transient sensor read failure.
-var ErrSensorRead = fmt.Errorf("thermal: sensor read failed")
 
 // Sensor observes a temperature source through an error model. It is the
 // only view of the simulator the predictors get.
@@ -73,17 +61,14 @@ func NewSensor(params SensorParams, source func() float64, rng *mathx.RNG) (*Sen
 	return &Sensor{params: params, source: source, rng: rng}, nil
 }
 
-// Read returns one observation. It may fail transiently per FailProb.
-func (s *Sensor) Read() (float64, error) {
-	if s.params.FailProb > 0 && s.rng.Bool(s.params.FailProb) {
-		return 0, ErrSensorRead
-	}
-	v := s.source() + s.params.BiasC
+// Read returns one observation.
+func (s *Sensor) Read() float64 {
+	v := s.source()
 	if s.params.NoiseStdC > 0 {
 		v += s.rng.Normal(0, s.params.NoiseStdC)
 	}
 	if q := s.params.QuantizationC; q > 0 {
 		v = math.Round(v/q) * q
 	}
-	return v, nil
+	return v
 }

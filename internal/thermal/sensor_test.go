@@ -1,7 +1,6 @@
 package thermal
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -18,8 +17,6 @@ func TestSensorParamsValidate(t *testing.T) {
 		{"noise-free", SensorParams{}, true},
 		{"negative noise", SensorParams{NoiseStdC: -1}, false},
 		{"negative quant", SensorParams{QuantizationC: -0.5}, false},
-		{"fail prob 1", SensorParams{FailProb: 1}, false},
-		{"fail prob negative", SensorParams{FailProb: -0.1}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -49,23 +46,8 @@ func TestNoiseFreeSensorIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 55.25 {
+	if v := s.Read(); v != 55.25 {
 		t.Errorf("Read = %v, want 55.25", v)
-	}
-}
-
-func TestBiasApplied(t *testing.T) {
-	s, err := NewSensor(SensorParams{BiasC: 2}, func() float64 { return 50 }, mathx.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.Read()
-	if v != 52 {
-		t.Errorf("biased read = %v, want 52", v)
 	}
 }
 
@@ -74,8 +56,7 @@ func TestQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := s.Read()
-	if v != 41.5 {
+	if v := s.Read(); v != 41.5 {
 		t.Errorf("quantized read = %v, want 41.5", v)
 	}
 }
@@ -88,10 +69,7 @@ func TestNoiseStatistics(t *testing.T) {
 	var sum, sumSq float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		v, err := s.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := s.Read()
 		sum += v
 		sumSq += v * v
 	}
@@ -101,26 +79,6 @@ func TestNoiseStatistics(t *testing.T) {
 	}
 	if std := math.Sqrt((sumSq - n*mean*mean) / (n - 1)); math.Abs(std-0.8) > 0.05 {
 		t.Errorf("noisy std = %v, want ~0.8", std)
-	}
-}
-
-func TestTransientFailures(t *testing.T) {
-	s, err := NewSensor(SensorParams{FailProb: 0.3}, func() float64 { return 60 }, mathx.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails := 0
-	for i := 0; i < 10000; i++ {
-		if _, err := s.Read(); err != nil {
-			if !errors.Is(err, ErrSensorRead) {
-				t.Fatalf("unexpected error type: %v", err)
-			}
-			fails++
-		}
-	}
-	frac := float64(fails) / 10000
-	if math.Abs(frac-0.3) > 0.03 {
-		t.Errorf("failure rate = %v, want ~0.3", frac)
 	}
 }
 
@@ -136,11 +94,7 @@ func TestSensorOnServer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := sensor.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-srv.DieTemp()) > 2 {
+	if v := sensor.Read(); math.Abs(v-srv.DieTemp()) > 2 {
 		t.Errorf("sensor read %v far from die %v", v, srv.DieTemp())
 	}
 }
