@@ -3,7 +3,6 @@ package dataset
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -12,12 +11,17 @@ import (
 	"vmtherm/internal/workload"
 )
 
-// BuildOptions configures dataset generation from simulated experiments.
+// ExpS is the experiment length t_exp: the paper runs each case 1800 s.
+const ExpS = 1800.0
+
+// labelTBreakS is Eq. (1)'s break-in time: a record's ψ_stable label
+// averages the trace after it. It is apart from core.DefaultTBreakS, the
+// shape of Eq. (3)'s curve, so fitting the curve moves no label.
+const labelTBreakS = 600.0
+
+// BuildOptions configures dataset generation from simulated experiments,
+// each ExpS long.
 type BuildOptions struct {
-	// DurationS is the experiment length t_exp (the paper runs 1800 s).
-	DurationS float64
-	// TBreakS is the Eq. (1) break-in time; ψ_stable averages after it.
-	TBreakS float64
 	// Sensor overrides the sensor error model. Zero value selects defaults.
 	Sensor thermal.SensorParams
 	// Seed drives every case's sensor noise, with the case's name.
@@ -28,19 +32,11 @@ type BuildOptions struct {
 
 // DefaultBuildOptions mirrors the paper's experiment protocol.
 func DefaultBuildOptions(seed int64) BuildOptions {
-	return BuildOptions{DurationS: 1800, TBreakS: 600, Seed: seed}
+	return BuildOptions{Seed: seed}
 }
 
-// Validate checks the options: a finite duration and a t_break inside it —
-// NaN and ±Inf fail every test.
+// Validate checks the options.
 func (o BuildOptions) Validate() error {
-	if !(o.DurationS > 0) || math.IsInf(o.DurationS, 1) {
-		return fmt.Errorf("dataset: duration must be finite and > 0, got %v", o.DurationS)
-	}
-	if !(o.TBreakS > 0 && o.TBreakS < o.DurationS) {
-		return fmt.Errorf("dataset: t_break %v must fall inside the run duration %v",
-			o.TBreakS, o.DurationS)
-	}
 	if o.Workers < 0 {
 		return fmt.Errorf("dataset: negative workers %d", o.Workers)
 	}
@@ -107,15 +103,15 @@ func buildOne(c workload.Case, opts BuildOptions) (Record, error) {
 		cfg.Sensor = opts.Sensor
 	}
 	cfg.Seed = opts.Seed
-	tr, err := substrate.RunCase(c, cfg, opts.DurationS)
+	tr, err := substrate.RunCase(c, cfg, ExpS)
 	if err != nil {
 		return Record{}, err
 	}
-	stable, err := tr.StableTemp(opts.TBreakS)
+	stable, err := tr.StableTemp(labelTBreakS)
 	if err != nil {
 		return Record{}, err
 	}
-	features, err := Encode(c, opts.DurationS)
+	features, err := Encode(c, ExpS)
 	if err != nil {
 		return Record{}, err
 	}

@@ -179,10 +179,6 @@ func TestBuildValidation(t *testing.T) {
 		mutate func(*BuildOptions)
 		field  string
 	}{
-		{"t_break beyond duration", func(o *BuildOptions) { o.TBreakS = o.DurationS + 1 }, "t_break"},
-		{"zero t_break", func(o *BuildOptions) { o.TBreakS = 0 }, "t_break"},
-		{"NaN t_break", func(o *BuildOptions) { o.TBreakS = math.NaN() }, "t_break"},
-		{"NaN duration", func(o *BuildOptions) { o.DurationS = math.NaN() }, "duration"},
 		{"negative workers", func(o *BuildOptions) { o.Workers = -1 }, "workers"},
 	} {
 		opts := DefaultBuildOptions(1)

@@ -191,29 +191,75 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 }
 
-// collectSetters adds this pass's exported fields of configs, keyed
-// "pkg.Type.Field", and the position of a write to each from a file outside
-// the field's package.
+// configSuffixes mark a configuration struct by its type name.
+var configSuffixes = []string{"Config", "Options", "Params", "Policy"}
+
+// collectSetters adds this pass's exported fields of the configuration
+// structs, keyed "pkg.Type.Field", and the position of a write to each from
+// a file outside the field's package. The structs are every exported struct
+// type under internal/ whose name ends in one of configSuffixes, and every
+// struct type under internal/ that their exported fields reach, through
+// pointers, slices, arrays and maps.
 func (p *pass) collectSetters(declared, set map[string]token.Position) {
+	internal := p.modPath + "/internal/"
 	fields := map[*types.Var]string{}
-	for _, name := range configs {
-		pkg, typ, _ := strings.Cut(name, ".")
-		c := p.pkgs[p.modPath+"/internal/"+pkg]
-		if c == nil {
-			p.t.Fatalf("%s: package not loaded", name)
+	seen := map[*types.TypeName]bool{}
+	var reach func(t types.Type)
+	reach = func(t types.Type) {
+		for {
+			switch u := t.(type) {
+			case *types.Pointer:
+				t = u.Elem()
+				continue
+			case *types.Slice:
+				t = u.Elem()
+				continue
+			case *types.Array:
+				t = u.Elem()
+				continue
+			case *types.Map:
+				reach(u.Key())
+				t = u.Elem()
+				continue
+			}
+			break
 		}
-		tn, ok := c.pkg.Scope().Lookup(typ).(*types.TypeName)
+		named, ok := t.(*types.Named)
 		if !ok {
-			p.t.Fatalf("%s: no such type", name)
+			return
 		}
-		st := tn.Type().Underlying().(*types.Struct)
+		tn := named.Obj()
+		st, ok := named.Underlying().(*types.Struct)
+		if !ok || seen[tn] || tn.Pkg() == nil || !strings.HasPrefix(tn.Pkg().Path(), internal) {
+			return
+		}
+		seen[tn] = true
+		name := strings.TrimPrefix(tn.Pkg().Path(), internal) + "." + tn.Name()
 		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Exported() {
-				key := name + "." + f.Name()
-				fields[f] = key
-				if _, seen := declared[key]; !seen {
-					declared[key] = p.fset.Position(f.Pos())
-				}
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
+			}
+			key := name + "." + f.Name()
+			fields[f] = key
+			if _, ok := declared[key]; !ok {
+				declared[key] = p.fset.Position(f.Pos())
+			}
+			reach(f.Type())
+		}
+	}
+	for _, c := range p.order {
+		if !strings.HasPrefix(c.pkg.Path(), internal) {
+			continue
+		}
+		scope := c.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			if slices.ContainsFunc(configSuffixes, func(s string) bool { return strings.HasSuffix(name, s) }) {
+				reach(tn.Type())
 			}
 		}
 	}

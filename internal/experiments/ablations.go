@@ -37,47 +37,41 @@ func (r *SweepResult) Render() string {
 // dynamicTraces simulates n dynamic cases and returns their sensor traces
 // with per-case Eq. (3) anchors from a trained stable model.
 func dynamicTraces(ctx context.Context, cfg Fig1bConfig, n int) ([]*substrate.Trace, []core.Curve, error) {
-	trainGen := cfg.Gen
-	trainGen.Dynamic = false
-	trainCases, err := workload.GenerateCases(trainGen, cfg.Seed, "train", cfg.TrainCases)
+	evalCases, err := workload.GenerateCases(dynamicGen(), cfg.Seed+5, "abl", n)
 	if err != nil {
 		return nil, nil, err
 	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
-	if err != nil {
-		return nil, nil, err
-	}
+	return anchoredTraces(ctx, cfg.Seed, cfg.TrainCases, evalCases, cfg.Seed+200)
+}
 
-	evalGen := cfg.Gen
-	evalGen.Dynamic = true
-	evalGen.FanChoices = []int{cfg.FanCount}
-	evalCases, err := workload.GenerateCases(evalGen, cfg.Seed+5, "abl", n)
+// anchoredTraces trains ψ_stable on trainCases cases from seed, runs each
+// of cases ExpS on a one-host fleet whose sensor draws from runSeed plus
+// the case's index, and returns the sensor traces with each case's Eq. (3)
+// curve: φ0 profiled from its trace, ψ_stable predicted.
+func anchoredTraces(ctx context.Context, seed int64, trainCases int, cases []workload.Case, runSeed int64) ([]*substrate.Trace, []core.Curve, error) {
+	pred, err := trainStable(ctx, seed, trainCases)
 	if err != nil {
 		return nil, nil, err
 	}
-	traces := make([]*substrate.Trace, n)
-	curves := make([]core.Curve, n)
-	for i, c := range evalCases {
+	traces := make([]*substrate.Trace, len(cases))
+	curves := make([]core.Curve, len(cases))
+	for i, c := range cases {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		run, err := runCase(c, cfg.Seed+200+int64(i), cfg.Build.DurationS)
+		run, err := runCase(c, runSeed+int64(i), dataset.ExpS)
 		if err != nil {
 			return nil, nil, err
 		}
-		phi0, _, err := core.ProfileTrace(run.SensorTemps, cfg.TBreakS)
+		phi0, _, err := core.ProfileTrace(run.SensorTemps, core.DefaultTBreakS)
 		if err != nil {
 			return nil, nil, err
 		}
-		stable, err := pred.PredictCase(c, cfg.Build.DurationS)
+		stable, err := pred.PredictCase(c, dataset.ExpS)
 		if err != nil {
 			return nil, nil, err
 		}
-		curve, err := core.NewCurve(phi0, stable, cfg.TBreakS, cfg.CurveDeltaS)
+		curve, err := core.NewCurve(phi0, stable, core.DefaultTBreakS, core.DefaultCurveDelta)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -104,11 +98,9 @@ func RunAblationLambda(ctx context.Context, cfg Fig1bConfig, lambdas []float64, 
 	for _, l := range lambdas {
 		var mses []float64
 		for i := range traces {
-			rr, err := core.Replay(traces[i].SensorTemps, curves[i], core.DynamicConfig{
-				Lambda:       l,
-				UpdateEveryS: cfg.Dynamic.UpdateEveryS,
-				GapS:         cfg.Dynamic.GapS,
-			})
+			dyn := core.DefaultDynamicConfig()
+			dyn.Lambda = l
+			rr, err := core.Replay(traces[i].SensorTemps, curves[i], dyn)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +134,7 @@ func RunAblationCurveDelta(ctx context.Context, cfg Fig1bConfig, deltas []float6
 		for i := range traces {
 			curve := curves[i]
 			curve.DeltaS = d
-			rr, err := core.Replay(traces[i].SensorTemps, curve, cfg.Dynamic)
+			rr, err := core.Replay(traces[i].SensorTemps, curve, core.DefaultDynamicConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -188,38 +180,17 @@ func RunAblationBaselines(ctx context.Context, cfg Fig1aConfig) (*BaselineResult
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trainCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed, "train", cfg.TrainCases)
-	if err != nil {
-		return nil, err
-	}
-	testCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed+1, "test", cfg.TestCases)
-	if err != nil {
-		return nil, err
-	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	testRecs, err := dataset.Build(ctx, testCases, cfg.Build)
+	trainRecs, testRecs, err := split(ctx, cfg, dataset.DefaultBuildOptions(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
 
 	res := &BaselineResult{}
-	svmPred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
+	svmPred, err := core.TrainStable(ctx, trainRecs, core.FastStableConfig())
 	if err != nil {
 		return nil, err
 	}
-	var ps, as []float64
-	for _, rec := range testRecs {
-		p, err := svmPred.PredictFeatures(rec.Features)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-		as = append(as, rec.StableTemp)
-	}
-	svmMSE, err := mathx.MSE(ps, as)
+	svmMSE, err := testMSE(svmPred, testRecs)
 	if err != nil {
 		return nil, err
 	}
@@ -233,6 +204,18 @@ func RunAblationBaselines(ctx context.Context, cfg Fig1aConfig) (*BaselineResult
 		res.Rows = append(res.Rows, BaselineRow{Name: b.Name(), MSE: mse})
 	}
 	return res, nil
+}
+
+// split builds Fig. 1(a)'s train and test records with build.
+func split(ctx context.Context, cfg Fig1aConfig, build dataset.BuildOptions) (train, test []dataset.Record, err error) {
+	gen := workload.DefaultGenOptions()
+	if train, err = records(ctx, gen, cfg.Seed, "train", cfg.TrainCases, build); err != nil {
+		return nil, nil, err
+	}
+	if test, err = records(ctx, gen, cfg.Seed+1, "test", cfg.TestCases, build); err != nil {
+		return nil, nil, err
+	}
+	return train, test, nil
 }
 
 // RunAblationSensorNoise sweeps the sensor noise σ and measures stable-
@@ -257,38 +240,17 @@ func RunAblationSensorNoise(ctx context.Context, cfg Fig1aConfig, sigmas []float
 		if sigma < 0 {
 			return nil, fmt.Errorf("experiments: negative sigma %v", sigma)
 		}
-		build := cfg.Build
+		build := dataset.DefaultBuildOptions(cfg.Seed)
 		build.Sensor = thermal.SensorParams{NoiseStdC: sigma, QuantizationC: 0.25}
-		trainCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed, "train", cfg.TrainCases)
+		trainRecs, testRecs, err := split(ctx, cfg, build)
 		if err != nil {
 			return nil, err
 		}
-		testCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed+1, "test", cfg.TestCases)
+		pred, err := core.TrainStable(ctx, trainRecs, core.FastStableConfig())
 		if err != nil {
 			return nil, err
 		}
-		trainRecs, err := dataset.Build(ctx, trainCases, build)
-		if err != nil {
-			return nil, err
-		}
-		testRecs, err := dataset.Build(ctx, testCases, build)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
-		if err != nil {
-			return nil, err
-		}
-		var ps, as []float64
-		for _, rec := range testRecs {
-			p, err := pred.PredictFeatures(rec.Features)
-			if err != nil {
-				return nil, err
-			}
-			ps = append(ps, p)
-			as = append(as, rec.StableTemp)
-		}
-		mse, err := mathx.MSE(ps, as)
+		mse, err := testMSE(pred, testRecs)
 		if err != nil {
 			return nil, err
 		}
@@ -303,17 +265,14 @@ func RunAblationFans(ctx context.Context, cfg Fig1aConfig, fanCounts []int, case
 	if len(fanCounts) == 0 || casesPerFan < 1 {
 		return nil, fmt.Errorf("experiments: invalid fan ablation axes")
 	}
-	gen := cfg.Gen
+	gen := workload.DefaultGenOptions()
 	gen.FanChoices = fanCounts
-	trainCases, err := workload.GenerateCases(gen, cfg.Seed, "train", cfg.TrainCases)
+	build := dataset.DefaultBuildOptions(cfg.Seed)
+	trainRecs, err := records(ctx, gen, cfg.Seed, "train", cfg.TrainCases, build)
 	if err != nil {
 		return nil, err
 	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
+	pred, err := core.TrainStable(ctx, trainRecs, core.FastStableConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -326,24 +285,11 @@ func RunAblationFans(ctx context.Context, cfg Fig1aConfig, fanCounts []int, case
 	for _, fans := range fanCounts {
 		fanGen := gen
 		fanGen.FanChoices = []int{fans}
-		cases, err := workload.GenerateCases(fanGen, cfg.Seed+int64(10+fans), fmt.Sprintf("fan%d", fans), casesPerFan)
+		recs, err := records(ctx, fanGen, cfg.Seed+int64(10+fans), fmt.Sprintf("fan%d", fans), casesPerFan, build)
 		if err != nil {
 			return nil, err
 		}
-		recs, err := dataset.Build(ctx, cases, cfg.Build)
-		if err != nil {
-			return nil, err
-		}
-		var ps, as []float64
-		for _, rec := range recs {
-			p, err := pred.PredictFeatures(rec.Features)
-			if err != nil {
-				return nil, err
-			}
-			ps = append(ps, p)
-			as = append(as, rec.StableTemp)
-		}
-		mse, err := mathx.MSE(ps, as)
+		mse, err := testMSE(pred, recs)
 		if err != nil {
 			return nil, err
 		}

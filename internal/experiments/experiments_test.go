@@ -99,9 +99,9 @@ func TestFig1bCalibrationWins(t *testing.T) {
 
 func TestFig1bValidation(t *testing.T) {
 	cfg := fastFig1b(1)
-	cfg.CaseVMs = 0
+	cfg.TrainCases = 1
 	if _, err := RunFig1b(context.Background(), cfg); err == nil {
-		t.Error("zero case VMs should fail")
+		t.Error("tiny training set should fail")
 	}
 }
 

@@ -19,31 +19,20 @@ import (
 	"vmtherm/internal/workload"
 )
 
-// Fig1aConfig parameterizes the stable-prediction experiment.
+// Fig1aConfig parameterizes the stable-prediction experiment. Its cases
+// are workload.DefaultGenOptions' constant-load ones, run the paper's way
+// (dataset.DefaultBuildOptions), and its SVM is core.FastStableConfig's.
 type Fig1aConfig struct {
 	// TrainCases and TestCases size the experiment; the paper evaluates on
 	// 20 randomized test cases with 2–12 VMs.
 	TrainCases, TestCases int
 	// Seed drives case generation and simulation.
 	Seed int64
-	// Gen bounds the randomized cases.
-	Gen workload.GenOptions
-	// Build configures the simulated experiment runs.
-	Build dataset.BuildOptions
-	// Stable configures the SVM pipeline.
-	Stable core.StableConfig
 }
 
 // DefaultFig1aConfig reproduces the paper's shape: 20 test cases, 2–12 VMs.
 func DefaultFig1aConfig(seed int64) Fig1aConfig {
-	return Fig1aConfig{
-		TrainCases: 160,
-		TestCases:  20,
-		Seed:       seed,
-		Gen:        workload.DefaultGenOptions(),
-		Build:      dataset.DefaultBuildOptions(seed),
-		Stable:     core.FastStableConfig(),
-	}
+	return Fig1aConfig{TrainCases: 160, TestCases: 20, Seed: seed}
 }
 
 // Validate checks the configuration.
@@ -83,23 +72,20 @@ func RunFig1a(ctx context.Context, cfg Fig1aConfig) (*Fig1aResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trainCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed, "train", cfg.TrainCases)
+	build := dataset.DefaultBuildOptions(cfg.Seed)
+	trainRecs, err := records(ctx, workload.DefaultGenOptions(), cfg.Seed, "train", cfg.TrainCases, build)
 	if err != nil {
 		return nil, err
 	}
-	testCases, err := workload.GenerateCases(cfg.Gen, cfg.Seed+1, "test", cfg.TestCases)
+	testCases, err := workload.GenerateCases(workload.DefaultGenOptions(), cfg.Seed+1, "test", cfg.TestCases)
 	if err != nil {
 		return nil, err
 	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
+	testRecs, err := dataset.Build(ctx, testCases, build)
 	if err != nil {
 		return nil, err
 	}
-	testRecs, err := dataset.Build(ctx, testCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
+	pred, err := core.TrainStable(ctx, trainRecs, core.FastStableConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -126,6 +112,40 @@ func RunFig1a(ctx context.Context, cfg Fig1aConfig) (*Fig1aResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// records generates n cases labelled label from gen and seed and runs each
+// on the simulated rig with build: one Eq. (2) record per case.
+func records(ctx context.Context, gen workload.GenOptions, seed int64, label string, n int, build dataset.BuildOptions) ([]dataset.Record, error) {
+	cases, err := workload.GenerateCases(gen, seed, label, n)
+	if err != nil {
+		return nil, err
+	}
+	return dataset.Build(ctx, cases, build)
+}
+
+// trainStable trains ψ_stable the paper's way on n constant-load cases
+// drawn from seed: the anchor every dynamic experiment predicts with.
+func trainStable(ctx context.Context, seed int64, n int) (*core.StablePredictor, error) {
+	recs, err := records(ctx, workload.DefaultGenOptions(), seed, "train", n, dataset.DefaultBuildOptions(seed))
+	if err != nil {
+		return nil, err
+	}
+	return core.TrainStable(ctx, recs, core.FastStableConfig())
+}
+
+// testMSE is pred's mean squared error over recs' ψ_stable labels.
+func testMSE(pred *core.StablePredictor, recs []dataset.Record) (float64, error) {
+	var ps, as []float64
+	for _, rec := range recs {
+		p, err := pred.PredictFeatures(rec.Features)
+		if err != nil {
+			return 0, err
+		}
+		ps = append(ps, p)
+		as = append(as, rec.StableTemp)
+	}
+	return mathx.MSE(ps, as)
 }
 
 // Render prints the per-case table and summary, mirroring Fig. 1(a).

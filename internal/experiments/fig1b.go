@@ -12,45 +12,36 @@ import (
 	"vmtherm/internal/workload"
 )
 
+// The dynamic experiments' server has studyFans fans ("with 4 server fans"
+// in the paper), and the case studies put studyVMs VMs on it (the paper
+// shows one "particular experiment case"). Their curves take Eq. (3)'s
+// shape from core (DefaultTBreakS, DefaultCurveDelta) and replay with the
+// paper's Δ_gap = 60 s, Δ_update = 15 s, λ = 0.8 (core.DefaultDynamicConfig).
+const (
+	studyFans = 4
+	studyVMs  = 8
+)
+
 // Fig1bConfig parameterizes the dynamic-prediction case study.
 type Fig1bConfig struct {
 	// Seed drives everything.
 	Seed int64
-	// CaseVMs is the VM count of the case study (the paper shows one
-	// "particular experiment case").
-	CaseVMs int
-	// FanCount for the case-study server.
-	FanCount int
 	// TrainCases sizes the training set for the ψ_stable anchor.
 	TrainCases int
-	// Gen bounds case generation.
-	Gen workload.GenOptions
-	// Build configures simulation runs.
-	Build dataset.BuildOptions
-	// Stable configures SVM training.
-	Stable core.StableConfig
-	// Dynamic is the paper's Δ_gap=60, Δ_update=15, λ=0.8 setup.
-	Dynamic core.DynamicConfig
-	// TBreakS and CurveDeltaS shape the Eq. (3) curve.
-	TBreakS, CurveDeltaS float64
 }
 
 // DefaultFig1bConfig mirrors the paper's §II running example.
 func DefaultFig1bConfig(seed int64) Fig1bConfig {
+	return Fig1bConfig{Seed: seed, TrainCases: 80}
+}
+
+// dynamicGen draws the dynamic experiments' cases: studyFans fans,
+// time-varying loads.
+func dynamicGen() workload.GenOptions {
 	gen := workload.DefaultGenOptions()
 	gen.Dynamic = true
-	return Fig1bConfig{
-		Seed:        seed,
-		CaseVMs:     8,
-		FanCount:    4,
-		TrainCases:  80,
-		Gen:         gen,
-		Build:       dataset.DefaultBuildOptions(seed),
-		Stable:      core.FastStableConfig(),
-		Dynamic:     core.DefaultDynamicConfig(),
-		TBreakS:     core.DefaultTBreakS,
-		CurveDeltaS: core.DefaultCurveDelta,
-	}
+	gen.FanChoices = []int{studyFans}
+	return gen
 }
 
 // Fig1bSeries is one aligned sample of the case-study plot.
@@ -80,68 +71,51 @@ type Fig1bResult struct {
 // dynamic prediction with and without calibration against the empirical
 // trace.
 func RunFig1b(ctx context.Context, cfg Fig1bConfig) (*Fig1bResult, error) {
-	if cfg.CaseVMs < 1 || cfg.TrainCases < 10 {
-		return nil, fmt.Errorf("experiments: fig1b config sizes invalid")
+	if cfg.TrainCases < 10 {
+		return nil, fmt.Errorf("experiments: %d training cases too few", cfg.TrainCases)
 	}
 	// Train the ψ_stable model on constant-load experiments (the paper's
 	// training protocol), then study a dynamic case.
-	trainGen := cfg.Gen
-	trainGen.Dynamic = false
-	trainCases, err := workload.GenerateCases(trainGen, cfg.Seed, "train", cfg.TrainCases)
-	if err != nil {
-		return nil, err
-	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
+	pred, err := trainStable(ctx, cfg.Seed, cfg.TrainCases)
 	if err != nil {
 		return nil, err
 	}
 
-	// The case study: a dynamic workload on a FanCount-fan server.
-	caseGen := cfg.Gen
-	caseGen.Dynamic = true
-	caseGen.VMCountMin, caseGen.VMCountMax = cfg.CaseVMs, cfg.CaseVMs
-	caseGen.FanChoices = []int{cfg.FanCount}
+	// The case study: a dynamic workload on a studyFans-fan server.
+	caseGen := dynamicGen()
+	caseGen.VMCountMin, caseGen.VMCountMax = studyVMs, studyVMs
 	study, err := workload.GenerateCase(caseGen, cfg.Seed+2, "casestudy")
 	if err != nil {
 		return nil, err
 	}
-	run, err := runCase(study, cfg.Seed+2, cfg.Build.DurationS)
+	run, err := runCase(study, cfg.Seed+2, dataset.ExpS)
 	if err != nil {
 		return nil, err
 	}
 
-	phi0, actualStable, err := core.ProfileTrace(run.SensorTemps, cfg.TBreakS)
+	phi0, actualStable, err := core.ProfileTrace(run.SensorTemps, core.DefaultTBreakS)
 	if err != nil {
 		return nil, err
 	}
-	predictedStable, err := pred.PredictCase(study, cfg.Build.DurationS)
+	predictedStable, err := pred.PredictCase(study, dataset.ExpS)
 	if err != nil {
 		return nil, err
 	}
-	curve, err := core.NewCurve(phi0, predictedStable, cfg.TBreakS, cfg.CurveDeltaS)
+	curve, err := core.NewCurve(phi0, predictedStable, core.DefaultTBreakS, core.DefaultCurveDelta)
 	if err != nil {
 		return nil, err
 	}
 
-	withCal, err := core.Replay(run.SensorTemps, curve, cfg.Dynamic)
+	withCal, withoutCal, err := replayBoth(run, curve)
 	if err != nil {
 		return nil, err
 	}
-	noCal := cfg.Dynamic
-	noCal.Lambda = 0
-	withoutCal, err := core.Replay(run.SensorTemps, curve, noCal)
+	gap := core.DefaultDynamicConfig().GapS
+	lvMSE, _, err := baseline.ReplayDynamic(run.SensorTemps, baseline.LastValue, gap)
 	if err != nil {
 		return nil, err
 	}
-	lvMSE, _, err := baseline.ReplayDynamic(run.SensorTemps, baseline.LastValue, cfg.Dynamic.GapS)
-	if err != nil {
-		return nil, err
-	}
-	leMSE, _, err := baseline.ReplayDynamic(run.SensorTemps, baseline.LinearExtrapolation, cfg.Dynamic.GapS)
+	leMSE, _, err := baseline.ReplayDynamic(run.SensorTemps, baseline.LinearExtrapolation, gap)
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +139,20 @@ func RunFig1b(ctx context.Context, cfg Fig1bConfig) (*Fig1bResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// replayBoth replays run's sensor trace against curve with the paper's
+// dynamic setup, calibrated (λ = 0.8) and not (λ = 0).
+func replayBoth(run *substrate.Trace, curve core.Curve) (with, without *core.ReplayResult, err error) {
+	dyn := core.DefaultDynamicConfig()
+	if with, err = core.Replay(run.SensorTemps, curve, dyn); err != nil {
+		return nil, nil, err
+	}
+	dyn.Lambda = 0
+	if without, err = core.Replay(run.SensorTemps, curve, dyn); err != nil {
+		return nil, nil, err
+	}
+	return with, without, nil
 }
 
 // runCase simulates c for durS seconds on a one-host fleet whose sensor

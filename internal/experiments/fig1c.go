@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"vmtherm/internal/core"
-	"vmtherm/internal/dataset"
 	"vmtherm/internal/mathx"
-	"vmtherm/internal/substrate"
 	"vmtherm/internal/workload"
 )
 
@@ -18,41 +16,21 @@ type Fig1cConfig struct {
 	Seed int64
 	// GapsS and UpdatesS enumerate the sweep axes (seconds).
 	GapsS, UpdatesS []float64
-	// Cases is how many randomized dynamic cases each cell averages over.
+	// Cases is how many randomized dynamic cases (studyFans fans) each
+	// cell averages over.
 	Cases int
-	// FanCount pins the server cooling ("with 4 server fans" in the paper).
-	FanCount int
 	// TrainCases sizes the ψ_stable training set.
 	TrainCases int
-	// Gen bounds case generation.
-	Gen workload.GenOptions
-	// Build configures simulation runs.
-	Build dataset.BuildOptions
-	// Stable configures SVM training.
-	Stable core.StableConfig
-	// Lambda is the calibration learning rate.
-	Lambda float64
-	// TBreakS and CurveDeltaS shape the Eq. (3) curve.
-	TBreakS, CurveDeltaS float64
 }
 
 // DefaultFig1cConfig sweeps a superset of the paper's axes with 4 fans.
 func DefaultFig1cConfig(seed int64) Fig1cConfig {
-	gen := workload.DefaultGenOptions()
-	gen.Dynamic = true
 	return Fig1cConfig{
-		Seed:        seed,
-		GapsS:       []float64{15, 30, 60, 120, 240},
-		UpdatesS:    []float64{5, 15, 30, 60},
-		Cases:       12,
-		FanCount:    4,
-		TrainCases:  80,
-		Gen:         gen,
-		Build:       dataset.DefaultBuildOptions(seed),
-		Stable:      core.FastStableConfig(),
-		Lambda:      core.DefaultLambda,
-		TBreakS:     core.DefaultTBreakS,
-		CurveDeltaS: core.DefaultCurveDelta,
+		Seed:       seed,
+		GapsS:      []float64{15, 30, 60, 120, 240},
+		UpdatesS:   []float64{5, 15, 30, 60},
+		Cases:      12,
+		TrainCases: 80,
 	}
 }
 
@@ -78,59 +56,20 @@ type Fig1cResult struct {
 }
 
 // RunFig1c trains the stable model once, simulates Cases dynamic traces with
-// FanCount fans, and replays each (Δ_gap, Δ_update) combination over all
+// studyFans fans, and replays each (Δ_gap, Δ_update) combination over all
 // traces.
 func RunFig1c(ctx context.Context, cfg Fig1cConfig) (*Fig1cResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	trainGen := cfg.Gen
-	trainGen.Dynamic = false
-	trainCases, err := workload.GenerateCases(trainGen, cfg.Seed, "train", cfg.TrainCases)
-	if err != nil {
-		return nil, err
-	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
-	if err != nil {
-		return nil, err
-	}
-
 	// Simulate the dynamic evaluation traces once; every cell replays them.
-	evalGen := cfg.Gen
-	evalGen.Dynamic = true
-	evalGen.FanChoices = []int{cfg.FanCount}
-	evalCases, err := workload.GenerateCases(evalGen, cfg.Seed+3, "sweep", cfg.Cases)
+	evalCases, err := workload.GenerateCases(dynamicGen(), cfg.Seed+3, "sweep", cfg.Cases)
 	if err != nil {
 		return nil, err
 	}
-	curves := make([]core.Curve, len(evalCases))
-	traces := make([]*substrate.Trace, len(evalCases))
-	for i, c := range evalCases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		run, err := runCase(c, cfg.Seed+100+int64(i), cfg.Build.DurationS)
-		if err != nil {
-			return nil, err
-		}
-		phi0, _, err := core.ProfileTrace(run.SensorTemps, cfg.TBreakS)
-		if err != nil {
-			return nil, err
-		}
-		stable, err := pred.PredictCase(c, cfg.Build.DurationS)
-		if err != nil {
-			return nil, err
-		}
-		curve, err := core.NewCurve(phi0, stable, cfg.TBreakS, cfg.CurveDeltaS)
-		if err != nil {
-			return nil, err
-		}
-		curves[i] = curve
-		traces[i] = run
+	traces, curves, err := anchoredTraces(ctx, cfg.Seed, cfg.TrainCases, evalCases, cfg.Seed+100)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Fig1cResult{GapsS: cfg.GapsS, UpdatesS: cfg.UpdatesS}
@@ -141,7 +80,7 @@ func RunFig1c(ctx context.Context, cfg Fig1cConfig) (*Fig1cResult, error) {
 			var cellMSEs []float64
 			for i := range evalCases {
 				rr, err := core.Replay(traces[i].SensorTemps, curves[i], core.DynamicConfig{
-					Lambda:       cfg.Lambda,
+					Lambda:       core.DefaultLambda,
 					UpdateEveryS: upd,
 					GapS:         gap,
 				})

@@ -35,29 +35,18 @@ type MigrationStudyResult struct {
 // VM live-migrates onto the observed server mid-run, and scores dynamic
 // prediction through the transition.
 func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64) (*MigrationStudyResult, error) {
-	if migrateAtS <= 0 || migrateAtS >= cfg.Build.DurationS {
+	if migrateAtS <= 0 || migrateAtS >= dataset.ExpS {
 		return nil, fmt.Errorf("experiments: migration time %v outside the run", migrateAtS)
 	}
-	trainGen := cfg.Gen
-	trainGen.Dynamic = false
-	trainCases, err := workload.GenerateCases(trainGen, cfg.Seed, "train", cfg.TrainCases)
-	if err != nil {
-		return nil, err
-	}
-	trainRecs, err := dataset.Build(ctx, trainCases, cfg.Build)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := core.TrainStable(ctx, trainRecs, cfg.Stable)
+	pred, err := trainStable(ctx, cfg.Seed, cfg.TrainCases)
 	if err != nil {
 		return nil, err
 	}
 
 	// Observed server: constant-load VMs so the migration is the dynamics.
-	caseGen := cfg.Gen
+	caseGen := dynamicGen()
 	caseGen.Dynamic = false
-	caseGen.VMCountMin, caseGen.VMCountMax = cfg.CaseVMs, cfg.CaseVMs
-	caseGen.FanChoices = []int{cfg.FanCount}
+	caseGen.VMCountMin, caseGen.VMCountMax = studyVMs, studyVMs
 	study, err := workload.GenerateCase(caseGen, cfg.Seed+7, "migstudy")
 	if err != nil {
 		return nil, err
@@ -90,14 +79,14 @@ func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64)
 	// by hand: the trace keeps its SampleS grid.
 	nextS := math.Ceil(landS/sc.SampleS) * sc.SampleS
 	lastS := nextS - sc.SampleS
-	if nextS >= cfg.Build.DurationS {
+	if nextS >= dataset.ExpS {
 		return nil, fmt.Errorf("experiments: migration at %v lands at %v, at the end of the run", migrateAtS, landS)
 	}
 	host, err := substrate.OneHost(study, sc)
 	if err != nil {
 		return nil, err
 	}
-	run := substrate.NewTrace(host, int(cfg.Build.DurationS/sc.SampleS)+1)
+	run := substrate.NewTrace(host, int(dataset.ExpS/sc.SampleS)+1)
 	host.Sample(run.Emit)
 	if lastS > 0 {
 		if err := host.Advance(lastS, run.Emit); err != nil {
@@ -116,37 +105,31 @@ func RunMigrationStudy(ctx context.Context, cfg Fig1bConfig, migrateAtS float64)
 		}
 		host.Sample(run.Emit)
 	}
-	if err := host.Advance(cfg.Build.DurationS-nextS, run.Emit); err != nil {
+	if err := host.Advance(dataset.ExpS-nextS, run.Emit); err != nil {
 		return nil, err
 	}
 
-	phi0, _, err := core.ProfileTrace(run.SensorTemps, cfg.TBreakS)
+	phi0, _, err := core.ProfileTrace(run.SensorTemps, core.DefaultTBreakS)
 	if err != nil {
 		return nil, err
 	}
 	postCase := study
 	postCase.VMs = append(append([]workload.VMSpec{}, study.VMs...), newcomer)
-	predictedStable, err := pred.PredictCase(postCase, cfg.Build.DurationS)
+	predictedStable, err := pred.PredictCase(postCase, dataset.ExpS)
 	if err != nil {
 		return nil, err
 	}
 	// Post-migration regime: after the thermal transient of the arrival.
-	actualStable, err := run.SensorTemps.MeanAfter(migrateAtS + cfg.TBreakS/2)
+	actualStable, err := run.SensorTemps.MeanAfter(migrateAtS + core.DefaultTBreakS/2)
 	if err != nil {
 		return nil, err
 	}
 
-	curve, err := core.NewCurve(phi0, predictedStable, cfg.TBreakS, cfg.CurveDeltaS)
+	curve, err := core.NewCurve(phi0, predictedStable, core.DefaultTBreakS, core.DefaultCurveDelta)
 	if err != nil {
 		return nil, err
 	}
-	withCal, err := core.Replay(run.SensorTemps, curve, cfg.Dynamic)
-	if err != nil {
-		return nil, err
-	}
-	noCal := cfg.Dynamic
-	noCal.Lambda = 0
-	withoutCal, err := core.Replay(run.SensorTemps, curve, noCal)
+	withCal, withoutCal, err := replayBoth(run, curve)
 	if err != nil {
 		return nil, err
 	}

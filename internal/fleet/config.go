@@ -102,7 +102,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	q := anchorcache.DefaultQuantizer()
 	workers := min(runtime.GOMAXPROCS(0), 8)
-	orDefault(&c.Server, d.Server)
 	orDefault(&c.Sensor, d.Sensor)
 	orDefault(&c.CRAC, d.CRAC)
 	orDefault(&c.RackSpreadC, d.RackSpreadC)

@@ -53,21 +53,19 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 	}
 }
 
-// TestNewNamesBadPhysicsField: a non-finite field of the server or sensor
-// template fails New before a 4,096-host fleet is built, and the error
+// TestNewNamesBadPhysicsField: a non-finite field of the sensor template
+// fails New before a 4,096-host fleet is built, and the error
 // names the field.
 func TestNewNamesBadPhysicsField(t *testing.T) {
 	for _, tc := range []struct {
 		field  string
 		mutate func(*Config)
 	}{
-		{"ServerParams.CaseCapacitance", func(c *Config) { c.Server.CaseCapacitance = math.NaN() }},
-		{"PowerModel.LeakRefC", func(c *Config) { c.Server.Power.LeakRefC = math.Inf(1) }},
 		{"SensorParams.QuantizationC", func(c *Config) { c.Sensor.QuantizationC = math.NaN() }},
 	} {
 		cfg := DefaultConfig()
 		cfg.Racks, cfg.HostsPerRack = 64, 64
-		cfg.Server, cfg.Sensor = thermal.DefaultServerParams(), thermal.DefaultSensorParams()
+		cfg.Sensor = thermal.DefaultSensorParams()
 		tc.mutate(&cfg)
 		if _, err := New(cfg, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: New = %v, want an error naming it", tc.field, err)

@@ -1,8 +1,8 @@
 // Package mlgrid reproduces the paper's hyper-parameter selection procedure:
 // "Parameters for model training are selected using easygrid, a tool for grid
 // parameter search, with 10-fold validation." It exhaustively scores a
-// (C, γ, ε) grid by k-fold cross-validated MSE, evaluating grid points on a
-// bounded worker pool with deterministic fold assignment. Every fold, C and
+// (C, γ, ε) grid by k-fold cross-validated MSE, evaluating grid points on
+// GOMAXPROCS workers with deterministic fold assignment. Every fold, C and
 // ε at one γ — and, through Fit, the final model — train from one
 // svm.Gram, so the kernel is evaluated once per pair of samples per γ.
 package mlgrid
@@ -19,6 +19,9 @@ import (
 	"vmtherm/internal/mathx"
 	"vmtherm/internal/svm"
 )
+
+// foldSeed drives the deterministic fold shuffle.
+const foldSeed int64 = 1
 
 // Point is one grid cell: the hyper-parameters being searched.
 type Point struct {
@@ -43,12 +46,8 @@ type Config struct {
 	Cs, Gammas, Epsilons []float64
 	// Folds is the cross-validation fold count; the paper uses 10.
 	Folds int
-	// Kernel is the kernel family searched (gamma is overridden per point).
+	// Kernel is the RBF kernel searched (gamma is overridden per point).
 	Kernel svm.Kernel
-	// Seed drives the deterministic fold shuffle.
-	Seed int64
-	// Workers bounds parallelism; 0 selects GOMAXPROCS.
-	Workers int
 	// MaxIter is passed through to svm.Train (0 = library default).
 	MaxIter int
 	// Selection is the SMO working-set rule; Default() picks SecondOrder
@@ -63,8 +62,7 @@ func Default() Config {
 		Gammas:    ladder(-8, 2, 2), // 2^-8 .. 2^2
 		Epsilons:  []float64{0.05, 0.1, 0.2},
 		Folds:     10,
-		Kernel:    svm.Kernel{Type: svm.RBF, Gamma: 1},
-		Seed:      1,
+		Kernel:    svm.Kernel{Gamma: 1},
 		Selection: svm.SecondOrder,
 	}
 }
@@ -101,9 +99,6 @@ func (c Config) Validate() error {
 	}
 	if c.Folds < 2 {
 		return fmt.Errorf("mlgrid: folds must be >= 2, got %d", c.Folds)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("mlgrid: negative workers %d", c.Workers)
 	}
 	return nil
 }
@@ -164,7 +159,7 @@ func search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best R
 		return Result{}, nil, nil, fmt.Errorf("mlgrid: %d samples cannot fill %d folds", len(x), cfg.Folds)
 	}
 
-	folds := assignFolds(len(x), cfg.Folds, cfg.Seed)
+	folds := assignFolds(len(x), cfg.Folds, foldSeed)
 
 	// results keep the C-major order, which breaks ties in the sort below;
 	// the jobs go out γ-major, so each γ's Gram matrix is built once and,
@@ -188,13 +183,7 @@ func search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best R
 	}
 	grams = newGramSet(x, cfg, points)
 
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(points))
 
 	jobs := make(chan int)
 	results := make([]Result, len(points))

@@ -3,6 +3,7 @@ package mlgrid
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,8 +18,7 @@ func smallConfig() Config {
 		Gammas:   []float64{0.1, 1},
 		Epsilons: []float64{0.1},
 		Folds:    4,
-		Kernel:   svm.Kernel{Type: svm.RBF, Gamma: 1},
-		Seed:     1,
+		Kernel:   svm.Kernel{Gamma: 1},
 	}
 }
 
@@ -46,7 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no gammas", func(c *Config) { c.Gammas = nil }, false},
 		{"no epsilons", func(c *Config) { c.Epsilons = nil }, false},
 		{"one fold", func(c *Config) { c.Folds = 1 }, false},
-		{"negative workers", func(c *Config) { c.Workers = -1 }, false},
 		{"zero epsilon", func(c *Config) { c.Epsilons = []float64{0, 0.1} }, true},
 		{"NaN C", func(c *Config) { c.Cs = []float64{1, math.NaN()} }, false},
 		{"zero C", func(c *Config) { c.Cs = []float64{0} }, false},
@@ -74,9 +73,6 @@ func TestDefaultIsEasygridLike(t *testing.T) {
 	if cfg.Folds != 10 {
 		t.Errorf("default folds = %d, want 10 (paper)", cfg.Folds)
 	}
-	if cfg.Kernel.Type != svm.RBF {
-		t.Error("default kernel should be RBF (paper)")
-	}
 	if err := cfg.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -99,7 +95,7 @@ func TestSearchFindsGoodPoint(t *testing.T) {
 		t.Fatalf("best has error: %v", best.Err)
 	}
 	// The winning model should actually generalize: re-train and eval.
-	kernel := svm.Kernel{Type: svm.RBF, Gamma: best.Point.Gamma}
+	kernel := svm.Kernel{Gamma: best.Point.Gamma}
 	m, err := svm.Train(x, y, svm.TrainParams{Kernel: kernel, C: best.Point.C, Epsilon: best.Point.Epsilon})
 	if err != nil {
 		t.Fatal(err)
@@ -142,15 +138,14 @@ func TestSearchDeterministic(t *testing.T) {
 
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	x, y := quadData(60, 11)
-	serial := smallConfig()
-	serial.Workers = 1
-	parallel := smallConfig()
-	parallel.Workers = 4
-	bs, _, err := Search(context.Background(), x, y, serial)
+	cfg := smallConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bs, _, err := Search(context.Background(), x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, _, err := Search(context.Background(), x, y, parallel)
+	runtime.GOMAXPROCS(4)
+	bp, _, err := Search(context.Background(), x, y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +180,6 @@ func TestSearchInputValidation(t *testing.T) {
 func TestSearchCancellation(t *testing.T) {
 	x, y := quadData(200, 3)
 	cfg := Default() // big grid so cancellation lands mid-flight
-	cfg.Workers = 2
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, _, err := Search(ctx, x, y, cfg)
@@ -344,7 +338,7 @@ func TestGramSetDropsAfterLastPoint(t *testing.T) {
 	if g3 == g1 {
 		t.Fatal("the final fit got the dropped matrix")
 	}
-	p := svm.TrainParams{Kernel: svm.Kernel{Type: svm.RBF, Gamma: 0.1}, C: 1, Epsilon: 0.1}
+	p := svm.TrainParams{Kernel: svm.Kernel{Gamma: 0.1}, C: 1, Epsilon: 0.1}
 	y := make([]float64, len(x))
 	for i := range y {
 		y[i] = x[i][0]

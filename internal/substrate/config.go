@@ -39,15 +39,13 @@ func (c CRAC) Validate() error {
 	return nil
 }
 
-// Config is the simulated fleet's shape and physics. Start from
+// Config is the simulated fleet's shape and physics; every host is the
+// thermal package's reference server. Start from
 // DefaultConfig; the fleet control plane's Config fills zero-valued physics
 // fields from it, but not the shape or the seed.
 type Config struct {
 	// Racks × HostsPerRack is the fleet size.
 	Racks, HostsPerRack int
-	// Server is the thermal model template (FanCount/AmbientC are set per
-	// host from the fan count and the datacenter model).
-	Server thermal.ServerParams
 	// Sensor is the telemetry error model.
 	Sensor thermal.SensorParams
 	// CRAC is the room cooling configuration.
@@ -69,7 +67,6 @@ func DefaultConfig() Config {
 	return Config{
 		Racks:        4,
 		HostsPerRack: 16,
-		Server:       thermal.DefaultServerParams(),
 		Sensor:       thermal.DefaultSensorParams(),
 		CRAC:         DefaultCRAC(),
 		RackSpreadC:  4.5,
@@ -79,8 +76,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration, the server and sensor templates
-// included.
+// Validate checks the configuration, the sensor template included.
 func (c Config) Validate() error {
 	if c.Racks < 1 || c.HostsPerRack < 1 {
 		return fmt.Errorf("fleet: fleet shape %d×%d invalid", c.Racks, c.HostsPerRack)
@@ -104,10 +100,7 @@ func (c Config) validatePhysics() error {
 		}
 	}
 	// Checked once here, so a bad template is named before New builds a
-	// server and a sensor per host from it.
-	if err := c.Server.Validate(); err != nil {
-		return fmt.Errorf("fleet: server: %w", err)
-	}
+	// sensor per host from it.
 	if err := c.Sensor.Validate(); err != nil {
 		return fmt.Errorf("fleet: sensor: %w", err)
 	}

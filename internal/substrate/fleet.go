@@ -232,10 +232,8 @@ func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func
 			if err != nil {
 				return nil, fmt.Errorf("fleet: host %s: %w", id, err)
 			}
-			sp := cfg.Server
-			sp.FanCount = fanCount
-			sp.AmbientC = cfg.CRAC.SupplyC + off // an idle rack's inlet
-			srv, err := thermal.NewServer(sp)
+			// An idle rack's inlet is the slot's ambient.
+			srv, err := thermal.NewServer(thermal.ServerParams{FanCount: fanCount, AmbientC: cfg.CRAC.SupplyC + off})
 			if err != nil {
 				return nil, fmt.Errorf("fleet: thermal %s: %w", id, err)
 			}

@@ -143,25 +143,6 @@ func TestOneHostPlacesCaseVMs(t *testing.T) {
 	}
 }
 
-// TestOneHostServerOverride: the configuration's server template applies
-// to the case's host (its fan count and inlet still come from the case).
-func TestOneHostServerOverride(t *testing.T) {
-	c := smallCase(t)
-	hot := seeded(12)
-	hot.Server.Power.MaxW = 300 // hotter silicon
-	hotStable, err := runCase(t, c, hot, 1800).StableTemp(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdStable, err := runCase(t, c, seeded(12), 1800).StableTemp(600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hotStable <= stdStable {
-		t.Errorf("override had no effect: hot %v vs std %v", hotStable, stdStable)
-	}
-}
-
 func TestRunCaseProducesWarmingTrace(t *testing.T) {
 	c := smallCase(t)
 	tr := runCase(t, c, seeded(1), 1200)

@@ -248,20 +248,14 @@ func TestTickLoadsMatchHostLoads(t *testing.T) {
 }
 
 // TestConfigValidateNamesPhysicsField: a non-finite or out-of-range field
-// of the server or sensor template fails Config.Validate, and the error
-// names it.
+// of the sensor template fails Config.Validate, and the error names it.
 func TestConfigValidateNamesPhysicsField(t *testing.T) {
 	for _, tc := range []struct {
 		field  string
 		mutate func(*Config)
 	}{
-		{"ServerParams.DieCapacitance", func(c *Config) { c.Server.DieCapacitance = math.NaN() }},
-		{"ServerParams.PerFanG", func(c *Config) { c.Server.PerFanG = math.Inf(1) }},
-		{"PowerModel.IdleW", func(c *Config) { c.Server.Power.IdleW = math.NaN() }},
-		{"PowerModel.UtilExponent", func(c *Config) { c.Server.Power.UtilExponent = math.Inf(-1) }},
 		{"SensorParams.NoiseStdC", func(c *Config) { c.Sensor.NoiseStdC = math.NaN() }},
 		{"SensorParams.QuantizationC", func(c *Config) { c.Sensor.QuantizationC = math.Inf(-1) }},
-		{"capacitances", func(c *Config) { c.Server.CaseCapacitance = -1 }},
 		{"negative quantization", func(c *Config) { c.Sensor.QuantizationC = -1 }},
 	} {
 		c := DefaultConfig()

@@ -8,9 +8,9 @@ import (
 
 // Prediction. Every entry point — Predict, PredictBatch, the serving loops —
 // evaluates through PredictBatchInto, so there is one ψ_stable kernel and a
-// row reads the same bits whichever route it took. For RBF the support
-// vectors are flattened once into a contiguous row-major matrix and each row
-// is one pass over it; Kernel.Eval serves the solver and the other kernels.
+// row reads the same bits whichever route it took. The support vectors are
+// flattened once into a contiguous row-major matrix and each row is one pass
+// over it; Kernel.Eval serves the solver.
 //
 // On amd64 with AVX2 and FMA (useAVX, detected by CPUID) that pass is a
 // single assembly routine: squared distances for a block of support
@@ -163,19 +163,6 @@ func (m *Model) PredictBatchInto(xs []float64, out []float64, scratch *BatchScra
 		return fmt.Errorf("svm: flat batch of %d values is not %d rows × %d features", len(xs), n, m.Dim)
 	}
 	if n == 0 {
-		return nil
-	}
-	if m.Kernel.Type != RBF {
-		// Non-RBF kernels are dot-product shaped and not exp-bound; the
-		// generic path is already close to memory-bandwidth-bound.
-		for i := range out {
-			x := xs[i*m.Dim : (i+1)*m.Dim]
-			var sum float64
-			for k, sv := range m.SV {
-				sum += m.Coef[k] * m.Kernel.Eval(sv, x)
-			}
-			out[i] = sum - m.Rho
-		}
 		return nil
 	}
 	flat, lanes := m.flatSVs()

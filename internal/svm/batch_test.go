@@ -49,7 +49,7 @@ func trainTinyModel(t *testing.T, n int) (*Model, [][]float64) {
 		z[i] = math.Sin(2*a) + b*b
 	}
 	m, err := Train(x, z, TrainParams{
-		Kernel:  Kernel{Type: RBF, Gamma: 0.5},
+		Kernel:  Kernel{Gamma: 0.5},
 		C:       10,
 		Epsilon: 0.01,
 	})
@@ -128,38 +128,6 @@ func TestPredictBatchEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := m.PredictBatch([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged batch accepted")
-	}
-}
-
-func TestPredictBatchNonRBFFallback(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	x := make([][]float64, 30)
-	z := make([]float64, 30)
-	for i := range x {
-		a := r.Float64()*2 - 1
-		x[i] = []float64{a, -a}
-		z[i] = 3*a + 1
-	}
-	m, err := Train(x, z, TrainParams{
-		Kernel:  Kernel{Type: Linear},
-		C:       10,
-		Epsilon: 0.01,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.PredictBatch(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range x {
-		want, err := m.Predict(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i] != want {
-			t.Errorf("row %d: batch %v vs single %v", i, got[i], want)
-		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // [-1, 1]^dim (svm-scale's range) and coefficients in [-10, 10], the
 // shape ψ_stable serves: 117 SVs × 16 features at the pinned seed.
 func syntheticRBF(r *rand.Rand, nsv, dim int, gamma float64) *Model {
-	m := &Model{Kernel: Kernel{Type: RBF, Gamma: gamma}, Dim: dim, Rho: r.Float64()*80 - 40}
+	m := &Model{Kernel: Kernel{Gamma: gamma}, Dim: dim, Rho: r.Float64()*80 - 40}
 	for i := 0; i < nsv; i++ {
 		sv := make([]float64, dim)
 		for j := range sv {
@@ -89,7 +89,7 @@ func BenchmarkTrain(b *testing.B) {
 		}
 		z[i] = 55 + 8*math.Sin(s) + 2*x[i][0] + 0.5*r.NormFloat64()
 	}
-	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.01}, C: 256, Epsilon: 0.1, Selection: SecondOrder}
+	p := TrainParams{Kernel: Kernel{Gamma: 0.01}, C: 256, Epsilon: 0.1, Selection: SecondOrder}
 	run := func(b *testing.B) {
 		var iters int
 		for i := 0; i < b.N; i++ {

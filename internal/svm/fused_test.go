@@ -309,7 +309,7 @@ func FuzzRBFKernel(f *testing.F) {
 		if kind == 6 {
 			x[0] += far
 		}
-		m := &Model{Kernel: Kernel{Type: RBF, Gamma: gamma}, Dim: dim, Rho: r.Float64()*80 - 40}
+		m := &Model{Kernel: Kernel{Gamma: gamma}, Dim: dim, Rho: r.Float64()*80 - 40}
 		spread := 0.5 / math.Sqrt(gamma*float64(dim)) // gamma·d below 1/4
 		for k := 0; k < nsv; k++ {
 			sv := make([]float64, dim)

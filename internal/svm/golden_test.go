@@ -28,7 +28,7 @@ func goldenProblem(seed int64) (x [][]float64, z []float64, p TrainParams, shape
 	gammas := []float64{1.0 / 256, 1.0 / 64, 0.01, 1.0 / 16, 0.1, 0.25, 1, 4}
 	epss := []float64{0.05, 0.1, 0.2}
 	p = TrainParams{
-		Kernel:  Kernel{Type: RBF, Gamma: gammas[r.Intn(len(gammas))]},
+		Kernel:  Kernel{Gamma: gammas[r.Intn(len(gammas))]},
 		C:       cs[r.Intn(len(cs))],
 		Epsilon: epss[r.Intn(len(epss))],
 	}

@@ -37,90 +37,23 @@ import (
 	"math"
 )
 
-// KernelType selects the kernel function.
-type KernelType int
+// rbfKernelType is the kernel_type a model file names: the RBF kernel, the
+// one family the paper trains (LIBSVM -t 2).
+const rbfKernelType = "rbf"
 
-// Supported kernels, matching LIBSVM's -t option order.
-const (
-	Linear KernelType = iota + 1
-	Polynomial
-	RBF
-	Sigmoid
-)
-
-// String implements fmt.Stringer using LIBSVM's model-file names.
-func (k KernelType) String() string {
-	switch k {
-	case Linear:
-		return "linear"
-	case Polynomial:
-		return "polynomial"
-	case RBF:
-		return "rbf"
-	case Sigmoid:
-		return "sigmoid"
-	default:
-		return fmt.Sprintf("KernelType(%d)", int(k))
-	}
-}
-
-// ParseKernelType converts a LIBSVM kernel name back to its KernelType.
-func ParseKernelType(s string) (KernelType, error) {
-	switch s {
-	case "linear":
-		return Linear, nil
-	case "polynomial":
-		return Polynomial, nil
-	case "rbf":
-		return RBF, nil
-	case "sigmoid":
-		return Sigmoid, nil
-	default:
-		return 0, fmt.Errorf("svm: unknown kernel %q", s)
-	}
-}
-
-// Kernel evaluates k(x, z) for a kernel family with fixed hyper-parameters.
+// Kernel is the RBF kernel k(x, z) = exp(−γ‖x − z‖²) with its one
+// hyper-parameter.
 type Kernel struct {
-	Type   KernelType
-	Gamma  float64 // RBF / polynomial / sigmoid scale
-	Coef0  float64 // polynomial / sigmoid offset
-	Degree int     // polynomial degree
+	Gamma float64 // -g
 }
 
-// Validate checks hyper-parameter sanity for the chosen kernel family. Gamma
-// must be positive and finite: NaN fails every comparison, so the test is
-// written as the condition that must hold. Coef0 must be finite for every
-// family, so a NaN never reaches a model.
+// Validate checks that Gamma is positive and finite: NaN fails every
+// comparison, so the test is written as the condition that must hold.
 func (k Kernel) Validate() error {
-	gammaOK := k.Gamma > 0 && !math.IsInf(k.Gamma, 1)
-	if math.IsNaN(k.Coef0) || math.IsInf(k.Coef0, 0) {
-		return fmt.Errorf("svm: coef0 must be finite, got %v", k.Coef0)
+	if !(k.Gamma > 0) || math.IsInf(k.Gamma, 1) {
+		return fmt.Errorf("svm: rbf gamma must be > 0 and finite, got %v", k.Gamma)
 	}
-	switch k.Type {
-	case Linear:
-		return nil
-	case RBF:
-		if !gammaOK {
-			return fmt.Errorf("svm: rbf gamma must be > 0 and finite, got %v", k.Gamma)
-		}
-		return nil
-	case Polynomial:
-		if k.Degree < 1 {
-			return fmt.Errorf("svm: polynomial degree must be >= 1, got %d", k.Degree)
-		}
-		if !gammaOK {
-			return fmt.Errorf("svm: polynomial gamma must be > 0 and finite, got %v", k.Gamma)
-		}
-		return nil
-	case Sigmoid:
-		if !gammaOK {
-			return fmt.Errorf("svm: sigmoid gamma must be > 0 and finite, got %v", k.Gamma)
-		}
-		return nil
-	default:
-		return fmt.Errorf("svm: unknown kernel type %d", int(k.Type))
-	}
+	return nil
 }
 
 // evalHook, when set, sees every Eval call. Only tests set it, to count
@@ -133,26 +66,7 @@ func (k Kernel) Eval(x, z []float64) float64 {
 	if evalHook != nil {
 		evalHook(k, x, z)
 	}
-	switch k.Type {
-	case Linear:
-		return dot(x, z)
-	case Polynomial:
-		return math.Pow(k.Gamma*dot(x, z)+k.Coef0, float64(k.Degree))
-	case RBF:
-		return math.Exp(-k.Gamma * sqDist(x, z))
-	case Sigmoid:
-		return math.Tanh(k.Gamma*dot(x, z) + k.Coef0)
-	default:
-		panic(fmt.Sprintf("svm: Eval on invalid kernel %d", int(k.Type)))
-	}
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
+	return math.Exp(-k.Gamma * sqDist(x, z))
 }
 
 func sqDist(a, b []float64) float64 {

@@ -12,20 +12,11 @@ func TestKernelValidate(t *testing.T) {
 		k    Kernel
 		ok   bool
 	}{
-		{"linear", Kernel{Type: Linear}, true},
-		{"rbf ok", Kernel{Type: RBF, Gamma: 0.5}, true},
-		{"rbf zero gamma", Kernel{Type: RBF}, false},
-		{"rbf nan gamma", Kernel{Type: RBF, Gamma: math.NaN()}, false},
-		{"rbf inf gamma", Kernel{Type: RBF, Gamma: math.Inf(1)}, false},
-		{"poly ok", Kernel{Type: Polynomial, Gamma: 1, Degree: 3}, true},
-		{"poly zero degree", Kernel{Type: Polynomial, Gamma: 1}, false},
-		{"poly zero gamma", Kernel{Type: Polynomial, Degree: 2}, false},
-		{"sigmoid ok", Kernel{Type: Sigmoid, Gamma: 0.1}, true},
-		{"sigmoid zero gamma", Kernel{Type: Sigmoid}, false},
-		{"unknown", Kernel{Type: KernelType(99)}, false},
-		{"poly NaN coef0", Kernel{Type: Polynomial, Gamma: 1, Degree: 2, Coef0: math.NaN()}, false},
-		{"sigmoid inf coef0", Kernel{Type: Sigmoid, Gamma: 0.1, Coef0: math.Inf(-1)}, false},
-		{"rbf NaN coef0", Kernel{Type: RBF, Gamma: 0.5, Coef0: math.NaN()}, false},
+		{"rbf ok", Kernel{Gamma: 0.5}, true},
+		{"rbf zero gamma", Kernel{}, false},
+		{"rbf negative gamma", Kernel{Gamma: -1}, false},
+		{"rbf nan gamma", Kernel{Gamma: math.NaN()}, false},
+		{"rbf inf gamma", Kernel{Gamma: math.Inf(1)}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -37,15 +28,8 @@ func TestKernelValidate(t *testing.T) {
 	}
 }
 
-func TestLinearKernelIsDot(t *testing.T) {
-	k := Kernel{Type: Linear}
-	if got := k.Eval([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("linear = %v, want 32", got)
-	}
-}
-
 func TestRBFProperties(t *testing.T) {
-	k := Kernel{Type: RBF, Gamma: 0.7}
+	k := Kernel{Gamma: 0.7}
 	x := []float64{1, 2}
 	if got := k.Eval(x, x); got != 1 {
 		t.Errorf("K(x,x) = %v, want 1", got)
@@ -57,29 +41,8 @@ func TestRBFProperties(t *testing.T) {
 	}
 }
 
-func TestPolynomialKernel(t *testing.T) {
-	k := Kernel{Type: Polynomial, Gamma: 2, Coef0: 1, Degree: 2}
-	// (2*(1*1+0*0)+1)^2 = 9
-	if got := k.Eval([]float64{1, 0}, []float64{1, 0}); got != 9 {
-		t.Errorf("poly = %v, want 9", got)
-	}
-}
-
-func TestSigmoidKernel(t *testing.T) {
-	k := Kernel{Type: Sigmoid, Gamma: 1, Coef0: 0}
-	got := k.Eval([]float64{0.5}, []float64{1})
-	if want := math.Tanh(0.5); math.Abs(got-want) > 1e-15 {
-		t.Errorf("sigmoid = %v, want %v", got, want)
-	}
-}
-
 func TestKernelSymmetryProperty(t *testing.T) {
-	kernels := []Kernel{
-		{Type: Linear},
-		{Type: RBF, Gamma: 0.3},
-		{Type: Polynomial, Gamma: 0.5, Coef0: 1, Degree: 3},
-		{Type: Sigmoid, Gamma: 0.2, Coef0: -0.5},
-	}
+	kernels := []Kernel{{Gamma: 0.3}, {Gamma: 4}}
 	f := func(a, b [4]float64) bool {
 		x, z := a[:], b[:]
 		for _, v := range append(x, z...) {
@@ -98,31 +61,4 @@ func TestKernelSymmetryProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestKernelTypeStringRoundTrip(t *testing.T) {
-	for _, kt := range []KernelType{Linear, Polynomial, RBF, Sigmoid} {
-		back, err := ParseKernelType(kt.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back != kt {
-			t.Errorf("round trip %v -> %v", kt, back)
-		}
-	}
-	if _, err := ParseKernelType("bogus"); err == nil {
-		t.Error("bogus kernel name should fail")
-	}
-	if got := KernelType(42).String(); got != "KernelType(42)" {
-		t.Errorf("unknown String = %q", got)
-	}
-}
-
-func TestEvalPanicsOnInvalidType(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Kernel{Type: KernelType(9)}.Eval([]float64{1}, []float64{1})
 }

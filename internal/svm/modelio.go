@@ -11,28 +11,16 @@ import (
 )
 
 // WriteModel serializes a model in LIBSVM's text format (svm_save_model),
-// with sparse 1-based feature indices. Only epsilon_svr models exist in this
-// package.
+// with sparse 1-based feature indices. Only epsilon_svr models with the RBF
+// kernel exist in this package.
 func WriteModel(w io.Writer, m *Model) error {
 	if m == nil {
 		return errors.New("svm: nil model")
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "svm_type epsilon_svr")
-	fmt.Fprintf(bw, "kernel_type %s\n", m.Kernel.Type)
-	switch m.Kernel.Type {
-	case Polynomial:
-		fmt.Fprintf(bw, "degree %d\n", m.Kernel.Degree)
-		fmt.Fprintf(bw, "gamma %s\n", ftoa(m.Kernel.Gamma))
-		fmt.Fprintf(bw, "coef0 %s\n", ftoa(m.Kernel.Coef0))
-	case RBF:
-		fmt.Fprintf(bw, "gamma %s\n", ftoa(m.Kernel.Gamma))
-	case Sigmoid:
-		fmt.Fprintf(bw, "gamma %s\n", ftoa(m.Kernel.Gamma))
-		fmt.Fprintf(bw, "coef0 %s\n", ftoa(m.Kernel.Coef0))
-	case Linear:
-		// no kernel parameters
-	}
+	fmt.Fprintf(bw, "kernel_type %s\n", rbfKernelType)
+	fmt.Fprintf(bw, "gamma %s\n", ftoa(m.Kernel.Gamma))
 	fmt.Fprintln(bw, "nr_class 2")
 	// dim is a vmtherm extension: sparse SV lines drop trailing zeros, so
 	// the true feature dimensionality must be recorded explicitly.
@@ -75,7 +63,7 @@ func parseFinite(s, what string) (float64, error) {
 }
 
 // ReadModel parses a model previously written by WriteModel (or by LIBSVM's
-// svm-train for epsilon-SVR with dense features). The file is not trusted:
+// svm-train for epsilon-SVR with the RBF kernel). The file is not trusted:
 // every number must be finite, and dim, the largest feature index and
 // total_sv × dim are bounded before anything is allocated from them.
 func ReadModel(r io.Reader) (*Model, error) {
@@ -100,24 +88,13 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if st := header["svm_type"]; st != "epsilon_svr" {
 		return nil, fmt.Errorf("svm: unsupported svm_type %q", st)
 	}
-	kt, err := ParseKernelType(header["kernel_type"])
-	if err != nil {
-		return nil, err
+	if kt := header["kernel_type"]; kt != rbfKernelType {
+		return nil, fmt.Errorf("svm: unsupported kernel_type %q: only %s models load", kt, rbfKernelType)
 	}
-	m.Kernel.Type = kt
+	var err error
 	if g, ok := header["gamma"]; ok {
 		if m.Kernel.Gamma, err = parseFinite(g, "gamma"); err != nil {
 			return nil, err
-		}
-	}
-	if c0, ok := header["coef0"]; ok {
-		if m.Kernel.Coef0, err = parseFinite(c0, "coef0"); err != nil {
-			return nil, err
-		}
-	}
-	if d, ok := header["degree"]; ok {
-		if m.Kernel.Degree, err = strconv.Atoi(d); err != nil {
-			return nil, fmt.Errorf("svm: bad degree: %w", err)
 		}
 	}
 	rho, ok := header["rho"]

@@ -19,7 +19,7 @@ func defaultTrainParams(dim int) TrainParams {
 		gamma = 1.0 / float64(dim) // LIBSVM's default: 1/num_features
 	}
 	return TrainParams{
-		Kernel:  Kernel{Type: RBF, Gamma: gamma},
+		Kernel:  Kernel{Gamma: gamma},
 		C:       1,
 		Epsilon: 0.1,
 	}
@@ -41,7 +41,6 @@ func TestTrainParamsValidate(t *testing.T) {
 		{"infinite C", func(p *TrainParams) { p.C = math.Inf(1) }, false},
 		{"NaN epsilon", func(p *TrainParams) { p.Epsilon = math.NaN() }, false},
 		{"infinite epsilon", func(p *TrainParams) { p.Epsilon = math.Inf(1) }, false},
-		{"NaN coef0", func(p *TrainParams) { p.Kernel.Coef0 = math.NaN() }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -56,17 +55,17 @@ func TestTrainParamsValidate(t *testing.T) {
 }
 
 // TestTrainRejectsNonFiniteParams: each of these used to train — C = NaN
-// silently, ε or Coef0 = NaN into a model that predicts NaN. Train must
-// refuse them up front.
+// silently, ε = NaN into a model that predicts NaN. Train must refuse them,
+// and a NaN γ, up front.
 func TestTrainRejectsNonFiniteParams(t *testing.T) {
 	x, y := wss2Data(20, 40)
 	nan := math.NaN()
 	for name, mutate := range map[string]func(*TrainParams){
 		"C":     func(p *TrainParams) { p.C = nan },
 		"eps":   func(p *TrainParams) { p.Epsilon = nan },
-		"coef0": func(p *TrainParams) { p.Kernel = Kernel{Type: Sigmoid, Gamma: 0.5, Coef0: nan} },
+		"gamma": func(p *TrainParams) { p.Kernel.Gamma = nan },
 	} {
-		p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.5}, C: 1, Epsilon: 0.1, MaxIter: 1000}
+		p := TrainParams{Kernel: Kernel{Gamma: 0.5}, C: 1, Epsilon: 0.1, MaxIter: 1000}
 		mutate(&p)
 		if m, err := Train(x, y, p); err == nil {
 			t.Errorf("%s = NaN trained a model (%d iterations)", name, m.Iters)
@@ -96,35 +95,6 @@ func TestTrainInputValidation(t *testing.T) {
 	}
 }
 
-// trainLinear1D fits y = 2x + 1 with a linear kernel and checks predictions.
-func TestLinearSVRFitsLine(t *testing.T) {
-	var x [][]float64
-	var y []float64
-	for i := -5; i <= 5; i++ {
-		x = append(x, []float64{float64(i)})
-		y = append(y, 2*float64(i)+1)
-	}
-	m, err := Train(x, y, TrainParams{
-		Kernel:  Kernel{Type: Linear},
-		C:       100,
-		Epsilon: 0.01,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := -4; i <= 4; i++ {
-		got, err := m.Predict([]float64{float64(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 2*float64(i) + 1
-		// ε-SVR is accurate to roughly the tube width.
-		if math.Abs(got-want) > 0.05 {
-			t.Errorf("predict(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
 func TestEpsilonTubeIgnoresSmallNoise(t *testing.T) {
 	// With a wide tube, noisy samples inside the tube yield few SVs.
 	g := mathx.NewRNG(1)
@@ -135,11 +105,11 @@ func TestEpsilonTubeIgnoresSmallNoise(t *testing.T) {
 		x = append(x, []float64{xi})
 		y = append(y, 0.5*xi+g.Normal(0, 0.05))
 	}
-	wide, err := Train(x, y, TrainParams{Kernel: Kernel{Type: Linear}, C: 10, Epsilon: 0.5})
+	wide, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 0.1}, C: 10, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := Train(x, y, TrainParams{Kernel: Kernel{Type: Linear}, C: 10, Epsilon: 0.001})
+	narrow, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 0.1}, C: 10, Epsilon: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +129,7 @@ func TestRBFSVRFitsSmoothFunction(t *testing.T) {
 		y = append(y, math.Sin(xi))
 	}
 	m, err := Train(x, y, TrainParams{
-		Kernel:  Kernel{Type: RBF, Gamma: 1},
+		Kernel:  Kernel{Gamma: 1},
 		C:       50,
 		Epsilon: 0.01,
 	})
@@ -190,7 +160,7 @@ func TestKKTConditions(t *testing.T) {
 	}
 	const c = 5.0
 	const eps = 0.2
-	m, err := Train(x, y, TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.5}, C: c, Epsilon: eps})
+	m, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 0.5}, C: c, Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +230,7 @@ func TestTrainDeterministic(t *testing.T) {
 		x = append(x, []float64{a})
 		y = append(y, 3*a)
 	}
-	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 1}, C: 10, Epsilon: 0.05}
+	p := TrainParams{Kernel: Kernel{Gamma: 1}, C: 10, Epsilon: 0.05}
 	m1, err := Train(x, y, p)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +257,7 @@ func TestMaxIterBudgetError(t *testing.T) {
 		x = append(x, []float64{g.Uniform(-1, 1), g.Uniform(-1, 1)})
 		y = append(y, g.Uniform(-1, 1))
 	}
-	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 2}, C: 1000, Epsilon: 0.0001, MaxIter: 3}
+	p := TrainParams{Kernel: Kernel{Gamma: 2}, C: 1000, Epsilon: 0.0001, MaxIter: 3}
 	if _, err := Train(x, y, p); err == nil {
 		t.Error("tiny iteration budget should fail to converge")
 	}
@@ -296,7 +266,7 @@ func TestMaxIterBudgetError(t *testing.T) {
 func TestConstantTarget(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{5, 5, 5, 5}
-	m, err := Train(x, y, TrainParams{Kernel: Kernel{Type: RBF, Gamma: 1}, C: 10, Epsilon: 0.1})
+	m, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 1}, C: 10, Epsilon: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +287,7 @@ func TestModelIORoundTrip(t *testing.T) {
 		x = append(x, []float64{xi, 1 - xi, 0}) // third feature constant zero
 		y = append(y, xi*xi)
 	}
-	m, err := Train(x, y, TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.8}, C: 20, Epsilon: 0.01})
+	m, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 0.8}, C: 20, Epsilon: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +340,8 @@ var untrustedModels = map[string]string{
 	"nan coef":      "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\nNaN 1:1\n",
 	"inf sv value":  "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\n0.5 1:Inf\n",
 	"inf coef0":     "svm_type epsilon_svr\nkernel_type sigmoid\ngamma 1\ncoef0 -Inf\nrho 0\nSV\n0.5 1:1\n",
+	"linear kernel": "svm_type epsilon_svr\nkernel_type linear\nrho 0\nSV\n0.5 1:1\n",
+	"poly kernel":   "svm_type epsilon_svr\nkernel_type polynomial\ndegree 3\ngamma 0.5\ncoef0 1\nrho 0.1\nSV\n0.5 1:1 3:2\n",
 	"huge index":    "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\n1 400000000:1\n",
 	"huge dim":      "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\ndim 400000000\nrho 0\nSV\n1 1:1\n",
 	"huge sv × dim": "svm_type epsilon_svr\nkernel_type rbf\ngamma 1\ndim 4096\nrho 0\nSV\n" + strings.Repeat("1 1:1\n", maxModelValues/4096+1),
@@ -406,8 +378,7 @@ func FuzzReadModel(f *testing.F) {
 	r := rand.New(rand.NewSource(1))
 	for _, m := range []*Model{
 		syntheticRBF(r, 9, 5, 0.25),
-		{Kernel: Kernel{Type: Polynomial, Gamma: 0.5, Coef0: 1, Degree: 3}, SV: [][]float64{{1, 0, 2}}, Coef: []float64{0.5}, Rho: 0.1, Dim: 3},
-		{Kernel: Kernel{Type: Linear}, Dim: 2},
+		{Kernel: Kernel{Gamma: 0.5}, SV: [][]float64{{1, 0, 2}}, Coef: []float64{0.5}, Rho: 0.1, Dim: 3},
 	} {
 		var buf bytes.Buffer
 		if err := WriteModel(&buf, m); err != nil {
@@ -466,7 +437,7 @@ func TestSVRTranslationEquivariance(t *testing.T) {
 		x = append(x, []float64{a})
 		y = append(y, a*a+g.Normal(0, 0.05))
 	}
-	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 1}, C: 10, Epsilon: 0.05}
+	p := TrainParams{Kernel: Kernel{Gamma: 1}, C: 10, Epsilon: 0.05}
 	base, err := Train(x, y, p)
 	if err != nil {
 		t.Fatal(err)
@@ -506,7 +477,7 @@ func TestSVRPermutationInvariance(t *testing.T) {
 		x[i] = []float64{a}
 		y[i] = math.Sin(a) + g.Normal(0, 0.02)
 	}
-	p := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.8}, C: 20, Epsilon: 0.05}
+	p := TrainParams{Kernel: Kernel{Gamma: 0.8}, C: 20, Epsilon: 0.05}
 	m1, err := Train(x, y, p)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +515,7 @@ func TestSVRCapacityControl(t *testing.T) {
 	}
 	var prevErr float64 = math.Inf(1)
 	for _, c := range []float64{0.01, 1, 100} {
-		m, err := Train(x, y, TrainParams{Kernel: Kernel{Type: RBF, Gamma: 1}, C: c, Epsilon: 0.01})
+		m, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 1}, C: c, Epsilon: 0.01})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -561,40 +532,5 @@ func TestSVRCapacityControl(t *testing.T) {
 			t.Errorf("C=%v train SSE %v rose above smaller C's %v", c, sse, prevErr)
 		}
 		prevErr = sse
-	}
-}
-
-// Cross-implementation check: a linear-kernel SVR with a tiny ε-tube and a
-// large C must converge to (approximately) the ordinary least-squares line —
-// two independently implemented fitters agreeing on the same data.
-func TestLinearSVRMatchesOLS(t *testing.T) {
-	g := mathx.NewRNG(77)
-	var x [][]float64
-	var y []float64
-	for i := 0; i < 80; i++ {
-		xi := g.Uniform(-3, 3)
-		x = append(x, []float64{xi})
-		y = append(y, 4-1.2*xi+g.Normal(0, 0.05))
-	}
-	ols, err := mathx.FitMultiLinear(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Train(x, y, TrainParams{
-		Kernel: Kernel{Type: Linear}, C: 100, Epsilon: 0.02, Selection: SecondOrder,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SVR minimizes ε-insensitive L1 loss, OLS squared loss; with symmetric
-	// noise the fitted lines agree to within a small tolerance.
-	for _, probe := range []float64{-2.5, -1, 0, 1.5, 2.8} {
-		svr, err := m.Predict([]float64{probe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := math.Abs(svr - ols.At([]float64{probe})); diff > 0.1 {
-			t.Errorf("at %v: SVR %v vs OLS %v (diff %v)", probe, svr, ols.At([]float64{probe}), diff)
-		}
 	}
 }

@@ -30,7 +30,7 @@ func wss2Data(n int, seed int64) ([][]float64, []float64) {
 
 func TestSecondOrderMatchesFirstOrderPredictions(t *testing.T) {
 	x, y := wss2Data(120, 33)
-	p1 := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.7}, C: 10, Epsilon: 0.05,
+	p1 := TrainParams{Kernel: Kernel{Gamma: 0.7}, C: 10, Epsilon: 0.05,
 		Selection: MaxViolatingPair}
 	p2 := p1
 	p2.Selection = SecondOrder
@@ -63,7 +63,7 @@ func TestSecondOrderMatchesFirstOrderPredictions(t *testing.T) {
 
 func TestSecondOrderConvergesInFewerIterations(t *testing.T) {
 	x, y := wss2Data(200, 35)
-	p1 := TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.7}, C: 50, Epsilon: 0.01,
+	p1 := TrainParams{Kernel: Kernel{Gamma: 0.7}, C: 50, Epsilon: 0.01,
 		Selection: MaxViolatingPair}
 	p2 := p1
 	p2.Selection = SecondOrder
@@ -86,7 +86,7 @@ func TestSecondOrderKKT(t *testing.T) {
 	// The KKT certificate must hold for WSS2 solutions too.
 	x, y := wss2Data(80, 36)
 	const c = 5.0
-	m, err := Train(x, y, TrainParams{Kernel: Kernel{Type: RBF, Gamma: 0.5}, C: c,
+	m, err := Train(x, y, TrainParams{Kernel: Kernel{Gamma: 0.5}, C: c,
 		Epsilon: 0.1, Selection: SecondOrder})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestValidateRejectsUnknownSelection(t *testing.T) {
 // that keeps every row.
 func TestRowCacheEvictionMatchesResident(t *testing.T) {
 	x, y := wss2Data(80, 37)
-	k := Kernel{Type: RBF, Gamma: 0.7}
+	k := Kernel{Gamma: 0.7}
 	for _, rule := range []SelectionRule{MaxViolatingPair, SecondOrder} {
 		resident := newSolver(x, y, k, 10, 0.05, 1e-3, 1_000_000, rule)
 		wantBeta, wantRho, wantIters, err := resident.solve()

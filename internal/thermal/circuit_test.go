@@ -75,9 +75,8 @@ func (n *network) stepOne(dt float64, node int, watts float64) {
 
 // netServer is the Server as it was built on the generic network: die 0,
 // case 1, ambient 2, the case→ambient edge reset from the fan bank and the
-// heat from PowerModel.Power on every Advance.
+// heat from power on every Advance.
 type netServer struct {
-	p         ServerParams
 	fans      *FanBank
 	net       network
 	util, mem float64
@@ -85,48 +84,41 @@ type netServer struct {
 
 func newNetServer(t *testing.T, p ServerParams) *netServer {
 	t.Helper()
-	fans, err := NewFanBank(p.FanCount, p.BaseCaseG, p.PerFanG)
+	fans, err := newFanBank(p.FanCount)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &netServer{p: p, fans: fans, net: network{
-		capacitance: []float64{p.DieCapacitance, p.CaseCapacitance, 0},
+	return &netServer{fans: fans, net: network{
+		capacitance: []float64{dieCapacitance, caseCapacitance, 0},
 		temp:        []float64{p.AmbientC, p.AmbientC, p.AmbientC},
 		flux:        make([]float64, 3),
-		edges:       []netEdge{{0, 1, p.DieToCaseG}, {1, 2, fans.Conductance()}},
+		edges:       []netEdge{{0, 1, dieToCaseG}, {1, 2, fans.Conductance()}},
 	}}
 }
 
 func (r *netServer) advance(dt float64) {
 	r.net.edges[1].g = r.fans.Conductance()
 	u, die := r.util, r.net.temp[0]
-	if r.p.ThrottleTempC > 0 {
-		if over := die - r.p.ThrottleTempC; over > 0 {
-			if limit := clamp01(1 - 0.1*over); limit < u {
-				u = limit
-			}
+	if over := die - throttleTempC; over > 0 {
+		if limit := clamp01(1 - 0.1*over); limit < u {
+			u = limit
 		}
 	}
-	r.net.stepOne(dt, 0, r.p.Power.Power(u, r.mem, die))
+	r.net.stepOne(dt, 0, power(u, r.mem, die))
 }
 
 // TestTwoNodeStepMatchesNetwork: servers driven through seeded sequences —
 // dt from half a second to a minute (several sub-steps above the default
-// 6.36 s), fan failures that move the sub-step, loads that
-// throttle, ±0 and out-of-range loads, ambient changes — keep die and case
-// temperatures bit-identical, every step, to the generic network they were
-// built on.
+// 6.36 s), fan failures that move the sub-step, loads that throttle, ±0 and
+// out-of-range loads, ambient changes — keep die and case temperatures
+// bit-identical, every step, to the generic network they were built on. A
+// bank of 27 or more fans makes the case time constant the shorter one, so
+// the fans set the sub-step; one or two fans make full load throttle.
 func TestTwoNodeStepMatchesNetwork(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 38))
 	var throttled, multi, subMoves, zeros int
 	for trial := 0; trial < 24; trial++ {
-		p := DefaultServerParams()
-		p.FanCount = 1 + rng.IntN(8)
-		p.PerFanG = 1 + 5*rng.Float64()
-		// A light case makes its time constant the shorter one, so the
-		// fans set the sub-step.
-		p.CaseCapacitance = 60 + 340*rng.Float64()
-		p.ThrottleTempC = 55 + 20*rng.Float64()
+		p := ServerParams{FanCount: 1 + rng.IntN(40), AmbientC: 22}
 		s, err := NewServer(p)
 		if err != nil {
 			t.Fatal(err)
@@ -197,8 +189,8 @@ func TestStepValidation(t *testing.T) {
 }
 
 // TestValidateNamesNonFiniteField: NaN, +Inf and −Inf in every float field
-// of ServerParams (its PowerModel's too) and SensorParams are refused, and
-// the error names the field.
+// of ServerParams and SensorParams are refused, and the error names the
+// field.
 func TestValidateNamesNonFiniteField(t *testing.T) {
 	type validator interface{ Validate() error }
 	var walk func(v reflect.Value, check func(string, *float64))
@@ -213,7 +205,7 @@ func TestValidateNamesNonFiniteField(t *testing.T) {
 			}
 		}
 	}
-	for _, def := range []validator{DefaultServerParams(), DefaultSensorParams()} {
+	for _, def := range []validator{refServer, DefaultSensorParams()} {
 		checked := 0
 		pv := reflect.New(reflect.TypeOf(def))
 		pv.Elem().Set(reflect.ValueOf(def))
@@ -229,37 +221,42 @@ func TestValidateNamesNonFiniteField(t *testing.T) {
 				}
 			}
 		})
-		if checked < 2 {
-			t.Fatalf("%T: only %d float fields walked", def, checked)
+		if checked < 1 {
+			t.Fatalf("%T: no float field walked", def)
 		}
 	}
-	p := DefaultServerParams()
-	p.Power.IdleW = math.NaN()
-	if _, err := NewServer(p); err == nil || !strings.Contains(err.Error(), "PowerModel.IdleW") {
-		t.Errorf("NewServer with a NaN idle power: %v", err)
+	p := refServer
+	p.AmbientC = math.NaN()
+	if _, err := NewServer(p); err == nil || !strings.Contains(err.Error(), "ServerParams.AmbientC") {
+		t.Errorf("NewServer with a NaN ambient: %v", err)
 	}
 }
 
-// linearServer is a server without leakage or throttling whose heat at
-// util 1 is exactly watts: the circuit alone decides its temperatures.
-func linearServer(t *testing.T, watts float64) *Server {
+// linear is a reference server whose circuit is driven with a fixed heat,
+// bypassing the power model, its leakage and the throttle: the circuit
+// alone decides its temperatures.
+type linear struct {
+	*Server
+	watts float64
+}
+
+func linearServer(t *testing.T, watts float64) linear {
 	t.Helper()
-	p := DefaultServerParams()
-	p.Power = PowerModel{IdleW: 0, MaxW: watts, UtilExponent: 1}
-	p.ThrottleTempC = 0
-	s, err := NewServer(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetLoad(1, 0)
-	return s
+	return linear{newTestServer(t), watts}
+}
+
+// Advance integrates dt seconds with l.watts entering at the die.
+func (l linear) Advance(dt float64) error { return l.step(dt, l.fans.Conductance(), l.watts) }
+
+// steady is the series circuit's answer: T_amb + P·(1/G_ca + 1/G_dc).
+func (l linear) steady() float64 {
+	return l.ambientC + l.watts*(1/l.fans.Conductance()+1/dieToCaseG)
 }
 
 // TestNoHeatStaysAtEquilibrium: with no heat and every node at ambient,
 // nothing moves.
 func TestNoHeatStaysAtEquilibrium(t *testing.T) {
-	s := linearServer(t, 80)
-	s.SetLoad(0, 0)
+	s := linearServer(t, 0)
 	if err := s.Advance(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +270,7 @@ func TestNoHeatStaysAtEquilibrium(t *testing.T) {
 // T_die = T_case + P/G_dc.
 func TestTransientConvergesToAnalyticSteadyState(t *testing.T) {
 	s := linearServer(t, 80)
-	gca, gdc := s.Fans().Conductance(), s.params.DieToCaseG
+	gca, gdc := s.Fans().Conductance(), dieToCaseG
 	for i := 0; i < 5000; i++ {
 		if err := s.Advance(1); err != nil {
 			t.Fatal(err)
@@ -287,33 +284,18 @@ func TestTransientConvergesToAnalyticSteadyState(t *testing.T) {
 	}
 }
 
-// TestSteadyStateSolverMatchesAnalytic: SteadyStateDieTemp is the series
-// circuit's answer without leakage, solves T = T_amb + P(T)·R with it, and
-// leaves the live temperatures alone.
+// TestSteadyStateSolverMatchesAnalytic: SteadyStateDieTemp solves
+// T = T_amb + P(T)·R, leakage included, and leaves the live temperatures
+// alone.
 func TestSteadyStateSolverMatchesAnalytic(t *testing.T) {
-	s := linearServer(t, 80)
-	r := 1/s.Fans().Conductance() + 1/s.params.DieToCaseG
-	if got, want := s.SteadyStateDieTemp(1, 0), 22+80*r; math.Abs(got-want) > 1e-9 {
-		t.Errorf("solver die = %v, want %v", got, want)
-	}
 	leaky := newTestServer(t)
 	got := leaky.SteadyStateDieTemp(0.7, 0.3)
-	r = 1/leaky.Fans().Conductance() + 1/leaky.params.DieToCaseG
-	if want := 22 + leaky.params.Power.Power(0.7, 0.3, got)*r; math.Abs(got-want) > 1e-6 {
+	r := 1/leaky.Fans().Conductance() + 1/dieToCaseG
+	if want := 22 + power(0.7, 0.3, got)*r; math.Abs(got-want) > 1e-6 {
 		t.Errorf("leaky solver die = %v, but its heat puts the die at %v", got, want)
 	}
-	if leaky.DieTemp() != 22 || s.DieTemp() != 22 {
+	if leaky.DieTemp() != 22 {
 		t.Error("SteadyStateDieTemp mutated server state")
-	}
-}
-
-// TestSteadyStateNoBoundaryPath: a circuit whose case has no conductance
-// to ambient has no steady state, and no server is built without one.
-func TestSteadyStateNoBoundaryPath(t *testing.T) {
-	p := DefaultServerParams()
-	p.BaseCaseG, p.FanCount = 0, 0
-	if _, err := NewServer(p); err == nil {
-		t.Error("a server with no path from its case to ambient was built")
 	}
 }
 
@@ -334,29 +316,36 @@ func TestMonotoneHeatingTransient(t *testing.T) {
 	}
 }
 
-// TestBoundaryTempShiftsEquilibrium: a warmer ambient lifts the steady
-// state by the same amount.
+// TestBoundaryTempShiftsEquilibrium: a warmer ambient lifts the settled
+// die by the same amount.
 func TestBoundaryTempShiftsEquilibrium(t *testing.T) {
-	s := linearServer(t, 80)
-	before := s.SteadyStateDieTemp(1, 0)
-	s.SetAmbient(30)
-	if got := s.SteadyStateDieTemp(1, 0); math.Abs(got-before-8) > 1e-9 {
-		t.Errorf("die steady with ambient +8 °C = %v, want %v", got, before+8)
+	cool, warm := linearServer(t, 80), linearServer(t, 80)
+	warm.SetAmbient(30)
+	for i := 0; i < 5000; i++ {
+		if err := cool.Advance(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := warm.Advance(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := warm.DieTemp() - cool.DieTemp(); math.Abs(got-8) > 0.01 {
+		t.Errorf("die steady with ambient +8 °C moved by %v, want 8", got)
 	}
 }
 
 // TestSetConductanceAffectsSteadyState: the fan bank sets the case→ambient
 // conductance the circuit integrates with, and a failed fan's loss shows
-// in both the solver and the transient.
+// in the transient.
 func TestSetConductanceAffectsSteadyState(t *testing.T) {
 	s := linearServer(t, 80)
+	before := s.steady()
 	if err := s.Fans().Fail(0); err != nil {
 		t.Fatal(err)
 	}
-	gca := s.Fans().Conductance()
-	want := 22 + 80/gca + 80/s.params.DieToCaseG
-	if got := s.SteadyStateDieTemp(1, 0); math.Abs(got-want) > 1e-9 {
-		t.Errorf("steady after a fan failure = %v, want %v", got, want)
+	want := s.steady()
+	if want <= before {
+		t.Fatalf("a failed fan lowered the steady state: %v -> %v", before, want)
 	}
 	for i := 0; i < 5000; i++ {
 		if err := s.Advance(1); err != nil {
@@ -380,7 +369,7 @@ func TestEnergyConservationAtSteadyState(t *testing.T) {
 	if out := s.Fans().Conductance() * (s.CaseTemp() - s.ambientC); math.Abs(out-123) > 0.01 {
 		t.Errorf("boundary outflow = %v W, want 123 W", out)
 	}
-	if dc := s.params.DieToCaseG * (s.DieTemp() - s.CaseTemp()); math.Abs(dc-123) > 0.01 {
+	if dc := dieToCaseG * (s.DieTemp() - s.CaseTemp()); math.Abs(dc-123) > 0.01 {
 		t.Errorf("die→case flow = %v W, want 123 W", dc)
 	}
 }

@@ -11,25 +11,17 @@ import (
 // injection drives the fault-tolerance tests and the what-if example.
 type FanBank struct {
 	failed []bool
-	// baseG is the case→ambient conductance with zero airflow (natural
-	// convection), W/K.
-	baseG float64
-	// perFanG is the added conductance of one healthy fan.
-	perFanG float64
 	// g caches the conductance: every server asks for it every tick and
 	// the airflow changes only through Fail, which recomputes it.
 	g float64
 }
 
-// NewFanBank creates count healthy fans.
-func NewFanBank(count int, baseG, perFanG float64) (*FanBank, error) {
+// newFanBank creates count healthy fans.
+func newFanBank(count int) (*FanBank, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("thermal: negative fan count %d", count)
 	}
-	if baseG <= 0 || perFanG < 0 {
-		return nil, fmt.Errorf("thermal: invalid conductances base %v perFan %v", baseG, perFanG)
-	}
-	b := &FanBank{failed: make([]bool, count), baseG: baseG, perFanG: perFanG}
+	b := &FanBank{failed: make([]bool, count)}
 	b.g = b.conductance()
 	return b, nil
 }
@@ -61,10 +53,11 @@ func (b *FanBank) Airflow() float64 {
 }
 
 // Conductance returns the case→ambient thermal conductance (W/K) produced
-// by the current airflow. Airflow has diminishing returns (~square root),
-// matching fan-law heat transfer behaviour.
+// by the current airflow: baseCaseG of natural convection plus perFanG per
+// fan unit, with diminishing returns (~square root), matching fan-law heat
+// transfer behaviour.
 func (b *FanBank) Conductance() float64 { return b.g }
 
 func (b *FanBank) conductance() float64 {
-	return b.baseG + b.perFanG*math.Sqrt(b.Airflow())
+	return baseCaseG + perFanG*math.Sqrt(b.Airflow())
 }

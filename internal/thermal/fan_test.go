@@ -6,16 +6,10 @@ import (
 )
 
 func TestNewFanBankValidation(t *testing.T) {
-	if _, err := NewFanBank(-1, 1, 1); err == nil {
+	if _, err := newFanBank(-1); err == nil {
 		t.Error("negative count should fail")
 	}
-	if _, err := NewFanBank(4, 0, 1); err == nil {
-		t.Error("zero base conductance should fail")
-	}
-	if _, err := NewFanBank(4, 1, -1); err == nil {
-		t.Error("negative per-fan conductance should fail")
-	}
-	b, err := NewFanBank(4, 1, 2)
+	b, err := newFanBank(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +19,14 @@ func TestNewFanBankValidation(t *testing.T) {
 }
 
 func TestAirflowFullSpeedHealthy(t *testing.T) {
-	b, _ := NewFanBank(4, 1, 2)
+	b, _ := newFanBank(4)
 	if got := b.Airflow(); got != 4 {
 		t.Errorf("Airflow = %v, want 4", got)
 	}
 }
 
 func TestAirflowStates(t *testing.T) {
-	b, _ := NewFanBank(4, 1, 2)
+	b, _ := newFanBank(4)
 	if err := b.Fail(0); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +43,7 @@ func TestAirflowStates(t *testing.T) {
 }
 
 func TestOutOfRangeFanOps(t *testing.T) {
-	b, _ := NewFanBank(1, 1, 2)
+	b, _ := newFanBank(1)
 	if err := b.Fail(5); err == nil {
 		t.Error("Fail out of range should error")
 	}
@@ -59,21 +53,21 @@ func TestOutOfRangeFanOps(t *testing.T) {
 }
 
 func TestConductanceDiminishingReturns(t *testing.T) {
-	b4, _ := NewFanBank(4, 1, 2)
-	b8, _ := NewFanBank(8, 1, 2)
-	g4 := b4.Conductance() // 1 + 2*2 = 5
-	g8 := b8.Conductance() // 1 + 2*2.828 = 6.657
-	if math.Abs(g4-5) > 1e-9 {
-		t.Errorf("G(4 fans) = %v, want 5", g4)
+	b4, _ := newFanBank(4)
+	b8, _ := newFanBank(8)
+	g4 := b4.Conductance() // 0.9 + 1.8*2 = 4.5
+	g8 := b8.Conductance() // 0.9 + 1.8*2.828 = 5.991
+	if math.Abs(g4-4.5) > 1e-9 {
+		t.Errorf("G(4 fans) = %v, want 4.5", g4)
 	}
-	if g8-g4 >= g4-1 {
+	if g8-g4 >= g4-baseCaseG {
 		t.Error("doubling fans should add less than the first four did")
 	}
 }
 
 func TestConductanceZeroFans(t *testing.T) {
-	b, _ := NewFanBank(0, 0.9, 2)
-	if got := b.Conductance(); got != 0.9 {
-		t.Errorf("natural convection only = %v, want 0.9", got)
+	b, _ := newFanBank(0)
+	if got := b.Conductance(); got != baseCaseG {
+		t.Errorf("natural convection only = %v, want %v", got, baseCaseG)
 	}
 }

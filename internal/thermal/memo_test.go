@@ -24,7 +24,7 @@ func fanOp(rng *rand.Rand, banks ...*FanBank) {
 func TestConductanceMemoMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 30))
 	for trial := 0; trial < 50; trial++ {
-		b, err := NewFanBank(rng.IntN(9), 0.5+rng.Float64(), 3*rng.Float64())
+		b, err := newFanBank(rng.IntN(9))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestConductanceMemoMatchesFormula(t *testing.T) {
 			if step > 0 {
 				fanOp(rng, b)
 			}
-			want := b.baseG + b.perFanG*math.Sqrt(b.Airflow())
+			want := baseCaseG + perFanG*math.Sqrt(b.Airflow())
 			for k := 0; k < 2; k++ { // the miss and the hit
 				if got := b.Conductance(); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("trial %d step %d: Conductance %v, formula %v (airflow %v)", trial, step, got, want, b.Airflow())
@@ -43,25 +43,22 @@ func TestConductanceMemoMatchesFormula(t *testing.T) {
 }
 
 // refAdvance is Server.Advance without either memo: the fan conductance from
-// its formula and the heat from PowerModel.Power, math.Pow every tick.
+// its formula and the heat from power, math.Pow every tick.
 func refAdvance(s *Server, dt float64) error {
 	u := s.EffectiveUtil()
-	return s.step(dt, s.fans.baseG+s.fans.perFanG*math.Sqrt(s.fans.Airflow()), s.params.Power.Power(u, s.memFrac, s.dieC))
+	return s.step(dt, baseCaseG+perFanG*math.Sqrt(s.fans.Airflow()), power(u, s.memFrac, s.dieC))
 }
 
 // TestPowerMemoMatchesPower: a server driven through a seeded sequence of
 // loads (repeated, changed, 0, -0, 1, clamped, fractional), ambient changes,
 // fan faults and advances — hot enough that throttling engages and releases —
-// stays bit-identical, every step, to a twin whose heat comes from
-// PowerModel.Power on every tick.
+// stays bit-identical, every step, to a twin whose heat comes from power on
+// every tick.
 func TestPowerMemoMatchesPower(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 30))
 	throttled := 0
 	for trial := 0; trial < 20; trial++ {
-		p := DefaultServerParams()
-		p.FanCount = 1 + rng.IntN(4)
-		p.ThrottleTempC = 55 + 20*rng.Float64()
-		p.Power.UtilExponent = []float64{1, 1.25, 1.4, 0.8}[rng.IntN(4)]
+		p := ServerParams{FanCount: 1 + rng.IntN(4), AmbientC: 22}
 		s, err := NewServer(p)
 		if err != nil {
 			t.Fatal(err)

@@ -5,51 +5,23 @@ import (
 	"testing"
 )
 
-func TestPowerModelValidate(t *testing.T) {
-	tests := []struct {
-		name    string
-		mutate  func(*PowerModel)
-		wantErr bool
-	}{
-		{"default ok", func(*PowerModel) {}, false},
-		{"negative idle", func(p *PowerModel) { p.IdleW = -1 }, true},
-		{"max below idle", func(p *PowerModel) { p.MaxW = p.IdleW - 1 }, true},
-		{"zero max", func(p *PowerModel) { p.MaxW = 0 }, true},
-		{"negative mem", func(p *PowerModel) { p.MemMaxW = -1 }, true},
-		{"negative leak", func(p *PowerModel) { p.LeakWPerK = -0.1 }, true},
-		{"zero exponent", func(p *PowerModel) { p.UtilExponent = 0 }, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			p := DefaultPowerModel()
-			tt.mutate(&p)
-			err := p.Validate()
-			if (err != nil) != tt.wantErr {
-				t.Errorf("Validate() err = %v, wantErr %v", err, tt.wantErr)
-			}
-		})
-	}
-}
-
 func TestPowerEndpoints(t *testing.T) {
-	p := DefaultPowerModel()
-	p.LeakWPerK = 0
-	if got := p.Power(0, 0, 30); got != p.IdleW {
-		t.Errorf("idle power = %v, want %v", got, p.IdleW)
+	// Below leakRefC, leakage adds nothing.
+	if got := power(0, 0, 30); got != idleW {
+		t.Errorf("idle power = %v, want %v", got, idleW)
 	}
-	if got := p.Power(1, 0, 30); math.Abs(got-p.MaxW) > 1e-9 {
-		t.Errorf("full power = %v, want %v", got, p.MaxW)
+	if got := power(1, 0, 30); math.Abs(got-maxW) > 1e-9 {
+		t.Errorf("full power = %v, want %v", got, maxW)
 	}
-	if got := p.Power(1, 1, 30); math.Abs(got-(p.MaxW+p.MemMaxW)) > 1e-9 {
-		t.Errorf("full+mem power = %v, want %v", got, p.MaxW+p.MemMaxW)
+	if got := power(1, 1, 30); math.Abs(got-(maxW+memMaxW)) > 1e-9 {
+		t.Errorf("full+mem power = %v, want %v", got, maxW+memMaxW)
 	}
 }
 
 func TestPowerMonotoneInUtil(t *testing.T) {
-	p := DefaultPowerModel()
-	prev := p.Power(0, 0, 40)
+	prev := power(0, 0, 40)
 	for u := 0.05; u <= 1.0; u += 0.05 {
-		cur := p.Power(u, 0, 40)
+		cur := power(u, 0, 40)
 		if cur < prev {
 			t.Fatalf("power not monotone at u=%v: %v < %v", u, cur, prev)
 		}
@@ -58,35 +30,32 @@ func TestPowerMonotoneInUtil(t *testing.T) {
 }
 
 func TestPowerClampsInputs(t *testing.T) {
-	p := DefaultPowerModel()
-	if p.Power(-1, 0, 40) != p.Power(0, 0, 40) {
+	if power(-1, 0, 40) != power(0, 0, 40) {
 		t.Error("util below 0 not clamped")
 	}
-	if p.Power(2, 0.5, 40) != p.Power(1, 0.5, 40) {
+	if power(2, 0.5, 40) != power(1, 0.5, 40) {
 		t.Error("util above 1 not clamped")
 	}
-	if p.Power(0.5, -3, 40) != p.Power(0.5, 0, 40) {
+	if power(0.5, -3, 40) != power(0.5, 0, 40) {
 		t.Error("mem below 0 not clamped")
 	}
 }
 
 func TestLeakageAddsAboveReference(t *testing.T) {
-	p := DefaultPowerModel()
-	below := p.Power(0.5, 0, p.LeakRefC-10)
-	at := p.Power(0.5, 0, p.LeakRefC)
-	above := p.Power(0.5, 0, p.LeakRefC+10)
+	below := power(0.5, 0, leakRefC-10)
+	at := power(0.5, 0, leakRefC)
+	above := power(0.5, 0, leakRefC+10)
 	if below != at {
 		t.Error("leakage applied below reference temperature")
 	}
-	if want := at + 10*p.LeakWPerK; math.Abs(above-want) > 1e-9 {
+	if want := at + 10*leakWPerK; math.Abs(above-want) > 1e-9 {
 		t.Errorf("leakage at +10K = %v, want %v", above, want)
 	}
 }
 
 func TestSuperlinearUtilCurve(t *testing.T) {
-	p := DefaultPowerModel() // exponent 1.25 > 1
-	mid := p.Power(0.5, 0, 30) - p.IdleW
-	full := p.Power(1, 0, 30) - p.IdleW
+	mid := power(0.5, 0, 30) - idleW // exponent 1.25 > 1
+	full := power(1, 0, 30) - idleW
 	if mid >= full/2 {
 		t.Errorf("superlinear curve expected: mid %v vs full/2 %v", mid, full/2)
 	}

@@ -26,75 +26,43 @@ import (
 	"math"
 )
 
-// ServerParams configures a server's thermal assembly: a two-node RC circuit
-// (CPU die + case/heatsink) cooled by a fan bank into ambient air.
-type ServerParams struct {
-	// Power is the heat generation model.
-	Power PowerModel
-	// DieCapacitance is the CPU die + spreader heat capacity, J/K.
-	DieCapacitance float64
-	// CaseCapacitance is the heatsink/chassis heat capacity, J/K. It sets
+// The reference server's thermal assembly: a 2U machine whose CPU settles
+// within ≈600 s, matching the paper's empirical break-in time.
+const (
+	// dieCapacitance is the CPU die + spreader heat capacity, J/K.
+	dieCapacitance float64 = 140
+	// caseCapacitance is the heatsink/chassis heat capacity, J/K. It sets
 	// the slow time constant that makes temperature take ~10 minutes to
 	// stabilize (the paper's t_break = 600 s).
-	CaseCapacitance float64
-	// DieToCaseG is the die→heatsink conductance, W/K.
-	DieToCaseG float64
-	// Fans configures the fan bank.
+	caseCapacitance float64 = 400
+	// dieToCaseG is the die→heatsink conductance, W/K.
+	dieToCaseG float64 = 5.5
+	// baseCaseG is case→ambient conductance with no airflow, W/K.
+	baseCaseG float64 = 0.9
+	// perFanG is the conductance added per healthy full-speed fan, W/K.
+	perFanG float64 = 1.8
+	// throttleTempC engages thermal throttling: above this die temperature,
+	// utilization is progressively capped to protect silicon.
+	throttleTempC float64 = 96
+)
+
+// ServerParams places one reference server: its fan bank and the air it
+// breathes.
+type ServerParams struct {
+	// FanCount is the number of case fans.
 	FanCount int
-	// BaseCaseG is case→ambient conductance with no airflow, W/K.
-	BaseCaseG float64
-	// PerFanG is the conductance added per healthy full-speed fan, W/K.
-	PerFanG float64
 	// AmbientC is the initial ambient (rack inlet) temperature, °C.
 	AmbientC float64
-	// ThrottleTempC, if > 0, engages thermal throttling: above this die
-	// temperature, utilization is progressively capped to protect silicon.
-	ThrottleTempC float64
 }
 
-// DefaultServerParams returns the reference server used across experiments:
-// a 4-fan 2U machine whose CPU settles within ≈600 s, matching the paper's
-// empirical break-in time.
-func DefaultServerParams() ServerParams {
-	return ServerParams{
-		Power:           DefaultPowerModel(),
-		DieCapacitance:  140,
-		CaseCapacitance: 400,
-		DieToCaseG:      5.5,
-		FanCount:        4,
-		BaseCaseG:       0.9,
-		PerFanG:         1.8,
-		AmbientC:        22,
-		ThrottleTempC:   96,
-	}
-}
-
-// Validate checks parameter sanity. NaN fails every comparison, so each
-// float field is first checked to be finite.
+// Validate checks parameter sanity. NaN fails every comparison, so the
+// ambient is first checked to be finite.
 func (p ServerParams) Validate() error {
-	if err := finite("ServerParams", []field{
-		{"DieCapacitance", p.DieCapacitance}, {"CaseCapacitance", p.CaseCapacitance},
-		{"DieToCaseG", p.DieToCaseG}, {"BaseCaseG", p.BaseCaseG}, {"PerFanG", p.PerFanG},
-		{"AmbientC", p.AmbientC}, {"ThrottleTempC", p.ThrottleTempC},
-	}); err != nil {
+	if err := finite("ServerParams", []field{{"AmbientC", p.AmbientC}}); err != nil {
 		return err
-	}
-	if err := p.Power.Validate(); err != nil {
-		return err
-	}
-	if p.DieCapacitance <= 0 || p.CaseCapacitance <= 0 {
-		return fmt.Errorf("thermal: capacitances must be > 0 (die %v, case %v)",
-			p.DieCapacitance, p.CaseCapacitance)
-	}
-	if p.DieToCaseG <= 0 {
-		return fmt.Errorf("thermal: die-to-case conductance must be > 0, got %v", p.DieToCaseG)
 	}
 	if p.FanCount < 0 {
 		return fmt.Errorf("thermal: negative fan count %d", p.FanCount)
-	}
-	if p.BaseCaseG <= 0 || p.PerFanG < 0 {
-		return fmt.Errorf("thermal: invalid case conductances base %v perFan %v",
-			p.BaseCaseG, p.PerFanG)
 	}
 	return nil
 }
@@ -120,14 +88,12 @@ func finite(kind string, fields []field) error {
 // Load and calling Advance; read the die temperature with DieTemp or through
 // a Sensor.
 type Server struct {
-	params ServerParams
-	fans   *FanBank
+	fans *FanBank
 
-	// The circuit: node temperatures (°C), the die→case conductance and the
-	// case→ambient one the fan bank set last (W/K), and sub, the stable
-	// Euler sub-step for those conductances (s).
+	// The circuit: node temperatures (°C), the case→ambient conductance the
+	// fan bank set last (W/K), and sub, the stable Euler sub-step for it (s).
 	dieC, caseC, ambientC float64
-	dieCaseG, caseAmbG    float64
+	caseAmbG              float64
 	sub                   float64
 
 	util    float64 // commanded CPU utilization 0..1
@@ -141,25 +107,23 @@ type Server struct {
 	curve     float64
 }
 
-// NewServer builds a server thermal assembly from params. All nodes start
-// at ambient temperature (a cold machine).
+// NewServer builds a reference server from params. All nodes start at
+// ambient temperature (a cold machine).
 func NewServer(params ServerParams) (*Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	fans, err := NewFanBank(params.FanCount, params.BaseCaseG, params.PerFanG)
+	fans, err := newFanBank(params.FanCount)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		params:   params,
 		fans:     fans,
 		dieC:     params.AmbientC,
 		caseC:    params.AmbientC,
 		ambientC: params.AmbientC,
-		dieCaseG: params.DieToCaseG,
 		// The memo starts at util +0 (Float64bits(0) == 0).
-		curve: params.Power.utilCurve(0),
+		curve: utilCurve(0),
 	}
 	s.setCaseG(fans.Conductance())
 	return s, nil
@@ -168,8 +132,8 @@ func NewServer(params ServerParams) (*Server, error) {
 // setCaseG sets the case→ambient conductance and the stable sub-step for
 // it: a quarter of the smaller node time constant C/ΣG, at least 1 ms.
 func (s *Server) setCaseG(g float64) {
-	tauDie := s.params.DieCapacitance / s.dieCaseG
-	tauCase := s.params.CaseCapacitance / (s.dieCaseG + g)
+	tauDie := dieCapacitance / dieToCaseG
+	tauCase := caseCapacitance / (dieToCaseG + g)
 	s.caseAmbG, s.sub = g, math.Max(min(tauDie, tauCase)/4, 1e-3)
 }
 
@@ -189,13 +153,11 @@ func (s *Server) Fans() *FanBank { return s.fans }
 // EffectiveUtil returns the utilization after any thermal throttling.
 func (s *Server) EffectiveUtil() float64 {
 	u := s.util
-	if s.params.ThrottleTempC > 0 {
-		if over := s.dieC - s.params.ThrottleTempC; over > 0 {
-			// Each degree over the limit sheds 10% of the commanded load.
-			limit := clamp01(1 - 0.1*over)
-			if limit < u {
-				u = limit
-			}
+	if over := s.dieC - throttleTempC; over > 0 {
+		// Each degree over the limit sheds 10% of the commanded load.
+		limit := clamp01(1 - 0.1*over)
+		if limit < u {
+			u = limit
 		}
 	}
 	return u
@@ -207,9 +169,9 @@ func (s *Server) EffectiveUtil() float64 {
 func (s *Server) Advance(dt float64) error {
 	u := s.EffectiveUtil()
 	if b := math.Float64bits(u); b != s.curveBits {
-		s.curveBits, s.curve = b, s.params.Power.utilCurve(u)
+		s.curveBits, s.curve = b, utilCurve(u)
 	}
-	return s.step(dt, s.fans.Conductance(), s.params.Power.powerFromCurve(s.curve, s.memFrac, s.dieC))
+	return s.step(dt, s.fans.Conductance(), powerFromCurve(s.curve, s.memFrac, s.dieC))
 }
 
 // step integrates the circuit by dt seconds with case→ambient conductance
@@ -230,7 +192,7 @@ func (s *Server) step(dt, g, heat float64) error {
 	steps := max(int(n), 1)
 	h := dt / float64(steps)
 	die, cs, amb := s.dieC, s.caseC, s.ambientC
-	gdc, cDie, cCase := s.dieCaseG, s.params.DieCapacitance, s.params.CaseCapacitance
+	gdc, cDie, cCase := dieToCaseG, dieCapacitance, caseCapacitance
 	for k := 0; k < steps; k++ {
 		q0 := float64(gdc * (die - cs)) // W die → case
 		q1 := float64(g * (cs - amb))   // W case → ambient
@@ -254,10 +216,10 @@ func (s *Server) CaseTemp() float64 { return s.caseC }
 // whole heat crosses both conductances in series, and leakage feedback is
 // resolved by fixed-point iteration from the current die temperature.
 func (s *Server) SteadyStateDieTemp(util, memFrac float64) float64 {
-	r := 1/s.fans.Conductance() + 1/s.dieCaseG // K/W, die to ambient
+	r := 1/s.fans.Conductance() + 1/dieToCaseG // K/W, die to ambient
 	die := s.dieC
 	for i := 0; i < 200; i++ {
-		next := s.ambientC + s.params.Power.Power(util, memFrac, die)*r
+		next := s.ambientC + power(util, memFrac, die)*r
 		if diff := next - die; diff < 1e-9 && diff > -1e-9 {
 			return next
 		}

@@ -5,9 +5,13 @@ import (
 	"testing"
 )
 
+// refServer places the reference server as the substrate's default slot
+// does: four fans in 22 °C air.
+var refServer = ServerParams{FanCount: 4, AmbientC: 22}
+
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := NewServer(DefaultServerParams())
+	s, err := NewServer(refServer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,17 +23,12 @@ func TestServerParamsValidate(t *testing.T) {
 		name   string
 		mutate func(*ServerParams)
 	}{
-		{"bad power", func(p *ServerParams) { p.Power.MaxW = -1 }},
-		{"zero die C", func(p *ServerParams) { p.DieCapacitance = 0 }},
-		{"zero case C", func(p *ServerParams) { p.CaseCapacitance = 0 }},
-		{"zero dieToCase", func(p *ServerParams) { p.DieToCaseG = 0 }},
 		{"negative fans", func(p *ServerParams) { p.FanCount = -2 }},
-		{"zero baseG", func(p *ServerParams) { p.BaseCaseG = 0 }},
-		{"negative perFanG", func(p *ServerParams) { p.PerFanG = -1 }},
+		{"NaN ambient", func(p *ServerParams) { p.AmbientC = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			p := DefaultServerParams()
+			p := refServer
 			tt.mutate(&p)
 			if _, err := NewServer(p); err == nil {
 				t.Error("NewServer accepted invalid params")
@@ -40,9 +39,8 @@ func TestServerParamsValidate(t *testing.T) {
 
 func TestColdServerStartsAtAmbient(t *testing.T) {
 	s := newTestServer(t)
-	if s.DieTemp() != s.params.AmbientC || s.CaseTemp() != s.params.AmbientC {
-		t.Errorf("cold server die %v case %v, want ambient %v",
-			s.DieTemp(), s.CaseTemp(), s.params.AmbientC)
+	if s.DieTemp() != 22 || s.CaseTemp() != 22 {
+		t.Errorf("cold server die %v case %v, want ambient 22", s.DieTemp(), s.CaseTemp())
 	}
 }
 
@@ -104,9 +102,7 @@ func TestSettlesWithinBreakTime(t *testing.T) {
 func TestMoreFansRunCooler(t *testing.T) {
 	temps := map[int]float64{}
 	for _, fans := range []int{2, 4, 8} {
-		p := DefaultServerParams()
-		p.FanCount = fans
-		s, err := NewServer(p)
+		s, err := NewServer(ServerParams{FanCount: fans, AmbientC: 22})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,9 +157,7 @@ func TestTransientApproachesSteadyState(t *testing.T) {
 func TestThrottleEngagesWithMinimalCooling(t *testing.T) {
 	// With a single fan, an unthrottled full load would settle near 128 °C;
 	// the throttle must cap utilization and hold the die near the limit.
-	p := DefaultServerParams()
-	p.FanCount = 1
-	s, err := NewServer(p)
+	s, err := NewServer(ServerParams{FanCount: 1, AmbientC: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +173,8 @@ func TestThrottleEngagesWithMinimalCooling(t *testing.T) {
 		t.Error("single-fan full-load server never throttled")
 	}
 	// Throttling must hold the die near the limit rather than diverging.
-	if s.DieTemp() > p.ThrottleTempC+12 {
-		t.Errorf("die ran away to %v °C despite throttle at %v", s.DieTemp(), p.ThrottleTempC)
+	if s.DieTemp() > throttleTempC+12 {
+		t.Errorf("die ran away to %v °C despite throttle at %v", s.DieTemp(), throttleTempC)
 	}
 	if s.EffectiveUtil() >= 1 {
 		t.Error("effective utilization should be capped while throttling")

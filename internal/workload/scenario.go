@@ -44,16 +44,17 @@ func (c Case) NumTasks() int {
 	return n
 }
 
+// tasksPerVMMax bounds the tasks the generator gives a VM (min is 1).
+const tasksPerVMMax = 3
+
 // GenOptions bounds the randomized case generator. The defaults mirror the
-// paper's evaluation: 2–12 VMs per server, mixed task classes, 2–6 fans,
-// datacenter ambient between 18 and 28 °C.
+// paper's evaluation: 2–12 VMs per server, 1–3 tasks of mixed classes per
+// VM, 2–6 fans, datacenter ambient between 18 and 28 °C.
 type GenOptions struct {
 	VMCountMin, VMCountMax int
 	FanChoices             []int
 	AmbientMinC            float64
 	AmbientMaxC            float64
-	// TasksPerVMMax bounds tasks per VM (min is 1).
-	TasksPerVMMax int
 	// Dynamic, when true, assigns time-varying profiles (sine/bursty/ramp)
 	// in addition to constant loads; stable-prediction experiments use
 	// constant loads, dynamic-prediction experiments enable this.
@@ -65,13 +66,12 @@ type GenOptions struct {
 // DefaultGenOptions returns the paper-equivalent generator bounds.
 func DefaultGenOptions() GenOptions {
 	return GenOptions{
-		VMCountMin:    2,
-		VMCountMax:    12,
-		FanChoices:    []int{2, 4, 6},
-		AmbientMinC:   18,
-		AmbientMaxC:   28,
-		TasksPerVMMax: 3,
-		Host:          vmm.DefaultHostConfig(),
+		VMCountMin:  2,
+		VMCountMax:  12,
+		FanChoices:  []int{2, 4, 6},
+		AmbientMinC: 18,
+		AmbientMaxC: 28,
+		Host:        vmm.DefaultHostConfig(),
 	}
 }
 
@@ -90,9 +90,6 @@ func (o GenOptions) Validate() error {
 	}
 	if o.AmbientMaxC < o.AmbientMinC {
 		return fmt.Errorf("workload: ambient range [%v, %v] inverted", o.AmbientMinC, o.AmbientMaxC)
-	}
-	if o.TasksPerVMMax < 1 {
-		return fmt.Errorf("workload: tasks per VM max %d < 1", o.TasksPerVMMax)
 	}
 	return o.Host.Validate()
 }
@@ -144,7 +141,7 @@ func GenerateCase(opts GenOptions, seed int64, name string) (Case, error) {
 			ID:     fmt.Sprintf("%s-vm%02d", name, v),
 			Config: shape,
 		}
-		nTasks := rng.IntBetween(1, opts.TasksPerVMMax)
+		nTasks := rng.IntBetween(1, tasksPerVMMax)
 		for k := 0; k < nTasks; k++ {
 			spec.Tasks = append(spec.Tasks, randomTask(rng, opts, spec.ID, k))
 		}

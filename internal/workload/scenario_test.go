@@ -19,7 +19,6 @@ func TestGenOptionsValidate(t *testing.T) {
 		{"no fans", func(o *GenOptions) { o.FanChoices = nil }, false},
 		{"negative fan", func(o *GenOptions) { o.FanChoices = []int{-1} }, false},
 		{"inverted ambient", func(o *GenOptions) { o.AmbientMinC, o.AmbientMaxC = 30, 20 }, false},
-		{"zero tasks", func(o *GenOptions) { o.TasksPerVMMax = 0 }, false},
 		{"bad host", func(o *GenOptions) { o.Host.Cores = 0 }, false},
 	}
 	for _, tt := range tests {
@@ -57,7 +56,7 @@ func TestGenerateCaseWithinBounds(t *testing.T) {
 			t.Errorf("fan count %d not among choices", c.FanCount)
 		}
 		for _, vm := range c.VMs {
-			if len(vm.Tasks) < 1 || len(vm.Tasks) > opts.TasksPerVMMax {
+			if len(vm.Tasks) < 1 || len(vm.Tasks) > tasksPerVMMax {
 				t.Errorf("vm %s has %d tasks", vm.ID, len(vm.Tasks))
 			}
 			for _, ts := range vm.Tasks {
