@@ -85,8 +85,7 @@ func run() error {
 	}
 
 	// Optimize the setpoint against the predictions.
-	cfg := energy.DefaultSetpointConfig()
-	optimized, err := energy.OptimizeSetpoint(preds, refSupply+2, cfg)
+	optimized, err := energy.OptimizeSetpoint(preds, refSupply+2)
 	if err != nil {
 		return err
 	}
@@ -96,7 +95,7 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("\nthermal ceiling: %.0f °C; hottest predicted server determines headroom\n", cfg.MaxSafeTempC)
+	fmt.Printf("\nthermal ceiling: %.0f °C; hottest predicted server determines headroom\n", energy.MaxSafeTempC)
 	fmt.Printf("CRAC supply:  %.1f °C (baseline) → %.1f °C (prediction-driven)\n",
 		report.BaselineSupplyC, report.OptimizedSupplyC)
 	fmt.Printf("COP:          %.2f → %.2f\n", energy.COP(report.BaselineSupplyC), energy.COP(report.OptimizedSupplyC))

@@ -63,11 +63,30 @@ var configs = []string{"fleet.Config", "engine.Config", "thermal.SensorParams", 
 // its package writes but that stays, with the reason. Keys are
 // "pkg.Type.Field".
 var allowedFields = map[string]string{
-	"fleet.Config.HorizonS":            "bench/e2e reads it; its setter waits for the benchmark to move off the field",
-	"fleet.Config.AnchorCacheEntries":  "bench/e2e reads it; its setter waits for the benchmark to move off the field",
-	"fleet.Config.AnchorQuantAmbientC": "bench/e2e reads it; its setter waits for the benchmark to move off the field",
-	"fleet.Config.FanCount":            "whether the fleet's fan count becomes a flag or a constant is still open",
-	"fleet.Config.HostShape":           "whether the fleet's host shape becomes a flag or a constant is still open",
+	"fleet.Config.HorizonS":               "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorCacheEntries":     "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorQuantAmbientC":    "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.FanCount":               "whether the fleet's fan count becomes a flag or a constant is still open",
+	"fleet.Config.HostShape":              "whether the fleet's host shape becomes a flag or a constant is still open",
+	"core.StableConfig.ScaleLower":        "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"core.StableConfig.ScaleUpper":        "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"mlgrid.Config.Kernel":                "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"mlgrid.Config.MaxIter":               "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"mlgrid.Config.Selection":             "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"vmm.HostConfig.GHzPerCore":           "whether the host shape becomes a flag or a constant is still open",
+	"vmm.HostConfig.CPUOvercommit":        "whether the host shape becomes a flag or a constant is still open",
+	"fleet.AdmissionPolicy.MaxQueueDepth": "the place-stream golden sets it in its gated runs",
+	"engine.SessionParams.AnchorAtS":      "the engine's own create paths set it per session",
+	"substrate.CRAC.SupplyC":              "live room state: OneHost sets it per case, the scenario faults per round",
+	"substrate.CRAC.RecircPerUtil":        "live room state: OneHost sets it per case, the scenario faults per round",
+	"dataset.BuildOptions.Seed":           "DefaultBuildOptions fills it from its seed argument",
+	"experiments.Fig1aConfig.Seed":        "DefaultFig1aConfig fills it from its seed argument",
+	"experiments.Fig1bConfig.Seed":        "DefaultFig1bConfig fills it from its seed argument",
+	"experiments.Fig1cConfig.Seed":        "DefaultFig1cConfig fills it from its seed argument",
+	"experiments.Fig1cConfig.Cases":       "the Fig 1(c) test shrinks the sweep",
+	"experiments.Fig1cConfig.GapsS":       "the Fig 1(c) test shrinks the sweep",
+	"experiments.Fig1cConfig.UpdatesS":    "the Fig 1(c) test shrinks the sweep",
+	"experiments.Fig1cConfig.TrainCases":  "the Fig 1(c) test shrinks the sweep",
 }
 
 var (

@@ -36,56 +36,29 @@ func CoolingPower(heatW, supplyC float64) (float64, error) {
 	return heatW / cop, nil
 }
 
-// SetpointConfig bounds the CRAC optimizer.
-type SetpointConfig struct {
+// The CRAC optimizer's bounds: an 85 °C thermal ceiling and ASHRAE-ish
+// supply bounds.
+const (
 	// MaxSafeTempC is the hottest allowed (predicted) CPU temperature.
-	MaxSafeTempC float64
-	// MinSupplyC / MaxSupplyC bound the plant's achievable setpoints.
-	MinSupplyC, MaxSupplyC float64
-	// SensitivityPerC is how much a server's stable temperature rises per
+	MaxSafeTempC = 85.0
+	// minSupplyC and maxSupplyC bound the plant's achievable setpoints.
+	minSupplyC, maxSupplyC = 14.0, 27.0
+	// sensitivityPerC is how much a server's stable temperature rises per
 	// °C of supply increase. For the RC server model this is ≈ 1 (verified
 	// by thermal tests); leakage pushes it slightly above.
-	SensitivityPerC float64
-}
-
-// DefaultSetpointConfig uses a 85 °C thermal ceiling and ASHRAE-ish supply
-// bounds.
-func DefaultSetpointConfig() SetpointConfig {
-	return SetpointConfig{
-		MaxSafeTempC:    85,
-		MinSupplyC:      14,
-		MaxSupplyC:      27,
-		SensitivityPerC: 1.05,
-	}
-}
-
-// Validate checks the optimizer bounds.
-func (c SetpointConfig) Validate() error {
-	if c.MaxSupplyC <= c.MinSupplyC {
-		return fmt.Errorf("energy: supply bounds [%v, %v] inverted", c.MinSupplyC, c.MaxSupplyC)
-	}
-	if c.SensitivityPerC <= 0 {
-		return fmt.Errorf("energy: sensitivity must be > 0, got %v", c.SensitivityPerC)
-	}
-	if c.MaxSafeTempC <= 0 {
-		return fmt.Errorf("energy: max safe temp %v invalid", c.MaxSafeTempC)
-	}
-	return nil
-}
+	sensitivityPerC = 1.05
+)
 
 // OptimizeSetpoint returns the highest supply temperature that keeps every
 // host's predicted temperature at or below the safety ceiling, given
 // predictions made at a reference supply temperature. The margin of the
 // hottest host limits the raise:
 //
-//	supply* = refSupply + (MaxSafeTempC − maxPredicted) / Sensitivity
+//	supply* = refSupply + (MaxSafeTempC − maxPredicted) / sensitivityPerC
 //
 // clamped to the plant bounds. An empty prediction map is an error: flying
 // blind is exactly what the optimizer exists to prevent.
-func OptimizeSetpoint(predictedAtRef map[string]float64, refSupplyC float64, cfg SetpointConfig) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
+func OptimizeSetpoint(predictedAtRef map[string]float64, refSupplyC float64) (float64, error) {
 	if len(predictedAtRef) == 0 {
 		return 0, errors.New("energy: no predictions to optimize against")
 	}
@@ -95,15 +68,8 @@ func OptimizeSetpoint(predictedAtRef map[string]float64, refSupplyC float64, cfg
 			hottest = t
 		}
 	}
-	headroom := (cfg.MaxSafeTempC - hottest) / cfg.SensitivityPerC
-	supply := refSupplyC + headroom
-	if supply < cfg.MinSupplyC {
-		supply = cfg.MinSupplyC
-	}
-	if supply > cfg.MaxSupplyC {
-		supply = cfg.MaxSupplyC
-	}
-	return supply, nil
+	headroom := (MaxSafeTempC - hottest) / sensitivityPerC
+	return min(max(refSupplyC+headroom, minSupplyC), maxSupplyC), nil
 }
 
 // Report compares cooling cost between two setpoints for a given heat load.
@@ -143,8 +109,8 @@ func Compare(heatW, baselineSupplyC, optimizedSupplyC float64) (Report, error) {
 }
 
 // HostHeat estimates one server's heat output (W) from an affine power
-// model: idle + span·utilization. It mirrors thermal.PowerModel's dominant
-// terms without requiring a full thermal assembly.
+// model: idle + span·utilization. It mirrors the dominant terms of the
+// thermal package's power model without requiring a full thermal assembly.
 func HostHeat(idleW, maxW, utilization float64) (float64, error) {
 	if idleW < 0 || maxW < idleW {
 		return 0, fmt.Errorf("energy: power bounds invalid (idle %v, max %v)", idleW, maxW)

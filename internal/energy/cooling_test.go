@@ -51,72 +51,45 @@ func TestCoolingPowerDecreasesWithWarmerSupply(t *testing.T) {
 	}
 }
 
-func TestSetpointConfigValidate(t *testing.T) {
-	if err := DefaultSetpointConfig().Validate(); err != nil {
-		t.Error(err)
-	}
-	bad := DefaultSetpointConfig()
-	bad.MaxSupplyC = bad.MinSupplyC
-	if err := bad.Validate(); err == nil {
-		t.Error("inverted bounds should fail")
-	}
-	bad = DefaultSetpointConfig()
-	bad.SensitivityPerC = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero sensitivity should fail")
-	}
-	bad = DefaultSetpointConfig()
-	bad.MaxSafeTempC = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero ceiling should fail")
-	}
-}
-
 func TestOptimizeSetpointHeadroom(t *testing.T) {
-	cfg := DefaultSetpointConfig() // ceiling 85, sensitivity 1.05
-	// Hottest host predicted 74.5 at supply 18: headroom = 10.5/1.05 = 10.
+	// Ceiling 85, sensitivity 1.05. Hottest host predicted 74.5 at supply
+	// 18: headroom = 10.5/1.05 = 10.
 	preds := map[string]float64{"a": 60, "b": 74.5, "c": 70}
-	got, err := OptimizeSetpoint(preds, 18, cfg)
+	got, err := OptimizeSetpoint(preds, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 18 + 10 = 28 clamps to MaxSupplyC 27.
+	// 18 + 10 = 28 clamps to maxSupplyC 27.
 	if got != 27 {
 		t.Errorf("setpoint = %v, want clamp at 27", got)
 	}
-	// Tighter ceiling stays below the clamp.
-	cfg.MaxSafeTempC = 78
-	got, err = OptimizeSetpoint(preds, 18, cfg)
+	// A hotter host stays below the clamp.
+	preds["b"] = 81.5
+	got, err = OptimizeSetpoint(preds, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 18 + (78-74.5)/1.05
+	want := 18 + (85-81.5)/1.05
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("setpoint = %v, want %v", got, want)
 	}
 }
 
 func TestOptimizeSetpointClampsLow(t *testing.T) {
-	cfg := DefaultSetpointConfig()
 	// A host already over the ceiling forces the minimum supply.
 	preds := map[string]float64{"hot": 95}
-	got, err := OptimizeSetpoint(preds, 18, cfg)
+	got, err := OptimizeSetpoint(preds, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != cfg.MinSupplyC {
-		t.Errorf("setpoint = %v, want clamp at %v", got, cfg.MinSupplyC)
+	if got != minSupplyC {
+		t.Errorf("setpoint = %v, want clamp at %v", got, minSupplyC)
 	}
 }
 
 func TestOptimizeSetpointErrors(t *testing.T) {
-	if _, err := OptimizeSetpoint(nil, 18, DefaultSetpointConfig()); err == nil {
+	if _, err := OptimizeSetpoint(nil, 18); err == nil {
 		t.Error("empty predictions should fail")
-	}
-	bad := DefaultSetpointConfig()
-	bad.SensitivityPerC = -1
-	if _, err := OptimizeSetpoint(map[string]float64{"a": 50}, 18, bad); err == nil {
-		t.Error("invalid config should fail")
 	}
 }
 

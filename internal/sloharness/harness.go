@@ -49,6 +49,15 @@ type RateAware interface {
 	SetRate(rps float64)
 }
 
+// The non-latency sustainability gates: a step fails if more than
+// maxErrorRate of its measured requests errored, or its achieved rate fell
+// below minAchievedFrac of the target. Latency is scored on a
+// DefaultHistWidth × DefaultHistBuckets histogram, exact within its width.
+const (
+	maxErrorRate    float64 = 0.01
+	minAchievedFrac float64 = 0.9
+)
+
 // Config parameterizes a profiling run. Zero fields take the defaults
 // documented per field (see withDefaults).
 type Config struct {
@@ -74,18 +83,6 @@ type Config struct {
 	// the closed-loop back-pressure that makes saturation show up as an
 	// achieved-throughput shortfall instead of an unbounded backlog.
 	Senders int
-
-	// MaxErrorRate and MinAchievedFrac are the non-latency sustainability
-	// gates: a step fails if more than MaxErrorRate of measured requests
-	// errored (default 1%) or the achieved rate fell below
-	// MinAchievedFrac of the target (default 90%).
-	MaxErrorRate, MinAchievedFrac float64
-
-	// HistWidth × HistBuckets is the latency histogram shape (defaults
-	// DefaultHistWidth/DefaultHistBuckets). Quantiles are exact within
-	// HistWidth.
-	HistWidth   time.Duration
-	HistBuckets int
 
 	// Arrivals shapes each step's dispatch schedule: ArrivalsFixed
 	// (default), ArrivalsPoisson, or ArrivalsUniform. All three offer the
@@ -127,18 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Senders == 0 {
 		c.Senders = 64
-	}
-	if c.MaxErrorRate == 0 {
-		c.MaxErrorRate = 0.01
-	}
-	if c.MinAchievedFrac == 0 {
-		c.MinAchievedFrac = 0.9
-	}
-	if c.HistWidth == 0 {
-		c.HistWidth = DefaultHistWidth
-	}
-	if c.HistBuckets == 0 {
-		c.HistBuckets = DefaultHistBuckets
 	}
 	if c.Arrivals == "" {
 		c.Arrivals = ArrivalsFixed
@@ -313,7 +298,7 @@ func runStep(ctx context.Context, cfg Config, target Target, rps float64, refini
 	doneCounts := make([]int, cfg.Senders) // successful finishes inside the measure window
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Senders; i++ {
-		hists[i] = NewHistogram(cfg.HistWidth, cfg.HistBuckets)
+		hists[i] = NewHistogram(DefaultHistWidth, DefaultHistBuckets)
 		wg.Add(1)
 		go func(hist *Histogram, errs, done *int) {
 			defer wg.Done()
@@ -427,11 +412,11 @@ func scoreStep(cfg Config, rps float64, refining bool, hist *Histogram, errors, 
 	switch {
 	case total == 0:
 		res.Violation = "throughput"
-	case float64(errors) > cfg.MaxErrorRate*float64(total):
+	case float64(errors) > maxErrorRate*float64(total):
 		res.Violation = "errors"
 	case hist.Quantile(cfg.SLO.Quantile) > cfg.SLO.Limit:
 		res.Violation = "latency"
-	case res.AchievedRPS < cfg.MinAchievedFrac*rps:
+	case res.AchievedRPS < minAchievedFrac*rps:
 		res.Violation = "throughput"
 	}
 	res.Sustainable = res.Violation == ""

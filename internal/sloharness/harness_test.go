@@ -42,7 +42,7 @@ func (k *kneeTarget) modelStep(cfg Config) func(rps float64, refining bool) (Ste
 		lat := k.latency()
 		n := int(rps * cfg.Measure.Seconds())
 		done := min(n, int(float64(cfg.Senders)*cfg.Measure.Seconds()/lat.Seconds()))
-		hist := NewHistogram(cfg.HistWidth, cfg.HistBuckets)
+		hist := NewHistogram(DefaultHistWidth, DefaultHistBuckets)
 		for i := 0; i < n; i++ {
 			hist.Record(lat)
 		}
@@ -64,10 +64,6 @@ func TestStepControllerFindsKnee(t *testing.T) {
 		StartRPS: 64, MaxRPS: 2048, Growth: 2, Refine: 3,
 		Warmup: 30 * time.Millisecond, Measure: 200 * time.Millisecond, Cooldown: 20 * time.Millisecond,
 		Senders: 64,
-		// Low-rate steps see only ~a dozen completions in the short test
-		// window; loosen the throughput gate so discretization noise cannot
-		// mask the latency knee this test is about.
-		MinAchievedFrac: 0.75,
 	}.withDefaults()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)

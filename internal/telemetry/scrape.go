@@ -40,22 +40,24 @@ type ScrapeConfig struct {
 	UtilMetric, MemMetric string
 	// HostLabel is the label naming the host on each sample.
 	HostLabel string
-	// Client is the HTTP client (default: 10 s timeout).
-	Client *http.Client
-	// Clock injects a time source for tests (default time.Now).
-	Clock func() time.Time
-	// MaxRetries is how many times a failed scrape attempt is retried
-	// within one Advance (default 2; negative disables retries). Between
-	// attempts the source sleeps a capped exponential backoff with jitter,
-	// so a flapping exporter sees spaced re-attempts instead of a burst.
-	MaxRetries int
-	// BackoffBase and BackoffMax bound the retry backoff: the k-th retry
-	// sleeps min(BackoffBase·2^k, BackoffMax) ± 25% jitter (defaults
-	// 100 ms and 5 s).
-	BackoffBase, BackoffMax time.Duration
-	// Sleep injects the backoff sleep for tests (default time.Sleep).
-	Sleep func(time.Duration)
+
+	// client, clock and sleep are the HTTP client (default: 10 s
+	// timeout), the time source (default time.Now) and the backoff sleep
+	// (default time.Sleep); the tests set them.
+	client *http.Client
+	clock  func() time.Time
+	sleep  func(time.Duration)
 }
+
+// A failed scrape attempt is retried up to maxRetries times within one
+// Advance. Between attempts the source sleeps a capped exponential backoff
+// with jitter, so a flapping exporter sees spaced re-attempts instead of a
+// burst: the k-th retry sleeps min(backoffBase·2^k, backoffMax) ± 25%.
+const (
+	maxRetries  = 2
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
 
 // DefaultScrapeConfig targets vmtherm's own /metrics exposition.
 func DefaultScrapeConfig(rawURL string) ScrapeConfig {
@@ -84,25 +86,14 @@ func NewScrapeSource(cfg ScrapeConfig) (*ScrapeSource, error) {
 	if cfg.HostLabel == "" {
 		cfg.HostLabel = d.HostLabel
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
+	if cfg.client == nil {
+		cfg.client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+	if cfg.clock == nil {
+		cfg.clock = time.Now
 	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	} else if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 5 * time.Second
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
+	if cfg.sleep == nil {
+		cfg.sleep = time.Sleep
 	}
 	u, err := url.Parse(cfg.URL)
 	if err != nil {
@@ -111,7 +102,7 @@ func NewScrapeSource(cfg ScrapeConfig) (*ScrapeSource, error) {
 	if u.Scheme != "http" && u.Scheme != "https" {
 		return nil, fmt.Errorf("telemetry: unsupported scrape scheme %q", u.Scheme)
 	}
-	return &ScrapeSource{cfg: cfg, epoch: cfg.Clock()}, nil
+	return &ScrapeSource{cfg: cfg, epoch: cfg.clock()}, nil
 }
 
 // Name identifies the source kind.
@@ -123,10 +114,10 @@ func (s *ScrapeSource) NowS() float64 { return s.nowS }
 // backoffFor computes the k-th retry's sleep: capped exponential with
 // ±25% jitter, so a fleet of scrapers re-attempting a shared exporter
 // does not re-synchronize into bursts.
-func (s *ScrapeSource) backoffFor(k int) time.Duration {
-	d := s.cfg.BackoffBase << k
-	if d <= 0 || d > s.cfg.BackoffMax {
-		d = s.cfg.BackoffMax
+func backoffFor(k int) time.Duration {
+	d := backoffBase << k
+	if d <= 0 || d > backoffMax {
+		d = backoffMax
 	}
 	jitter := 0.75 + 0.5*rand.Float64()
 	return time.Duration(float64(d) * jitter)
@@ -134,7 +125,7 @@ func (s *ScrapeSource) backoffFor(k int) time.Duration {
 
 // scrapeOnce performs one HTTP attempt and parses the exposition.
 func (s *ScrapeSource) scrapeOnce() ([]MetricPoint, error) {
-	resp, err := s.cfg.Client.Get(s.cfg.URL)
+	resp, err := s.cfg.client.Get(s.cfg.URL)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: scrape %s: %w", s.cfg.URL, err)
 	}
@@ -152,7 +143,7 @@ func (s *ScrapeSource) scrapeOnce() ([]MetricPoint, error) {
 // the scrape fails, so staleness keeps accruing for silent hosts. An
 // Advance whose attempts all fail returns the last error.
 func (s *ScrapeSource) Advance(_ float64, emit func(Reading) bool) error {
-	now := s.cfg.Clock()
+	now := s.cfg.clock()
 	atS := now.Sub(s.epoch).Seconds()
 	s.nowS = atS
 
@@ -163,10 +154,10 @@ func (s *ScrapeSource) Advance(_ float64, emit func(Reading) bool) error {
 		if err == nil {
 			break
 		}
-		if attempt >= s.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
-		s.cfg.Sleep(s.backoffFor(attempt))
+		s.cfg.sleep(backoffFor(attempt))
 	}
 
 	// Fold the three metric families into per-host readings. Map iteration

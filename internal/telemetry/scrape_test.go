@@ -85,7 +85,7 @@ unrelated_metric 7
 		UtilMetric: "kepler_node_cpu_usage_ratio",
 		MemMetric:  "kepler_node_mem_usage_ratio",
 		HostLabel:  "node",
-		Clock:      func() time.Time { return now },
+		clock:      func() time.Time { return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestScrapeSourceFailureAdvancesClock(t *testing.T) {
 	defer ts.Close()
 
 	now := time.Unix(0, 0)
-	src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, Clock: func() time.Time { return now }})
+	src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, clock: func() time.Time { return now }, sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestScrapeSourceFailureAdvancesClock(t *testing.T) {
 
 // TestScrapeSourceRetriesFlakyExporter: an exporter that fails twice then
 // recovers is absorbed by the retry policy — one Advance, readings
-// delivered, three requests and two backoff sleeps.
+// delivered, three requests and two backoff sleeps, the most it allows.
 func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -157,11 +157,8 @@ func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
 
 	var slept []time.Duration
 	src, err := NewScrapeSource(ScrapeConfig{
-		URL:         ts.URL,
-		MaxRetries:  3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
+		URL:   ts.URL,
+		sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,22 +179,22 @@ func TestScrapeSourceRetriesFlakyExporter(t *testing.T) {
 	// Backoff must grow exponentially from the base and stay within the
 	// jitter envelope ([0.75, 1.25]× the nominal) and under the cap.
 	for i, d := range slept {
-		nominal := time.Millisecond << i
+		nominal := backoffBase << i
 		if d < time.Duration(0.75*float64(nominal)) || d > time.Duration(1.25*float64(nominal)) {
 			t.Fatalf("backoff %d = %v, outside jitter envelope of %v", i, d, nominal)
 		}
 	}
 
 	// Kill the exporter: every attempt fails, the error surfaces, and each
-	// Advance spends its three retries.
+	// Advance spends its two retries.
 	ts.Close()
 	for i := 0; i < 2; i++ {
 		if err := src.Advance(15, func(Reading) bool { return true }); err == nil {
 			t.Fatal("dead exporter did not error")
 		}
 	}
-	if len(slept) != 2+2*3 {
-		t.Fatalf("slept %d times, want %d (2 flaps + 2 dead Advances × 3 retries)", len(slept), 2+2*3)
+	if len(slept) != 2+2*maxRetries {
+		t.Fatalf("slept %d times, want %d (2 flaps + 2 dead Advances × %d retries)", len(slept), 2+2*maxRetries, maxRetries)
 	}
 }
 
@@ -212,12 +209,13 @@ func TestScrapeSourceValidation(t *testing.T) {
 
 // endlessExporter answers every scrape with status and then comment lines —
 // valid exposition that parses to nothing — until the scraper hangs up, and
-// counts the bytes it managed to send.
-func endlessExporter(t *testing.T, status int) (*httptest.Server, *atomic.Int64) {
+// counts the requests and the bytes it managed to send.
+func endlessExporter(t *testing.T, status int) (*httptest.Server, *atomic.Int64, *atomic.Int64) {
 	t.Helper()
 	pad := bytes.Repeat([]byte("# "+strings.Repeat("x", 61)+"\n"), 1024) // 64 KiB
-	var sent atomic.Int64
+	var calls, sent atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		w.WriteHeader(status)
 		for r.Context().Err() == nil {
 			n, err := w.Write(pad)
@@ -228,7 +226,7 @@ func endlessExporter(t *testing.T, status int) (*httptest.Server, *atomic.Int64)
 		}
 	}))
 	t.Cleanup(ts.Close)
-	return ts, &sent
+	return ts, &calls, &sent
 }
 
 // TestScrapeBodyIsBounded: the exporter is another machine. A body past
@@ -243,8 +241,8 @@ func TestScrapeBodyIsBounded(t *testing.T) {
 		{http.StatusOK, "exceeds the 67108864-byte limit"},
 		{http.StatusInternalServerError, "500 Internal Server Error"},
 	} {
-		ts, sent := endlessExporter(t, tc.status)
-		src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, MaxRetries: -1})
+		ts, calls, sent := endlessExporter(t, tc.status)
+		src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, sleep: func(time.Duration) {}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +253,10 @@ func TestScrapeBodyIsBounded(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("status %d: Advance = %v, want an error containing %q", tc.status, err, tc.want)
 		}
-		// Parse and drain each stop at the cap; the rest is socket buffering.
-		if got := sent.Load(); got > 2*maxExpositionBytes+(8<<20) {
-			t.Fatalf("status %d: read on for %d bytes of an endless body", tc.status, got)
+		// Parse and drain each stop at the cap, on every attempt; the rest
+		// is socket buffering.
+		if n, got := calls.Load(), sent.Load(); n != 1+maxRetries || got > n*(2*maxExpositionBytes+(8<<20)) {
+			t.Fatalf("status %d: read on for %d bytes of an endless body over %d requests", tc.status, got, n)
 		}
 	}
 }
