@@ -255,10 +255,20 @@ type SessionParams struct {
 }
 
 // Create registers a session under id. Creating over a live id is an error;
-// Delete first to rebuild.
+// Delete first to rebuild. Phi0 and StableC come from outside the engine,
+// so each must be a temperature a sensor could read (telemetry.ClassifyTemp).
 func (e *Engine) Create(id string, p SessionParams) error {
 	if id == "" {
 		return errors.New("engine: empty session id")
+	}
+	for _, a := range [...]struct {
+		name string
+		c    float64
+	}{{"phi0", p.Phi0}, {"stable temperature", p.StableC}} {
+		if r := telemetry.ClassifyTemp(a.c); r != telemetry.RejectNone {
+			return fmt.Errorf("engine: implausible %s %v °C (%s): want a finite value in [%v, %v]",
+				a.name, a.c, r, telemetry.MinPlausibleTempC, telemetry.MaxPlausibleTempC)
+		}
 	}
 	sess := new(session)
 	if err := e.anchor(sess, p); err != nil {

@@ -227,6 +227,10 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("count %d on the single-VM endpoint; use /v1/fleet/place/batch", req.Count))
 		return
 	}
+	if err := req.checkIDLen(); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
 	spec, err := req.toSpec(s.fleet.Config().HostShape)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
@@ -303,6 +307,14 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 			return
 		}
 		tasks += t * n
+	}
+	// Every replica, and every default task, copies the item's id: its
+	// length is bounded before anything is expanded from it.
+	for i := range req.VMs {
+		if err := req.VMs[i].checkIDLen(); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("vms[%d]: %w", i, err))
+			return
+		}
 	}
 	shape := s.fleet.Config().HostShape
 	specs := make([]workload.VMSpec, 0, total)
@@ -437,6 +449,19 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 	}
 	s.metrics.ingestItems.Add(int64(resp.Accepted))
 	sc.writeWire(w, resp)
+}
+
+// checkIDLen refuses an id longer than MaxHostIDBytes once the longest
+// replica suffix Count gives it ("-NNN") is added.
+func (r FleetPlaceRequest) checkIDLen() error {
+	n := len(r.ID)
+	if r.Count > 1 {
+		n += 1 + max(3, len(strconv.Itoa(r.Count-1)))
+	}
+	if n > MaxHostIDBytes {
+		return fmt.Errorf("vm id of %d bytes with its replica suffix exceeds %d", n, MaxHostIDBytes)
+	}
+	return nil
 }
 
 // toSpec converts the wire request to a workload spec. A request with no

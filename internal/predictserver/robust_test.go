@@ -3,6 +3,7 @@ package predictserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -157,6 +158,21 @@ func placeCopiesExceedLimit(req *FleetPlaceBatchRequest) bool {
 	return replicas > MaxBatchItems || tasks > MaxBatchItems
 }
 
+// placeIDTooLong reports whether an item's id, with the "-%03d" suffix of
+// its last replica, is longer than MaxHostIDBytes.
+func placeIDTooLong(req *FleetPlaceBatchRequest) bool {
+	for _, vm := range req.VMs {
+		id := vm.ID
+		if vm.Count > 1 {
+			id = fmt.Sprintf("%s-%03d", id, vm.Count-1)
+		}
+		if len(id) > MaxHostIDBytes {
+			return true
+		}
+	}
+	return false
+}
+
 // TestPlaceBatchExplicitTasksBounded: every replica of a batch item copies
 // its explicit tasks, so a 60 KB body of 20,000 {} tasks at count 200 used
 // to build 4,000,000 task specs and allocate 1.25 GB before placing
@@ -201,6 +217,61 @@ func TestPlaceBatchExplicitTasksBounded(t *testing.T) {
 	}
 	if rec, _ := post(explicitTasksBody(2, 32768)); rec.Code != http.StatusOK {
 		t.Fatalf("65,536 explicit task copies: %d %q, want 200", rec.Code, rec.Body)
+	}
+}
+
+// TestPlaceVMIDBounded: every replica id and every default task id copies
+// a placement's VM id, so a 100 KB body of one VM with a 100 KB id at count
+// 500 used to allocate 845 MB and answer 50 MB. An id longer than
+// MaxHostIDBytes once its replica suffix is added answers 422 naming the
+// item, on both placement routes, before anything is expanded from it.
+func TestPlaceVMIDBounded(t *testing.T) {
+	cfg := fleet.DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 1, 4
+	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := testModel(t)
+	srv, err := New(m, WithFleet(ctl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	post := func(path, body string) (*httptest.ResponseRecorder, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	vm := func(idLen, count int) string {
+		return fmt.Sprintf(`{"id":%q,"vcpus":8,"memory_gb":4,"count":%d}`, strings.Repeat("v", idLen), count)
+	}
+	for _, tc := range []struct {
+		name  string
+		path  string
+		body  string
+		want  int
+		index string
+	}{
+		{"100 KB id × 500", "/v1/fleet/place/batch", `{"vms":[` + vm(100_000, 500) + `]}`, http.StatusUnprocessableEntity, "vms[0]"},
+		{"254-byte id", "/v1/fleet/place/batch", `{"vms":[` + vm(1, 1) + `,` + vm(254, 1) + `]}`, http.StatusUnprocessableEntity, "vms[1]"},
+		{"250-byte id, 4-byte suffix", "/v1/fleet/place/batch", `{"vms":[` + vm(250, 2) + `]}`, http.StatusUnprocessableEntity, "vms[0]"},
+		{"249-byte id, 5-byte suffix", "/v1/fleet/place/batch", `{"vms":[` + vm(249, 1001) + `]}`, http.StatusUnprocessableEntity, "vms[0]"},
+		{"249-byte id, 4-byte suffix", "/v1/fleet/place/batch", `{"vms":[` + vm(249, 2) + `]}`, http.StatusOK, ""},
+		{"253-byte id", "/v1/fleet/place/batch", `{"vms":[` + vm(253, 1) + `]}`, http.StatusOK, ""},
+		{"single 254-byte id", "/v1/fleet/place", vm(254, 0), http.StatusUnprocessableEntity, "254 bytes"},
+	} {
+		rec, alloc := post(tc.path, tc.body)
+		if rec.Code != tc.want || !strings.Contains(rec.Body.String(), tc.index) {
+			t.Errorf("%s: %d %.200q, want %d naming %s", tc.name, rec.Code, rec.Body, tc.want, tc.index)
+		}
+		if tc.want != http.StatusOK && alloc > 4*uint64(len(tc.body))+1<<20 {
+			t.Errorf("%s: refusing a %d-byte body allocated %d KB", tc.name, len(tc.body), alloc>>10)
+		}
 	}
 }
 
@@ -257,6 +328,8 @@ func FuzzPlaceBatchBody(f *testing.F) {
 		`{"vms":[{"id":"a","count":9223372036854775807,"vcpus":1,"memory_gb":1},{"id":"b","count":9223372036854775807,"vcpus":1,"memory_gb":1}]}`,
 		// 3 × 21,846 explicit task copies, two past the limit: 413.
 		explicitTasksBody(3, 21846),
+		// An id one byte past MaxHostIDBytes: 422 before any expansion.
+		`{"vms":[{"id":"` + strings.Repeat("i", MaxHostIDBytes+1) + `","vcpus":1,"memory_gb":1}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -281,11 +354,16 @@ func FuzzPlaceBatchBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		diffPlaceRequest(t, body)
 		var req FleetPlaceBatchRequest
-		oversize := DecodeWire(body, &req) == nil && placeCopiesExceedLimit(&req)
+		decoded := DecodeWire(body, &req) == nil
+		oversize := decoded && placeCopiesExceedLimit(&req)
+		longID := decoded && !oversize && placeIDTooLong(&req)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/fleet/place/batch", bytes.NewReader(body)))
 		if oversize && rec.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("body %q: %d, want 413 for more than %d replicas or explicit task copies", body, rec.Code, MaxBatchItems)
+		}
+		if longID && rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("body %.300q: %d, want 422 for a vm id over %d bytes with its replica suffix", body, rec.Code, MaxHostIDBytes)
 		}
 		switch rec.Code {
 		case http.StatusOK:

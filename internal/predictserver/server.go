@@ -38,7 +38,9 @@ const MaxBatchItems = 65536
 
 // MaxHostIDBytes caps the host_id of a pushed reading at the longest DNS
 // name. The ingest pipeline bounds how many readings it holds, and the host
-// table how many hosts; this bounds what each of them can cost.
+// table how many hosts; this bounds what each of them can cost. A
+// placement's VM id, replica suffix included, has the same cap: every
+// replica and every default task copies it.
 const MaxHostIDBytes = 253
 
 // maxBatchBodyBytes caps a batch request body before JSON decoding starts,

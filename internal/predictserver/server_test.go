@@ -321,6 +321,36 @@ func TestBatchObserveImplausibleReading(t *testing.T) {
 	}
 }
 
+// TestCreateSessionImplausibleAnchor: a session anchored at a temperature
+// no sensor reads used to be created — phi0 500 °C then predicted 341 °C at
+// t = 0, and phi0 1e308 with ψ_stable −1e308 made the next predict answer
+// 500 with "json: unsupported value: -Inf". Create refuses both with 422
+// and the engine's message, and creates no session.
+func TestCreateSessionImplausibleAnchor(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	for _, tc := range []struct{ body, names string }{
+		{`{"phi0":500,"stable_temp_c":60}`, "phi0"},
+		{`{"phi0":20,"stable_temp_c":-41}`, "stable temperature"},
+		{`{"phi0":1e308,"stable_temp_c":-1e308}`, "phi0"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/session", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "engine: implausible "+tc.names) {
+			t.Errorf("%s: status %d body %s, want 422 naming the implausible %s", tc.body, resp.StatusCode, body, tc.names)
+		}
+	}
+	if n := srv.eng.Len(); n != 0 {
+		t.Fatalf("%d sessions created from implausible anchors", n)
+	}
+}
+
 // TestPredictBadTimestamp: ?t= is a finite JSON number or the request is the
 // client's error — never a 500 from encoding a NaN, never strconv's grammar.
 func TestPredictBadTimestamp(t *testing.T) {
