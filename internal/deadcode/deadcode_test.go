@@ -1,8 +1,9 @@
 // Package deadcode holds two tests. Every function and method declared
 // under internal/ must have a caller in a non-test Go file of the module, and
-// every exported field of the configuration structs listed in configs must
-// be written by a non-test file outside its own package — or have an entry
-// in an allowlist below that says why it stays.
+// every exported field of a configuration struct must be written by a
+// non-test file outside its own package — or have an entry in an allowlist
+// below that says why it stays. The configuration structs are found, not
+// listed: see collectSetters.
 //
 // The tests type-check every package of the module from its non-test files,
 // once with the default build tags and once with -tags noasm, so a helper
@@ -55,12 +56,8 @@ var allowed = map[string]string{
 // through interfaces declared nowhere a type checker can see.
 var errorConventions = map[string]bool{"Error": true, "Unwrap": true, "Is": true, "As": true}
 
-// configs are the configuration structs whose exported fields must each
-// have a setter outside their package, as "pkg.Type" under internal/.
-var configs = []string{"fleet.Config", "engine.Config", "thermal.SensorParams", "svm.TrainParams"}
-
-// allowedFields names each field of configs that no non-test file outside
-// its package writes but that stays, with the reason. Keys are
+// allowedFields names each configuration field that no non-test file
+// outside its package writes but that stays, with the reason. Keys are
 // "pkg.Type.Field".
 var allowedFields = map[string]string{
 	"fleet.Config.HorizonS":               "bench/e2e reads it; its setter waits for the benchmark to move off the field",
@@ -168,9 +165,9 @@ func TestNoFunctionOnlyTestsCall(t *testing.T) {
 	}
 }
 
-// TestConfigFieldsHaveSetters fails on any exported field of configs that
-// no non-test file outside the field's package writes: a knob nobody can
-// turn is a constant. Writing means a composite-literal key, an assignment
+// TestConfigFieldsHaveSetters fails on any exported field of a
+// configuration struct that no non-test file outside the field's package
+// writes: a knob nobody can turn is a constant. Writing means a composite-literal key, an assignment
 // or increment to the field or to a field inside it, or taking its address
 // (flag binding).
 func TestConfigFieldsHaveSetters(t *testing.T) {
@@ -205,7 +202,7 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 	for key := range allowedFields {
 		if _, ok := declared[key]; !ok {
-			t.Errorf("%s: %s is allowlisted but not an exported field of %v; drop its entry", allowLine(t, root, key), key, configs)
+			t.Errorf("%s: %s is allowlisted but not an exported field of a configuration struct; drop its entry", allowLine(t, root, key), key)
 		}
 	}
 }
