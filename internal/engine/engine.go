@@ -30,6 +30,7 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -89,12 +90,7 @@ func DefaultConfig() Config {
 // withDefaults fills zero-valued fields from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.UpdateEveryS == 0 {
-		c.UpdateEveryS = d.UpdateEveryS
-	}
-	if c.GapS == 0 {
-		c.GapS = d.GapS
-	}
+	c.UpdateEveryS, c.GapS = cmp.Or(c.UpdateEveryS, d.UpdateEveryS), cmp.Or(c.GapS, d.GapS)
 	return c
 }
 
@@ -261,14 +257,9 @@ func (e *Engine) Create(id string, p SessionParams) error {
 	if id == "" {
 		return errors.New("engine: empty session id")
 	}
-	for _, a := range [...]struct {
-		name string
-		c    float64
-	}{{"phi0", p.Phi0}, {"stable temperature", p.StableC}} {
-		if r := telemetry.ClassifyTemp(a.c); r != telemetry.RejectNone {
-			return fmt.Errorf("engine: implausible %s %v °C (%s): want a finite value in [%v, %v]",
-				a.name, a.c, r, telemetry.MinPlausibleTempC, telemetry.MaxPlausibleTempC)
-		}
+	if telemetry.ClassifyTemp(p.Phi0) != telemetry.RejectNone || telemetry.ClassifyTemp(p.StableC) != telemetry.RejectNone {
+		return fmt.Errorf("engine: implausible anchor: phi0 %v °C, stable temperature %v °C (want finite, in [%v, %v])",
+			p.Phi0, p.StableC, telemetry.MinPlausibleTempC, telemetry.MaxPlausibleTempC)
 	}
 	sess := new(session)
 	if err := e.anchor(sess, p); err != nil {
@@ -291,25 +282,13 @@ func (e *Engine) Create(id string, p SessionParams) error {
 // telemetry at the anchor instant). Parameters are validated first; on error
 // s is untouched. The caller owns s or holds its mutex.
 func (e *Engine) anchor(s *session, p SessionParams) error {
-	cfg := core.DynamicConfig{Lambda: core.DefaultLambda, UpdateEveryS: e.cfg.UpdateEveryS, GapS: e.cfg.GapS}
-	if p.Lambda != 0 {
-		cfg.Lambda = p.Lambda
+	cfg := core.DynamicConfig{
+		Lambda:       cmp.Or(p.Lambda, core.DefaultLambda),
+		UpdateEveryS: cmp.Or(p.UpdateEveryS, e.cfg.UpdateEveryS),
+		GapS:         cmp.Or(p.GapS, e.cfg.GapS),
 	}
-	if p.UpdateEveryS != 0 {
-		cfg.UpdateEveryS = p.UpdateEveryS
-	}
-	if p.GapS != 0 {
-		cfg.GapS = p.GapS
-	}
-	tBreak := p.TBreakS
-	if tBreak == 0 {
-		tBreak = core.DefaultTBreakS
-	}
-	delta := p.CurveDeltaS
-	if delta == 0 {
-		delta = core.DefaultCurveDelta
-	}
-	curve := core.Curve{Phi0: p.Phi0, Stable: p.StableC, TBreakS: tBreak, DeltaS: delta}
+	curve := core.Curve{Phi0: p.Phi0, Stable: p.StableC,
+		TBreakS: cmp.Or(p.TBreakS, core.DefaultTBreakS), DeltaS: cmp.Or(p.CurveDeltaS, core.DefaultCurveDelta)}
 	if err := s.pred.Reset(curve, cfg); err != nil {
 		return err
 	}

@@ -136,10 +136,6 @@ func WithFleet(f *fleet.Controller) Option {
 }
 
 func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
-		return
-	}
 	// Scoped zero-copy borrow: the snapshot (and its slices) is read-only
 	// and only valid inside the view, so everything serialized is copied
 	// into the response before the borrow ends. On streaming-ingest servers
@@ -214,10 +210,6 @@ func (s *Server) countPlace(decs []fleet.PlacementDecision) (placed, queued, rej
 // the batch engine: one decision, with rejections mapped onto HTTP statuses
 // and a structured {"error", "reject_code"} body.
 func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
-		return
-	}
 	var req FleetPlaceRequest
 	if !decodeBody(w, r, &req, maxItemBodyBytes) {
 		return
@@ -225,10 +217,6 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	if req.Count > 1 {
 		writeError(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("count %d on the single-VM endpoint; use /v1/fleet/place/batch", req.Count))
-		return
-	}
-	if err := req.checkIDLen(); err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	spec, err := req.toSpec(s.fleet.Config().HostShape)
@@ -257,23 +245,12 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFleetPlaceBatch places a whole queue in one admission-controlled
+// serveFleetPlaceBatch places a whole queue in one admission-controlled
 // call. The batch itself always answers 200 with per-item typed decisions
 // (a storm is not an error); only malformed requests fail the whole batch,
-// validated up front so nothing is placed before the rejection.
-func (s *Server) handleFleetPlaceBatch(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
-		return
-	}
-	sc := wirePool.Get().(*wireScratch)
-	s.serveFleetPlaceBatch(w, r, sc)
-	sc.release()
-}
-
-// serveFleetPlaceBatch answers one placement storm out of sc — all but the
-// specs, which the fleet keeps: a queued one whole, a placed VM's id and
-// task profiles.
+// validated up front so nothing is placed before the rejection. It answers
+// out of sc — all but the specs, which the fleet keeps: a queued one whole,
+// a placed VM's id and task profiles.
 func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
 	if !sc.readBody(w, r) {
 		return
@@ -285,10 +262,7 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 	}
 	total, tasks := 0, 0
 	for i := range req.VMs {
-		n := req.VMs[i].Count
-		if n < 1 {
-			n = 1
-		}
+		n := max(req.VMs[i].Count, 1)
 		// Checked per item, against the room left: summing attacker-chosen
 		// counts first lets two of them wrap total past the limit check.
 		if n > MaxBatchItems-total {
@@ -308,11 +282,16 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 		}
 		tasks += t * n
 	}
-	// Every replica, and every default task, copies the item's id: its
-	// length is bounded before anything is expanded from it.
-	for i := range req.VMs {
-		if err := req.VMs[i].checkIDLen(); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("vms[%d]: %w", i, err))
+	// Every replica and every default task copies an item's id, so the
+	// longest replica id is bounded before anything is expanded.
+	for i, vm := range req.VMs {
+		n := len(vm.ID)
+		if vm.Count > 1 {
+			n += len(fmt.Sprintf("-%03d", vm.Count-1))
+		}
+		if n > MaxHostIDBytes {
+			writeError(w, http.StatusUnprocessableEntity,
+				fmt.Errorf("vms[%d]: vm id of %d bytes with its replica suffix exceeds %d", i, n, MaxHostIDBytes))
 			return
 		}
 	}
@@ -320,10 +299,7 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 	specs := make([]workload.VMSpec, 0, total)
 	for i := range req.VMs {
 		item := req.VMs[i]
-		n := item.Count
-		if n < 1 {
-			n = 1
-		}
+		n := max(item.Count, 1)
 		if n > 1 && item.ID == "" {
 			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("vms[%d]: placement request missing id", i))
 			return
@@ -355,25 +331,14 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 	sc.writeWire(w, resp)
 }
 
-// handleFleetIngest is the push path for real monitoring agents: readings
+// serveFleetIngest is the push path for real monitoring agents: readings
 // enter the same bounded pipeline the simulator and scrape sources feed,
 // and the next control round consumes them. On streaming-ingest servers
 // each accepted reading is additionally applied on arrival (observe →
 // calibrate → hotspot index), and `predict: true` turns the request
 // synchronous-predictive: the 200 answers with one Δ_gap-ahead prediction
-// per reading.
-func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
-	if s.fleet == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
-		return
-	}
-	sc := wirePool.Get().(*wireScratch)
-	s.serveFleetIngest(w, r, sc)
-	sc.release()
-}
-
-// serveFleetIngest answers one ingest out of sc alone; of everything in it
-// the pipeline keeps only the readings' host_id strings.
+// per reading. It answers out of sc alone; of everything in it the
+// pipeline keeps only the readings' host_id strings.
 func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
 	if !sc.readBody(w, r) {
 		return
@@ -451,19 +416,6 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 	sc.writeWire(w, resp)
 }
 
-// checkIDLen refuses an id longer than MaxHostIDBytes once the longest
-// replica suffix Count gives it ("-NNN") is added.
-func (r FleetPlaceRequest) checkIDLen() error {
-	n := len(r.ID)
-	if r.Count > 1 {
-		n += 1 + max(3, len(strconv.Itoa(r.Count-1)))
-	}
-	if n > MaxHostIDBytes {
-		return fmt.Errorf("vm id of %d bytes with its replica suffix exceeds %d", n, MaxHostIDBytes)
-	}
-	return nil
-}
-
 // toSpec converts the wire request to a workload spec. A request with no
 // tasks gets one full-vCPU CPU-bound task per vCPU (a conservatively hot
 // assumption for an unknown tenant) if a host of shape could hold it at
@@ -471,6 +423,9 @@ func (r FleetPlaceRequest) checkIDLen() error {
 func (r FleetPlaceRequest) toSpec(shape vmm.HostConfig) (workload.VMSpec, error) {
 	if r.ID == "" {
 		return workload.VMSpec{}, errors.New("placement request missing id")
+	}
+	if len(r.ID) > MaxHostIDBytes {
+		return workload.VMSpec{}, fmt.Errorf("vm id of %d bytes exceeds %d", len(r.ID), MaxHostIDBytes)
 	}
 	cfg := vmm.VMConfig{VCPUs: r.VCPUs, MemoryGB: r.MemoryGB}
 	if err := cfg.Validate(); err != nil {

@@ -175,20 +175,40 @@ func (s *Server) routes() []route {
 		}},
 		{"GET /readyz", s.handleReadyz},
 		{"POST /v1/predict/stable", s.handleStable},
-		{"POST /v1/stable/batch", s.handleStableBatch},
+		{"POST /v1/stable/batch", pooled(s.serveStableBatch)},
 		{"POST /v1/session", s.handleCreateSession},
 		{"POST /v1/session/{id}/observe", s.handleObserve},
 		{"GET /v1/session/{id}/predict", s.handlePredict},
 		{"POST /v1/session/batch/observe", s.handleObserveBatch},
 		{"POST /v1/session/batch/predict", s.handlePredictBatch},
 		{"DELETE /v1/session/{id}", s.handleDeleteSession},
-		{"GET /v1/fleet/hotspots", s.handleFleetHotspots},
+		{"GET /v1/fleet/hotspots", s.fleetRoute(s.handleFleetHotspots)},
 		{"GET /v1/fleet/scenario", s.handleFleetScenario},
 		{"GET /v1/fleet/checkpoint", s.handleFleetCheckpoint},
-		{"POST /v1/fleet/place", s.handleFleetPlace},
-		{"POST /v1/fleet/place/batch", s.handleFleetPlaceBatch},
-		{"POST /v1/fleet/ingest", s.handleFleetIngest},
+		{"POST /v1/fleet/place", s.fleetRoute(s.handleFleetPlace)},
+		{"POST /v1/fleet/place/batch", s.fleetRoute(pooled(s.serveFleetPlaceBatch))},
+		{"POST /v1/fleet/ingest", s.fleetRoute(pooled(s.serveFleetIngest))},
 		{"GET /metrics", s.handleMetrics},
+	}
+}
+
+// fleetRoute serves h, or answers 503 on a server with no fleet control
+// plane attached.
+func (s *Server) fleetRoute(h http.HandlerFunc) http.HandlerFunc {
+	if s.fleet != nil {
+		return h
+	}
+	return func(w http.ResponseWriter, _ *http.Request) {
+		writeError(w, http.StatusServiceUnavailable, errors.New("no fleet control plane attached"))
+	}
+}
+
+// pooled serves h out of a wireScratch from the pool.
+func pooled(h func(http.ResponseWriter, *http.Request, *wireScratch)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sc := wirePool.Get().(*wireScratch)
+		h(w, r, sc)
+		sc.release()
 	}
 }
 
@@ -249,12 +269,6 @@ type StableBatchRequest struct {
 // StableBatchResponse carries one prediction per request row, in order.
 type StableBatchResponse struct {
 	StableTempsC []float64 `json:"stable_temps_c"`
-}
-
-func (s *Server) handleStableBatch(w http.ResponseWriter, r *http.Request) {
-	sc := wirePool.Get().(*wireScratch)
-	s.serveStableBatch(w, r, sc)
-	sc.release()
 }
 
 // serveStableBatch answers one batch out of sc alone: the body, the rows
