@@ -1,7 +1,9 @@
 package svm
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,5 +62,31 @@ func TestKernelSymmetryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKernelTypeStringRoundTrip: a model file names its kernel "rbf", and
+// ReadModel loads only that name — a file naming any other family, or none,
+// is refused by name rather than read as RBF.
+func TestKernelTypeStringRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, &Model{Kernel: Kernel{Gamma: 0.5}, SV: [][]float64{{1}}, Coef: []float64{1}, Dim: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\nkernel_type rbf\n") {
+		t.Fatalf("model file does not name its kernel rbf:\n%s", buf.String())
+	}
+	if m, err := ReadModel(bytes.NewReader(buf.Bytes())); err != nil || m.Kernel.Gamma != 0.5 {
+		t.Fatalf("round trip: %+v, %v", m, err)
+	}
+	for _, name := range []string{"linear", "polynomial", "sigmoid", "RBF", ""} {
+		line := "kernel_type " + name + "\n"
+		if name == "" {
+			line = "" // no kernel_type line at all
+		}
+		text := strings.Replace(buf.String(), "kernel_type rbf\n", line, 1)
+		if _, err := ReadModel(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), `kernel_type "`+name+`"`) {
+			t.Errorf("kernel_type %q: ReadModel = %v, want a refusal naming it", name, err)
+		}
 	}
 }
