@@ -27,7 +27,6 @@
 //	vmtherm-fleetd -record run.csv -rounds 40             # capture the run as a trace
 //	vmtherm-fleetd -source trace -trace run.csv -synthetic
 //	vmtherm-fleetd -source scrape -scrape-url http://kepler:9102/metrics -synthetic
-//	vmtherm-fleetd -anchor-cache=false                    # A/B the anchor cache off
 //	vmtherm-fleetd -source trace -trace run.csv -synthetic -checkpoint-file /var/lib/vmtherm/ckpt
 //	                                                      # crash-safe: restart resumes warm
 //	vmtherm-fleetd -rounds 40 -checkpoint-file simckpt    # simulated fleet: anchor cache survives restarts

@@ -147,7 +147,7 @@ type State struct {
 	LastFanout int64
 	// Stream is the streaming-ingest state; nil when streaming was off.
 	Stream *StreamState
-	// AnchorCache preserves the anchor cache; nil when the cache was disabled.
+	// AnchorCache preserves the anchor cache; nil if the writer had it off.
 	AnchorCache *CacheState
 }
 

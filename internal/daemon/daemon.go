@@ -45,7 +45,6 @@ type Flags struct {
 	Loop                      bool
 	Scrape                    telemetry.ScrapeConfig
 	AmbientC                  float64
-	AnchorCache               bool
 	AnchorQuant               float64
 	PhysWorkers               int
 	Streaming                 bool
@@ -75,7 +74,6 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Scrape.MemMetric, "scrape-mem", "", "memory metric name (default vmtherm_host_mem_ratio)")
 	fs.StringVar(&f.Scrape.HostLabel, "scrape-host-label", "", "host label name (default host)")
 	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
-	fs.BoolVar(&f.AnchorCache, "anchor-cache", true, "memoize ψ_stable anchors per quantized (util, mem, ambient) bucket")
 	fs.Float64Var(&f.AnchorQuant, "anchor-quant", 0, "anchor cache utilization bucket width (0 = default 0.01; mem buckets are 2×; bounded by half the 1 °C re-anchor threshold so cache error cannot trigger re-anchors)")
 	fs.IntVar(&f.PhysWorkers, "phys-workers", 0, "worker pool sharding the simulated physics tick per rack (0 = min(GOMAXPROCS, 8), 1 = serial; results are bit-identical either way)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
@@ -95,7 +93,6 @@ func (f *Flags) Config() fleet.Config {
 	cfg.UpdateEveryS = f.UpdateS
 	cfg.GapS = f.GapS
 	cfg.SourceAmbientC = f.AmbientC
-	cfg.AnchorCacheDisabled = !f.AnchorCache
 	cfg.AnchorQuantUtil, cfg.AnchorQuantMem = f.AnchorQuant, 2*f.AnchorQuant // 0 takes the defaults
 	cfg.PhysWorkers = f.PhysWorkers
 	cfg.StreamingIngest = f.Streaming

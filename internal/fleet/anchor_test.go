@@ -6,9 +6,10 @@ import (
 	"math"
 	"testing"
 
-	"vmtherm/internal/checkpoint"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/engine"
+	"vmtherm/internal/mathx"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
@@ -53,9 +54,29 @@ func gridAxis(n int) []float64 {
 	return out
 }
 
+// exactSourceAnchors is the source path's exact-anchor oracle: the predictor
+// called on each present slot's own (util, memFrac) reading, one host at a
+// time, with no quantization and no cache.
+func exactSourceAnchors(t *testing.T, c *Controller, predict BatchCasePredictor) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for i, id := range c.order {
+		s := &c.slots[i]
+		if !s.Present {
+			continue
+		}
+		vals, err := predict([]workload.Case{c.utilizationCase(s.Reading.Util, s.Reading.MemFrac)})
+		if err != nil || len(vals) != 1 {
+			t.Fatalf("exact anchor for %s: %v (%d values)", id, err, len(vals))
+		}
+		out[id] = vals[0]
+	}
+	return out
+}
+
 // TestAnchorCacheWithinQuantEpsilon is the quantization-error property test:
-// across the whole (util, memFrac) grid, the cache-enabled anchor (predicted
-// once at the bucket center) must stay within the configured quantization
+// across the whole (util, memFrac) grid, the served anchor (predicted once
+// at the bucket center) must stay within the configured quantization
 // epsilon of the exact per-host prediction — and that epsilon must stay
 // below ReanchorEpsC/2, so cache error can never push a session across the
 // re-anchor threshold on its own.
@@ -65,15 +86,8 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 	// in °C per unit input; the configured quantization epsilon is the
 	// sensitivity-weighted half-bucket bound they imply.
 	check := func(t *testing.T, predict BatchCasePredictor, utilSensC, memSensC float64) {
-		cfgExact := DefaultConfig()
-		cfgExact.AnchorCacheDisabled = true
-		exact := gridController(t, cfgExact, predict, utils, mems)
 		cached := gridController(t, DefaultConfig(), predict, utils, mems)
-
-		exactAnchors, _, _, err := anchorsOf(exact)
-		if err != nil {
-			t.Fatal(err)
-		}
+		exactAnchors := exactSourceAnchors(t, cached, predict)
 		cachedAnchors, hits, misses, err := anchorsOf(cached)
 		if err != nil {
 			t.Fatal(err)
@@ -138,6 +152,74 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 		// memory heat; hold the trained model to those sensitivities.
 		check(t, StableBatchPredictor(model, 1800), 75, 12)
 	})
+}
+
+// TestSimAnchorCacheWithinQuantEpsilon is the simulated path's half of the
+// quantization-error property: after every round, each occupied host's
+// served anchor — a cache hit or a miss predicted at the inlet bucket's
+// center — stays within the sim epsilon Config.Validate bounds of the exact
+// prediction for the host's deployment at its own inlet. Slow sines keep
+// the fingerprints stable enough for the rounds to hit; no migrations run,
+// so the deployment after the round is the one the anchor pass saw.
+func TestSimAnchorCacheWithinQuantEpsilon(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxMigrationsPerRound = 0
+	ctl, err := New(cfg, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mathx.SplitStable(2017, "sim-anchor-eps")
+	hosts := ctl.Hosts()
+	for v := 0; v < 40; v++ {
+		id := fmt.Sprintf("slow-%02d", v)
+		vcpus := rng.IntBetween(1, 2)
+		spec := workload.VMSpec{ID: id, Config: vmm.VMConfig{VCPUs: vcpus, MemoryGB: float64(2 * vcpus)}}
+		for k := 0; k < vcpus; k++ {
+			base := rng.Uniform(0.2, 0.8)
+			spec.Tasks = append(spec.Tasks, workload.TaskSpec{
+				Task:    vmm.Task{ID: fmt.Sprintf("%s-t%d", id, k), Class: vmm.CPUBound, CPUFraction: base, MemGB: 0.5},
+				Profile: workload.Sine{Base: base, Amplitude: 0.002, Period: rng.Uniform(200, 2000), Phase: rng.Uniform(0, 6)},
+			})
+		}
+		if err := ctl.PlaceAt(hosts[v%len(hosts)], spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rc := ctl.cfg // resolved: the zero bucket widths took their defaults
+	srcEps := rc.AnchorQuantUtil/2*anchorUtilSensC + rc.AnchorQuantMem/2*anchorMemSensC
+	simEps := srcEps/2 + rc.AnchorQuantAmbientC/2*anchorAmbientSens
+	var hits int
+	var maxDiff float64
+	for round := 0; round < 200; round++ {
+		rep, err := ctl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits += rep.AnchorHits
+		for i := range ctl.slots {
+			h := ctl.sub.Host(i)
+			if h.NumVMs() == 0 {
+				continue
+			}
+			cse, err := substrate.HostStateCase(h, ctl.cfg.FanCount, ctl.sub.Inlet(i), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := syntheticStable([]workload.Case{cse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxDiff = max(maxDiff, math.Abs(ctl.slots[i].Anchor-exact[0]))
+		}
+	}
+	if hits == 0 {
+		t.Fatal("200 rounds recorded no anchor-cache hits: the bound was checked on misses only")
+	}
+	if maxDiff > simEps {
+		t.Fatalf("served-vs-exact sim anchor divergence %.4f°C exceeds the sim epsilon %.4f°C", maxDiff, simEps)
+	}
+	t.Logf("%d hits over 200 rounds: max divergence %.4f°C (sim epsilon %.4f°C)", hits, maxDiff, simEps)
 }
 
 // TestWarmAnchorsZeroAlloc pins the warm-round contract: once every tracked
@@ -207,8 +289,8 @@ func TestInvalidateAnchorCacheForcesRepredict(t *testing.T) {
 	if hits, misses, _ := ctl.anchors(); hits != 0 || misses == 0 {
 		t.Fatalf("post-invalidate round: %d hits / %d misses, want all misses", hits, misses)
 	}
-	if st, _, enabled := ctl.AnchorCacheStats(); !enabled || st.Invalidations != 1 {
-		t.Fatalf("cache stats after invalidate: %+v enabled=%v", st, enabled)
+	if st, _ := ctl.AnchorCacheStats(); st.Invalidations != 1 {
+		t.Fatalf("cache stats after invalidate: %+v", st)
 	}
 }
 
@@ -387,11 +469,6 @@ func TestAnchorQuantValidation(t *testing.T) {
 	if _, err := NewWithSource(cfg, &gridSource{}, syntheticStable); err == nil {
 		t.Fatal("oversized anchor quantization accepted")
 	}
-	// Disabling the cache lifts the constraint entirely.
-	cfg.AnchorCacheDisabled = true
-	if _, err := NewWithSource(cfg, &gridSource{}, syntheticStable); err != nil {
-		t.Fatalf("cache-disabled config rejected: %v", err)
-	}
 }
 
 // TestAnchorCachePersistenceWarmsRestart closes the restart loop: a fleet
@@ -445,21 +522,19 @@ func TestAnchorCachePersistenceWarmsRestart(t *testing.T) {
 		t.Fatalf("quantizer-mismatched restore served %d saved anchors (err %v)", hits, err)
 	}
 
-	// With the cache disabled the checkpoint carries no cache section and
-	// still round-trips; a cache section offered to such a controller is
-	// ignored.
-	disabled := DefaultConfig()
-	disabled.AnchorCacheDisabled = true
-	off := gridController(t, disabled, syntheticStable, gridAxis(4), gridAxis(2))
-	offSt, err := off.Checkpoint()
-	if err != nil || offSt.AnchorCache != nil {
-		t.Fatalf("cache-disabled checkpoint: section %v, err %v", offSt.AnchorCache, err)
+	// A checkpoint with no cache section (one written by a run with the
+	// cache off) restores, and the restarted fleet starts cold.
+	bare := *st
+	bare.AnchorCache = nil
+	cold := gridController(t, DefaultConfig(), syntheticStable, gridAxis(16), gridAxis(4))
+	if err := cold.Restore(&bare); err != nil {
+		t.Fatalf("restore without a cache section: %v", err)
 	}
-	for _, state := range []*checkpoint.State{offSt, st} {
-		// Sized for the larger fleet: a restore refuses more hosts than MaxHosts.
-		if err := gridController(t, disabled, syntheticStable, gridAxis(16), gridAxis(4)).Restore(state); err != nil {
-			t.Fatalf("cache-disabled restore: %v", err)
-		}
+	if n := cold.AnchorCacheLen(); n != 0 {
+		t.Fatalf("restore without a cache section holds %d anchors", n)
+	}
+	if hits, misses, err := cold.anchors(); err != nil || hits != 0 || misses == 0 {
+		t.Fatalf("restore without a cache section: first round %d hits %d misses (err %v), want misses only", hits, misses, err)
 	}
 }
 

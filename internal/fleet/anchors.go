@@ -17,11 +17,10 @@ type anchorRef struct {
 }
 
 // anchors batch-predicts ψ_stable for every tracked host into its slot's
-// Anchor (NaN where the host gets none this round). With the cache enabled,
-// only quantized-key misses are staged (deduplicated per key) and fanned
-// through the batch predictor; a fully warm round touches the predictor not
-// at all and allocates nothing. It returns the round's cache hit and miss
-// counts (with the cache disabled, every anchored host counts as a miss).
+// Anchor (NaN where the host gets none this round). Only quantized-key
+// misses are staged (deduplicated per key) and fanned through the batch
+// predictor; a fully warm round touches the predictor not at all and
+// allocates nothing. It returns the round's cache hit and miss counts.
 func (c *Controller) anchors() (hits, misses int, err error) {
 	for i := range c.slots {
 		c.slots[i].Anchor = math.NaN()
@@ -52,13 +51,11 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 		if err := c.predictMissBatch(c.caseBuf, vals); err != nil {
 			return 0, 0, fmt.Errorf("fleet: stable anchors: %w", err)
 		}
-		if c.cache != nil {
-			for i, k := range c.caseKeys {
-				// Never memoize a degenerate prediction: a NaN anchor must
-				// stay a per-round failure, not a cached one.
-				if !math.IsNaN(vals[i]) {
-					c.cache.Put(k, vals[i])
-				}
+		for i, k := range c.caseKeys {
+			// Never memoize a degenerate prediction: a NaN anchor must stay
+			// a per-round failure, not a cached one.
+			if !math.IsNaN(vals[i]) {
+				c.cache.Put(k, vals[i])
 			}
 		}
 		for _, ref := range c.anchorRefs {
@@ -116,22 +113,18 @@ func (c *Controller) predictMissChunk(lo, hi int) error {
 // constructs the staged misses' deployment cases. Values, staging order and
 // cache state are identical to the former single loop.
 func (c *Controller) simAnchorCases(hits *int) error {
-	var q anchorcache.Quantizer
-	if c.cache != nil {
-		// The sim path predicts a miss at the host's actual deployment
-		// snapshot (task fractions cannot be re-centered), so the cached
-		// value can diverge from another bucket member by up to a FULL
-		// bucket — unlike the source path, which predicts at the bucket
-		// center and is off by at most half. Quartering the load bucket
-		// widths caps the sim load error at half the source epsilon, which
-		// leaves room for the half-ambient-bucket share so the composed sim
-		// error stays within the engine.ReanchorEpsC/2 bound Config.Validate
-		// enforces.
-		q = c.cache.Quant()
-		q.UtilQuant /= 4
-		q.MemQuant /= 4
-	}
-	inlets, keys := c.sub.ScanAnchors(q, c.cache != nil)
+	// The sim path predicts a miss at the host's actual deployment snapshot
+	// (task fractions cannot be re-centered), so the cached value can
+	// diverge from another bucket member by up to a FULL bucket — unlike the
+	// source path, which predicts at the bucket center and is off by at most
+	// half. Quartering the load bucket widths caps the sim load error at
+	// half the source epsilon, which leaves room for the half-ambient-bucket
+	// share so the composed sim error stays within the
+	// engine.ReanchorEpsC/2 bound Config.Validate enforces.
+	q := c.cache.Quant()
+	q.UtilQuant /= 4
+	q.MemQuant /= 4
+	inlets, keys := c.sub.ScanAnchors(q)
 	c.missIdx = c.missIdx[:0]
 	c.missAmb = c.missAmb[:0]
 	for i, inlet := range inlets {
@@ -139,18 +132,15 @@ func (c *Controller) simAnchorCases(hits *int) error {
 			c.slots[i].Anchor = inlet
 			continue
 		}
-		key, amb := anchorcache.Key(0), inlet
-		if c.cache != nil {
-			key = keys[i]
-			if v, ok := c.cache.Get(key); ok {
-				c.slots[i].Anchor = v
-				*hits++
-				continue
-			}
-			// Predict at the inlet bucket's center so the cached value serves
-			// the whole bucket with at most half a bucket of ambient error.
-			_, amb = q.Ambient(inlet)
+		key := keys[i]
+		if v, ok := c.cache.Get(key); ok {
+			c.slots[i].Anchor = v
+			*hits++
+			continue
 		}
+		// Predict at the inlet bucket's center so the cached value serves
+		// the whole bucket with at most half a bucket of ambient error.
+		_, amb := q.Ambient(inlet)
 		// Staged in host order with an empty case; buildMissCases fills it.
 		c.missIdx = append(c.missIdx, i)
 		c.missAmb = append(c.missAmb, amb)
@@ -164,9 +154,8 @@ func (c *Controller) simAnchorCases(hits *int) error {
 // writer this round), sharded across the physics pool at scale: each build
 // only reads host/VM state and writes its own host's view and its own slot
 // (the case borrows the view: the round consumes caseBuf before the next
-// tick or mutation). The ambient is the value
-// the cache pass chose (bucket center with the cache on, the host's inlet
-// otherwise) — the former per-miss InletTemp recomputation was an O(rack)
+// tick or mutation). The ambient is the inlet bucket center the cache pass
+// chose — the former per-miss InletTemp recomputation was an O(rack)
 // utilization sweep per case, redundant with the per-tick inlet cache.
 func (c *Controller) buildMissCases() error {
 	if len(c.missIdx) == 0 {
@@ -191,14 +180,11 @@ func (c *Controller) buildMissCases() error {
 // equivalent single-VM deployment on the configured host shape, so real
 // (replayed or scraped) telemetry flows through the same trained model as
 // simulated fleets — the deployment loop Ilager et al. run against
-// monitored hosts. With the cache enabled, observations are quantized into
-// (util, memFrac) buckets first: bucket hits skip the predictor entirely
-// and bucket misses are predicted once at the bucket center.
+// monitored hosts. Observations are quantized into (util, memFrac) buckets
+// first: bucket hits skip the predictor entirely and bucket misses are
+// predicted once at the bucket center.
 func (c *Controller) sourceAnchorCases(hits *int) {
-	var q anchorcache.Quantizer
-	if c.cache != nil {
-		q = c.cache.Quant()
-	}
+	q := c.cache.Quant()
 	for i := range c.slots {
 		s := &c.slots[i]
 		if !s.Present {
@@ -206,10 +192,6 @@ func (c *Controller) sourceAnchorCases(hits *int) {
 		}
 		util := telemetry.Clamp01(s.Reading.Util)
 		mem := telemetry.Clamp01(s.Reading.MemFrac)
-		if c.cache == nil {
-			c.stageMiss(i, 0, c.utilizationCase(util, mem))
-			continue
-		}
 		key, qUtil, qMem := q.UtilMem(util, mem)
 		if v, ok := c.cache.Get(key); ok {
 			s.Anchor = v

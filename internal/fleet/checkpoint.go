@@ -37,19 +37,17 @@ import (
 func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	cur, prev := c.cache.DumpGenerations()
 	st := &checkpoint.State{
 		SavedUnixNano: time.Now().UnixNano(),
 		SourceName:    c.src.Name(),
-	}
-	if c.cache != nil {
-		cur, prev := c.cache.DumpGenerations()
-		st.AnchorCache = &checkpoint.CacheState{
+		AnchorCache: &checkpoint.CacheState{
 			Quant: c.cache.Quant(),
 			Cur:   cur,
 			Prev:  prev,
 			Stats: c.cache.Stats(),
 			Epoch: c.cache.Epoch(),
-		}
+		},
 	}
 	if c.sub != nil {
 		return st, nil
@@ -253,14 +251,14 @@ func (c *Controller) checkHostState(st *checkpoint.State) error {
 	return ascending("reading", len(st.Latest), func(i int) string { return st.Latest[i].HostID })
 }
 
-// restoreAnchorCache applies a checkpoint's cache section (caller holds mu;
-// a nil section or a disabled cache is a no-op). Keys address different
-// buckets under different bucket widths, so a section recorded under another
-// quantizer — or under none: a checkpoint older than the field — is skipped
-// rather than served: the skip is noted in the recent-error ring and the
-// next round re-predicts.
+// restoreAnchorCache applies a checkpoint's cache section (caller holds mu).
+// A nil section — from a run that had the cache switched off — is a no-op.
+// Keys address different buckets under different bucket widths, so a
+// section recorded under another quantizer — or under none: a checkpoint
+// older than the field — is skipped rather than served: the skip is noted
+// in the recent-error ring and the next round re-predicts.
 func (c *Controller) restoreAnchorCache(cs *checkpoint.CacheState) error {
-	if cs == nil || c.cache == nil {
+	if cs == nil {
 		return nil
 	}
 	if have := c.cache.Quant(); cs.Quant != have {

@@ -47,10 +47,6 @@ type Config struct {
 	// so a misbehaving exporter cannot grow memory without limit. Simulated
 	// fleets are bounded by their own shape.
 	MaxHosts int
-	// AnchorCacheDisabled turns off ψ_stable anchor memoization: every round
-	// fans every tracked host through the batch predictor (the pre-cache
-	// behaviour). Leave enabled except for A/B measurement.
-	AnchorCacheDisabled bool
 	// AnchorCacheEntries bounds the anchor cache (default 65536 entries).
 	AnchorCacheEntries int
 	// AnchorQuantUtil, AnchorQuantMem and AnchorQuantAmbientC are the anchor
@@ -210,27 +206,25 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: negative anchor quantization (%v, %v, %v)",
 			c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC)
 	}
-	if !c.AnchorCacheDisabled {
-		// The cache's correctness invariant is that quantization error can
-		// never push a session across the re-anchor threshold on its own: a
-		// cached value within ε of exact can differ from a stored one by at
-		// most 2ε, so ε must stay ≤ engine.ReanchorEpsC/2 on BOTH cache paths.
-		// Source path: misses predict at the (util, mem) bucket center, so
-		// ε = sensitivity × half a configured bucket (the bound the property
-		// test pins across the grid). Sim path: misses predict the actual
-		// deployment snapshot under quarter-width load buckets (full-bucket
-		// first-member error = half the source ε) plus half an ambient
-		// bucket. Reject loud rather than oscillate silently.
-		srcEps := c.AnchorQuantUtil/2*anchorUtilSensC + c.AnchorQuantMem/2*anchorMemSensC
-		simEps := srcEps/2 + c.AnchorQuantAmbientC/2*anchorAmbientSens
-		eps := max(srcEps, simEps)
-		if lim := engine.ReanchorEpsC / 2; eps > lim+1e-9 {
-			return fmt.Errorf("fleet: anchor quantization epsilon %.3f°C (source %.3f, sim %.3f) exceeds "+
-				"half the re-anchor threshold, %.3f°C (buckets util %v, mem %v, ambient %v°C at nominal "+
-				"sensitivities %v/%v °C per unit, %v °C/°C); narrow the buckets",
-				eps, srcEps, simEps, lim, c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC,
-				anchorUtilSensC, anchorMemSensC, anchorAmbientSens)
-		}
+	// The cache's correctness invariant is that quantization error can
+	// never push a session across the re-anchor threshold on its own: a
+	// cached value within ε of exact can differ from a stored one by at
+	// most 2ε, so ε must stay ≤ engine.ReanchorEpsC/2 on BOTH cache paths.
+	// Source path: misses predict at the (util, mem) bucket center, so
+	// ε = sensitivity × half a configured bucket (the bound the property
+	// test pins across the grid). Sim path: misses predict the actual
+	// deployment snapshot under quarter-width load buckets (full-bucket
+	// first-member error = half the source ε) plus half an ambient
+	// bucket. Reject loud rather than oscillate silently.
+	srcEps := c.AnchorQuantUtil/2*anchorUtilSensC + c.AnchorQuantMem/2*anchorMemSensC
+	simEps := srcEps/2 + c.AnchorQuantAmbientC/2*anchorAmbientSens
+	eps := max(srcEps, simEps)
+	if lim := engine.ReanchorEpsC / 2; eps > lim+1e-9 {
+		return fmt.Errorf("fleet: anchor quantization epsilon %.3f°C (source %.3f, sim %.3f) exceeds "+
+			"half the re-anchor threshold, %.3f°C (buckets util %v, mem %v, ambient %v°C at nominal "+
+			"sensitivities %v/%v °C per unit, %v °C/°C); narrow the buckets",
+			eps, srcEps, simEps, lim, c.AnchorQuantUtil, c.AnchorQuantMem, c.AnchorQuantAmbientC,
+			anchorUtilSensC, anchorMemSensC, anchorAmbientSens)
 	}
 	if c.AnchorWorkers < 1 {
 		return fmt.Errorf("fleet: anchor workers %d < 1", c.AnchorWorkers)

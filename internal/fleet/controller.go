@@ -46,9 +46,9 @@ type Controller struct {
 	pendingP   []MigrationProposal // proposals awaiting reconciliation
 	propTgts   []proposeTarget     // propose's per-round target list (scratch)
 
-	// cache memoizes ψ_stable per quantized anchor key (nil when disabled);
-	// lastFanout is the previous round's miss-batch size, readable without
-	// the round lock for the /metrics exposition.
+	// cache memoizes ψ_stable per quantized anchor key; lastFanout is the
+	// previous round's miss-batch size, readable without the round lock for
+	// the /metrics exposition.
 	cache      *anchorcache.Cache
 	lastFanout atomic.Int64
 
@@ -209,19 +209,16 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 	c.predictChunk = c.predictMissChunk
 	c.stage = c.stageReading
 	c.staged = make([]Reading, 0, pushChunk)
-	if !cfg.AnchorCacheDisabled {
-		cache, err := anchorcache.New(anchorcache.Config{
-			MaxEntries: cfg.AnchorCacheEntries,
-			Quant: anchorcache.Quantizer{
-				UtilQuant:     cfg.AnchorQuantUtil,
-				MemQuant:      cfg.AnchorQuantMem,
-				AmbientQuantC: cfg.AnchorQuantAmbientC,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.cache = cache
+	c.cache, err = anchorcache.New(anchorcache.Config{
+		MaxEntries: cfg.AnchorCacheEntries,
+		Quant: anchorcache.Quantizer{
+			UtilQuant:     cfg.AnchorQuantUtil,
+			MemQuant:      cfg.AnchorQuantMem,
+			AmbientQuantC: cfg.AnchorQuantAmbientC,
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -286,25 +283,19 @@ func (c *Controller) TeeTelemetry(tee func(Reading) bool) {
 	c.tee.Store(&tee)
 }
 
-// AnchorCacheStats reports the anchor cache's cumulative counters, the last
-// round's miss-batch fan-out size, and whether the cache is enabled. Safe
-// to call concurrently with RunRound (the /metrics exposition does).
-func (c *Controller) AnchorCacheStats() (st anchorcache.Stats, lastFanout int, enabled bool) {
-	if c.cache == nil {
-		return anchorcache.Stats{}, int(c.lastFanout.Load()), false
-	}
-	return c.cache.Stats(), int(c.lastFanout.Load()), true
+// AnchorCacheStats reports the anchor cache's cumulative counters and the
+// last round's miss-batch fan-out size. Safe to call concurrently with
+// RunRound (the /metrics exposition does).
+func (c *Controller) AnchorCacheStats() (st anchorcache.Stats, lastFanout int) {
+	return c.cache.Stats(), int(c.lastFanout.Load())
 }
 
-// AnchorCacheLen reports how many anchors the cache holds (0 when disabled)
-// — the daemons log it beside a checkpoint restore or write, since over a
-// simulated fleet the cache is all a checkpoint carries.
+// AnchorCacheLen reports how many anchors the cache holds — the daemons
+// log it beside a checkpoint restore or write, since over a simulated fleet
+// the cache is all a checkpoint carries.
 func (c *Controller) AnchorCacheLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cache == nil {
-		return 0
-	}
 	return c.cache.Len()
 }
 
@@ -315,9 +306,7 @@ func (c *Controller) AnchorCacheLen() int {
 func (c *Controller) InvalidateAnchorCache() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cache != nil {
-		c.cache.Invalidate()
-	}
+	c.cache.Invalidate()
 }
 
 // PlaceAt force-places a VM on a named host, bypassing the thermal policy —

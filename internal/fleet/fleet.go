@@ -190,8 +190,7 @@ type RoundReport struct {
 	// AnchorHits and AnchorMisses count this round's anchor-cache outcomes;
 	// AnchorFanout is the (key-deduplicated) miss batch actually fanned
 	// through the batch predictor — the number that used to equal the whole
-	// tracked population every round. With the cache disabled every anchored
-	// host counts as a miss.
+	// tracked population every round.
 	AnchorHits, AnchorMisses, AnchorFanout int
 	// AnchorEvictedTotal is the cumulative anchor-cache eviction counter.
 	AnchorEvictedTotal int64

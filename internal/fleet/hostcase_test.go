@@ -35,22 +35,22 @@ func dynamicSpec(rng *mathx.RNG, id string) workload.VMSpec {
 
 // TestHostCaseMatchesHostStateCase is the differential test of the package's
 // one host → Case builder: over a seeded sequence of PlaceBatch, RemoveVM,
-// migration-producing rounds and plain rounds — cache on and off — every
-// Case the predictor receives, placement windows and anchor misses alike,
-// is reflect.DeepEqual to a fresh substrate.HostStateCase of the same host at
-// the same instant. A view that outlived any change of the deployment — a
-// placement, a migration, a removal, a tick — fails it; the sequence
-// includes two PlaceBatch calls in one round with a RemoveVM between them.
+// migration-producing rounds and plain rounds — warm, and cold with the
+// anchor cache invalidated before every round so every occupied host misses
+// — every Case the predictor receives, placement windows and anchor misses
+// alike, is reflect.DeepEqual to a fresh substrate.HostStateCase of the same
+// host at the same instant. A view that outlived any change of the
+// deployment — a placement, a migration, a removal, a tick — fails it; the
+// sequence includes two PlaceBatch calls in one round with a RemoveVM
+// between them.
 // That the memoised views are actually reused between changes is pinned
 // where they live, by substrate's TestHostCaseViewMatchesHostStateCase.
 func TestHostCaseMatchesHostStateCase(t *testing.T) {
-	for _, cached := range []bool{true, false} {
-		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+	for _, arm := range []string{"warm", "cold"} {
+		cold := arm == "cold"
+		t.Run(arm, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.MaxMigrationsPerRound = 2
-			if !cached {
-				cfg.AnchorCacheDisabled = true
-			}
 			submitted := map[string]workload.VMSpec{}
 			var placeCases, anchorCases int
 			var c *Controller
@@ -73,9 +73,7 @@ func TestHostCaseMatchesHostStateCase(t *testing.T) {
 						placeCases++
 					} else {
 						anchorCases++
-						if c.cache != nil {
-							_, inlet = c.cache.Quant().Ambient(inlet)
-						}
+						_, inlet = c.cache.Quant().Ambient(inlet)
 					}
 					want, err := substrate.HostStateCase(c.sub.Host(i), c.cfg.FanCount, inlet, cand)
 					if err != nil {
@@ -89,9 +87,6 @@ func TestHostCaseMatchesHostStateCase(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if (c.cache != nil) != cached {
-				t.Fatalf("cache enabled = %v, want %v", c.cache != nil, cached)
 			}
 			seedHotHost(t, c) // r0-h0 runs hot: rounds propose and apply migrations
 
@@ -124,9 +119,15 @@ func TestHostCaseMatchesHostStateCase(t *testing.T) {
 					batch() // same round, after a removal
 				}
 				for n := rng.IntBetween(1, 2); n > 0; n-- {
+					if cold {
+						c.InvalidateAnchorCache()
+					}
 					rep, err := c.RunRound()
 					if err != nil {
 						t.Fatal(err)
+					}
+					if cold && rep.AnchorHits != 0 {
+						t.Fatalf("cold round %d served %d cached anchors", rep.Round, rep.AnchorHits)
 					}
 					moves += rep.AppliedMoves
 				}

@@ -289,10 +289,6 @@ func (c *Controller) repark(queue []workload.VMSpec) {
 func (c *Controller) report(rs *roundState) RoundReport {
 	snap := &rs.gen.snap
 	_, droppedTotal, supersededTotal := c.ingest.stats()
-	var anchorEvicted int64
-	if c.cache != nil {
-		anchorEvicted = c.cache.Stats().Evicted
-	}
 	// The non-stale predictions are exactly snap.Predicted's values.
 	maxPred := math.Inf(-1)
 	for i := range rs.preds {
@@ -317,7 +313,7 @@ func (c *Controller) report(rs *roundState) RoundReport {
 		AnchorHits:         rs.anchorHits,
 		AnchorMisses:       rs.anchorMisses,
 		AnchorFanout:       rs.fanout,
-		AnchorEvictedTotal: anchorEvicted,
+		AnchorEvictedTotal: c.cache.Stats().Evicted,
 		Reanchored:         rs.engine.Reanchored,
 		Evicted:            rs.engine.Evicted,
 		DiscardedHosts:     rs.discarded,

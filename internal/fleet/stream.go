@@ -189,7 +189,7 @@ func newStreamState(c *Controller) *streamState {
 // round lock; TryLock never blocks the push path), and a population at the
 // MaxHosts bound defers rather than grow the engine past it.
 func (c *Controller) warmAnchor(r telemetry.Reading) (float64, bool) {
-	if c.sub != nil || c.cache == nil {
+	if c.sub != nil {
 		return 0, false
 	}
 	if c.cfg.MaxHosts > 0 && c.eng.Len() >= c.cfg.MaxHosts {

@@ -78,8 +78,8 @@ func TestAPIDocCoversAllRoutes(t *testing.T) {
 }
 
 // TestAPIDocCoversAllMetrics pins the metrics catalog in docs/API.md to
-// the families a fully-featured server (fleet attached, anchor cache
-// enabled) actually exposes, in both directions.
+// the families a fully-featured server (fleet attached) actually exposes,
+// in both directions.
 func TestAPIDocCoversAllMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")

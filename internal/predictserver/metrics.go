@@ -56,8 +56,8 @@ func boolGauge(b bool) float64 {
 //	vmtherm_hotspot_staleness_seconds       seconds since the served hotspot
 //	                                        set was last refreshed (gauge)
 //	vmtherm_anchor_cache_hits_total         ψ_stable anchor cache counters
-//	vmtherm_anchor_cache_misses_total       (counter; fleet-attached servers
-//	vmtherm_anchor_cache_evictions_total    with the cache enabled)
+//	vmtherm_anchor_cache_misses_total       (counter; fleet-attached servers)
+//	vmtherm_anchor_cache_evictions_total
 //	vmtherm_anchor_cache_invalidations_total
 //	vmtherm_anchor_fanout                   last round's anchor miss-batch
 //	                                        size fanned through the batch
@@ -146,18 +146,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeMetric(&sb, "vmtherm_hotspot_staleness_seconds", "gauge",
 			"Seconds since the served hotspot set was last refreshed (per-arrival in streaming mode, per-round otherwise).", "", s.fleet.HotspotStalenessS())
 
-		if cacheStats, fanout, enabled := s.fleet.AnchorCacheStats(); enabled {
-			writeMetric(&sb, "vmtherm_anchor_cache_hits_total", "counter",
-				"Anchor-cache hits: hosts whose stable anchor was served from the quantized cache.", "", float64(cacheStats.Hits))
-			writeMetric(&sb, "vmtherm_anchor_cache_misses_total", "counter",
-				"Anchor-cache misses: hosts whose stable anchor went through the batch predictor.", "", float64(cacheStats.Misses))
-			writeMetric(&sb, "vmtherm_anchor_cache_evictions_total", "counter",
-				"Anchor-cache entries dropped at the size bound.", "", float64(cacheStats.Evicted))
-			writeMetric(&sb, "vmtherm_anchor_cache_invalidations_total", "counter",
-				"Anchor-cache epoch bumps (model/config change).", "", float64(cacheStats.Invalidations))
-			writeMetric(&sb, "vmtherm_anchor_fanout", "gauge",
-				"Anchor miss-batch size fanned through the batch predictor last round.", "", float64(fanout))
-		}
+		cacheStats, fanout := s.fleet.AnchorCacheStats()
+		writeMetric(&sb, "vmtherm_anchor_cache_hits_total", "counter",
+			"Anchor-cache hits: hosts whose stable anchor was served from the quantized cache.", "", float64(cacheStats.Hits))
+		writeMetric(&sb, "vmtherm_anchor_cache_misses_total", "counter",
+			"Anchor-cache misses: hosts whose stable anchor went through the batch predictor.", "", float64(cacheStats.Misses))
+		writeMetric(&sb, "vmtherm_anchor_cache_evictions_total", "counter",
+			"Anchor-cache entries dropped at the size bound.", "", float64(cacheStats.Evicted))
+		writeMetric(&sb, "vmtherm_anchor_cache_invalidations_total", "counter",
+			"Anchor-cache epoch bumps (model/config change).", "", float64(cacheStats.Invalidations))
+		writeMetric(&sb, "vmtherm_anchor_fanout", "gauge",
+			"Anchor miss-batch size fanned through the batch predictor last round.", "", float64(fanout))
 
 		// Scoped zero-copy borrow: the whole exposition is rendered inside
 		// the view (into the local builder), so nothing from the snapshot

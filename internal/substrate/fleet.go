@@ -672,27 +672,27 @@ func (f *Fleet) Inlet(i int) float64 {
 	return f.rackBase(utilSum/float64(span[1]-span[0])) + f.offsets[s]
 }
 
-// ScanAnchors returns every slot's inlet temperature and, when keyed, the
-// deployment fingerprint of every occupied host under q, rack-sharded at
-// scale (pure computation over rack-local state; every worker writes
-// disjoint slots). Both slices are the fleet's scratch, valid until the
-// next scan; an idle host's key is left as it was.
-func (f *Fleet) ScanAnchors(q anchorcache.Quantizer, keyed bool) (inlets []float64, keys []anchorcache.Key) {
+// ScanAnchors returns every slot's inlet temperature and the deployment
+// fingerprint of every occupied host under q, rack-sharded at scale (pure
+// computation over rack-local state; every worker writes disjoint slots).
+// Both slices are the fleet's scratch, valid until the next scan; an idle
+// host's key is left as it was.
+func (f *Fleet) ScanAnchors(q anchorcache.Quantizer) (inlets []float64, keys []anchorcache.Key) {
 	if f.parallel() {
 		// The scan cannot fail, so the shard error path is unreachable.
-		_ = f.shardRacks(func(lo, hi int) error { f.scanRacks(lo, hi, q, keyed); return nil })
+		_ = f.shardRacks(func(lo, hi int) error { f.scanRacks(lo, hi, q); return nil })
 	} else {
-		f.scanRacks(0, len(f.rackSpan), q, keyed)
+		f.scanRacks(0, len(f.rackSpan), q)
 	}
 	return f.scanInlets, f.scanKeys
 }
 
 // scanRacks is racks [lo, hi)'s share of ScanAnchors.
-func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer, keyed bool) {
+func (f *Fleet) scanRacks(lo, hi int, q anchorcache.Quantizer) {
 	for i := f.rackSpan[lo][0]; i < f.rackSpan[hi-1][1]; i++ {
 		inlet := f.Inlet(i)
 		f.scanInlets[i] = inlet
-		if keyed && f.hosts[i].host.NumVMs() > 0 {
+		if f.hosts[i].host.NumVMs() > 0 {
 			f.scanKeys[i] = anchorKey(f.hosts[i], q, inlet)
 		}
 	}

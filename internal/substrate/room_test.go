@@ -198,7 +198,7 @@ func TestAnchorKeyPinned(t *testing.T) {
 	if err := f.Advance(5, func(telemetry.Reading) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	_, keys := f.ScanAnchors(anchorcache.DefaultQuantizer(), true)
+	_, keys := f.ScanAnchors(anchorcache.DefaultQuantizer())
 	if got, want := uint64(keys[5]), uint64(0x2ebb80859bdd527e); got != want {
 		t.Errorf("anchor key %#x, want %#x", got, want)
 	}

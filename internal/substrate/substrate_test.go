@@ -101,7 +101,7 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 		for i, sh := range f.hosts {
 			valid[i] = sh.viewOK
 		}
-		f.ScanAnchors(anchorcache.DefaultQuantizer(), true)
+		f.ScanAnchors(anchorcache.DefaultQuantizer())
 		for i := range f.IDs() {
 			if _, err := f.LargestVM(i); err != nil && !errors.Is(err, ErrNoSuchVM) {
 				t.Fatal(err)
@@ -231,7 +231,7 @@ func TestTickLoadsMatchHostLoads(t *testing.T) {
 				}
 				counts[op]++
 				reused += check(step, op, false)
-				f.ScanAnchors(anchorcache.DefaultQuantizer(), true)
+				f.ScanAnchors(anchorcache.DefaultQuantizer())
 				check(step, op+"+scan", true)
 			}
 			t.Logf("ops %v, %d occupied hosts' memos valid at a check", counts, reused)

@@ -28,8 +28,11 @@ type MetricPoint struct {
 func (p MetricPoint) Label(key string) string { return p.Labels[key] }
 
 // maxExpositionBytes caps one exposition body — bytes another machine
-// chooses — at the figure the HTTP server allows a batch request body.
+// chooses — at the figure the HTTP server allows a batch request body. A
+// longer body fails with errExpositionTooLarge, which scrapers do not retry.
 const maxExpositionBytes = 64 << 20
+
+var errExpositionTooLarge = fmt.Errorf("telemetry: exposition exceeds the %d-byte limit", maxExpositionBytes)
 
 // ParseExposition parses Prometheus text exposition format into points.
 // Comment and blank lines are skipped; a malformed sample line is an error
@@ -55,7 +58,7 @@ func ParseExposition(r io.Reader) ([]MetricPoint, error) {
 		points = append(points, p)
 	}
 	if body.N <= 0 {
-		return nil, fmt.Errorf("telemetry: exposition exceeds the %d-byte limit", maxExpositionBytes)
+		return nil, errExpositionTooLarge
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("telemetry: reading exposition: %w", err)

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -49,9 +51,10 @@ type ScrapeConfig struct {
 	sleep  func(time.Duration)
 }
 
-// A failed scrape attempt is retried up to maxRetries times within one
-// Advance. Between attempts the source sleeps a capped exponential backoff
-// with jitter, so a flapping exporter sees spaced re-attempts instead of a
+// A failed scrape attempt — but not an oversized body, refused again on
+// every read — is retried up to maxRetries times within one Advance.
+// Between attempts the source sleeps a capped exponential backoff with
+// jitter, so a flapping exporter sees spaced re-attempts instead of a
 // burst: the k-th retry sleeps min(backoffBase·2^k, backoffMax) ± 25%.
 const (
 	maxRetries  = 2
@@ -74,18 +77,10 @@ func DefaultScrapeConfig(rawURL string) ScrapeConfig {
 // vmtherm defaults, so only URL is mandatory.
 func NewScrapeSource(cfg ScrapeConfig) (*ScrapeSource, error) {
 	d := DefaultScrapeConfig(cfg.URL)
-	if cfg.TempMetric == "" {
-		cfg.TempMetric = d.TempMetric
-	}
-	if cfg.UtilMetric == "" {
-		cfg.UtilMetric = d.UtilMetric
-	}
-	if cfg.MemMetric == "" {
-		cfg.MemMetric = d.MemMetric
-	}
-	if cfg.HostLabel == "" {
-		cfg.HostLabel = d.HostLabel
-	}
+	cfg.TempMetric = cmp.Or(cfg.TempMetric, d.TempMetric)
+	cfg.UtilMetric = cmp.Or(cfg.UtilMetric, d.UtilMetric)
+	cfg.MemMetric = cmp.Or(cfg.MemMetric, d.MemMetric)
+	cfg.HostLabel = cmp.Or(cfg.HostLabel, d.HostLabel)
 	if cfg.client == nil {
 		cfg.client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -154,7 +149,7 @@ func (s *ScrapeSource) Advance(_ float64, emit func(Reading) bool) error {
 		if err == nil {
 			break
 		}
-		if attempt >= maxRetries {
+		if attempt >= maxRetries || errors.Is(err, errExpositionTooLarge) {
 			return err
 		}
 		s.cfg.sleep(backoffFor(attempt))

@@ -231,15 +231,18 @@ func endlessExporter(t *testing.T, status int) (*httptest.Server, *atomic.Int64,
 
 // TestScrapeBodyIsBounded: the exporter is another machine. A body past
 // maxExpositionBytes is an error naming the limit — never the points that
-// fit — and neither the parse nor the drain that follows it (on a non-200
-// too) reads on until the exporter stops or the client times out.
+// fit — fetched once, not retried; and neither the parse nor the drain that
+// follows it (on a non-200 too, which is retried) reads on until the
+// exporter stops or the client times out.
 func TestScrapeBodyIsBounded(t *testing.T) {
 	for _, tc := range []struct {
-		status int
-		want   string
+		status   int
+		want     string
+		requests int64
 	}{
-		{http.StatusOK, "exceeds the 67108864-byte limit"},
-		{http.StatusInternalServerError, "500 Internal Server Error"},
+		// An oversized body is refused again on every read: no retry.
+		{http.StatusOK, "exceeds the 67108864-byte limit", 1},
+		{http.StatusInternalServerError, "500 Internal Server Error", 1 + maxRetries},
 	} {
 		ts, calls, sent := endlessExporter(t, tc.status)
 		src, err := NewScrapeSource(ScrapeConfig{URL: ts.URL, sleep: func(time.Duration) {}})
@@ -255,8 +258,8 @@ func TestScrapeBodyIsBounded(t *testing.T) {
 		}
 		// Parse and drain each stop at the cap, on every attempt; the rest
 		// is socket buffering.
-		if n, got := calls.Load(), sent.Load(); n != 1+maxRetries || got > n*(2*maxExpositionBytes+(8<<20)) {
-			t.Fatalf("status %d: read on for %d bytes of an endless body over %d requests", tc.status, got, n)
+		if n, got := calls.Load(), sent.Load(); n != tc.requests || got > n*(2*maxExpositionBytes+(8<<20)) {
+			t.Fatalf("status %d: read on for %d bytes of an endless body over %d requests, want %d", tc.status, got, n, tc.requests)
 		}
 	}
 }

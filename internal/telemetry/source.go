@@ -6,7 +6,7 @@
 // Prometheus text exposition (ScrapeSource and its parser) — plus the
 // temperature plausibility gate (ClassifyTemp) ingest applies to readings
 // from outside the process. The simulated fleet implements Source inside
-// internal/fleet. The paper's pipeline "received data collected online and
+// internal/substrate. The paper's pipeline "received data collected online and
 // output prediction values"; Source is where that data arrives.
 package telemetry
 
