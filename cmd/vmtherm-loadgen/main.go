@@ -21,7 +21,7 @@
 //	vmtherm-train -fast -out model.svm
 //	vmtherm-predictd -model model.svm -addr :8080 &
 //	vmtherm-loadgen -addr http://127.0.0.1:8080 -endpoints stable,session -batch 64
-//	vmtherm-loadgen -mode slo -inprocess -endpoints stable,place -batch 16 -out capacity.json
+//	vmtherm-loadgen -inprocess -endpoints stable,place -batch 16 -out capacity.json
 package main
 
 import (

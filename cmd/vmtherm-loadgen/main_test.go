@@ -79,13 +79,3 @@ func TestInProcessProfileSmoke(t *testing.T) {
 		}
 	}
 }
-
-// TestOnlyModeIsSLO: -mode still parses (bench/e2e/README.md prints
-// `-mode slo`), and the deleted fixed-rate modes are refused with the
-// one-step equivalent in the message.
-func TestOnlyModeIsSLO(t *testing.T) {
-	err := run(parse(t, "-mode", "stable"), io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-slo-start R -slo-max R") {
-		t.Fatalf("-mode stable: %v", err)
-	}
-}

@@ -22,11 +22,11 @@ import (
 // onto the sloharness.Config every profile runs under, the in-process stack
 // knobs onto its fleet.Config: a flag becomes a field in one place.
 type sloFlags struct {
-	addr, mode, endpoints, batches string
-	outJSON, outMD, baseline       string
-	batch, workers, ingestHosts    int
-	seed                           int64
-	inprocess                      bool
+	addr, endpoints, batches string
+	outJSON, outMD, baseline string
+	batch, ingestHosts       int
+	seed                     int64
+	inprocess                bool
 
 	step  sloharness.Config // SLO.Limit 0 = the endpoint's default
 	fleet fleet.Config      // the -inprocess fleet (the capacity matrix dimensions)
@@ -39,7 +39,6 @@ type sloFlags struct {
 func bindFlags(fs *flag.FlagSet) *sloFlags {
 	f := &sloFlags{fleet: fleet.DefaultConfig()}
 	fs.StringVar(&f.addr, "addr", "http://127.0.0.1:8080", "predictd base URL")
-	fs.StringVar(&f.mode, "mode", "slo", "slo: the SLO-driven capacity profile (the only mode)")
 	fs.IntVar(&f.batch, "batch", 64, "predictions per request")
 	fs.IntVar(&f.step.Senders, "senders", 32, "concurrent sender goroutines")
 	fs.Int64Var(&f.seed, "seed", 1, "feature-generation seed")
@@ -64,8 +63,6 @@ func bindFlags(fs *flag.FlagSet) *sloFlags {
 	fs.IntVar(&f.fleet.HostsPerRack, "slo-hosts", 16, "in-process fleet hosts per rack")
 	fs.Float64Var(&f.fleet.Admission.HeadroomBudgetC, "admission-budget", 0, "in-process AdmissionPolicy.HeadroomBudgetC (0 = gate off)")
 	fs.IntVar(&f.fleet.Admission.MaxPlacementsPerRound, "admission-cap", 0, "in-process AdmissionPolicy.MaxPlacementsPerRound (0 = unbounded)")
-	fs.IntVar(&f.workers, "workers", 0, "in-process server batch worker pool (0 = GOMAXPROCS)")
-	fs.IntVar(&f.fleet.PhysWorkers, "phys-workers", 0, "in-process fleet physics workers (0 = default)")
 	fs.IntVar(&f.ingestHosts, "slo-ingest-hosts", 256, "distinct host ids the ingest profile cycles over when the fleet's own hosts are unknown (remote mode)")
 	fs.BoolVar(&f.fleet.StreamingIngest, "streaming", false, "enable streaming ingest on the in-process stack (required for the freshness endpoint; control rounds keep ticking in the background during ingest/freshness profiles)")
 	fs.StringVar(&f.step.Arrivals, "arrivals", "fixed", "dispatch schedule for every profiled step: fixed|poisson|uniform (poisson/uniform offer the same mean rate with realistic burstiness)")
@@ -103,9 +100,6 @@ func run(f *sloFlags, out io.Writer) error {
 	if f.batch <= 0 || f.step.Senders <= 0 {
 		return fmt.Errorf("batch and senders must be positive")
 	}
-	if f.mode != "slo" {
-		return fmt.Errorf("unknown -mode %q: slo is the only mode (a fixed-rate run is -slo-start R -slo-max R -slo-measure D)", f.mode)
-	}
 	ctx := context.Background()
 	var (
 		client *predictclient.Client
@@ -121,7 +115,7 @@ func run(f *sloFlags, out io.Writer) error {
 		fc.Seed = f.seed
 		fmt.Fprintf(out, "building in-process stack: %d×%d hosts, admission budget %.1f°C cap %d...\n",
 			fc.Racks, fc.HostsPerRack, fc.Admission.HeadroomBudgetC, fc.Admission.MaxPlacementsPerRound)
-		stack, err = daemon.StartInProcess(ctx, fc, inprocessTrainCases, f.workers)
+		stack, err = daemon.StartInProcess(ctx, fc, inprocessTrainCases)
 		if err != nil {
 			return err
 		}
@@ -361,12 +355,6 @@ func profileKnobs(f *sloFlags, ep string, batch int) map[string]string {
 	if ep == "place" {
 		knobs["admission_budget_c"] = strconv.FormatFloat(f.fleet.Admission.HeadroomBudgetC, 'g', -1, 64)
 		knobs["admission_round_cap"] = strconv.Itoa(f.fleet.Admission.MaxPlacementsPerRound)
-	}
-	if f.workers > 0 {
-		knobs["workers"] = strconv.Itoa(f.workers)
-	}
-	if f.fleet.PhysWorkers > 0 {
-		knobs["phys_workers"] = strconv.Itoa(f.fleet.PhysWorkers)
 	}
 	if f.fleet.StreamingIngest {
 		knobs["streaming"] = "1"

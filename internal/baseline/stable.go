@@ -197,7 +197,7 @@ func (rc *RC) Fit(records []dataset.Record) error {
 		x[i] = rcTerms(r.Features)
 		y[i] = r.StableTemp - r.Features[idxAmbient]
 	}
-	fit, err := mathx.FitMultiLinear(x, y)
+	fit, err := mathx.FitRidge(x, y, 0)
 	if err != nil {
 		return fmt.Errorf("baseline: rc fit: %w", err)
 	}

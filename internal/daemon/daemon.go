@@ -45,8 +45,6 @@ type Flags struct {
 	Loop                      bool
 	Scrape                    telemetry.ScrapeConfig
 	AmbientC                  float64
-	AnchorQuant               float64
-	PhysWorkers               int
 	Streaming                 bool
 	CheckpointFile            string
 	CheckpointEveryS          float64
@@ -74,8 +72,6 @@ func Bind(fs *flag.FlagSet, d Defaults) *Flags {
 	fs.StringVar(&f.Scrape.MemMetric, "scrape-mem", "", "memory metric name (default vmtherm_host_mem_ratio)")
 	fs.StringVar(&f.Scrape.HostLabel, "scrape-host-label", "", "host label name (default host)")
 	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
-	fs.Float64Var(&f.AnchorQuant, "anchor-quant", 0, "anchor cache utilization bucket width (0 = default 0.01; mem buckets are 2×; bounded by half the 1 °C re-anchor threshold so cache error cannot trigger re-anchors)")
-	fs.IntVar(&f.PhysWorkers, "phys-workers", 0, "worker pool sharding the simulated physics tick per rack (0 = min(GOMAXPROCS, 8), 1 = serial; results are bit-identical either way)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
 	fs.StringVar(&f.CheckpointFile, "checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (a simulated fleet carries its anchor cache only; pair the files with the model that produced them)")
 	fs.Float64Var(&f.CheckpointEveryS, "checkpoint-every", 30, "seconds between periodic checkpoints (0 = final shutdown checkpoint only; requires -checkpoint-file)")
@@ -93,8 +89,6 @@ func (f *Flags) Config() fleet.Config {
 	cfg.UpdateEveryS = f.UpdateS
 	cfg.GapS = f.GapS
 	cfg.SourceAmbientC = f.AmbientC
-	cfg.AnchorQuantUtil, cfg.AnchorQuantMem = f.AnchorQuant, 2*f.AnchorQuant // 0 takes the defaults
-	cfg.PhysWorkers = f.PhysWorkers
 	cfg.StreamingIngest = f.Streaming
 	cfg.Seed = f.Seed
 	return cfg
@@ -139,10 +133,10 @@ type Controller struct {
 // f.Config(), adjusted): it refuses meaningless flag values, selects the
 // source, then restores -checkpoint-file into it.
 func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor) (*Controller, error) {
-	// NaN or a negative value would switch periodic checkpoints off, fall
-	// back to the default anchor bucket or slip past the replay's sign check.
-	names := [...]string{"checkpoint-every", "anchor-quant", "speed"}
-	for i, v := range [...]float64{f.CheckpointEveryS, f.AnchorQuant, f.Speed} {
+	// NaN or a negative value would switch periodic checkpoints off or slip
+	// past the replay's sign check.
+	names := [...]string{"checkpoint-every", "speed"}
+	for i, v := range [...]float64{f.CheckpointEveryS, f.Speed} {
 		if !(v >= 0 && v <= math.MaxFloat64) {
 			return nil, fmt.Errorf("-%s %v: want 0 or a positive finite number", names[i], v)
 		}

@@ -72,8 +72,8 @@ func TestPaceComesFromResolvedConfig(t *testing.T) {
 }
 
 // TestMeaninglessFlagValuesRefused: each of these used to start a daemon
-// quietly doing something else — no periodic checkpoints, the default
-// anchor bucket, an unchecked replay speed. NewController refuses them with
+// quietly doing something else — no periodic checkpoints, an unchecked
+// replay speed. NewController refuses them with
 // an error naming the flag; 0 keeps its documented meaning.
 func TestMeaninglessFlagValuesRefused(t *testing.T) {
 	trace := []string{"-source", "trace", "-trace", traceFile}
@@ -84,11 +84,9 @@ func TestMeaninglessFlagValuesRefused(t *testing.T) {
 		{"-checkpoint-every", []string{"-checkpoint-every", "-5"}},
 		{"-checkpoint-every", []string{"-checkpoint-every", "NaN"}},
 		{"-checkpoint-every", []string{"-checkpoint-every", "+Inf"}},
-		{"-anchor-quant", []string{"-anchor-quant", "-1"}},
-		{"-anchor-quant", []string{"-anchor-quant", "NaN"}},
 		{"-speed", append([]string{"-speed", "NaN"}, trace...)},
 		{"-speed", append([]string{"-speed", "-2"}, trace...)},
-		{"", []string{"-checkpoint-every", "0", "-anchor-quant", "0"}},
+		{"", []string{"-checkpoint-every", "0"}},
 		{"", append([]string{"-speed", "0"}, trace...)},
 	} {
 		_, err := assemble(t, tc.args...)

@@ -44,9 +44,8 @@ type Runtime struct {
 	// without a fleet loop).
 	Ctl *Controller
 
-	srv     *predictserver.Server // nil without a model
-	handler http.Handler
-	http    *Server // nil without an address
+	handler http.Handler // nil without a model
+	http    *Server      // nil without an address
 
 	rounded  atomic.Bool // a round has completed: the serving state is trustworthy
 	draining atomic.Bool // Shutdown has begun: /readyz stays 503, no new loops
@@ -57,7 +56,7 @@ type Runtime struct {
 // Start assembles the HTTP surface once for every binary: the prediction
 // endpoints over model, the /v1/fleet endpoints and checkpoint status when
 // ctl carries them, /readyz gated by the runtime, plus what the caller adds
-// (a scenario status feed, a worker-pool size). addr is bound synchronously —
+// (a scenario status feed). addr is bound synchronously —
 // a port that cannot be bound fails here, before any round runs; an empty
 // addr gives a Handler and no listener (loadgen -inprocess, tests). Without
 // a model there is nothing to serve: the runtime only runs rounds.
@@ -80,10 +79,9 @@ func Start(addr string, model *core.StablePredictor, ctl *Controller, opts ...pr
 	if err != nil {
 		return nil, err
 	}
-	rt.srv, rt.handler = srv, srv.Handler()
+	rt.handler = srv.Handler()
 	if addr != "" {
 		if rt.http, err = Listen(addr, rt.handler); err != nil {
-			srv.Close()
 			return nil, err
 		}
 	}
@@ -94,9 +92,8 @@ func Start(addr string, model *core.StablePredictor, ctl *Controller, opts ...pr
 // profiles and the docs drift tests scrape: a fast model trained on
 // trainCases experiments at cfg.Seed, a simulated fleet over cfg anchored by
 // that model — the production wiring, so capacity numbers cover real
-// prediction cost — and the full handler with a pool of workers (0 =
-// GOMAXPROCS), no listener.
-func StartInProcess(ctx context.Context, cfg fleet.Config, trainCases, workers int) (*Runtime, error) {
+// prediction cost — and the full handler, no listener.
+func StartInProcess(ctx context.Context, cfg fleet.Config, trainCases int) (*Runtime, error) {
 	model, err := TrainFast(ctx, cfg.Seed, trainCases)
 	if err != nil {
 		return nil, err
@@ -105,7 +102,7 @@ func StartInProcess(ctx context.Context, cfg fleet.Config, trainCases, workers i
 	if err != nil {
 		return nil, err
 	}
-	return Start("", model, ctl, predictserver.WithWorkers(workers))
+	return Start("", model, ctl)
 }
 
 // Handler is the assembled HTTP surface (nil without a model).
@@ -248,9 +245,6 @@ func (rt *Runtime) Shutdown() error {
 		}
 	}
 	rt.loops.Wait()
-	if rt.srv != nil {
-		rt.srv.Close()
-	}
 	if rt.Ctl != nil {
 		err = errors.Join(err, rt.Ctl.Close())
 	}

@@ -389,7 +389,7 @@ func TestStartInProcessServesAllEndpointFamilies(t *testing.T) {
 	fc.Racks, fc.HostsPerRack, fc.Seed = 1, 4, 7
 	fc.Admission = fleet.AdmissionPolicy{MaxQueueDepth: 64}
 	ctx := context.Background()
-	rt, err := StartInProcess(ctx, fc, 12, 0)
+	rt, err := StartInProcess(ctx, fc, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package dataset
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
+	"vmtherm/internal/shard"
 	"vmtherm/internal/substrate"
 	"vmtherm/internal/thermal"
 	"vmtherm/internal/workload"
@@ -55,38 +56,12 @@ func Build(ctx context.Context, cases []workload.Case, opts BuildOptions) ([]Rec
 		return nil, fmt.Errorf("dataset: no cases")
 	}
 
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-
 	records := make([]Record, len(cases))
 	errs := make([]error, len(cases))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				records[idx], errs[idx] = buildOne(cases[idx], opts)
-			}
-		}()
-	}
-feed:
-	for i := range cases {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	workers := cmp.Or(opts.Workers, runtime.GOMAXPROCS(0))
+	if err := shard.Each(ctx, len(cases), workers, func(i int) {
+		records[i], errs[i] = buildOne(cases[i], opts)
+	}); err != nil {
 		return nil, fmt.Errorf("dataset: build cancelled: %w", err)
 	}
 	for i, err := range errs {

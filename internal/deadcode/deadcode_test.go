@@ -62,6 +62,8 @@ var errorConventions = map[string]bool{"Error": true, "Unwrap": true, "Is": true
 var allowedFields = map[string]string{
 	"fleet.Config.HorizonS":               "bench/e2e reads it; its setter waits for the benchmark to move off the field",
 	"fleet.Config.AnchorCacheEntries":     "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorQuantUtil":        "bench/e2e reads it; its setter waits for the benchmark to move off the field",
+	"fleet.Config.AnchorQuantMem":         "bench/e2e reads it; its setter waits for the benchmark to move off the field",
 	"fleet.Config.AnchorQuantAmbientC":    "bench/e2e reads it; its setter waits for the benchmark to move off the field",
 	"fleet.Config.FanCount":               "whether the fleet's fan count becomes a flag or a constant is still open",
 	"fleet.Config.HostShape":              "whether the fleet's host shape becomes a flag or a constant is still open",

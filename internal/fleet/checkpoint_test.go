@@ -422,8 +422,9 @@ func TestCheckpointSimCarriesAnchorCache(t *testing.T) {
 
 // TestCheckpointRestoreQuantizerMismatch: anchor keys address different
 // buckets under different bucket widths — bucket 25 is util 0.25 at width
-// 0.01 and util 0.125 at 0.005 — so a restart with a changed -anchor-quant
-// must drop the cache section (and say so) while everything else restores.
+// 0.01 and util 0.125 at 0.005 — so a checkpoint written under other widths
+// (an older binary's) must drop the cache section (and say so) while
+// everything else restores.
 func TestCheckpointRestoreQuantizerMismatch(t *testing.T) {
 	readings := loadTwinTrace(t)
 	ctl, _ := newTwinController(t, readings)

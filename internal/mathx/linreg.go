@@ -8,53 +8,6 @@ type MultiLinearFit struct {
 	Coef []float64
 }
 
-// FitMultiLinear solves the normal equations (XᵀX)β = Xᵀy with an intercept
-// column, using Gaussian elimination with partial pivoting. It is used by the
-// regression baselines; dimensionality is small (≤ ~16) so the O(d³) solve is
-// negligible.
-func FitMultiLinear(features [][]float64, ys []float64) (MultiLinearFit, error) {
-	n := len(features)
-	if n == 0 {
-		return MultiLinearFit{}, ErrEmpty
-	}
-	if n != len(ys) {
-		return MultiLinearFit{}, ErrLengthMismatch
-	}
-	d := len(features[0]) + 1 // +1 intercept
-	for _, row := range features {
-		if len(row)+1 != d {
-			return MultiLinearFit{}, errors.New("mathx: ragged feature rows")
-		}
-	}
-	if n < d {
-		return MultiLinearFit{}, errors.New("mathx: underdetermined system")
-	}
-
-	// Build XᵀX (d×d) and Xᵀy (d).
-	xtx := make([][]float64, d)
-	for i := range xtx {
-		xtx[i] = make([]float64, d)
-	}
-	xty := make([]float64, d)
-	row := make([]float64, d)
-	for i := 0; i < n; i++ {
-		row[0] = 1
-		copy(row[1:], features[i])
-		for a := 0; a < d; a++ {
-			for b := 0; b < d; b++ {
-				xtx[a][b] += row[a] * row[b]
-			}
-			xty[a] += row[a] * ys[i]
-		}
-	}
-
-	coef, err := solveGaussian(xtx, xty)
-	if err != nil {
-		return MultiLinearFit{}, err
-	}
-	return MultiLinearFit{Coef: coef}, nil
-}
-
 // At evaluates the multivariate fit on a feature vector.
 func (f MultiLinearFit) At(x []float64) float64 {
 	y := f.Coef[0]
@@ -67,9 +20,12 @@ func (f MultiLinearFit) At(x []float64) float64 {
 }
 
 // FitRidge solves the Tikhonov-regularized normal equations
-// (XᵀX + λI)β = Xᵀy with an unpenalized intercept. Regularization makes the
-// solve well-posed under exact collinearity (e.g. one-hot fractions that sum
-// to 1, or constant columns), which plain least squares rejects as singular.
+// (XᵀX + λI)β = Xᵀy with an unpenalized intercept, by Gaussian elimination
+// with partial pivoting; dimensionality is small (≤ ~16), so the O(d³) solve
+// is negligible. λ = 0 is ordinary least squares, which needs at least as
+// many rows as coefficients and rejects exact collinearity as singular; any
+// λ > 0 makes the solve well-posed under it (e.g. one-hot fractions that sum
+// to 1, or constant columns).
 func FitRidge(features [][]float64, ys []float64, lambda float64) (MultiLinearFit, error) {
 	n := len(features)
 	if n == 0 {
@@ -78,16 +34,20 @@ func FitRidge(features [][]float64, ys []float64, lambda float64) (MultiLinearFi
 	if n != len(ys) {
 		return MultiLinearFit{}, ErrLengthMismatch
 	}
-	if lambda <= 0 {
-		return MultiLinearFit{}, errors.New("mathx: ridge lambda must be > 0")
+	if !(lambda >= 0) {
+		return MultiLinearFit{}, errors.New("mathx: ridge lambda must be ≥ 0")
 	}
-	d := len(features[0]) + 1
+	d := len(features[0]) + 1 // +1 intercept
 	for _, row := range features {
 		if len(row)+1 != d {
 			return MultiLinearFit{}, errors.New("mathx: ragged feature rows")
 		}
 	}
+	if lambda == 0 && n < d {
+		return MultiLinearFit{}, errors.New("mathx: underdetermined system")
+	}
 
+	// Build XᵀX (d×d) and Xᵀy (d).
 	xtx := make([][]float64, d)
 	for i := range xtx {
 		xtx[i] = make([]float64, d)

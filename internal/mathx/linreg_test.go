@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// TestFitMultiLinearExact: λ = 0 is ordinary least squares, exact on a
+// noiseless plane.
 func TestFitMultiLinearExact(t *testing.T) {
 	// y = 1 + 2a - 3b
 	features := [][]float64{
@@ -14,7 +16,7 @@ func TestFitMultiLinearExact(t *testing.T) {
 	for i, f := range features {
 		ys[i] = 1 + 2*f[0] - 3*f[1]
 	}
-	fit, err := FitMultiLinear(features, ys)
+	fit, err := FitRidge(features, ys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,21 +31,22 @@ func TestFitMultiLinearExact(t *testing.T) {
 	}
 }
 
+// TestFitMultiLinearErrors: what ordinary least squares (λ = 0) refuses.
 func TestFitMultiLinearErrors(t *testing.T) {
-	if _, err := FitMultiLinear(nil, nil); err == nil {
+	if _, err := FitRidge(nil, nil, 0); err == nil {
 		t.Error("expected error for empty input")
 	}
-	if _, err := FitMultiLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := FitRidge([][]float64{{1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("expected error for length mismatch")
 	}
-	if _, err := FitMultiLinear([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+	if _, err := FitRidge([][]float64{{1, 2}, {1}}, []float64{1, 2}, 0); err == nil {
 		t.Error("expected error for ragged rows")
 	}
-	if _, err := FitMultiLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, err := FitRidge([][]float64{{1, 2}}, []float64{1}, 0); err == nil {
 		t.Error("expected error for underdetermined system")
 	}
 	// Collinear features -> singular normal equations.
-	if _, err := FitMultiLinear([][]float64{{1, 2}, {2, 4}, {3, 6}}, []float64{1, 2, 3}); err == nil {
+	if _, err := FitRidge([][]float64{{1, 2}, {2, 4}, {3, 6}}, []float64{1, 2, 3}, 0); err == nil {
 		t.Error("expected error for singular system")
 	}
 }
@@ -71,7 +74,7 @@ func TestFitRidgeHandlesCollinearity(t *testing.T) {
 	// Feature 2 = 2 × feature 1: singular for OLS, fine for ridge.
 	features := [][]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}}
 	ys := []float64{3, 6, 9, 12} // y = 3*x1
-	if _, err := FitMultiLinear(features, ys); err == nil {
+	if _, err := FitRidge(features, ys, 0); err == nil {
 		t.Fatal("OLS should reject collinear features")
 	}
 	fit, err := FitRidge(features, ys, 1e-8)
@@ -91,7 +94,7 @@ func TestFitRidgeMatchesOLSWhenWellPosed(t *testing.T) {
 	for i, f := range features {
 		ys[i] = 2 + f[0] - 0.5*f[1]
 	}
-	ols, err := FitMultiLinear(append([][]float64{}, features...), append([]float64{}, ys...))
+	ols, err := FitRidge(append([][]float64{}, features...), append([]float64{}, ys...), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +116,11 @@ func TestFitRidgeValidation(t *testing.T) {
 	if _, err := FitRidge([][]float64{{1}}, []float64{1, 2}, 1e-6); err == nil {
 		t.Error("mismatch should fail")
 	}
-	if _, err := FitRidge([][]float64{{1}}, []float64{1}, 0); err == nil {
-		t.Error("zero lambda should fail")
+	if _, err := FitRidge([][]float64{{1}, {2}}, []float64{1, 2}, -1e-6); err == nil {
+		t.Error("negative lambda should fail")
+	}
+	if _, err := FitRidge([][]float64{{1}, {2}}, []float64{1, 2}, math.NaN()); err == nil {
+		t.Error("NaN lambda should fail")
 	}
 	if _, err := FitRidge([][]float64{{1, 2}, {1}}, []float64{1, 2}, 1e-6); err == nil {
 		t.Error("ragged rows should fail")

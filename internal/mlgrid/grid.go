@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"vmtherm/internal/mathx"
+	"vmtherm/internal/shard"
 	"vmtherm/internal/svm"
 )
 
@@ -183,34 +184,12 @@ func search(ctx context.Context, x [][]float64, y []float64, cfg Config) (best R
 	}
 	grams = newGramSet(x, cfg, points)
 
-	workers := min(runtime.GOMAXPROCS(0), len(points))
-
-	jobs := make(chan int)
 	results := make([]Result, len(points))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				p := points[idx]
-				mse, err := crossValidate(ctx, x, y, folds, cfg, p, grams)
-				results[idx] = Result{Point: p, MSE: mse, Err: err}
-			}
-		}()
-	}
-	// Feed jobs; stop early on cancellation.
-feed:
-	for _, i := range order {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- i:
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := shard.Each(ctx, len(order), runtime.GOMAXPROCS(0), func(k int) {
+		p := points[order[k]]
+		mse, err := crossValidate(ctx, x, y, folds, cfg, p, grams)
+		results[order[k]] = Result{Point: p, MSE: mse, Err: err}
+	}); err != nil {
 		return Result{}, nil, nil, fmt.Errorf("mlgrid: search cancelled: %w", err)
 	}
 

@@ -56,7 +56,6 @@ func testServerWithFleet(t *testing.T, ctl *fleet.Controller) (*Client, *predict
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client, err := New(ts.URL)

@@ -35,7 +35,6 @@ func TestReadyzFollowsProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -86,7 +85,6 @@ func TestFleetCheckpointEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts2 := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts2.Close)
 	resp2, err := http.Get(ts2.URL + "/v1/fleet/checkpoint")
@@ -118,7 +116,6 @@ func TestMetricsExposeCheckpointCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rw := httptest.NewRecorder()

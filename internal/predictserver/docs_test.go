@@ -92,7 +92,7 @@ func TestAPIDocCoversAllMetrics(t *testing.T) {
 
 	fc := fleet.DefaultConfig()
 	fc.Racks, fc.HostsPerRack, fc.Seed = 1, 2, 11
-	rt, err := daemon.StartInProcess(context.Background(), fc, 12, 0)
+	rt, err := daemon.StartInProcess(context.Background(), fc, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

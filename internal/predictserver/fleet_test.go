@@ -94,7 +94,6 @@ func TestFleetHotspotsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -130,7 +129,6 @@ func TestFleetPlaceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -193,7 +191,6 @@ func TestFleetPlaceBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -293,7 +290,6 @@ func TestPlaceInfeasibleShapeIsCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	post := func(path, body string) (rec *httptest.ResponseRecorder, took time.Duration, alloc uint64) {
 		var before, after runtime.MemStats

@@ -38,7 +38,6 @@ func TestOversizedBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	h := srv.Handler()
 
 	posts := 0
@@ -111,7 +110,6 @@ func TestIngestHostIDBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	post := func(ids ...string) *httptest.ResponseRecorder {
 		var req FleetIngestRequest
@@ -191,7 +189,6 @@ func TestPlaceBatchExplicitTasksBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	post := func(body string) (*httptest.ResponseRecorder, uint64) {
 		var before, after runtime.MemStats
@@ -237,7 +234,6 @@ func TestPlaceVMIDBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	post := func(path, body string) (*httptest.ResponseRecorder, uint64) {
 		var before, after runtime.MemStats
@@ -349,7 +345,6 @@ func FuzzPlaceBatchBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.Close)
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		diffPlaceRequest(t, body)

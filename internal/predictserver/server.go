@@ -9,18 +9,21 @@
 // schedulers consume predictions for hundreds of hosts per round, so
 // alongside the single-item endpoints it serves batch variants backed by
 // the unified session engine (internal/engine — the same sharded
-// striped-lock lifecycle the fleet control plane drives) and a worker pool,
-// with the stable path funnelled through the SVM batch kernel.
+// striped-lock lifecycle the fleet control plane drives), fanned across
+// cores in contiguous chunks by internal/shard, with the stable path
+// funnelled through the SVM batch kernel.
 package predictserver
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,6 +33,7 @@ import (
 	"vmtherm/internal/engine"
 	"vmtherm/internal/fleet"
 	"vmtherm/internal/scenario"
+	"vmtherm/internal/shard"
 )
 
 // MaxBatchItems caps the item count of one batch request. A datacenter
@@ -76,14 +80,14 @@ func writeBodyError(w http.ResponseWriter, err error) {
 }
 
 // Server routes prediction requests to a trained model and manages dynamic
-// sessions. Create with New; it is safe for concurrent use. Call Close when
-// done to release the worker pool.
+// sessions. Create with New; it is safe for concurrent use.
 type Server struct {
 	model *core.StablePredictor
 	// eng is the unified session engine: the same lifecycle implementation
 	// the fleet control plane drives, here keyed by service-issued ids.
-	eng  *engine.Engine
-	pool *workerPool
+	eng *engine.Engine
+	// workers bounds the goroutines one batch request fans out to.
+	workers int
 	// fleet, when attached via WithFleet, serves the /v1/fleet endpoints:
 	// the Δ_gap-ahead hotspot map, thermal-aware placement, and telemetry
 	// ingest.
@@ -121,15 +125,18 @@ type serverMetrics struct {
 // Option customizes a Server.
 type Option func(*Server)
 
-// WithWorkers sets the worker-pool size for batch evaluation (default:
-// GOMAXPROCS).
+// WithWorkers bounds the goroutines one batch request is split across
+// (≤ 0, the default: GOMAXPROCS; 1: every batch runs on its request's own
+// goroutine). Answers are the same bytes whatever it is set to.
 func WithWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.pool = newWorkerPool(n)
-		}
-	}
+	return func(s *Server) { s.workers = n }
 }
+
+// minBatchChunk is the batch size one goroutine is worth: a batch of n items
+// splits into at most ⌈n/minBatchChunk⌉ chunks, so one of 64 items or fewer
+// runs on its request's own goroutine, where a split would cost more than it
+// saves.
+const minBatchChunk = 64
 
 // New creates a server around a trained stable model.
 func New(model *core.StablePredictor, opts ...Option) (*Server, error) {
@@ -147,17 +154,15 @@ func New(model *core.StablePredictor, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.pool == nil {
-		s.pool = newWorkerPool(0)
+	if s.workers <= 0 {
+		s.workers = runtime.GOMAXPROCS(0)
 	}
 	return s, nil
 }
 
-// Close stops the worker pool. The server must not serve requests after
-// Close.
-func (s *Server) Close() {
-	s.pool.close()
-}
+// Close does nothing: a Server holds no goroutine or handle between
+// requests. It stays because bench/e2e calls it.
+func (s *Server) Close() {}
 
 // route is one registered endpoint: the exact mux pattern plus its handler.
 type route struct {
@@ -288,32 +293,30 @@ func (s *Server) serveStableBatch(w http.ResponseWriter, r *http.Request, sc *wi
 	}
 	out := sized(sc.temps.StableTempsC, len(req.Rows))
 	sc.temps.StableTempsC = out
-	var errMu sync.Mutex
-	var firstErr error
-	s.pool.dispatch(len(req.Rows), func(lo, hi int) {
-		scratch, _ := s.scratch.Get().(*core.PredictScratch)
-		if scratch == nil {
-			scratch = new(core.PredictScratch)
-		}
-		err := s.model.PredictBatchInto(req.Rows[lo:hi], out[lo:hi], scratch)
-		s.scratch.Put(scratch)
-		if err != nil {
-			// A row error rejects the whole batch: rows are validated
-			// before evaluation, so any error means malformed input,
-			// not a partial result.
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-		}
-	})
-	if firstErr != nil {
-		writeError(w, http.StatusUnprocessableEntity, firstErr)
+	if err := shard.Run(len(req.Rows), s.workers, minBatchChunk, func(lo, hi int) error {
+		return s.predictInto(req.Rows[lo:hi], out[lo:hi])
+	}); err != nil {
+		// A row error rejects the whole batch: rows are validated before
+		// evaluation, so any error means malformed input, not a partial
+		// result. A chunk numbers its rows from its own start; one pass
+		// over the whole batch stops at the request's first bad row and
+		// names it by its index in the request.
+		writeError(w, http.StatusUnprocessableEntity, cmp.Or(s.predictInto(req.Rows, out), err))
 		return
 	}
 	s.metrics.stableItems.Add(int64(len(req.Rows)))
 	sc.writeWire(w, &sc.temps)
+}
+
+// predictInto predicts rows into out on a pooled scratch.
+func (s *Server) predictInto(rows [][]float64, out []float64) error {
+	scratch, _ := s.scratch.Get().(*core.PredictScratch)
+	if scratch == nil {
+		scratch = new(core.PredictScratch)
+	}
+	err := s.model.PredictBatchInto(rows, out, scratch)
+	s.scratch.Put(scratch)
+	return err
 }
 
 // SessionRequest opens a dynamic prediction session. ψ_stable comes either
@@ -456,7 +459,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]ObserveBatchResult, len(req.Items))
-	s.pool.dispatch(len(req.Items), func(lo, hi int) {
+	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			item := req.Items[i]
 			gamma, err := s.eng.Observe(item.ID, item.T, item.TempC)
@@ -469,6 +472,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 				results[i].Gamma = gamma
 			}
 		}
+		return nil
 	})
 	s.metrics.observeItems.Add(int64(len(req.Items)))
 	writeJSON(w, http.StatusOK, ObserveBatchResponse{Results: results})
@@ -504,7 +508,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]PredictBatchResult, len(req.Items))
-	s.pool.dispatch(len(req.Items), func(lo, hi int) {
+	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			item := req.Items[i]
 			tempC, gamma, err := s.eng.Predict(item.ID, item.T)
@@ -514,6 +518,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			results[i].TempC, results[i].Gamma = tempC, gamma
 		}
+		return nil
 	})
 	s.metrics.predictItems.Add(int64(len(req.Items)))
 	writeJSON(w, http.StatusOK, PredictBatchResponse{Results: results})

@@ -62,7 +62,6 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, dataset.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, rec
@@ -421,6 +420,112 @@ func TestStableBatchBadRows(t *testing.T) {
 	}
 }
 
+// TestStableBatchNamesRequestRow: a 422 names the bad row by its index in
+// the request and, with several bad rows, the lowest — whichever chunk of
+// the split batch found it first.
+func TestStableBatchNamesRequestRow(t *testing.T) {
+	m, rec := testModel(t)
+	srv, err := New(m, WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for _, tc := range []struct {
+		bad  []int
+		want int
+	}{{[]int{40, 100}, 40}, {[]int{100}, 100}, {[]int{127, 3}, 3}} {
+		rows := make([][]float64, 128)
+		for i := range rows {
+			rows[i] = rec.Features
+		}
+		for _, i := range tc.bad {
+			rows[i] = []float64{1, 2}
+		}
+		status, body := postRaw(t, ts.URL+"/v1/stable/batch", StableBatchRequest{Rows: rows})
+		if want := fmt.Sprintf("batch row %d:", tc.want); status != http.StatusUnprocessableEntity || !strings.Contains(body, want) {
+			t.Errorf("bad rows %v: %d %s; want 422 naming %q", tc.bad, status, body, want)
+		}
+	}
+}
+
+// TestBatchAnswersIndependentOfWorkers: the batch routes answer the same
+// bytes, a 422 included, whether a batch runs on its request's goroutine or
+// is split across four.
+func TestBatchAnswersIndependentOfWorkers(t *testing.T) {
+	m, rec := testModel(t)
+	const n = 300
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = append([]float64(nil), rec.Features...)
+		rows[i][i%len(rec.Features)] *= 1 + float64(i%7)/50
+	}
+	badRows := append([][]float64(nil), rows...)
+	badRows[70], badRows[250] = []float64{1}, []float64{1, 2, 3}
+	observe := make([]ObserveBatchItem, n)
+	predict := make([]PredictBatchItem, n)
+	for i := range observe {
+		id, tempC := fmt.Sprintf("s%d", i+1), 30+float64(i%13)
+		switch i % 17 {
+		case 5:
+			id = "ghost"
+		case 11:
+			tempC = 1e6 // implausible
+		}
+		observe[i] = ObserveBatchItem{ID: id, T: 15, TempC: tempC}
+		predict[i] = PredictBatchItem{ID: id, T: 75}
+	}
+	answers := func(workers int) []string {
+		srv, err := New(m, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		for i := range n {
+			stable := 50 + float64(i%10)
+			if status, body := postRaw(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: &stable}); status != http.StatusCreated {
+				t.Fatalf("open session: %d %s", status, body)
+			}
+		}
+		var out []string
+		for _, req := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/stable/batch", StableBatchRequest{Rows: rows}},
+			{"/v1/stable/batch", StableBatchRequest{Rows: badRows}},
+			{"/v1/session/batch/observe", ObserveBatchRequest{Items: observe}},
+			{"/v1/session/batch/predict", PredictBatchRequest{Items: predict}},
+		} {
+			status, body := postRaw(t, ts.URL+req.path, req.body)
+			out = append(out, fmt.Sprintf("%s %d %s", req.path, status, body))
+		}
+		return out
+	}
+	serial, split := answers(1), answers(4)
+	for i := range serial {
+		if serial[i] != split[i] {
+			t.Errorf("workers 1 and 4 answer differently:\n%.300s\n%.300s", serial[i], split[i])
+		}
+	}
+	if !strings.Contains(serial[1], "422") || !strings.Contains(serial[1], "batch row 70:") {
+		t.Errorf("bad batch: %.300s; want a 422 naming row 70", serial[1])
+	}
+}
+
+// postRaw posts body as JSON and returns the status and the body read back.
+func postRaw(t *testing.T, url string, body any) (int, string) {
+	t.Helper()
+	resp := postJSON(t, url, body)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
 func TestSessionBatchObservePredict(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 
@@ -508,7 +613,7 @@ func TestBatchTooLarge(t *testing.T) {
 }
 
 // TestConcurrentBatchEndpoints drives the batch HTTP surface from many
-// goroutines at once to exercise the worker pool and striped locks together.
+// goroutines at once to exercise the split batches and striped locks together.
 func TestConcurrentBatchEndpoints(t *testing.T) {
 	_, ts, rec := newTestServer(t)
 

@@ -814,7 +814,6 @@ func TestWireScratchNotRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
 
 	const workers, rounds, perPush = 4, 12, 8
 	want, err := m.PredictFeatures(rec.Features)
@@ -929,7 +928,6 @@ func TestPlaceScratchNotRetained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(srv.Close)
 		return srv, ctl
 	}
 	srv, ctl := newFleet()
@@ -1035,7 +1033,6 @@ func FuzzIngestBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.Close)
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		diffIngestRequest(t, body)

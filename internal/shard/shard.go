@@ -1,12 +1,16 @@
-// Package shard splits an index range across a bounded pool of goroutines
-// without adding nondeterminism of its own: the simulated fleet's rack
-// ticks and scans, the control plane's anchor batches and the engine round
-// all fan out through Run.
+// Package shard is the one way the program fans independent work across
+// cores, without adding nondeterminism of its own. Run splits an index range
+// into contiguous chunks (the simulated fleet's rack ticks and scans, the
+// control plane's anchor batches, the engine round, the server's batch
+// handlers); Each hands out single indices in order (the Eq. (2) training
+// experiments and the grid search's points, whose costs vary).
 package shard
 
 import (
 	"cmp"
+	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // MinHosts gates the fan-outs whose per-host work is light — the simulated
@@ -16,9 +20,9 @@ import (
 // Values are bit-identical on both sides of the gate.
 const MinHosts = 1024
 
-// Chunks is how Run splits [0, n) across at most workers goroutines of at
-// least minPer indices each (below that the goroutine overhead outweighs the
-// work): count chunks, chunk k being [k·size, (k+1)·size) clipped to n.
+// Chunks is how Run splits [0, n): into at most workers chunks and at most
+// ⌈n/minPer⌉ (below about minPer indices a goroutine's overhead outweighs
+// its work), count chunks, chunk k being [k·size, (k+1)·size) clipped to n.
 func Chunks(n, workers, minPer int) (count, size int) {
 	if workers = min(workers, (n+minPer-1)/minPer); workers <= 1 {
 		return 1, max(n, 1)
@@ -46,4 +50,35 @@ func Run(n, workers, minPer int, fn func(lo, hi int) error) error {
 	}
 	wg.Wait()
 	return cmp.Or(errs...)
+}
+
+// Each calls fn(i) for every i in [0, n), handing the indices out in
+// increasing order to at most workers goroutines, and returns once every
+// call has. Once ctx is done it hands out no further index; calls already
+// running finish, and Each returns ctx.Err(). With workers ≤ 1 it runs
+// inline, in order, with no goroutine.
+func Each(ctx context.Context, n, workers int, fn func(i int)) error {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
+		}
+		return ctx.Err()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
 }

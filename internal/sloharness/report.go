@@ -96,7 +96,7 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 		}
 	}
 	pf("# Measured serving capacity\n\n")
-	pf("Generated %s against %s by `vmtherm-loadgen -mode slo`.\n\n", r.GeneratedAt, r.Host)
+	pf("Generated %s against %s by `vmtherm-loadgen`.\n\n", r.GeneratedAt, r.Host)
 	pf("Max sustainable RPS is the highest offered rate whose measured window\n")
 	pf("satisfied the declared SLO (tail latency at the quantile, error rate\n")
 	pf("≤ 1%%, achieved ≥ 90%% of offered). See docs/CAPACITY.md for how to\n")
