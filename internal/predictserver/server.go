@@ -86,6 +86,10 @@ type Server struct {
 	// eng is the unified session engine: the same lifecycle implementation
 	// the fleet control plane drives, here keyed by service-issued ids.
 	eng *engine.Engine
+	// sessions counts the live HTTP sessions plus the creates in flight;
+	// sessionCap bounds it (maxSessions outside tests). See reserveSession.
+	sessions   atomic.Int64
+	sessionCap int64
 	// workers bounds the goroutines one batch request fans out to.
 	workers int
 	// fleet, when attached via WithFleet, serves the /v1/fleet endpoints:
@@ -114,6 +118,8 @@ type serverMetrics struct {
 	observeItems atomic.Int64 // session observations served (single + batch)
 	predictItems atomic.Int64 // session predictions served (single + batch)
 	ingestItems  atomic.Int64 // readings accepted via POST /v1/fleet/ingest
+	// sessionsRefused counts creates answered 429 at the session cap.
+	sessionsRefused atomic.Int64
 	// Placement decisions served (single + batch endpoints), by status, and
 	// the size of the last batch served (gauge).
 	placePlaced    atomic.Int64
@@ -148,8 +154,9 @@ func New(model *core.StablePredictor, opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		model: model,
-		eng:   eng,
+		model:      model,
+		eng:        eng,
+		sessionCap: maxSessions,
 	}
 	for _, o := range opts {
 		o(s)
@@ -339,6 +346,27 @@ type SessionResponse struct {
 	StableTempC float64 `json:"stable_temp_c"`
 }
 
+// maxSessions bounds the live HTTP sessions. Nothing but DELETE ends one,
+// so without a bound a client that never deletes grows the server until it
+// runs out of memory; 65,536 sessions hold about 13 MB.
+const maxSessions = 1 << 16
+
+// reserveSession takes one session slot under sessionCap, reporting false
+// when none is left. It compares and swaps rather than adding and undoing,
+// so the cap holds exactly under concurrent creates and a refused create
+// never makes another one see the cap.
+func (s *Server) reserveSession() bool {
+	for {
+		n := s.sessions.Load()
+		if n >= s.sessionCap {
+			return false
+		}
+		if s.sessions.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	if !decodeBody(w, r, &req, maxItemBodyBytes) {
@@ -360,6 +388,12 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if !s.reserveSession() {
+		s.metrics.sessionsRefused.Add(1)
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("session limit reached: %d live sessions; delete one to create another", s.sessionCap))
+		return
+	}
 	id := s.eng.NewID()
 	err := s.eng.Create(id, engine.SessionParams{
 		Phi0:         req.Phi0,
@@ -371,6 +405,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		CurveDeltaS:  req.CurveDeltaS,
 	})
 	if err != nil {
+		s.sessions.Add(-1)
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
@@ -529,6 +564,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errors.New("unknown session"))
 		return
 	}
+	s.sessions.Add(-1)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vmtherm/internal/core"
@@ -766,5 +767,76 @@ func TestStableRoutesAnswerTheSameBytes(t *testing.T) {
 	}
 	if want := `{"stable_temps_c":[` + number + `]}`; batch != want {
 		t.Errorf("one-row batch answered %s, the single route %s", batch, single)
+	}
+}
+
+// TestSessionCap lowers the live-session cap and fills it from concurrent
+// creates: exactly the cap succeed, the rest answer 429 naming the limit and
+// count as refusals, and one delete frees a slot for the next create.
+func TestSessionCap(t *testing.T) {
+	srv, ts, _ := newTestServer(t)
+	const sessionCap, workers, perWorker = 500, 8, 125
+	srv.sessionCap = sessionCap
+	body := []byte(`{"phi0":20,"stable_temp_c":60}`)
+	h := srv.Handler()
+	var created, refused atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/session", bytes.NewReader(body)))
+				switch rec.Code {
+				case http.StatusCreated:
+					created.Add(1)
+				case http.StatusTooManyRequests:
+					refused.Add(1)
+					if !strings.Contains(rec.Body.String(), "500 live sessions") {
+						t.Errorf("429 body %q does not name the limit", rec.Body)
+						return
+					}
+				default:
+					t.Errorf("create answered %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if created.Load() != sessionCap || srv.eng.Len() != sessionCap {
+		t.Fatalf("%d creates succeeded, %d sessions live; want %d of each", created.Load(), srv.eng.Len(), sessionCap)
+	}
+	if got, want := srv.metrics.sessionsRefused.Load(), int64(workers*perWorker-sessionCap); got != want || refused.Load() != want {
+		t.Errorf("refusal counter %d, refusals seen %d; want %d", got, refused.Load(), want)
+	}
+
+	create := func() int {
+		resp := postJSON(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: new(float64)})
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := create(); code != http.StatusTooManyRequests {
+		t.Fatalf("create past the cap answered %d, want 429", code)
+	}
+	// Ids are issued only to reserved creates, so s1 is one of the live ones.
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/session/s1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete answered %d", resp.StatusCode)
+	}
+	if code := create(); code != http.StatusCreated {
+		t.Fatalf("create after a delete answered %d, want 201", code)
+	}
+	if code := create(); code != http.StatusTooManyRequests {
+		t.Fatalf("create past the cap again answered %d, want 429", code)
 	}
 }

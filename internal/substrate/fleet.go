@@ -58,8 +58,8 @@ type simHost struct {
 	sensor *thermal.Sensor
 	driven []drivenTask
 	// fault corrupts this host's emitted readings without touching its
-	// physics: the sensor still reads (and draws noise) on schedule, the
-	// transform applies at the emission point only.
+	// physics: the sensor still reads (and takes its next noise value) on
+	// schedule, the transform applies at the emission point only.
 	fault SensorFault
 	// view memoises the placed VMs as VMSpecs in HostStateCase's order
 	// (see deployment); viewTasks backs their Tasks slices. util and mem
@@ -186,8 +186,8 @@ type Fleet struct {
 	// coupling step and stay bit-identical to the pre-scenario physics.
 	crac *cracDynamics
 	// dark is a fleet-wide telemetry blackout: every host keeps running and
-	// heating, but the sensor sweep emits nothing (and performs no reads or
-	// rng draws while dark).
+	// heating, but the sensor sweep emits nothing (and performs no reads, so
+	// no sensor takes a noise value or draws while dark).
 	dark bool
 }
 
@@ -196,7 +196,8 @@ type Fleet struct {
 // goroutines the tick, the sensor sweep and ScanAnchors shard racks across
 // (1 runs them serially); results are bit-identical for every value. cfg
 // must be valid (Config.Validate). Rack r's slot s is host "r<r>-h<s>", and
-// its sensor draws from the stream "fleet-sensor:" + that id.
+// its sensor draws from the stream "fleet-sensor:" + that id, staggered by
+// the host's fleet-wide slot (thermal.NewSensor).
 func New(cfg Config, shape vmm.HostConfig, fanCount, workers int) (*Fleet, error) {
 	return newFleet(cfg, shape, fanCount, workers, func(r, s int) (string, string) {
 		id := fmt.Sprintf("r%d-h%d", r, s)
@@ -237,7 +238,7 @@ func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func
 			if err != nil {
 				return nil, fmt.Errorf("fleet: thermal %s: %w", id, err)
 			}
-			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp, mathx.SplitStable(cfg.Seed, stream))
+			sensor, err := thermal.NewSensor(cfg.Sensor, srv.DieTemp, mathx.SplitStable(cfg.Seed, stream), len(f.hosts))
 			if err != nil {
 				return nil, fmt.Errorf("fleet: sensor %s: %w", id, err)
 			}
@@ -472,10 +473,13 @@ func (f *Fleet) parallel() bool { return f.workers > 1 && len(f.hosts) >= shard.
 
 // Sample reads every host's sensor once and emits the readings, exactly as
 // a fleet of monitoring agents would. The sensor reads and load sweeps fill
-// per-host scratch first — rack-sharded at scale (each host owns its sensor
-// rng, so draws are independent); emission stays serial and in slot order,
-// so the reading stream — and therefore ingest accounting, tee captures and
-// recorded traces — is byte-identical to the serial sweep.
+// per-host scratch first — rack-sharded at scale (each host's sensor owns
+// its rng and noise batch, so reads are independent); emission stays serial
+// and in slot order, so the reading stream — and therefore ingest
+// accounting, tee captures and recorded traces — is byte-identical to the
+// serial sweep. A read takes the sensor's next noise value, drawn ahead in
+// a batch; the batches are staggered by slot, so a sweep refills only a
+// small share of the fleet's (thermal.NewSensor).
 func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 	if f.dark {
 		// Fleet-wide telemetry blackout: the hosts run on and keep heating,
@@ -493,7 +497,7 @@ func (f *Fleet) Sample(emit func(telemetry.Reading) bool) {
 	for i := range f.hosts {
 		v, fault := f.sampleVal[i], f.hosts[i].fault
 		// Injected sensor faults corrupt the *emitted* value only: the read
-		// (and its rng draw) already happened on the healthy schedule, so
+		// (and its noise value) already happened on the healthy schedule, so
 		// clearing a fault restores the exact healthy reading stream.
 		switch fault.Mode {
 		case SensorDropped:
