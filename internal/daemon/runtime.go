@@ -47,6 +47,11 @@ type Runtime struct {
 	handler http.Handler // nil without a model
 	http    *Server      // nil without an address
 
+	// stopSweep ends the idle-session sweep, which closes sweepDone on its
+	// way out (both nil without a model).
+	stopSweep context.CancelFunc
+	sweepDone chan struct{}
+
 	rounded  atomic.Bool // a round has completed: the serving state is trustworthy
 	draining atomic.Bool // Shutdown has begun: /readyz stays 503, no new loops
 	mu       sync.Mutex  // orders loops.Add against Shutdown's Wait
@@ -68,7 +73,7 @@ func Start(addr string, model *core.StablePredictor, ctl *Controller, opts ...pr
 		}
 		return rt, nil
 	}
-	opts = append(opts, predictserver.WithReadiness(rt.ready))
+	opts = append(opts, predictserver.WithReadiness(rt.ready), predictserver.WithClock(clock))
 	if ctl != nil {
 		opts = append(opts, predictserver.WithFleet(ctl.Controller))
 		if ctl.Ckpt != nil {
@@ -85,7 +90,34 @@ func Start(addr string, model *core.StablePredictor, ctl *Controller, opts ...pr
 			return nil, err
 		}
 	}
+	var ctx context.Context
+	ctx, rt.stopSweep = context.WithCancel(context.Background())
+	rt.sweepDone = make(chan struct{})
+	go rt.sweepIdle(ctx, srv, idleSweepEvery)
 	return rt, nil
+}
+
+// clock is the server time HTTP sessions idle on; tests replace it.
+var clock = time.Now
+
+// idleSweepEvery is how often the runtime evicts idle HTTP sessions
+// (predictserver.Server.EvictIdleSessions); tests shorten it.
+var idleSweepEvery = time.Minute
+
+// sweepIdle evicts srv's idle HTTP sessions every period until ctx is done,
+// then closes sweepDone.
+func (rt *Runtime) sweepIdle(ctx context.Context, srv *predictserver.Server, period time.Duration) {
+	defer close(rt.sweepDone)
+	tick := time.NewTicker(period)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C:
+			srv.EvictIdleSessions()
+		}
+	}
 }
 
 // StartInProcess is the self-contained daemon `vmtherm-loadgen -inprocess`
@@ -230,10 +262,11 @@ func (rt *Runtime) Loop(ctx context.Context, l Loop) error {
 
 // Shutdown stops the daemon in the one documented order: /readyz answers 503
 // so balancers stop routing, in-flight requests drain and the listener
-// closes, every running Loop finishes its in-flight round and is awaited
-// (they stop on their ctx or on the listener closing), and only then
-// Controller.Close cuts the final checkpoint — after the last ingest push
-// and the last round that could still have mutated serving state.
+// closes, the idle-session sweep stops, every running Loop finishes its
+// in-flight round and is awaited (they stop on their ctx or on the listener
+// closing), and only then Controller.Close cuts the final checkpoint —
+// after the last ingest push and the last round that could still have
+// mutated serving state.
 func (rt *Runtime) Shutdown() error {
 	rt.mu.Lock()
 	rt.draining.Store(true)
@@ -243,6 +276,10 @@ func (rt *Runtime) Shutdown() error {
 		if derr := rt.http.Drain(); derr != nil {
 			err = fmt.Errorf("http: %w", derr)
 		}
+	}
+	if rt.stopSweep != nil {
+		rt.stopSweep()
+		<-rt.sweepDone
 	}
 	rt.loops.Wait()
 	if rt.Ctl != nil {

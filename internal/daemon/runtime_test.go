@@ -429,3 +429,73 @@ func TestStartInProcessServesAllEndpointFamilies(t *testing.T) {
 		t.Errorf("zero-length feature vector answered %d (model not real?)", rw.Code)
 	}
 }
+
+// TestIdleSessionsEvicted runs the runtime's idle sweep on an injected
+// clock: a session nobody observed or predicted for more than 900 s of
+// server time is evicted, one predicted meanwhile is not, the
+// vmtherm_sessions gauge falls, the eviction counter counts it, and the
+// freed slot is available to a create again.
+func TestIdleSessionsEvicted(t *testing.T) {
+	m := fastModel(t)
+	var offset atomic.Int64 // the injected clock's distance from base, ns
+	base := time.Now()
+	wasClock, wasEvery := clock, idleSweepEvery
+	clock = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	idleSweepEvery = time.Millisecond
+	t.Cleanup(func() { clock, idleSweepEvery = wasClock, wasEvery })
+	rt, err := Start("", m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Shutdown() })
+	do := func(method, path, body string) (int, string) {
+		rw := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rw, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rw.Code, rw.Body.String()
+	}
+	metric := func(name string) string {
+		_, body := do(http.MethodGet, "/metrics", "")
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return ""
+	}
+	for range 2 {
+		if code, body := do(http.MethodPost, "/v1/session", `{"phi0":20,"stable_temp_c":60}`); code != http.StatusCreated {
+			t.Fatalf("create = %d %s", code, body)
+		}
+	}
+	advance := func(s float64) { offset.Add(int64(s * float64(time.Second))) }
+	advance(600)
+	if code, body := do(http.MethodGet, "/v1/session/s1/predict?t=0", ""); code != http.StatusOK {
+		t.Fatalf("predict s1 = %d %s", code, body)
+	}
+	advance(299) // s2 idle 899 s: kept
+	time.Sleep(20 * time.Millisecond)
+	if got := metric("vmtherm_sessions"); got != "2" {
+		t.Fatalf("vmtherm_sessions = %s after 899 s idle, want 2", got)
+	}
+	advance(2) // s2 idle 901 s, s1 301 s
+	deadline := time.Now().Add(5 * time.Second)
+	for metric("vmtherm_sessions") != "1" {
+		if time.Now().After(deadline) {
+			t.Fatalf("vmtherm_sessions = %s 5 s after s2 went idle past 900 s, want 1", metric("vmtherm_sessions"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := metric("vmtherm_sessions_evicted_total"); got != "1" {
+		t.Errorf("vmtherm_sessions_evicted_total = %s, want 1", got)
+	}
+	if code, _ := do(http.MethodGet, "/v1/session/s2/predict?t=0", ""); code != http.StatusNotFound {
+		t.Errorf("evicted s2 answered %d, want 404", code)
+	}
+	if code, _ := do(http.MethodPost, "/v1/session/s1/observe", `{"t":1,"temp_c":30}`); code != http.StatusOK {
+		t.Errorf("kept s1 answered %d, want 200", code)
+	}
+	if code, body := do(http.MethodPost, "/v1/session", `{"phi0":20,"stable_temp_c":60}`); code != http.StatusCreated {
+		t.Errorf("create after the sweep = %d %s", code, body)
+	}
+}

@@ -135,6 +135,11 @@ type session struct {
 	// removed is set, under the shard lock, the moment the session leaves
 	// the session map: the validity rule of every Handle that cached it.
 	removed atomic.Bool
+	// seenS is the idle clock's time at the session's last Create, Observe
+	// or Predict by id, in whole seconds rounded up (so a sweep never
+	// evicts early); only set with idle tracking on (TrackIdle). 32 bits
+	// fit beside removed without growing the session.
+	seenS atomic.Uint32
 }
 
 // localT converts engine time to session-local curve time.
@@ -187,6 +192,10 @@ type Engine struct {
 	// in-flight round and reused across rounds.
 	scratch []roundSlot
 	keyed   []Slot
+	// idleClock is the clock sessions driven by id are stamped with, in
+	// seconds; nil (idle tracking off) for the fleet's engines, whose
+	// rounds evict by telemetry age instead.
+	idleClock func() float64
 }
 
 // New builds an engine.
@@ -265,6 +274,7 @@ func (e *Engine) Create(id string, p SessionParams) error {
 	if err := e.anchor(sess, p); err != nil {
 		return err
 	}
+	e.touch(sess)
 	sh := e.shardFor(id)
 	sh.mu.Lock()
 	if _, dup := sh.sessions[id]; dup {
@@ -275,6 +285,45 @@ func (e *Engine) Create(id string, p SessionParams) error {
 	sh.mu.Unlock()
 	e.count.Add(1)
 	return nil
+}
+
+// TrackIdle turns on idle tracking for sessions a client drives by id: from
+// then on Create, Observe and Predict stamp their session with clock's time
+// (seconds from 0, non-decreasing), and EvictIdle removes the sessions left
+// alone too long. Call it before the engine is shared.
+func (e *Engine) TrackIdle(clock func() float64) { e.idleClock = clock }
+
+// touch stamps s with the idle clock, if idle tracking is on.
+func (e *Engine) touch(s *session) {
+	if e.idleClock != nil {
+		s.seenS.Store(uint32(math.Ceil(e.idleClock())))
+	}
+}
+
+// EvictIdle removes every session that was not created, observed or
+// predicted by id for more than evictAfterS of the idle clock's time — the
+// horizon after which a round forgets a dark host — and reports how many it
+// removed. With idle tracking off it removes nothing.
+func (e *Engine) EvictIdle() int {
+	if e.idleClock == nil {
+		return 0
+	}
+	cutoff := e.idleClock() - evictAfterS
+	n := 0
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		for id, s := range sh.sessions {
+			if float64(s.seenS.Load()) < cutoff {
+				s.removed.Store(true)
+				delete(sh.sessions, id)
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	e.count.Add(-int64(n))
+	return n
 }
 
 // anchor (re)builds s from params, applying engine defaults: afterwards s is
@@ -307,6 +356,7 @@ func (e *Engine) Observe(id string, atS, tempC float64) (float64, error) {
 	if !ok {
 		return 0, ErrNoSession
 	}
+	e.touch(s)
 	return s.observe(atS, tempC), nil
 }
 
@@ -316,6 +366,7 @@ func (e *Engine) Predict(id string, atS float64) (tempC, gamma float64, err erro
 	if !ok {
 		return 0, 0, ErrNoSession
 	}
+	e.touch(s)
 	tempC, gamma = s.predict(atS)
 	return tempC, gamma, nil
 }

@@ -575,3 +575,73 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 		t.Fatalf("found %d float fields", n)
 	}
 }
+
+// TestEvictIdleUnderTraffic sweeps while other goroutines observe, predict
+// and create by id: a session is evicted exactly when its last stamp is more
+// than evictAfterS old, a session in use is never lost, and Len always
+// equals the sessions the map holds. Run it with -race.
+func TestEvictIdleUnderTraffic(t *testing.T) {
+	e, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.EvictIdle() != 0 {
+		t.Fatal("EvictIdle removed sessions with idle tracking off")
+	}
+	var clock sync.Mutex
+	nowS := 0.0
+	e.TrackIdle(func() float64 { clock.Lock(); defer clock.Unlock(); return nowS })
+	advance := func(s float64) { clock.Lock(); nowS += s; clock.Unlock() }
+	p := SessionParams{Phi0: 30, StableC: 60}
+	const idle, busy = 40, 8
+	for i := range idle + busy {
+		if err := e.Create(fmt.Sprintf("s%d", i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	advance(evictAfterS) // every session exactly at the horizon: none evicted
+	if n := e.EvictIdle(); n != 0 {
+		t.Fatalf("EvictIdle at exactly evictAfterS removed %d", n)
+	}
+	for i := idle; i < idle+busy; i++ { // the busy ones are used now, the idle ones not
+		if _, _, err := e.Predict(fmt.Sprintf("s%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range busy {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("s%d", idle+g)
+			for k := range 200 {
+				if _, err := e.Observe(id, float64(k), 40); err != nil {
+					t.Errorf("busy %s lost: %v", id, err)
+					return
+				}
+				if _, _, err := e.Predict(id, float64(k)); err != nil {
+					t.Errorf("busy %s lost: %v", id, err)
+					return
+				}
+				_ = e.Create(fmt.Sprintf("new%d-%d", g, k), p)
+			}
+		}()
+	}
+	evicted := 0
+	for range 50 {
+		evicted += e.EvictIdle()
+		advance(1)
+	}
+	wg.Wait()
+	evicted += e.EvictIdle()
+	if evicted != idle {
+		t.Errorf("evicted %d sessions, want the %d idle ones", evicted, idle)
+	}
+	held := 0
+	for i := range e.shards {
+		held += len(e.shards[i].sessions)
+	}
+	if want := busy + busy*200; held != want || e.Len() != held {
+		t.Errorf("map holds %d sessions, Len %d, want %d", held, e.Len(), want)
+	}
+}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"time"
 
 	"vmtherm/internal/engine"
-	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/workload"
 )
@@ -185,21 +183,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	slices.Sort(snap.StaleHosts)
 	sortHotspots(snap.Hotspots)
 
-	// The two map rewrites touch disjoint maps and only read the prediction
-	// buffer / the host table; at fleet scale Predicted is rewritten on its
-	// own goroutine while this one does Latest.
-	preds := rs.preds
-	if c.cfg.PhysWorkers > 1 && len(c.order) >= shard.MinHosts {
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rewritePredicted(snap.Predicted, preds)
-		}()
-	} else {
-		rewritePredicted(snap.Predicted, preds)
-	}
+	rewritePredicted(snap.Predicted, rs.preds)
 	rewriteLatest(snap.Latest, c.order, c.slots)
 }
 

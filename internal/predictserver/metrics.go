@@ -32,6 +32,8 @@ func boolGauge(b bool) float64 {
 //	vmtherm_sessions                        live dynamic sessions (gauge)
 //	vmtherm_sessions_refused_total          creates refused at the session
 //	                                        cap (counter)
+//	vmtherm_sessions_evicted_total          sessions the idle sweep removed
+//	                                        (counter)
 //	vmtherm_items_total{kind=...}           served work items (counter):
 //	                                        stable | observe | predict | ingest
 //	vmtherm_place_placed_total              placement decisions by status
@@ -75,6 +77,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeMetric(&sb, "vmtherm_sessions", "gauge", "Live dynamic prediction sessions.", "", float64(s.eng.Len()))
 	writeMetric(&sb, "vmtherm_sessions_refused_total", "counter",
 		"Session creates refused with 429 at the live-session cap.", "", float64(s.metrics.sessionsRefused.Load()))
+	writeMetric(&sb, "vmtherm_sessions_evicted_total", "counter",
+		"Sessions removed by the idle sweep after 900 s of server time unobserved and unpredicted.", "", float64(s.metrics.sessionsEvicted.Load()))
 	sb.WriteString("# HELP vmtherm_items_total Work items served, by kind.\n# TYPE vmtherm_items_total counter\n")
 	writeSample(&sb, "vmtherm_items_total", `kind="stable"`, float64(s.metrics.stableItems.Load()))
 	writeSample(&sb, "vmtherm_items_total", `kind="observe"`, float64(s.metrics.observeItems.Load()))

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"vmtherm/internal/checkpoint"
 	"vmtherm/internal/core"
@@ -90,6 +91,8 @@ type Server struct {
 	// sessionCap bounds it (maxSessions outside tests). See reserveSession.
 	sessions   atomic.Int64
 	sessionCap int64
+	// now is the server clock the sessions' idle time is read on.
+	now func() time.Time
 	// workers bounds the goroutines one batch request fans out to.
 	workers int
 	// fleet, when attached via WithFleet, serves the /v1/fleet endpoints:
@@ -118,8 +121,10 @@ type serverMetrics struct {
 	observeItems atomic.Int64 // session observations served (single + batch)
 	predictItems atomic.Int64 // session predictions served (single + batch)
 	ingestItems  atomic.Int64 // readings accepted via POST /v1/fleet/ingest
-	// sessionsRefused counts creates answered 429 at the session cap.
+	// sessionsRefused counts creates answered 429 at the session cap, and
+	// sessionsEvicted the sessions the idle sweep removed.
 	sessionsRefused atomic.Int64
+	sessionsEvicted atomic.Int64
 	// Placement decisions served (single + batch endpoints), by status, and
 	// the size of the last batch served (gauge).
 	placePlaced    atomic.Int64
@@ -136,6 +141,12 @@ type Option func(*Server)
 // goroutine). Answers are the same bytes whatever it is set to.
 func WithWorkers(n int) Option {
 	return func(s *Server) { s.workers = n }
+}
+
+// WithClock sets the clock a session's idle time is read on (default
+// time.Now; see EvictIdleSessions).
+func WithClock(now func() time.Time) Option {
+	return func(s *Server) { s.now = now }
 }
 
 // minBatchChunk is the batch size one goroutine is worth: a batch of n items
@@ -157,10 +168,13 @@ func New(model *core.StablePredictor, opts ...Option) (*Server, error) {
 		model:      model,
 		eng:        eng,
 		sessionCap: maxSessions,
+		now:        time.Now,
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	start := s.now()
+	eng.TrackIdle(func() float64 { return s.now().Sub(start).Seconds() })
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
@@ -346,10 +360,22 @@ type SessionResponse struct {
 	StableTempC float64 `json:"stable_temp_c"`
 }
 
-// maxSessions bounds the live HTTP sessions. Nothing but DELETE ends one,
-// so without a bound a client that never deletes grows the server until it
-// runs out of memory; 65,536 sessions hold about 13 MB.
+// maxSessions bounds the live HTTP sessions. A client that never deletes
+// would otherwise grow the server until it runs out of memory; 65,536
+// sessions hold about 13 MB. The idle sweep (EvictIdleSessions) frees the
+// slots such a client leaves behind.
 const maxSessions = 1 << 16
+
+// EvictIdleSessions removes every session not created, observed or
+// predicted for the engine's eviction horizon (900 s) of server time, frees
+// their slots under the cap, and reports how many it removed. The daemon
+// runtime calls it periodically.
+func (s *Server) EvictIdleSessions() int {
+	n := s.eng.EvictIdle()
+	s.sessions.Add(-int64(n))
+	s.metrics.sessionsEvicted.Add(int64(n))
+	return n
+}
 
 // reserveSession takes one session slot under sessionCap, reporting false
 // when none is left. It compares and swaps rather than adding and undoing,

@@ -14,9 +14,9 @@ import (
 )
 
 // MinHosts gates the fan-outs whose per-host work is light — the simulated
-// fleet's sensor sweep and anchor scan, the snapshot's second goroutine, the
-// engine round: below this population the goroutines cost more than the
-// sweep itself, and small warm fleets keep their zero-allocation passes.
+// fleet's sensor sweep and anchor scan, the engine round: below this
+// population the goroutines cost more than the sweep itself, and small warm
+// fleets keep their zero-allocation passes.
 // Values are bit-identical on both sides of the gate.
 const MinHosts = 1024
 

@@ -174,6 +174,15 @@ type Fleet struct {
 	// sample* are the sensor-sweep scratch for the rack-sharded read phase
 	// (by slot); emission consumes them serially in slot order.
 	sampleVal, sampleUtil, sampleMem []float64
+	// tickUtil and tickCurve are the power-curve memo (by slot): the last
+	// effective utilization a tick saw on the host and its curve point. A
+	// tick recomputes only the points whose utilization's bits changed,
+	// gathered from the rack into blocks for thermal.UtilCurves; equal bits
+	// in give equal bits out, so a host whose load holds skips the curve.
+	// Both start at +0, whose point is +0. stale is each rack's gather
+	// buffer (by rack).
+	tickUtil, tickCurve []float64
+	stale               []curveBlock
 	// scanInlets and scanKeys are ScanAnchors' results (by slot).
 	scanInlets []float64
 	scanKeys   []anchorcache.Key
@@ -249,8 +258,10 @@ func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func
 		f.rackSpan[r][1] = len(f.hosts)
 	}
 	n := len(f.hosts)
-	buf := make([]float64, 4*n)
-	f.sampleVal, f.sampleUtil, f.sampleMem, f.scanInlets = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:]
+	buf := make([]float64, 6*n)
+	f.sampleVal, f.sampleUtil, f.sampleMem, f.scanInlets = buf[:n:n], buf[n:2*n:2*n], buf[2*n:3*n:3*n], buf[3*n:4*n:4*n]
+	f.tickUtil, f.tickCurve = buf[4*n:5*n:5*n], buf[5*n:]
+	f.stale = make([]curveBlock, cfg.Racks)
 	f.scanKeys = make([]anchorcache.Key, n)
 	return f, nil
 }
@@ -425,7 +436,11 @@ func (f *Fleet) shardRacks(fn func(lo, hi int) error) error {
 // utilization. A host's (util, mem) is summed over its VM list only when a
 // driver ran or its deployment changed since the last sum (simHost.loads),
 // and feeds both the rack-mean inlet model and SetLoad. A constant profile
-// the sweep applied leaves driven (see drivenTask).
+// the sweep applied leaves driven (see drivenTask). The integration is
+// three passes over the rack: each server's ambient, load and effective
+// utilization, with the stale curve points gathered (see tickUtil); their
+// new points from thermal.UtilCurves, a block at a time; each server's step
+// at its point.
 func (f *Fleet) tickRack(ri int, t, dt float64) error {
 	span := f.rackSpan[ri]
 	var utilSum float64
@@ -455,15 +470,47 @@ func (f *Fleet) tickRack(ri int, t, dt float64) error {
 		inlets = append(inlets, base+off)
 	}
 	f.rackInlets[ri] = inlets
+	stale := &f.stale[ri]
 	for i := span[0]; i < span[1]; i++ {
-		sh := f.hosts[i]
-		sh.server.SetAmbient(inlets[i-span[0]])
-		sh.server.SetLoad(sh.loads())
-		if err := sh.server.Advance(dt); err != nil {
+		srv := f.hosts[i].server
+		srv.SetAmbient(inlets[i-span[0]])
+		srv.SetLoad(f.hosts[i].loads())
+		if u := srv.EffectiveUtil(); math.Float64bits(u) != math.Float64bits(f.tickUtil[i]) {
+			f.tickUtil[i] = u
+			stale.slot[stale.n], stale.util[stale.n] = i, u
+			if stale.n++; stale.n == len(stale.slot) {
+				f.refreshCurves(stale)
+			}
+		}
+	}
+	if stale.n > 0 {
+		f.refreshCurves(stale)
+	}
+	for i := span[0]; i < span[1]; i++ {
+		if err := f.hosts[i].server.AdvanceCurve(dt, f.tickCurve[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// curveBlock gathers up to 16 of a rack's stale curve points for one
+// thermal.UtilCurves call: their slots and new effective utilizations. It
+// lives in the Fleet, one per rack, so a tick does not clear it.
+type curveBlock struct {
+	n     int
+	slot  [16]int
+	util  [16]float64
+	curve [16]float64
+}
+
+// refreshCurves computes b's curve points into the memo and empties b.
+func (f *Fleet) refreshCurves(b *curveBlock) {
+	thermal.UtilCurves(b.curve[:b.n], b.util[:b.n])
+	for j, i := range b.slot[:b.n] {
+		f.tickCurve[i] = b.curve[j]
+	}
+	b.n = 0
 }
 
 // parallel reports whether the auxiliary sweeps (sensor sampling, anchor

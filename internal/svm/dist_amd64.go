@@ -2,9 +2,7 @@
 
 package svm
 
-// Implemented in dist_amd64.s.
-func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
+import "vmtherm/internal/cpufeat"
 
 // rbfBlocksAVX evaluates Σ coef[k]·e^(-gamma·||sv_k - x||²) over the first
 // 4·blocks support vectors of flat (row-major, stride dim): the squared
@@ -47,48 +45,12 @@ func wss2AVX(gu, gd, au, ad, diag, ri *float64, n int, gmax, qi, s2, c float64, 
 //go:noescape
 func stepAVX(gu, gd, au, ad, ri, rj *float64, n int, ci, cj, c float64, out *[4]lanes)
 
-// useAVX reports whether the AVX2 kernels, RBF and SMO, may run: the CPU
-// must support AVX2 and FMA, and the OS must save ymm state on context
-// switch (OSXSAVE + XCR0 bits 1-2).
-var useAVX = func() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
-	_, _, c, _ := cpuid(1, 0)
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-	)
-	if c&osxsaveBit == 0 || c&avxBit == 0 || c&fmaBit == 0 {
-		return false
-	}
-	if eax, _ := xgetbv(); eax&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0 // AVX2
-}()
-
-// useAVX512 reports whether the 8-lane RBF routine may run: useAVX holds,
-// the CPU supports AVX512F and AVX512DQ, and the OS saves the opmask and
-// zmm state (XCR0 bits 5-7 beside 1-2). Tests clear it to force the 4-lane
-// routine on models flattened afterwards.
-var useAVX512 = func() bool {
-	if !useAVX {
-		return false
-	}
-	if eax, _ := xgetbv(); eax&0xE6 != 0xE6 {
-		return false
-	}
-	const (
-		avx512fBit  = 1 << 16
-		avx512dqBit = 1 << 17
-	)
-	_, b, _, _ := cpuid(7, 0)
-	return b&avx512fBit != 0 && b&avx512dqBit != 0
-}()
+// useAVX reports whether the AVX2 kernels, RBF and SMO, may run (the CPU
+// and the OS support AVX2 and FMA), and useAVX512 whether the 8-lane RBF
+// routine and SMO passes may (AVX512F and AVX512DQ beside them). Both are
+// cpufeat's probe; tests clear useAVX512 to force the 4-lane routine on
+// models flattened afterwards.
+var useAVX, useAVX512 = cpufeat.AVX2FMA, cpufeat.AVX512
 
 // expNegLanes holds expNeg's constants replicated across the four lanes of
 // a ymm register, in the order dist_amd64.s indexes them.

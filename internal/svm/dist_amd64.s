@@ -1,30 +1,11 @@
-// AVX2+FMA kernel for batch RBF evaluation. Only used when runtime CPUID
-// detection (dist_amd64.go) confirms AVX2, FMA and OS ymm-state support;
+// AVX2+FMA kernel for batch RBF evaluation. Only used when the runtime
+// probe (internal/cpufeat) confirms AVX2, FMA and OS ymm-state support;
 // sqDistsGeneric + scalar expNeg are the portable fallback (forced by the
 // noasm build tag).
 
 //go:build amd64 && !noasm
 
 #include "textflag.h"
-
-// func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxIn+0(FP), AX
-	MOVL ecxIn+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // EXPNEG runs expNeg (expneg.go) on four lanes: the same operations in the
 // same order per lane, every product rounded before it is added (no FMA),

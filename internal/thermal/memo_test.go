@@ -42,60 +42,71 @@ func TestConductanceMemoMatchesFormula(t *testing.T) {
 	}
 }
 
-// refAdvance is Server.Advance without either memo: the fan conductance from
-// its formula and the heat from power, math.Pow every tick.
+// refAdvance is one server's tick without the conductance memo or the
+// batched curve: the fan conductance from its formula and the heat from
+// math.Pow, every tick.
 func refAdvance(s *Server, dt float64) error {
 	u := s.EffectiveUtil()
-	return s.step(dt, baseCaseG+perFanG*math.Sqrt(s.fans.Airflow()), power(u, s.memFrac, s.dieC))
+	heat := powerFromCurve(math.Pow(clamp01(u), utilExponent), s.memFrac, s.dieC)
+	return s.step(dt, baseCaseG+perFanG*math.Sqrt(s.fans.Airflow()), heat)
 }
 
-// TestPowerMemoMatchesPower: a server driven through a seeded sequence of
+// TestPowerMemoMatchesPower: servers driven through a seeded sequence of
 // loads (repeated, changed, 0, -0, 1, clamped, fractional), ambient changes,
 // fan faults and advances — hot enough that throttling engages and releases —
-// stays bit-identical, every step, to a twin whose heat comes from power on
-// every tick.
+// stay bit-identical, every step, to twins whose heat comes from math.Pow on
+// every tick. The 20 trials step together as one rack, in the substrate's
+// three passes: loads and effective utilizations, one UtilCurves call for
+// the rack's curve points, then each server's AdvanceCurve.
 func TestPowerMemoMatchesPower(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 30))
-	throttled := 0
-	for trial := 0; trial < 20; trial++ {
+	const trials = 20
+	var srv, ref [trials]*Server
+	var util, mem, effective, curves [trials]float64
+	for k := range srv {
 		p := ServerParams{FanCount: 1 + rng.IntN(4), AmbientC: 22}
-		s, err := NewServer(p)
-		if err != nil {
+		var err error
+		if srv[k], err = NewServer(p); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := NewServer(p)
-		if err != nil {
+		if ref[k], err = NewServer(p); err != nil {
 			t.Fatal(err)
 		}
-		util, mem := 0.0, 0.0
-		for step := 0; step < 2000; step++ {
+	}
+	throttled := 0
+	for step := 0; step < 2000; step++ {
+		for k, s := range srv {
 			switch rng.IntN(10) {
 			case 0, 1, 2: // new load
-				util = []float64{0, math.Copysign(0, -1), 1, 1.7, -0.2, rng.Float64(), rng.Float64()}[rng.IntN(7)]
-				mem = rng.Float64()
+				util[k] = []float64{0, math.Copysign(0, -1), 1, 1.7, -0.2, rng.Float64(), rng.Float64()}[rng.IntN(7)]
+				mem[k] = rng.Float64()
 			case 3:
 				amb := 15 + 25*rng.Float64()
 				s.SetAmbient(amb)
-				ref.SetAmbient(amb)
+				ref[k].SetAmbient(amb)
 			case 4:
-				fanOp(rng, s.Fans(), ref.Fans())
+				fanOp(rng, s.Fans(), ref[k].Fans())
 			}
-			s.SetLoad(util, mem) // re-set every step: repeats are the memo's hits
-			ref.SetLoad(util, mem)
-			if s.EffectiveUtil() < s.util {
+			s.SetLoad(util[k], mem[k]) // re-set every step: repeats change nothing
+			ref[k].SetLoad(util[k], mem[k])
+			effective[k] = s.EffectiveUtil()
+			if effective[k] < s.util {
 				throttled++
 			}
-			dt := []float64{1, 1, 1, 0.5, 5}[rng.IntN(5)]
-			if err := s.Advance(dt); err != nil {
+		}
+		UtilCurves(curves[:], effective[:])
+		dt := []float64{1, 1, 1, 0.5, 5}[rng.IntN(5)]
+		for k, s := range srv {
+			if err := s.AdvanceCurve(dt, curves[k]); err != nil {
 				t.Fatal(err)
 			}
-			if err := refAdvance(ref, dt); err != nil {
+			if err := refAdvance(ref[k], dt); err != nil {
 				t.Fatal(err)
 			}
-			if math.Float64bits(s.DieTemp()) != math.Float64bits(ref.DieTemp()) ||
-				math.Float64bits(s.CaseTemp()) != math.Float64bits(ref.CaseTemp()) {
+			if math.Float64bits(s.DieTemp()) != math.Float64bits(ref[k].DieTemp()) ||
+				math.Float64bits(s.CaseTemp()) != math.Float64bits(ref[k].CaseTemp()) {
 				t.Fatalf("trial %d step %d (util %v): die %v case %v, reference die %v case %v",
-					trial, step, util, s.DieTemp(), s.CaseTemp(), ref.DieTemp(), ref.CaseTemp())
+					k, step, util[k], s.DieTemp(), s.CaseTemp(), ref[k].DieTemp(), ref[k].CaseTemp())
 			}
 		}
 	}

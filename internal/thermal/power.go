@@ -1,7 +1,5 @@
 package thermal
 
-import "math"
-
 // The power model of the reference dual-socket 2U server converts activity
 // into heat (W). It captures the three effects the paper's feature vector
 // must explain: CPU utilization (the dominant term), memory activity, and
@@ -30,15 +28,9 @@ func power(util, memFrac, dieTempC float64) float64 {
 	return powerFromCurve(utilCurve(util), memFrac, dieTempC)
 }
 
-// utilCurve is the utilization→power curve point clamp01(util)^utilExponent,
-// power's one math.Pow. It is a pure function of util's bits, which is what
-// lets Server memoise it across ticks.
-func utilCurve(util float64) float64 {
-	return math.Pow(clamp01(util), utilExponent)
-}
-
 // powerFromCurve is the rest of power, given the curve point utilCurve
-// returned. power and Server's memoised path both run exactly these
+// (curve.go) returned for util. power and Server.AdvanceCurve, whose curve
+// points UtilCurves computes a rack at a time, both run exactly these
 // operations.
 func powerFromCurve(curve, memFrac, dieTempC float64) float64 {
 	memFrac = clamp01(memFrac)

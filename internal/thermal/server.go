@@ -7,7 +7,7 @@
 // Each Server is one two-node circuit, die ↔ case ↔ ambient: the die and
 // the case hold heat (capacitances C_die, C_case), the ambient is a fixed
 // boundary temperature, and two conductances join them — die→case fixed,
-// case→ambient set by the fan bank's airflow. Advance integrates it with
+// case→ambient set by the fan bank's airflow. AdvanceCurve integrates it with
 // explicit Euler. The sub-step is a quarter of the faster node's time
 // constant, min(C_die/G_dc, C_case/(G_dc+G_ca))/4 but at least 1 ms, and
 // a dt is cut into ceil(dt/sub) equal sub-steps, so the scheme is stable
@@ -85,8 +85,9 @@ func finite(kind string, fields []field) error {
 }
 
 // Server is the thermal state of one physical machine. Drive it by setting
-// Load and calling Advance; read the die temperature with DieTemp or through
-// a Sensor.
+// Load and calling AdvanceCurve with the curve point of its EffectiveUtil
+// (UtilCurves computes a rack's at once); read the die temperature with
+// DieTemp or through a Sensor.
 type Server struct {
 	fans *FanBank
 
@@ -98,13 +99,6 @@ type Server struct {
 
 	util    float64 // commanded CPU utilization 0..1
 	memFrac float64 // memory activity 0..1
-
-	// curveBits and curve memoise utilCurve across ticks: the bits of the
-	// last effective utilization Advance saw and its curve point. Equal
-	// bits in give equal bits out, so a host whose utilization holds from
-	// one tick to the next skips math.Pow without changing a result.
-	curveBits uint64
-	curve     float64
 }
 
 // NewServer builds a reference server from params. All nodes start at
@@ -122,8 +116,6 @@ func NewServer(params ServerParams) (*Server, error) {
 		dieC:     params.AmbientC,
 		caseC:    params.AmbientC,
 		ambientC: params.AmbientC,
-		// The memo starts at util +0 (Float64bits(0) == 0).
-		curve: utilCurve(0),
 	}
 	s.setCaseG(fans.Conductance())
 	return s, nil
@@ -163,15 +155,12 @@ func (s *Server) EffectiveUtil() float64 {
 	return u
 }
 
-// Advance integrates the thermal state forward by dt seconds under the
-// current load, fan and ambient conditions. dt must be finite and > 0, and
-// cut into no more sub-steps than an int counts.
-func (s *Server) Advance(dt float64) error {
-	u := s.EffectiveUtil()
-	if b := math.Float64bits(u); b != s.curveBits {
-		s.curveBits, s.curve = b, utilCurve(u)
-	}
-	return s.step(dt, s.fans.Conductance(), powerFromCurve(s.curve, s.memFrac, s.dieC))
+// AdvanceCurve integrates the thermal state forward by dt seconds under the
+// current load, fan and ambient conditions. curve is the power-curve point
+// of the server's EffectiveUtil (UtilCurves). dt must be finite and > 0,
+// and cut into no more sub-steps than an int counts.
+func (s *Server) AdvanceCurve(dt, curve float64) error {
+	return s.step(dt, s.fans.Conductance(), powerFromCurve(curve, s.memFrac, s.dieC))
 }
 
 // step integrates the circuit by dt seconds with case→ambient conductance
