@@ -88,14 +88,13 @@ func BenchmarkFleetRound4k(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRoundTrace4k measures one warm control round of a 4,096-host
-// source-driven fleet — replay, chunked push, drain, cached anchors, engine
-// round, publish — on a looping trace of 16 rounds, so after the first loop
-// every anchor is a cache hit. It runs serial, as bench/e2e's one P does
-// (the sharded engine round spawns its workers each round); warm, it
-// allocates nothing.
-func BenchmarkFleetRoundTrace4k(b *testing.B) {
-	const hosts, rounds = 4096, 16
+const trace4kHosts = 4096
+
+// traceFleet4k builds a 4,096-host source-driven fleet on a looping trace
+// of 16 rounds and runs two loops of it, so every anchor is a cache hit and
+// the snapshot ring is warm.
+func traceFleet4k(b *testing.B) *Controller {
+	const hosts, rounds = trace4kHosts, 16
 	cfg := DefaultConfig()
 	cfg.MaxHosts = hosts
 	cfg.Seed = benchSeed
@@ -125,6 +124,17 @@ func BenchmarkFleetRoundTrace4k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return ctl
+}
+
+// BenchmarkFleetRoundTrace4k measures one warm control round of a 4,096-host
+// source-driven fleet — replay, chunked push, drain, cached anchors, engine
+// round, publish — on a looping trace of 16 rounds, so after the first loop
+// every anchor is a cache hit. It runs serial, as bench/e2e's one P does
+// (the sharded engine round spawns its workers each round); warm, it
+// allocates nothing.
+func BenchmarkFleetRoundTrace4k(b *testing.B) {
+	ctl := traceFleet4k(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,7 +142,26 @@ func BenchmarkFleetRoundTrace4k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts), "ns/host")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trace4kHosts), "ns/host")
+}
+
+// BenchmarkSnapshotFill measures what the round no longer pays: the first
+// ViewSnapshot of a freshly published 4,096-host generation, which fills the
+// legacy Predicted and Latest maps from the columns (a recycled generation's
+// maps, so warm it allocates nothing). The round that publishes each
+// generation runs with the timer stopped.
+func BenchmarkSnapshotFill(b *testing.B) {
+	ctl := traceFleet4k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := ctl.RunRound(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ctl.ViewSnapshot(func(*Snapshot) {})
+	}
 }
 
 // BenchmarkIngestDrain measures the way a reading takes into the host table:

@@ -37,12 +37,15 @@ type Controller struct {
 	// wrote the reading (seen[i] == drainGen: already written this drain).
 	// orderDirty marks membership changes (an empty slot filled, a host
 	// forgotten or discarded) so stable rounds skip the rebuild entirely.
+	// members is the snapshot columns' copy of order, nil from a change of
+	// the table until the next round publishes one.
 	order      []string
 	pos        map[string]int32
 	slots      []engine.Slot
 	seen       []uint64
 	drainGen   uint64
 	orderDirty bool
+	members    *membership
 	pendingP   []MigrationProposal // proposals awaiting reconciliation
 	propTgts   []proposeTarget     // propose's per-round target list (scratch)
 

@@ -32,10 +32,10 @@
 //	drainIngest      pipeline → host table (newest reading per slot, membership), drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
 //	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
-//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, maps), round++
+//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, columns), round++
 //	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
 //	migrate          generation → applied moves, fresh proposals (substrate fleets)
-//	publish          generation → published snapshot (immutable from here on)
+//	publish          generation → published snapshot (columns immutable from here on; maps filled on first borrow)
 //	drainPlacements  pending queue, published map → placed/queued/rejected tally
 //	report           roundState → RoundReport
 package fleet
@@ -137,10 +137,14 @@ func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
 // fleet API serves and what schedulers consume.
 //
 // Snapshots are published as immutable, epoch-versioned generations:
-// ViewSnapshot lends the generation's maps and slices WITHOUT copying, for
-// the duration of its callback, so every field — including map contents —
-// is strictly read-only for consumers. Mutating a borrowed map is a data
-// race.
+// ViewSnapshot lends the generation's maps, slices and columns WITHOUT
+// copying, for the duration of its callback, so every field — including map
+// contents — is strictly read-only for consumers. Mutating a borrowed map is
+// a data race.
+//
+// Per host, the round publishes columns (Len, At). The Predicted and Latest
+// maps are a legacy index over them: no round writes them, and the first
+// ViewSnapshot of a generation fills them, outside the round lock.
 type Snapshot struct {
 	Round      int
 	SimTimeS   float64
@@ -154,6 +158,41 @@ type Snapshot struct {
 	Latest map[string]Reading
 	// StaleHosts lists hosts degraded for stale telemetry, sorted.
 	StaleHosts []string
+
+	// The columns, parallel to members.ids (the host table's order when the
+	// round ran): pred is the Δ_gap-ahead temperature, NaN for a stale or
+	// unpredicted host; latest is the newest reading where present is set.
+	members *membership
+	pred    []float64
+	latest  []Reading
+	present []bool
+}
+
+// HostView is one host's row of a snapshot's columns.
+type HostView struct {
+	ID string
+	// Latest is the newest telemetry reading behind the round, meaningful
+	// only where HasLatest is set.
+	Latest    Reading
+	HasLatest bool
+	// PredictedC is the Δ_gap-ahead temperature, NaN for a stale or
+	// unpredicted host.
+	PredictedC float64
+}
+
+// Len is the number of hosts in the snapshot's columns: the host table when
+// the round ran, including hosts left without a reading.
+func (s *Snapshot) Len() int {
+	if s.members == nil {
+		return 0
+	}
+	return len(s.members.ids)
+}
+
+// At is the k-th host in lexicographic id order, 0 ≤ k < Len().
+func (s *Snapshot) At(k int) HostView {
+	i := s.members.byID[k]
+	return HostView{ID: s.members.ids[i], Latest: s.latest[i], HasLatest: s.present[i], PredictedC: s.pred[i]}
 }
 
 // MigrationProposal asks to move a VM off a predicted hotspot.

@@ -15,13 +15,17 @@ import (
 // engine's cached session handle) and c.seen (the drain's stamp).
 // Membership changes — a host discovered, forgotten, trimmed at MaxHosts,
 // or a restore — rebuild the table and carry surviving slots over; rounds
-// with stable membership never touch pos beyond the drain's reads. All of it
-// is guarded by c.mu.
+// with stable membership never touch pos beyond the drain's reads. Both
+// rebuilds (resetTable, refreshDiscoveredHosts) drop c.members, the
+// snapshot's copy of the ids, so the next round's snapshot takes a new one;
+// a drain's newcomers always end in a rebuild or are cut off again
+// (dropForeignHosts). All of it is guarded by c.mu.
 
 // resetTable makes the table hold exactly the hosts of order, in that
 // order, each without a reading. order's ids must be distinct.
 func (c *Controller) resetTable(order []string) {
 	c.order = append(c.order[:0], order...)
+	c.members = nil
 	c.slots = make([]engine.Slot, len(order))
 	c.seen = make([]uint64, len(order))
 	clear(c.pos)
@@ -136,6 +140,7 @@ func (c *Controller) refreshDiscoveredHosts() (discarded int) {
 	// The stamps only mean something inside a drain, and the next drain's
 	// generation matches none of them.
 	c.order, c.slots, c.seen = order, slots, c.seen[:len(keep)]
+	c.members = nil
 	c.orderDirty = false
 	return discarded
 }

@@ -8,15 +8,17 @@ import (
 
 // reconcile applies pending migration proposals that are still valid — the
 // source must still be predicted hot — bounded by MaxMigrationsPerRound.
-func (c *Controller) reconcile(predicted map[string]float64) (applied int) {
+// predicted is this round's column, indexed by host table slot.
+func (c *Controller) reconcile(predicted []float64) (applied int) {
 	for _, p := range c.pendingP {
 		if applied >= c.cfg.MaxMigrationsPerRound {
 			break
 		}
-		if predicted[p.FromHostID] <= c.cfg.ThresholdC {
-			continue // cooled off on its own; desired state already met
+		from, ok := c.pos[p.FromHostID]
+		if !ok || !(predicted[from] > c.cfg.ThresholdC) {
+			continue // cooled off on its own (or gone, stale, unpredicted); desired state already met
 		}
-		if err := c.sub.Migrate(p.VMID, int(c.pos[p.FromHostID]), int(c.pos[p.ToHostID])); err != nil {
+		if err := c.sub.Migrate(p.VMID, int(from), int(c.pos[p.ToHostID])); err != nil {
 			continue // VM gone or target filled up: drop the proposal
 		}
 		// Force a re-anchor next round: both hosts' deployments changed.

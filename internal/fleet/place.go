@@ -254,7 +254,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 	if p.round == c.round && p.pop == len(c.order) {
 		return p
 	}
-	var predicted map[string]float64
+	var predicted []float64
 	hot := c.planHot
 	clear(hot)
 	if hot == nil {
@@ -262,19 +262,22 @@ func (c *Controller) placePlanLocked() *placePlan {
 		c.planHot = hot
 	}
 	// Writer-side borrow of the published snapshot: the caller holds c.mu,
-	// which excludes generation recycling, and published generations are
-	// immutable — no copy needed.
+	// which excludes generation recycling, and published columns are
+	// immutable — no copy needed. The predicted column is indexed by slot
+	// while the table still has the membership the round published.
 	if snap := c.publishedSnapshot(); snap != nil {
-		predicted = snap.Predicted
+		if snap.members == c.members {
+			predicted = snap.pred
+		}
 		for _, h := range snap.Hotspots {
 			hot[h.HostID] = true
 		}
 	}
 	p.entries = p.entries[:0]
 	for i, id := range c.order {
-		t, ok := predicted[id]
-		if !ok {
-			t = math.Inf(1)
+		t := math.Inf(1)
+		if predicted != nil && !math.IsNaN(predicted[i]) {
+			t = predicted[i]
 		}
 		p.entries = append(p.entries, planEntry{
 			id:      id,

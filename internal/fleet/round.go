@@ -158,10 +158,11 @@ func (c *Controller) engineRound(rs *roundState) {
 	}
 }
 
-// buildSnapshot advances the round counter and builds the hotspot map from
+// buildSnapshot advances the round counter and builds the hotspot list from
 // *predicted* temperatures into the next snapshot generation: a recycled
-// retired generation whose maps are rewritten in place, so the warm round's
-// publication allocates nothing.
+// retired generation whose slices and columns are rewritten in place, so the
+// warm round's publication allocates nothing. The columns are copied in
+// table order; the membership is rebuilt only when the table changed.
 func (c *Controller) buildSnapshot(rs *roundState) {
 	rs.gen = c.snaps.writable(len(c.order))
 	snap := &rs.gen.snap
@@ -183,8 +184,10 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	slices.Sort(snap.StaleHosts)
 	sortHotspots(snap.Hotspots)
 
-	rewritePredicted(snap.Predicted, rs.preds)
-	rewriteLatest(snap.Latest, c.order, c.slots)
+	if c.members == nil {
+		c.members = newMembership(c.order)
+	}
+	snap.setColumns(c.members, rs.preds, c.slots)
 }
 
 // reconcileStream folds the authoritative recompute into the incremental
@@ -199,12 +202,12 @@ func (c *Controller) reconcileStream(rs *roundState) {
 }
 
 // migrate applies last round's still-valid proposals, bounded per round,
-// then derives fresh proposals from this round's map. Source-driven fleets
-// have no substrate to act on; both passes no-op.
+// then derives fresh proposals from this round's predictions. Source-driven
+// fleets have no substrate to act on; both passes no-op.
 func (c *Controller) migrate(rs *roundState) {
 	if c.sub != nil {
 		snap := &rs.gen.snap
-		rs.applied = c.reconcile(snap.Predicted)
+		rs.applied = c.reconcile(snap.pred)
 		c.pendingP = c.propose(snap.Hotspots, rs.preds)
 		rs.proposed = len(c.pendingP)
 	}
@@ -212,8 +215,8 @@ func (c *Controller) migrate(rs *roundState) {
 
 // publish makes the generation the served snapshot BEFORE queued VMs are
 // placed: placement avoids predicted hotspots by consulting the published
-// map, which must be this round's, not last round's. From here on the
-// generation is immutable.
+// columns, which must be this round's, not last round's. From here on the
+// columns are immutable; the legacy maps are filled by the first borrow.
 func (c *Controller) publish(rs *roundState) {
 	c.snaps.publish(rs.gen)
 	c.hotUpdatedNano.Store(time.Now().UnixNano())
@@ -273,7 +276,8 @@ func (c *Controller) repark(queue []workload.VMSpec) {
 func (c *Controller) report(rs *roundState) RoundReport {
 	snap := &rs.gen.snap
 	_, droppedTotal, supersededTotal := c.ingest.stats()
-	// The non-stale predictions are exactly snap.Predicted's values.
+	// The non-stale predictions are exactly the generation's predicted
+	// column's non-NaN values.
 	maxPred := math.Inf(-1)
 	for i := range rs.preds {
 		if p := &rs.preds[i]; !p.Stale && p.TempC > maxPred {

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"vmtherm/internal/engine"
@@ -11,11 +13,18 @@ import (
 // The snapshot publication path is epoch-versioned and copy-on-read: every
 // round the controller fills one snapGen (a generation) and publishes it
 // with an atomic pointer swap. Readers borrow the published generation
-// without copying anything; the writer recycles a retired generation's maps
-// and slices in place — rewriting only what changed — once no reader can
-// still observe it. That turns the per-round snapshot clone (formerly the
-// warm round's dominant garbage: O(hosts) maps plus two slices) into zero
-// allocations in steady state.
+// without copying anything; the writer recycles a retired generation's
+// slices in place once no reader can still observe it, so a warm round's
+// publication allocates nothing.
+//
+// What the round writes is columns parallel to the host table — ids (a
+// membership shared by every generation until the table changes), the
+// predicted temperature and the latest reading per slot — copied once, in
+// order, with no hashing under the round lock. The legacy Predicted and
+// Latest maps are an index over those columns that no round writes: the
+// first ViewSnapshot of a generation fills them (fillMaps), under the
+// generation's own mutex and outside the round lock, into maps recycled
+// with the generation.
 //
 // Safety protocol (all sync/atomic, hence sequentially consistent):
 //
@@ -30,10 +39,33 @@ import (
 //     must re-validate after that observation — and the swap that retired
 //     the generation precedes the observation, so the re-validation sees a
 //     different published pointer and the reader backs off without reading.
+//   - Readers write only the maps, only inside fillMaps, under fillMu and
+//     before setting filled; the writer clears filled when it recycles the
+//     generation, while no reader holds it.
 type snapGen struct {
 	snap Snapshot
 	// readers counts in-flight borrows (ViewSnapshot).
 	readers atomic.Int64
+	// filled says the maps hold this generation's columns.
+	fillMu sync.Mutex
+	filled atomic.Bool
+}
+
+// membership is the host table's ids as one round published them: ids in
+// table order, and byID the table indices in lexicographic id order.
+// Generations share it read-only until the table's membership changes.
+type membership struct {
+	ids  []string
+	byID []int32
+}
+
+func newMembership(order []string) *membership {
+	m := &membership{ids: slices.Clone(order), byID: make([]int32, len(order))}
+	for i := range m.byID {
+		m.byID[i] = int32(i)
+	}
+	slices.SortFunc(m.byID, func(a, b int32) int { return strings.Compare(m.ids[a], m.ids[b]) })
+	return m
 }
 
 // snapStore owns the generation ring: the published generation (readable by
@@ -57,6 +89,7 @@ func (s *snapStore) writable(hosts int) *snapGen {
 			s.spare[i] = s.spare[last]
 			s.spare[last] = nil
 			s.spare = s.spare[:last]
+			g.filled.Store(false)
 			return g
 		}
 	}
@@ -89,6 +122,7 @@ func (c *Controller) ViewSnapshot(read func(*Snapshot)) {
 	// Deferred so a panicking callback (recovered by an HTTP server, say)
 	// still releases the generation instead of pinning it forever.
 	defer g.readers.Add(-1)
+	g.fillMaps()
 	read(&g.snap)
 }
 
@@ -110,12 +144,74 @@ func (s *snapStore) acquire() *snapGen {
 
 // publishedSnapshot is the writer-side borrow: callers must hold c.mu, which
 // excludes the only code (writable) that could recycle a retired generation
-// — the published one is immutable to everybody.
+// — the published one's columns are immutable to everybody. Callers read
+// the columns only: a reader may be filling the maps.
 func (c *Controller) publishedSnapshot() *Snapshot {
 	if g := c.snaps.published.Load(); g != nil {
 		return &g.snap
 	}
 	return nil
+}
+
+// setColumns copies the round's values into the generation's columns,
+// parallel to m.ids. RoundSlots emits predictions in slot order, so one
+// merge walk pairs each prediction with its slot.
+func (s *Snapshot) setColumns(m *membership, preds []Prediction, slots []engine.Slot) {
+	n := len(m.ids)
+	s.members = m
+	s.pred = slices.Grow(s.pred[:0], n)[:n]
+	s.latest = slices.Grow(s.latest[:0], n)[:n]
+	s.present = slices.Grow(s.present[:0], n)[:n]
+	j := 0
+	for i, id := range m.ids {
+		v := math.NaN()
+		if j < len(preds) && preds[j].HostID == id {
+			if !preds[j].Stale {
+				v = preds[j].TempC
+			}
+			j++
+		}
+		s.pred[i] = v
+		s.latest[i], s.present[i] = slots[i].Reading, slots[i].Present
+	}
+}
+
+// fillMaps makes the legacy maps hold exactly the generation's columns, at
+// most once per generation. Lingering keys (membership shrank or hosts went
+// stale since the maps were last filled) show as a size mismatch and force
+// one clear-and-refill pass; map buckets survive clear, so a warm fill
+// allocates nothing.
+func (g *snapGen) fillMaps() {
+	if g.filled.Load() {
+		return
+	}
+	g.fillMu.Lock()
+	defer g.fillMu.Unlock()
+	if g.filled.Load() {
+		return
+	}
+	s := &g.snap
+	ids := s.members.ids
+	refill(s.Predicted, ids, func(i int) (float64, bool) { return s.pred[i], !math.IsNaN(s.pred[i]) })
+	refill(s.Latest, ids, func(i int) (Reading, bool) { return s.latest[i], s.present[i] })
+	g.filled.Store(true)
+}
+
+// refill writes m[ids[i]] = v for every i where at(i) holds a value v.
+func refill[V any](m map[string]V, ids []string, at func(int) (V, bool)) {
+	fill := func() (n int) {
+		for i, id := range ids {
+			if v, ok := at(i); ok {
+				m[id] = v
+				n++
+			}
+		}
+		return n
+	}
+	if fill() != len(m) {
+		clear(m)
+		fill()
+	}
 }
 
 // sortHotspots orders the round's hotspots by descending margin, ties
@@ -132,43 +228,4 @@ func sortHotspots(out []Hotspot) {
 		}
 		return strings.Compare(a.HostID, b.HostID)
 	})
-}
-
-// rewritePredicted makes m hold exactly one temperature per non-stale
-// prediction, writing each entry once. Lingering keys (membership shrank or
-// hosts went stale since this generation was last written) show as a size
-// mismatch and force one clear-and-refill pass; map buckets survive clear,
-// so neither path allocates once the map has capacity.
-func rewritePredicted(m map[string]float64, preds []Prediction) {
-	fill := func() (n int) {
-		for i := range preds {
-			if p := &preds[i]; !p.Stale {
-				m[p.HostID] = p.TempC
-				n++
-			}
-		}
-		return n
-	}
-	if fill() != len(m) {
-		clear(m)
-		fill()
-	}
-}
-
-// rewriteLatest mirrors rewritePredicted for the latest-reading map, filled
-// from the host table's slots.
-func rewriteLatest(m map[string]Reading, order []string, slots []engine.Slot) {
-	fill := func() (n int) {
-		for i := range slots {
-			if s := &slots[i]; s.Present {
-				m[order[i]] = s.Reading
-				n++
-			}
-		}
-		return n
-	}
-	if fill() != len(m) {
-		clear(m)
-		fill()
-	}
 }

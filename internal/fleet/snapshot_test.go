@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -252,5 +254,260 @@ func TestColdRoundAllocCeiling(t *testing.T) {
 	t.Logf("cold source-driven round: %.1f allocs/op", allocs)
 	if allocs > ceiling {
 		t.Fatalf("cold source-driven round allocates %.1f/op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// checkSnapshotColumns compares the published generation with an eager
+// rebuild from the controller's state after the round: the maps the round
+// used to rewrite every round (one entry per non-stale prediction, one per
+// slot holding a reading) must equal the lazily filled maps, and the
+// columns, walked in id order, must say the same per host.
+func checkSnapshotColumns(t *testing.T, c *Controller, step string) {
+	t.Helper()
+	wantPred := map[string]float64{}
+	for _, p := range c.predBuf {
+		if !p.Stale {
+			wantPred[p.HostID] = p.TempC
+		}
+	}
+	wantLatest := map[string]Reading{}
+	for i, id := range c.order {
+		if c.slots[i].Present {
+			wantLatest[id] = c.slots[i].Reading
+		}
+	}
+	c.ViewSnapshot(func(s *Snapshot) {
+		if !maps.Equal(s.Predicted, wantPred) {
+			t.Fatalf("%s: Predicted %v, eager rebuild %v", step, s.Predicted, wantPred)
+		}
+		if !maps.Equal(s.Latest, wantLatest) {
+			t.Fatalf("%s: Latest %v, eager rebuild %v", step, s.Latest, wantLatest)
+		}
+		if s.Len() != len(c.order) {
+			t.Fatalf("%s: %d hosts in the columns, table has %d", step, s.Len(), len(c.order))
+		}
+		for k := range s.Len() {
+			h := s.At(k)
+			if _, ok := c.pos[h.ID]; !ok {
+				t.Fatalf("%s: column host %s is not in the table", step, h.ID)
+			}
+			if k > 0 && s.At(k-1).ID >= h.ID {
+				t.Fatalf("%s: At(%d) = %s after %s: not in id order", step, k, h.ID, s.At(k-1).ID)
+			}
+			if r, ok := wantLatest[h.ID]; h.HasLatest != ok || ok && h.Latest != r {
+				t.Fatalf("%s: host %s latest %+v (%v), eager rebuild %+v (%v)", step, h.ID, h.Latest, h.HasLatest, r, ok)
+			}
+			if p, ok := wantPred[h.ID]; math.IsNaN(h.PredictedC) == ok || ok && h.PredictedC != p {
+				t.Fatalf("%s: host %s predicted %v, eager rebuild %v (%v)", step, h.ID, h.PredictedC, p, ok)
+			}
+		}
+	})
+}
+
+// TestSnapshotMapsMatchColumns: after every round, the maps ViewSnapshot
+// fills on first borrow equal an eager rebuild of what the round used to
+// write, and so do the columns — through a host discovered, a MaxHosts
+// trim, hosts going stale, hosts forgotten by staleness eviction, a
+// checkpoint restore, and on a simulated fleet whose table is not in id
+// order (r0-h10 before r0-h2) with sensors dropping out.
+func TestSnapshotMapsMatchColumns(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxHosts = 8
+	src := &gridSource{}
+	ctl, err := NewWithSource(cfg, src, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 12)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("mc-%02d", i)
+	}
+	var discarded, stale, evicted int
+	step := 0
+	round := func(hosts ...string) {
+		t.Helper()
+		for i, id := range hosts {
+			ingest(ctl, Reading{HostID: id, AtS: src.now, TempC: 40 + float64(i+step%5), Util: 0.3 + 0.05*float64(i), MemFrac: 0.25})
+		}
+		rep, err := ctl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		step++
+		discarded += rep.DiscardedHosts
+		stale += rep.StaleHosts
+		evicted += rep.Evicted
+		checkSnapshotColumns(t, ctl, fmt.Sprintf("step %d", step))
+	}
+	round(ids[:6]...)
+	round(ids[:6]...)
+	round(ids[:7]...) // one host discovered
+	round(append(slices.Clone(ids[:6]), ids[8:]...)...)
+	if discarded == 0 {
+		t.Fatal("no host trimmed at MaxHosts")
+	}
+	for range 5 {
+		round(ids[2:6]...) // ids[0:2] and the newcomers go stale
+	}
+	src.now += evictAfterS
+	round(ids[3:5]...) // everyone else is forgotten
+	round(ids[3:5]...)
+	if stale == 0 || evicted == 0 {
+		t.Fatalf("scenario too tame: %d stale host-rounds, %d evicted", stale, evicted)
+	}
+
+	st, err := ctl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = &gridSource{}
+	if ctl, err = NewWithSource(cfg, src, syntheticStable); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	for range 4 {
+		round(ids[3:9]...)
+	}
+
+	sim := testConfig()
+	sim.Racks, sim.HostsPerRack = 2, 12
+	if ctl, err = New(sim, syntheticStable); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 8; r++ {
+		if r == 2 {
+			for _, id := range []string{"r0-h2", "r1-h11"} {
+				if err := setTelemetryMuted(ctl, id, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		rep, err := ctl.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == 7 && rep.StaleHosts != 2 {
+			t.Fatalf("simulated fleet: %d stale hosts, want 2", rep.StaleHosts)
+		}
+		checkSnapshotColumns(t, ctl, fmt.Sprintf("sim round %d", r+1))
+	}
+}
+
+// TestSnapshotFillUnderConcurrentRounds is the -race proof for the lazy
+// fill: readers borrow every generation while rounds publish new ones and a
+// quarter of the hosts go stale and come back. Each borrow must see the
+// maps of its own generation: every host with a reading is predicted or
+// stale, each exactly once, and every column agrees with the maps.
+func TestSnapshotFillUnderConcurrentRounds(t *testing.T) {
+	const hosts = 32
+	ctl, src, ids := snapController(t, hosts)
+	stop := make(chan struct{})
+	fail := make(chan string, 16)
+	report := func(format string, args ...any) {
+		select {
+		case fail <- fmt.Sprintf(format, args...):
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ctl.ViewSnapshot(func(s *Snapshot) {
+					if got := len(s.Predicted) + len(s.StaleHosts); got != s.Len() || len(s.Latest) != s.Len() {
+						report("round %d: %d predicted + %d stale, %d readings, %d hosts",
+							s.Round, len(s.Predicted), len(s.StaleHosts), len(s.Latest), s.Len())
+					}
+					for k := range s.Len() {
+						h := s.At(k)
+						p, ok := s.Predicted[h.ID]
+						r, has := s.Latest[h.ID]
+						if math.IsNaN(h.PredictedC) == ok || ok && p != h.PredictedC || has != h.HasLatest || r != h.Latest {
+							report("round %d: host %s: columns and maps disagree", s.Round, h.ID)
+						}
+					}
+				})
+			}
+		}()
+	}
+	var sawStale bool
+	for round := 0; round < 24; round++ {
+		fed := ids
+		if round%8 < 4 {
+			fed = ids[hosts/4:] // the first quarter goes dark, then comes back
+		}
+		now := src.now
+		for i, id := range fed {
+			ingest(ctl, Reading{HostID: id, AtS: now, TempC: 30 + float64(i%50), Util: float64(i%101) / 100, MemFrac: 0.25})
+		}
+		rep, err := ctl.RunRound()
+		if err != nil {
+			close(stop)
+			wg.Wait()
+			t.Fatal(err)
+		}
+		sawStale = sawStale || rep.StaleHosts > 0
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-fail:
+		t.Fatal(msg)
+	default:
+	}
+	if !sawStale {
+		t.Fatal("no host went stale: the refill path went untested")
+	}
+}
+
+// TestWarmSnapshotFillZeroAlloc: the first borrow of a recycled warm
+// generation fills its maps from the columns without allocating, also when
+// hosts going stale and coming back shrink and grow the predicted map
+// (the clear-and-refill pass).
+func TestWarmSnapshotFillZeroAlloc(t *testing.T) {
+	ctl, src, ids := snapController(t, 64)
+	round := 0
+	step := func() {
+		fed := ids
+		if round%8 < 4 {
+			fed = ids[16:]
+		}
+		round++
+		now := src.now
+		for i, id := range fed {
+			ingest(ctl, Reading{HostID: id, AtS: now, TempC: 30 + float64(i%50), Util: float64(i%101) / 100, MemFrac: 0.25})
+		}
+		if _, err := ctl.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 16 { // every generation of the ring filled at both sizes
+		step()
+		ctl.ViewSnapshot(func(*Snapshot) {})
+	}
+	var fills int
+	allocs := testing.AllocsPerRun(64, func() {
+		step()
+		g := ctl.snaps.published.Load()
+		if g.filled.Load() {
+			t.Fatal("a freshly published generation is already filled")
+		}
+		g.fillMaps()
+		fills++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm snapshot fill allocates %.1f/op, want 0", allocs)
+	}
+	if fills == 0 {
+		t.Fatal("no fill ran")
 	}
 }

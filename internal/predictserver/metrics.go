@@ -2,8 +2,8 @@ package predictserver
 
 import (
 	"fmt"
+	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -34,7 +34,7 @@ func boolGauge(b bool) float64 {
 //	                                        cap (counter)
 //	vmtherm_sessions_evicted_total          sessions the idle sweep removed
 //	                                        (counter)
-//	vmtherm_items_total{kind=...}           served work items (counter):
+//	vmtherm_items_total{kind=...}           successful work items (counter):
 //	                                        stable | observe | predict | ingest
 //	vmtherm_place_placed_total              placement decisions by status
 //	vmtherm_place_queued_total              (counter; fleet-attached servers
@@ -172,29 +172,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// per scrape.
 		s.fleet.ViewSnapshot(func(snap *fleet.Snapshot) {
 			writeMetric(&sb, "vmtherm_fleet_round", "gauge", "Last published control round.", "", float64(snap.Round))
-			hosts := make([]string, 0, len(snap.Latest))
-			for id := range snap.Latest {
-				hosts = append(hosts, id)
-			}
-			sort.Strings(hosts)
-			sb.WriteString("# HELP vmtherm_host_temp_celsius Newest sensed CPU temperature per host.\n# TYPE vmtherm_host_temp_celsius gauge\n")
-			for _, id := range hosts {
-				writeSample(&sb, "vmtherm_host_temp_celsius", hostLabel(id), snap.Latest[id].TempC)
-			}
-			sb.WriteString("# HELP vmtherm_host_util_ratio Newest CPU utilization per host.\n# TYPE vmtherm_host_util_ratio gauge\n")
-			for _, id := range hosts {
-				writeSample(&sb, "vmtherm_host_util_ratio", hostLabel(id), snap.Latest[id].Util)
-			}
-			sb.WriteString("# HELP vmtherm_host_mem_ratio Newest memory activity per host.\n# TYPE vmtherm_host_mem_ratio gauge\n")
-			for _, id := range hosts {
-				writeSample(&sb, "vmtherm_host_mem_ratio", hostLabel(id), snap.Latest[id].MemFrac)
-			}
-			sb.WriteString("# HELP vmtherm_host_predicted_temp_celsius Predicted temperature gap seconds ahead (stale hosts omitted).\n# TYPE vmtherm_host_predicted_temp_celsius gauge\n")
-			for _, id := range hosts {
-				if v, ok := snap.Predicted[id]; ok {
-					writeSample(&sb, "vmtherm_host_predicted_temp_celsius", hostLabel(id), v)
+			// The per-host families walk the columns in id order; the
+			// predicted family omits stale and unpredicted (NaN) hosts.
+			writeHosts := func(name, help string, value func(h *fleet.HostView) (float64, bool)) {
+				sb.WriteString("# HELP " + name + " " + help + "\n# TYPE " + name + " gauge\n")
+				for k := range snap.Len() {
+					if h := snap.At(k); h.HasLatest {
+						if v, ok := value(&h); ok {
+							writeSample(&sb, name, hostLabel(h.ID), v)
+						}
+					}
 				}
 			}
+			writeHosts("vmtherm_host_temp_celsius", "Newest sensed CPU temperature per host.",
+				func(h *fleet.HostView) (float64, bool) { return h.Latest.TempC, true })
+			writeHosts("vmtherm_host_util_ratio", "Newest CPU utilization per host.",
+				func(h *fleet.HostView) (float64, bool) { return h.Latest.Util, true })
+			writeHosts("vmtherm_host_mem_ratio", "Newest memory activity per host.",
+				func(h *fleet.HostView) (float64, bool) { return h.Latest.MemFrac, true })
+			writeHosts("vmtherm_host_predicted_temp_celsius", "Predicted temperature gap seconds ahead (stale hosts omitted).",
+				func(h *fleet.HostView) (float64, bool) { return h.PredictedC, !math.IsNaN(h.PredictedC) })
 		})
 	}
 

@@ -1,11 +1,17 @@
 package predictserver
 
 import (
+	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/fleet"
+	"vmtherm/internal/substrate"
 	"vmtherm/internal/telemetry"
 )
 
@@ -182,5 +188,172 @@ func TestFleetIngestEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("hostless reading status = %d", resp.StatusCode)
+	}
+}
+
+// mapHostFamilies renders the per-host families from the snapshot's maps, as
+// /metrics did before it read the columns: the Latest keys sorted, four
+// lookups per host, the predicted family only where the map has the host.
+func mapHostFamilies(snap *fleet.Snapshot) string {
+	var sb strings.Builder
+	hosts := slices.Sorted(maps.Keys(snap.Latest))
+	sb.WriteString("# HELP vmtherm_host_temp_celsius Newest sensed CPU temperature per host.\n# TYPE vmtherm_host_temp_celsius gauge\n")
+	for _, id := range hosts {
+		writeSample(&sb, "vmtherm_host_temp_celsius", hostLabel(id), snap.Latest[id].TempC)
+	}
+	sb.WriteString("# HELP vmtherm_host_util_ratio Newest CPU utilization per host.\n# TYPE vmtherm_host_util_ratio gauge\n")
+	for _, id := range hosts {
+		writeSample(&sb, "vmtherm_host_util_ratio", hostLabel(id), snap.Latest[id].Util)
+	}
+	sb.WriteString("# HELP vmtherm_host_mem_ratio Newest memory activity per host.\n# TYPE vmtherm_host_mem_ratio gauge\n")
+	for _, id := range hosts {
+		writeSample(&sb, "vmtherm_host_mem_ratio", hostLabel(id), snap.Latest[id].MemFrac)
+	}
+	sb.WriteString("# HELP vmtherm_host_predicted_temp_celsius Predicted temperature gap seconds ahead (stale hosts omitted).\n# TYPE vmtherm_host_predicted_temp_celsius gauge\n")
+	for _, id := range hosts {
+		if v, ok := snap.Predicted[id]; ok {
+			writeSample(&sb, "vmtherm_host_predicted_temp_celsius", hostLabel(id), v)
+		}
+	}
+	return sb.String()
+}
+
+// TestMetricsHostFamiliesMatchMapRendering: the per-host families written
+// from the snapshot's columns are byte for byte the map-based rendering, on
+// a simulated fleet (ids r0-h10 before r0-h2, so id order is not table
+// order) and on a trace-driven fleet, each with hosts gone stale.
+func TestMetricsHostFamiliesMatchMapRendering(t *testing.T) {
+	m, _ := testModel(t)
+	sim := func(t *testing.T) *fleet.Controller {
+		cfg := fleet.DefaultConfig()
+		cfg.Racks, cfg.HostsPerRack = 2, 12
+		cfg.Seed = 5
+		ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			if _, err := ctl.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Two sensors drop out: their hosts go stale, not yet evicted.
+		if err := ctl.WithSubstrate(func(sub *substrate.Fleet) error {
+			for _, id := range []string{"r0-h3", "r1-h10"} {
+				if err := sub.SetSensorFault(id, substrate.SensorFault{Mode: substrate.SensorDropped}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	trace := func(t *testing.T) *fleet.Controller {
+		var readings []telemetry.Reading
+		for r := 0; r < 10; r++ {
+			for i := 0; i < 12; i++ {
+				if r >= 2 && (i == 3 || i == 7) {
+					continue // goes dark after two rounds: stale, not yet evicted
+				}
+				readings = append(readings, telemetry.Reading{
+					HostID: fmt.Sprintf("tr-h%d", i), AtS: 15 * float64(r),
+					TempC: 40 + float64(i+r), Util: 0.1 + 0.07*float64(i), MemFrac: 0.3,
+				})
+			}
+		}
+		src, err := telemetry.NewTraceSource(readings, telemetry.TraceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := fleet.NewWithSource(fleet.DefaultConfig(), src, fleet.SyntheticStablePredictor(75))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	for _, tc := range []struct {
+		name string
+		make func(*testing.T) *fleet.Controller
+	}{{"sim", sim}, {"trace", trace}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctl := tc.make(t)
+			for round := 0; round < 10; round++ {
+				if _, err := ctl.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, err := New(m, WithFleet(ctl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, ok := strings.Cut(string(body), "# HELP vmtherm_host_temp_celsius")
+			if !ok {
+				t.Fatal("/metrics has no per-host families")
+			}
+			got = "# HELP vmtherm_host_temp_celsius" + got
+			var want string
+			var stale int
+			ctl.ViewSnapshot(func(s *fleet.Snapshot) {
+				want, stale = mapHostFamilies(s), len(s.StaleHosts)
+			})
+			if stale == 0 {
+				t.Fatal("no stale hosts: the predicted family's omissions go untested")
+			}
+			if got != want {
+				t.Fatalf("per-host families differ from the map rendering:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestBatchItemsCountSuccessesOnly: the batch session routes count an item
+// only when it is answered without an error, as the single-item routes do.
+func TestBatchItemsCountSuccessesOnly(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	unknown := []string{"no-such-1", "no-such-2"}
+	resp := postJSON(t, ts.URL+"/v1/session/batch/observe", ObserveBatchRequest{Items: []ObserveBatchItem{
+		{ID: unknown[0], T: 0, TempC: 25}, {ID: unknown[1], T: 0, TempC: 25},
+	}})
+	if out := decode[ObserveBatchResponse](t, resp); out.Results[0].Error == "" || out.Results[1].Error == "" {
+		t.Fatalf("unknown sessions observed: %+v", out)
+	}
+	resp = postJSON(t, ts.URL+"/v1/session/batch/predict", PredictBatchRequest{Items: []PredictBatchItem{
+		{ID: unknown[0], T: 0}, {ID: unknown[1], T: 0},
+	}})
+	if out := decode[PredictBatchResponse](t, resp); out.Results[0].Error == "" || out.Results[1].Error == "" {
+		t.Fatalf("unknown sessions predicted: %+v", out)
+	}
+	m := metricsMap(t, ts.URL)
+	if m[`vmtherm_items_total{observe}`] != 0 || m[`vmtherm_items_total{predict}`] != 0 {
+		t.Fatalf("failed batch items counted: observe %v, predict %v", m[`vmtherm_items_total{observe}`], m[`vmtherm_items_total{predict}`])
+	}
+
+	// One live session among the unknown ones: only it counts.
+	stable := 55.0
+	sess := decode[SessionResponse](t, postJSON(t, ts.URL+"/v1/session", SessionRequest{Phi0: 20, StableTempC: &stable}))
+	resp = postJSON(t, ts.URL+"/v1/session/batch/observe", ObserveBatchRequest{Items: []ObserveBatchItem{
+		{ID: unknown[0], T: 0, TempC: 25}, {ID: sess.ID, T: 0, TempC: 25},
+	}})
+	resp.Body.Close()
+	resp = postJSON(t, ts.URL+"/v1/session/batch/predict", PredictBatchRequest{Items: []PredictBatchItem{
+		{ID: sess.ID, T: 0}, {ID: unknown[1], T: 0},
+	}})
+	resp.Body.Close()
+	m = metricsMap(t, ts.URL)
+	if m[`vmtherm_items_total{observe}`] != 1 || m[`vmtherm_items_total{predict}`] != 1 {
+		t.Fatalf("items counted: observe %v, predict %v, want 1 each", m[`vmtherm_items_total{observe}`], m[`vmtherm_items_total{predict}`])
 	}
 }

@@ -118,8 +118,8 @@ type Server struct {
 // serverMetrics counts served work for the /metrics exposition.
 type serverMetrics struct {
 	stableItems  atomic.Int64 // ψ_stable predictions served (single + batch)
-	observeItems atomic.Int64 // session observations served (single + batch)
-	predictItems atomic.Int64 // session predictions served (single + batch)
+	observeItems atomic.Int64 // session observations served (single + batch; successes only)
+	predictItems atomic.Int64 // session predictions served (single + batch; successes only)
 	ingestItems  atomic.Int64 // readings accepted via POST /v1/fleet/ingest
 	// sessionsRefused counts creates answered 429 at the session cap, and
 	// sessionsEvicted the sessions the idle sweep removed.
@@ -521,6 +521,7 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]ObserveBatchResult, len(req.Items))
 	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
+		var served int64
 		for i := lo; i < hi; i++ {
 			item := req.Items[i]
 			gamma, err := s.eng.Observe(item.ID, item.T, item.TempC)
@@ -531,11 +532,12 @@ func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 				results[i].Error = "unknown session"
 			default:
 				results[i].Gamma = gamma
+				served++
 			}
 		}
+		s.metrics.observeItems.Add(served)
 		return nil
 	})
-	s.metrics.observeItems.Add(int64(len(req.Items)))
 	writeJSON(w, http.StatusOK, ObserveBatchResponse{Results: results})
 }
 
@@ -570,6 +572,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]PredictBatchResult, len(req.Items))
 	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
+		var served int64
 		for i := lo; i < hi; i++ {
 			item := req.Items[i]
 			tempC, gamma, err := s.eng.Predict(item.ID, item.T)
@@ -578,10 +581,11 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			results[i].TempC, results[i].Gamma = tempC, gamma
+			served++
 		}
+		s.metrics.predictItems.Add(served)
 		return nil
 	})
-	s.metrics.predictItems.Add(int64(len(req.Items)))
 	writeJSON(w, http.StatusOK, PredictBatchResponse{Results: results})
 }
 
