@@ -17,6 +17,13 @@
 //	scrape  live ingestion from any Prometheus-exposition endpoint
 //	        (-scrape-url), e.g. a Kepler node exporter or another vmtherm's
 //	        /metrics; rounds pace to wall-clock Δ_update
+//	none    no fleet: the prediction API alone over the model, on -addr,
+//	        until SIGTERM
+//
+// A run with no round budget (-rounds 0) is a serving daemon: a failed round
+// is logged and the next one runs, and with -addr the API keeps serving the
+// last snapshot after a non-looping trace runs out, until SIGTERM. A flag the
+// chosen source never reads is refused before anything runs.
 //
 // Usage:
 //
@@ -24,6 +31,7 @@
 //	vmtherm-fleetd -model model.svm -rounds 40            # use a pretrained model
 //	vmtherm-fleetd -synthetic -rounds 40                  # no SVM, physics stand-in
 //	vmtherm-fleetd -addr :8080 -rounds 0                  # serve /v1/fleet/* forever
+//	vmtherm-fleetd -source none -model model.svm -addr :8080  # prediction API only
 //	vmtherm-fleetd -record run.csv -rounds 40             # capture the run as a trace
 //	vmtherm-fleetd -source trace -trace run.csv -synthetic
 //	vmtherm-fleetd -source scrape -scrape-url http://kepler:9102/metrics -synthetic
@@ -40,6 +48,9 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -54,50 +65,87 @@ import (
 	"vmtherm/internal/workload"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("vmtherm-fleetd: ")
-	if err := run(os.Args[1:]); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// loopFlags are the flags only fleetd has, on top of the fleet flags it
-// shares with predictd (daemon.Bind): the round budget, the simulated
-// tenant stream, the model it trains when none is given, and what it records
-// and grades.
+// loopFlags are fleetd's flags on top of the fleet flags (daemon.Bind): the
+// round budget, the simulated tenant stream, the model it trains when none
+// is given, and what it records and grades.
 type loopFlags struct {
 	rounds, arrivals, migrations, hotseed, trainCases int
 	synthetic, pace                                   bool
 	record, scenario, scenarioOut                     string
 }
 
-// bindFlags declares fleetd's whole flag surface on fs. fleetd always runs a
-// fleet, simulated unless told otherwise, as fast as it can — hence its
-// defaults for the shared flags.
+// bindFlags declares fleetd's whole flag surface on fs.
 func bindFlags(fs *flag.FlagSet) (*daemon.Flags, *loopFlags) {
 	o := new(loopFlags)
-	fs.IntVar(&o.rounds, "rounds", 40, "control rounds to run (0 = until interrupted or trace end)")
-	fs.IntVar(&o.arrivals, "arrivals", 2, "VM requests submitted per round (sim source)")
+	fs.IntVar(&o.rounds, "rounds", 40, "control rounds to run (0 = serve until interrupted: round errors are logged, and with -addr the API outlives a trace's end)")
+	fs.IntVar(&o.arrivals, "arrivals", 2, "VM requests submitted per round (-source sim)")
 	fs.IntVar(&o.migrations, "migrations", 1, "max migrations applied per round")
-	fs.IntVar(&o.hotseed, "hotseed", 0, "force-place this many heavy VMs on r0-h0 to provoke a hotspot (sim source)")
+	fs.IntVar(&o.hotseed, "hotseed", 0, "force-place this many heavy VMs on r0-h0 to provoke a hotspot (-source sim)")
 	fs.IntVar(&o.trainCases, "train-cases", 24, "simulated experiments to train the fast model on (when neither -model nor -synthetic is given)")
 	fs.BoolVar(&o.synthetic, "synthetic", false, "skip the SVM; use a physics stand-in predictor")
 	fs.BoolVar(&o.pace, "pace", false, "pace rounds to wall-clock Δ_update (default when serving forever or scraping)")
 	fs.StringVar(&o.record, "record", "", "tee the live telemetry stream to a trace CSV replayable with -source trace")
-	fs.StringVar(&o.scenario, "scenario", "", "run a scripted thermal emergency: a built-in name (see docs/SCENARIOS.md) or a JSON spec file; sim source only, exits non-zero when the run fails its grade")
+	fs.StringVar(&o.scenario, "scenario", "", "run a scripted thermal emergency: a built-in name (see docs/SCENARIOS.md) or a JSON spec file; exits non-zero when the run fails its grade (-source sim)")
 	fs.StringVar(&o.scenarioOut, "scenario-out", "", "write the graded scenario report as JSON here (requires -scenario)")
-	return daemon.Bind(fs, daemon.Defaults{Source: "sim", Racks: 8, Hosts: 32}), o
+	return daemon.Bind(fs), o
 }
 
-func run(args []string) error {
+// needs matches the end of a usage text that names what the flag needs:
+// "(-source trace or scrape)" or "(requires -checkpoint-file)".
+var needs = regexp.MustCompile(`\((?:-source ([a-z ]+)|requires -([a-z-]+))\)$`)
+
+// modelOnly are the flags -source none reads: it loads or trains a model
+// and serves it.
+var modelOnly = map[string]bool{"addr": true, "model": true, "source": true, "seed": true, "train-cases": true}
+
+// refuseIgnored fails on an unknown -source and on the first flag set on the
+// command line that the run would silently ignore: under -source none each
+// fleet flag, otherwise each flag whose usage text names a source or a flag
+// the run does not have.
+func refuseIgnored(fs *flag.FlagSet, source string) (err error) {
+	if !slices.Contains([]string{"sim", "trace", "scrape", "none"}, source) {
+		return fmt.Errorf("unknown -source %q (want sim, trace, scrape or none)", source)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		m := needs.FindStringSubmatch(f.Usage)
+		switch {
+		case err != nil:
+		case source == "none" && !modelOnly[f.Name]:
+			err = fmt.Errorf("-%s requires a fleet loop (-source sim, trace or scrape, not none)", f.Name)
+		case m == nil:
+		case m[1] != "" && !slices.Contains(strings.Split(m[1], " or "), source):
+			err = fmt.Errorf("-%s requires -source %s (got %q)", f.Name, m[1], source)
+		case m[2] != "" && fs.Lookup(m[2]).Value.String() == "":
+			err = fmt.Errorf("-%s requires -%s", f.Name, m[2])
+		}
+	})
+	if err == nil && source == "none" && fs.Lookup("addr").Value.String() == "" {
+		err = errors.New("-source none requires -addr: it serves the prediction API and runs nothing else")
+	}
+	return err
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("vmtherm-fleetd: ")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:])
+	stop()
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon until ctx is cancelled (SIGTERM or SIGINT in main).
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("vmtherm-fleetd", flag.ExitOnError)
 	shared, own := bindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if err := refuseIgnored(fs, shared.Source); err != nil {
+		return err
+	}
 
 	var model *core.StablePredictor
 	var predict fleet.BatchCasePredictor
@@ -118,12 +166,14 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if predict == nil {
-		predict = fleet.StableBatchPredictor(model, 1800)
+	if shared.Source == "none" {
+		return serveModel(ctx, shared.Addr, model)
 	}
-
 	cfg := shared.Config()
 	cfg.MaxMigrationsPerRound = own.migrations
+	if predict == nil {
+		predict = fleet.StableBatchPredictor(model, cfg.HorizonS)
+	}
 	ctl, err := shared.NewController(cfg, predict)
 	if err != nil {
 		return err
@@ -158,7 +208,9 @@ func run(args []string) error {
 		log.Printf("recording telemetry to %s (cap %d readings)", own.record, maxRecorded)
 	}
 
-	loop := daemon.Loop{Rounds: own.rounds, StopOnError: true}
+	// A budgeted run stops on its first failed round; an open-ended one is a
+	// serving daemon, which logs the failure and carries on.
+	loop := daemon.Loop{Rounds: own.rounds, StopOnError: own.rounds != 0}
 	var drill *scenario.Runner
 	var serverOpts []predictserver.Option
 	switch {
@@ -166,9 +218,6 @@ func run(args []string) error {
 		// A scripted thermal emergency: the scenario engine seeds its own
 		// baseline load and owns the timeline, so the usual arrival stream
 		// and hotseed are skipped — determinism is the whole point.
-		if shared.Source != "sim" {
-			return fmt.Errorf("-scenario requires -source sim (got %q)", shared.Source)
-		}
 		spec, err := scenario.Load(own.scenario)
 		if err != nil {
 			return err
@@ -180,10 +229,8 @@ func run(args []string) error {
 		// half-run emergency, so -rounds is ignored in scenario mode.
 		log.Printf("scenario %s: %s (%d rounds, onset round %d)",
 			spec.Name, spec.Description, spec.Rounds, spec.Onset())
-		loop.Step, loop.Rounds, loop.Pace = drill.Step, spec.Rounds, own.pace
+		loop.Step, loop.Rounds, loop.StopOnError, loop.Pace = drill.Step, spec.Rounds, true, own.pace
 		serverOpts = append(serverOpts, predictserver.WithScenario(drill.Status))
-	case own.scenarioOut != "":
-		return errors.New("-scenario-out requires -scenario")
 	case shared.Source == "sim":
 		// An optional adversarial seed: pile heavy VMs onto one machine so
 		// the proactive loop (flag from prediction → propose → migrate) is
@@ -261,6 +308,12 @@ func run(args []string) error {
 	if drill != nil {
 		runErr = gradeScenario(drill, own.scenarioOut, runErr)
 	}
+	if loop.Rounds == 0 && shared.Addr != "" && ctl.Trace != nil && ctl.Trace.Done() {
+		// A serving daemon keeps answering from its last snapshot after a
+		// non-looping trace runs out.
+		log.Print("serving the last snapshot until interrupted")
+		untilStopped(ctx, rt)
+	}
 	// The shutdown contract (daemon.Runtime.Shutdown): /readyz flips to 503,
 	// HTTP drains, the loop has exited, and only then is the final checkpoint
 	// cut — a round that errored out above still gets all of it.
@@ -280,6 +333,28 @@ func run(args []string) error {
 	log.Printf("recorded %d readings to %s (replay with -source trace -trace %s)",
 		len(recorder.Readings), own.record, own.record)
 	return runErr
+}
+
+// serveModel is -source none: the prediction API over model with no fleet,
+// ready at once, until ctx is cancelled or the listener stops on its own.
+func serveModel(ctx context.Context, addr string, model *core.StablePredictor) error {
+	rt, err := daemon.Start(addr, model, nil)
+	if err != nil {
+		return err
+	}
+	log.Printf("serving the prediction API on %s (no fleet)", rt.Addr())
+	untilStopped(ctx, rt)
+	return rt.Shutdown()
+}
+
+// untilStopped blocks until ctx is cancelled or rt's listener stops.
+func untilStopped(ctx context.Context, rt *daemon.Runtime) {
+	select {
+	case <-ctx.Done():
+		log.Print("shutting down")
+	case <-rt.Done():
+		log.Print("http server stopped")
+	}
 }
 
 // saveRecording writes a telemetry capture as a replayable trace CSV in

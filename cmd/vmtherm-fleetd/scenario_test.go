@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,7 +23,7 @@ func TestOutOfShapeScenarioFailsBeforeFirstRound(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := filepath.Join(dir, "report.json")
-		err := run([]string{"-synthetic", "-racks", "2", "-hosts", "8", "-scenario", spec, "-scenario-out", out})
+		err := run(context.Background(), []string{"-synthetic", "-racks", "2", "-hosts", "8", "-scenario", spec, "-scenario-out", out})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: run returned %v, want the spec refused naming %s", c.event, err, c.want)
 		}

@@ -1,5 +1,6 @@
-// vmtherm-loadgen profiles the serving capacity of a vmtherm-predictd (or
-// vmtherm-fleetd -addr) under a tail-latency SLO — the number a
+// vmtherm-loadgen profiles the serving capacity of a vmtherm-fleetd -addr
+// (with a fleet, or -source none for the prediction API alone) under a
+// tail-latency SLO — the number a
 // thermal-aware scheduler that consumes predictions for hundreds of hosts
 // per round has to plan with.
 //
@@ -19,7 +20,7 @@
 // Usage:
 //
 //	vmtherm-train -fast -out model.svm
-//	vmtherm-predictd -model model.svm -addr :8080 &
+//	vmtherm-fleetd -source none -model model.svm -addr :8080 &
 //	vmtherm-loadgen -addr http://127.0.0.1:8080 -endpoints stable,session -batch 64
 //	vmtherm-loadgen -inprocess -endpoints stable,place -batch 16 -out capacity.json
 package main

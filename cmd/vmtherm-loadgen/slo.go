@@ -38,7 +38,7 @@ type sloFlags struct {
 
 func bindFlags(fs *flag.FlagSet) *sloFlags {
 	f := &sloFlags{fleet: fleet.DefaultConfig()}
-	fs.StringVar(&f.addr, "addr", "http://127.0.0.1:8080", "predictd base URL")
+	fs.StringVar(&f.addr, "addr", "http://127.0.0.1:8080", "daemon base URL (vmtherm-fleetd -addr)")
 	fs.IntVar(&f.batch, "batch", 64, "predictions per request")
 	fs.IntVar(&f.step.Senders, "senders", 32, "concurrent sender goroutines")
 	fs.Int64Var(&f.seed, "seed", 1, "feature-generation seed")
@@ -108,7 +108,7 @@ func run(f *sloFlags, out io.Writer) error {
 		err    error
 	)
 	// rounds is how the in-process control plane moves: every round goes
-	// through the daemons' one loop.
+	// through the daemon's one loop.
 	rounds := daemon.Loop{StopOnError: true}
 	if f.inprocess {
 		fc := f.fleet

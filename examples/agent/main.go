@@ -1,6 +1,6 @@
 // Agent: the full online deployment loop in one process — a monitoring
 // agent samples a (simulated) server, streams measurements to the
-// vmtherm-predictd HTTP service through the typed client, reads Δ_gap-ahead
+// vmtherm prediction API through the typed client, reads Δ_gap-ahead
 // predictions back, and watches residuals with a drift detector. Halfway
 // through, two fans fail: the detector flags the regime change and the
 // agent re-anchors its prediction session using the model's forecast for
@@ -54,7 +54,7 @@ func run() error {
 		return err
 	}
 
-	// Serve it over HTTP on an ephemeral port, as vmtherm-predictd would.
+	// Serve it on an ephemeral port, as `vmtherm-fleetd -source none` would.
 	srv, err := predictserver.New(model)
 	if err != nil {
 		return err
@@ -77,7 +77,7 @@ func run() error {
 	if err := client.Healthy(ctx); err != nil {
 		return err
 	}
-	fmt.Printf("predictd serving on %s\n\n", ln.Addr())
+	fmt.Printf("prediction API serving on %s\n\n", ln.Addr())
 
 	// The monitored server: 6 VMs, 4 fans.
 	caseGen := workload.DefaultGenOptions()

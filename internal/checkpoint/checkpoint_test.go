@@ -384,8 +384,8 @@ func TestManagerCountersAndStatus(t *testing.T) {
 	}
 }
 
-// TestManagerSaveIfDue pins the one checkpoint step both daemons' round
-// loops call: nothing is captured before the interval elapses or with a
+// TestManagerSaveIfDue pins the one checkpoint step the daemon's round
+// loop calls: nothing is captured before the interval elapses or with a
 // zero interval, force always writes, a failed capture is counted like a
 // failed write, and a nil manager never calls capture.
 func TestManagerSaveIfDue(t *testing.T) {

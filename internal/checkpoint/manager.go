@@ -30,7 +30,7 @@ type Status struct {
 	LastError string `json:",omitempty"`
 }
 
-// Manager wraps a Store with the counters and status surface the daemons
+// Manager wraps a Store with the counters and status surface the daemon
 // and the HTTP plane share. Save and Restore are serialized internally;
 // Status is safe to call concurrently with both.
 type Manager struct {
@@ -73,7 +73,7 @@ func (m *Manager) Save(st *State) error {
 	return nil
 }
 
-// SaveIfDue is the daemons' one checkpoint step: when a write is due it
+// SaveIfDue is the daemon's one checkpoint step: when a write is due it
 // captures the serving state (capture is Controller.Checkpoint), persists
 // it, and counts a failure of either half. A write is due when force is set
 // — the shutdown checkpoint, which ignores the cadence — or when the

@@ -1,12 +1,10 @@
-// Package daemon is the one runtime vmtherm-fleetd, vmtherm-predictd and
-// vmtherm-loadgen's in-process stack share, from flags to final checkpoint:
-// the fleet flags both daemons expose (Bind), their mapping onto
-// fleet.Config, the sim/trace/scrape source switch and the -checkpoint-file
-// restore (NewController), the model loader and the fast-model trainer, the
-// server assembly and listener (Start), the round loop with its pacing,
-// /readyz gate and periodic checkpoints (Loop), and the shutdown order
-// (Shutdown). The binaries differ only in the defaults they hand Bind, in
-// what they declare on top, and in the hooks they hang on the loop.
+// Package daemon is the one runtime vmtherm-fleetd and vmtherm-loadgen's
+// in-process stack share, from flags to final checkpoint: the fleet flags
+// (Bind), their mapping onto fleet.Config, the sim/trace/scrape source
+// switch and the -checkpoint-file restore (NewController), the model loader
+// and the fast-model trainer, the server assembly and listener (Start), the
+// round loop with its pacing, /readyz gate and periodic checkpoints (Loop),
+// and the shutdown order (Shutdown).
 package daemon
 
 import (
@@ -24,17 +22,7 @@ import (
 	"vmtherm/internal/telemetry"
 )
 
-// Defaults are the shared flags' defaults that differ per binary: fleetd
-// always runs a fleet as fast as it can, predictd serves a model and
-// attaches a real-time fleet loop only on request.
-type Defaults struct {
-	Addr, Model, Source string
-	Racks, Hosts        int
-	Speed               float64
-	Loop                bool
-}
-
-// Flags holds the parsed values of the fleet flags common to both daemons.
+// Flags holds the parsed values of the fleet flags.
 type Flags struct {
 	Addr, Model, Source       string
 	Racks, Hosts              int
@@ -50,31 +38,33 @@ type Flags struct {
 	CheckpointEveryS          float64
 }
 
-// Bind declares the shared fleet flags on fs — each name, default and usage
-// text exactly once for both daemons — and returns where Parse stores them.
-func Bind(fs *flag.FlagSet, d Defaults) *Flags {
+// Bind declares the fleet flags on fs — each name, default and usage text
+// exactly once — and returns where Parse stores them. A usage text that ends
+// in "(-source X)" or "(requires -Y)" names what the flag needs to have any
+// effect; vmtherm-fleetd refuses the flag without it.
+func Bind(fs *flag.FlagSet) *Flags {
 	f := new(Flags)
-	fs.StringVar(&f.Addr, "addr", d.Addr, "listen address for the prediction and /v1/fleet endpoints and /metrics (empty = do not serve)")
-	fs.StringVar(&f.Model, "model", d.Model, "pretrained stable model path (fleetd: empty = train a fast model at startup)")
-	fs.StringVar(&f.Source, "source", d.Source, "fleet telemetry source: sim | trace | scrape")
-	fs.IntVar(&f.Racks, "racks", d.Racks, "number of racks (sim source)")
-	fs.IntVar(&f.Hosts, "hosts", d.Hosts, "hosts per rack (sim source)")
-	fs.Int64Var(&f.Seed, "seed", 2016, "simulation seed")
+	fs.StringVar(&f.Addr, "addr", "", "listen address for the prediction and /v1/fleet endpoints and /metrics (empty = do not serve)")
+	fs.StringVar(&f.Model, "model", "", "pretrained stable model path (empty = train a fast model at startup)")
+	fs.StringVar(&f.Source, "source", "sim", "fleet telemetry source: sim | trace | scrape | none (none: the prediction API alone, no fleet; needs -addr)")
+	fs.IntVar(&f.Racks, "racks", 8, "number of racks (-source sim)")
+	fs.IntVar(&f.Hosts, "hosts", 32, "hosts per rack (-source sim)")
+	fs.Int64Var(&f.Seed, "seed", 2016, "simulation and fast-model training seed")
 	fs.Float64Var(&f.ThresholdC, "threshold", 65, "hotspot threshold, °C")
 	fs.Float64Var(&f.UpdateS, "update", 15, "Δ_update calibration interval, s")
 	fs.Float64Var(&f.GapS, "gap", 60, "Δ_gap prediction horizon, s")
-	fs.StringVar(&f.Trace, "trace", "", "trace CSV to replay (trace source)")
-	fs.Float64Var(&f.Speed, "speed", d.Speed, "trace replay pacing multiplier (0 = as fast as possible)")
-	fs.BoolVar(&f.Loop, "loop", d.Loop, "loop the trace when it runs out")
-	fs.StringVar(&f.Scrape.URL, "scrape-url", "", "Prometheus exposition endpoint (scrape source)")
-	fs.StringVar(&f.Scrape.TempMetric, "scrape-temp", "", "temperature metric name (default vmtherm_host_temp_celsius)")
-	fs.StringVar(&f.Scrape.UtilMetric, "scrape-util", "", "utilization metric name (default vmtherm_host_util_ratio)")
-	fs.StringVar(&f.Scrape.MemMetric, "scrape-mem", "", "memory metric name (default vmtherm_host_mem_ratio)")
-	fs.StringVar(&f.Scrape.HostLabel, "scrape-host-label", "", "host label name (default host)")
-	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (trace/scrape sources)")
+	fs.StringVar(&f.Trace, "trace", "", "trace CSV to replay (-source trace)")
+	fs.Float64Var(&f.Speed, "speed", 0, "replay pacing multiplier, 0 = as fast as possible (-source trace)")
+	fs.BoolVar(&f.Loop, "loop", false, "loop the trace when it runs out (-source trace)")
+	fs.StringVar(&f.Scrape.URL, "scrape-url", "", "Prometheus exposition endpoint (-source scrape)")
+	fs.StringVar(&f.Scrape.TempMetric, "scrape-temp", "", "temperature metric name, default vmtherm_host_temp_celsius (-source scrape)")
+	fs.StringVar(&f.Scrape.UtilMetric, "scrape-util", "", "utilization metric name, default vmtherm_host_util_ratio (-source scrape)")
+	fs.StringVar(&f.Scrape.MemMetric, "scrape-mem", "", "memory metric name, default vmtherm_host_mem_ratio (-source scrape)")
+	fs.StringVar(&f.Scrape.HostLabel, "scrape-host-label", "", "host label name, default host (-source scrape)")
+	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (-source trace or scrape)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
 	fs.StringVar(&f.CheckpointFile, "checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (a simulated fleet carries its anchor cache only; pair the files with the model that produced them)")
-	fs.Float64Var(&f.CheckpointEveryS, "checkpoint-every", 30, "seconds between periodic checkpoints (0 = final shutdown checkpoint only; requires -checkpoint-file)")
+	fs.Float64Var(&f.CheckpointEveryS, "checkpoint-every", 30, "seconds between periodic checkpoints, 0 = final shutdown checkpoint only (requires -checkpoint-file)")
 	return f
 }
 
@@ -108,13 +98,8 @@ func LoadModel(path string) (*core.StablePredictor, error) {
 	return model, nil
 }
 
-// ErrCheckpointNeedsSource refuses -checkpoint-file where there is no
-// controller to restore into: predictd serving a model without a fleet loop.
-var ErrCheckpointNeedsSource = errors.New("-checkpoint-file requires a fleet loop (-source sim, trace or scrape)")
-
 // Controller is an assembled control plane: the fleet controller over the
-// selected telemetry source, plus what both daemons' round loops need
-// around it.
+// selected telemetry source, plus what the round loop needs around it.
 type Controller struct {
 	*fleet.Controller
 	// Trace is the replay source under -source trace (nil otherwise); a

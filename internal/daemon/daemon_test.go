@@ -16,13 +16,14 @@ const traceFile = "../fleet/testdata/trace_pr3.csv"
 
 var synthetic = fleet.SyntheticStablePredictor(75)
 
-// assemble parses args over fleetd's defaults and builds the controller.
+// assemble parses args over a 2×4 simulated fleet and builds the
+// controller.
 func assemble(t *testing.T, args ...string) (*Controller, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := Bind(fs, Defaults{Source: "sim", Racks: 2, Hosts: 4})
-	if err := fs.Parse(args); err != nil {
+	f := Bind(fs)
+	if err := fs.Parse(append([]string{"-racks", "2", "-hosts", "4"}, args...)); err != nil {
 		t.Fatal(err)
 	}
 	return f.NewController(f.Config(), synthetic)
@@ -44,7 +45,7 @@ func runRounds(c *Controller, n int) ([]fleet.RoundReport, error) {
 
 // TestPaceComesFromResolvedConfig: `-update 0` means "the default Δ_update"
 // — the controller resolves it to 15 s — so the pacing interval handed to
-// the daemons must be 15 s too. fleetd used to pace from the raw flag:
+// the daemon must be 15 s too. fleetd used to pace from the raw flag:
 // `-source scrape -update 0` computed a zero interval and scraped the
 // exporter back to back.
 func TestPaceComesFromResolvedConfig(t *testing.T) {
@@ -195,7 +196,7 @@ func TestSimRestartWarmsAnchorCache(t *testing.T) {
 	}
 }
 
-// TestListenServesThenDrains walks the daemons' one HTTP path: Listen binds
+// TestListenServesThenDrains walks the daemon's one HTTP path: Listen binds
 // before it returns (a second Listen on the same port is refused there, not
 // from a goroutine), the handler answers, and Drain comes back only after
 // the serving goroutine has exited — cleanly, so it reports nothing.

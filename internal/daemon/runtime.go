@@ -40,8 +40,8 @@ func TrainFast(ctx context.Context, seed int64, cases int) (*core.StablePredicto
 // and the controller, its listener, the /readyz gate, and the round loops
 // run through it. Start builds one, Loop runs rounds on it, Shutdown stops it.
 type Runtime struct {
-	// Ctl is the control plane rounds run on (nil: predictd serving a model
-	// without a fleet loop).
+	// Ctl is the control plane rounds run on (nil: -source none, a model
+	// served without a fleet).
 	Ctl *Controller
 
 	handler http.Handler // nil without a model
@@ -58,7 +58,7 @@ type Runtime struct {
 	loops    sync.WaitGroup
 }
 
-// Start assembles the HTTP surface once for every binary: the prediction
+// Start assembles the HTTP surface once for every caller: the prediction
 // endpoints over model, the /v1/fleet endpoints and checkpoint status when
 // ctl carries them, /readyz gated by the runtime, plus what the caller adds
 // (a scenario status feed). addr is bound synchronously —

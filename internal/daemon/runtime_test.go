@@ -41,30 +41,28 @@ func fastModel(t *testing.T) *core.StablePredictor {
 	return model
 }
 
-// shape is one of the two ways a binary runs the round loop: fleetd in the
-// foreground with a round budget, predictd in the background until it is
-// cancelled. Both replay the recorded trace at a sub-millisecond pace, so
-// the loop is always about to start another round when it is told to stop.
+// shape is one of fleetd's two loop shapes: a round budget run in the
+// foreground, which stops on the first failed round, and an open-ended
+// serving run (-rounds 0), which carries on until it is cancelled. Both
+// replay the recorded trace at a sub-millisecond pace, so the loop is always
+// about to start another round when it is told to stop.
 type shape struct {
 	name       string
-	defaults   Defaults
 	loop       Loop
 	background bool
 }
 
 var shapes = []shape{
-	{"foreground loop with a round budget", Defaults{Source: "sim", Racks: 8, Hosts: 32},
-		Loop{Rounds: 7, Pace: true, StopOnError: true}, false},
-	{"background loop until cancel", Defaults{Addr: ":8080", Model: "model.svm", Racks: 4, Hosts: 16, Speed: 1, Loop: true},
-		Loop{Pace: true}, true},
+	{"budgeted loop in the foreground", Loop{Rounds: 7, Pace: true, StopOnError: true}, false},
+	{"open-ended serving loop until cancel", Loop{Pace: true}, true},
 }
 
-// controller parses args over the shape's flag defaults and builds its fleet.
+// controller parses args through Bind and builds the shape's fleet.
 func (s shape) controller(t *testing.T, args ...string) *Controller {
 	t.Helper()
 	fs := flag.NewFlagSet(s.name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := Bind(fs, s.defaults)
+	f := Bind(fs)
 	args = append([]string{"-source", "trace", "-trace", traceFile, "-loop", "-speed", "100000"}, args...)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -76,8 +74,8 @@ func (s shape) controller(t *testing.T, args ...string) *Controller {
 	return ctl
 }
 
-// run is the shape's main(): Start, Loop, Shutdown. until is polled while a
-// background loop runs; the daemon is cancelled once it reports true.
+// run is the shape's main(): Start, Loop, Shutdown. until is polled while an
+// open-ended loop runs; the daemon is cancelled once it reports true.
 func (s shape) run(t *testing.T, addr string, ctl *Controller, until func() bool) error {
 	t.Helper()
 	rt, err := Start(addr, fastModel(t), ctl)
@@ -92,7 +90,7 @@ func (s shape) run(t *testing.T, addr string, ctl *Controller, until func() bool
 	go func() { _ = rt.Loop(ctx, s.loop) }()
 	for deadline := time.Now().Add(10 * time.Second); !until(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the background loop never got there")
+			t.Fatal("the open-ended loop never got there")
 		}
 	}
 	cancel()
@@ -130,9 +128,9 @@ func TestOccupiedAddrFailsBeforeFirstRound(t *testing.T) {
 // TestFinalCheckpointFollowsLastRound pins the shutdown contract for both
 // shapes: Shutdown cuts the final checkpoint only after every round loop has
 // exited, so the checkpointed round is the last round the controller ever
-// ran. predictd's loop used to be left running: with its ticker and ctx.Done
-// both ready, select could start one more round after the checkpoint was
-// written.
+// ran. A loop running in the background used to be left running: with its
+// ticker and ctx.Done both ready, select could start one more round after
+// the checkpoint was written.
 func TestFinalCheckpointFollowsLastRound(t *testing.T) {
 	for _, s := range shapes {
 		for i := 0; i < 10; i++ {
@@ -280,7 +278,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestLoopPacesBelowClockResolution: `vmtherm-predictd -source trace -speed
+// TestLoopPacesBelowClockResolution: `vmtherm-fleetd -source trace -speed
 // 1e11` takes PaceS below a nanosecond; it rounds to a zero Duration, which
 // time.NewTicker panics on — after "serving on …" had been logged. The loop
 // paces by deadline, and a zero interval means back to back.
@@ -306,7 +304,7 @@ func TestLoopPacesBelowClockResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shutdown has waited for the loops it knew of; one that arrives late
-	// (predictd's goroutine losing the race with an early SIGTERM) runs nothing.
+	// (a goroutine losing the race with an early SIGTERM) runs nothing.
 	if err := rt.Loop(context.Background(), Loop{Rounds: 1}); err != nil || roundOf(ctl) != 3 {
 		t.Errorf("a Loop started after Shutdown ran a round (round %d, err %v)", roundOf(ctl), err)
 	}

@@ -13,7 +13,7 @@ const drainTimeout = 5 * time.Second
 
 // Server is the HTTP surface of a daemon from bind to drain: Listen binds
 // and starts serving, Done reports a server that stopped on its own, Drain
-// shuts it down. Both daemons serve through it, so a port that cannot be
+// shuts it down. The daemon serves through it, so a port that cannot be
 // bound fails the process before its first round instead of leaving it
 // running unserved.
 type Server struct {

@@ -54,8 +54,8 @@ func TestTraceRejectsBadInput(t *testing.T) {
 }
 
 // FuzzReadTrace walks a trace CSV — bytes an operator hands -trace — through
-// the whole replay path: ReadTrace, NewTraceSource (looping, as predictd
-// defaults to) and one Δ_update of Advance. Each stage may refuse the input;
+// the whole replay path: ReadTrace, NewTraceSource (looping, as with
+// -loop) and one Δ_update of Advance. Each stage may refuse the input;
 // none may panic, and Advance must come back: its work is bounded by the
 // readings times the replays a one-second minimum cycle allows.
 func FuzzReadTrace(f *testing.F) {

@@ -272,7 +272,7 @@ func (c *Controller) restoreAnchorCache(cs *checkpoint.CacheState) error {
 	return nil
 }
 
-// RestoredSessions reports the live session count — the daemons log it after
+// RestoredSessions reports the live session count — the daemon logs it after
 // a restore so operators (and the CI kill-and-restart job) can verify warm
 // state survived.
 func (c *Controller) RestoredSessions() int { return c.eng.Len() }

@@ -293,8 +293,8 @@ func (c *Controller) AnchorCacheStats() (st anchorcache.Stats, lastFanout int) {
 	return c.cache.Stats(), int(c.lastFanout.Load())
 }
 
-// AnchorCacheLen reports how many anchors the cache holds — the daemons
-// log it beside a checkpoint restore or write, since over a simulated fleet
+// AnchorCacheLen reports how many anchors the cache holds — the daemon
+// logs it beside a checkpoint restore or write, since over a simulated fleet
 // the cache is all a checkpoint carries.
 func (c *Controller) AnchorCacheLen() int {
 	c.mu.Lock()

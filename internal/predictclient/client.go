@@ -1,5 +1,5 @@
-// Package predictclient is the typed Go client for the vmtherm-predictd
-// HTTP service (internal/predictserver). A monitoring agent embeds it to
+// Package predictclient is the typed Go client for vmtherm-fleetd's HTTP
+// prediction service (internal/predictserver). A monitoring agent embeds it to
 // push online measurements and pull Δ_gap-ahead temperature predictions.
 package predictclient
 
@@ -22,7 +22,7 @@ import (
 	"vmtherm/internal/telemetry"
 )
 
-// Client talks to one predictd instance.
+// Client talks to one daemon.
 type Client struct {
 	base string
 	http *http.Client

@@ -1,5 +1,5 @@
 // Package predictserver implements the HTTP prediction service behind
-// cmd/vmtherm-predictd: stable-temperature prediction from Eq. (2) feature
+// cmd/vmtherm-fleetd: stable-temperature prediction from Eq. (2) feature
 // vectors, and per-server dynamic prediction sessions that receive online
 // measurements and answer Δ_gap-ahead queries — the deployment loop the
 // paper describes ("the model received data collected online and output

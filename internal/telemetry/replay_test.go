@@ -41,7 +41,7 @@ func TestTraceSourceValidation(t *testing.T) {
 
 // TestLoopingTraceNeedsARealPeriod: Advance replays a looping trace
 // dt/period times per call under the round lock, so two readings 1e-9 s apart
-// (predictd's default is -loop) used to hold round 1 — and the daemon, which
+// (a daemon replaying with -loop) used to hold round 1 — and the daemon, which
 // checks for SIGTERM between rounds — forever; at 1e-300 s the cycle offset
 // did not even advance. Such a trace is refused at construction, by period;
 // unlooped it replays once and returns.
