@@ -146,11 +146,37 @@ func TestIgnoredFlagRefusedBeforeTraining(t *testing.T) {
 		{[]string{"-source", "nonee"}, `unknown -source "nonee" (want sim, trace, scrape or none)`},
 		{[]string{"-source", "none"}, "-source none requires -addr"},
 		{[]string{"-source", "none", "-addr", ""}, "-source none requires -addr"},
+		{[]string{"-source", "trace"}, "-source trace requires -trace <csv>"},
+		{[]string{"-source", "scrape"}, "-source scrape requires -scrape-url <endpoint>"},
+		{[]string{"-train-cases", "3"}, "-train-cases is ignored with -model or -synthetic"},
+		{[]string{"-synthetic", "-train-cases", "3"}, "-train-cases is ignored with -model or -synthetic"},
+		{append([]string{"-train-cases", "3"}, none...), "-train-cases is ignored with -model or -synthetic"},
 	} {
 		args := append([]string{"-model", filepath.Join(t.TempDir(), "absent.svm")}, c.args...)
 		if err := run(context.Background(), args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: run returned %v, want %q", c.args, err, c.want)
 		}
+	}
+}
+
+// TestBadValueRefusedBeforeTraining: a value the fleet configuration
+// refuses used to surface only after the fast model had been trained on 24
+// experiments. It is refused first, and the error names the flag.
+func TestBadValueRefusedBeforeTraining(t *testing.T) {
+	logs := captureLog(t)
+	for _, c := range []struct{ flag, value string }{
+		{"-update", "-1"},
+		{"-gap", "-5"},
+		{"-gap", "NaN"},
+		{"-migrations", "-1"},
+	} {
+		err := run(context.Background(), []string{"-rounds", "1", "-racks", "1", "-hosts", "2", c.flag, c.value})
+		if want := c.flag + " " + c.value + ": fleet: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s %s: run returned %v, want an error starting %q", c.flag, c.value, err, want)
+		}
+	}
+	if strings.Contains(logs.String(), "training") {
+		t.Errorf("a refused value trained a model first:\n%s", logs.String())
 	}
 }
 

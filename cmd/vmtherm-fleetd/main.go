@@ -98,31 +98,65 @@ var needs = regexp.MustCompile(`\((?:-source ([a-z ]+)|requires -([a-z-]+))\)$`)
 // and serves it.
 var modelOnly = map[string]bool{"addr": true, "model": true, "source": true, "seed": true, "train-cases": true}
 
-// refuseIgnored fails on an unknown -source and on the first flag set on the
-// command line that the run would silently ignore: under -source none each
-// fleet flag, otherwise each flag whose usage text names a source or a flag
+// refuseIgnored fails on an unknown -source, on a source without its input,
+// and on the first flag set on the command line that the run would silently
+// ignore: under -source none each fleet flag, -train-cases beside -model or
+// -synthetic, otherwise each flag whose usage text names a source or a flag
 // the run does not have.
 func refuseIgnored(fs *flag.FlagSet, source string) (err error) {
 	if !slices.Contains([]string{"sim", "trace", "scrape", "none"}, source) {
 		return fmt.Errorf("unknown -source %q (want sim, trace, scrape or none)", source)
 	}
+	has := func(name string) bool { v := fs.Lookup(name).Value.String(); return v != "" && v != "false" }
 	fs.Visit(func(f *flag.Flag) {
 		m := needs.FindStringSubmatch(f.Usage)
 		switch {
 		case err != nil:
 		case source == "none" && !modelOnly[f.Name]:
 			err = fmt.Errorf("-%s requires a fleet loop (-source sim, trace or scrape, not none)", f.Name)
+		case f.Name == "train-cases" && (has("model") || has("synthetic")):
+			err = errors.New("-train-cases is ignored with -model or -synthetic: it sizes the model trained when neither is given")
 		case m == nil:
 		case m[1] != "" && !slices.Contains(strings.Split(m[1], " or "), source):
 			err = fmt.Errorf("-%s requires -source %s (got %q)", f.Name, m[1], source)
-		case m[2] != "" && fs.Lookup(m[2]).Value.String() == "":
+		case m[2] != "" && !has(m[2]):
 			err = fmt.Errorf("-%s requires -%s", f.Name, m[2])
 		}
 	})
-	if err == nil && source == "none" && fs.Lookup("addr").Value.String() == "" {
+	switch {
+	case err != nil:
+	case source == "none" && !has("addr"):
 		err = errors.New("-source none requires -addr: it serves the prediction API and runs nothing else")
+	case source == "trace" && !has("trace"):
+		err = errors.New("-source trace requires -trace <csv>")
+	case source == "scrape" && !has("scrape-url"):
+		err = errors.New("-source scrape requires -scrape-url <endpoint>")
 	}
 	return err
+}
+
+// refuseBadValues fails on the first flag set on the command line whose
+// value alone the fleet configuration refuses, naming the flag: each is set
+// over the defaults on a fresh flag set and checked as the controller would
+// check it.
+func refuseBadValues(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		one := flag.NewFlagSet(fs.Name(), flag.ContinueOnError)
+		shared, own := bindFlags(one)
+		if err == nil && one.Set(f.Name, f.Value.String()) == nil {
+			if cerr := fleetConfig(shared, own).Validate(); cerr != nil {
+				err = fmt.Errorf("-%s %s: %w", f.Name, f.Value, cerr)
+			}
+		}
+	})
+	return err
+}
+
+// fleetConfig is the fleet configuration the flags describe.
+func fleetConfig(shared *daemon.Flags, own *loopFlags) fleet.Config {
+	cfg := shared.Config()
+	cfg.MaxMigrationsPerRound = own.migrations
+	return cfg
 }
 
 func main() {
@@ -144,6 +178,9 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	if err := refuseIgnored(fs, shared.Source); err != nil {
+		return err
+	}
+	if err := refuseBadValues(fs); err != nil {
 		return err
 	}
 
@@ -169,8 +206,7 @@ func run(ctx context.Context, args []string) error {
 	if shared.Source == "none" {
 		return serveModel(ctx, shared.Addr, model)
 	}
-	cfg := shared.Config()
-	cfg.MaxMigrationsPerRound = own.migrations
+	cfg := fleetConfig(shared, own)
 	if predict == nil {
 		predict = fleet.StableBatchPredictor(model, cfg.HorizonS)
 	}
@@ -290,20 +326,24 @@ func run(ctx context.Context, args []string) error {
 		totalHotspots += rep.Hotspots
 		totalMoves += rep.AppliedMoves
 		totalPlaced += rep.Placements
-		fmt.Println(roundLine(rep, updateS, ctl.StreamingEnabled(), drill))
+		fmt.Println(roundLine(rep, updateS, ctl.Streaming(), drill))
 	}
 	runErr := rt.Loop(ctx, loop)
 	if ctx.Err() != nil {
 		log.Print("interrupted")
 	}
 	wall := time.Since(start)
-	log.Printf("processed %.0fs of fleet time in %v (%.0f× real time): %d hotspot-rounds, %d migrations, %d placements",
-		simSeconds, wall.Round(time.Millisecond), simSeconds/wall.Seconds(),
-		totalHotspots, totalMoves, totalPlaced)
-	if wall.Seconds() < simSeconds {
-		log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", updateS)
-	} else if !loop.Pace {
-		log.Printf("WARNING: control loop slower than real time at this fleet size")
+	if simSeconds == 0 {
+		log.Printf("no round completed in %v", wall.Round(time.Millisecond))
+	} else {
+		log.Printf("processed %.0fs of fleet time in %v (%.0f× real time): %d hotspot-rounds, %d migrations, %d placements",
+			simSeconds, wall.Round(time.Millisecond), simSeconds/wall.Seconds(),
+			totalHotspots, totalMoves, totalPlaced)
+		if wall.Seconds() < simSeconds {
+			log.Printf("OK: a %.0fs calibration interval is sustainable in real time at this fleet size", updateS)
+		} else if !loop.Pace {
+			log.Printf("WARNING: control loop slower than real time at this fleet size")
+		}
 	}
 	if drill != nil {
 		runErr = gradeScenario(drill, own.scenarioOut, runErr)

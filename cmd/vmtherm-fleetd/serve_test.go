@@ -24,6 +24,17 @@ const traceFile = "../../internal/fleet/testdata/trace_pr3.csv"
 const oneFeatureModel = "vmtherm_stable_model v1\nscale_lower -1\nscale_upper 1\nmins 0\nmaxs 1\nmodel:\n" +
 	"svm_type epsilon_svr\nkernel_type rbf\ngamma 1\nrho 0\nSV\n1 1:0.5\n"
 
+// oneFeatureModelFile writes oneFeatureModel to a temporary file and
+// returns its path.
+func oneFeatureModelFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "one-feature.svm")
+	if err := os.WriteFile(path, []byte(oneFeatureModel), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // logBuffer captures the standard logger for one test.
 type logBuffer struct {
 	mu  sync.Mutex
@@ -169,11 +180,7 @@ func TestOpenEndedServesPastTraceEnd(t *testing.T) {
 // anchor the fleet fails. A budgeted run exits on the first with its error;
 // an open-ended one logs each and runs the next, until the trace ends.
 func TestFailedRoundStopsOnlyBudgetedRuns(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "one-feature.svm")
-	if err := os.WriteFile(model, []byte(oneFeatureModel), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	args := []string{"-source", "trace", "-trace", traceFile, "-model", model}
+	args := []string{"-source", "trace", "-trace", traceFile, "-model", oneFeatureModelFile(t)}
 
 	logs := captureLog(t)
 	if err := run(context.Background(), append(args, "-rounds", "5")); err == nil {
@@ -192,5 +199,24 @@ func TestFailedRoundStopsOnlyBudgetedRuns(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "trace exhausted") {
 		t.Errorf("the open-ended run did not reach the trace's end:\n%s", logs.String())
+	}
+}
+
+// TestNoRoundSummary: when no round completed, the end-of-run summary says
+// so. It used to print "0× real time" and warn that the loop was slower
+// than real time, since 0 s of wall time is not less than 0 s of fleet time.
+func TestNoRoundSummary(t *testing.T) {
+	logs := captureLog(t)
+	args := []string{"-source", "trace", "-trace", traceFile, "-model", oneFeatureModelFile(t), "-rounds", "5"}
+	if err := run(context.Background(), args); err == nil {
+		t.Error("a budgeted run over failing rounds exited 0")
+	}
+	if !strings.Contains(logs.String(), "no round completed") {
+		t.Errorf("the summary does not say no round completed:\n%s", logs.String())
+	}
+	for _, wrong := range []string{"real time", "WARNING"} {
+		if strings.Contains(logs.String(), wrong) {
+			t.Errorf("the summary of a run without rounds says %q:\n%s", wrong, logs.String())
+		}
 	}
 }

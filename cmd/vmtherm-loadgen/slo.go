@@ -64,7 +64,6 @@ func bindFlags(fs *flag.FlagSet) *sloFlags {
 	fs.Float64Var(&f.fleet.Admission.HeadroomBudgetC, "admission-budget", 0, "in-process AdmissionPolicy.HeadroomBudgetC (0 = gate off)")
 	fs.IntVar(&f.fleet.Admission.MaxPlacementsPerRound, "admission-cap", 0, "in-process AdmissionPolicy.MaxPlacementsPerRound (0 = unbounded)")
 	fs.IntVar(&f.ingestHosts, "slo-ingest-hosts", 256, "distinct host ids the ingest profile cycles over when the fleet's own hosts are unknown (remote mode)")
-	fs.BoolVar(&f.fleet.StreamingIngest, "streaming", false, "enable streaming ingest on the in-process stack (required for the freshness endpoint; control rounds keep ticking in the background during ingest/freshness profiles)")
 	fs.StringVar(&f.step.Arrivals, "arrivals", "fixed", "dispatch schedule for every profiled step: fixed|poisson|uniform (poisson/uniform offer the same mean rate with realistic burstiness)")
 
 	fs.StringVar(&f.scenario, "scenario", "", "thermal-emergency scenario (builtin name or JSON file) to play against the in-process fleet while profiling — serving capacity under emergency (requires -inprocess)")
@@ -195,9 +194,6 @@ func run(f *sloFlags, out io.Writer) error {
 		if cfg.SLO.Limit <= 0 {
 			cfg.SLO.Limit = limit
 		}
-		if ep == "freshness" && f.inprocess && !f.fleet.StreamingIngest {
-			return fmt.Errorf("the freshness endpoint needs -streaming on the in-process stack")
-		}
 		epBatches := batches
 		if ep == "hotspots" { // GET endpoint: no batch dimension
 			epBatches = []int{1}
@@ -208,7 +204,7 @@ func run(f *sloFlags, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "profiling %s batch=%d under %s...\n", target.Name(), b, cfg.SLO.Label())
-			// Streaming push profiles run with the control loop ticking in
+			// The push profiles run with the control loop ticking in
 			// the background — the production shape, where rounds keep
 			// draining the bounded pipeline and reconciling the live
 			// hotspot index underneath the event-driven path. Without the
@@ -217,7 +213,7 @@ func run(f *sloFlags, out io.Writer) error {
 			// every profile: the emergency timeline must advance while the
 			// measured load runs, or there is no "under load" in the grade.
 			var stopDrain func() error
-			if stack != nil && (emergency != nil || (f.fleet.StreamingIngest && (ep == "ingest" || ep == "freshness"))) {
+			if stack != nil && (emergency != nil || ep == "ingest" || ep == "freshness") {
 				stopDrain = background(ctx, stack, rounds)
 			}
 			profile, err := sloharness.Run(ctx, cfg, target)
@@ -355,9 +351,6 @@ func profileKnobs(f *sloFlags, ep string, batch int) map[string]string {
 	if ep == "place" {
 		knobs["admission_budget_c"] = strconv.FormatFloat(f.fleet.Admission.HeadroomBudgetC, 'g', -1, 64)
 		knobs["admission_round_cap"] = strconv.Itoa(f.fleet.Admission.MaxPlacementsPerRound)
-	}
-	if f.fleet.StreamingIngest {
-		knobs["streaming"] = "1"
 	}
 	if f.step.Arrivals != "" && f.step.Arrivals != sloharness.ArrivalsFixed {
 		knobs["arrivals"] = f.step.Arrivals

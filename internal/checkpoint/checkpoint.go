@@ -87,7 +87,8 @@ type IngestTotals struct {
 
 // StreamState is the streaming-ingest machinery's durable state: cumulative
 // counters plus the incrementally maintained hotspot index (sorted by host
-// id for deterministic bytes). Nil in State when streaming was off.
+// id for deterministic bytes). Nil in State until the first push has built
+// the index.
 type StreamState struct {
 	Applied     int64
 	Created     int64
@@ -145,7 +146,7 @@ type State struct {
 	LastRejected int64
 	// LastFanout is the previous round's anchor miss-batch size.
 	LastFanout int64
-	// Stream is the streaming-ingest state; nil when streaming was off.
+	// Stream is the streaming-ingest state; nil until the first push.
 	Stream *StreamState
 	// AnchorCache preserves the anchor cache; nil if the writer had it off.
 	AnchorCache *CacheState

@@ -8,7 +8,6 @@
 package daemon
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +32,6 @@ type Flags struct {
 	Loop                      bool
 	Scrape                    telemetry.ScrapeConfig
 	AmbientC                  float64
-	Streaming                 bool
 	CheckpointFile            string
 	CheckpointEveryS          float64
 }
@@ -62,7 +60,6 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Scrape.MemMetric, "scrape-mem", "", "memory metric name, default vmtherm_host_mem_ratio (-source scrape)")
 	fs.StringVar(&f.Scrape.HostLabel, "scrape-host-label", "", "host label name, default host (-source scrape)")
 	fs.Float64Var(&f.AmbientC, "ambient", 22, "δ_env assumed for ψ_stable anchors (-source trace or scrape)")
-	fs.BoolVar(&f.Streaming, "streaming", false, "event-driven ingest: apply pushed readings on arrival (per-arrival calibration, live hotspot index, predict: true on /v1/fleet/ingest); rounds keep running and reconcile")
 	fs.StringVar(&f.CheckpointFile, "checkpoint-file", "", "crash-safe checkpoint base path (generations at <path>.1/<path>.2): serving state is restored from the newest valid generation on start, checkpointed periodically and on shutdown (a simulated fleet carries its anchor cache only; pair the files with the model that produced them)")
 	fs.Float64Var(&f.CheckpointEveryS, "checkpoint-every", 30, "seconds between periodic checkpoints, 0 = final shutdown checkpoint only (requires -checkpoint-file)")
 	return f
@@ -79,7 +76,6 @@ func (f *Flags) Config() fleet.Config {
 	cfg.UpdateEveryS = f.UpdateS
 	cfg.GapS = f.GapS
 	cfg.SourceAmbientC = f.AmbientC
-	cfg.StreamingIngest = f.Streaming
 	cfg.Seed = f.Seed
 	return cfg
 }
@@ -134,9 +130,6 @@ func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor
 		desc = fmt.Sprintf("%d racks × %d hosts = %d servers", cfg.Racks, cfg.HostsPerRack, cfg.Racks*cfg.HostsPerRack)
 		c.Controller, err = fleet.New(cfg, predict)
 	case "trace":
-		if f.Trace == "" {
-			return nil, errors.New("-source trace requires -trace <csv>")
-		}
 		var readings []telemetry.Reading
 		if readings, err = readTrace(f.Trace); err != nil {
 			return nil, fmt.Errorf("reading trace: %w", err)
@@ -148,9 +141,6 @@ func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor
 		desc = fmt.Sprintf("replaying %d readings from %s (speed %.0gx, loop %v)", len(readings), f.Trace, f.Speed, f.Loop)
 		c.Controller, err = fleet.NewWithSource(cfg, c.Trace, predict)
 	case "scrape":
-		if f.Scrape.URL == "" {
-			return nil, errors.New("-source scrape requires -scrape-url <endpoint>")
-		}
 		var src *telemetry.ScrapeSource
 		if src, err = telemetry.NewScrapeSource(f.Scrape); err != nil {
 			return nil, err

@@ -16,9 +16,7 @@ import (
 // streaming path, staleness widens while dark, and every stale host is
 // cleared within a bounded number of rounds after the sweep resumes.
 func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
-	cfg := testConfig()
-	cfg.StreamingIngest = true
-	c, err := New(cfg, syntheticStable)
+	c, err := New(testConfig(), syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +116,7 @@ func TestBlackoutRecoveryUnderConcurrentStreaming(t *testing.T) {
 // TestIngestBatchRejectsImplausible pins the typed per-reading outcome and
 // the per-reason counters for every implausibility class.
 func TestIngestBatchRejectsImplausible(t *testing.T) {
-	cfg := testConfig()
-	cfg.StreamingIngest = true
-	c, err := New(cfg, syntheticStable)
+	c, err := New(testConfig(), syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	st.Ingest.Received, st.Ingest.Dropped, st.Ingest.Superseded = c.ingest.stats()
 	st.Ingest.Rejected = c.ingest.rejectedByReason()
 
-	if s := c.stream; s != nil {
+	if s := c.stream.Load(); s != nil {
 		ss := &checkpoint.StreamState{
 			Applied:     s.applied.Load(),
 			Created:     s.created.Load(),
@@ -178,10 +178,7 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	c.round = st.Round
 
 	if ss := st.Stream; ss != nil {
-		s := c.stream
-		if s == nil {
-			return fmt.Errorf("fleet: restore: checkpoint carries streaming state but streaming ingest is off")
-		}
+		s := newStreamState(c)
 		s.applied.Store(ss.Applied)
 		s.created.Store(ss.Created)
 		s.deferred.Store(ss.Deferred)
@@ -189,20 +186,11 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 		// Per-round deltas restart from the restored totals, not from zero —
 		// otherwise the first restored round would report the whole history.
 		s.lastApplied, s.lastCreated, s.lastDeferred = ss.Applied, ss.Created, ss.Deferred
-		s.idx.mu.Lock()
-		clear(s.idx.entries)
 		for _, h := range ss.Hotspots {
 			s.idx.entries[h.HostID] = Hotspot(h)
 		}
 		s.idx.dirty = true
-		s.idx.mu.Unlock()
-	} else if c.stream != nil {
-		// Checkpoint taken with streaming off, restored with it on: start the
-		// streaming counters cold but leave the controller usable.
-		c.stream.idx.mu.Lock()
-		clear(c.stream.idx.entries)
-		c.stream.idx.dirty = true
-		c.stream.idx.mu.Unlock()
+		c.stream.Store(s)
 	}
 
 	if err := c.restoreAnchorCache(st.AnchorCache); err != nil {

@@ -259,8 +259,8 @@ func TestCheckpointRestoreAfterKillMidWrite(t *testing.T) {
 
 // TestCheckpointRestoreStreamingState: the streaming-ingest machinery's
 // durable state — cumulative counters, per-round delta anchors, the live
-// hotspot index — must survive a restore, so a restarted streaming daemon
-// serves the same hotspot set and continuous totals.
+// hotspot index — must survive a restore, so a restarted daemon that had
+// been pushed to serves the same hotspot set and continuous totals.
 func TestCheckpointRestoreStreamingState(t *testing.T) {
 	cfg := streamGridConfig()
 	src := &gridSource{}
@@ -293,10 +293,10 @@ func TestCheckpointRestoreStreamingState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Stream == nil {
-		t.Fatal("checkpoint of a streaming controller has no stream state")
+		t.Fatal("checkpoint of a pushed-to controller has no stream state")
 	}
 	wantA, wantC, wantD, wantP := ctl.StreamTotals()
-	wantHot := ctl.StreamHotspotsInto(nil)
+	wantHot, _ := ctl.StreamHotspotsInto(nil)
 	if wantA == 0 || len(wantHot) == 0 {
 		t.Fatalf("streaming run too tame (applied %d, hotspots %d)", wantA, len(wantHot))
 	}
@@ -313,7 +313,10 @@ func TestCheckpointRestoreStreamingState(t *testing.T) {
 		t.Fatalf("restored stream totals (%d,%d,%d,%d) != checkpointed (%d,%d,%d,%d)",
 			gotA, gotC, gotD, gotP, wantA, wantC, wantD, wantP)
 	}
-	gotHot := ctl2.StreamHotspotsInto(nil)
+	gotHot, ok := ctl2.StreamHotspotsInto(nil)
+	if !ok {
+		t.Fatal("restoring a stream section installed no index")
+	}
 	if len(gotHot) != len(wantHot) {
 		t.Fatalf("restored index has %d hotspots, want %d", len(gotHot), len(wantHot))
 	}

@@ -60,11 +60,8 @@ type Config struct {
 	// fan-outs (cold rounds, mass re-anchors) across cores (default
 	// min(GOMAXPROCS, 8); 1 forces sequential fan-out).
 	AnchorWorkers int
-	// StreamingIngest applies pushed readings on arrival — observe,
-	// calibrate, predict, and update an incremental hotspot index — instead
-	// of parking them in the pipeline until the next round. The pipeline and
-	// the batch round still run (and reconcile the index every round); see
-	// stream.go. Off by default: round-driven deployments pay nothing.
+	// StreamingIngest is ignored: every pushed reading is applied on
+	// arrival (stream.go). It stays until bench/e2e stops setting it.
 	StreamingIngest bool
 	// PhysWorkers bounds the worker pool the simulated-physics tick shards
 	// racks across (default min(GOMAXPROCS, 8); 1 forces the serial tick).
@@ -156,8 +153,10 @@ func (c Config) ingestCapacity(hosts int) int {
 // fleetd seeding pass (hosts/2 submissions at 16k hosts) never trips it.
 const defaultQueueDepth = 65536
 
-// Validate checks the configuration.
+// Validate checks the configuration as New and NewWithSource run it: zero
+// fields take their defaults first.
 func (c Config) Validate() error {
+	c = c.withDefaults()
 	// NaN fails every comparison below, so it would pass each of them (a NaN
 	// update interval schedules simulator ticks forever); no field gives an
 	// infinity a meaning either.

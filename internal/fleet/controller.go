@@ -116,10 +116,10 @@ type Controller struct {
 	// atomic pointer swap; retired generations recycled in place).
 	snaps snapStore
 
-	// stream is the streaming-ingest machinery (nil unless
-	// Config.StreamingIngest); hotUpdatedNano is the wall-clock instant the
-	// served hotspot set last refreshed, for the staleness gauge.
-	stream         *streamState
+	// stream is the streaming-ingest machinery (nil until liveIndex builds
+	// it); hotUpdatedNano is the wall-clock instant the served hotspot set
+	// last refreshed, for the staleness gauge.
+	stream         atomic.Pointer[streamState]
 	hotUpdatedNano atomic.Int64
 
 	// recentErrs is the bounded ring of recent source/ingest failures
@@ -205,9 +205,6 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 	}
 	for i := 0; i < cfg.HostShape.Cores; i++ {
 		c.obsTaskIDs = append(c.obsTaskIDs, "observed-t"+strconv.Itoa(i))
-	}
-	if cfg.StreamingIngest {
-		c.stream = newStreamState(c)
 	}
 	c.predictChunk = c.predictMissChunk
 	c.stage = c.stageReading

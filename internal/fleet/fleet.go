@@ -263,7 +263,7 @@ type RoundReport struct {
 	// readings deferred to this round); StreamHotDrift counts hotspot-index
 	// entries this round's full recompute had to correct at reconciliation.
 	// All zero — and omitted from JSON, so round-driven traces are
-	// byte-stable — when streaming ingest is off.
+	// byte-stable — on a controller nothing has pushed to.
 	StreamApplied  int64 `json:",omitempty"`
 	StreamCreated  int64 `json:",omitempty"`
 	StreamDeferred int64 `json:",omitempty"`

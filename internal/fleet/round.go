@@ -193,11 +193,11 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 // reconcileStream folds the authoritative recompute into the incremental
 // hotspot index, counting every entry the streaming path had let drift.
 // After this the index and the snapshot agree bit-for-bit (until the next
-// push moves the index ahead again). No-op with streaming ingest off.
+// push moves the index ahead again). No-op until the first push.
 func (c *Controller) reconcileStream(rs *roundState) {
-	if c.stream != nil {
-		rs.stream = c.stream.roundDelta()
-		rs.stream.drift = c.stream.idx.reconcile(rs.gen.snap.Hotspots, c.stream.reconSeen)
+	if st := c.stream.Load(); st != nil {
+		rs.stream = st.roundDelta()
+		rs.stream.drift = st.idx.reconcile(rs.gen.snap.Hotspots, st.reconSeen)
 	}
 }
 

@@ -11,16 +11,12 @@ import (
 
 // snapController builds a source-driven controller tracking n hosts whose
 // temperatures straddle the hotspot threshold, with two rounds already run
-// (population discovered, anchors cached, snapshot published). tweak adjusts
-// the configuration before the controller is built.
-func snapController(t *testing.T, n int, tweak ...func(*Config)) (*Controller, *gridSource, []string) {
+// (population discovered, anchors cached, snapshot published).
+func snapController(t *testing.T, n int) (*Controller, *gridSource, []string) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.MaxHosts = n
 	cfg.ThresholdC = 70
-	for _, f := range tweak {
-		f(&cfg)
-	}
 	src := &gridSource{}
 	ctl, err := NewWithSource(cfg, src, syntheticStable)
 	if err != nil {
@@ -81,24 +77,21 @@ func TestWarmRoundZeroAlloc(t *testing.T) {
 }
 
 // TestWarmIngestBatchZeroAlloc pins the push path's side of the same
-// contract: a warm IngestBatch allocates nothing, whether it only buffers
-// for the next round (streaming off), also applies every reading on arrival
-// (streamed), or returns the Δ_gap-ahead prediction per reading as well
-// (predict). engine.ObserveBatch alone is pinned in internal/engine; this is
+// contract: a warm IngestBatch allocates nothing, whether it applies every
+// reading on arrival (streamed) or returns the Δ_gap-ahead prediction per
+// reading as well (predict). engine.ObserveBatch alone is pinned in internal/engine; this is
 // the call behind POST /v1/fleet/ingest.
 func TestWarmIngestBatchZeroAlloc(t *testing.T) {
 	const hosts, runs = 64, 100
 	for _, tc := range []struct {
-		name               string
-		streaming, predict bool
-		want               IngestOutcome
+		name    string
+		predict bool
 	}{
-		{"buffered", false, false, IngestBuffered},
-		{"streamed", true, false, IngestStreamed},
-		{"predict", true, true, IngestStreamed},
+		{"streamed", false},
+		{"predict", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctl, src, ids := snapController(t, hosts, func(cfg *Config) { cfg.StreamingIngest = tc.streaming })
+			ctl, src, ids := snapController(t, hosts)
 			// Room for every push of the run: no round in between, no drop.
 			withIngestBuffer(ctl, hosts*(runs+2))
 			readings := make([]Reading, hosts)
@@ -109,8 +102,8 @@ func TestWarmIngestBatchZeroAlloc(t *testing.T) {
 				for i, id := range ids {
 					readings[i] = Reading{HostID: id, AtS: at, TempC: 30 + float64(i%50), Util: float64(i%101) / 100, MemFrac: 0.25}
 				}
-				if n := ctl.IngestBatch(readings, tc.predict, results); n != hosts || results[0].Outcome != tc.want {
-					t.Fatalf("accepted %d/%d readings, first outcome %v, want %v", n, hosts, results[0].Outcome, tc.want)
+				if n := ctl.IngestBatch(readings, tc.predict, results); n != hosts || results[0].Outcome != IngestStreamed {
+					t.Fatalf("accepted %d/%d readings, first outcome %v, want streamed", n, hosts, results[0].Outcome)
 				}
 				if tc.predict && results[hosts-1].Pred.HostID != ids[hosts-1] {
 					t.Fatalf("no prediction came back for %s: %+v", ids[hosts-1], results[hosts-1])

@@ -1,12 +1,13 @@
 package fleet
 
-// Streaming ingest: the event-driven fast path through the controller.
-// With Config.StreamingIngest set, a pushed reading is applied to its
-// engine session the moment it arrives (engine.PredictFresh: observe,
-// calibrate on the session's Δ_update schedule, predict Δ_gap ahead) and
-// the resulting prediction updates a concurrent-read hotspot margin index
-// — so /v1/fleet/hotspots and a synchronous-predictive ingest reflect the
-// reading in microseconds instead of waiting out the batch round.
+// Streaming ingest: every reading pushed through IngestBatch is applied to
+// its engine session the moment it arrives (engine.PredictFresh: observe,
+// calibrate on the session's Δ_update schedule, predict Δ_gap ahead), and
+// the resulting prediction updates a concurrent-read hotspot margin index —
+// so /v1/fleet/hotspots and a synchronous-predictive ingest reflect the
+// reading in microseconds instead of waiting out the batch round. The index
+// is built at the controller's first accepted push: a fleet fed only by its
+// telemetry source never has one and never pays for it.
 //
 // The batch round stays authoritative: every pushed reading still flows
 // through the bounded pipeline into the next round (which owns staleness
@@ -30,11 +31,9 @@ import (
 type IngestOutcome uint8
 
 const (
-	// IngestBuffered: queued for the next batch round (streaming off).
-	IngestBuffered IngestOutcome = iota
 	// IngestStreamed: queued AND applied on arrival — the session observed
 	// the reading and the hotspot index reflects its fresh prediction.
-	IngestStreamed
+	IngestStreamed IngestOutcome = iota
 	// IngestDeferred: queued, but the streaming path had no session for the
 	// host and no warm anchor to create one; the next batch round will.
 	IngestDeferred
@@ -55,8 +54,8 @@ type IngestResult struct {
 	Pred Prediction
 }
 
-// streamState is the controller's streaming-ingest machinery, nil unless
-// Config.StreamingIngest is set.
+// streamState is the controller's streaming-ingest machinery, nil until the
+// first accepted push (liveIndex).
 type streamState struct {
 	// anchor is the inline warm-anchor lookup bound once at construction so
 	// the per-reading hot path does not allocate a closure.
@@ -173,12 +172,8 @@ func (st *streamState) roundDelta() (d streamDelta) {
 
 // newStreamState wires the streaming machinery for a controller.
 func newStreamState(c *Controller) *streamState {
-	st := &streamState{
-		idx:       hotIndex{entries: make(map[string]Hotspot)},
-		reconSeen: make(map[string]bool),
-	}
-	st.anchor = c.warmAnchor
-	return st
+	return &streamState{anchor: c.warmAnchor, reconSeen: make(map[string]bool),
+		idx: hotIndex{entries: make(map[string]Hotspot)}}
 }
 
 // warmAnchor is the inline anchor lookup for hosts pushed before any round
@@ -207,50 +202,71 @@ func (c *Controller) warmAnchor(r telemetry.Reading) (float64, bool) {
 	return v, true
 }
 
-// StreamingEnabled reports whether this controller applies pushed readings
-// on arrival.
-func (c *Controller) StreamingEnabled() bool { return c.stream != nil }
+// liveIndex returns the streaming machinery, building it on the first call.
+// It is built under the round lock — the first push waits out a round in
+// flight, once — and seeded from the published generation's hotspots (its
+// columns; the legacy maps stay unfilled): that is what the last round
+// boundary reconciled the index to, so it agrees with the rounds from the
+// moment it exists.
+func (c *Controller) liveIndex() *streamState {
+	if st := c.stream.Load(); st != nil {
+		return st
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.stream.Load(); st != nil {
+		return st
+	}
+	st := newStreamState(c)
+	if snap := c.publishedSnapshot(); snap != nil {
+		st.idx.reconcile(snap.Hotspots, st.reconSeen)
+	}
+	c.stream.Store(st)
+	return st
+}
+
+// Streaming reports whether the live hotspot index exists: true from the
+// first accepted push on.
+func (c *Controller) Streaming() bool { return c.stream.Load() != nil }
 
 // StreamTotals returns the cumulative streaming-ingest counters (all zero
-// when streaming is off). Safe to call concurrently with everything.
+// until the first accepted push). Safe to call concurrently with everything.
 func (c *Controller) StreamTotals() (applied, created, deferred, predictions int64) {
-	if c.stream == nil {
+	st := c.stream.Load()
+	if st == nil {
 		return 0, 0, 0, 0
 	}
-	st := c.stream
 	return st.applied.Load(), st.created.Load(), st.deferred.Load(), st.predictions.Load()
 }
 
 // HotspotStalenessS reports how many seconds ago the served hotspot set
-// was last refreshed — a per-arrival index update in streaming mode, the
-// round's publication otherwise. 0 until anything has been served.
+// was last refreshed — by a pushed reading's index update or by a round's
+// publication, whichever came last. 0 until anything has been served.
 func (c *Controller) HotspotStalenessS() float64 {
 	v := c.hotUpdatedNano.Load()
 	if v == 0 {
 		return 0
 	}
-	s := float64(time.Now().UnixNano()-v) / 1e9
-	if s < 0 {
-		return 0
-	}
-	return s
+	return max(0, float64(time.Now().UnixNano()-v)/1e9)
 }
 
 // StreamHotspotsInto appends the live incremental hotspot set (sorted by
 // descending margin, ties by host id) to dst and returns it. This is the
 // freshest view the controller has — it reflects pushed readings
 // immediately, ahead of the round that will confirm them. Returns dst
-// unchanged when streaming is off.
-func (c *Controller) StreamHotspotsInto(dst []Hotspot) []Hotspot {
-	if c.stream == nil {
-		return dst
+// unchanged and false until the first accepted push has built the index.
+func (c *Controller) StreamHotspotsInto(dst []Hotspot) ([]Hotspot, bool) {
+	st := c.stream.Load()
+	if st == nil {
+		return dst, false
 	}
-	return c.stream.idx.snapshotInto(dst)
+	return st.idx.snapshotInto(dst), true
 }
 
-// IngestBatch pushes a batch of readings through the ingest pipeline and,
-// when streaming is enabled, applies each accepted reading on arrival:
-// observe → calibrate → Δ_gap-ahead predict → hotspot-index update. The
+// IngestBatch pushes a batch of readings through the ingest pipeline and
+// applies each accepted reading on arrival: observe → calibrate →
+// Δ_gap-ahead predict → hotspot-index update. The first accepted reading a
+// controller ever sees builds the index (liveIndex). The
 // per-reading outcome (and, when wantPred, the fresh prediction) is
 // written to results[i]; results must be at least len(readings) long.
 // Returns how many readings the pipeline accepted. Safe for concurrent use
@@ -261,7 +277,7 @@ func (c *Controller) StreamHotspotsInto(dst []Hotspot) []Hotspot {
 // is NOT applied: backpressure must mean the same thing on both paths.
 func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []IngestResult) (accepted int) {
 	tee := c.tee.Load()
-	st := c.stream
+	var st *streamState
 	var es engine.StreamStats
 	var touched bool
 	for i := range readings {
@@ -281,8 +297,7 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 		}
 		accepted++
 		if st == nil {
-			results[i] = IngestResult{Outcome: IngestBuffered}
-			continue
+			st = c.liveIndex()
 		}
 		var p Prediction
 		if !c.eng.PredictFresh(readings[i], st.anchor, &es, &p) {

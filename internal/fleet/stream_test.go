@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// streamGridConfig is a source-driven config with streaming ingest on: the
-// population is discovered purely from pushed readings.
+// streamGridConfig is a source-driven config whose population is
+// discovered purely from pushed readings.
 func streamGridConfig() Config {
 	cfg := DefaultConfig()
-	cfg.StreamingIngest = true
 	cfg.MaxMigrationsPerRound = 0
 	cfg.Seed = 7
 	return cfg
@@ -50,8 +49,8 @@ func TestStreamHotspotIndexMatchesRoundRecompute(t *testing.T) {
 				results := make([]IngestResult, len(readings))
 				c.IngestBatch(readings, rng.Intn(2) == 0, results)
 				for i, res := range results {
-					if res.Outcome == IngestDropped || res.Outcome == IngestBuffered {
-						t.Fatalf("round %d reading %d: outcome %d on a streaming controller", round, i, res.Outcome)
+					if res.Outcome == IngestDropped {
+						t.Fatalf("round %d reading %d: dropped", round, i)
 					}
 				}
 				rep, err := c.RunRound()
@@ -59,18 +58,7 @@ func TestStreamHotspotIndexMatchesRoundRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				totalDrift += int64(rep.StreamHotDrift)
-
-				live := c.StreamHotspotsInto(nil)
-				c.ViewSnapshot(func(s *Snapshot) {
-					if len(live) != len(s.Hotspots) {
-						t.Fatalf("round %d: index has %d hotspots, recompute %d", round, len(live), len(s.Hotspots))
-					}
-					for i := range live {
-						if live[i] != s.Hotspots[i] {
-							t.Fatalf("round %d hotspot %d: index %+v != recompute %+v", round, i, live[i], s.Hotspots[i])
-						}
-					}
-				})
+				checkIndexMatchesRound(t, c, round)
 			}
 			applied, created, deferred, _ := c.StreamTotals()
 			if applied == 0 || deferred == 0 {
@@ -84,13 +72,32 @@ func TestStreamHotspotIndexMatchesRoundRecompute(t *testing.T) {
 	}
 }
 
+// checkIndexMatchesRound fails unless the live index exists and holds
+// exactly the published round's hotspots, in order.
+func checkIndexMatchesRound(t *testing.T, c *Controller, round int) {
+	t.Helper()
+	live, ok := c.StreamHotspotsInto(nil)
+	if !ok {
+		t.Fatalf("round %d: no live index after a push", round)
+	}
+	c.ViewSnapshot(func(s *Snapshot) {
+		if len(live) != len(s.Hotspots) {
+			t.Fatalf("round %d: index has %d hotspots, recompute %d", round, len(live), len(s.Hotspots))
+		}
+		for i := range live {
+			if live[i] != s.Hotspots[i] {
+				t.Fatalf("round %d hotspot %d: index %+v != recompute %+v", round, i, live[i], s.Hotspots[i])
+			}
+		}
+	})
+}
+
 // TestStreamHotspotIndexMatchesRoundsSimFleet runs the same boundary
 // equality on a simulated fleet (round-driven telemetry, interleaved
 // pushes for the fleet's own hosts): the index must track the recompute
 // even though sim fleets never create sessions inline.
 func TestStreamHotspotIndexMatchesRoundsSimFleet(t *testing.T) {
 	cfg := testConfig()
-	cfg.StreamingIngest = true
 	c, err := New(cfg, syntheticStable)
 	if err != nil {
 		t.Fatal(err)
@@ -113,17 +120,12 @@ func TestStreamHotspotIndexMatchesRoundsSimFleet(t *testing.T) {
 		if _, err := c.RunRound(); err != nil {
 			t.Fatal(err)
 		}
-		live := c.StreamHotspotsInto(nil)
-		c.ViewSnapshot(func(s *Snapshot) {
-			if len(live) != len(s.Hotspots) {
-				t.Fatalf("round %d: index %d != recompute %d hotspots", round, len(live), len(s.Hotspots))
-			}
-			for i := range live {
-				if live[i] != s.Hotspots[i] {
-					t.Fatalf("round %d hotspot %d: %+v != %+v", round, i, live[i], s.Hotspots[i])
-				}
-			}
-		})
+		if c.Streaming() {
+			checkIndexMatchesRound(t, c, round)
+		}
+	}
+	if !c.Streaming() {
+		t.Fatal("twenty rounds of pushes built no index")
 	}
 	// A pushed reading for a host the sim does not own defers (no inline
 	// create against a fingerprint-keyed cache), and the drain discards it.
@@ -139,7 +141,6 @@ func TestStreamHotspotIndexMatchesRoundsSimFleet(t *testing.T) {
 // in between.
 func TestStreamingIngestFreshness(t *testing.T) {
 	cfg := testConfig()
-	cfg.StreamingIngest = true
 	cfg.ThresholdC = 40
 	c, err := New(cfg, syntheticStable)
 	if err != nil {
@@ -165,7 +166,7 @@ func TestStreamingIngestFreshness(t *testing.T) {
 	if p.HostID != host || p.TempC <= cfg.ThresholdC {
 		t.Fatalf("synchronous prediction %+v did not cross threshold %v", p, cfg.ThresholdC)
 	}
-	live := c.StreamHotspotsInto(nil)
+	live, _ := c.StreamHotspotsInto(nil)
 	found := false
 	for _, h := range live {
 		if h.HostID == host {
@@ -186,44 +187,49 @@ func TestStreamingIngestFreshness(t *testing.T) {
 	}
 }
 
-// TestStreamingOffIsInert: without StreamingIngest the batch surfaces are
-// untouched — IngestBatch only buffers, totals stay zero, the live index
-// is empty, and RoundReport carries no stream fields (the golden-trace
-// byte-stability this rides on is pinned by TestTraceReplayGolden).
-func TestStreamingOffIsInert(t *testing.T) {
+// TestNeverPushedBuildsNoIndex: a controller nothing pushes to never builds
+// the live index — its rounds reconcile nothing, its reports carry no stream
+// fields, its totals stay zero and its checkpoint has no stream section (the
+// golden-trace byte-stability this rides on is pinned by
+// TestTraceReplayGolden). The first push builds it.
+func TestNeverPushedBuildsNoIndex(t *testing.T) {
 	c, err := New(testConfig(), syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.StreamingEnabled() {
-		t.Fatal("streaming reported enabled")
-	}
-	results := make([]IngestResult, 2)
-	host := c.Hosts()[0]
-	acc := c.IngestBatch([]Reading{
-		{HostID: host, AtS: 0, TempC: 50},
-		{HostID: "nobody", AtS: 0, TempC: 50},
-	}, true, results)
-	if acc != 2 {
-		t.Fatalf("accepted %d, want 2", acc)
-	}
-	for i, res := range results {
-		if res.Outcome != IngestBuffered {
-			t.Fatalf("reading %d outcome = %d, want buffered", i, res.Outcome)
+	for round := 0; round < 3; round++ {
+		rep, err := c.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.StreamApplied != 0 || rep.StreamCreated != 0 || rep.StreamDeferred != 0 || rep.StreamHotDrift != 0 {
+			t.Fatalf("stream fields in a never-pushed report: %+v", rep)
 		}
 	}
-	rep, err := c.RunRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StreamApplied != 0 || rep.StreamDeferred != 0 || rep.StreamHotDrift != 0 {
-		t.Fatalf("stream fields leaked into a non-streaming report: %+v", rep)
+	if c.Streaming() {
+		t.Fatal("index built without a push")
 	}
 	if a, cr, de, pr := c.StreamTotals(); a != 0 || cr != 0 || de != 0 || pr != 0 {
 		t.Fatal("stream totals nonzero")
 	}
-	if got := c.StreamHotspotsInto(nil); len(got) != 0 {
-		t.Fatalf("live index nonempty: %+v", got)
+	if got, ok := c.StreamHotspotsInto(nil); ok || len(got) != 0 {
+		t.Fatalf("live index served %+v without a push", got)
+	}
+	if st, err := c.Checkpoint(); err != nil || st.Stream != nil {
+		t.Fatalf("never-pushed checkpoint: stream %+v, err %v", st.Stream, err)
+	}
+
+	results := make([]IngestResult, 2)
+	host := c.Hosts()[0]
+	acc := c.IngestBatch([]Reading{
+		{HostID: host, AtS: c.src.NowS(), TempC: 50},
+		{HostID: "nobody", AtS: c.src.NowS(), TempC: 50},
+	}, true, results)
+	if acc != 2 || results[0].Outcome != IngestStreamed || results[1].Outcome != IngestDeferred {
+		t.Fatalf("first push: accepted %d, outcomes %+v", acc, results)
+	}
+	if !c.Streaming() {
+		t.Fatal("the first push built no index")
 	}
 }
 
@@ -232,7 +238,6 @@ func TestStreamingOffIsInert(t *testing.T) {
 // recompute corrects streamed entries.
 func TestStreamingRoundReportCounters(t *testing.T) {
 	cfg := testConfig()
-	cfg.StreamingIngest = true
 	cfg.ThresholdC = 40
 	c, err := New(cfg, syntheticStable)
 	if err != nil {
@@ -278,9 +283,7 @@ func TestStreamingRoundReportCounters(t *testing.T) {
 // concurrently with RunRound on a streaming sim fleet — the -race guard for
 // the index/reconcile locking and the TryLock warm-anchor path.
 func TestStreamingConcurrentWithRounds(t *testing.T) {
-	cfg := testConfig()
-	cfg.StreamingIngest = true
-	c, err := New(cfg, syntheticStable)
+	c, err := New(testConfig(), syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +316,7 @@ func TestStreamingConcurrentWithRounds(t *testing.T) {
 					}
 				}
 				c.IngestBatch(readings, i%2 == 0, results)
-				buf = c.StreamHotspotsInto(buf[:0])
+				buf, _ = c.StreamHotspotsInto(buf[:0])
 				c.ViewSnapshot(func(*Snapshot) {})
 			}
 		}(w)
@@ -325,4 +328,52 @@ func TestStreamingConcurrentWithRounds(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFirstPushConcurrentWithRounds builds the live index while rounds run:
+// on a simulated fleet that has published rounds but never been pushed to,
+// pushers race their first readings against a round, and the round after
+// that (run alone) must leave the index equal to its recompute. Under -race
+// this guards liveIndex's build and seed against the round's publication.
+func TestFirstPushConcurrentWithRounds(t *testing.T) {
+	c, err := New(testConfig(), syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedHotHost(t, c)
+	for round := 0; round < 3; round++ {
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := c.Hosts()
+	for iter := 0; iter < 8; iter++ {
+		now := c.src.NowS() // read before the round moves the clock
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(iter*8 + w)))
+				readings := make([]Reading, 4)
+				for j := range readings {
+					readings[j] = Reading{
+						HostID: hosts[rng.Intn(len(hosts))],
+						AtS:    now + rng.Float64()*c.cfg.UpdateEveryS,
+						TempC:  35 + rng.Float64()*50,
+					}
+				}
+				c.IngestBatch(readings, w == 0, make([]IngestResult, len(readings)))
+			}(w)
+		}
+		_, err := c.RunRound()
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		checkIndexMatchesRound(t, c, iter)
+	}
 }

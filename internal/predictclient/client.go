@@ -240,8 +240,7 @@ func (c *Client) FleetIngest(ctx context.Context, readings []predictserver.Fleet
 // FleetIngestPredict is the synchronous-predictive ingest call: the same
 // push as FleetIngest, but the response carries one Δ_gap-ahead prediction
 // per reading in request order — arrival and prediction collapse into one
-// round-trip. Requires a streaming-ingest server (predict against a
-// round-based server answers 409).
+// round-trip.
 func (c *Client) FleetIngestPredict(ctx context.Context, readings []predictserver.FleetReading) (*predictserver.FleetIngestResponse, error) {
 	return c.fleetIngest(ctx, &predictserver.FleetIngestRequest{Readings: readings, Predict: true})
 }

@@ -205,15 +205,13 @@ func TestFleetIngestAndMetrics(t *testing.T) {
 }
 
 // TestFleetIngestPredictRoundTrip: the synchronous-predictive push — one
-// round-trip carries the reading in and the fresh prediction back, and the
-// 409 against a round-based server is a typed APIError.
+// round-trip carries the reading in and the fresh prediction back.
 func TestFleetIngestPredictRoundTrip(t *testing.T) {
 	cfg := fleet.DefaultConfig()
 	cfg.Racks = 1
 	cfg.HostsPerRack = 4
 	cfg.ThresholdC = 70
 	cfg.MaxMigrationsPerRound = 0
-	cfg.StreamingIngest = true
 	cfg.Seed = 29
 	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
 	if err != nil {
@@ -245,15 +243,5 @@ func TestFleetIngestPredictRoundTrip(t *testing.T) {
 	p := resp.Predictions[0]
 	if p.HostID != "r0-h1" || p.Outcome != "streamed" || p.PredictedTempC <= 0 {
 		t.Fatalf("prediction = %+v", p)
-	}
-
-	// Against a round-based server the same call is a 409.
-	plain := fleetTestServer(t)
-	_, err = plain.FleetIngestPredict(ctx, []predictserver.FleetReading{
-		{HostID: "r0-h0", AtS: 1, TempC: 40},
-	})
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict {
-		t.Fatalf("predict without streaming: got %v, want 409 APIError", err)
 	}
 }

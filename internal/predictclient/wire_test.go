@@ -165,10 +165,10 @@ func TestWireResponsesAnyConformantJSON(t *testing.T) {
 	}
 
 	// Failures keep their shape: an API error, a count mismatch, no body.
-	c, _ := NewLocal(&scriptedServer{status: http.StatusConflict, reply: `{"error":"predict requires streaming ingest"}`})
+	c, _ := NewLocal(&scriptedServer{status: http.StatusServiceUnavailable, reply: `{"error":"no fleet control plane attached"}`})
 	var apiErr *APIError
-	if _, err := c.FleetIngestPredict(ctx, nil); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusConflict || apiErr.Message != "predict requires streaming ingest" {
-		t.Errorf("409: %v", err)
+	if _, err := c.FleetIngestPredict(ctx, nil); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Message != "no fleet control plane attached" {
+		t.Errorf("503: %v", err)
 	}
 	c, _ = NewLocal(&scriptedServer{status: http.StatusOK, reply: `{"stable_temps_c":[1]}`})
 	if _, err := c.PredictStableBatch(ctx, rows); err == nil {

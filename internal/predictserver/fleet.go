@@ -27,7 +27,8 @@ type FleetHotspotsResponse struct {
 	GapS       float64 `json:"gap_s"`
 	ThresholdC float64 `json:"threshold_c"`
 	// Streaming marks the hotspot list as the live incremental index
-	// (updated per pushed reading) rather than the last round's recompute.
+	// (updated per pushed reading; built at the first push) rather than the
+	// last round's recompute.
 	Streaming  bool           `json:"streaming,omitempty"`
 	Hotspots   []FleetHotspot `json:"hotspots"`
 	StaleHosts []string       `json:"stale_hosts,omitempty"`
@@ -93,9 +94,9 @@ type FleetReading struct {
 }
 
 // FleetIngestRequest carries one batch of readings into the fleet pipeline.
-// With Predict set (streaming-ingest servers only), the 200 carries one
-// synchronous Δ_gap-ahead prediction per reading — the arrival→prediction
-// round-trip collapses into the ingest request itself.
+// With Predict set, the 200 carries one synchronous Δ_gap-ahead prediction
+// per reading — the arrival→prediction round-trip collapses into the ingest
+// request itself.
 type FleetIngestRequest struct {
 	Readings []FleetReading `json:"readings"`
 	Predict  bool           `json:"predict,omitempty"`
@@ -115,9 +116,8 @@ type FleetIngestPrediction struct {
 // FleetIngestResponse reports per-batch ingest accounting: Dropped counts
 // readings refused at the full bounded buffer (back-pressure the agent
 // should see, not a silent loss); Streamed and Deferred count what the
-// streaming path did on arrival (streaming-ingest servers only); and
-// Predictions — present only when the request asked — parallels the
-// request's readings.
+// streaming path did on arrival; and Predictions — present only when the
+// request asked — parallels the request's readings.
 type FleetIngestResponse struct {
 	Accepted int `json:"accepted"`
 	Dropped  int `json:"dropped"`
@@ -138,11 +138,11 @@ func WithFleet(f *fleet.Controller) Option {
 func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
 	// Scoped zero-copy borrow: the snapshot (and its slices) is read-only
 	// and only valid inside the view, so everything serialized is copied
-	// into the response before the borrow ends. On streaming-ingest servers
-	// the hotspot list itself comes from the live incremental index — it
-	// reflects a pushed reading immediately — while the round metadata
+	// into the response before the borrow ends. Once anything has been
+	// pushed, the hotspot list itself comes from the live incremental index
+	// — it reflects a pushed reading immediately — while the round metadata
 	// still describes the last published round.
-	streaming := s.fleet.StreamingEnabled()
+	live, streaming := s.fleet.StreamHotspotsInto(nil)
 	var resp FleetHotspotsResponse
 	s.fleet.ViewSnapshot(func(snap *fleet.Snapshot) {
 		resp = FleetHotspotsResponse{
@@ -154,19 +154,13 @@ func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
 			StaleHosts: append([]string(nil), snap.StaleHosts...),
 		}
 		if !streaming {
-			resp.Hotspots = make([]FleetHotspot, len(snap.Hotspots))
-			for i, h := range snap.Hotspots {
-				resp.Hotspots[i] = FleetHotspot(h)
-			}
+			live = snap.Hotspots
 		}
-	})
-	if streaming {
-		live := s.fleet.StreamHotspotsInto(nil)
 		resp.Hotspots = make([]FleetHotspot, len(live))
 		for i, h := range live {
 			resp.Hotspots[i] = FleetHotspot(h)
 		}
-	}
+	})
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -333,12 +327,11 @@ func (s *Server) serveFleetPlaceBatch(w http.ResponseWriter, r *http.Request, sc
 
 // serveFleetIngest is the push path for real monitoring agents: readings
 // enter the same bounded pipeline the simulator and scrape sources feed,
-// and the next control round consumes them. On streaming-ingest servers
-// each accepted reading is additionally applied on arrival (observe →
-// calibrate → hotspot index), and `predict: true` turns the request
-// synchronous-predictive: the 200 answers with one Δ_gap-ahead prediction
-// per reading. It answers out of sc alone; of everything in it the
-// pipeline keeps only the readings' host_id strings.
+// and the next control round consumes them. Each accepted reading is also
+// applied on arrival (observe → calibrate → hotspot index), and
+// `predict: true` turns the request synchronous-predictive: the 200 answers
+// with one Δ_gap-ahead prediction per reading. It answers out of sc alone;
+// of everything in it the pipeline keeps only the readings' host_id strings.
 func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
 	if !sc.readBody(w, r) {
 		return
@@ -349,11 +342,6 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 		return
 	}
 	if overBatchLimit(w, len(req.Readings), "readings") {
-		return
-	}
-	if req.Predict && !s.fleet.StreamingEnabled() {
-		writeError(w, http.StatusConflict,
-			errors.New("predict requires streaming ingest (start the fleet with -streaming)"))
 		return
 	}
 	// Validate the whole batch before ingesting anything: a mid-batch
@@ -398,8 +386,6 @@ func (s *Server) serveFleetIngest(w http.ResponseWriter, r *http.Request, sc *wi
 			outcome = "deferred"
 		case fleet.IngestDropped:
 			outcome = "dropped"
-		case fleet.IngestBuffered:
-			outcome = "buffered"
 		case fleet.IngestRejected:
 			outcome = "rejected"
 		}

@@ -55,7 +55,7 @@ func boolGauge(b bool) float64 {
 //	vmtherm_checkpoint_failures_total
 //	vmtherm_ingest_stream_applied_total     streaming-ingest counters (counter;
 //	vmtherm_ingest_stream_created_total     fleet-attached servers — flat zero
-//	vmtherm_ingest_stream_deferred_total    unless streaming is enabled)
+//	vmtherm_ingest_stream_deferred_total    until the first push)
 //	vmtherm_ingest_stream_predictions_total
 //	vmtherm_hotspot_staleness_seconds       seconds since the served hotspot
 //	                                        set was last refreshed (gauge)
@@ -144,7 +144,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 		applied, created, deferred, predictions := s.fleet.StreamTotals()
 		writeMetric(&sb, "vmtherm_ingest_stream_applied_total", "counter",
-			"Pushed readings applied to their session on arrival (streaming ingest).", "", float64(applied))
+			"Pushed readings applied to their session on arrival.", "", float64(applied))
 		writeMetric(&sb, "vmtherm_ingest_stream_created_total", "counter",
 			"Sessions created inline from the warm anchor cache on arrival.", "", float64(created))
 		writeMetric(&sb, "vmtherm_ingest_stream_deferred_total", "counter",
@@ -152,7 +152,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeMetric(&sb, "vmtherm_ingest_stream_predictions_total", "counter",
 			"Synchronous predictions returned on the ingest path (predict: true).", "", float64(predictions))
 		writeMetric(&sb, "vmtherm_hotspot_staleness_seconds", "gauge",
-			"Seconds since the served hotspot set was last refreshed (per-arrival in streaming mode, per-round otherwise).", "", s.fleet.HotspotStalenessS())
+			"Seconds since the served hotspot set was last refreshed (by a pushed reading or by a round, whichever came last).", "", s.fleet.HotspotStalenessS())
 
 		cacheStats, fanout := s.fleet.AnchorCacheStats()
 		writeMetric(&sb, "vmtherm_anchor_cache_hits_total", "counter",

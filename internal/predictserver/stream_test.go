@@ -1,54 +1,20 @@
 package predictserver
 
 import (
-	"fmt"
+	"cmp"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
-
-	"vmtherm/internal/fleet"
 )
 
-// streamingFleet builds a streaming-ingest controller with one overloaded
-// machine, run until the hotspot set is non-empty (so the live index has
-// been reconciled against a real recompute at least once).
-func streamingFleet(t *testing.T) (*fleet.Controller, fleet.Config) {
-	t.Helper()
-	cfg := fleet.DefaultConfig()
-	cfg.Racks = 1
-	cfg.HostsPerRack = 4
-	cfg.ThresholdC = 70
-	cfg.MaxMigrationsPerRound = 0
-	cfg.StreamingIngest = true
-	cfg.Seed = 23
-	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 6; v++ {
-		if err := ctl.PlaceAt("r0-h0", fleet.HeavyVMSpec(fmt.Sprintf("hot-%02d", v), 4, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 40; round++ {
-		rep, err := ctl.RunRound()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Hotspots > 0 {
-			return ctl, cfg
-		}
-	}
-	t.Fatal("fleet never produced a hotspot")
-	return nil, cfg
-}
-
-// TestFleetIngestPredictRequiresStreaming: predict: true against a
-// round-based (non-streaming) control plane is a typed 409, not a silent
-// empty prediction list.
-func TestFleetIngestPredictRequiresStreaming(t *testing.T) {
+// TestFirstPushServesPublishedHotspotsPlusReading: on a fleet that has run
+// rounds but never been pushed to, hotspots come from the round, and the
+// first push — predict: true answers 200 with per-reading outcomes — builds
+// the live index at once: the published hotspots plus the pushed reading.
+func TestFirstPushServesPublishedHotspotsPlusReading(t *testing.T) {
 	m, _ := testModel(t)
 	ctl := hotFleet(t)
 	srv, err := New(m, WithFleet(ctl))
@@ -57,22 +23,55 @@ func TestFleetIngestPredictRequiresStreaming(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	getHot := func() FleetHotspotsResponse {
+		resp, err := http.Get(ts.URL + "/v1/fleet/hotspots")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decode[FleetHotspotsResponse](t, resp)
+	}
 
+	before := getHot()
+	if before.Streaming || len(before.Hotspots) == 0 {
+		t.Fatalf("before any push: %+v, want the round's non-empty hotspots", before)
+	}
+	const host = "r0-h3"
+	for _, h := range before.Hotspots {
+		if h.HostID == host {
+			t.Fatalf("%s already hot before the push: %+v", host, before.Hotspots)
+		}
+	}
+	at := before.SimTimeS + ctl.Config().UpdateEveryS + 5
 	resp := postJSON(t, ts.URL+"/v1/fleet/ingest", FleetIngestRequest{
 		Predict:  true,
-		Readings: []FleetReading{{HostID: "r0-h0", AtS: 1, TempC: 50}},
+		Readings: []FleetReading{{HostID: host, AtS: at, TempC: 95, Util: 0.9, MemFrac: 0.5}},
 	})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("predict without streaming: got %d, want 409", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("predict: true answered %d, want 200", resp.StatusCode)
 	}
-	// Without predict the same request still ingests fine.
-	resp = postJSON(t, ts.URL+"/v1/fleet/ingest", FleetIngestRequest{
-		Readings: []FleetReading{{HostID: "r0-h0", AtS: 1, TempC: 50}},
-	})
 	out := decode[FleetIngestResponse](t, resp)
-	if out.Accepted != 1 || len(out.Predictions) != 0 {
-		t.Fatalf("plain ingest on non-streaming fleet: %+v", out)
+	if len(out.Predictions) != 1 || out.Predictions[0].Outcome != "streamed" || out.Predictions[0].PredictedTempC <= before.ThresholdC {
+		t.Fatalf("first push answered %+v, want one hot streamed prediction", out)
+	}
+
+	after := getHot()
+	if !after.Streaming {
+		t.Fatal("hotspots after the first push not served by the live index")
+	}
+	want := append(slices.Clone(before.Hotspots), FleetHotspot{
+		HostID:         host,
+		PredictedTempC: out.Predictions[0].PredictedTempC,
+		MarginC:        out.Predictions[0].PredictedTempC - before.ThresholdC,
+		UncertaintyC:   out.Predictions[0].UncertaintyC,
+	})
+	slices.SortFunc(want, func(a, b FleetHotspot) int {
+		if c := cmp.Compare(b.MarginC, a.MarginC); c != 0 {
+			return c
+		}
+		return strings.Compare(a.HostID, b.HostID)
+	})
+	if !slices.Equal(after.Hotspots, want) {
+		t.Fatalf("hotspots after the first push:\n got %+v\nwant %+v", after.Hotspots, want)
 	}
 }
 
@@ -82,7 +81,8 @@ func TestFleetIngestPredictRequiresStreaming(t *testing.T) {
 // in /metrics.
 func TestFleetIngestPredictEndpoint(t *testing.T) {
 	m, _ := testModel(t)
-	ctl, cfg := streamingFleet(t)
+	ctl := hotFleet(t)
+	cfg := ctl.Config()
 	srv, err := New(m, WithFleet(ctl))
 	if err != nil {
 		t.Fatal(err)

@@ -805,7 +805,6 @@ func TestWireScratchNotRetained(t *testing.T) {
 	m, rec := testModel(t)
 	cfg := fleet.DefaultConfig()
 	cfg.MaxHosts = 64
-	cfg.StreamingIngest = true
 	ctl, err := fleet.NewWithSource(cfg, &pushSource{}, fleet.SyntheticStablePredictor(75))
 	if err != nil {
 		t.Fatal(err)
@@ -1023,7 +1022,7 @@ func FuzzIngestBody(f *testing.F) {
 	long := strings.Repeat("h", MaxHostIDBytes+1)
 	f.Add([]byte(`{"readings":[{"host_id":"r0-h0","at_s":1,"temp_c":44},{"host_id":"` + long + `","at_s":1,"temp_c":44}],"predict":true}`))
 	cfg := fleet.DefaultConfig()
-	cfg.Racks, cfg.HostsPerRack, cfg.StreamingIngest = 1, 4, true
+	cfg.Racks, cfg.HostsPerRack = 1, 4
 	ctl, err := fleet.New(cfg, fleet.SyntheticStablePredictor(75))
 	if err != nil {
 		f.Fatal(err)

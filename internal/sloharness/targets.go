@@ -161,8 +161,8 @@ func nextReadings(seq *atomic.Int64, hosts []string, batch int, sampleS float64)
 // takes to become a served prediction. A reading that comes back without a
 // streamed prediction (deferred or dropped) is a target error — the
 // freshness path was not exercised — so the harness's error gate doubles
-// as a "predictions actually flowed" gate. Requires a streaming-ingest
-// server whose Hosts already have sessions (prime the fleet first).
+// as a "predictions actually flowed" gate. Requires a server whose Hosts
+// already have sessions (prime the fleet first).
 type FreshnessTarget struct {
 	Client *predictclient.Client
 	Hosts  []string
