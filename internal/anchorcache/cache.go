@@ -63,10 +63,25 @@ func (h Hash) String(s string) Hash {
 	return Hash(v)
 }
 
-// Uint64 folds an integer (e.g. a bucket index) into the hash.
+// fnvPrimePow[k] is fnvPrime64^k mod 2^64: k FNV-1a steps over zero bytes,
+// which xor nothing in, are one multiply by it.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// Uint64 folds an integer (e.g. a bucket index) into the hash, eight bytes
+// low first. Once the bytes left are all zero they fold in one multiply, so
+// a one-byte bucket index costs two multiplies instead of eight.
 func (h Hash) Uint64(x uint64) Hash {
 	v := uint64(h)
 	for i := 0; i < 8; i++ {
+		if x == 0 {
+			return Hash(v * fnvPrimePow[8-i])
+		}
 		v ^= x & 0xff
 		v *= fnvPrime64
 		x >>= 8
@@ -187,9 +202,9 @@ func (c Config) Validate() error {
 // O(1) amortized eviction that retains the working set without per-entry
 // bookkeeping (hits migrate entries back into the young generation).
 //
-// Get, Put and Invalidate require external synchronization (the fleet
-// controller calls them under its round lock); Stats and Epoch may be read
-// concurrently (the /metrics exposition does).
+// Get, Lookup, Put and Invalidate require external synchronization (the
+// fleet controller calls them under its round lock); Stats and Epoch may be
+// read concurrently (the /metrics exposition does).
 type Cache struct {
 	quant Quantizer
 	half  int // per-generation entry budget
@@ -223,17 +238,32 @@ func (c *Cache) Quant() Quantizer { return c.quant }
 // Get looks a key up, counting a hit or a miss. Entries found in the old
 // generation are promoted so rotation keeps the live working set.
 func (c *Cache) Get(k Key) (float64, bool) {
-	if v, ok := c.cur.get(k); ok {
+	v, ok := c.Lookup(k)
+	if ok {
 		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Lookup is Get without the counting: a pass that looks many keys up adds
+// its hits and misses once, with Count, instead of one atomic add per key.
+func (c *Cache) Lookup(k Key) (float64, bool) {
+	if v, ok := c.cur.get(k); ok {
 		return v, true
 	}
 	if v, ok := c.prev.get(k); ok {
 		c.promote(k, v)
-		c.hits.Add(1)
 		return v, true
 	}
-	c.misses.Add(1)
 	return 0, false
+}
+
+// Count adds a pass's Lookup hits and misses to the cumulative counters.
+func (c *Cache) Count(hits, misses int) {
+	c.hits.Add(int64(hits))
+	c.misses.Add(int64(misses))
 }
 
 // Put inserts or refreshes an entry, rotating generations at the bound.

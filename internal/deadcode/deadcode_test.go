@@ -1,11 +1,12 @@
-// Package deadcode holds two tests. Every function and method declared
-// under internal/ must have a caller in a non-test Go file of the module, and
-// every exported field of a configuration struct must be written by a
-// non-test file outside its own package — or have an entry in an allowlist
-// below that says why it stays. The configuration structs are found, not
-// listed: see collectSetters.
+// Package deadcode holds the module-wide ratchets. Every function and
+// method declared under internal/ must have a caller in a non-test Go file
+// of the module, and every exported field of a configuration struct must be
+// written by a non-test file outside its own package — or have an entry in
+// an allowlist below that says why it stays. The configuration structs are
+// found, not listed: see collectSetters. The third ratchet, code size
+// against BENCH_TRAJECTORY.json, is in codesize_test.go.
 //
-// The tests type-check every package of the module from its non-test files,
+// The first two tests type-check every package of the module from its non-test files,
 // once with the default build tags and once with -tags noasm, so a helper
 // that only one kernel calls still counts as used. A reference from cmd/,
 // examples/ or bench/e2e counts; a function's own body does not. Methods

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -612,12 +613,15 @@ func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots 
 		if !s.Present {
 			continue
 		}
-		var pred Prediction
-		ok, evict := e.roundHost(nowS, ids[i], s, &st, &pred)
+		// The prediction is written in place, into a cell kept only if ok.
+		n := len(dst)
+		dst = slices.Grow(dst, 1)[:n+1]
+		ok, evict := e.roundHost(nowS, ids[i], s, &st, &dst[n])
 		if evict {
 			e.forget(ids[i], s, &st)
-		} else if ok {
-			dst = append(dst, pred)
+		}
+		if !ok {
+			dst = dst[:n]
 		}
 	}
 	return dst, st

@@ -619,3 +619,103 @@ func TestMissScratchDropsLastRoundsCases(t *testing.T) {
 		}
 	}
 }
+
+// TestAnchorCountsMatchCacheStats: the anchor pass adds its hits and misses
+// to the cache's counters once, and at every round boundary those counters
+// have advanced by exactly the round's AnchorHits and AnchorMisses, every
+// host the pass looked up counted once, as a per-lookup count would. Twin
+// controllers, one serial and one whose miss batches shard across four
+// workers, report the same counts and hold the same Stats round by round, on
+// the source path (shared-bucket misses, rotations through a small cache)
+// and on the simulated path (placements and migrations move fingerprints).
+func TestAnchorCountsMatchCacheStats(t *testing.T) {
+	source := func(t *testing.T, workers int) *Controller {
+		const hosts, rounds = 300, 8
+		var readings []Reading
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < hosts; i++ {
+				readings = append(readings, Reading{
+					HostID: fmt.Sprintf("tw%03d", i), AtS: 15 * float64(r), TempC: 40 + float64(i%25),
+					// Ten hosts a bucket, and the buckets move every round.
+					Util: 0.05 + 0.9*float64((i/10*7+r*3)%97)/97, MemFrac: 0.3,
+				})
+			}
+		}
+		src, err := telemetry.NewTraceSource(readings, telemetry.TraceOptions{Loop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.AnchorCacheEntries = 48
+		cfg.PhysWorkers, cfg.AnchorWorkers = workers, workers
+		ctl, err := NewWithSource(cfg, src, syntheticStable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	sim := func(t *testing.T, workers int) *Controller {
+		cfg := testConfig()
+		cfg.Racks, cfg.HostsPerRack = 4, 24
+		cfg.ThresholdC = 55
+		cfg.MaxMigrationsPerRound = 2
+		cfg.PhysWorkers, cfg.AnchorWorkers = workers, workers
+		ctl, err := New(cfg, syntheticStable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts := ctl.Hosts()
+		for v := 0; v < 120; v++ {
+			if err := ctl.PlaceAt(hosts[(v*7)%len(hosts)], HeavyVMSpec(fmt.Sprintf("tw-%03d", v), 1+v%4, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ctl
+	}
+	for _, tc := range []struct {
+		name string
+		make func(*testing.T, int) *Controller
+	}{{"source", source}, {"sim", sim}} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, sharded := tc.make(t, 1), tc.make(t, 4)
+			var hits, misses int
+			for round := 1; round <= 40; round++ {
+				before := serial.cache.Stats()
+				rep, err := serial.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := sharded.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := serial.cache.Stats()
+				if got := sharded.cache.Stats(); got != st {
+					t.Fatalf("round %d: sharded twin's stats %+v, serial %+v", round, got, st)
+				}
+				if twin.AnchorHits != rep.AnchorHits || twin.AnchorMisses != rep.AnchorMisses || twin.AnchorFanout != rep.AnchorFanout {
+					t.Fatalf("round %d: sharded twin counted %d/%d/%d, serial %d/%d/%d", round,
+						twin.AnchorHits, twin.AnchorMisses, twin.AnchorFanout, rep.AnchorHits, rep.AnchorMisses, rep.AnchorFanout)
+				}
+				if st.Hits-before.Hits != int64(rep.AnchorHits) || st.Misses-before.Misses != int64(rep.AnchorMisses) {
+					t.Fatalf("round %d: stats moved %+v -> %+v for %d hits, %d misses",
+						round, before, st, rep.AnchorHits, rep.AnchorMisses)
+				}
+				if serial.sub == nil && rep.AnchorHits+rep.AnchorMisses != rep.Hosts {
+					// No host goes dark: every tracked host was looked up.
+					t.Fatalf("round %d: %d hits + %d misses for %d hosts", round, rep.AnchorHits, rep.AnchorMisses, rep.Hosts)
+				}
+				hits += rep.AnchorHits
+				misses += rep.AnchorMisses
+			}
+			st := serial.cache.Stats()
+			if st.Hits != int64(hits) || st.Misses != int64(misses) {
+				t.Fatalf("totals: stats %+v, reports %d hits, %d misses", st, hits, misses)
+			}
+			if hits == 0 || misses == 0 || st.Evicted == 0 && tc.name == "source" {
+				t.Fatalf("the rounds missed a case: %d hits, %d misses, stats %+v", hits, misses, st)
+			}
+			t.Logf("%d hits, %d misses, %d evicted", hits, misses, st.Evicted)
+		})
+	}
+}

@@ -20,7 +20,8 @@ type anchorRef struct {
 // Anchor (NaN where the host gets none this round). Only quantized-key
 // misses are staged (deduplicated per key) and fanned through the batch
 // predictor; a fully warm round touches the predictor not at all and
-// allocates nothing. It returns the round's cache hit and miss counts.
+// allocates nothing. It returns the round's cache hit and miss counts,
+// which it adds to the cache's counters once, at the end of the lookups.
 func (c *Controller) anchors() (hits, misses int, err error) {
 	for i := range c.slots {
 		c.slots[i].Anchor = math.NaN()
@@ -36,13 +37,15 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 	c.obsTasks, c.obsVMs = c.obsTasks[:0], c.obsVMs[:0]
 	clear(c.missByKey)
 	if c.sub != nil {
-		if err := c.simAnchorCases(&hits); err != nil {
-			return 0, 0, err
-		}
+		err = c.simAnchorCases(&hits)
 	} else {
 		c.sourceAnchorCases(&hits)
 	}
 	misses = len(c.anchorRefs)
+	c.cache.Count(hits, misses)
+	if err != nil {
+		return 0, 0, err
+	}
 	if len(c.caseBuf) > 0 {
 		if cap(c.anchorVals) < len(c.caseBuf) {
 			c.anchorVals = make([]float64, len(c.caseBuf))
@@ -133,7 +136,7 @@ func (c *Controller) simAnchorCases(hits *int) error {
 			continue
 		}
 		key := keys[i]
-		if v, ok := c.cache.Get(key); ok {
+		if v, ok := c.cache.Lookup(key); ok {
 			c.slots[i].Anchor = v
 			*hits++
 			continue
@@ -193,7 +196,7 @@ func (c *Controller) sourceAnchorCases(hits *int) {
 		util := telemetry.Clamp01(s.Reading.Util)
 		mem := telemetry.Clamp01(s.Reading.MemFrac)
 		key, qUtil, qMem := q.UtilMem(util, mem)
-		if v, ok := c.cache.Get(key); ok {
+		if v, ok := c.cache.Lookup(key); ok {
 			s.Anchor = v
 			*hits++
 			continue

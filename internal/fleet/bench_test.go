@@ -137,12 +137,19 @@ func BenchmarkFleetRoundTrace4k(b *testing.B) {
 	ctl := traceFleet4k(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	hotspots := 0
 	for i := 0; i < b.N; i++ {
-		if _, err := ctl.RunRound(); err != nil {
+		rep, err := ctl.RunRound()
+		if err != nil {
 			b.Fatal(err)
 		}
+		hotspots += rep.Hotspots
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trace4kHosts), "ns/host")
+	// The share of the round the hotspot order takes grows with this count:
+	// compare it with bench/e2e's fleet.round.hotspots_per_round before
+	// reading a sort cost off this benchmark.
+	b.ReportMetric(float64(hotspots)/float64(b.N), "hotspots/round")
 }
 
 // BenchmarkSnapshotFill measures what the round no longer pays: the first

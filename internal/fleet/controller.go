@@ -56,10 +56,12 @@ type Controller struct {
 	lastFanout atomic.Int64
 
 	// Reusable round buffers: the engine round appends into predBuf, the
-	// anchor pass stages cache misses into caseBuf (one entry per distinct
-	// key), the slot→case fan-in into anchorRefs, and the batch results land
-	// in anchorVals before filling the slots' anchors and the cache.
+	// snapshot sorts its hotspot keys in hotKeys, the anchor pass stages
+	// cache misses into caseBuf (one entry per distinct key), the slot→case
+	// fan-in into anchorRefs, and the batch results land in anchorVals
+	// before filling the slots' anchors and the cache.
 	predBuf    []engine.Prediction
+	hotKeys    []hotKey
 	caseBuf    []workload.Case
 	caseKeys   []anchorcache.Key
 	anchorRefs []anchorRef

@@ -4,7 +4,7 @@
 // (internal/engine) — per-host dynamic prediction sessions calibrated every
 // Δ_update as in Eqs. 3–8, with batch ψ_stable anchors fanned through the
 // SVM batch kernel — and each round rolls the Δ_gap-ahead predicted
-// temperatures into a hotspot list ordered by margin (sortHotspots), driving
+// temperatures into a hotspot list ordered by margin (appendHotspots), driving
 // thermal-aware placement and migration proposals for incoming VM requests:
 // acting on where temperature is *going* rather than where it is.
 //
@@ -32,7 +32,7 @@
 //	drainIngest      pipeline → host table (newest reading per slot, membership), drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
 //	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
-//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, columns), round++
+//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, columns), max prediction, round++
 //	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
 //	migrate          generation → applied moves, fresh proposals (substrate fleets)
 //	publish          generation → published snapshot (columns immutable from here on; maps filled on first borrow)
@@ -42,6 +42,8 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -133,6 +135,33 @@ func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
 	}
 }
 
+// hotKey is one hotspot's sort key: its margin and the index of the row it
+// is built from.
+type hotKey struct {
+	margin float64
+	i      int32
+}
+
+// appendHotspots appends row(k.i) for every key to dst in the published
+// order — descending margin, ties broken by host id — sorting the 16-byte
+// keys, not the rows. Margins are never NaN and host ids are unique, so the
+// order is total and any sort yields it.
+func appendHotspots(dst []Hotspot, keys []hotKey, row func(int32) Hotspot) []Hotspot {
+	slices.SortFunc(keys, func(a, b hotKey) int {
+		if a.margin != b.margin {
+			if a.margin > b.margin {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(row(a.i).HostID, row(b.i).HostID)
+	})
+	for _, k := range keys {
+		dst = append(dst, row(k.i))
+	}
+	return dst
+}
+
 // Snapshot is the control plane's published view after a round: what the
 // fleet API serves and what schedulers consume.
 //
@@ -145,6 +174,7 @@ func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
 // Per host, the round publishes columns (Len, At). The Predicted and Latest
 // maps are a legacy index over them: no round writes them, and the first
 // ViewSnapshot of a generation fills them, outside the round lock.
+// ViewColumns lends the same generation with both maps nil and fills nothing.
 type Snapshot struct {
 	Round      int
 	SimTimeS   float64

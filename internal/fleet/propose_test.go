@@ -118,7 +118,7 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 					}
 				}
 			}
-			sortHotspots(hotspots)
+			refSortHotspots(hotspots)
 
 			want := mapPropose(c, hotspots, predicted)
 			got := c.propose(hotspots, preds)

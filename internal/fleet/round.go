@@ -23,8 +23,9 @@ type roundState struct {
 
 	anchorHits, anchorMisses, fanout int
 
-	preds  []Prediction
-	engine engine.RoundStats
+	preds   []Prediction
+	engine  engine.RoundStats
+	maxPred float64 // the largest non-stale prediction, 0 with none
 
 	gen    *snapGen // the generation being built, then published
 	stream streamDelta
@@ -162,7 +163,8 @@ func (c *Controller) engineRound(rs *roundState) {
 // *predicted* temperatures into the next snapshot generation: a recycled
 // retired generation whose slices and columns are rewritten in place, so the
 // warm round's publication allocates nothing. The columns are copied in
-// table order; the membership is rebuilt only when the table changed.
+// table order; the membership is rebuilt only when the table changed. The
+// same pass finds the round's largest fresh prediction for the report.
 func (c *Controller) buildSnapshot(rs *roundState) {
 	rs.gen = c.snaps.writable(len(c.order))
 	snap := &rs.gen.snap
@@ -172,17 +174,27 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	snap.GapS = c.cfg.GapS
 	snap.ThresholdC = c.cfg.ThresholdC
 	snap.StaleHosts = snap.StaleHosts[:0]
-	snap.Hotspots = snap.Hotspots[:0]
+	thr, keys, maxPred := c.cfg.ThresholdC, c.hotKeys[:0], math.Inf(-1)
 	for i := range rs.preds {
 		p := &rs.preds[i]
 		if p.Stale {
 			snap.StaleHosts = append(snap.StaleHosts, p.HostID)
-		} else if p.TempC > c.cfg.ThresholdC {
-			snap.Hotspots = append(snap.Hotspots, hotspotOf(p, c.cfg.ThresholdC))
+			continue
+		}
+		if p.TempC > maxPred {
+			maxPred = p.TempC
+		}
+		if p.TempC > thr {
+			keys = append(keys, hotKey{p.TempC - thr, int32(i)})
 		}
 	}
 	slices.Sort(snap.StaleHosts)
-	sortHotspots(snap.Hotspots)
+	snap.Hotspots = appendHotspots(snap.Hotspots[:0], keys, func(i int32) Hotspot { return hotspotOf(&rs.preds[i], thr) })
+	c.hotKeys = keys
+	rs.maxPred = maxPred
+	if math.IsInf(maxPred, -1) {
+		rs.maxPred = 0 // no fresh prediction
+	}
 
 	if c.members == nil {
 		c.members = newMembership(c.order)
@@ -276,17 +288,6 @@ func (c *Controller) repark(queue []workload.VMSpec) {
 func (c *Controller) report(rs *roundState) RoundReport {
 	snap := &rs.gen.snap
 	_, droppedTotal, supersededTotal := c.ingest.stats()
-	// The non-stale predictions are exactly the generation's predicted
-	// column's non-NaN values.
-	maxPred := math.Inf(-1)
-	for i := range rs.preds {
-		if p := &rs.preds[i]; !p.Stale && p.TempC > maxPred {
-			maxPred = p.TempC
-		}
-	}
-	if math.IsInf(maxPred, -1) {
-		maxPred = 0
-	}
 	return RoundReport{
 		Round:              c.round,
 		SimTimeS:           rs.now,
@@ -308,7 +309,7 @@ func (c *Controller) report(rs *roundState) RoundReport {
 		SourceError:        rs.sourceErr,
 		RecentErrors:       slices.Clone(c.recentErrs),
 		Hotspots:           len(snap.Hotspots),
-		MaxPredictedC:      maxPred,
+		MaxPredictedC:      rs.maxPred,
 		Placements:         rs.placed,
 		Queued:             rs.queued,
 		Rejections:         rs.rejected,

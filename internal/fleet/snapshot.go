@@ -22,16 +22,16 @@ import (
 // predicted temperature and the latest reading per slot — copied once, in
 // order, with no hashing under the round lock. The legacy Predicted and
 // Latest maps are an index over those columns that no round writes: the
-// first ViewSnapshot of a generation fills them (fillMaps), under the
-// generation's own mutex and outside the round lock, into maps recycled
-// with the generation.
+// first ViewSnapshot of a generation fills them (fillMaps; ViewColumns
+// never does), under the generation's own mutex and outside the round
+// lock, into maps recycled with the generation.
 //
 // Safety protocol (all sync/atomic, hence sequentially consistent):
 //
 //   - The writer mutates only generations obtained from writable(), which
 //     never returns the published generation and skips any retired
 //     generation with readers in flight (readers > 0).
-//   - A reader (ViewSnapshot, the one read path) loads the published
+//   - A reader (view: ViewSnapshot, ViewColumns) loads the published
 //     pointer, increments the generation's reader count, and re-validates
 //     that the pointer is still published before touching the data; on
 //     failure it decrements and retries. If the writer observed
@@ -109,11 +109,19 @@ func (s *snapStore) publish(g *snapGen) {
 }
 
 // ViewSnapshot runs read against the latest published snapshot without
-// copying it — the one way to read one. The *Snapshot (including its maps
-// and slices) is valid only for the duration of the call and must be treated
-// as read-only: retaining or mutating any part of it is a data race with
-// later rounds; copy out what has to outlive the call.
-func (c *Controller) ViewSnapshot(read func(*Snapshot)) {
+// copying it. The *Snapshot (including its maps and slices) is valid only
+// for the duration of the call and must be treated as read-only: retaining
+// or mutating any part of it is a data race with later rounds; copy out
+// what has to outlive the call.
+func (c *Controller) ViewSnapshot(read func(*Snapshot)) { c.view(read, true) }
+
+// ViewColumns is ViewSnapshot for readers that read no legacy map: the view
+// has Predicted and Latest nil, and the borrow fills neither.
+func (c *Controller) ViewColumns(read func(*Snapshot)) { c.view(read, false) }
+
+// view lends the published generation to read, filling its maps first or
+// handing read a copy of the header without them.
+func (c *Controller) view(read func(*Snapshot), maps bool) {
 	g := c.snaps.acquire()
 	if g == nil {
 		read(&Snapshot{})
@@ -122,8 +130,14 @@ func (c *Controller) ViewSnapshot(read func(*Snapshot)) {
 	// Deferred so a panicking callback (recovered by an HTTP server, say)
 	// still releases the generation instead of pinning it forever.
 	defer g.readers.Add(-1)
-	g.fillMaps()
-	read(&g.snap)
+	if maps {
+		g.fillMaps()
+		read(&g.snap)
+		return
+	}
+	cols := g.snap
+	cols.Predicted, cols.Latest = nil, nil
+	read(&cols)
 }
 
 // acquire pins the published generation for a read (readers incremented,
@@ -212,20 +226,4 @@ func refill[V any](m map[string]V, ids []string, at func(int) (V, bool)) {
 		clear(m)
 		fill()
 	}
-}
-
-// sortHotspots orders the round's hotspots by descending margin, ties
-// broken by host id — the published determinism contract — without
-// allocating. Host ids are unique, so the
-// comparator is a total order and any sort yields the same result.
-func sortHotspots(out []Hotspot) {
-	slices.SortFunc(out, func(a, b Hotspot) int {
-		if a.MarginC != b.MarginC {
-			if a.MarginC > b.MarginC {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.HostID, b.HostID)
-	})
 }

@@ -392,7 +392,9 @@ func TestSnapshotMapsMatchColumns(t *testing.T) {
 // fill: readers borrow every generation while rounds publish new ones and a
 // quarter of the hosts go stale and come back. Each borrow must see the
 // maps of its own generation: every host with a reading is predicted or
-// stale, each exactly once, and every column agrees with the maps.
+// stale, each exactly once, and every column agrees with the maps. A fourth
+// reader borrows the columns alone (ViewColumns) beside the fills: it sees
+// no map and the same per-host invariant.
 func TestSnapshotFillUnderConcurrentRounds(t *testing.T) {
 	const hosts = 32
 	ctl, src, ids := snapController(t, hosts)
@@ -405,6 +407,29 @@ func TestSnapshotFillUnderConcurrentRounds(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ctl.ViewColumns(func(s *Snapshot) {
+				predicted := 0
+				for k := range s.Len() {
+					if h := s.At(k); !math.IsNaN(h.PredictedC) {
+						predicted++
+					}
+				}
+				if s.Predicted != nil || s.Latest != nil || predicted+len(s.StaleHosts) != s.Len() {
+					report("round %d: column view: maps %v/%v, %d predicted + %d stale, %d hosts",
+						s.Round, s.Predicted != nil, s.Latest != nil, predicted, len(s.StaleHosts), s.Len())
+				}
+			})
+		}
+	}()
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func() {

@@ -73,14 +73,17 @@ type streamState struct {
 
 // hotIndex is the incrementally maintained hotspot set: one entry per host
 // whose freshest prediction exceeds the threshold, plus a lazily rebuilt
-// sorted view (descending margin, ties by host id — the same order
-// sortHotspots publishes). Reads are concurrent; mutations take the write
-// lock.
+// sorted view (descending margin, ties by host id — the order the round
+// publishes, by the same appendHotspots). Reads are concurrent; mutations
+// take the write lock.
 type hotIndex struct {
 	mu      sync.RWMutex
 	entries map[string]Hotspot
 	sorted  []Hotspot
 	dirty   bool
+	// rows and keys are the sorted view's rebuild scratch.
+	rows []Hotspot
+	keys []hotKey
 }
 
 // upsert folds one fresh prediction in: above-threshold hosts get their
@@ -143,11 +146,12 @@ func (ix *hotIndex) snapshotInto(dst []Hotspot) []Hotspot {
 	ix.mu.RUnlock()
 	ix.mu.Lock()
 	if ix.dirty {
-		ix.sorted = ix.sorted[:0]
+		ix.rows, ix.keys = ix.rows[:0], ix.keys[:0]
 		for _, h := range ix.entries {
-			ix.sorted = append(ix.sorted, h)
+			ix.keys = append(ix.keys, hotKey{h.MarginC, int32(len(ix.rows))})
+			ix.rows = append(ix.rows, h)
 		}
-		sortHotspots(ix.sorted)
+		ix.sorted = appendHotspots(ix.sorted[:0], ix.keys, func(i int32) Hotspot { return ix.rows[i] })
 		ix.dirty = false
 	}
 	dst = append(dst, ix.sorted...)

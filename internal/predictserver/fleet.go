@@ -136,15 +136,16 @@ func WithFleet(f *fleet.Controller) Option {
 }
 
 func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
-	// Scoped zero-copy borrow: the snapshot (and its slices) is read-only
-	// and only valid inside the view, so everything serialized is copied
-	// into the response before the borrow ends. Once anything has been
+	// Scoped zero-copy borrow of the columns (no map is read, so none is
+	// filled): the snapshot (and its slices) is read-only and only valid
+	// inside the view, so everything serialized is copied into the
+	// response before the borrow ends. Once anything has been
 	// pushed, the hotspot list itself comes from the live incremental index
 	// — it reflects a pushed reading immediately — while the round metadata
 	// still describes the last published round.
 	live, streaming := s.fleet.StreamHotspotsInto(nil)
 	var resp FleetHotspotsResponse
-	s.fleet.ViewSnapshot(func(snap *fleet.Snapshot) {
+	s.fleet.ViewColumns(func(snap *fleet.Snapshot) {
 		resp = FleetHotspotsResponse{
 			Round:      snap.Round,
 			SimTimeS:   snap.SimTimeS,

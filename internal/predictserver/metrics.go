@@ -166,11 +166,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeMetric(&sb, "vmtherm_anchor_fanout", "gauge",
 			"Anchor miss-batch size fanned through the batch predictor last round.", "", float64(fanout))
 
-		// Scoped zero-copy borrow: the whole exposition is rendered inside
-		// the view (into the local builder), so nothing from the snapshot
-		// outlives it and the generation recycles instead of being cloned
-		// per scrape.
-		s.fleet.ViewSnapshot(func(snap *fleet.Snapshot) {
+		// Scoped zero-copy borrow of the columns (the legacy maps stay
+		// unfilled): the whole exposition is rendered inside the view (into
+		// the local builder), so nothing from the snapshot outlives it and
+		// the generation recycles instead of being cloned per scrape.
+		s.fleet.ViewColumns(func(snap *fleet.Snapshot) {
 			writeMetric(&sb, "vmtherm_fleet_round", "gauge", "Last published control round.", "", float64(snap.Round))
 			// The per-host families walk the columns in id order; the
 			// predicted family omits stale and unpredicted (NaN) hosts.

@@ -238,7 +238,7 @@ func (r *Runner) grade(round int, rep *fleet.RoundReport) {
 	onset := r.spec.Onset()
 	var hotIDs []string
 	threshold := 0.0
-	r.ctrl.ViewSnapshot(func(s *fleet.Snapshot) {
+	r.ctrl.ViewColumns(func(s *fleet.Snapshot) {
 		threshold = s.ThresholdC
 		for _, h := range s.Hotspots {
 			hotIDs = append(hotIDs, h.HostID)
