@@ -4,7 +4,8 @@
 // written by a non-test file outside its own package — or have an entry in
 // an allowlist below that says why it stays. The configuration structs are
 // found, not listed: see collectSetters. The third ratchet, code size
-// against BENCH_TRAJECTORY.json, is in codesize_test.go.
+// against BENCH_TRAJECTORY.json, is in codesize_test.go, and the gofmt
+// check in gofmt_test.go.
 //
 // The first two tests type-check every package of the module from its non-test files,
 // once with the default build tags and once with -tags noasm, so a helper

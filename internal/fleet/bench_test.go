@@ -171,41 +171,40 @@ func BenchmarkSnapshotFill(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestDrain measures the way a reading takes into the host table:
-// one 4,096-host sweep in table order, as a source's round emits it, staged
-// through the source emitter, pushed a chunk at a time and drained into the
-// slots. Warm, it allocates nothing.
+// BenchmarkIngestDrain measures the way a source's reading takes into the
+// host table: one 4,096-host sweep in table order per round, as a source's
+// round emits it, through the source emitter into the slots, then the
+// (empty) drain of pushes. Warm, it allocates nothing.
 func BenchmarkIngestDrain(b *testing.B) {
 	const hosts = 4096
-	ctl, err := NewWithSource(DefaultConfig(), &gridSource{}, syntheticStable)
+	src := &sweepSource{sweep: make([]Reading, hosts)}
+	ids := make([]string, hosts)
+	for i := range src.sweep {
+		ids[i] = fmt.Sprintf("h%04d", i)
+		src.sweep[i] = Reading{HostID: ids[i], TempC: 40 + float64(i%30), Util: 0.5}
+	}
+	ctl, err := NewWithSource(DefaultConfig(), src, syntheticStable)
 	if err != nil {
 		b.Fatal(err)
-	}
-	sweep := make([]Reading, hosts)
-	ids := make([]string, hosts)
-	for i := range sweep {
-		ids[i] = fmt.Sprintf("h%04d", i)
-		sweep[i] = Reading{HostID: ids[i], TempC: 40 + float64(i%30), Util: 0.5}
 	}
 	ctl.mu.Lock()
 	ctl.resetTable(ids)
 	ctl.mu.Unlock()
-	round := func(at float64) {
+	round := func() {
+		var rs roundState
 		ctl.mu.Lock()
-		for j := range sweep {
-			sweep[j].AtS = at
-			ctl.stage(sweep[j])
+		if err := ctl.advanceSource(&rs); err != nil {
+			b.Fatal(err)
 		}
-		ctl.flushStaged()
-		ctl.drain(at)
+		ctl.drain(rs.now)
 		ctl.mu.Unlock()
 	}
-	round(-2) // both buffers grow to a sweep once
-	round(-1)
+	round()
+	round()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round(float64(i))
+		round()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*hosts), "ns/reading")
 }

@@ -145,11 +145,8 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	c.resetTable(st.Order)
 	c.orderDirty = st.OrderDirty || len(st.Latest) != len(st.Order)
 	for _, r := range st.Latest {
-		i, tracked := c.pos[r.HostID]
-		if !tracked {
-			i = c.addHost(r.HostID)
-			c.orderDirty = true
-		}
+		i := c.slotOf(r.HostID)
+		c.orderDirty = c.orderDirty || int(i) >= len(st.Order)
 		c.slots[i].Reading, c.slots[i].Present = r, true
 	}
 

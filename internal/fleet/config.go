@@ -138,12 +138,13 @@ func (c Config) resolve(simulated bool) (Config, int, error) {
 	return c, hosts, c.Validate()
 }
 
-// ingestCapacity bounds the telemetry pipeline of a fleet of hosts: at
-// least one full round of emissions (minimum 4096). Every host emits one
-// reading per sample interval, so a buffer smaller than one round's
-// emissions from the full population would silently starve the hosts beyond
-// it of telemetry forever (discovered populations are sized for the worst
-// case MaxHosts admits).
+// ingestCapacity bounds, per round, the readings a source's advance admits
+// and, apart from them, the pushes the buffer holds: at least one full round
+// of emissions (minimum 4096). Every host emits one reading per sample
+// interval, so a source budget below one round's emissions from the full
+// population — or one that pushes could spend — would silently starve the
+// hosts beyond it of telemetry forever (discovered populations are sized for
+// the worst case MaxHosts admits).
 func (c Config) ingestCapacity(hosts int) int {
 	perRound := int(math.Ceil(c.UpdateEveryS/c.SampleS)) + 1
 	return max(4096, hosts*perRound)

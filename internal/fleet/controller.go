@@ -33,8 +33,9 @@ type Controller struct {
 	// slots and seen are parallel to order: slots[i] is what the engine
 	// round consumes for host i — its newest reading (Present when it has
 	// one), this round's ψ_stable anchor (NaN for none) and the cached
-	// session handle — and seen[i] the generation of the drain that last
-	// wrote the reading (seen[i] == drainGen: already written this drain).
+	// session handle — and seen[i] the generation of the round that last
+	// wrote the reading (seen[i] == drainGen: already written this round).
+	// cursor is slotOf's hint; superseded is admit's count until the drain.
 	// orderDirty marks membership changes (an empty slot filled, a host
 	// forgotten or discarded) so stable rounds skip the rebuild entirely.
 	// members is the snapshot columns' copy of order, nil from a change of
@@ -44,6 +45,8 @@ type Controller struct {
 	slots      []engine.Slot
 	seen       []uint64
 	drainGen   uint64
+	cursor     int
+	superseded int64
 	orderDirty bool
 	members    *membership
 	pendingP   []MigrationProposal // proposals awaiting reconciliation
@@ -102,17 +105,15 @@ type Controller struct {
 	pendMu  sync.Mutex
 	pending []workload.VMSpec
 
-	ingest  *ingestPipeline
-	drained []Reading // the last drain's slice, the pipeline's next buffer; guarded by mu
+	ingest *ingestPipeline
 	// tee is the TeeTelemetry observer, nil when detached. It is an atomic
 	// pointer because IngestBatch (the HTTP push path) runs concurrently
 	// with rounds and with TeeTelemetry swaps.
 	tee atomic.Pointer[func(Reading) bool]
-	// stage is the emitter advanceSource hands the source (stageReading,
-	// bound once so a round allocates nothing); staged holds what it
-	// accepted until flushStaged pushes it (guarded by mu).
-	stage  func(Reading) bool
-	staged []Reading
+	// emit is admitSourceReading, bound once so a round allocates nothing;
+	// srcOffered counts the plausible readings it met this round (under mu).
+	emit       func(Reading) bool
+	srcOffered int
 
 	// snaps owns the epoch-versioned snapshot generations (publication via
 	// atomic pointer swap; retired generations recycled in place).
@@ -209,8 +210,7 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 		c.obsTaskIDs = append(c.obsTaskIDs, "observed-t"+strconv.Itoa(i))
 	}
 	c.predictChunk = c.predictMissChunk
-	c.stage = c.stageReading
-	c.staged = make([]Reading, 0, pushChunk)
+	c.emit = c.admitSourceReading
 	c.cache, err = anchorcache.New(anchorcache.Config{
 		MaxEntries: cfg.AnchorCacheEntries,
 		Quant: anchorcache.Quantizer{
@@ -268,12 +268,12 @@ func (c *Controller) IngestRejected() (byReason [telemetry.NumRejectReasons]int6
 	return byReason, total
 }
 
-// TeeTelemetry attaches an observer that sees every reading offered to the
-// ingest pipeline — source emissions and HTTP pushes alike. It is the
-// capture path behind `vmtherm-fleetd -record`, feeding a
-// telemetry.Recorder whose output replays through `-source trace`. The tee
-// sees readings before the bounded buffer, so a capture is complete even
-// when the pipeline drops. Pass nil to detach. The swap itself is safe at
+// TeeTelemetry attaches an observer that sees every reading a source emits
+// and every plausible reading pushed over HTTP. It is the capture path
+// behind `vmtherm-fleetd -record`, feeding a telemetry.Recorder whose output
+// replays through `-source trace`. The tee sees readings before the source
+// budget and the push buffer, so a capture is complete even when either
+// drops. Pass nil to detach. The swap itself is safe at
 // any time; the tee must be safe for the caller's concurrency (a plain
 // Recorder wants the tee attached before rounds start and detached after
 // they stop).

@@ -1,6 +1,6 @@
 // Package fleet is the thermal control plane that closes the paper's
-// proactive-management loop at datacenter scale: per-host telemetry streams
-// through a bounded ingest pipeline into the unified session engine
+// proactive-management loop at datacenter scale: per-host telemetry, bounded
+// per round, streams into the unified session engine
 // (internal/engine) — per-host dynamic prediction sessions calibrated every
 // Δ_update as in Eqs. 3–8, with batch ψ_stable anchors fanned through the
 // SVM batch kernel — and each round rolls the Δ_gap-ahead predicted
@@ -26,10 +26,11 @@
 // One round (Controller.RunRound, round.go) is this fixed sequence of stages,
 // each a method reading and writing one stack-allocated roundState. Per-host
 // state lives in the host table (hosttable.go): a host id is resolved to a
-// slot index once, in the drain, and every later stage indexes slots.
+// slot index once, when its reading is admitted, and every later stage
+// indexes slots.
 //
-//	advanceSource    Δ_update → source clock, source error (fatal for the substrate)
-//	drainIngest      pipeline → host table (newest reading per slot, membership), drained/discarded counts
+//	advanceSource    Δ_update → source readings into the host table (newest per slot, up to the budget), source clock, source error (fatal for the substrate)
+//	drainIngest      pushed readings → host table (same rule), membership, drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
 //	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
 //	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, columns), max prediction, round++
@@ -240,12 +241,14 @@ type RoundReport struct {
 	SimTimeS float64
 	// Latency is the wall-clock cost of the round (source advance + control).
 	Latency time.Duration
-	// ControlLatency is the control-plane share (ingest drain → decisions),
-	// excluding the source advance (simulated physics, replay, or scrape).
+	// ControlLatency is the control-plane share (push drain → decisions),
+	// excluding the source advance (simulated physics, replay, or scrape),
+	// which includes writing the source's readings into the host table.
 	ControlLatency time.Duration
 	Hosts          int
 	SessionsLive   int
-	// TelemetryDrained counts readings consumed this round; DroppedTotal and
+	// TelemetryDrained counts readings consumed this round (source readings
+	// admitted plus pushes drained); DroppedTotal and
 	// SupersededTotal are the cumulative ingest drop / supersede counters.
 	TelemetryDrained int
 	DroppedTotal     int64

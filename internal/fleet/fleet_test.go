@@ -62,7 +62,7 @@ func ingest(c *Controller, r Reading) bool {
 		c.ingest.countRejected(reason)
 		return false
 	}
-	return c.ingest.pushBatch([]Reading{r}) == 1
+	return c.ingest.push(r)
 }
 
 // setTelemetryMuted silences one simulated host's telemetry with a dropped

@@ -8,18 +8,17 @@ import (
 )
 
 // The host table is the controller's one place for per-host round state. A
-// host id is resolved to a slot index once, when its reading is drained
-// (the slot after the previous reading's, else c.pos — the only string
-// lookups on the round path); everything after indexes slices parallel to
-// c.order: c.slots (newest reading, this round's ψ_stable anchor, the
-// engine's cached session handle) and c.seen (the drain's stamp).
-// Membership changes — a host discovered, forgotten, trimmed at MaxHosts,
-// or a restore — rebuild the table and carry surviving slots over; rounds
-// with stable membership never touch pos beyond the drain's reads. Both
-// rebuilds (resetTable, refreshDiscoveredHosts) drop c.members, the
-// snapshot's copy of the ids, so the next round's snapshot takes a new one;
-// a drain's newcomers always end in a rebuild or are cut off again
-// (dropForeignHosts). All of it is guarded by c.mu.
+// host id is resolved to a slot index once, when its reading is admitted
+// (slotOf: the only string lookups on the round path); everything after
+// indexes slices parallel to c.order: c.slots (newest reading, this round's
+// ψ_stable anchor, the engine's cached session handle) and c.seen (the
+// round's write stamp). Membership changes — a host discovered, forgotten,
+// trimmed at MaxHosts, or a restore — rebuild the table and carry surviving
+// slots over; rounds with stable membership never touch pos beyond
+// slotOf's reads. Both rebuilds (resetTable, refreshDiscoveredHosts) drop
+// c.members, the snapshot's copy of the ids, so the next round's snapshot
+// takes a new one; a round's newcomers always end in a rebuild or are cut
+// off again (dropForeignHosts). All of it is guarded by c.mu.
 
 // resetTable makes the table hold exactly the hosts of order, in that
 // order, each without a reading. order's ids must be distinct.
@@ -35,9 +34,9 @@ func (c *Controller) resetTable(order []string) {
 }
 
 // addHost appends a slot for a host the table does not hold yet and returns
-// its index. Newcomers sit unsorted at the tail until the drain that met
-// them ends (refreshDiscoveredHosts sorts them in, dropForeignHosts cuts
-// them off), so the tail is bounded by the ingest buffer.
+// its index. Newcomers sit unsorted at the tail until their round drains
+// (refreshDiscoveredHosts sorts them in, dropForeignHosts cuts them off), so
+// the tail is bounded by the source budget plus the buffer: 2 × capacity.
 func (c *Controller) addHost(id string) int32 {
 	i := int32(len(c.order))
 	c.pos[id] = i
@@ -47,56 +46,62 @@ func (c *Controller) addHost(id string) int32 {
 	return i
 }
 
-// drain takes every buffered reading, in arrival order, into its host's
-// slot, keeps only the newest reading per host, returns how many readings it
-// consumed, and keeps the taken slice as the pipeline's next buffer. Sources
-// emit in table order, so a reading first tries the slot after its
-// predecessor's and looks up pos only on a miss. A reading stamped after now
+// slotOf resolves a host id to its slot: the one after the previous lookup's
+// first (sources emit in table order), then pos, else a new one at the tail.
+func (c *Controller) slotOf(id string) int32 {
+	var i int32
+	if n := c.cursor; n < len(c.order) && c.order[n] == id {
+		i = int32(n)
+	} else if j, tracked := c.pos[id]; tracked {
+		i = j
+	} else {
+		i = c.addHost(id)
+	}
+	c.cursor = int(i) + 1
+	return i
+}
+
+// admit writes r into its host's slot unless the slot holds a newer reading.
+// A reading that never leaves the round — older than the slot's, or replaced
+// later this round — counts as superseded: producers sample faster than the
+// control loop consumes. Filling an empty slot marks the membership dirty.
+func (c *Controller) admit(r *Reading) {
+	i := c.slotOf(r.HostID)
+	s := &c.slots[i]
+	if s.Present && r.AtS < s.Reading.AtS {
+		c.superseded++
+		return
+	}
+	if !s.Present {
+		c.orderDirty = true
+	}
+	if c.seen[i] == c.drainGen {
+		c.superseded++
+	}
+	c.seen[i] = c.drainGen
+	s.Reading, s.Present = *r, true
+}
+
+// drain admits every pushed reading, in arrival order, and returns how many
+// it consumed. It runs after the source's advance, so a push and a source
+// reading with equal timestamps resolve to the push. A push stamped after now
 // is stored at now, as the engine round clamps it, so a clock-skewed
-// producer cannot outrank the genuine readings that follow. A reading that
-// fills an empty slot (a host never seen, or forgotten) marks the membership
-// dirty. Consumed readings that never become a host's newest are counted as
-// superseded: the ingest-pressure signal that says producers are sampling
-// faster than the control loop consumes.
+// producer cannot outrank the genuine readings that follow (a source's
+// readings are stamped at or before its clock; see telemetry.Source).
 func (c *Controller) drain(now float64) int {
-	c.drainGen++
-	batch := c.ingest.take(c.drained)
-	var superseded int64
-	next := 0
+	batch := c.ingest.take()
 	for k := range batch {
 		r := &batch[k]
-		var i int32
-		if next < len(c.order) && c.order[next] == r.HostID {
-			i = int32(next)
-		} else if j, tracked := c.pos[r.HostID]; tracked {
-			i = j
-		} else {
-			i = c.addHost(r.HostID)
-		}
-		next = int(i) + 1
 		r.AtS = min(r.AtS, now)
-		s := &c.slots[i]
-		if s.Present && r.AtS < s.Reading.AtS {
-			superseded++
-			continue
-		}
-		if !s.Present {
-			c.orderDirty = true
-		}
-		if c.seen[i] == c.drainGen {
-			// The reading written earlier this drain never left the round.
-			superseded++
-		}
-		c.seen[i] = c.drainGen
-		s.Reading, s.Present = *r, true
+		c.admit(r)
 	}
-	c.ingest.superseded.Add(superseded)
-	c.drained = batch
+	c.ingest.superseded.Add(c.superseded)
+	c.superseded = 0
 	return len(batch)
 }
 
 // dropForeignHosts cuts the table back to the simulated fleet's own n
-// hosts: whatever the drain appended past them named hosts the fleet does
+// hosts: whatever the round appended past them named hosts the fleet does
 // not own.
 func (c *Controller) dropForeignHosts(n int) {
 	for _, id := range c.order[n:] {
@@ -137,7 +142,7 @@ func (c *Controller) refreshDiscoveredHosts() (discarded int) {
 		order[j], slots[j] = c.order[i], c.slots[i]
 		c.pos[order[j]] = int32(j)
 	}
-	// The stamps only mean something inside a drain, and the next drain's
+	// The stamps only mean something inside a round, and the next round's
 	// generation matches none of them.
 	c.order, c.slots, c.seen = order, slots, c.seen[:len(keep)]
 	c.members = nil

@@ -17,13 +17,10 @@ import (
 // The white-box tests were written against per-host maps; these helpers are
 // their view of the host table.
 
-// seedReading writes r into its host's slot as a drain would, adding the
-// host at the table's tail when it is not tracked yet.
+// seedReading writes r into its host's slot, adding the host at the table's
+// tail when it is not tracked yet.
 func seedReading(c *Controller, r Reading) {
-	i, tracked := c.pos[r.HostID]
-	if !tracked {
-		i = c.addHost(r.HostID)
-	}
+	i := c.slotOf(r.HostID)
 	c.slots[i].Reading, c.slots[i].Present = r, true
 }
 

@@ -13,19 +13,18 @@ import (
 // into the session engine.
 type Reading = telemetry.Reading
 
-// ingestPipeline is the bounded buffer between telemetry producers and the
-// control loop, filled in arrival order. Producers push without blocking — a
-// reading offered to a full buffer is dropped and counted, never stalling an
-// agent — and each round's drain swaps in the slice the previous one
-// emptied. A round's source advance stages its readings and pushes them
-// pushChunk at a time (pushBatch), one lock per chunk instead of one per
-// reading. The bound keeps a misbehaving producer from growing memory
-// without limit: at most 2 × capacity + pushChunk readings exist — the
-// buffer filling, the spare the last drain emptied, and one staged chunk;
-// the drop and supersede counters make that degradation visible.
+// ingestPipeline is the bounded buffer between HTTP pushes and the control
+// loop, filled in arrival order, and the ingest counters of pushes and source
+// readings alike (a source's readings go straight into the host table).
+// Producers push without blocking — a reading offered to a full buffer is
+// dropped and counted, never stalling an agent — and each round's drain
+// swaps in the slice the previous one emptied, so at most 2 × capacity
+// readings exist; the drop and supersede counters make that degradation
+// visible.
 type ingestPipeline struct {
 	mu       sync.Mutex
 	buf      []Reading // guarded by mu; len(buf) ≤ capacity
+	spare    []Reading // what the last take returned; only take touches it
 	capacity int
 
 	received   atomic.Int64
@@ -39,48 +38,41 @@ type ingestPipeline struct {
 	rejected [telemetry.NumRejectReasons]atomic.Int64
 }
 
-// pushChunk is how many staged source readings pushBatch moves into the
-// buffer under one lock.
-const pushChunk = 512
-
 // newIngestPipeline bounds the buffer at capacity readings; it grows by append.
 func newIngestPipeline(capacity int) *ingestPipeline {
 	return &ingestPipeline{capacity: capacity}
 }
 
-// pushBatch offers readings already classified plausible, in order, under
-// one lock: as many as the buffer has room for are appended and counted
-// received, the rest are dropped and counted. It returns how many were
-// accepted. The HTTP push path offers one reading at a time
-// (readings[i:i+1]); a source advance offers a staged chunk.
-func (p *ingestPipeline) pushBatch(rs []Reading) (accepted int) {
-	if len(rs) == 0 {
-		return 0
-	}
+// push offers one reading already classified plausible: it is appended and
+// counted received when the buffer has room, else dropped and counted. It
+// reports whether the reading was accepted.
+func (p *ingestPipeline) push(r Reading) bool {
 	p.mu.Lock()
-	n := min(len(rs), p.capacity-len(p.buf))
-	p.buf = append(p.buf, rs[:n]...)
+	ok := len(p.buf) < p.capacity
+	if ok {
+		p.buf = append(p.buf, r)
+	}
 	p.mu.Unlock()
-	if n > 0 {
-		p.received.Add(int64(n))
+	if ok {
+		p.received.Add(1)
+	} else {
+		p.dropped.Add(1)
 	}
-	if n < len(rs) {
-		p.dropped.Add(int64(len(rs) - n))
-	}
-	return n
+	return ok
 }
 
-// take returns the buffered readings, in arrival order, and makes spare (the
-// slice the previous take returned, now consumed) the buffer to fill next.
-func (p *ingestPipeline) take(spare []Reading) []Reading {
+// take returns the buffered readings, in arrival order, and makes the slice
+// the previous take returned (consumed by now) the buffer to fill next. Its
+// callers are serialized by the round lock.
+func (p *ingestPipeline) take() []Reading {
 	p.mu.Lock()
-	spare, p.buf = p.buf, spare[:0]
+	p.buf, p.spare = p.spare[:0], p.buf
 	p.mu.Unlock()
-	return spare
+	return p.spare
 }
 
 // countRejected records a rejection decided by a caller that classified
-// the reading before offering it (both push paths do).
+// the reading itself (the source emitter and IngestBatch both do).
 func (p *ingestPipeline) countRejected(reason telemetry.RejectReason) {
 	p.rejected[reason].Add(1)
 }

@@ -46,17 +46,35 @@ func (s *burstSource) Advance(dtS float64, emit func(telemetry.Reading) bool) er
 	return nil
 }
 
-// TestChunkedSourcePushMatchesPerReading drives two source-driven
-// controllers through the same bursts — some well under a chunk, some over
-// the buffer — one staging and pushing its source's readings a chunk at a
-// time, the other pushing each reading under its own lock as the source
-// path did before chunking. After every round the drained host table and
-// the received / dropped / superseded / rejected counters must agree, and
-// the tee must have seen the same readings in the same order.
-func TestChunkedSourcePushMatchesPerReading(t *testing.T) {
+// sweepSource emits one reading per entry of sweep per Advance, in that
+// order, stamped at the clock the Advance ends on.
+type sweepSource struct {
+	now   float64
+	sweep []Reading
+}
+
+func (s *sweepSource) Name() string  { return "sweep" }
+func (s *sweepSource) NowS() float64 { return s.now }
+func (s *sweepSource) Advance(dtS float64, emit func(telemetry.Reading) bool) error {
+	s.now += dtS
+	for i := range s.sweep {
+		s.sweep[i].AtS = s.now
+		emit(s.sweep[i])
+	}
+	return nil
+}
+
+// TestSourceAdmissionMatchesPipeline drives two source-driven controllers
+// through the same bursts — some well under the buffer, some over it — one
+// admitting its source's readings straight into the host table, the other
+// pushing each through the ingest pipeline and draining them after the
+// advance, as the source path did before. After every round the host table
+// and the received / dropped / superseded / rejected counters must agree,
+// and the tee must have seen the same readings in the same order.
+func TestSourceAdmissionMatchesPipeline(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxHosts = 256
-	sizes := []int{0, 7, pushChunk - 1, pushChunk, pushChunk + 1, 1300, 2*pushChunk + 3, 4000}
+	sizes := []int{0, 7, 511, 512, 513, 1300, 1027, 4000}
 	build := func() (*Controller, *telemetry.Recorder) {
 		rng := rand.New(rand.NewSource(31))
 		round := 0
@@ -70,40 +88,40 @@ func TestChunkedSourcePushMatchesPerReading(t *testing.T) {
 		c.TeeTelemetry(rec.Emit)
 		return c, rec
 	}
-	chunked, chunkedTee := build()
-	perReading, perReadingTee := build()
-	perReading.stage = func(r Reading) bool { return ingest(perReading, r) }
+	admitted, admittedTee := build()
+	piped, pipedTee := build()
+	piped.emit = func(r Reading) bool { return ingest(piped, r) }
 
 	for round := 0; round < 3*len(sizes); round++ {
-		a, err := chunked.RunRound()
+		a, err := admitted.RunRound()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := perReading.RunRound()
+		b, err := piped.RunRound()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.TelemetryDrained != b.TelemetryDrained {
-			t.Fatalf("round %d: drained %d, per-reading %d", round, a.TelemetryDrained, b.TelemetryDrained)
+			t.Fatalf("round %d: drained %d, through the pipeline %d", round, a.TelemetryDrained, b.TelemetryDrained)
 		}
-		if !slices.Equal(chunked.order, perReading.order) || !maps.Equal(tableReadings(chunked), tableReadings(perReading)) {
+		if !slices.Equal(admitted.order, piped.order) || !maps.Equal(tableReadings(admitted), tableReadings(piped)) {
 			t.Fatalf("round %d: host tables differ", round)
 		}
 		var sa, sb [3]int64
-		sa[0], sa[1], sa[2] = chunked.IngestStats()
-		sb[0], sb[1], sb[2] = perReading.IngestStats()
-		ra, _ := chunked.IngestRejected()
-		rb, _ := perReading.IngestRejected()
+		sa[0], sa[1], sa[2] = admitted.IngestStats()
+		sb[0], sb[1], sb[2] = piped.IngestStats()
+		ra, _ := admitted.IngestRejected()
+		rb, _ := piped.IngestRejected()
 		if sa != sb || ra != rb {
-			t.Fatalf("round %d: received/dropped/superseded %v rejected %v; per-reading %v %v", round, sa, ra, sb, rb)
+			t.Fatalf("round %d: received/dropped/superseded %v rejected %v; through the pipeline %v %v", round, sa, ra, sb, rb)
 		}
-		if !slices.EqualFunc(chunkedTee.Readings, perReadingTee.Readings, sameReading) {
-			t.Fatalf("round %d: the tee saw %d readings, per-reading %d, or a different order",
-				round, len(chunkedTee.Readings), len(perReadingTee.Readings))
+		if !slices.EqualFunc(admittedTee.Readings, pipedTee.Readings, sameReading) {
+			t.Fatalf("round %d: the tee saw %d readings, through the pipeline %d, or a different order",
+				round, len(admittedTee.Readings), len(pipedTee.Readings))
 		}
 	}
-	received, dropped, superseded := chunked.IngestStats()
-	_, rejected := chunked.IngestRejected()
+	received, dropped, superseded := admitted.IngestStats()
+	_, rejected := admitted.IngestRejected()
 	if received == 0 || dropped == 0 || superseded == 0 || rejected == 0 {
 		t.Fatalf("scenario too tame: %d received, %d dropped, %d superseded, %d rejected", received, dropped, superseded, rejected)
 	}
@@ -116,38 +134,89 @@ func sameReading(a, b Reading) bool {
 		math.Float64bits(a.TempC) == math.Float64bits(b.TempC)
 }
 
-// TestChunkedPushMemoryBound: a source that emits several buffers' worth of
-// readings in one Advance never has more than the buffer's capacity +
-// pushChunk of them in the pipeline — the buffer plus one staged chunk.
-func TestChunkedPushMemoryBound(t *testing.T) {
-	const capacity = 1000
+// TestSourceBudgetBoundsAdvance: a source that emits five budgets' worth of
+// readings in one Advance has at most the ingest capacity of them admitted;
+// every other plausible one is dropped and counted, and none of them waits
+// in the pipeline's buffer.
+func TestSourceBudgetBoundsAdvance(t *testing.T) {
+	const capacity, burst = 1000, 5000
 	cfg := DefaultConfig()
 	cfg.MaxHosts = 256
-	src := &burstSource{rng: rand.New(rand.NewSource(7)), n: func() int { return 5000 }}
+	src := &burstSource{rng: rand.New(rand.NewSource(7)), n: func() int { return burst }}
 	c, err := NewWithSource(cfg, src, syntheticStable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withIngestBuffer(c, capacity)
-	peak := 0
+	admitted, emit := 0, c.emit
+	c.emit = func(r Reading) bool {
+		ok := emit(r)
+		if ok {
+			admitted++
+		}
+		return ok
+	}
 	src.during = func() {
 		c.ingest.mu.Lock()
-		n := len(c.ingest.buf) + len(c.staged)
-		c.ingest.mu.Unlock()
-		peak = max(peak, n)
-	}
-	for round := 0; round < 3; round++ {
-		if _, err := c.RunRound(); err != nil {
-			t.Fatal(err)
+		defer c.ingest.mu.Unlock()
+		if n := len(c.ingest.buf); n != 0 {
+			t.Fatalf("%d source readings wait in the pipeline's buffer", n)
 		}
 	}
-	if peak > capacity+pushChunk {
-		t.Fatalf("%d readings held in the pipeline, bound %d + %d", peak, capacity, pushChunk)
+	var received, dropped, rejected int64
+	for round := 0; round < 3; round++ {
+		admitted = 0
+		rep, err := c.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, drop, _ := c.IngestStats()
+		_, rej := c.IngestRejected()
+		if admitted != capacity || rep.TelemetryDrained != capacity || rec-received != capacity {
+			t.Fatalf("round %d: %d admitted, %d drained, %d received; budget %d", round, admitted, rep.TelemetryDrained, rec-received, capacity)
+		}
+		if got := (rec - received) + (drop - dropped) + (rej - rejected); got != burst {
+			t.Fatalf("round %d: %d received + %d dropped + %d rejected, %d emitted", round, rec-received, drop-dropped, rej-rejected, burst)
+		}
+		received, dropped, rejected = rec, drop, rej
 	}
-	if peak < capacity {
-		t.Fatalf("peak %d never filled the buffer of %d", peak, capacity)
+}
+
+// TestPushFloodKeepsSourceReadings: pushes that fill the ingest buffer
+// leave the source's own budget untouched. A round whose source emits a
+// buffer's worth of readings after the buffer is full admits every one of
+// them, beside every accepted push: a push flood cannot starve the hosts a
+// source reports of telemetry.
+func TestPushFloodKeepsSourceReadings(t *testing.T) {
+	const capacity = 64
+	src := &sweepSource{}
+	for i := 0; i < capacity; i++ {
+		src.sweep = append(src.sweep, Reading{HostID: fmt.Sprintf("s%02d", i), TempC: 50, Util: 0.5})
 	}
-	if _, dropped, _ := c.IngestStats(); dropped == 0 {
-		t.Fatal("no drops from bursts of five buffers")
+	c, err := NewWithSource(DefaultConfig(), src, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withIngestBuffer(c, capacity)
+	for i := 0; i <= capacity; i++ {
+		if got, want := ingest(c, Reading{HostID: fmt.Sprintf("p%02d", i), TempC: 40, Util: 0.5}), i < capacity; got != want {
+			t.Fatalf("push %d accepted %v, want %v", i, got, want)
+		}
+	}
+	rep, err := c.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := tableReadings(c)
+	for _, r := range src.sweep {
+		if got, ok := table[r.HostID]; !ok || got.TempC != r.TempC {
+			t.Fatalf("source host %s: reading %+v (present %v) after a push flood", r.HostID, got, ok)
+		}
+	}
+	if rep.TelemetryDrained != 2*capacity {
+		t.Fatalf("drained %d, want %d pushes + %d source readings", rep.TelemetryDrained, capacity, capacity)
+	}
+	if received, dropped, _ := c.IngestStats(); received != 2*capacity || dropped != 1 {
+		t.Fatalf("received %d dropped %d, want %d and the one push past the buffer", received, dropped, 2*capacity)
 	}
 }

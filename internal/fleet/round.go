@@ -38,7 +38,7 @@ type roundState struct {
 // one control round as the fixed stage sequence below (one line per stage in
 // the package doc). advanceSource and resolveAnchors fail before the round
 // counter moves and before anything is published: the controller stays on
-// the previous round's snapshot, readings already drained stay in the host
+// the previous round's snapshot, readings already admitted stay in the host
 // table, and the next RunRound starts clean. drainPlacements fails after the
 // publish: the round stands and the undecided requests are re-parked.
 func (c *Controller) RunRound() (RoundReport, error) {
@@ -67,15 +67,19 @@ func (c *Controller) RunRound() (RoundReport, error) {
 	return rep, nil
 }
 
-// advanceSource runs the source for one calibration interval, streaming
-// readings into the bounded pipeline a chunk at a time as it goes, and
-// records the source clock. Simulator failures are bugs and abort; live
-// sources (scrape) fail transiently, so the loop records the error and lets
-// staleness degradation do its job. Either way the readings staged before
-// the failure reach the pipeline.
+// advanceSource opens the round's write generation, runs the source for one
+// calibration interval with its readings admitted into the host table as
+// they are emitted, and records the source clock. Simulator failures are bugs
+// and abort; live sources (scrape) fail transiently, so the loop records the
+// error and lets staleness degradation do its job. Either way the readings
+// emitted before the failure stay admitted and counted.
 func (c *Controller) advanceSource(rs *roundState) error {
-	err := c.src.Advance(c.cfg.UpdateEveryS, c.stage)
-	c.flushStaged()
+	c.drainGen++
+	err := c.src.Advance(c.cfg.UpdateEveryS, c.emit)
+	rs.drained = min(c.srcOffered, c.ingest.capacity)
+	c.ingest.received.Add(int64(rs.drained))
+	c.ingest.dropped.Add(int64(c.srcOffered - rs.drained))
+	c.srcOffered = 0
 	if err != nil {
 		if c.sub != nil {
 			return err
@@ -87,13 +91,12 @@ func (c *Controller) advanceSource(rs *roundState) error {
 	return nil
 }
 
-// stageReading is the source's emitter: the tee, if attached, sees the
+// admitSourceReading is the source's emitter: the tee, if attached, sees the
 // reading in emission order; an implausible temperature is counted as
-// rejected at once and refused; anything else is staged, and every
-// pushChunk staged readings go to the pipeline together. Whether a staged
-// reading is dropped is decided when its chunk is pushed, so true means
-// only that the reading passed the door.
-func (c *Controller) stageReading(r Reading) bool {
+// rejected and refused; once the round's budget of ingest capacity readings
+// is spent, a reading is dropped (counted when the advance returns); anything
+// else is admitted into its host's slot under the round lock.
+func (c *Controller) admitSourceReading(r Reading) bool {
 	if tee := c.tee.Load(); tee != nil {
 		(*tee)(r)
 	}
@@ -101,28 +104,20 @@ func (c *Controller) stageReading(r Reading) bool {
 		c.ingest.countRejected(reason)
 		return false
 	}
-	c.staged = append(c.staged, r)
-	if len(c.staged) == pushChunk {
-		c.flushStaged()
+	if c.srcOffered++; c.srcOffered > c.ingest.capacity {
+		return false
 	}
+	c.admit(&r)
 	return true
 }
 
-// flushStaged pushes the staged readings into the pipeline.
-func (c *Controller) flushStaged() {
-	c.ingest.pushBatch(c.staged)
-	c.staged = c.staged[:0]
-}
-
-// drainIngest drains the pipeline into the host table, newest reading per
-// host wins. Readings for hosts a simulated fleet does not own are
-// discarded, and discovered populations are bounded by MaxHosts, so a
-// misbehaving producer cannot grow the table (or the published snapshot)
-// without bound — the pipeline's memory bound must hold end to end.
-// Membership work (the foreign-host cut, the table rebuild + sort) runs only
-// on rounds where an unknown host actually appeared or one was dropped.
+// drainIngest drains the pushed readings into the host table and bounds the
+// table: hosts a simulated fleet does not own are cut, and discovered
+// populations are capped at MaxHosts, so a misbehaving producer cannot grow
+// it (or the published snapshot) without bound. The membership work (the
+// cut, the rebuild + sort) runs only on rounds where a host came or went.
 func (c *Controller) drainIngest(rs *roundState) {
-	rs.drained = c.drain(rs.now)
+	rs.drained += c.drain(rs.now)
 	if _, rej := c.IngestRejected(); rej > c.lastRejected {
 		c.noteError(fmt.Sprintf("round %d: ingest: rejected %d implausible readings", c.round+1, rej-c.lastRejected))
 		c.lastRejected = rej

@@ -287,7 +287,7 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 	for i := range readings {
 		if reason := telemetry.ClassifyTemp(readings[i].TempC); reason != telemetry.RejectNone {
 			// Classified here so the caller gets the typed outcome;
-			// pushBatch takes only plausible readings.
+			// push takes only plausible readings.
 			c.ingest.countRejected(reason)
 			results[i] = IngestResult{Outcome: IngestRejected}
 			continue
@@ -295,7 +295,7 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 		if tee != nil {
 			(*tee)(readings[i])
 		}
-		if c.ingest.pushBatch(readings[i:i+1]) == 0 {
+		if !c.ingest.push(readings[i]) {
 			results[i] = IngestResult{Outcome: IngestDropped}
 			continue
 		}

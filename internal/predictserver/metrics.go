@@ -40,7 +40,7 @@ func boolGauge(b bool) float64 {
 //	vmtherm_place_queued_total              (counter; fleet-attached servers
 //	vmtherm_place_rejected_total            only)
 //	vmtherm_place_batch_size                last placement batch size (gauge)
-//	vmtherm_ingest_received_total           fleet pipeline counters (counter;
+//	vmtherm_ingest_received_total           fleet ingest counters (counter;
 //	vmtherm_ingest_dropped_total            fleet-attached servers only)
 //	vmtherm_ingest_superseded_total
 //	vmtherm_ingest_rejected_total{reason=...}  implausible readings refused
@@ -97,9 +97,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 		received, dropped, superseded := s.fleet.IngestStats()
 		writeMetric(&sb, "vmtherm_ingest_received_total", "counter",
-			"Telemetry readings accepted by the fleet ingest pipeline.", "", float64(received))
+			"Telemetry readings accepted: source readings admitted plus pushes buffered.", "", float64(received))
 		writeMetric(&sb, "vmtherm_ingest_dropped_total", "counter",
-			"Telemetry readings dropped at the full ingest buffer.", "", float64(dropped))
+			"Telemetry readings dropped past a round's source budget or at the full push buffer.", "", float64(dropped))
 		writeMetric(&sb, "vmtherm_ingest_superseded_total", "counter",
 			"Drained readings superseded by newer ones before use.", "", float64(superseded))
 

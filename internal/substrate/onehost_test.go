@@ -543,6 +543,40 @@ func TestAdvanceHorizonStopsBeforeLaterEvents(t *testing.T) {
 	}
 }
 
+// TestAdvanceStampsAtOrBeforeNow is telemetry.Source's clock contract for
+// the simulated fleet: every reading an Advance emits is stamped at or
+// before NowS after that Advance — over durations that are no multiple of
+// the sample interval, and when a sample that rounding lands a hair past one
+// horizon is carried into the next call.
+func TestAdvanceStampsAtOrBeforeNow(t *testing.T) {
+	var log []string
+	one, _ := logFleet(t, &log, 0.1, 0.1) // 7 × 0.1 s lands past 0.7 s
+	for _, tc := range []struct {
+		f    *Fleet
+		durs []float64
+	}{
+		{testFleet(t), []float64{15, 7, 2.5, 0.35, 15, 4.9}},
+		{one, []float64{0.7, 0.7, 0.3, 1.1}},
+	} {
+		emitted := 0
+		for _, dur := range tc.durs {
+			var stamps []float64
+			if err := tc.f.Advance(dur, func(r telemetry.Reading) bool { stamps = append(stamps, r.AtS); return true }); err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range stamps {
+				if at > tc.f.NowS() {
+					t.Fatalf("a reading stamped %v after an Advance that ends at %v", at, tc.f.NowS())
+				}
+			}
+			emitted += len(stamps)
+		}
+		if emitted == 0 {
+			t.Fatal("no readings emitted")
+		}
+	}
+}
+
 // TestWarmAdvanceAllocatesNothing: a warm tick and sample sweep allocate
 // nothing.
 func TestWarmAdvanceAllocatesNothing(t *testing.T) {

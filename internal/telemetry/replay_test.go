@@ -184,3 +184,32 @@ func TestTraceSourceLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceSourceStampsAtOrBeforeNow is Source's clock contract for trace
+// replay, looping and not: every reading an Advance emits is stamped at or
+// before NowS after that Advance, over windows that end between the trace's
+// ticks, on them, and past its end.
+func TestTraceSourceStampsAtOrBeforeNow(t *testing.T) {
+	for _, loop := range []bool{false, true} {
+		src, err := NewTraceSource(testTrace(), TraceOptions{Loop: loop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted := 0
+		for _, dt := range []float64{0.5, 5, 7.3, 4.7, 13, 60, 0.1, 100} {
+			var stamps []float64
+			if err := src.Advance(dt, func(r Reading) bool { stamps = append(stamps, r.AtS); return true }); err != nil {
+				t.Fatal(err)
+			}
+			for _, at := range stamps {
+				if at > src.NowS() {
+					t.Fatalf("loop %v: a reading stamped %v after an Advance that ends at %v", loop, at, src.NowS())
+				}
+			}
+			emitted += len(stamps)
+		}
+		if emitted < len(testTrace()) {
+			t.Fatalf("loop %v: %d readings emitted, the trace holds %d", loop, emitted, len(testTrace()))
+		}
+	}
+}

@@ -56,14 +56,14 @@ type Source interface {
 	// NowS reports the source clock after the last Advance, in seconds.
 	NowS() float64
 	// Advance moves the source forward by dtS seconds of source time,
-	// calling emit for every reading produced in that window. emit reports
-	// false when the consumer refused the reading at the door (e.g. an
-	// implausible temperature); a consumer may stage what it accepts and
-	// decide drops (e.g. a full ingest buffer) when it pushes the staged
-	// readings on, so true does not promise the reading is kept. Either way
-	// the source must keep going — refusal and drop accounting are the
-	// consumer's job. Real-time sources (scrape) follow their own clock and
-	// may ignore dtS.
+	// calling emit for every reading produced in that window. Every reading
+	// it emits is stamped at or before NowS() after that Advance returns: the
+	// consumer takes a source's timestamps as they are, without clamping
+	// them to its clock. emit reports false when the consumer refused the
+	// reading (an implausible temperature) or dropped it (its per-round
+	// budget spent); either way the source must keep going — refusal and
+	// drop accounting are the consumer's job. Real-time sources (scrape)
+	// follow their own clock and may ignore dtS.
 	Advance(dtS float64, emit func(Reading) bool) error
 }
 
