@@ -269,7 +269,8 @@ func (c *Controller) IngestRejected() (byReason [telemetry.NumRejectReasons]int6
 }
 
 // TeeTelemetry attaches an observer that sees every reading a source emits
-// and every plausible reading pushed over HTTP. It is the capture path
+// and every reading pushed through IngestBatch, implausible ones included,
+// so a replay rejects what the live run rejected. It is the capture path
 // behind `vmtherm-fleetd -record`, feeding a telemetry.Recorder whose output
 // replays through `-source trace`. The tee sees readings before the source
 // budget and the push buffer, so a capture is complete even when either

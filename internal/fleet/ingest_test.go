@@ -220,3 +220,27 @@ func TestPushFloodKeepsSourceReadings(t *testing.T) {
 		t.Fatalf("received %d dropped %d, want %d and the one push past the buffer", received, dropped, 2*capacity)
 	}
 }
+
+// TestTeeSeesRejectedPushes: the tee sees an implausible reading pushed
+// through IngestBatch as it sees one a source emits, before either is
+// rejected, so a capture replays with the same rejected count.
+func TestTeeSeesRejectedPushes(t *testing.T) {
+	src := &sweepSource{sweep: []Reading{{HostID: "s0", TempC: math.NaN(), Util: 0.5}}}
+	c, err := NewWithSource(DefaultConfig(), src, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &telemetry.Recorder{}
+	c.TeeTelemetry(rec.Emit)
+	results := make([]IngestResult, 1)
+	if c.IngestBatch([]Reading{{HostID: "p0", TempC: math.NaN(), Util: 0.5}}, false, results) != 0 ||
+		results[0].Outcome != IngestRejected {
+		t.Fatalf("NaN push: outcome %v, want rejected", results[0].Outcome)
+	}
+	if _, err := c.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+	if _, rejected := c.IngestRejected(); len(rec.Readings) != 2 || rejected != 2 {
+		t.Fatalf("teed %d readings, rejected %d; want 2 and 2", len(rec.Readings), rejected)
+	}
+}

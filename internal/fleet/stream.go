@@ -274,7 +274,8 @@ func (c *Controller) StreamHotspotsInto(dst []Hotspot) ([]Hotspot, bool) {
 // per-reading outcome (and, when wantPred, the fresh prediction) is
 // written to results[i]; results must be at least len(readings) long.
 // Returns how many readings the pipeline accepted. Safe for concurrent use
-// with RunRound and itself.
+// with RunRound and itself. The tee, if attached, sees each reading before
+// it is classified, as the source emitter does.
 //
 // Every accepted reading still reaches the next batch round through the
 // pipeline — streaming moves freshness, not authority. A dropped reading
@@ -285,15 +286,15 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 	var es engine.StreamStats
 	var touched bool
 	for i := range readings {
+		if tee != nil {
+			(*tee)(readings[i])
+		}
 		if reason := telemetry.ClassifyTemp(readings[i].TempC); reason != telemetry.RejectNone {
 			// Classified here so the caller gets the typed outcome;
 			// push takes only plausible readings.
 			c.ingest.countRejected(reason)
 			results[i] = IngestResult{Outcome: IngestRejected}
 			continue
-		}
-		if tee != nil {
-			(*tee)(readings[i])
 		}
 		if !c.ingest.push(readings[i]) {
 			results[i] = IngestResult{Outcome: IngestDropped}

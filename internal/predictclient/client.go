@@ -1,6 +1,15 @@
 // Package predictclient is the typed Go client for vmtherm-fleetd's HTTP
 // prediction service (internal/predictserver). A monitoring agent embeds it to
 // push online measurements and pull Δ_gap-ahead temperature predictions.
+//
+// The typed exchanges (PredictStableBatch, FleetIngest, FleetIngestPredict,
+// FleetPlaceBatch) copy no body. The request is encoded into a pooled buffer
+// and sent from it, and the buffer stays out of the pool until the call has
+// returned and the transport has closed every body it was handed: a
+// RoundTripper must close the request body, as net/http's contract says, or
+// the buffer is left to the garbage collector. A response body from NewLocal
+// is a pooled buffer too, recycled at its first Close; every Client method
+// closes the bodies it reads.
 package predictclient
 
 import (
@@ -14,7 +23,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"vmtherm/internal/fleet"
@@ -341,7 +349,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 	if err != nil {
 		return err
 	}
-	req, err := c.newPost(ctx, path, raw)
+	req, err := c.newPost(ctx, path, bytes.NewReader(raw))
 	if err != nil {
 		return err
 	}
@@ -350,45 +358,45 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 
 // postWire is postJSON for the three routes whose messages have typed codecs
 // (predictserver.WireMessage): the same request and response bytes, without
-// reflection. One pooled buffer serves both directions. The request is
-// encoded there and sent as an exact-size copy — a transport may still be
-// writing the body after Do returns, so the pooled bytes cannot be it — and
-// the response is read back into it; nothing decoded references the buffer.
+// reflection. The request is encoded into a pooled buffer and sent from
+// there: the buffer is shared by this call and every body the transport
+// opens over it (the first, and any GetBody makes for a redirect or retry),
+// and goes back to the pool only when the call has returned and the
+// transport has closed them all. The response is read into a second pooled
+// buffer; nothing decoded references it.
 func (c *Client) postWire(ctx context.Context, path string, body, out predictserver.WireMessage) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBufBytes { // one huge exchange must not pin its buffer
-			bufPool.Put(buf)
-		}
-	}()
-	buf.Reset()
+	buf := getBuf()
 	enc, err := predictserver.EncodeWire(buf.AvailableBuffer(), body)
 	if err != nil {
+		putBuf(buf)
 		return err
 	}
 	buf.Write(enc) // keeps the capacity when encoding outgrew the buffer
-	req, err := c.newPost(ctx, path, bytes.Clone(buf.Bytes()))
+	sent := share(buf)
+	req, err := c.newPost(ctx, path, nil)
 	if err != nil {
+		sent.release()
 		return err
 	}
+	req.Body, _ = sent.open() // cannot fail: this call holds a reference
+	req.GetBody = sent.open
+	req.ContentLength = int64(buf.Len())
 	resp, err := c.send(req)
+	sent.release()
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	buf.Reset()
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	in := getBuf()
+	defer putBuf(in)
+	if _, err := in.ReadFrom(resp.Body); err != nil {
 		return err
 	}
-	return predictserver.DecodeWire(buf.Bytes(), out)
+	return predictserver.DecodeWire(in.Bytes(), out)
 }
 
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBufBytes = 1 << 20
-
-func (c *Client) newPost(ctx context.Context, path string, body []byte) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+func (c *Client) newPost(ctx context.Context, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}

@@ -21,8 +21,10 @@ var (
 	modelErr  error
 )
 
-func testServer(t *testing.T) (*Client, dataset.Record) {
-	t.Helper()
+// testModel trains the fast stable model once per test binary and returns
+// it with one of its training records.
+func testModel(tb testing.TB) (*core.StablePredictor, dataset.Record) {
+	tb.Helper()
 	modelOnce.Do(func() {
 		cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 19, "pc", 30)
 		if err != nil {
@@ -40,8 +42,14 @@ func testServer(t *testing.T) (*Client, dataset.Record) {
 		}
 	})
 	if modelErr != nil {
-		t.Fatal(modelErr)
+		tb.Fatal(modelErr)
 	}
+	return model, modelRec
+}
+
+func testServer(t *testing.T) (*Client, dataset.Record) {
+	t.Helper()
+	model, rec := testModel(t)
 	srv, err := predictserver.New(model)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +60,7 @@ func testServer(t *testing.T) (*Client, dataset.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, modelRec
+	return client, rec
 }
 
 func TestNewValidation(t *testing.T) {

@@ -3,14 +3,20 @@ package predictclient
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 )
 
 // NewLocal creates a client whose requests are served by handler directly,
 // in process, with no sockets — the transport the SLO capacity harness and
 // CI use so profiling measures the serving path, not loopback networking
 // flake. All Client methods work unchanged.
+//
+// The transport closes each request body once the handler returns, as the
+// RoundTripper contract requires, and records each response into a pooled
+// buffer that the response body gives back at its first Close. A response
+// body must be closed to recycle its buffer; every Client method closes
+// the bodies it reads.
 func NewLocal(handler http.Handler, opts ...Option) (*Client, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("predictclient: nil handler")
@@ -26,19 +32,31 @@ type localTransport struct {
 
 // RoundTrip implements http.RoundTripper.
 func (t localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := &responseRecorder{header: make(http.Header), status: http.StatusOK}
+	if req.Body != nil {
+		defer req.Body.Close() // RoundTrip must always close the body
+	}
+	rec := &responseRecorder{header: make(http.Header), body: getBuf(), status: http.StatusOK}
 	t.h.ServeHTTP(rec, req)
 	return &http.Response{
 		StatusCode:    rec.status,
-		Status:        fmt.Sprintf("%d %s", rec.status, http.StatusText(rec.status)),
+		Status:        statusLine(rec.status),
 		Proto:         req.Proto,
 		ProtoMajor:    req.ProtoMajor,
 		ProtoMinor:    req.ProtoMinor,
 		Header:        rec.header,
-		Body:          io.NopCloser(bytes.NewReader(rec.body.Bytes())),
+		Body:          &sharedBody{s: share(rec.body)},
 		ContentLength: int64(rec.body.Len()),
 		Request:       req,
 	}, nil
+}
+
+// statusLine is http.Response.Status ("200 OK"), built only for statuses
+// other than the one nearly every exchange answers with.
+func statusLine(code int) string {
+	if code == http.StatusOK {
+		return "200 OK"
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
 }
 
 // responseRecorder is a minimal in-memory http.ResponseWriter (the stdlib
@@ -46,7 +64,7 @@ func (t localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 // imports).
 type responseRecorder struct {
 	header      http.Header
-	body        bytes.Buffer
+	body        *bytes.Buffer
 	status      int
 	wroteHeader bool
 }
