@@ -50,29 +50,92 @@ func (c Curve) Validate() error {
 	if !(c.DeltaS > 0) || math.IsInf(c.DeltaS, 0) {
 		return fmt.Errorf("core: delta must be finite and > 0, got %v", c.DeltaS)
 	}
-	if math.IsNaN(c.Phi0) || math.IsNaN(c.Stable) {
-		return fmt.Errorf("core: curve anchors NaN (phi0 %v, stable %v)", c.Phi0, c.Stable)
+	return checkAnchors(c.Phi0, c.Stable)
+}
+
+// checkAnchors refuses NaN anchors.
+func checkAnchors(phi0, stable float64) error {
+	if math.IsNaN(phi0) || math.IsNaN(stable) {
+		return fmt.Errorf("core: curve anchors NaN (phi0 %v, stable %v)", phi0, stable)
 	}
 	return nil
 }
 
 // Value evaluates ψ*(t). Times before 0 clamp to φ(0).
 func (c Curve) Value(t float64) float64 {
-	return c.valueOver(t, c.logSpan())
+	return c.valueOver(t, c.logSpan(), nil)
 }
 
 // logSpan is Eq. (3)'s denominator ln(1 + t_break/δ), a constant of the
-// curve: DynamicPredictor computes it once per re-anchor.
+// curve's shape: a Shape holds it, and DynamicPredictor keeps it per anchor.
 func (c Curve) logSpan() float64 { return math.Log1p(c.TBreakS / c.DeltaS) }
 
-// valueOver evaluates ψ*(t) given the curve's logSpan.
-func (c Curve) valueOver(t, logSpan float64) float64 {
+// valueOver evaluates ψ*(t) given the curve's logSpan, taking the warm-up
+// fraction from m when m serves the curve's shape (nil computes it). ψ* is
+// one expression of the fraction on both paths, so a build that fuses
+// multiply-adds fuses it the same way whether the fraction was a hit.
+func (c Curve) valueOver(t, logSpan float64, m *CurveMemo) float64 {
 	if t <= 0 {
 		return c.Phi0
 	}
 	if t >= c.TBreakS {
 		return c.Stable
 	}
-	frac := math.Log1p(t/c.DeltaS) / logSpan
+	var frac float64
+	if m != nil && m.deltaS == c.DeltaS && m.tBreakS == c.TBreakS {
+		frac = m.frac(t)
+	} else {
+		frac = math.Log1p(t/c.DeltaS) / logSpan
+	}
 	return c.Phi0 + (c.Stable-c.Phi0)*frac
+}
+
+// memoBits sizes a CurveMemo's table: 256 entries, 4 KB.
+const memoBits = 8
+
+// CurveMemo memoises Eq. (3)'s warm-up fraction ln(1 + t/δ)/ln(1 + t_break/δ)
+// for the curves of one Shape. It is a direct-mapped table keyed by the bits
+// of the curve-local time t; an entry holds its whole key, so a hit returns
+// exactly the float the computation would, and a miss computes and
+// overwrites. Curves of another t_break or δ never consult it.
+//
+// Predictors anchored at one instant and evaluated at one instant share t:
+// the readings of a fleet round share a timestamp (trace rows, scrapes,
+// simulator samples) and the sessions a round anchored share their anchor,
+// so a round over thousands of hosts computes a few dozen logarithms instead
+// of two per host. Readings stamped per host (pushes) miss every time and
+// pay one hash and one store beside the logarithm.
+//
+// A memo is not safe for concurrent use: each concurrent evaluator owns one.
+type CurveMemo struct {
+	tBreakS, deltaS, logSpan float64
+	table                    [1 << memoBits]memoEntry
+}
+
+// memoEntry is one cached fraction. The zero entry is the exact one for
+// t = +0 (ln(1 + 0) = +0), so a fresh table needs no empty marker.
+type memoEntry struct {
+	key  uint64
+	frac float64
+}
+
+// NewCurveMemo returns an empty memo for the curves of shape sh.
+func NewCurveMemo(sh *Shape) *CurveMemo {
+	return &CurveMemo{tBreakS: sh.tBreakS, deltaS: sh.deltaS, logSpan: sh.logSpan}
+}
+
+// memoSlot is key's index in the table (Fibonacci hashing: the product's
+// top bits depend on every bit of the key, and times on a coarse grid leave
+// the low mantissa bits zero).
+func memoSlot(key uint64) uint64 { return key * 0x9E3779B97F4A7C15 >> (64 - memoBits) }
+
+// frac returns ln(1 + t/δ)/ln(1 + t_break/δ), from the table when t's bits
+// are there.
+func (m *CurveMemo) frac(t float64) float64 {
+	key := math.Float64bits(t)
+	e := &m.table[memoSlot(key)]
+	if e.key != key {
+		e.key, e.frac = key, math.Log1p(t/m.deltaS)/m.logSpan
+	}
+	return e.frac
 }

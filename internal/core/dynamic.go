@@ -67,6 +67,27 @@ func (c DynamicConfig) Validate() error {
 	return nil
 }
 
+// Shape is what the predictors of one population share: Eq. (3)'s t_break
+// and δ with its log span ln(1 + t_break/δ), and the calibration config.
+// NewShape validates it once, so Anchor re-anchors a predictor on it checking
+// only the anchors, and a CurveMemo serves the curves it shapes.
+type Shape struct {
+	tBreakS, deltaS, logSpan float64
+	cfg                      DynamicConfig
+}
+
+// NewShape validates and builds a shape.
+func NewShape(tBreakS, deltaS float64, cfg DynamicConfig) (Shape, error) {
+	c := Curve{TBreakS: tBreakS, DeltaS: deltaS}
+	if err := c.Validate(); err != nil {
+		return Shape{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return Shape{}, err
+	}
+	return Shape{tBreakS: tBreakS, deltaS: deltaS, logSpan: c.logSpan(), cfg: cfg}, nil
+}
+
 // DynamicPredictor predicts CPU temperature Δ_gap seconds ahead by combining
 // the pre-defined curve with runtime calibration (Eq. 8):
 //
@@ -97,36 +118,51 @@ func NewDynamicPredictor(curve Curve, cfg DynamicConfig) (*DynamicPredictor, err
 // from NewDynamicPredictor(curve, cfg) — γ = 0, no updates, unseeded. Curve
 // and config are validated first; on error the predictor is left untouched.
 func (d *DynamicPredictor) Reset(curve Curve, cfg DynamicConfig) error {
-	if err := curve.Validate(); err != nil {
+	sh, err := NewShape(curve.TBreakS, curve.DeltaS, cfg)
+	if err != nil {
 		return err
 	}
-	if err := cfg.Validate(); err != nil {
+	return d.Anchor(curve.Phi0, curve.Stable, &sh)
+}
+
+// Anchor re-anchors the predictor in place at (φ(0), ψ_stable) on a
+// validated shape, as Reset does with the shape's curve and config. Only
+// the anchors are checked; on error the predictor is left untouched.
+func (d *DynamicPredictor) Anchor(phi0, stable float64, sh *Shape) error {
+	if err := checkAnchors(phi0, stable); err != nil {
 		return err
 	}
-	*d = DynamicPredictor{curve: curve, logSpan: curve.logSpan(), cal: Calibrator{lambda: cfg.Lambda}, cfg: cfg}
+	*d = DynamicPredictor{
+		curve:   Curve{Phi0: phi0, Stable: stable, TBreakS: sh.tBreakS, DeltaS: sh.deltaS},
+		logSpan: sh.logSpan,
+		cal:     Calibrator{lambda: sh.cfg.Lambda},
+		cfg:     sh.cfg,
+	}
 	return nil
 }
 
 // Observe feeds a measurement φ(t). The calibration updates when at least
 // Δ_update seconds have elapsed since the previous update (and on the first
-// observation, matching the paper's γ=0 start at t=0).
-func (d *DynamicPredictor) Observe(t, measured float64) {
+// observation, matching the paper's γ=0 start at t=0). m, when not nil,
+// memoises the curve's warm-up fraction; the result is the same bits either
+// way.
+func (d *DynamicPredictor) Observe(t, measured float64, m *CurveMemo) {
 	if d.seeded && t-d.lastUpdate < d.cfg.UpdateEveryS {
 		return
 	}
-	d.cal.Update(measured, d.curve.valueOver(t, d.logSpan))
+	d.cal.Update(measured, d.curve.valueOver(t, d.logSpan, m))
 	d.lastUpdate = t
 	d.seeded = true
 }
 
-// Predict returns ψ(now + Δ_gap) per Eq. (8).
-func (d *DynamicPredictor) Predict(now float64) float64 {
-	return d.PredictAt(now + d.cfg.GapS)
+// Predict returns ψ(now + Δ_gap) per Eq. (8), through m as Observe does.
+func (d *DynamicPredictor) Predict(now float64, m *CurveMemo) float64 {
+	return d.curve.valueOver(now+d.cfg.GapS, d.logSpan, m) + d.cal.Gamma()
 }
 
 // PredictAt returns ψ(target) = ψ*(target) + γ for an arbitrary target time.
 func (d *DynamicPredictor) PredictAt(target float64) float64 {
-	return d.curve.valueOver(target, d.logSpan) + d.cal.Gamma()
+	return d.curve.valueOver(target, d.logSpan, nil) + d.cal.Gamma()
 }
 
 // Gamma exposes the current calibration (for instrumentation).
@@ -214,7 +250,7 @@ func Replay(trace *timeseries.Series, curve Curve, cfg DynamicConfig) (*ReplayRe
 	res := &ReplayResult{}
 	for i := 0; i < trace.Len(); i++ {
 		p := trace.At(i)
-		pred.Observe(p.T, p.V)
+		pred.Observe(p.T, p.V, nil)
 		target := p.T + cfg.GapS
 		if target > last.T {
 			continue

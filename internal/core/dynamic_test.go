@@ -103,17 +103,17 @@ func TestDynamicPredictorPaperWalkthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At t=0 with γ=0 (Eq. 4): ψ(60) = ψ*(60).
-	pred.Observe(0, curve.Value(0)) // perfect measurement → γ stays 0
-	if got, want := pred.Predict(0), curve.Value(60); math.Abs(got-want) > 1e-12 {
+	pred.Observe(0, curve.Value(0), nil) // perfect measurement → γ stays 0
+	if got, want := pred.Predict(0, nil), curve.Value(60); math.Abs(got-want) > 1e-12 {
 		t.Errorf("ψ(60) = %v, want ψ*(60) = %v", got, want)
 	}
 	// At t=15 the measurement runs 2° hot → γ = 0.8·2 = 1.6 (Eq. 6), and
 	// ψ(75) = ψ*(75) + 1.6 (Eq. 7).
-	pred.Observe(15, curve.Value(15)+2)
+	pred.Observe(15, curve.Value(15)+2, nil)
 	if math.Abs(pred.Gamma()-1.6) > 1e-12 {
 		t.Errorf("γ = %v, want 1.6", pred.Gamma())
 	}
-	if got, want := pred.Predict(15), curve.Value(75)+1.6; math.Abs(got-want) > 1e-12 {
+	if got, want := pred.Predict(15, nil), curve.Value(75)+1.6; math.Abs(got-want) > 1e-12 {
 		t.Errorf("ψ(75) = %v, want %v", got, want)
 	}
 }
@@ -127,13 +127,13 @@ func TestObserveRespectsUpdateInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.Observe(0, 25) // first observation always calibrates
+	pred.Observe(0, 25, nil) // first observation always calibrates
 	g1 := pred.Gamma()
-	pred.Observe(5, 40) // too soon: ignored
+	pred.Observe(5, 40, nil) // too soon: ignored
 	if pred.Gamma() != g1 {
 		t.Error("observation inside Δ_update changed γ")
 	}
-	pred.Observe(15, 40) // 15 s elapsed: applies
+	pred.Observe(15, 40, nil) // 15 s elapsed: applies
 	if pred.Gamma() == g1 {
 		t.Error("observation at Δ_update boundary ignored")
 	}
@@ -435,7 +435,7 @@ func TestPredictorLogSpanMatchesCurveValue(t *testing.T) {
 			}
 			at += rng.Float64() * curve.TBreakS / 10
 			measured := replaced(curve, at) + rng.NormFloat64()
-			d.Observe(at, measured)
+			d.Observe(at, measured, nil)
 			ref.Update(measured, replaced(curve, at))
 			if math.Float64bits(d.Gamma()) != math.Float64bits(ref.Gamma()) {
 				t.Fatalf("curve %+v: γ after Observe(%v) = %v, want %v", curve, at, d.Gamma(), ref.Gamma())

@@ -13,9 +13,15 @@ import (
 // both the fleet control plane and the prediction service. "slots" is the
 // slot-indexed front-end the fleet controller runs (cached session handles,
 // no string hashed), "keyed" the map front-end over the same per-host body;
-// bench/e2e's engine.round.ns_per_host times the keyed one only. The
-// engine's contract is zero allocations per round on both (the B/op column
-// must stay 0).
+// bench/e2e's engine.round.ns_per_host times the keyed one only. Both keep
+// their anchors, so after 40 rounds every session is past t_break and Eq. (3)
+// costs no logarithm. "slots_warmup" re-anchors a tenth of the hosts each
+// round, as a replayed trace does, so every session stays in its warm-up and
+// the round's readings, sharing one timestamp, hit the round's curve memo;
+// "slots_distinct" does the same with a timestamp of its own for every host
+// and round, so every memo lookup misses and pays for its logarithm. The
+// engine's contract is zero allocations per round on all four (the B/op
+// column must stay 0).
 func BenchmarkEngineRound(b *testing.B) {
 	const hosts = 1024
 	ids := make([]string, hosts)
@@ -71,6 +77,34 @@ func BenchmarkEngineRound(b *testing.B) {
 			dst, _ = eng.RoundSlots(dst[:0], now, ids, slots)
 			return len(dst)
 		})
+	})
+	// churn runs slot rounds that re-anchor hosts i ≡ round (mod 10), the
+	// readings stamped now − offset(i, round).
+	churn := func(b *testing.B, offset func(i, round int) float64) {
+		eng := newEngine(b)
+		slots := make([]Slot, hosts)
+		for i := range slots {
+			slots[i] = Slot{Reading: reading(i), Present: true, Anchor: anchor(i)}
+		}
+		var dst []Prediction
+		run(b, func(round int, now float64) int {
+			if now > 0 {
+				for i := range slots {
+					advance(&slots[i].Reading, round, now-offset(i, round))
+					if i%10 == round%10 {
+						slots[i].Anchor = 2*anchor(i) + 5 - slots[i].Anchor
+					}
+				}
+			}
+			dst, _ = eng.RoundSlots(dst[:0], now, ids, slots)
+			return len(dst)
+		})
+	}
+	b.Run("slots_warmup", func(b *testing.B) {
+		churn(b, func(int, int) float64 { return 0 })
+	})
+	b.Run("slots_distinct", func(b *testing.B) {
+		churn(b, func(i, round int) float64 { return float64((i*2654435761+round*40503)%4096) / 512 })
 	})
 	b.Run("keyed", func(b *testing.B) {
 		eng := newEngine(b)

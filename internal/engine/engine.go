@@ -19,7 +19,20 @@
 // maps of readings and anchors — for callers without a host table; it stages
 // the maps into engine-owned slots and runs the same body. Both append into
 // a caller-owned buffer and allocate only when a session is first created: a
-// re-anchor resets the existing session in place.
+// re-anchor resets the existing session in place, and a session on the
+// engine's own curve shape (no SessionParams override) re-anchors on the
+// shape validated once at New, checking only φ(0) and ψ_stable.
+//
+// A round evaluates Eq. (3) twice per host — at the reading, to calibrate,
+// and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns
+// (one for the serial round, one per chunk of the sharded one). The memo
+// keys the warm-up fraction ln(1+t/δ)/ln(1+t_break/δ) on the bits of the
+// curve-local time t and checks the whole key, so a hit is the float the
+// computation gives. Rounds driven by a source hit it almost always: the
+// readings of a round share one timestamp (trace rows, scrapes, simulator
+// samples) and the sessions a round re-anchored share their anchor instant.
+// Sessions with their own δ or t_break bypass it. The session API and the
+// streaming path (per-host timestamps) evaluate directly.
 //
 // A Handle is served only while its session is still the one registered
 // under the id. Every way out of the session map (Delete, eviction, Restore,
@@ -146,9 +159,10 @@ type session struct {
 // localT converts engine time to session-local curve time.
 func (s *session) localT(t float64) float64 { return t - s.anchorAt }
 
-// feed applies one measurement; the caller holds mu.
-func (s *session) feed(t, tempC float64) {
-	s.pred.Observe(s.localT(t), tempC)
+// feed applies one measurement through memo m (nil: none); the caller holds
+// mu.
+func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
+	s.pred.Observe(s.localT(t), tempC, m)
 	if t > s.lastAtS {
 		s.lastAtS = t
 	}
@@ -158,7 +172,7 @@ func (s *session) feed(t, tempC float64) {
 func (s *session) observe(t, tempC float64) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.feed(t, tempC)
+	s.feed(t, tempC, nil)
 	return s.pred.Gamma()
 }
 
@@ -166,7 +180,7 @@ func (s *session) observe(t, tempC float64) float64 {
 func (s *session) predict(t float64) (tempC, gamma float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pred.Predict(s.localT(t)), s.pred.Gamma()
+	return s.pred.Predict(s.localT(t), nil), s.pred.Gamma()
 }
 
 // shardCount is the stripe count of the session map, a power of two so the
@@ -188,9 +202,17 @@ type Engine struct {
 	shards [shardCount]stripe
 	count  atomic.Int64
 	nextID atomic.Uint64
-	// scratch holds the sharded round's per-host results, keyed the slots
-	// the keyed Round stages its maps into; both are owned by the single
-	// in-flight round and reused across rounds.
+	// shape is the curve shape and calibration config of every session
+	// created without overrides, validated once: re-anchoring such a
+	// session checks only its anchors.
+	shape core.Shape
+	// memos memoise the shape's warm-up fraction for the round: the first
+	// serves the serial round, and the sharded round grows one per chunk,
+	// beside its chunks' stats; scratch holds the sharded round's per-host
+	// results, keyed the slots the keyed Round stages its maps into. All
+	// are owned by the single in-flight round and reused across rounds.
+	memos   []*core.CurveMemo
+	stats   []RoundStats
 	scratch []roundSlot
 	keyed   []Slot
 	// idleClock is the clock sessions driven by id are stamped with, in
@@ -205,7 +227,13 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg}
+	shape, err := core.NewShape(core.DefaultTBreakS, core.DefaultCurveDelta,
+		core.DynamicConfig{Lambda: core.DefaultLambda, UpdateEveryS: cfg.UpdateEveryS, GapS: cfg.GapS})
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{cfg: cfg, shape: shape}
+	e.memos = []*core.CurveMemo{core.NewCurveMemo(&e.shape)}
 	for i := range e.shards {
 		e.shards[i].sessions = make(map[string]*session)
 	}
@@ -329,17 +357,24 @@ func (e *Engine) EvictIdle() int {
 
 // anchor (re)builds s from params, applying engine defaults: afterwards s is
 // bit-identical to a freshly created session (γ = 0, unseeded, last
-// telemetry at the anchor instant). Parameters are validated first; on error
-// s is untouched. The caller owns s or holds its mutex.
+// telemetry at the anchor instant). Parameters are validated first — for a
+// session on the engine's own shape (no override), only the anchors; on
+// error s is untouched. The caller owns s or holds its mutex.
 func (e *Engine) anchor(s *session, p SessionParams) error {
-	cfg := core.DynamicConfig{
-		Lambda:       cmp.Or(p.Lambda, core.DefaultLambda),
-		UpdateEveryS: cmp.Or(p.UpdateEveryS, e.cfg.UpdateEveryS),
-		GapS:         cmp.Or(p.GapS, e.cfg.GapS),
+	sh := &e.shape
+	if p.Lambda != 0 || p.UpdateEveryS != 0 || p.GapS != 0 || p.TBreakS != 0 || p.CurveDeltaS != 0 {
+		own, err := core.NewShape(cmp.Or(p.TBreakS, core.DefaultTBreakS), cmp.Or(p.CurveDeltaS, core.DefaultCurveDelta),
+			core.DynamicConfig{
+				Lambda:       cmp.Or(p.Lambda, core.DefaultLambda),
+				UpdateEveryS: cmp.Or(p.UpdateEveryS, e.cfg.UpdateEveryS),
+				GapS:         cmp.Or(p.GapS, e.cfg.GapS),
+			})
+		if err != nil {
+			return err
+		}
+		sh = &own
 	}
-	curve := core.Curve{Phi0: p.Phi0, Stable: p.StableC,
-		TBreakS: cmp.Or(p.TBreakS, core.DefaultTBreakS), DeltaS: cmp.Or(p.CurveDeltaS, core.DefaultCurveDelta)}
-	if err := s.pred.Reset(curve, cfg); err != nil {
+	if err := s.pred.Anchor(p.Phi0, p.StableC, sh); err != nil {
 		return err
 	}
 	s.stable, s.anchorAt, s.lastAtS = p.StableC, p.AnchorAtS, p.AnchorAtS
@@ -482,13 +517,14 @@ func (e *Engine) HandleCurrent(id string, h Handle) bool {
 }
 
 // roundHost runs one host's share of a round — staleness accounting,
-// (re-)anchoring, calibration, Δ_gap prediction — into pred. It reports
-// whether a prediction was produced and whether the host must be forgotten
-// (the eviction itself, which mutates shared state, is the caller's —
-// serial — responsibility). Safe for concurrent calls on distinct hosts:
-// sessions live behind striped locks, the slot is the caller's own, and
-// every counter lands in the caller-owned st.
-func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction) (ok, evict bool) {
+// (re-)anchoring, calibration, Δ_gap prediction — into pred, evaluating the
+// curve through memo. It reports whether a prediction was produced and
+// whether the host must be forgotten (the eviction itself, which mutates
+// shared state, is the caller's — serial — responsibility). Safe for
+// concurrent calls on distinct hosts with distinct memos: sessions live
+// behind striped locks, the slot is the caller's own, and every counter
+// lands in the caller-owned st.
+func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction, memo *core.CurveMemo) (ok, evict bool) {
 	r := s.Reading
 	if r.AtS > nowS {
 		// Clock-skewed producer: a future-stamped reading would drive
@@ -537,9 +573,9 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	}
 	if !stale {
 		// Calibration: Eqs. (4)–(6) on the session's Δ_update schedule.
-		sess.feed(r.AtS, r.TempC)
+		sess.feed(r.AtS, r.TempC, memo)
 	}
-	tempC := sess.pred.Predict(sess.localT(nowS))
+	tempC := sess.pred.Predict(sess.localT(nowS), memo)
 	sess.mu.Unlock()
 	st.Live++
 	*pred = Prediction{
@@ -608,6 +644,7 @@ func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots 
 		return e.roundSharded(dst, nowS, ids, slots)
 	}
 	var st RoundStats
+	memo := e.memos[0]
 	for i := range slots {
 		s := &slots[i]
 		if !s.Present {
@@ -616,7 +653,7 @@ func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots 
 		// The prediction is written in place, into a cell kept only if ok.
 		n := len(dst)
 		dst = slices.Grow(dst, 1)[:n+1]
-		ok, evict := e.roundHost(nowS, ids[i], s, &st, &dst[n])
+		ok, evict := e.roundHost(nowS, ids[i], s, &st, &dst[n], memo)
 		if evict {
 			e.forget(ids[i], s, &st)
 		}
@@ -666,8 +703,9 @@ type roundSlot struct {
 
 // roundSharded is the parallel round body: shard.Run chunks the slot range
 // into per-index scratch (at least 256 hosts a chunk, so each amortizes its
-// goroutine), stats are merged in chunk order, and evictions and the
-// in-order dst fill are applied serially.
+// goroutine), each chunk with its own memo and stats (the engine keeps
+// them: at most RoundWorkers), stats are merged in chunk order, and
+// evictions and the in-order dst fill are applied serially.
 func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	const minPerChunk = 256
 	n := len(slots)
@@ -676,13 +714,20 @@ func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slot
 	}
 	scratch := e.scratch[:n]
 	count, size := shard.Chunks(n, e.cfg.RoundWorkers, minPerChunk)
-	stats := make([]RoundStats, count)
+	for len(e.memos) < count {
+		e.memos = append(e.memos, core.NewCurveMemo(&e.shape))
+	}
+	if cap(e.stats) < count {
+		e.stats = make([]RoundStats, count)
+	}
+	stats := e.stats[:count]
+	clear(stats)
 	_ = shard.Run(n, e.cfg.RoundWorkers, minPerChunk, func(lo, hi int) error {
-		st := &stats[lo/size]
+		st, memo := &stats[lo/size], e.memos[lo/size]
 		for i := lo; i < hi; i++ {
 			res := &scratch[i]
 			if res.ok, res.evict = false, false; slots[i].Present {
-				res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred)
+				res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred, memo)
 			}
 		}
 		return nil

@@ -43,9 +43,13 @@ type StreamStats struct {
 }
 
 // observeOne applies a single pushed reading: look the session up, create
-// it inline when a warm anchor resolves, and feed the measurement. Returns
-// the session (nil when deferred). The warm path — session exists — takes
-// one shard RLock and one session lock and does not allocate.
+// it inline when a warm anchor resolves, and feed the measurement. With pred
+// not nil it also writes the Δ_gap-ahead prediction at the reading's own
+// timestamp, under the same session lock, so a round re-anchoring the
+// session cannot slip between the reading's calibration and the prediction
+// made from it. Reports false when the reading was deferred or rejected. The
+// warm path — session exists — takes one shard RLock and one session lock
+// and does not allocate.
 //
 // Out-of-order arrivals degrade gracefully: the calibrator ignores
 // observations that do not advance its Δ_update schedule, and lastAtS is
@@ -53,26 +57,26 @@ type StreamStats struct {
 // double-calibrate. Re-anchoring on ψ_stable drift is deliberately left to
 // the batch round, which computes anchors from the authoritative
 // deployment state.
-func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *StreamStats) *session {
+func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {
 	if telemetry.ClassifyTemp(r.TempC) != telemetry.RejectNone {
 		st.Rejected++
-		return nil
+		return false
 	}
 	sess, _ := e.get(r.HostID)
 	if sess == nil {
 		if anchor == nil {
 			st.Deferred++
-			return nil
+			return false
 		}
 		stableC, ok := anchor(r)
 		if !ok {
 			st.Deferred++
-			return nil
+			return false
 		}
 		ns := new(session)
 		if e.anchor(ns, SessionParams{Phi0: r.TempC, StableC: stableC, AnchorAtS: r.AtS}) != nil {
 			st.Deferred++
-			return nil
+			return false
 		}
 		sh := e.shardFor(r.HostID)
 		sh.mu.Lock()
@@ -87,9 +91,18 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 		}
 		sh.mu.Unlock()
 	}
-	sess.observe(r.AtS, r.TempC)
+	sess.mu.Lock()
+	sess.feed(r.AtS, r.TempC, nil)
+	if pred != nil {
+		*pred = Prediction{
+			HostID:       r.HostID,
+			TempC:        sess.pred.Predict(sess.localT(r.AtS), nil),
+			UncertaintyC: uncertaintyBaseC,
+		}
+	}
+	sess.mu.Unlock()
 	st.Applied++
-	return sess
+	return true
 }
 
 // ObserveBatch applies a batch of pushed readings to their sessions on
@@ -100,7 +113,7 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup) StreamStats {
 	var st StreamStats
 	for i := range readings {
-		e.observeOne(readings[i], anchor, &st)
+		e.observeOne(readings[i], anchor, &st, nil)
 	}
 	return st
 }
@@ -109,18 +122,9 @@ func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup)
 // pushed reading and answer the Δ_gap-ahead prediction it implies, in one
 // pass. The prediction is evaluated at the reading's own timestamp, so its
 // staleness is zero by construction. Reports whether a prediction was
-// produced (false when the host was deferred). Allocation-free on the warm
-// path.
+// produced (false when the host was deferred). The reading is applied and
+// the prediction made under one session lock: the prediction always comes
+// from the curve the reading calibrated. Allocation-free on the warm path.
 func (e *Engine) PredictFresh(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {
-	sess := e.observeOne(r, anchor, st)
-	if sess == nil {
-		return false
-	}
-	tempC, _ := sess.predict(r.AtS)
-	*pred = Prediction{
-		HostID:       r.HostID,
-		TempC:        tempC,
-		UncertaintyC: uncertaintyBaseC,
-	}
-	return true
+	return e.observeOne(r, anchor, st, pred)
 }

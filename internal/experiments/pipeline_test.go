@@ -104,8 +104,8 @@ func TestPaperPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred.Observe(first.T, first.V)
-	if p := pred.Predict(first.T); p < 0 || p > 120 {
+	pred.Observe(first.T, first.V, nil)
+	if p := pred.Predict(first.T, nil); p < 0 || p > 120 {
 		t.Errorf("online prediction %v implausible", p)
 	}
 }

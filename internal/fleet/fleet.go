@@ -63,7 +63,7 @@ import (
 // views, the wave arena) and are valid only until the call returns.
 type BatchCasePredictor func(cases []workload.Case) ([]float64, error)
 
-// stableScratch is the per-call working memory StableBatchPredictor pools:
+// stableScratch is the per-call working memory StableBatchPredictor keeps:
 // one flat feature matrix, its row headers, the model scratch, and the
 // encoder's profile memo (reset per call: it keys on the caller's memory).
 type stableScratch struct {
@@ -73,22 +73,49 @@ type stableScratch struct {
 	memo dataset.ProfileMemo
 }
 
+// scratchList is StableBatchPredictor's free list of scratch. Unlike a
+// sync.Pool, which the garbage collector empties, it keeps a scratch across
+// any number of collections, so a caller that predicts once a round does
+// not re-make its megabyte of buffers after two cycles; it holds at most as
+// many as ever ran at once.
+type scratchList struct {
+	mu   sync.Mutex
+	free []*stableScratch
+}
+
+// get takes a scratch off the list, or makes one.
+func (l *scratchList) get() *stableScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(stableScratch)
+	}
+	s := l.free[n-1]
+	l.free = l.free[:n-1]
+	return s
+}
+
+// put returns s to the list.
+func (l *scratchList) put(s *stableScratch) {
+	l.mu.Lock()
+	l.free = append(l.free, s)
+	l.mu.Unlock()
+}
+
 // StableBatchPredictor adapts a trained stable model into the batch shape
 // the controller fans prediction rounds through. horizonS is the averaging
 // horizon for dynamic profiles (use the experiment duration, e.g. 1800).
-// Cases are encoded into a pooled flat feature matrix and evaluated through
+// Cases are encoded into a reused flat feature matrix and evaluated through
 // the zero-alloc batch spine, so concurrent shards share nothing but the
 // (read-only) model. Consecutive cases that share a VM's task list — a
 // placement wave's candidate — integrate its profiles once per call.
 func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCasePredictor {
-	var pool sync.Pool
+	var scratch scratchList
 	nf := dataset.NumFeatures()
 	return func(cases []workload.Case) ([]float64, error) {
-		s, _ := pool.Get().(*stableScratch)
-		if s == nil {
-			s = new(stableScratch)
-		}
-		defer pool.Put(s)
+		s := scratch.get()
+		defer scratch.put(s)
 		s.memo.Reset()
 		if cap(s.feat) < len(cases)*nf {
 			s.feat = make([]float64, len(cases)*nf)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -164,7 +165,7 @@ func tinyStableModel(t *testing.T) *core.StablePredictor {
 }
 
 // TestShardedMemoPredictorMatchesPlainEncode: StableBatchPredictor with its
-// pooled profile memo, sharded four ways so chunk boundaries cut through
+// reused profile memo, sharded four ways so chunk boundaries cut through
 // candidate windows and chunks run concurrently (under -race: the memos
 // share nothing), decides bit for bit like a predictor that encodes every
 // case with the memo-less dataset.EncodeInto on one goroutine.
@@ -280,5 +281,35 @@ func TestWarmPlaceBatchAllocCeiling(t *testing.T) {
 	t.Logf("warm 16-VM PlaceBatch on 16×64: %.1f allocs/op (ceiling %d)", allocs, warmPlaceAllocCeiling)
 	if allocs > warmPlaceAllocCeiling {
 		t.Fatalf("warm 16-VM PlaceBatch allocates %.1f/op, ceiling %d", allocs, warmPlaceAllocCeiling)
+	}
+}
+
+// TestStableBatchScratchSurvivesGC: StableBatchPredictor keeps its scratch
+// across garbage collections. After two runtime.GC() calls between calls of
+// one batch size (a sync.Pool would have dropped it by then), a call's only
+// allocation is the slice it returns.
+func TestStableBatchScratchSurvivesGC(t *testing.T) {
+	model := tinyStableModel(t)
+	cases, err := workload.GenerateCases(workload.DefaultGenOptions(), 11, "gc", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := StableBatchPredictor(model, 1800)
+	if _, err := predict(cases); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := predict(cases)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 1 || bytes > uint64(8*len(out)) {
+			t.Fatalf("call %d after two collections: %d allocations, %d B; want only the %d-float result", i, n, bytes, len(out))
+		}
 	}
 }

@@ -143,7 +143,7 @@ func TestSessionFlowAgainstLocalPredictor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local.Observe(step.t, step.temp)
+		local.Observe(step.t, step.temp, nil)
 		if math.Abs(gamma-local.Gamma()) > 1e-9 {
 			t.Fatalf("gamma diverged at t=%v: remote %v local %v", step.t, gamma, local.Gamma())
 		}
@@ -151,7 +151,7 @@ func TestSessionFlowAgainstLocalPredictor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := local.Predict(step.t); math.Abs(remote-want) > 1e-9 {
+		if want := local.Predict(step.t, nil); math.Abs(remote-want) > 1e-9 {
 			t.Fatalf("prediction diverged at t=%v: remote %v local %v", step.t, remote, want)
 		}
 	}
