@@ -127,3 +127,39 @@ func BenchmarkEngineRound(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkPredictFresh measures the push path one reading at a time over
+// 1,024 warm sessions: each op is one PredictFresh — a hold of the round
+// gate's read side, a shard lookup, the session lock, calibration and the
+// Δ_gap-ahead prediction — on the next host in turn, its reading Δ_update
+// later than its last so every one calibrates. Reports ns/reading; the
+// contract is 0 B/op.
+func BenchmarkPredictFresh(b *testing.B) {
+	const hosts = 1024
+	eng, err := New(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := make([]telemetry.Reading, hosts)
+	for i := range readings {
+		readings[i] = telemetry.Reading{HostID: fmt.Sprintf("r%02d-h%03d", i/64, i%64), TempC: 25 + float64(i%30)}
+	}
+	eng.ObserveBatch(readings, func(telemetry.Reading) (float64, bool) { return 60, true })
+	if eng.Len() != hosts {
+		b.Fatalf("warm-up built %d sessions, want %d", eng.Len(), hosts)
+	}
+	var st StreamStats
+	var p Prediction
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &readings[i%hosts]
+		r.AtS += 15
+		if !eng.PredictFresh(*r, nil, &st, &p) {
+			b.Fatalf("PredictFresh deferred warm host %s", r.HostID)
+		}
+	}
+	if b.N > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/reading")
+	}
+}

@@ -6,11 +6,16 @@
 // queries (Eq. 8), widen uncertainty as telemetry goes stale, and evict
 // sessions whose telemetry has been dark for too long.
 //
-// The engine is built for fleet-scale concurrency and round throughput:
-// sessions live in a sharded, striped-lock map (per-shard RWMutex over the
-// id→session map, per-session mutex over the DynamicPredictor), so hundreds
-// of monitoring agents observe and predict fully in parallel while the
-// control loop runs batch rounds over the same sessions.
+// The engine is built for fleet-scale concurrency and round throughput.
+// Sessions live in a sharded map (per-shard RWMutex over the id→session
+// map). A round is a pass over the whole population: it holds the engine's
+// round gate, one sync.RWMutex, on its write side for the pass and takes no
+// session lock. Every other call that touches a session's predictor holds
+// the read side and the session's mutex, so monitoring agents observe and
+// predict in parallel with each other and wait out a round's pass instead
+// of interleaving with it host by host. Create, Delete, Restore and
+// EvictIdle take no gate: they touch only the shard maps and a session's
+// atomic removed flag.
 //
 // A round has two front-ends over one per-host body (roundHost). RoundSlots
 // is the slot-indexed one: the caller keeps each host's reading, anchor and
@@ -134,8 +139,8 @@ var ErrImplausibleReading = errors.New("engine: implausible temperature reading"
 // at (anchorAt, φ(anchorAt)) with the ψ_stable the batch model last
 // predicted for the host's deployment, the online calibrator (both inside
 // the by-value predictor, so a session is one allocation and re-anchors in
-// place), and the mutex that serializes access to the (not
-// concurrency-safe) predictor.
+// place), and the mutex that serializes the (not concurrency-safe)
+// predictor among the round gate's readers.
 type session struct {
 	mu       sync.Mutex
 	pred     core.DynamicPredictor
@@ -144,7 +149,7 @@ type session struct {
 	// lastAtS is the engine-time instant of the newest telemetry observed
 	// into this session (the anchor instant until the first observe). The
 	// streaming path reads it to compute staleness without a latest-reading
-	// map; guarded by mu like the predictor.
+	// map; guarded like the predictor.
 	lastAtS float64
 	// removed is set, under the shard lock, the moment the session leaves
 	// the session map: the validity rule of every Handle that cached it.
@@ -160,7 +165,7 @@ type session struct {
 func (s *session) localT(t float64) float64 { return t - s.anchorAt }
 
 // feed applies one measurement through memo m (nil: none); the caller holds
-// mu.
+// mu under the gate's read side, or the gate's write side.
 func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
 	s.pred.Observe(s.localT(t), tempC, m)
 	if t > s.lastAtS {
@@ -193,12 +198,13 @@ type stripe struct {
 }
 
 // Engine is the sharded session store plus the round executor. Create with
-// New. All methods are safe for concurrent use, with one carve-out: Round
-// must not overlap another Round on the same engine (it owns the shared
-// round scratch); it is safe against concurrent Observe/Predict/Create/
-// Delete traffic.
+// New. All methods are safe for concurrent use; rounds (either front-end)
+// serialize on the round gate.
 type Engine struct {
-	cfg    Config
+	cfg Config
+	// gate is the round gate (see the package comment); its write side also
+	// owns the memos and the round scratch below.
+	gate   sync.RWMutex
 	shards [shardCount]stripe
 	count  atomic.Int64
 	nextID atomic.Uint64
@@ -210,7 +216,7 @@ type Engine struct {
 	// serves the serial round, and the sharded round grows one per chunk,
 	// beside its chunks' stats; scratch holds the sharded round's per-host
 	// results, keyed the slots the keyed Round stages its maps into. All
-	// are owned by the single in-flight round and reused across rounds.
+	// are reused across rounds.
 	memos   []*core.CurveMemo
 	stats   []RoundStats
 	scratch []roundSlot
@@ -359,7 +365,7 @@ func (e *Engine) EvictIdle() int {
 // bit-identical to a freshly created session (γ = 0, unseeded, last
 // telemetry at the anchor instant). Parameters are validated first — for a
 // session on the engine's own shape (no override), only the anchors; on
-// error s is untouched. The caller owns s or holds its mutex.
+// error s is untouched. The caller owns s or holds the gate's write side.
 func (e *Engine) anchor(s *session, p SessionParams) error {
 	sh := &e.shape
 	if p.Lambda != 0 || p.UpdateEveryS != 0 || p.GapS != 0 || p.TBreakS != 0 || p.CurveDeltaS != 0 {
@@ -393,6 +399,8 @@ func (e *Engine) Observe(id string, atS, tempC float64) (float64, error) {
 		return 0, ErrNoSession
 	}
 	e.touch(s)
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	return s.observe(atS, tempC), nil
 }
 
@@ -403,6 +411,8 @@ func (e *Engine) Predict(id string, atS float64) (tempC, gamma float64, err erro
 		return 0, 0, ErrNoSession
 	}
 	e.touch(s)
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	tempC, gamma = s.predict(atS)
 	return tempC, gamma, nil
 }
@@ -413,6 +423,8 @@ func (e *Engine) Stable(id string) (float64, error) {
 	if !ok {
 		return 0, ErrNoSession
 	}
+	e.gate.RLock()
+	defer e.gate.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stable, nil
@@ -520,10 +532,10 @@ func (e *Engine) HandleCurrent(id string, h Handle) bool {
 // (re-)anchoring, calibration, Δ_gap prediction — into pred, evaluating the
 // curve through memo. It reports whether a prediction was produced and
 // whether the host must be forgotten (the eviction itself, which mutates
-// shared state, is the caller's — serial — responsibility). Safe for
-// concurrent calls on distinct hosts with distinct memos: sessions live
-// behind striped locks, the slot is the caller's own, and every counter
-// lands in the caller-owned st.
+// shared state, is the caller's — serial — responsibility). The caller
+// holds the gate's write side, so roundHost takes no session lock; calls on
+// distinct hosts with distinct memos may run concurrently: the slot is the
+// caller's own, and every counter lands in the caller-owned st.
 func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction, memo *core.CurveMemo) (ok, evict bool) {
 	r := s.Reading
 	if r.AtS > nowS {
@@ -549,7 +561,6 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	sess := e.resolve(&s.Handle, id)
 	switch {
 	case sess != nil:
-		sess.mu.Lock()
 		// Re-anchor in place when the deployment's predicted ψ_stable moved:
 		// the old curve no longer describes this host. On failure (a
 		// degenerate reading) the session keeps serving its old curve and
@@ -562,7 +573,6 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		if sess = e.adopt(id, params); sess != nil {
 			s.Handle.sess = sess
 			st.Reanchored++
-			sess.mu.Lock()
 		}
 	}
 	if sess == nil {
@@ -576,7 +586,6 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		sess.feed(r.AtS, r.TempC, memo)
 	}
 	tempC := sess.pred.Predict(sess.localT(nowS), memo)
-	sess.mu.Unlock()
 	st.Live++
 	*pred = Prediction{
 		HostID:       id,
@@ -625,7 +634,7 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older than
 // staleAfterS are degraded (prediction marked stale, no calibration); older
 // than evictAfterS, their session is evicted and their slot's reading
-// dropped. ids[i] names slots[i].
+// dropped. ids[i] names slots[i], and no two ids are the same.
 //
 // dst is appended to and returned (pass dst[:0] to reuse a buffer); beyond
 // first-sight session creation, RoundSlots does not allocate. Slots without
@@ -636,10 +645,18 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // per-host pass is sharded across a bounded worker pool: workers touch
 // disjoint slots, evictions are deferred to a serial sweep, and dst is
 // filled in slot order afterwards — so results (predictions, their order,
-// and the round stats) are identical to the serial pass. A round must not
-// overlap another round (either front-end) on the same engine; it is safe
-// against concurrent Observe/Predict/Create/Delete traffic.
+// and the round stats) are identical to the serial pass. The round holds
+// the gate's write side for its pass, so rounds serialize and a push
+// arriving mid-pass applies after it.
 func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	return e.pass(dst, nowS, ids, slots)
+}
+
+// pass is the round body behind both front-ends, under the gate's write
+// side: serial, or sharded across the worker pool at fleet scale.
+func (e *Engine) pass(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	if e.cfg.RoundWorkers > 1 && len(slots) >= shard.MinHosts {
 		return e.roundSharded(dst, nowS, ids, slots)
 	}
@@ -669,8 +686,11 @@ func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots 
 // anchored by anchors[id] when present; a host forgotten for dark telemetry
 // is removed from latest. Hosts, results and stats are exactly RoundSlots'
 // — the maps are staged into engine-owned slots (with empty handles, so
-// every session resolves by key) and run through the same body.
+// every session resolves by key) and run through the same body, under the
+// same hold of the gate.
 func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
+	e.gate.Lock()
+	defer e.gate.Unlock()
 	if cap(e.keyed) < len(order) {
 		e.keyed = make([]Slot, len(order))
 	}
@@ -684,7 +704,7 @@ func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest ma
 		}
 		slots[i] = s
 	}
-	dst, st := e.RoundSlots(dst, nowS, order, slots)
+	dst, st := e.pass(dst, nowS, order, slots)
 	if st.Forgotten > 0 {
 		for i, id := range order {
 			if !slots[i].Present {
@@ -705,7 +725,8 @@ type roundSlot struct {
 // into per-index scratch (at least 256 hosts a chunk, so each amortizes its
 // goroutine), each chunk with its own memo and stats (the engine keeps
 // them: at most RoundWorkers), stats are merged in chunk order, and
-// evictions and the in-order dst fill are applied serially.
+// evictions and the in-order dst fill are applied serially, all under the
+// caller's hold on the gate.
 func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	const minPerChunk = 256
 	n := len(slots)

@@ -337,8 +337,8 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 // TestEngineConcurrentLifecycle hammers the sharded engine directly:
 // goroutines concurrently create, observe, predict and delete sessions
 // while a round loop runs over a disjoint host population. Run under -race
-// (CI does) this is the striped-locking correctness test, migrated from the
-// predictserver session store it replaced.
+// (CI does) this is the locking correctness test of the shard maps and the
+// round gate, migrated from the predictserver session store it replaced.
 func TestEngineConcurrentLifecycle(t *testing.T) {
 	e := testEngine(t, nil)
 

@@ -1,0 +1,112 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"vmtherm/internal/telemetry"
+)
+
+// gateFleet is a population of hosts in slots, every reading at time 0.
+func gateFleet(hosts int) ([]string, []Slot) {
+	ids := make([]string, hosts)
+	slots := make([]Slot, hosts)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("g%02d-h%03d", i/64, i%64)
+		slots[i] = Slot{Reading: telemetry.Reading{HostID: ids[i], TempC: 25 + float64(i%30)}, Present: true, Anchor: 40 + float64(i%40)}
+	}
+	return ids, slots
+}
+
+// stamp moves every slot's reading to the instant at.
+func stamp(slots []Slot, at float64) {
+	for i := range slots {
+		slots[i].Reading.AtS = at
+	}
+}
+
+// TestRoundTakesNoSessionLock: a round owns its sessions for the pass
+// through the round gate and takes no session mutex, serial and sharded
+// alike, so a session mutex held elsewhere does not hold the round up.
+func TestRoundTakesNoSessionLock(t *testing.T) {
+	const hosts = 1024
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			e := testEngine(t, func(c *Config) { c.RoundWorkers = workers })
+			ids, slots := gateFleet(hosts)
+			if dst, _ := e.RoundSlots(nil, 0, ids, slots); len(dst) != hosts {
+				t.Fatalf("first round: %d predictions, want %d", len(dst), hosts)
+			}
+			release := e.HoldSession(ids[hosts/2])
+			if release == nil {
+				t.Fatalf("no session for %s", ids[hosts/2])
+			}
+			stamp(slots, 15)
+			done := make(chan int, 1)
+			go func() {
+				dst, _ := e.RoundSlots(nil, 15, ids, slots)
+				done <- len(dst)
+			}()
+			select {
+			case n := <-done:
+				release()
+				if n != hosts {
+					t.Fatalf("round: %d predictions, want %d", n, hosts)
+				}
+			case <-time.After(5 * time.Second):
+				release()
+				<-done
+				t.Fatal("the round waited on a session mutex")
+			}
+		})
+	}
+}
+
+// TestSnapshotIsRoundCut: a Snapshot taken while rounds run holds the
+// round gate's read side, so it falls between two passes. Every round
+// stamps every host with its own instant, so each capture must carry one
+// LastAtS across all its sessions (run it under -race and -cpu 4, where the
+// capture and the pass run side by side).
+func TestSnapshotIsRoundCut(t *testing.T) {
+	const hosts = 1024
+	e := testEngine(t, nil)
+	ids, slots := gateFleet(hosts)
+	e.RoundSlots(nil, 0, ids, slots)
+	stop := make(chan struct{})
+	var rounds atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var dst []Prediction
+		for n := 1; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			now := 15 * float64(n)
+			stamp(slots, now)
+			dst, _ = e.RoundSlots(dst[:0], now, ids, slots)
+			rounds.Add(1)
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	for captures := 0; captures < 100 || rounds.Load() < 100; captures++ {
+		st := e.Snapshot()
+		if len(st.Sessions) != hosts {
+			t.Fatalf("capture %d holds %d sessions, want %d", captures, len(st.Sessions), hosts)
+		}
+		at := st.Sessions[0].LastAtS
+		for _, s := range st.Sessions {
+			if s.LastAtS != at {
+				t.Fatalf("capture %d holds %s at %v beside %s at %v: it cut a round in two",
+					captures, s.ID, s.LastAtS, st.Sessions[0].ID, at)
+			}
+		}
+	}
+}

@@ -31,11 +31,13 @@ type State struct {
 	Sessions []SessionState
 }
 
-// Snapshot captures every live session. It is safe against concurrent
-// Observe/Predict/Create/Delete traffic but, like Round, must not overlap a
-// Round on the same engine if the capture is to be a consistent cut.
+// Snapshot captures every live session. It is safe for concurrent use and
+// holds the round gate's read side for the capture, so the capture falls
+// between two rounds' passes and never holds half of one; a concurrent push
+// is in it whole or not at all.
 func (e *Engine) Snapshot() State {
 	st := State{NextID: e.nextID.Load()}
+	e.gate.RLock()
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.RLock()
@@ -52,6 +54,7 @@ func (e *Engine) Snapshot() State {
 		}
 		sh.mu.RUnlock()
 	}
+	e.gate.RUnlock()
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
 	return st
 }

@@ -1,8 +1,8 @@
 // Streaming fast path: the event-driven realization of the paper's online
 // loop. Where Round is batch-per-Δ_update — collect the fleet's newest
 // readings, then sweep — ObserveBatch applies pushed readings to their
-// sessions the moment they arrive (per-shard locking, calibration on the
-// session's own Δ_update schedule, inline warm-anchor session creation),
+// sessions the moment they arrive (calibration on the session's own
+// Δ_update schedule, inline warm-anchor session creation),
 // and PredictFresh answers the Δ_gap-ahead query a reading implies from
 // current session state without waiting for the next round.
 //
@@ -21,7 +21,9 @@ import "vmtherm/internal/telemetry"
 // yet — the inline warm case, typically backed by the fleet's anchor cache.
 // Returning ok=false defers the host to the next batch round (which runs
 // the full batch model); the lookup must be safe for concurrent calls and
-// must not block on model evaluation.
+// must not block on model evaluation. It runs under the round gate's read
+// side: it must not call back into the engine or block on a lock a round's
+// caller holds (the fleet's lookup only TryLocks its round lock).
 type AnchorLookup func(r telemetry.Reading) (stableC float64, ok bool)
 
 // StreamStats summarizes one streaming call.
@@ -45,11 +47,11 @@ type StreamStats struct {
 // observeOne applies a single pushed reading: look the session up, create
 // it inline when a warm anchor resolves, and feed the measurement. With pred
 // not nil it also writes the Δ_gap-ahead prediction at the reading's own
-// timestamp, under the same session lock, so a round re-anchoring the
-// session cannot slip between the reading's calibration and the prediction
-// made from it. Reports false when the reading was deferred or rejected. The
-// warm path — session exists — takes one shard RLock and one session lock
-// and does not allocate.
+// timestamp, under the same session lock. The caller holds the gate's read
+// side, so a round re-anchoring the session cannot slip between the
+// reading's calibration and the prediction made from it. Reports false when
+// the reading was deferred or rejected. The warm path — session exists —
+// takes one shard RLock and one session lock and does not allocate.
 //
 // Out-of-order arrivals degrade gracefully: the calibrator ignores
 // observations that do not advance its Δ_update schedule, and lastAtS is
@@ -108,13 +110,16 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 // ObserveBatch applies a batch of pushed readings to their sessions on
 // arrival. Hosts without a session are created inline when anchor resolves
 // a warm ψ_stable, otherwise counted as deferred for the next batch round.
-// Safe for concurrent use with Round, PredictFresh, and itself; the warm
-// path (all sessions exist) performs zero allocations.
+// Safe for concurrent use with Round, PredictFresh, and itself: the batch
+// holds the gate's read side, so it applies whole between two rounds'
+// passes. The warm path (all sessions exist) performs zero allocations.
 func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup) StreamStats {
 	var st StreamStats
+	e.gate.RLock()
 	for i := range readings {
 		e.observeOne(readings[i], anchor, &st, nil)
 	}
+	e.gate.RUnlock()
 	return st
 }
 
@@ -123,8 +128,12 @@ func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup)
 // pass. The prediction is evaluated at the reading's own timestamp, so its
 // staleness is zero by construction. Reports whether a prediction was
 // produced (false when the host was deferred). The reading is applied and
-// the prediction made under one session lock: the prediction always comes
-// from the curve the reading calibrated. Allocation-free on the warm path.
+// the prediction made under one hold of the gate's read side and one
+// session lock: the prediction always comes from the curve the reading
+// calibrated. Allocation-free on the warm path.
 func (e *Engine) PredictFresh(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {
-	return e.observeOne(r, anchor, st, pred)
+	e.gate.RLock()
+	ok := e.observeOne(r, anchor, st, pred)
+	e.gate.RUnlock()
+	return ok
 }

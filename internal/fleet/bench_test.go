@@ -128,7 +128,7 @@ func traceFleet4k(b *testing.B) *Controller {
 }
 
 // BenchmarkFleetRoundTrace4k measures one warm control round of a 4,096-host
-// source-driven fleet — replay, chunked push, drain, cached anchors, engine
+// source-driven fleet — replay into the host table, cached anchors, engine
 // round, publish — on a looping trace of 16 rounds, so after the first loop
 // every anchor is a cache hit. It runs serial, as bench/e2e's one P does
 // (the sharded engine round spawns its workers each round); warm, it

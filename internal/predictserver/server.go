@@ -8,8 +8,8 @@
 // The service is built for fleet-scale batch traffic: thermal-aware
 // schedulers consume predictions for hundreds of hosts per round, so
 // alongside the single-item endpoints it serves batch variants backed by
-// the unified session engine (internal/engine — the same sharded
-// striped-lock lifecycle the fleet control plane drives), fanned across
+// the unified session engine (internal/engine — the same sharded session
+// lifecycle the fleet control plane drives), fanned across
 // cores in contiguous chunks by internal/shard, with the stable path
 // funnelled through the SVM batch kernel.
 package predictserver
