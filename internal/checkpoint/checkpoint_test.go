@@ -3,7 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,7 +33,6 @@ func sampleState(t *testing.T) *State {
 		SourceName:    "trace",
 		SourceNowS:    255,
 		Engine: engine.State{
-			NextID: 4,
 			Sessions: []engine.SessionState{
 				{
 					ID: "r0-h0",
@@ -115,6 +116,57 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := got.PendingVMs[0].Tasks[1].Profile
 	if v := p.At(75); math.Abs(v-0.8) > 1e-12 {
 		t.Fatalf("restored sine profile At(75) = %v, want 0.8", v)
+	}
+}
+
+// TestDecodesEngineNextID: engine.State used to carry the prediction
+// service's session id counter, NextID, and every checkpoint written then
+// holds the field. A payload gob-encoded with it (sampleState's sessions
+// beside NextID 4) still decodes, to exactly sampleState: gob skips the
+// field the type no longer has.
+func TestDecodesEngineNextID(t *testing.T) {
+	want := sampleState(t)
+	withNextID := reflect.TypeOf(struct {
+		NextID   uint64
+		Sessions []engine.SessionState
+	}{})
+	cur := reflect.TypeOf(State{})
+	fields := make([]reflect.StructField, cur.NumField())
+	for i := range fields {
+		f := cur.Field(i)
+		fields[i] = reflect.StructField{Name: f.Name, Type: f.Type, Tag: f.Tag}
+		if f.Name == "Engine" {
+			fields[i].Type = withNextID
+		}
+	}
+	old := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := range fields {
+		if fields[i].Name == "Engine" {
+			old.Field(i).Field(0).SetUint(4)
+			old.Field(i).Field(1).Set(reflect.ValueOf(want.Engine.Sessions))
+		} else {
+			old.Field(i).Set(reflect.ValueOf(want).Elem().Field(i))
+		}
+	}
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(old.Interface()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload.Bytes(), []byte("NextID")) {
+		t.Fatal("the payload does not carry NextID")
+	}
+	frame := append(fileMagic[:0:0], fileMagic[:]...)
+	frame = binary.LittleEndian.AppendUint32(frame, formatVersion)
+	frame = binary.LittleEndian.AppendUint64(frame, 9)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(payload.Len()))
+	frame = append(frame, payload.Bytes()...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	got, seq, err := Decode(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 9 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded seq %d, state\n%+v\nwant seq 9, state\n%+v", seq, got, want)
 	}
 }
 

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vmtherm/internal/anchorcache"
@@ -71,6 +74,32 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed%d", i)), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCommittedSeedsDecode: each committed seed file decodes as the seed
+// corpusSeeds encodes today does — the same state or an error alike. The
+// files were written while engine.State still carried NextID, so the valid
+// ones hold that field's type description.
+func TestCommittedSeedsDecode(t *testing.T) {
+	for i, seed := range corpusSeeds(t) {
+		file, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", fmt.Sprintf("seed%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(strings.TrimSpace(string(file)), "go test fuzz v1\n[]byte(")
+		if quoted, ok = strings.CutSuffix(quoted, ")"); !ok {
+			t.Fatalf("seed%d: not a []byte corpus entry", i)
+		}
+		committed, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("seed%d: %v", i, err)
+		}
+		got, _, gotErr := Decode(strings.NewReader(committed))
+		want, _, wantErr := Decode(bytes.NewReader(seed))
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Errorf("seed%d: committed file decodes to %+v (err %v), today's seed to %+v (err %v)", i, got, gotErr, want, wantErr)
 		}
 	}
 }

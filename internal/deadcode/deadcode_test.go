@@ -77,7 +77,6 @@ var allowedFields = map[string]string{
 	"vmm.HostConfig.GHzPerCore":           "whether the host shape becomes a flag or a constant is still open",
 	"vmm.HostConfig.CPUOvercommit":        "whether the host shape becomes a flag or a constant is still open",
 	"fleet.AdmissionPolicy.MaxQueueDepth": "the place-stream golden sets it in its gated runs",
-	"engine.SessionParams.AnchorAtS":      "the engine's own create paths set it per session",
 	"substrate.CRAC.SupplyC":              "live room state: OneHost sets it per case, the scenario faults per round",
 	"substrate.CRAC.RecircPerUtil":        "live room state: OneHost sets it per case, the scenario faults per round",
 	"dataset.BuildOptions.Seed":           "DefaultBuildOptions fills it from its seed argument",

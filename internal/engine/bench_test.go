@@ -8,11 +8,11 @@ import (
 )
 
 // BenchmarkEngineRound measures one steady-state control round of the
-// unified session engine at 1024 hosts: staleness accounting, calibration,
+// fleet's session engine at 1024 hosts: staleness accounting, calibration,
 // re-anchor checks and Δ_gap-ahead prediction per host — the hot path under
-// both the fleet control plane and the prediction service. "slots" is the
-// slot-indexed front-end the fleet controller runs (cached session handles,
-// no string hashed), "keyed" the map front-end over the same per-host body;
+// the fleet control plane. "slots" is the slot-indexed front-end the fleet
+// controller runs (cached session handles, no string hashed), "keyed" the
+// map front-end over the same per-host body;
 // bench/e2e's engine.round.ns_per_host times the keyed one only. Both keep
 // their anchors, so after 40 rounds every session is past t_break and Eq. (3)
 // costs no logarithm. "slots_warmup" re-anchors a tenth of the hosts each

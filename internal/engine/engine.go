@@ -1,21 +1,23 @@
-// Package engine is the unified per-host session engine behind both the
-// fleet control plane and the prediction service: one implementation of the
-// paper's online lifecycle — create a session anchored at (φ(0), ψ_stable),
-// observe φ(t), calibrate every Δ_update (Eqs. 4–6), re-anchor when the
-// batch ψ_stable prediction moves (deployment changed), answer Δ_gap-ahead
-// queries (Eq. 8), widen uncertainty as telemetry goes stale, and evict
-// sessions whose telemetry has been dark for too long.
+// Package engine is the fleet's session pass: one implementation of the
+// paper's online lifecycle per host — a session anchored at (φ(t₀),
+// ψ_stable) when the host is first seen, φ(t) observed, calibration every
+// Δ_update (Eqs. 4–6), a re-anchor when the batch ψ_stable prediction moves
+// (the deployment changed), Δ_gap-ahead predictions (Eq. 8), uncertainty
+// that widens as telemetry goes stale, and eviction of hosts whose
+// telemetry has been dark for too long. Every session is on the one curve
+// shape New validates. The prediction service's client-driven sessions are
+// not here: internal/predictserver keeps its own store.
 //
 // The engine is built for fleet-scale concurrency and round throughput.
 // Sessions live in a sharded map (per-shard RWMutex over the id→session
 // map). A round is a pass over the whole population: it holds the engine's
 // round gate, one sync.RWMutex, on its write side for the pass and takes no
-// session lock. Every other call that touches a session's predictor holds
-// the read side and the session's mutex, so monitoring agents observe and
-// predict in parallel with each other and wait out a round's pass instead
-// of interleaving with it host by host. Create, Delete, Restore and
-// EvictIdle take no gate: they touch only the shard maps and a session's
-// atomic removed flag.
+// session lock. Every other call that touches a session's predictor — a
+// push, a Stable read, a Snapshot — holds the read side and the session's
+// mutex, so pushes apply in parallel with each other and wait out a round's
+// pass instead of interleaving with it host by host. Delete and Restore
+// take no gate: they touch only the shard maps and a session's atomic
+// removed flag.
 //
 // A round has two front-ends over one per-host body (roundHost). RoundSlots
 // is the slot-indexed one: the caller keeps each host's reading, anchor and
@@ -24,9 +26,8 @@
 // maps of readings and anchors — for callers without a host table; it stages
 // the maps into engine-owned slots and runs the same body. Both append into
 // a caller-owned buffer and allocate only when a session is first created: a
-// re-anchor resets the existing session in place, and a session on the
-// engine's own curve shape (no SessionParams override) re-anchors on the
-// shape validated once at New, checking only φ(0) and ψ_stable.
+// re-anchor resets the existing session in place on the shape validated
+// once at New, checking only φ(0) and ψ_stable.
 //
 // A round evaluates Eq. (3) twice per host — at the reading, to calibrate,
 // and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns
@@ -36,8 +37,7 @@
 // computation gives. Rounds driven by a source hit it almost always: the
 // readings of a round share one timestamp (trace rows, scrapes, simulator
 // samples) and the sessions a round re-anchored share their anchor instant.
-// Sessions with their own δ or t_break bypass it. The session API and the
-// streaming path (per-host timestamps) evaluate directly.
+// The streaming path (per-host timestamps) evaluates directly.
 //
 // A Handle is served only while its session is still the one registered
 // under the id. Every way out of the session map (Delete, eviction, Restore,
@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -63,18 +62,18 @@ import (
 )
 
 // The session policy every engine runs around core's calibration rate and
-// curve shape (which SessionParams may override per session): when a host
-// goes stale, when it is forgotten, when its session re-anchors, and how
-// wide its prediction's uncertainty is.
+// curve shape: when a host goes stale, when it is forgotten, when its
+// session re-anchors, and how wide its prediction's uncertainty is.
 const (
 	// staleAfterS is how old a host's telemetry may get before the host is
 	// degraded: its prediction is marked stale (callers exclude it from
 	// hotspot maps) and calibration stops until fresh telemetry arrives.
 	staleAfterS = 45.0
-	// evictAfterS is how old a host's telemetry may get before its session
+	// EvictAfterS is how old a host's telemetry may get before its session
 	// is evicted entirely (and its last reading forgotten): a host dark this
-	// long is gone, not merely degraded.
-	evictAfterS = 900.0
+	// long is gone, not merely degraded. The prediction service forgets a
+	// session left unused this long by the same horizon.
+	EvictAfterS = 900.0
 	// ReanchorEpsC re-anchors a session when its predicted ψ_stable moves by
 	// more than this (the deployment changed underneath it).
 	ReanchorEpsC = 1.0
@@ -129,12 +128,6 @@ func (c Config) Validate() error {
 // ErrNoSession is returned for operations on an unknown session id.
 var ErrNoSession = errors.New("engine: no such session")
 
-// ErrImplausibleReading is returned when an observed temperature fails the
-// telemetry plausibility bounds (NaN, ±Inf, below −40 °C, above 150 °C):
-// calibrating on it would corrupt the session's γ for every prediction
-// that follows.
-var ErrImplausibleReading = errors.New("engine: implausible temperature reading")
-
 // session is one host's dynamic prediction state: an Eq. (3) curve anchored
 // at (anchorAt, φ(anchorAt)) with the ψ_stable the batch model last
 // predicted for the host's deployment, the online calibrator (both inside
@@ -154,11 +147,6 @@ type session struct {
 	// removed is set, under the shard lock, the moment the session leaves
 	// the session map: the validity rule of every Handle that cached it.
 	removed atomic.Bool
-	// seenS is the idle clock's time at the session's last Create, Observe
-	// or Predict by id, in whole seconds rounded up (so a sweep never
-	// evicts early); only set with idle tracking on (TrackIdle). 32 bits
-	// fit beside removed without growing the session.
-	seenS atomic.Uint32
 }
 
 // localT converts engine time to session-local curve time.
@@ -171,21 +159,6 @@ func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
 	if t > s.lastAtS {
 		s.lastAtS = t
 	}
-}
-
-// observe feeds one measurement and returns the resulting γ.
-func (s *session) observe(t, tempC float64) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.feed(t, tempC, nil)
-	return s.pred.Gamma()
-}
-
-// predict answers ψ(t + Δ_gap) and the γ it used.
-func (s *session) predict(t float64) (tempC, gamma float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pred.Predict(s.localT(t), nil), s.pred.Gamma()
 }
 
 // shardCount is the stripe count of the session map, a power of two so the
@@ -207,10 +180,8 @@ type Engine struct {
 	gate   sync.RWMutex
 	shards [shardCount]stripe
 	count  atomic.Int64
-	nextID atomic.Uint64
-	// shape is the curve shape and calibration config of every session
-	// created without overrides, validated once: re-anchoring such a
-	// session checks only its anchors.
+	// shape is the curve shape and calibration config of every session the
+	// engine anchors, validated once: re-anchoring checks only the anchors.
 	shape core.Shape
 	// memos memoise the shape's warm-up fraction for the round: the first
 	// serves the serial round, and the sharded round grows one per chunk,
@@ -221,10 +192,6 @@ type Engine struct {
 	stats   []RoundStats
 	scratch []roundSlot
 	keyed   []Slot
-	// idleClock is the clock sessions driven by id are stamped with, in
-	// seconds; nil (idle tracking off) for the fleet's engines, whose
-	// rounds evict by telemetry age instead.
-	idleClock func() float64
 }
 
 // New builds an engine.
@@ -272,149 +239,17 @@ func (e *Engine) get(id string) (*session, bool) {
 	return s, ok
 }
 
-// NewID reserves a fresh session id ("s1", "s2", ...), the service-facing
-// naming scheme; fleet callers use host ids instead.
-func (e *Engine) NewID() string {
-	return "s" + strconv.FormatUint(e.nextID.Add(1), 10)
-}
-
-// SessionParams describe a session at creation. Zero-valued knobs take the
-// engine defaults.
-type SessionParams struct {
-	// Phi0 is φ(0), the temperature at the anchor instant.
-	Phi0 float64
-	// StableC is the ψ_stable anchor.
-	StableC float64
-	// AnchorAtS is the engine-time instant the curve is anchored at; times
-	// passed to Observe/Predict are translated to curve-local time against
-	// it (0 = session-local times are engine times).
-	AnchorAtS float64
-	// Lambda, UpdateEveryS, GapS, TBreakS, CurveDeltaS override the engine
-	// defaults for this session when non-zero.
-	Lambda, UpdateEveryS, GapS, TBreakS, CurveDeltaS float64
-}
-
-// Create registers a session under id. Creating over a live id is an error;
-// Delete first to rebuild. Phi0 and StableC come from outside the engine,
-// so each must be a temperature a sensor could read (telemetry.ClassifyTemp).
-func (e *Engine) Create(id string, p SessionParams) error {
-	if id == "" {
-		return errors.New("engine: empty session id")
-	}
-	if telemetry.ClassifyTemp(p.Phi0) != telemetry.RejectNone || telemetry.ClassifyTemp(p.StableC) != telemetry.RejectNone {
-		return fmt.Errorf("engine: implausible anchor: phi0 %v °C, stable temperature %v °C (want finite, in [%v, %v])",
-			p.Phi0, p.StableC, telemetry.MinPlausibleTempC, telemetry.MaxPlausibleTempC)
-	}
-	sess := new(session)
-	if err := e.anchor(sess, p); err != nil {
+// anchor (re)builds s at (φ(atS), ψ_stable) on the engine's shape:
+// afterwards s is bit-identical to a freshly created session (γ = 0,
+// unseeded, last telemetry at the anchor instant). Only the anchors are
+// validated; on error s is untouched. The caller owns s or holds the gate's
+// write side.
+func (e *Engine) anchor(s *session, phi0, stableC, atS float64) error {
+	if err := s.pred.Anchor(phi0, stableC, &e.shape); err != nil {
 		return err
 	}
-	e.touch(sess)
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if _, dup := sh.sessions[id]; dup {
-		sh.mu.Unlock()
-		return fmt.Errorf("engine: session %q already exists", id)
-	}
-	sh.sessions[id] = sess
-	sh.mu.Unlock()
-	e.count.Add(1)
+	s.stable, s.anchorAt, s.lastAtS = stableC, atS, atS
 	return nil
-}
-
-// TrackIdle turns on idle tracking for sessions a client drives by id: from
-// then on Create, Observe and Predict stamp their session with clock's time
-// (seconds from 0, non-decreasing), and EvictIdle removes the sessions left
-// alone too long. Call it before the engine is shared.
-func (e *Engine) TrackIdle(clock func() float64) { e.idleClock = clock }
-
-// touch stamps s with the idle clock, if idle tracking is on.
-func (e *Engine) touch(s *session) {
-	if e.idleClock != nil {
-		s.seenS.Store(uint32(math.Ceil(e.idleClock())))
-	}
-}
-
-// EvictIdle removes every session that was not created, observed or
-// predicted by id for more than evictAfterS of the idle clock's time — the
-// horizon after which a round forgets a dark host — and reports how many it
-// removed. With idle tracking off it removes nothing.
-func (e *Engine) EvictIdle() int {
-	if e.idleClock == nil {
-		return 0
-	}
-	cutoff := e.idleClock() - evictAfterS
-	n := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if float64(s.seenS.Load()) < cutoff {
-				s.removed.Store(true)
-				delete(sh.sessions, id)
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	e.count.Add(-int64(n))
-	return n
-}
-
-// anchor (re)builds s from params, applying engine defaults: afterwards s is
-// bit-identical to a freshly created session (γ = 0, unseeded, last
-// telemetry at the anchor instant). Parameters are validated first — for a
-// session on the engine's own shape (no override), only the anchors; on
-// error s is untouched. The caller owns s or holds the gate's write side.
-func (e *Engine) anchor(s *session, p SessionParams) error {
-	sh := &e.shape
-	if p.Lambda != 0 || p.UpdateEveryS != 0 || p.GapS != 0 || p.TBreakS != 0 || p.CurveDeltaS != 0 {
-		own, err := core.NewShape(cmp.Or(p.TBreakS, core.DefaultTBreakS), cmp.Or(p.CurveDeltaS, core.DefaultCurveDelta),
-			core.DynamicConfig{
-				Lambda:       cmp.Or(p.Lambda, core.DefaultLambda),
-				UpdateEveryS: cmp.Or(p.UpdateEveryS, e.cfg.UpdateEveryS),
-				GapS:         cmp.Or(p.GapS, e.cfg.GapS),
-			})
-		if err != nil {
-			return err
-		}
-		sh = &own
-	}
-	if err := s.pred.Anchor(p.Phi0, p.StableC, sh); err != nil {
-		return err
-	}
-	s.stable, s.anchorAt, s.lastAtS = p.StableC, p.AnchorAtS, p.AnchorAtS
-	return nil
-}
-
-// Observe feeds one measurement φ(t) into a session and returns the current
-// calibration γ. Implausible temperatures are refused with
-// ErrImplausibleReading before they can touch the calibrator.
-func (e *Engine) Observe(id string, atS, tempC float64) (float64, error) {
-	if telemetry.ClassifyTemp(tempC) != telemetry.RejectNone {
-		return 0, ErrImplausibleReading
-	}
-	s, ok := e.get(id)
-	if !ok {
-		return 0, ErrNoSession
-	}
-	e.touch(s)
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-	return s.observe(atS, tempC), nil
-}
-
-// Predict answers ψ(t + Δ_gap) for a session, with the γ it used.
-func (e *Engine) Predict(id string, atS float64) (tempC, gamma float64, err error) {
-	s, ok := e.get(id)
-	if !ok {
-		return 0, 0, ErrNoSession
-	}
-	e.touch(s)
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-	tempC, gamma = s.predict(atS)
-	return tempC, gamma, nil
 }
 
 // Stable returns the ψ_stable a session is currently anchored to.
@@ -477,7 +312,7 @@ type RoundStats struct {
 	// drift beyond ReanchorEpsC).
 	Reanchored int
 	// Forgotten counts hosts whose reading was dropped because their
-	// telemetry exceeded evictAfterS; Evicted counts those of them that had
+	// telemetry exceeded EvictAfterS; Evicted counts those of them that had
 	// a session to remove.
 	Forgotten, Evicted int
 	// MaxStalenessS is the oldest telemetry age seen this round.
@@ -494,7 +329,7 @@ type Handle struct{ sess *session }
 type Slot struct {
 	// Reading is the host's newest telemetry; Present says there is one.
 	// RoundSlots clears Present when it forgets a host dark beyond
-	// evictAfterS.
+	// EvictAfterS.
 	Reading telemetry.Reading
 	Present bool
 	// Anchor is this round's batch-predicted ψ_stable for the host, NaN for
@@ -548,7 +383,7 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	if staleness > st.MaxStalenessS {
 		st.MaxStalenessS = staleness
 	}
-	if staleness > evictAfterS {
+	if staleness > EvictAfterS {
 		// Dark beyond the eviction horizon: the host is gone, not merely
 		// degraded. Forget the session and the fossil reading so the
 		// population shrinks instead of accumulating ghosts.
@@ -557,7 +392,6 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	stale := staleness > staleAfterS
 
 	anchored := !math.IsNaN(s.Anchor)
-	params := SessionParams{Phi0: r.TempC, StableC: s.Anchor, AnchorAtS: r.AtS}
 	sess := e.resolve(&s.Handle, id)
 	switch {
 	case sess != nil:
@@ -565,12 +399,12 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// the old curve no longer describes this host. On failure (a
 		// degenerate reading) the session keeps serving its old curve and
 		// nothing counts.
-		if anchored && math.Abs(s.Anchor-sess.stable) > ReanchorEpsC && e.anchor(sess, params) == nil {
+		if anchored && math.Abs(s.Anchor-sess.stable) > ReanchorEpsC && e.anchor(sess, r.TempC, s.Anchor, r.AtS) == nil {
 			st.Reanchored++
 		}
 	case anchored:
 		// First sight: the one allocation a session ever costs.
-		if sess = e.adopt(id, params); sess != nil {
+		if sess = e.adopt(id, r.TempC, s.Anchor, r.AtS); sess != nil {
 			s.Handle.sess = sess
 			st.Reanchored++
 		}
@@ -597,13 +431,13 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	return true, false
 }
 
-// adopt builds a session from p and registers it under id, replacing (and
-// retiring) one a concurrent push created since the round looked: the
-// round's anchor comes from the authoritative batch model. It returns nil
-// when p does not describe a valid curve.
-func (e *Engine) adopt(id string, p SessionParams) *session {
+// adopt builds a session anchored at (φ(atS), ψ_stable) and registers it
+// under id, replacing (and retiring) one a concurrent push created since the
+// round looked: the round's anchor comes from the authoritative batch model.
+// It returns nil when the anchors do not describe a valid curve.
+func (e *Engine) adopt(id string, phi0, stableC, atS float64) *session {
 	ns := new(session)
-	if e.anchor(ns, p) != nil {
+	if e.anchor(ns, phi0, stableC, atS) != nil {
 		return nil
 	}
 	sh := e.shardFor(id)
@@ -618,7 +452,7 @@ func (e *Engine) adopt(id string, p SessionParams) *session {
 	return ns
 }
 
-// forget evicts a host dark beyond evictAfterS: its session (if any) and
+// forget evicts a host dark beyond EvictAfterS: its session (if any) and
 // its slot's reading.
 func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 	if e.Delete(id) {
@@ -633,7 +467,7 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 // slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and append
 // a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older than
 // staleAfterS are degraded (prediction marked stale, no calibration); older
-// than evictAfterS, their session is evicted and their slot's reading
+// than EvictAfterS, their session is evicted and their slot's reading
 // dropped. ids[i] names slots[i], and no two ids are the same.
 //
 // dst is appended to and returned (pass dst[:0] to reuse a buffer); beyond

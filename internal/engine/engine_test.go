@@ -40,24 +40,24 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSessionLifecycle covers the service-facing path: create with explicit
-// anchors, observe, predict, delete.
+// TestSessionLifecycle follows one host's session from first sight to
+// deletion: created at its reading and anchor, calibrated by a push, its
+// anchor read back, deleted exactly once.
 func TestSessionLifecycle(t *testing.T) {
 	e := testEngine(t, nil)
-	id := e.NewID()
-	if err := e.Create(id, SessionParams{Phi0: 20, StableC: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Create(id, SessionParams{Phi0: 20, StableC: 60}); err == nil {
-		t.Fatal("duplicate create accepted")
+	if e.adopt("h0", 20, 60, 0) == nil {
+		t.Fatal("valid anchors refused")
 	}
 	if e.Len() != 1 {
 		t.Fatalf("len = %d, want 1", e.Len())
 	}
-	if _, err := e.Observe("ghost", 0, 25); !errors.Is(err, ErrNoSession) {
+	if _, err := e.observe("ghost", 0, 25); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("ghost observe err = %v", err)
 	}
-	gamma, err := e.Observe(id, 0, 25)
+	if e.Len() != 1 {
+		t.Fatal("a push without an anchor lookup created a session")
+	}
+	gamma, err := e.observe("h0", 0, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +65,18 @@ func TestSessionLifecycle(t *testing.T) {
 	if math.Abs(gamma-4) > 1e-9 {
 		t.Fatalf("gamma after first observation = %v, want 4", gamma)
 	}
-	tempC, gamma2, err := e.Predict(id, 0)
-	if err != nil {
-		t.Fatal(err)
+	var st StreamStats
+	var p Prediction
+	if !e.PredictFresh(telemetry.Reading{HostID: "h0", AtS: 0, TempC: 25}, nil, &st, &p) {
+		t.Fatal("PredictFresh deferred a live host")
 	}
-	if gamma2 != gamma {
-		t.Fatalf("predict gamma %v != observe gamma %v", gamma2, gamma)
+	if p.TempC <= 20 || p.TempC > 60+gamma+1e-9 {
+		t.Fatalf("implausible Δ_gap-ahead prediction %v", p.TempC)
 	}
-	if tempC <= 20 || tempC > 60+gamma+1e-9 {
-		t.Fatalf("implausible Δ_gap-ahead prediction %v", tempC)
-	}
-	if stable, err := e.Stable(id); err != nil || stable != 60 {
+	if stable, err := e.Stable("h0"); err != nil || stable != 60 {
 		t.Fatalf("stable = %v, %v", stable, err)
 	}
-	if !e.Delete(id) || e.Delete(id) {
+	if !e.Delete("h0") || e.Delete("h0") {
 		t.Fatal("delete/double-delete semantics broken")
 	}
 	if e.Len() != 0 {
@@ -90,28 +88,25 @@ func TestSessionLifecycle(t *testing.T) {
 // treat observations at T as curve time 0.
 func TestSessionAnchorTranslation(t *testing.T) {
 	e := testEngine(t, nil)
-	if err := e.Create("a", SessionParams{Phi0: 30, StableC: 70, AnchorAtS: 1000}); err != nil {
-		t.Fatal(err)
+	if e.adopt("a", 30, 70, 1000) == nil || e.adopt("b", 30, 70, 0) == nil {
+		t.Fatal("valid anchors refused")
 	}
-	if err := e.Create("b", SessionParams{Phi0: 30, StableC: 70}); err != nil {
-		t.Fatal(err)
-	}
-	ga, err := e.Observe("a", 1000, 33)
+	ga, err := e.observe("a", 1000, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := e.Observe("b", 0, 33)
+	gb, err := e.observe("b", 0, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ga != gb {
 		t.Fatalf("anchored observation gammas differ: %v vs %v", ga, gb)
 	}
-	pa, _, err := e.Predict("a", 1000)
+	pa, _, err := e.predict("a", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, _, err := e.Predict("b", 0)
+	pb, _, err := e.predict("b", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +198,7 @@ func TestRoundStalenessWidensUncertainty(t *testing.T) {
 	}
 }
 
-// TestRoundEvictsDarkHosts: telemetry older than evictAfterS removes the
+// TestRoundEvictsDarkHosts: telemetry older than EvictAfterS removes the
 // session AND the fossil reading, so dead hosts do not accumulate.
 func TestRoundEvictsDarkHosts(t *testing.T) {
 	e := testEngine(t, nil)
@@ -218,7 +213,7 @@ func TestRoundEvictsDarkHosts(t *testing.T) {
 	}
 
 	// The live host keeps reporting; the dark one stays at t=0.
-	const past = evictAfterS + 30
+	const past = EvictAfterS + 30
 	latest["alive"] = telemetry.Reading{HostID: "alive", AtS: past, TempC: 30}
 	preds, st := roundOnce(e, past, latest, anchors)
 	if st.Evicted != 1 {
@@ -334,11 +329,12 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentLifecycle hammers the sharded engine directly:
-// goroutines concurrently create, observe, predict and delete sessions
-// while a round loop runs over a disjoint host population. Run under -race
-// (CI does) this is the locking correctness test of the shard maps and the
-// round gate, migrated from the predictserver session store it replaced.
+// TestEngineConcurrentLifecycle hammers the sharded engine with the mix the
+// fleet runs: goroutines push readings through PredictFresh (creating
+// sessions inline from a warm anchor) and delete every other host they
+// created, while a round loop runs over a disjoint host population. Run
+// under -race (CI does) this is the locking correctness test of the shard
+// maps and the round gate.
 func TestEngineConcurrentLifecycle(t *testing.T) {
 	e := testEngine(t, nil)
 
@@ -368,6 +364,7 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 		}
 	}()
 
+	warm := func(telemetry.Reading) (float64, bool) { return 60, true }
 	const workers = 16
 	const perWorker = 50
 	var wg sync.WaitGroup
@@ -375,21 +372,18 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var st StreamStats
+			var p Prediction
 			ids := make([]string, 0, perWorker)
 			for i := 0; i < perWorker; i++ {
-				id := e.NewID()
-				if err := e.Create(id, SessionParams{Phi0: 20, StableC: 60}); err != nil {
-					t.Error(err)
-					return
-				}
+				id := fmt.Sprintf("w%02d-h%02d", w, i)
 				ids = append(ids, id)
-				if _, err := e.Observe(id, float64(i), 25+float64(i%10)); err != nil {
-					t.Errorf("worker %d: observe %s: %v", w, id, err)
-					return
-				}
-				if _, _, err := e.Predict(id, float64(i)); err != nil {
-					t.Errorf("worker %d: predict %s: %v", w, id, err)
-					return
+				for k := range 2 { // the first push creates, the second calibrates
+					r := telemetry.Reading{HostID: id, AtS: 15 * float64(i+k), TempC: 25 + float64(i%10)}
+					if !e.PredictFresh(r, warm, &st, &p) || p.HostID != id {
+						t.Errorf("worker %d: push %d to %s: %+v", w, k, id, p)
+						return
+					}
 				}
 				// Interleave deletes of every other session.
 				if i%2 == 1 {
@@ -398,7 +392,7 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 						t.Errorf("worker %d: delete %s failed", w, prev)
 						return
 					}
-					if _, _, err := e.Predict(prev, 0); !errors.Is(err, ErrNoSession) {
+					if e.PredictFresh(telemetry.Reading{HostID: prev, AtS: 1e4, TempC: 30}, nil, &st, &p) {
 						t.Errorf("worker %d: deleted %s still predicts", w, prev)
 						return
 					}
@@ -410,7 +404,7 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 	close(stopRounds)
 	roundWG.Wait()
 
-	want := workers*perWorker/2 + 2 // surviving service sessions + 2 fleet hosts
+	want := workers*perWorker/2 + 2 // surviving pushed hosts + 2 round hosts
 	if got := e.Len(); got != want {
 		t.Errorf("engine len = %d, want %d", got, want)
 	}
@@ -573,75 +567,5 @@ func TestConfigRejectsNonFiniteFloats(t *testing.T) {
 	}
 	if n < 2 {
 		t.Fatalf("found %d float fields", n)
-	}
-}
-
-// TestEvictIdleUnderTraffic sweeps while other goroutines observe, predict
-// and create by id: a session is evicted exactly when its last stamp is more
-// than evictAfterS old, a session in use is never lost, and Len always
-// equals the sessions the map holds. Run it with -race.
-func TestEvictIdleUnderTraffic(t *testing.T) {
-	e, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.EvictIdle() != 0 {
-		t.Fatal("EvictIdle removed sessions with idle tracking off")
-	}
-	var clock sync.Mutex
-	nowS := 0.0
-	e.TrackIdle(func() float64 { clock.Lock(); defer clock.Unlock(); return nowS })
-	advance := func(s float64) { clock.Lock(); nowS += s; clock.Unlock() }
-	p := SessionParams{Phi0: 30, StableC: 60}
-	const idle, busy = 40, 8
-	for i := range idle + busy {
-		if err := e.Create(fmt.Sprintf("s%d", i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	advance(evictAfterS) // every session exactly at the horizon: none evicted
-	if n := e.EvictIdle(); n != 0 {
-		t.Fatalf("EvictIdle at exactly evictAfterS removed %d", n)
-	}
-	for i := idle; i < idle+busy; i++ { // the busy ones are used now, the idle ones not
-		if _, _, err := e.Predict(fmt.Sprintf("s%d", i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := range busy {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			id := fmt.Sprintf("s%d", idle+g)
-			for k := range 200 {
-				if _, err := e.Observe(id, float64(k), 40); err != nil {
-					t.Errorf("busy %s lost: %v", id, err)
-					return
-				}
-				if _, _, err := e.Predict(id, float64(k)); err != nil {
-					t.Errorf("busy %s lost: %v", id, err)
-					return
-				}
-				_ = e.Create(fmt.Sprintf("new%d-%d", g, k), p)
-			}
-		}()
-	}
-	evicted := 0
-	for range 50 {
-		evicted += e.EvictIdle()
-		advance(1)
-	}
-	wg.Wait()
-	evicted += e.EvictIdle()
-	if evicted != idle {
-		t.Errorf("evicted %d sessions, want the %d idle ones", evicted, idle)
-	}
-	held := 0
-	for i := range e.shards {
-		held += len(e.shards[i].sessions)
-	}
-	if want := busy + busy*200; held != want || e.Len() != held {
-		t.Errorf("map holds %d sessions, Len %d, want %d", held, e.Len(), want)
 	}
 }

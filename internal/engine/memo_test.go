@@ -12,7 +12,7 @@ import (
 )
 
 // TestRoundMemoMatchesDirectWithPushes: rounds that evaluate Eq. (3)
-// through the engine's curve memos give the bits the unmemoised session API
+// through the engine's curve memos give the bits the unmemoised evaluation
 // gives, serial and sharded (RoundWorkers 4 over 1,536 hosts) alike, while
 // pushes of the same readings run concurrently (run it under -race). A
 // tenth of the hosts re-anchor every round, so every session stays in its
@@ -89,7 +89,7 @@ func TestRoundMemoMatchesDirectWithPushes(t *testing.T) {
 			}
 		}
 		for i, p := range results[0] {
-			direct, _, err := ref.e.Predict(ids[i], now)
+			direct, _, err := ref.e.predict(ids[i], now)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,42 +105,6 @@ func TestRoundMemoMatchesDirectWithPushes(t *testing.T) {
 	}
 	if warm < hosts*rounds*9/10 {
 		t.Fatalf("only %d of %d predictions were made in the warm-up: the memo is barely used", warm, hosts*rounds)
-	}
-}
-
-// TestRoundOverriddenShapeBypassesMemo: a session created with its own δ
-// and t_break is calibrated and predicted by a round exactly as a predictor
-// on that curve computes without any memo, next to a session on the
-// engine's shape whose curve-local times it shares.
-func TestRoundOverriddenShapeBypassesMemo(t *testing.T) {
-	e := testEngine(t, nil)
-	own := SessionParams{Phi0: 26, StableC: 62, TBreakS: 900, CurveDeltaS: 45}
-	if err := e.Create("own", own); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Create("shared", SessionParams{Phi0: 26, StableC: 62}); err != nil {
-		t.Fatal(err)
-	}
-	curve := core.Curve{Phi0: own.Phi0, Stable: own.StableC, TBreakS: own.TBreakS, DeltaS: own.CurveDeltaS}
-	ref, err := core.NewDynamicPredictor(curve, core.DynamicConfig{Lambda: core.DefaultLambda, UpdateEveryS: 15, GapS: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"shared", "own"}
-	slots := []Slot{{Present: true, Anchor: 62}, {Present: true, Anchor: 62}}
-	for now := 0.0; now < 1000; now += 15 {
-		temp := 26 + 30*now/(now+200)
-		for i := range slots {
-			slots[i].Reading = telemetry.Reading{HostID: ids[i], AtS: now, TempC: temp}
-		}
-		preds, st := e.RoundSlots(nil, now, ids, slots)
-		if st.Live != 2 || st.Reanchored != 0 {
-			t.Fatalf("round at %v: %+v", now, st)
-		}
-		ref.Observe(now, temp, nil)
-		if got, want := preds[1].TempC, ref.Predict(now, nil); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("at %v: the overridden session predicted %v, its own curve %v", now, got, want)
-		}
 	}
 }
 

@@ -21,11 +21,10 @@ type SessionState struct {
 	LastAtS   float64
 }
 
-// State is an engine's complete serializable state.
+// State is an engine's complete serializable state. A checkpoint written
+// when it also carried the prediction service's id counter (NextID, always
+// 0 in fleet checkpoints) still decodes: gob skips the field.
 type State struct {
-	// NextID is the service-facing id counter ("s1", "s2", ...), so a
-	// restored engine never reissues a live session's id.
-	NextID uint64
 	// Sessions is every live session, sorted by id (deterministic bytes for
 	// identical state).
 	Sessions []SessionState
@@ -36,7 +35,7 @@ type State struct {
 // between two rounds' passes and never holds half of one; a concurrent push
 // is in it whole or not at all.
 func (e *Engine) Snapshot() State {
-	st := State{NextID: e.nextID.Load()}
+	var st State
 	e.gate.RLock()
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -61,7 +60,8 @@ func (e *Engine) Snapshot() State {
 
 // Restore replaces the engine's entire session population with the captured
 // state. Existing sessions are discarded; the engine configuration is kept
-// (per-session overrides travel inside each session's predictor config).
+// (each session's curve and calibration config travel inside its predictor
+// state).
 // On error the engine is left empty rather than half-restored.
 func (e *Engine) Restore(st State) error {
 	for i := range e.shards {
@@ -74,7 +74,6 @@ func (e *Engine) Restore(st State) error {
 		sh.mu.Unlock()
 	}
 	e.count.Store(0)
-	e.nextID.Store(st.NextID)
 	for _, ss := range st.Sessions {
 		if ss.ID == "" {
 			return fmt.Errorf("engine: restore: session %d has empty id", len(st.Sessions))

@@ -14,30 +14,25 @@ func buildWarmEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	hosts := []struct {
-		id             string
-		phi0, stable   float64
-		obs            []float64 // temperatures observed at 15s intervals
-		anchorAt, gapS float64
+		id           string
+		phi0, stable float64
+		obs          []float64 // temperatures observed at 15s intervals
+		anchorAt     float64
 	}{
-		{"r0-h0", 35, 72, []float64{40, 48, 55, 61}, 0, 0},
-		{"r0-h1", 33, 55, []float64{34, 36, 39}, 30, 0},
-		{"r1-h0", 40, 80, []float64{45, 52}, 15, 120}, // per-session GapS override
+		{"r0-h0", 35, 72, []float64{40, 48, 55, 61}, 0},
+		{"r0-h1", 33, 55, []float64{34, 36, 39}, 30},
+		{"r1-h0", 40, 80, []float64{45, 52}, 15},
 	}
 	for _, h := range hosts {
-		if err := e.Create(h.id, SessionParams{
-			Phi0: h.phi0, StableC: h.stable, AnchorAtS: h.anchorAt, GapS: h.gapS,
-		}); err != nil {
-			t.Fatal(err)
+		if e.adopt(h.id, h.phi0, h.stable, h.anchorAt) == nil {
+			t.Fatalf("%s: valid anchors refused", h.id)
 		}
 		for i, temp := range h.obs {
-			if _, err := e.Observe(h.id, h.anchorAt+float64(i+1)*15, temp); err != nil {
+			if _, err := e.observe(h.id, h.anchorAt+float64(i+1)*15, temp); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// Burn a few service ids so NextID is non-trivial.
-	e.NewID()
-	e.NewID()
 	return e
 }
 
@@ -65,25 +60,22 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.Len() != orig.Len() {
 		t.Fatalf("restored %d sessions, want %d", restored.Len(), orig.Len())
 	}
-	if got, want := restored.NewID(), orig.NewID(); got != want {
-		t.Fatalf("restored NewID %q, want %q (counter must continue)", got, want)
-	}
 
 	// Identical future: observe and predict on both, compare exact bits.
 	for _, id := range []string{"r0-h0", "r0-h1", "r1-h0"} {
 		for _, step := range []struct{ at, temp float64 }{
 			{75, 63.5}, {80, 64.0}, {90, 64.8}, // 80 lands inside the Δ_update gate
 		} {
-			g1, err1 := orig.Observe(id, step.at, step.temp)
-			g2, err2 := restored.Observe(id, step.at, step.temp)
+			g1, err1 := orig.observe(id, step.at, step.temp)
+			g2, err2 := restored.observe(id, step.at, step.temp)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("observe %s: %v / %v", id, err1, err2)
 			}
 			if g1 != g2 {
 				t.Fatalf("%s: γ diverged after restore: %v vs %v", id, g1, g2)
 			}
-			p1, _, _ := orig.Predict(id, step.at)
-			p2, _, _ := restored.Predict(id, step.at)
+			p1, _, _ := orig.predict(id, step.at)
+			p2, _, _ := restored.predict(id, step.at)
 			if p1 != p2 {
 				t.Fatalf("%s: prediction diverged after restore: %v vs %v", id, p1, p2)
 			}
@@ -104,8 +96,8 @@ func TestRestoreReplacesPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Create("stray", SessionParams{Phi0: 30, StableC: 50}); err != nil {
-		t.Fatal(err)
+	if e.adopt("stray", 30, 50, 0) == nil {
+		t.Fatal("valid anchors refused")
 	}
 	if err := e.Restore(st); err != nil {
 		t.Fatal(err)
@@ -113,7 +105,7 @@ func TestRestoreReplacesPopulation(t *testing.T) {
 	if e.Len() != len(st.Sessions) {
 		t.Fatalf("restored population %d, want %d", e.Len(), len(st.Sessions))
 	}
-	if _, _, err := e.Predict("stray", 0); err == nil {
+	if _, _, err := e.predict("stray", 0); err == nil {
 		t.Fatal("pre-restore session survived Restore")
 	}
 }

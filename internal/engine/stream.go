@@ -76,7 +76,7 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 			return false
 		}
 		ns := new(session)
-		if e.anchor(ns, SessionParams{Phi0: r.TempC, StableC: stableC, AnchorAtS: r.AtS}) != nil {
+		if e.anchor(ns, r.TempC, stableC, r.AtS) != nil {
 			st.Deferred++
 			return false
 		}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"vmtherm/internal/core"
 	"vmtherm/internal/telemetry"
 )
 
@@ -15,8 +16,8 @@ import (
 // warm and deferred when it is not.
 func TestObserveBatchAppliesAndCreates(t *testing.T) {
 	e := testEngine(t, nil)
-	if err := e.Create("known", SessionParams{Phi0: 20, StableC: 60}); err != nil {
-		t.Fatal(err)
+	if e.adopt("known", 20, 60, 0) == nil {
+		t.Fatal("valid anchors refused")
 	}
 	warm := func(r telemetry.Reading) (float64, bool) {
 		return 55, r.HostID == "warm"
@@ -33,10 +34,10 @@ func TestObserveBatchAppliesAndCreates(t *testing.T) {
 		t.Fatalf("sessions = %d, want 2", e.Len())
 	}
 	// The created session is live and predictable without any round.
-	if _, _, err := e.Predict("warm", 0); err != nil {
+	if _, _, err := e.predict("warm", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Predict("cold", 0); !errors.Is(err, ErrNoSession) {
+	if _, _, err := e.predict("cold", 0); !errors.Is(err, ErrNoSession) {
 		t.Fatalf("deferred host grew a session: %v", err)
 	}
 	// No lookup at all defers too.
@@ -46,39 +47,38 @@ func TestObserveBatchAppliesAndCreates(t *testing.T) {
 	}
 }
 
-// TestStreamObserveMatchesBatchObserve: the streaming observe is the same
-// calibration as the service-facing Observe — same γ, same prediction —
-// and re-presenting the reading through a batch round is a calibration
-// no-op (the idempotency the two paths compose on).
+// TestStreamObserveMatchesBatchObserve: the streaming observe is the
+// calibration core's predictor makes on the engine's shape — same γ, same
+// prediction — and re-presenting the reading through a batch round is a
+// calibration no-op (the idempotency the two paths compose on).
 func TestStreamObserveMatchesBatchObserve(t *testing.T) {
 	es := testEngine(t, nil)
-	eb := testEngine(t, nil)
-	for _, e := range []*Engine{es, eb} {
-		if err := e.Create("h0", SessionParams{Phi0: 20, StableC: 60}); err != nil {
-			t.Fatal(err)
-		}
+	if es.adopt("h0", 20, 60, 0) == nil {
+		t.Fatal("valid anchors refused")
 	}
 	es.ObserveBatch([]telemetry.Reading{{HostID: "h0", AtS: 0, TempC: 26}}, nil)
-	if _, err := eb.Observe("h0", 0, 26); err != nil {
-		t.Fatal(err)
-	}
-	ts, _, err := es.Predict("h0", 0)
+	curve, err := core.NewCurve(20, 60, core.DefaultTBreakS, core.DefaultCurveDelta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, _, err := eb.Predict("h0", 0)
+	ref, err := core.NewDynamicPredictor(curve, core.DefaultDynamicConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts != tb {
-		t.Fatalf("streamed prediction %v != observed prediction %v", ts, tb)
+	ref.Observe(0, 26, nil)
+	ts, gs, err := es.predict("h0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb, gb := ref.Predict(0, nil), ref.Gamma(); ts != tb || gs != gb {
+		t.Fatalf("streamed prediction %v (γ %v) != core's %v (γ %v)", ts, gs, tb, gb)
 	}
 
 	// Round re-presents the same newest reading: γ must not move again.
-	g1, _ := es.Observe("h0", 0, 26)
+	g1, _ := es.observe("h0", 0, 26)
 	latest := map[string]telemetry.Reading{"h0": {HostID: "h0", AtS: 0, TempC: 26}}
 	es.Round(nil, 0, []string{"h0"}, latest, map[string]float64{"h0": 60})
-	g2, _ := es.Observe("h0", 0, 26)
+	g2, _ := es.observe("h0", 0, 26)
 	if g1 != g2 {
 		t.Fatalf("round re-calibrated an already-streamed reading: γ %v → %v", g1, g2)
 	}
@@ -103,7 +103,7 @@ func TestPredictFreshReturnsPrediction(t *testing.T) {
 	// It must agree with an observe-then-predict pair on a twin engine.
 	e2 := testEngine(t, nil)
 	e2.ObserveBatch([]telemetry.Reading{{HostID: "h0", AtS: 0, TempC: 25}}, warm)
-	q, _, err := e2.Predict("h0", 0)
+	q, _, err := e2.predict("h0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStreamObserveZeroAllocWarm(t *testing.T) {
 			if !e.PredictFresh(readings[i], nil, &st, &p) {
 				t.Fatal("warm PredictFresh failed")
 			}
-			if _, _, err := e.Predict(readings[i].HostID, now); err != nil {
+			if _, _, err := e.predict(readings[i].HostID, now); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -237,7 +237,7 @@ func TestStreamConcurrentWithRound(t *testing.T) {
 					t.Errorf("non-finite prediction %+v", p)
 					return
 				}
-				if q, _, err := e.Predict(batch[1].HostID, now); err != nil {
+				if q, _, err := e.predict(batch[1].HostID, now); err != nil {
 					t.Error(err)
 					return
 				} else if math.IsNaN(q) {

@@ -74,7 +74,7 @@ func boolGauge(b bool) float64 {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var sb strings.Builder
 
-	writeMetric(&sb, "vmtherm_sessions", "gauge", "Live dynamic prediction sessions.", "", float64(s.eng.Len()))
+	writeMetric(&sb, "vmtherm_sessions", "gauge", "Live dynamic prediction sessions.", "", float64(s.sessions.count()))
 	writeMetric(&sb, "vmtherm_sessions_refused_total", "counter",
 		"Session creates refused with 429 at the live-session cap.", "", float64(s.metrics.sessionsRefused.Load()))
 	writeMetric(&sb, "vmtherm_sessions_evicted_total", "counter",

@@ -7,11 +7,12 @@
 //
 // The service is built for fleet-scale batch traffic: thermal-aware
 // schedulers consume predictions for hundreds of hosts per round, so
-// alongside the single-item endpoints it serves batch variants backed by
-// the unified session engine (internal/engine — the same sharded session
-// lifecycle the fleet control plane drives), fanned across
-// cores in contiguous chunks by internal/shard, with the stable path
-// funnelled through the SVM batch kernel.
+// alongside the single-item endpoints it serves batch variants, fanned
+// across cores in contiguous chunks by internal/shard, with the stable path
+// funnelled through the SVM batch kernel. The sessions are the service's
+// own (sessions.go), each a core.DynamicPredictor on the shape its create
+// asked for; a fleet attached with WithFleet runs its hosts' sessions in
+// internal/engine.
 package predictserver
 
 import (
@@ -31,7 +32,6 @@ import (
 
 	"vmtherm/internal/checkpoint"
 	"vmtherm/internal/core"
-	"vmtherm/internal/engine"
 	"vmtherm/internal/fleet"
 	"vmtherm/internal/scenario"
 	"vmtherm/internal/shard"
@@ -84,13 +84,8 @@ func writeBodyError(w http.ResponseWriter, err error) {
 // sessions. Create with New; it is safe for concurrent use.
 type Server struct {
 	model *core.StablePredictor
-	// eng is the unified session engine: the same lifecycle implementation
-	// the fleet control plane drives, here keyed by service-issued ids.
-	eng *engine.Engine
-	// sessions counts the live HTTP sessions plus the creates in flight;
-	// sessionCap bounds it (maxSessions outside tests). See reserveSession.
-	sessions   atomic.Int64
-	sessionCap int64
+	// sessions holds the dynamic prediction sessions clients drive by id.
+	sessions *sessionStore
 	// now is the server clock the sessions' idle time is read on.
 	now func() time.Time
 	// workers bounds the goroutines one batch request fans out to.
@@ -160,21 +155,12 @@ func New(model *core.StablePredictor, opts ...Option) (*Server, error) {
 	if model == nil {
 		return nil, errors.New("predictserver: nil model")
 	}
-	eng, err := engine.New(engine.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	s := &Server{
-		model:      model,
-		eng:        eng,
-		sessionCap: maxSessions,
-		now:        time.Now,
-	}
+	s := &Server{model: model, now: time.Now}
 	for _, o := range opts {
 		o(s)
 	}
 	start := s.now()
-	eng.TrackIdle(func() float64 { return s.now().Sub(start).Seconds() })
+	s.sessions = newSessionStore(func() float64 { return s.now().Sub(start).Seconds() })
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
@@ -338,264 +324,6 @@ func (s *Server) predictInto(rows [][]float64, out []float64) error {
 	err := s.model.PredictBatchInto(rows, out, scratch)
 	s.scratch.Put(scratch)
 	return err
-}
-
-// SessionRequest opens a dynamic prediction session. ψ_stable comes either
-// directly (StableTempC) or from the model (Features). Zero-valued knobs
-// take the paper's defaults.
-type SessionRequest struct {
-	Phi0         float64   `json:"phi0"`
-	StableTempC  *float64  `json:"stable_temp_c,omitempty"`
-	Features     []float64 `json:"features,omitempty"`
-	Lambda       float64   `json:"lambda,omitempty"`
-	UpdateEveryS float64   `json:"update_every_s,omitempty"`
-	GapS         float64   `json:"gap_s,omitempty"`
-	TBreakS      float64   `json:"t_break_s,omitempty"`
-	CurveDeltaS  float64   `json:"curve_delta_s,omitempty"`
-}
-
-// SessionResponse identifies the created session.
-type SessionResponse struct {
-	ID          string  `json:"id"`
-	StableTempC float64 `json:"stable_temp_c"`
-}
-
-// maxSessions bounds the live HTTP sessions. A client that never deletes
-// would otherwise grow the server until it runs out of memory; 65,536
-// sessions hold about 13 MB. The idle sweep (EvictIdleSessions) frees the
-// slots such a client leaves behind.
-const maxSessions = 1 << 16
-
-// EvictIdleSessions removes every session not created, observed or
-// predicted for the engine's eviction horizon (900 s) of server time, frees
-// their slots under the cap, and reports how many it removed. The daemon
-// runtime calls it periodically.
-func (s *Server) EvictIdleSessions() int {
-	n := s.eng.EvictIdle()
-	s.sessions.Add(-int64(n))
-	s.metrics.sessionsEvicted.Add(int64(n))
-	return n
-}
-
-// reserveSession takes one session slot under sessionCap, reporting false
-// when none is left. It compares and swaps rather than adding and undoing,
-// so the cap holds exactly under concurrent creates and a refused create
-// never makes another one see the cap.
-func (s *Server) reserveSession() bool {
-	for {
-		n := s.sessions.Load()
-		if n >= s.sessionCap {
-			return false
-		}
-		if s.sessions.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	if !decodeBody(w, r, &req, maxItemBodyBytes) {
-		return
-	}
-	var stable float64
-	switch {
-	case req.StableTempC != nil:
-		stable = *req.StableTempC
-	case len(req.Features) > 0:
-		v, err := s.model.PredictFeatures(req.Features)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		stable = v
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("need stable_temp_c or features"))
-		return
-	}
-
-	if !s.reserveSession() {
-		s.metrics.sessionsRefused.Add(1)
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("session limit reached: %d live sessions; delete one to create another", s.sessionCap))
-		return
-	}
-	id := s.eng.NewID()
-	err := s.eng.Create(id, engine.SessionParams{
-		Phi0:         req.Phi0,
-		StableC:      stable,
-		Lambda:       req.Lambda,
-		UpdateEveryS: req.UpdateEveryS,
-		GapS:         req.GapS,
-		TBreakS:      req.TBreakS,
-		CurveDeltaS:  req.CurveDeltaS,
-	})
-	if err != nil {
-		s.sessions.Add(-1)
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, SessionResponse{ID: id, StableTempC: stable})
-}
-
-// ObserveRequest feeds one measurement φ(t) into a session.
-type ObserveRequest struct {
-	T     float64 `json:"t"`
-	TempC float64 `json:"temp_c"`
-}
-
-// ObserveResponse reports the calibration after the observation.
-type ObserveResponse struct {
-	Gamma float64 `json:"gamma"`
-}
-
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	var req ObserveRequest
-	if !decodeBody(w, r, &req, maxItemBodyBytes) {
-		return
-	}
-	gamma, err := s.eng.Observe(r.PathValue("id"), req.T, req.TempC)
-	switch {
-	case errors.Is(err, engine.ErrImplausibleReading):
-		writeError(w, http.StatusUnprocessableEntity, err)
-	case err != nil:
-		writeError(w, http.StatusNotFound, errors.New("unknown session"))
-	default:
-		s.metrics.observeItems.Add(1)
-		writeJSON(w, http.StatusOK, ObserveResponse{Gamma: gamma})
-	}
-}
-
-// PredictResponse answers a dynamic prediction query.
-type PredictResponse struct {
-	TempC float64 `json:"temp_c"`
-	Gamma float64 `json:"gamma"`
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	// t is a JSON number, as it is in every request body: strconv's own
-	// grammar would let NaN, Inf, hex floats and digit separators through.
-	q := r.URL.Query().Get("t")
-	t, n, ok := parseNumber([]byte(q))
-	if !ok || n != len(q) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad t: %q is not a finite JSON number", q))
-		return
-	}
-	tempC, gamma, err := s.eng.Predict(r.PathValue("id"), t)
-	if err != nil {
-		writeError(w, http.StatusNotFound, errors.New("unknown session"))
-		return
-	}
-	s.metrics.predictItems.Add(1)
-	writeJSON(w, http.StatusOK, PredictResponse{TempC: tempC, Gamma: gamma})
-}
-
-// ObserveBatchItem feeds one measurement into one session.
-type ObserveBatchItem struct {
-	ID    string  `json:"id"`
-	T     float64 `json:"t"`
-	TempC float64 `json:"temp_c"`
-}
-
-// ObserveBatchRequest carries one fleet round of measurements.
-type ObserveBatchRequest struct {
-	Items []ObserveBatchItem `json:"items"`
-}
-
-// ObserveBatchResult is the per-item outcome; Error is set (and Gamma
-// meaningless) when the session does not exist or the reading is implausible.
-type ObserveBatchResult struct {
-	Gamma float64 `json:"gamma"`
-	Error string  `json:"error,omitempty"`
-}
-
-// ObserveBatchResponse answers item-for-item, in request order.
-type ObserveBatchResponse struct {
-	Results []ObserveBatchResult `json:"results"`
-}
-
-func (s *Server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
-	var req ObserveBatchRequest
-	if !decodeBody(w, r, &req, maxBatchBodyBytes) || overBatchLimit(w, len(req.Items), "items") {
-		return
-	}
-	results := make([]ObserveBatchResult, len(req.Items))
-	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
-		var served int64
-		for i := lo; i < hi; i++ {
-			item := req.Items[i]
-			gamma, err := s.eng.Observe(item.ID, item.T, item.TempC)
-			switch {
-			case errors.Is(err, engine.ErrImplausibleReading):
-				results[i].Error = "implausible reading"
-			case err != nil:
-				results[i].Error = "unknown session"
-			default:
-				results[i].Gamma = gamma
-				served++
-			}
-		}
-		s.metrics.observeItems.Add(served)
-		return nil
-	})
-	writeJSON(w, http.StatusOK, ObserveBatchResponse{Results: results})
-}
-
-// PredictBatchItem queries one session at one time.
-type PredictBatchItem struct {
-	ID string  `json:"id"`
-	T  float64 `json:"t"`
-}
-
-// PredictBatchRequest carries one fleet round of prediction queries.
-type PredictBatchRequest struct {
-	Items []PredictBatchItem `json:"items"`
-}
-
-// PredictBatchResult is the per-item outcome; Error is set (and the values
-// meaningless) when the item's session does not exist.
-type PredictBatchResult struct {
-	TempC float64 `json:"temp_c"`
-	Gamma float64 `json:"gamma"`
-	Error string  `json:"error,omitempty"`
-}
-
-// PredictBatchResponse answers item-for-item, in request order.
-type PredictBatchResponse struct {
-	Results []PredictBatchResult `json:"results"`
-}
-
-func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	var req PredictBatchRequest
-	if !decodeBody(w, r, &req, maxBatchBodyBytes) || overBatchLimit(w, len(req.Items), "items") {
-		return
-	}
-	results := make([]PredictBatchResult, len(req.Items))
-	_ = shard.Run(len(req.Items), s.workers, minBatchChunk, func(lo, hi int) error {
-		var served int64
-		for i := lo; i < hi; i++ {
-			item := req.Items[i]
-			tempC, gamma, err := s.eng.Predict(item.ID, item.T)
-			if err != nil {
-				results[i].Error = "unknown session"
-				continue
-			}
-			results[i].TempC, results[i].Gamma = tempC, gamma
-			served++
-		}
-		s.metrics.predictItems.Add(served)
-		return nil
-	})
-	writeJSON(w, http.StatusOK, PredictBatchResponse{Results: results})
-}
-
-func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
-	if !s.eng.Delete(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, errors.New("unknown session"))
-		return
-	}
-	s.sessions.Add(-1)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
 // writeJSON encodes v before the status line goes out, so a value

@@ -17,7 +17,6 @@ import (
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
-	"vmtherm/internal/engine"
 	"vmtherm/internal/workload"
 )
 
@@ -158,8 +157,8 @@ func TestDynamicSessionLifecycle(t *testing.T) {
 	if sess.ID == "" || sess.StableTempC <= 22 {
 		t.Fatalf("session = %+v", sess)
 	}
-	if srv.eng.Len() != 1 {
-		t.Errorf("session count = %d", srv.eng.Len())
+	if srv.sessions.count() != 1 {
+		t.Errorf("session count = %d", srv.sessions.count())
 	}
 
 	// Observe a measurement 2° above the curve start: γ moves λ·dif.
@@ -203,8 +202,8 @@ func TestDynamicSessionLifecycle(t *testing.T) {
 	if delResp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", delResp.StatusCode)
 	}
-	if srv.eng.Len() != 0 {
-		t.Errorf("session count after delete = %d", srv.eng.Len())
+	if srv.sessions.count() != 0 {
+		t.Errorf("session count after delete = %d", srv.sessions.count())
 	}
 	getResp2, err := http.Get(fmt.Sprintf("%s/v1/session/%s/predict?t=0", ts.URL, sess.ID))
 	if err != nil {
@@ -279,7 +278,7 @@ func TestObservePredictUnknownSession(t *testing.T) {
 }
 
 // TestObserveImplausibleReading: a live session refuses a 500 °C reading
-// with 422 and the engine's reason; it used to answer 404 unknown session.
+// with 422 and the store's reason; it used to answer 404 unknown session.
 // The session keeps its calibration.
 func TestObserveImplausibleReading(t *testing.T) {
 	_, ts, _ := newTestServer(t)
@@ -291,8 +290,8 @@ func TestObserveImplausibleReading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), engine.ErrImplausibleReading.Error()) {
-		t.Fatalf("observe 500 °C: status %d body %s, want 422 with %q", resp.StatusCode, body, engine.ErrImplausibleReading)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), errImplausibleReading.Error()) {
+		t.Fatalf("observe 500 °C: status %d body %s, want 422 with %q", resp.StatusCode, body, errImplausibleReading)
 	}
 	ok := decode[ObserveResponse](t, postJSON(t, ts.URL+"/v1/session/"+sess.ID+"/observe", ObserveRequest{T: 0, TempC: 24}))
 	if want := 0.8 * 4; math.Abs(ok.Gamma-want) > 1e-9 {
@@ -325,7 +324,7 @@ func TestBatchObserveImplausibleReading(t *testing.T) {
 // no sensor reads used to be created — phi0 500 °C then predicted 341 °C at
 // t = 0, and phi0 1e308 with ψ_stable −1e308 made the next predict answer
 // 500 with "json: unsupported value: -Inf". Create refuses both with 422
-// and the engine's message, and creates no session.
+// and the implausible-anchor message, and creates no session.
 func TestCreateSessionImplausibleAnchor(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	for _, body := range []string{
@@ -343,10 +342,10 @@ func TestCreateSessionImplausibleAnchor(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "engine: implausible anchor") {
-			t.Errorf("%s: status %d body %s, want 422 with the engine's message", body, resp.StatusCode, msg)
+			t.Errorf("%s: status %d body %s, want 422 with the implausible-anchor message", body, resp.StatusCode, msg)
 		}
 	}
-	if n := srv.eng.Len(); n != 0 {
+	if n := srv.sessions.count(); n != 0 {
 		t.Fatalf("%d sessions created from implausible anchors", n)
 	}
 }
@@ -694,8 +693,8 @@ func TestConcurrentSessions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if srv.eng.Len() != 8 {
-		t.Errorf("session count = %d, want 8", srv.eng.Len())
+	if srv.sessions.count() != 8 {
+		t.Errorf("session count = %d, want 8", srv.sessions.count())
 	}
 }
 
@@ -776,7 +775,7 @@ func TestStableRoutesAnswerTheSameBytes(t *testing.T) {
 func TestSessionCap(t *testing.T) {
 	srv, ts, _ := newTestServer(t)
 	const sessionCap, workers, perWorker = 500, 8, 125
-	srv.sessionCap = sessionCap
+	srv.sessions.limit = sessionCap
 	body := []byte(`{"phi0":20,"stable_temp_c":60}`)
 	h := srv.Handler()
 	var created, refused atomic.Int64
@@ -805,8 +804,8 @@ func TestSessionCap(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if created.Load() != sessionCap || srv.eng.Len() != sessionCap {
-		t.Fatalf("%d creates succeeded, %d sessions live; want %d of each", created.Load(), srv.eng.Len(), sessionCap)
+	if created.Load() != sessionCap || srv.sessions.count() != sessionCap {
+		t.Fatalf("%d creates succeeded, %d sessions live; want %d of each", created.Load(), srv.sessions.count(), sessionCap)
 	}
 	if got, want := srv.metrics.sessionsRefused.Load(), int64(workers*perWorker-sessionCap); got != want || refused.Load() != want {
 		t.Errorf("refusal counter %d, refusals seen %d; want %d", got, refused.Load(), want)
