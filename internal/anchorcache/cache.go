@@ -36,7 +36,7 @@ import (
 // ambient) observation or a deployment fingerprint composed with Hash.
 type Key uint64
 
-// FNV-1a parameters, shared with the session engine's shard hash.
+// FNV-1a parameters.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

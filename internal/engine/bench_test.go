@@ -130,7 +130,7 @@ func BenchmarkEngineRound(b *testing.B) {
 
 // BenchmarkPredictFresh measures the push path one reading at a time over
 // 1,024 warm sessions: each op is one PredictFresh — a hold of the round
-// gate's read side, a shard lookup, the session lock, calibration and the
+// gate's read side, a map lookup, the session lock, calibration and the
 // Δ_gap-ahead prediction — on the next host in turn, its reading Δ_update
 // later than its last so every one calibrates. Reports ns/reading; the
 // contract is 0 B/op.

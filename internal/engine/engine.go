@@ -9,25 +9,26 @@
 // not here: internal/predictserver keeps its own store.
 //
 // The engine is built for fleet-scale concurrency and round throughput.
-// Sessions live in a sharded map (per-shard RWMutex over the id→session
-// map). A round is a pass over the whole population: it holds the engine's
-// round gate, one sync.RWMutex, on its write side for the pass and takes no
-// session lock. Every other call that touches a session's predictor — a
-// push, a Stable read, a Snapshot — holds the read side and the session's
-// mutex, so pushes apply in parallel with each other and wait out a round's
-// pass instead of interleaving with it host by host. Delete and Restore
-// take no gate: they touch only the shard maps and a session's atomic
-// removed flag.
+// One lock, the round gate (a sync.RWMutex), guards the id→session map:
+// lookups hold its read side, and every insert and delete its write side.
+// A round is a pass over the whole population: it holds the write side for
+// the pass and takes no session lock. Every other call that touches a
+// session's predictor — a push, a Stable read, a Snapshot — holds the read
+// side and the session's mutex, so pushes apply in parallel with each other
+// and wait out a round's pass instead of interleaving with it host by host;
+// a push that creates its host's session does so under the write side. The
+// lock order is the caller's round lock, then the gate, then a session's
+// mutex.
 //
 // A round has two front-ends over one per-host body (roundHost). RoundSlots
 // is the slot-indexed one: the caller keeps each host's reading, anchor and
 // a cached session Handle in a []Slot parallel to its id list, so a warm
-// round hashes no string and takes no shard lock. Round is the keyed one —
-// maps of readings and anchors — for callers without a host table; it stages
-// the maps into engine-owned slots and runs the same body. Both append into
-// a caller-owned buffer and allocate only when a session is first created: a
-// re-anchor resets the existing session in place on the shape validated
-// once at New, checking only φ(0) and ψ_stable.
+// round hashes no string. Round is the keyed one — maps of readings and
+// anchors — for callers without a host table; it stages the maps into
+// engine-owned slots and runs the same body. Both append into a caller-owned
+// buffer and allocate only when a session is first created: a re-anchor
+// resets the existing session in place on the shape validated once at New,
+// checking only φ(0) and ψ_stable.
 //
 // A round evaluates Eq. (3) twice per host — at the reading, to calibrate,
 // and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns
@@ -40,11 +41,11 @@
 // The streaming path (per-host timestamps) evaluates directly.
 //
 // A Handle is served only while its session is still the one registered
-// under the id. Every way out of the session map (Delete, eviction, Restore,
-// a first-sight create that replaces a racing one) marks the session removed
-// under the shard lock, and an empty or removed Handle falls back to the
-// keyed lookup — so a session deleted since is never served stale and one
-// created since (by the streaming path, say) is never missed.
+// under the id. Every way out of the session map (Delete, eviction,
+// Restore) marks the session removed under the gate's write side, and an
+// empty or removed Handle falls back to the keyed lookup — so a session
+// deleted since is never served stale and one created since (by the
+// streaming path, say) is never missed.
 package engine
 
 import (
@@ -144,9 +145,9 @@ type session struct {
 	// streaming path reads it to compute staleness without a latest-reading
 	// map; guarded like the predictor.
 	lastAtS float64
-	// removed is set, under the shard lock, the moment the session leaves
-	// the session map: the validity rule of every Handle that cached it.
-	removed atomic.Bool
+	// removed marks, under the gate's write side, a session gone from the
+	// map: the validity rule of every Handle that cached it.
+	removed bool
 }
 
 // localT converts engine time to session-local curve time.
@@ -161,25 +162,18 @@ func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
 	}
 }
 
-// shardCount is the stripe count of the session map, a power of two so the
-// hash reduces with a mask.
-const shardCount = 32
-
-type stripe struct {
-	mu       sync.RWMutex
-	sessions map[string]*session
-}
-
-// Engine is the sharded session store plus the round executor. Create with
-// New. All methods are safe for concurrent use; rounds (either front-end)
-// serialize on the round gate.
+// Engine is the session map plus the round executor. Create with New. All
+// methods are safe for concurrent use; rounds (either front-end) serialize
+// on the round gate.
 type Engine struct {
 	cfg Config
-	// gate is the round gate (see the package comment); its write side also
-	// owns the memos and the round scratch below.
-	gate   sync.RWMutex
-	shards [shardCount]stripe
-	count  atomic.Int64
+	// gate is the round gate (see the package comment): it guards sessions,
+	// and its write side also owns the memos and the round scratch below.
+	gate     sync.RWMutex
+	sessions map[string]*session
+	// count is len(sessions), readable without the gate: an AnchorLookup
+	// calls Len under the write side.
+	count atomic.Int64
 	// shape is the curve shape and calibration config of every session the
 	// engine anchors, validated once: re-anchoring checks only the anchors.
 	shape core.Shape
@@ -205,39 +199,13 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, shape: shape}
+	e := &Engine{cfg: cfg, shape: shape, sessions: make(map[string]*session)}
 	e.memos = []*core.CurveMemo{core.NewCurveMemo(&e.shape)}
-	for i := range e.shards {
-		e.shards[i].sessions = make(map[string]*session)
-	}
 	return e, nil
 }
 
 // Config returns the resolved configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// shardFor hashes a session id onto its stripe (FNV-1a).
-func (e *Engine) shardFor(id string) *stripe {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return &e.shards[h&(shardCount-1)]
-}
-
-// get looks a session up by id.
-func (e *Engine) get(id string) (*session, bool) {
-	sh := e.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	return s, ok
-}
 
 // anchor (re)builds s at (φ(atS), ψ_stable) on the engine's shape:
 // afterwards s is bit-identical to a freshly created session (γ = 0,
@@ -252,14 +220,43 @@ func (e *Engine) anchor(s *session, phi0, stableC, atS float64) error {
 	return nil
 }
 
+// newSession builds a session anchored at (φ(atS), ψ_stable), or returns nil
+// when the anchors do not describe a valid curve. It does not register it.
+func (e *Engine) newSession(phi0, stableC, atS float64) *session {
+	s := new(session)
+	if e.anchor(s, phi0, stableC, atS) != nil {
+		return nil
+	}
+	return s
+}
+
+// insert registers s under id, which has no session; the caller holds the
+// gate's write side.
+func (e *Engine) insert(id string, s *session) {
+	e.sessions[id] = s
+	e.count.Add(1)
+}
+
+// remove takes id's session out of the map, reporting whether it existed;
+// the caller holds the gate's write side.
+func (e *Engine) remove(id string) bool {
+	s, ok := e.sessions[id]
+	if ok {
+		s.removed = true
+		delete(e.sessions, id)
+		e.count.Add(-1)
+	}
+	return ok
+}
+
 // Stable returns the ψ_stable a session is currently anchored to.
 func (e *Engine) Stable(id string) (float64, error) {
-	s, ok := e.get(id)
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	s, ok := e.sessions[id]
 	if !ok {
 		return 0, ErrNoSession
 	}
-	e.gate.RLock()
-	defer e.gate.RUnlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.stable, nil
@@ -267,19 +264,11 @@ func (e *Engine) Stable(id string) (float64, error) {
 
 // Delete removes a session, reporting whether it existed. Fleet callers use
 // it to force a re-anchor after a deployment change (placement, migration).
+// It takes the gate's write side, so it waits out a round's pass.
 func (e *Engine) Delete(id string) bool {
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if ok {
-		s.removed.Store(true)
-		delete(sh.sessions, id)
-	}
-	sh.mu.Unlock()
-	if ok {
-		e.count.Add(-1)
-	}
-	return ok
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	return e.remove(id)
 }
 
 // Len reports the number of live sessions.
@@ -341,12 +330,12 @@ type Slot struct {
 }
 
 // resolve returns id's session through h, refreshing h by key when it is
-// empty or its session has left the map.
+// empty or its session has left the map. The caller holds the gate.
 func (e *Engine) resolve(h *Handle, id string) *session {
-	if s := h.sess; s != nil && !s.removed.Load() {
+	if s := h.sess; s != nil && !s.removed {
 		return s
 	}
-	h.sess, _ = e.get(id)
+	h.sess = e.sessions[id]
 	return h.sess
 }
 
@@ -354,24 +343,22 @@ func (e *Engine) resolve(h *Handle, id string) *session {
 // session is the one registered under id, or it is empty or marked removed
 // and therefore resolves by key.
 func (e *Engine) HandleCurrent(id string, h Handle) bool {
-	if h.sess == nil {
-		return true
-	}
-	if cur, _ := e.get(id); cur == h.sess {
-		return true
-	}
-	return h.sess.removed.Load()
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	return h.sess == nil || h.sess.removed || e.sessions[id] == h.sess
 }
 
 // roundHost runs one host's share of a round — staleness accounting,
 // (re-)anchoring, calibration, Δ_gap prediction — into pred, evaluating the
-// curve through memo. It reports whether a prediction was produced and
-// whether the host must be forgotten (the eviction itself, which mutates
-// shared state, is the caller's — serial — responsibility). The caller
-// holds the gate's write side, so roundHost takes no session lock; calls on
-// distinct hosts with distinct memos may run concurrently: the slot is the
-// caller's own, and every counter lands in the caller-owned st.
-func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction, memo *core.CurveMemo) (ok, evict bool) {
+// curve through memo. It reports whether a prediction was produced, whether
+// the host must be forgotten, and whether the prediction came from a
+// session built this round, which the slot's Handle holds: the eviction and
+// the registration, which write the session map, are the caller's — serial
+// — responsibility. The caller holds the gate's write side, so roundHost
+// takes no session lock; calls on distinct hosts with distinct memos may
+// run concurrently: the slot is the caller's own, and every counter lands
+// in the caller-owned st.
+func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction, memo *core.CurveMemo) (ok, evict, fresh bool) {
 	r := s.Reading
 	if r.AtS > nowS {
 		// Clock-skewed producer: a future-stamped reading would drive
@@ -387,7 +374,7 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// Dark beyond the eviction horizon: the host is gone, not merely
 		// degraded. Forget the session and the fossil reading so the
 		// population shrinks instead of accumulating ghosts.
-		return false, true
+		return false, true, false
 	}
 	stale := staleness > staleAfterS
 
@@ -404,8 +391,8 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		}
 	case anchored:
 		// First sight: the one allocation a session ever costs.
-		if sess = e.adopt(id, r.TempC, s.Anchor, r.AtS); sess != nil {
-			s.Handle.sess = sess
+		if sess = e.newSession(r.TempC, s.Anchor, r.AtS); sess != nil {
+			s.Handle.sess, fresh = sess, true
 			st.Reanchored++
 		}
 	}
@@ -413,7 +400,7 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// No session and no usable anchor to build one from: counted, so
 		// the blindness is observable.
 		st.AnchorFailures++
-		return false, false
+		return false, false, false
 	}
 	if !stale {
 		// Calibration: Eqs. (4)–(6) on the session's Δ_update schedule.
@@ -428,34 +415,13 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		StalenessS:   staleness,
 		Stale:        stale,
 	}
-	return true, false
-}
-
-// adopt builds a session anchored at (φ(atS), ψ_stable) and registers it
-// under id, replacing (and retiring) one a concurrent push created since the
-// round looked: the round's anchor comes from the authoritative batch model.
-// It returns nil when the anchors do not describe a valid curve.
-func (e *Engine) adopt(id string, phi0, stableC, atS float64) *session {
-	ns := new(session)
-	if e.anchor(ns, phi0, stableC, atS) != nil {
-		return nil
-	}
-	sh := e.shardFor(id)
-	sh.mu.Lock()
-	if old, had := sh.sessions[id]; had {
-		old.removed.Store(true)
-	} else {
-		e.count.Add(1)
-	}
-	sh.sessions[id] = ns
-	sh.mu.Unlock()
-	return ns
+	return true, false, fresh
 }
 
 // forget evicts a host dark beyond EvictAfterS: its session (if any) and
-// its slot's reading.
+// its slot's reading. The caller holds the gate's write side.
 func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
-	if e.Delete(id) {
+	if e.remove(id) {
 		st.Evicted++
 	}
 	st.Forgotten++
@@ -477,11 +443,12 @@ func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
 //
 // With RoundWorkers > 1 and a population of at least shard.MinHosts, the
 // per-host pass is sharded across a bounded worker pool: workers touch
-// disjoint slots, evictions are deferred to a serial sweep, and dst is
-// filled in slot order afterwards — so results (predictions, their order,
-// and the round stats) are identical to the serial pass. The round holds
-// the gate's write side for its pass, so rounds serialize and a push
-// arriving mid-pass applies after it.
+// disjoint slots and only read the session map, evictions and first-sight
+// registrations are deferred to a serial sweep, and dst is filled in slot
+// order afterwards — so results (predictions, their order, and the round
+// stats) are identical to the serial pass. The round holds the gate's write
+// side for its pass, so rounds serialize and a push arriving mid-pass
+// applies after it.
 func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	e.gate.Lock()
 	defer e.gate.Unlock()
@@ -504,7 +471,10 @@ func (e *Engine) pass(dst []Prediction, nowS float64, ids []string, slots []Slot
 		// The prediction is written in place, into a cell kept only if ok.
 		n := len(dst)
 		dst = slices.Grow(dst, 1)[:n+1]
-		ok, evict := e.roundHost(nowS, ids[i], s, &st, &dst[n], memo)
+		ok, evict, fresh := e.roundHost(nowS, ids[i], s, &st, &dst[n], memo)
+		if fresh {
+			e.insert(ids[i], s.Handle.sess)
+		}
 		if evict {
 			e.forget(ids[i], s, &st)
 		}
@@ -551,16 +521,16 @@ func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest ma
 
 // roundSlot is one host's result cell in the sharded round.
 type roundSlot struct {
-	pred      Prediction
-	ok, evict bool
+	pred             Prediction
+	ok, evict, fresh bool
 }
 
 // roundSharded is the parallel round body: shard.Run chunks the slot range
 // into per-index scratch (at least 256 hosts a chunk, so each amortizes its
 // goroutine), each chunk with its own memo and stats (the engine keeps
 // them: at most RoundWorkers), stats are merged in chunk order, and
-// evictions and the in-order dst fill are applied serially, all under the
-// caller's hold on the gate.
+// evictions, first-sight registrations and the in-order dst fill are
+// applied serially, all under the caller's hold on the gate.
 func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
 	const minPerChunk = 256
 	n := len(slots)
@@ -581,8 +551,8 @@ func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slot
 		st, memo := &stats[lo/size], e.memos[lo/size]
 		for i := lo; i < hi; i++ {
 			res := &scratch[i]
-			if res.ok, res.evict = false, false; slots[i].Present {
-				res.ok, res.evict = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred, memo)
+			if res.ok, res.evict, res.fresh = false, false, false; slots[i].Present {
+				res.ok, res.evict, res.fresh = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred, memo)
 			}
 		}
 		return nil
@@ -597,6 +567,9 @@ func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slot
 		}
 	}
 	for i := range scratch {
+		if scratch[i].fresh {
+			e.insert(ids[i], slots[i].Handle.sess)
+		}
 		if scratch[i].evict {
 			e.forget(ids[i], &slots[i], &st)
 		} else if scratch[i].ok {

@@ -329,12 +329,12 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentLifecycle hammers the sharded engine with the mix the
+// TestEngineConcurrentLifecycle hammers the engine with the mix the
 // fleet runs: goroutines push readings through PredictFresh (creating
 // sessions inline from a warm anchor) and delete every other host they
 // created, while a round loop runs over a disjoint host population. Run
-// under -race (CI does) this is the locking correctness test of the shard
-// maps and the round gate.
+// under -race (CI does) this is the locking correctness test of the session
+// map and the round gate.
 func TestEngineConcurrentLifecycle(t *testing.T) {
 	e := testEngine(t, nil)
 
@@ -437,7 +437,7 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 			now += 200 // large steps: some hosts go stale, then evict
 			for i, id := range order {
 				// Starve one host in three after round 2 (stale → evicted);
-				// move anchors on a stripe to force re-anchors.
+				// move anchors on every fifth host to force re-anchors.
 				if round < 3 || i%3 != 0 {
 					r := latest[id]
 					r.AtS = now

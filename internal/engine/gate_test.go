@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 )
 
@@ -107,6 +108,80 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 				t.Fatalf("capture %d holds %s at %v beside %s at %v: it cut a round in two",
 					captures, s.ID, s.LastAtS, st.Sessions[0].ID, at)
 			}
+		}
+	}
+}
+
+// TestFirstSightRacesShardedRound: a sharded round and pushes with a warm
+// anchor meet hosts for the first time together. The round's workers only
+// build sessions, its serial sweep registers them, and a push registers
+// under the gate's write side after checking the map again, so every host
+// ends with exactly one session and every slot handle obeys the validity
+// rule (under -race, a worker writing the map is a concurrent map write).
+func TestFirstSightRacesShardedRound(t *testing.T) {
+	const hosts, waves, pushers = 2 * shard.MinHosts, 16, 4
+	e := testEngine(t, func(c *Config) { c.RoundWorkers = 4 })
+	ids, slots := gateFleet(hosts)
+	readings := make([]telemetry.Reading, hosts)
+	for i := range slots {
+		slots[i].Present = false
+		readings[i] = slots[i].Reading
+	}
+	warm := func(telemetry.Reading) (float64, bool) { return 60, true }
+	var dst []Prediction
+	for w := 0; w < waves; w++ {
+		// Wave w is every waves-th host, so each of the round's chunks
+		// meets some of its hosts first.
+		now := 15 * float64(w)
+		stamp(slots, now)
+		var fresh []telemetry.Reading
+		for i := w; i < hosts; i += waves {
+			slots[i].Present = true
+			readings[i].AtS = now
+			fresh = append(fresh, readings[i])
+		}
+		// Every pusher walks the wave in the same order, one reading or
+		// eight at a time, so pushes meet on a host; the round starts once
+		// a push has landed, so it meets hosts both before and after them.
+		began := make(chan struct{}, pushers)
+		var wg sync.WaitGroup
+		for p := 0; p < pushers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var st StreamStats
+				var pred Prediction
+				for k := 0; k < len(fresh); k += 8 {
+					if p%2 == 1 {
+						e.ObserveBatch(fresh[k:min(k+8, len(fresh))], warm)
+					} else {
+						e.PredictFresh(fresh[k], warm, &st, &pred)
+					}
+					if k == 0 {
+						began <- struct{}{}
+					}
+				}
+			}()
+		}
+		<-began
+		dst, _ = e.RoundSlots(dst[:0], now, ids, slots)
+		wg.Wait()
+	}
+	if n := e.Len(); n != hosts {
+		t.Fatalf("Len() = %d, want %d", n, hosts)
+	}
+	snap := e.Snapshot()
+	if len(snap.Sessions) != hosts {
+		t.Fatalf("snapshot holds %d sessions, want %d", len(snap.Sessions), hosts)
+	}
+	for i := 1; i < len(snap.Sessions); i++ {
+		if snap.Sessions[i].ID == snap.Sessions[i-1].ID {
+			t.Fatalf("snapshot lists %s twice", snap.Sessions[i].ID)
+		}
+	}
+	for i, id := range ids {
+		if !e.HandleCurrent(id, slots[i].Handle) {
+			t.Fatalf("host %s caches a handle to a session no longer under its id", id)
 		}
 	}
 }

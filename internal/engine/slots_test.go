@@ -128,7 +128,7 @@ func TestSlotHandlesUnderChurn(t *testing.T) {
 		now := float64(round) * 15
 		for i := range slots {
 			slots[i].Reading.AtS = now
-			// Drop the anchor on a moving stripe: those hosts only get a
+			// Drop the anchor on a moving quarter: those hosts only get a
 			// session back when a push creates one.
 			slots[i].Anchor = 60
 			if (i+round)%4 == 0 {

@@ -37,21 +37,16 @@ type State struct {
 func (e *Engine) Snapshot() State {
 	var st State
 	e.gate.RLock()
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.RLock()
-		for id, sess := range sh.sessions {
-			sess.mu.Lock()
-			st.Sessions = append(st.Sessions, SessionState{
-				ID:        id,
-				Predictor: sess.pred.State(),
-				StableC:   sess.stable,
-				AnchorAtS: sess.anchorAt,
-				LastAtS:   sess.lastAtS,
-			})
-			sess.mu.Unlock()
-		}
-		sh.mu.RUnlock()
+	for id, sess := range e.sessions {
+		sess.mu.Lock()
+		st.Sessions = append(st.Sessions, SessionState{
+			ID:        id,
+			Predictor: sess.pred.State(),
+			StableC:   sess.stable,
+			AnchorAtS: sess.anchorAt,
+			LastAtS:   sess.lastAtS,
+		})
+		sess.mu.Unlock()
 	}
 	e.gate.RUnlock()
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
@@ -61,37 +56,32 @@ func (e *Engine) Snapshot() State {
 // Restore replaces the engine's entire session population with the captured
 // state. Existing sessions are discarded; the engine configuration is kept
 // (each session's curve and calibration config travel inside its predictor
-// state).
-// On error the engine is left empty rather than half-restored.
+// state). Every session is built before any is installed, and all are
+// installed under one hold of the gate's write side. On error the engine is
+// left empty rather than half-restored.
 func (e *Engine) Restore(st State) error {
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for _, sess := range sh.sessions {
-			sess.removed.Store(true)
-		}
-		clear(sh.sessions)
-		sh.mu.Unlock()
-	}
-	e.count.Store(0)
-	for _, ss := range st.Sessions {
+	sessions := make(map[string]*session, len(st.Sessions))
+	var err error
+	for i, ss := range st.Sessions {
 		if ss.ID == "" {
-			return fmt.Errorf("engine: restore: session %d has empty id", len(st.Sessions))
+			err = fmt.Errorf("engine: restore: session %d has empty id", i)
+		} else if _, dup := sessions[ss.ID]; dup {
+			err = fmt.Errorf("engine: restore: duplicate session id %q", ss.ID)
+		} else if pred, perr := core.RestorePredictor(ss.Predictor); perr != nil {
+			err = fmt.Errorf("engine: restore session %q: %w", ss.ID, perr)
+		} else {
+			sessions[ss.ID] = &session{pred: *pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
+			continue
 		}
-		pred, err := core.RestorePredictor(ss.Predictor)
-		if err != nil {
-			return fmt.Errorf("engine: restore session %q: %w", ss.ID, err)
-		}
-		sess := &session{pred: *pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
-		sh := e.shardFor(ss.ID)
-		sh.mu.Lock()
-		if _, dup := sh.sessions[ss.ID]; dup {
-			sh.mu.Unlock()
-			return fmt.Errorf("engine: restore: duplicate session id %q", ss.ID)
-		}
-		sh.sessions[ss.ID] = sess
-		sh.mu.Unlock()
-		e.count.Add(1)
+		clear(sessions)
+		break
 	}
-	return nil
+	e.gate.Lock()
+	for _, sess := range e.sessions {
+		sess.removed = true
+	}
+	e.sessions = sessions
+	e.count.Store(int64(len(sessions)))
+	e.gate.Unlock()
+	return err
 }

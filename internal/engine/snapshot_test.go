@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +108,25 @@ func TestRestoreReplacesPopulation(t *testing.T) {
 	}
 	if _, _, err := e.predict("stray", 0); err == nil {
 		t.Fatal("pre-restore session survived Restore")
+	}
+}
+
+// TestRestoreErrorLeavesEngineEmpty: a bad entry fails the whole restore —
+// neither the entries before it nor the sessions the engine held stay — and
+// the error names the entry by its index.
+func TestRestoreErrorLeavesEngineEmpty(t *testing.T) {
+	st := buildWarmEngine(t).Snapshot()
+	st.Sessions[1].ID = ""
+	e := testEngine(t, nil)
+	if e.adopt("stray", 30, 50, 0) == nil {
+		t.Fatal("valid anchors refused")
+	}
+	err := e.Restore(st)
+	if err == nil || !strings.Contains(err.Error(), "session 1 has empty id") {
+		t.Fatalf("restore error %v, want one naming session 1", err)
+	}
+	if n, snap := e.Len(), e.Snapshot(); n != 0 || len(snap.Sessions) != 0 {
+		t.Fatalf("failed restore left %d sessions (%d in a snapshot), want none", n, len(snap.Sessions))
 	}
 }
 

@@ -20,10 +20,10 @@ import "vmtherm/internal/telemetry"
 // AnchorLookup resolves a ψ_stable anchor for a host that has no session
 // yet — the inline warm case, typically backed by the fleet's anchor cache.
 // Returning ok=false defers the host to the next batch round (which runs
-// the full batch model); the lookup must be safe for concurrent calls and
-// must not block on model evaluation. It runs under the round gate's read
-// side: it must not call back into the engine or block on a lock a round's
-// caller holds (the fleet's lookup only TryLocks its round lock).
+// the full batch model); the lookup must not block on model evaluation. It
+// runs under the round gate's write side: of the engine it may call only
+// Len, and it must not block on a lock a round's caller holds (the fleet's
+// lookup only TryLocks its round lock).
 type AnchorLookup func(r telemetry.Reading) (stableC float64, ok bool)
 
 // StreamStats summarizes one streaming call.
@@ -49,9 +49,11 @@ type StreamStats struct {
 // not nil it also writes the Δ_gap-ahead prediction at the reading's own
 // timestamp, under the same session lock. The caller holds the gate's read
 // side, so a round re-anchoring the session cannot slip between the
-// reading's calibration and the prediction made from it. Reports false when
-// the reading was deferred or rejected. The warm path — session exists —
-// takes one shard RLock and one session lock and does not allocate.
+// reading's calibration and the prediction made from it; for a host without
+// a session observeOne trades it for the write side, creates and applies
+// there, and takes the read side back. Reports false when the reading was
+// deferred or rejected. The warm path — session exists — takes one session
+// lock and does not allocate.
 //
 // Out-of-order arrivals degrade gracefully: the calibrator ignores
 // observations that do not advance its Δ_update schedule, and lastAtS is
@@ -64,34 +66,21 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 		st.Rejected++
 		return false
 	}
-	sess, _ := e.get(r.HostID)
+	sess := e.sessions[r.HostID]
 	if sess == nil {
 		if anchor == nil {
 			st.Deferred++
 			return false
 		}
-		stableC, ok := anchor(r)
-		if !ok {
-			st.Deferred++
+		e.gate.RUnlock()
+		e.gate.Lock()
+		defer func() {
+			e.gate.Unlock()
+			e.gate.RLock()
+		}()
+		if sess = e.create(r, anchor, st); sess == nil {
 			return false
 		}
-		ns := new(session)
-		if e.anchor(ns, r.TempC, stableC, r.AtS) != nil {
-			st.Deferred++
-			return false
-		}
-		sh := e.shardFor(r.HostID)
-		sh.mu.Lock()
-		if cur, had := sh.sessions[r.HostID]; had {
-			// Lost a create race (concurrent push or round); theirs wins.
-			sess = cur
-		} else {
-			sh.sessions[r.HostID] = ns
-			sess = ns
-			e.count.Add(1)
-			st.Created++
-		}
-		sh.mu.Unlock()
 	}
 	sess.mu.Lock()
 	sess.feed(r.AtS, r.TempC, nil)
@@ -107,12 +96,33 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 	return true
 }
 
+// create returns the session of r's host under the gate's write side: the
+// one a push or a round registered since the caller looked, or a new one
+// anchored at the lookup's warm ψ_stable. It returns nil, counting the
+// reading deferred, when the lookup has no anchor or an unusable one.
+func (e *Engine) create(r telemetry.Reading, anchor AnchorLookup, st *StreamStats) *session {
+	if s := e.sessions[r.HostID]; s != nil {
+		return s
+	}
+	if stableC, ok := anchor(r); ok {
+		if s := e.newSession(r.TempC, stableC, r.AtS); s != nil {
+			e.insert(r.HostID, s)
+			st.Created++
+			return s
+		}
+	}
+	st.Deferred++
+	return nil
+}
+
 // ObserveBatch applies a batch of pushed readings to their sessions on
 // arrival. Hosts without a session are created inline when anchor resolves
 // a warm ψ_stable, otherwise counted as deferred for the next batch round.
 // Safe for concurrent use with Round, PredictFresh, and itself: the batch
 // holds the gate's read side, so it applies whole between two rounds'
-// passes. The warm path (all sessions exist) performs zero allocations.
+// passes unless a host in it has no session yet — that host is created
+// under the write side, which a waiting round may take first. The warm path
+// (all sessions exist) performs zero allocations.
 func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup) StreamStats {
 	var st StreamStats
 	e.gate.RLock()
@@ -129,8 +139,9 @@ func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup)
 // staleness is zero by construction. Reports whether a prediction was
 // produced (false when the host was deferred). The reading is applied and
 // the prediction made under one hold of the gate's read side and one
-// session lock: the prediction always comes from the curve the reading
-// calibrated. Allocation-free on the warm path.
+// session lock (the write side, for a host seen first here): the prediction
+// always comes from the curve the reading calibrated. Allocation-free on the
+// warm path.
 func (e *Engine) PredictFresh(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {
 	e.gate.RLock()
 	ok := e.observeOne(r, anchor, st, pred)

@@ -166,8 +166,8 @@ func TestStreamObserveZeroAllocWarm(t *testing.T) {
 
 // TestStreamConcurrentWithRound hammers the composition under -race:
 // ObserveBatch, Predict and PredictFresh run concurrently with batch
-// rounds over overlapping hosts, plus create/delete churn on a disjoint
-// stripe. Correctness here is no data race, no lost sessions, and every
+// rounds over overlapping hosts, plus create/delete churn on disjoint
+// hosts. Correctness here is no data race, no lost sessions, and every
 // prediction finite.
 func TestStreamConcurrentWithRound(t *testing.T) {
 	e := testEngine(t, nil)

@@ -45,12 +45,12 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/engine"
+	"vmtherm/internal/shard"
 	"vmtherm/internal/workload"
 )
 
@@ -73,36 +73,6 @@ type stableScratch struct {
 	memo dataset.ProfileMemo
 }
 
-// scratchList is StableBatchPredictor's free list of scratch. Unlike a
-// sync.Pool, which the garbage collector empties, it keeps a scratch across
-// any number of collections, so a caller that predicts once a round does
-// not re-make its megabyte of buffers after two cycles; it holds at most as
-// many as ever ran at once.
-type scratchList struct {
-	mu   sync.Mutex
-	free []*stableScratch
-}
-
-// get takes a scratch off the list, or makes one.
-func (l *scratchList) get() *stableScratch {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.free)
-	if n == 0 {
-		return new(stableScratch)
-	}
-	s := l.free[n-1]
-	l.free = l.free[:n-1]
-	return s
-}
-
-// put returns s to the list.
-func (l *scratchList) put(s *stableScratch) {
-	l.mu.Lock()
-	l.free = append(l.free, s)
-	l.mu.Unlock()
-}
-
 // StableBatchPredictor adapts a trained stable model into the batch shape
 // the controller fans prediction rounds through. horizonS is the averaging
 // horizon for dynamic profiles (use the experiment duration, e.g. 1800).
@@ -111,11 +81,13 @@ func (l *scratchList) put(s *stableScratch) {
 // (read-only) model. Consecutive cases that share a VM's task list — a
 // placement wave's candidate — integrate its profiles once per call.
 func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCasePredictor {
-	var scratch scratchList
+	// A free list, not a sync.Pool: a caller that predicts once a round
+	// keeps its megabyte of buffers across collections.
+	var scratch shard.FreeList[stableScratch]
 	nf := dataset.NumFeatures()
 	return func(cases []workload.Case) ([]float64, error) {
-		s := scratch.get()
-		defer scratch.put(s)
+		s := scratch.Get()
+		defer scratch.Put(s)
 		s.memo.Reset()
 		if cap(s.feat) < len(cases)*nf {
 			s.feat = make([]float64, len(cases)*nf)

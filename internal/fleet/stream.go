@@ -186,9 +186,10 @@ func newStreamState(c *Controller) *streamState {
 // simulated fleets defer (their cache keys are deployment fingerprints, a
 // different namespace), a round in flight defers (the cache wants the
 // round lock; TryLock never blocks the push path, which holds the engine's
-// round gate for reading here while a round holding the round lock may be
+// round gate for writing here while a round holding the round lock may be
 // waiting for that gate), and a population at the MaxHosts bound defers
-// rather than grow the engine past it.
+// rather than grow the engine past it. Of the engine it calls only Len,
+// which takes no lock.
 func (c *Controller) warmAnchor(r telemetry.Reading) (float64, bool) {
 	if c.sub != nil {
 		return 0, false

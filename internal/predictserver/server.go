@@ -104,10 +104,10 @@ type Server struct {
 	ckptStatus func() checkpoint.Status
 	// metrics are the /metrics exposition counters.
 	metrics serverMetrics
-	// scratch pools PredictScratch instances across batch requests so the
-	// stable-batch hot path reuses scaled-feature and kernel buffers instead
-	// of allocating them per chunk.
-	scratch sync.Pool
+	// scratch keeps PredictScratch instances across batch requests, and
+	// across collections, so the stable-batch hot path reuses scaled-feature
+	// and kernel buffers instead of allocating them per chunk.
+	scratch shard.FreeList[core.PredictScratch]
 }
 
 // serverMetrics counts served work for the /metrics exposition.
@@ -315,15 +315,11 @@ func (s *Server) serveStableBatch(w http.ResponseWriter, r *http.Request, sc *wi
 	sc.writeWire(w, &sc.temps)
 }
 
-// predictInto predicts rows into out on a pooled scratch.
+// predictInto predicts rows into out on a scratch off the free list.
 func (s *Server) predictInto(rows [][]float64, out []float64) error {
-	scratch, _ := s.scratch.Get().(*core.PredictScratch)
-	if scratch == nil {
-		scratch = new(core.PredictScratch)
-	}
-	err := s.model.PredictBatchInto(rows, out, scratch)
-	s.scratch.Put(scratch)
-	return err
+	scratch := s.scratch.Get()
+	defer s.scratch.Put(scratch)
+	return s.model.PredictBatchInto(rows, out, scratch)
 }
 
 // writeJSON encodes v before the status line goes out, so a value

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -420,6 +421,40 @@ func TestStableBatchBadRows(t *testing.T) {
 	}
 }
 
+// TestPredictScratchSurvivesGC: the stable-batch kernel's scratch stays on
+// the server's free list across garbage collections. After two runtime.GC()
+// calls between calls of one batch size (a sync.Pool would have dropped it
+// by then), a call allocates nothing.
+func TestPredictScratchSurvivesGC(t *testing.T) {
+	m, rec := testModel(t)
+	srv, err := New(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, 128)
+	for i := range rows {
+		rows[i] = rec.Features
+	}
+	out := make([]float64, len(rows))
+	if err := srv.predictInto(rows, out); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := srv.predictInto(rows, out)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; n != 0 {
+			t.Fatalf("call %d after two collections: %d allocations, %d B; want none", i, n, bytes)
+		}
+	}
+}
+
 // TestStableBatchNamesRequestRow: a 422 names the bad row by its index in
 // the request and, with several bad rows, the lowest — whichever chunk of
 // the split batch found it first.
@@ -613,7 +648,8 @@ func TestBatchTooLarge(t *testing.T) {
 }
 
 // TestConcurrentBatchEndpoints drives the batch HTTP surface from many
-// goroutines at once to exercise the split batches and striped locks together.
+// goroutines at once to exercise the split batches and the session store's
+// locks together.
 func TestConcurrentBatchEndpoints(t *testing.T) {
 	_, ts, rec := newTestServer(t)
 

@@ -3,7 +3,8 @@
 // into contiguous chunks (the simulated fleet's rack ticks and scans, the
 // control plane's anchor batches, the engine round, the server's batch
 // handlers); Each hands out single indices in order (the Eq. (2) training
-// experiments and the grid search's points, whose costs vary).
+// experiments and the grid search's points, whose costs vary). FreeList
+// keeps the working memory such fan-outs reuse across calls.
 package shard
 
 import (
@@ -50,6 +51,37 @@ func Run(n, workers, minPer int, fn func(lo, hi int) error) error {
 	}
 	wg.Wait()
 	return cmp.Or(errs...)
+}
+
+// FreeList is a free list of *T for callers that reuse working memory
+// across calls, concurrent ones included. Unlike a sync.Pool, which the
+// garbage collector empties, it keeps its items across any number of
+// collections, so a caller that needs its scratch once a round does not
+// re-make it after two cycles; it holds at most as many items as were ever
+// out at once. The zero FreeList is empty and ready to use.
+type FreeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get takes an item off the list, or makes a zero one.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free = l.free[:n-1]
+	return x
+}
+
+// Put returns x to the list.
+func (l *FreeList[T]) Put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
 }
 
 // Each calls fn(i) for every i in [0, n), handing the indices out in
