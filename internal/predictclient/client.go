@@ -256,7 +256,13 @@ func (c *Client) FleetIngestPredict(ctx context.Context, readings []predictserve
 func (c *Client) fleetIngest(ctx context.Context, req *predictserver.FleetIngestRequest) (*predictserver.FleetIngestResponse, error) {
 	out := new(predictserver.FleetIngestResponse)
 	if req.Predict {
-		out.Predictions = make([]predictserver.FleetIngestPrediction, 0, len(req.Readings))
+		// The answers echo the request's host_ids in order; seeded here,
+		// the parser keeps these strings instead of allocating its own.
+		out.Predictions = make([]predictserver.FleetIngestPrediction, len(req.Readings))
+		for k := range out.Predictions {
+			out.Predictions[k].HostID = req.Readings[k].HostID
+		}
+		out.Predictions = out.Predictions[:0]
 	}
 	if err := c.postWire(ctx, "/v1/fleet/ingest", req, out); err != nil {
 		return nil, err

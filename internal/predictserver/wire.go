@@ -25,11 +25,25 @@ package predictserver
 // (wirefloat.go: parseNumber, appendFloat). strconv is left with integers on
 // the way out and with the literals parseNumber's fast paths decline — one
 // ParseFloat call, there.
+//
+// Strings — every key and every id — are scanned eight bytes a step:
+// wireParser.str loads a word of the body and flags a quote, a backslash, a
+// control byte or a byte ≥ 0x80 in it (strStops); a quote as the first flag
+// closes the string, any other flag and the last few bytes of a body go to
+// a byte loop. wireEncoder.str flags those and <, > and & (escStops) over
+// the string's words and leaves the rest of the string from the first flag,
+// and its tail, to a rune loop. An ingest answer echoes the request's
+// host_ids in order, so predictclient seeds its reply's predictions with
+// them and FleetIngestResponse.ParseJSON keeps the string an element
+// already holds when the echoed bytes spell it: an answered push allocates
+// no host_id.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 )
@@ -68,6 +82,40 @@ func DecodeWire(body []byte, v WireMessage) error {
 		return nil
 	}
 	return json.NewDecoder(bytes.NewReader(body)).Decode(v)
+}
+
+// The string scans test eight bytes a step, as one little-endian word. A
+// byte of interest becomes a zero byte (by XOR with it repeated, or by
+// subtracting the bound of a range), and a zero byte shows as a set high
+// bit after subtracting 0x01 from every byte. A borrow only starts at a
+// byte that matched and only runs upwards, so a flag above the lowest one
+// may be false but the lowest one is exact: bits.TrailingZeros64(m)>>3 is
+// the offset of the first byte of interest.
+const (
+	lanes01 = 0x0101010101010101
+	lanes80 = 0x8080808080808080
+)
+
+// strStops flags the bytes of w a string scan stops at: '"', '\\', control
+// bytes (< 0x20) and bytes ≥ 0x80. A byte ≥ 0x80 flags itself, which also
+// covers every difference that exceeds 0x7F without a borrow.
+func strStops(w uint64) uint64 {
+	q, bs := w^(lanes01*'"'), w^(lanes01*'\\')
+	return (w | (q - lanes01) | (bs - lanes01) | (w - lanes01*0x20)) & lanes80
+}
+
+// escStops is strStops plus the HTML set encoding/json escapes: <, > and &.
+func escStops(w uint64) uint64 {
+	lt, gt, amp := w^(lanes01*'<'), w^(lanes01*'>'), w^(lanes01*'&')
+	return strStops(w) | ((lt-lanes01)|(gt-lanes01)|(amp-lanes01))&lanes80
+}
+
+// stringWord is s[:8] as a little-endian word; the compiler merges the
+// eight loads into one.
+func stringWord(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // wireEncoder appends JSON tokens; bad latches the first value the typed
@@ -144,8 +192,17 @@ func (e *wireEncoder) floats(fs []float64) {
 // str appends s quoted. Anything encoding/json would escape or rewrite
 // (quotes, backslash, control bytes, the HTML set <>&, U+2028/9, invalid
 // UTF-8) is left to it; other non-ASCII text it writes as is, and so does str.
+// Eight bytes are checked a step; from the first byte escStops flags, and
+// for the tail of fewer than eight, the rune loop decides.
 func (e *wireEncoder) str(s string) {
-	for i := 0; i < len(s); {
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		if m := escStops(stringWord(s[i:])); m != 0 {
+			i += bits.TrailingZeros64(m) >> 3
+			break
+		}
+	}
+	for i < len(s) {
 		c := s[i]
 		if c < utf8.RuneSelf {
 			if c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
@@ -225,12 +282,27 @@ func (p *wireParser) end() bool {
 
 // str consumes a string literal and returns its bytes, which alias the
 // body. Escapes, control bytes and invalid UTF-8 (which encoding/json
-// rewrites to U+FFFD) are not claimed.
+// rewrites to U+FFFD) are not claimed. Eight bytes are scanned a step: a
+// quote as the first byte strStops flags closes the string, anything else
+// it flags (and a tail of fewer than eight) goes to the byte loop.
 func (p *wireParser) str() ([]byte, bool) {
 	if !p.next('"') {
 		return nil, false
 	}
 	start, high := p.i, false
+	for p.i+8 <= len(p.b) {
+		m := strStops(binary.LittleEndian.Uint64(p.b[p.i:]))
+		if m == 0 {
+			p.i += 8
+			continue
+		}
+		if p.i += bits.TrailingZeros64(m) >> 3; p.b[p.i] == '"' {
+			s := p.b[start:p.i]
+			p.i++
+			return s, true
+		}
+		break
+	}
 	for ; p.i < len(p.b); p.i++ {
 		switch c := p.b[p.i]; {
 		case c == '"':
@@ -571,8 +643,14 @@ func (r *FleetIngestResponse) ParseJSON(body []byte) bool {
 		case "predictions":
 			resp.Predictions = sized(r.Predictions, 0)
 			return seen.first(32) && p.array(func() bool {
+				// The element this one overwrites may already hold its
+				// host_id: predictclient seeds the request's.
+				var was string
+				if k := len(resp.Predictions); k < cap(resp.Predictions) {
+					was = resp.Predictions[:k+1][k].HostID
+				}
 				var pr FleetIngestPrediction
-				ok := pr.parse(&p)
+				ok := pr.parse(&p, was)
 				resp.Predictions = append(resp.Predictions, pr)
 				return ok
 			})
@@ -603,13 +681,17 @@ func intern(b []byte, known []string) string {
 	return string(b)
 }
 
-func (pr *FleetIngestPrediction) parse(p *wireParser) bool {
+// parse reads one prediction; its host_id is was, without an allocation,
+// when the bytes spell it.
+func (pr *FleetIngestPrediction) parse(p *wireParser, was string) bool {
 	var seen seenKeys
 	return p.object(func(k []byte) bool {
 		switch string(k) {
 		case "host_id":
 			id, ok := p.str()
-			pr.HostID = string(id)
+			if pr.HostID = was; string(id) != was {
+				pr.HostID = string(id)
+			}
 			return ok && seen.first(1)
 		case "outcome":
 			out, ok := p.str()

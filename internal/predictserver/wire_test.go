@@ -225,6 +225,17 @@ var ingestBodySeeds = []struct {
 	{`{}`, true},
 	{`{"readings":[{"host_id":"hôte-é","at_s":1,"temp_c":2}]}`, true},
 	{`{"readings":[{"host_id":"","at_s":1,"temp_c":2}]}`, true},
+	// host_ids whose word boundaries fall on and around the bytes the
+	// string scan stops at.
+	{`{"readings":[{"host_id":"r00-h000","at_s":1,"temp_c":2}]}`, true},
+	{`{"readings":[{"host_id":"compute-rack00-node000","at_s":1,"temp_c":2}]}`, true},
+	{`{"readings":[{"host_id":"compute<rack00>node&00","at_s":1,"temp_c":2}]}`, true},
+	{`{"readings":[{"host_id":"compute-rack00-nodé","at_s":1,"temp_c":2}]}`, true},
+	{"{\"readings\":[{\"host_id\":\"compute-\x01ack00\",\"at_s\":1}]}", false},
+	{"{\"readings\":[{\"host_id\":\"compute-rack00-\xffode000\",\"at_s\":1}]}", false},
+	{`{"readings":[{"host_id":"compute-rack00\"node000","at_s":1}]}`, false},
+	{`{"readings":[{"host_id":"compute-rack00-node000"`, false},
+	{`{"readings":[{"host_id":"compute-rack00-node0`, false},
 	{"{\"readings\":[{\"host_id\":\"bad\xffutf8\",\"at_s\":1}]}", false},
 	{`{"readings":[{"host_id":"esc\"aped","at_s":1}]}`, false},
 	{`{"readings":[{"host_id":"uni\u0041","at_s":1}]}`, false},
@@ -318,6 +329,11 @@ var responseBodySeeds = []string{
 	`{"accepted":1,"accepted":2}`,
 	`{"accepted":"1"}`,
 	`{"predictions":[{"host_id":"a\n"}]}`,
+	`{"accepted":1,"dropped":0,"predictions":[{"host_id":"compute-rack00-node000","outcome":"streamed","predicted_temp_c":61.5}]}`,
+	`{"predictions":[{"host_id":"compute-\u0072ack00","outcome":"streamed"}]}`,
+	"{\"predictions\":[{\"host_id\":\"compute-rack00\x1fnode\",\"outcome\":\"dropped\"}]}",
+	`{"predictions":[{"host_id":"r00-h000","outcome":"streame`,
+	`{"results":[{"vm_id":"vm-00004096","status":"placed","host_id":"r15-h28<>&","predicted_stable_c":61.8}],"placed":1,"queued":0,"rejected":0}`,
 	`{"predictions":[{"host_id":"a","outcome":"streamed","outcome":"dropped"}]}`,
 	`{"predictions":null}`,
 	`{"results":[{"vm_id":"vm-1","status":"placed","host_id":"r0-h1","predicted_stable_c":61.8}],"placed":1,"queued":0,"rejected":0}`,
@@ -670,9 +686,10 @@ func mustMarshal(t testing.TB, v any) []byte {
 // pins the round: parsing a 128×16 stable batch and encoding its reply, and
 // encoding and parsing on the client's side of both routes, allocate
 // nothing; parsing a 64-reading ingest allocates the 64 host_id strings the
-// pipeline keeps, and parsing its reply the 64 the caller keeps. A 16-VM
-// placement is the same: its ids on the server, the ids and host ids on the
-// client; statuses are interned.
+// pipeline keeps, and parsing its reply none: the message already holds
+// those host_ids from the last parse, as predictclient seeds them from the
+// request. A 16-VM placement allocates its ids on the server, the ids and
+// host ids on the client; statuses are interned.
 func TestWireCodecZeroAlloc(t *testing.T) {
 	fx := wireFixtures()
 	stable, temps, ingest, answer, place, placed := fx.stable, fx.temps, fx.ingest, fx.answer, fx.place, fx.placed
@@ -711,7 +728,7 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 			return ok
 		}},
 		{"ingest request parse", 64, func() bool { return gotIngest.ParseJSON(ingestBody) }},
-		{"ingest response parse", 64, func() bool { return gotAnswer.ParseJSON(answerBody) }},
+		{"ingest response parse", 0, func() bool { return gotAnswer.ParseJSON(answerBody) }},
 		{"place request append + response append", 0, func() bool {
 			_, ok := place.AppendJSON(buf[:0])
 			_, ok2 := placed.AppendJSON(buf[:0])
@@ -1112,5 +1129,177 @@ func BenchmarkPlaceBatchWire(b *testing.B) {
 				b.Fatal("the exchange does not round-trip the fixture")
 			}
 		})
+	}
+}
+
+// heldOutRows is a 128×16 request shaped like the held-out rows bench/e2e's
+// sched_stable sends: the host shape and the VM and task counts are short
+// literals; the ambient, the demand means and the task-class fractions
+// (k of 5–12 tasks) are full-precision doubles unless the fraction is short.
+// 44% of its literals are 16–19 characters and nearly all the rest 1–6.
+func heldOutRows() StableBatchRequest {
+	g := rand.New(rand.NewSource(31))
+	req := StableBatchRequest{Rows: make([][]float64, 128)}
+	for i := range req.Rows {
+		vms, tasks := 1+g.Intn(8), 5+g.Intn(8)
+		row := []float64{2.4, 64, 4, 20 + 10*g.Float64(),
+			float64(vms), float64(2 * vms), float64(4 * vms),
+			float64(vms) * g.Float64(), float64(vms) * 4 * g.Float64(), float64(tasks),
+			g.Float64(), 0.5 + 0.5*g.Float64()}
+		for k := 0; k < 4; k++ {
+			row = append(row, float64(1+g.Intn(tasks-1))/float64(tasks))
+		}
+		req.Rows[i] = row
+	}
+	return req
+}
+
+// BenchmarkWire is the codec's own rung: each body bench/e2e's three typed
+// routes carry, encoded and parsed warm, in MB/s of body. Encoding is 0 B/op
+// throughout, and so is parsing a stable request or an ingest answer;
+// parsing a request allocates the ids the server keeps (64 host_ids, 16 VM
+// ids), a placement answer the ids the caller keeps (16 + 16).
+//
+//	go test -run '^$' -bench '^BenchmarkWire$' -benchmem ./internal/predictserver
+func BenchmarkWire(b *testing.B) {
+	fx := wireFixtures()
+	stable := heldOutRows()
+	for _, c := range []struct {
+		name     string
+		msg, dst WireMessage
+	}{
+		{"stable-request", &stable, new(StableBatchRequest)},
+		{"ingest-request", &fx.ingest, new(FleetIngestRequest)},
+		{"ingest-response", &fx.answer, new(FleetIngestResponse)},
+		{"place-request", &fx.place, new(FleetPlaceBatchRequest)},
+		{"place-response", &fx.placed, new(FleetPlaceBatchResponse)},
+	} {
+		body := mustMarshal(b, c.msg)
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			buf := make([]byte, 0, 2*len(body))
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := c.msg.AppendJSON(buf[:0]); !ok {
+					b.Fatal("typed encoder stepped aside")
+				}
+			}
+		})
+		b.Run(c.name+"/parse", func(b *testing.B) {
+			c.dst.ParseJSON(body) // grows the reused slices once
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if !c.dst.ParseJSON(body) {
+					b.Fatal("typed parser stepped aside")
+				}
+			}
+		})
+	}
+}
+
+// TestWireStringScanMatchesOracle pins the word loops of wireParser.str and
+// wireEncoder.str at every boundary: strings of 0–24 bytes holding, at
+// every offset, a byte either loop must stop at or a multi-byte rune, ended
+// 0–9 bytes before the end of the body. The parser claims exactly the
+// literals encoding/json reads back unchanged, with the cursor where a
+// json.Decoder stops; the encoder writes exactly the strings json.Marshal
+// writes unescaped, and those bytes.
+func TestWireStringScanMatchesOracle(t *testing.T) {
+	specials := []string{"", `"`, `\`, "\x00", "\x1f", "\x7f", " ", "<", ">", "&", "/",
+		"é", "温", "\u2028", "\u2029", "\U0001F321", "\xff", "\xc3", "\xed\xa0\x80", "\x80"}
+	tails := []string{"         ", "\"\\\x01\xff<&\" ]", "},{\"k\":1}"}
+	for n := 0; n <= 24; n++ {
+		for _, sp := range specials {
+			for at := 0; at <= n; at++ {
+				if sp == "" && at > 0 {
+					break
+				}
+				s := strings.Repeat("r0-h", 7)[:at] + sp + strings.Repeat("x1_.", 7)[:n-at]
+				checkWireString(t, s, tails)
+			}
+		}
+	}
+}
+
+func checkWireString(t *testing.T, s string, tails []string) {
+	t.Helper()
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := wireEncoder{}
+	e.str(s)
+	plain := string(want) == `"`+s+`"`
+	if e.bad == plain || !e.bad && string(e.b) != string(want) {
+		t.Fatalf("encoder on %q: %q (bad %v), json.Marshal %s", s, e.b, e.bad, want)
+	}
+	for _, tail := range tails {
+		for cut := 0; cut <= 9; cut++ {
+			body := []byte(`"` + s + `"` + tail[:cut])
+			dec := json.NewDecoder(bytes.NewReader(body))
+			var v string
+			err := dec.Decode(&v)
+			end := int(dec.InputOffset())
+			claim := err == nil && v == string(body[1:end-1])
+			p := wireParser{b: body}
+			got, ok := p.str()
+			if ok != claim || ok && (string(got) != v || p.i != end) {
+				t.Fatalf("parser on %q: %q, %v, cursor %d; json %q (err %v), cursor %d",
+					body, got, ok, p.i, v, err, end)
+			}
+		}
+	}
+}
+
+// TestIngestAnswerReusesSeededHostIDs: a reply whose host_ids are the ones
+// predictclient seeded from the request parses without an allocation; a
+// reply whose host_ids differ, or lack one, parses to encoding/json's value.
+func TestIngestAnswerReusesSeededHostIDs(t *testing.T) {
+	fx := wireFixtures()
+	body := mustMarshal(t, &fx.answer)
+	seed := func(ids func(k int) string) []FleetIngestPrediction {
+		preds := make([]FleetIngestPrediction, len(fx.answer.Predictions))
+		for k := range preds {
+			preds[k].HostID = ids(k)
+		}
+		return preds[:0]
+	}
+	same := seed(func(k int) string { return fx.answer.Predictions[k].HostID })
+	var got FleetIngestResponse
+	if allocs := testing.AllocsPerRun(50, func() {
+		got = FleetIngestResponse{Predictions: same}
+		if !got.ParseJSON(body) {
+			t.Fatal("typed parser stepped aside on the fixture")
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocs parsing a reply whose host_ids were seeded", allocs)
+	}
+	if !sameIngestResponse(&got, &fx.answer) {
+		t.Fatal("seeded parse does not round-trip the fixture")
+	}
+
+	answer := fx.answer
+	answer.Predictions = slices.Clone(answer.Predictions)
+	answer.Predictions[1].HostID = ""
+	bodies := [][]byte{body, mustMarshal(t, &answer),
+		[]byte(`{"accepted":2,"dropped":0,"predictions":[{"outcome":"deferred"},{"host_id":"r00-h001","outcome":"streamed"}]}`)}
+	for _, ids := range []func(k int) string{
+		func(k int) string { return "poison" },
+		func(k int) string { return fx.answer.Predictions[k].HostID[:7] },
+		func(k int) string { return fx.answer.Predictions[k].HostID + "0" },
+		func(k int) string { return fx.answer.Predictions[(k+1)%len(fx.answer.Predictions)].HostID },
+		func(k int) string { return fx.answer.Predictions[k].HostID },
+	} {
+		for _, b := range bodies {
+			var want FleetIngestResponse
+			if err := json.Unmarshal(b, &want); err != nil {
+				t.Fatal(err)
+			}
+			got := FleetIngestResponse{Predictions: seed(ids)}
+			if err := DecodeWire(b, &got); err != nil || !sameIngestResponse(&got, &want) {
+				t.Fatalf("body %s seeded with %q:\n got  %+v (err %v)\n json %+v", b, ids(0), got, err, want)
+			}
+		}
 	}
 }

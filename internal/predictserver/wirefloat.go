@@ -27,6 +27,7 @@ package predictserver
 // the float tests to prove it.
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
@@ -318,9 +319,8 @@ const digitPairs = "00010203040506070809" +
 	"90919293949596979899"
 
 // writeDigits fills buf with d's decimal digits, zero-padded on the left.
-// Each pair costs a 32-bit divide by a constant; the 64-bit one is slower
-// and one chain is serial, which is why putDecimal splits its digits in
-// two independent halves.
+// Each pair costs a 32-bit divide by a constant: the exponent's digits and
+// mantissas of at most eight take it.
 func writeDigits(buf []byte, d uint32) {
 	i := len(buf)
 	for ; i >= 2; i -= 2 {
@@ -333,15 +333,41 @@ func writeDigits(buf []byte, d uint32) {
 	}
 }
 
-// putDecimal writes the n digits of d < 10^17 into buf[:n]: the low eight
-// and the rest each fit a uint32.
+// eightDigits is the eight decimal digits of d < 10^8, zero-padded, as
+// ASCII in a little-endian word (the first digit in the low byte). d splits
+// into two 4-digit lanes of 32 bits, each of those into two 2-digit lanes
+// of 16 and each of those into two digits of 8; a quotient is a
+// multiply-shift, exact below the lane's bound (y*10486>>20 is y/100 for
+// y < 10^4, z*103>>10 is z/10 for z < 100), and no product leaves its lane.
+func eightDigits(d uint32) uint64 {
+	v := uint64(d/1e4) | uint64(d%1e4)<<32
+	q := v * 10486 >> 20 & 0x0000007F_0000007F
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0x000F000F_000F000F
+	v = q | (v-q*10)<<8
+	return v + 0x30303030_30303030
+}
+
+// putDecimal writes the n digits of d < 10^17 into buf[:n]. Past eight
+// digits the low eight are one word, and so are the next eight of a 16- or
+// 17-digit mantissa; shorter heads take writeDigits. (One loop over words
+// measured 4% slower on the encoders.)
 func putDecimal(buf []byte, d uint64, n int) {
-	if n > 8 {
-		writeDigits(buf[n-8:n], uint32(d%1e8))
-		d /= 1e8
-		n -= 8
+	if n <= 8 {
+		writeDigits(buf[:n], uint32(d))
+		return
 	}
-	writeDigits(buf[:n], uint32(d))
+	binary.LittleEndian.PutUint64(buf[n-8:], eightDigits(uint32(d%1e8)))
+	hi, n := uint32(d/1e8), n-8
+	if n < 8 {
+		writeDigits(buf[:n], hi)
+		return
+	}
+	if n == 9 {
+		buf[0] = byte('0' + hi/1e8)
+		hi %= 1e8
+	}
+	binary.LittleEndian.PutUint64(buf[n-8:], eightDigits(hi))
 }
 
 var pow10u64 = [...]uint64{

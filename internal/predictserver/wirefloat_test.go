@@ -118,6 +118,34 @@ func TestWireFloatMatchesOracle(t *testing.T) {
 		checkPrint(t, f)
 		checkPrint(t, -f)
 	}
+	// putDecimal at every digit count, with zeros at both ends of each
+	// eight-digit half: its digits against strconv, then as doubles.
+	for n := 1; n <= 17; n++ {
+		ends := []int{0, n - 1, n - 8, n - 9, n - 16}
+		for mask := 0; mask < 1<<len(ends); mask++ {
+			digits := []byte("98765432198765432"[:n])
+			for k, at := range ends {
+				if mask&(1<<k) != 0 && at >= 0 {
+					digits[at] = '0'
+				}
+			}
+			d, err := strconv.ParseUint(string(digits), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, n)
+			if putDecimal(buf, d, n); string(buf) != string(digits) {
+				t.Fatalf("putDecimal(%d, %d) = %q", d, n, buf)
+			}
+			for _, exp := range []string{"", "e-3", "e-17", "e5"} {
+				f, err := strconv.ParseFloat(string(digits)+exp, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPrint(t, f)
+			}
+		}
+	}
 	// Every exponent with the four lowest fractions: fraction 0 is where
 	// the lower boundary is closer.
 	for e := uint64(0); e < 0x7FF; e++ {
