@@ -185,7 +185,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	var model *core.StablePredictor
-	var predict fleet.BatchCasePredictor
+	var predict fleet.Predictor
 	switch {
 	case own.synthetic:
 		predict = fleet.SyntheticStablePredictor(75)
@@ -207,7 +207,7 @@ func run(ctx context.Context, args []string) error {
 		return serveModel(ctx, shared.Addr, model)
 	}
 	cfg := fleetConfig(shared, own)
-	if predict == nil {
+	if !own.synthetic {
 		predict = fleet.StableBatchPredictor(model, cfg.HorizonS)
 	}
 	ctl, err := shared.NewController(cfg, predict)

@@ -120,12 +120,11 @@ func coolestInlet(f *substrate.Fleet, spec *workload.VMSpec) (int, error) {
 func predictedTemp(model *core.StablePredictor) func(*substrate.Fleet, *workload.VMSpec) (int, error) {
 	return func(f *substrate.Fleet, spec *workload.VMSpec) (int, error) {
 		best, bestTemp := -1, math.Inf(1)
-		var arena []workload.VMSpec
 		for i := range f.IDs() {
 			if !f.Host(i).CanAdmit(spec.Config) {
 				continue
 			}
-			state, err := f.HostCase(i, f.Inlet(i), spec, &arena)
+			state, err := substrate.HostStateCase(f.Host(i), fanCount, f.Inlet(i), spec)
 			if err != nil {
 				return -1, err
 			}
@@ -133,7 +132,6 @@ func predictedTemp(model *core.StablePredictor) func(*substrate.Fleet, *workload
 			if err != nil {
 				return -1, fmt.Errorf("predicting for %s: %w", f.IDs()[i], err)
 			}
-			arena = arena[:0]
 			if predicted < bestTemp {
 				best, bestTemp = i, predicted
 			}
@@ -187,7 +185,7 @@ func evaluatePolicy(p policy, arrivals []workload.VMSpec, model *core.StablePred
 		if f.Host(i).NumVMs() == 0 {
 			continue
 		}
-		state, err := f.HostCase(i, f.Inlet(i), nil, nil)
+		state, err := substrate.HostStateCase(f.Host(i), fanCount, f.Inlet(i), nil)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}

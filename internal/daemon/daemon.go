@@ -113,7 +113,7 @@ type Controller struct {
 // NewController builds the controller the flags describe over cfg (normally
 // f.Config(), adjusted): it refuses meaningless flag values, selects the
 // source, then restores -checkpoint-file into it.
-func (f *Flags) NewController(cfg fleet.Config, predict fleet.BatchCasePredictor) (*Controller, error) {
+func (f *Flags) NewController(cfg fleet.Config, predict fleet.Predictor) (*Controller, error) {
 	// NaN or a negative value would switch periodic checkpoints off or slip
 	// past the replay's sign check.
 	names := [...]string{"checkpoint-every", "speed"}

@@ -67,65 +67,34 @@ func Encode(c workload.Case, horizonS float64) ([]float64, error) {
 }
 
 // EncodeInto encodes a case into dst (len(dst) must be NumFeatures())
-// without allocating — the building block for serving loops that encode
-// thousands of anchor cases per round into one reused flat feature matrix.
+// without allocating: it folds each VM in case order, each task at its
+// TaskDemand, and finishes the fold at the case's host, fans and ambient.
 func EncodeInto(c workload.Case, horizonS float64, dst []float64) error {
-	return encodeInto(c, horizonS, dst, nil)
-}
-
-// ProfileMemo remembers the profile means of the last profiled task list an
-// encode integrated, so a run of cases that share one list — a placement
-// wave appends the same candidate VM, Tasks slice header and all, to every
-// host of its window — pays workload.MeanOver once instead of once per case.
-// The key is the list's identity (first element, length) plus the horizon:
-// it is only sound while the keyed memory is not rewritten, so the owner
-// calls Reset before each batch of cases it does not control the lifetime
-// of. A hit replays the float MeanOver returned; nothing is approximated.
-// The zero value is ready; a ProfileMemo is not safe for concurrent use.
-type ProfileMemo struct {
-	first    *workload.TaskSpec
-	n        int
-	horizonS float64
-	means    []float64 // per task of the keyed list; unset where Profile is nil
-}
-
-// Reset forgets the remembered task list.
-func (m *ProfileMemo) Reset() { m.first = nil }
-
-// EncodeInto is dataset.EncodeInto through the memo: same checks, same
-// errors, bit-identical features.
-func (m *ProfileMemo) EncodeInto(c workload.Case, horizonS float64, dst []float64) error {
-	return encodeInto(c, horizonS, dst, m)
-}
-
-// mean returns the profile mean of tasks[k] (a profiled task), integrating
-// the whole list on a miss so its other profiled tasks hit.
-func (m *ProfileMemo) mean(tasks []workload.TaskSpec, k int, horizonS float64) (float64, error) {
-	if m.first == &tasks[0] && m.n == len(tasks) && m.horizonS == horizonS {
-		return m.means[k], nil
+	if horizonS <= 0 {
+		return fmt.Errorf("dataset: horizon must be > 0, got %v", horizonS)
 	}
-	m.first = nil // a failed integration must not leave a half-filled hit
-	if cap(m.means) < len(tasks) {
-		m.means = make([]float64, len(tasks))
-	}
-	m.means = m.means[:len(tasks)]
-	for i := range tasks {
-		if tasks[i].Profile == nil {
-			continue
+	var f Fold
+	for i := range c.VMs {
+		spec := &c.VMs[i]
+		for k := range spec.Tasks {
+			d, err := TaskDemand(&spec.Tasks[k], horizonS)
+			if err != nil {
+				return err
+			}
+			f.AddTask(d, &spec.Tasks[k].Task)
 		}
-		mean, err := profileMean(&tasks[i], horizonS)
-		if err != nil {
-			return 0, err
-		}
-		m.means[i] = mean
+		f.AddVM(spec.Config)
 	}
-	m.first, m.n, m.horizonS = &tasks[0], len(tasks), horizonS
-	return m.means[k], nil
+	return f.Finish(c.Host, c.FanCount, c.AmbientC, dst)
 }
 
-// profileMean averages a profiled task's CPU demand over [0, horizonS] on
-// the 201-point grid the model was trained on.
-func profileMean(ts *workload.TaskSpec, horizonS float64) (float64, error) {
+// TaskDemand is the CPU demand Eq. (2) reads for one task: its CPUFraction,
+// or for a profiled task the profile's mean over [0, horizonS] on the
+// 201-point grid the model was trained on.
+func TaskDemand(ts *workload.TaskSpec, horizonS float64) (float64, error) {
+	if ts.Profile == nil {
+		return ts.Task.CPUFraction, nil
+	}
 	mean, err := workload.MeanOver(ts.Profile, 0, horizonS, horizonS/200)
 	if err != nil {
 		return 0, fmt.Errorf("dataset: task %s: %w", ts.Task.ID, err)
@@ -133,78 +102,81 @@ func profileMean(ts *workload.TaskSpec, horizonS float64) (float64, error) {
 	return mean, nil
 }
 
-// encodeInto is the one encoder body; memo may be nil.
-func encodeInto(c workload.Case, horizonS float64, dst []float64, memo *ProfileMemo) error {
+// Fold is the encoder's running state over a deployment: the sums the ξ_VM
+// features are finished from, added to a task and a VM at a time in case
+// order. A caller that prices many candidates on one deployment folds the
+// deployment once, copies the Fold, and adds each candidate to its copy:
+// the additions run in the order EncodeInto runs them, so the features are
+// its bits. The zero value is the empty deployment.
+type Fold struct {
+	vms, tasks                         int
+	vcpus, memAlloc, demand, memActive float64
+	cpuSum, cpuMax                     float64
+	// classes counts tasks by vmm.TaskClass (1-based contiguous constants).
+	classes [5]float64
+	// vmDemand and vmMem are the open VM's task sums, closed by AddVM.
+	vmDemand, vmMem float64
+}
+
+// AddTask folds one task of the VM being added, at CPU demand d (see
+// TaskDemand).
+func (f *Fold) AddTask(d float64, t *vmm.Task) {
+	f.vmDemand += d
+	f.vmMem += t.MemGB
+	f.cpuSum += d
+	if d > f.cpuMax {
+		f.cpuMax = d
+	}
+	if cl := t.Class; cl >= vmm.CPUBound && cl <= vmm.Bursty {
+		f.classes[cl]++
+	}
+	f.tasks++
+}
+
+// AddVM closes the VM whose tasks AddTask folded since the previous AddVM:
+// its demand is capped at its vCPUs and its active memory at its size.
+func (f *Fold) AddVM(cfg vmm.VMConfig) {
+	f.vms++
+	f.vcpus += float64(cfg.VCPUs)
+	f.memAlloc += cfg.MemoryGB
+	f.demand += math.Min(f.vmDemand, float64(cfg.VCPUs))
+	f.memActive += math.Min(f.vmMem, cfg.MemoryGB)
+	f.vmDemand, f.vmMem = 0, 0
+}
+
+// Demand is the folded CPU demand in vCPUs, Σ_vm min(Σ task demand, vCPUs):
+// the cpu_demand_vcpus feature.
+func (f *Fold) Demand() float64 { return f.demand }
+
+// Finish writes the Eq. (2) input vector of the folded deployment on a host
+// of the given shape, fan count and ambient into dst (len NumFeatures()).
+func (f *Fold) Finish(host vmm.HostConfig, fanCount int, ambientC float64, dst []float64) error {
 	if len(dst) != len(featureNames) {
 		return fmt.Errorf("dataset: encode dst length %d, want %d", len(dst), len(featureNames))
 	}
-	if len(c.VMs) == 0 {
+	if f.vms == 0 {
 		return errors.New("dataset: case has no VMs")
 	}
-	if horizonS <= 0 {
-		return fmt.Errorf("dataset: horizon must be > 0, got %v", horizonS)
-	}
-
-	var vcpus, memAlloc, demand, memActive float64
-	var taskCount int
-	var cpuSum, cpuMax float64
-	// Class frequencies indexed by TaskClass (1-based contiguous constants);
-	// a fixed array instead of a map keeps the encoder allocation-free.
-	var classCounts [5]float64
-
-	for _, spec := range c.VMs {
-		vcpus += float64(spec.Config.VCPUs)
-		memAlloc += spec.Config.MemoryGB
-		var vmDemand, vmMem float64
-		for k := range spec.Tasks {
-			ts := &spec.Tasks[k]
-			mean := ts.Task.CPUFraction
-			if ts.Profile != nil {
-				var err error
-				if memo != nil {
-					mean, err = memo.mean(spec.Tasks, k, horizonS)
-				} else {
-					mean, err = profileMean(ts, horizonS)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			vmDemand += mean
-			vmMem += ts.Task.MemGB
-			cpuSum += mean
-			if mean > cpuMax {
-				cpuMax = mean
-			}
-			if cl := ts.Task.Class; cl >= vmm.CPUBound && cl <= vmm.Bursty {
-				classCounts[cl]++
-			}
-			taskCount++
-		}
-		demand += math.Min(vmDemand, float64(spec.Config.VCPUs))
-		memActive += math.Min(vmMem, spec.Config.MemoryGB)
-	}
-	if taskCount == 0 {
+	if f.tasks == 0 {
 		return errors.New("dataset: case has no tasks")
 	}
-
-	tc := float64(taskCount)
-	dst[0] = c.Host.CPUCapacityGHz()
-	dst[1] = c.Host.MemoryGB
-	dst[2] = float64(c.FanCount)
-	dst[3] = c.AmbientC
-	dst[4] = float64(len(c.VMs))
-	dst[5] = vcpus
-	dst[6] = memAlloc
-	dst[7] = demand
-	dst[8] = memActive
+	tc := float64(f.tasks)
+	dst[0] = host.CPUCapacityGHz()
+	dst[1] = host.MemoryGB
+	dst[2] = float64(fanCount)
+	dst[3] = ambientC
+	dst[4] = float64(f.vms)
+	dst[5] = f.vcpus
+	dst[6] = f.memAlloc
+	dst[7] = f.demand
+	dst[8] = f.memActive
 	dst[9] = tc
-	dst[10] = cpuSum / tc
-	dst[11] = cpuMax
-	dst[12] = classCounts[vmm.CPUBound] / tc
-	dst[13] = classCounts[vmm.MemBound] / tc
-	dst[14] = classCounts[vmm.IOBound] / tc
-	dst[15] = classCounts[vmm.Bursty] / tc
+	dst[10] = f.cpuSum / tc
+	dst[11] = f.cpuMax
+	dst[12] = f.classes[vmm.CPUBound] / tc
+	dst[13] = f.classes[vmm.MemBound] / tc
+	dst[14] = f.classes[vmm.IOBound] / tc
+	dst[15] = f.classes[vmm.Bursty] / tc
 	return nil
 }
 

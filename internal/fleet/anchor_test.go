@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"vmtherm/internal/dataset"
@@ -30,7 +31,7 @@ func (s *gridSource) Advance(dtS float64, _ func(telemetry.Reading) bool) error 
 
 // gridController builds a source-driven controller whose tracked population
 // is one host per (util, memFrac) grid point.
-func gridController(t *testing.T, cfg Config, predict BatchCasePredictor, utils, mems []float64) *Controller {
+func gridController(t *testing.T, cfg Config, predict Predictor, utils, mems []float64) *Controller {
 	t.Helper()
 	cfg.MaxHosts = len(utils)*len(mems) + 1
 	ctl, err := NewWithSource(cfg, &gridSource{}, predict)
@@ -57,17 +58,18 @@ func gridAxis(n int) []float64 {
 // exactSourceAnchors is the source path's exact-anchor oracle: the predictor
 // called on each present slot's own (util, memFrac) reading, one host at a
 // time, with no quantization and no cache.
-func exactSourceAnchors(t *testing.T, c *Controller, predict BatchCasePredictor) map[string]float64 {
+func exactSourceAnchors(t *testing.T, c *Controller, predict Predictor) map[string]float64 {
 	t.Helper()
 	out := make(map[string]float64)
+	vals := make([]float64, 1)
 	for i, id := range c.order {
 		s := &c.slots[i]
 		if !s.Present {
 			continue
 		}
-		vals, err := predict([]workload.Case{c.utilizationCase(s.Reading.Util, s.Reading.MemFrac)})
-		if err != nil || len(vals) != 1 {
-			t.Fatalf("exact anchor for %s: %v (%d values)", id, err, len(vals))
+		rows := []HostRow{c.utilizationRow(s.Reading.Util, s.Reading.MemFrac)}
+		if err := predict.Score(c.cfg.HostShape, c.cfg.FanCount, rows, vals); err != nil {
+			t.Fatalf("exact anchor for %s: %v", id, err)
 		}
 		out[id] = vals[0]
 	}
@@ -85,7 +87,7 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 	// utilSensC / memSensC are the model's worst-case output sensitivities
 	// in °C per unit input; the configured quantization epsilon is the
 	// sensitivity-weighted half-bucket bound they imply.
-	check := func(t *testing.T, predict BatchCasePredictor, utilSensC, memSensC float64) {
+	check := func(t *testing.T, predict Predictor, utilSensC, memSensC float64) {
 		cached := gridController(t, DefaultConfig(), predict, utils, mems)
 		exactAnchors := exactSourceAnchors(t, cached, predict)
 		cachedAnchors, hits, misses, err := anchorsOf(cached)
@@ -119,7 +121,7 @@ func TestAnchorCacheWithinQuantEpsilon(t *testing.T) {
 			t.Fatalf("cached-vs-exact divergence %.4f°C exceeds quantization epsilon %.4f°C", maxDiff, eps)
 		}
 		t.Logf("grid %d×%d: max divergence %.4f°C (epsilon %.4f°C), fanout %d of %d hosts",
-			len(utils), len(mems), maxDiff, eps, len(cached.caseBuf), len(utils)*len(mems))
+			len(utils), len(mems), maxDiff, eps, len(cached.anchorRows), len(utils)*len(mems))
 
 		// A second pass over identical telemetry must be all hits and
 		// bit-identical to the first cached pass.
@@ -206,11 +208,8 @@ func TestSimAnchorCacheWithinQuantEpsilon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := syntheticStable([]workload.Case{cse})
-			if err != nil {
-				t.Fatal(err)
-			}
-			maxDiff = max(maxDiff, math.Abs(ctl.slots[i].Anchor-exact[0]))
+			exact := predictCase(t, syntheticStable, cse)
+			maxDiff = max(maxDiff, math.Abs(ctl.slots[i].Anchor-exact))
 		}
 	}
 	if hits == 0 {
@@ -295,7 +294,7 @@ func TestInvalidateAnchorCacheForcesRepredict(t *testing.T) {
 }
 
 // TestAnchorCacheDedupesSharedBuckets: hosts whose observations fall in the
-// same quantized bucket must share one staged case (and one prediction).
+// same quantized bucket must share one staged row (and one prediction).
 func TestAnchorCacheDedupesSharedBuckets(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxHosts = 64
@@ -315,8 +314,8 @@ func TestAnchorCacheDedupesSharedBuckets(t *testing.T) {
 	if misses != 32 {
 		t.Fatalf("misses = %d, want 32", misses)
 	}
-	if fan := len(ctl.caseBuf); fan != 1 {
-		t.Fatalf("fanout = %d cases for one shared bucket, want 1", fan)
+	if fan := len(ctl.anchorRows); fan != 1 {
+		t.Fatalf("fanout = %d rows for one shared bucket, want 1", fan)
 	}
 	first := anchors["dup-00"]
 	for id, v := range anchors {
@@ -596,28 +595,34 @@ func TestStableMembershipSkipsOrderRebuild(t *testing.T) {
 }
 
 // TestMissScratchDropsLastRoundsCases: the miss buffers are reused across
-// rounds, and a case left beyond a truncated slice's length would pin the
-// arena arrays a mass-miss round outgrew (and a simulated host's deployment
-// view) for as long as the controller lives. The next anchor pass must clear
-// what the last one staged.
+// rounds, and an entry left beyond a truncated slice's length would pin
+// whatever it points to for as long as the controller lives. The staged
+// rows are folds — values with no pointer in them — so a truncated buffer
+// pins nothing; a pointer added to HostRow fails this test, and would need
+// the buffers cleared at the top of every anchor pass.
 func TestMissScratchDropsLastRoundsCases(t *testing.T) {
 	ctl := gridController(t, DefaultConfig(), syntheticStable, gridAxis(32), gridAxis(4))
 	if _, misses, err := ctl.anchors(); err != nil || misses == 0 { // cold: every bucket staged
 		t.Fatalf("cold pass: misses=%d err=%v", misses, err)
 	}
-	if _, misses, err := ctl.anchors(); err != nil || misses != 0 { // warm: nothing staged
-		t.Fatalf("warm pass: misses=%d err=%v", misses, err)
+	if _, misses, err := ctl.anchors(); err != nil || misses != 0 || len(ctl.anchorRows) != 0 { // warm: nothing staged
+		t.Fatalf("warm pass: misses=%d rows=%d err=%v", misses, len(ctl.anchorRows), err)
 	}
-	for i, cse := range ctl.caseBuf[:cap(ctl.caseBuf)] {
-		if cse.VMs != nil {
-			t.Fatalf("caseBuf[%d] still holds the cold pass's case", i)
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint64, reflect.Float64:
+		default:
+			t.Fatalf("%s is a %s: staged rows would pin what it points to", path, typ.Kind())
 		}
 	}
-	for i, vm := range ctl.obsVMs[:cap(ctl.obsVMs)] {
-		if vm.Tasks != nil {
-			t.Fatalf("obsVMs[%d] still holds the cold pass's task list", i)
-		}
-	}
+	walk(reflect.TypeOf(HostRow{}), "HostRow")
 }
 
 // TestAnchorCountsMatchCacheStats: the anchor pass adds its hits and misses

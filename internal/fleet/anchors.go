@@ -5,15 +5,15 @@ import (
 	"math"
 
 	"vmtherm/internal/anchorcache"
+	"vmtherm/internal/dataset"
 	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
-	"vmtherm/internal/workload"
 )
 
-// anchorRef binds one host slot to the miss-batch case its anchor comes from.
+// anchorRef binds one host slot to the miss-batch row its anchor comes from.
 type anchorRef struct {
-	slot, caseIdx int32
+	slot, rowIdx int32
 }
 
 // anchors batch-predicts ψ_stable for every tracked host into its slot's
@@ -26,35 +26,26 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 	for i := range c.slots {
 		c.slots[i].Anchor = math.NaN()
 	}
-	// Cleared, not just truncated: last round's cases and VMs still point
-	// into the arrays the arena outgrew (and into host deployment views),
-	// and would keep every one of them alive from beyond the slices' length.
-	clear(c.caseBuf)
-	clear(c.obsVMs)
-	c.caseBuf = c.caseBuf[:0]
-	c.caseKeys = c.caseKeys[:0]
+	c.anchorRows = c.anchorRows[:0]
+	c.rowKeys = c.rowKeys[:0]
 	c.anchorRefs = c.anchorRefs[:0]
-	c.obsTasks, c.obsVMs = c.obsTasks[:0], c.obsVMs[:0]
 	clear(c.missByKey)
 	if c.sub != nil {
-		err = c.simAnchorCases(&hits)
+		c.simAnchorRows(&hits)
 	} else {
-		c.sourceAnchorCases(&hits)
+		c.sourceAnchorRows(&hits)
 	}
 	misses = len(c.anchorRefs)
 	c.cache.Count(hits, misses)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(c.caseBuf) > 0 {
-		if cap(c.anchorVals) < len(c.caseBuf) {
-			c.anchorVals = make([]float64, len(c.caseBuf))
+	if len(c.anchorRows) > 0 {
+		if cap(c.anchorVals) < len(c.anchorRows) {
+			c.anchorVals = make([]float64, len(c.anchorRows))
 		}
-		vals := c.anchorVals[:len(c.caseBuf)]
-		if err := c.predictMissBatch(c.caseBuf, vals); err != nil {
+		vals := c.anchorVals[:len(c.anchorRows)]
+		if err := c.predictMissBatch(c.anchorRows, vals); err != nil {
 			return 0, 0, fmt.Errorf("fleet: stable anchors: %w", err)
 		}
-		for i, k := range c.caseKeys {
+		for i, k := range c.rowKeys {
 			// Never memoize a degenerate prediction: a NaN anchor must stay
 			// a per-round failure, not a cached one.
 			if !math.IsNaN(vals[i]) {
@@ -62,60 +53,80 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 			}
 		}
 		for _, ref := range c.anchorRefs {
-			c.slots[ref.slot].Anchor = vals[ref.caseIdx]
+			c.slots[ref.slot].Anchor = vals[ref.rowIdx]
 		}
 	}
 	return hits, misses, nil
 }
 
 // stageMiss registers a host whose anchor must be predicted this round,
-// staging its case into the miss batch. Key-based deduplication lives in
-// sourceAnchorCases (the only path where two hosts can share a key —
+// staging its row into the miss batch. Key-based deduplication lives in
+// sourceAnchorRows (the only path where two hosts can share a key —
 // simulated fingerprints embed fleet-unique VM ids).
-func (c *Controller) stageMiss(slot int, key anchorcache.Key, cse workload.Case) {
-	c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(slot), caseIdx: int32(len(c.caseBuf))})
-	c.caseBuf = append(c.caseBuf, cse)
-	c.caseKeys = append(c.caseKeys, key)
+func (c *Controller) stageMiss(slot int, key anchorcache.Key, row HostRow) {
+	c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(slot), rowIdx: int32(len(c.anchorRows))})
+	c.anchorRows = append(c.anchorRows, row)
+	c.rowKeys = append(c.rowKeys, key)
 }
 
-// predictMissBatch evaluates the staged miss cases into out, sharding the
-// batch across the configured worker bound when it is large enough to
-// amortize the goroutines — cold rounds (first sight of a fleet, mass
-// re-anchor after migration waves) scale with cores instead of serializing
-// behind one kernel pass. Callers hold c.mu: the batch is parked on the
-// controller for predictChunk, so a miss batch costs no closure.
-func (c *Controller) predictMissBatch(cases []workload.Case, out []float64) error {
+// predictMissBatch scores the staged rows into out, sharding the batch
+// across the configured worker bound when it is large enough to amortize
+// the goroutines — cold rounds (first sight of a fleet, mass re-anchor
+// after migration waves) scale with cores instead of serializing behind one
+// kernel pass. Callers hold c.mu: the batch is parked on the controller for
+// predictChunk, so a miss batch costs no closure.
+func (c *Controller) predictMissBatch(rows []HostRow, out []float64) error {
 	const minShard = 16
-	c.missCases, c.missOut = cases, out
-	return shard.Run(len(cases), c.cfg.AnchorWorkers, minShard, c.predictChunk)
+	c.missRows, c.missOut = rows, out
+	return shard.Run(len(rows), c.cfg.AnchorWorkers, minShard, c.predictChunk)
 }
 
-// predictMissChunk is predictMissBatch's share for cases [lo, hi).
+// predictMissChunk is predictMissBatch's share for rows [lo, hi).
 func (c *Controller) predictMissChunk(lo, hi int) error {
-	vals, err := c.predict(c.missCases[lo:hi])
-	if err != nil {
-		return err
-	}
-	if len(vals) != hi-lo {
-		return fmt.Errorf("fleet: %d anchors for %d cases", len(vals), hi-lo)
-	}
-	copy(c.missOut[lo:hi], vals)
-	return nil
+	return c.predict.Score(c.cfg.HostShape, c.cfg.FanCount, c.missRows[lo:hi], c.missOut[lo:hi])
 }
 
-// simAnchorCases resolves every occupied host's anchor — from the cache
+// hostFold is slot i's resident fold: its deployment view folded in case
+// order, each task at its CPUFraction (a view carries no profiles). The
+// fold column keeps it until the substrate's deployment generation for the
+// slot moves. Calls for distinct slots may run concurrently.
+func (c *Controller) hostFold(i int) *dataset.Fold {
+	m := &c.folds[i]
+	if gen := c.sub.Generation(i); m.gen != gen {
+		vms := c.sub.Deployment(i)
+		m.fold = dataset.Fold{}
+		for v := range vms {
+			for k := range vms[v].Tasks {
+				t := &vms[v].Tasks[k].Task
+				m.fold.AddTask(t.CPUFraction, t)
+			}
+			m.fold.AddVM(vms[v].Config)
+		}
+		m.gen = gen
+	}
+	return &m.fold
+}
+
+// slotFold is one entry of the fold column: a slot's resident fold and the
+// deployment generation it was folded at (0: never).
+type slotFold struct {
+	gen  uint64
+	fold dataset.Fold
+}
+
+// simAnchorRows resolves every occupied host's anchor — from the cache
 // when its deployment fingerprint (VM set + per-VM task load + quantized
-// util/mem/inlet) is already memoized, else by staging its current
-// deployment as a miss case. Idle hosts anchor at their inlet temperature
-// (an idle machine settles at ambient) without touching cache or model.
+// util/mem/inlet) is already memoized, else by staging its resident fold
+// as a miss row. Idle hosts anchor at their inlet temperature (an idle
+// machine settles at ambient) without touching cache or model.
 //
 // The pass is phased so the per-host VM/task walks scale with cores at
 // fleet size: a rack-sharded scan derives inlets and fingerprint keys, the
 // serial cache pass consumes them and stages the misses in host order (map
-// access and hit accounting stay single-threaded), and a sharded build
-// constructs the staged misses' deployment cases. Values, staging order and
-// cache state are identical to the former single loop.
-func (c *Controller) simAnchorCases(hits *int) error {
+// access and hit accounting stay single-threaded), and a sharded pass
+// fills the staged rows' folds. Values, staging order and cache state are
+// identical to one serial loop.
+func (c *Controller) simAnchorRows(hits *int) {
 	// The sim path predicts a miss at the host's actual deployment snapshot
 	// (task fractions cannot be re-centered), so the cached value can
 	// diverge from another bucket member by up to a FULL bucket — unlike the
@@ -129,7 +140,6 @@ func (c *Controller) simAnchorCases(hits *int) error {
 	q.MemQuant /= 4
 	inlets, keys := c.sub.ScanAnchors(q)
 	c.missIdx = c.missIdx[:0]
-	c.missAmb = c.missAmb[:0]
 	for i, inlet := range inlets {
 		if c.sub.Host(i).NumVMs() == 0 {
 			c.slots[i].Anchor = inlet
@@ -144,41 +154,34 @@ func (c *Controller) simAnchorCases(hits *int) error {
 		// Predict at the inlet bucket's center so the cached value serves
 		// the whole bucket with at most half a bucket of ambient error.
 		_, amb := q.Ambient(inlet)
-		// Staged in host order with an empty case; buildMissCases fills it.
+		// Staged in host order without its fold; fillMissFolds adds it.
 		c.missIdx = append(c.missIdx, i)
-		c.missAmb = append(c.missAmb, amb)
-		c.stageMiss(i, key, workload.Case{})
+		c.stageMiss(i, key, HostRow{AmbientC: amb})
 	}
-	return c.buildMissCases()
+	c.fillMissFolds()
 }
 
-// buildMissCases constructs the staged misses' deployment cases in place
-// (caseBuf[mi] belongs to host missIdx[mi]: the sim path is caseBuf's only
-// writer this round), sharded across the physics pool at scale: each build
-// only reads host/VM state and writes its own host's view and its own slot
-// (the case borrows the view: the round consumes caseBuf before the next
-// tick or mutation). The ambient is the inlet bucket center the cache pass
-// chose — the former per-miss InletTemp recomputation was an O(rack)
-// utilization sweep per case, redundant with the per-tick inlet cache.
-func (c *Controller) buildMissCases() error {
+// fillMissFolds copies each staged miss's resident fold into its row
+// (anchorRows[mi] belongs to host missIdx[mi]: the sim path is the rows'
+// only writer this round), sharded across the physics pool at scale: each
+// worker refolds only its own hosts' stale fold-column entries (and their
+// views) and writes only its own rows. The ambient is the inlet bucket
+// center the cache pass chose.
+func (c *Controller) fillMissFolds() {
 	if len(c.missIdx) == 0 {
-		return nil
+		return
 	}
 	const minShard = 64
-	return shard.Run(len(c.missIdx), c.cfg.PhysWorkers, minShard, func(lo, hi int) error {
+	// The fill cannot fail, so the shard error path is unreachable.
+	_ = shard.Run(len(c.missIdx), c.cfg.PhysWorkers, minShard, func(lo, hi int) error {
 		for mi := lo; mi < hi; mi++ {
-			i := c.missIdx[mi]
-			cse, err := c.sub.HostCase(i, c.missAmb[mi], nil, nil)
-			if err != nil {
-				return fmt.Errorf("fleet: anchor case for %s: %w", c.order[i], err)
-			}
-			c.caseBuf[mi] = cse
+			c.anchorRows[mi].Fold = *c.hostFold(c.missIdx[mi])
 		}
 		return nil
 	})
 }
 
-// sourceAnchorCases synthesizes an anchor case per observed host from its
+// sourceAnchorRows synthesizes an anchor row per observed host from its
 // latest reading: the observed utilization and memory activity become an
 // equivalent single-VM deployment on the configured host shape, so real
 // (replayed or scraped) telemetry flows through the same trained model as
@@ -186,7 +189,7 @@ func (c *Controller) buildMissCases() error {
 // monitored hosts. Observations are quantized into (util, memFrac) buckets
 // first: bucket hits skip the predictor entirely and bucket misses are
 // predicted once at the bucket center.
-func (c *Controller) sourceAnchorCases(hits *int) {
+func (c *Controller) sourceAnchorRows(hits *int) {
 	q := c.cache.Quant()
 	for i := range c.slots {
 		s := &c.slots[i]
@@ -203,30 +206,25 @@ func (c *Controller) sourceAnchorCases(hits *int) {
 		}
 		if prev, ok := c.missByKey[key]; ok {
 			// Another host already staged this bucket this round; share its
-			// prediction without rebuilding the case.
-			c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(i), caseIdx: int32(prev)})
+			// prediction without folding the row again.
+			c.anchorRefs = append(c.anchorRefs, anchorRef{slot: int32(i), rowIdx: int32(prev)})
 			continue
 		}
-		c.missByKey[key] = len(c.caseBuf)
-		c.stageMiss(i, key, c.utilizationCase(qUtil, qMem))
+		c.missByKey[key] = len(c.anchorRows)
+		c.stageMiss(i, key, c.utilizationRow(qUtil, qMem))
 	}
 }
 
-// utilizationCase encodes an observed (util, memFrac) load as a workload
-// case on the configured host shape: one task per physical core, each at
-// the observed utilization fraction, with memFrac of installed memory
-// active. The deployment structure (VM count, vCPUs, task count) is fixed —
-// only the continuous load values vary — so every encoded feature is
-// continuous (Lipschitz) in the observation. That continuity is what lets
-// the anchor cache bound cached-vs-exact divergence by the quantization
-// bucket width: a structure that jumped at integer demand boundaries would
-// put a bucket's center and its members on different sides of a step.
-//
-// The case's VM and tasks are carved from the round's arena: like every
-// miss case they are valid until the next anchors() call. When an arena
-// grows, cases carved earlier keep the old backing array — never written
-// again — so they stay intact.
-func (c *Controller) utilizationCase(util, memFrac float64) workload.Case {
+// utilizationRow folds an observed (util, memFrac) load as one VM on the
+// configured host shape: one task per physical core, each at the observed
+// utilization fraction, with memFrac of installed memory active. The
+// deployment structure (VM count, vCPUs, task count) is fixed — only the
+// continuous load values vary — so every encoded feature is continuous
+// (Lipschitz) in the observation. That continuity is what lets the anchor
+// cache bound cached-vs-exact divergence by the quantization bucket width:
+// a structure that jumped at integer demand boundaries would put a bucket's
+// center and its members on different sides of a step.
+func (c *Controller) utilizationRow(util, memFrac float64) HostRow {
 	util = telemetry.Clamp01(util)
 	memFrac = telemetry.Clamp01(memFrac)
 	cores := c.cfg.HostShape.Cores
@@ -234,26 +232,11 @@ func (c *Controller) utilizationCase(util, memFrac float64) workload.Case {
 	if memGB < 1 {
 		memGB = 1
 	}
-	t0 := len(c.obsTasks)
-	for _, id := range c.obsTaskIDs {
-		c.obsTasks = append(c.obsTasks, workload.TaskSpec{Task: vmm.Task{
-			ID:          id,
-			Class:       vmm.CPUBound,
-			CPUFraction: util,
-			MemGB:       memGB / float64(cores) / 2,
-		}})
+	task := vmm.Task{Class: vmm.CPUBound, CPUFraction: util, MemGB: memGB / float64(cores) / 2}
+	row := HostRow{AmbientC: c.cfg.SourceAmbientC}
+	for k := 0; k < cores; k++ {
+		row.Fold.AddTask(util, &task)
 	}
-	v0 := len(c.obsVMs)
-	c.obsVMs = append(c.obsVMs, workload.VMSpec{
-		ID:     "observed",
-		Config: vmm.VMConfig{VCPUs: cores, MemoryGB: memGB},
-		Tasks:  c.obsTasks[t0:len(c.obsTasks):len(c.obsTasks)],
-	})
-	return workload.Case{
-		Name:     "observed",
-		Host:     c.cfg.HostShape,
-		FanCount: c.cfg.FanCount,
-		AmbientC: c.cfg.SourceAmbientC,
-		VMs:      c.obsVMs[v0 : v0+1 : v0+1],
-	}
+	row.Fold.AddVM(vmm.VMConfig{VCPUs: cores, MemoryGB: memGB})
+	return row
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"vmtherm/internal/mathx"
 	"vmtherm/internal/telemetry"
+	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
 
@@ -232,11 +234,13 @@ func benchPlaceFleet(b *testing.B) *Controller {
 	return ctl
 }
 
-// BenchmarkPlaceBatch measures the batch placement plane at 16,384 hosts:
-// each batch-N sub-benchmark places N uniquely-named VMs per PlaceBatch
-// call, sharing one candidate budget across the queue.
+// BenchmarkPlaceBatch measures the batch placement plane. sched-place is
+// bench/e2e's sched_place below HTTP (see benchSchedPlace); each batch-N
+// sub-benchmark places N uniquely-named VMs per PlaceBatch call on a
+// 16,384-host fleet, sharing one candidate budget across the queue.
 func BenchmarkPlaceBatch(b *testing.B) {
-	ctl := benchPlaceFleet(b)
+	b.Run("sched-place", benchSchedPlace)
+	var ctl *Controller
 	var seq int64
 	specs := func(n int) []workload.VMSpec {
 		out := make([]workload.VMSpec, n)
@@ -248,6 +252,9 @@ func BenchmarkPlaceBatch(b *testing.B) {
 	}
 	for _, size := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+			if ctl == nil {
+				ctl = benchPlaceFleet(b)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				decs, err := ctl.PlaceBatch(specs(size))
@@ -265,4 +272,87 @@ func BenchmarkPlaceBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchSchedPlace is sched_place's shape without the HTTP exchange: a
+// 16×64 simulated fleet kept at two VMs per host, the ψ_stable model behind
+// StableBatchPredictor, and 16 requests per PlaceBatch call of one or two
+// vCPUs whose tasks hold Constant loads of 30–80 %. Outside the timer the
+// oldest VMs beyond two per host are removed after every call and a round
+// runs every 32 calls, so the calls meet a churning fleet whose folds go
+// stale where VMs land and leave. It reports ns per VM and B/op.
+func benchSchedPlace(b *testing.B) {
+	const perCall, roundEvery = 16, 32
+	model := tinyStableModel(b)
+	cfg := DefaultConfig()
+	cfg.Racks, cfg.HostsPerRack = 16, 64
+	cfg.Seed = benchSeed
+	ctl, err := New(cfg, StableBatchPredictor(model, cfg.HorizonS))
+	if err != nil {
+		b.Fatal(err)
+	}
+	liveMax := 2 * len(ctl.Hosts())
+	rng := mathx.SplitStable(benchSeed, "bench-sched-place")
+	seq := 0
+	batch := func() []workload.VMSpec {
+		specs := make([]workload.VMSpec, perCall)
+		for i := range specs {
+			vcpus := rng.IntBetween(1, 2)
+			specs[i] = workload.VMSpec{ID: fmt.Sprintf("vm-%08d", seq), Config: vmm.VMConfig{VCPUs: vcpus, MemoryGB: float64(2 * vcpus)}}
+			for k := 0; k < vcpus; k++ {
+				frac := rng.Uniform(0.3, 0.8)
+				specs[i].Tasks = append(specs[i].Tasks, workload.TaskSpec{
+					Task:    vmm.Task{ID: fmt.Sprintf("vm-%08d-t%d", seq, k), Class: vmm.CPUBound, CPUFraction: frac, MemGB: 0.5},
+					Profile: workload.Constant{Level: frac},
+				})
+			}
+			seq++
+		}
+		return specs
+	}
+	var live []string
+	calls := 0
+	settle := func(decs []PlacementDecision) {
+		for _, d := range decs {
+			if d.Status != Placed {
+				b.Fatalf("placement %s (%s): %s", d.Status, d.Code, d.Reason)
+			}
+			live = append(live, d.VMID)
+		}
+		for ; len(live) > liveMax; live = live[1:] {
+			if err := ctl.RemoveVM(live[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if calls++; calls%roundEvery == 0 {
+			if _, err := ctl.RunRound(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if _, err := ctl.RunRound(); err != nil {
+		b.Fatal(err)
+	}
+	for len(live) < liveMax {
+		decs, err := ctl.PlaceBatch(batch())
+		if err != nil {
+			b.Fatal(err)
+		}
+		settle(decs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		specs := batch()
+		b.StartTimer()
+		decs, err := ctl.PlaceBatch(specs)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		settle(decs)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(perCall*b.N), "ns/VM")
 }

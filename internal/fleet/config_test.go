@@ -67,7 +67,7 @@ func TestNewNamesBadPhysicsField(t *testing.T) {
 		cfg.Racks, cfg.HostsPerRack = 64, 64
 		cfg.Sensor = thermal.DefaultSensorParams()
 		tc.mutate(&cfg)
-		if _, err := New(cfg, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := New(cfg, Predictor{}); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("%s: New = %v, want an error naming it", tc.field, err)
 		}
 	}

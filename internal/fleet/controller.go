@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +19,7 @@ import (
 // safe to call concurrently with RunRound.
 type Controller struct {
 	cfg     Config
-	predict BatchCasePredictor
+	predict Predictor
 
 	mu  sync.Mutex       // guards sub, src, eng rounds, the host table, proposals
 	sub *substrate.Fleet // the simulated fleet; nil for source-driven controllers
@@ -60,47 +59,42 @@ type Controller struct {
 
 	// Reusable round buffers: the engine round appends into predBuf, the
 	// snapshot sorts its hotspot keys in hotKeys, the anchor pass stages
-	// cache misses into caseBuf (one entry per distinct key), the slot→case
-	// fan-in into anchorRefs, and the batch results land in anchorVals
-	// before filling the slots' anchors and the cache.
+	// cache misses into anchorRows (one entry per distinct key, its key in
+	// rowKeys), the slot→row fan-in into anchorRefs, and the batch results
+	// land in anchorVals before filling the slots' anchors and the cache.
 	predBuf    []engine.Prediction
 	hotKeys    []hotKey
-	caseBuf    []workload.Case
-	caseKeys   []anchorcache.Key
+	anchorRows []HostRow
+	rowKeys    []anchorcache.Key
 	anchorRefs []anchorRef
 	anchorVals []float64
 	missByKey  map[anchorcache.Key]int
-	// Source-driven miss cases are carved out of a per-round arena (reset
-	// at the top of anchors): obsTasks holds every staged case's tasks,
-	// obsVMs its one VM; obsTaskIDs are the per-core task names, built once.
-	obsTaskIDs []string
-	obsTasks   []workload.TaskSpec
-	obsVMs     []workload.VMSpec
-	// missCases/missOut are the batch predictMissBatch is evaluating;
+	// missRows/missOut are the batch predictMissBatch is scoring;
 	// predictChunk is predictMissChunk bound once (like stream.anchor).
-	missCases    []workload.Case
+	missRows     []HostRow
 	missOut      []float64
 	predictChunk func(lo, hi int) error
-	// Simulated-fleet anchor scratch: the serial cache pass stages misses
-	// (slot and case ambient) and the sharded case build fills their staged
-	// cases, so the per-round anchor work that walks VM and task state
-	// scales with cores instead of serializing.
+	// Simulated-fleet anchor scratch: the serial cache pass stages the
+	// missing slots in missIdx and the sharded fill copies their folds, so
+	// the per-round anchor work that walks VM and task state scales with
+	// cores instead of serializing. folds is the fold column, one entry per
+	// substrate slot (see hostFold), which the placement rows read too.
 	missIdx []int
-	missAmb []float64
+	folds   []slotFold
 
 	// plan is the per-round placement working set (see placePlan); the
-	// wave* slices and pend index scratch are PlaceBatch's reusable
-	// buffers (waveSpecs is the arena the wave's cases keep their VM lists
-	// in), and planHot the plan rebuild's hotspot-set scratch.
-	plan      placePlan
-	planHot   map[string]bool
-	waveCases []workload.Case
-	waveSpecs []workload.VMSpec
-	waveEntry []int32
-	waveVMs   []waveVM
-	waveVals  []float64
-	pendIdx   []int
-	pendNext  []int
+	// wave* slices, candDemand (the staged VM's task demands) and the pend
+	// index scratch are PlaceBatch's reusable buffers, and planHot the plan
+	// rebuild's hotspot-set scratch.
+	plan       placePlan
+	planHot    map[string]bool
+	waveRows   []HostRow
+	waveEntry  []int32
+	waveVMs    []waveVM
+	waveVals   []float64
+	candDemand []float64
+	pendIdx    []int
+	pendNext   []int
 
 	pendMu  sync.Mutex
 	pending []workload.VMSpec
@@ -149,7 +143,7 @@ func (c *Controller) noteError(msg string) {
 }
 
 // New builds a controller over a freshly assembled simulated fleet.
-func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
+func New(cfg Config, predict Predictor) (*Controller, error) {
 	cfg, hosts, err := cfg.resolve(true)
 	if err != nil {
 		return nil, err
@@ -163,6 +157,7 @@ func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
 		return nil, err
 	}
 	c.sub = sub
+	c.folds = make([]slotFold, len(sub.IDs()))
 	c.resetTable(sub.IDs())
 	return c, nil
 }
@@ -173,7 +168,7 @@ func New(cfg Config, predict BatchCasePredictor) (*Controller, error) {
 // synthesized from observed utilization through the same batch predictor,
 // and placement/migration — which need a substrate to act on — report
 // rejections instead of acting.
-func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor) (*Controller, error) {
+func NewWithSource(cfg Config, src telemetry.Source, predict Predictor) (*Controller, error) {
 	cfg, hosts, err := cfg.resolve(false)
 	if err != nil {
 		return nil, err
@@ -189,8 +184,8 @@ func NewWithSource(cfg Config, src telemetry.Source, predict BatchCasePredictor)
 // or the MaxHosts bound for discovered populations): the host table's index
 // is pre-sized from it so a cold start does not rehash its way up to the
 // full population on the first rounds, and it sizes the ingest pipeline.
-func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor, hostHint int) (*Controller, error) {
-	if predict == nil {
+func newController(cfg Config, src telemetry.Source, predict Predictor, hostHint int) (*Controller, error) {
+	if predict.TaskDemand == nil || predict.Score == nil {
 		return nil, errors.New("fleet: nil predictor")
 	}
 	eng, err := engine.New(cfg.engineConfig())
@@ -205,9 +200,6 @@ func newController(cfg Config, src telemetry.Source, predict BatchCasePredictor,
 		pos:       make(map[string]int32, hostHint),
 		missByKey: make(map[anchorcache.Key]int),
 		ingest:    newIngestPipeline(cfg.ingestCapacity(hostHint)),
-	}
-	for i := 0; i < cfg.HostShape.Cores; i++ {
-		c.obsTaskIDs = append(c.obsTaskIDs, "observed-t"+strconv.Itoa(i))
 	}
 	c.predictChunk = c.predictMissChunk
 	c.emit = c.admitSourceReading

@@ -17,6 +17,14 @@
 // slot — the host table's order — and lends it to fault scripts under the
 // round lock (Controller.WithSubstrate).
 //
+// ψ_stable comes through one seam, Predictor, which scores HostRows: the
+// Eq. (2) fold of a host's deployment (dataset.Fold), plus the candidate
+// VM where the row prices a placement, and the ambient it is priced at.
+// Anchor misses and placement windows read one fold column
+// (Controller.hostFold): each slot's fold over its residents, kept until
+// the substrate's deployment generation for the slot moves. A
+// source-driven host's row folds its observed load as one VM.
+//
 // The controller degrades gracefully: hosts whose telemetry has gone stale
 // have their prediction uncertainty widened and are excluded from the
 // hotspot map instead of poisoning it (and are evicted entirely once dark
@@ -51,64 +59,77 @@ import (
 	"vmtherm/internal/dataset"
 	"vmtherm/internal/engine"
 	"vmtherm/internal/shard"
+	"vmtherm/internal/vmm"
 	"vmtherm/internal/workload"
 )
 
-// BatchCasePredictor predicts ψ_stable for many workload cases in one call.
-// The production implementation is StableBatchPredictor (feature encoding +
-// StablePredictor.PredictBatchInto through the SVM batch kernel); tests
-// inject synthetic physics instead. Implementations must be safe for
-// concurrent calls: the controller shards cold-round anchor fan-outs across
-// a worker pool. The cases alias controller scratch (per-host deployment
-// views, the wave arena) and are valid only until the call returns.
-type BatchCasePredictor func(cases []workload.Case) ([]float64, error)
+// HostRow is one host as the ψ_stable predictor scores it: the Eq. (2)
+// fold of a deployment — the host's residents, plus a placement candidate
+// when the row prices one — and the ambient it is priced at. Every row of
+// a controller is on its configured host shape and fan count.
+type HostRow struct {
+	Fold     dataset.Fold
+	AmbientC float64
+}
+
+// Predictor is the ψ_stable model the controller anchors sessions and
+// prices placements with. The production implementation is
+// StableBatchPredictor (the Eq. (2) features through the SVM batch kernel);
+// tests and demos inject SyntheticStablePredictor.
+type Predictor struct {
+	// TaskDemand is the CPU demand a placement candidate's task adds to a
+	// fold. Residents and observed loads carry no profiles and fold at
+	// their CPUFraction under every predictor.
+	TaskDemand func(ts *workload.TaskSpec) (float64, error)
+	// Score predicts ψ_stable for every row, on hosts of the given shape and
+	// fan count, into out (len(out) == len(rows)). It must be safe for
+	// concurrent calls: the controller shards cold-round anchor fan-outs
+	// across a worker pool. The rows are controller scratch, valid only
+	// until the call returns.
+	Score func(shape vmm.HostConfig, fanCount int, rows []HostRow, out []float64) error
+}
 
 // stableScratch is the per-call working memory StableBatchPredictor keeps:
-// one flat feature matrix, its row headers, the model scratch, and the
-// encoder's profile memo (reset per call: it keys on the caller's memory).
+// one flat feature matrix, its row headers and the model scratch.
 type stableScratch struct {
 	feat []float64
 	rows [][]float64
 	ps   core.PredictScratch
-	memo dataset.ProfileMemo
 }
 
-// StableBatchPredictor adapts a trained stable model into the batch shape
-// the controller fans prediction rounds through. horizonS is the averaging
-// horizon for dynamic profiles (use the experiment duration, e.g. 1800).
-// Cases are encoded into a reused flat feature matrix and evaluated through
-// the zero-alloc batch spine, so concurrent shards share nothing but the
-// (read-only) model. Consecutive cases that share a VM's task list — a
-// placement wave's candidate — integrate its profiles once per call.
-func StableBatchPredictor(model *core.StablePredictor, horizonS float64) BatchCasePredictor {
+// StableBatchPredictor adapts a trained stable model into the controller's
+// Predictor. horizonS is the averaging horizon for a candidate's dynamic
+// profiles (use the experiment duration, e.g. 1800). Rows are finished into
+// a reused flat feature matrix and evaluated through the zero-alloc batch
+// spine into the caller's slice, so concurrent shards share nothing but the
+// (read-only) model and a warm call allocates nothing.
+func StableBatchPredictor(model *core.StablePredictor, horizonS float64) Predictor {
 	// A free list, not a sync.Pool: a caller that predicts once a round
 	// keeps its megabyte of buffers across collections.
 	var scratch shard.FreeList[stableScratch]
 	nf := dataset.NumFeatures()
-	return func(cases []workload.Case) ([]float64, error) {
-		s := scratch.Get()
-		defer scratch.Put(s)
-		s.memo.Reset()
-		if cap(s.feat) < len(cases)*nf {
-			s.feat = make([]float64, len(cases)*nf)
-		}
-		s.feat = s.feat[:len(cases)*nf]
-		if cap(s.rows) < len(cases) {
-			s.rows = make([][]float64, len(cases))
-		}
-		s.rows = s.rows[:len(cases)]
-		for i, c := range cases {
-			row := s.feat[i*nf : (i+1)*nf : (i+1)*nf]
-			if err := s.memo.EncodeInto(c, horizonS, row); err != nil {
-				return nil, fmt.Errorf("fleet: encoding %s: %w", c.Name, err)
+	return Predictor{
+		TaskDemand: func(ts *workload.TaskSpec) (float64, error) { return dataset.TaskDemand(ts, horizonS) },
+		Score: func(shape vmm.HostConfig, fanCount int, rows []HostRow, out []float64) error {
+			s := scratch.Get()
+			defer scratch.Put(s)
+			if cap(s.feat) < len(rows)*nf {
+				s.feat = make([]float64, len(rows)*nf)
 			}
-			s.rows[i] = row
-		}
-		out := make([]float64, len(cases))
-		if err := model.PredictBatchInto(s.rows, out, &s.ps); err != nil {
-			return nil, err
-		}
-		return out, nil
+			s.feat = s.feat[:len(rows)*nf]
+			if cap(s.rows) < len(rows) {
+				s.rows = make([][]float64, len(rows))
+			}
+			s.rows = s.rows[:len(rows)]
+			for i := range rows {
+				row := s.feat[i*nf : (i+1)*nf : (i+1)*nf]
+				if err := rows[i].Fold.Finish(shape, fanCount, rows[i].AmbientC, row); err != nil {
+					return fmt.Errorf("fleet: encoding row %d: %w", i, err)
+				}
+				s.rows[i] = row
+			}
+			return model.PredictBatchInto(s.rows, out, &s.ps)
+		},
 	}
 }
 

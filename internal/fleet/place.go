@@ -10,24 +10,24 @@
 //
 // A wave costs what changed, not what exists:
 //
-//   - a host's deployment reaches a Case through the substrate's per-host
-//     view, memoised and invalidated where — and only where — a deployment
-//     or a task's CPU fraction changes (substrate.Fleet.HostCase says
-//     where). HostCase copies "view + candidate" into the wave's arena
-//     (Controller.waveSpecs, reset at the top of each wave, once the
-//     previous wave's cases are consumed); the anchor pass borrows the view
-//     through the same builder;
-//   - the candidate VM's profiles are integrated once per predictor call,
-//     not once per candidate host (dataset.ProfileMemo in
-//     StableBatchPredictor: a window's cases share the candidate's Tasks);
+//   - a candidate host's row is its resident fold plus the candidate VM:
+//     the fold column (Controller.hostFold) keeps each slot's Eq. (2) fold
+//     of its deployment view until the substrate's deployment generation
+//     for the slot moves — a placement, migration or removal there, or a
+//     tick that drives one of its tasks — and the anchor pass reads the
+//     same folds, so a host is refolded once per change, not once per
+//     (VM, host) pair;
+//   - the candidate's task demands are computed once per VM per wave by
+//     the predictor's TaskDemand (a profile's mean integrates once, not
+//     once per candidate host), and added to each copy of a host's fold;
 //   - the plan's entries never move: they are ranked through a permutation
 //     that placePlan.rerank repairs after a wave by removing the moved
 //     entries and binary-inserting them. The only full sort is the plan's
 //     once-per-round build.
 //
 // All three reproduce, bit for bit, the decisions of rebuilding each input
-// from scratch; substrate.HostStateCase and a full sort are the oracles the
-// tests compare against.
+// from scratch; dataset.Encode of substrate.HostStateCase and a full sort
+// are the oracles the tests compare against.
 package fleet
 
 import (
@@ -186,10 +186,10 @@ func TallyDecisions(decs []PlacementDecision) (placed, queued, rejected int) {
 }
 
 // Per-call candidate budget: one placement call builds and predicts at most
-// this many post-placement cases. A single VM spends the whole budget (the
+// this many post-placement rows. A single VM spends the whole budget (the
 // pre-batch shortlist bound); a batch splits it, floored at
 // minPlacementWindow candidates per VM — that split is what makes a
-// 1024-VM storm cost ~2 case builds + predictions per VM instead of 256.
+// 1024-VM storm cost ~2 row builds + predictions per VM instead of 256.
 const (
 	maxPlacementCandidates = 256
 	minPlacementWindow     = 2
@@ -342,7 +342,7 @@ func ShapeError(shape vmm.HostConfig, cfg vmm.VMConfig) error {
 // The batch shares one candidate budget (maxPlacementCandidates): requests
 // are assigned in waves, each host serving at most one VM per wave, with
 // one batched ψ_stable prediction per wave — so a storm of B requests costs
-// O(budget) case builds + predictions total instead of B × budget, and
+// O(budget) row builds + predictions total instead of B × budget, and
 // every VM placed within the batch sees the headroom its predecessors
 // consumed.
 func (c *Controller) PlaceBatch(specs []workload.VMSpec) ([]PlacementDecision, error) {
@@ -352,8 +352,8 @@ func (c *Controller) PlaceBatch(specs []workload.VMSpec) ([]PlacementDecision, e
 }
 
 // waveVM is one staged request of the current wave: its spec index and its
-// candidate window [lo, hi) into waveEntry/waveVals (waveEntry holds plan
-// entry indices, which a rerank does not move).
+// candidate window [lo, hi) into waveRows/waveEntry/waveVals (waveEntry
+// holds plan entry indices, which a rerank does not move).
 type waveVM struct {
 	spec   int
 	lo, hi int
@@ -391,15 +391,14 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 	for len(pending) > 0 {
 		plan.wave++
 		plan.rerank()
-		c.waveCases = c.waveCases[:0]
-		c.waveSpecs = c.waveSpecs[:0] // the previous wave's cases are consumed
+		c.waveRows = c.waveRows[:0]
 		c.waveEntry = c.waveEntry[:0]
 		c.waveVMs = c.waveVMs[:0]
 		next = next[:0]
 
 		// Collection: walk the requests in input order, reserving each a
 		// window of the coolest admitting unclaimed hosts and building their
-		// post-placement cases. Requests that only found hosts claimed by an
+		// post-placement rows. Requests that only found hosts claimed by an
 		// earlier request this wave defer to the next wave, where they see
 		// the applied placements.
 		for _, si := range pending {
@@ -444,15 +443,21 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 					continue
 				}
 				e.claimed = plan.wave
+				if len(c.waveEntry) == lo {
+					if err := c.stageDemands(spec); err != nil {
+						return nil, fmt.Errorf("fleet: placement predict: %w", err)
+					}
+				}
 				// Priced from the per-tick rack inlet cache. In-round
 				// placements do shift rack recirculation slightly until the
 				// next tick; that drift is below sensor noise and
 				// deliberately ignored.
-				cse, err := c.sub.HostCase(int(ei), c.sub.Inlet(int(ei)), spec, &c.waveSpecs)
-				if err != nil {
-					return nil, err
+				c.waveRows = append(c.waveRows, HostRow{Fold: *c.hostFold(int(ei)), AmbientC: c.sub.Inlet(int(ei))})
+				row := &c.waveRows[len(c.waveRows)-1]
+				for k := range spec.Tasks {
+					row.Fold.AddTask(c.candDemand[k], &spec.Tasks[k].Task)
 				}
-				c.waveCases = append(c.waveCases, cse)
+				row.Fold.AddVM(spec.Config)
 				c.waveEntry = append(c.waveEntry, ei)
 				if len(c.waveEntry)-lo == window {
 					break
@@ -473,12 +478,12 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 		}
 
 		// One batched prediction over every window of the wave.
-		if len(c.waveCases) > 0 {
-			if cap(c.waveVals) < len(c.waveCases) {
-				c.waveVals = make([]float64, len(c.waveCases))
+		if len(c.waveRows) > 0 {
+			if cap(c.waveVals) < len(c.waveRows) {
+				c.waveVals = make([]float64, len(c.waveRows))
 			}
-			c.waveVals = c.waveVals[:len(c.waveCases)]
-			if err := c.predictMissBatch(c.waveCases, c.waveVals); err != nil {
+			c.waveVals = c.waveVals[:len(c.waveRows)]
+			if err := c.predictMissBatch(c.waveRows, c.waveVals); err != nil {
 				return nil, fmt.Errorf("fleet: placement predict: %w", err)
 			}
 		}
@@ -552,6 +557,20 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 	}
 	c.pendIdx, c.pendNext = pending[:0], next[:0]
 	return decs, nil
+}
+
+// stageDemands computes the task demands spec adds to each of its window's
+// rows, once per VM per wave, by the predictor's rule, into candDemand.
+func (c *Controller) stageDemands(spec *workload.VMSpec) error {
+	c.candDemand = c.candDemand[:0]
+	for k := range spec.Tasks {
+		d, err := c.predict.TaskDemand(&spec.Tasks[k])
+		if err != nil {
+			return err
+		}
+		c.candDemand = append(c.candDemand, d)
+	}
+	return nil
 }
 
 // parkOrReject parks an admission-blocked request on the pending queue

@@ -73,12 +73,14 @@ func runPlaceStream(t *testing.T, v streamVariant, check func(c *Controller, aft
 	cfg.MaxMigrationsPerRound = 1
 	cfg.Admission = v.adm
 	var c *Controller
-	c, err := New(cfg, func(cases []workload.Case) ([]float64, error) {
+	predict := syntheticStable
+	predict.Score = func(shape vmm.HostConfig, fans int, rows []HostRow, out []float64) error {
 		if check != nil {
 			check(c, false)
 		}
-		return syntheticStable(cases)
-	})
+		return syntheticStable.Score(shape, fans, rows, out)
+	}
+	c, err := New(cfg, predict)
 	if err != nil {
 		t.Fatal(err)
 	}

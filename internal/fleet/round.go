@@ -137,7 +137,7 @@ func (c *Controller) resolveAnchors(rs *roundState) (err error) {
 	if rs.anchorHits, rs.anchorMisses, err = c.anchors(); err != nil {
 		return err
 	}
-	rs.fanout = len(c.caseBuf)
+	rs.fanout = len(c.anchorRows)
 	c.lastFanout.Store(int64(rs.fanout))
 	return nil
 }

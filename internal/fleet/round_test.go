@@ -3,27 +3,33 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"vmtherm/internal/telemetry"
-	"vmtherm/internal/workload"
+	"vmtherm/internal/vmm"
 )
 
-// failOnce wraps a predictor with a single injected failure: the first call
-// for which trip reports true returns errInjected instead of predicting.
+// failOnce wraps the synthetic predictor with a single injected failure:
+// the first scoring call for which trip reports true returns errInjected
+// instead of predicting.
 type failOnce struct {
 	armed bool
-	trip  func([]workload.Case) bool
+	trip  func() bool
 }
 
 var errInjected = errors.New("injected predictor failure")
 
-func (f *failOnce) predict(cases []workload.Case) ([]float64, error) {
-	if f.armed && f.trip(cases) {
-		f.armed = false
-		return nil, errInjected
+func (f *failOnce) predictor() Predictor {
+	p := syntheticStable
+	p.Score = func(shape vmm.HostConfig, fans int, rows []HostRow, out []float64) error {
+		if f.armed && f.trip() {
+			f.armed = false
+			return errInjected
+		}
+		return syntheticStable.Score(shape, fans, rows, out)
 	}
-	return syntheticStable(cases)
+	return p
 }
 
 // TestStageErrorLeavesControllerConsistent pins the early-return contract of
@@ -38,8 +44,8 @@ func TestStageErrorLeavesControllerConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail := &failOnce{trip: func([]workload.Case) bool { return true }}
-	ctl, err := NewWithSource(traceConfig(), src, fail.predict)
+	fail := &failOnce{trip: func() bool { return true }}
+	ctl, err := NewWithSource(traceConfig(), src, fail.predictor())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,33 +108,29 @@ func TestFailedDrainReparksQueue(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		perRoundCap      int
-		tripOn           string // the queued VM whose candidate prediction fails
-		landed           int    // VMs the failing drain had placed before failing
-		placed, requeued int    // the next round's decisions
+		tripOn           int // the queued VM (q-tripOn) whose wave's prediction fails
+		landed           int // VMs the failing drain had placed before failing
+		placed, requeued int // the next round's decisions
 	}{
 		// On this 16-host fleet every request's candidate window spans all
 		// hosts, so an uncapped drain runs one wave per request: q-1's wave
 		// fails after q-0 has landed.
-		{name: "mid-drain", tripOn: "q-1", landed: 1, placed: queued - 1},
+		{name: "mid-drain", tripOn: 1, landed: 1, placed: queued - 1},
 		// With a cap of one the first wave stages q-0 and parkOrReject parks
 		// q-1..q-4 before the prediction for q-0 fails.
-		{name: "after-cap-parking", perRoundCap: 1, tripOn: "q-0", placed: 1, requeued: queued - 1},
+		{name: "after-cap-parking", perRoundCap: 1, tripOn: 0, placed: 1, requeued: queued - 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Only the drain's post-placement candidate cases carry a queued VM.
-			fail := &failOnce{trip: func(cases []workload.Case) bool {
-				for _, c := range cases {
-					for _, vm := range c.VMs {
-						if vm.ID == tc.tripOn {
-							return true
-						}
-					}
-				}
-				return false
+			// Only the drain's waves stage a queued VM, by its index in the
+			// drain's queue — the submission order, q-0 first: the wave that
+			// stages q-tripOn fails.
+			var c *Controller
+			fail := &failOnce{trip: func() bool {
+				return slices.ContainsFunc(c.waveVMs, func(wv waveVM) bool { return wv.spec == tc.tripOn })
 			}}
 			cfg := testConfig()
 			cfg.Admission.MaxPlacementsPerRound = tc.perRoundCap
-			c, err := New(cfg, fail.predict)
+			c, err := New(cfg, fail.predictor())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,34 +8,27 @@ import (
 )
 
 // SyntheticStablePredictor is a physics-flavored stand-in for the trained
-// SVM: it maps a host case to ambient plus risePerUtilC × utilization. The
+// SVM: it maps a host row to ambient plus risePerUtilC × utilization, the
+// utilization being Σ_vm min(Σ task CPU fraction, vCPUs) over the cores —
+// the fold's demand, each task at its instantaneous CPUFraction. The
 // absolute level is deliberately imperfect — the dynamic calibration γ is
 // what reconciles it with the measured trajectory, exactly as with a real
 // model. It backs `vmtherm-fleetd -synthetic`, the examples, and the test
 // suites (75 °C/util roughly matches the simulated substrate's full-load
 // rise).
-func SyntheticStablePredictor(risePerUtilC float64) BatchCasePredictor {
-	return func(cases []workload.Case) ([]float64, error) {
-		out := make([]float64, len(cases))
-		for i, c := range cases {
-			var demand float64
-			for _, vm := range c.VMs {
-				var s float64
-				for _, ts := range vm.Tasks {
-					s += ts.Task.CPUFraction
+func SyntheticStablePredictor(risePerUtilC float64) Predictor {
+	return Predictor{
+		TaskDemand: func(ts *workload.TaskSpec) (float64, error) { return ts.Task.CPUFraction, nil },
+		Score: func(shape vmm.HostConfig, _ int, rows []HostRow, out []float64) error {
+			for i := range rows {
+				util := rows[i].Fold.Demand() / float64(shape.Cores)
+				if util > 1 {
+					util = 1
 				}
-				if cap := float64(vm.Config.VCPUs); s > cap {
-					s = cap
-				}
-				demand += s
+				out[i] = rows[i].AmbientC + risePerUtilC*util
 			}
-			util := demand / float64(c.Host.Cores)
-			if util > 1 {
-				util = 1
-			}
-			out[i] = c.AmbientC + risePerUtilC*util
-		}
-		return out, nil
+			return nil
+		},
 	}
 }
 

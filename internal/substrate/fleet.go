@@ -63,21 +63,23 @@ type simHost struct {
 	fault SensorFault
 	// view memoises the placed VMs as VMSpecs in HostStateCase's order
 	// (see deployment); viewTasks backs their Tasks slices. util and mem
-	// memoise host.Loads() (see loads). Both memos hold until invalidate.
-	// caseName is "state:"+id.
+	// memoise host.Loads() (see loads). Both memos hold until invalidate,
+	// which also advances gen, the deployment generation that memos kept
+	// outside the substrate key on (see Fleet.Generation).
 	view      []workload.VMSpec
 	viewTasks []workload.TaskSpec
 	viewOK    bool
 	util, mem float64
 	loadsOK   bool
-	caseName  string
+	gen       uint64
 }
 
 // invalidate drops the memos a change to the deployment or to a task's CPU
-// fraction makes stale. Place, Migrate, Remove and tickRack's sweep over
-// driven (SetTaskCPU by task index) when a driver ran are its only four
-// callers: a new way to mutate a host must call it too.
-func (sh *simHost) invalidate() { sh.viewOK, sh.loadsOK = false, false }
+// fraction makes stale, and advances the deployment generation. Place,
+// Migrate, Remove and tickRack's sweep over driven (SetTaskCPU by task
+// index) when a driver ran are its only four callers: a new way to mutate a
+// host must call it too.
+func (sh *simHost) invalidate() { sh.viewOK, sh.loadsOK = false, false; sh.gen++ }
 
 // loads returns host.Loads(), summed again only after an invalidation.
 func (sh *simHost) loads() (util, mem float64) {
@@ -253,7 +255,7 @@ func newFleet(cfg Config, shape vmm.HostConfig, fanCount, workers int, name func
 			}
 			f.slotOf[id] = len(f.hosts)
 			f.order = append(f.order, id)
-			f.hosts = append(f.hosts, &simHost{host: h, server: srv, sensor: sensor, caseName: "state:" + id})
+			f.hosts = append(f.hosts, &simHost{host: h, server: srv, sensor: sensor, gen: 1})
 		}
 		f.rackSpan[r][1] = len(f.hosts)
 	}
@@ -647,37 +649,24 @@ func (f *Fleet) Advance(dur float64, emit func(telemetry.Reading) bool) error {
 	return nil
 }
 
-// HostCase is the one host → workload.Case builder: slot i's current
-// deployment (see simHost.deployment) at ambientC, plus an optional
-// candidate VM. Without a candidate the case borrows the host's view; with
-// one, view and candidate are copied to the end of *arena, the caller's
-// scratch, which it resets once the cases built from it are consumed. The
-// result is reflect.DeepEqual to HostStateCase's. Calls for distinct slots
-// may run concurrently.
-func (f *Fleet) HostCase(i int, ambientC float64, candidate *workload.VMSpec, arena *[]workload.VMSpec) (workload.Case, error) {
-	sh := f.hosts[i]
-	vms := sh.deployment()
-	if candidate != nil {
-		lo := len(*arena)
-		*arena = append(append(*arena, vms...), *candidate)
-		vms = (*arena)[lo:]
-	}
-	if len(vms) == 0 {
-		return workload.Case{}, errors.New("fleet: host state has no running VMs")
-	}
-	return workload.Case{
-		Name:     sh.caseName,
-		Host:     sh.host.Config(),
-		FanCount: f.fanCount,
-		AmbientC: ambientC,
-		VMs:      vms[:len(vms):len(vms)],
-	}, nil
-}
+// Deployment is slot i's deployment view — every placed VM by id, its
+// tasks by id at their current CPU fractions, no profiles — as of its
+// current Generation. The slice is the host's own scratch: read it before
+// the next mutation or tick and never write through it. Calls for distinct
+// slots may run concurrently.
+func (f *Fleet) Deployment(i int) []workload.VMSpec { return f.hosts[i].deployment() }
 
-// HostStateCase is the reference HostCase reproduces from its memoised
-// views, rebuilt on every call: h's current deployment — every placed VM by
+// Generation is slot i's deployment generation: it advances at every
+// change that can change the slot's Deployment — Place, Migrate, Remove,
+// and a tick that drives one of its tasks — and is never 0, so a memo of
+// anything derived from the deployment stays valid while its recorded
+// generation is current, and a zero record is never current.
+func (f *Fleet) Generation(i int) uint64 { return f.hosts[i].gen }
+
+// HostStateCase is the reference Deployment reproduces from its memoised
+// view, rebuilt on every call: h's current deployment — every placed VM by
 // id, its tasks by id at their current CPU fractions, no profiles — at
-// ambientC, plus an optional candidate. Tests compare HostCase against it.
+// ambientC, plus an optional candidate.
 func HostStateCase(h *vmm.Host, fanCount int, ambientC float64, candidate *workload.VMSpec) (workload.Case, error) {
 	if h == nil {
 		return workload.Case{}, errors.New("fleet: nil host")

@@ -98,7 +98,7 @@ func TestInletBeforeFirstTickMatchesTick(t *testing.T) {
 	}
 }
 
-// TestHostStateCase pins the oracle HostCase is compared against: every
+// TestHostStateCase pins the oracle Deployment is compared against: every
 // placed VM in id order, fan count and ambient passed through, a candidate
 // appended last, and an error for a nil host or an empty state.
 func TestHostStateCase(t *testing.T) {

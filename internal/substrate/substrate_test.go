@@ -50,19 +50,23 @@ func sineSpec(rng *mathx.RNG, id string) workload.VMSpec {
 }
 
 // TestHostCaseViewMatchesHostStateCase is the differential test of the
-// memoised deployment views behind HostCase: over a seeded sequence of
-// Place, Migrate, Remove and Advance, every host's case — with and without
-// a candidate VM — is reflect.DeepEqual to a fresh HostStateCase,
-// and some views are still valid when compared, so the memo is exercised
-// and not merely rebuilt at every call. After every op the round's
+// memoised deployment views behind Deployment: over a seeded sequence of
+// Place, Migrate, Remove and Advance, every host's view is
+// reflect.DeepEqual to a fresh HostStateCase's VMs, and some views are
+// still valid when compared, so the memo is exercised and not merely
+// rebuilt at every call. A host whose deployment differs from the one seen
+// at its last comparison must show a new Generation, so a memo keyed on the
+// generation cannot serve a stale deployment. After every op the round's
 // read-only calls run as well — ScanAnchors and LargestVM on every slot —
-// and must leave every valid view valid.
+// and must leave every valid view valid and every generation where it was.
 func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 	f := testFleet(t)
 	rng := mathx.SplitStable(2016, "substrate-view")
 	var live []string
 	counts := map[string]int{}
-	reused := 0
+	reused, advanced := 0, 0
+	seenGen := make([]uint64, len(f.hosts))
+	seenVMs := make([][]workload.VMSpec, len(f.hosts))
 	for step := 0; step < 400; step++ {
 		op := []string{"place", "place", "migrate", "remove", "advance"}[rng.Intn(5)]
 		switch op {
@@ -98,8 +102,9 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 		}
 		counts[op]++
 		valid := make([]bool, len(f.hosts))
+		gens := make([]uint64, len(f.hosts))
 		for i, sh := range f.hosts {
-			valid[i] = sh.viewOK
+			valid[i], gens[i] = sh.viewOK, f.Generation(i)
 		}
 		f.ScanAnchors(anchorcache.DefaultQuantizer())
 		for i := range f.IDs() {
@@ -108,30 +113,30 @@ func TestHostCaseViewMatchesHostStateCase(t *testing.T) {
 			}
 		}
 		for i, sh := range f.hosts {
-			if valid[i] && !sh.viewOK {
+			if valid[i] && !sh.viewOK || gens[i] != f.Generation(i) {
 				t.Fatalf("step %d (%s): ScanAnchors or LargestVM invalidated %s's view", step, op, f.IDs()[i])
 			}
 			if sh.viewOK {
 				reused++
 			}
 		}
-		cand := sineSpec(rng, "candidate")
-		var arena []workload.VMSpec
 		for i := range f.IDs() {
 			inlet := f.Inlet(i)
-			for _, c := range []*workload.VMSpec{nil, &cand} {
-				want, wantErr := HostStateCase(f.Host(i), 4, inlet, c)
-				got, err := f.HostCase(i, inlet, c, &arena)
-				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("step %d (%s) host %s: error %v, HostStateCase %v", step, op, f.IDs()[i], err, wantErr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d (%s): case for %s diverged:\n got %+v\nwant %+v", step, op, f.IDs()[i], got, want)
-				}
+			want, _ := HostStateCase(f.Host(i), 4, inlet, nil)
+			vms, gen := f.Deployment(i), f.Generation(i)
+			if len(vms) != len(want.VMs) || len(vms) > 0 && !reflect.DeepEqual(vms, want.VMs) {
+				t.Fatalf("step %d (%s): deployment of %s diverged:\n got %+v\nwant %+v", step, op, f.IDs()[i], vms, want.VMs)
 			}
+			if gen == 0 || gen == seenGen[i] && !reflect.DeepEqual(want.VMs, seenVMs[i]) {
+				t.Fatalf("step %d (%s): %s's deployment changed under generation %d", step, op, f.IDs()[i], gen)
+			}
+			if gen != seenGen[i] {
+				advanced++
+			}
+			seenGen[i], seenVMs[i] = gen, want.VMs
 		}
 	}
-	t.Logf("ops %v, %d views still valid at a comparison", counts, reused)
+	t.Logf("ops %v, %d views still valid at a comparison, %d generation changes", counts, reused, advanced)
 	for _, op := range []string{"place", "migrate", "remove", "advance"} {
 		if counts[op] == 0 {
 			t.Fatalf("the sequence never ran %s", op)
@@ -314,22 +319,18 @@ func TestConstantDriversRetire(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := f.hosts[3]
-	var arena []workload.VMSpec
 	check := func(step string, wantFrac float64, wantDriven int) {
 		t.Helper()
 		inlet := f.Inlet(3)
-		got, err := f.HostCase(3, inlet, nil, &arena)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := f.Deployment(3)
 		want, err := HostStateCase(f.Host(3), 4, inlet, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: case diverged:\n got %+v\nwant %+v", step, got, want)
+		if !reflect.DeepEqual(got, want.VMs) {
+			t.Fatalf("%s: deployment diverged:\n got %+v\nwant %+v", step, got, want.VMs)
 		}
-		if frac := got.VMs[0].Tasks[0].Task.CPUFraction; frac != wantFrac || len(sh.driven) != wantDriven {
+		if frac := got[0].Tasks[0].Task.CPUFraction; frac != wantFrac || len(sh.driven) != wantDriven {
 			t.Fatalf("%s: constant task at %v with %d drivers, want %v and %d", step, frac, len(sh.driven), wantFrac, wantDriven)
 		}
 	}

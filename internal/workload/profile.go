@@ -81,7 +81,11 @@ func modPeriod(t, p float64) float64 {
 }
 
 // MeanOver numerically averages a profile over [from, to] with the given
-// sampling step; used to derive expected utilization of a scenario.
+// sampling step; used to derive expected utilization of a scenario. The
+// points are from + (to−from)·k/n for k = 0..n, n being (to−from)/step
+// rounded to the nearest integer (at least 1): an indexed grid always
+// includes both ends, where accumulating t += step drifts and can drop the
+// last point.
 func MeanOver(p Profile, from, to, step float64) (float64, error) {
 	if p == nil {
 		return 0, errors.New("workload: nil profile")
@@ -89,13 +93,12 @@ func MeanOver(p Profile, from, to, step float64) (float64, error) {
 	if step <= 0 || to <= from {
 		return 0, fmt.Errorf("workload: bad range [%v, %v] step %v", from, to, step)
 	}
+	n := max(int(math.Round((to-from)/step)), 1)
 	var sum float64
-	var n int
-	for t := from; t <= to; t += step {
-		sum += p.At(t)
-		n++
+	for k := 0; k <= n; k++ {
+		sum += p.At(from + (to-from)*float64(k)/float64(n))
 	}
-	return sum / float64(n), nil
+	return sum / float64(n+1), nil
 }
 
 func clamp01(x float64) float64 {

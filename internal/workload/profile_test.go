@@ -164,3 +164,56 @@ func BenchmarkBurstyAt(b *testing.B) {
 	}
 	_ = sink
 }
+
+// countingSine is a Sine that counts its evaluations and the times it is
+// evaluated at.
+type countingSine struct {
+	Sine
+	n     *int
+	first *float64
+	last  *float64
+}
+
+func (p countingSine) At(t float64) float64 {
+	if *p.n == 0 {
+		*p.first = t
+	}
+	*p.n++
+	*p.last = t
+	return p.Sine.At(t)
+}
+
+// TestMeanOverGridPoints: the training encoder's grid (step horizon/200)
+// evaluates 201 points from 0 to the horizon at every integer horizon
+// 1–7,200 — accumulating t += step dropped the last point at 3,430 of them
+// — and at the experiment length, 1,800 s, the mean keeps the bits of the
+// accumulated loop, whose points are exact there.
+func TestMeanOverGridPoints(t *testing.T) {
+	var n int
+	var first, last float64
+	p := countingSine{Sine: Sine{Base: 0.5, Amplitude: 0.3, Period: 377, Phase: 1}, n: &n, first: &first, last: &last}
+	for h := 1; h <= 7200; h++ {
+		n = 0
+		horizon := float64(h)
+		if _, err := MeanOver(p, 0, horizon, horizon/200); err != nil {
+			t.Fatal(err)
+		}
+		if n != 201 || first != 0 || last != horizon {
+			t.Fatalf("horizon %d: %d points over [%v, %v], want 201 over [0, %d]", h, n, first, last, h)
+		}
+	}
+	const horizon = 1800
+	var sum float64
+	var points int
+	for t := 0.0; t <= horizon; t += horizon / 200 {
+		sum += p.Sine.At(t)
+		points++
+	}
+	got, err := MeanOver(p.Sine, 0, horizon, horizon/200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sum / float64(points); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("at %d s: mean %v, accumulated loop %v", horizon, got, want)
+	}
+}
