@@ -10,10 +10,11 @@ import (
 // BenchmarkEngineRound measures one steady-state control round of the
 // fleet's session engine at 1024 hosts: staleness accounting, calibration,
 // re-anchor checks and Δ_gap-ahead prediction per host — the hot path under
-// the fleet control plane. "slots" is the slot-indexed front-end the fleet
+// the fleet control plane. "slots" is RoundSlots, the round the fleet
 // controller runs (cached session handles, no string hashed), "keyed" the
-// map front-end over the same per-host body;
-// bench/e2e's engine.round.ns_per_host times the keyed one only. Both keep
+// map twin that stages maps into slots, runs the same body and compacts the
+// predictions into a list; bench/e2e's engine.round.ns_per_host times the
+// keyed one only. Both keep
 // their anchors, so after 40 rounds every session is past t_break and Eq. (3)
 // costs no logarithm. "slots_warmup" re-anchors a tenth of the hosts each
 // round, as a replayed trace does, so every session stays in its warm-up and
@@ -67,15 +68,14 @@ func BenchmarkEngineRound(b *testing.B) {
 		for i := range slots {
 			slots[i] = Slot{Reading: reading(i), Present: true, Anchor: anchor(i)}
 		}
-		var dst []Prediction
 		run(b, func(round int, now float64) int {
 			if now > 0 {
 				for i := range slots {
 					advance(&slots[i].Reading, round, now)
 				}
 			}
-			dst, _ = eng.RoundSlots(dst[:0], now, ids, slots)
-			return len(dst)
+			eng.RoundSlots(now, ids, slots)
+			return predicted(slots)
 		})
 	})
 	// churn runs slot rounds that re-anchor hosts i ≡ round (mod 10), the
@@ -86,7 +86,6 @@ func BenchmarkEngineRound(b *testing.B) {
 		for i := range slots {
 			slots[i] = Slot{Reading: reading(i), Present: true, Anchor: anchor(i)}
 		}
-		var dst []Prediction
 		run(b, func(round int, now float64) int {
 			if now > 0 {
 				for i := range slots {
@@ -96,8 +95,8 @@ func BenchmarkEngineRound(b *testing.B) {
 					}
 				}
 			}
-			dst, _ = eng.RoundSlots(dst[:0], now, ids, slots)
-			return len(dst)
+			eng.RoundSlots(now, ids, slots)
+			return predicted(slots)
 		})
 	}
 	b.Run("slots_warmup", func(b *testing.B) {

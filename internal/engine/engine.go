@@ -20,22 +20,24 @@
 // lock order is the caller's round lock, then the gate, then a session's
 // mutex.
 //
-// A round has two front-ends over one per-host body (roundHost). RoundSlots
-// is the slot-indexed one: the caller keeps each host's reading, anchor and
-// a cached session Handle in a []Slot parallel to its id list, so a warm
-// round hashes no string. Round is the keyed one — maps of readings and
-// anchors — for callers without a host table; it stages the maps into
-// engine-owned slots and runs the same body. Both append into a caller-owned
-// buffer and allocate only when a session is first created: a re-anchor
-// resets the existing session in place on the shape validated once at New,
-// checking only φ(0) and ψ_stable.
+// A round is one body (roundChunk) over the slots: the caller keeps each
+// host's reading, anchor and a cached session Handle in a []Slot parallel to
+// its id list, so a warm round hashes no string, and the round writes each
+// host's prediction back into its own slot. RoundSlots is that round; Round,
+// for callers without a host table, stages maps of readings and anchors
+// into engine-owned slots, runs the same body and compacts the predictions
+// into a list. The body runs in shard.Run chunks — one inline chunk below
+// shard.MinHosts hosts or with one worker — and leaves the session map to a
+// serial sweep of the chunks' first-sight and eviction events. Beyond
+// first-sight session creation a serial round allocates nothing: a
+// re-anchor resets the existing session in place on the shape validated
+// once at New, checking only φ(0) and ψ_stable.
 //
 // A round evaluates Eq. (3) twice per host — at the reading, to calibrate,
-// and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns
-// (one for the serial round, one per chunk of the sharded one). The memo
-// keys the warm-up fraction ln(1+t/δ)/ln(1+t_break/δ) on the bits of the
-// curve-local time t and checks the whole key, so a hit is the float the
-// computation gives. Rounds driven by a source hit it almost always: the
+// and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns,
+// one per chunk. The memo keys the warm-up fraction
+// ln(1+t/δ)/ln(1+t_break/δ) on the bits of the curve-local time t and checks
+// the whole key, so a hit is the float the computation gives. Rounds driven by a source hit it almost always: the
 // readings of a round share one timestamp (trace rows, scrapes, simulator
 // samples) and the sessions a round re-anchored share their anchor instant.
 // The streaming path (per-host timestamps) evaluates directly.
@@ -53,7 +55,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -163,12 +164,12 @@ func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
 }
 
 // Engine is the session map plus the round executor. Create with New. All
-// methods are safe for concurrent use; rounds (either front-end) serialize
+// methods are safe for concurrent use; rounds (RoundSlots or Round) serialize
 // on the round gate.
 type Engine struct {
 	cfg Config
 	// gate is the round gate (see the package comment): it guards sessions,
-	// and its write side also owns the memos and the round scratch below.
+	// and its write side also owns the round working set below.
 	gate     sync.RWMutex
 	sessions map[string]*session
 	// count is len(sessions), readable without the gate: an AnchorLookup
@@ -177,15 +178,27 @@ type Engine struct {
 	// shape is the curve shape and calibration config of every session the
 	// engine anchors, validated once: re-anchoring checks only the anchors.
 	shape core.Shape
-	// memos memoise the shape's warm-up fraction for the round: the first
-	// serves the serial round, and the sharded round grows one per chunk,
-	// beside its chunks' stats; scratch holds the sharded round's per-host
-	// results, keyed the slots the keyed Round stages its maps into. All
-	// are reused across rounds.
-	memos   []*core.CurveMemo
-	stats   []RoundStats
-	scratch []roundSlot
-	keyed   []Slot
+	// chunks is the round's per-chunk working set (memo, stats, events),
+	// kept across rounds: at most RoundWorkers. The round's arguments are
+	// parked in now, ids, slots and size for the body, which is roundChunk
+	// bound once in run, so a serial round costs no closure. keyed holds the
+	// slots the keyed Round stages its maps into.
+	chunks []roundChunk
+	run    func(lo, hi int) error
+	now    float64
+	ids    []string
+	slots  []Slot
+	size   int
+	keyed  []Slot
+}
+
+// roundChunk is one chunk's share of a round: the memo its hosts evaluate
+// through, its stats, and the slots whose session map change — a first-sight
+// registration or an eviction — the serial sweep applies after the pass.
+type roundChunk struct {
+	memo         *core.CurveMemo
+	st           RoundStats
+	fresh, evict []int32
 }
 
 // New builds an engine.
@@ -200,7 +213,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, shape: shape, sessions: make(map[string]*session)}
-	e.memos = []*core.CurveMemo{core.NewCurveMemo(&e.shape)}
+	e.run = e.roundChunk
 	return e, nil
 }
 
@@ -313,8 +326,9 @@ type RoundStats struct {
 // the package comment for the validity rule.
 type Handle struct{ sess *session }
 
-// Slot is one host's share of a slot-indexed round: what the caller knows
-// about the host going in, and the engine's cached way back to its session.
+// Slot is one host's share of a round: what the caller knows about the host
+// going in, the engine's cached way back to its session, and what the round
+// predicted for it.
 type Slot struct {
 	// Reading is the host's newest telemetry; Present says there is one.
 	// RoundSlots clears Present when it forgets a host dark beyond
@@ -327,6 +341,10 @@ type Slot struct {
 	Anchor float64
 	// Handle is the engine's; callers only carry it along with the slot.
 	Handle Handle
+	// Pred is the host's prediction from the latest round, meaningful only
+	// where Predicted is set; every round writes Predicted for every slot.
+	Pred      Prediction
+	Predicted bool
 }
 
 // resolve returns id's session through h, refreshing h by key when it is
@@ -348,17 +366,21 @@ func (e *Engine) HandleCurrent(id string, h Handle) bool {
 	return h.sess == nil || h.sess.removed || e.sessions[id] == h.sess
 }
 
-// roundHost runs one host's share of a round — staleness accounting,
-// (re-)anchoring, calibration, Δ_gap prediction — into pred, evaluating the
-// curve through memo. It reports whether a prediction was produced, whether
-// the host must be forgotten, and whether the prediction came from a
-// session built this round, which the slot's Handle holds: the eviction and
-// the registration, which write the session map, are the caller's — serial
-// — responsibility. The caller holds the gate's write side, so roundHost
-// takes no session lock; calls on distinct hosts with distinct memos may
-// run concurrently: the slot is the caller's own, and every counter lands
-// in the caller-owned st.
-func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pred *Prediction, memo *core.CurveMemo) (ok, evict, fresh bool) {
+// roundHost runs slot i's share of the round parked on the engine —
+// staleness accounting, (re-)anchoring, calibration, Δ_gap prediction into
+// the slot — evaluating the curve through c's memo. The session map is only
+// read: a session built this round is held by the slot's Handle and listed
+// in c.fresh, a host to forget in c.evict, for the serial sweep. The caller
+// holds the gate's write side, so roundHost takes no session lock; calls on
+// distinct slots with distinct chunks may run concurrently.
+func (e *Engine) roundHost(i int, c *roundChunk) {
+	s := &e.slots[i]
+	s.Predicted = false
+	if !s.Present {
+		// Never observed means no session and no prediction.
+		return
+	}
+	nowS, st := e.now, &c.st
 	r := s.Reading
 	if r.AtS > nowS {
 		// Clock-skewed producer: a future-stamped reading would drive
@@ -374,12 +396,13 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// Dark beyond the eviction horizon: the host is gone, not merely
 		// degraded. Forget the session and the fossil reading so the
 		// population shrinks instead of accumulating ghosts.
-		return false, true, false
+		c.evict = append(c.evict, int32(i))
+		return
 	}
 	stale := staleness > staleAfterS
 
 	anchored := !math.IsNaN(s.Anchor)
-	sess := e.resolve(&s.Handle, id)
+	sess := e.resolve(&s.Handle, e.ids[i])
 	switch {
 	case sess != nil:
 		// Re-anchor in place when the deployment's predicted ψ_stable moved:
@@ -392,7 +415,8 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 	case anchored:
 		// First sight: the one allocation a session ever costs.
 		if sess = e.newSession(r.TempC, s.Anchor, r.AtS); sess != nil {
-			s.Handle.sess, fresh = sess, true
+			s.Handle.sess = sess
+			c.fresh = append(c.fresh, int32(i))
 			st.Reanchored++
 		}
 	}
@@ -400,98 +424,107 @@ func (e *Engine) roundHost(nowS float64, id string, s *Slot, st *RoundStats, pre
 		// No session and no usable anchor to build one from: counted, so
 		// the blindness is observable.
 		st.AnchorFailures++
-		return false, false, false
+		return
 	}
 	if !stale {
 		// Calibration: Eqs. (4)–(6) on the session's Δ_update schedule.
-		sess.feed(r.AtS, r.TempC, memo)
+		sess.feed(r.AtS, r.TempC, c.memo)
 	}
-	tempC := sess.pred.Predict(sess.localT(nowS), memo)
 	st.Live++
-	*pred = Prediction{
-		HostID:       id,
-		TempC:        tempC,
+	s.Pred = Prediction{
+		HostID:       e.ids[i],
+		TempC:        sess.pred.Predict(sess.localT(nowS), c.memo),
 		UncertaintyC: uncertaintyBaseC + uncertaintyPerSC*staleness,
 		StalenessS:   staleness,
 		Stale:        stale,
 	}
-	return true, false, fresh
+	s.Predicted = true
 }
 
-// forget evicts a host dark beyond EvictAfterS: its session (if any) and
-// its slot's reading. The caller holds the gate's write side.
-func (e *Engine) forget(id string, s *Slot, st *RoundStats) {
-	if e.remove(id) {
-		st.Evicted++
+// roundChunk runs the round's hosts [lo, hi) as one chunk.
+func (e *Engine) roundChunk(lo, hi int) error {
+	c := &e.chunks[lo/e.size]
+	for i := lo; i < hi; i++ {
+		e.roundHost(i, c)
 	}
-	st.Forgotten++
-	s.Present, s.Handle = false, Handle{}
+	return nil
 }
 
 // RoundSlots executes one control round over a host population kept in
 // slots: for every slot with a reading, (re-)anchor the session against the
-// slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and append
-// a Δ_gap-ahead prediction to dst. Hosts whose telemetry is older than
-// staleAfterS are degraded (prediction marked stale, no calibration); older
-// than EvictAfterS, their session is evicted and their slot's reading
-// dropped. ids[i] names slots[i], and no two ids are the same.
+// slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and write a
+// Δ_gap-ahead prediction into the slot (Pred, Predicted). Hosts whose
+// telemetry is older than staleAfterS are degraded (prediction marked stale,
+// no calibration); older than EvictAfterS, their session is evicted and
+// their slot's reading dropped. A slot without a reading, an evicted one and
+// one left without a session (an unusable anchor) have Predicted cleared.
+// ids[i] names slots[i], and no two ids are the same.
 //
-// dst is appended to and returned (pass dst[:0] to reuse a buffer); beyond
-// first-sight session creation, RoundSlots does not allocate. Slots without
-// a reading are skipped — never observed means no session and no
-// prediction.
-//
+// Beyond first-sight session creation a serial round does not allocate.
 // With RoundWorkers > 1 and a population of at least shard.MinHosts, the
-// per-host pass is sharded across a bounded worker pool: workers touch
-// disjoint slots and only read the session map, evictions and first-sight
-// registrations are deferred to a serial sweep, and dst is filled in slot
-// order afterwards — so results (predictions, their order, and the round
-// stats) are identical to the serial pass. The round holds the gate's write
-// side for its pass, so rounds serialize and a push arriving mid-pass
-// applies after it.
-func (e *Engine) RoundSlots(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
+// per-host pass runs in chunks across a bounded worker pool (at least 256
+// hosts a chunk, so each amortizes its goroutine): chunks touch disjoint
+// slots and only read the session map, and the sweep that registers
+// first-sight sessions and evicts dark hosts runs serially after the pass,
+// chunk by chunk, so every slot and the round stats are the serial round's.
+// The round holds the gate's write side for its pass, so rounds serialize
+// and a push arriving mid-pass applies after it.
+func (e *Engine) RoundSlots(nowS float64, ids []string, slots []Slot) RoundStats {
 	e.gate.Lock()
 	defer e.gate.Unlock()
-	return e.pass(dst, nowS, ids, slots)
+	return e.pass(nowS, ids, slots)
 }
 
-// pass is the round body behind both front-ends, under the gate's write
-// side: serial, or sharded across the worker pool at fleet scale.
-func (e *Engine) pass(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
-	if e.cfg.RoundWorkers > 1 && len(slots) >= shard.MinHosts {
-		return e.roundSharded(dst, nowS, ids, slots)
+// pass is the round behind RoundSlots and Round, under the gate's write
+// side: the chunks' pass over the slots, then the serial sweep.
+func (e *Engine) pass(nowS float64, ids []string, slots []Slot) RoundStats {
+	const minPerChunk = 256
+	n, workers := len(slots), 1
+	if n >= shard.MinHosts {
+		workers = e.cfg.RoundWorkers
 	}
+	count, size := shard.Chunks(n, workers, minPerChunk)
+	for len(e.chunks) < count {
+		e.chunks = append(e.chunks, roundChunk{memo: core.NewCurveMemo(&e.shape)})
+	}
+	chunks := e.chunks[:count]
+	for k := range chunks {
+		c := &chunks[k]
+		c.st, c.fresh, c.evict = RoundStats{}, c.fresh[:0], c.evict[:0]
+	}
+	e.now, e.ids, e.slots, e.size = nowS, ids, slots, size
+	_ = shard.Run(n, workers, minPerChunk, e.run) // the body cannot fail
+	e.ids, e.slots = nil, nil
+
 	var st RoundStats
-	memo := e.memos[0]
-	for i := range slots {
-		s := &slots[i]
-		if !s.Present {
-			continue
+	for k := range chunks {
+		c := &chunks[k]
+		st.Live += c.st.Live
+		st.AnchorFailures += c.st.AnchorFailures
+		st.Reanchored += c.st.Reanchored
+		st.MaxStalenessS = max(st.MaxStalenessS, c.st.MaxStalenessS)
+		for _, i := range c.fresh {
+			e.insert(ids[i], slots[i].Handle.sess)
 		}
-		// The prediction is written in place, into a cell kept only if ok.
-		n := len(dst)
-		dst = slices.Grow(dst, 1)[:n+1]
-		ok, evict, fresh := e.roundHost(nowS, ids[i], s, &st, &dst[n], memo)
-		if fresh {
-			e.insert(ids[i], s.Handle.sess)
-		}
-		if evict {
-			e.forget(ids[i], s, &st)
-		}
-		if !ok {
-			dst = dst[:n]
+		for _, i := range c.evict {
+			if e.remove(ids[i]) {
+				st.Evicted++
+			}
+			st.Forgotten++
+			slots[i].Present, slots[i].Handle = false, Handle{}
 		}
 	}
-	return dst, st
+	return st
 }
 
 // Round is RoundSlots for callers that keep readings and anchors in maps:
 // every id in order that has a reading in latest is a host of the round,
-// anchored by anchors[id] when present; a host forgotten for dark telemetry
-// is removed from latest. Hosts, results and stats are exactly RoundSlots'
-// — the maps are staged into engine-owned slots (with empty handles, so
-// every session resolves by key) and run through the same body, under the
-// same hold of the gate.
+// anchored by anchors[id] when present, and its prediction is appended to
+// dst in order (pass dst[:0] to reuse a buffer); a host forgotten for dark
+// telemetry is removed from latest. Hosts, results and stats are exactly
+// RoundSlots' — the maps are staged into engine-owned slots (with empty
+// handles, so every session resolves by key) and run through the same body,
+// under the same hold of the gate.
 func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
 	e.gate.Lock()
 	defer e.gate.Unlock()
@@ -500,80 +533,20 @@ func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest ma
 	}
 	slots := e.keyed[:len(order)]
 	for i, id := range order {
-		s := Slot{Anchor: math.NaN()}
+		s := &slots[i]
+		s.Anchor, s.Handle = math.NaN(), Handle{}
 		if s.Reading, s.Present = latest[id]; s.Present {
 			if a, ok := anchors[id]; ok {
 				s.Anchor = a
 			}
 		}
-		slots[i] = s
 	}
-	dst, st := e.pass(dst, nowS, order, slots)
-	if st.Forgotten > 0 {
-		for i, id := range order {
-			if !slots[i].Present {
-				delete(latest, id)
-			}
-		}
-	}
-	return dst, st
-}
-
-// roundSlot is one host's result cell in the sharded round.
-type roundSlot struct {
-	pred             Prediction
-	ok, evict, fresh bool
-}
-
-// roundSharded is the parallel round body: shard.Run chunks the slot range
-// into per-index scratch (at least 256 hosts a chunk, so each amortizes its
-// goroutine), each chunk with its own memo and stats (the engine keeps
-// them: at most RoundWorkers), stats are merged in chunk order, and
-// evictions, first-sight registrations and the in-order dst fill are
-// applied serially, all under the caller's hold on the gate.
-func (e *Engine) roundSharded(dst []Prediction, nowS float64, ids []string, slots []Slot) ([]Prediction, RoundStats) {
-	const minPerChunk = 256
-	n := len(slots)
-	if cap(e.scratch) < n {
-		e.scratch = make([]roundSlot, n)
-	}
-	scratch := e.scratch[:n]
-	count, size := shard.Chunks(n, e.cfg.RoundWorkers, minPerChunk)
-	for len(e.memos) < count {
-		e.memos = append(e.memos, core.NewCurveMemo(&e.shape))
-	}
-	if cap(e.stats) < count {
-		e.stats = make([]RoundStats, count)
-	}
-	stats := e.stats[:count]
-	clear(stats)
-	_ = shard.Run(n, e.cfg.RoundWorkers, minPerChunk, func(lo, hi int) error {
-		st, memo := &stats[lo/size], e.memos[lo/size]
-		for i := lo; i < hi; i++ {
-			res := &scratch[i]
-			if res.ok, res.evict, res.fresh = false, false, false; slots[i].Present {
-				res.ok, res.evict, res.fresh = e.roundHost(nowS, ids[i], &slots[i], st, &res.pred, memo)
-			}
-		}
-		return nil
-	})
-	var st RoundStats
-	for i := range stats {
-		st.Live += stats[i].Live
-		st.AnchorFailures += stats[i].AnchorFailures
-		st.Reanchored += stats[i].Reanchored
-		if stats[i].MaxStalenessS > st.MaxStalenessS {
-			st.MaxStalenessS = stats[i].MaxStalenessS
-		}
-	}
-	for i := range scratch {
-		if scratch[i].fresh {
-			e.insert(ids[i], slots[i].Handle.sess)
-		}
-		if scratch[i].evict {
-			e.forget(ids[i], &slots[i], &st)
-		} else if scratch[i].ok {
-			dst = append(dst, scratch[i].pred)
+	st := e.pass(nowS, order, slots)
+	for i := range slots {
+		if slots[i].Predicted {
+			dst = append(dst, slots[i].Pred)
+		} else if st.Forgotten > 0 && !slots[i].Present {
+			delete(latest, order[i])
 		}
 	}
 	return dst, st

@@ -410,109 +410,165 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardedRoundMatchesSerial: with RoundWorkers > 1 and a >= 1024-host
-// population, the sharded round must produce exactly the serial round's
-// predictions (same order), stats, surviving sessions and surviving readings
-// — across multiple rounds including staleness degradation and evictions —
-// and the slot-indexed front-end exactly the keyed one's, serial and sharded.
+// TestShardedRoundMatchesSerial: every round runs the chunked body, and at
+// RoundWorkers 1, 2 and 4 — over a population the chunks split unevenly —
+// each slot must hold exactly what a one-host engine fed the same host's
+// readings and anchors computes, and the round stats must be the sum of the
+// one-host rounds'. The script covers first sight (in the first round, late,
+// and again after an eviction), re-anchoring, staleness, eviction, and
+// anchor failure (no anchor, and a reading no curve can start from). The keyed Round over
+// maps of the same readings must return the slots' predictions as one list
+// in slot order, with the same stats, sessions and surviving readings.
 func TestShardedRoundMatchesSerial(t *testing.T) {
-	const hosts = 2048
-	run := func(workers int, slotted bool) ([][]Prediction, []RoundStats, int, int) {
-		e := testEngine(t, func(c *Config) { c.RoundWorkers = workers })
-		order := make([]string, hosts)
-		latest := make(map[string]telemetry.Reading, hosts)
-		anchors := make(map[string]float64, hosts)
-		slots := make([]Slot, hosts)
-		for i := range order {
-			id := fmt.Sprintf("p%02d-h%04d", i/128, i%128)
-			order[i] = id
-			latest[id] = telemetry.Reading{HostID: id, AtS: 0, TempC: 25 + float64(i%30)}
-			anchors[id] = 40 + float64(i%40)
-			slots[i] = Slot{Reading: latest[id], Present: true, Anchor: anchors[id]}
+	const hosts, rounds = 2051, 10 // 2051 hosts: 1026+1025 at two workers, 3×513+512 at four
+	ids := make([]string, hosts)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("p%02d-h%04d", i/128, i%128)
+	}
+	// script is host i's input to round r at now: a reading when has, and
+	// the anchor.
+	script := func(r, i int, now float64) (rd telemetry.Reading, has bool, anchor float64) {
+		anchor = 40 + float64(i%40)
+		switch {
+		case r >= 4 && i%5 == 0:
+			anchor += 10 // re-anchor from round 4
+		case r < 4 && i%7 == 1:
+			anchor = math.NaN() // no anchor: blind until round 4
 		}
-		var allPreds [][]Prediction
-		var allStats []RoundStats
-		now := 0.0
-		for round := 0; round < 8; round++ {
-			now += 200 // large steps: some hosts go stale, then evict
-			for i, id := range order {
-				// Starve one host in three after round 2 (stale → evicted);
-				// move anchors on every fifth host to force re-anchors.
-				if round < 3 || i%3 != 0 {
-					r := latest[id]
-					r.AtS = now
-					r.TempC = 25 + float64((round+i)%30)
-					latest[id] = r
-					slots[i].Reading, slots[i].Present = r, true
-				}
-				if round == 4 && i%5 == 0 {
-					anchors[id] += 10
-					slots[i].Anchor = anchors[id]
-				}
-			}
-			var preds []Prediction
-			var st RoundStats
-			if slotted {
-				preds, st = e.RoundSlots(nil, now, order, slots)
-			} else {
-				preds, st = e.Round(nil, now, order, latest, anchors)
-			}
-			allPreds = append(allPreds, preds)
-			allStats = append(allStats, st)
-		}
-		readings := len(latest)
-		if slotted {
-			readings = 0
-			for i := range slots {
-				if slots[i].Present {
-					readings++
-				}
-				if !e.HandleCurrent(order[i], slots[i].Handle) {
-					t.Errorf("host %s: slot handle is not the registered session", order[i])
-				}
+		switch {
+		case r < 5 && i%11 == 2: // unseen until round 5
+		case r > 2 && r < 9 && i%3 == 0: // dark from round 3: stale, evicted at 7, back at 9
+		default:
+			rd, has = telemetry.Reading{HostID: ids[i], AtS: now, TempC: 25 + float64((r+i)%30)}, true
+			if r < 6 && i%13 == 3 {
+				rd.TempC = math.NaN() // a φ(0) no curve takes: blind until round 6
 			}
 		}
-		return allPreds, allStats, e.Len(), readings
+		return rd, has, anchor
+	}
+	apply := func(s *Slot, rd telemetry.Reading, has bool, anchor float64) {
+		if has {
+			s.Reading, s.Present = rd, true
+		}
+		s.Anchor = anchor
 	}
 
-	sp, ss, slen, slat := run(1, false)
-	for _, alt := range []struct {
-		name    string
-		workers int
-		slotted bool
-	}{{"keyed sharded", 8, false}, {"slots serial", 1, true}, {"slots sharded", 8, true}} {
-		pp, ps, plen, plat := run(alt.workers, alt.slotted)
-		if slen != plen || slat != plat {
-			t.Fatalf("%s: population diverged: sessions %d vs %d, readings %d vs %d", alt.name, slen, plen, slat, plat)
-		}
-		for round := range sp {
-			if ss[round] != ps[round] {
-				t.Fatalf("%s: round %d stats diverged: serial keyed %+v, got %+v", alt.name, round, ss[round], ps[round])
-			}
-			if len(sp[round]) != len(pp[round]) {
-				t.Fatalf("%s: round %d produced %d vs %d predictions", alt.name, round, len(sp[round]), len(pp[round]))
-			}
-			for i := range sp[round] {
-				if sp[round][i] != pp[round][i] {
-					t.Fatalf("%s: round %d prediction %d diverged: %+v vs %+v",
-						alt.name, round, i, sp[round][i], pp[round][i])
-				}
-			}
-		}
+	// The reference: one engine per host, each slot a round of its own.
+	refs := make([]*Engine, hosts)
+	for i := range refs {
+		refs[i] = testEngine(t, nil)
 	}
-	// The scenario must exercise all lifecycle paths, or the check is weak.
-	var evicted, reanchored, stale int
-	for round := range ss {
-		evicted += ss[round].Evicted
-		reanchored += ss[round].Reanchored
-		for _, p := range sp[round] {
-			if p.Stale {
+	refSlots := make([]Slot, hosts)
+	type run struct {
+		workers        int
+		slotted, keyed *Engine
+		slots          []Slot
+		latest         map[string]telemetry.Reading
+		anchors        map[string]float64
+	}
+	var runs []*run
+	for _, w := range []int{1, 2, 4} {
+		runs = append(runs, &run{
+			workers: w,
+			slotted: testEngine(t, func(c *Config) { c.RoundWorkers = w }),
+			keyed:   testEngine(t, func(c *Config) { c.RoundWorkers = w }),
+			slots:   make([]Slot, hosts),
+			latest:  make(map[string]telemetry.Reading),
+			anchors: make(map[string]float64),
+		})
+	}
+	var stale, lateSight int
+	var total RoundStats
+	for r := range rounds {
+		now := 200 * float64(r+1) // large steps: a dark host is stale at once and evicted after 900 s
+		var want RoundStats
+		oldest := 0.0 // the age of the oldest reading the round meets
+		for i := range refs {
+			rd, has, anchor := script(r, i, now)
+			apply(&refSlots[i], rd, has, anchor)
+			had, age := refSlots[i].Present, now-refSlots[i].Reading.AtS
+			if had {
+				oldest = max(oldest, age)
+			}
+			one := refs[i].RoundSlots(now, ids[i:i+1], refSlots[i:i+1])
+			if refSlots[i].Present != (had && age <= EvictAfterS) {
+				t.Fatalf("round %d host %d: a reading %v s old is kept %v", r, i, age, refSlots[i].Present)
+			}
+			want.Live += one.Live
+			want.AnchorFailures += one.AnchorFailures
+			want.Reanchored += one.Reanchored
+			want.Forgotten += one.Forgotten
+			want.Evicted += one.Evicted
+			want.MaxStalenessS = max(want.MaxStalenessS, one.MaxStalenessS)
+			if refSlots[i].Predicted && refSlots[i].Pred.Stale {
 				stale++
 			}
 		}
+		if want.MaxStalenessS != oldest {
+			t.Fatalf("round %d: max staleness %v, the oldest reading is %v s old", r, want.MaxStalenessS, oldest)
+		}
+		if r == 5 || r == 9 {
+			lateSight += want.Reanchored
+		}
+		total.AnchorFailures += want.AnchorFailures
+		total.Evicted += want.Evicted
+		total.Reanchored += want.Reanchored
+		wantList := predictions(refSlots)
+		for _, x := range runs {
+			for i, id := range ids {
+				rd, has, anchor := script(r, i, now)
+				apply(&x.slots[i], rd, has, anchor)
+				if has {
+					x.latest[id] = rd
+				}
+				x.anchors[id] = anchor
+			}
+			if st := x.slotted.RoundSlots(now, ids, x.slots); st != want {
+				t.Fatalf("workers %d round %d: stats %+v, one-host rounds sum to %+v", x.workers, r, st, want)
+			}
+			for i := range ids {
+				got, ref := &x.slots[i], &refSlots[i]
+				if got.Predicted != ref.Predicted || got.Pred != ref.Pred || got.Present != ref.Present {
+					t.Fatalf("workers %d round %d host %d: slot predicted %v %+v present %v, reference %v %+v present %v",
+						x.workers, r, i, got.Predicted, got.Pred, got.Present, ref.Predicted, ref.Pred, ref.Present)
+				}
+			}
+			list, st := x.keyed.Round(nil, now, ids, x.latest, x.anchors)
+			if st != want || !reflect.DeepEqual(list, wantList) {
+				t.Fatalf("workers %d round %d: keyed Round returned %d predictions, %+v; the slots hold %d, %+v",
+					x.workers, r, len(list), st, len(wantList), want)
+			}
+			present := 0
+			for i := range x.slots {
+				if x.slots[i].Present {
+					present++
+				}
+			}
+			if len(x.latest) != present {
+				t.Fatalf("workers %d round %d: keyed Round kept %d readings, the slots %d", x.workers, r, len(x.latest), present)
+			}
+		}
 	}
-	if evicted == 0 || reanchored == 0 || stale == 0 {
-		t.Fatalf("scenario too tame: evicted %d, reanchored %d, stale %d", evicted, reanchored, stale)
+	sessions := 0
+	for _, e := range refs {
+		sessions += e.Len()
+	}
+	for _, x := range runs {
+		if x.slotted.Len() != sessions || x.keyed.Len() != sessions {
+			t.Fatalf("workers %d: %d and %d sessions, reference %d", x.workers, x.slotted.Len(), x.keyed.Len(), sessions)
+		}
+		for i, id := range ids {
+			if !x.slotted.HandleCurrent(id, x.slots[i].Handle) {
+				t.Fatalf("workers %d host %s: slot handle is not the registered session", x.workers, id)
+			}
+		}
+	}
+	t.Logf("%d sessions at the end; over the rounds: evicted %d, anchor failures %d, re-anchored %d, stale %d, late first sights %d",
+		sessions, total.Evicted, total.AnchorFailures, total.Reanchored, stale, lateSight)
+	// The scenario must exercise every lifecycle path, or the check is weak.
+	if total.Evicted == 0 || total.AnchorFailures == 0 || total.Reanchored == 0 || stale == 0 || lateSight == 0 {
+		t.Fatalf("scenario too tame: evicted %d, anchor failures %d, re-anchored %d, stale %d, late first sights %d",
+			total.Evicted, total.AnchorFailures, total.Reanchored, stale, lateSight)
 	}
 }
 

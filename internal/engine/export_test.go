@@ -58,3 +58,25 @@ func (e *Engine) observe(id string, t, tempC float64) (gamma float64, err error)
 	_, gamma, err = e.predict(id, t)
 	return gamma, err
 }
+
+// predictions lists the slots' predictions in slot order: the list the keyed
+// Round returns for the same hosts.
+func predictions(slots []Slot) []Prediction {
+	var out []Prediction
+	for i := range slots {
+		if slots[i].Predicted {
+			out = append(out, slots[i].Pred)
+		}
+	}
+	return out
+}
+
+// predicted counts the slots holding a prediction, allocating nothing.
+func predicted(slots []Slot) (n int) {
+	for i := range slots {
+		if slots[i].Predicted {
+			n++
+		}
+	}
+	return n
+}

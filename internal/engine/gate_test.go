@@ -38,8 +38,8 @@ func TestRoundTakesNoSessionLock(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := testEngine(t, func(c *Config) { c.RoundWorkers = workers })
 			ids, slots := gateFleet(hosts)
-			if dst, _ := e.RoundSlots(nil, 0, ids, slots); len(dst) != hosts {
-				t.Fatalf("first round: %d predictions, want %d", len(dst), hosts)
+			if e.RoundSlots(0, ids, slots); predicted(slots) != hosts {
+				t.Fatalf("first round: %d predictions, want %d", predicted(slots), hosts)
 			}
 			release := e.HoldSession(ids[hosts/2])
 			if release == nil {
@@ -48,8 +48,8 @@ func TestRoundTakesNoSessionLock(t *testing.T) {
 			stamp(slots, 15)
 			done := make(chan int, 1)
 			go func() {
-				dst, _ := e.RoundSlots(nil, 15, ids, slots)
-				done <- len(dst)
+				e.RoundSlots(15, ids, slots)
+				done <- predicted(slots)
 			}()
 			select {
 			case n := <-done:
@@ -75,14 +75,13 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 	const hosts = 1024
 	e := testEngine(t, nil)
 	ids, slots := gateFleet(hosts)
-	e.RoundSlots(nil, 0, ids, slots)
+	e.RoundSlots(0, ids, slots)
 	stop := make(chan struct{})
 	var rounds atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var dst []Prediction
 		for n := 1; ; n++ {
 			select {
 			case <-stop:
@@ -91,7 +90,7 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 			}
 			now := 15 * float64(n)
 			stamp(slots, now)
-			dst, _ = e.RoundSlots(dst[:0], now, ids, slots)
+			e.RoundSlots(now, ids, slots)
 			rounds.Add(1)
 		}
 	}()
@@ -128,7 +127,6 @@ func TestFirstSightRacesShardedRound(t *testing.T) {
 		readings[i] = slots[i].Reading
 	}
 	warm := func(telemetry.Reading) (float64, bool) { return 60, true }
-	var dst []Prediction
 	for w := 0; w < waves; w++ {
 		// Wave w is every waves-th host, so each of the round's chunks
 		// meets some of its hosts first.
@@ -164,7 +162,7 @@ func TestFirstSightRacesShardedRound(t *testing.T) {
 			}()
 		}
 		<-began
-		dst, _ = e.RoundSlots(dst[:0], now, ids, slots)
+		e.RoundSlots(now, ids, slots)
 		wg.Wait()
 	}
 	if n := e.Len(); n != hosts {

@@ -36,7 +36,7 @@ func TestReanchorInPlaceMatchesFreshSession(t *testing.T) {
 	slots := []Slot{{Reading: telemetry.Reading{HostID: "h0", AtS: 0, TempC: 25}, Present: true, Anchor: 50}}
 	for _, now := range []float64{0, 15, 30} { // calibrate: γ ≠ 0, seeded
 		slots[0].Reading.AtS, slots[0].Reading.TempC = now, 25+now/3
-		if _, st := e.RoundSlots(nil, now, ids, slots); st.Live != 1 {
+		if st := e.RoundSlots(now, ids, slots); st.Live != 1 {
 			t.Fatalf("warm-up round at %v: %+v", now, st)
 		}
 	}
@@ -48,11 +48,10 @@ func TestReanchorInPlaceMatchesFreshSession(t *testing.T) {
 	// AllocsPerRun calls twice: the warm-up call flips the anchor back to
 	// the session's own 50 (no drift), the measured one to 70 (re-anchor).
 	slots[0].Reading, slots[0].Anchor = moved, 70
-	var dst []Prediction
 	var st RoundStats
 	allocs := testing.AllocsPerRun(1, func() {
 		slots[0].Anchor = 120 - slots[0].Anchor
-		dst, st = e.RoundSlots(dst[:0], 45, ids, slots)
+		st = e.RoundSlots(45, ids, slots)
 	})
 	if st.Reanchored != 1 || st.Live != 1 {
 		t.Fatalf("re-anchoring round: %+v", st)
@@ -65,7 +64,7 @@ func TestReanchorInPlaceMatchesFreshSession(t *testing.T) {
 	}
 
 	fresh := testEngine(t, nil)
-	if _, st := fresh.RoundSlots(nil, 45, ids, []Slot{{Reading: moved, Present: true, Anchor: 70}}); st.Reanchored != 1 {
+	if st := fresh.RoundSlots(45, ids, []Slot{{Reading: moved, Present: true, Anchor: 70}}); st.Reanchored != 1 {
 		t.Fatalf("first-sight round: %+v", st)
 	}
 	if got, want := sessionState(t, e, "h0"), sessionState(t, fresh, "h0"); !reflect.DeepEqual(got, want) {
@@ -75,9 +74,9 @@ func TestReanchorInPlaceMatchesFreshSession(t *testing.T) {
 	// A NaN temperature cannot anchor a curve: old session, old state.
 	want := sessionState(t, e, "h0")
 	bad := []Slot{{Reading: telemetry.Reading{HostID: "h0", AtS: 2000, TempC: math.NaN()}, Present: true, Anchor: 20, Handle: before}}
-	preds, st := e.RoundSlots(nil, 2000, ids, bad)
-	if st.Reanchored != 0 || st.AnchorFailures != 0 || len(preds) != 1 {
-		t.Fatalf("unusable re-anchor: %d predictions, %+v", len(preds), st)
+	st = e.RoundSlots(2000, ids, bad)
+	if st.Reanchored != 0 || st.AnchorFailures != 0 || !bad[0].Predicted {
+		t.Fatalf("unusable re-anchor: predicted %v, %+v", bad[0].Predicted, st)
 	}
 	if got := sessionState(t, e, "h0"); got.StableC != want.StableC || got.AnchorAtS != want.AnchorAtS || got.Predictor.Curve != want.Predictor.Curve {
 		t.Fatalf("unusable re-anchor moved the curve: %+v -> %+v", want, got)
@@ -123,7 +122,6 @@ func TestSlotHandlesUnderChurn(t *testing.T) {
 		}(w)
 	}
 
-	var dst []Prediction
 	for round := 1; round <= 60; round++ {
 		now := float64(round) * 15
 		for i := range slots {
@@ -135,10 +133,9 @@ func TestSlotHandlesUnderChurn(t *testing.T) {
 				slots[i].Anchor = math.NaN()
 			}
 		}
-		var st RoundStats
-		dst, st = e.RoundSlots(dst[:0], now, ids, slots)
-		if st.Live != len(dst) || st.Live+st.AnchorFailures != hosts {
-			t.Fatalf("round %d: %d predictions, %+v", round, len(dst), st)
+		st := e.RoundSlots(now, ids, slots)
+		if st.Live != predicted(slots) || st.Live+st.AnchorFailures != hosts {
+			t.Fatalf("round %d: %d predictions, %+v", round, predicted(slots), st)
 		}
 		for i, id := range ids {
 			if !e.HandleCurrent(id, slots[i].Handle) {
@@ -155,14 +152,14 @@ func TestSlotHandlesUnderChurn(t *testing.T) {
 	}
 	agree := func(when string) {
 		t.Helper()
-		dst, _ = e.RoundSlots(dst[:0], 61*15, ids, slots)
+		e.RoundSlots(61*15, ids, slots)
 		for i, id := range ids {
 			if cur, _ := e.get(id); slots[i].Handle.sess != cur {
 				t.Fatalf("%s: host %s caches handle %p, keyed lookup returns %p", when, id, slots[i].Handle.sess, cur)
 			}
 		}
-		if len(dst) != e.Len() || len(dst) == 0 {
-			t.Fatalf("%s: %d predictions for %d sessions", when, len(dst), e.Len())
+		if n := predicted(slots); n != e.Len() || n == 0 {
+			t.Fatalf("%s: %d predictions for %d sessions", when, n, e.Len())
 		}
 	}
 	agree("after the churn")

@@ -724,3 +724,58 @@ func TestAnchorCountsMatchCacheStats(t *testing.T) {
 		})
 	}
 }
+
+// TestTasklessHostAnchorsAtInlet: a host whose VMs have no task is idle to
+// the physics, as an empty host is, and Eq. (2)'s task features cannot
+// encode it. Under the trained model it must anchor at its inlet, as an
+// empty host does, instead of failing every round; and a task-less VM whose
+// candidates include an idle host gets a typed decision — placed, priced at
+// its host's inlet where it leaves the host idle — instead of failing the
+// whole PlaceBatch call.
+func TestTasklessHostAnchorsAtInlet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping SVM training")
+	}
+	cfg := tinyConfig()
+	c, err := New(cfg, StableBatchPredictor(tinyStableModel(t), cfg.HorizonS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskless := func(id string) workload.VMSpec {
+		return workload.VMSpec{ID: id, Config: vmm.VMConfig{VCPUs: 2, MemoryGB: 4}}
+	}
+	if err := c.PlaceAt("r0-h0", HeavyVMSpec("busy", 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PlaceAt("r0-h1", taskless("idle-vm")); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 3; round++ {
+		if _, err := c.RunRound(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		_ = c.WithSubstrate(func(sub *substrate.Fleet) error {
+			i, _ := sub.Slot("r0-h1")
+			if got, want := c.slots[i].Anchor, sub.Inlet(i); got != want {
+				t.Fatalf("round %d: task-less host anchored at %v, its inlet is %v", round, got, want)
+			}
+			return nil
+		})
+	}
+	dec, err := placeOne(c, taskless("late"))
+	if err != nil {
+		t.Fatalf("placing a task-less VM: %v", err)
+	}
+	if dec.Status != Placed || dec.HostID != "r0-h1" {
+		t.Fatalf("task-less VM: %+v, want placed on the idle r0-h1", dec)
+	}
+	_ = c.WithSubstrate(func(sub *substrate.Fleet) error {
+		if i, _ := sub.Slot("r0-h1"); dec.PredictedStableC != sub.Inlet(i) {
+			t.Fatalf("task-less VM on an idle host priced at %v, its inlet is %v", dec.PredictedStableC, sub.Inlet(i))
+		}
+		return nil
+	})
+	if _, err := c.RunRound(); err != nil {
+		t.Fatal(err)
+	}
+}

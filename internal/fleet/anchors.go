@@ -9,6 +9,7 @@ import (
 	"vmtherm/internal/shard"
 	"vmtherm/internal/telemetry"
 	"vmtherm/internal/vmm"
+	"vmtherm/internal/workload"
 )
 
 // anchorRef binds one host slot to the miss-batch row its anchor comes from.
@@ -114,11 +115,21 @@ type slotFold struct {
 	fold dataset.Fold
 }
 
-// simAnchorRows resolves every occupied host's anchor — from the cache
-// when its deployment fingerprint (VM set + per-VM task load + quantized
+// idle reports whether slot i's host runs no task with spec placed on it
+// (nil: as it stands) — no VM, or only VMs without tasks. That is the one
+// rule for pricing a deployment without the model: an idle host settles at
+// its inlet, and Eq. (2)'s task features cannot encode a case with no task.
+// The anchor pass anchors such a host at its inlet, and a placement wave
+// prices a VM that leaves its host idle at the host's inlet.
+func (c *Controller) idle(i int, spec *workload.VMSpec) bool {
+	return (spec == nil || len(spec.Tasks) == 0) && c.sub.Host(i).Idle()
+}
+
+// simAnchorRows resolves every busy host's anchor — from the cache when its
+// deployment fingerprint (VM set + per-VM task load + quantized
 // util/mem/inlet) is already memoized, else by staging its resident fold
-// as a miss row. Idle hosts anchor at their inlet temperature (an idle
-// machine settles at ambient) without touching cache or model.
+// as a miss row. Idle hosts anchor at their inlet temperature without
+// touching cache or model.
 //
 // The pass is phased so the per-host VM/task walks scale with cores at
 // fleet size: a rack-sharded scan derives inlets and fingerprint keys, the
@@ -141,7 +152,7 @@ func (c *Controller) simAnchorRows(hits *int) {
 	inlets, keys := c.sub.ScanAnchors(q)
 	c.missIdx = c.missIdx[:0]
 	for i, inlet := range inlets {
-		if c.sub.Host(i).NumVMs() == 0 {
+		if c.idle(i, nil) {
 			c.slots[i].Anchor = inlet
 			continue
 		}

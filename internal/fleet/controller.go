@@ -29,11 +29,12 @@ type Controller struct {
 	// iteration order (the substrate's slot order for simulated fleets,
 	// sorted discovery order for source-driven ones) and pos its inverse,
 	// id → slot index.
-	// slots and seen are parallel to order: slots[i] is what the engine
-	// round consumes for host i — its newest reading (Present when it has
-	// one), this round's ψ_stable anchor (NaN for none) and the cached
-	// session handle — and seen[i] the generation of the round that last
-	// wrote the reading (seen[i] == drainGen: already written this round).
+	// slots and seen are parallel to order: slots[i] is host i's share of
+	// the engine round — its newest reading (Present when it has one), this
+	// round's ψ_stable anchor (NaN for none), the cached session handle, and
+	// the prediction the round wrote back — and seen[i] the generation of
+	// the round that last wrote the reading (seen[i] == drainGen: already
+	// written this round).
 	// cursor is slotOf's hint; superseded is admit's count until the drain.
 	// orderDirty marks membership changes (an empty slot filled, a host
 	// forgotten or discarded) so stable rounds skip the rebuild entirely.
@@ -57,12 +58,12 @@ type Controller struct {
 	cache      *anchorcache.Cache
 	lastFanout atomic.Int64
 
-	// Reusable round buffers: the engine round appends into predBuf, the
-	// snapshot sorts its hotspot keys in hotKeys, the anchor pass stages
-	// cache misses into anchorRows (one entry per distinct key, its key in
-	// rowKeys), the slot→row fan-in into anchorRefs, and the batch results
-	// land in anchorVals before filling the slots' anchors and the cache.
-	predBuf    []engine.Prediction
+	// Reusable round buffers: the snapshot sorts its hotspot keys (margin
+	// and slot index) in hotKeys, which propose then walks in published
+	// order; the anchor pass stages cache misses into anchorRows (one entry
+	// per distinct key, its key in rowKeys), the slot→row fan-in into
+	// anchorRefs, and the batch results land in anchorVals before filling
+	// the slots' anchors and the cache.
 	hotKeys    []hotKey
 	anchorRows []HostRow
 	rowKeys    []anchorcache.Key
@@ -83,12 +84,12 @@ type Controller struct {
 	folds   []slotFold
 
 	// plan is the per-round placement working set (see placePlan); the
-	// wave* slices, candDemand (the staged VM's task demands) and the pend
-	// index scratch are PlaceBatch's reusable buffers, and planHot the plan
-	// rebuild's hotspot-set scratch.
+	// wave* slices (waveIdle: the rows priced at their inlet, see idle),
+	// candDemand (the staged VM's task demands) and the pend index scratch
+	// are PlaceBatch's reusable buffers.
 	plan       placePlan
-	planHot    map[string]bool
 	waveRows   []HostRow
+	waveIdle   []int
 	waveEntry  []int32
 	waveVMs    []waveVM
 	waveVals   []float64

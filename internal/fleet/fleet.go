@@ -40,10 +40,10 @@
 //	advanceSource    Δ_update → source readings into the host table (newest per slot, up to the budget), source clock, source error (fatal for the substrate)
 //	drainIngest      pushed readings → host table (same rule), membership, drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
-//	engineRound      clock, slots (reading, anchor, session handle) → predictions, session stats
-//	buildSnapshot    predictions, slot readings → next generation (hotspots, stale, columns), max prediction, round++
+//	engineRound      clock, slots (reading, anchor, session handle) → each slot's prediction, session stats
+//	buildSnapshot    slot predictions and readings → next generation (hotspots, stale, columns), hot keys by slot, max prediction, round++
 //	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
-//	migrate          generation → applied moves, fresh proposals (substrate fleets)
+//	migrate          generation, hot keys, slot predictions → applied moves, fresh proposals (substrate fleets)
 //	publish          generation → published snapshot (columns immutable from here on; maps filled on first borrow)
 //	drainPlacements  pending queue, published map → placed/queued/rejected tally
 //	report           roundState → RoundReport

@@ -11,8 +11,8 @@ import (
 // host id is resolved to a slot index once, when its reading is admitted
 // (slotOf: the only string lookups on the round path); everything after
 // indexes slices parallel to c.order: c.slots (newest reading, this round's
-// ψ_stable anchor, the engine's cached session handle) and c.seen (the
-// round's write stamp). Membership changes — a host discovered, forgotten,
+// ψ_stable anchor, the engine's cached session handle, and the prediction
+// the engine round writes back) and c.seen (the round's write stamp). Membership changes — a host discovered, forgotten,
 // trimmed at MaxHosts, or a restore — rebuild the table and carry surviving
 // slots over; rounds with stable membership never touch pos beyond
 // slotOf's reads. Both rebuilds (resetTable, refreshDiscoveredHosts) drop

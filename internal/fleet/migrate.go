@@ -3,6 +3,7 @@ package fleet
 import (
 	"math"
 
+	"vmtherm/internal/engine"
 	"vmtherm/internal/vmm"
 )
 
@@ -33,43 +34,45 @@ func (c *Controller) reconcile(predicted []float64) (applied int) {
 type proposeTarget struct {
 	tempC float64
 	host  *vmm.Host
-	id    string
+	slot  int32
 }
 
-// propose derives migration proposals from the round's hotspots (hottest
-// first) and predictions (host order): move each hotspot's largest VM to the
-// coolest host that is neither hot nor stale nor unobserved — never migrate
-// blind — and can admit it, the first in host order on a tie. Those targets
-// are the fresh predictions at or below the threshold, listed once per round
-// with their hosts resolved, so each proposal is one scan of a flat slice.
+// propose derives migration proposals from the round's hot keys (in
+// published hotspot order, hottest first) and the slots' predictions: move
+// each hotspot's largest VM to the coolest host that is neither hot nor
+// stale nor unobserved — never migrate blind — and can admit it, the first
+// in host order on a tie. Those targets are the fresh predictions at or
+// below the threshold, listed once per round with their hosts resolved, so
+// each proposal is one scan of a flat slice; keys and targets carry slot
+// indices, so no id is looked up.
 // Proposals are bounded — 4× what reconcile can apply per round, or 64
 // hottest-first in observe-only mode (MaxMigrationsPerRound = 0) — because
 // each costs an O(hosts) target scan and the list is recomputed fresh every
 // round anyway: at datacenter scale an unbounded pass over thousands of
 // hotspots would be quadratic for proposals that could never be acted on.
-func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []MigrationProposal {
+func (c *Controller) propose(hot []hotKey, slots []engine.Slot) []MigrationProposal {
 	maxProposals := 4 * c.cfg.MaxMigrationsPerRound
 	if c.cfg.MaxMigrationsPerRound == 0 {
 		maxProposals = 64
 	} else if maxProposals < 8 {
 		maxProposals = 8
 	}
-	if len(hotspots) == 0 {
+	if len(hot) == 0 {
 		return nil
 	}
 	targets := c.propTgts[:0]
-	for i := range preds {
-		if p := &preds[i]; !p.Stale && p.TempC <= c.cfg.ThresholdC {
-			targets = append(targets, proposeTarget{tempC: p.TempC, host: c.sub.Host(int(c.pos[p.HostID])), id: p.HostID})
+	for i := range slots {
+		if s := &slots[i]; s.Predicted && !s.Pred.Stale && s.Pred.TempC <= c.cfg.ThresholdC {
+			targets = append(targets, proposeTarget{tempC: s.Pred.TempC, host: c.sub.Host(i), slot: int32(i)})
 		}
 	}
 	c.propTgts = targets
 	var out []MigrationProposal
-	for _, h := range hotspots {
+	for _, h := range hot {
 		if len(out) >= maxProposals {
 			break
 		}
-		vm, err := c.sub.LargestVM(int(c.pos[h.HostID]))
+		vm, err := c.sub.LargestVM(int(h.i))
 		if err != nil {
 			continue // nothing running to move (e.g. hot purely from environment)
 		}
@@ -86,9 +89,9 @@ func (c *Controller) propose(hotspots []Hotspot, preds []Prediction) []Migration
 		}
 		out = append(out, MigrationProposal{
 			VMID:       vm.ID(),
-			FromHostID: h.HostID,
-			ToHostID:   target.id,
-			MarginC:    h.MarginC,
+			FromHostID: c.order[h.i],
+			ToHostID:   c.order[target.slot],
+			MarginC:    h.margin,
 		})
 	}
 	return out

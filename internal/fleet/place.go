@@ -254,37 +254,23 @@ func (c *Controller) placePlanLocked() *placePlan {
 	if p.round == c.round && p.pop == len(c.order) {
 		return p
 	}
-	var predicted []float64
-	hot := c.planHot
-	clear(hot)
-	if hot == nil {
-		hot = make(map[string]bool)
-		c.planHot = hot
-	}
 	// Writer-side borrow of the published snapshot: the caller holds c.mu,
 	// which excludes generation recycling, and published columns are
 	// immutable — no copy needed. The predicted column is indexed by slot
-	// while the table still has the membership the round published.
-	if snap := c.publishedSnapshot(); snap != nil {
-		if snap.members == c.members {
-			predicted = snap.pred
-		}
-		for _, h := range snap.Hotspots {
-			hot[h.HostID] = true
-		}
+	// while the table still has the membership the round published, which
+	// on a simulated fleet it always has after the first round; a host is
+	// a hotspot exactly when its fresh prediction is above the threshold.
+	var predicted []float64
+	if snap := c.publishedSnapshot(); snap != nil && snap.members == c.members {
+		predicted = snap.pred
 	}
 	p.entries = p.entries[:0]
 	for i, id := range c.order {
-		t := math.Inf(1)
+		t, hot := math.Inf(1), false
 		if predicted != nil && !math.IsNaN(predicted[i]) {
-			t = predicted[i]
+			t, hot = predicted[i], predicted[i] > c.cfg.ThresholdC
 		}
-		p.entries = append(p.entries, planEntry{
-			id:      id,
-			host:    c.sub.Host(i),
-			effTemp: t,
-			hot:     hot[id],
-		})
+		p.entries = append(p.entries, planEntry{id: id, host: c.sub.Host(i), effTemp: t, hot: hot})
 	}
 	p.rank = p.rank[:0]
 	for i := range p.entries {
@@ -392,6 +378,7 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 		plan.wave++
 		plan.rerank()
 		c.waveRows = c.waveRows[:0]
+		c.waveIdle = c.waveIdle[:0]
 		c.waveEntry = c.waveEntry[:0]
 		c.waveVMs = c.waveVMs[:0]
 		next = next[:0]
@@ -451,13 +438,20 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 				// Priced from the per-tick rack inlet cache. In-round
 				// placements do shift rack recirculation slightly until the
 				// next tick; that drift is below sensor noise and
-				// deliberately ignored.
-				c.waveRows = append(c.waveRows, HostRow{Fold: *c.hostFold(int(ei)), AmbientC: c.sub.Inlet(int(ei))})
-				row := &c.waveRows[len(c.waveRows)-1]
-				for k := range spec.Tasks {
-					row.Fold.AddTask(c.candDemand[k], &spec.Tasks[k].Task)
+				// deliberately ignored. A VM that leaves its host idle is
+				// priced at the inlet, without a row to score.
+				inlet := c.sub.Inlet(int(ei))
+				if c.idle(int(ei), spec) {
+					c.waveIdle = append(c.waveIdle, len(c.waveRows))
+					c.waveRows = append(c.waveRows, HostRow{AmbientC: inlet})
+				} else {
+					c.waveRows = append(c.waveRows, HostRow{Fold: *c.hostFold(int(ei)), AmbientC: inlet})
+					row := &c.waveRows[len(c.waveRows)-1]
+					for k := range spec.Tasks {
+						row.Fold.AddTask(c.candDemand[k], &spec.Tasks[k].Task)
+					}
+					row.Fold.AddVM(spec.Config)
 				}
-				row.Fold.AddVM(spec.Config)
 				c.waveEntry = append(c.waveEntry, ei)
 				if len(c.waveEntry)-lo == window {
 					break
@@ -477,14 +471,25 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 			c.waveVMs = append(c.waveVMs, waveVM{spec: si, lo: lo, hi: len(c.waveEntry)})
 		}
 
-		// One batched prediction over every window of the wave.
+		// One batched prediction over every window of the wave, split
+		// around the rows of idle placements, which take their inlet.
 		if len(c.waveRows) > 0 {
 			if cap(c.waveVals) < len(c.waveRows) {
 				c.waveVals = make([]float64, len(c.waveRows))
 			}
 			c.waveVals = c.waveVals[:len(c.waveRows)]
-			if err := c.predictMissBatch(c.waveRows, c.waveVals); err != nil {
-				return nil, fmt.Errorf("fleet: placement predict: %w", err)
+			lo := 0
+			c.waveIdle = append(c.waveIdle, len(c.waveRows)) // the end closes the last run
+			for _, j := range c.waveIdle {
+				if lo < j {
+					if err := c.predictMissBatch(c.waveRows[lo:j], c.waveVals[lo:j]); err != nil {
+						return nil, fmt.Errorf("fleet: placement predict: %w", err)
+					}
+				}
+				if j < len(c.waveRows) {
+					c.waveVals[j] = c.waveRows[j].AmbientC
+				}
+				lo = j + 1
 			}
 		}
 

@@ -264,3 +264,73 @@ func TestConcurrentPlaceBatchDuringRounds(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestPlanHotMatchesPublishedHotspots pins what lets the placement plan read
+// its hotspot flags from the published prediction column: on a simulated
+// fleet the published membership is the host table's own from the first
+// round on — through foreign pushes cut off again, a host going stale,
+// placements, a removal and migrations — and a host's fresh prediction is
+// above the threshold exactly when the host is a published hotspot.
+func TestPlanHotMatchesPublishedHotspots(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxMigrationsPerRound = 1
+	c, err := New(cfg, syntheticStable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedHotHost(t, c)
+	for v := 0; v < 4; v++ {
+		if err := c.PlaceAt("r1-h3", HeavyVMSpec(fmt.Sprintf("warm-%d", v), 4, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var hotRounds, staleRounds int
+	for round := 1; round <= 14; round++ {
+		switch round {
+		case 3:
+			ingest(c, Reading{HostID: "foreign-1", AtS: 1, TempC: 99})
+		case 5:
+			if err := setTelemetryMuted(c, "r1-h3", true); err != nil {
+				t.Fatal(err)
+			}
+		case 9:
+			if err := c.RemoveVM("warm-0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		if round%4 == 0 {
+			if _, err := placeOne(c, HeavyVMSpec(fmt.Sprintf("new-%d", round), 2, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.mu.Lock()
+		snap := c.publishedSnapshot()
+		if snap.members != c.members {
+			c.mu.Unlock()
+			t.Fatalf("round %d: the published membership is not the host table's", round)
+		}
+		hot := make(map[string]bool)
+		for _, h := range snap.Hotspots {
+			hot[h.HostID] = true
+		}
+		for i, id := range c.order {
+			if got := snap.pred[i] > cfg.ThresholdC; got != hot[id] {
+				c.mu.Unlock()
+				t.Fatalf("round %d host %s: column says hot %v, hotspot list %v", round, id, got, hot[id])
+			}
+		}
+		c.mu.Unlock()
+		if len(hot) > 0 {
+			hotRounds++
+		}
+		if len(snap.StaleHosts) > 0 {
+			staleRounds++
+		}
+	}
+	if hotRounds == 0 || staleRounds == 0 {
+		t.Fatalf("scenario too tame: %d rounds with hotspots, %d with stale hosts", hotRounds, staleRounds)
+	}
+}

@@ -6,6 +6,8 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
+
+	"vmtherm/internal/engine"
 )
 
 // mapPropose is propose as it was when every candidate cost three string-map
@@ -66,8 +68,8 @@ func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64)
 // filled to capacity, empty hosts, stale and unobserved hosts, temperatures
 // drawn from a handful of values so ties between candidate targets are the
 // rule, fleets where every observed host is hot, and more hotspots than
-// maxProposals — propose's target-list scan proposes exactly what the
-// map-based oracle does, in the same order.
+// maxProposals — propose's scan over slot-indexed hot keys and targets
+// proposes exactly what the map-based oracle does, in the same order.
 func TestProposeMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2017, 30))
 	var proposals, ties, allHot, capped int
@@ -93,8 +95,8 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			hotAll := rng.IntN(6) == 0
-			var preds []Prediction
-			for _, id := range c.order {
+			slots := make([]engine.Slot, len(c.order))
+			for i, id := range c.order {
 				if rng.IntN(8) == 0 {
 					continue // unobserved this round
 				}
@@ -105,23 +107,25 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 				if hotAll {
 					temp = cfg.ThresholdC + 0.5 + float64(rng.IntN(3))
 				}
-				preds = append(preds, Prediction{HostID: id, TempC: temp, Stale: rng.IntN(10) == 0})
+				slots[i].Pred = Prediction{HostID: id, TempC: temp, Stale: rng.IntN(10) == 0}
+				slots[i].Predicted = true
 			}
-			// The snapshot's view of preds, as buildSnapshot derives it.
-			var hotspots []Hotspot
+			// The snapshot's view of the slots, as buildSnapshot derives it:
+			// the hot keys in published order, and the hotspots they give.
+			var keys []hotKey
 			predicted := make(map[string]float64)
-			for i := range preds {
-				if p := &preds[i]; !p.Stale {
+			for i := range slots {
+				if p := &slots[i].Pred; slots[i].Predicted && !p.Stale {
 					predicted[p.HostID] = p.TempC
 					if p.TempC > cfg.ThresholdC {
-						hotspots = append(hotspots, hotspotOf(p, cfg.ThresholdC))
+						keys = append(keys, hotKey{p.TempC - cfg.ThresholdC, int32(i)})
 					}
 				}
 			}
-			refSortHotspots(hotspots)
+			hotspots := appendHotspots(nil, keys, func(i int32) Hotspot { return hotspotOf(&slots[i].Pred, cfg.ThresholdC) })
 
 			want := mapPropose(c, hotspots, predicted)
-			got := c.propose(hotspots, preds)
+			got := c.propose(keys, slots)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d round %d (%d hosts, max %d): propose\n got %+v\nwant %+v",
 					trial, round, len(c.order), maxProposals, got, want)

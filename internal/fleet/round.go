@@ -23,7 +23,6 @@ type roundState struct {
 
 	anchorHits, anchorMisses, fanout int
 
-	preds   []Prediction
 	engine  engine.RoundStats
 	maxPred float64 // the largest non-stale prediction, 0 with none
 
@@ -143,11 +142,10 @@ func (c *Controller) resolveAnchors(rs *roundState) (err error) {
 }
 
 // engineRound runs the session engine over the host table: sessions
-// calibrate, re-anchor, predict, degrade and evict in one pass over the
-// reusable prediction buffer.
+// calibrate, re-anchor, predict, degrade and evict in one pass, and each
+// host's prediction lands in its own slot.
 func (c *Controller) engineRound(rs *roundState) {
-	c.predBuf, rs.engine = c.eng.RoundSlots(c.predBuf[:0], rs.now, c.order, c.slots)
-	rs.preds = c.predBuf
+	rs.engine = c.eng.RoundSlots(rs.now, c.order, c.slots)
 	if rs.engine.Forgotten > 0 {
 		// Forgotten hosts lost their reading: membership changed.
 		c.orderDirty = true
@@ -157,44 +155,61 @@ func (c *Controller) engineRound(rs *roundState) {
 // buildSnapshot advances the round counter and builds the hotspot list from
 // *predicted* temperatures into the next snapshot generation: a recycled
 // retired generation whose slices and columns are rewritten in place, so the
-// warm round's publication allocates nothing. The columns are copied in
-// table order; the membership is rebuilt only when the table changed. The
-// same pass finds the round's largest fresh prediction for the report.
+// warm round's publication allocates nothing. One pass over the slots, in
+// table order, copies the columns (each host's fresh prediction, NaN when
+// stale or unpredicted, and its latest reading), collects the hot keys by
+// slot index and finds the round's largest fresh prediction for the report;
+// the stale hosts then come out in id order from a walk of the membership's
+// byID that stops at the last of them. The membership is rebuilt only when
+// the table changed.
 func (c *Controller) buildSnapshot(rs *roundState) {
-	rs.gen = c.snaps.writable(len(c.order))
+	n := len(c.order)
+	rs.gen = c.snaps.writable(n)
 	snap := &rs.gen.snap
 	c.round++
 	snap.Round = c.round
 	snap.SimTimeS = rs.now
 	snap.GapS = c.cfg.GapS
 	snap.ThresholdC = c.cfg.ThresholdC
-	snap.StaleHosts = snap.StaleHosts[:0]
-	thr, keys, maxPred := c.cfg.ThresholdC, c.hotKeys[:0], math.Inf(-1)
-	for i := range rs.preds {
-		p := &rs.preds[i]
-		if p.Stale {
-			snap.StaleHosts = append(snap.StaleHosts, p.HostID)
+	if c.members == nil {
+		c.members = newMembership(c.order)
+	}
+	m := c.members
+	snap.members = m
+	snap.pred = slices.Grow(snap.pred[:0], n)[:n]
+	snap.latest = slices.Grow(snap.latest[:0], n)[:n]
+	snap.present = slices.Grow(snap.present[:0], n)[:n]
+	thr, keys, maxPred, stale := c.cfg.ThresholdC, c.hotKeys[:0], math.Inf(-1), 0
+	for i := range c.slots {
+		s := &c.slots[i]
+		snap.pred[i], snap.latest[i], snap.present[i] = math.NaN(), s.Reading, s.Present
+		if !s.Predicted {
 			continue
 		}
-		if p.TempC > maxPred {
-			maxPred = p.TempC
+		t := s.Pred.TempC
+		if s.Pred.Stale {
+			stale++
+			continue
 		}
-		if p.TempC > thr {
-			keys = append(keys, hotKey{p.TempC - thr, int32(i)})
+		if snap.pred[i] = t; t > maxPred {
+			maxPred = t
+		}
+		if t > thr {
+			keys = append(keys, hotKey{t - thr, int32(i)})
 		}
 	}
-	slices.Sort(snap.StaleHosts)
-	snap.Hotspots = appendHotspots(snap.Hotspots[:0], keys, func(i int32) Hotspot { return hotspotOf(&rs.preds[i], thr) })
+	snap.StaleHosts = snap.StaleHosts[:0]
+	for k := 0; len(snap.StaleHosts) < stale; k++ {
+		if s := &c.slots[m.byID[k]]; s.Predicted && s.Pred.Stale {
+			snap.StaleHosts = append(snap.StaleHosts, m.ids[m.byID[k]])
+		}
+	}
+	snap.Hotspots = appendHotspots(snap.Hotspots[:0], keys, func(i int32) Hotspot { return hotspotOf(&c.slots[i].Pred, thr) })
 	c.hotKeys = keys
 	rs.maxPred = maxPred
 	if math.IsInf(maxPred, -1) {
 		rs.maxPred = 0 // no fresh prediction
 	}
-
-	if c.members == nil {
-		c.members = newMembership(c.order)
-	}
-	snap.setColumns(c.members, rs.preds, c.slots)
 }
 
 // reconcileStream folds the authoritative recompute into the incremental
@@ -215,7 +230,7 @@ func (c *Controller) migrate(rs *roundState) {
 	if c.sub != nil {
 		snap := &rs.gen.snap
 		rs.applied = c.reconcile(snap.pred)
-		c.pendingP = c.propose(snap.Hotspots, rs.preds)
+		c.pendingP = c.propose(c.hotKeys, c.slots)
 		rs.proposed = len(c.pendingP)
 	}
 }

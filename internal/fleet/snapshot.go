@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"vmtherm/internal/engine"
 )
 
 // The snapshot publication path is epoch-versioned and copy-on-read: every
@@ -165,29 +163,6 @@ func (c *Controller) publishedSnapshot() *Snapshot {
 		return &g.snap
 	}
 	return nil
-}
-
-// setColumns copies the round's values into the generation's columns,
-// parallel to m.ids. RoundSlots emits predictions in slot order, so one
-// merge walk pairs each prediction with its slot.
-func (s *Snapshot) setColumns(m *membership, preds []Prediction, slots []engine.Slot) {
-	n := len(m.ids)
-	s.members = m
-	s.pred = slices.Grow(s.pred[:0], n)[:n]
-	s.latest = slices.Grow(s.latest[:0], n)[:n]
-	s.present = slices.Grow(s.present[:0], n)[:n]
-	j := 0
-	for i, id := range m.ids {
-		v := math.NaN()
-		if j < len(preds) && preds[j].HostID == id {
-			if !preds[j].Stale {
-				v = preds[j].TempC
-			}
-			j++
-		}
-		s.pred[i] = v
-		s.latest[i], s.present[i] = slots[i].Reading, slots[i].Present
-	}
 }
 
 // fillMaps makes the legacy maps hold exactly the generation's columns, at

@@ -254,15 +254,20 @@ func TestColdRoundAllocCeiling(t *testing.T) {
 // rebuild from the controller's state after the round: the maps the round
 // used to rewrite every round (one entry per non-stale prediction, one per
 // slot holding a reading) must equal the lazily filled maps, and the
-// columns, walked in id order, must say the same per host.
+// columns, walked in id order, must say the same per host. StaleHosts must
+// list the hosts whose slot holds a stale prediction, sorted.
 func checkSnapshotColumns(t *testing.T, c *Controller, step string) {
 	t.Helper()
 	wantPred := map[string]float64{}
-	for _, p := range c.predBuf {
-		if !p.Stale {
-			wantPred[p.HostID] = p.TempC
+	var wantStale []string
+	for i := range c.slots {
+		if p := &c.slots[i].Pred; c.slots[i].Predicted && p.Stale {
+			wantStale = append(wantStale, c.order[i])
+		} else if c.slots[i].Predicted {
+			wantPred[c.order[i]] = p.TempC
 		}
 	}
+	slices.Sort(wantStale)
 	wantLatest := map[string]Reading{}
 	for i, id := range c.order {
 		if c.slots[i].Present {
@@ -275,6 +280,9 @@ func checkSnapshotColumns(t *testing.T, c *Controller, step string) {
 		}
 		if !maps.Equal(s.Latest, wantLatest) {
 			t.Fatalf("%s: Latest %v, eager rebuild %v", step, s.Latest, wantLatest)
+		}
+		if !slices.Equal(s.StaleHosts, wantStale) {
+			t.Fatalf("%s: StaleHosts %v, sorted stale slots %v", step, s.StaleHosts, wantStale)
 		}
 		if s.Len() != len(c.order) {
 			t.Fatalf("%s: %d hosts in the columns, table has %d", step, s.Len(), len(c.order))
@@ -371,7 +379,8 @@ func TestSnapshotMapsMatchColumns(t *testing.T) {
 	}
 	for r := 0; r < 8; r++ {
 		if r == 2 {
-			for _, id := range []string{"r0-h2", "r1-h11"} {
+			// r0-h10 sorts before r0-h2 but sits after it in the table.
+			for _, id := range []string{"r0-h2", "r0-h10", "r1-h11"} {
 				if err := setTelemetryMuted(ctl, id, true); err != nil {
 					t.Fatal(err)
 				}
@@ -381,8 +390,8 @@ func TestSnapshotMapsMatchColumns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r == 7 && rep.StaleHosts != 2 {
-			t.Fatalf("simulated fleet: %d stale hosts, want 2", rep.StaleHosts)
+		if r == 7 && rep.StaleHosts != 3 {
+			t.Fatalf("simulated fleet: %d stale hosts, want 3", rep.StaleHosts)
 		}
 		checkSnapshotColumns(t, ctl, fmt.Sprintf("sim round %d", r+1))
 	}

@@ -162,19 +162,20 @@ func typedExchanges(tb testing.TB) []typedExchange {
 
 // TestTypedExchangeAllocs holds each warm typed exchange through NewLocal
 // under a bytes-per-call ceiling, client and server together: the median of
-// 63 calls measured on linux/amd64 with go1.24 plus a headroom, 1 KB for
-// the stable and ingest exchanges. Every request and response body is
-// larger than its headroom (checked), so a copy of either fails the test.
-// The place exchange's headroom is 120 B: its 16 VMs would hide a per-VM
-// allocation under 1 KB, and 16 of the smallest size class (8 B) already
-// cost 128 B. A median, because a call now and then regrows a pooled
-// buffer that a garbage collection emptied out of the pool.
+// 63 calls measured on linux/amd64 with go1.24 plus a headroom. Every
+// request and response body is larger than its headroom (checked), so a
+// copy of either fails the test. Each headroom is one smallest allocation
+// short of one per item — 8 B (the smallest size class of an object the
+// tiny allocator does not pack) times 128 rows, 64 readings or 16 VMs,
+// minus 8 — so a per-item allocation put back fails the test too. A median,
+// because a call now and then regrows a pooled buffer that a garbage
+// collection emptied out of the pool.
 func TestTypedExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random")
 	}
 	measured := map[string]uint64{"stable": 3272, "ingest": 6960, "place": 13744}
-	headrooms := map[string]uint64{"stable": 1 << 10, "ingest": 1 << 10, "place": 120}
+	headrooms := map[string]uint64{"stable": 128*8 - 8, "ingest": 64*8 - 8, "place": 16*8 - 8}
 	for _, ex := range typedExchanges(t) {
 		step := func() {
 			if err := ex.call(); err != nil {

@@ -147,6 +147,17 @@ func (h *Host) VMAt(i int) *VM { return h.list[i] }
 // NumVMs returns the placed VM count.
 func (h *Host) NumVMs() int { return len(h.vms) }
 
+// Idle reports whether the host runs no task: it holds no VM, or only VMs
+// without tasks. Its load is zero either way.
+func (h *Host) Idle() bool {
+	for _, vm := range h.list {
+		if len(vm.tasks) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // PlacedVCPUs sums configured vCPUs across placed VMs.
 func (h *Host) PlacedVCPUs() float64 {
 	var sum float64
