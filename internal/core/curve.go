@@ -53,10 +53,11 @@ func (c Curve) Validate() error {
 	return checkAnchors(c.Phi0, c.Stable)
 }
 
-// checkAnchors refuses NaN anchors.
+// checkAnchors refuses anchors that are not finite: a curve anchored at
+// ±Inf evaluates to ±Inf or NaN everywhere it leaves the other anchor.
 func checkAnchors(phi0, stable float64) error {
-	if math.IsNaN(phi0) || math.IsNaN(stable) {
-		return fmt.Errorf("core: curve anchors NaN (phi0 %v, stable %v)", phi0, stable)
+	if math.IsNaN(phi0) || math.IsInf(phi0, 0) || math.IsNaN(stable) || math.IsInf(stable, 0) {
+		return fmt.Errorf("core: curve anchors must be finite (phi0 %v, stable %v)", phi0, stable)
 	}
 	return nil
 }

@@ -37,36 +37,41 @@ func TestTrainStableAccuracy(t *testing.T) {
 	// The headline claim scaled down for unit-test time: train on 60
 	// simulated cases, test on 12 held-out ones, MSE should land in the
 	// paper's band (≈1, certainly < 2). The full 160/20 version is Fig 1(a).
-	records := buildRecords(t, 72, 5)
-	train, test, err := dataset.Split(records, 12.0/72, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := TrainStable(context.Background(), train, FastStableConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ps, as []float64
-	for _, r := range test {
-		p, err := pred.PredictFeatures(r.Features)
+	// One draw of 12 cases says little, so the bound holds at every seed of
+	// a small set.
+	for seed := int64(1); seed <= 8; seed++ {
+		records := buildRecords(t, 72, seed)
+		train, test, err := dataset.Split(records, 12.0/72, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps = append(ps, p)
-		as = append(as, r.StableTemp)
-	}
-	mse, err := mathx.MSE(ps, as)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mse > 2.0 {
-		t.Errorf("held-out MSE = %v, want < 2.0 (paper band ≈1.1)", mse)
-	}
-	if pred.NumSV() == 0 {
-		t.Error("trained model has no support vectors")
-	}
-	if pred.CVMSE() <= 0 {
-		t.Errorf("CV MSE = %v, want > 0 (noisy data)", pred.CVMSE())
+		pred, err := TrainStable(context.Background(), train, FastStableConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ps, as []float64
+		for _, r := range test {
+			p, err := pred.PredictFeatures(r.Features)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps = append(ps, p)
+			as = append(as, r.StableTemp)
+		}
+		mse, err := mathx.MSE(ps, as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: held-out MSE %.3f", seed, mse)
+		if mse > 2.0 {
+			t.Errorf("seed %d: held-out MSE = %v, want < 2.0 (paper band ≈1.1)", seed, mse)
+		}
+		if pred.NumSV() == 0 {
+			t.Errorf("seed %d: trained model has no support vectors", seed)
+		}
+		if pred.CVMSE() <= 0 {
+			t.Errorf("seed %d: CV MSE = %v, want > 0 (noisy data)", seed, pred.CVMSE())
+		}
 	}
 }
 

@@ -281,6 +281,32 @@ func TestRoundAnchorFailureIsCounted(t *testing.T) {
 	}
 }
 
+// TestRoundSlotsRefusesInfiniteAnchor: a ±Inf ψ_stable anchor is as
+// unusable as NaN. A host first seen with one gets no session and no
+// prediction and counts as an anchor failure; a healthy session handed one
+// keeps serving its old curve.
+func TestRoundSlotsRefusesInfiniteAnchor(t *testing.T) {
+	for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+		e := testEngine(t, nil)
+		ids := []string{"h0", "h1"}
+		slots := []Slot{
+			{Reading: telemetry.Reading{HostID: "h0", TempC: 25}, Present: true, Anchor: inf},
+			{Reading: telemetry.Reading{HostID: "h1", TempC: 25}, Present: true, Anchor: 60},
+		}
+		st := e.RoundSlots(0, ids, slots)
+		if slots[0].Predicted || st.AnchorFailures != 1 || st.Live != 1 || e.Len() != 1 {
+			t.Fatalf("anchor %v on first sight: predicted %v (%+v), stats %+v, %d sessions",
+				inf, slots[0].Predicted, slots[0].Pred, st, e.Len())
+		}
+		slots[1].Anchor = inf
+		slots[1].Reading.AtS = 15
+		st = e.RoundSlots(15, ids, slots)
+		if p := slots[1].Pred; !slots[1].Predicted || math.IsNaN(p.TempC) || math.IsInf(p.TempC, 0) || st.Reanchored != 0 {
+			t.Fatalf("anchor %v on a live session: prediction %+v, stats %+v", inf, p, st)
+		}
+	}
+}
+
 // TestRoundSkipsUnobservedHosts: no reading means no session and no
 // prediction — never a fabricated one.
 func TestRoundSkipsUnobservedHosts(t *testing.T) {

@@ -148,9 +148,10 @@ func BenchmarkFleetRoundTrace4k(b *testing.B) {
 		hotspots += rep.Hotspots
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trace4kHosts), "ns/host")
-	// The share of the round the hotspot order takes grows with this count:
-	// compare it with bench/e2e's fleet.round.hotspots_per_round before
-	// reading a sort cost off this benchmark.
+	// The round collects the hot set without ordering it; its cost still
+	// grows with this count (compare bench/e2e's
+	// fleet.round.hotspots_per_round), and BenchmarkHotspotOrder times the
+	// order a reader builds from it.
 	b.ReportMetric(float64(hotspots)/float64(b.N), "hotspots/round")
 }
 
@@ -171,6 +172,28 @@ func BenchmarkSnapshotFill(b *testing.B) {
 		b.StartTimer()
 		ctl.ViewSnapshot(func(*Snapshot) {})
 	}
+}
+
+// BenchmarkHotspotOrder measures what the round no longer pays either: the
+// first ordered read (Snapshot.Hotspots) of a freshly published 4,096-host
+// generation, which sorts its hot set into storage recycled with the
+// generation, so warm it allocates nothing. Only the GET of the hotspots and
+// tests ask for the order. The round that publishes each generation runs
+// with the timer stopped; BenchmarkSnapshotFill times the maps alone.
+func BenchmarkHotspotOrder(b *testing.B) {
+	ctl := traceFleet4k(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hotspots := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if _, err := ctl.RunRound(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ctl.ViewColumns(func(s *Snapshot) { hotspots += len(s.Hotspots()) })
+	}
+	b.ReportMetric(float64(hotspots)/float64(b.N), "hotspots/round")
 }
 
 // BenchmarkIngestDrain measures the way a source's reading takes into the

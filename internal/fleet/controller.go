@@ -58,12 +58,12 @@ type Controller struct {
 	cache      *anchorcache.Cache
 	lastFanout atomic.Int64
 
-	// Reusable round buffers: the snapshot sorts its hotspot keys (margin
-	// and slot index) in hotKeys, which propose then walks in published
-	// order; the anchor pass stages cache misses into anchorRows (one entry
-	// per distinct key, its key in rowKeys), the slot→row fan-in into
-	// anchorRefs, and the batch results land in anchorVals before filling
-	// the slots' anchors and the cache.
+	// Reusable round buffers: the snapshot collects its hot keys (margin
+	// and slot index) in hotKeys, in table order, which propose then sorts
+	// into the published order; the anchor pass stages cache misses into
+	// anchorRows (one entry per distinct key, its key in rowKeys), the
+	// slot→row fan-in into anchorRefs, and the batch results land in
+	// anchorVals before filling the slots' anchors and the cache.
 	hotKeys    []hotKey
 	anchorRows []HostRow
 	rowKeys    []anchorcache.Key

@@ -4,9 +4,10 @@
 // (internal/engine) — per-host dynamic prediction sessions calibrated every
 // Δ_update as in Eqs. 3–8, with batch ψ_stable anchors fanned through the
 // SVM batch kernel — and each round rolls the Δ_gap-ahead predicted
-// temperatures into a hotspot list ordered by margin (appendHotspots), driving
-// thermal-aware placement and migration proposals for incoming VM requests:
-// acting on where temperature is *going* rather than where it is.
+// temperatures into a hot set (ordered by margin only for the readers that
+// ask, Snapshot.Hotspots), driving thermal-aware placement and migration
+// proposals for incoming VM requests: acting on where temperature is
+// *going* rather than where it is.
 //
 // Telemetry is pluggable (telemetry.Source): the same closed loop runs
 // against the simulated datacenter (internal/substrate), a deterministic
@@ -41,10 +42,10 @@
 //	drainIngest      pushed readings → host table (same rule), membership, drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
 //	engineRound      clock, slots (reading, anchor, session handle) → each slot's prediction, session stats
-//	buildSnapshot    slot predictions and readings → next generation (hotspots, stale, columns), hot keys by slot, max prediction, round++
-//	reconcileStream  generation hotspots → streaming index drift, per-round stream deltas
-//	migrate          generation, hot keys, slot predictions → applied moves, fresh proposals (substrate fleets)
-//	publish          generation → published snapshot (columns immutable from here on; maps filled on first borrow)
+//	buildSnapshot    slot predictions and readings → next generation (hot set and its keys in table order, stale, columns), max prediction, round++
+//	reconcileStream  generation hot set → streaming index drift, per-round stream deltas
+//	migrate          generation, hot keys, slot predictions → applied moves, fresh proposals hottest first (substrate fleets)
+//	publish          generation → published snapshot (columns and hot set immutable from here on; maps filled on first borrow, order on first Hotspots call)
 //	drainPlacements  pending queue, published map → placed/queued/rejected tally
 //	report           roundState → RoundReport
 package fleet
@@ -156,18 +157,18 @@ func hotspotOf(p *Prediction, thresholdC float64) Hotspot {
 	}
 }
 
-// hotKey is one hotspot's sort key: its margin and the index of the row it
-// is built from.
+// hotKey is one hotspot's sort key: its margin and the index of what it
+// stands for — a slot in the round's keys, a row in an ordering's scratch.
 type hotKey struct {
 	margin float64
 	i      int32
 }
 
-// appendHotspots appends row(k.i) for every key to dst in the published
-// order — descending margin, ties broken by host id — sorting the 16-byte
-// keys, not the rows. Margins are never NaN and host ids are unique, so the
-// order is total and any sort yields it.
-func appendHotspots(dst []Hotspot, keys []hotKey, row func(int32) Hotspot) []Hotspot {
+// sortHotKeys sorts keys into the published hotspot order — descending
+// margin, ties broken by id(k.i), the key's host id — moving the 16-byte
+// keys, not what they stand for. Margins are never NaN and host ids are
+// unique, so the order is total and any sort yields it.
+func sortHotKeys(keys []hotKey, id func(int32) string) {
 	slices.SortFunc(keys, func(a, b hotKey) int {
 		if a.margin != b.margin {
 			if a.margin > b.margin {
@@ -175,8 +176,14 @@ func appendHotspots(dst []Hotspot, keys []hotKey, row func(int32) Hotspot) []Hot
 			}
 			return 1
 		}
-		return strings.Compare(row(a.i).HostID, row(b.i).HostID)
+		return strings.Compare(id(a.i), id(b.i))
 	})
+}
+
+// appendHotspots appends row(k.i) for every key to dst in the published
+// order (sortHotKeys).
+func appendHotspots(dst []Hotspot, keys []hotKey, row func(int32) Hotspot) []Hotspot {
+	sortHotKeys(keys, func(i int32) string { return row(i).HostID })
 	for _, k := range keys {
 		dst = append(dst, row(k.i))
 	}
@@ -201,8 +208,6 @@ type Snapshot struct {
 	SimTimeS   float64
 	GapS       float64
 	ThresholdC float64
-	// Hotspots is sorted by descending margin.
-	Hotspots []Hotspot
 	// Predicted maps host → Δ_gap-ahead temperature (stale hosts excluded).
 	Predicted map[string]float64
 	// Latest maps host → newest telemetry reading behind the round.
@@ -217,6 +222,27 @@ type Snapshot struct {
 	pred    []float64
 	latest  []Reading
 	present []bool
+
+	// hot is the hot set in table order: row j is the j-th slot whose pred
+	// is over ThresholdC. gen keeps the set's order once a reader asks.
+	hot []Hotspot
+	gen *snapGen
+}
+
+// HotSet is the hot set in host-table order: every host whose fresh
+// Δ_gap-ahead prediction exceeds the threshold, once. For readers that
+// use it as a set, it costs nothing to read.
+func (s *Snapshot) HotSet() []Hotspot { return s.hot }
+
+// Hotspots is the hot set sorted by descending margin, ties broken by host
+// id. The first call on a generation sorts it, once, and later calls share
+// the result; like the rest of a borrowed snapshot, it is read-only and
+// valid only for the borrow.
+func (s *Snapshot) Hotspots() []Hotspot {
+	if s.gen == nil {
+		return nil
+	}
+	return s.gen.hotspots()
 }
 
 // HostView is one host's row of a snapshot's columns.

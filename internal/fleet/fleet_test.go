@@ -22,7 +22,10 @@ var syntheticStable = SyntheticStablePredictor(75)
 func snapshotOf(c *Controller) (out Snapshot) {
 	c.ViewSnapshot(func(s *Snapshot) {
 		out = *s
-		out.Hotspots = slices.Clone(s.Hotspots)
+		out.hot = slices.Clone(s.hot)
+		// The copy keeps its own order: the generation's is recycled.
+		out.gen = &snapGen{order: slices.Clone(s.Hotspots())}
+		out.gen.ordered.Store(true)
 		out.StaleHosts = slices.Clone(s.StaleHosts)
 		out.Predicted = maps.Clone(s.Predicted)
 		out.Latest = maps.Clone(s.Latest)
@@ -151,7 +154,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 		}
 		snap := snapshotOf(c)
 		if flaggedRound == 0 {
-			for _, h := range snap.Hotspots {
+			for _, h := range snap.Hotspots() {
 				if h.HostID == hot {
 					flaggedRound = round
 					measuredAtFlag = die
@@ -190,7 +193,7 @@ func TestClosedLoopPredictsHotspotAheadOfMeasurement(t *testing.T) {
 
 	// The cool hosts must never appear in the map.
 	snap := snapshotOf(c)
-	for _, h := range snap.Hotspots {
+	for _, h := range snap.Hotspots() {
 		if h.HostID != "r0-h0" {
 			t.Errorf("unexpected hotspot %q", h.HostID)
 		}
@@ -261,12 +264,12 @@ func TestDeterministicRounds(t *testing.T) {
 		return snapshotOf(c)
 	}
 	a, b := run(), run()
-	if len(a.Hotspots) != len(b.Hotspots) {
-		t.Fatalf("hotspot counts differ: %d vs %d", len(a.Hotspots), len(b.Hotspots))
+	if len(a.Hotspots()) != len(b.Hotspots()) {
+		t.Fatalf("hotspot counts differ: %d vs %d", len(a.Hotspots()), len(b.Hotspots()))
 	}
-	for i := range a.Hotspots {
-		if a.Hotspots[i] != b.Hotspots[i] {
-			t.Fatalf("hotspot %d differs: %+v vs %+v", i, a.Hotspots[i], b.Hotspots[i])
+	for i := range a.Hotspots() {
+		if a.Hotspots()[i] != b.Hotspots()[i] {
+			t.Fatalf("hotspot %d differs: %+v vs %+v", i, a.Hotspots()[i], b.Hotspots()[i])
 		}
 	}
 	for id, v := range a.Predicted {
@@ -314,7 +317,7 @@ func TestStaleTelemetryDegradesGracefully(t *testing.T) {
 	if !foundStale {
 		t.Fatalf("hot host with frozen telemetry not reported stale (stale=%v)", snap.StaleHosts)
 	}
-	for _, h := range snap.Hotspots {
+	for _, h := range snap.Hotspots() {
 		if h.HostID == "r0-h0" {
 			t.Fatal("stale host must be excluded from the hotspot map")
 		}

@@ -28,7 +28,8 @@ func refSortHotspots(out []Hotspot) {
 // keys and writing the rows afterwards gives the rows the comparator sort
 // gives, on random predictions whose temperatures are drawn from a few
 // values so that margins tie often, over ids whose table order is not their
-// lexicographic order. The live index's sorted view is checked the same way.
+// lexicographic order. A generation's order, built from its hot rows in
+// table order, and the live index's sorted view are checked the same way.
 func TestHotspotOrderMatchesComparatorSort(t *testing.T) {
 	const threshold = 65.0
 	rng := rand.New(rand.NewPCG(51, 7))
@@ -48,6 +49,9 @@ func TestHotspotOrderMatchesComparatorSort(t *testing.T) {
 				Stale:        rng.IntN(10) == 0,
 			})
 		}
+		// A generation as buildSnapshot writes it: the hot rows in table
+		// order.
+		g := &snapGen{}
 		var want []Hotspot
 		var keys []hotKey
 		ix := hotIndex{entries: make(map[string]Hotspot)}
@@ -56,6 +60,7 @@ func TestHotspotOrderMatchesComparatorSort(t *testing.T) {
 			if p := &preds[i]; !p.Stale && p.TempC > threshold {
 				want = append(want, hotspotOf(p, threshold))
 				keys = append(keys, hotKey{p.TempC - threshold, int32(i)})
+				g.snap.hot = append(g.snap.hot, hotspotOf(p, threshold))
 			}
 		}
 		refSortHotspots(want)
@@ -67,6 +72,9 @@ func TestHotspotOrderMatchesComparatorSort(t *testing.T) {
 		got := appendHotspots(nil, keys, func(i int32) Hotspot { return hotspotOf(&preds[i], threshold) })
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: appendHotspots\n got %+v\nwant %+v", trial, got, want)
+		}
+		if got := g.hotspots(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: generation order\n got %+v\nwant %+v", trial, got, want)
 		}
 		if live := ix.snapshotInto(nil); !reflect.DeepEqual(live, want) {
 			t.Fatalf("trial %d: index view\n got %+v\nwant %+v", trial, live, want)

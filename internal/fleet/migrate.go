@@ -37,8 +37,8 @@ type proposeTarget struct {
 	slot  int32
 }
 
-// propose derives migration proposals from the round's hot keys (in
-// published hotspot order, hottest first) and the slots' predictions: move
+// propose derives migration proposals from the round's hot keys and the
+// slots' predictions, hottest hotspot first (the published order): move
 // each hotspot's largest VM to the coolest host that is neither hot nor
 // stale nor unobserved — never migrate blind — and can admit it, the first
 // in host order on a tie. Those targets are the fresh predictions at or
@@ -50,6 +50,9 @@ type proposeTarget struct {
 // each costs an O(hosts) target scan and the list is recomputed fresh every
 // round anyway: at datacenter scale an unbounded pass over thousands of
 // hotspots would be quadratic for proposals that could never be acted on.
+// The round's keys come in table order; propose sorts them in place
+// (sortHotKeys) before its walk, which is no fixed top-k: a hotspot with
+// nothing to move or nowhere to move it is skipped without counting.
 func (c *Controller) propose(hot []hotKey, slots []engine.Slot) []MigrationProposal {
 	maxProposals := 4 * c.cfg.MaxMigrationsPerRound
 	if c.cfg.MaxMigrationsPerRound == 0 {
@@ -67,6 +70,7 @@ func (c *Controller) propose(hot []hotKey, slots []engine.Slot) []MigrationPropo
 		}
 	}
 	c.propTgts = targets
+	sortHotKeys(hot, func(i int32) string { return c.order[i] })
 	var out []MigrationProposal
 	for _, h := range hot {
 		if len(out) >= maxProposals {

@@ -313,13 +313,13 @@ func TestPlanHotMatchesPublishedHotspots(t *testing.T) {
 			t.Fatalf("round %d: the published membership is not the host table's", round)
 		}
 		hot := make(map[string]bool)
-		for _, h := range snap.Hotspots {
+		for _, h := range snap.HotSet() {
 			hot[h.HostID] = true
 		}
 		for i, id := range c.order {
 			if got := snap.pred[i] > cfg.ThresholdC; got != hot[id] {
 				c.mu.Unlock()
-				t.Fatalf("round %d host %s: column says hot %v, hotspot list %v", round, id, got, hot[id])
+				t.Fatalf("round %d host %s: column says hot %v, hot set %v", round, id, got, hot[id])
 			}
 		}
 		c.mu.Unlock()

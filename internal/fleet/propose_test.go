@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vmtherm/internal/engine"
@@ -66,17 +67,26 @@ func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64)
 
 // TestProposeMatchesMapOracle: over seeded random simulated fleets — hosts
 // filled to capacity, empty hosts, stale and unobserved hosts, temperatures
-// drawn from a handful of values so ties between candidate targets are the
-// rule, fleets where every observed host is hot, and more hotspots than
-// maxProposals — propose's scan over slot-indexed hot keys and targets
-// proposes exactly what the map-based oracle does, in the same order.
+// drawn from a handful of values so ties between candidate targets and
+// between hotspot margins are the rule, fleets where every observed host is
+// hot, and more hotspots than maxProposals — propose, handed the slot-indexed
+// hot keys in table order as the round collects them, proposes exactly what
+// the map-based oracle walking the published hotspot order does, in the same
+// order. The last 150 trials are sparse: mostly hot, a third of the hosts
+// running nothing and a third full, so the walk skips hotspots ahead of the
+// bound without counting them.
 func TestProposeMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2017, 30))
-	var proposals, ties, allHot, capped int
-	for trial := 0; trial < 300; trial++ {
+	var proposals, ties, allHot, capped, tiedMargins, pastBound int
+	for trial := 0; trial < 450; trial++ {
+		sparse := trial >= 300
 		cfg := testConfig()
 		cfg.Racks, cfg.HostsPerRack = 1+rng.IntN(3), 2+rng.IntN(10)
 		cfg.MaxMigrationsPerRound = []int{0, 1, 3}[rng.IntN(3)]
+		if sparse {
+			cfg.Racks, cfg.HostsPerRack = 2+rng.IntN(2), 6+rng.IntN(8)
+			cfg.MaxMigrationsPerRound = 1 + rng.IntN(2) // maxProposals 8
+		}
 		c, err := New(cfg, syntheticStable)
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +94,11 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 		// Random VM shapes until each host is empty, partly filled or full:
 		// a full host is a cool target that cannot admit the moving VM.
 		for hi, id := range c.order {
-			for v, fill := 0, rng.IntN(12); v < fill; v++ {
+			fill := rng.IntN(12)
+			if sparse {
+				fill = []int{0, 1, 64}[rng.IntN(3)]
+			}
+			for v := 0; v < fill; v++ {
 				spec := HeavyVMSpec(fmt.Sprintf("t%d-h%d-v%d", trial, hi, v), 1+rng.IntN(8), float64(1+rng.IntN(24)))
 				_ = c.PlaceAt(id, spec) // a host that is full refuses: that is the point
 			}
@@ -107,11 +121,15 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 				if hotAll {
 					temp = cfg.ThresholdC + 0.5 + float64(rng.IntN(3))
 				}
+				if sparse && rng.IntN(3) != 0 {
+					temp = cfg.ThresholdC + 1 + float64(rng.IntN(3))
+				}
 				slots[i].Pred = Prediction{HostID: id, TempC: temp, Stale: rng.IntN(10) == 0}
 				slots[i].Predicted = true
 			}
 			// The snapshot's view of the slots, as buildSnapshot derives it:
-			// the hot keys in published order, and the hotspots they give.
+			// the hot keys in table order, and the hotspots they give in
+			// published order.
 			var keys []hotKey
 			predicted := make(map[string]float64)
 			for i := range slots {
@@ -122,7 +140,7 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 					}
 				}
 			}
-			hotspots := appendHotspots(nil, keys, func(i int32) Hotspot { return hotspotOf(&slots[i].Pred, cfg.ThresholdC) })
+			hotspots := appendHotspots(nil, slices.Clone(keys), func(i int32) Hotspot { return hotspotOf(&slots[i].Pred, cfg.ThresholdC) })
 
 			want := mapPropose(c, hotspots, predicted)
 			got := c.propose(keys, slots)
@@ -136,6 +154,18 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 			}
 			if len(want) == maxProposals {
 				capped++
+				// The walk skipped hotspots ahead of the bound without
+				// counting them when the last proposal's source sits past it.
+				for k, h := range hotspots {
+					if h.HostID == want[len(want)-1].FromHostID && k >= maxProposals {
+						pastBound++
+					}
+				}
+			}
+			for k := 1; k < len(hotspots); k++ {
+				if hotspots[k].MarginC == hotspots[k-1].MarginC {
+					tiedMargins++
+				}
 			}
 			for _, p := range want {
 				for id, temp := range predicted {
@@ -147,9 +177,9 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d proposals, %d with a tied target temperature, %d all-hot fleets, %d rounds at maxProposals",
-		proposals, ties, allHot, capped)
-	if proposals == 0 || ties == 0 || allHot == 0 || capped == 0 {
+	t.Logf("%d proposals, %d with a tied target temperature, %d all-hot fleets, %d rounds at maxProposals, %d tied hotspot margins, %d rounds that walked past the bound",
+		proposals, ties, allHot, capped, tiedMargins, pastBound)
+	if proposals == 0 || ties == 0 || allHot == 0 || capped == 0 || tiedMargins == 0 || pastBound == 0 {
 		t.Fatal("the trials missed a case the oracle comparison must cover")
 	}
 }

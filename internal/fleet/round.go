@@ -152,16 +152,19 @@ func (c *Controller) engineRound(rs *roundState) {
 	}
 }
 
-// buildSnapshot advances the round counter and builds the hotspot list from
+// buildSnapshot advances the round counter and builds the hot set from
 // *predicted* temperatures into the next snapshot generation: a recycled
 // retired generation whose slices and columns are rewritten in place, so the
 // warm round's publication allocates nothing. One pass over the slots, in
 // table order, copies the columns (each host's fresh prediction, NaN when
-// stale or unpredicted, and its latest reading), collects the hot keys by
-// slot index and finds the round's largest fresh prediction for the report;
-// the stale hosts then come out in id order from a walk of the membership's
-// byID that stops at the last of them. The membership is rebuilt only when
-// the table changed.
+// stale or unpredicted, and its latest reading), collects each hot host's
+// row into the generation and its key (margin, slot) into hotKeys
+// for propose, and finds the round's largest fresh prediction for the
+// report; the stale hosts then come out in id order from a walk of the
+// membership's byID that stops at the last of them. Nothing is sorted: the
+// set's order is built by the first reader that asks for it
+// (Snapshot.Hotspots). The membership is rebuilt only when the table
+// changed.
 func (c *Controller) buildSnapshot(rs *roundState) {
 	n := len(c.order)
 	rs.gen = c.snaps.writable(n)
@@ -179,7 +182,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	snap.pred = slices.Grow(snap.pred[:0], n)[:n]
 	snap.latest = slices.Grow(snap.latest[:0], n)[:n]
 	snap.present = slices.Grow(snap.present[:0], n)[:n]
-	thr, keys, maxPred, stale := c.cfg.ThresholdC, c.hotKeys[:0], math.Inf(-1), 0
+	thr, hot, keys, maxPred, stale := c.cfg.ThresholdC, snap.hot[:0], c.hotKeys[:0], math.Inf(-1), 0
 	for i := range c.slots {
 		s := &c.slots[i]
 		snap.pred[i], snap.latest[i], snap.present[i] = math.NaN(), s.Reading, s.Present
@@ -195,6 +198,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 			maxPred = t
 		}
 		if t > thr {
+			hot = append(hot, hotspotOf(&s.Pred, thr))
 			keys = append(keys, hotKey{t - thr, int32(i)})
 		}
 	}
@@ -204,22 +208,21 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 			snap.StaleHosts = append(snap.StaleHosts, m.ids[m.byID[k]])
 		}
 	}
-	snap.Hotspots = appendHotspots(snap.Hotspots[:0], keys, func(i int32) Hotspot { return hotspotOf(&c.slots[i].Pred, thr) })
-	c.hotKeys = keys
+	snap.hot, c.hotKeys = hot, keys
 	rs.maxPred = maxPred
 	if math.IsInf(maxPred, -1) {
 		rs.maxPred = 0 // no fresh prediction
 	}
 }
 
-// reconcileStream folds the authoritative recompute into the incremental
+// reconcileStream folds the authoritative hot set into the incremental
 // hotspot index, counting every entry the streaming path had let drift.
 // After this the index and the snapshot agree bit-for-bit (until the next
 // push moves the index ahead again). No-op until the first push.
 func (c *Controller) reconcileStream(rs *roundState) {
 	if st := c.stream.Load(); st != nil {
 		rs.stream = st.roundDelta()
-		rs.stream.drift = st.idx.reconcile(rs.gen.snap.Hotspots, st.reconSeen)
+		rs.stream.drift = st.idx.reconcile(rs.gen.snap.hot, st.reconSeen)
 	}
 }
 
@@ -318,7 +321,7 @@ func (c *Controller) report(rs *roundState) RoundReport {
 		DiscardedHosts:     rs.discarded,
 		SourceError:        rs.sourceErr,
 		RecentErrors:       slices.Clone(c.recentErrs),
-		Hotspots:           len(snap.Hotspots),
+		Hotspots:           len(snap.hot),
 		MaxPredictedC:      rs.maxPred,
 		Placements:         rs.placed,
 		Queued:             rs.queued,

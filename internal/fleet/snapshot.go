@@ -18,11 +18,13 @@ import (
 // What the round writes is columns parallel to the host table — ids (a
 // membership shared by every generation until the table changes), the
 // predicted temperature and the latest reading per slot — copied once, in
-// order, with no hashing under the round lock. The legacy Predicted and
-// Latest maps are an index over those columns that no round writes: the
-// first ViewSnapshot of a generation fills them (fillMaps; ViewColumns
-// never does), under the generation's own mutex and outside the round
-// lock, into maps recycled with the generation.
+// order, with no hashing under the round lock, and the hot set in table
+// order. Two views over those are built by readers, never by a round, each
+// at most once per generation, under the generation's own mutex and outside
+// the round lock, into storage recycled with the generation: the legacy
+// Predicted and Latest maps, which the first ViewSnapshot fills (fillMaps;
+// ViewColumns never does), and the hotspot order, which the first
+// Snapshot.Hotspots call builds (hotspots).
 //
 // Safety protocol (all sync/atomic, hence sequentially consistent):
 //
@@ -37,16 +39,25 @@ import (
 //     must re-validate after that observation — and the swap that retired
 //     the generation precedes the observation, so the re-validation sees a
 //     different published pointer and the reader backs off without reading.
-//   - Readers write only the maps, only inside fillMaps, under fillMu and
-//     before setting filled; the writer clears filled when it recycles the
-//     generation, while no reader holds it.
+//   - Readers write only the maps and the order, only inside fillMaps and
+//     hotspots, under fillMu and before setting filled or ordered; the
+//     writer clears both flags when it recycles the generation, while no
+//     reader holds it. The writer itself reads only what the round wrote
+//     (the columns and the hot set), never the order.
 type snapGen struct {
 	snap Snapshot
+	// cols is snap's header without the maps: what ViewColumns lends, set
+	// once by publish, so a column borrow copies nothing.
+	cols Snapshot
 	// readers counts in-flight borrows (ViewSnapshot).
 	readers atomic.Int64
-	// filled says the maps hold this generation's columns.
-	fillMu sync.Mutex
-	filled atomic.Bool
+	// filled says the maps hold this generation's columns; ordered says
+	// order holds its hot set in the published order (orderKeys: scratch).
+	fillMu    sync.Mutex
+	filled    atomic.Bool
+	ordered   atomic.Bool
+	order     []Hotspot
+	orderKeys []hotKey
 }
 
 // membership is the host table's ids as one round published them: ids in
@@ -88,19 +99,24 @@ func (s *snapStore) writable(hosts int) *snapGen {
 			s.spare[last] = nil
 			s.spare = s.spare[:last]
 			g.filled.Store(false)
+			g.ordered.Store(false)
 			return g
 		}
 	}
 	s.fresh.Add(1)
-	return &snapGen{snap: Snapshot{
+	g := &snapGen{snap: Snapshot{
 		Predicted: make(map[string]float64, hosts),
 		Latest:    make(map[string]Reading, hosts),
 	}}
+	g.snap.gen = g
+	return g
 }
 
 // publish swaps g in as the published generation and retires the previous
 // one into the spare ring.
 func (s *snapStore) publish(g *snapGen) {
+	g.cols = g.snap
+	g.cols.Predicted, g.cols.Latest = nil, nil
 	if old := s.published.Swap(g); old != nil {
 		s.spare = append(s.spare, old)
 	}
@@ -118,7 +134,7 @@ func (c *Controller) ViewSnapshot(read func(*Snapshot)) { c.view(read, true) }
 func (c *Controller) ViewColumns(read func(*Snapshot)) { c.view(read, false) }
 
 // view lends the published generation to read, filling its maps first or
-// handing read a copy of the header without them.
+// handing read the header without them.
 func (c *Controller) view(read func(*Snapshot), maps bool) {
 	g := c.snaps.acquire()
 	if g == nil {
@@ -133,9 +149,7 @@ func (c *Controller) view(read func(*Snapshot), maps bool) {
 		read(&g.snap)
 		return
 	}
-	cols := g.snap
-	cols.Predicted, cols.Latest = nil, nil
-	read(&cols)
+	read(&g.cols)
 }
 
 // acquire pins the published generation for a read (readers incremented,
@@ -184,6 +198,29 @@ func (g *snapGen) fillMaps() {
 	refill(s.Predicted, ids, func(i int) (float64, bool) { return s.pred[i], !math.IsNaN(s.pred[i]) })
 	refill(s.Latest, ids, func(i int) (Reading, bool) { return s.latest[i], s.present[i] })
 	g.filled.Store(true)
+}
+
+// hotspots returns the generation's hot set in the published order, built
+// on the first call into storage recycled with the generation (a warm build
+// allocates nothing): row j of the hot set is keyed (its margin, j).
+func (g *snapGen) hotspots() []Hotspot {
+	if g.ordered.Load() {
+		return g.order
+	}
+	g.fillMu.Lock()
+	defer g.fillMu.Unlock()
+	if g.ordered.Load() {
+		return g.order
+	}
+	hot := g.snap.hot
+	keys := g.orderKeys[:0]
+	for j := range hot {
+		keys = append(keys, hotKey{margin: hot[j].MarginC, i: int32(j)})
+	}
+	g.order = appendHotspots(g.order[:0], keys, func(j int32) Hotspot { return hot[j] })
+	g.orderKeys = keys
+	g.ordered.Store(true)
+	return g.order
 }
 
 // refill writes m[ids[i]] = v for every i where at(i) holds a value v.

@@ -62,9 +62,9 @@ func TestWarmRoundZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctl.ViewSnapshot(func(s *Snapshot) {
-			if len(s.Predicted) != 64 || len(s.Hotspots) == 0 {
+			if len(s.Predicted) != 64 || len(s.HotSet()) == 0 {
 				t.Fatalf("snapshot lost state: %d predicted, %d hotspots",
-					len(s.Predicted), len(s.Hotspots))
+					len(s.Predicted), len(s.HotSet()))
 			}
 		})
 	})
@@ -145,7 +145,7 @@ func TestSnapshotConcurrentReadersDuringRounds(t *testing.T) {
 						}
 					}
 					lastRound = s.Round
-					for _, h := range s.Hotspots {
+					for _, h := range s.Hotspots() {
 						if v, ok := s.Predicted[h.HostID]; !ok || v != h.PredictedTempC {
 							select {
 							case fail <- fmt.Sprintf("hotspot %s inconsistent with predicted map", h.HostID):
@@ -496,14 +496,13 @@ func TestSnapshotFillUnderConcurrentRounds(t *testing.T) {
 	}
 }
 
-// TestWarmSnapshotFillZeroAlloc: the first borrow of a recycled warm
-// generation fills its maps from the columns without allocating, also when
-// hosts going stale and coming back shrink and grow the predicted map
-// (the clear-and-refill pass).
-func TestWarmSnapshotFillZeroAlloc(t *testing.T) {
-	ctl, src, ids := snapController(t, 64)
+// darkQuarterRounds returns a step that feeds and runs one round of a
+// snapController fleet of 64 hosts, whose first 16 hosts go dark for four
+// rounds in every eight: hosts going stale and coming back shrink and grow
+// the predicted map and the hot set.
+func darkQuarterRounds(t *testing.T, ctl *Controller, src *gridSource, ids []string) func() {
 	round := 0
-	step := func() {
+	return func() {
 		fed := ids
 		if round%8 < 4 {
 			fed = ids[16:]
@@ -517,6 +516,15 @@ func TestWarmSnapshotFillZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestWarmSnapshotFillZeroAlloc: the first borrow of a recycled warm
+// generation fills its maps from the columns without allocating, also when
+// hosts going stale and coming back shrink and grow the predicted map
+// (the clear-and-refill pass).
+func TestWarmSnapshotFillZeroAlloc(t *testing.T) {
+	ctl, src, ids := snapController(t, 64)
+	step := darkQuarterRounds(t, ctl, src, ids)
 	for range 16 { // every generation of the ring filled at both sizes
 		step()
 		ctl.ViewSnapshot(func(*Snapshot) {})
@@ -536,5 +544,133 @@ func TestWarmSnapshotFillZeroAlloc(t *testing.T) {
 	}
 	if fills == 0 {
 		t.Fatal("no fill ran")
+	}
+}
+
+// TestWarmHotspotOrderZeroAlloc: a warm round, then the first ordered read
+// of the generation it published, which sorts the hot set, then a second
+// ordered read, which shares the first one's order, allocate nothing
+// together, also while the hot set shrinks and grows.
+func TestWarmHotspotOrderZeroAlloc(t *testing.T) {
+	ctl, src, ids := snapController(t, 64)
+	step := darkQuarterRounds(t, ctl, src, ids)
+	read := func() (n int) {
+		ctl.ViewColumns(func(s *Snapshot) { n = len(s.Hotspots()) })
+		return n
+	}
+	for range 16 { // every generation of the ring ordered at both sizes
+		step()
+		read()
+	}
+	least, most := math.MaxInt, 0
+	allocs := testing.AllocsPerRun(64, func() {
+		step()
+		if ctl.snaps.published.Load().ordered.Load() {
+			t.Fatal("a freshly published generation is already ordered")
+		}
+		first, second := read(), read()
+		if second != first {
+			t.Fatalf("ordered reads saw %d then %d hotspots", first, second)
+		}
+		least, most = min(least, first), max(most, first)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm round + two ordered reads allocate %.1f/op, want 0", allocs)
+	}
+	if most == 0 || least == most {
+		t.Fatalf("hot sets of %d to %d hosts: the order's storage reuse went untested", least, most)
+	}
+}
+
+// TestHotspotOrderRacesRoundAndFirstPush is the -race proof for the lazy
+// order: readers order every generation they borrow while rounds publish
+// new ones, and a first push builds the live index in the middle, seeding
+// it from the published hot set under the round lock while readers may be
+// writing that generation's order. Every order a reader sees is its own
+// generation's hot set, sorted; after the push the index agrees with the
+// round that follows.
+func TestHotspotOrderRacesRoundAndFirstPush(t *testing.T) {
+	const hosts = 32
+	for iter := 0; iter < 4; iter++ {
+		ctl, src, ids := snapController(t, hosts)
+		stop, push := make(chan struct{}), make(chan struct{})
+		fail := make(chan string, 16)
+		report := func(format string, args ...any) {
+			select {
+			case fail <- fmt.Sprintf(format, args...):
+			default:
+			}
+		}
+		var wg, started sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			started.Add(1)
+			go func() {
+				defer wg.Done()
+				for first := true; ; first = false {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if first {
+						started.Done()
+					}
+					ctl.ViewColumns(func(s *Snapshot) {
+						hot, set := s.Hotspots(), s.HotSet()
+						inSet := make(map[Hotspot]bool, len(set))
+						for _, h := range set {
+							inSet[h] = true
+						}
+						if len(hot) != len(set) {
+							report("round %d: %d ordered hotspots, hot set of %d", s.Round, len(hot), len(set))
+						}
+						for k, h := range hot {
+							if !inSet[h] {
+								report("round %d: ordered hotspot %+v is not in the hot set", s.Round, h)
+							}
+							if k > 0 && (h.MarginC > hot[k-1].MarginC || h.MarginC == hot[k-1].MarginC && h.HostID <= hot[k-1].HostID) {
+								report("round %d: hotspots %d and %d out of order", s.Round, k-1, k)
+							}
+						}
+					})
+				}
+			}()
+		}
+		now := src.now
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-push
+			readings := []Reading{{HostID: ids[hosts-1], AtS: now, TempC: 79, Util: 1, MemFrac: 0.25}}
+			ctl.IngestBatch(readings, false, make([]IngestResult, len(readings)))
+		}()
+		started.Wait()
+		for round := 0; round < 12; round++ {
+			if round == 4 {
+				close(push)
+			}
+			feedRound(ctl, src, ids)
+			if _, err := ctl.RunRound(); err != nil {
+				close(stop)
+				wg.Wait()
+				t.Fatal(err)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		select {
+		case msg := <-fail:
+			t.Fatal(msg)
+		default:
+		}
+		if !ctl.Streaming() {
+			t.Fatal("the push built no live index")
+		}
+		feedRound(ctl, src, ids)
+		if _, err := ctl.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		checkIndexMatchesRound(t, ctl, iter)
 	}
 }

@@ -73,9 +73,9 @@ type streamState struct {
 
 // hotIndex is the incrementally maintained hotspot set: one entry per host
 // whose freshest prediction exceeds the threshold, plus a lazily rebuilt
-// sorted view (descending margin, ties by host id — the order the round
-// publishes, by the same appendHotspots). Reads are concurrent; mutations
-// take the write lock.
+// sorted view (descending margin, ties by host id — the order
+// Snapshot.Hotspots gives, by the same appendHotspots). Reads are
+// concurrent; mutations take the write lock.
 type hotIndex struct {
 	mu      sync.RWMutex
 	entries map[string]Hotspot
@@ -211,10 +211,11 @@ func (c *Controller) warmAnchor(r telemetry.Reading) (float64, bool) {
 
 // liveIndex returns the streaming machinery, building it on the first call.
 // It is built under the round lock — the first push waits out a round in
-// flight, once — and seeded from the published generation's hotspots (its
-// columns; the legacy maps stay unfilled): that is what the last round
-// boundary reconciled the index to, so it agrees with the rounds from the
-// moment it exists.
+// flight, once — and seeded from the published generation's hot set, as
+// the round wrote it (neither the legacy maps nor the order, which readers
+// may be building concurrently): that is what the last round boundary
+// reconciled the index to, so it agrees with the rounds from the moment it
+// exists.
 func (c *Controller) liveIndex() *streamState {
 	if st := c.stream.Load(); st != nil {
 		return st
@@ -226,7 +227,7 @@ func (c *Controller) liveIndex() *streamState {
 	}
 	st := newStreamState(c)
 	if snap := c.publishedSnapshot(); snap != nil {
-		st.idx.reconcile(snap.Hotspots, st.reconSeen)
+		st.idx.reconcile(snap.HotSet(), st.reconSeen)
 	}
 	c.stream.Store(st)
 	return st

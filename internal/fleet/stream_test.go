@@ -81,12 +81,12 @@ func checkIndexMatchesRound(t *testing.T, c *Controller, round int) {
 		t.Fatalf("round %d: no live index after a push", round)
 	}
 	c.ViewSnapshot(func(s *Snapshot) {
-		if len(live) != len(s.Hotspots) {
-			t.Fatalf("round %d: index has %d hotspots, recompute %d", round, len(live), len(s.Hotspots))
+		if len(live) != len(s.Hotspots()) {
+			t.Fatalf("round %d: index has %d hotspots, recompute %d", round, len(live), len(s.Hotspots()))
 		}
 		for i := range live {
-			if live[i] != s.Hotspots[i] {
-				t.Fatalf("round %d hotspot %d: index %+v != recompute %+v", round, i, live[i], s.Hotspots[i])
+			if live[i] != s.Hotspots()[i] {
+				t.Fatalf("round %d hotspot %d: index %+v != recompute %+v", round, i, live[i], s.Hotspots()[i])
 			}
 		}
 	})

@@ -139,10 +139,11 @@ func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
 	// Scoped zero-copy borrow of the columns (no map is read, so none is
 	// filled): the snapshot (and its slices) is read-only and only valid
 	// inside the view, so everything serialized is copied into the
-	// response before the borrow ends. Once anything has been
-	// pushed, the hotspot list itself comes from the live incremental index
-	// — it reflects a pushed reading immediately — while the round metadata
-	// still describes the last published round.
+	// response before the borrow ends. Until anything has been pushed, the
+	// list is the round's hot set in the published order, which the first
+	// GET of a generation builds. After that it comes from the live
+	// incremental index — it reflects a pushed reading immediately — while
+	// the round metadata still describes the last published round.
 	live, streaming := s.fleet.StreamHotspotsInto(nil)
 	var resp FleetHotspotsResponse
 	s.fleet.ViewColumns(func(snap *fleet.Snapshot) {
@@ -155,7 +156,7 @@ func (s *Server) handleFleetHotspots(w http.ResponseWriter, _ *http.Request) {
 			StaleHosts: append([]string(nil), snap.StaleHosts...),
 		}
 		if !streaming {
-			live = snap.Hotspots
+			live = snap.Hotspots()
 		}
 		resp.Hotspots = make([]FleetHotspot, len(live))
 		for i, h := range live {

@@ -18,15 +18,22 @@ import (
 	"vmtherm/internal/fleet"
 )
 
-// snapshotOf copies the published snapshot out of its ViewSnapshot borrow,
-// for tests that inspect one after the call.
+// snapshotOf copies the published snapshot's exported fields out of its
+// ViewSnapshot borrow, for tests that inspect one after the call. The
+// columns and the hot set stay with the generation, which later rounds
+// recycle: on the copy, Len, HotSet and Hotspots read empty, so read those
+// inside a borrow.
 func snapshotOf(ctl *fleet.Controller) (out fleet.Snapshot) {
 	ctl.ViewSnapshot(func(s *fleet.Snapshot) {
-		out = *s
-		out.Hotspots = slices.Clone(s.Hotspots)
-		out.StaleHosts = slices.Clone(s.StaleHosts)
-		out.Predicted = maps.Clone(s.Predicted)
-		out.Latest = maps.Clone(s.Latest)
+		out = fleet.Snapshot{
+			Round:      s.Round,
+			SimTimeS:   s.SimTimeS,
+			GapS:       s.GapS,
+			ThresholdC: s.ThresholdC,
+			Predicted:  maps.Clone(s.Predicted),
+			Latest:     maps.Clone(s.Latest),
+			StaleHosts: slices.Clone(s.StaleHosts),
+		}
 	})
 	return out
 }

@@ -135,14 +135,16 @@ func TestMetricsScrapeRoundTrip(t *testing.T) {
 	if snapB.Latest[hot].Util < 0.9 {
 		t.Fatalf("scraped util for %s = %v", hot, snapB.Latest[hot].Util)
 	}
+	var hotSet []fleet.Hotspot
+	ctlB.ViewColumns(func(s *fleet.Snapshot) { hotSet = slices.Clone(s.HotSet()) })
 	found := false
-	for _, h := range snapB.Hotspots {
+	for _, h := range hotSet {
 		if h.HostID == hot {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("scrape-driven controller did not flag %s (hotspots %+v)", hot, snapB.Hotspots)
+		t.Fatalf("scrape-driven controller did not flag %s (hotspots %+v)", hot, hotSet)
 	}
 }
 

@@ -240,7 +240,7 @@ func (r *Runner) grade(round int, rep *fleet.RoundReport) {
 	threshold := 0.0
 	r.ctrl.ViewColumns(func(s *fleet.Snapshot) {
 		threshold = s.ThresholdC
-		for _, h := range s.Hotspots {
+		for _, h := range s.HotSet() {
 			hotIDs = append(hotIDs, h.HostID)
 		}
 	})
