@@ -424,8 +424,8 @@ func roundLine(rep fleet.RoundReport, updateS float64, streaming bool, drill *sc
 		float64(rep.Latency.Microseconds())/1000,
 		float64(rep.ControlLatency.Microseconds())/1000, speedup)
 	if streaming {
-		line += fmt.Sprintf(" | stream %d (+%d inline, %d deferred) drift %d",
-			rep.StreamApplied, rep.StreamCreated, rep.StreamDeferred, rep.StreamHotDrift)
+		line += fmt.Sprintf(" | stream %d (%d deferred) drift %d",
+			rep.StreamApplied, rep.StreamDeferred, rep.StreamHotDrift)
 	}
 	if drill != nil {
 		st := drill.Status()

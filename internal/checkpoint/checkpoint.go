@@ -88,10 +88,10 @@ type IngestTotals struct {
 // StreamState is the streaming-ingest machinery's durable state: cumulative
 // counters plus the incrementally maintained hotspot index (sorted by host
 // id for deterministic bytes). Nil in State until the first push has built
-// the index.
+// the index. A checkpoint written when pushes could make sessions also
+// carries their count (Created); gob skips it.
 type StreamState struct {
 	Applied     int64
-	Created     int64
 	Deferred    int64
 	Predictions int64
 	Hotspots    []Hotspot
@@ -122,7 +122,7 @@ type State struct {
 	// so staleness and eviction clocks stay monotonic.
 	SourceName string
 	SourceNowS float64
-	// Engine is every live session (sorted by id) plus the session-id counter.
+	// Engine is every live session, sorted by id (a restore keeps Order's).
 	Engine engine.State
 	// Latest is the newest reading per host, sorted by host id.
 	Latest []telemetry.Reading

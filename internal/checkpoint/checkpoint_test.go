@@ -79,7 +79,7 @@ func sampleState(t *testing.T) *State {
 		LastRejected: 3,
 		LastFanout:   5,
 		Stream: &StreamState{
-			Applied: 900, Created: 16, Deferred: 2, Predictions: 120,
+			Applied: 900, Deferred: 2, Predictions: 120,
 			Hotspots: []Hotspot{{HostID: "r0-h0", PredictedTempC: 73.5, MarginC: 3.5, UncertaintyC: 0.5}},
 		},
 		AnchorCache: &CacheState{

@@ -41,7 +41,6 @@ import (
 // path under internal/.
 var allowed = map[string]string{
 	"core.Curve.Value":                   "test oracle: the predictors' log-space curve is checked against it",
-	"engine.Engine.HandleCurrent":        "test oracle: the slot tests check every cached handle against the validity rule with it",
 	"svm.Model.Predict":                  "test oracle: the batch and fused kernels are checked against the one-row predict",
 	"thermal.Server.SteadyStateDieTemp":  "test oracle: the closed-form steady state the stepped circuit must reach",
 	"svm.RBFKernelName":                  "the golden tests pick their line by the kernel's name",

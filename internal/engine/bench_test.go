@@ -11,10 +11,10 @@ import (
 // fleet's session engine at 1024 hosts: staleness accounting, calibration,
 // re-anchor checks and Δ_gap-ahead prediction per host — the hot path under
 // the fleet control plane. "slots" is RoundSlots, the round the fleet
-// controller runs (cached session handles, no string hashed), "keyed" the
-// map twin that stages maps into slots, runs the same body and compacts the
-// predictions into a list; bench/e2e's engine.round.ns_per_host times the
-// keyed one only. Both keep
+// controller runs over the table it drives (no string hashed), "keyed" the
+// map twin that stages maps into the table by key, runs the same body and
+// compacts the predictions into a list; bench/e2e's
+// engine.round.ns_per_host times the keyed one only. Both keep
 // their anchors, so after 40 rounds every session is past t_break and Eq. (3)
 // costs no logarithm. "slots_warmup" re-anchors a tenth of the hosts each
 // round, as a replayed trace does, so every session stays in its warm-up and
@@ -61,20 +61,26 @@ func BenchmarkEngineRound(b *testing.B) {
 		}
 		return eng
 	}
+	// table gives every host its slot, with its first reading and anchor.
+	table := func(eng *Engine) []Slot {
+		for i, id := range ids {
+			j := eng.SlotOf(id)
+			s := &eng.Slots()[j]
+			s.Reading, s.Present, s.Anchor = reading(i), true, anchor(i)
+		}
+		return eng.Slots()
+	}
 
 	b.Run("slots", func(b *testing.B) {
 		eng := newEngine(b)
-		slots := make([]Slot, hosts)
-		for i := range slots {
-			slots[i] = Slot{Reading: reading(i), Present: true, Anchor: anchor(i)}
-		}
+		slots := table(eng)
 		run(b, func(round int, now float64) int {
 			if now > 0 {
 				for i := range slots {
 					advance(&slots[i].Reading, round, now)
 				}
 			}
-			eng.RoundSlots(now, ids, slots)
+			eng.RoundSlots(now)
 			return predicted(slots)
 		})
 	})
@@ -82,10 +88,7 @@ func BenchmarkEngineRound(b *testing.B) {
 	// readings stamped now − offset(i, round).
 	churn := func(b *testing.B, offset func(i, round int) float64) {
 		eng := newEngine(b)
-		slots := make([]Slot, hosts)
-		for i := range slots {
-			slots[i] = Slot{Reading: reading(i), Present: true, Anchor: anchor(i)}
-		}
+		slots := table(eng)
 		run(b, func(round int, now float64) int {
 			if now > 0 {
 				for i := range slots {
@@ -95,7 +98,7 @@ func BenchmarkEngineRound(b *testing.B) {
 					}
 				}
 			}
-			eng.RoundSlots(now, ids, slots)
+			eng.RoundSlots(now)
 			return predicted(slots)
 		})
 	}
@@ -129,7 +132,7 @@ func BenchmarkEngineRound(b *testing.B) {
 
 // BenchmarkPredictFresh measures the push path one reading at a time over
 // 1,024 warm sessions: each op is one PredictFresh — a hold of the round
-// gate's read side, a map lookup, the session lock, calibration and the
+// gate's read side, an index lookup, the session lock, calibration and the
 // Δ_gap-ahead prediction — on the next host in turn, its reading Δ_update
 // later than its last so every one calibrates. Reports ns/reading; the
 // contract is 0 B/op.

@@ -8,30 +8,29 @@
 // shape New validates. The prediction service's client-driven sessions are
 // not here: internal/predictserver keeps its own store.
 //
-// The engine is built for fleet-scale concurrency and round throughput.
-// One lock, the round gate (a sync.RWMutex), guards the id→session map:
-// lookups hold its read side, and every insert and delete its write side.
-// A round is a pass over the whole population: it holds the write side for
-// the pass and takes no session lock. Every other call that touches a
-// session's predictor — a push, a Stable read, a Snapshot — holds the read
-// side and the session's mutex, so pushes apply in parallel with each other
-// and wait out a round's pass instead of interleaving with it host by host;
-// a push that creates its host's session does so under the write side. The
-// lock order is the caller's round lock, then the gate, then a session's
-// mutex.
+// The engine owns the host table, the one id index of its hosts: the ids, a
+// map from id to slot, and the slots. A slot carries the host's reading,
+// ψ_stable anchor and re-anchor mark going into a round, the prediction
+// coming out, and the host's session. Only a round makes or unmakes a
+// session: at first sight, on a marked slot (Slot.Reanchor: the deployment
+// changed), and on eviction. The table's driver — SlotOf, Keep, Truncate,
+// the slot fields, RoundSlots — serializes its own calls (the fleet holds
+// its round lock for them).
 //
-// A round is one body (roundChunk) over the slots: the caller keeps each
-// host's reading, anchor and a cached session Handle in a []Slot parallel to
-// its id list, so a warm round hashes no string, and the round writes each
-// host's prediction back into its own slot. RoundSlots is that round; Round,
-// for callers without a host table, stages maps of readings and anchors
-// into engine-owned slots, runs the same body and compacts the predictions
-// into a list. The body runs in shard.Run chunks — one inline chunk below
-// shard.MinHosts hosts or with one worker — and leaves the session map to a
-// serial sweep of the chunks' first-sight and eviction events. Beyond
-// first-sight session creation a serial round allocates nothing: a
-// re-anchor resets the existing session in place on the shape validated
-// once at New, checking only φ(0) and ψ_stable.
+// The round gate (a sync.RWMutex) holds the table's shape and its sessions
+// still for everyone else: shape changes and a round's pass hold its write
+// side; a push, a Stable read and a Snapshot hold its read side, find the
+// slot through the index and take the session's mutex. So pushes apply in
+// parallel with each other and wait out a round's pass, and the round
+// takes no session lock.
+//
+// A round is one body (roundHost) over the slots, in shard.Run chunks (one
+// inline chunk below shard.MinHosts hosts or with one worker); a host
+// touches only its own slot, so any chunking gives the serial round. Round
+// stages maps of readings and anchors into the table by key, for callers
+// without a table of their own. Beyond a session's first allocation a round
+// allocates nothing: a re-anchor, by drift or by mark, resets the session
+// in place on the shape validated once at New.
 //
 // A round evaluates Eq. (3) twice per host — at the reading, to calibrate,
 // and Δ_gap ahead, to predict — through a core.CurveMemo the engine owns,
@@ -41,13 +40,6 @@
 // readings of a round share one timestamp (trace rows, scrapes, simulator
 // samples) and the sessions a round re-anchored share their anchor instant.
 // The streaming path (per-host timestamps) evaluates directly.
-//
-// A Handle is served only while its session is still the one registered
-// under the id. Every way out of the session map (Delete, eviction,
-// Restore) marks the session removed under the gate's write side, and an
-// empty or removed Handle falls back to the keyed lookup — so a session
-// deleted since is never served stale and one created since (by the
-// streaming path, say) is never missed.
 package engine
 
 import (
@@ -56,7 +48,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"vmtherm/internal/core"
 	"vmtherm/internal/shard"
@@ -96,8 +87,7 @@ type Config struct {
 	// RoundWorkers bounds the worker pool Round shards its per-host pass
 	// across at fleet scale (>= shard.MinHosts hosts). Default 1 keeps
 	// rounds serial and unconditionally allocation-free; any value produces
-	// identical results (per-host work is independent, evictions and output
-	// order are serialized).
+	// identical results (a host's work touches only its own slot).
 	RoundWorkers int
 }
 
@@ -146,9 +136,6 @@ type session struct {
 	// streaming path reads it to compute staleness without a latest-reading
 	// map; guarded like the predictor.
 	lastAtS float64
-	// removed marks, under the gate's write side, a session gone from the
-	// map: the validity rule of every Handle that cached it.
-	removed bool
 }
 
 // localT converts engine time to session-local curve time.
@@ -163,45 +150,39 @@ func (s *session) feed(t, tempC float64, m *core.CurveMemo) {
 	}
 }
 
-// Engine is the session map plus the round executor. Create with New. All
-// methods are safe for concurrent use; rounds (RoundSlots or Round) serialize
-// on the round gate.
+// Engine is the host table plus the round executor. Create with New. The
+// readers (Stable, Len, ObserveBatch, PredictFresh, Snapshot) are safe for
+// concurrent use with everything; the table's driver serializes its calls.
 type Engine struct {
 	cfg Config
-	// gate is the round gate (see the package comment): it guards sessions,
-	// and its write side also owns the round working set below.
-	gate     sync.RWMutex
-	sessions map[string]*session
-	// count is len(sessions), readable without the gate: an AnchorLookup
-	// calls Len under the write side.
-	count atomic.Int64
+	// gate is the round gate (see the package comment); its write side also
+	// owns the round working set below.
+	gate sync.RWMutex
+	// The host table: ids[i] names slots[i], and index is its inverse.
+	ids   []string
+	index map[string]int32
+	slots []Slot
 	// shape is the curve shape and calibration config of every session the
 	// engine anchors, validated once: re-anchoring checks only the anchors.
 	shape core.Shape
-	// chunks is the round's per-chunk working set (memo, stats, events),
-	// kept across rounds: at most RoundWorkers. The round's arguments are
-	// parked in now, ids, slots and size for the body, which is roundChunk
-	// bound once in run, so a serial round costs no closure. keyed holds the
-	// slots the keyed Round stages its maps into.
+	// chunks is the round's per-chunk working set (memo, stats), kept
+	// across rounds: at most RoundWorkers. The round's clock and chunk size
+	// are parked in now and size for the body, which is roundChunk bound
+	// once in run, so a serial round costs no closure.
 	chunks []roundChunk
 	run    func(lo, hi int) error
 	now    float64
-	ids    []string
-	slots  []Slot
 	size   int
-	keyed  []Slot
 }
 
 // roundChunk is one chunk's share of a round: the memo its hosts evaluate
-// through, its stats, and the slots whose session map change — a first-sight
-// registration or an eviction — the serial sweep applies after the pass.
+// through and its stats.
 type roundChunk struct {
-	memo         *core.CurveMemo
-	st           RoundStats
-	fresh, evict []int32
+	memo *core.CurveMemo
+	st   RoundStats
 }
 
-// New builds an engine.
+// New builds an engine with an empty host table.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -212,7 +193,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, shape: shape, sessions: make(map[string]*session)}
+	e := &Engine{cfg: cfg, shape: shape, index: make(map[string]int32)}
 	e.run = e.roundChunk
 	return e, nil
 }
@@ -233,41 +214,85 @@ func (e *Engine) anchor(s *session, phi0, stableC, atS float64) error {
 	return nil
 }
 
-// newSession builds a session anchored at (φ(atS), ψ_stable), or returns nil
-// when the anchors do not describe a valid curve. It does not register it.
-func (e *Engine) newSession(phi0, stableC, atS float64) *session {
-	s := new(session)
-	if e.anchor(s, phi0, stableC, atS) != nil {
-		return nil
+// session returns id's session, nil when id has no slot or its slot no
+// session. The caller holds the gate.
+func (e *Engine) session(id string) *session {
+	if i, ok := e.index[id]; ok {
+		return e.slots[i].sess
 	}
-	return s
+	return nil
 }
 
-// insert registers s under id, which has no session; the caller holds the
-// gate's write side.
-func (e *Engine) insert(id string, s *session) {
-	e.sessions[id] = s
-	e.count.Add(1)
+// slotOf returns id's slot, appending one at the tail when id has none; the
+// caller holds the gate's write side.
+func (e *Engine) slotOf(id string) int32 {
+	if i, ok := e.index[id]; ok {
+		return i
+	}
+	i := int32(len(e.ids))
+	e.index[id] = i
+	e.ids = append(e.ids, id)
+	e.slots = append(e.slots, Slot{})
+	return i
 }
 
-// remove takes id's session out of the map, reporting whether it existed;
-// the caller holds the gate's write side.
-func (e *Engine) remove(id string) bool {
-	s, ok := e.sessions[id]
-	if ok {
-		s.removed = true
-		delete(e.sessions, id)
-		e.count.Add(-1)
+// SlotOf returns id's slot, appending an empty one at the tail (under the
+// gate's write side) when id has none. For the table's driver.
+func (e *Engine) SlotOf(id string) int32 {
+	if i, ok := e.index[id]; ok {
+		return i
 	}
-	return ok
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	return e.slotOf(id)
+}
+
+// IDs returns the table's ids, read-only and valid until the next shape
+// change. For the table's driver.
+func (e *Engine) IDs() []string { return e.ids }
+
+// Slots returns the table's slots, parallel to IDs and valid until the next
+// shape change; the driver writes their exported fields. For the table's
+// driver.
+func (e *Engine) Slots() []Slot { return e.slots }
+
+// Keep rebuilds the table, in new storage, from the slots at the distinct
+// indexes keep lists, in that order; every other slot leaves the table with
+// its session. For the table's driver.
+func (e *Engine) Keep(keep []int32) {
+	ids := make([]string, len(keep))
+	slots := make([]Slot, len(keep))
+	for j, i := range keep {
+		ids[j], slots[j] = e.ids[i], e.slots[i]
+	}
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	e.ids, e.slots = ids, slots
+	clear(e.index)
+	for j, id := range ids {
+		e.index[id] = int32(j)
+	}
+}
+
+// Truncate cuts the table back to its first n slots, dropping the sessions
+// past them. For the table's driver.
+func (e *Engine) Truncate(n int) {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	for _, id := range e.ids[n:] {
+		delete(e.index, id)
+	}
+	clear(e.ids[n:])
+	clear(e.slots[n:])
+	e.ids, e.slots = e.ids[:n], e.slots[:n]
 }
 
 // Stable returns the ψ_stable a session is currently anchored to.
 func (e *Engine) Stable(id string) (float64, error) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
-	s, ok := e.sessions[id]
-	if !ok {
+	s := e.session(id)
+	if s == nil {
 		return 0, ErrNoSession
 	}
 	s.mu.Lock()
@@ -275,18 +300,16 @@ func (e *Engine) Stable(id string) (float64, error) {
 	return s.stable, nil
 }
 
-// Delete removes a session, reporting whether it existed. Fleet callers use
-// it to force a re-anchor after a deployment change (placement, migration).
-// It takes the gate's write side, so it waits out a round's pass.
-func (e *Engine) Delete(id string) bool {
-	e.gate.Lock()
-	defer e.gate.Unlock()
-	return e.remove(id)
-}
-
 // Len reports the number of live sessions.
-func (e *Engine) Len() int {
-	return int(e.count.Load())
+func (e *Engine) Len() (n int) {
+	e.gate.RLock()
+	defer e.gate.RUnlock()
+	for i := range e.slots {
+		if e.slots[i].sess != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Prediction is one host's Δ_gap-ahead temperature estimate from a round.
@@ -310,72 +333,57 @@ type RoundStats struct {
 	// the model produced an unusable ψ_stable anchor (graceful blindness
 	// must be visible, never silent).
 	AnchorFailures int
-	// Reanchored counts sessions anchored this round (first sight or anchor
-	// drift beyond ReanchorEpsC).
+	// Reanchored counts sessions anchored this round (first sight, a marked
+	// slot, or anchor drift beyond ReanchorEpsC).
 	Reanchored int
 	// Forgotten counts hosts whose reading was dropped because their
 	// telemetry exceeded EvictAfterS; Evicted counts those of them that had
-	// a session to remove.
+	// a session to drop.
 	Forgotten, Evicted int
 	// MaxStalenessS is the oldest telemetry age seen this round.
 	MaxStalenessS float64
 }
 
-// Handle caches one id's session lookup between rounds for a caller that
-// keeps per-host slots. The zero Handle is valid: it resolves by key. See
-// the package comment for the validity rule.
-type Handle struct{ sess *session }
-
-// Slot is one host's share of a round: what the caller knows about the host
-// going in, the engine's cached way back to its session, and what the round
-// predicted for it.
+// Slot is one host's row of the table: what the caller knows about the host
+// going into a round, what the round predicted for it, and its session.
 type Slot struct {
 	// Reading is the host's newest telemetry; Present says there is one.
-	// RoundSlots clears Present when it forgets a host dark beyond
+	// A round clears Present when it forgets a host dark beyond
 	// EvictAfterS.
 	Reading telemetry.Reading
 	Present bool
+	// Reanchor marks the host's deployment as changed. The next round
+	// consumes it and treats the host as seen first: the session re-anchors
+	// in place, bit-identical to a new one, or is dropped.
+	Reanchor bool
 	// Anchor is this round's batch-predicted ψ_stable for the host, NaN for
 	// none (an unusable anchor and no anchor at all are the same thing to a
 	// round: the host keeps its session if it has one).
 	Anchor float64
-	// Handle is the engine's; callers only carry it along with the slot.
-	Handle Handle
 	// Pred is the host's prediction from the latest round, meaningful only
 	// where Predicted is set; every round writes Predicted for every slot.
 	Pred      Prediction
 	Predicted bool
-}
-
-// resolve returns id's session through h, refreshing h by key when it is
-// empty or its session has left the map. The caller holds the gate.
-func (e *Engine) resolve(h *Handle, id string) *session {
-	if s := h.sess; s != nil && !s.removed {
-		return s
-	}
-	h.sess = e.sessions[id]
-	return h.sess
-}
-
-// HandleCurrent reports whether h obeys the validity rule for id: its
-// session is the one registered under id, or it is empty or marked removed
-// and therefore resolves by key.
-func (e *Engine) HandleCurrent(id string, h Handle) bool {
-	e.gate.RLock()
-	defer e.gate.RUnlock()
-	return h.sess == nil || h.sess.removed || e.sessions[id] == h.sess
+	// sess is the host's session, nil for none; written under the gate's
+	// write side only. The two bools above share a word, so a slot is 128
+	// bytes: two cache lines.
+	sess *session
 }
 
 // roundHost runs slot i's share of the round parked on the engine —
 // staleness accounting, (re-)anchoring, calibration, Δ_gap prediction into
-// the slot — evaluating the curve through c's memo. The session map is only
-// read: a session built this round is held by the slot's Handle and listed
-// in c.fresh, a host to forget in c.evict, for the serial sweep. The caller
-// holds the gate's write side, so roundHost takes no session lock; calls on
-// distinct slots with distinct chunks may run concurrently.
+// the slot — evaluating the curve through c's memo. The caller holds the
+// gate's write side, so roundHost takes no session lock; calls on distinct
+// slots with distinct chunks may run concurrently.
 func (e *Engine) roundHost(i int, c *roundChunk) {
 	s := &e.slots[i]
 	s.Predicted = false
+	sess := s.sess
+	if s.Reanchor {
+		// The deployment changed: the session no longer describes the
+		// host, which is seen first again below; its memory is reused.
+		s.sess, s.Reanchor = nil, false
+	}
 	if !s.Present {
 		// Never observed means no session and no prediction.
 		return
@@ -396,15 +404,18 @@ func (e *Engine) roundHost(i int, c *roundChunk) {
 		// Dark beyond the eviction horizon: the host is gone, not merely
 		// degraded. Forget the session and the fossil reading so the
 		// population shrinks instead of accumulating ghosts.
-		c.evict = append(c.evict, int32(i))
+		if s.sess != nil {
+			st.Evicted++
+		}
+		st.Forgotten++
+		s.Present, s.sess = false, nil
 		return
 	}
 	stale := staleness > staleAfterS
 
 	anchored := !math.IsNaN(s.Anchor)
-	sess := e.resolve(&s.Handle, e.ids[i])
 	switch {
-	case sess != nil:
+	case s.sess != nil:
 		// Re-anchor in place when the deployment's predicted ψ_stable moved:
 		// the old curve no longer describes this host. On failure (a
 		// degenerate reading) the session keeps serving its old curve and
@@ -413,13 +424,17 @@ func (e *Engine) roundHost(i int, c *roundChunk) {
 			st.Reanchored++
 		}
 	case anchored:
-		// First sight: the one allocation a session ever costs.
-		if sess = e.newSession(r.TempC, s.Anchor, r.AtS); sess != nil {
-			s.Handle.sess = sess
-			c.fresh = append(c.fresh, int32(i))
+		// First sight: the one allocation a session costs, unless a marked
+		// slot hands its old session's memory over.
+		if sess == nil {
+			sess = new(session)
+		}
+		if e.anchor(sess, r.TempC, s.Anchor, r.AtS) == nil {
+			s.sess = sess
 			st.Reanchored++
 		}
 	}
+	sess = s.sess
 	if sess == nil {
 		// No session and no usable anchor to build one from: counted, so
 		// the blindness is observable.
@@ -450,36 +465,29 @@ func (e *Engine) roundChunk(lo, hi int) error {
 	return nil
 }
 
-// RoundSlots executes one control round over a host population kept in
-// slots: for every slot with a reading, (re-)anchor the session against the
-// slot's batch-predicted ψ_stable, calibrate on fresh telemetry, and write a
-// Δ_gap-ahead prediction into the slot (Pred, Predicted). Hosts whose
-// telemetry is older than staleAfterS are degraded (prediction marked stale,
-// no calibration); older than EvictAfterS, their session is evicted and
-// their slot's reading dropped. A slot without a reading, an evicted one and
-// one left without a session (an unusable anchor) have Predicted cleared.
-// ids[i] names slots[i], and no two ids are the same.
+// RoundSlots executes one control round over the table: for every slot with
+// a reading, (re-)anchor the session against the slot's batch-predicted
+// ψ_stable, calibrate on fresh telemetry, and write a Δ_gap-ahead
+// prediction into the slot (Pred, Predicted). Hosts whose telemetry is older
+// than staleAfterS are degraded (prediction marked stale, no calibration);
+// older than EvictAfterS, their session is dropped and their reading
+// forgotten. A slot without a reading or a session has Predicted cleared.
+// Every re-anchor mark is consumed. For the table's driver.
 //
-// Beyond first-sight session creation a serial round does not allocate.
-// With RoundWorkers > 1 and a population of at least shard.MinHosts, the
-// per-host pass runs in chunks across a bounded worker pool (at least 256
-// hosts a chunk, so each amortizes its goroutine): chunks touch disjoint
-// slots and only read the session map, and the sweep that registers
-// first-sight sessions and evicts dark hosts runs serially after the pass,
-// chunk by chunk, so every slot and the round stats are the serial round's.
-// The round holds the gate's write side for its pass, so rounds serialize
-// and a push arriving mid-pass applies after it.
-func (e *Engine) RoundSlots(nowS float64, ids []string, slots []Slot) RoundStats {
+// With RoundWorkers > 1 and at least shard.MinHosts hosts, the pass runs in
+// chunks of at least 256 hosts across a bounded worker pool. The round
+// holds the gate's write side, so a push arriving mid-pass applies after.
+func (e *Engine) RoundSlots(nowS float64) RoundStats {
 	e.gate.Lock()
 	defer e.gate.Unlock()
-	return e.pass(nowS, ids, slots)
+	return e.pass(nowS)
 }
 
 // pass is the round behind RoundSlots and Round, under the gate's write
-// side: the chunks' pass over the slots, then the serial sweep.
-func (e *Engine) pass(nowS float64, ids []string, slots []Slot) RoundStats {
+// side.
+func (e *Engine) pass(nowS float64) RoundStats {
 	const minPerChunk = 256
-	n, workers := len(slots), 1
+	n, workers := len(e.slots), 1
 	if n >= shard.MinHosts {
 		workers = e.cfg.RoundWorkers
 	}
@@ -489,64 +497,52 @@ func (e *Engine) pass(nowS float64, ids []string, slots []Slot) RoundStats {
 	}
 	chunks := e.chunks[:count]
 	for k := range chunks {
-		c := &chunks[k]
-		c.st, c.fresh, c.evict = RoundStats{}, c.fresh[:0], c.evict[:0]
+		chunks[k].st = RoundStats{}
 	}
-	e.now, e.ids, e.slots, e.size = nowS, ids, slots, size
+	e.now, e.size = nowS, size
 	_ = shard.Run(n, workers, minPerChunk, e.run) // the body cannot fail
-	e.ids, e.slots = nil, nil
 
 	var st RoundStats
 	for k := range chunks {
-		c := &chunks[k]
-		st.Live += c.st.Live
-		st.AnchorFailures += c.st.AnchorFailures
-		st.Reanchored += c.st.Reanchored
-		st.MaxStalenessS = max(st.MaxStalenessS, c.st.MaxStalenessS)
-		for _, i := range c.fresh {
-			e.insert(ids[i], slots[i].Handle.sess)
-		}
-		for _, i := range c.evict {
-			if e.remove(ids[i]) {
-				st.Evicted++
-			}
-			st.Forgotten++
-			slots[i].Present, slots[i].Handle = false, Handle{}
-		}
+		c := &chunks[k].st
+		st.Live += c.Live
+		st.AnchorFailures += c.AnchorFailures
+		st.Reanchored += c.Reanchored
+		st.Forgotten += c.Forgotten
+		st.Evicted += c.Evicted
+		st.MaxStalenessS = max(st.MaxStalenessS, c.MaxStalenessS)
 	}
 	return st
 }
 
-// Round is RoundSlots for callers that keep readings and anchors in maps:
-// every id in order that has a reading in latest is a host of the round,
-// anchored by anchors[id] when present, and its prediction is appended to
-// dst in order (pass dst[:0] to reuse a buffer); a host forgotten for dark
-// telemetry is removed from latest. Hosts, results and stats are exactly
-// RoundSlots' — the maps are staged into engine-owned slots (with empty
-// handles, so every session resolves by key) and run through the same body,
-// under the same hold of the gate.
+// Round is RoundSlots for callers that keep readings and anchors in maps
+// instead of driving the table: every id in order (no two alike) that has a
+// reading in latest is a host of the round, anchored by anchors[id] when
+// present, and its prediction is appended to dst in order; a host forgotten
+// for dark telemetry is deleted from latest. The maps are staged into the
+// table by key, and every other slot sits the round out with its session.
 func (e *Engine) Round(dst []Prediction, nowS float64, order []string, latest map[string]telemetry.Reading, anchors map[string]float64) ([]Prediction, RoundStats) {
 	e.gate.Lock()
 	defer e.gate.Unlock()
-	if cap(e.keyed) < len(order) {
-		e.keyed = make([]Slot, len(order))
+	for i := range e.slots {
+		e.slots[i].Present = false
 	}
-	slots := e.keyed[:len(order)]
-	for i, id := range order {
-		s := &slots[i]
-		s.Anchor, s.Handle = math.NaN(), Handle{}
+	for _, id := range order {
+		i := e.slotOf(id)
+		s := &e.slots[i]
+		s.Anchor = math.NaN()
 		if s.Reading, s.Present = latest[id]; s.Present {
 			if a, ok := anchors[id]; ok {
 				s.Anchor = a
 			}
 		}
 	}
-	st := e.pass(nowS, order, slots)
-	for i := range slots {
-		if slots[i].Predicted {
-			dst = append(dst, slots[i].Pred)
-		} else if st.Forgotten > 0 && !slots[i].Present {
-			delete(latest, order[i])
+	st := e.pass(nowS)
+	for _, id := range order {
+		if s := &e.slots[e.index[id]]; s.Predicted {
+			dst = append(dst, s.Pred)
+		} else if st.Forgotten > 0 && !s.Present {
+			delete(latest, id)
 		}
 	}
 	return dst, st

@@ -76,7 +76,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if stable, err := e.Stable("h0"); err != nil || stable != 60 {
 		t.Fatalf("stable = %v, %v", stable, err)
 	}
-	if !e.Delete("h0") || e.Delete("h0") {
+	if !e.drop("h0") || e.drop("h0") {
 		t.Fatal("delete/double-delete semantics broken")
 	}
 	if e.Len() != 0 {
@@ -293,14 +293,14 @@ func TestRoundSlotsRefusesInfiniteAnchor(t *testing.T) {
 			{Reading: telemetry.Reading{HostID: "h0", TempC: 25}, Present: true, Anchor: inf},
 			{Reading: telemetry.Reading{HostID: "h1", TempC: 25}, Present: true, Anchor: 60},
 		}
-		st := e.RoundSlots(0, ids, slots)
+		st := e.roundSlots(0, ids, slots)
 		if slots[0].Predicted || st.AnchorFailures != 1 || st.Live != 1 || e.Len() != 1 {
 			t.Fatalf("anchor %v on first sight: predicted %v (%+v), stats %+v, %d sessions",
 				inf, slots[0].Predicted, slots[0].Pred, st, e.Len())
 		}
 		slots[1].Anchor = inf
 		slots[1].Reading.AtS = 15
-		st = e.RoundSlots(15, ids, slots)
+		st = e.roundSlots(15, ids, slots)
 		if p := slots[1].Pred; !slots[1].Predicted || math.IsNaN(p.TempC) || math.IsInf(p.TempC, 0) || st.Reanchored != 0 {
 			t.Fatalf("anchor %v on a live session: prediction %+v, stats %+v", inf, p, st)
 		}
@@ -355,12 +355,12 @@ func TestRoundZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentLifecycle hammers the engine with the mix the
-// fleet runs: goroutines push readings through PredictFresh (creating
-// sessions inline from a warm anchor) and delete every other host they
-// created, while a round loop runs over a disjoint host population. Run
-// under -race (CI does) this is the locking correctness test of the session
-// map and the round gate.
+// TestEngineConcurrentLifecycle hammers the engine with pushes and rounds
+// at once: goroutines push readings through PredictFresh (creating sessions
+// and slots from an anchor lookup) and drop every other session they
+// created, while a keyed round loop runs over a disjoint host population.
+// Run under -race (CI does) this is the locking correctness test of the
+// host table and the round gate.
 func TestEngineConcurrentLifecycle(t *testing.T) {
 	e := testEngine(t, nil)
 
@@ -414,7 +414,7 @@ func TestEngineConcurrentLifecycle(t *testing.T) {
 				// Interleave deletes of every other session.
 				if i%2 == 1 {
 					prev := ids[len(ids)-2]
-					if !e.Delete(prev) {
+					if !e.drop(prev) {
 						t.Errorf("worker %d: delete %s failed", w, prev)
 						return
 					}
@@ -516,7 +516,7 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 			if had {
 				oldest = max(oldest, age)
 			}
-			one := refs[i].RoundSlots(now, ids[i:i+1], refSlots[i:i+1])
+			one := refs[i].roundSlots(now, ids[i:i+1], refSlots[i:i+1])
 			if refSlots[i].Present != (had && age <= EvictAfterS) {
 				t.Fatalf("round %d host %d: a reading %v s old is kept %v", r, i, age, refSlots[i].Present)
 			}
@@ -549,7 +549,7 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 				}
 				x.anchors[id] = anchor
 			}
-			if st := x.slotted.RoundSlots(now, ids, x.slots); st != want {
+			if st := x.slotted.roundSlots(now, ids, x.slots); st != want {
 				t.Fatalf("workers %d round %d: stats %+v, one-host rounds sum to %+v", x.workers, r, st, want)
 			}
 			for i := range ids {
@@ -575,18 +575,17 @@ func TestShardedRoundMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	sessions := 0
+	var wantState State
 	for _, e := range refs {
-		sessions += e.Len()
+		wantState.Sessions = append(wantState.Sessions, e.Snapshot().Sessions...)
 	}
+	sessions := len(wantState.Sessions)
 	for _, x := range runs {
 		if x.slotted.Len() != sessions || x.keyed.Len() != sessions {
 			t.Fatalf("workers %d: %d and %d sessions, reference %d", x.workers, x.slotted.Len(), x.keyed.Len(), sessions)
 		}
-		for i, id := range ids {
-			if !x.slotted.HandleCurrent(id, x.slots[i].Handle) {
-				t.Fatalf("workers %d host %s: slot handle is not the registered session", x.workers, id)
-			}
+		if !reflect.DeepEqual(x.slotted.Snapshot(), wantState) || !reflect.DeepEqual(x.keyed.Snapshot(), wantState) {
+			t.Fatalf("workers %d: the sessions differ from the one-host engines'", x.workers)
 		}
 	}
 	t.Logf("%d sessions at the end; over the rounds: evicted %d, anchor failures %d, re-anchored %d, stale %d, late first sights %d",

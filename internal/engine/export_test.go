@@ -2,25 +2,39 @@ package engine
 
 import "vmtherm/internal/telemetry"
 
-// adopt builds a session anchored at (φ(atS), ψ_stable) and registers it
-// under id, which has none, as a round's first sight does; nil when the
-// anchors do not describe a valid curve.
+// adopt builds a session anchored at (φ(atS), ψ_stable) and installs it in
+// id's slot (appended when id has none), as a round's first sight does; nil
+// when the anchors do not describe a valid curve.
 func (e *Engine) adopt(id string, phi0, stableC, atS float64) *session {
 	e.gate.Lock()
 	defer e.gate.Unlock()
-	s := e.newSession(phi0, stableC, atS)
-	if s != nil {
-		e.insert(id, s)
+	s := new(session)
+	if e.anchor(s, phi0, stableC, atS) != nil {
+		return nil
 	}
+	i := e.slotOf(id)
+	e.slots[i].sess = s
 	return s
+}
+
+// drop takes id's session out of its slot, reporting whether it had one —
+// what a round does to a marked host whose anchor fails, on demand.
+func (e *Engine) drop(id string) bool {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	if i, ok := e.index[id]; ok && e.slots[i].sess != nil {
+		e.slots[i].sess = nil
+		return true
+	}
+	return false
 }
 
 // get looks id's session up under the gate's read side.
 func (e *Engine) get(id string) (*session, bool) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
-	s, ok := e.sessions[id]
-	return s, ok
+	s := e.session(id)
+	return s, s != nil
 }
 
 // HoldSession takes id's session mutex and returns the function that
@@ -40,8 +54,8 @@ func (e *Engine) HoldSession(id string) (release func()) {
 func (e *Engine) predict(id string, t float64) (tempC, gamma float64, err error) {
 	e.gate.RLock()
 	defer e.gate.RUnlock()
-	s, ok := e.sessions[id]
-	if !ok {
+	s := e.session(id)
+	if s == nil {
 		return 0, 0, ErrNoSession
 	}
 	s.mu.Lock()
@@ -57,6 +71,25 @@ func (e *Engine) observe(id string, t, tempC float64) (gamma float64, err error)
 	}
 	_, gamma, err = e.predict(id, t)
 	return gamma, err
+}
+
+// roundSlots drives one round the way the table's driver does, over slots
+// the test keeps parallel to ids: it writes each slot's inputs (reading,
+// presence, anchor, mark) into the table under its id, adding an id the
+// table lacks, runs RoundSlots, and copies each slot's outputs (presence,
+// mark, prediction) back. Allocation-free once every id has its slot.
+func (e *Engine) roundSlots(nowS float64, ids []string, slots []Slot) RoundStats {
+	for i, id := range ids {
+		j := e.SlotOf(id)
+		t, s := &e.slots[j], &slots[i]
+		t.Reading, t.Present, t.Anchor, t.Reanchor = s.Reading, s.Present, s.Anchor, s.Reanchor
+	}
+	st := e.RoundSlots(nowS)
+	for i, id := range ids {
+		t, s := &e.slots[e.index[id]], &slots[i]
+		s.Present, s.Reanchor, s.Pred, s.Predicted = t.Present, t.Reanchor, t.Pred, t.Predicted
+	}
+	return st
 }
 
 // predictions lists the slots' predictions in slot order: the list the keyed

@@ -38,7 +38,7 @@ func TestRoundTakesNoSessionLock(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			e := testEngine(t, func(c *Config) { c.RoundWorkers = workers })
 			ids, slots := gateFleet(hosts)
-			if e.RoundSlots(0, ids, slots); predicted(slots) != hosts {
+			if e.roundSlots(0, ids, slots); predicted(slots) != hosts {
 				t.Fatalf("first round: %d predictions, want %d", predicted(slots), hosts)
 			}
 			release := e.HoldSession(ids[hosts/2])
@@ -48,7 +48,7 @@ func TestRoundTakesNoSessionLock(t *testing.T) {
 			stamp(slots, 15)
 			done := make(chan int, 1)
 			go func() {
-				e.RoundSlots(15, ids, slots)
+				e.roundSlots(15, ids, slots)
 				done <- predicted(slots)
 			}()
 			select {
@@ -75,7 +75,7 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 	const hosts = 1024
 	e := testEngine(t, nil)
 	ids, slots := gateFleet(hosts)
-	e.RoundSlots(0, ids, slots)
+	e.roundSlots(0, ids, slots)
 	stop := make(chan struct{})
 	var rounds atomic.Int64
 	var wg sync.WaitGroup
@@ -90,7 +90,7 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 			}
 			now := 15 * float64(n)
 			stamp(slots, now)
-			e.RoundSlots(now, ids, slots)
+			e.roundSlots(now, ids, slots)
 			rounds.Add(1)
 		}
 	}()
@@ -111,13 +111,13 @@ func TestSnapshotIsRoundCut(t *testing.T) {
 	}
 }
 
-// TestFirstSightRacesShardedRound: a sharded round and pushes with a warm
-// anchor meet hosts for the first time together. The round's workers only
-// build sessions, its serial sweep registers them, and a push registers
-// under the gate's write side after checking the map again, so every host
-// ends with exactly one session and every slot handle obeys the validity
-// rule (under -race, a worker writing the map is a concurrent map write).
-func TestFirstSightRacesShardedRound(t *testing.T) {
+// TestPushCreationRacesShardedRound: a sharded round and pushes that pass
+// an anchor lookup meet hosts for the first time together. The round's
+// workers install sessions in their own slots and a push installs under the
+// gate's write side after looking again, so every host ends with exactly one
+// session, in its slot (under -race, a worker and a push writing one slot
+// at once is a race).
+func TestPushCreationRacesShardedRound(t *testing.T) {
 	const hosts, waves, pushers = 2 * shard.MinHosts, 16, 4
 	e := testEngine(t, func(c *Config) { c.RoundWorkers = 4 })
 	ids, slots := gateFleet(hosts)
@@ -125,6 +125,7 @@ func TestFirstSightRacesShardedRound(t *testing.T) {
 	for i := range slots {
 		slots[i].Present = false
 		readings[i] = slots[i].Reading
+		e.SlotOf(ids[i]) // the driver adds every slot; a push only fills one
 	}
 	warm := func(telemetry.Reading) (float64, bool) { return 60, true }
 	for w := 0; w < waves; w++ {
@@ -162,7 +163,7 @@ func TestFirstSightRacesShardedRound(t *testing.T) {
 			}()
 		}
 		<-began
-		e.RoundSlots(now, ids, slots)
+		e.roundSlots(now, ids, slots)
 		wg.Wait()
 	}
 	if n := e.Len(); n != hosts {
@@ -177,9 +178,9 @@ func TestFirstSightRacesShardedRound(t *testing.T) {
 			t.Fatalf("snapshot lists %s twice", snap.Sessions[i].ID)
 		}
 	}
-	for i, id := range ids {
-		if !e.HandleCurrent(id, slots[i].Handle) {
-			t.Fatalf("host %s caches a handle to a session no longer under its id", id)
+	for i, id := range e.IDs() {
+		if e.Slots()[i].sess == nil {
+			t.Fatalf("host %s has no session in its slot", id)
 		}
 	}
 }

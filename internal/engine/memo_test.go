@@ -72,7 +72,7 @@ func TestRoundMemoMatchesDirectWithPushes(t *testing.T) {
 					}
 				}()
 			}
-			stats[k] = f.e.RoundSlots(now, ids, f.slots)
+			stats[k] = f.e.roundSlots(now, ids, f.slots)
 			results[k] = predictions(f.slots)
 			wg.Wait()
 		}
@@ -135,7 +135,7 @@ func TestPredictFreshOneLock(t *testing.T) {
 	}
 	ids := []string{"h0"}
 	slots := []Slot{{Reading: telemetry.Reading{HostID: "h0", AtS: 0, TempC: 30}, Present: true, Anchor: anchors[0]}}
-	if st := e.RoundSlots(100, ids, slots); st.Reanchored != 1 {
+	if st := e.roundSlots(100, ids, slots); st.Reanchored != 1 {
 		t.Fatalf("first round: %+v", st)
 	}
 	stop := make(chan struct{})
@@ -151,7 +151,7 @@ func TestPredictFreshOneLock(t *testing.T) {
 			default:
 			}
 			slots[0].Anchor = anchors[n%2]
-			if st := e.RoundSlots(100, ids, slots); st.Reanchored != 1 || !(st.MaxStalenessS > staleAfterS) {
+			if st := e.roundSlots(100, ids, slots); st.Reanchored != 1 || !(st.MaxStalenessS > staleAfterS) {
 				t.Errorf("round %d: %+v", n, st)
 			}
 			rounds.Add(1)

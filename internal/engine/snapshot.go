@@ -37,10 +37,14 @@ type State struct {
 func (e *Engine) Snapshot() State {
 	var st State
 	e.gate.RLock()
-	for id, sess := range e.sessions {
+	for i := range e.slots {
+		sess := e.slots[i].sess
+		if sess == nil {
+			continue
+		}
 		sess.mu.Lock()
 		st.Sessions = append(st.Sessions, SessionState{
-			ID:        id,
+			ID:        e.ids[i],
 			Predictor: sess.pred.State(),
 			StableC:   sess.stable,
 			AnchorAtS: sess.anchorAt,
@@ -53,35 +57,30 @@ func (e *Engine) Snapshot() State {
 	return st
 }
 
-// Restore replaces the engine's entire session population with the captured
-// state. Existing sessions are discarded; the engine configuration is kept
-// (each session's curve and calibration config travel inside its predictor
-// state). Every session is built before any is installed, and all are
-// installed under one hold of the gate's write side. On error the engine is
-// left empty rather than half-restored.
-func (e *Engine) Restore(st State) error {
-	sessions := make(map[string]*session, len(st.Sessions))
-	var err error
+// Restore replaces the engine's host table with one slot per captured
+// session, in the state's order, each without a reading; the configuration
+// is kept (each session's curve and calibration config travel inside its
+// predictor state). The table is rebuilt under one hold of the gate's write
+// side, and on error the engine is left empty rather than half-restored.
+func (e *Engine) Restore(st State) (err error) {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	e.ids, e.slots, e.index = nil, nil, make(map[string]int32, len(st.Sessions))
 	for i, ss := range st.Sessions {
 		if ss.ID == "" {
 			err = fmt.Errorf("engine: restore: session %d has empty id", i)
-		} else if _, dup := sessions[ss.ID]; dup {
+		} else if _, dup := e.index[ss.ID]; dup {
 			err = fmt.Errorf("engine: restore: duplicate session id %q", ss.ID)
 		} else if pred, perr := core.RestorePredictor(ss.Predictor); perr != nil {
 			err = fmt.Errorf("engine: restore session %q: %w", ss.ID, perr)
 		} else {
-			sessions[ss.ID] = &session{pred: *pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
+			j := e.slotOf(ss.ID)
+			e.slots[j].sess = &session{pred: *pred, stable: ss.StableC, anchorAt: ss.AnchorAtS, lastAtS: ss.LastAtS}
 			continue
 		}
-		clear(sessions)
-		break
+		e.ids, e.slots = nil, nil
+		clear(e.index)
+		return err
 	}
-	e.gate.Lock()
-	for _, sess := range e.sessions {
-		sess.removed = true
-	}
-	e.sessions = sessions
-	e.count.Store(int64(len(sessions)))
-	e.gate.Unlock()
-	return err
+	return nil
 }

@@ -1,39 +1,40 @@
 // Streaming fast path: the event-driven realization of the paper's online
-// loop. Where Round is batch-per-Δ_update — collect the fleet's newest
+// loop. Where a round is batch-per-Δ_update — collect the fleet's newest
 // readings, then sweep — ObserveBatch applies pushed readings to their
 // sessions the moment they arrive (calibration on the session's own
-// Δ_update schedule, inline warm-anchor session creation),
-// and PredictFresh answers the Δ_gap-ahead query a reading implies from
-// current session state without waiting for the next round.
+// Δ_update schedule), and PredictFresh answers the Δ_gap-ahead query a
+// reading implies from current session state without waiting for the next
+// round. A push finds its host's session through the table's index; a host
+// without one is deferred to the next round, which makes sessions — unless
+// the caller passes an AnchorLookup, for callers with no round of their own.
 //
 // The two paths compose: the calibrator in core.DynamicPredictor is
 // idempotent per timestamp (an observe within Δ_update of the last one is
 // a no-op), so a reading streamed on arrival and then re-presented by the
-// next batch round calibrates exactly once. Round stays the authority for
-// staleness degradation, re-anchoring on deployment drift, and eviction;
-// the streaming path only moves fresh telemetry and fresh predictions off
-// the round clock.
+// next batch round calibrates exactly once. The round stays the authority
+// for staleness degradation, re-anchoring on deployment drift or a mark,
+// and eviction; the streaming path only moves fresh telemetry and fresh
+// predictions off the round clock.
 package engine
 
 import "vmtherm/internal/telemetry"
 
 // AnchorLookup resolves a ψ_stable anchor for a host that has no session
-// yet — the inline warm case, typically backed by the fleet's anchor cache.
-// Returning ok=false defers the host to the next batch round (which runs
-// the full batch model); the lookup must not block on model evaluation. It
-// runs under the round gate's write side: of the engine it may call only
-// Len, and it must not block on a lock a round's caller holds (the fleet's
-// lookup only TryLocks its round lock).
+// yet, so a push can create the session itself (appending a slot when the
+// host has none: a table's driver gives every pushed host its slot first);
+// ok=false defers the host. It runs under the round gate's write side and
+// must not call back into the engine. Callers whose rounds make their
+// sessions pass nil.
 type AnchorLookup func(r telemetry.Reading) (stableC float64, ok bool)
 
 // StreamStats summarizes one streaming call.
 type StreamStats struct {
 	// Applied counts readings fed into a session on arrival.
 	Applied int
-	// Created counts sessions built inline from a warm anchor lookup.
+	// Created counts sessions built from the caller's AnchorLookup.
 	Created int
 	// Deferred counts readings left for the next batch round: no session
-	// and no warm anchor (or an unusable one). The readings are not lost —
+	// and no usable anchor to build one from. The readings are not lost —
 	// callers keep them flowing into the round pipeline.
 	Deferred int
 	// Rejected counts readings refused for implausible temperatures (NaN,
@@ -45,12 +46,12 @@ type StreamStats struct {
 }
 
 // observeOne applies a single pushed reading: look the session up, create
-// it inline when a warm anchor resolves, and feed the measurement. With pred
-// not nil it also writes the Δ_gap-ahead prediction at the reading's own
-// timestamp, under the same session lock. The caller holds the gate's read
-// side, so a round re-anchoring the session cannot slip between the
-// reading's calibration and the prediction made from it; for a host without
-// a session observeOne trades it for the write side, creates and applies
+// it when the caller's anchor lookup resolves, and feed the measurement.
+// With pred not nil it also writes the Δ_gap-ahead prediction at the
+// reading's own timestamp, under the same session lock. The caller holds the
+// gate's read side, so a round re-anchoring the session cannot slip between
+// the reading's calibration and the prediction made from it; to create a
+// session observeOne trades it for the write side, creates and applies
 // there, and takes the read side back. Reports false when the reading was
 // deferred or rejected. The warm path — session exists — takes one session
 // lock and does not allocate.
@@ -58,15 +59,14 @@ type StreamStats struct {
 // Out-of-order arrivals degrade gracefully: the calibrator ignores
 // observations that do not advance its Δ_update schedule, and lastAtS is
 // monotonic, so a late duplicate can neither rewind staleness nor
-// double-calibrate. Re-anchoring on ψ_stable drift is deliberately left to
-// the batch round, which computes anchors from the authoritative
-// deployment state.
+// double-calibrate. Re-anchoring is deliberately left to the batch round,
+// which computes anchors from the authoritative deployment state.
 func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {
 	if telemetry.ClassifyTemp(r.TempC) != telemetry.RejectNone {
 		st.Rejected++
 		return false
 	}
-	sess := e.sessions[r.HostID]
+	sess := e.session(r.HostID)
 	if sess == nil {
 		if anchor == nil {
 			st.Deferred++
@@ -97,16 +97,16 @@ func (e *Engine) observeOne(r telemetry.Reading, anchor AnchorLookup, st *Stream
 }
 
 // create returns the session of r's host under the gate's write side: the
-// one a push or a round registered since the caller looked, or a new one
-// anchored at the lookup's warm ψ_stable. It returns nil, counting the
-// reading deferred, when the lookup has no anchor or an unusable one.
+// one created since the caller looked, or a new one anchored at the lookup's
+// ψ_stable; nil, counting the reading deferred, when there is no usable one.
 func (e *Engine) create(r telemetry.Reading, anchor AnchorLookup, st *StreamStats) *session {
-	if s := e.sessions[r.HostID]; s != nil {
+	if s := e.session(r.HostID); s != nil {
 		return s
 	}
 	if stableC, ok := anchor(r); ok {
-		if s := e.newSession(r.TempC, stableC, r.AtS); s != nil {
-			e.insert(r.HostID, s)
+		if s := new(session); e.anchor(s, r.TempC, stableC, r.AtS) == nil {
+			i := e.slotOf(r.HostID)
+			e.slots[i].sess = s
 			st.Created++
 			return s
 		}
@@ -116,13 +116,13 @@ func (e *Engine) create(r telemetry.Reading, anchor AnchorLookup, st *StreamStat
 }
 
 // ObserveBatch applies a batch of pushed readings to their sessions on
-// arrival. Hosts without a session are created inline when anchor resolves
-// a warm ψ_stable, otherwise counted as deferred for the next batch round.
-// Safe for concurrent use with Round, PredictFresh, and itself: the batch
-// holds the gate's read side, so it applies whole between two rounds'
-// passes unless a host in it has no session yet — that host is created
-// under the write side, which a waiting round may take first. The warm path
-// (all sessions exist) performs zero allocations.
+// arrival. Hosts without a session are created when anchor resolves a
+// ψ_stable, otherwise counted as deferred for the next batch round. Safe for
+// concurrent use with rounds, PredictFresh, and itself: the batch holds the
+// gate's read side, so it applies whole between two rounds' passes unless it
+// creates a session — that host is created under the write side, which a
+// waiting round may take first. The warm path (all sessions exist) performs
+// zero allocations.
 func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup) StreamStats {
 	var st StreamStats
 	e.gate.RLock()
@@ -139,7 +139,7 @@ func (e *Engine) ObserveBatch(readings []telemetry.Reading, anchor AnchorLookup)
 // staleness is zero by construction. Reports whether a prediction was
 // produced (false when the host was deferred). The reading is applied and
 // the prediction made under one hold of the gate's read side and one
-// session lock (the write side, for a host seen first here): the prediction
+// session lock (the write side, for a session created here): the prediction
 // always comes from the curve the reading calibrated. Allocation-free on the
 // warm path.
 func (e *Engine) PredictFresh(r telemetry.Reading, anchor AnchorLookup, st *StreamStats, pred *Prediction) bool {

@@ -247,7 +247,7 @@ func TestStreamConcurrentWithRound(t *testing.T) {
 				// Churn a worker-private host through create/stream/delete.
 				priv := fmt.Sprintf("w%d-priv", w)
 				e.ObserveBatch([]telemetry.Reading{{HostID: priv, AtS: now, TempC: 30}}, warm)
-				e.Delete(priv)
+				e.drop(priv)
 			}
 		}(w)
 	}

@@ -62,8 +62,8 @@ func exactSourceAnchors(t *testing.T, c *Controller, predict Predictor) map[stri
 	t.Helper()
 	out := make(map[string]float64)
 	vals := make([]float64, 1)
-	for i, id := range c.order {
-		s := &c.slots[i]
+	for i, id := range c.eng.IDs() {
+		s := &c.eng.Slots()[i]
 		if !s.Present {
 			continue
 		}
@@ -199,7 +199,7 @@ func TestSimAnchorCacheWithinQuantEpsilon(t *testing.T) {
 			t.Fatal(err)
 		}
 		hits += rep.AnchorHits
-		for i := range ctl.slots {
+		for i := range ctl.eng.Slots() {
 			h := ctl.sub.Host(i)
 			if h.NumVMs() == 0 {
 				continue
@@ -209,7 +209,7 @@ func TestSimAnchorCacheWithinQuantEpsilon(t *testing.T) {
 				t.Fatal(err)
 			}
 			exact := predictCase(t, syntheticStable, cse)
-			maxDiff = max(maxDiff, math.Abs(ctl.slots[i].Anchor-exact))
+			maxDiff = max(maxDiff, math.Abs(ctl.eng.Slots()[i].Anchor-exact))
 		}
 	}
 	if hits == 0 {
@@ -568,7 +568,7 @@ func TestStableMembershipSkipsOrderRebuild(t *testing.T) {
 
 	// Stable round: same hosts, fresh readings — the rebuild must be skipped
 	// (orderDirty stays false) and the order slice must stay identical.
-	before := &ctl.order[0]
+	before := &ctl.eng.IDs()[0]
 	feed("h-b", "h-a")
 	if _, err := ctl.RunRound(); err != nil {
 		t.Fatal(err)
@@ -576,7 +576,7 @@ func TestStableMembershipSkipsOrderRebuild(t *testing.T) {
 	if ctl.orderDirty {
 		t.Fatal("stable round marked membership dirty")
 	}
-	if &ctl.order[0] != before {
+	if &ctl.eng.IDs()[0] != before {
 		t.Fatal("stable round rebuilt the order slice")
 	}
 
@@ -756,7 +756,7 @@ func TestTasklessHostAnchorsAtInlet(t *testing.T) {
 		}
 		_ = c.WithSubstrate(func(sub *substrate.Fleet) error {
 			i, _ := sub.Slot("r0-h1")
-			if got, want := c.slots[i].Anchor, sub.Inlet(i); got != want {
+			if got, want := c.eng.Slots()[i].Anchor, sub.Inlet(i); got != want {
 				t.Fatalf("round %d: task-less host anchored at %v, its inlet is %v", round, got, want)
 			}
 			return nil

@@ -24,8 +24,9 @@ type anchorRef struct {
 // allocates nothing. It returns the round's cache hit and miss counts,
 // which it adds to the cache's counters once, at the end of the lookups.
 func (c *Controller) anchors() (hits, misses int, err error) {
-	for i := range c.slots {
-		c.slots[i].Anchor = math.NaN()
+	slots := c.eng.Slots()
+	for i := range slots {
+		slots[i].Anchor = math.NaN()
 	}
 	c.anchorRows = c.anchorRows[:0]
 	c.rowKeys = c.rowKeys[:0]
@@ -54,7 +55,7 @@ func (c *Controller) anchors() (hits, misses int, err error) {
 			}
 		}
 		for _, ref := range c.anchorRefs {
-			c.slots[ref.slot].Anchor = vals[ref.rowIdx]
+			slots[ref.slot].Anchor = vals[ref.rowIdx]
 		}
 	}
 	return hits, misses, nil
@@ -150,15 +151,16 @@ func (c *Controller) simAnchorRows(hits *int) {
 	q.UtilQuant /= 4
 	q.MemQuant /= 4
 	inlets, keys := c.sub.ScanAnchors(q)
+	slots := c.eng.Slots()
 	c.missIdx = c.missIdx[:0]
 	for i, inlet := range inlets {
 		if c.idle(i, nil) {
-			c.slots[i].Anchor = inlet
+			slots[i].Anchor = inlet
 			continue
 		}
 		key := keys[i]
 		if v, ok := c.cache.Lookup(key); ok {
-			c.slots[i].Anchor = v
+			slots[i].Anchor = v
 			*hits++
 			continue
 		}
@@ -202,8 +204,9 @@ func (c *Controller) fillMissFolds() {
 // predicted once at the bucket center.
 func (c *Controller) sourceAnchorRows(hits *int) {
 	q := c.cache.Quant()
-	for i := range c.slots {
-		s := &c.slots[i]
+	slots := c.eng.Slots()
+	for i := range slots {
+		s := &slots[i]
 		if !s.Present {
 			continue
 		}

@@ -56,16 +56,17 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	st.Round = c.round
 	st.SourceNowS = c.src.NowS()
 	st.Engine = c.eng.Snapshot()
-	st.Order = slices.Clone(c.order)
+	st.Order = slices.Clone(c.eng.IDs())
 	st.OrderDirty = c.orderDirty
 	st.RecentErrors = slices.Clone(c.recentErrs)
 	st.LastRejected = c.lastRejected
 	st.LastFanout = c.lastFanout.Load()
 
-	st.Latest = make([]telemetry.Reading, 0, len(c.slots))
-	for i := range c.slots {
-		if c.slots[i].Present {
-			st.Latest = append(st.Latest, c.slots[i].Reading)
+	slots := c.eng.Slots()
+	st.Latest = make([]telemetry.Reading, 0, len(slots))
+	for i := range slots {
+		if slots[i].Present {
+			st.Latest = append(st.Latest, slots[i].Reading)
 		}
 	}
 	slices.SortFunc(st.Latest, func(a, b telemetry.Reading) int { return strings.Compare(a.HostID, b.HostID) })
@@ -87,7 +88,6 @@ func (c *Controller) Checkpoint() (*checkpoint.State, error) {
 	if s := c.stream.Load(); s != nil {
 		ss := &checkpoint.StreamState{
 			Applied:     s.applied.Load(),
-			Created:     s.created.Load(),
 			Deferred:    s.deferred.Load(),
 			Predictions: s.predictions.Load(),
 		}
@@ -137,17 +137,23 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 		return fmt.Errorf("fleet: restore: %w", err)
 	}
 
-	// Rebuild the host table: the checkpointed order, then each reading into
-	// its host's slot. A reading whose host the order lacks is kept at the
-	// tail, and a host the order names without a reading stays until the
-	// next round — both leave the membership dirty, so that round's drain
-	// re-sorts and re-bounds the table.
+	// Rebuild the host table: the checkpointed order, each host keeping the
+	// session the engine restored for it, then each reading into its host's
+	// slot. A session whose host the order lacks leaves with its slot: no
+	// round would visit it (a checkpoint cut between a push that made it
+	// and the round that drains the push holds one). A reading whose host
+	// the order lacks is kept at the tail, and a host the order names
+	// without a reading stays until the next round — both leave the
+	// membership dirty, so that round's drain re-sorts and re-bounds the
+	// table.
+	c.seen = make([]uint64, len(c.eng.IDs()))
 	c.resetTable(st.Order)
 	c.orderDirty = st.OrderDirty || len(st.Latest) != len(st.Order)
 	for _, r := range st.Latest {
 		i := c.slotOf(r.HostID)
 		c.orderDirty = c.orderDirty || int(i) >= len(st.Order)
-		c.slots[i].Reading, c.slots[i].Present = r, true
+		s := &c.eng.Slots()[i]
+		s.Reading, s.Present = r, true
 	}
 
 	c.pendingP = c.pendingP[:0]
@@ -175,14 +181,13 @@ func (c *Controller) Restore(st *checkpoint.State) error {
 	c.round = st.Round
 
 	if ss := st.Stream; ss != nil {
-		s := newStreamState(c)
+		s := newStreamState()
 		s.applied.Store(ss.Applied)
-		s.created.Store(ss.Created)
 		s.deferred.Store(ss.Deferred)
 		s.predictions.Store(ss.Predictions)
 		// Per-round deltas restart from the restored totals, not from zero —
 		// otherwise the first restored round would report the whole history.
-		s.lastApplied, s.lastCreated, s.lastDeferred = ss.Applied, ss.Created, ss.Deferred
+		s.lastApplied, s.lastDeferred = ss.Applied, ss.Deferred
 		for _, h := range ss.Hotspots {
 			s.idx.entries[h.HostID] = Hotspot(h)
 		}

@@ -332,7 +332,7 @@ func TestCheckpointRestoreStreamingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.StreamApplied != 0 || rep.StreamCreated != 0 || rep.StreamDeferred != 0 {
+	if rep.StreamApplied != 0 || rep.StreamDeferred != 0 {
 		t.Fatalf("first restored round replayed streaming history: %+v", rep)
 	}
 }

@@ -21,28 +21,20 @@ type Controller struct {
 	cfg     Config
 	predict Predictor
 
-	mu  sync.Mutex       // guards sub, src, eng rounds, the host table, proposals
+	mu  sync.Mutex       // guards sub, src, eng's host table and rounds, proposals
 	sub *substrate.Fleet // the simulated fleet; nil for source-driven controllers
 	src telemetry.Source
+	// eng holds the host table (hosttable.go), its ids in the deterministic
+	// host iteration order: the substrate's slot order for simulated fleets,
+	// sorted discovery order for source-driven ones.
 	eng *engine.Engine
-	// The host table (hosttable.go). order is the deterministic host
-	// iteration order (the substrate's slot order for simulated fleets,
-	// sorted discovery order for source-driven ones) and pos its inverse,
-	// id → slot index.
-	// slots and seen are parallel to order: slots[i] is host i's share of
-	// the engine round — its newest reading (Present when it has one), this
-	// round's ψ_stable anchor (NaN for none), the cached session handle, and
-	// the prediction the round wrote back — and seen[i] the generation of
-	// the round that last wrote the reading (seen[i] == drainGen: already
-	// written this round).
+	// seen[i] is the generation of the round that last wrote slot i's
+	// reading (seen[i] == drainGen: already written this round).
 	// cursor is slotOf's hint; superseded is admit's count until the drain.
 	// orderDirty marks membership changes (an empty slot filled, a host
 	// forgotten or discarded) so stable rounds skip the rebuild entirely.
-	// members is the snapshot columns' copy of order, nil from a change of
+	// members is the snapshot columns' copy of the ids, nil from a change of
 	// the table until the next round publishes one.
-	order      []string
-	pos        map[string]int32
-	slots      []engine.Slot
 	seen       []uint64
 	drainGen   uint64
 	cursor     int
@@ -180,11 +172,10 @@ func NewWithSource(cfg Config, src telemetry.Source, predict Predictor) (*Contro
 	return newController(cfg, src, predict, hosts)
 }
 
-// newController wires the shared state; callers attach sub/order as needed.
-// hostHint is the expected steady-state host population (the fleet shape,
-// or the MaxHosts bound for discovered populations): the host table's index
-// is pre-sized from it so a cold start does not rehash its way up to the
-// full population on the first rounds, and it sizes the ingest pipeline.
+// newController wires the shared state; callers attach sub and the host
+// table as needed. hostHint is the expected steady-state host population
+// (the fleet shape, or the MaxHosts bound for discovered populations): it
+// sizes the ingest pipeline.
 func newController(cfg Config, src telemetry.Source, predict Predictor, hostHint int) (*Controller, error) {
 	if predict.TaskDemand == nil || predict.Score == nil {
 		return nil, errors.New("fleet: nil predictor")
@@ -198,7 +189,6 @@ func newController(cfg Config, src telemetry.Source, predict Predictor, hostHint
 		predict:   predict,
 		src:       src,
 		eng:       eng,
-		pos:       make(map[string]int32, hostHint),
 		missByKey: make(map[anchorcache.Key]int),
 		ingest:    newIngestPipeline(cfg.ingestCapacity(hostHint)),
 	}
@@ -228,7 +218,7 @@ func (c *Controller) Engine() *engine.Engine { return c.eng }
 func (c *Controller) Hosts() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return slices.Clone(c.order)
+	return slices.Clone(c.eng.IDs())
 }
 
 // Submit queues a VM request for thermal-aware placement next round. It
@@ -318,14 +308,14 @@ func (c *Controller) PlaceAt(hostID string, spec workload.VMSpec) error {
 }
 
 // RemoveVM evicts a VM from the simulated fleet — the inverse of PlaceAt,
-// used by scenarios to end a scripted load surge. The host's session is
-// deleted so the next round re-anchors it against the shrunken
+// used by scenarios to end a scripted load surge. The host's slot is marked
+// so the next round re-anchors its session against the shrunken
 // deployment. Simulated fleets only.
 func (c *Controller) RemoveVM(vmID string) error {
 	return c.WithSubstrate(func(sub *substrate.Fleet) error {
 		i, err := sub.Remove(vmID)
 		if err == nil {
-			c.eng.Delete(c.order[i])
+			c.reanchor(i)
 		}
 		return err
 	})

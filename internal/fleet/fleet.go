@@ -34,19 +34,21 @@
 //
 // One round (Controller.RunRound, round.go) is this fixed sequence of stages,
 // each a method reading and writing one stack-allocated roundState. Per-host
-// state lives in the host table (hosttable.go): a host id is resolved to a
-// slot index once, when its reading is admitted, and every later stage
-// indexes slots.
+// state lives in the engine's host table (hosttable.go), the one id index: a
+// host id is resolved to a slot index once, when its reading is admitted,
+// and every later stage indexes slots. Only engineRound makes or unmakes a
+// session; migrate and drainPlacements mark the slots whose deployment they
+// changed, for the next round to re-anchor.
 //
 //	advanceSource    Δ_update → source readings into the host table (newest per slot, up to the budget), source clock, source error (fatal for the substrate)
 //	drainIngest      pushed readings → host table (same rule), membership, drained/discarded counts
 //	resolveAnchors   slot readings → ψ_stable per slot, cache hits/misses, fan-out
-//	engineRound      clock, slots (reading, anchor, session handle) → each slot's prediction, session stats
+//	engineRound      clock, slots (reading, anchor, re-anchor mark, session) → each slot's prediction and session, session stats
 //	buildSnapshot    slot predictions and readings → next generation (hot set and its keys in table order, stale, columns), max prediction, round++
 //	reconcileStream  generation hot set → streaming index drift, per-round stream deltas
-//	migrate          generation, hot keys, slot predictions → applied moves, fresh proposals hottest first (substrate fleets)
+//	migrate          generation, hot keys, slot predictions → applied moves (both ends marked), fresh proposals hottest first (substrate fleets)
 //	publish          generation → published snapshot (columns and hot set immutable from here on; maps filled on first borrow, order on first Hotspots call)
-//	drainPlacements  pending queue, published map → placed/queued/rejected tally
+//	drainPlacements  pending queue, published map → placed/queued/rejected tally (placed hosts marked)
 //	report           roundState → RoundReport
 package fleet
 
@@ -336,15 +338,14 @@ type RoundReport struct {
 	Rejections    int
 	ProposedMoves int
 	AppliedMoves  int
-	// StreamApplied, StreamCreated and StreamDeferred count what the
-	// streaming ingest path did since the previous round boundary (readings
-	// applied on arrival, sessions created inline from warm anchors,
-	// readings deferred to this round); StreamHotDrift counts hotspot-index
-	// entries this round's full recompute had to correct at reconciliation.
+	// StreamApplied and StreamDeferred count what the streaming ingest path
+	// did since the previous round boundary (readings applied on arrival,
+	// readings deferred to this round for want of a session);
+	// StreamHotDrift counts hotspot-index entries this round's full
+	// recompute had to correct at reconciliation.
 	// All zero — and omitted from JSON, so round-driven traces are
 	// byte-stable — on a controller nothing has pushed to.
 	StreamApplied  int64 `json:",omitempty"`
-	StreamCreated  int64 `json:",omitempty"`
 	StreamDeferred int64 `json:",omitempty"`
 	StreamHotDrift int   `json:",omitempty"`
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"vmtherm/internal/engine"
 	"vmtherm/internal/workload"
 )
 
@@ -21,31 +22,31 @@ import (
 // tail when it is not tracked yet.
 func seedReading(c *Controller, r Reading) {
 	i := c.slotOf(r.HostID)
-	c.slots[i].Reading, c.slots[i].Present = r, true
+	c.eng.Slots()[i].Reading, c.eng.Slots()[i].Present = r, true
 }
 
 // tableReadings returns the newest reading of every host that has one.
 func tableReadings(c *Controller) map[string]Reading {
 	out := make(map[string]Reading)
-	for i, id := range c.order {
-		if c.slots[i].Present {
-			out[id] = c.slots[i].Reading
+	for i, id := range c.eng.IDs() {
+		if c.eng.Slots()[i].Present {
+			out[id] = c.eng.Slots()[i].Reading
 		}
 	}
 	return out
 }
 
-// checkTable fails the test unless the table's slices are in step and pos is
-// the inverse of order.
+// checkTable fails the test unless the stamps run parallel to the slots and
+// the engine's index is the inverse of its ids.
 func checkTable(t *testing.T, c *Controller) {
 	t.Helper()
-	if len(c.pos) != len(c.order) || len(c.slots) != len(c.order) || len(c.seen) != len(c.order) {
-		t.Fatalf("table out of step: %d ids, %d index entries, %d slots, %d stamps",
-			len(c.order), len(c.pos), len(c.slots), len(c.seen))
+	ids := c.eng.IDs()
+	if len(c.eng.Slots()) != len(ids) || len(c.seen) != len(ids) {
+		t.Fatalf("table out of step: %d ids, %d slots, %d stamps", len(ids), len(c.eng.Slots()), len(c.seen))
 	}
-	for i, id := range c.order {
-		if c.pos[id] != int32(i) {
-			t.Fatalf("pos[%q] = %d, want %d (order %v)", id, c.pos[id], i, c.order)
+	for i, id := range ids {
+		if j := c.eng.SlotOf(id); j != int32(i) {
+			t.Fatalf("index[%q] = %d, want %d (ids %v)", id, j, i, ids)
 		}
 	}
 }
@@ -57,8 +58,8 @@ func anchorsOf(c *Controller) (anchors map[string]float64, hits, misses int, err
 		return nil, 0, 0, err
 	}
 	anchors = make(map[string]float64)
-	for i, id := range c.order {
-		if a := c.slots[i].Anchor; !math.IsNaN(a) {
+	for i, id := range c.eng.IDs() {
+		if a := c.eng.Slots()[i].Anchor; !math.IsNaN(a) {
 			anchors[id] = a
 		}
 	}
@@ -420,26 +421,38 @@ func TestIngestPipelineCeiling(t *testing.T) {
 	}
 }
 
-// TestSlotHandlesFollowEngineUnderRace is the -race guard for the cached
-// session handles: rounds run while the streaming path creates sessions
-// inline (source-driven fleet) and while placement and VM removal delete
-// them (simulated fleet), and after every round each slot's handle must
-// still be the session the engine has registered under the host's id.
-func TestSlotHandlesFollowEngineUnderRace(t *testing.T) {
-	checkHandles := func(t *testing.T, c *Controller, round int) {
+// TestPushesRaceTableChanges is the -race guard for the one host table:
+// pushes, with and without a prediction asked for, run while rounds reshape
+// the table and make and unmake its sessions — on a source-driven fleet by
+// discovering hosts from the pushes, trimming them at MaxHosts and
+// forgetting the ones gone dark; on a simulated fleet by consuming the
+// re-anchor marks placement, VM removal and migration set. After every
+// round, under the round lock, the index must invert the ids, the table
+// must respect MaxHosts, every prediction must come from a session, and
+// every session must belong to a host with a reading (a push never makes
+// one).
+func TestPushesRaceTableChanges(t *testing.T) {
+	check := func(t *testing.T, c *Controller, round int) {
 		t.Helper()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		for i, id := range c.order {
-			if !c.eng.HandleCurrent(id, c.slots[i].Handle) {
-				t.Fatalf("round %d: host %s serves a session the engine no longer registers", round, id)
+		checkTable(t, c)
+		if n := len(c.eng.IDs()); n > c.cfg.MaxHosts {
+			t.Fatalf("round %d: %d hosts, MaxHosts %d", round, n, c.cfg.MaxHosts)
+		}
+		for i, id := range c.eng.IDs() {
+			s := &c.eng.Slots()[i]
+			_, err := c.eng.Stable(id)
+			if (s.Predicted && err != nil) || (err == nil && !s.Present) {
+				t.Fatalf("round %d: host %s predicted %v, present %v, session error %v",
+					round, id, s.Predicted, s.Present, err)
 			}
 		}
 	}
 	// run keeps rounds going beside the workers for at least 25 rounds and
-	// until proved reports the interference the case is about has happened;
+	// until proved reports that every change the case is about happened;
 	// work is told how many rounds have completed.
-	run := func(t *testing.T, c *Controller, workers int, work func(w, iter, round int), proved func() bool) {
+	run := func(t *testing.T, c *Controller, workers int, work func(w, iter, round int), proved func(RoundReport) bool) {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		var iters, rounds atomic.Int64
@@ -462,14 +475,17 @@ func TestSlotHandlesFollowEngineUnderRace(t *testing.T) {
 			close(stop)
 			wg.Wait()
 		}()
-		for round := 1; round <= 25 || !proved(); round++ {
+		done := false
+		for round := 1; round <= 25 || !done; round++ {
 			if round > 20000 {
-				t.Fatal("the workers never interfered with a round; the test proved nothing")
+				t.Fatal("the workers never raced every table change; the test proved nothing")
 			}
-			if _, err := c.RunRound(); err != nil {
+			rep, err := c.RunRound()
+			if err != nil {
 				t.Fatal(err)
 			}
-			checkHandles(t, c, round)
+			check(t, c, round)
+			done = proved(rep) || done
 			rounds.Store(int64(round))
 			// Rounds hold the controller lock back to back; let every worker
 			// get a turn between two of them as well as during one.
@@ -478,56 +494,86 @@ func TestSlotHandlesFollowEngineUnderRace(t *testing.T) {
 			}
 		}
 	}
+	// push sends readings through IngestBatch, asking for predictions on
+	// odd iterations.
+	push := func(c *Controller, iter int, readings []Reading) {
+		c.IngestBatch(readings, iter%2 == 1, make([]IngestResult, len(readings)))
+	}
 
-	t.Run("streaming creates", func(t *testing.T) {
-		c, err := NewWithSource(streamGridConfig(), &gridSource{}, syntheticStable)
+	t.Run("discovered", func(t *testing.T) {
+		cfg := streamGridConfig()
+		cfg.MaxHosts = 32
+		c, err := NewWithSource(cfg, &gridSource{}, syntheticStable)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var discarded, evicted bool
 		run(t, c, 4, func(w, iter, round int) {
-			// Each worker brings one new host per round — once the anchor
-			// cache is warm the push creates its session before any round
-			// has met it — beside the hosts of the rounds before.
+			// Each worker brings one new host per round beside the hosts of
+			// the three rounds before, so the population outgrows MaxHosts
+			// and the hosts left behind go dark until they are evicted;
+			// every seventh push is stamped beyond the eviction horizon.
+			now := float64(round) * cfg.UpdateEveryS
 			readings := make([]Reading, 4)
 			for j := range readings {
 				readings[j] = Reading{
-					HostID: fmt.Sprintf("st-%d-%03d", w, max(0, round-j)),
-					AtS:    float64(iter),
+					HostID: fmt.Sprintf("d%d-%04d", w, max(0, round-j)),
+					AtS:    now,
 					TempC:  35 + float64((w+iter)%30),
-					Util:   0.5,
+					Util:   float64((w+iter)%10) / 10,
 				}
 			}
-			c.IngestBatch(readings, false, make([]IngestResult, len(readings)))
-		}, func() bool {
-			_, created, _, _ := c.StreamTotals()
-			return created > 0
+			if iter%7 == 0 {
+				readings[0].HostID, readings[0].AtS = fmt.Sprintf("old-%d-%d", w, iter), now-2*engine.EvictAfterS
+			}
+			push(c, iter, readings)
+		}, func(rep RoundReport) bool {
+			discarded = discarded || rep.DiscardedHosts > 0
+			evicted = evicted || rep.Evicted > 0
+			applied, _, deferred, _ := c.StreamTotals()
+			return discarded && evicted && applied > 0 && deferred > 0
 		})
 	})
 
-	t.Run("placement deletes", func(t *testing.T) {
-		c, err := New(testConfig(), syntheticStable)
+	t.Run("simulated", func(t *testing.T) {
+		cfg := testConfig()
+		cfg.MaxMigrationsPerRound = 1
+		c, err := New(cfg, syntheticStable)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seedHotHost(t, c)
+		hosts := c.Hosts()
 		var removed atomic.Int64
-		run(t, c, 3, func(w, iter, _ int) {
-			id := fmt.Sprintf("race-%d-%d", w, iter)
-			decs, err := c.PlaceBatch([]workload.VMSpec{HeavyVMSpec(id, 1, 2)})
-			if err != nil {
-				t.Errorf("PlaceBatch: %v", err)
+		var moved bool
+		run(t, c, 3, func(w, iter, round int) {
+			if w == 0 {
+				id := fmt.Sprintf("race-%d", iter)
+				decs, err := c.PlaceBatch([]workload.VMSpec{HeavyVMSpec(id, 1, 2)})
+				if err != nil {
+					t.Errorf("PlaceBatch: %v", err)
+					return
+				}
+				if decs[0].Status == Placed {
+					if err := c.RemoveVM(id); err != nil {
+						t.Errorf("RemoveVM: %v", err)
+					}
+					removed.Add(1)
+				}
 				return
 			}
-			if decs[0].Status == Placed {
-				if err := c.RemoveVM(id); err != nil {
-					t.Errorf("RemoveVM: %v", err)
-				}
-				removed.Add(1)
-			}
-		}, func() bool { return removed.Load() > 0 })
+			// The pushers leave the hot host alone, so it stays hot enough
+			// to shed its VMs.
+			id := hosts[1+(w*7+iter)%(len(hosts)-1)]
+			push(c, iter, []Reading{{HostID: id, AtS: float64(round) * cfg.UpdateEveryS, TempC: 40, Util: 0.3}})
+		}, func(rep RoundReport) bool {
+			moved = moved || rep.AppliedMoves > 0
+			applied, _, _, _ := c.StreamTotals()
+			return moved && removed.Load() > 0 && applied > 0
+		})
 
-		// Quiet now: one more deletion, one more round, and every published
-		// prediction must come from a session the engine has registered — a
-		// stale handle would have kept predicting from the deleted one.
+		// Quiet now: one more placement, one more round, and every
+		// published prediction must come from a session the engine holds.
 		decs, err := c.PlaceBatch([]workload.VMSpec{HeavyVMSpec("race-last", 1, 2)})
 		if err != nil || decs[0].Status != Placed {
 			t.Fatalf("final placement: %+v, %v", decs, err)
@@ -538,7 +584,7 @@ func TestSlotHandlesFollowEngineUnderRace(t *testing.T) {
 		c.ViewSnapshot(func(s *Snapshot) {
 			for id := range s.Predicted {
 				if _, err := c.eng.Stable(id); err != nil {
-					t.Errorf("host %s was predicted from a session the engine does not hold: %v", id, err)
+					t.Errorf("host %s was predicted without a session: %v", id, err)
 				}
 			}
 			if len(s.Predicted) != c.eng.Len() {

@@ -104,7 +104,7 @@ func TestSourceAdmissionMatchesPipeline(t *testing.T) {
 		if a.TelemetryDrained != b.TelemetryDrained {
 			t.Fatalf("round %d: drained %d, through the pipeline %d", round, a.TelemetryDrained, b.TelemetryDrained)
 		}
-		if !slices.Equal(admitted.order, piped.order) || !maps.Equal(tableReadings(admitted), tableReadings(piped)) {
+		if !slices.Equal(admitted.eng.IDs(), piped.eng.IDs()) || !maps.Equal(tableReadings(admitted), tableReadings(piped)) {
 			t.Fatalf("round %d: host tables differ", round)
 		}
 		var sa, sb [3]int64

@@ -15,16 +15,17 @@ func (c *Controller) reconcile(predicted []float64) (applied int) {
 		if applied >= c.cfg.MaxMigrationsPerRound {
 			break
 		}
-		from, ok := c.pos[p.FromHostID]
+		from, ok := c.sub.Slot(p.FromHostID)
 		if !ok || !(predicted[from] > c.cfg.ThresholdC) {
 			continue // cooled off on its own (or gone, stale, unpredicted); desired state already met
 		}
-		if err := c.sub.Migrate(p.VMID, int(from), int(c.pos[p.ToHostID])); err != nil {
+		to, _ := c.sub.Slot(p.ToHostID)
+		if err := c.sub.Migrate(p.VMID, from, to); err != nil {
 			continue // VM gone or target filled up: drop the proposal
 		}
-		// Force a re-anchor next round: both hosts' deployments changed.
-		c.eng.Delete(p.FromHostID)
-		c.eng.Delete(p.ToHostID)
+		// Re-anchor both next round: both hosts' deployments changed.
+		c.reanchor(from)
+		c.reanchor(to)
 		applied++
 	}
 	return applied
@@ -70,7 +71,8 @@ func (c *Controller) propose(hot []hotKey, slots []engine.Slot) []MigrationPropo
 		}
 	}
 	c.propTgts = targets
-	sortHotKeys(hot, func(i int32) string { return c.order[i] })
+	ids := c.eng.IDs()
+	sortHotKeys(hot, func(i int32) string { return ids[i] })
 	var out []MigrationProposal
 	for _, h := range hot {
 		if len(out) >= maxProposals {
@@ -93,8 +95,8 @@ func (c *Controller) propose(hot []hotKey, slots []engine.Slot) []MigrationPropo
 		}
 		out = append(out, MigrationProposal{
 			VMID:       vm.ID(),
-			FromHostID: c.order[h.i],
-			ToHostID:   c.order[target.slot],
+			FromHostID: ids[h.i],
+			ToHostID:   ids[target.slot],
 			MarginC:    h.margin,
 		})
 	}

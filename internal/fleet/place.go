@@ -251,7 +251,8 @@ type placePlan struct {
 // checked c.sub != nil.
 func (c *Controller) placePlanLocked() *placePlan {
 	p := &c.plan
-	if p.round == c.round && p.pop == len(c.order) {
+	ids := c.eng.IDs()
+	if p.round == c.round && p.pop == len(ids) {
 		return p
 	}
 	// Writer-side borrow of the published snapshot: the caller holds c.mu,
@@ -265,7 +266,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 		predicted = snap.pred
 	}
 	p.entries = p.entries[:0]
-	for i, id := range c.order {
+	for i, id := range ids {
 		t, hot := math.Inf(1), false
 		if predicted != nil && !math.IsNaN(predicted[i]) {
 			t, hot = predicted[i], predicted[i] > c.cfg.ThresholdC
@@ -277,7 +278,7 @@ func (c *Controller) placePlanLocked() *placePlan {
 		p.rank = append(p.rank, int32(i))
 	}
 	slices.SortFunc(p.rank, func(a, b int32) int { return p.entries[a].compare(&p.entries[b]) })
-	p.round, p.pop = c.round, len(c.order)
+	p.round, p.pop = c.round, len(ids)
 	p.moved, p.wave, p.placed = p.moved[:0], 0, 0
 	return p
 }
@@ -405,7 +406,7 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 			if cur, dup := c.sub.Owner(spec.ID); dup {
 				decs[si] = PlacementDecision{
 					VMID: spec.ID, Status: Rejected, Code: RejectDuplicateID,
-					Reason: fmt.Sprintf("fleet: vm %q already placed on %q", spec.ID, c.order[cur]),
+					Reason: fmt.Sprintf("fleet: vm %q already placed on %q", spec.ID, c.eng.IDs()[cur]),
 				}
 				continue
 			}
@@ -548,7 +549,7 @@ func (c *Controller) placeBatchLocked(specs []workload.VMSpec) ([]PlacementDecis
 			// round, and the plan carries the post-placement temperature
 			// forward so later VMs (and later calls this round) price the
 			// consumed headroom.
-			c.eng.Delete(e.id)
+			c.reanchor(int(c.waveEntry[best]))
 			e.effTemp = bestVal
 			e.hot = bestVal > c.cfg.ThresholdC
 			e.moved = true // once per wave: the host was claimed for this VM alone

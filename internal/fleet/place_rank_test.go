@@ -58,8 +58,8 @@ func TestPlanRankMatchesFullSort(t *testing.T) {
 					t.Fatalf("round %d wave %d (after batch: %v): rank %v, full sort %v", p.round, p.wave, afterBatch, p.rank, want)
 				}
 				for i := range p.entries {
-					if p.entries[i].id != c.order[i] || p.entries[i].moved {
-						t.Fatalf("entry %d = %q (moved %v), want %q in build order", i, p.entries[i].id, p.entries[i].moved, c.order[i])
+					if p.entries[i].id != c.eng.IDs()[i] || p.entries[i].moved {
+						t.Fatalf("entry %d = %q (moved %v), want %q in build order", i, p.entries[i].id, p.entries[i].moved, c.eng.IDs()[i])
 					}
 				}
 			})

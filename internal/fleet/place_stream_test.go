@@ -96,7 +96,7 @@ func runPlaceStream(t *testing.T, v streamVariant, check func(c *Controller, aft
 		where := fnv.New64a()
 		for _, id := range liveVMIDs(c) {
 			i, _ := c.sub.Owner(id)
-			fmt.Fprintf(where, "%s@%s,", id, c.order[i])
+			fmt.Fprintf(where, "%s@%s,", id, c.eng.IDs()[i])
 		}
 		fmt.Fprintf(&out, "%s round %d placed %d queued %d rejected %d hotspots %d moves %d vms %016x\n",
 			v.name, rep.Round, rep.Placements, rep.Queued, rep.Rejections, rep.Hotspots, rep.AppliedMoves, where.Sum64())

@@ -316,7 +316,7 @@ func TestPlanHotMatchesPublishedHotspots(t *testing.T) {
 		for _, h := range snap.HotSet() {
 			hot[h.HostID] = true
 		}
-		for i, id := range c.order {
+		for i, id := range c.eng.IDs() {
 			if got := snap.pred[i] > cfg.ThresholdC; got != hot[id] {
 				c.mu.Unlock()
 				t.Fatalf("round %d host %s: column says hot %v, hot set %v", round, id, got, hot[id])

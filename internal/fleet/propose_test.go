@@ -31,13 +31,14 @@ func mapPropose(c *Controller, hotspots []Hotspot, predicted map[string]float64)
 		if len(out) >= maxProposals {
 			break
 		}
-		vm, err := c.sub.LargestVM(int(c.pos[h.HostID]))
+		slot, _ := c.sub.Slot(h.HostID)
+		vm, err := c.sub.LargestVM(slot)
 		if err != nil {
 			continue // nothing running to move (e.g. hot purely from environment)
 		}
 		target := ""
 		best := math.Inf(1)
-		for i, id := range c.order {
+		for i, id := range c.eng.IDs() {
 			if id == h.HostID || hot[id] {
 				continue
 			}
@@ -93,7 +94,7 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 		}
 		// Random VM shapes until each host is empty, partly filled or full:
 		// a full host is a cool target that cannot admit the moving VM.
-		for hi, id := range c.order {
+		for hi, id := range c.eng.IDs() {
 			fill := rng.IntN(12)
 			if sparse {
 				fill = []int{0, 1, 64}[rng.IntN(3)]
@@ -109,8 +110,8 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 		}
 		for round := 0; round < 4; round++ {
 			hotAll := rng.IntN(6) == 0
-			slots := make([]engine.Slot, len(c.order))
-			for i, id := range c.order {
+			slots := make([]engine.Slot, len(c.eng.IDs()))
+			for i, id := range c.eng.IDs() {
 				if rng.IntN(8) == 0 {
 					continue // unobserved this round
 				}
@@ -146,7 +147,7 @@ func TestProposeMatchesMapOracle(t *testing.T) {
 			got := c.propose(keys, slots)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d round %d (%d hosts, max %d): propose\n got %+v\nwant %+v",
-					trial, round, len(c.order), maxProposals, got, want)
+					trial, round, len(c.eng.IDs()), maxProposals, got, want)
 			}
 			proposals += len(want)
 			if hotAll && len(hotspots) > 0 {

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"vmtherm/internal/checkpoint"
+	"vmtherm/internal/engine"
 	"vmtherm/internal/telemetry"
 )
 
@@ -96,8 +98,8 @@ func restoreThenRound(t *testing.T, st *checkpoint.State) error {
 		t.Fatalf("round after an accepted restore: %v", err)
 	}
 	checkTable(t, ctl)
-	if rep.Hosts > ctl.cfg.MaxHosts || !slices.IsSorted(ctl.order) {
-		t.Fatalf("table after an accepted restore: %d hosts (MaxHosts %d), order %v", rep.Hosts, ctl.cfg.MaxHosts, ctl.order)
+	if rep.Hosts > ctl.cfg.MaxHosts || !slices.IsSorted(ctl.eng.IDs()) {
+		t.Fatalf("table after an accepted restore: %d hosts (MaxHosts %d), order %v", rep.Hosts, ctl.cfg.MaxHosts, ctl.eng.IDs())
 	}
 	return nil
 }
@@ -142,4 +144,33 @@ func FuzzRestore(f *testing.F) {
 		}
 		_ = restoreThenRound(t, st) // a refusal is an acceptable outcome
 	})
+}
+
+// TestRestoreDropsOrphanSessions: a checkpoint cut between a push that made
+// a session and the round that would have drained the push holds a session
+// whose host is in neither the order nor the newest readings. No round
+// would ever visit it, so a restore drops it: RestoredSessions does not
+// count it and the engine holds no session under its id, while every host
+// of the order keeps its own.
+func TestRestoreDropsOrphanSessions(t *testing.T) {
+	st := goodCheckpoint(t)
+	kept := slices.Clone(st.Engine.Sessions)
+	orphan := kept[0]
+	orphan.ID = "zz-orphan"
+	st.Engine.Sessions = append(st.Engine.Sessions, orphan)
+	ctl := restoreTarget(t)
+	if err := ctl.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.RestoredSessions(); got != len(kept) {
+		t.Fatalf("RestoredSessions() = %d, want the %d sessions of the order's hosts", got, len(kept))
+	}
+	if _, err := ctl.eng.Stable(orphan.ID); !errors.Is(err, engine.ErrNoSession) {
+		t.Fatalf("orphan session survived the restore: %v", err)
+	}
+	for _, ss := range kept {
+		if v, err := ctl.eng.Stable(ss.ID); err != nil || v != ss.StableC {
+			t.Fatalf("host %s restored with anchor %v, %v; want %v", ss.ID, v, err, ss.StableC)
+		}
+	}
 }

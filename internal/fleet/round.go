@@ -123,7 +123,7 @@ func (c *Controller) drainIngest(rs *roundState) {
 	}
 	if c.sub == nil {
 		rs.discarded = c.refreshDiscoveredHosts()
-	} else if own := len(c.sub.IDs()); len(c.order) > own {
+	} else if own := len(c.sub.IDs()); len(c.eng.IDs()) > own {
 		c.dropForeignHosts(own)
 	}
 }
@@ -141,11 +141,11 @@ func (c *Controller) resolveAnchors(rs *roundState) (err error) {
 	return nil
 }
 
-// engineRound runs the session engine over the host table: sessions
-// calibrate, re-anchor, predict, degrade and evict in one pass, and each
-// host's prediction lands in its own slot.
+// engineRound runs the session engine over the host table: sessions are
+// made, calibrate, re-anchor (on drift or a mark), predict, degrade and are
+// evicted in one pass, and each host's prediction lands in its own slot.
 func (c *Controller) engineRound(rs *roundState) {
-	rs.engine = c.eng.RoundSlots(rs.now, c.order, c.slots)
+	rs.engine = c.eng.RoundSlots(rs.now)
 	if rs.engine.Forgotten > 0 {
 		// Forgotten hosts lost their reading: membership changed.
 		c.orderDirty = true
@@ -166,7 +166,8 @@ func (c *Controller) engineRound(rs *roundState) {
 // (Snapshot.Hotspots). The membership is rebuilt only when the table
 // changed.
 func (c *Controller) buildSnapshot(rs *roundState) {
-	n := len(c.order)
+	ids, slots := c.eng.IDs(), c.eng.Slots()
+	n := len(ids)
 	rs.gen = c.snaps.writable(n)
 	snap := &rs.gen.snap
 	c.round++
@@ -175,7 +176,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	snap.GapS = c.cfg.GapS
 	snap.ThresholdC = c.cfg.ThresholdC
 	if c.members == nil {
-		c.members = newMembership(c.order)
+		c.members = newMembership(ids)
 	}
 	m := c.members
 	snap.members = m
@@ -183,8 +184,8 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	snap.latest = slices.Grow(snap.latest[:0], n)[:n]
 	snap.present = slices.Grow(snap.present[:0], n)[:n]
 	thr, hot, keys, maxPred, stale := c.cfg.ThresholdC, snap.hot[:0], c.hotKeys[:0], math.Inf(-1), 0
-	for i := range c.slots {
-		s := &c.slots[i]
+	for i := range slots {
+		s := &slots[i]
 		snap.pred[i], snap.latest[i], snap.present[i] = math.NaN(), s.Reading, s.Present
 		if !s.Predicted {
 			continue
@@ -204,7 +205,7 @@ func (c *Controller) buildSnapshot(rs *roundState) {
 	}
 	snap.StaleHosts = snap.StaleHosts[:0]
 	for k := 0; len(snap.StaleHosts) < stale; k++ {
-		if s := &c.slots[m.byID[k]]; s.Predicted && s.Pred.Stale {
+		if s := &slots[m.byID[k]]; s.Predicted && s.Pred.Stale {
 			snap.StaleHosts = append(snap.StaleHosts, m.ids[m.byID[k]])
 		}
 	}
@@ -233,7 +234,7 @@ func (c *Controller) migrate(rs *roundState) {
 	if c.sub != nil {
 		snap := &rs.gen.snap
 		rs.applied = c.reconcile(snap.pred)
-		c.pendingP = c.propose(c.hotKeys, c.slots)
+		c.pendingP = c.propose(c.hotKeys, c.eng.Slots())
 		rs.proposed = len(c.pendingP)
 	}
 }
@@ -304,7 +305,7 @@ func (c *Controller) report(rs *roundState) RoundReport {
 	return RoundReport{
 		Round:              c.round,
 		SimTimeS:           rs.now,
-		Hosts:              len(c.order),
+		Hosts:              len(c.eng.IDs()),
 		SessionsLive:       rs.engine.Live,
 		TelemetryDrained:   rs.drained,
 		DroppedTotal:       droppedTotal,
@@ -329,7 +330,6 @@ func (c *Controller) report(rs *roundState) RoundReport {
 		ProposedMoves:      rs.proposed,
 		AppliedMoves:       rs.applied,
 		StreamApplied:      rs.stream.applied,
-		StreamCreated:      rs.stream.created,
 		StreamDeferred:     rs.stream.deferred,
 		StreamHotDrift:     rs.stream.drift,
 	}

@@ -40,7 +40,7 @@ func busyRun(t *testing.T) ([]RoundReport, *Controller) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for h, id := range c.order {
+	for h, id := range c.eng.IDs() {
 		for v := 0; v < 4; v++ {
 			spec := workload.VMSpec{ID: fmt.Sprintf("busy-%d-%d", h, v), Config: vmm.VMConfig{VCPUs: 4, MemoryGB: 6}}
 			for k := 0; k < 4; k++ {

@@ -260,18 +260,18 @@ func checkSnapshotColumns(t *testing.T, c *Controller, step string) {
 	t.Helper()
 	wantPred := map[string]float64{}
 	var wantStale []string
-	for i := range c.slots {
-		if p := &c.slots[i].Pred; c.slots[i].Predicted && p.Stale {
-			wantStale = append(wantStale, c.order[i])
-		} else if c.slots[i].Predicted {
-			wantPred[c.order[i]] = p.TempC
+	for i := range c.eng.Slots() {
+		if p := &c.eng.Slots()[i].Pred; c.eng.Slots()[i].Predicted && p.Stale {
+			wantStale = append(wantStale, c.eng.IDs()[i])
+		} else if c.eng.Slots()[i].Predicted {
+			wantPred[c.eng.IDs()[i]] = p.TempC
 		}
 	}
 	slices.Sort(wantStale)
 	wantLatest := map[string]Reading{}
-	for i, id := range c.order {
-		if c.slots[i].Present {
-			wantLatest[id] = c.slots[i].Reading
+	for i, id := range c.eng.IDs() {
+		if c.eng.Slots()[i].Present {
+			wantLatest[id] = c.eng.Slots()[i].Reading
 		}
 	}
 	c.ViewSnapshot(func(s *Snapshot) {
@@ -284,12 +284,12 @@ func checkSnapshotColumns(t *testing.T, c *Controller, step string) {
 		if !slices.Equal(s.StaleHosts, wantStale) {
 			t.Fatalf("%s: StaleHosts %v, sorted stale slots %v", step, s.StaleHosts, wantStale)
 		}
-		if s.Len() != len(c.order) {
-			t.Fatalf("%s: %d hosts in the columns, table has %d", step, s.Len(), len(c.order))
+		if s.Len() != len(c.eng.IDs()) {
+			t.Fatalf("%s: %d hosts in the columns, table has %d", step, s.Len(), len(c.eng.IDs()))
 		}
 		for k := range s.Len() {
 			h := s.At(k)
-			if _, ok := c.pos[h.ID]; !ok {
+			if !slices.Contains(c.eng.IDs(), h.ID) {
 				t.Fatalf("%s: column host %s is not in the table", step, h.ID)
 			}
 			if k > 0 && s.At(k-1).ID >= h.ID {

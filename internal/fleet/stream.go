@@ -1,23 +1,27 @@
 package fleet
 
 // Streaming ingest: every reading pushed through IngestBatch is applied to
-// its engine session the moment it arrives (engine.PredictFresh: observe,
-// calibrate on the session's Δ_update schedule, predict Δ_gap ahead), and
-// the resulting prediction updates a concurrent-read hotspot margin index —
-// so /v1/fleet/hotspots and a synchronous-predictive ingest reflect the
-// reading in microseconds instead of waiting out the batch round. The index
-// is built at the controller's first accepted push: a fleet fed only by its
-// telemetry source never has one and never pays for it.
+// its host's engine session the moment it arrives (engine.PredictFresh:
+// observe, calibrate on the session's Δ_update schedule, predict Δ_gap
+// ahead), and the resulting prediction updates a concurrent-read hotspot
+// margin index — so /v1/fleet/hotspots and a synchronous-predictive ingest
+// reflect the reading in microseconds instead of waiting out the batch
+// round. A push never makes a session: one for a host without a session
+// (not yet seen by a round, or left without a usable anchor) is deferred
+// to the next round, which makes it. The index is built at the
+// controller's first accepted push: a fleet fed only by its telemetry
+// source never has one and never pays for it.
 //
 // The batch round stays authoritative: every pushed reading still flows
-// through the bounded pipeline into the next round (which owns staleness
-// degradation, re-anchoring and eviction), and at each round boundary the
-// incremental index is reconciled against the round's full hotspot
-// recompute — a diff that must converge to bit-identical contents, with
-// every corrected entry counted as drift in the RoundReport.
+// through the bounded pipeline into the next round (which owns session
+// creation, staleness degradation, re-anchoring and eviction), and at each
+// round boundary the incremental index is reconciled against the round's
+// full hotspot recompute — a diff that must converge to bit-identical
+// contents, with every corrected entry counted as drift in the RoundReport.
+// A push to a host whose slot is marked for re-anchoring streams to the old
+// curve until that round resets the session and reconciles the index.
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +38,8 @@ const (
 	// IngestStreamed: queued AND applied on arrival — the session observed
 	// the reading and the hotspot index reflects its fresh prediction.
 	IngestStreamed IngestOutcome = iota
-	// IngestDeferred: queued, but the streaming path had no session for the
-	// host and no warm anchor to create one; the next batch round will.
+	// IngestDeferred: queued, but the host has no session to apply it to
+	// (no round has made one yet); the next batch round applies it.
 	IngestDeferred
 	// IngestDropped: the bounded pipeline was full; the reading was lost
 	// (and counted) without blocking the producer.
@@ -57,15 +61,12 @@ type IngestResult struct {
 // streamState is the controller's streaming-ingest machinery, nil until the
 // first accepted push (liveIndex).
 type streamState struct {
-	// anchor is the inline warm-anchor lookup bound once at construction so
-	// the per-reading hot path does not allocate a closure.
-	anchor engine.AnchorLookup
 	// Cumulative counters, readable without any lock (/metrics, stats lines).
-	applied, created, deferred, predictions atomic.Int64
+	applied, deferred, predictions atomic.Int64
 	// last* anchor the per-round deltas reported in RoundReport; owned by
 	// RunRound under the controller's round lock.
-	lastApplied, lastCreated, lastDeferred int64
-	idx                                    hotIndex
+	lastApplied, lastDeferred int64
+	idx                       hotIndex
 	// reconSeen is reconcile's membership scratch, reused across rounds
 	// (reconciliation is serialized by the round lock).
 	reconSeen map[string]bool
@@ -87,7 +88,7 @@ type hotIndex struct {
 }
 
 // upsert folds one fresh prediction in: above-threshold hosts get their
-// entry written (only when it changed), cooled or stale hosts are removed.
+// entry written (only when it changed), cooled or stale hosts are dropped.
 func (ix *hotIndex) upsert(p *Prediction, thresholdC float64) {
 	hot := !p.Stale && p.TempC > thresholdC
 	ix.mu.Lock()
@@ -106,7 +107,7 @@ func (ix *hotIndex) upsert(p *Prediction, thresholdC float64) {
 
 // reconcile replaces the index contents with the batch round's full
 // recompute, entry by entry, returning how many entries had to be
-// corrected (added, removed, or value-fixed) — the drift the streaming
+// corrected (added, dropped, or value-fixed) — the drift the streaming
 // path accumulated since the previous round boundary. After reconcile the
 // index is bit-identical to batch.
 func (ix *hotIndex) reconcile(batch []Hotspot, seen map[string]bool) (drift int) {
@@ -161,52 +162,22 @@ func (ix *hotIndex) snapshotInto(dst []Hotspot) []Hotspot {
 
 // streamDelta is one round's worth of streaming activity.
 type streamDelta struct {
-	applied, created, deferred int64
-	drift                      int
+	applied, deferred int64
+	drift             int
 }
 
 // roundDelta reports activity since the previous round boundary. Called
 // under the round lock.
 func (st *streamState) roundDelta() (d streamDelta) {
-	a, cr, de := st.applied.Load(), st.created.Load(), st.deferred.Load()
-	d.applied, d.created, d.deferred = a-st.lastApplied, cr-st.lastCreated, de-st.lastDeferred
-	st.lastApplied, st.lastCreated, st.lastDeferred = a, cr, de
+	a, de := st.applied.Load(), st.deferred.Load()
+	d.applied, d.deferred = a-st.lastApplied, de-st.lastDeferred
+	st.lastApplied, st.lastDeferred = a, de
 	return d
 }
 
-// newStreamState wires the streaming machinery for a controller.
-func newStreamState(c *Controller) *streamState {
-	return &streamState{anchor: c.warmAnchor, reconSeen: make(map[string]bool),
-		idx: hotIndex{entries: make(map[string]Hotspot)}}
-}
-
-// warmAnchor is the inline anchor lookup for hosts pushed before any round
-// has seen them: a quantized (util, mem) probe of the anchor cache — the
-// warm case that needs no model evaluation. It is strictly best-effort:
-// simulated fleets defer (their cache keys are deployment fingerprints, a
-// different namespace), a round in flight defers (the cache wants the
-// round lock; TryLock never blocks the push path, which holds the engine's
-// round gate for writing here while a round holding the round lock may be
-// waiting for that gate), and a population at the MaxHosts bound defers
-// rather than grow the engine past it. Of the engine it calls only Len,
-// which takes no lock.
-func (c *Controller) warmAnchor(r telemetry.Reading) (float64, bool) {
-	if c.sub != nil {
-		return 0, false
-	}
-	if c.cfg.MaxHosts > 0 && c.eng.Len() >= c.cfg.MaxHosts {
-		return 0, false
-	}
-	key, _, _ := c.cache.Quant().UtilMem(telemetry.Clamp01(r.Util), telemetry.Clamp01(r.MemFrac))
-	if !c.mu.TryLock() {
-		return 0, false
-	}
-	v, ok := c.cache.Get(key)
-	c.mu.Unlock()
-	if !ok || math.IsNaN(v) {
-		return 0, false
-	}
-	return v, true
+// newStreamState builds the streaming machinery with an empty index.
+func newStreamState() *streamState {
+	return &streamState{reconSeen: make(map[string]bool), idx: hotIndex{entries: make(map[string]Hotspot)}}
 }
 
 // liveIndex returns the streaming machinery, building it on the first call.
@@ -225,7 +196,7 @@ func (c *Controller) liveIndex() *streamState {
 	if st := c.stream.Load(); st != nil {
 		return st
 	}
-	st := newStreamState(c)
+	st := newStreamState()
 	if snap := c.publishedSnapshot(); snap != nil {
 		st.idx.reconcile(snap.HotSet(), st.reconSeen)
 	}
@@ -239,12 +210,14 @@ func (c *Controller) Streaming() bool { return c.stream.Load() != nil }
 
 // StreamTotals returns the cumulative streaming-ingest counters (all zero
 // until the first accepted push). Safe to call concurrently with everything.
+// created is always 0, since a push never makes a session; the result stays
+// until the benchmark that reads all four drops it (ROADMAP item 1).
 func (c *Controller) StreamTotals() (applied, created, deferred, predictions int64) {
 	st := c.stream.Load()
 	if st == nil {
 		return 0, 0, 0, 0
 	}
-	return st.applied.Load(), st.created.Load(), st.deferred.Load(), st.predictions.Load()
+	return st.applied.Load(), 0, st.deferred.Load(), st.predictions.Load()
 }
 
 // HotspotStalenessS reports how many seconds ago the served hotspot set
@@ -309,7 +282,7 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 			st = c.liveIndex()
 		}
 		var p Prediction
-		if !c.eng.PredictFresh(readings[i], st.anchor, &es, &p) {
+		if !c.eng.PredictFresh(readings[i], nil, &es, &p) {
 			results[i] = IngestResult{Outcome: IngestDeferred}
 			continue
 		}
@@ -325,9 +298,6 @@ func (c *Controller) IngestBatch(readings []Reading, wantPred bool, results []In
 	if st != nil {
 		if es.Applied > 0 {
 			st.applied.Add(int64(es.Applied))
-		}
-		if es.Created > 0 {
-			st.created.Add(int64(es.Created))
 		}
 		if es.Deferred > 0 {
 			st.deferred.Add(int64(es.Deferred))

@@ -202,7 +202,7 @@ func TestNeverPushedBuildsNoIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.StreamApplied != 0 || rep.StreamCreated != 0 || rep.StreamDeferred != 0 || rep.StreamHotDrift != 0 {
+		if rep.StreamApplied != 0 || rep.StreamDeferred != 0 || rep.StreamHotDrift != 0 {
 			t.Fatalf("stream fields in a never-pushed report: %+v", rep)
 		}
 	}

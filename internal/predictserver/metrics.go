@@ -54,9 +54,8 @@ func boolGauge(b bool) float64 {
 //	vmtherm_checkpoint_restores_total       unless checkpointing is enabled)
 //	vmtherm_checkpoint_failures_total
 //	vmtherm_ingest_stream_applied_total     streaming-ingest counters (counter;
-//	vmtherm_ingest_stream_created_total     fleet-attached servers — flat zero
-//	vmtherm_ingest_stream_deferred_total    until the first push)
-//	vmtherm_ingest_stream_predictions_total
+//	vmtherm_ingest_stream_deferred_total    fleet-attached servers — flat zero
+//	vmtherm_ingest_stream_predictions_total until the first push)
 //	vmtherm_hotspot_staleness_seconds       seconds since the served hotspot
 //	                                        set was last refreshed (gauge)
 //	vmtherm_anchor_cache_hits_total         ψ_stable anchor cache counters
@@ -142,13 +141,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		writeMetric(&sb, "vmtherm_checkpoint_failures_total", "counter",
 			"Checkpoint write or restore failures (corrupt files, I/O errors).", "", float64(ck.Failures))
 
-		applied, created, deferred, predictions := s.fleet.StreamTotals()
+		applied, _, deferred, predictions := s.fleet.StreamTotals()
 		writeMetric(&sb, "vmtherm_ingest_stream_applied_total", "counter",
 			"Pushed readings applied to their session on arrival.", "", float64(applied))
-		writeMetric(&sb, "vmtherm_ingest_stream_created_total", "counter",
-			"Sessions created inline from the warm anchor cache on arrival.", "", float64(created))
 		writeMetric(&sb, "vmtherm_ingest_stream_deferred_total", "counter",
-			"Pushed readings deferred to the next batch round (no session, no warm anchor).", "", float64(deferred))
+			"Pushed readings deferred to the next batch round (the host has no session yet).", "", float64(deferred))
 		writeMetric(&sb, "vmtherm_ingest_stream_predictions_total", "counter",
 			"Synchronous predictions returned on the ingest path (predict: true).", "", float64(predictions))
 		writeMetric(&sb, "vmtherm_hotspot_staleness_seconds", "gauge",
